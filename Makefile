@@ -2,11 +2,7 @@
 
 GO ?= go
 
-# Parameterized benchmark baseline: `make bench BENCH=BENCH_PR3.json`
-# writes a new baseline without editing the Makefile.
-BENCH ?= BENCH_PR7.json
-
-.PHONY: all build test vet lint lint-json race chaos chaos-serve chaos-shard crash throughput zeroalloc read-bench fuzz bench cover experiments examples clean
+.PHONY: all build test vet lint lint-json chaos chaos-serve chaos-shard crash throughput zeroalloc fuzz bench cover experiments examples clean
 
 all: vet test
 
@@ -33,16 +29,11 @@ lint-json:
 
 # `make test` always vets first: the robustness layer threads errors
 # through many call sites and vet's unused-result checks are cheap
-# insurance. The packages carrying the parallel execution layer — and
-# the concurrent serving layer over the durable store — rerun under
-# the race detector on every test invocation: races there are
-# correctness bugs in the determinism guarantee, not perf noise.
+# insurance. The whole suite runs under the race detector (≈2 min on
+# two cores) — no hand-kept package list to fall out of date: races in
+# the parallel and serving layers are correctness bugs in the
+# determinism guarantee, not perf noise.
 test: vet
-	$(GO) test ./...
-	$(GO) test -race ./internal/par ./internal/rplustree ./internal/mondrian ./internal/core ./internal/serve ./internal/shard ./internal/wal ./internal/lint/...
-
-# Full suite under the race detector.
-race:
 	$(GO) test -race ./...
 
 # The seeded fault-schedule harness (internal/verify), verbosely.
@@ -91,13 +82,6 @@ throughput:
 zeroalloc:
 	$(GO) test -run 'ZeroAlloc' -v ./internal/routing/ ./internal/query/ ./internal/serve/ ./internal/sfc/
 
-# Targeted read-path benchmark run, merged into the committed baseline:
-# re-measures the serving read benchmarks and the accelerator
-# comparison without re-running the full figure sweep.
-read-bench:
-	$(GO) test -run NONE -bench 'ReadPoint|ReadRange|ReadEstimate|RoutingBuild|QuantizerKey|ServeReadsDuringWrites|ServePointQuery|ServeRangeQuery' -benchmem -count=3 ./internal/query/ ./internal/sfc/ ./internal/serve/ 2>&1 | tee read_bench_output.txt
-	$(GO) run ./cmd/benchjson -in read_bench_output.txt -merge $(BENCH) -o $(BENCH)
-
 # Short fuzz passes over the dataset codecs and the WAL record decoder.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReadCSV -fuzztime=30s ./internal/dataset/
@@ -106,12 +90,11 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzLookupVsLinear -fuzztime=30s ./internal/routing/
 	$(GO) test -run=NONE -fuzz=FuzzShardRouting -fuzztime=30s ./internal/shard/
 
-# Full figure + ablation benchmark sweep, 3 runs per benchmark for
-# variance. The raw log lands in bench_output.txt; the parsed baseline
-# (committed alongside the code) in $(BENCH).
+# The benchmark of record (bench/README.md, BENCHMARK.json): every
+# workload, a fresh process each. The per-package `go test -bench`
+# microbenchmarks remain for measuring while you work.
 bench:
-	$(GO) test -run NONE -bench . -benchmem -count=3 ./... 2>&1 | tee bench_output.txt
-	$(GO) run ./cmd/benchjson -in bench_output.txt -o $(BENCH)
+	$(GO) run ./bench -workload all
 
 cover:
 	$(GO) test -cover ./...
@@ -127,4 +110,4 @@ examples:
 	$(GO) run ./examples/workload
 
 clean:
-	rm -f test_output.txt bench_output.txt read_bench_output.txt
+	rm -rf test_output.txt .bench_tmp .bench_out .bench_build

@@ -14,6 +14,28 @@ import (
 	"spatialanon/internal/wal"
 )
 
+// loadChunk is how many inserts share one WAL frame — and one fsync —
+// while -persist loads a store.
+const loadChunk = 512
+
+// loadStore inserts recs in order through the store's batch path:
+// ⌈len(recs)/loadChunk⌉ frames instead of one fsync per record.
+func loadStore(st *wal.Store, recs []attr.Record) error {
+	ops := make([]wal.Op, 0, loadChunk)
+	for len(recs) > 0 {
+		n := min(loadChunk, len(recs))
+		ops = ops[:0]
+		for _, r := range recs[:n] {
+			ops = append(ops, wal.Op{Type: wal.TypeInsert, Rec: r})
+		}
+		if _, err := st.ApplyBatch(ops); err != nil {
+			return err
+		}
+		recs = recs[n:]
+	}
+	return nil
+}
+
 // runPersist builds the index inside a durable store: every insert is
 // write-ahead logged, the final state is checkpointed, and the release
 // is emitted from the store — so a crash at any point leaves a
@@ -29,10 +51,8 @@ func runPersist(dir string, schema *attr.Schema, recs []attr.Record, k int, outP
 		return fmt.Errorf("%w (an existing store is reopened with `anonykit reopen -persist %s`)", err, dir)
 	}
 	defer st.Close()
-	for _, r := range recs {
-		if err := st.Insert(r); err != nil {
-			return err
-		}
+	if err := loadStore(st, recs); err != nil {
+		return err
 	}
 	// Fold the whole load into a checkpoint so the next reopen reads
 	// one snapshot instead of replaying every insert.

@@ -40,22 +40,22 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spatialanon/internal/attr"
 	"spatialanon/internal/dataset"
 	"spatialanon/internal/retry"
-	"spatialanon/internal/rplustree"
 	"spatialanon/internal/serve"
-	"spatialanon/internal/wal"
 )
 
 func main() {
@@ -157,12 +157,9 @@ type classStats struct {
 	p50, p99 time.Duration
 }
 
-func summarize(lats [][]time.Duration, elapsed time.Duration) classStats {
-	var all []time.Duration
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+// summarize sorts the sample in place.
+func summarize(all []time.Duration, elapsed time.Duration) classStats {
+	slices.Sort(all)
 	return classStats{
 		ops:     len(all),
 		elapsed: elapsed,
@@ -172,8 +169,8 @@ func summarize(lats [][]time.Duration, elapsed time.Duration) classStats {
 }
 
 // errCounts buckets overload-mode outcomes by the serving layer's
-// typed error taxonomy. One instance per writer, merged at the end, so
-// the hot loop never touches shared state.
+// typed error taxonomy. One instance per writer and report bucket,
+// merged at the end, so the hot loop never touches shared state.
 type errCounts struct {
 	acked, shed, expired, degraded, recovering, transient, other int
 }
@@ -211,6 +208,16 @@ func (ec errCounts) issued() int {
 	return ec.acked + ec.shed + ec.expired + ec.degraded + ec.recovering + ec.transient + ec.other
 }
 
+func (ec errCounts) String() string {
+	issued := ec.issued()
+	shedPct := 0.0
+	if issued > 0 {
+		shedPct = 100 * float64(ec.shed) / float64(issued)
+	}
+	return fmt.Sprintf("issued=%d acked=%d shed=%d (%.1f%% shed) expired=%d degraded=%d recovering=%d transient=%d other=%d",
+		issued, ec.acked, ec.shed, shedPct, ec.expired, ec.degraded, ec.recovering, ec.transient, ec.other)
+}
+
 func (s classStats) String() string {
 	if s.ops == 0 {
 		return "0 ops"
@@ -238,177 +245,143 @@ func run(args []string, out io.Writer) error {
 		defer os.RemoveAll(tmp)
 		dir = tmp
 	}
-	if c.shards > 1 {
-		return shardedRun(c, dir, schema, generate, out)
-	}
 
-	st, err := wal.Create(wal.Options{
-		Dir:    dir,
-		Tree:   rplustree.Config{Schema: schema, BaseK: c.k},
-		NoSync: c.nosync,
-	})
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-
-	// Preload in one batch: one frame, one fsync.
 	recs := generate(c.n, c.seed)
-	preload := make([]wal.Op, len(recs))
-	for i, r := range recs {
-		preload[i] = wal.Op{Type: wal.TypeInsert, Rec: r}
-	}
-	if _, err := st.ApplyBatch(preload); err != nil {
-		return fmt.Errorf("preload: %w", err)
-	}
-
-	s, err := serve.New(st, serve.Options{
-		MaxBatch:      c.batch,
-		QueueDepth:    c.queue,
-		DeadlineTicks: c.deadline,
-	})
-	if err != nil {
-		return err
-	}
-
-	// Graceful SIGINT drain: stop issuing new operations, let whatever
-	// is in flight commit, report the partial run. The handler is
-	// uninstalled on exit so a second interrupt kills the process.
-	stop := make(chan struct{})
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt)
-	defer signal.Stop(sigCh)
-	runDone := make(chan struct{})
-	defer close(runDone)
-	go func() {
-		select {
-		case <-sigCh:
-			fmt.Fprintf(out, "loadgen: interrupt — draining in-flight operations\n")
-			close(stop)
-		case <-runDone:
-		}
-	}()
-
-	fmt.Fprintf(out, "loadgen: %s profile=%s n=%d k=%d writers=%d readers=%d batch=%d ops=%d fsync=%v\n",
-		c.dataset, c.profile, c.n, c.k, c.writers, c.readers, c.batch, c.ops, !c.nosync)
-
-	if c.profile == "read" {
-		return readProfile(c, s, generate, out, stop)
-	}
-
 	// Fresh records the writers will churn, striped per writer so no
 	// two goroutines ever race on one key.
-	churn := generate(c.ops+c.writers, c.seed+1)
-	for i := range churn {
-		churn[i].ID = int64(c.n + i + 1)
+	var churn []attr.Record
+	if c.profile == "churn" {
+		churn = generate(c.ops+c.writers, c.seed+1)
+		for i := range churn {
+			churn[i].ID = int64(c.n + i + 1)
+		}
 	}
 
-	var (
-		wg          sync.WaitGroup
-		writersWG   sync.WaitGroup
-		writerLats  = make([][]time.Duration, c.writers)
-		readerLats  = make([][]time.Duration, c.readers)
-		writerCount = make([]errCounts, c.writers)
-		errMu       sync.Mutex
-		firstErr    error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
+	var tgt target
+	mode := fmt.Sprintf("profile=%s n=%d k=%d", c.profile, c.n, c.k)
+	if c.shards > 1 {
+		mode = fmt.Sprintf("sharded n=%d k=%d shards=%d", c.n, c.k, c.shards)
+		tgt, err = newFleetTarget(c, dir, schema, recs, churn)
+	} else {
+		tgt, err = newStoreTarget(c, dir, schema, recs)
 	}
+	if err != nil {
+		return err
+	}
+	defer tgt.close()
+	fmt.Fprintf(out, "loadgen: %s %s writers=%d readers=%d batch=%d ops=%d fsync=%v\n",
+		c.dataset, mode, c.writers, c.readers, c.batch, c.ops, !c.nosync)
+
+	// Graceful SIGINT drain: the first interrupt stops new operations,
+	// lets whatever is in flight commit and reports the partial run.
+	// The handler uninstalls itself as it fires, so a second interrupt
+	// kills the process.
+	ctx, uninstall := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer uninstall()
+	context.AfterFunc(ctx, uninstall)
+
+	if c.profile == "read" {
+		// parseFlags admits the read profile on a single store only.
+		return readProfile(ctx, c, tgt.(*storeTarget).Server, generate, out)
+	}
+	return churnLoop(ctx, c, tgt, churn, out)
+}
+
+// noteInterrupt reports a drained interrupt. The driving goroutine
+// calls it once its loops have stopped, so out has a single writer.
+func noteInterrupt(ctx context.Context, out io.Writer) {
+	if ctx.Err() != nil {
+		fmt.Fprintf(out, "loadgen: interrupt — draining in-flight operations\n")
+	}
+}
+
+// bucketSamples accumulates the write samples of one report bucket:
+// one instance per writer while the loop runs, merged for the report.
+type bucketSamples struct {
+	lats []time.Duration
+	ec   errCounts
+}
+
+// churnLoop is the closed-loop churn driver, written once against
+// target: striped writers cycling insert → relocate → delete, readers
+// looping the target's read step until the writers finish, error
+// classification, and the per-bucket report.
+func churnLoop(ctx context.Context, c config, tgt target, churn []attr.Record, out io.Writer) error {
+	var (
+		writers, readers sync.WaitGroup
+		samples          = make([][]bucketSamples, c.writers) // [writer][bucket]
+		readerLats       = make([][]time.Duration, c.readers)
+		partials         atomic.Int64
+		firstErr         atomic.Pointer[error]
+	)
+	fail := func(err error) { firstErr.CompareAndSwap(nil, &err) }
 	stopReaders := make(chan struct{})
 	start := time.Now() // anonylint:wall-clock — throughput measurement only
 
-	for w := 0; w < c.writers; w++ {
-		w := w
-		wg.Add(1)
-		writersWG.Add(1)
+	for w := range samples {
+		mine := make([]bucketSamples, tgt.buckets())
+		samples[w] = mine
+		writers.Add(1)
 		go func() {
-			defer wg.Done()
-			defer writersWG.Done()
+			defer writers.Done()
 			// Writer w owns churn indices w, w+writers, w+2*writers, …
 			// and cycles insert → relocate → delete over its own keys,
 			// so the store's size stays near the preload and every
-			// update and delete hits a live record.
-			lats := make([]time.Duration, 0, c.ops/c.writers+1)
-			defer func() { writerLats[w] = lats }()
+			// update and delete hits a live record. On a fleet the
+			// relocation may cross a shard seam — that path is part of
+			// what a sharded run measures.
 			var cur attr.Record
-			j := 0
-			for i := w; i < c.ops; i += c.writers {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				t0 := time.Now() // anonylint:wall-clock — latency sample
+			for i, j := w, 0; i < c.ops && ctx.Err() == nil; i, j = i+c.writers, j+1 {
 				var err error
+				var b int
+				t0 := time.Now() // anonylint:wall-clock — latency sample
 				switch j % 3 {
 				case 0:
 					cur = churn[i]
-					err = s.Insert(cur)
+					b = tgt.bucket(cur.QI)
+					err = tgt.Insert(cur)
 				case 1:
 					moved := attr.Record{ID: cur.ID, QI: append([]float64(nil), cur.QI...), Sensitive: cur.Sensitive}
 					moved.QI[0]++
-					_, err = s.Update(cur.ID, cur.QI, moved)
+					b = tgt.bucket(moved.QI)
+					_, err = tgt.Update(cur.ID, cur.QI, moved)
 					cur = moved
 				case 2:
-					_, err = s.Delete(cur.ID, cur.QI)
+					b = tgt.bucket(cur.QI)
+					_, err = tgt.Delete(cur.ID, cur.QI)
 				}
-				lats = append(lats, time.Since(t0)) // anonylint:wall-clock — latency sample
+				mine[b].lats = append(mine[b].lats, time.Since(t0)) // anonylint:wall-clock — latency sample
 				if c.overload {
 					// Overload runs measure the rejections instead of
 					// dying on them: a shed or expired submission was
 					// never committed, so the loop just drives on.
-					writerCount[w].classify(err)
+					mine[b].ec.classify(err)
 				} else if err != nil {
 					fail(fmt.Errorf("writer %d: %w", w, err))
 					return
 				}
-				j++
 			}
 		}()
 	}
 
-	for r := 0; r < c.readers; r++ {
-		r := r
-		wg.Add(1)
+	for r := range readerLats {
+		readers.Add(1)
 		go func() {
-			defer wg.Done()
-			var lats []time.Duration
-			q := attr.Box(nil)
+			defer readers.Done()
 			for {
 				select {
 				case <-stopReaders:
-					readerLats[r] = lats
 					return
 				default:
 				}
 				t0 := time.Now() // anonylint:wall-clock — latency sample
-				v := s.View()
-				if _, err := v.Release(c.k1); err != nil {
+				np, err := tgt.read()
+				if err != nil {
 					fail(fmt.Errorf("reader %d: %w", r, err))
 					return
 				}
-				if q == nil {
-					// Derive one range query from the view's own base
-					// release so it always intersects live data.
-					base, err := v.Base()
-					if err != nil {
-						fail(err)
-						return
-					}
-					q = base[0].Box.Clone()
-				}
-				if _, err := v.Count(q); err != nil {
-					fail(fmt.Errorf("reader %d count: %w", r, err))
-					return
-				}
-				lats = append(lats, time.Since(t0)) // anonylint:wall-clock — latency sample
-				// A pure read loop on a write-free run would never end;
-				// bound it by wall clock via the stop channel below.
+				partials.Add(int64(np))
+				readerLats[r] = append(readerLats[r], time.Since(t0)) // anonylint:wall-clock — latency sample
 			}
 		}()
 	}
@@ -416,52 +389,38 @@ func run(args []string, out io.Writer) error {
 	// Writers define the run length; a read-only run gets a fixed
 	// window instead.
 	if c.writers > 0 {
-		writersWG.Wait()
+		writers.Wait()
 	} else {
 		select {
 		case <-time.After(2 * time.Second):
-		case <-stop:
+		case <-ctx.Done():
 		}
 	}
 	writeElapsed := time.Since(start) // anonylint:wall-clock — throughput measurement only
 	close(stopReaders)
-	wg.Wait()
+	readers.Wait()
 	elapsed := time.Since(start) // anonylint:wall-clock — throughput measurement only
 
-	if err := s.Close(); err != nil {
+	noteInterrupt(ctx, out)
+	if err := tgt.close(); err != nil {
 		return err
 	}
-	if firstErr != nil {
-		return firstErr
+	if p := firstErr.Load(); p != nil {
+		return *p
 	}
 
 	if c.writers > 0 {
-		ws := summarize(writerLats, writeElapsed)
-		fmt.Fprintf(out, "writes: %s\n", ws)
-		stats := s.Stats()
-		if stats.Batches > 0 {
-			fmt.Fprintf(out, "commits: %d batches, %.1f ops/fsync, max batch %d, epoch %d\n",
-				stats.Batches, float64(stats.Ops)/float64(stats.Batches), stats.MaxBatch, stats.Epoch)
-		}
-		if c.overload {
-			var total errCounts
-			for i := range writerCount {
-				total.add(writerCount[i])
+		per := make([]bucketSamples, tgt.buckets())
+		for _, mine := range samples {
+			for b := range mine {
+				per[b].lats = append(per[b].lats, mine[b].lats...)
+				per[b].ec.add(mine[b].ec)
 			}
-			issued := total.issued()
-			shedPct := 0.0
-			if issued > 0 {
-				shedPct = 100 * float64(total.shed) / float64(issued)
-			}
-			fmt.Fprintf(out, "overload: issued=%d acked=%d shed=%d (%.1f%% shed) expired=%d degraded=%d recovering=%d transient=%d other=%d\n",
-				issued, total.acked, total.shed, shedPct, total.expired, total.degraded, total.recovering, total.transient, total.other)
-			fmt.Fprintf(out, "server: state=%v shed=%d expired=%d retries=%d recoveries=%d\n",
-				stats.State, stats.Shed, stats.Expired, stats.Retries, stats.Recoveries)
 		}
+		tgt.report(out, per, writeElapsed, c.overload, partials.Load())
 	}
 	if c.readers > 0 {
-		rs := summarize(readerLats, elapsed)
-		fmt.Fprintf(out, "reads:  %s\n", rs)
+		fmt.Fprintf(out, "reads:  %s\n", summarize(slices.Concat(readerLats...), elapsed))
 	}
 	return nil
 }

@@ -20,30 +20,72 @@ func runOK(t *testing.T, args ...string) string {
 	return out.String()
 }
 
+// shardCounts is the table every churn assertion runs over: the single
+// store is the one-bucket case of the same loop that drives a fleet.
+var shardCounts = []string{"1", "3"}
+
+// sumMatches adds up capture group `group` of re over every match in
+// out — one match on a single store, one per shard on a fleet.
+func sumMatches(t *testing.T, out string, re *regexp.Regexp, group int) int {
+	t.Helper()
+	ms := re.FindAllStringSubmatch(out, -1)
+	if len(ms) == 0 {
+		t.Fatalf("no line matches %v:\n%s", re, out)
+	}
+	sum := 0
+	for _, m := range ms {
+		n, err := strconv.Atoi(m[group])
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += n
+	}
+	return sum
+}
+
+var (
+	writesRE   = regexp.MustCompile(`writes: (\d+) ops`)
+	overloadRE = regexp.MustCompile(`(?:overload|shard \d+ errors): issued=(\d+) acked=(\d+) shed=(\d+)`)
+)
+
 // TestMixedLoad drives the full closed loop — writers and readers —
 // on a small store with fsync disabled so the test is fast on any
-// filesystem, and checks both report lines appear with sane content.
+// filesystem, and checks the report lines appear with sane content.
 func TestMixedLoad(t *testing.T) {
-	out := runOK(t,
-		"-dir", t.TempDir(), "-n", "600", "-ops", "300",
-		"-writers", "4", "-readers", "2", "-batch", "16", "-k", "5", "-nosync")
-	for _, want := range []string{"writes: 300 ops", "reads:", "ops/sec", "p50", "p99", "commits:"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
-		}
+	for _, shards := range shardCounts {
+		t.Run("shards="+shards, func(t *testing.T) {
+			out := runOK(t,
+				"-dir", t.TempDir(), "-n", "600", "-ops", "300", "-shards", shards,
+				"-writers", "4", "-readers", "2", "-batch", "16", "-k", "5", "-nosync")
+			for _, want := range []string{"reads:", "ops/sec", "p50", "p99", "commits:"} {
+				if !strings.Contains(out, want) {
+					t.Fatalf("output missing %q:\n%s", want, out)
+				}
+			}
+			if got := sumMatches(t, out, writesRE, 1); got != 300 {
+				t.Fatalf("report accounts for %d writes, want 300:\n%s", got, out)
+			}
+			if sharded := strings.Contains(out, "coordinator: partial reads=0 "); sharded != (shards != "1") {
+				t.Fatalf("coordinator line present=%v with -shards %s:\n%s", sharded, shards, out)
+			}
+		})
 	}
 }
 
-// TestWriteOnly and TestReadOnlyFlagged pin the degenerate shapes.
+// TestWriteOnly pins the degenerate no-reader shape.
 func TestWriteOnly(t *testing.T) {
-	out := runOK(t,
-		"-dir", t.TempDir(), "-n", "200", "-ops", "120",
-		"-writers", "2", "-readers", "0", "-k", "4", "-nosync", "-dataset", "patients")
-	if !strings.Contains(out, "writes: 120 ops") {
-		t.Fatalf("write-only run misreported:\n%s", out)
-	}
-	if strings.Contains(out, "reads:") {
-		t.Fatalf("write-only run reported reads:\n%s", out)
+	for _, shards := range shardCounts {
+		t.Run("shards="+shards, func(t *testing.T) {
+			out := runOK(t,
+				"-dir", t.TempDir(), "-n", "200", "-ops", "120", "-shards", shards,
+				"-writers", "2", "-readers", "0", "-k", "4", "-nosync", "-dataset", "patients")
+			if got := sumMatches(t, out, writesRE, 1); got != 120 {
+				t.Fatalf("write-only run misreported (%d writes):\n%s", got, out)
+			}
+			if strings.Contains(out, "reads:") {
+				t.Fatalf("write-only run reported reads:\n%s", out)
+			}
+		})
 	}
 }
 
@@ -51,27 +93,27 @@ func TestWriteOnly(t *testing.T) {
 // queue admits, so the bounded queue must shed — typed, counted, and
 // without aborting the run.
 func TestOverloadReport(t *testing.T) {
-	out := runOK(t,
-		"-dir", t.TempDir(), "-n", "300", "-ops", "2000",
-		"-writers", "12", "-readers", "0", "-batch", "1", "-queue", "1",
-		"-k", "4", "-nosync", "-overload")
-	if !strings.Contains(out, "overload: issued=2000") {
-		t.Fatalf("overload report missing or short:\n%s", out)
-	}
-	if !strings.Contains(out, "server: state=healthy") {
-		t.Fatalf("server counters line missing:\n%s", out)
-	}
-	m := regexp.MustCompile(`overload: issued=2000 acked=(\d+) shed=(\d+)`).FindStringSubmatch(out)
-	if m == nil {
-		t.Fatalf("unparseable overload line:\n%s", out)
-	}
-	acked, _ := strconv.Atoi(m[1])
-	shed, _ := strconv.Atoi(m[2])
-	if shed == 0 {
-		t.Fatalf("queue of 1 against 12 writers never shed:\n%s", out)
-	}
-	if acked+shed > 2000 {
-		t.Fatalf("acked %d + shed %d exceed issued 2000:\n%s", acked, shed, out)
+	for _, shards := range shardCounts {
+		t.Run("shards="+shards, func(t *testing.T) {
+			out := runOK(t,
+				"-dir", t.TempDir(), "-n", "300", "-ops", "2000", "-shards", shards,
+				"-writers", "12", "-readers", "0", "-batch", "1", "-queue", "1",
+				"-k", "4", "-nosync", "-overload")
+			if issued := sumMatches(t, out, overloadRE, 1); issued != 2000 {
+				t.Fatalf("overload report accounts for %d of 2000 issued:\n%s", issued, out)
+			}
+			if !strings.Contains(out, "state=healthy") {
+				t.Fatalf("server counters line missing:\n%s", out)
+			}
+			acked := sumMatches(t, out, overloadRE, 2)
+			shed := sumMatches(t, out, overloadRE, 3)
+			if shed == 0 {
+				t.Fatalf("queue of 1 against 12 writers never shed:\n%s", out)
+			}
+			if acked+shed > 2000 {
+				t.Fatalf("acked %d + shed %d exceed issued 2000:\n%s", acked, shed, out)
+			}
+		})
 	}
 }
 
@@ -79,30 +121,34 @@ func TestOverloadReport(t *testing.T) {
 // graceful drain: run returns nil well before the window ends, with
 // the interrupt noted and the read report still printed.
 func TestSIGINTDrains(t *testing.T) {
-	dir := t.TempDir()
-	var out bytes.Buffer
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{"-dir", dir, "-n", "200", "-k", "4",
-			"-writers", "0", "-readers", "2", "-nosync"}, &out)
-	}()
-	time.Sleep(300 * time.Millisecond)
-	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("interrupted run failed: %v\n%s", err, out.String())
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("run did not drain after SIGINT")
-	}
-	if !strings.Contains(out.String(), "interrupt") {
-		t.Fatalf("drain not reported:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "reads:") {
-		t.Fatalf("partial read report missing:\n%s", out.String())
+	for _, shards := range shardCounts {
+		t.Run("shards="+shards, func(t *testing.T) {
+			dir := t.TempDir()
+			var out bytes.Buffer
+			done := make(chan error, 1)
+			go func() {
+				done <- run([]string{"-dir", dir, "-n", "200", "-k", "4", "-shards", shards,
+					"-writers", "0", "-readers", "2", "-nosync"}, &out)
+			}()
+			time.Sleep(300 * time.Millisecond)
+			if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("interrupted run failed: %v\n%s", err, out.String())
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("run did not drain after SIGINT")
+			}
+			if !strings.Contains(out.String(), "interrupt") {
+				t.Fatalf("drain not reported:\n%s", out.String())
+			}
+			if !strings.Contains(out.String(), "reads:") {
+				t.Fatalf("partial read report missing:\n%s", out.String())
+			}
+		})
 	}
 }
 

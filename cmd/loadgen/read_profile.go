@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -37,7 +38,7 @@ func allocsPerOp(n int, f func()) float64 {
 // readProfile runs the read-only measurement loop. Writers (if
 // configured) churn the store in the background — unmeasured — so the
 // epoch moves and sessions exercise their refresh path.
-func readProfile(c config, s *serve.Server, generate func(n int, seed int64) []attr.Record, out io.Writer, stop chan struct{}) error {
+func readProfile(ctx context.Context, c config, s *serve.Server, generate func(n int, seed int64) []attr.Record, out io.Writer) error {
 	v := s.View()
 	if _, err := v.Release(c.k1); err != nil {
 		return fmt.Errorf("read profile: %w", err)
@@ -108,12 +109,7 @@ func readProfile(c config, s *serve.Server, generate func(n int, seed int64) []a
 				outs[r].err = err
 				return
 			}
-			for i := r; i < c.ops; i += c.readers {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := r; i < c.ops && ctx.Err() == nil; i += c.readers {
 				if cur := s.View(); cur.Epoch() != rv.Epoch() {
 					rv = cur
 					if rc, err = rv.Counter(c.k1); err != nil {
@@ -134,18 +130,18 @@ func readProfile(c config, s *serve.Server, generate func(n int, seed int64) []a
 	elapsed := time.Since(start) // anonylint:wall-clock — throughput measurement only
 	close(churnStop)
 	churnWG.Wait()
+	noteInterrupt(ctx, out)
 	if err := s.Close(); err != nil {
 		return err
 	}
 
-	pointLats := make([][]time.Duration, c.readers)
-	rangeLats := make([][]time.Duration, c.readers)
+	var pointLats, rangeLats []time.Duration
 	for r := range outs {
 		if outs[r].err != nil {
 			return fmt.Errorf("reader %d: %w", r, outs[r].err)
 		}
-		pointLats[r] = outs[r].point
-		rangeLats[r] = outs[r].rng
+		pointLats = append(pointLats, outs[r].point...)
+		rangeLats = append(rangeLats, outs[r].rng...)
 	}
 	fmt.Fprintf(out, "points: %s, allocs/op %.2f\n", summarize(pointLats, elapsed), pointAllocs)
 	fmt.Fprintf(out, "ranges: %s, allocs/op %.2f\n", summarize(rangeLats, elapsed), rangeAllocs)

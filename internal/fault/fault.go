@@ -31,6 +31,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 
 	"spatialanon/internal/pager"
@@ -117,15 +118,64 @@ type Config struct {
 	MaxFaults int
 }
 
+// schedule is the seeded core under every injector: the private PRNG
+// that makes a fault schedule a pure function of (seed, sequence of
+// intercepted operations), After arming, the MaxFaults budget and the
+// per-kind injection counters. Injector and Flaky embed it and add only
+// their rates and their policy methods.
+type schedule struct {
+	seed      int64
+	rng       *rand.Rand
+	after     int
+	maxFaults int
+	ops       int
+	counts    map[Kind]int
+}
+
+func newSchedule(seed int64, after, maxFaults int) schedule {
+	return schedule{
+		seed:      seed,
+		rng:       rand.New(rand.NewSource(seed)),
+		after:     after,
+		maxFaults: maxFaults,
+		counts:    make(map[Kind]int),
+	}
+}
+
+// Seed returns the seed the injector was created with.
+func (s *schedule) Seed() int64 { return s.seed }
+
+// Ops returns the number of operations intercepted so far.
+func (s *schedule) Ops() int { return s.ops }
+
+// armed reports whether the injector is past its After threshold and
+// under its fault budget.
+func (s *schedule) armed() bool {
+	if s.ops <= s.after {
+		return false
+	}
+	return s.maxFaults == 0 || s.Injected() < s.maxFaults
+}
+
+// Injected returns the number of faults injected so far (repeat
+// failures of an already-permanent page are not counted again).
+func (s *schedule) Injected() int {
+	n := 0
+	for _, c := range s.counts {
+		n += c
+	}
+	return n
+}
+
+// Counts returns a copy of the per-kind injection counters.
+func (s *schedule) Counts() map[Kind]int { return maps.Clone(s.counts) }
+
 // Injector is a deterministic fault injector implementing
 // pager.FaultPolicy. It is not safe for concurrent use (neither is the
 // pager).
 type Injector struct {
+	schedule
 	cfg       Config
-	seed      int64
-	rng       *rand.Rand
-	ops       int
-	counts    map[Kind]int
 	permanent map[pager.PageID]bool
 }
 
@@ -133,16 +183,11 @@ type Injector struct {
 // function of seed and the sequence of intercepted operations.
 func NewInjector(seed int64, cfg Config) *Injector {
 	return &Injector{
+		schedule:  newSchedule(seed, cfg.After, cfg.MaxFaults),
 		cfg:       cfg,
-		seed:      seed,
-		rng:       rand.New(rand.NewSource(seed)),
-		counts:    make(map[Kind]int),
 		permanent: make(map[pager.PageID]bool),
 	}
 }
-
-// Seed returns the seed the injector was created with.
-func (in *Injector) Seed() int64 { return in.seed }
 
 // Derive returns a fresh injector with the same Config whose seed is a
 // deterministic function of this injector's seed and the shard index.
@@ -230,34 +275,3 @@ func (in *Injector) CorruptWrite(id pager.PageID, data []byte) bool {
 	}
 	return false
 }
-
-// armed reports whether the injector is past its After threshold and
-// under its fault budget.
-func (in *Injector) armed() bool {
-	if in.ops <= in.cfg.After {
-		return false
-	}
-	return in.cfg.MaxFaults == 0 || in.Injected() < in.cfg.MaxFaults
-}
-
-// Injected returns the number of faults injected so far (repeat
-// failures of an already-permanent page are not counted again).
-func (in *Injector) Injected() int {
-	n := 0
-	for _, c := range in.counts {
-		n += c
-	}
-	return n
-}
-
-// Counts returns a copy of the per-kind injection counters.
-func (in *Injector) Counts() map[Kind]int {
-	out := make(map[Kind]int, len(in.counts))
-	for k, v := range in.counts {
-		out[k] = v
-	}
-	return out
-}
-
-// Ops returns the number of operations intercepted so far.
-func (in *Injector) Ops() int { return in.ops }

@@ -8,9 +8,9 @@ import (
 	"spatialanon/internal/pager"
 )
 
-// schedule replays n read/write interceptions against an injector and
+// replaySchedule replays n read/write interceptions against an injector and
 // records which ordinals faulted with what kind.
-func schedule(in *Injector, n int) []string {
+func replaySchedule(in *Injector, n int) []string {
 	var out []string
 	for i := 0; i < n; i++ {
 		id := pager.PageID(i % 7)
@@ -37,15 +37,15 @@ func TestDeterminism(t *testing.T) {
 		TransientReadRate: 0.05, TransientWriteRate: 0.05,
 		PermanentReadRate: 0.01, PermanentWriteRate: 0.01,
 	}
-	a := schedule(NewInjector(42, cfg), 500)
-	b := schedule(NewInjector(42, cfg), 500)
+	a := replaySchedule(NewInjector(42, cfg), 500)
+	b := replaySchedule(NewInjector(42, cfg), 500)
 	if len(a) == 0 {
 		t.Fatal("schedule injected no faults; rates too low for the test")
 	}
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Fatalf("same seed produced different schedules:\n%v\n%v", a, b)
 	}
-	c := schedule(NewInjector(43, cfg), 500)
+	c := replaySchedule(NewInjector(43, cfg), 500)
 	if fmt.Sprint(a) == fmt.Sprint(c) {
 		t.Fatal("different seeds produced identical schedules")
 	}
@@ -53,7 +53,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestZeroConfigInjectsNothing(t *testing.T) {
 	in := NewInjector(1, Config{})
-	if faults := schedule(in, 1000); len(faults) != 0 {
+	if faults := replaySchedule(in, 1000); len(faults) != 0 {
 		t.Fatalf("zero config injected %v", faults)
 	}
 	if in.Injected() != 0 || in.Ops() != 1000 {

@@ -1,9 +1,6 @@
 package fault
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // LogError is a typed injected failure of a log append or fsync — the
 // frame-stream analogue of the page-scoped Error. The WAL writer and
@@ -55,21 +52,15 @@ type FlakyConfig struct {
 // is a pure function of (seed, sequence of intercepted attempts). It
 // is not safe for concurrent use — neither is the WAL writer.
 type Flaky struct {
-	cfg    FlakyConfig
-	seed   int64
-	rng    *rand.Rand
-	ops    int
-	counts map[Kind]int
+	schedule
+	cfg FlakyConfig
 }
 
 // NewFlaky returns an injector whose fault schedule is a pure function
 // of seed and the sequence of intercepted attempts.
 func NewFlaky(seed int64, cfg FlakyConfig) *Flaky {
-	return &Flaky{cfg: cfg, seed: seed, rng: rand.New(rand.NewSource(seed)), counts: make(map[Kind]int)}
+	return &Flaky{schedule: newSchedule(seed, cfg.After, cfg.MaxFaults), cfg: cfg}
 }
-
-// Seed returns the seed the injector was created with.
-func (f *Flaky) Seed() int64 { return f.seed }
 
 // Derive returns a fresh Flaky with the same config whose seed is a
 // deterministic function of this injector's seed and the shard index —
@@ -88,7 +79,7 @@ func (f *Flaky) Derive(shard int) *Flaky {
 // writer performs the full write itself.
 func (f *Flaky) WriteAttempt(frameLen int) (tear int, err error) {
 	f.ops++
-	if !f.flakyArmed() {
+	if !f.armed() {
 		return 0, nil
 	}
 	r := f.rng.Float64()
@@ -106,7 +97,7 @@ func (f *Flaky) WriteAttempt(frameLen int) (tear int, err error) {
 // SyncAttempt is consulted before one fsync of the log.
 func (f *Flaky) SyncAttempt() error {
 	f.ops++
-	if !f.flakyArmed() {
+	if !f.armed() {
 		return nil
 	}
 	if f.rng.Float64() < f.cfg.TransientSyncRate {
@@ -123,33 +114,3 @@ func (f *Flaky) tearBytes(frameLen int) int {
 	}
 	return f.rng.Intn(frameLen + 1)
 }
-
-// flakyArmed reports whether the injector is past its After threshold
-// and under its fault budget.
-func (f *Flaky) flakyArmed() bool {
-	if f.ops <= f.cfg.After {
-		return false
-	}
-	return f.cfg.MaxFaults == 0 || f.Injected() < f.cfg.MaxFaults
-}
-
-// Injected returns the number of faults injected so far.
-func (f *Flaky) Injected() int {
-	n := 0
-	for _, c := range f.counts {
-		n += c
-	}
-	return n
-}
-
-// Counts returns a copy of the per-kind injection counters.
-func (f *Flaky) Counts() map[Kind]int {
-	out := make(map[Kind]int, len(f.counts))
-	for k, v := range f.counts {
-		out[k] = v
-	}
-	return out
-}
-
-// Ops returns the number of attempts intercepted so far.
-func (f *Flaky) Ops() int { return f.ops }

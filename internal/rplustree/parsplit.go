@@ -1,18 +1,19 @@
 package rplustree
 
-// Parallel split cascades: the plan-then-wire execution of bulk-load
-// leaf splitting.
+// The split cascade: plan-then-wire execution of leaf splitting, the
+// one path every oversized leaf takes — a per-tuple insert's single
+// overflow and a bulk load's many-times-over leaf alike.
 //
-// The serial cascade (splitLeafRecursive -> splitLeaf) interleaves two
-// very different kinds of work: pure computation (choosing hyperplanes,
-// Hoare-partitioning record ranges, accumulating MBRs) and shared-state
-// mutation (wiring nodes into the tree, redistributing buffers,
-// charging the attached loader's pager). The computation dominates —
-// a bulk load splits leaves holding large fractions of the data set at
-// every level — and it decomposes perfectly: once a leaf's records are
-// partitioned at a hyperplane, the two halves never interact again.
+// Splitting a leaf is two very different kinds of work: pure
+// computation (choosing hyperplanes, Hoare-partitioning record ranges,
+// accumulating MBRs) and shared-state mutation (wiring nodes into the
+// tree, redistributing buffers, charging the attached loader's pager).
+// The computation dominates — a bulk load splits leaves holding large
+// fractions of the data set at every level — and it decomposes
+// perfectly: once a leaf's records are partitioned at a hyperplane, the
+// two halves never interact again.
 //
-// This file therefore splits the cascade into two phases:
+// The cascade therefore runs in two phases:
 //
 //  1. planSplits recursively chooses and evaluates every split of an
 //     oversized record set WITHOUT touching the tree. Each recursion
@@ -24,11 +25,11 @@ package rplustree
 //     appends update ancestor MBRs before any splitting starts and
 //     restructuring never changes them.
 //  2. applySplits wires the planned nodes into the tree on the calling
-//     goroutine, in exactly the order the serial recursion uses
-//     (pre-order, left half first). Structural restructuring, buffer
-//     redistribution and pager charges therefore happen in the
-//     identical sequence, which keeps not only the tree but also the
-//     I/O counters of Figure 8 bit-identical for every worker count.
+//     goroutine, always in the same order (pre-order, left half
+//     first). Structural restructuring, buffer redistribution and
+//     pager charges therefore happen in the identical sequence, which
+//     keeps not only the tree but also the I/O counters of Figure 8
+//     bit-identical for every worker count.
 //
 // Why not one pager per subtree worker instead? Sharding the pager
 // would hand each worker MemoryBytes/W of pool, making the measured
@@ -48,10 +49,10 @@ import (
 )
 
 const (
-	// parSplitMin is the smallest oversized leaf routed through the
-	// plan-then-wire path, and within a plan the smallest half worth
-	// forking to another worker. Below it the fork overhead (one
-	// goroutine + one channel) outweighs the partition scan.
+	// parSplitMin is the smallest oversized leaf whose plan gets a
+	// worker pool, and within a plan the smallest half worth forking to
+	// another worker. Below it the fork overhead (one goroutine + one
+	// channel) outweighs the partition scan.
 	parSplitMin = 2048
 	// parRouteMin is the smallest batch worth forking during trie
 	// routing (bufferload.go): routing is one compare-and-swap sweep
@@ -74,24 +75,39 @@ type splitPlan struct {
 	lSub, rSub *splitPlan
 }
 
-// splitLeafPlanned runs one full cascade over an oversized leaf via
-// plan-then-wire. It is called instead of the serial recursion when
-// the tree's Parallelism admits more than one worker and the leaf is
-// large enough to matter; its observable effect is identical.
-func (t *Tree) splitLeafPlanned(leaf *node) error {
-	pool := par.NewPool(t.cfg.Parallelism)
-	// Freeze the split context's Domain for the cascade. Cloning (not
-	// aliasing) makes the worker goroutines' reads independent of the
-	// tree even in exotic interleavings, and costs one small box.
-	domain := t.root.mbr.Clone()
-	plan := t.planSplits(leaf.recs, leaf.region, leaf.mbr, domain, pool)
-	return t.applySplits(leaf, plan)
+// splitLeafRecursive splits a leaf until every resulting leaf is within
+// capacity (bulk appends can leave a leaf many times over): plan every
+// split, then wire the plan in. Small leaves — and every leaf when
+// Parallelism is 1 — plan inline on a nil pool; the splits are the same
+// either way and the determinism suite holds them to it.
+func (t *Tree) splitLeafRecursive(leaf *node) error {
+	if len(leaf.recs) <= t.cfg.leafCapacity() {
+		return nil
+	}
+	// The split context's Domain is frozen for the cascade. An inline
+	// plan reads the root MBR in place (nothing mutates the tree until
+	// wiring starts); with workers it is cloned, which makes their reads
+	// independent of the tree even in exotic interleavings and costs one
+	// small box.
+	var pool *par.Pool
+	domain := t.root.mbr
+	if len(leaf.recs) >= parSplitMin {
+		if pool = par.NewPool(t.cfg.Parallelism); pool != nil {
+			domain = domain.Clone()
+		}
+	}
+	return t.applySplits(leaf, t.planSplits(leaf.recs, leaf.region, leaf.mbr, domain, pool))
 }
 
 // planSplits recursively plans the splits of recs, which tile `region`
-// and have tight bound `mbr`. recs is partitioned in place exactly as
-// the serial splitLeaf would (Hoare sweep, left = strictly below the
-// hyperplane); no tree state is read or written, so halves fork freely.
+// and have tight bound `mbr`. recs is partitioned in place (Hoare
+// sweep, left = strictly below the hyperplane) instead of copied into
+// fresh slices: bulk loads split leaves holding large fractions of the
+// data set at every level, and per-level copying dominated both
+// allocation and GC time. The halves alias the original backing array;
+// the left half is capacity-clipped so a later append to it cannot
+// stomp the right half. No tree state is read or written, so halves
+// fork freely.
 func (t *Tree) planSplits(recs []attr.Record, region, mbr, domain attr.Box, pool *par.Pool) *splitPlan {
 	if len(recs) <= t.cfg.leafCapacity() {
 		return nil
@@ -126,7 +142,7 @@ func (t *Tree) planSplits(recs []attr.Record, region, mbr, domain attr.Box, pool
 		lMBR: lMBR, rMBR: rMBR,
 		lRecs: lRecs, rRecs: rRecs,
 	}
-	if len(rRecs) >= parSplitMin {
+	if pool != nil && len(rRecs) >= parSplitMin {
 		join := pool.Fork(func() { p.rSub = t.planSplits(rRecs, rRegion, rMBR, domain, pool) })
 		p.lSub = t.planSplits(lRecs, lRegion, lMBR, domain, pool)
 		join()
@@ -138,14 +154,16 @@ func (t *Tree) planSplits(recs []attr.Record, region, mbr, domain attr.Box, pool
 }
 
 // applySplits wires a planned cascade into the tree. It runs on the
-// goroutine driving the load and performs replaceWithPair calls in the
-// serial recursion's order (pre-order, left first), so parent
-// overflow splits, buffer redistribution and loader I/O charges fire
-// in the identical sequence. Error semantics mirror the serial path: a
-// *CorruptionError aborts the subtree untouched (the leaf keeps every
-// record — planning only reordered them); any other error is an I/O
+// goroutine driving the load and performs replaceWithPair calls in
+// pre-order, left first, so parent overflow splits, buffer
+// redistribution and loader I/O charges fire in the identical sequence
+// for every worker count. A *CorruptionError aborts the subtree
+// untouched (the structural substitution was refused before any
+// mutation: the leaf keeps every record — planning only reordered them
+// — and the halves were never wired in); any other error is an I/O
 // charge on an already-complete structural change, so wiring continues
-// and the first error is surfaced.
+// through it — a fault leaves the tree in the same shape a fault-free
+// run would produce — and the first error is surfaced.
 func (t *Tree) applySplits(leaf *node, p *splitPlan) error {
 	if p == nil {
 		return nil

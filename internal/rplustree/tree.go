@@ -25,12 +25,10 @@
 package rplustree
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"spatialanon/internal/attr"
-	"spatialanon/internal/par"
 )
 
 // CorruptionError reports that the tree's in-memory structure violated
@@ -302,94 +300,6 @@ func (t *Tree) bulkAppendLeaf(leaf *node, recs []attr.Record) error {
 		n.mbr.IncludeBox(box)
 	}
 	return t.splitLeafRecursive(leaf)
-}
-
-// splitLeafRecursive splits a leaf until every resulting leaf is within
-// capacity (bulk appends can leave a leaf many times over). A split
-// that reports an I/O error is still structurally complete, so
-// restructuring continues through errors — a fault leaves the tree in
-// the same shape a fault-free run would produce — and the first error
-// is surfaced.
-//
-// Large cascades are routed through the plan-then-wire path of
-// parsplit.go, which computes the exact same splits (possibly on
-// worker goroutines) before wiring them in serially; the two paths are
-// interchangeable by construction and the determinism suite holds them
-// to it.
-func (t *Tree) splitLeafRecursive(leaf *node) error {
-	if len(leaf.recs) <= t.cfg.leafCapacity() {
-		return nil
-	}
-	if par.Workers(t.cfg.Parallelism) > 1 && len(leaf.recs) >= parSplitMin {
-		return t.splitLeafPlanned(leaf)
-	}
-	left, right, ok, err := t.splitLeaf(leaf)
-	if !ok {
-		return err
-	}
-	if e := t.splitLeafRecursive(left); err == nil {
-		err = e
-	}
-	if e := t.splitLeafRecursive(right); err == nil {
-		err = e
-	}
-	return err
-}
-
-// splitLeaf divides an overflowing leaf along a policy-chosen
-// hyperplane, returning the two halves. ok is false when no axis can
-// separate the records (all points identical); the leaf is then left
-// oversized — the only correct option for duplicate-only data. A
-// non-nil err with ok=true means the split is structurally complete
-// but an attached loader's I/O charge failed; with ok=false the tree
-// is untouched.
-func (t *Tree) splitLeaf(leaf *node) (leftOut, rightOut *node, ok bool, err error) {
-	ctx := &SplitContext{Schema: t.cfg.Schema, Domain: t.root.mbr, MBR: leaf.mbr, MinSide: t.cfg.BaseK}
-	axis, value, ok := t.cfg.Split.ChooseSplit(leaf.recs, ctx)
-	if !ok {
-		return nil, nil, false, nil
-	}
-	leftRegion, rightRegion := splitRegion(leaf.region, axis, value)
-
-	// Partition the record slice in place (Hoare style) instead of
-	// copying into fresh slices: bulk loads split leaves holding large
-	// fractions of the data set at every level, and per-level copying
-	// dominated both allocation and GC time. The halves alias the
-	// original backing array; the left half is capacity-clipped so a
-	// later append to it cannot stomp the right half.
-	recs := leaf.recs
-	leftMBR := attr.NewBox(len(leaf.region))
-	rightMBR := attr.NewBox(len(leaf.region))
-	lo, hi := 0, len(recs)
-	for lo < hi {
-		if recs[lo].QI[axis] < value {
-			leftMBR.Include(recs[lo].QI)
-			lo++
-		} else {
-			hi--
-			recs[lo], recs[hi] = recs[hi], recs[lo]
-			rightMBR.Include(recs[hi].QI)
-		}
-	}
-	leftRecs := recs[:lo:lo]
-	rightRecs := recs[lo:]
-	if t.cfg.Guard != nil && !t.cfg.Guard(leftRecs, rightRecs) {
-		return nil, nil, false, nil // constraint-violating split: the leaf grows instead
-	}
-	left := &node{region: leftRegion, mbr: leftMBR, recs: leftRecs, count: len(leftRecs)}
-	right := &node{region: rightRegion, mbr: rightMBR, recs: rightRecs, count: len(rightRecs)}
-	if err := t.replaceWithPair(leaf, left, right, axis, value); err != nil {
-		var ce *CorruptionError
-		if errors.As(err, &ce) {
-			// The structural substitution was refused before any
-			// mutation: leaf still holds every record (the in-place
-			// partition only reordered them) and the halves were never
-			// wired in.
-			return nil, nil, false, err
-		}
-		return left, right, true, err
-	}
-	return left, right, true, nil
 }
 
 // splitRegion cuts a half-open routing region at value along axis.

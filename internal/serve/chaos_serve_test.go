@@ -120,7 +120,7 @@ func TestChaosServeMatrix(t *testing.T) {
 	// Matrix-wide coverage: the schedules must actually exercise the
 	// degrade→resurrect circuit, transient absorption, and the
 	// scrubber — not just thread clean runs through the harness.
-	var totalDegraded, totalRecoveries, totalInjected, totalScrubFound atomic.Int64
+	var totalDegraded, totalRecoveries, totalInjected, totalScrubFound, totalAbsorbed atomic.Int64
 
 	for seed := 0; seed < seeds; seed++ {
 		seed := seed
@@ -181,7 +181,6 @@ func TestChaosServeMatrix(t *testing.T) {
 			s, err := New(st, Options{
 				MaxBatch:   4,
 				QueueDepth: 16,
-				Retry:      retry.Policy{Attempts: 2},
 				ScrubEvery: 3,
 			})
 			if err != nil {
@@ -290,6 +289,7 @@ func TestChaosServeMatrix(t *testing.T) {
 
 			totalDegraded.Add(int64(degraded))
 			totalRecoveries.Add(stats.Recoveries)
+			totalAbsorbed.Add(stats.Retries)
 			totalInjected.Add(int64(flaky.Injected() + inj.Injected()))
 			totalScrubFound.Add(stats.ScrubCorrupt)
 		})
@@ -309,6 +309,9 @@ func TestChaosServeMatrix(t *testing.T) {
 		}
 		if totalScrubFound.Load() == 0 {
 			t.Error("matrix never exercised the scrubber against real rot")
+		}
+		if totalAbsorbed.Load() == 0 {
+			t.Error("the log writer — the one retry owner — absorbed no transient fault matrix-wide")
 		}
 	})
 }

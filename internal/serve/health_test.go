@@ -40,8 +40,14 @@ func (g *gate) WriteAttempt(int) (int, error) {
 
 func (g *gate) SyncAttempt() error { return nil }
 
-// newFaultyStore builds a store whose WAL appends go through af.
+// newFaultyStore builds a store whose WAL appends go through af, on a
+// single-try log writer.
 func newFaultyStore(t testing.TB, af wal.AppendFault, checkpointEvery int) *wal.Store {
+	return newRetryingStore(t, af, checkpointEvery, retry.Policy{})
+}
+
+// newRetryingStore is newFaultyStore with a writer retry budget.
+func newRetryingStore(t testing.TB, af wal.AppendFault, checkpointEvery int, rp retry.Policy) *wal.Store {
 	t.Helper()
 	st, err := wal.Create(wal.Options{
 		Dir:             t.TempDir(),
@@ -49,6 +55,7 @@ func newFaultyStore(t testing.TB, af wal.AppendFault, checkpointEvery int) *wal.
 		NoSync:          true,
 		CheckpointEvery: checkpointEvery,
 		AppendFault:     af,
+		Retry:           rp,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -335,14 +342,15 @@ func TestTransientBatchFailureDoesNotDegrade(t *testing.T) {
 	}
 }
 
-// TestCommitRetryAbsorbsTransient: with a committer-side retry
-// budget, the same schedule is absorbed invisibly — the caller never
-// sees the fault, and the retry counter records the absorption.
+// TestCommitRetryAbsorbsTransient: with a retry budget on the log
+// writer — the one owner of append faults — the same schedule is
+// absorbed invisibly: the caller never sees the fault, and the
+// server's retry counter reports the writer's absorption.
 func TestCommitRetryAbsorbsTransient(t *testing.T) {
 	fl := fault.NewFlaky(53, fault.FlakyConfig{TransientWriteRate: 1, After: 2, MaxFaults: 1})
-	st := newFaultyStore(t, fl, 0)
+	st := newRetryingStore(t, fl, 0, retry.Policy{Attempts: 3})
 	defer st.Close()
-	s, err := New(st, Options{MaxBatch: 1, Retry: retry.Policy{Attempts: 3}})
+	s, err := New(st, Options{MaxBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,14 +39,15 @@
 //   - Graceful degradation and self-healing. Admission control bounds
 //     the submission queue (ErrOverloaded instead of unbounded
 //     blocking) and expires submissions by group-commit ticks
-//     (ErrDeadlineExceeded). Transient store faults are absorbed by
-//     retrying the whole batch — safe because a failed append rolls
-//     the log back and leaves seq untouched. A fault that poisons the
-//     store trips a circuit breaker: healthy → degraded-readonly
-//     (reads keep serving the last audited epoch; writes get typed
-//     errors) → recovering (Server.Recover re-runs the audited
-//     committed-prefix recovery on the committer goroutine) → healthy
-//     again, all in-process. A background scrubber walks the pager
+//     (ErrDeadlineExceeded). Transient log faults are absorbed below
+//     this layer, by the store's log writer; one that outlasts its
+//     budget fails only its own batch (the append rolled the log back
+//     and left seq untouched, so resubmitting is safe). A fault that
+//     poisons the store trips a circuit breaker: healthy →
+//     degraded-readonly (reads keep serving the last audited epoch;
+//     writes get typed errors) → recovering (Server.Recover re-runs
+//     the audited committed-prefix recovery on the committer
+//     goroutine) → healthy again, all in-process. A background scrubber walks the pager
 //     pages between batches, quarantining rot and rewriting the live
 //     checkpoint from the audited tree before the rot is ever needed.
 //
@@ -62,7 +63,6 @@ import (
 	"sync/atomic"
 
 	"spatialanon/internal/attr"
-	"spatialanon/internal/retry"
 	"spatialanon/internal/rplustree"
 	"spatialanon/internal/wal"
 )
@@ -92,12 +92,6 @@ type Options struct {
 	// wall time, so expiry is deterministic for a given interleaving.
 	// 0 disables deadlines.
 	DeadlineTicks int
-	// Retry bounds committer-side retries of a whole group commit after
-	// a transient store fault (the store's own writer retries
-	// per-attempt first; this is the outer loop). Only errors that leave
-	// the store healthy — seq unadvanced, log rolled back — are retried,
-	// so a retry can never double-commit. Zero value means a single try.
-	Retry retry.Policy
 	// ScrubEvery runs a background scrub of the store's pages every N
 	// group commits, on the committer between batches. 0 disables
 	// scrubbing.
@@ -134,8 +128,10 @@ type Stats struct {
 	Shed int64
 	// Expired counts submissions rejected with ErrDeadlineExceeded.
 	Expired int64
-	// Retries counts extra group-commit attempts spent absorbing
-	// transient store faults (0 when every batch committed first try).
+	// Retries counts the extra physical write and fsync attempts the
+	// store's log writer spent absorbing transient faults
+	// (wal.Store.Retries, sampled at each commit; 0 when every frame
+	// landed first try).
 	Retries int64
 	// Recoveries counts successful Server.Recover resurrections.
 	Recoveries int64
@@ -310,22 +306,15 @@ func (s *Server) submit(op wal.Op) (bool, error) {
 }
 
 // admit is the write-side circuit breaker: degraded and recovering
-// states refuse new mutations up front with their typed errors.
-// Reads are never gated — they go through the published View.
+// states refuse new mutations up front with their typed errors (the
+// degraded one is the recorded poison, which wraps ErrDegraded and is
+// stored before the state flips). Reads are never gated — they go
+// through the published View.
 func (s *Server) admit() error {
-	switch State(s.state.Load()) {
-	case StateRecovering:
+	if State(s.state.Load()) == StateRecovering {
 		return ErrRecovering
-	case StateDegraded:
-		if p := s.failed.Load(); p != nil {
-			return p.err
-		}
-		return ErrDegraded
 	}
-	if p := s.failed.Load(); p != nil {
-		return p.err
-	}
-	return nil
+	return s.Err()
 }
 
 // commitLoop is the committer: the one goroutine that touches the
@@ -389,9 +378,10 @@ func (s *Server) commitLoop() {
 // Failure handling, in order: a degraded server drains the batch with
 // the degraded error without touching the store; expired submissions
 // are rejected before the store sees them; a transient store fault —
-// which by the store's contract left seq unadvanced and the log
-// rolled back — is retried whole under Options.Retry; a fault that
-// poisoned the store trips the breaker to degraded-readonly.
+// one the log writer could not absorb within its retry budget, which
+// by the store's contract left seq unadvanced and the log rolled back
+// — fails this batch only; a fault that poisoned the store trips the
+// breaker to degraded-readonly.
 func (s *Server) commit(batch []*request) {
 	if p := s.failed.Load(); p != nil {
 		for _, r := range batch {
@@ -401,43 +391,21 @@ func (s *Server) commit(batch []*request) {
 	}
 	s.opsBuf = s.opsBuf[:0]
 	live := batch[:0]
-	if s.opts.DeadlineTicks > 0 {
-		now := s.tick.Load()
-		for _, r := range batch {
-			if now-r.tick > uint64(s.opts.DeadlineTicks) {
-				s.expired.Add(1)
-				r.done <- result{err: ErrDeadlineExceeded}
-				continue
-			}
-			live = append(live, r)
+	now := s.tick.Load()
+	for _, r := range batch {
+		if s.opts.DeadlineTicks > 0 && now-r.tick > uint64(s.opts.DeadlineTicks) {
+			s.expired.Add(1)
+			r.done <- result{err: ErrDeadlineExceeded}
+			continue
 		}
-		if len(live) == 0 {
-			return
-		}
-	} else {
-		live = batch
-	}
-	for _, r := range live {
+		live = append(live, r)
 		s.opsBuf = append(s.opsBuf, r.op)
 	}
-	var found []bool
-	attempt := 0
-	err := s.opts.Retry.Do(func() error {
-		attempt++
-		if attempt > 1 {
-			if s.st.Err() != nil {
-				// Backstop: never re-apply a batch into a store whose
-				// state is uncertain (retry.Do won't retry a poisoned
-				// error — it is not transient — but the invariant is
-				// load-bearing enough to enforce locally too).
-				return s.st.Err()
-			}
-			s.retries.Add(1)
-		}
-		var aerr error
-		found, aerr = s.st.ApplyBatch(s.opsBuf)
-		return aerr
-	})
+	if len(live) == 0 {
+		return
+	}
+	found, err := s.st.ApplyBatch(s.opsBuf)
+	s.retries.Store(s.st.Retries())
 	if err == nil {
 		s.ops.Add(int64(len(live)))
 		s.batches.Add(1)
@@ -453,30 +421,25 @@ func (s *Server) commit(batch []*request) {
 		// The store is poisoned: trip the breaker. Readers keep the
 		// last audited epoch; writers get the typed degraded error
 		// until a Recover succeeds.
-		s.degrade(err)
-		if p := s.failed.Load(); p != nil {
-			err = p.err
-		}
+		err = s.degrade(err)
 	}
-	// A transient error that exhausted retries while the store stayed
-	// healthy falls through here: this batch's callers fail with the
-	// transient error (their writes did NOT happen and may be resubmitted),
-	// and the server keeps serving.
+	// A transient error that outlasted the writer's retries while the
+	// store stayed healthy falls through here: this batch's callers fail
+	// with the transient error (their writes did NOT happen and may be
+	// resubmitted), and the server keeps serving.
 	for i, r := range live {
-		res := result{err: err}
-		if err == nil {
-			res.found = found[i]
-		}
-		r.done <- res
+		r.done <- result{found: err == nil && found[i], err: err}
 	}
 }
 
 // degrade trips the circuit breaker: record the cause (wrapping
-// ErrDegraded, with the store's ErrPoisoned chain inside) and enter
-// degraded-readonly.
-func (s *Server) degrade(cause error) {
-	s.failed.Store(&poison{fmt.Errorf("%w: %w", ErrDegraded, cause)})
+// ErrDegraded, with the store's ErrPoisoned chain inside), enter
+// degraded-readonly and return the recorded error.
+func (s *Server) degrade(cause error) error {
+	err := fmt.Errorf("%w: %w", ErrDegraded, cause)
+	s.failed.Store(&poison{err})
 	s.state.Store(int32(StateDegraded))
+	return err
 }
 
 // maybeScrub runs the background scrubber when its budget is due:

@@ -142,7 +142,7 @@ func TestChaosShardMatrix(t *testing.T) {
 	// Matrix-wide coverage: the schedules must actually open the
 	// victim's circuit, exercise recovery, and hit the isolation
 	// battery — not just thread clean runs through the harness.
-	var totalDegraded, totalRecoveries, totalInjected, totalPartials, totalSibling atomic.Int64
+	var totalDegraded, totalRecoveries, totalInjected, totalPartials, totalSibling, totalAbsorbed atomic.Int64
 
 	for seed := 0; seed < seeds; seed++ {
 		seed := seed
@@ -184,8 +184,7 @@ func TestChaosShardMatrix(t *testing.T) {
 			opts := testOptions(t, nShards)
 			opts.CheckpointEvery = 7
 			opts.StoreRetry = retry.Policy{Attempts: 3}
-			opts.Retry = retry.Policy{Attempts: 2, Seed: int64(seed)}
-			opts.Serve = serve.Options{MaxBatch: 4, QueueDepth: 16, Retry: retry.Policy{Attempts: 2}, ScrubEvery: 3}
+			opts.Serve = serve.Options{MaxBatch: 4, QueueDepth: 16, ScrubEvery: 3}
 			opts.Faults = func(id int, o *wal.Options) {
 				if id != victim {
 					return
@@ -244,7 +243,7 @@ func TestChaosShardMatrix(t *testing.T) {
 					t.Fatalf("final resurrection: %v", err)
 				}
 			}
-			perShard, partials, _ := c.Stats()
+			perShard, partials, absorbed := c.Stats()
 
 			// Stop serving, settle the victim's durable image (budgets are
 			// spent or bounded, so scrub-and-repair converges), close.
@@ -359,6 +358,7 @@ func TestChaosShardMatrix(t *testing.T) {
 			totalRecoveries.Add(recov)
 			totalInjected.Add(int64(flaky.Injected() + inj.Injected()))
 			totalPartials.Add(partials)
+			totalAbsorbed.Add(absorbed)
 			totalSibling.Add(int64(cs.siblingOK))
 		})
 	}
@@ -377,6 +377,9 @@ func TestChaosShardMatrix(t *testing.T) {
 		if totalPartials.Load() == 0 || totalSibling.Load() == 0 {
 			t.Errorf("matrix never exercised failure isolation (partial reads=%d sibling inserts=%d)",
 				totalPartials.Load(), totalSibling.Load())
+		}
+		if totalAbsorbed.Load() == 0 {
+			t.Error("the victims' log writers — the one retry owner — absorbed no transient fault matrix-wide")
 		}
 	})
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"spatialanon/internal/anonmodel"
@@ -140,7 +141,7 @@ func (c *Coordinator) Release(k1 int) ([]Partition, error) {
 		epochs[i] = v.view.Epoch()
 	}
 	c.relMu.Lock()
-	if e, ok := c.relK1[k1]; ok && epochVectorEqual(e.epochs, epochs) {
+	if e, ok := c.relK1[k1]; ok && slices.Equal(e.epochs, epochs) {
 		ps := e.ps
 		c.relMu.Unlock()
 		return ps, nil
@@ -220,7 +221,7 @@ func (c *Coordinator) Export(k1 int) ([]Partition, error) {
 		n += v.view.Len()
 	}
 	c.expMu.Lock()
-	if e, ok := c.expK1[k1]; ok && epochVectorEqual(e.epochs, epochs) {
+	if e, ok := c.expK1[k1]; ok && slices.Equal(e.epochs, epochs) {
 		ps := e.ps
 		c.expMu.Unlock()
 		return ps, nil
@@ -282,18 +283,4 @@ func (c *Coordinator) Export(k1 int) ([]Partition, error) {
 	c.expK1[k1] = &relEntry{epochs: epochs, ps: out}
 	c.expMu.Unlock()
 	return out, nil
-}
-
-// epochVectorEqual reports whether two epoch vectors match element for
-// element.
-func epochVectorEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -71,11 +71,9 @@ type Options struct {
 	Bits int
 	// Tree configures each shard's index identically.
 	Tree rplustree.Config
-	// Serve configures each shard's serving layer. The retry policy's
-	// jitter seed is re-derived per shard so shard committers never
-	// share a backoff stream. DeadlineTicks and QueueDepth apply per
-	// shard: a stalled fsync sheds and expires submissions for its own
-	// key range only.
+	// Serve configures each shard's serving layer. DeadlineTicks and
+	// QueueDepth apply per shard: a stalled fsync sheds and expires
+	// submissions for its own key range only.
 	Serve serve.Options
 	// CheckpointEvery, PageSize, PoolPages and NoSync tune each
 	// shard's store exactly as the corresponding wal.Options fields.
@@ -84,15 +82,13 @@ type Options struct {
 	PoolPages       int
 	NoSync          bool
 	// StoreRetry bounds each store's log-writer retries (wal.Options
-	// .Retry), re-seeded per shard.
+	// .Retry), its jitter re-seeded per shard so writers never share a
+	// backoff stream. The writer is the only layer that retries: a
+	// transient fault it cannot absorb, like every overload and
+	// deadline rejection, surfaces to the caller — shedding is
+	// backpressure, and hiding it inside the coordinator would un-bound
+	// the very queue the shard just bounded.
 	StoreRetry retry.Policy
-	// Retry bounds the coordinator's own resubmission of a mutation
-	// after a shard returns a transient fault (the store rolled the
-	// log back; the write did not happen). Jitter is re-seeded per
-	// shard. Overload and deadline rejections are NOT retried here:
-	// shedding is backpressure, and hiding it inside the coordinator
-	// would un-bound the very queue the shard just bounded.
-	Retry retry.Policy
 	// Faults, when non-nil, is invoked once per shard while its store
 	// options are assembled, letting the chaos harness install
 	// per-shard injectors (AppendFault, Crash, PagerFault) derived
@@ -121,9 +117,6 @@ type shardState struct {
 	// in store-sequence units (one per op). A published view is fresh
 	// iff view.Seq() >= acked: every acknowledged write is visible.
 	acked atomic.Uint64
-	// retry is the coordinator-side resubmission policy, jitter-seeded
-	// for this shard.
-	retry retry.Policy
 }
 
 // Coordinator routes mutations and reads across the shard fleet. Safe
@@ -140,7 +133,6 @@ type Coordinator struct {
 	baseK int
 
 	partials atomic.Int64
-	retries  atomic.Int64
 
 	relMu  sync.Mutex
 	relK1  map[int]*relEntry
@@ -200,7 +192,7 @@ func build(opts Options, create bool) (*Coordinator, error) {
 	for i, rng := range table {
 		sh, err := c.buildShard(i, rng, preload[i], create)
 		if err != nil {
-			c.teardown()
+			c.Close() // whatever was assembled before the failure
 			return nil, fmt.Errorf("shard: shard %d %v: %w", i, rng, err)
 		}
 		c.fleet = append(c.fleet, sh)
@@ -252,25 +244,14 @@ func (c *Coordinator) buildShard(id int, rng verify.KeyRange, preload []wal.Op, 
 			return nil, fmt.Errorf("preload: %w", err)
 		}
 	}
-	sopts := c.opts.Serve
-	sopts.Retry = sopts.Retry.Derive(id)
-	srv, err := serve.New(st, sopts)
+	srv, err := serve.New(st, c.opts.Serve)
 	if err != nil {
 		st.Close()
 		return nil, err
 	}
-	sh := &shardState{id: id, rng: rng, st: st, srv: srv, retry: c.opts.Retry.Derive(id)}
+	sh := &shardState{id: id, rng: rng, st: st, srv: srv}
 	sh.acked.Store(st.Seq())
 	return sh, nil
-}
-
-// teardown closes whatever build assembled before failing.
-func (c *Coordinator) teardown() {
-	for _, sh := range c.fleet {
-		sh.srv.Close()
-		sh.st.Close()
-	}
-	c.fleet = nil
 }
 
 // route returns the shard index owning the given QI point.
@@ -278,13 +259,17 @@ func (c *Coordinator) route(qi []float64) int {
 	return lookup(c.table, c.quant.Key(c.opts.Curve, qi))
 }
 
+// Route is the routing function for callers that account per shard:
+// the index of the shard owning a QI point of the schema's width.
+func (c *Coordinator) Route(qi []float64) int { return c.route(qi) }
+
 // Insert durably inserts one record on the shard owning its QI.
 func (c *Coordinator) Insert(rec attr.Record) error {
 	if err := c.checkQI(rec.QI); err != nil {
 		return err
 	}
 	sh := c.fleet[c.route(rec.QI)]
-	_, err := c.do(sh, func() (bool, error) { return true, sh.srv.Insert(rec) })
+	_, err := sh.ack(true, sh.srv.Insert(rec))
 	return err
 }
 
@@ -296,7 +281,7 @@ func (c *Coordinator) Delete(id int64, qi []float64) (bool, error) {
 		return false, err
 	}
 	sh := c.fleet[c.route(qi)]
-	return c.do(sh, func() (bool, error) { return sh.srv.Delete(id, qi) })
+	return sh.ack(sh.srv.Delete(id, qi))
 }
 
 // Update durably relocates a record, reporting whether it existed.
@@ -317,9 +302,9 @@ func (c *Coordinator) Update(id int64, oldQI []float64, rec attr.Record) (bool, 
 	from := c.fleet[c.route(oldQI)]
 	to := c.fleet[c.route(rec.QI)]
 	if from == to {
-		return c.do(from, func() (bool, error) { return from.srv.Update(id, oldQI, rec) })
+		return from.ack(from.srv.Update(id, oldQI, rec))
 	}
-	found, err := c.do(from, func() (bool, error) { return from.srv.Delete(id, oldQI) })
+	found, err := from.ack(from.srv.Delete(id, oldQI))
 	if err != nil {
 		return false, err
 	}
@@ -328,13 +313,13 @@ func (c *Coordinator) Update(id int64, oldQI []float64, rec attr.Record) (bool, 
 		// inserted.
 		return false, nil
 	}
-	if _, err := c.do(to, func() (bool, error) { return true, to.srv.Insert(rec) }); err != nil {
+	if _, err := to.ack(true, to.srv.Insert(rec)); err != nil {
 		// Compensate: put the record back where it durably was. If the
 		// old shard degraded meanwhile the record is lost from the live
 		// set until its shard recovers; both failures are reported.
 		old := rec
 		old.QI = oldQI
-		if _, cerr := c.do(from, func() (bool, error) { return true, from.srv.Insert(old) }); cerr != nil {
+		if _, cerr := from.ack(true, from.srv.Insert(old)); cerr != nil {
 			return true, fmt.Errorf("shard: cross-shard update of record %d lost both ways: insert: %w; compensation: %w", id, err, cerr)
 		}
 		return true, fmt.Errorf("shard: cross-shard update of record %d rolled back: %w", id, err)
@@ -354,23 +339,14 @@ func (c *Coordinator) checkQI(qi []float64) error {
 	return nil
 }
 
-// do runs one shard mutation under the coordinator's bounded retry —
-// transient faults only: the store's contract is that a transient
-// error rolled the log back and the write did not happen, so
-// resubmission can never double-commit. Typed rejections (overload,
-// deadline, degraded, recovering) surface immediately, wrapped with
+// ack settles one shard mutation: a success counts toward the shard's
+// acknowledged sequence; every error — typed rejections (overload,
+// deadline, degraded, recovering) and transient faults the shard's log
+// writer could not absorb alike — surfaces immediately, wrapped with
 // the shard's identity so errors.Is still matches every sentinel in
-// the chain.
-func (c *Coordinator) do(sh *shardState, op func() (bool, error)) (bool, error) {
-	var found bool
-	attempt := 0
-	err := sh.retry.Do(func() error {
-		attempt++
-		var oerr error
-		found, oerr = op()
-		return oerr
-	})
-	c.retries.Add(int64(attempt - 1))
+// the chain. A transient error means the store rolled the log back and
+// the write did not happen, so the caller may resubmit.
+func (sh *shardState) ack(found bool, err error) (bool, error) {
 	if err != nil {
 		return found, fmt.Errorf("shard: shard %d %v: %w", sh.id, sh.rng, err)
 	}
@@ -448,15 +424,17 @@ type ShardStats struct {
 	Serve serve.Stats
 }
 
-// Stats reports per-shard serving counters plus the coordinator's own:
-// cross-shard reads that returned partial results, and coordinator-
-// level resubmissions of transient shard faults.
+// Stats reports per-shard serving counters plus two fleet-wide ones:
+// cross-shard reads that returned partial results, and the transient
+// faults absorbed by the shards' log writers (the sum of the per-shard
+// serve.Stats.Retries).
 func (c *Coordinator) Stats() (perShard []ShardStats, partials, retries int64) {
 	perShard = make([]ShardStats, len(c.fleet))
 	for i, sh := range c.fleet {
 		perShard[i] = ShardStats{ID: sh.id, Range: sh.rng, Serve: sh.srv.Stats()}
+		retries += perShard[i].Serve.Retries
 	}
-	return perShard, c.partials.Load(), c.retries.Load()
+	return perShard, c.partials.Load(), retries
 }
 
 // Close stops every shard's serving stack, then closes every store.

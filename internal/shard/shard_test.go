@@ -409,12 +409,13 @@ func TestTransientFaultChainSurvivesBoundary(t *testing.T) {
 }
 
 // TestCoordinatorRetryAbsorbsTransients: with a bounded transient
-// budget and a coordinator retry policy, the mutation is resubmitted
-// and eventually acknowledged — and the retry counter shows the
-// coordinator did the work.
+// budget and a store retry policy (StoreRetry → each shard's log
+// writer, the one retry owner), every mutation is acknowledged without
+// the caller seeing a fault — and the fleet-wide retry counter shows
+// the writers did the work.
 func TestCoordinatorRetryAbsorbsTransients(t *testing.T) {
 	opts := testOptions(t, 2)
-	opts.Retry = retry.Policy{Attempts: 6, Seed: 9}
+	opts.StoreRetry = retry.Policy{Attempts: 6, Seed: 9}
 	opts.Faults = func(shard int, o *wal.Options) {
 		o.AppendFault = fault.NewFlaky(int64(13+shard), fault.FlakyConfig{TransientSyncRate: 1, After: 2, MaxFaults: 2})
 	}
@@ -425,7 +426,7 @@ func TestCoordinatorRetryAbsorbsTransients(t *testing.T) {
 		}
 	}
 	if _, _, retries := c.Stats(); retries == 0 {
-		t.Fatal("coordinator retry counter never moved")
+		t.Fatal("fleet-wide retry counter never moved")
 	}
 }
 

@@ -12,9 +12,11 @@ import (
 // payload — never a panic, never an unbounded allocation.
 func FuzzDecode(f *testing.F) {
 	seedRecords := []Record{
-		{Type: TypeInsert, Seq: 1, Rec: attr.Record{ID: 7, QI: []float64{1, 2}, Sensitive: "s"}},
-		{Type: TypeDelete, Seq: 2, ID: 7, OldQI: []float64{1, 2}},
-		{Type: TypeUpdate, Seq: 3, ID: 7, OldQI: []float64{1, 2}, Rec: attr.Record{ID: 7, QI: []float64{3, 4}}},
+		{Type: TypeBatch, Seq: 1, Batch: []Op{{Type: TypeInsert, Rec: attr.Record{ID: 7, QI: []float64{1, 2}, Sensitive: "s"}}}},
+		{Type: TypeBatch, Seq: 2, Batch: []Op{
+			{Type: TypeDelete, ID: 7, OldQI: []float64{1, 2}},
+			{Type: TypeUpdate, ID: 7, OldQI: []float64{1, 2}, Rec: attr.Record{ID: 7, QI: []float64{3, 4}}},
+		}},
 		{Type: TypeCheckpointBegin, Seq: 4},
 		{Type: TypeCheckpointEnd, Seq: 5, Manifest: &Manifest{Seq: 5, SnapLen: 64, SnapCRC: 1, Pages: []pager.PageID{1, 2}}},
 	}
@@ -26,13 +28,21 @@ func FuzzDecode(f *testing.F) {
 		f.Add(payload)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{1})
+	// Frame-level tags 1/2/3 (insert/delete/update) are op tags only:
+	// rejected whatever follows, never a panic.
+	for tag := byte(1); tag <= 3; tag++ {
+		f.Add([]byte{tag})
+		f.Add([]byte{tag, 1, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	}
 	f.Add([]byte{5, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := Decode(data)
 		if err != nil {
 			return
+		}
+		if rec.Type.isOp() {
+			t.Fatalf("frame-level op tag %v decoded", rec.Type)
 		}
 		// A successfully decoded record must re-encode byte-identically:
 		// Decode accepts exactly the canonical encoding, nothing looser.

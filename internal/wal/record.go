@@ -20,7 +20,9 @@
 // ends the committed prefix (a torn tail is "not yet committed",
 // never corruption). The payload is a type byte followed by a
 // fixed-width little-endian body, per the repository's binary codec
-// conventions (internal/dataset).
+// conventions (internal/dataset). Three frame types exist: the two
+// checkpoint records and TypeBatch, the one mutation frame — a single
+// insert, delete or update is logged as a batch of one.
 //
 // Every log file begins with a CheckpointEnd record: the manifest of
 // the checkpoint it extends — which pager pages hold the tree
@@ -44,11 +46,12 @@ import (
 type Type byte
 
 const (
-	// TypeInsert logs one record insertion.
+	// TypeInsert, TypeDelete and TypeUpdate tag the operations INSIDE a
+	// TypeBatch frame: one record insertion, one deletion (by ID at a
+	// point), one relocation. They are op tags only — a frame whose own
+	// type byte is one of them is rejected by Decode.
 	TypeInsert Type = 1
-	// TypeDelete logs one record deletion (by ID at a point).
 	TypeDelete Type = 2
-	// TypeUpdate logs one record relocation.
 	TypeUpdate Type = 3
 	// TypeCheckpointBegin marks checkpoint intent in the old log; it
 	// carries no state and replay ignores it, but its frame exercises
@@ -58,13 +61,15 @@ const (
 	// TypeCheckpointEnd is a checkpoint manifest — always and only the
 	// first record of a log file.
 	TypeCheckpointEnd Type = 5
-	// TypeBatch logs a group commit: several maintenance operations in
-	// ONE frame, so the frame checksum makes the whole batch
-	// all-or-nothing. A torn batch is indistinguishable from a torn
-	// single-record frame — the scanner drops it entirely — which is
-	// what guarantees recovery never applies a batch prefix.
+	// TypeBatch is the mutation frame: one or more maintenance
+	// operations in ONE frame, so the frame checksum makes the whole
+	// batch all-or-nothing. The scanner drops a torn frame entirely,
+	// which is what guarantees recovery never applies a batch prefix.
 	TypeBatch Type = 6
 )
+
+// isOp reports whether t tags an operation inside a batch frame.
+func (t Type) isOp() bool { return t == TypeInsert || t == TypeDelete || t == TypeUpdate }
 
 // String implements fmt.Stringer.
 func (t Type) String() string {
@@ -100,9 +105,8 @@ type Manifest struct {
 	Pages []pager.PageID
 }
 
-// Op is one maintenance operation inside a group commit: the subset
-// of Record that insert, delete and update carry. Op.Type must be
-// TypeInsert, TypeDelete or TypeUpdate; batches do not nest.
+// Op is one maintenance operation inside a batch frame. Op.Type must
+// be TypeInsert, TypeDelete or TypeUpdate; batches do not nest.
 type Op struct {
 	Type Type
 	// Rec is the inserted (or relocated-to) record.
@@ -112,23 +116,16 @@ type Op struct {
 	OldQI []float64
 }
 
-// Record is one decoded log record. Which fields are meaningful
-// depends on Type: Rec for inserts and updates, ID and OldQI for
-// deletes and updates, Manifest for checkpoint ends, Batch for group
-// commits.
+// Record is one decoded log record: Manifest for checkpoint ends,
+// Batch for mutations, neither for checkpoint begins.
 type Record struct {
 	Type Type
 	// Seq is the record's sequence number; appends number consecutively
 	// and recovery verifies the numbering.
 	Seq uint64
-	// Rec is the inserted (or relocated-to) record.
-	Rec attr.Record
-	// ID and OldQI identify the record a delete or update targets.
-	ID    int64
-	OldQI []float64
 	// Manifest is the checkpoint manifest (TypeCheckpointEnd only).
 	Manifest *Manifest
-	// Batch is the operation list of a group commit (TypeBatch only).
+	// Batch is the operation list of a mutation frame (TypeBatch only).
 	// Seq numbers the batch's FIRST operation; the rest follow
 	// consecutively, so the batch occupies sequence numbers
 	// [Seq, Seq+len(Batch)).
@@ -153,15 +150,6 @@ func Encode(r Record) ([]byte, error) {
 	b := []byte{byte(r.Type)}
 	b = binary.LittleEndian.AppendUint64(b, r.Seq)
 	switch r.Type {
-	case TypeInsert:
-		return appendRecord(b, r.Rec), nil
-	case TypeDelete:
-		b = binary.LittleEndian.AppendUint64(b, uint64(r.ID))
-		return appendVec(b, r.OldQI), nil
-	case TypeUpdate:
-		b = binary.LittleEndian.AppendUint64(b, uint64(r.ID))
-		b = appendVec(b, r.OldQI)
-		return appendRecord(b, r.Rec), nil
 	case TypeCheckpointBegin:
 		return b, nil
 	case TypeBatch:
@@ -170,21 +158,16 @@ func Encode(r Record) ([]byte, error) {
 		}
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(r.Batch)))
 		for _, op := range r.Batch {
-			switch op.Type {
-			case TypeInsert:
-				b = append(b, byte(TypeInsert))
-				b = appendRecord(b, op.Rec)
-			case TypeDelete:
-				b = append(b, byte(TypeDelete))
-				b = binary.LittleEndian.AppendUint64(b, uint64(op.ID))
-				b = appendVec(b, op.OldQI)
-			case TypeUpdate:
-				b = append(b, byte(TypeUpdate))
-				b = binary.LittleEndian.AppendUint64(b, uint64(op.ID))
-				b = appendVec(b, op.OldQI)
-				b = appendRecord(b, op.Rec)
-			default:
+			if !op.Type.isOp() {
 				return nil, fmt.Errorf("wal: batch op of type %v", op.Type)
+			}
+			b = append(b, byte(op.Type))
+			if op.Type != TypeInsert {
+				b = binary.LittleEndian.AppendUint64(b, uint64(op.ID))
+				b = appendVec(b, op.OldQI)
+			}
+			if op.Type != TypeDelete {
+				b = appendRecord(b, op.Rec)
 			}
 		}
 		return b, nil
@@ -234,31 +217,6 @@ func Decode(payload []byte) (Record, error) {
 		return Record{}, err
 	}
 	switch r.Type {
-	case TypeInsert:
-		if r.Rec, err = d.record(); err != nil {
-			return Record{}, err
-		}
-	case TypeDelete:
-		id, err := d.u64()
-		if err != nil {
-			return Record{}, err
-		}
-		r.ID = int64(id)
-		if r.OldQI, err = d.vec(); err != nil {
-			return Record{}, err
-		}
-	case TypeUpdate:
-		id, err := d.u64()
-		if err != nil {
-			return Record{}, err
-		}
-		r.ID = int64(id)
-		if r.OldQI, err = d.vec(); err != nil {
-			return Record{}, err
-		}
-		if r.Rec, err = d.record(); err != nil {
-			return Record{}, err
-		}
 	case TypeCheckpointBegin:
 		// No body.
 	case TypeBatch:
@@ -273,41 +231,9 @@ func Decode(payload []byte) (Record, error) {
 		}
 		r.Batch = make([]Op, n)
 		for i := range r.Batch {
-			tag, err := d.u8()
-			if err != nil {
-				return Record{}, err
+			if r.Batch[i], err = d.op(); err != nil {
+				return Record{}, fmt.Errorf("wal: batch op %d: %w", i, err)
 			}
-			op := Op{Type: Type(tag)}
-			switch op.Type {
-			case TypeInsert:
-				if op.Rec, err = d.record(); err != nil {
-					return Record{}, err
-				}
-			case TypeDelete:
-				id, err := d.u64()
-				if err != nil {
-					return Record{}, err
-				}
-				op.ID = int64(id)
-				if op.OldQI, err = d.vec(); err != nil {
-					return Record{}, err
-				}
-			case TypeUpdate:
-				id, err := d.u64()
-				if err != nil {
-					return Record{}, err
-				}
-				op.ID = int64(id)
-				if op.OldQI, err = d.vec(); err != nil {
-					return Record{}, err
-				}
-				if op.Rec, err = d.record(); err != nil {
-					return Record{}, err
-				}
-			default:
-				return Record{}, fmt.Errorf("wal: batch op %d has type %d", i, tag)
-			}
-			r.Batch[i] = op
 		}
 	case TypeCheckpointEnd:
 		m := &Manifest{}
@@ -336,6 +262,8 @@ func Decode(payload []byte) (Record, error) {
 			m.Pages[i] = pager.PageID(id)
 		}
 		r.Manifest = m
+	case TypeInsert, TypeDelete, TypeUpdate:
+		return Record{}, fmt.Errorf("wal: %v is an op tag, not a frame type; mutations are logged as batch frames", r.Type)
 	default:
 		return Record{}, fmt.Errorf("wal: unknown record type %d", tag)
 	}
@@ -397,6 +325,35 @@ func (d *recDecoder) vec() ([]float64, error) {
 		v[i] = math.Float64frombits(bits)
 	}
 	return v, nil
+}
+
+// op reads one tagged batch operation: deletes and updates carry the
+// target's ID and old QI, inserts and updates the new record.
+func (d *recDecoder) op() (Op, error) {
+	tag, err := d.u8()
+	if err != nil {
+		return Op{}, err
+	}
+	op := Op{Type: Type(tag)}
+	if !op.Type.isOp() {
+		return Op{}, fmt.Errorf("wal: op has type %d", tag)
+	}
+	if op.Type != TypeInsert {
+		id, err := d.u64()
+		if err != nil {
+			return Op{}, err
+		}
+		op.ID = int64(id)
+		if op.OldQI, err = d.vec(); err != nil {
+			return Op{}, err
+		}
+	}
+	if op.Type != TypeDelete {
+		if op.Rec, err = d.record(); err != nil {
+			return Op{}, err
+		}
+	}
+	return op, nil
 }
 
 func (d *recDecoder) record() (attr.Record, error) {

@@ -24,9 +24,9 @@ func roundTrip(t *testing.T, r Record) Record {
 func TestRecordRoundTrip(t *testing.T) {
 	rec := attr.Record{ID: 42, QI: []float64{1.5, -2.25, 0}, Sensitive: "flu"}
 	cases := []Record{
-		{Type: TypeInsert, Seq: 7, Rec: rec},
-		{Type: TypeDelete, Seq: 8, ID: 42, OldQI: []float64{1.5, -2.25, 0}},
-		{Type: TypeUpdate, Seq: 9, ID: 42, OldQI: []float64{1, 2, 3}, Rec: rec},
+		{Type: TypeBatch, Seq: 7, Batch: []Op{{Type: TypeInsert, Rec: rec}}},
+		{Type: TypeBatch, Seq: 8, Batch: []Op{{Type: TypeDelete, ID: 42, OldQI: []float64{1.5, -2.25, 0}}}},
+		{Type: TypeBatch, Seq: 9, Batch: []Op{{Type: TypeUpdate, ID: 42, OldQI: []float64{1, 2, 3}, Rec: rec}}},
 		{Type: TypeCheckpointBegin, Seq: 10},
 		{Type: TypeCheckpointEnd, Seq: 11, Manifest: &Manifest{
 			Seq: 11, SnapLen: 4096, SnapCRC: 0xDEADBEEF,
@@ -42,9 +42,9 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 func TestRecordRoundTripEmptyFields(t *testing.T) {
-	got := roundTrip(t, Record{Type: TypeInsert, Seq: 1, Rec: attr.Record{ID: 1}})
-	if got.Rec.ID != 1 || len(got.Rec.QI) != 0 || got.Rec.Sensitive != "" {
-		t.Fatalf("empty-field record mangled: %+v", got.Rec)
+	got := roundTrip(t, Record{Type: TypeBatch, Seq: 1, Batch: []Op{{Type: TypeInsert, Rec: attr.Record{ID: 1}}}})
+	if r := got.Batch[0].Rec; r.ID != 1 || len(r.QI) != 0 || r.Sensitive != "" {
+		t.Fatalf("empty-field record mangled: %+v", r)
 	}
 	got = roundTrip(t, Record{Type: TypeCheckpointEnd, Seq: 0, Manifest: &Manifest{}})
 	if got.Manifest == nil || len(got.Manifest.Pages) != 0 {
@@ -59,11 +59,47 @@ func TestEncodeRejectsBadRecords(t *testing.T) {
 	if _, err := Encode(Record{Type: Type(99)}); err == nil {
 		t.Error("unknown type accepted")
 	}
+	for _, ty := range []Type{TypeInsert, TypeDelete, TypeUpdate} {
+		if _, err := Encode(Record{Type: ty, Seq: 1}); err == nil {
+			t.Errorf("frame-level %v accepted by Encode", ty)
+		}
+	}
+}
+
+// singleOpFrame hand-assembles the retired frame-level encoding of one
+// op: [tag][seq][op body], i.e. a one-op batch minus count and op tag.
+func singleOpFrame(t *testing.T, op Op) []byte {
+	t.Helper()
+	batch, err := Encode(Record{Type: TypeBatch, Seq: 3, Batch: []Op{op}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := append([]byte{byte(op.Type)}, batch[1:9]...)
+	return append(frame, batch[9+4+1:]...)
+}
+
+// TestDecodeRejectsFrameLevelOps: insert/delete/update are op tags
+// inside a batch frame only. A frame whose own type byte is 1, 2 or 3
+// — well-formed body or not — is an error, never a panic.
+func TestDecodeRejectsFrameLevelOps(t *testing.T) {
+	rec := attr.Record{ID: 5, QI: []float64{3, 4}, Sensitive: "x"}
+	for _, op := range []Op{
+		{Type: TypeInsert, Rec: rec},
+		{Type: TypeDelete, ID: 5, OldQI: []float64{1, 2}},
+		{Type: TypeUpdate, ID: 5, OldQI: []float64{1, 2}, Rec: rec},
+	} {
+		frame := singleOpFrame(t, op)
+		for cut := 0; cut <= len(frame); cut++ {
+			if _, err := Decode(frame[:cut]); err == nil {
+				t.Fatalf("frame-level %v (%d of %d bytes) accepted", op.Type, cut, len(frame))
+			}
+		}
+	}
 }
 
 func TestDecodeRejectsDamage(t *testing.T) {
-	payload, err := Encode(Record{Type: TypeUpdate, Seq: 3, ID: 5,
-		OldQI: []float64{1, 2}, Rec: attr.Record{ID: 5, QI: []float64{3, 4}, Sensitive: "x"}})
+	payload, err := Encode(Record{Type: TypeBatch, Seq: 3, Batch: []Op{{Type: TypeUpdate, ID: 5,
+		OldQI: []float64{1, 2}, Rec: attr.Record{ID: 5, QI: []float64{3, 4}, Sensitive: "x"}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +116,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	}
 	// A vector length no payload could hold is rejected before
 	// allocation.
-	huge, _ := Encode(Record{Type: TypeDelete, Seq: 1, ID: 1})
+	huge, _ := Encode(Record{Type: TypeBatch, Seq: 1, Batch: []Op{{Type: TypeDelete, ID: 1}}})
 	huge[len(huge)-4] = 0xFF
 	huge[len(huge)-3] = 0xFF
 	if _, err := Decode(huge); err == nil {
@@ -89,7 +125,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 }
 
 func TestTypeString(t *testing.T) {
-	for _, ty := range []Type{TypeInsert, TypeDelete, TypeUpdate, TypeCheckpointBegin, TypeCheckpointEnd} {
+	for _, ty := range []Type{TypeInsert, TypeDelete, TypeUpdate, TypeCheckpointBegin, TypeCheckpointEnd, TypeBatch} {
 		if s := ty.String(); s == "" || s[:4] == "wal." {
 			t.Errorf("type %d has no name", byte(ty))
 		}

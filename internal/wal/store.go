@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
@@ -48,8 +49,10 @@ type Options struct {
 	// fault policy; a *fault.Crash here shares its durable-operation
 	// clock between page write-backs and WAL appends.
 	PagerFault pager.FaultPolicy
-	// Retry bounds transient-fault retries of log writes. Zero value
-	// means a single try.
+	// Retry bounds transient-fault retries of each physical log write
+	// and fsync (the Writer owns that fault class; nothing above the
+	// store retries it again) and of checkpoint-page reads during
+	// recovery. Zero value means a single try.
 	Retry retry.Policy
 	// AppendFault, when non-nil, injects per-attempt write/fsync faults
 	// into the log appender (*fault.Flaky implements it).
@@ -104,12 +107,15 @@ type Store struct {
 	seq       uint64
 	sinceCkpt int
 	snapPages []pager.PageID
-	recovery  RecoveryStats
-	audited   bool
-	dead      error
+	// retired holds the retry counts of log writers already closed (a
+	// checkpoint swaps the writer, Recover reopens it).
+	retired  int64
+	recovery RecoveryStats
+	audited  bool
+	dead     error
 	// divergent records that the live tree no longer matches the
-	// committed log (an applyLive failure). Recover must then rebuild
-	// from disk; the in-memory tree has forfeited its authority.
+	// committed log (a committed op failed to apply). Recover must then
+	// rebuild from disk; the in-memory tree has forfeited its authority.
 	divergent bool
 }
 
@@ -130,16 +136,10 @@ func Create(opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, err := pager.CreateDiskFile(filepath.Join(opts.Dir, pagesName), opts.PageSize)
+	pg, err := openPager(opts, pager.CreateDiskFile)
 	if err != nil {
 		return nil, err
 	}
-	pg, err := pager.NewWithDisk(opts.PageSize, opts.PoolPages, d)
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	pg.SetFaultPolicy(opts.PagerFault)
 	s := &Store{opts: opts, tree: tree, pg: pg}
 	if err := s.writeCheckpoint(); err != nil {
 		pg.Close()
@@ -150,6 +150,23 @@ func Create(opts Options) (*Store, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// openPager opens the store's page file — with pager.CreateDiskFile
+// (truncating) or pager.OpenDiskFile — behind a pool carrying the
+// store's fault policy.
+func openPager(opts Options, open func(path string, pageSize int) (*pager.DiskFile, error)) (*pager.Pager, error) {
+	d, err := open(filepath.Join(opts.Dir, pagesName), opts.PageSize)
+	if err != nil {
+		return nil, err
+	}
+	pg, err := pager.NewWithDisk(opts.PageSize, opts.PoolPages, d)
+	if err != nil {
+		d.Close()
+		return nil, err
+	}
+	pg.SetFaultPolicy(opts.PagerFault)
+	return pg, nil
 }
 
 // Open recovers a store from opts.Dir: load the last complete
@@ -168,16 +185,10 @@ func Open(opts Options) (*Store, error) {
 	// atomic rename; the checkpoint never happened.
 	os.Remove(filepath.Join(opts.Dir, tmpName))
 
-	d, err := pager.OpenDiskFile(filepath.Join(opts.Dir, pagesName), opts.PageSize)
+	pg, err := openPager(opts, pager.OpenDiskFile)
 	if err != nil {
 		return nil, err
 	}
-	pg, err := pager.NewWithDisk(opts.PageSize, opts.PoolPages, d)
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	pg.SetFaultPolicy(opts.PagerFault)
 	s := &Store{opts: opts, pg: pg}
 	s.recovery.LogBytes = len(img)
 
@@ -276,24 +287,22 @@ func (s *Store) recover(img []byte) error {
 		if rec.Type == TypeCheckpointBegin {
 			continue // intent marker; carries no state
 		}
-		if rec.Type == TypeCheckpointEnd {
-			return fmt.Errorf("wal: checkpoint manifest in log tail")
+		if rec.Type != TypeBatch {
+			return fmt.Errorf("wal: %v record in log tail", rec.Type)
 		}
 		if rec.Seq != s.seq+1 {
 			return fmt.Errorf("wal: replay sequence %d, want %d", rec.Seq, s.seq+1)
 		}
-		if err := s.apply(rec); err != nil {
-			return err
+		// A batch frame commits len(Batch) consecutive operations in one
+		// durable unit; the scanner already guaranteed it is whole.
+		for _, op := range rec.Batch {
+			if _, err := s.applyOp(op); err != nil {
+				return err
+			}
 		}
-		// A batch frame commits len(Batch) consecutive operations in
-		// one durable unit; the scanner already guaranteed it is whole.
-		nops := 1
-		if rec.Type == TypeBatch {
-			nops = len(rec.Batch)
-		}
-		s.seq = rec.Seq + uint64(nops) - 1
-		s.recovery.Replayed += nops
-		s.sinceCkpt += nops
+		s.seq += uint64(len(rec.Batch))
+		s.recovery.Replayed += len(rec.Batch)
+		s.sinceCkpt += len(rec.Batch)
 	}
 	s.recovery.TornBytes = sc.TornBytes()
 
@@ -317,29 +326,7 @@ func (s *Store) recover(img []byte) error {
 	return nil
 }
 
-// apply performs one logged operation on the tree.
-func (s *Store) apply(r Record) error {
-	switch r.Type {
-	case TypeInsert:
-		return s.tree.Insert(r.Rec)
-	case TypeDelete:
-		_, err := s.tree.Delete(r.ID, r.OldQI)
-		return err
-	case TypeUpdate:
-		_, err := s.tree.Update(r.ID, r.OldQI, r.Rec)
-		return err
-	case TypeBatch:
-		for _, op := range r.Batch {
-			if _, err := s.applyOp(op); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return fmt.Errorf("wal: apply of %v record", r.Type)
-}
-
-// applyOp performs one batched operation on the tree, reporting
+// applyOp performs one logged operation on the tree, reporting
 // whether the targeted record existed (inserts always report true).
 func (s *Store) applyOp(op Op) (bool, error) {
 	switch op.Type {
@@ -399,21 +386,16 @@ func (s *Store) die(err error) {
 	}
 }
 
-// validateQI rejects at ingress anything the recovery path would
+// ValidateQI rejects at ingress anything the recovery path would
 // refuse later: wrong dimensionality (tree ops error on it during
 // replay) and non-finite coordinates (DecodeSnapshot refuses NaN, so
 // one such record folded into a checkpoint would make every subsequent
 // Open fail with no self-healing). Write-ahead logging means a record
 // is durable before it is applied — so nothing may reach the WAL that
-// apply, checkpoint, or recovery could reject.
-func (s *Store) validateQI(qi []float64) error {
-	return ValidateQI(s.tree.Config().Schema.Dims(), qi)
-}
-
-// ValidateQI is the store's ingress rule as a stateless function, so
-// concurrent front ends can validate on the submitting goroutine
-// before an operation is enqueued into a shared batch (a bad op must
-// fail its own caller, not everyone sharing its commit frame).
+// apply, checkpoint, or recovery could reject. It is a stateless
+// function so concurrent front ends can validate on the submitting
+// goroutine before an operation is enqueued into a shared batch (a bad
+// op must fail its own caller, not everyone sharing its commit frame).
 func ValidateQI(dims int, qi []float64) error {
 	if len(qi) != dims {
 		return fmt.Errorf("wal: record has %d attributes, store schema has %d", len(qi), dims)
@@ -442,21 +424,6 @@ func ValidateOp(dims int, op Op) error {
 	return fmt.Errorf("wal: batch op of type %v", op.Type)
 }
 
-// applyLive performs a committed operation on the live tree. The log
-// already says the operation happened, so a failure here is
-// log/tree divergence: later checkpoints and reads would be built on
-// state the durable log contradicts. That cannot be repaired in
-// place, so the store is poisoned. Ingress validation makes this
-// unreachable for well-formed stores; it is the backstop.
-func (s *Store) applyLive(op func() error) error {
-	if err := op(); err != nil {
-		s.divergent = true
-		s.die(fmt.Errorf("wal: tree diverged from committed log: %w", err))
-		return s.dead
-	}
-	return nil
-}
-
 // log appends one framed record durably; the operation is committed
 // iff this returns nil. A transient append failure whose rollback
 // succeeded leaves the log clean and the store's seq/tree untouched —
@@ -478,84 +445,36 @@ func (s *Store) log(r Record) error {
 	return nil
 }
 
-// Insert logs and applies one insertion. WAL-before-apply: the record
-// is in the tree only if its log frame is durable.
+// Insert, Delete and Update are ApplyBatch of ONE operation — the same
+// validate → log → apply → checkpoint path, one frame and one fsync
+// each. Delete and Update report whether the record existed; a delete
+// of an absent record still logs (write-ahead means logging before
+// knowing) and replay tolerates the no-op.
 func (s *Store) Insert(rec attr.Record) error {
-	if s.dead != nil {
-		return s.dead
-	}
-	if err := s.validateQI(rec.QI); err != nil {
-		return err
-	}
-	if err := s.log(Record{Type: TypeInsert, Seq: s.seq + 1, Rec: rec}); err != nil {
-		return err
-	}
-	s.seq++
-	s.sinceCkpt++
-	if err := s.applyLive(func() error { return s.tree.Insert(rec) }); err != nil {
-		return err
-	}
-	return s.maybeCheckpoint()
+	_, err := s.applyOne(Op{Type: TypeInsert, Rec: rec})
+	return err
 }
 
-// Delete logs and applies one deletion, reporting whether the record
-// existed. A delete of an absent record still logs (write-ahead means
-// logging before knowing); replay tolerates the no-op.
+// Delete logs and applies one deletion (by ID at a point).
 func (s *Store) Delete(id int64, qi []float64) (bool, error) {
-	if s.dead != nil {
-		return false, s.dead
-	}
-	if err := s.validateQI(qi); err != nil {
-		return false, err
-	}
-	if err := s.log(Record{Type: TypeDelete, Seq: s.seq + 1, ID: id, OldQI: qi}); err != nil {
-		return false, err
-	}
-	s.seq++
-	s.sinceCkpt++
-	var found bool
-	if err := s.applyLive(func() error {
-		var err error
-		found, err = s.tree.Delete(id, qi)
-		return err
-	}); err != nil {
-		return found, err
-	}
-	return found, s.maybeCheckpoint()
+	return s.applyOne(Op{Type: TypeDelete, ID: id, OldQI: qi})
 }
 
-// Update logs and applies one relocation, reporting whether the
-// record existed.
+// Update logs and applies one relocation.
 func (s *Store) Update(id int64, oldQI []float64, rec attr.Record) (bool, error) {
-	if s.dead != nil {
-		return false, s.dead
-	}
-	if err := s.validateQI(oldQI); err != nil {
-		return false, err
-	}
-	if err := s.validateQI(rec.QI); err != nil {
-		return false, err
-	}
-	if err := s.log(Record{Type: TypeUpdate, Seq: s.seq + 1, ID: id, OldQI: oldQI, Rec: rec}); err != nil {
-		return false, err
-	}
-	s.seq++
-	s.sinceCkpt++
-	var found bool
-	if err := s.applyLive(func() error {
-		var err error
-		found, err = s.tree.Update(id, oldQI, rec)
-		return err
-	}); err != nil {
-		return found, err
-	}
-	return found, s.maybeCheckpoint()
+	return s.applyOne(Op{Type: TypeUpdate, ID: id, OldQI: oldQI, Rec: rec})
+}
+
+func (s *Store) applyOne(op Op) (bool, error) {
+	found, err := s.ApplyBatch([]Op{op})
+	return len(found) == 1 && found[0], err
 }
 
 // ApplyBatch logs and applies a group of operations as ONE durable
 // log frame — one write, one fsync — turning N per-operation syncs
-// into one. The batch is all-or-nothing at the frame boundary: a
-// crash mid-append tears the whole frame, and recovery's scanner
+// into one. WAL-before-apply: an operation is in the tree only if its
+// frame is durable. The batch is all-or-nothing at the frame boundary:
+// a crash mid-append tears the whole frame, and recovery's scanner
 // drops a torn frame entirely, so no prefix of a batch is ever
 // replayed. The returned slice reports, per operation, whether its
 // target existed (inserts always true). Callers submitting on behalf
@@ -580,14 +499,18 @@ func (s *Store) ApplyBatch(ops []Op) ([]bool, error) {
 	s.seq += uint64(len(ops))
 	s.sinceCkpt += len(ops)
 	found := make([]bool, len(ops))
-	for i := range ops {
-		op := ops[i]
-		var ferr error
-		if err := s.applyLive(func() error {
-			found[i], ferr = s.applyOp(op)
-			return ferr
-		}); err != nil {
-			return found, err
+	for i, op := range ops {
+		var err error
+		if found[i], err = s.applyOp(op); err != nil {
+			// The log already says the operation happened, so a failure
+			// here is log/tree divergence: later checkpoints and reads
+			// would be built on state the durable log contradicts. That
+			// cannot be repaired in place, so the store is poisoned.
+			// Ingress validation makes this unreachable for well-formed
+			// stores; it is the backstop.
+			s.divergent = true
+			s.die(fmt.Errorf("wal: tree diverged from committed log: %w", err))
+			return found, s.dead
 		}
 	}
 	return found, s.maybeCheckpoint()
@@ -606,13 +529,10 @@ func (s *Store) maybeCheckpoint() error {
 	if s.opts.CheckpointEvery <= 0 || s.sinceCkpt < s.opts.CheckpointEvery {
 		return nil
 	}
-	if err := s.Checkpoint(); err != nil {
-		if s.dead == nil && retry.IsTransient(err) {
-			return nil
-		}
-		return err
-	}
-	return nil
+	// The one error Checkpoint returns from a store it left alive is the
+	// transient abort swallowed here; anything else is s.dead.
+	_ = s.Checkpoint()
+	return s.dead
 }
 
 // Checkpoint serializes the tree into pager pages and truncates the
@@ -715,9 +635,7 @@ func (s *Store) writeCheckpoint() error {
 			return err
 		}
 	}
-	if s.w != nil {
-		s.w.Close()
-	}
+	s.closeWriter()
 	s.w = w2
 
 	// The old snapshot's pages are garbage now; reclaim them. A crash
@@ -806,13 +724,9 @@ func (s *Store) Scrub() (ScrubReport, error) {
 	if len(corrupt) == 0 {
 		return rep, nil
 	}
-	live := make(map[pager.PageID]bool, len(s.snapPages))
-	for _, id := range s.snapPages {
-		live[id] = true
-	}
 	liveRot := false
 	for _, id := range corrupt {
-		if live[id] {
+		if slices.Contains(s.snapPages, id) {
 			liveRot = true
 			continue
 		}
@@ -876,14 +790,22 @@ func (s *Store) Recover() error {
 // and a healthy store has no dirty pages outside the checkpoint
 // protocol anyway.
 func (s *Store) closeHandles() {
-	if s.w != nil {
-		s.w.Close()
-		s.w = nil
-	}
+	s.closeWriter()
 	if s.pg != nil {
 		s.pg.CloseNoFlush()
 		s.pg = nil
 	}
+}
+
+// closeWriter closes the log writer, if any, keeping its retry count.
+func (s *Store) closeWriter() error {
+	if s.w == nil {
+		return nil
+	}
+	s.retired += s.w.retries
+	err := s.w.Close()
+	s.w = nil
+	return err
 }
 
 // reseed rebuilds the durable image — pages.db and a manifest-only
@@ -892,16 +814,10 @@ func (s *Store) closeHandles() {
 // real audited recovery. CreateDiskFile truncates, so whatever rot
 // the old image held is gone.
 func (s *Store) reseed() error {
-	d, err := pager.CreateDiskFile(filepath.Join(s.opts.Dir, pagesName), s.opts.PageSize)
+	pg, err := openPager(s.opts, pager.CreateDiskFile)
 	if err != nil {
 		return err
 	}
-	pg, err := pager.NewWithDisk(s.opts.PageSize, s.opts.PoolPages, d)
-	if err != nil {
-		d.Close()
-		return err
-	}
-	pg.SetFaultPolicy(s.opts.PagerFault)
 	s.pg = pg
 	s.snapPages = nil // the old IDs belong to the discarded image
 	if err := s.writeCheckpoint(); err != nil {
@@ -912,19 +828,13 @@ func (s *Store) reseed() error {
 	return nil
 }
 
-// adopt transplants a freshly recovered store's state into this one.
-// The old handles are already closed; the donor object is abandoned.
+// adopt transplants a freshly recovered store's state — healthy,
+// audited, undiverged — into this one, keeping only the retry count of
+// the writers already closed. The old handles are already closed; the
+// donor object is abandoned.
 func (s *Store) adopt(f *Store) {
-	s.tree = f.tree
-	s.w = f.w
-	s.pg = f.pg
-	s.seq = f.seq
-	s.sinceCkpt = f.sinceCkpt
-	s.snapPages = f.snapPages
-	s.recovery = f.recovery
-	s.audited = f.audited
-	s.dead = nil
-	s.divergent = false
+	f.retired = s.retired
+	*s = *f
 }
 
 // SnapshotPages returns the page IDs of the live checkpoint snapshot,
@@ -956,17 +866,26 @@ func (s *Store) Seq() uint64 { return s.seq }
 // Create.
 func (s *Store) RecoveryStats() RecoveryStats { return s.recovery }
 
+// Retries returns how many extra physical write and fsync attempts
+// the store's log writers have spent absorbing transient faults (0
+// when every append landed first try). The writer is the single owner
+// of that fault class, so this is the whole absorption count.
+func (s *Store) Retries() int64 {
+	n := s.retired
+	if s.w != nil {
+		n += s.w.retries
+	}
+	return n
+}
+
 // Err returns the poisoning error if the store has died, else nil.
 func (s *Store) Err() error { return s.dead }
 
 // Close releases the log writer and pager. A dead store closes too —
 // that is the "process exit" after a simulated crash.
 func (s *Store) Close() error {
-	var werr, perr error
-	if s.w != nil {
-		werr = s.w.Close()
-		s.w = nil
-	}
+	var perr error
+	werr := s.closeWriter()
 	if s.pg != nil {
 		// A crashed store must not flush its pool on the way out: the
 		// crash already decided what reached disk.

@@ -79,7 +79,10 @@ type Writer struct {
 	afault AppendFault
 	noSync bool
 	retry  retry.Policy
-	dead   error
+	// retries counts the physical write and fsync attempts past the
+	// first of each append — the transient faults this writer absorbed.
+	retries int64
+	dead    error
 	// buf is the frame scratch buffer, reused across appends so the
 	// steady-state framing cost is zero allocations (the CRC table is
 	// likewise built once, at package init). Safe because the writer
@@ -138,10 +141,8 @@ func (w *Writer) Append(payload []byte) error {
 		}
 	}
 	if persist > 0 {
-		attempt := 0
-		err := w.retry.Do(func() error {
-			attempt++
-			if attempt > 1 {
+		err := w.attempts(func(retrying bool) error {
+			if retrying {
 				// A failed attempt may have torn bytes into the
 				// O_APPEND log; appending the retry after them would
 				// bury this frame — and every later one — behind
@@ -208,7 +209,7 @@ func (w *Writer) fail(op string, err error) error {
 // NoSync elides the real fsync, so a fault schedule replays
 // identically in synced and unsynced runs.
 func (w *Writer) sync() error {
-	return w.retry.Do(func() error {
+	return w.attempts(func(bool) error {
 		if w.afault != nil {
 			if err := w.afault.SyncAttempt(); err != nil {
 				return err
@@ -219,6 +220,19 @@ func (w *Writer) sync() error {
 		}
 		return w.f.Sync()
 	})
+}
+
+// attempts runs one physical step under the writer's retry policy —
+// the single owner of log append and fsync faults — telling the step
+// whether it is a retry and counting every retry in w.retries.
+func (w *Writer) attempts(step func(retrying bool) error) error {
+	n := 0
+	err := w.retry.Do(func() error {
+		n++
+		return step(n > 1)
+	})
+	w.retries += int64(n - 1)
+	return err
 }
 
 // Err returns the error that killed the writer — a simulated crash or
