@@ -63,9 +63,10 @@ chaos-shard:
 # The WAL crash matrix: a churn workload crashed at every durable
 # operation (each log append and checkpoint page write, with torn
 # final frames) across a seed matrix, asserting recovery always
-# converges to an audited, k-safe state (internal/wal). Covers both
-# the per-op matrix and the group-commit matrix (torn multi-record
-# batch frames must be all-or-nothing).
+# converges to an audited, k-safe state (internal/wal). Covers the
+# per-op matrix, the group-commit matrix (torn multi-record batch
+# frames must be all-or-nothing) and the incremental-checkpoint matrix
+# (a chain of checkpoints sharing leaf pages and reusing freed slots).
 crash:
 	$(GO) test ./internal/wal/ -run 'TestCrashMatrix' -v
 
@@ -82,13 +83,19 @@ throughput:
 zeroalloc:
 	$(GO) test -run 'ZeroAlloc' -v ./internal/routing/ ./internal/query/ ./internal/serve/ ./internal/sfc/
 
-# Short fuzz passes over the dataset codecs and the WAL record decoder.
+# Every fuzz target in the repository, FUZZTIME each (`go test -fuzz`
+# takes one target and one package per run). CI runs this with
+# FUZZTIME=10s; committed seed corpora live under testdata/fuzz/.
+FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -run=NONE -fuzz=FuzzReadCSV -fuzztime=30s ./internal/dataset/
-	$(GO) test -run=NONE -fuzz=FuzzReadBinary -fuzztime=30s ./internal/dataset/
-	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=30s ./internal/wal/
-	$(GO) test -run=NONE -fuzz=FuzzLookupVsLinear -fuzztime=30s ./internal/routing/
-	$(GO) test -run=NONE -fuzz=FuzzShardRouting -fuzztime=30s ./internal/shard/
+	$(GO) test -run=NONE -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
+	$(GO) test -run=NONE -fuzz='^FuzzReadBinary$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
+	$(GO) test -run=NONE -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/wal/
+	$(GO) test -run=NONE -fuzz='^FuzzDecodeCheckpoint$$' -fuzztime=$(FUZZTIME) ./internal/rplustree/
+	$(GO) test -run=NONE -fuzz='^FuzzInsertDeleteInvariants$$' -fuzztime=$(FUZZTIME) ./internal/rplustree/
+	$(GO) test -run=NONE -fuzz='^FuzzHilbertRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/sfc/
+	$(GO) test -run=NONE -fuzz='^FuzzLookupVsLinear$$' -fuzztime=$(FUZZTIME) ./internal/routing/
+	$(GO) test -run=NONE -fuzz='^FuzzShardRouting$$' -fuzztime=$(FUZZTIME) ./internal/shard/
 
 # The benchmark of record (bench/README.md, BENCHMARK.json): every
 # workload, a fresh process each. The per-package `go test -bench`

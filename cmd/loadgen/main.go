@@ -82,6 +82,7 @@ type config struct {
 	queue    int
 	deadline int
 	shards   int
+	ckpt     int
 }
 
 func parseFlags(args []string) (config, error) {
@@ -102,6 +103,7 @@ func parseFlags(args []string) (config, error) {
 	fs.BoolVar(&c.overload, "overload", false, "keep driving through typed rejections; report shed rate and per-error-class counts")
 	fs.IntVar(&c.queue, "queue", 0, "submission queue depth (serve.Options.QueueDepth; 0 = 4×batch)")
 	fs.IntVar(&c.deadline, "deadline", 0, "queue deadline in group-commit ticks (serve.Options.DeadlineTicks; 0 = none)")
+	fs.IntVar(&c.ckpt, "checkpoint", 0, "checkpoint each store after every N logged operations (wal.Options.CheckpointEvery; 0 = only when the store is created)")
 	fs.IntVar(&c.shards, "shards", 1, "shard the store into N SFC key ranges, one serving stack each; report is per shard")
 	if err := fs.Parse(args); err != nil {
 		return c, err

@@ -44,8 +44,9 @@ func sumMatches(t *testing.T, out string, re *regexp.Regexp, group int) int {
 }
 
 var (
-	writesRE   = regexp.MustCompile(`writes: (\d+) ops`)
-	overloadRE = regexp.MustCompile(`(?:overload|shard \d+ errors): issued=(\d+) acked=(\d+) shed=(\d+)`)
+	writesRE      = regexp.MustCompile(`writes: (\d+) ops`)
+	checkpointsRE = regexp.MustCompile(`checkpoints: (\d+) \(\d+ full\), \d+ leaves`)
+	overloadRE    = regexp.MustCompile(`(?:overload|shard \d+ errors): issued=(\d+) acked=(\d+) shed=(\d+)`)
 )
 
 // TestMixedLoad drives the full closed loop — writers and readers —
@@ -56,14 +57,19 @@ func TestMixedLoad(t *testing.T) {
 		t.Run("shards="+shards, func(t *testing.T) {
 			out := runOK(t,
 				"-dir", t.TempDir(), "-n", "600", "-ops", "300", "-shards", shards,
-				"-writers", "4", "-readers", "2", "-batch", "16", "-k", "5", "-nosync")
-			for _, want := range []string{"reads:", "ops/sec", "p50", "p99", "commits:"} {
+				"-writers", "4", "-readers", "2", "-batch", "16", "-k", "5", "-nosync", "-checkpoint", "50")
+			for _, want := range []string{"reads:", "ops/sec", "p50", "p99", "commits:", "checkpoints: "} {
 				if !strings.Contains(out, want) {
 					t.Fatalf("output missing %q:\n%s", want, out)
 				}
 			}
 			if got := sumMatches(t, out, writesRE, 1); got != 300 {
 				t.Fatalf("report accounts for %d writes, want 300:\n%s", got, out)
+			}
+			// 300 writes at -checkpoint 50 on top of each store's preload:
+			// the line reports real checkpoints, not just the creation one.
+			if got := sumMatches(t, out, checkpointsRE, 1); got < 4 {
+				t.Fatalf("checkpoints line reports %d checkpoints, want at least 4:\n%s", got, out)
 			}
 			if sharded := strings.Contains(out, "coordinator: partial reads=0 "); sharded != (shards != "1") {
 				t.Fatalf("coordinator line present=%v with -shards %s:\n%s", sharded, shards, out)

@@ -49,6 +49,8 @@ func newStoreTarget(c config, dir string, schema *attr.Schema, recs []attr.Recor
 		Dir:    dir,
 		Tree:   rplustree.Config{Schema: schema, BaseK: c.k},
 		NoSync: c.nosync,
+
+		CheckpointEvery: c.ckpt,
 	})
 	if err != nil {
 		return nil, err
@@ -104,6 +106,7 @@ func (t *storeTarget) report(out io.Writer, per []bucketSamples, elapsed time.Du
 		fmt.Fprintf(out, "commits: %d batches, %.1f ops/fsync, max batch %d, epoch %d\n",
 			stats.Batches, float64(stats.Ops)/float64(stats.Batches), stats.MaxBatch, stats.Epoch)
 	}
+	fmt.Fprintf(out, "checkpoints: %v\n", stats.Checkpoint)
 	if overload {
 		fmt.Fprintf(out, "overload: %s\n", per[0].ec)
 		fmt.Fprintf(out, "server: state=%v shed=%d expired=%d retries=%d recoveries=%d\n",
@@ -149,6 +152,8 @@ func newFleetTarget(c config, dir string, schema *attr.Schema, recs, churn []att
 		Serve:   serveOptions(c),
 		NoSync:  c.nosync,
 		Preload: recs,
+
+		CheckpointEvery: c.ckpt,
 	})
 	if err != nil {
 		return nil, err
@@ -178,7 +183,9 @@ func (t *fleetTarget) bucket(qi []float64) int { return t.Route(qi) }
 
 func (t *fleetTarget) report(out io.Writer, per []bucketSamples, elapsed time.Duration, overload bool, partials int64) {
 	perShard, coPartials, coRetries := t.Stats()
+	var ckpt wal.CheckpointStats
 	for si, b := range per {
+		ckpt = ckpt.Add(perShard[si].Serve.Checkpoint)
 		fmt.Fprintf(out, "shard %d %v: writes: %s\n", si, perShard[si].Range, summarize(b.lats, elapsed))
 		if overload {
 			fmt.Fprintf(out, "shard %d errors: %s\n", si, b.ec)
@@ -189,6 +196,7 @@ func (t *fleetTarget) report(out io.Writer, per []bucketSamples, elapsed time.Du
 				si, st.Batches, float64(st.Ops)/float64(st.Batches), st.State, st.Shed)
 		}
 	}
+	fmt.Fprintf(out, "checkpoints: %v\n", ckpt)
 	fmt.Fprintf(out, "coordinator: partial reads=%d (%d server-side) resubmitted transients=%d\n",
 		partials, coPartials, coRetries)
 }

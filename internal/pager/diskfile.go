@@ -30,6 +30,11 @@ type DiskFile struct {
 	pageSize int
 	used     map[PageID]bool
 	maxID    PageID
+	// slot is the one buffer every ReadPage and WritePage stages its
+	// slot in. ReadPage returns a slice of it — the Disk contract lets
+	// the result alias backend storage, and the pager copies it — so it
+	// is valid only until the next call.
+	slot []byte
 }
 
 const (
@@ -56,7 +61,11 @@ func CreateDiskFile(path string, pageSize int) (*DiskFile, error) {
 		f.Close()
 		return nil, err
 	}
-	return &DiskFile{f: f, pageSize: pageSize, used: make(map[PageID]bool)}, nil
+	return newDiskFile(f, pageSize), nil
+}
+
+func newDiskFile(f *os.File, pageSize int) *DiskFile {
+	return &DiskFile{f: f, pageSize: pageSize, used: make(map[PageID]bool), slot: make([]byte, 1+4+pageSize)}
 }
 
 // OpenDiskFile opens an existing page file, validating its header and
@@ -89,7 +98,7 @@ func OpenDiskFile(path string, wantPageSize int) (*DiskFile, error) {
 		f.Close()
 		return nil, fmt.Errorf("pager: %s: page size %d, want %d", path, pageSize, wantPageSize)
 	}
-	d := &DiskFile{f: f, pageSize: pageSize, used: make(map[PageID]bool)}
+	d := newDiskFile(f, pageSize)
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
 		f.Close()
@@ -125,12 +134,13 @@ func (d *DiskFile) slotOffset(id PageID) int64 {
 // PageSize returns the page size recorded in the file header.
 func (d *DiskFile) PageSize() int { return d.pageSize }
 
-// ReadPage implements Disk.
+// ReadPage implements Disk. The returned payload aliases the file's
+// slot buffer: it is overwritten by the next ReadPage or WritePage.
 func (d *DiskFile) ReadPage(id PageID) ([]byte, uint32, error) {
 	if id < 1 || !d.used[id] {
 		return nil, 0, fmt.Errorf("%w: page %d", ErrUnknownPage, id)
 	}
-	buf := make([]byte, d.slotSize())
+	buf := d.slot
 	n, err := d.f.ReadAt(buf, d.slotOffset(id))
 	if err != nil && err != io.EOF {
 		return nil, 0, fmt.Errorf("pager: reading page %d: %w", id, err)
@@ -153,7 +163,7 @@ func (d *DiskFile) WritePage(id PageID, data []byte, sum uint32) error {
 	if len(data) != d.pageSize {
 		return fmt.Errorf("pager: write of %d bytes to page %d, page size %d", len(data), id, d.pageSize)
 	}
-	buf := make([]byte, d.slotSize())
+	buf := d.slot
 	buf[0] = 1
 	binary.LittleEndian.PutUint32(buf[1:5], sum)
 	copy(buf[5:], data)

@@ -242,3 +242,141 @@ func containsStr(s, sub string) bool {
 	}
 	return false
 }
+
+// TestReuseFreedHandsOutLowestFirst: with slot reuse on, Alloc returns
+// freed IDs lowest first before minting new ones, the free set survives
+// a reopen through the slot scan, a double Free cannot duplicate an ID,
+// and a file whose owner frees as much as it allocates stops growing.
+// Without ReuseFreed nothing is ever reused.
+func TestReuseFreedHandsOutLowestFirst(t *testing.T) {
+	alloc := func(p *Pager) PageID {
+		t.Helper()
+		id, _, err := p.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Unpin(id); err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	p, path := newFilePager(t, 32, 4)
+	if err := p.ReuseFreed(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 8; i++ {
+		if id := alloc(p); id != PageID(i) {
+			t.Fatalf("fresh alloc %d returned page %d", i, id)
+		}
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []PageID{6, 2, 4, 2} { // 2 twice: a double free
+		if err := p.Free(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if id := alloc(p); id != 2 {
+		t.Fatalf("first reuse returned page %d, want 2", id)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Reopen: pages 4 and 6 are free slots below the highest stored ID.
+	d, err := OpenDiskFile(path, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := NewWithDisk(32, 4, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p2.ReuseFreed(); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []PageID{4, 6, 9} {
+		if id := alloc(p2); id != want {
+			t.Fatalf("after reopen alloc returned page %d, want %d", id, want)
+		}
+	}
+	// Stationary churn: free three, allocate three, many times over.
+	if err := p2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 50; round++ {
+		for _, id := range []PageID{3, 5, 7} {
+			if err := p2.Free(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			alloc(p2)
+		}
+		if err := p2.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(diskHeaderSize + 9*(1+4+32)); fi.Size() != want {
+		t.Fatalf("page file is %d bytes after stationary churn, want the 9 slots' %d", fi.Size(), want)
+	}
+
+	// The default stays never-reuse: fault schedules and I/O counts of
+	// the bulk loader's pagers are pinned on it.
+	plain, _ := newFilePager(t, 32, 4)
+	first := alloc(plain)
+	if err := plain.Free(first); err != nil {
+		t.Fatal(err)
+	}
+	if id := alloc(plain); id == first {
+		t.Fatalf("pager without ReuseFreed handed page %d out again", id)
+	}
+	plain.Close()
+}
+
+// TestDiskFileReadAliasesSlotBuffer pins the Disk contract DiskFile now
+// leans on: a ReadPage result is only valid until the next call, and
+// the pager's own reads are unaffected because it copies.
+func TestDiskFileReadAliasesSlotBuffer(t *testing.T) {
+	p, _ := newFilePager(t, 16, 1)
+	var ids []PageID
+	for i := 0; i < 3; i++ {
+		id, data, err := p.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[0] = byte('a' + i)
+		p.Unpin(id)
+		ids = append(ids, id)
+	}
+	// A one-page pool: every Read evicts (writes back) the previous page
+	// and reads the next through the same slot buffer.
+	var seen []byte
+	var held [][]byte
+	for _, id := range ids {
+		data, err := p.Read(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, data)
+		seen = append(seen, data[0])
+		p.Unpin(id)
+	}
+	if string(seen) != "abc" {
+		t.Fatalf("read back %q, want abc", seen)
+	}
+	for i, data := range held {
+		if data[0] != byte('a'+i) {
+			t.Fatalf("pool frame %d was overwritten by a later disk read: %q", i, data[0])
+		}
+	}
+	p.Close()
+}

@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 )
 
@@ -202,6 +203,11 @@ type Pager struct {
 	nextID PageID
 	stats  Stats
 	fault  FaultPolicy
+
+	// reuse and free are the slot recycler ReuseFreed turns on: free is
+	// the ascending set of IDs at or below nextID that hold no page.
+	reuse bool
+	free  []PageID
 }
 
 // New returns a pager over the in-memory disk with the given page size
@@ -240,6 +246,35 @@ func NewWithDisk(pageSize, poolPages int, d Disk) (*Pager, error) {
 	}, nil
 }
 
+// ReuseFreed makes Alloc hand out freed page IDs again, lowest first,
+// before minting new ones, so a long-lived page file whose owner frees
+// as much as it allocates stops growing. The free set starts as every
+// ID up to the highest ever stored that the backend does not hold —
+// for a DiskFile, what its open-time slot scan found free — so call it
+// before the first Alloc. It is opt-in because an ID names a page to
+// fault policies too (a permanent fault sticks to its ID): the I/O
+// counting pagers of the bulk loader keep never-reused IDs and their
+// pinned fault schedules.
+func (p *Pager) ReuseFreed() error {
+	ids, err := p.disk.IDs()
+	if err != nil {
+		return fmt.Errorf("pager: scanning disk: %w", err)
+	}
+	p.reuse = true
+	p.free = p.free[:0]
+	next := PageID(1)
+	for _, id := range ids {
+		for ; next < id; next++ {
+			p.free = append(p.free, next)
+		}
+		next = id + 1
+	}
+	for ; next <= p.nextID; next++ {
+		p.free = append(p.free, next)
+	}
+	return nil
+}
+
 // SetFaultPolicy installs (or, with nil, removes) the fault injection
 // hook. Pages already resident or on disk are unaffected.
 func (p *Pager) SetFaultPolicy(fp FaultPolicy) { p.fault = fp }
@@ -260,11 +295,17 @@ func (p *Pager) ResetStats() { p.stats = Stats{} }
 // Alloc creates a new zeroed page, resident in the pool and pinned once.
 // The caller must Unpin it when done mutating.
 func (p *Pager) Alloc() (PageID, []byte, error) {
-	p.nextID++
-	id := p.nextID
+	var id PageID
+	if len(p.free) > 0 {
+		id, p.free = p.free[0], p.free[1:]
+	} else {
+		p.nextID++
+		id = p.nextID
+	}
 	p.stats.Allocs++
 	f, err := p.install(id, make([]byte, p.pageSize))
 	if err != nil {
+		p.release(id)
 		return 0, nil, err
 	}
 	f.dirty = true // a fresh page must reach "disk" eventually
@@ -325,7 +366,20 @@ func (p *Pager) Free(id PageID) error {
 	// Page may be resident-only (never written back) — that is still a
 	// legitimate free as long as it was allocated.
 	p.stats.Frees++
+	p.release(id)
 	return nil
+}
+
+// release returns id to the free set when slot reuse is on. The set
+// stays sorted and duplicate-free, so a double Free cannot make Alloc
+// hand one ID out twice.
+func (p *Pager) release(id PageID) {
+	if !p.reuse || id < 1 || id > p.nextID {
+		return
+	}
+	if i, found := slices.BinarySearch(p.free, id); !found {
+		p.free = slices.Insert(p.free, i, id)
+	}
 }
 
 // Flush writes every dirty pooled page back to disk, in PageID order so

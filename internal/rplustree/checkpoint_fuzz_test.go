@@ -1,0 +1,142 @@
+package rplustree_test
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"spatialanon/internal/attr"
+	"spatialanon/internal/dataset"
+	"spatialanon/internal/pager"
+	"spatialanon/internal/rplustree"
+	"spatialanon/internal/verify"
+)
+
+var updateCorpus = flag.Bool("update", false, "rewrite the committed FuzzDecodeCheckpoint seed corpus from real images")
+
+var fuzzConfig = rplustree.Config{Schema: dataset.LandsEndSchema(), BaseK: 3}
+
+// blobGet resolves references against one byte string by offset and
+// length — the fuzz input's stand-in for the pager.
+func blobGet(blob []byte) func(rplustree.LeafRef) ([]byte, error) {
+	return func(ref rplustree.LeafRef) ([]byte, error) {
+		end := uint64(ref.Off) + uint64(ref.Len)
+		if end > uint64(len(blob)) {
+			return nil, fmt.Errorf("reference [%d,%d) outside %d leaf bytes", ref.Off, end, len(blob))
+		}
+		return blob[ref.Off:end], nil
+	}
+}
+
+// realImages are checkpoints of real trees — an empty one, a single
+// leaf, a few levels after inserts, and the same after deletions with
+// underflow repairs and a second, incremental checkpoint — as
+// (directory, leaf bytes) pairs.
+func realImages(t testing.TB) [][2][]byte {
+	t.Helper()
+	var out [][2][]byte
+	for _, n := range []int{0, 2, 25, 60} {
+		tr, err := rplustree.New(fuzzConfig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(n)))
+		recs := make([]attr.Record, n)
+		for i := range recs {
+			qi := make([]float64, fuzzConfig.Schema.Dims())
+			for d := range qi {
+				qi[d] = float64(rng.Intn(1000))
+			}
+			recs[i] = attr.Record{ID: int64(i + 1), QI: qi, Sensitive: strings.Repeat("x", i%4)}
+			if err := tr.Insert(recs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var blob []byte
+		checkpoint := func() {
+			ck, err := tr.EncodeCheckpoint(false, func(leaf []byte) (rplustree.LeafRef, error) {
+				ref := rplustree.LeafRef{Pages: []pager.PageID{1}, Off: uint32(len(blob)), Len: uint32(len(leaf))}
+				blob = append(blob, leaf...)
+				return ref, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck.Commit()
+			out = append(out, [2][]byte{ck.Dir, bytes.Clone(blob)})
+		}
+		checkpoint()
+		if n >= 25 {
+			for _, r := range recs[:n/3] {
+				if _, err := tr.Delete(r.ID, r.QI); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkpoint()
+		}
+	}
+	return out
+}
+
+// FuzzDecodeCheckpoint holds the checkpoint decoder to its contract:
+// for an arbitrary directory over arbitrary leaf bytes it returns an
+// error or a tree that passes the independent structural audit and
+// re-encodes — never a panic, never a malformed tree.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	// The real-image seeds are the committed corpus under testdata/fuzz
+	// (TestFuzzCorpusIsCurrent keeps it current).
+	f.Add([]byte{}, []byte{})
+	f.Fuzz(func(t *testing.T, dir, leaves []byte) {
+		tr, err := rplustree.DecodeCheckpoint(fuzzConfig, dir, blobGet(leaves))
+		if err != nil {
+			return
+		}
+		if err := verify.Tree(tr, verify.TreeOptions{}); err != nil {
+			t.Fatalf("decoder accepted a tree the audit rejects: %v", err)
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("decoder accepted a tree that breaks its own invariants: %v", err)
+		}
+		snap, err := tr.EncodeSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rplustree.DecodeSnapshot(fuzzConfig, snap); err != nil {
+			t.Fatalf("decoded tree does not survive a snapshot round trip: %v", err)
+		}
+	})
+}
+
+// TestFuzzCorpusIsCurrent keeps the committed seed corpus
+// (testdata/fuzz/FuzzDecodeCheckpoint) equal to the real images above,
+// so a format change cannot leave `go test -fuzz` mutating stale bytes
+// that fail at the version word. `go test ./internal/rplustree -run
+// TestFuzzCorpusIsCurrent -update` rewrites it.
+func TestFuzzCorpusIsCurrent(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeCheckpoint")
+	for i, img := range realImages(t) {
+		path := filepath.Join(dir, fmt.Sprintf("real-image-%d", i))
+		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n[]byte(%q)\n", img[0], img[1])
+		if *updateCorpus {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (run with -update to write the corpus)", err)
+		}
+		if string(got) != want {
+			t.Errorf("%s is stale (run with -update)", path)
+		}
+	}
+}

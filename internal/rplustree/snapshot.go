@@ -6,26 +6,44 @@ import (
 	"math"
 
 	"spatialanon/internal/attr"
+	"spatialanon/internal/pager"
 )
 
-// This file is the tree's checkpoint codec. internal/wal serializes a
-// tree into a byte snapshot at checkpoint time and rebuilds it during
-// recovery; the encoding follows the repository's binary conventions
-// (fixed-width little-endian, see internal/dataset's BinaryCodec).
+// This file is the tree's durable codec. internal/wal serializes a
+// tree at checkpoint time and rebuilds it during recovery; the
+// encoding follows the repository's binary conventions (fixed-width
+// little-endian, see internal/dataset's BinaryCodec).
 //
-// The snapshot stores only what cannot be re-derived: the recursive
+// One encoder and one decoder serve two forms that differ only in what
+// stands for a leaf:
+//
+//   - the snapshot (EncodeSnapshot/DecodeSnapshot) carries every leaf's
+//     records inline — the whole tree in one byte string, the in-memory
+//     form tests and probes compare trees with;
+//   - the checkpoint directory (EncodeCheckpoint/DecodeCheckpoint)
+//     carries a LeafRef per leaf — where the caller stored that leaf's
+//     encoding — so a checkpoint rewrites only the leaves that changed
+//     since their last durable copy and recovery reads leaves one at a
+//     time instead of materialising the image.
+//
+// Either form stores only what cannot be re-derived: the recursive
 // trie structure and the leaf payloads. Routing regions are NOT
 // stored — they are reconstructed from the split-trie hyperplanes
 // exactly as splits created them (bit-identical floats), MBRs and
 // counts are recomputed bottom-up, and the decoder validates what it
 // builds (dimensions, axis bounds, region membership of every record,
-// uniform leaf depth) so a damaged snapshot yields an error, never a
-// quietly wrong tree. Defense in depth: internal/wal additionally
-// checksums the snapshot bytes, and recovery runs the full
+// uniform leaf depth) so a damaged image yields an error, never a
+// quietly wrong tree. Defense in depth: internal/wal checksums the
+// directory and every leaf encoding, and recovery runs the full
 // internal/verify audit on the decoded tree.
 
-// snapshotVersion is bumped on any incompatible layout change.
-const snapshotVersion = 1
+// The two encoding forms, told apart by the leading version word so one
+// can never be decoded as the other. Bumped on any incompatible layout
+// change.
+const (
+	snapshotVersion  = 1 // leaves inline
+	directoryVersion = 2 // leaves by reference
+)
 
 // snapMaxDepth bounds the recursion while decoding: deeper nesting
 // than this in a well-formed snapshot would need more nodes than the
@@ -33,19 +51,131 @@ const snapshotVersion = 1
 // the decoder's stack from adversarial input).
 const snapMaxDepth = 4096
 
-// EncodeSnapshot serializes the tree structure and payloads. A tree
-// with records still blocked in bulk-load buffers cannot be
-// snapshotted — those records are not yet placed — so callers flush
-// first.
+// LeafRef says where the durable encoding of one leaf lives: Len bytes
+// starting Off bytes into the first of Pages and running on through the
+// rest, sealed by CRC. The tree only carries it — the checkpoint's
+// caller assigns and interprets every field.
+type LeafRef struct {
+	Pages []pager.PageID
+	Off   uint32
+	Len   uint32
+	CRC   uint32
+}
+
+// Checkpoint is one EncodeCheckpoint pass: the directory to publish and
+// the stamps to apply once it is durable.
+type Checkpoint struct {
+	// Dir is the directory encoding: the trie with a LeafRef per leaf.
+	Dir []byte
+	// Refs holds every leaf's reference in trie order — the freshly
+	// written ones and the ones carried over — so the caller can
+	// recompute which pages are live from this walk alone.
+	Refs []LeafRef
+	// Written and WrittenBytes count the leaves handed to put.
+	Written      int
+	WrittenBytes int64
+
+	pending []leafStamp
+}
+
+// durableCopy is a leaf's stamp: where its durable encoding lives and
+// the node.ver that encoding captured.
+type durableCopy struct {
+	ref LeafRef
+	ver uint64
+}
+
+// leafStamp is a stamp waiting for its checkpoint to be published.
+type leafStamp struct {
+	n   *node
+	dur *durableCopy
+}
+
+// Commit records, on every leaf this checkpoint wrote, where its
+// durable copy now lives. Call it only after the directory has been
+// published durably: a checkpoint that aborts before that must leave
+// every stamp as it was, so the retry rewrites those leaves instead of
+// trusting pages nothing durable refers to.
+func (c *Checkpoint) Commit() {
+	for _, s := range c.pending {
+		s.n.dur = s.dur
+	}
+	c.pending = nil
+}
+
+// durable reports whether the leaf's last durable copy still matches
+// its content. A freshly minted node has no copy at all.
+func (n *node) durable() bool { return n.dur != nil && n.dur.ver == n.ver }
+
+// EncodeSnapshot serializes the tree structure and payloads into one
+// byte string. A tree with records still blocked in bulk-load buffers
+// cannot be snapshotted — those records are not yet placed — so callers
+// flush first.
 func (t *Tree) EncodeSnapshot() ([]byte, error) {
+	return t.encodeTree(snapshotVersion, func(e []byte, n *node) ([]byte, error) {
+		return appendLeaf(e, n.recs), nil
+	})
+}
+
+// EncodeCheckpoint walks the tree in trie order and hands put the
+// encoding of every leaf whose content changed since its last durable
+// copy — every leaf when full is set — collecting the references put
+// returns, and the unchanged leaves' existing ones, into the directory.
+// The byte slice put receives is reused between calls. Nothing in the
+// tree changes until the returned Checkpoint is committed.
+func (t *Tree) EncodeCheckpoint(full bool, put func(leaf []byte) (LeafRef, error)) (*Checkpoint, error) {
+	ck := &Checkpoint{}
+	var scratch []byte
+	dir, err := t.encodeTree(directoryVersion, func(e []byte, n *node) ([]byte, error) {
+		dur := n.dur
+		if full || !n.durable() {
+			scratch = appendLeaf(scratch[:0], n.recs)
+			ref, err := put(scratch)
+			if err != nil {
+				return nil, err
+			}
+			dur = &durableCopy{ref: ref, ver: n.ver}
+			ck.pending = append(ck.pending, leafStamp{n: n, dur: dur})
+			ck.Written++
+			ck.WrittenBytes += int64(len(scratch))
+		}
+		ck.Refs = append(ck.Refs, dur.ref)
+		return appendRef(e, dur.ref), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	ck.Dir = dir
+	return ck, nil
+}
+
+// DirtyBytes sizes what an incremental EncodeCheckpoint would hand to
+// put right now: the encoded length of every leaf without a current
+// durable copy. It stops counting once the total passes limit — the
+// caller only wants to know whether it does.
+func (t *Tree) DirtyBytes(limit int64) int64 {
+	var total int64
+	var scratch []byte
+	t.walkLeaves(t.root, func(n *node) {
+		if total <= limit && !n.durable() {
+			scratch = appendLeaf(scratch[:0], n.recs)
+			total += int64(len(scratch))
+		}
+	})
+	return total
+}
+
+// encodeTree writes the header and the trie; leaf appends what stands
+// for one leaf in this form.
+func (t *Tree) encodeTree(version uint32, leaf func(e []byte, n *node) ([]byte, error)) ([]byte, error) {
 	if pending := t.pendingBuffered(t.root); pending > 0 {
 		return nil, fmt.Errorf("rplustree: snapshot with %d records still buffered; flush the loader first", pending)
 	}
 	e := make([]byte, 0, 1024)
-	e = appendU32(e, snapshotVersion)
+	e = appendU32(e, version)
 	e = appendU32(e, uint32(t.cfg.Schema.Dims()))
 	e = appendU32(e, uint32(t.height))
-	return t.encodeNode(e, t.root), nil
+	return encodeNode(e, t.root, leaf)
 }
 
 // pendingBuffered counts records blocked in bulk-load buffers.
@@ -60,34 +190,51 @@ func (t *Tree) pendingBuffered(n *node) int {
 	return total
 }
 
-func (t *Tree) encodeNode(e []byte, n *node) []byte {
+func encodeNode(e []byte, n *node, leaf func([]byte, *node) ([]byte, error)) ([]byte, error) {
 	if n.isLeaf() {
-		e = append(e, 0)
-		e = appendU32(e, uint32(len(n.recs)))
-		for _, r := range n.recs {
-			e = appendU64(e, uint64(r.ID))
-			for _, v := range r.QI {
-				e = appendU64(e, math.Float64bits(v))
-			}
-			e = appendU32(e, uint32(len(r.Sensitive)))
-			e = append(e, r.Sensitive...)
-		}
-		return e
+		return leaf(append(e, 0), n)
 	}
-	e = append(e, 1)
-	return t.encodeTrie(e, n.trie)
+	return encodeTrie(append(e, 1), n.trie, leaf)
 }
 
-func (t *Tree) encodeTrie(e []byte, st *splitTrie) []byte {
+func encodeTrie(e []byte, st *splitTrie, leaf func([]byte, *node) ([]byte, error)) ([]byte, error) {
 	if st.isLeaf() {
-		e = append(e, 0)
-		return t.encodeNode(e, st.child)
+		return encodeNode(append(e, 0), st.child, leaf)
 	}
 	e = append(e, 1)
 	e = appendU32(e, uint32(st.axis))
 	e = appendU64(e, math.Float64bits(st.value))
-	e = t.encodeTrie(e, st.left)
-	return t.encodeTrie(e, st.right)
+	e, err := encodeTrie(e, st.left, leaf)
+	if err != nil {
+		return nil, err
+	}
+	return encodeTrie(e, st.right, leaf)
+}
+
+// appendLeaf is the leaf payload encoding both forms share: inline in a
+// snapshot, stored wherever a LeafRef points in a checkpoint.
+func appendLeaf(e []byte, recs []attr.Record) []byte {
+	e = appendU32(e, uint32(len(recs)))
+	for _, r := range recs {
+		e = appendU64(e, uint64(r.ID))
+		for _, v := range r.QI {
+			e = appendU64(e, math.Float64bits(v))
+		}
+		e = appendU32(e, uint32(len(r.Sensitive)))
+		e = append(e, r.Sensitive...)
+	}
+	return e
+}
+
+func appendRef(e []byte, r LeafRef) []byte {
+	e = appendU32(e, r.Off)
+	e = appendU32(e, r.Len)
+	e = appendU32(e, r.CRC)
+	e = appendU32(e, uint32(len(r.Pages)))
+	for _, id := range r.Pages {
+		e = appendU64(e, uint64(id))
+	}
+	return e
 }
 
 func appendU32(b []byte, v uint32) []byte {
@@ -103,17 +250,31 @@ func appendU64(b []byte, v uint64) []byte {
 // package relies on is re-validated during the decode; arbitrary
 // input yields an error, never a panic or a malformed tree.
 func DecodeSnapshot(cfg Config, data []byte) (*Tree, error) {
+	return decodeTree(cfg, data, snapshotVersion, nil)
+}
+
+// DecodeCheckpoint rebuilds a tree from a checkpoint directory, asking
+// get for the stored encoding of each leaf in trie order (the slice get
+// returns is consumed before the next call, so get may reuse it). It
+// validates exactly what DecodeSnapshot validates, and stamps every
+// leaf with its reference so the next checkpoint of the recovered tree
+// rewrites only what changes from here on.
+func DecodeCheckpoint(cfg Config, dir []byte, get func(LeafRef) ([]byte, error)) (*Tree, error) {
+	return decodeTree(cfg, dir, directoryVersion, get)
+}
+
+func decodeTree(cfg Config, data []byte, wantVersion uint32, get func(LeafRef) ([]byte, error)) (*Tree, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	d := &snapDecoder{data: data, leafDepth: -1}
+	d := &snapDecoder{data: data, leafDepth: -1, get: get}
 	version, err := d.u32()
 	if err != nil {
 		return nil, err
 	}
-	if version != snapshotVersion {
-		return nil, fmt.Errorf("rplustree: snapshot version %d, want %d", version, snapshotVersion)
+	if version != wantVersion {
+		return nil, fmt.Errorf("rplustree: snapshot version %d, want %d", version, wantVersion)
 	}
 	dims, err := d.u32()
 	if err != nil {
@@ -144,11 +305,14 @@ func DecodeSnapshot(cfg Config, data []byte) (*Tree, error) {
 	return t, nil
 }
 
-// snapDecoder reads the snapshot byte stream with bounds checking.
+// snapDecoder reads the encoded byte stream with bounds checking. With
+// get set, leaves are references resolved through it; otherwise they
+// are inline.
 type snapDecoder struct {
 	data      []byte
 	off       int
 	leafDepth int
+	get       func(LeafRef) ([]byte, error)
 }
 
 func (d *snapDecoder) u8() (byte, error) {
@@ -205,50 +369,26 @@ func (d *snapDecoder) node(cfg Config, region attr.Box, depth int) (*node, error
 		} else if d.leafDepth != depth {
 			return nil, fmt.Errorf("rplustree: snapshot leaf at depth %d, expected %d", depth, d.leafDepth)
 		}
-		nrecs, err := d.u32()
+		if d.get == nil {
+			return d.leaf(cfg, region)
+		}
+		ref, err := d.ref()
 		if err != nil {
 			return nil, err
 		}
-		// A record occupies at least 8 (ID) + 8*dims (QI) + 4 (sensitive
-		// length) bytes; reject counts the remaining bytes cannot hold
-		// before allocating.
-		minRec := 8 + 8*dims + 4
-		if int(nrecs) > (len(d.data)-d.off)/minRec {
-			return nil, fmt.Errorf("rplustree: snapshot leaf claims %d records, only %d bytes left", nrecs, len(d.data)-d.off)
+		enc, err := d.get(ref)
+		if err != nil {
+			return nil, err
 		}
-		n := &node{region: region, mbr: attr.NewBox(dims)}
-		n.recs = make([]attr.Record, 0, nrecs)
-		for i := 0; i < int(nrecs); i++ {
-			id, err := d.u64()
-			if err != nil {
-				return nil, err
-			}
-			qi := make([]float64, dims)
-			for j := range qi {
-				bits, err := d.u64()
-				if err != nil {
-					return nil, err
-				}
-				qi[j] = math.Float64frombits(bits)
-				if math.IsNaN(qi[j]) {
-					return nil, fmt.Errorf("rplustree: snapshot record %d has NaN coordinate", int64(id))
-				}
-			}
-			slen, err := d.u32()
-			if err != nil {
-				return nil, err
-			}
-			sens, err := d.bytes(int(slen))
-			if err != nil {
-				return nil, err
-			}
-			if !regionContains(region, qi) {
-				return nil, fmt.Errorf("rplustree: snapshot record %d at %v outside its leaf region", int64(id), qi)
-			}
-			n.recs = append(n.recs, attr.Record{ID: int64(id), QI: qi, Sensitive: string(sens)})
-			n.mbr.Include(qi)
+		sub := &snapDecoder{data: enc}
+		n, err := sub.leaf(cfg, region)
+		if err != nil {
+			return nil, err
 		}
-		n.count = len(n.recs)
+		if sub.off != len(enc) {
+			return nil, fmt.Errorf("rplustree: stored leaf has %d trailing bytes", len(enc)-sub.off)
+		}
+		n.dur = &durableCopy{ref: ref} // a decoded node starts at ver 0
 		return n, nil
 	case 1: // internal: the trie follows
 		n := &node{region: region, mbr: attr.NewBox(dims)}
@@ -264,6 +404,87 @@ func (d *snapDecoder) node(cfg Config, region attr.Box, depth int) (*node, error
 	default:
 		return nil, fmt.Errorf("rplustree: snapshot node tag %d", tag)
 	}
+}
+
+// leaf decodes one leaf payload (appendLeaf's output) owning region.
+func (d *snapDecoder) leaf(cfg Config, region attr.Box) (*node, error) {
+	dims := cfg.Schema.Dims()
+	nrecs, err := d.u32()
+	if err != nil {
+		return nil, err
+	}
+	// A record occupies at least 8 (ID) + 8*dims (QI) + 4 (sensitive
+	// length) bytes; reject counts the remaining bytes cannot hold
+	// before allocating.
+	minRec := 8 + 8*dims + 4
+	if int(nrecs) > (len(d.data)-d.off)/minRec {
+		return nil, fmt.Errorf("rplustree: snapshot leaf claims %d records, only %d bytes left", nrecs, len(d.data)-d.off)
+	}
+	n := &node{region: region, mbr: attr.NewBox(dims)}
+	n.recs = make([]attr.Record, 0, nrecs)
+	for i := 0; i < int(nrecs); i++ {
+		id, err := d.u64()
+		if err != nil {
+			return nil, err
+		}
+		qi := make([]float64, dims)
+		for j := range qi {
+			bits, err := d.u64()
+			if err != nil {
+				return nil, err
+			}
+			qi[j] = math.Float64frombits(bits)
+			if math.IsNaN(qi[j]) {
+				return nil, fmt.Errorf("rplustree: snapshot record %d has NaN coordinate", int64(id))
+			}
+		}
+		slen, err := d.u32()
+		if err != nil {
+			return nil, err
+		}
+		sens, err := d.bytes(int(slen))
+		if err != nil {
+			return nil, err
+		}
+		if !regionContains(region, qi) {
+			return nil, fmt.Errorf("rplustree: snapshot record %d at %v outside its leaf region", int64(id), qi)
+		}
+		n.recs = append(n.recs, attr.Record{ID: int64(id), QI: qi, Sensitive: string(sens)})
+		n.mbr.Include(qi)
+	}
+	n.count = len(n.recs)
+	return n, nil
+}
+
+// ref decodes one leaf reference (appendRef's output).
+func (d *snapDecoder) ref() (LeafRef, error) {
+	var r LeafRef
+	var err error
+	if r.Off, err = d.u32(); err != nil {
+		return r, err
+	}
+	if r.Len, err = d.u32(); err != nil {
+		return r, err
+	}
+	if r.CRC, err = d.u32(); err != nil {
+		return r, err
+	}
+	npages, err := d.u32()
+	if err != nil {
+		return r, err
+	}
+	if npages == 0 || int(npages) > (len(d.data)-d.off)/8 {
+		return r, fmt.Errorf("rplustree: leaf reference claims %d pages, only %d bytes left", npages, len(d.data)-d.off)
+	}
+	r.Pages = make([]pager.PageID, npages)
+	for i := range r.Pages {
+		id, err := d.u64()
+		if err != nil {
+			return r, err
+		}
+		r.Pages[i] = pager.PageID(id)
+	}
+	return r, nil
 }
 
 // trie decodes the split trie of parent, deriving each child's region

@@ -157,6 +157,14 @@ type node struct {
 	snapVer uint64 // ver at that snapshot
 	snapIdx int    // this leaf's index in that snapshot's output
 
+	// dur is the same pattern for durable checkpoints (snapshot.go):
+	// where this leaf's last published encoding lives and the ver it
+	// captured; nil until a checkpoint holding the leaf is published.
+	// Behind a pointer so that the stamp costs the tree's hot paths —
+	// every split allocates two nodes — eight bytes per node, not
+	// forty-eight.
+	dur *durableCopy
+
 	children []*node
 	trie     *splitTrie
 

@@ -384,6 +384,18 @@ func TestServerScrubRepairs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The committer owns the store, and it scrubs AFTER acknowledging a
+	// batch: wait for that scrub (one per commit here) before aiming the
+	// drill at the store from this goroutine.
+	waitScrubs := func(n int64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); s.Stats().ScrubScans < n; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("scrubber ran %d of %d passes", s.Stats().ScrubScans, n)
+			}
+		}
+	}
+	waitScrubs(20)
 	pages := st.SnapshotPages()
 	if len(pages) == 0 {
 		t.Fatal("no checkpoint pages after 20 inserts with CheckpointEvery=8")
@@ -397,12 +409,19 @@ func TestServerScrubRepairs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	waitScrubs(40)
 	stats := s.Stats()
 	if stats.ScrubScans == 0 || stats.ScrubCorrupt == 0 || stats.ScrubRepaired == 0 {
 		t.Fatalf("scrub counters %+v: rot not detected/repaired", stats)
 	}
 	if s.State() != StateHealthy {
 		t.Fatalf("state %v after scrub repair", s.State())
+	}
+	// The store's checkpoint counters surface through Stats: 40 inserts
+	// at CheckpointEvery=8 are five checkpoints plus the repair, and the
+	// repair (like the store's first checkpoint) rewrote every leaf.
+	if ck := stats.Checkpoint; ck.Checkpoints < 6 || ck.Full < 2 || ck.LeavesWritten == 0 || ck.PagesFreed == 0 {
+		t.Fatalf("checkpoint counters %+v", ck)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

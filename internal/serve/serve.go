@@ -146,6 +146,11 @@ type Stats struct {
 	ScrubScans    int64
 	ScrubCorrupt  int64
 	ScrubRepaired int64
+	// Checkpoint is what the store's checkpoints have cost so far —
+	// how many, how many rewrote every leaf, leaves and bytes written,
+	// pages freed (wal.Store.CheckpointStats, sampled at each commit
+	// like Retries).
+	Checkpoint wal.CheckpointStats
 }
 
 // result is what a blocked submitter receives when its batch commits.
@@ -214,6 +219,7 @@ type Server struct {
 	shed       atomic.Int64
 	expired    atomic.Int64
 	retries    atomic.Int64
+	ckpt       atomic.Pointer[wal.CheckpointStats]
 	recoveries atomic.Int64
 	// recoverAttempts counts st.Recover invocations — the single-flight
 	// regression signal: N concurrent Recover callers must cost one
@@ -250,6 +256,7 @@ func New(st *wal.Store, opts Options) (*Server, error) {
 		recoverCh: make(chan *recoverReq),
 		done:      make(chan struct{}),
 	}
+	s.sampleStore()
 	s.publish()
 	go s.commitLoop()
 	return s, nil
@@ -405,7 +412,7 @@ func (s *Server) commit(batch []*request) {
 		return
 	}
 	found, err := s.st.ApplyBatch(s.opsBuf)
-	s.retries.Store(s.st.Retries())
+	s.sampleStore()
 	if err == nil {
 		s.ops.Add(int64(len(live)))
 		s.batches.Add(1)
@@ -603,6 +610,17 @@ func (s *Server) Release(k1 int) ([]Partition, error) {
 	return s.cur.Load().Release(k1)
 }
 
+// sampleStore copies the store's own counters to where Stats can read
+// them from any goroutine. Only the committer (and New, before it
+// starts) calls it: the store is not safe for concurrent use.
+func (s *Server) sampleStore() {
+	s.retries.Store(s.st.Retries())
+	cs := s.st.CheckpointStats()
+	if old := s.ckpt.Load(); old == nil || *old != cs {
+		s.ckpt.Store(&cs)
+	}
+}
+
 // Stats reports serving counters; safe from any goroutine.
 func (s *Server) Stats() Stats {
 	return Stats{
@@ -619,6 +637,7 @@ func (s *Server) Stats() Stats {
 		ScrubScans:      s.scrubScans.Load(),
 		ScrubCorrupt:    s.scrubCorrupt.Load(),
 		ScrubRepaired:   s.scrubRepaired.Load(),
+		Checkpoint:      *s.ckpt.Load(),
 	}
 }
 

@@ -18,7 +18,7 @@ func FuzzDecode(f *testing.F) {
 			{Type: TypeUpdate, ID: 7, OldQI: []float64{1, 2}, Rec: attr.Record{ID: 7, QI: []float64{3, 4}}},
 		}},
 		{Type: TypeCheckpointBegin, Seq: 4},
-		{Type: TypeCheckpointEnd, Seq: 5, Manifest: &Manifest{Seq: 5, SnapLen: 64, SnapCRC: 1, Pages: []pager.PageID{1, 2}}},
+		{Type: TypeCheckpointEnd, Seq: 5, Manifest: &Manifest{Seq: 5, DirLen: 64, DirCRC: 1, DirPages: []pager.PageID{1, 2}}},
 	}
 	for _, r := range seedRecords {
 		payload, err := Encode(r)

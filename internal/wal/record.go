@@ -25,11 +25,13 @@
 // insert, delete or update is logged as a batch of one.
 //
 // Every log file begins with a CheckpointEnd record: the manifest of
-// the checkpoint it extends — which pager pages hold the tree
-// snapshot, its length and checksum, and the operation count folded
-// into it. Checkpointing writes the new manifest to a temporary file
-// and atomically renames it over the log, so the log is truncated and
-// the checkpoint published in one indivisible step.
+// the checkpoint it extends — which pager pages hold the checkpoint's
+// directory (the trie with a checksummed reference per leaf, see
+// checkpoint.go), the directory's length and checksum, and the
+// operation count folded into it. Checkpointing writes the new
+// manifest to a temporary file and atomically renames it over the log,
+// so the log is truncated and the checkpoint published in one
+// indivisible step.
 package wal
 
 import (
@@ -90,19 +92,21 @@ func (t Type) String() string {
 	return fmt.Sprintf("wal.Type(%d)", byte(t))
 }
 
-// Manifest is the body of a CheckpointEnd record: where the tree
-// snapshot lives and how much history it folds in.
+// Manifest is the body of a CheckpointEnd record: where the
+// checkpoint's directory lives and how much history it folds in. It is
+// the root of the checksum chain: the frame CRC covers the manifest,
+// DirCRC covers the directory, and the directory carries a CRC per
+// leaf — on top of the pager's per-page seals.
 type Manifest struct {
 	// Seq is the sequence number of the last operation folded into the
-	// snapshot; replayed tail records continue from Seq+1.
+	// checkpoint; replayed tail records continue from Seq+1.
 	Seq uint64
-	// SnapLen is the byte length of the encoded snapshot.
-	SnapLen uint32
-	// SnapCRC is the CRC32-C of the encoded snapshot — a whole-snapshot
-	// seal on top of the pager's per-page checksums.
-	SnapCRC uint32
-	// Pages are the pager pages holding the snapshot, in order.
-	Pages []pager.PageID
+	// DirLen is the byte length of the encoded directory.
+	DirLen uint32
+	// DirCRC is the CRC32-C of the encoded directory.
+	DirCRC uint32
+	// DirPages are the pager pages holding the directory, in order.
+	DirPages []pager.PageID
 }
 
 // Op is one maintenance operation inside a batch frame. Op.Type must
@@ -136,7 +140,7 @@ type Record struct {
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Checksum is the CRC32-C over payload bytes used in frame trailers
-// and snapshot seals.
+// and in the checkpoint's directory and leaf seals.
 func Checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // maxVec bounds decoded vector lengths (QI dimensions, sensitive
@@ -177,10 +181,10 @@ func Encode(r Record) ([]byte, error) {
 		}
 		m := r.Manifest
 		b = binary.LittleEndian.AppendUint64(b, m.Seq)
-		b = binary.LittleEndian.AppendUint32(b, m.SnapLen)
-		b = binary.LittleEndian.AppendUint32(b, m.SnapCRC)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Pages)))
-		for _, id := range m.Pages {
+		b = binary.LittleEndian.AppendUint32(b, m.DirLen)
+		b = binary.LittleEndian.AppendUint32(b, m.DirCRC)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(m.DirPages)))
+		for _, id := range m.DirPages {
 			b = binary.LittleEndian.AppendUint64(b, uint64(id))
 		}
 		return b, nil
@@ -240,10 +244,10 @@ func Decode(payload []byte) (Record, error) {
 		if m.Seq, err = d.u64(); err != nil {
 			return Record{}, err
 		}
-		if m.SnapLen, err = d.u32(); err != nil {
+		if m.DirLen, err = d.u32(); err != nil {
 			return Record{}, err
 		}
-		if m.SnapCRC, err = d.u32(); err != nil {
+		if m.DirCRC, err = d.u32(); err != nil {
 			return Record{}, err
 		}
 		n, err := d.u32()
@@ -253,13 +257,13 @@ func Decode(payload []byte) (Record, error) {
 		if int(n) > maxVec || int(n)*8 > d.remaining() {
 			return Record{}, fmt.Errorf("wal: manifest claims %d pages, %d bytes left", n, d.remaining())
 		}
-		m.Pages = make([]pager.PageID, n)
-		for i := range m.Pages {
+		m.DirPages = make([]pager.PageID, n)
+		for i := range m.DirPages {
 			id, err := d.u64()
 			if err != nil {
 				return Record{}, err
 			}
-			m.Pages[i] = pager.PageID(id)
+			m.DirPages[i] = pager.PageID(id)
 		}
 		r.Manifest = m
 	case TypeInsert, TypeDelete, TypeUpdate:

@@ -29,8 +29,8 @@ func TestRecordRoundTrip(t *testing.T) {
 		{Type: TypeBatch, Seq: 9, Batch: []Op{{Type: TypeUpdate, ID: 42, OldQI: []float64{1, 2, 3}, Rec: rec}}},
 		{Type: TypeCheckpointBegin, Seq: 10},
 		{Type: TypeCheckpointEnd, Seq: 11, Manifest: &Manifest{
-			Seq: 11, SnapLen: 4096, SnapCRC: 0xDEADBEEF,
-			Pages: []pager.PageID{3, 1, 9},
+			Seq: 11, DirLen: 4096, DirCRC: 0xDEADBEEF,
+			DirPages: []pager.PageID{3, 1, 9},
 		}},
 	}
 	for _, want := range cases {
@@ -47,7 +47,7 @@ func TestRecordRoundTripEmptyFields(t *testing.T) {
 		t.Fatalf("empty-field record mangled: %+v", r)
 	}
 	got = roundTrip(t, Record{Type: TypeCheckpointEnd, Seq: 0, Manifest: &Manifest{}})
-	if got.Manifest == nil || len(got.Manifest.Pages) != 0 {
+	if got.Manifest == nil || len(got.Manifest.DirPages) != 0 {
 		t.Fatalf("empty manifest mangled: %+v", got.Manifest)
 	}
 }

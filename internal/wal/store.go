@@ -33,7 +33,7 @@ type Options struct {
 	// operations since the last checkpoint; 0 means checkpoints happen
 	// only when Checkpoint is called.
 	CheckpointEvery int
-	// PageSize is the pager page size for checkpoint snapshots.
+	// PageSize is the pager page size for checkpoint pages.
 	// Default 4096.
 	PageSize int
 	// PoolPages is the pager pool capacity. Default 64.
@@ -71,15 +71,17 @@ func (o Options) withDefaults() Options {
 
 // RecoveryStats describes what it took to reopen a store.
 type RecoveryStats struct {
-	// CheckpointSeq is the sequence number folded into the snapshot the
-	// recovery started from.
+	// CheckpointSeq is the sequence number folded into the checkpoint
+	// the recovery started from.
 	CheckpointSeq uint64
 	// Replayed is the number of committed log-tail operations applied
-	// on top of the snapshot.
+	// on top of the checkpoint.
 	Replayed int
 	// TornBytes is the length of the discarded uncommitted tail.
 	TornBytes int
-	// SnapshotPages and SnapshotBytes size the checkpoint image read.
+	// SnapshotPages and SnapshotBytes size the checkpoint image read:
+	// the live pages (leaf pages and directory) and the bytes in them
+	// that the directory refers to, directory included.
 	SnapshotPages int
 	SnapshotBytes int
 	// LogBytes is the size of the log image scanned.
@@ -106,7 +108,13 @@ type Store struct {
 	pg        *pager.Pager
 	seq       uint64
 	sinceCkpt int
-	snapPages []pager.PageID
+	// live is the ascending set of pages the published checkpoint refers
+	// to — leaf pages and directory — and leafBytes/dirBytes the bytes
+	// of it that are in use (checkpoint.go).
+	live      []pager.PageID
+	leafBytes int64
+	dirBytes  int
+	ckpt      CheckpointStats
 	// retired holds the retry counts of log writers already closed (a
 	// checkpoint swaps the writer, Recover reopens it).
 	retired  int64
@@ -141,7 +149,7 @@ func Create(opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{opts: opts, tree: tree, pg: pg}
-	if err := s.writeCheckpoint(); err != nil {
+	if err := s.writeCheckpoint(&pageStream{pg: pg}, true); err != nil {
 		pg.Close()
 		return nil, err
 	}
@@ -154,7 +162,8 @@ func Create(opts Options) (*Store, error) {
 
 // openPager opens the store's page file — with pager.CreateDiskFile
 // (truncating) or pager.OpenDiskFile — behind a pool carrying the
-// store's fault policy.
+// store's fault policy. The pool reuses freed slots: checkpoints free
+// about as many pages as they allocate, forever.
 func openPager(opts Options, open func(path string, pageSize int) (*pager.DiskFile, error)) (*pager.Pager, error) {
 	d, err := open(filepath.Join(opts.Dir, pagesName), opts.PageSize)
 	if err != nil {
@@ -162,6 +171,10 @@ func openPager(opts Options, open func(path string, pageSize int) (*pager.DiskFi
 	}
 	pg, err := pager.NewWithDisk(opts.PageSize, opts.PoolPages, d)
 	if err != nil {
+		d.Close()
+		return nil, err
+	}
+	if err := pg.ReuseFreed(); err != nil {
 		d.Close()
 		return nil, err
 	}
@@ -237,42 +250,13 @@ func (s *Store) recover(img []byte) error {
 	}
 	m := rec.Manifest
 
-	// Load the snapshot from its checksummed pages. Each read runs
-	// under the store's retry policy: a transient device fault during
-	// resurrection must not condemn an otherwise intact image.
-	snap := make([]byte, 0, int(m.SnapLen))
-	for _, id := range m.Pages {
-		var data []byte
-		err := s.opts.Retry.Do(func() error {
-			var rerr error
-			data, rerr = s.pg.Read(id)
-			return rerr
-		})
-		if err != nil {
-			return fmt.Errorf("wal: checkpoint page %d: %w", id, err)
-		}
-		snap = append(snap, data...)
-		if err := s.pg.Unpin(id); err != nil {
-			return err
-		}
-	}
-	if int(m.SnapLen) > len(snap) {
-		return fmt.Errorf("wal: manifest claims %d snapshot bytes, pages hold %d", m.SnapLen, len(snap))
-	}
-	snap = snap[:m.SnapLen]
-	if got := Checksum(snap); got != m.SnapCRC {
-		return fmt.Errorf("wal: snapshot checksum %08x, manifest says %08x", got, m.SnapCRC)
-	}
-	tree, err := rplustree.DecodeSnapshot(s.opts.Tree, snap)
-	if err != nil {
+	if err := s.loadCheckpoint(m); err != nil {
 		return err
 	}
-	s.tree = tree
 	s.seq = m.Seq
-	s.snapPages = append([]pager.PageID(nil), m.Pages...)
 	s.recovery.CheckpointSeq = m.Seq
-	s.recovery.SnapshotPages = len(m.Pages)
-	s.recovery.SnapshotBytes = int(m.SnapLen)
+	s.recovery.SnapshotPages = len(s.live)
+	s.recovery.SnapshotBytes = int(s.leafBytes) + s.dirBytes
 
 	// Replay the committed tail.
 	for {
@@ -306,17 +290,14 @@ func (s *Store) recover(img []byte) error {
 	}
 	s.recovery.TornBytes = sc.TornBytes()
 
-	// Reclaim pages a dying checkpoint wrote but never published.
-	live := make(map[pager.PageID]bool, len(m.Pages))
-	for _, id := range m.Pages {
-		live[id] = true
-	}
+	// Reclaim pages a dying checkpoint wrote but never published (or
+	// published but did not get to free).
 	onDisk, err := s.pg.DiskPages()
 	if err != nil {
 		return err
 	}
 	for _, id := range onDisk {
-		if !live[id] {
+		if !s.isLive(id) {
 			if err := s.pg.Free(id); err != nil {
 				return err
 			}
@@ -535,120 +516,34 @@ func (s *Store) maybeCheckpoint() error {
 	return s.dead
 }
 
-// Checkpoint serializes the tree into pager pages and truncates the
+// Checkpoint makes the tree durable in pager pages — writing only the
+// leaves that changed since the last checkpoint — and truncates the
 // log: the new log file holds only the manifest, atomically renamed
-// into place. A transient fault with a clean rollback aborts the
-// checkpoint but leaves the store serviceable: the old log and writer
-// are intact until the final rename, the tree is untouched, and pages
-// the aborted attempt allocated are swept as unreferenced by the next
-// recovery. Any other error — including an injected crash — poisons
-// the store, and recovery falls back to the previous checkpoint plus
-// the old log.
-func (s *Store) Checkpoint() error {
+// into place (the protocol is writeCheckpoint, checkpoint.go). A
+// transient fault with a clean rollback aborts the checkpoint but
+// leaves the store serviceable: the old log and writer are intact until
+// the final rename, the tree and its durable-copy stamps are untouched,
+// and the pages the aborted attempt allocated are given back. Any other
+// error — including an injected crash — poisons the store, and recovery
+// falls back to the previous checkpoint plus the old log.
+func (s *Store) Checkpoint() error { return s.checkpoint(false) }
+
+// checkpoint runs the protocol once; full rewrites every leaf.
+func (s *Store) checkpoint(full bool) error {
 	if s.dead != nil {
 		return s.dead
 	}
-	if err := s.writeCheckpoint(); err != nil {
-		if s.dead == nil && retry.IsTransient(err) && (s.w == nil || s.w.Err() == nil) {
-			return err
-		}
-		s.die(err)
-		return s.dead
+	out := &pageStream{pg: s.pg}
+	err := s.writeCheckpoint(out, full)
+	if err == nil {
+		return nil
 	}
-	return nil
-}
-
-// writeCheckpoint is the checkpoint protocol. It is also the store
-// bootstrap: with no writer yet (Create), steps touching the old log
-// are skipped.
-func (s *Store) writeCheckpoint() error {
-	// Announce intent in the old log. Replay ignores the marker; its
-	// append exercises the durability path so crash schedules can land
-	// mid-checkpoint.
-	if s.w != nil {
-		if err := s.log(Record{Type: TypeCheckpointBegin, Seq: s.seq}); err != nil {
-			return err
-		}
-	}
-	snap, err := s.tree.EncodeSnapshot()
-	if err != nil {
+	if s.dead == nil && retry.IsTransient(err) && (s.w == nil || s.w.Err() == nil) {
+		out.discard()
 		return err
 	}
-
-	// Chop the snapshot into sealed pager pages.
-	pageSize := s.opts.PageSize
-	var pages []pager.PageID
-	for off := 0; off < len(snap) || (off == 0 && len(snap) == 0); off += pageSize {
-		id, data, err := s.pg.Alloc()
-		if err != nil {
-			return err
-		}
-		end := off + pageSize
-		if end > len(snap) {
-			end = len(snap)
-		}
-		if off <= end {
-			copy(data, snap[off:end])
-		}
-		if err := s.pg.Unpin(id); err != nil {
-			return err
-		}
-		pages = append(pages, id)
-		if len(snap) == 0 {
-			break
-		}
-	}
-	if err := s.pg.Flush(); err != nil {
-		return err
-	}
-	if !s.opts.NoSync {
-		if err := s.pg.Sync(); err != nil {
-			return err
-		}
-	}
-
-	// Publish: manifest-only log written aside, then atomically renamed
-	// over the live log.
-	m := &Manifest{Seq: s.seq, SnapLen: uint32(len(snap)), SnapCRC: Checksum(snap), Pages: pages}
-	payload, err := Encode(Record{Type: TypeCheckpointEnd, Seq: s.seq, Manifest: m})
-	if err != nil {
-		return err
-	}
-	tmpPath := filepath.Join(s.opts.Dir, tmpName)
-	logPath := filepath.Join(s.opts.Dir, logName)
-	os.Remove(tmpPath)
-	w2, err := openWriter(tmpPath, s.opts.Crash, s.opts.NoSync, s.opts.Retry, s.opts.AppendFault)
-	if err != nil {
-		return err
-	}
-	if err := w2.Append(payload); err != nil {
-		w2.Close()
-		return err
-	}
-	if err := os.Rename(tmpPath, logPath); err != nil {
-		w2.Close()
-		return err
-	}
-	if !s.opts.NoSync {
-		if err := syncDir(s.opts.Dir); err != nil {
-			w2.Close()
-			return err
-		}
-	}
-	s.closeWriter()
-	s.w = w2
-
-	// The old snapshot's pages are garbage now; reclaim them. A crash
-	// here leaks them at worst — the next Open sweeps unreferenced
-	// pages.
-	for _, id := range s.snapPages {
-		if err := s.pg.Free(id); err != nil {
-			return err
-		}
-	}
-	s.snapPages = pages
-	s.sinceCkpt = 0
-	return nil
+	s.die(err)
+	return s.dead
 }
 
 // syncDir fsyncs a directory so a rename inside it is durable.
@@ -726,7 +621,7 @@ func (s *Store) Scrub() (ScrubReport, error) {
 	}
 	liveRot := false
 	for _, id := range corrupt {
-		if slices.Contains(s.snapPages, id) {
+		if s.isLive(id) {
 			liveRot = true
 			continue
 		}
@@ -744,9 +639,11 @@ func (s *Store) Scrub() (ScrubReport, error) {
 		s.die(fmt.Errorf("wal: scrub found rot in the live checkpoint of an unauditable store"))
 		return rep, s.dead
 	}
-	// The live tree is authoritative; rewriting the checkpoint from it
-	// also frees the rotted pages (they belong to the old snapshot).
-	if err := s.Checkpoint(); err != nil {
+	// The live tree is authoritative. A full checkpoint rewrites every
+	// leaf and the directory into fresh pages, so nothing published
+	// refers to the rotted pages afterwards and they are freed with the
+	// rest of the old image.
+	if err := s.checkpoint(true); err != nil {
 		return rep, err
 	}
 	rep.Rewritten = true
@@ -819,8 +716,10 @@ func (s *Store) reseed() error {
 		return err
 	}
 	s.pg = pg
-	s.snapPages = nil // the old IDs belong to the discarded image
-	if err := s.writeCheckpoint(); err != nil {
+	// The old page IDs, and every leaf's durable-copy stamp, belong to
+	// the discarded image: nothing is live and every leaf is rewritten.
+	s.live = nil
+	if err := s.writeCheckpoint(&pageStream{pg: pg}, true); err != nil {
 		s.closeHandles()
 		return err
 	}
@@ -829,19 +728,22 @@ func (s *Store) reseed() error {
 }
 
 // adopt transplants a freshly recovered store's state — healthy,
-// audited, undiverged — into this one, keeping only the retry count of
-// the writers already closed. The old handles are already closed; the
-// donor object is abandoned.
+// audited, undiverged — into this one, keeping only the cumulative
+// counters: the retry count of the writers already closed and the
+// checkpoint counts. The old handles are already closed; the donor
+// object is abandoned.
 func (s *Store) adopt(f *Store) {
-	f.retired = s.retired
+	f.retired, f.ckpt = s.retired, s.ckpt
 	*s = *f
 }
 
-// SnapshotPages returns the page IDs of the live checkpoint snapshot,
-// for fault drills that need to aim at (or away from) live state.
-func (s *Store) SnapshotPages() []pager.PageID {
-	return append([]pager.PageID(nil), s.snapPages...)
-}
+// SnapshotPages returns the page IDs of the live checkpoint — leaf
+// pages and directory, ascending — for fault drills that need to aim at
+// (or away from) live state.
+func (s *Store) SnapshotPages() []pager.PageID { return slices.Clone(s.live) }
+
+// CheckpointStats returns the cumulative checkpoint counters.
+func (s *Store) CheckpointStats() CheckpointStats { return s.ckpt }
 
 // FlipBit flips one bit of an on-disk page without re-sealing its
 // checksum — the bit-rot drill hook, delegated to the pager.

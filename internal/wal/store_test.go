@@ -192,8 +192,8 @@ func TestStoreExplicitCheckpointAndPageReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(onDisk) != len(s.snapPages) {
-		t.Errorf("disk holds %d pages, live snapshot uses %d", len(onDisk), len(s.snapPages))
+	if len(onDisk) != len(s.live) {
+		t.Errorf("disk holds %d pages, live snapshot uses %d", len(onDisk), len(s.live))
 	}
 }
 
@@ -291,7 +291,7 @@ func TestOpenRejectsDamagedSnapshot(t *testing.T) {
 	}
 	// Bit rot inside the checkpoint image: the page checksum catches
 	// it and recovery refuses to build a tree from it.
-	if err := s.pg.FlipBit(s.snapPages[0], 137); err != nil {
+	if err := s.pg.FlipBit(s.live[0], 137); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
