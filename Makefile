@@ -96,6 +96,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzHilbertRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/sfc/
 	$(GO) test -run=NONE -fuzz='^FuzzLookupVsLinear$$' -fuzztime=$(FUZZTIME) ./internal/routing/
 	$(GO) test -run=NONE -fuzz='^FuzzShardRouting$$' -fuzztime=$(FUZZTIME) ./internal/shard/
+	$(GO) test -run=NONE -fuzz='^FuzzReleaseAudits$$' -fuzztime=$(FUZZTIME) ./internal/verify/
 
 # The benchmark of record (bench/README.md, BENCHMARK.json): every
 # workload, a fresh process each. The per-package `go test -bench`

@@ -61,25 +61,76 @@ func LeafScan(base []anonmodel.Partition, constraint anonmodel.Constraint) ([]an
 }
 
 // LeafScanP is LeafScan with a parallelism knob (0 = all cores, 1 =
-// serial). The scan itself is a sequential dependence chain — each
-// group boundary depends on the previous one — but for constraints
-// that are functions of group size alone (k-anonymity, conjunctions of
-// k-anonymities) the boundaries can be planned from partition sizes in
-// one cheap serial pass, after which the groups' record slices and
-// boxes are materialized concurrently. Output is identical to the
-// serial scan for every worker count; constraints that inspect record
-// contents (l-diversity, (α,k)) fall back to the serial scan.
+// serial): Tiling{Partitions: base}.Scan without the record arrays.
+// Output is identical for every worker count.
 func LeafScanP(base []anonmodel.Partition, constraint anonmodel.Constraint, workers int) ([]anonmodel.Partition, error) {
+	t, err := Tiling{Partitions: base}.Scan(constraint, workers)
+	return t.Partitions, err
+}
+
+// Tiling is a release laid out as windows: the partitions' Records
+// are consecutive slices, in scan order, of a few shared record
+// arrays (one per base scan) instead of one copy each. Scanning a
+// Tiling therefore copies nothing — a coarser group is a wider window
+// of the same array — so every granularity derived from one base scan
+// costs O(partitions) of memory, not O(records).
+//
+// The arrays belong to the release family and are never written after
+// the base scan filled them. Every Records slice handed out is
+// read-only and cap-limited (arr[i:j:j]), so an append by a caller
+// reallocates instead of writing into the neighbouring partition.
+type Tiling struct {
+	// Partitions is the release. The zero Tiling is the empty release;
+	// Tiling{Partitions: ps} wraps partitions whose layout is unknown
+	// (index leaves, a hand-built base), which the first Scan copies.
+	Partitions []anonmodel.Partition
+
+	// arrays are the record arrays Partitions tile, in order. They are
+	// a hint checked by pointer equality, never trusted: a partition
+	// that is not where the arrays say the next window starts is
+	// copied like any unknown one.
+	arrays [][]attr.Record
+}
+
+// Concat lays tilings end to end — the joint release of a sharded
+// fleet. Groups of a later Scan that stay inside one constituent are
+// windows of its array; only a group straddling a seam is copied.
+func Concat(ts ...Tiling) Tiling {
+	var out Tiling
+	for _, t := range ts {
+		out.Partitions = append(out.Partitions, t.Partitions...)
+		out.arrays = append(out.arrays, t.arrays...)
+	}
+	return out
+}
+
+// window locates one partition's records: arrays[arr][off:off+len].
+// arr < 0 marks a partition that is not a window of any known array.
+type window struct{ arr, off int }
+
+// Scan is the leaf scan of Figure 5 over t's partitions. The scan is a
+// sequential dependence chain — each group boundary depends on the
+// previous one — but for constraints that are functions of group size
+// alone (k-anonymity, conjunctions of k-anonymities) the boundaries
+// are planned from partition sizes in one cheap serial pass, after
+// which the groups' boxes are materialized concurrently and their
+// records are windows: of t's arrays where t is already tiled, else of
+// one fresh array the records are copied into once, in scan order.
+// Output is identical to leafScanSerial for every worker count (0 =
+// all cores, 1 = serial); constraints that inspect record contents
+// (l-diversity, (α,k)) run that serial scan itself.
+func (t Tiling) Scan(constraint anonmodel.Constraint, workers int) (Tiling, error) {
+	base := t.Partitions
 	if constraint == nil {
-		return nil, fmt.Errorf("core: nil constraint")
+		return Tiling{}, fmt.Errorf("core: nil constraint")
 	}
 	if len(base) == 0 {
-		return nil, nil
+		return Tiling{}, nil
 	}
-	w := par.Workers(workers)
 	min, sizeOnly := sizeOnlyMin(constraint)
-	if w <= 1 || !sizeOnly {
-		return leafScanSerial(base, constraint)
+	if !sizeOnly {
+		ps, err := leafScanSerial(base, constraint)
+		return Tiling{Partitions: ps}, err
 	}
 	// Plan the group boundaries from sizes alone: group g is
 	// base[bounds[g]:bounds[g+1]). run mirrors len(cur.Records) of the
@@ -95,30 +146,98 @@ func LeafScanP(base []anonmodel.Partition, constraint anonmodel.Constraint, work
 	}
 	if run > 0 {
 		if len(bounds) == 1 {
-			return nil, fmt.Errorf("core: %d records cannot satisfy %v", run, constraint)
+			return Tiling{}, fmt.Errorf("core: %d records cannot satisfy %v", run, constraint)
 		}
 		// Step LS4: absorb the unsatisfiable tail into the last group.
 		bounds[len(bounds)-1] = len(base)
 	}
 	// A tail of empty partitions with no records is dropped, as the
 	// serial scan drops an empty trailing accumulator.
+	if len(bounds) == 1 {
+		return Tiling{}, nil
+	}
+	w := par.Workers(workers)
+	arrays, at := t.arrays, []window(nil)
+	if arrays == nil {
+		// Unknown layout: the one copy. Each partition's window of the
+		// fresh array follows from the sizes; groups fill theirs
+		// concurrently.
+		at = make([]window, len(base))
+		total := 0
+		for i, p := range base {
+			at[i] = window{0, total}
+			total += len(p.Records)
+		}
+		arr := make([]attr.Record, total)
+		par.Do(w, len(bounds)-1, func(g int) {
+			for i := bounds[g]; i < bounds[g+1]; i++ {
+				copy(arr[at[i].off:], base[i].Records)
+			}
+		})
+		arrays = [][]attr.Record{arr}
+	} else {
+		at = t.locate()
+	}
 	dims := len(base[0].Box)
 	out := make([]anonmodel.Partition, len(bounds)-1)
+	boxes := make([]attr.Interval, len(out)*dims)
 	par.Do(w, len(out), func(g int) {
+		box := attr.Box(boxes[g*dims : (g+1)*dims : (g+1)*dims])
+		for d := range box {
+			box[d] = attr.EmptyInterval()
+		}
 		group := base[bounds[g]:bounds[g+1]]
-		n := 0
-		for _, p := range group {
+		// The group is a window when its non-empty members sit back to
+		// back in one array.
+		first, n, tiled := window{arr: -1}, 0, true
+		for i, p := range group {
+			box.IncludeBox(p.Box)
+			if len(p.Records) == 0 {
+				continue
+			}
+			here := at[bounds[g]+i]
+			if n == 0 {
+				first = here
+			}
+			tiled = tiled && here.arr >= 0 && here == window{first.arr, first.off + n}
 			n += len(p.Records)
 		}
-		box := attr.NewBox(dims)
-		recs := make([]attr.Record, 0, n)
-		for _, p := range group {
-			recs = append(recs, p.Records...)
-			box.IncludeBox(p.Box)
+		var recs []attr.Record
+		switch {
+		case n == 0:
+		case tiled:
+			recs = arrays[first.arr][first.off : first.off+n : first.off+n]
+		default: // straddles two arrays (a shard seam): the serial scan's copy
+			recs = make([]attr.Record, 0, n)
+			for _, p := range group {
+				recs = append(recs, p.Records...)
+			}
 		}
 		out[g] = anonmodel.Partition{Box: box, Records: recs}
 	})
-	return out, nil
+	return Tiling{Partitions: out, arrays: arrays}, nil
+}
+
+// locate finds each partition's window by walking t's arrays beside
+// its partitions: a non-empty partition is a window exactly when its
+// first record is the array element the walk has reached.
+func (t Tiling) locate() []window {
+	at := make([]window, len(t.Partitions))
+	arr, off := 0, 0
+	for i, p := range t.Partitions {
+		at[i] = window{arr: -1}
+		if len(p.Records) == 0 {
+			continue
+		}
+		for arr < len(t.arrays) && off == len(t.arrays[arr]) {
+			arr, off = arr+1, 0
+		}
+		if arr < len(t.arrays) && off+len(p.Records) <= len(t.arrays[arr]) && &t.arrays[arr][off] == &p.Records[0] {
+			at[i] = window{arr, off}
+			off += len(p.Records)
+		}
+	}
+	return at
 }
 
 // sizeOnlyMin reports whether constraint is a pure function of group
@@ -145,7 +264,8 @@ func sizeOnlyMin(c anonmodel.Constraint) (min int, ok bool) {
 }
 
 // leafScanSerial is the reference Figure 5 scan: one pass, one
-// accumulator. LeafScanP must match it exactly.
+// accumulator. It serves the content-inspecting constraints and is the
+// equality oracle for Tiling.Scan's planned path.
 func leafScanSerial(base []anonmodel.Partition, constraint anonmodel.Constraint) ([]anonmodel.Partition, error) {
 	dims := len(base[0].Box)
 	var out []anonmodel.Partition
@@ -441,14 +561,16 @@ func (q *QuadAnonymizer) Name() string { return "quadtree" }
 // before the first).
 func (q *QuadAnonymizer) Tree() *quadtree.Tree { return q.tree }
 
-// partitionsFromLeaves converts index leaves into base partitions. Leaf
-// MBRs are tight, so these partitions are born compacted — the index
-// "maintains MBRs" (Section 2.3) and never needs the explicit
-// compaction pass.
+// partitionsFromLeaves views index leaves as base partitions for a
+// scan. Leaf MBRs are tight, so these partitions are born compacted —
+// the index "maintains MBRs" (Section 2.3) and never needs the explicit
+// compaction pass. Boxes and records alias the live leaves: this is
+// scan input, never a release (the scan builds its own boxes and
+// copies the records).
 func partitionsFromLeaves(leaves []rplustree.LeafView) []anonmodel.Partition {
 	out := make([]anonmodel.Partition, len(leaves))
 	for i, l := range leaves {
-		out[i] = anonmodel.Partition{Box: l.MBR.Clone(), Records: l.Records}
+		out[i] = anonmodel.Partition{Box: l.MBR, Records: l.Records}
 	}
 	return out
 }

@@ -226,17 +226,35 @@ func (a *RTreeAnonymizer) Anonymize(recs []attr.Record) ([]anonmodel.Partition, 
 // release set jointly collusion-safe (Lemma 1) even when individual
 // leaves dip below k.
 func (a *RTreeAnonymizer) Partitions(k1 int) ([]anonmodel.Partition, error) {
-	base, err := LeafScanP(partitionsFromLeaves(a.tree.Leaves()), a.constraint, a.cfg.Parallelism)
+	base, err := a.baseRelease()
 	if err != nil {
 		return nil, err
 	}
-	if k1 == 0 {
-		return base, nil
+	return a.derive(base, k1)
+}
+
+// baseRelease scans the leaves into the base release. This is the one
+// copy of a release family: the scan moves the leaves' records into an
+// array of its own, so nothing published aliases the live tree and a
+// later Insert or Delete cannot change it.
+func (a *RTreeAnonymizer) baseRelease() (Tiling, error) {
+	return Tiling{Partitions: partitionsFromLeaves(a.tree.Leaves())}.Scan(a.constraint, a.cfg.Parallelism)
+}
+
+// derive returns the release at granularity k1 as windows over base's
+// records. The base release itself answers k1 == 0 and, when the
+// installed constraint already guarantees BaseK records per partition,
+// k1 == BaseK.
+func (a *RTreeAnonymizer) derive(base Tiling, k1 int) ([]anonmodel.Partition, error) {
+	baseK := a.tree.Config().BaseK
+	if k1 == 0 || (k1 == baseK && a.constraint.MinSize() >= baseK) {
+		return base.Partitions, nil
 	}
-	if k1 < a.tree.Config().BaseK {
-		return nil, fmt.Errorf("core: granularity %d below base k %d", k1, a.tree.Config().BaseK)
+	if k1 < baseK {
+		return nil, fmt.Errorf("core: granularity %d below base k %d", k1, baseK)
 	}
-	return LeafScanP(base, anonmodel.All{a.constraint, anonmodel.KAnonymity{K: k1}}, a.cfg.Parallelism)
+	t, err := base.Scan(anonmodel.All{a.constraint, anonmodel.KAnonymity{K: k1}}, a.cfg.Parallelism)
+	return t.Partitions, err
 }
 
 // HierarchicalRelease materializes the anonymized table from tree level
@@ -258,14 +276,23 @@ func (a *RTreeAnonymizer) HierarchicalRelease(level int) ([]anonmodel.Partition,
 	return out, nil
 }
 
-// MultiGranular derives one release per requested granularity via leaf
-// scan over the same index. The releases are jointly collusion-safe
-// (Lemma 1) because every partition of every release is a union of
-// whole leaves; VerifyCollusionSafety confirms it.
+// MultiGranular derives one release per requested granularity from one
+// leaf scan: the base release is materialized once and every
+// granularity is a set of windows over its records. The releases are
+// jointly collusion-safe (Lemma 1) because every partition of every
+// release is a union of whole base partitions; VerifyCollusionSafety
+// confirms it.
 func (a *RTreeAnonymizer) MultiGranular(ks []int) ([]Release, error) {
 	out := make([]Release, 0, len(ks))
+	if len(ks) == 0 {
+		return out, nil
+	}
+	base, err := a.baseRelease()
+	if err != nil {
+		return nil, fmt.Errorf("core: base release: %w", err)
+	}
 	for _, k := range ks {
-		ps, err := a.Partitions(k)
+		ps, err := a.derive(base, k)
 		if err != nil {
 			return nil, fmt.Errorf("core: granularity %d: %w", k, err)
 		}

@@ -290,6 +290,20 @@ func TestReleaseCache(t *testing.T) {
 	if len(a) == 0 || &a[0] != &b[0] {
 		t.Fatal("second release at the same granularity was recomputed, not served from cache")
 	}
+	// A derived granularity is a set of wider windows over the base
+	// release's record array, cap-limited like the base's own.
+	base, err := v.Base()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &a[0].Records[0] != &base[0].Records[0] {
+		t.Fatal("derived granularity copied the base release's records")
+	}
+	for _, p := range append(append([]Partition(nil), base...), a...) {
+		if cap(p.Records) != len(p.Records) {
+			t.Fatalf("released partition has cap %d > len %d: an append would write into its neighbour", cap(p.Records), len(p.Records))
+		}
+	}
 	// Invalid granularity is remembered too, not recomputed into a panic.
 	if _, err := v.Release(testK - 1); err == nil {
 		t.Fatal("granularity below base k accepted")

@@ -25,7 +25,9 @@ type Partition = anonmodel.Partition
 // lifetime. Everything a View returns is owned by the View, so any
 // number of readers may use it concurrently with ongoing mutation.
 // Returned partition slices are shared between callers and MUST be
-// treated as read-only (same contract as rplustree.LeafView).
+// treated as read-only (same contract as rplustree.LeafView). Derived
+// granularities share the base release's record array: a coarser
+// release is a set of wider windows over it, not a copy.
 //
 //anonylint:published — stored to Server.cur (atomic.Pointer); immutable after Store
 type View struct {
@@ -42,7 +44,7 @@ type View struct {
 	leaves []Partition
 
 	baseOnce sync.Once
-	base     []Partition
+	base     core.Tiling
 	baseErr  error
 
 	mu    sync.Mutex
@@ -120,22 +122,22 @@ func (s *Server) publish() {
 // k-anonymity of the scan output plus the Lemma-1 k-boundness check —
 // before it is returned; the audit runs once per published epoch, on
 // first access, and its verdict is memoized with the release.
-func (v *View) ensureBase() ([]Partition, error) {
+func (v *View) ensureBase() (core.Tiling, error) {
 	v.baseOnce.Do(func() {
 		if v.n < v.baseK {
 			v.baseErr = fmt.Errorf("serve: store holds %d records, below base k %d", v.n, v.baseK)
 			return
 		}
-		base, err := core.LeafScanP(v.leaves, anonmodel.KAnonymity{K: v.baseK}, v.workers)
+		base, err := core.Tiling{Partitions: v.leaves}.Scan(anonmodel.KAnonymity{K: v.baseK}, v.workers)
 		if err != nil {
 			v.baseErr = fmt.Errorf("serve: epoch %d base release: %w", v.epoch, err)
 			return
 		}
-		if err := verify.Release(base, anonmodel.KAnonymity{K: v.baseK}); err != nil {
+		if err := verify.Release(base.Partitions, anonmodel.KAnonymity{K: v.baseK}); err != nil {
 			v.baseErr = fmt.Errorf("serve: epoch %d failed release audit: %w", v.epoch, err)
 			return
 		}
-		if err := verify.Releases([][]Partition{base}, v.baseK); err != nil {
+		if err := verify.Releases([][]Partition{base.Partitions}, v.baseK); err != nil {
 			v.baseErr = fmt.Errorf("serve: epoch %d failed k-boundness audit: %w", v.epoch, err)
 			return
 		}
@@ -161,6 +163,14 @@ func (v *View) BaseK() int { return v.baseK }
 // while the store holds fewer than k records — no release exists
 // below k.
 func (v *View) Base() ([]Partition, error) {
+	base, err := v.ensureBase()
+	return base.Partitions, err
+}
+
+// BaseTiling is Base together with the record array its partitions
+// are windows of, for callers that scan it further (the shard
+// coordinator's joint release) and should not copy it to do so.
+func (v *View) BaseTiling() (core.Tiling, error) {
 	return v.ensureBase()
 }
 
@@ -178,7 +188,7 @@ func (v *View) Release(k1 int) ([]Partition, error) {
 		return nil, err
 	}
 	if k1 == 0 || k1 == v.baseK {
-		return base, nil
+		return base.Partitions, nil
 	}
 	if k1 < v.baseK {
 		return nil, fmt.Errorf("serve: granularity %d below base k %d", k1, v.baseK)
@@ -191,11 +201,11 @@ func (v *View) Release(k1 int) ([]Partition, error) {
 	}
 	v.mu.Unlock()
 	e.once.Do(func() {
-		ps, err := core.LeafScanP(base, anonmodel.KAnonymity{K: k1}, v.workers)
+		coarse, err := base.Scan(anonmodel.KAnonymity{K: k1}, v.workers)
 		if err == nil {
-			err = verify.Releases([][]Partition{base, ps}, v.baseK)
+			err = verify.Releases([][]Partition{base.Partitions, coarse.Partitions}, v.baseK)
 		}
-		e.ps, e.err = ps, err
+		e.ps, e.err = coarse.Partitions, err
 	})
 	return e.ps, e.err
 }
@@ -309,5 +319,5 @@ func (v *View) Evaluate(queries []attr.Box) ([]query.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return query.EvaluateP(base, v.Records(), queries, v.workers)
+	return query.EvaluateP(base.Partitions, v.Records(), queries, v.workers)
 }

@@ -149,47 +149,46 @@ func (c *Coordinator) Release(k1 int) ([]Partition, error) {
 	c.relMu.Unlock()
 
 	audit := make([]verify.ShardView, len(views))
-	var joint []Partition
+	bases := make([]core.Tiling, len(views))
 	for i, v := range views {
 		// An empty shard releases nothing — vacuously k-anonymous — and
 		// still covers its range in the audit. A shard holding 0 < n < k
 		// records is genuinely unreleasable on its own and blocks the
 		// joint concatenation (its error names it); Export remains
 		// available there, because the global cut merges across seams.
-		var base []Partition
 		if v.view.Len() > 0 {
 			var err error
-			base, err = v.view.Base()
+			bases[i], err = v.view.BaseTiling()
 			if err != nil {
 				return nil, fmt.Errorf("shard: shard %d %v: %w", v.sh.id, v.sh.rng, err)
 			}
 		}
 		audit[i] = verify.ShardView{
 			Range:    v.sh.rng,
-			Parts:    base,
+			Parts:    bases[i].Partitions,
 			Seq:      int64(v.view.Seq()),
 			WantSeq:  int64(v.acked),
 			Degraded: v.degraded(),
 		}
-		joint = append(joint, base...)
 	}
 	if err := verify.CrossShard(audit, c.table, c.quant, c.opts.Curve, c.baseK); err != nil {
 		return nil, fmt.Errorf("shard: joint release withheld: %w", err)
 	}
+	joint := core.Concat(bases...)
 	if k1 != 0 && k1 != c.baseK {
-		coarse, err := core.LeafScanP(joint, anonmodel.KAnonymity{K: k1}, c.opts.Serve.Parallelism)
+		coarse, err := joint.Scan(anonmodel.KAnonymity{K: k1}, c.opts.Serve.Parallelism)
 		if err != nil {
 			return nil, fmt.Errorf("shard: joint release at k1=%d: %w", k1, err)
 		}
-		if err := verify.Releases([][]Partition{joint, coarse}, c.baseK); err != nil {
+		if err := verify.Releases([][]Partition{joint.Partitions, coarse.Partitions}, c.baseK); err != nil {
 			return nil, fmt.Errorf("shard: joint release at k1=%d failed k-boundness audit: %w", k1, err)
 		}
 		joint = coarse
 	}
 	c.relMu.Lock()
-	c.relK1[k1] = &relEntry{epochs: epochs, ps: joint}
+	c.relK1[k1] = &relEntry{epochs: epochs, ps: joint.Partitions}
 	c.relMu.Unlock()
-	return joint, nil
+	return joint.Partitions, nil
 }
 
 // Export returns the canonical global cut at granularity k1 (0 = base

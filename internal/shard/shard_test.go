@@ -187,9 +187,15 @@ func TestRoutedMutationsAndJointRelease(t *testing.T) {
 	if len(ids) != len(recs) {
 		t.Fatalf("joint release covers %d records, want %d", len(ids), len(recs))
 	}
-	// Coarser joint granularity stays k-bound against the base.
-	if _, err := c.Release(3 * testK); err != nil {
+	// Coarser joint granularity stays k-bound against the base, and is
+	// cut from the shards' own record arrays: its first group is a
+	// wider window starting where the joint base release starts.
+	coarse, err := c.Release(3 * testK)
+	if err != nil {
 		t.Fatalf("joint release at 3k: %v", err)
+	}
+	if &coarse[0].Records[0] != &joint[0].Records[0] {
+		t.Fatal("coarser joint release copied the shards' records")
 	}
 	if _, err := c.Release(testK - 1); err == nil {
 		t.Fatal("granularity below base k accepted")

@@ -14,6 +14,8 @@ package verify
 import (
 	"errors"
 	"fmt"
+	"math"
+	"sort"
 
 	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/sfc"
@@ -71,10 +73,11 @@ type ShardView struct {
 //     result wearing a joint release's clothes;
 //   - no view is degraded (ErrShardDegraded) or stale
 //     (ErrShardStale);
-//   - every view's partition set independently passes the Release
-//     audit under k-anonymity, so each seam-adjacent boundary group
+//   - every view's partition set passes the Release audit under
+//     k-anonymity on its own, so each seam-adjacent boundary group
 //     holds at least k records;
-//   - no record ID appears in two shards' views;
+//   - no record ID appears in two shards' views (the same ID table
+//     that finds a record twice inside one view finds it across two);
 //   - every record's curve key, recomputed through quant and curve,
 //     lands inside its publishing shard's range — the seam rule that
 //     makes shard attribution harmless: knowing which shard released
@@ -124,22 +127,35 @@ func CrossShard(views []ShardView, table []KeyRange, quant *sfc.Quantizer, curve
 			return fmt.Errorf("%w: shard view %d (range %v) at seq %d, acked %d", ErrShardStale, vi, v.Range, v.Seq, v.WantSeq)
 		}
 	}
-	constraint := anonmodel.KAnonymity{K: k}
+	var constraint anonmodel.Constraint = anonmodel.KAnonymity{K: k}
 	if err := anonmodel.Validate(constraint); err != nil {
 		return fmt.Errorf("verify: %w", err)
 	}
-	seen := make(map[int64]int)
+	// One pass, one ID table for the whole joint release: each view's
+	// Release audit, the cross-view uniqueness check and the seam rule
+	// meet every record once.
+	first := make([]int32, len(views)+1) // view vi's partitions are numbered from first[vi]
+	records := 0
+	for vi, v := range views {
+		if len(v.Parts) > math.MaxInt32-int(first[vi]) {
+			return errTooManyPartitions(int(first[vi]) + len(v.Parts))
+		}
+		first[vi+1] = first[vi] + int32(len(v.Parts))
+		records += anonmodel.TotalRecords(v.Parts)
+	}
+	seen := newPublished(records)
 	var cell []uint32
 	for vi, v := range views {
-		if err := Release(v.Parts, constraint); err != nil {
-			return fmt.Errorf("verify: shard view %d (range %v): %w", vi, v.Range, err)
-		}
 		for pi, p := range v.Parts {
-			for _, r := range p.Records {
-				if prev, dup := seen[r.ID]; dup {
-					return fmt.Errorf("verify: record %d published by shard views %d and %d", r.ID, prev, vi)
+			if err := seen.partition(first[vi], pi, p, constraint); err != nil {
+				var twice *twiceError
+				if errors.As(err, &twice) {
+					prev := sort.Search(len(views), func(i int) bool { return first[i+1] > twice.by })
+					return fmt.Errorf("verify: record %d published by shard views %d and %d", twice.id, prev, vi)
 				}
-				seen[r.ID] = vi
+				return fmt.Errorf("verify: shard view %d (range %v): %w", vi, v.Range, err)
+			}
+			for _, r := range p.Records {
 				var key uint64
 				key, cell = quant.KeyInto(curve, r.QI, cell)
 				if !v.Range.Contains(key) {

@@ -1,0 +1,66 @@
+package verify
+
+import (
+	"fmt"
+	"testing"
+
+	"spatialanon/internal/anonmodel"
+	"spatialanon/internal/attr"
+)
+
+// familyFromBytes decodes fuzz input into a small family of releases.
+// Byte 0 picks 1–4 releases, byte 1 picks k in 1–6; the rest is cut
+// into one equal chunk per release, two bytes (ctl, x) per record: the
+// ID is adversarialID(ctl, x) — so the fuzzer steers IDs into shared
+// probe chains, wrap-around slots and the int64 extremes — and ctl's
+// high bits start a new partition (0x08), put an empty partition in
+// front of it (0x10) or move the record outside its box (0x20).
+func familyFromBytes(data []byte) (sets [][]anonmodel.Partition, k int) {
+	if len(data) < 2 {
+		return nil, 2
+	}
+	releases := 1 + int(data[0]%4)
+	k = 1 + int(data[1]%6)
+	data = data[2:]
+	chunk := len(data) / releases &^ 1
+	for ri := 0; ri < releases; ri++ {
+		var rel []anonmodel.Partition
+		for b := data[ri*chunk : (ri+1)*chunk]; len(b) > 0; b = b[2:] {
+			ctl, x := b[0], b[1]
+			if ctl&0x10 != 0 {
+				rel = append(rel, anonmodel.Partition{Box: attr.Box{{Lo: 0, Hi: 255}}})
+			}
+			if len(rel) == 0 || ctl&0x18 != 0 {
+				rel = append(rel, anonmodel.Partition{Box: attr.Box{{Lo: 0, Hi: 255}}})
+			}
+			qi := float64(x)
+			if ctl&0x20 != 0 {
+				qi = 1000
+			}
+			p := &rel[len(rel)-1]
+			p.Records = append(p.Records, attr.Record{ID: adversarialID(ctl&7, x), QI: []float64{qi}})
+		}
+		sets = append(sets, rel)
+	}
+	return sets, k
+}
+
+// FuzzReleaseAudits audits whatever family the bytes decode to with
+// the table-based auditors and with the map-based oracle: same verdict
+// and same class of violation, and never a panic.
+func FuzzReleaseAudits(f *testing.F) {
+	f.Add([]byte{1, 1, 0, 1, 0, 2, 8, 3, 0, 4, 0, 1, 0, 2, 0, 3, 0, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sets, k := familyFromBytes(data)
+		for i, rel := range sets {
+			got, want := Release(rel, anonmodel.KAnonymity{K: k}), oracleRelease(rel, anonmodel.KAnonymity{K: k})
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("release %d: Release says %v, oracle says %v", i, got, want)
+			}
+		}
+		got, want := Releases(sets, k), oracleReleases(sets, k)
+		if class(got) != class(want) {
+			t.Fatalf("Releases says %v, oracle says %v", got, want)
+		}
+	})
+}

@@ -26,6 +26,7 @@ package verify
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
@@ -114,30 +115,85 @@ func auditLeaf(n *rplustree.AuditNode, opt TreeOptions) error {
 
 // Release audits one published partition set: every record inside its
 // partition's box, every partition satisfying the constraint, and no
-// record published in two partitions.
+// record published in two partitions. Violations are reported in
+// (partition, record) order.
 func Release(ps []anonmodel.Partition, c anonmodel.Constraint) error {
 	if c == nil {
 		return fmt.Errorf("verify: nil constraint")
 	}
-	seen := make(map[int64]int)
+	if len(ps) > math.MaxInt32 {
+		return errTooManyPartitions(len(ps))
+	}
+	seen := newPublished(anonmodel.TotalRecords(ps))
 	for i, p := range ps {
-		if len(p.Records) == 0 {
-			return fmt.Errorf("verify: partition %d is empty", i)
-		}
-		if !c.Satisfied(p.Records) {
-			return fmt.Errorf("verify: partition %d (%d records) violates %v", i, len(p.Records), c)
-		}
-		for _, r := range p.Records {
-			if !p.Box.Contains(r.QI) {
-				return fmt.Errorf("verify: record %d at %v outside partition %d box %v", r.ID, r.QI, i, p.Box)
-			}
-			if prev, dup := seen[r.ID]; dup {
-				return fmt.Errorf("verify: record %d published in partitions %d and %d", r.ID, prev, i)
-			}
-			seen[r.ID] = i
+		if err := seen.partition(0, i, p, c); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// published remembers which partition published each record ID seen so
+// far: the state of one no-record-twice pass, shared by Release (one
+// partition set) and CrossShard (every view's set, one table).
+// Partitions are numbered across the whole pass.
+type published struct {
+	ids idTable
+	by  []int32 // rank -> number of the publishing partition
+}
+
+func newPublished(n int) published {
+	return published{ids: newIDTable(n), by: make([]int32, 0, n)}
+}
+
+// partition audits p, partition pi of a set whose partitions are
+// numbered from first: non-empty, constraint satisfied, every record
+// inside the box and published by no earlier partition of the set. A
+// record published by a partition numbered below first — another set
+// of the same pass — is a *twiceError, for the caller to name the sets.
+func (s *published) partition(first int32, pi int, p anonmodel.Partition, c anonmodel.Constraint) error {
+	if len(p.Records) == 0 {
+		return fmt.Errorf("verify: partition %d is empty", pi)
+	}
+	if !c.Satisfied(p.Records) {
+		return fmt.Errorf("verify: partition %d (%d records) violates %v", pi, len(p.Records), c)
+	}
+	for _, r := range p.Records {
+		if !p.Box.Contains(r.QI) {
+			return fmt.Errorf("verify: record %d at %v outside partition %d box %v", r.ID, r.QI, pi, p.Box)
+		}
+		rank, fresh := s.ids.rank(r.ID)
+		switch {
+		case rank < 0:
+			return errTooManyRecords
+		case fresh:
+			s.by = append(s.by, first+int32(pi))
+		case s.by[rank] < first:
+			return &twiceError{id: r.ID, by: s.by[rank]}
+		default:
+			return fmt.Errorf("verify: record %d published in partitions %d and %d", r.ID, s.by[rank]-first, pi)
+		}
+	}
+	return nil
+}
+
+// twiceError reports a record one pass met in two partition sets; by
+// is the number of the partition that published it first.
+type twiceError struct {
+	id int64
+	by int32
+}
+
+func (e *twiceError) Error() string {
+	return fmt.Sprintf("verify: record %d published by two partition sets (first as partition %d of the pass)", e.id, e.by)
+}
+
+// The auditors index partitions and records with int32; these are the
+// explicit refusals that stand where a silent wrap would be.
+var errTooManyRecords = fmt.Errorf("verify: more than %d distinct record IDs", math.MaxInt32)
+
+func errTooManyPartitions(n int) error {
+	return fmt.Errorf("verify: %d partitions exceed the auditor's limit of %d", n, math.MaxInt32)
 }
 
 // Releases audits a multi-granular family for k-boundness (Lemma 1):
@@ -147,45 +203,117 @@ func Release(ps []anonmodel.Partition, c anonmodel.Constraint) error {
 // hold at least k records. This is what makes handing granularity k to
 // one consumer and 5k to another safe: their combined view is still a
 // k-anonymization.
+//
+// Everything is re-derived from the partitions' records: a flat table
+// ranks the IDs in first-seen order and one int32 per (record,
+// release) holds the record's cell coordinates. Violations are
+// reported in (release, partition, record) order of their first
+// record, so the same family always names the same witness.
 func Releases(sets [][]anonmodel.Partition, k int) error {
 	if len(sets) == 0 {
 		return nil
 	}
-	// Record ID -> partition index per release.
-	assign := make(map[int64][]int)
+	n, width := 0, len(sets)
+	for _, rel := range sets {
+		if len(rel) > math.MaxInt32-1 {
+			return errTooManyPartitions(len(rel))
+		}
+		n = max(n, anonmodel.TotalRecords(rel))
+	}
+	ids := newIDTable(n)
+	// cells[rank*width+ri] is 1 + the index of the partition holding
+	// the record in release ri; 0 = not seen there.
+	cells := make([]int32, n*width)
 	for ri, rel := range sets {
 		for pi, p := range rel {
 			for _, r := range p.Records {
-				cell, ok := assign[r.ID]
-				if !ok {
-					cell = make([]int, len(sets))
-					for i := range cell {
-						cell[i] = -1
-					}
-					assign[r.ID] = cell
+				rank, fresh := ids.rank(r.ID)
+				if rank < 0 {
+					return errTooManyRecords
 				}
-				if cell[ri] != -1 {
+				if fresh && len(ids.ids)*width > len(cells) {
+					// An ID the largest release does not hold: some
+					// release is missing it, reported below.
+					cells = append(cells, make([]int32, width)...)
+				}
+				cell := &cells[int(rank)*width+ri]
+				if *cell != 0 {
 					return fmt.Errorf("verify: record %d in two partitions of release %d", r.ID, ri)
 				}
-				cell[ri] = pi
+				*cell = int32(pi) + 1
 			}
 		}
 	}
-	cells := make(map[string]int)
-	for id, cell := range assign {
-		for ri, pi := range cell {
-			if pi == -1 {
+	for rank, id := range ids.ids {
+		for ri, pi := range cells[rank*width : (rank+1)*width] {
+			if pi == 0 {
 				return fmt.Errorf("verify: record %d missing from release %d", id, ri)
 			}
 		}
-		cells[fmt.Sprint(cell)]++
 	}
-	for key, n := range cells {
-		if n < k {
-			return fmt.Errorf("verify: intersection cell %s holds %d records, below k=%d", key, n, k)
+	// Every cell lies inside one partition of release 0, so cells are
+	// counted partition by partition. Release 0 was walked first and
+	// holds every ID exactly once, so its records carry the ranks 0, 1,
+	// 2, … in walk order: partition pi's are [lo, lo+len).
+	row := func(rank int32) []int32 { return cells[int(rank)*width : (int(rank)+1)*width] }
+	var group []int32
+	lo, hi := int32(0), int32(0)
+	for _, p := range sets[0] {
+		lo, hi = hi, hi+int32(len(p.Records))
+		if lo == hi {
+			continue // no records, no cell
+		}
+		// The common family — coarser releases that are unions of whole
+		// release-0 partitions — puts the whole partition in one cell.
+		oneCell := true
+		for rank := lo + 1; rank < hi && oneCell; rank++ {
+			oneCell = slices.Equal(row(rank), row(lo))
+		}
+		if oneCell {
+			if len(p.Records) < k {
+				return cellError(row(lo), len(p.Records), k)
+			}
+			continue
+		}
+		// Otherwise sort the partition's records by cell (ties by rank,
+		// so a cell's first element is its earliest record) and count
+		// the runs; of the cells below k, name the earliest.
+		group = group[:0]
+		for rank := lo; rank < hi; rank++ {
+			group = append(group, rank)
+		}
+		slices.SortFunc(group, func(a, b int32) int {
+			if c := slices.Compare(row(a), row(b)); c != 0 {
+				return c
+			}
+			return int(a - b)
+		})
+		worst, size := int32(-1), 0
+		for i := 0; i < len(group); {
+			j := i + 1
+			for j < len(group) && slices.Equal(row(group[j]), row(group[i])) {
+				j++
+			}
+			if j-i < k && (worst < 0 || group[i] < worst) {
+				worst, size = group[i], j-i
+			}
+			i = j
+		}
+		if worst >= 0 {
+			return cellError(row(worst), size, k)
 		}
 	}
 	return nil
+}
+
+// cellError names an intersection cell (stored as partition index + 1
+// per release) holding fewer than k records.
+func cellError(cell []int32, size, k int) error {
+	key := make([]int, len(cell))
+	for i, c := range cell {
+		key[i] = int(c) - 1
+	}
+	return fmt.Errorf("verify: intersection cell %v holds %d records, below k=%d", key, size, k)
 }
 
 // Routing audits a block-range accelerator against the release it

@@ -348,11 +348,12 @@ func (s *Store) audit() error {
 }
 
 // partitionsFromLeaves mirrors core's leaf-to-partition conversion:
-// one born-compacted partition per leaf MBR.
+// one born-compacted partition per leaf MBR, aliasing the live leaves —
+// scan input only; the scan's output owns its boxes and records.
 func partitionsFromLeaves(leaves []rplustree.LeafView) []anonmodel.Partition {
 	out := make([]anonmodel.Partition, len(leaves))
 	for i, l := range leaves {
-		out[i] = anonmodel.Partition{Box: l.MBR.Clone(), Records: l.Records}
+		out[i] = anonmodel.Partition{Box: l.MBR, Records: l.Records}
 	}
 	return out
 }
@@ -568,17 +569,18 @@ func (s *Store) Release(k1 int) ([]anonmodel.Partition, error) {
 		return nil, fmt.Errorf("wal: release from unaudited store")
 	}
 	k := s.tree.Config().BaseK
-	base, err := core.LeafScan(partitionsFromLeaves(s.tree.Leaves()), anonmodel.KAnonymity{K: k})
+	base, err := core.Tiling{Partitions: partitionsFromLeaves(s.tree.Leaves())}.Scan(anonmodel.KAnonymity{K: k}, 1)
 	if err != nil {
 		return nil, err
 	}
 	if k1 == 0 || k1 == k {
-		return base, nil
+		return base.Partitions, nil
 	}
 	if k1 < k {
 		return nil, fmt.Errorf("wal: granularity %d below base k %d", k1, k)
 	}
-	return core.LeafScan(base, anonmodel.KAnonymity{K: k1})
+	coarse, err := base.Scan(anonmodel.KAnonymity{K: k1}, 1)
+	return coarse.Partitions, err
 }
 
 // ScrubReport summarizes one scrub pass over the store's pages.
