@@ -77,11 +77,14 @@ throughput:
 	$(GO) test -run NONE -bench 'StorePerOpInsert|ServeGroupCommit|ServeReadsDuringWrites|ServePointQuery|ServeRangeQuery' -benchmem -benchtime 100ms ./internal/serve/
 
 # Zero-alloc smoke: the warm read path (sessions, sfc key path,
-# routing lookups) must report 0 allocs/op. These are regular tests
-# built on testing.AllocsPerRun, so CI enforces the budget on every
-# run; this target names them for quick local iteration.
+# routing lookups) must report 0 allocs/op, and so must the row codec
+# (encode into spare capacity, decode into the caller's vector); a leaf
+# decodes with a fixed number of allocations however many records it
+# holds. These are regular tests built on testing.AllocsPerRun, so CI
+# enforces the budget on every run; this target names them for quick
+# local iteration.
 zeroalloc:
-	$(GO) test -run 'ZeroAlloc' -v ./internal/routing/ ./internal/query/ ./internal/serve/ ./internal/sfc/
+	$(GO) test -run 'ZeroAlloc|TestDecodeLeafAllocations' -v ./internal/routing/ ./internal/query/ ./internal/serve/ ./internal/sfc/ ./internal/attr/ ./internal/rplustree/
 
 # Every fuzz target in the repository, FUZZTIME each (`go test -fuzz`
 # takes one target and one package per run). CI runs this with
@@ -91,6 +94,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run=NONE -fuzz='^FuzzReadBinary$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run=NONE -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/wal/
+	$(GO) test -run=NONE -fuzz='^FuzzRowRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/wal/
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeCheckpoint$$' -fuzztime=$(FUZZTIME) ./internal/rplustree/
 	$(GO) test -run=NONE -fuzz='^FuzzInsertDeleteInvariants$$' -fuzztime=$(FUZZTIME) ./internal/rplustree/
 	$(GO) test -run=NONE -fuzz='^FuzzHilbertRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/sfc/

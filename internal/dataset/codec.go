@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/csv"
 	"errors"
 	"fmt"
@@ -16,8 +15,10 @@ import (
 // BinaryCodec encodes records in the fixed-width binary layout the paper
 // reports: one unsigned 32-bit little-endian integer per quasi-identifier
 // attribute, so Lands End records occupy 32 bytes and Agrawal records 36
-// bytes. The sensitive value is not part of the binary layout (the
-// paper's two large data sets treat every attribute as quasi-identifier).
+// bytes — the bare fixed layout of the repository's row codec
+// (attr.PutFixedRow). The sensitive value is not part of the binary
+// layout (the paper's two large data sets treat every attribute as
+// quasi-identifier).
 type BinaryCodec struct {
 	dims int
 }
@@ -27,19 +28,17 @@ type BinaryCodec struct {
 func NewBinaryCodec(dims int) *BinaryCodec { return &BinaryCodec{dims: dims} }
 
 // RecordSize returns the encoded size of one record in bytes.
-func (c *BinaryCodec) RecordSize() int { return 4 * c.dims }
+func (c *BinaryCodec) RecordSize() int { return attr.FixedRowSize(c.dims) }
 
 // Encode writes the record's QI values into buf, which must be at least
-// RecordSize() bytes. Values are truncated to uint32.
+// RecordSize() bytes. A value the layout cannot hold exactly — a
+// fraction, a negative, 2³² or more — is an error, never a truncation.
 func (c *BinaryCodec) Encode(r attr.Record, buf []byte) error {
 	if len(r.QI) != c.dims {
 		return fmt.Errorf("dataset: record has %d attributes, codec expects %d", len(r.QI), c.dims)
 	}
-	if len(buf) < c.RecordSize() {
-		return fmt.Errorf("dataset: buffer of %d bytes, need %d", len(buf), c.RecordSize())
-	}
-	for i, v := range r.QI {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(int64(v)))
+	if err := attr.PutFixedRow(buf, r.QI); err != nil {
+		return fmt.Errorf("dataset: record %d: %w", r.ID, err)
 	}
 	return nil
 }
@@ -47,12 +46,9 @@ func (c *BinaryCodec) Encode(r attr.Record, buf []byte) error {
 // Decode reads one record from buf. The record ID must be assigned by the
 // caller (binary files carry no IDs; position is identity).
 func (c *BinaryCodec) Decode(buf []byte) (attr.Record, error) {
-	if len(buf) < c.RecordSize() {
-		return attr.Record{}, fmt.Errorf("dataset: buffer of %d bytes, need %d", len(buf), c.RecordSize())
-	}
 	qi := make([]float64, c.dims)
-	for i := range qi {
-		qi[i] = float64(binary.LittleEndian.Uint32(buf[4*i:]))
+	if err := attr.FixedRow(qi, buf); err != nil {
+		return attr.Record{}, fmt.Errorf("dataset: %w", err)
 	}
 	return attr.Record{QI: qi}, nil
 }

@@ -31,10 +31,35 @@ import (
 // Stream produces records one at a time so that larger-than-memory data
 // sets never need to be materialized. Generators return Streams whose
 // output matches their materializing counterparts record for record.
+//
+// Each record's randomness is derived from (seed, id) — the stream
+// reseeds its one generator per record instead of sharing a sequential
+// one — so streaming order, batching and materialization all agree, and
+// the incremental experiments can re-generate a prefix of a data set.
+// detrng's SplitMix64 seeds in O(1), unlike math/rand's default source,
+// which is what makes that cheap.
 type Stream struct {
 	remaining int
-	gen       func(id int64) attr.Record
 	next      int64
+	seed      int64
+	rng       *rand.Rand // over one detrng.Source, reseeded per record
+	dims      int
+	// fill draws one record's QI values into qi and returns its
+	// sensitive value.
+	fill func(rng *rand.Rand, qi []float64) string
+	// block is the unused rest of the current QI array: vectors are
+	// cap-clipped windows of arrays of up to rowBlock rows, so a record
+	// costs no allocation of its own and a retained prefix of a data set
+	// pins the blocks it lies in, not the table.
+	block []float64
+}
+
+// rowBlock is the number of QI vectors carved from one array.
+const rowBlock = 4096
+
+// newStream builds a Stream of n records of dims attributes under seed.
+func newStream(n int, seed int64, dims int, fill func(rng *rand.Rand, qi []float64) string) *Stream {
+	return &Stream{remaining: n, seed: seed, rng: detrng.New(0), dims: dims, fill: fill}
 }
 
 // Next returns the next record, or ok=false when the stream is
@@ -43,10 +68,16 @@ func (s *Stream) Next() (attr.Record, bool) {
 	if s.remaining <= 0 {
 		return attr.Record{}, false
 	}
+	if len(s.block) < s.dims {
+		s.block = make([]float64, min(s.remaining, rowBlock)*s.dims)
+	}
+	qi := s.block[:s.dims:s.dims]
+	s.block = s.block[s.dims:]
+	id := s.next
 	s.remaining--
-	r := s.gen(s.next)
 	s.next++
-	return r, true
+	s.rng.Seed(detrng.Derive(s.seed, id))
+	return attr.Record{ID: id, QI: qi, Sensitive: s.fill(s.rng, qi)}, true
 }
 
 // Remaining returns how many records the stream will still produce.
@@ -79,23 +110,6 @@ func Collect(s *Stream) []attr.Record {
 		}
 		out = append(out, r)
 	}
-}
-
-// newStream builds a Stream over a per-record deterministic generator.
-// Each record's randomness is derived from (seed, id) so that streaming
-// order, batching, and materialization all agree.
-func newStream(n int, gen func(id int64) attr.Record) *Stream {
-	return &Stream{remaining: n, gen: gen}
-}
-
-// recRand returns a deterministic RNG for record id under seed. Deriving
-// per-record RNGs (rather than sharing one sequential RNG) keeps
-// generation order-independent, which the incremental experiments rely on
-// when they re-generate a prefix of a data set. detrng's SplitMix64
-// streams seed in O(1), unlike math/rand's default source, which makes
-// generating multi-million-record data sets cheap.
-func recRand(seed, id int64) *rand.Rand {
-	return detrng.New(detrng.Derive(seed, id))
 }
 
 // zipfIndex draws an index in [0,n) with a Zipf-like skew: rank r has

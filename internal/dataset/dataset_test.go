@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spatialanon/internal/attr"
+	"spatialanon/internal/detrng"
 )
 
 func TestStreamMatchesMaterialized(t *testing.T) {
@@ -298,6 +299,40 @@ func TestBinaryCodecErrors(t *testing.T) {
 	if _, err := c.ReadBinary(bytes.NewReader(make([]byte, 13))); err == nil {
 		t.Fatal("truncated file accepted")
 	}
+	// A value the 4-byte layout cannot hold is an error — it used to be
+	// written as 3, 4294967295 and 0.
+	buf := make([]byte, 12)
+	for _, v := range []float64{3.7, -1, 1 << 32, math.Copysign(0, -1), math.NaN()} {
+		if err := c.Encode(attr.Record{QI: []float64{1, v, 3}}, buf); err == nil {
+			t.Fatalf("value %v encoded as % x", v, buf)
+		}
+	}
+	if err := c.Encode(attr.Record{QI: []float64{0, 1<<32 - 1, 3}}, buf); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := c.Decode(buf); err != nil || rec.QI[1] != 1<<32-1 {
+		t.Fatalf("largest column came back as %v, %v", rec.QI, err)
+	}
+}
+
+// TestStreamCarvesVectorsFromBlocks: generating a record allocates
+// nothing of its own — vectors are cap-clipped windows of one array per
+// rowBlock records — so keeping a prefix pins blocks, not the table.
+func TestStreamCarvesVectorsFromBlocks(t *testing.T) {
+	s := LandsEndStream(3*rowBlock, 8)
+	s.Next() // the first block
+	if n := testing.AllocsPerRun(rowBlock-2, func() { s.Next() }); n != 0 {
+		t.Fatalf("a record inside a block allocates %v times", n)
+	}
+	recs := GenerateAgrawal(rowBlock+10, 8)
+	for i, r := range recs {
+		if cap(r.QI) != len(r.QI) {
+			t.Fatalf("record %d: vector capacity %d beyond its %d values", i, cap(r.QI), len(r.QI))
+		}
+	}
+	if &recs[0].QI[0] == &recs[1].QI[0] {
+		t.Fatal("consecutive records share a vector")
+	}
 }
 
 func TestCSVRoundTrip(t *testing.T) {
@@ -348,7 +383,7 @@ func TestCSVErrors(t *testing.T) {
 }
 
 func TestZipfIndexBounds(t *testing.T) {
-	rng := recRand(1, 1)
+	rng := detrng.New(detrng.Derive(1, 1))
 	for i := 0; i < 10000; i++ {
 		v := zipfIndex(rng, 10, 0.7)
 		if v < 0 || v >= 10 {

@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"math/rand"
+
 	"spatialanon/internal/attr"
 	"spatialanon/internal/detrng"
 )
@@ -52,10 +54,8 @@ func LandsEndSchema() *attr.Schema {
 	}
 }
 
-// landsEndRecord generates record id deterministically under seed.
-func landsEndRecord(seed, id int64) attr.Record {
-	rng := recRand(seed, id)
-
+// landsEndRow draws one record's values from its generator.
+func landsEndRow(rng *rand.Rand, qi []float64) string {
 	cluster := zipfIndex(rng, landsEndZipClusters, 0.6)
 	zipBase := 10000 + cluster*180 // spread clusters over [10000, 99999]
 	zip := zipBase + rng.Intn(120)
@@ -104,24 +104,22 @@ func landsEndRecord(seed, id int64) attr.Record {
 		ship = 5
 	}
 
-	return attr.Record{
-		ID: id,
-		QI: []float64{
-			float64(zip),
-			float64(day),
-			float64(gender),
-			float64(style),
-			float64(price),
-			float64(quantity),
-			float64(cost),
-			float64(ship),
-		},
-	}
+	copy(qi, []float64{
+		float64(zip),
+		float64(day),
+		float64(gender),
+		float64(style),
+		float64(price),
+		float64(quantity),
+		float64(cost),
+		float64(ship),
+	})
+	return ""
 }
 
 // LandsEndStream returns a stream of n Lands End-like records.
 func LandsEndStream(n int, seed int64) *Stream {
-	return newStream(n, func(id int64) attr.Record { return landsEndRecord(seed, id) })
+	return newStream(n, seed, LandsEndSchema().Dims(), landsEndRow)
 }
 
 // GenerateLandsEnd materializes n Lands End-like records.
@@ -155,9 +153,7 @@ func AgrawalSchema() *attr.Schema {
 	}
 }
 
-func agrawalRecord(seed, id int64) attr.Record {
-	rng := recRand(seed, id)
-
+func agrawalRow(rng *rand.Rand, qi []float64) string {
 	salary := 20000 + rng.Intn(130001)
 	commission := 0
 	if salary < 75000 {
@@ -172,25 +168,23 @@ func agrawalRecord(seed, id int64) attr.Record {
 	hyears := 1 + rng.Intn(30)
 	loan := rng.Intn(500001)
 
-	return attr.Record{
-		ID: id,
-		QI: []float64{
-			float64(salary),
-			float64(commission),
-			float64(age),
-			float64(elevel),
-			float64(car),
-			float64(zipcode),
-			float64(hvalue),
-			float64(hyears),
-			float64(loan),
-		},
-	}
+	copy(qi, []float64{
+		float64(salary),
+		float64(commission),
+		float64(age),
+		float64(elevel),
+		float64(car),
+		float64(zipcode),
+		float64(hvalue),
+		float64(hyears),
+		float64(loan),
+	})
+	return ""
 }
 
 // AgrawalStream returns a stream of n Agrawal et al. records.
 func AgrawalStream(n int, seed int64) *Stream {
-	return newStream(n, func(id int64) attr.Record { return agrawalRecord(seed, id) })
+	return newStream(n, seed, AgrawalSchema().Dims(), agrawalRow)
 }
 
 // GenerateAgrawal materializes n Agrawal et al. records.
@@ -222,22 +216,16 @@ func PatientsSchema() *attr.Schema {
 	}
 }
 
-func patientRecord(seed, id int64) attr.Record {
-	rng := recRand(seed, id)
-	age := 18 + rng.Intn(73)
-	sex := rng.Intn(2)
-	zip := 52100 + rng.Intn(1700)
-	ailment := patientAilments[rng.Intn(len(patientAilments))]
-	return attr.Record{
-		ID:        id,
-		QI:        []float64{float64(age), float64(sex), float64(zip)},
-		Sensitive: ailment,
-	}
+func patientRow(rng *rand.Rand, qi []float64) string {
+	qi[0] = float64(18 + rng.Intn(73))      // age
+	qi[1] = float64(rng.Intn(2))            // sex
+	qi[2] = float64(52100 + rng.Intn(1700)) // zipcode
+	return patientAilments[rng.Intn(len(patientAilments))]
 }
 
 // PatientsStream returns a stream of n patient records.
 func PatientsStream(n int, seed int64) *Stream {
-	return newStream(n, func(id int64) attr.Record { return patientRecord(seed, id) })
+	return newStream(n, seed, PatientsSchema().Dims(), patientRow)
 }
 
 // GeneratePatients materializes n patient records.

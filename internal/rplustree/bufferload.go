@@ -107,7 +107,19 @@ type BulkLoader struct {
 	bufferCap   int // records per buffer before it empties
 
 	nodePages map[*node]pager.PageID // structural + leaf proxy pages
+
+	// free holds emptied buffer arrays for the next buffer that needs
+	// one: every record passes through a buffer per level, and arrays
+	// grown by append and dropped at each emptying were four fifths of a
+	// load's allocation. At most maxFreeArrays are kept, and none past
+	// the end of Flush.
+	free [][]attr.Record
 }
+
+// maxFreeArrays bounds BulkLoader.free: an emptying frees one array
+// while up to NodeCapacity freshly filled children wait their turn, so a
+// few levels' worth is all a load can reuse.
+const maxFreeArrays = 64
 
 // NewBulkLoader attaches a buffer-tree loader to an (typically empty)
 // tree. Only one loader may drive a tree at a time.
@@ -215,11 +227,17 @@ func (bl *BulkLoader) InsertBatch(recs []attr.Record) error {
 // once the storage recovers.
 func (bl *BulkLoader) Flush() error {
 	// Empty top-down: a node's buffer is emptied before its children's,
-	// so one pass drains every record to the leaf frontier. Child lists
-	// are snapshotted because restructuring replaces nodes mid-walk;
-	// revisiting a replaced node is harmless (its buffer is empty).
+	// so one pass drains every record to the leaf frontier. The walk
+	// descends only into subtrees that hold blocked records (node.pending)
+	// — a single Insert drains one root-to-leaf path, not the tree. Child
+	// lists are snapshotted because restructuring replaces nodes mid-walk;
+	// walking on through a replaced node's list is harmless (its buffer is
+	// empty, its children carry their own counts).
 	var drain func(n *node) error
 	drain = func(n *node) error {
+		if n.pending == 0 {
+			return nil
+		}
 		if n.buffer != nil && len(n.buffer.recs) > 0 {
 			if err := bl.emptyBuffer(n); err != nil {
 				return err
@@ -236,31 +254,17 @@ func (bl *BulkLoader) Flush() error {
 	}
 	// Restructuring during a drain can, in rare shapes, move a
 	// still-buffered node above an already-visited position; loop until
-	// a clean sweep (the second pass is almost always a no-op walk).
-	for {
+	// nothing is pending (the second pass almost never happens).
+	for bl.tree.root.pending > 0 {
 		if err := drain(bl.tree.root); err != nil {
 			return err
 		}
-		if !bl.anyPending(bl.tree.root) {
-			// Make the flushed state durable: dirty pages still in the
-			// pool are written back (and charged) now, so the I/O
-			// counters reflect a complete, persistent load.
-			return bl.retry(bl.pg.Flush)
-		}
 	}
-}
-
-// anyPending reports whether any buffer still holds records.
-func (bl *BulkLoader) anyPending(n *node) bool {
-	if n.buffer != nil && len(n.buffer.recs) > 0 {
-		return true
-	}
-	for _, c := range n.children {
-		if bl.anyPending(c) {
-			return true
-		}
-	}
-	return false
+	bl.free = nil
+	// Make the flushed state durable: dirty pages still in the pool are
+	// written back (and charged) now, so the I/O counters reflect a
+	// complete, persistent load.
+	return bl.retry(bl.pg.Flush)
 }
 
 // rootBufferCap lets the root block more records than interior nodes
@@ -277,24 +281,69 @@ func (bl *BulkLoader) rootBufferCap() int {
 // recsPerPage records. The record is appended before any fallible
 // spill, so an error never loses it.
 func (bl *BulkLoader) appendBuffer(n *node, rec attr.Record) error {
-	if n.buffer == nil {
-		n.buffer = &nodeBuffer{}
-	}
-	n.buffer.recs = append(n.buffer.recs, rec)
-	return bl.spillPages(n.buffer)
+	buf := bl.reserve(n, 1)
+	buf.recs = append(buf.recs, rec)
+	return bl.spillPages(buf)
 }
 
 // appendBufferBatch blocks a batch in n's buffer in one append (the
-// batch lands before the fallible spill).
+// batch lands before the fallible spill). The batch is copied: the
+// caller keeps its array.
 func (bl *BulkLoader) appendBufferBatch(n *node, recs []attr.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
+	buf := bl.reserve(n, len(recs))
+	buf.recs = append(buf.recs, recs...)
+	return bl.spillPages(buf)
+}
+
+// reserve returns n's buffer with room for extra more records, counted
+// as pending along n's root path. Arrays hold whole pages of records and
+// come from the free list when one there is big enough (the smallest
+// such); growth at least doubles.
+func (bl *BulkLoader) reserve(n *node, extra int) *nodeBuffer {
 	if n.buffer == nil {
 		n.buffer = &nodeBuffer{}
 	}
-	n.buffer.recs = append(n.buffer.recs, recs...)
-	return bl.spillPages(n.buffer)
+	for m := n; m != nil; m = m.parent {
+		m.pending += extra
+	}
+	buf := n.buffer
+	need := len(buf.recs) + extra
+	if need <= cap(buf.recs) {
+		return buf
+	}
+	pages := (max(need, 2*cap(buf.recs)) + bl.recsPerPage - 1) / bl.recsPerPage
+	want := pages * bl.recsPerPage
+	best := -1
+	for i, a := range bl.free {
+		// Not an array far larger than asked for: a buffer near the leaves
+		// would sit on the root's.
+		if cap(a) >= need && cap(a) <= 2*want && (best < 0 || cap(a) < cap(bl.free[best])) {
+			best = i
+		}
+	}
+	var grown []attr.Record
+	if best >= 0 {
+		last := len(bl.free) - 1
+		grown = bl.free[best]
+		bl.free[best], bl.free[last] = bl.free[last], nil
+		bl.free = bl.free[:last]
+	} else {
+		grown = make([]attr.Record, 0, want)
+	}
+	old := buf.recs
+	buf.recs = append(grown, old...)
+	bl.recycle(old)
+	return buf
+}
+
+// recycle offers an array nobody refers to any more to the free list.
+func (bl *BulkLoader) recycle(recs []attr.Record) {
+	if cap(recs) > 0 && len(bl.free) < maxFreeArrays {
+		bl.free = append(bl.free, recs[:0])
+	}
 }
 
 // spillPages allocates cost pages for every full page's worth of
@@ -324,7 +373,8 @@ func (bl *BulkLoader) spillPages(buf *nodeBuffer) error {
 // takeBuffer drains n's buffer, charging reads for its spilled pages.
 // Every read is charged (and can fault) before the buffer is consumed,
 // so on error the buffer is intact and the emptying can be retried
-// without record loss.
+// without record loss. The caller recycles the array once the batch is
+// delivered.
 func (bl *BulkLoader) takeBuffer(n *node) ([]attr.Record, error) {
 	if n.buffer == nil {
 		return nil, nil
@@ -345,6 +395,9 @@ func (bl *BulkLoader) takeBuffer(n *node) ([]attr.Record, error) {
 		bl.pg.Free(id)
 	}
 	n.buffer = nil
+	for m := n; m != nil; m = m.parent {
+		m.pending -= len(recs)
+	}
 	return recs, nil
 }
 
@@ -411,10 +464,14 @@ func (bl *BulkLoader) emptyBuffer(n *node) error {
 	}
 	err = bl.touchNode(n, false)
 
+	// Every delivery below copies its share, so once the batch is routed
+	// its array is free for the next buffer — the children's, if they
+	// empty in turn.
 	if n.isLeaf() {
 		if e := bl.terminate(n, recs); err == nil {
 			err = e
 		}
+		bl.recycle(recs)
 		return err
 	}
 	if bl.childrenAreLeaves(n) {
@@ -426,6 +483,7 @@ func (bl *BulkLoader) emptyBuffer(n *node) error {
 		if e := bl.routeTrie(n.trie, recs, bl.terminate); err == nil {
 			err = e
 		}
+		bl.recycle(recs)
 		return err
 	}
 
@@ -433,6 +491,7 @@ func (bl *BulkLoader) emptyBuffer(n *node) error {
 	if e := bl.routeTrie(n.trie, recs, bl.appendBufferBatch); err == nil {
 		err = e
 	}
+	bl.recycle(recs)
 	// Empty any child buffer that overflowed. No structural changes can
 	// have occurred above, so the child list is stable here; the
 	// recursion itself may restructure lower levels.
@@ -571,6 +630,11 @@ func (t *Tree) splitBuffer(old, left, right *node, axis int, value float64) erro
 	}
 	var err error
 	if old.buffer != nil {
+		// The halves' ancestors counted these records under old; the
+		// appends below count them again under the half each lands in.
+		for m := left.parent; m != nil; m = m.parent {
+			m.pending -= len(old.buffer.recs)
+		}
 		for _, r := range old.buffer.recs {
 			var e error
 			if r.QI[axis] < value {

@@ -214,3 +214,137 @@ func TestDecodeCheckpointRejectsDamage(t *testing.T) {
 		t.Fatal("reference without pages accepted")
 	}
 }
+
+// paperRecords are n distinct records of the paper's shape: eight
+// integral attributes (32 bytes in the fixed layout), two-byte ID
+// varints, no sensitive value.
+func paperRecords(n int) []attr.Record {
+	recs := make([]attr.Record, n)
+	for i := range recs {
+		recs[i] = attr.Record{ID: int64(100 + i), QI: []float64{float64(50000 + 37*i), float64(i % 7), 1, float64(i), 49, 2, 31, 0}}
+	}
+	return recs
+}
+
+// TestImageSizes pins what a record costs in a leaf page and a leaf in
+// the directory, so a format regression fails here and not in a
+// benchmark. The float64 format spent 76 bytes per record and 39 per
+// leaf of a one-level directory.
+func TestImageSizes(t *testing.T) {
+	cfg := Config{Schema: dataset.LandsEndSchema(), BaseK: 4}
+	tr, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := paperRecords(28)
+	insertAll(t, tr, recs)
+	leaves := len(tr.Leaves())
+	if tr.Height() != 2 || leaves < 3 {
+		t.Fatalf("want a root over a few leaves, got height %d with %d leaves", tr.Height(), leaves)
+	}
+	// One leaf per page, so every reference is: offset 0 (1 byte), a
+	// length of 128..16383 (2), the CRC (4), one page (1) one further on
+	// than the last (1).
+	page := pager.PageID(0)
+	var leafBytes int
+	ck, err := tr.EncodeCheckpoint(true, func(leaf []byte) (LeafRef, error) {
+		page++
+		leafBytes += len(leaf)
+		return LeafRef{Pages: []pager.PageID{page}, Len: uint32(len(leaf))}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A leaf is its record count (1 byte here) and, per record, the ID
+	// (2), the layout byte, eight 4-byte columns and an empty sensitive
+	// value's length: 36 bytes.
+	if want := leaves + 36*len(recs); leafBytes != want {
+		t.Errorf("%d records in %d leaves encode to %d bytes, want %d (36 per record)", len(recs), leaves, leafBytes, want)
+	}
+	// The directory is a 12-byte header, the root's tag, and per leaf a
+	// trie-leaf tag, a node tag and its 9-byte reference; each of the
+	// leaves−1 hyperplanes between them costs a tag, an axis and a
+	// one-column row (1 + 1 + 5): 18 bytes per further leaf.
+	if want := 12 + 1 + 11*leaves + 7*(leaves-1); len(ck.Dir) != want {
+		t.Errorf("directory of %d leaves is %d bytes, want %d (18 per leaf)", leaves, len(ck.Dir), want)
+	}
+	// A fractional coordinate moves its own row to the raw layout (+32
+	// bytes) and nobody else's.
+	snap := mustSnapshot(t, tr)
+	odd := recs[0]
+	odd.ID, odd.QI = 99, append([]float64{odd.QI[0] + 0.5}, odd.QI[1:]...)
+	if err := tr.Insert(odd); err != nil {
+		t.Fatal(err)
+	}
+	if grown := len(mustSnapshot(t, tr)) - len(snap); len(tr.Leaves()) == leaves && grown != 1+1+64+1 {
+		t.Errorf("one fractional record grew the image by %d bytes, want 67", grown)
+	}
+}
+
+// TestDecodeRefusesRetiredVersions: images in the fixed-width float64
+// format (snapshot version 1, directory version 2) are refused by their
+// version word.
+func TestDecodeRefusesRetiredVersions(t *testing.T) {
+	cfg := Config{Schema: dataset.LandsEndSchema(), BaseK: 4}
+	tr, _ := New(cfg)
+	insertAll(t, tr, paperRecords(10))
+	var store blobStore
+	for name, decode := range map[string]func(version byte) error{
+		"snapshot": func(v byte) error {
+			img := mustSnapshot(t, tr)
+			img[0] = v
+			_, err := DecodeSnapshot(cfg, img)
+			return err
+		},
+		"directory": func(v byte) error {
+			img := mustCheckpoint(t, tr, true, &store).Dir
+			img[0] = v
+			_, err := DecodeCheckpoint(cfg, img, store.get)
+			return err
+		},
+	} {
+		for _, v := range []byte{1, 2} {
+			if err := decode(v); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("format version %d", v)) {
+				t.Errorf("%s with version word %d: %v, want a version error", name, v, err)
+			}
+		}
+	}
+}
+
+// TestDecodeLeafAllocations: decoding a leaf allocates a fixed number of
+// arrays — the node, its boxes, the record array and ONE array for every
+// record's coordinates — however many records it holds.
+func TestDecodeLeafAllocations(t *testing.T) {
+	cfg := Config{Schema: dataset.LandsEndSchema(), BaseK: 10}
+	allocs := func(n int) float64 {
+		tr, _ := New(cfg)
+		insertAll(t, tr, paperRecords(n))
+		if tr.Height() != 1 {
+			t.Fatalf("%d records split the root leaf", n)
+		}
+		snap := mustSnapshot(t, tr)
+		return testing.AllocsPerRun(50, func() {
+			got, err := DecodeSnapshot(cfg, snap)
+			if err != nil || got.Len() != n {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := allocs(2), allocs(20)
+	if few != many || many > 12 {
+		t.Errorf("decoding a leaf of 2 records allocates %v times, of 20 records %v times; want the same small number", few, many)
+	}
+	// The vectors are windows of one array, clipped so that growing one
+	// cannot reach into its neighbour.
+	tr, _ := New(cfg)
+	insertAll(t, tr, paperRecords(3))
+	got, err := DecodeSnapshot(cfg, mustSnapshot(t, tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range got.Leaves()[0].Records {
+		if cap(r.QI) != len(r.QI) {
+			t.Errorf("decoded vector of record %d has capacity %d beyond its %d values", r.ID, cap(r.QI), len(r.QI))
+		}
+	}
+}

@@ -202,6 +202,7 @@ func (t *Tree) Audit() *AuditNode {
 //  5. All leaves are at the same depth.
 //  6. Every record's point lies in its leaf's routing region.
 //  7. Internal node tries reference exactly the node's children.
+//  8. Pending counts aggregate the records blocked in bulk-load buffers.
 func (t *Tree) CheckInvariants() error {
 	leafDepth := -1
 	var walk func(n *node, depth int, region attr.Box) error
@@ -211,6 +212,16 @@ func (t *Tree) CheckInvariants() error {
 		}
 		if !n.mbr.IsEmpty() && !regionContainsBox(n.region, n.mbr) {
 			return fmt.Errorf("node MBR %v escapes region %v", n.mbr, n.region)
+		}
+		pending := 0
+		if n.buffer != nil {
+			pending = len(n.buffer.recs)
+		}
+		for _, c := range n.children {
+			pending += c.pending
+		}
+		if pending != n.pending {
+			return fmt.Errorf("node pending count %d != %d records buffered beneath it", n.pending, pending)
 		}
 		if n.isLeaf() {
 			if leafDepth == -1 {

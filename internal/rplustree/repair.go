@@ -136,6 +136,7 @@ func (t *Tree) repairUnderflow(leaf *node) error {
 		// MBRs (the victim's records may have defined them).
 		for n := parent; n != nil; n = n.parent {
 			n.count -= victim.count
+			n.pending -= victim.pending
 			m := attr.NewBox(len(n.region))
 			for _, c := range n.children {
 				m.IncludeBox(c.mbr)

@@ -10,9 +10,9 @@ import (
 )
 
 // This file is the tree's durable codec. internal/wal serializes a
-// tree at checkpoint time and rebuilds it during recovery; the
-// encoding follows the repository's binary conventions (fixed-width
-// little-endian, see internal/dataset's BinaryCodec).
+// tree at checkpoint time and rebuilds it during recovery; records and
+// hyperplane values go through the repository's one row codec
+// (internal/attr, row.go), counts and references are varints.
 //
 // One encoder and one decoder serve two forms that differ only in what
 // stands for a leaf:
@@ -39,10 +39,11 @@ import (
 
 // The two encoding forms, told apart by the leading version word so one
 // can never be decoded as the other. Bumped on any incompatible layout
-// change.
+// change: 1 and 2 were the fixed-width float64 forms, refused with a
+// version error.
 const (
-	snapshotVersion  = 1 // leaves inline
-	directoryVersion = 2 // leaves by reference
+	snapshotVersion  = 3 // leaves inline
+	directoryVersion = 4 // leaves by reference
 )
 
 // snapMaxDepth bounds the recursion while decoding: deeper nesting
@@ -126,6 +127,7 @@ func (t *Tree) EncodeSnapshot() ([]byte, error) {
 func (t *Tree) EncodeCheckpoint(full bool, put func(leaf []byte) (LeafRef, error)) (*Checkpoint, error) {
 	ck := &Checkpoint{}
 	var scratch []byte
+	var prev pager.PageID // the page the previous reference ended on
 	dir, err := t.encodeTree(directoryVersion, func(e []byte, n *node) ([]byte, error) {
 		dur := n.dur
 		if full || !n.durable() {
@@ -140,7 +142,8 @@ func (t *Tree) EncodeCheckpoint(full bool, put func(leaf []byte) (LeafRef, error
 			ck.WrittenBytes += int64(len(scratch))
 		}
 		ck.Refs = append(ck.Refs, dur.ref)
-		return appendRef(e, dur.ref), nil
+		e, prev = appendRef(e, dur.ref, prev)
+		return e, nil
 	})
 	if err != nil {
 		return nil, err
@@ -168,26 +171,14 @@ func (t *Tree) DirtyBytes(limit int64) int64 {
 // encodeTree writes the header and the trie; leaf appends what stands
 // for one leaf in this form.
 func (t *Tree) encodeTree(version uint32, leaf func(e []byte, n *node) ([]byte, error)) ([]byte, error) {
-	if pending := t.pendingBuffered(t.root); pending > 0 {
-		return nil, fmt.Errorf("rplustree: snapshot with %d records still buffered; flush the loader first", pending)
+	if t.root.pending > 0 {
+		return nil, fmt.Errorf("rplustree: snapshot with %d records still buffered; flush the loader first", t.root.pending)
 	}
 	e := make([]byte, 0, 1024)
 	e = appendU32(e, version)
 	e = appendU32(e, uint32(t.cfg.Schema.Dims()))
 	e = appendU32(e, uint32(t.height))
 	return encodeNode(e, t.root, leaf)
-}
-
-// pendingBuffered counts records blocked in bulk-load buffers.
-func (t *Tree) pendingBuffered(n *node) int {
-	total := 0
-	if n.buffer != nil {
-		total += len(n.buffer.recs)
-	}
-	for _, c := range n.children {
-		total += t.pendingBuffered(c)
-	}
-	return total
 }
 
 func encodeNode(e []byte, n *node, leaf func([]byte, *node) ([]byte, error)) ([]byte, error) {
@@ -202,8 +193,8 @@ func encodeTrie(e []byte, st *splitTrie, leaf func([]byte, *node) ([]byte, error
 		return encodeNode(append(e, 0), st.child, leaf)
 	}
 	e = append(e, 1)
-	e = appendU32(e, uint32(st.axis))
-	e = appendU64(e, math.Float64bits(st.value))
+	e = binary.AppendUvarint(e, uint64(st.axis))
+	e = attr.AppendRow(e, []float64{st.value}) // a hyperplane value is a row of one
 	e, err := encodeTrie(e, st.left, leaf)
 	if err != nil {
 		return nil, err
@@ -212,37 +203,34 @@ func encodeTrie(e []byte, st *splitTrie, leaf func([]byte, *node) ([]byte, error
 }
 
 // appendLeaf is the leaf payload encoding both forms share: inline in a
-// snapshot, stored wherever a LeafRef points in a checkpoint.
+// snapshot, stored wherever a LeafRef points in a checkpoint. A record
+// of eight integral attributes costs its ID varint + 34 bytes.
 func appendLeaf(e []byte, recs []attr.Record) []byte {
-	e = appendU32(e, uint32(len(recs)))
+	e = binary.AppendUvarint(e, uint64(len(recs)))
 	for _, r := range recs {
-		e = appendU64(e, uint64(r.ID))
-		for _, v := range r.QI {
-			e = appendU64(e, math.Float64bits(v))
-		}
-		e = appendU32(e, uint32(len(r.Sensitive)))
-		e = append(e, r.Sensitive...)
+		e = attr.AppendRecord(e, r, 0)
 	}
 	return e
 }
 
-func appendRef(e []byte, r LeafRef) []byte {
-	e = appendU32(e, r.Off)
-	e = appendU32(e, r.Len)
+// appendRef writes one leaf reference. Page IDs are written as signed
+// distances from prev, the page the reference before it ended on:
+// leaves packed back to back share or continue a page, so a distance is
+// usually 0 or 1 — one byte where an ID took eight.
+func appendRef(e []byte, r LeafRef, prev pager.PageID) ([]byte, pager.PageID) {
+	e = binary.AppendUvarint(e, uint64(r.Off))
+	e = binary.AppendUvarint(e, uint64(r.Len))
 	e = appendU32(e, r.CRC)
-	e = appendU32(e, uint32(len(r.Pages)))
+	e = binary.AppendUvarint(e, uint64(len(r.Pages)))
 	for _, id := range r.Pages {
-		e = appendU64(e, uint64(id))
+		e = binary.AppendVarint(e, int64(id-prev))
+		prev = id
 	}
-	return e
+	return e, prev
 }
 
 func appendU32(b []byte, v uint32) []byte {
 	return binary.LittleEndian.AppendUint32(b, v)
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(b, v)
 }
 
 // DecodeSnapshot rebuilds a tree from EncodeSnapshot output under the
@@ -268,22 +256,22 @@ func decodeTree(cfg Config, data []byte, wantVersion uint32, get func(LeafRef) (
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	d := &snapDecoder{data: data, leafDepth: -1, get: get}
-	version, err := d.u32()
+	d := &snapDecoder{Reader: attr.NewReader(data), leafDepth: -1, get: get}
+	version, err := d.U32()
 	if err != nil {
 		return nil, err
 	}
 	if version != wantVersion {
-		return nil, fmt.Errorf("rplustree: snapshot version %d, want %d", version, wantVersion)
+		return nil, fmt.Errorf("rplustree: snapshot in format version %d, this build reads version %d", version, wantVersion)
 	}
-	dims, err := d.u32()
+	dims, err := d.U32()
 	if err != nil {
 		return nil, err
 	}
 	if int(dims) != cfg.Schema.Dims() {
 		return nil, fmt.Errorf("rplustree: snapshot has %d dimensions, schema has %d", dims, cfg.Schema.Dims())
 	}
-	height, err := d.u32()
+	height, err := d.U32()
 	if err != nil {
 		return nil, err
 	}
@@ -296,8 +284,8 @@ func decodeTree(cfg Config, data []byte, wantVersion uint32, get func(LeafRef) (
 		return nil, err
 	}
 	t.root = root
-	if d.off != len(d.data) {
-		return nil, fmt.Errorf("rplustree: snapshot has %d trailing bytes", len(d.data)-d.off)
+	if d.Remaining() != 0 {
+		return nil, fmt.Errorf("rplustree: snapshot has %d trailing bytes", d.Remaining())
 	}
 	if d.leafDepth != int(height)-1 {
 		return nil, fmt.Errorf("rplustree: snapshot leaves at depth %d, header says height %d", d.leafDepth, height)
@@ -305,50 +293,14 @@ func decodeTree(cfg Config, data []byte, wantVersion uint32, get func(LeafRef) (
 	return t, nil
 }
 
-// snapDecoder reads the encoded byte stream with bounds checking. With
-// get set, leaves are references resolved through it; otherwise they
-// are inline.
+// snapDecoder reads the encoded byte stream through the row codec's
+// bounds-checked reader. With get set, leaves are references resolved
+// through it; otherwise they are inline.
 type snapDecoder struct {
-	data      []byte
-	off       int
+	*attr.Reader
 	leafDepth int
 	get       func(LeafRef) ([]byte, error)
-}
-
-func (d *snapDecoder) u8() (byte, error) {
-	if d.off+1 > len(d.data) {
-		return 0, fmt.Errorf("rplustree: snapshot truncated at byte %d", d.off)
-	}
-	v := d.data[d.off]
-	d.off++
-	return v, nil
-}
-
-func (d *snapDecoder) u32() (uint32, error) {
-	if d.off+4 > len(d.data) {
-		return 0, fmt.Errorf("rplustree: snapshot truncated at byte %d", d.off)
-	}
-	v := binary.LittleEndian.Uint32(d.data[d.off:])
-	d.off += 4
-	return v, nil
-}
-
-func (d *snapDecoder) u64() (uint64, error) {
-	if d.off+8 > len(d.data) {
-		return 0, fmt.Errorf("rplustree: snapshot truncated at byte %d", d.off)
-	}
-	v := binary.LittleEndian.Uint64(d.data[d.off:])
-	d.off += 8
-	return v, nil
-}
-
-func (d *snapDecoder) bytes(n int) ([]byte, error) {
-	if n < 0 || d.off+n > len(d.data) {
-		return nil, fmt.Errorf("rplustree: snapshot truncated at byte %d", d.off)
-	}
-	b := d.data[d.off : d.off+n]
-	d.off += n
-	return b, nil
+	prevPage  pager.PageID // appendRef's prev, replayed
 }
 
 // node decodes one node owning the given routing region at the given
@@ -357,7 +309,7 @@ func (d *snapDecoder) node(cfg Config, region attr.Box, depth int) (*node, error
 	if depth > snapMaxDepth {
 		return nil, fmt.Errorf("rplustree: snapshot nests deeper than %d", snapMaxDepth)
 	}
-	tag, err := d.u8()
+	tag, err := d.Byte()
 	if err != nil {
 		return nil, err
 	}
@@ -380,13 +332,13 @@ func (d *snapDecoder) node(cfg Config, region attr.Box, depth int) (*node, error
 		if err != nil {
 			return nil, err
 		}
-		sub := &snapDecoder{data: enc}
+		sub := &snapDecoder{Reader: attr.NewReader(enc)}
 		n, err := sub.leaf(cfg, region)
 		if err != nil {
 			return nil, err
 		}
-		if sub.off != len(enc) {
-			return nil, fmt.Errorf("rplustree: stored leaf has %d trailing bytes", len(enc)-sub.off)
+		if sub.Remaining() != 0 {
+			return nil, fmt.Errorf("rplustree: stored leaf has %d trailing bytes", sub.Remaining())
 		}
 		n.dur = &durableCopy{ref: ref} // a decoded node starts at ver 0
 		return n, nil
@@ -406,51 +358,36 @@ func (d *snapDecoder) node(cfg Config, region attr.Box, depth int) (*node, error
 	}
 }
 
-// leaf decodes one leaf payload (appendLeaf's output) owning region.
+// leaf decodes one leaf payload (appendLeaf's output) owning region. The
+// records' QI vectors are cap-clipped windows of ONE array per leaf, so
+// a recovered tree holds one QI allocation per leaf, not per record.
 func (d *snapDecoder) leaf(cfg Config, region attr.Box) (*node, error) {
 	dims := cfg.Schema.Dims()
-	nrecs, err := d.u32()
+	// A record occupies at least an ID byte, a layout byte, 4 bytes per
+	// attribute and a sensitive-length byte; Count rejects a claim the
+	// remaining bytes cannot hold before anything is allocated.
+	nrecs, err := d.Count(3 + attr.FixedRowSize(dims))
 	if err != nil {
 		return nil, err
 	}
-	// A record occupies at least 8 (ID) + 8*dims (QI) + 4 (sensitive
-	// length) bytes; reject counts the remaining bytes cannot hold
-	// before allocating.
-	minRec := 8 + 8*dims + 4
-	if int(nrecs) > (len(d.data)-d.off)/minRec {
-		return nil, fmt.Errorf("rplustree: snapshot leaf claims %d records, only %d bytes left", nrecs, len(d.data)-d.off)
-	}
 	n := &node{region: region, mbr: attr.NewBox(dims)}
 	n.recs = make([]attr.Record, 0, nrecs)
-	for i := 0; i < int(nrecs); i++ {
-		id, err := d.u64()
+	qis := make([]float64, nrecs*dims)
+	for i := 0; i < nrecs; i++ {
+		rec, err := d.Record(qis[i*dims:(i+1)*dims:(i+1)*dims], 0)
 		if err != nil {
 			return nil, err
 		}
-		qi := make([]float64, dims)
-		for j := range qi {
-			bits, err := d.u64()
-			if err != nil {
-				return nil, err
-			}
-			qi[j] = math.Float64frombits(bits)
-			if math.IsNaN(qi[j]) {
-				return nil, fmt.Errorf("rplustree: snapshot record %d has NaN coordinate", int64(id))
+		for _, v := range rec.QI {
+			if math.IsNaN(v) {
+				return nil, fmt.Errorf("rplustree: snapshot record %d has NaN coordinate", rec.ID)
 			}
 		}
-		slen, err := d.u32()
-		if err != nil {
-			return nil, err
+		if !regionContains(region, rec.QI) {
+			return nil, fmt.Errorf("rplustree: snapshot record %d at %v outside its leaf region", rec.ID, rec.QI)
 		}
-		sens, err := d.bytes(int(slen))
-		if err != nil {
-			return nil, err
-		}
-		if !regionContains(region, qi) {
-			return nil, fmt.Errorf("rplustree: snapshot record %d at %v outside its leaf region", int64(id), qi)
-		}
-		n.recs = append(n.recs, attr.Record{ID: int64(id), QI: qi, Sensitive: string(sens)})
-		n.mbr.Include(qi)
+		n.recs = append(n.recs, rec)
+		n.mbr.Include(rec.QI)
 	}
 	n.count = len(n.recs)
 	return n, nil
@@ -459,30 +396,36 @@ func (d *snapDecoder) leaf(cfg Config, region attr.Box) (*node, error) {
 // ref decodes one leaf reference (appendRef's output).
 func (d *snapDecoder) ref() (LeafRef, error) {
 	var r LeafRef
-	var err error
-	if r.Off, err = d.u32(); err != nil {
-		return r, err
-	}
-	if r.Len, err = d.u32(); err != nil {
-		return r, err
-	}
-	if r.CRC, err = d.u32(); err != nil {
-		return r, err
-	}
-	npages, err := d.u32()
+	off, err := d.Uvarint()
 	if err != nil {
 		return r, err
 	}
-	if npages == 0 || int(npages) > (len(d.data)-d.off)/8 {
-		return r, fmt.Errorf("rplustree: leaf reference claims %d pages, only %d bytes left", npages, len(d.data)-d.off)
+	length, err := d.Uvarint()
+	if err != nil {
+		return r, err
+	}
+	if off > math.MaxUint32 || length > math.MaxUint32 {
+		return r, fmt.Errorf("rplustree: leaf reference to %d bytes at offset %d exceeds 32 bits", length, off)
+	}
+	r.Off, r.Len = uint32(off), uint32(length)
+	if r.CRC, err = d.U32(); err != nil {
+		return r, err
+	}
+	npages, err := d.Count(1)
+	if err != nil {
+		return r, err
+	}
+	if npages == 0 {
+		return r, fmt.Errorf("rplustree: leaf reference names no page")
 	}
 	r.Pages = make([]pager.PageID, npages)
 	for i := range r.Pages {
-		id, err := d.u64()
+		delta, err := d.Varint()
 		if err != nil {
 			return r, err
 		}
-		r.Pages[i] = pager.PageID(id)
+		d.prevPage += pager.PageID(delta)
+		r.Pages[i] = d.prevPage
 	}
 	return r, nil
 }
@@ -496,7 +439,7 @@ func (d *snapDecoder) trie(cfg Config, parent *node, region attr.Box, depth, gua
 	if guard > snapMaxDepth {
 		return nil, fmt.Errorf("rplustree: snapshot nests deeper than %d", snapMaxDepth)
 	}
-	tag, err := d.u8()
+	tag, err := d.Byte()
 	if err != nil {
 		return nil, err
 	}
@@ -512,18 +455,18 @@ func (d *snapDecoder) trie(cfg Config, parent *node, region attr.Box, depth, gua
 		parent.mbr.IncludeBox(child.mbr)
 		return &splitTrie{child: child}, nil
 	case 1: // trie split
-		axis, err := d.u32()
+		axis, err := d.Uvarint()
 		if err != nil {
 			return nil, err
 		}
-		if int(axis) >= cfg.Schema.Dims() {
+		if axis >= uint64(cfg.Schema.Dims()) {
 			return nil, fmt.Errorf("rplustree: snapshot split axis %d, schema has %d dimensions", axis, cfg.Schema.Dims())
 		}
-		bits, err := d.u64()
-		if err != nil {
+		var plane [1]float64
+		if err := d.Row(plane[:]); err != nil {
 			return nil, err
 		}
-		value := math.Float64frombits(bits)
+		value := plane[0]
 		iv := region[axis]
 		if math.IsNaN(value) || value <= iv.Lo || value >= iv.Hi {
 			return nil, fmt.Errorf("rplustree: snapshot split at %v outside region axis %d %v", value, axis, iv)

@@ -169,8 +169,11 @@ type node struct {
 	trie     *splitTrie
 
 	// buffer is the buffer-tree record buffer (Section 2.1); nil unless
-	// a BulkLoader is driving this tree.
-	buffer *nodeBuffer
+	// a BulkLoader is driving this tree. pending counts the records
+	// blocked in the buffers of this node's whole subtree, so a flush
+	// descends only where there is something to push down.
+	buffer  *nodeBuffer
+	pending int
 }
 
 func (n *node) isLeaf() bool { return n.children == nil && n.trie == nil }
@@ -333,6 +336,7 @@ func (t *Tree) replaceWithPair(old, left, right *node, axis int, value float64) 
 			region:   old.region,
 			mbr:      old.mbr.Clone(),
 			count:    old.count,
+			pending:  old.pending,
 			children: []*node{left, right},
 			trie: &splitTrie{
 				axis: axis, value: value,
@@ -428,6 +432,7 @@ func (t *Tree) splitInternal(n *node) error {
 		side.children = append(side.children, c)
 		side.mbr.IncludeBox(c.mbr)
 		side.count += c.count
+		side.pending += c.pending
 		c.parent = side
 	}
 	// A trie subtree that is itself a leaf means that half has exactly

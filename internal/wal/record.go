@@ -18,11 +18,11 @@
 // pager's page seals. A frame is committed iff it is entirely on disk
 // with a matching checksum; the first frame that fails either test
 // ends the committed prefix (a torn tail is "not yet committed",
-// never corruption). The payload is a type byte followed by a
-// fixed-width little-endian body, per the repository's binary codec
-// conventions (internal/dataset). Three frame types exist: the two
-// checkpoint records and TypeBatch, the one mutation frame — a single
-// insert, delete or update is logged as a batch of one.
+// never corruption). The payload is a type byte, a sequence number and
+// a body; record values go through the repository's one row codec
+// (internal/attr, row.go). Three frame types exist: the two checkpoint
+// records and TypeBatch, the one mutation frame — a single insert,
+// delete or update is logged as a batch of one.
 //
 // Every log file begins with a CheckpointEnd record: the manifest of
 // the checkpoint it extends — which pager pages hold the checkpoint's
@@ -38,7 +38,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 
 	"spatialanon/internal/attr"
 	"spatialanon/internal/pager"
@@ -67,7 +66,10 @@ const (
 	// operations in ONE frame, so the frame checksum makes the whole
 	// batch all-or-nothing. The scanner drops a torn frame entirely,
 	// which is what guarantees recovery never applies a batch prefix.
-	TypeBatch Type = 6
+	// Its number is the batch format's version: 6 was the fixed-width
+	// float64 encoding, refused by Decode with a version error.
+	TypeBatch   Type = 7
+	typeBatchV1 Type = 6
 )
 
 // isOp reports whether t tags an operation inside a batch frame.
@@ -143,13 +145,20 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // and in the checkpoint's directory and leaf seals.
 func Checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
-// maxVec bounds decoded vector lengths (QI dimensions, sensitive
-// strings, manifest page lists): a record claiming more elements than
-// its payload could physically hold is corrupt, and the bound keeps
-// the decoder from allocating attacker-chosen amounts.
+// maxVec bounds decoded counts (operations, dimensions, manifest pages)
+// on top of the remaining-bytes check every count gets: a frame claiming
+// more elements than its payload could physically hold is corrupt, and
+// the bounds keep the decoder from allocating attacker-chosen amounts.
 const maxVec = 1 << 20
 
-// Encode serializes the record to a frame payload (type byte + body).
+// Encode serializes the record to a frame payload: the type byte, the
+// sequence number, then the body. A batch body is the dimensionality
+// and the operation count (varints) and, per operation, its tag byte
+// and its rows in the shared row codec (attr/row.go): an insert is a
+// record; a delete an ID and the old row; an update an ID, the old row
+// and the new record with its ID written relative to the first — one
+// byte when they agree. Every row of a frame has the frame's
+// dimensionality.
 func Encode(r Record) ([]byte, error) {
 	b := []byte{byte(r.Type)}
 	b = binary.LittleEndian.AppendUint64(b, r.Seq)
@@ -160,18 +169,29 @@ func Encode(r Record) ([]byte, error) {
 		if len(r.Batch) == 0 {
 			return nil, fmt.Errorf("wal: empty batch record")
 		}
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(r.Batch)))
-		for _, op := range r.Batch {
+		dims := len(r.Batch[0].OldQI)
+		if r.Batch[0].Type == TypeInsert {
+			dims = len(r.Batch[0].Rec.QI)
+		}
+		b = binary.AppendUvarint(b, uint64(dims))
+		b = binary.AppendUvarint(b, uint64(len(r.Batch)))
+		for i, op := range r.Batch {
 			if !op.Type.isOp() {
 				return nil, fmt.Errorf("wal: batch op of type %v", op.Type)
 			}
+			if (op.Type != TypeInsert && len(op.OldQI) != dims) || (op.Type != TypeDelete && len(op.Rec.QI) != dims) {
+				return nil, fmt.Errorf("wal: batch op %d does not have the frame's %d attributes", i, dims)
+			}
 			b = append(b, byte(op.Type))
 			if op.Type != TypeInsert {
-				b = binary.LittleEndian.AppendUint64(b, uint64(op.ID))
-				b = appendVec(b, op.OldQI)
+				b = binary.AppendVarint(b, op.ID)
+				b = attr.AppendRow(b, op.OldQI)
 			}
-			if op.Type != TypeDelete {
-				b = appendRecord(b, op.Rec)
+			switch op.Type {
+			case TypeInsert:
+				b = attr.AppendRecord(b, op.Rec, 0)
+			case TypeUpdate:
+				b = attr.AppendRecord(b, op.Rec, op.ID)
 			}
 		}
 		return b, nil
@@ -193,148 +213,71 @@ func Encode(r Record) ([]byte, error) {
 	}
 }
 
-func appendVec(b []byte, v []float64) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(v)))
-	for _, x := range v {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-	}
-	return b
-}
-
-func appendRecord(b []byte, r attr.Record) []byte {
-	b = binary.LittleEndian.AppendUint64(b, uint64(r.ID))
-	b = appendVec(b, r.QI)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(r.Sensitive)))
-	return append(b, r.Sensitive...)
-}
-
 // Decode parses a frame payload. Arbitrary input yields an error,
-// never a panic — the fuzz target in this package holds it to that.
+// never a panic — the fuzz target in this package holds it to that —
+// and only the canonical encoding is accepted: what decodes re-encodes
+// to the same bytes.
 func Decode(payload []byte) (Record, error) {
-	d := recDecoder{data: payload}
-	tag, err := d.u8()
+	d := attr.NewReader(payload)
+	tag, err := d.Byte()
 	if err != nil {
 		return Record{}, err
 	}
 	r := Record{Type: Type(tag)}
-	if r.Seq, err = d.u64(); err != nil {
+	if r.Seq, err = d.U64(); err != nil {
 		return Record{}, err
 	}
 	switch r.Type {
 	case TypeCheckpointBegin:
 		// No body.
 	case TypeBatch:
-		n, err := d.u32()
-		if err != nil {
+		if r.Batch, err = decodeBatch(d); err != nil {
 			return Record{}, err
-		}
-		// Each op costs at least one tag byte, bounding the count by the
-		// remaining payload like every other decoded vector.
-		if n == 0 || int(n) > maxVec || int(n) > d.remaining() {
-			return Record{}, fmt.Errorf("wal: batch claims %d ops, %d bytes left", n, d.remaining())
-		}
-		r.Batch = make([]Op, n)
-		for i := range r.Batch {
-			if r.Batch[i], err = d.op(); err != nil {
-				return Record{}, fmt.Errorf("wal: batch op %d: %w", i, err)
-			}
 		}
 	case TypeCheckpointEnd:
-		m := &Manifest{}
-		if m.Seq, err = d.u64(); err != nil {
+		if r.Manifest, err = decodeManifest(d); err != nil {
 			return Record{}, err
 		}
-		if m.DirLen, err = d.u32(); err != nil {
-			return Record{}, err
-		}
-		if m.DirCRC, err = d.u32(); err != nil {
-			return Record{}, err
-		}
-		n, err := d.u32()
-		if err != nil {
-			return Record{}, err
-		}
-		if int(n) > maxVec || int(n)*8 > d.remaining() {
-			return Record{}, fmt.Errorf("wal: manifest claims %d pages, %d bytes left", n, d.remaining())
-		}
-		m.DirPages = make([]pager.PageID, n)
-		for i := range m.DirPages {
-			id, err := d.u64()
-			if err != nil {
-				return Record{}, err
-			}
-			m.DirPages[i] = pager.PageID(id)
-		}
-		r.Manifest = m
 	case TypeInsert, TypeDelete, TypeUpdate:
 		return Record{}, fmt.Errorf("wal: %v is an op tag, not a frame type; mutations are logged as batch frames", r.Type)
+	case typeBatchV1:
+		return Record{}, fmt.Errorf("wal: batch frame in retired format version 1 (frame type %d); this build reads version 2 (frame type %d)", typeBatchV1, TypeBatch)
 	default:
 		return Record{}, fmt.Errorf("wal: unknown record type %d", tag)
 	}
-	if d.off != len(d.data) {
-		return Record{}, fmt.Errorf("wal: record has %d trailing bytes", len(d.data)-d.off)
+	if d.Remaining() != 0 {
+		return Record{}, fmt.Errorf("wal: record has %d trailing bytes", d.Remaining())
 	}
 	return r, nil
 }
 
-// recDecoder reads a record payload with bounds checks.
-type recDecoder struct {
-	data []byte
-	off  int
-}
-
-func (d *recDecoder) remaining() int { return len(d.data) - d.off }
-
-func (d *recDecoder) u8() (byte, error) {
-	if d.off+1 > len(d.data) {
-		return 0, fmt.Errorf("wal: record truncated at byte %d", d.off)
-	}
-	v := d.data[d.off]
-	d.off++
-	return v, nil
-}
-
-func (d *recDecoder) u32() (uint32, error) {
-	if d.off+4 > len(d.data) {
-		return 0, fmt.Errorf("wal: record truncated at byte %d", d.off)
-	}
-	v := binary.LittleEndian.Uint32(d.data[d.off:])
-	d.off += 4
-	return v, nil
-}
-
-func (d *recDecoder) u64() (uint64, error) {
-	if d.off+8 > len(d.data) {
-		return 0, fmt.Errorf("wal: record truncated at byte %d", d.off)
-	}
-	v := binary.LittleEndian.Uint64(d.data[d.off:])
-	d.off += 8
-	return v, nil
-}
-
-func (d *recDecoder) vec() ([]float64, error) {
-	n, err := d.u32()
+func decodeBatch(d *attr.Reader) ([]Op, error) {
+	// Every op holds at least one row of the frame's dimensionality, and
+	// costs at least its tag, an ID, that row's layout byte and columns.
+	dims, err := d.Count(4)
 	if err != nil {
 		return nil, err
 	}
-	if int(n) > maxVec || int(n)*8 > d.remaining() {
-		return nil, fmt.Errorf("wal: vector claims %d values, %d bytes left", n, d.remaining())
+	n, err := d.Count(3 + 4*dims)
+	if err != nil {
+		return nil, err
 	}
-	v := make([]float64, n)
-	for i := range v {
-		bits, err := d.u64()
-		if err != nil {
-			return nil, err
+	if n == 0 || n > maxVec || dims > maxVec {
+		return nil, fmt.Errorf("wal: batch claims %d ops of %d attributes", n, dims)
+	}
+	ops := make([]Op, n)
+	for i := range ops {
+		if ops[i], err = decodeOp(d, dims); err != nil {
+			return nil, fmt.Errorf("wal: batch op %d: %w", i, err)
 		}
-		v[i] = math.Float64frombits(bits)
 	}
-	return v, nil
+	return ops, nil
 }
 
-// op reads one tagged batch operation: deletes and updates carry the
-// target's ID and old QI, inserts and updates the new record.
-func (d *recDecoder) op() (Op, error) {
-	tag, err := d.u8()
+// decodeOp reads one tagged batch operation: deletes and updates carry
+// the target's ID and old row, inserts and updates the new record.
+func decodeOp(d *attr.Reader, dims int) (Op, error) {
+	tag, err := d.Byte()
 	if err != nil {
 		return Op{}, err
 	}
@@ -343,40 +286,48 @@ func (d *recDecoder) op() (Op, error) {
 		return Op{}, fmt.Errorf("wal: op has type %d", tag)
 	}
 	if op.Type != TypeInsert {
-		id, err := d.u64()
-		if err != nil {
+		if op.ID, err = d.Varint(); err != nil {
 			return Op{}, err
 		}
-		op.ID = int64(id)
-		if op.OldQI, err = d.vec(); err != nil {
+		op.OldQI = make([]float64, dims)
+		if err := d.Row(op.OldQI); err != nil {
 			return Op{}, err
 		}
 	}
 	if op.Type != TypeDelete {
-		if op.Rec, err = d.record(); err != nil {
+		if op.Rec, err = d.Record(make([]float64, dims), op.ID); err != nil {
 			return Op{}, err
 		}
 	}
 	return op, nil
 }
 
-func (d *recDecoder) record() (attr.Record, error) {
-	id, err := d.u64()
+func decodeManifest(d *attr.Reader) (*Manifest, error) {
+	m := &Manifest{}
+	var err error
+	if m.Seq, err = d.U64(); err != nil {
+		return nil, err
+	}
+	if m.DirLen, err = d.U32(); err != nil {
+		return nil, err
+	}
+	if m.DirCRC, err = d.U32(); err != nil {
+		return nil, err
+	}
+	n, err := d.U32()
 	if err != nil {
-		return attr.Record{}, err
+		return nil, err
 	}
-	qi, err := d.vec()
-	if err != nil {
-		return attr.Record{}, err
+	if int(n) > maxVec || int(n)*8 > d.Remaining() {
+		return nil, fmt.Errorf("wal: manifest claims %d pages, %d bytes left", n, d.Remaining())
 	}
-	slen, err := d.u32()
-	if err != nil {
-		return attr.Record{}, err
+	m.DirPages = make([]pager.PageID, n)
+	for i := range m.DirPages {
+		id, err := d.U64()
+		if err != nil {
+			return nil, err
+		}
+		m.DirPages[i] = pager.PageID(id)
 	}
-	if int(slen) > maxVec || int(slen) > d.remaining() {
-		return attr.Record{}, fmt.Errorf("wal: sensitive value claims %d bytes, %d left", slen, d.remaining())
-	}
-	sens := d.data[d.off : d.off+int(slen)]
-	d.off += int(slen)
-	return attr.Record{ID: int64(id), QI: qi, Sensitive: string(sens)}, nil
+	return m, nil
 }

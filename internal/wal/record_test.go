@@ -2,6 +2,7 @@ package wal
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"spatialanon/internal/attr"
@@ -67,7 +68,8 @@ func TestEncodeRejectsBadRecords(t *testing.T) {
 }
 
 // singleOpFrame hand-assembles the retired frame-level encoding of one
-// op: [tag][seq][op body], i.e. a one-op batch minus count and op tag.
+// op: [tag][seq][op body], i.e. a one-op batch minus dimensionality,
+// count (one varint byte each) and op tag.
 func singleOpFrame(t *testing.T, op Op) []byte {
 	t.Helper()
 	batch, err := Encode(Record{Type: TypeBatch, Seq: 3, Batch: []Op{op}})
@@ -75,7 +77,7 @@ func singleOpFrame(t *testing.T, op Op) []byte {
 		t.Fatal(err)
 	}
 	frame := append([]byte{byte(op.Type)}, batch[1:9]...)
-	return append(frame, batch[9+4+1:]...)
+	return append(frame, batch[9+1+1+1:]...)
 }
 
 // TestDecodeRejectsFrameLevelOps: insert/delete/update are op tags
@@ -99,7 +101,7 @@ func TestDecodeRejectsFrameLevelOps(t *testing.T) {
 
 func TestDecodeRejectsDamage(t *testing.T) {
 	payload, err := Encode(Record{Type: TypeBatch, Seq: 3, Batch: []Op{{Type: TypeUpdate, ID: 5,
-		OldQI: []float64{1, 2}, Rec: attr.Record{ID: 5, QI: []float64{3, 4}, Sensitive: "x"}}}})
+		OldQI: []float64{1, 2}, Rec: attr.Record{ID: 5, QI: []float64{3, 4.5}, Sensitive: "x"}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,13 +116,102 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	if _, err := Decode([]byte{99, 0, 0, 0, 0, 0, 0, 0, 0}); err == nil {
 		t.Error("unknown type byte accepted")
 	}
-	// A vector length no payload could hold is rejected before
-	// allocation.
-	huge, _ := Encode(Record{Type: TypeBatch, Seq: 1, Batch: []Op{{Type: TypeDelete, ID: 1}}})
-	huge[len(huge)-4] = 0xFF
-	huge[len(huge)-3] = 0xFF
-	if _, err := Decode(huge); err == nil {
-		t.Error("oversized vector length accepted")
+	// The frame is [type][seq ×8][dims][count][tag][id][old row: layout,
+	// 2×4][id delta][new row: layout, 2×8][sensitive length]["x"]: a
+	// dimensionality, an op count or a sensitive length no payload could
+	// hold is rejected before allocation, as is each non-canonical form.
+	const dimsAt, countAt, oldRowAt, newRowAt = 9, 10, 13, 23
+	slenAt := len(payload) - 2
+	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
+	splice := func(at int, with ...byte) []byte {
+		out := append([]byte(nil), payload[:at]...)
+		return append(append(out, with...), payload[at+1:]...)
+	}
+	if payload[dimsAt] != 2 || payload[countAt] != 1 || payload[oldRowAt] != 0 || payload[newRowAt] != 1 || payload[slenAt] != 1 {
+		t.Fatalf("frame layout moved: % x", payload)
+	}
+	for name, damaged := range map[string][]byte{
+		"oversized dimensionality":   splice(dimsAt, huge...),
+		"oversized op count":         splice(countAt, huge...),
+		"zero op count":              splice(countAt, 0),
+		"oversized sensitive length": splice(slenAt, huge...),
+		"over-long dimensionality":   splice(dimsAt, 0x82, 0x00),
+		"unknown row layout":         splice(oldRowAt, 2),
+		"fixed row read as raw":      splice(oldRowAt, 1),
+		"op tag that is not an op":   splice(countAt+1, byte(TypeBatch)),
+	} {
+		if _, err := Decode(damaged); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	// An integral row spelled in the raw layout is a second encoding of
+	// the same frame: refused, so what decodes re-encodes identically.
+	raw, err := Encode(Record{Type: TypeBatch, Seq: 1, Batch: []Op{{Type: TypeDelete, ID: 1, OldQI: []float64{0.5}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(raw); err != nil {
+		t.Fatalf("raw row of a fraction refused: %v", err)
+	}
+	copy(raw[len(raw)-8:], []byte{0, 0, 0, 0, 0, 0, 0x1C, 0x40}) // 7.0
+	if _, err := Decode(raw); err == nil {
+		t.Error("integral row in the raw layout accepted")
+	}
+}
+
+// TestEncodeRejectsMixedDimensions: a frame carries its dimensionality
+// once, so every row in it must have it.
+func TestEncodeRejectsMixedDimensions(t *testing.T) {
+	rec := attr.Record{ID: 1, QI: []float64{1, 2}}
+	for name, batch := range map[string][]Op{
+		"insert after insert": {{Type: TypeInsert, Rec: rec}, {Type: TypeInsert, Rec: attr.Record{ID: 2, QI: []float64{1}}}},
+		"delete after insert": {{Type: TypeInsert, Rec: rec}, {Type: TypeDelete, ID: 1, OldQI: []float64{1, 2, 3}}},
+		"update old vs new":   {{Type: TypeUpdate, ID: 1, OldQI: []float64{1}, Rec: rec}},
+	} {
+		if _, err := Encode(Record{Type: TypeBatch, Seq: 1, Batch: batch}); err == nil {
+			t.Errorf("%s with another dimensionality accepted", name)
+		}
+	}
+}
+
+// TestFrameSizes pins the bytes an operation costs in the log, so a
+// format regression fails here and not in a benchmark: for the paper's
+// record — eight integral attributes, 32 bytes — a frame payload is 11
+// bytes of header (type, sequence number, dimensionality, op count) and
+// then tag + ID + 33 bytes per row (+ 1 for the sensitive length where
+// there is a record). The float64 format spent 94, 90 and 170 bytes.
+func TestFrameSizes(t *testing.T) {
+	qi := []float64{53706, 1999, 1, 217, 49, 2, 31, 0}
+	moved := []float64{53707, 1999, 1, 217, 49, 2, 31, 0}
+	const id = 1000 // a two-byte varint
+	for _, c := range []struct {
+		name string
+		op   Op
+		want int
+	}{
+		{"insert", Op{Type: TypeInsert, Rec: attr.Record{ID: id, QI: qi}}, 11 + 1 + 2 + 33 + 1},
+		{"delete", Op{Type: TypeDelete, ID: id, OldQI: qi}, 11 + 1 + 2 + 33},
+		{"update", Op{Type: TypeUpdate, ID: id, OldQI: qi, Rec: attr.Record{ID: id, QI: moved}}, 11 + 1 + 2 + 33 + 1 + 33 + 1},
+		{"fractional insert", Op{Type: TypeInsert, Rec: attr.Record{ID: id, QI: append([]float64{0.5}, qi[1:]...)}}, 11 + 1 + 2 + 65 + 1},
+	} {
+		payload, err := Encode(Record{Type: TypeBatch, Seq: 1 << 40, Batch: []Op{c.op}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(payload) != c.want {
+			t.Errorf("%s: frame payload of %d bytes, want %d", c.name, len(payload), c.want)
+		}
+	}
+}
+
+// TestDecodeRefusesRetiredBatchFormat: the fixed-width float64 batch
+// frame (type 6) is refused by version, not mis-decoded.
+func TestDecodeRefusesRetiredBatchFormat(t *testing.T) {
+	old := []byte{6, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0} // [type][seq][count u32] …
+	old = append(old, byte(TypeDelete), 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	_, err := Decode(old)
+	if err == nil || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("retired batch frame: %v, want a version error", err)
 	}
 }
 
