@@ -2,12 +2,23 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-json chaos chaos-serve chaos-shard crash throughput zeroalloc fuzz bench cover experiments examples clean
+.PHONY: all build loc test vet lint lint-json chaos chaos-serve chaos-shard crash throughput zeroalloc fuzz bench cover experiments examples clean
 
 all: vet test
 
 build:
 	$(GO) build ./...
+
+# Non-test Go lines per top-level package (cmd/x, examples/x,
+# internal/x) and the total outside bench/ and testdata/ — the number
+# the ROADMAP's size target is stated in. The total is exactly
+# `find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l`.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' \
+		| xargs wc -l | grep -v ' total$$' \
+		| awk '{ n = split($$2, d, "/"); pkg = n > 3 ? d[2] "/" d[3] : "(root)"; lines[pkg] += $$1; total += $$1 } \
+			END { for (p in lines) printf "%7d %s\n", lines[p], p; printf "%7d total\n", total }' \
+		| sort -k2
 
 # `make vet` is the whole static gate: the stock go vet suite plus
 # anonylint, the project's multichecker (internal/lint) — pager

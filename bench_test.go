@@ -217,7 +217,7 @@ func BenchmarkFig9Compaction(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := compact.Partitions(ps)
+		out := compact.Partitions(ps, 1)
 		if len(out) != len(ps) {
 			b.Fatal("partition count changed")
 		}
@@ -265,14 +265,14 @@ func BenchmarkFig10Quality(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			return compact.Partitions(ps)
+			return compact.Partitions(ps, 1)
 		}},
 	}
 	for _, sys := range systems {
 		b.Run(sys.name, func(b *testing.B) {
 			var rep quality.Report
 			for i := 0; i < b.N; i++ {
-				rep = quality.Measure(schema, sys.run(), domain)
+				rep = quality.Measure(schema, sys.run(), domain, 1)
 			}
 			b.ReportMetric(rep.Discernibility, "DM")
 			b.ReportMetric(rep.Certainty, "CM")
@@ -317,7 +317,7 @@ func BenchmarkFig12aQueryError(b *testing.B) {
 	b.ResetTimer()
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		results, err := query.Evaluate(ps, recs, queries)
+		results, err := query.Evaluate(ps, recs, queries, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -358,7 +358,7 @@ func BenchmarkFig12cBiasedSplit(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		results, err := query.Evaluate(ps, recs, queries)
+		results, err := query.Evaluate(ps, recs, queries, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -540,7 +540,7 @@ func BenchmarkAblationQuerySemantics(b *testing.B) {
 	b.Run("intersection-count", func(b *testing.B) {
 		var mean float64
 		for i := 0; i < b.N; i++ {
-			results, err := query.Evaluate(ps, recs, queries)
+			results, err := query.Evaluate(ps, recs, queries, 1)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -31,6 +31,7 @@ import (
 	"spatialanon/internal/quality"
 	"spatialanon/internal/rplustree"
 	"spatialanon/internal/sfc"
+	"spatialanon/internal/verify"
 )
 
 func main() {
@@ -122,29 +123,42 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("internal error — output violates %v: %w", constraint, err)
 	}
 
-	out := stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := core.WriteCSV(out, schema, ps); err != nil {
+	return writeRelease(anonymizer.Name(), constraint, schema, ps, recs, *outPath, *quiet, *workers, stdout, stderr)
+}
+
+// writeRelease writes one release as CSV — to outPath, or stdout when
+// it is empty — and, unless quiet, reports its quality over recs.
+func writeRelease(name string, constraint anonmodel.Constraint, schema *attr.Schema, ps []anonmodel.Partition, recs []attr.Record, outPath string, quiet bool, workers int, stdout, stderr io.Writer) error {
+	if err := writeCSV(outPath, stdout, schema, ps); err != nil {
 		return err
 	}
-
-	if !*quiet {
+	if !quiet {
 		domain := attr.DomainOf(schema.Dims(), recs)
-		rep := quality.Measure(schema, ps, domain)
+		rep := quality.Measure(schema, ps, domain, workers)
 		fmt.Fprintf(stderr, "%s: %d records -> %d partitions under %v\n",
-			anonymizer.Name(), len(recs), rep.Partitions, constraint)
+			name, len(recs), rep.Partitions, constraint)
 		fmt.Fprintf(stderr, "discernibility %.0f  certainty %.2f  KL %.4f  (GCP %.4f)\n",
 			rep.Discernibility, rep.Certainty, rep.KLDivergence,
 			quality.GlobalCertainty(schema, ps, domain))
 	}
 	return nil
+}
+
+// writeCSV writes ps as CSV to the file at path, or to stdout when path
+// is empty.
+func writeCSV(path string, stdout io.Writer, schema *attr.Schema, ps []anonmodel.Partition) error {
+	if path == "" {
+		return core.WriteCSV(stdout, schema, ps)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := core.WriteCSV(f, schema, ps); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // algoNames are the accepted -algo values, checked before any data is
@@ -237,15 +251,7 @@ func multiGranular(rt *core.RTreeAnonymizer, schema *attr.Schema, recs []attr.Re
 	for i, rel := range releases {
 		sets[i] = rel.Partitions
 		path := fmt.Sprintf("%s.k%d.csv", strings.TrimSuffix(outPath, ".csv"), rel.Granularity)
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := core.WriteCSV(f, schema, rel.Partitions); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeCSV(path, nil, schema, rel.Partitions); err != nil {
 			return err
 		}
 		if !quiet {
@@ -253,7 +259,7 @@ func multiGranular(rt *core.RTreeAnonymizer, schema *attr.Schema, recs []attr.Re
 		}
 	}
 	base := rt.Constraint().MinSize()
-	if err := core.VerifyCollusionSafety(sets, base); err != nil {
+	if err := verify.Releases(sets, base); err != nil {
 		return fmt.Errorf("release set failed the collusion check: %w", err)
 	}
 	if !quiet {

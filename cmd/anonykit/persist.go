@@ -4,12 +4,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
-	"spatialanon/internal/core"
-	"spatialanon/internal/quality"
 	"spatialanon/internal/rplustree"
 	"spatialanon/internal/wal"
 )
@@ -110,42 +107,20 @@ func runReopen(args []string, stdout, stderr io.Writer) error {
 	return emitRelease(st, schema, *outPath, *quiet, stdout, stderr)
 }
 
-// emitRelease writes the store's base release as CSV and reports its
+// emitRelease writes the store's base release — proven by the store's
+// release family before it is handed out — as CSV and reports its
 // quality.
 func emitRelease(st *wal.Store, schema *attr.Schema, outPath string, quiet bool, stdout, stderr io.Writer) error {
-	k := st.Tree().Config().BaseK
 	ps, err := st.Release(0)
 	if err != nil {
 		return err
 	}
-	constraint := anonmodel.KAnonymity{K: k}
-	if err := anonmodel.CheckAnonymity(ps, constraint); err != nil {
-		return fmt.Errorf("internal error — output violates %v: %w", constraint, err)
-	}
-	out := stdout
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := core.WriteCSV(out, schema, ps); err != nil {
-		return err
-	}
+	var recs []attr.Record // the quality report's domain; not needed when quiet
 	if !quiet {
-		var recs []attr.Record
 		for _, l := range st.Tree().Leaves() {
 			recs = append(recs, l.Records...)
 		}
-		domain := attr.DomainOf(schema.Dims(), recs)
-		rep := quality.Measure(schema, ps, domain)
-		fmt.Fprintf(stderr, "durable rtree: %d records -> %d partitions under %v\n",
-			len(recs), rep.Partitions, constraint)
-		fmt.Fprintf(stderr, "discernibility %.0f  certainty %.2f  KL %.4f  (GCP %.4f)\n",
-			rep.Discernibility, rep.Certainty, rep.KLDivergence,
-			quality.GlobalCertainty(schema, ps, domain))
 	}
-	return nil
+	constraint := anonmodel.KAnonymity{K: st.Tree().Config().BaseK}
+	return writeRelease("durable rtree", constraint, schema, ps, recs, outPath, quiet, 1, stdout, stderr)
 }

@@ -165,11 +165,11 @@ func TestParallelMondrianDeterministic(t *testing.T) {
 			return ps
 		}
 		ref := run(1)
-		refC := compact.PartitionsP(ref, 1)
+		refC := compact.Partitions(ref, 1)
 		for _, w := range detWorkerCounts[1:] {
 			got := run(w)
 			mustEqualPartitions(t, "mondrian", ref, got)
-			mustEqualPartitions(t, "mondrian+compact", refC, compact.PartitionsP(got, w))
+			mustEqualPartitions(t, "mondrian+compact", refC, compact.Partitions(got, w))
 		}
 	}
 }
@@ -414,8 +414,8 @@ func TestDegradedReadsDeterministic(t *testing.T) {
 }
 
 // TestParallelEvaluatorsDeterministic: the metric and query evaluators
-// must return the identical values for every worker count — MeasureP
-// by its fixed chunked reduction, EvaluateP because queries never
+// must return the identical values for every worker count — Measure
+// by its fixed chunked reduction, Evaluate because queries never
 // share accumulators.
 func TestParallelEvaluatorsDeterministic(t *testing.T) {
 	recs := detRecsCopy(t)
@@ -428,19 +428,19 @@ func TestParallelEvaluatorsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := query.FullRangeWorkload(recs, 100, benchSeed)
-	refRep := quality.MeasureP(schema, ps, domain, 1)
-	refRes, err := query.EvaluateP(ps, recs, queries, 1)
+	refRep := quality.Measure(schema, ps, domain, 1)
+	refRes, err := query.Evaluate(ps, recs, queries, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range detWorkerCounts[1:] {
-		rep := quality.MeasureP(schema, ps, domain, w)
+		rep := quality.Measure(schema, ps, domain, w)
 		// KL is excluded: its map-ordered inner sum varies run to run
 		// even serially; DM and CM must match bit for bit.
 		if rep.Partitions != refRep.Partitions || rep.Discernibility != refRep.Discernibility || rep.Certainty != refRep.Certainty {
-			t.Fatalf("workers=%d: MeasureP %+v, want %+v", w, rep, refRep)
+			t.Fatalf("workers=%d: Measure %+v, want %+v", w, rep, refRep)
 		}
-		res, err := query.EvaluateP(ps, recs, queries, w)
+		res, err := query.Evaluate(ps, recs, queries, w)
 		if err != nil {
 			t.Fatal(err)
 		}

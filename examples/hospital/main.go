@@ -19,6 +19,7 @@ import (
 	"spatialanon/internal/attr"
 	"spatialanon/internal/core"
 	"spatialanon/internal/dataset"
+	"spatialanon/internal/verify"
 )
 
 func main() {
@@ -67,7 +68,7 @@ func main() {
 	}
 
 	// Adversary check: correlate all three releases.
-	if err := core.VerifyCollusionSafety(sets, baseK); err != nil {
+	if err := verify.Releases(sets, baseK); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ncollusion check over all 3 releases: SAFE (every intersection cell >= %d patients)\n", baseK)
@@ -84,7 +85,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	err = core.VerifyCollusionSafety([][]anonmodel.Partition{sets[0], independent}, baseK)
+	err = verify.Releases([][]anonmodel.Partition{sets[0], independent}, baseK)
 	if err != nil {
 		fmt.Printf("independent re-anonymization at k=20: UNSAFE as expected\n  %v\n", err)
 	} else {

@@ -92,7 +92,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 			t.Fatalf("granularity %d: %v", rel.Granularity, err)
 		}
 	}
-	if err := core.VerifyCollusionSafety(sets, k); err != nil {
+	if err := verify.Releases(sets, k); err != nil {
 		t.Fatal(err)
 	}
 	if err := verify.Releases(sets, k); err != nil {
@@ -106,7 +106,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 		live = append(live, p.Records...)
 	}
 	queries := query.FullRangeWorkload(live, 150, 303)
-	rtRes, err := query.Evaluate(sets[0], live, queries)
+	rtRes, err := query.Evaluate(sets[0], live, queries, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mdRes, err := query.Evaluate(mdPs, live, queries)
+	mdRes, err := query.Evaluate(mdPs, live, queries, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestAlgorithmsAgreeOnFundamentals(t *testing.T) {
 		}
 		// Compaction is monotone for every algorithm's output.
 		cm := quality.Certainty(schema, ps, domain)
-		cmC := quality.Certainty(schema, compact.Partitions(ps), domain)
+		cmC := quality.Certainty(schema, compact.Partitions(ps, 1), domain)
 		if cmC > cm+1e-9 {
 			t.Fatalf("%s: compaction worsened CM %v -> %v", a.Name(), cm, cmC)
 		}

@@ -39,15 +39,11 @@ func Partition(p anonmodel.Partition) anonmodel.Partition {
 // record sets — and therefore the discernibility penalty, which depends
 // only on partition cardinalities — are unchanged; only the published
 // boxes shrink (Section 5.3 observes exactly this on Figure 10(a)).
-func Partitions(ps []anonmodel.Partition) []anonmodel.Partition {
-	return PartitionsP(ps, 1)
-}
-
-// PartitionsP is Partitions with a parallelism knob (0 = all cores,
-// 1 = serial). Each partition compacts independently — the pass reads
-// records and writes only its own output slot — so the work fans out
-// by index; the result is identical for every worker count.
-func PartitionsP(ps []anonmodel.Partition, workers int) []anonmodel.Partition {
+// Each partition compacts independently — the pass reads records and
+// writes only its own output slot — so the work fans out by index over
+// workers goroutines (0 = all cores, 1 = serial); the result is
+// identical for every worker count.
+func Partitions(ps []anonmodel.Partition, workers int) []anonmodel.Partition {
 	out := make([]anonmodel.Partition, len(ps))
 	par.Do(workers, len(ps), func(i int) {
 		out[i] = Partition(ps[i])

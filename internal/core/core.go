@@ -12,16 +12,15 @@
 //   - MondrianAnonymizer, SFCAnonymizer, GridAnonymizer — the baselines,
 //     behind the same Anonymizer interface, so the experiment harness
 //     and the CLI treat every algorithm uniformly.
-//   - LeafScan — the Figure 5 algorithm as a standalone function.
-//   - VerifyCollusionSafety — the Definition 2 / Lemma 1 k-bound check
-//     over a set of multi-granular releases.
+//   - Tiling.Scan — the Figure 5 leaf-scan algorithm over a release
+//     laid out as windows of shared record arrays (LeafScanP is the
+//     plain-partitions form).
 //   - Render / WriteCSV — materialization of an anonymized table, with
 //     hierarchy-aware categorical generalization ("*" at the root).
 package core
 
 import (
 	"fmt"
-	"sort"
 
 	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
@@ -46,23 +45,10 @@ type Anonymizer interface {
 	Name() string
 }
 
-// LeafScan is the multi-granular leaf-scan algorithm of Figure 5: scan
-// base partitions in index order, accumulating whole partitions until
-// the constraint is satisfied, then recompute the group's generalized
-// box as the union of its members' boxes. A final group that cannot
-// satisfy the constraint is absorbed into its predecessor (step LS4).
-//
-// Because output groups are unions of whole base partitions, every
-// record stays bound (Definition 2) to the ≥k records of its base
-// partition, which is what makes releases at several granularities
-// jointly safe (Lemma 1).
-func LeafScan(base []anonmodel.Partition, constraint anonmodel.Constraint) ([]anonmodel.Partition, error) {
-	return LeafScanP(base, constraint, 1)
-}
-
-// LeafScanP is LeafScan with a parallelism knob (0 = all cores, 1 =
-// serial): Tiling{Partitions: base}.Scan without the record arrays.
-// Output is identical for every worker count.
+// LeafScanP is the multi-granular leaf-scan algorithm of Figure 5 over
+// plain partitions — Tiling{Partitions: base}.Scan without the record
+// arrays — with workers goroutines (0 = all cores, 1 = serial; output
+// is identical for every count).
 func LeafScanP(base []anonmodel.Partition, constraint anonmodel.Constraint, workers int) ([]anonmodel.Partition, error) {
 	t, err := Tiling{Partitions: base}.Scan(constraint, workers)
 	return t.Partitions, err
@@ -108,14 +94,20 @@ func Concat(ts ...Tiling) Tiling {
 // arr < 0 marks a partition that is not a window of any known array.
 type window struct{ arr, off int }
 
-// Scan is the leaf scan of Figure 5 over t's partitions. The scan is a
-// sequential dependence chain — each group boundary depends on the
-// previous one — but for constraints that are functions of group size
-// alone (k-anonymity, conjunctions of k-anonymities) the boundaries
-// are planned from partition sizes in one cheap serial pass, after
-// which the groups' boxes are materialized concurrently and their
-// records are windows: of t's arrays where t is already tiled, else of
-// one fresh array the records are copied into once, in scan order.
+// Scan is the leaf scan of Figure 5 over t's partitions: scan them in
+// index order, accumulating whole partitions until the constraint is
+// satisfied, then recompute the group's generalized box as the union
+// of its members' boxes. A final group that cannot satisfy the
+// constraint is absorbed into its predecessor (step LS4).
+//
+// The scan is a sequential dependence chain — each group boundary
+// depends on the previous one — but for constraints that are functions
+// of group size alone (k-anonymity, conjunctions of k-anonymities) the
+// boundaries are planned from partition sizes in one cheap serial
+// pass, after which the groups' boxes are materialized concurrently
+// and their records are windows: of t's arrays where t is already
+// tiled, else of one fresh array the records are copied into once, in
+// scan order.
 // Output is identical to leafScanSerial for every worker count (0 =
 // all cores, 1 = serial); constraints that inspect record contents
 // (l-diversity, (α,k)) run that serial scan itself.
@@ -293,70 +285,6 @@ func leafScanSerial(base []anonmodel.Partition, constraint anonmodel.Constraint)
 	return out, nil
 }
 
-// VerifyCollusionSafety checks that a set of releases of the SAME table
-// jointly preserves k-anonymity: an adversary holding every release can
-// narrow a record's candidates only to the intersection of its
-// partitions across releases, so every such intersection cell must hold
-// at least k records. This is the operational form of Definition 2 /
-// Lemma 1: releases generated hierarchically or by leaf scan over one
-// index pass (each cell then contains a whole base partition), while
-// independently re-anonymized releases generally fail.
-func VerifyCollusionSafety(releases [][]anonmodel.Partition, k int) error {
-	if len(releases) == 0 {
-		return nil
-	}
-	// cell key: the tuple of partition indices a record occupies.
-	type cellKey string
-	assign := make(map[int64][]int) // record ID -> partition index per release
-	for ri, rel := range releases {
-		for pi, p := range rel {
-			for _, r := range p.Records {
-				ids, ok := assign[r.ID]
-				if !ok {
-					ids = make([]int, len(releases))
-					for i := range ids {
-						ids[i] = -1
-					}
-					assign[r.ID] = ids
-				}
-				if ids[ri] != -1 {
-					return fmt.Errorf("core: record %d appears in two partitions of release %d", r.ID, ri)
-				}
-				ids[ri] = pi
-			}
-		}
-	}
-	// Walk records in ID order so the error witness — which record or
-	// cell is reported first — is deterministic rather than whatever
-	// the map iteration happened to visit.
-	recIDs := make([]int64, 0, len(assign))
-	for id := range assign {
-		recIDs = append(recIDs, id)
-	}
-	sort.Slice(recIDs, func(a, b int) bool { return recIDs[a] < recIDs[b] })
-	cells := make(map[cellKey]int)
-	cellOrder := make([]cellKey, 0)
-	for _, id := range recIDs {
-		ids := assign[id]
-		for ri, pi := range ids {
-			if pi == -1 {
-				return fmt.Errorf("core: record %d missing from release %d", id, ri)
-			}
-		}
-		key := cellKey(fmt.Sprint(ids))
-		if _, seen := cells[key]; !seen {
-			cellOrder = append(cellOrder, key)
-		}
-		cells[key]++
-	}
-	for _, key := range cellOrder {
-		if n := cells[key]; n < k {
-			return fmt.Errorf("core: intersection cell %s holds %d records < k=%d — collusion breaks k-anonymity", key, n, k)
-		}
-	}
-	return nil
-}
-
 // Release is one anonymized table of a multi-granular set.
 type Release struct {
 	// Granularity is the anonymity parameter this release was derived
@@ -390,7 +318,7 @@ func (m *MondrianAnonymizer) Anonymize(recs []attr.Record) ([]anonmodel.Partitio
 		return nil, err
 	}
 	if m.Compact {
-		ps = compact.PartitionsP(ps, m.Parallelism)
+		ps = compact.Partitions(ps, m.Parallelism)
 	}
 	return ps, nil
 }
@@ -444,7 +372,7 @@ func (g *GridAnonymizer) Anonymize(recs []attr.Record) ([]anonmodel.Partition, e
 		return nil, err
 	}
 	if g.Compact {
-		ps = compact.PartitionsP(ps, g.Parallelism)
+		ps = compact.Partitions(ps, g.Parallelism)
 	}
 	return ps, nil
 }
@@ -506,7 +434,7 @@ func (b *BPTreeAnonymizer) Anonymize(recs []attr.Record) ([]anonmodel.Partition,
 		}
 		base[i] = anonmodel.Partition{Box: box, Records: group}
 	}
-	return LeafScan(base, b.Constraint)
+	return LeafScanP(base, b.Constraint, 1)
 }
 
 // Name implements Anonymizer.
@@ -551,7 +479,7 @@ func (q *QuadAnonymizer) Anonymize(recs []attr.Record) ([]anonmodel.Partition, e
 	for i, l := range leaves {
 		base[i] = anonmodel.Partition{Box: l.MBR.Clone(), Records: l.Records}
 	}
-	return LeafScan(base, q.Constraint)
+	return LeafScanP(base, q.Constraint, 1)
 }
 
 // Name implements Anonymizer.
@@ -561,13 +489,13 @@ func (q *QuadAnonymizer) Name() string { return "quadtree" }
 // before the first).
 func (q *QuadAnonymizer) Tree() *quadtree.Tree { return q.tree }
 
-// partitionsFromLeaves views index leaves as base partitions for a
-// scan. Leaf MBRs are tight, so these partitions are born compacted —
-// the index "maintains MBRs" (Section 2.3) and never needs the explicit
+// LeafPartitions views index leaves as base partitions for a scan.
+// Leaf MBRs are tight, so these partitions are born compacted — the
+// index "maintains MBRs" (Section 2.3) and never needs the explicit
 // compaction pass. Boxes and records alias the live leaves: this is
 // scan input, never a release (the scan builds its own boxes and
 // copies the records).
-func partitionsFromLeaves(leaves []rplustree.LeafView) []anonmodel.Partition {
+func LeafPartitions(leaves []rplustree.LeafView) []anonmodel.Partition {
 	out := make([]anonmodel.Partition, len(leaves))
 	for i, l := range leaves {
 		out[i] = anonmodel.Partition{Box: l.MBR, Records: l.Records}

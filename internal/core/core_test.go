@@ -24,7 +24,7 @@ func TestLeafScanBasics(t *testing.T) {
 			Records: recs,
 		})
 	}
-	out, err := LeafScan(base, anonmodel.KAnonymity{K: 5})
+	out, err := LeafScanP(base, anonmodel.KAnonymity{K: 5}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestLeafScanTailAbsorption(t *testing.T) {
 		}
 		base = append(base, anonmodel.Partition{Box: attr.PointBox([]float64{float64(i)}), Records: recs})
 	}
-	out, err := LeafScan(base, anonmodel.KAnonymity{K: 5})
+	out, err := LeafScanP(base, anonmodel.KAnonymity{K: 5}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,10 +58,10 @@ func TestLeafScanTailAbsorption(t *testing.T) {
 }
 
 func TestLeafScanErrors(t *testing.T) {
-	if _, err := LeafScan(nil, nil); err == nil {
+	if _, err := LeafScanP(nil, nil, 1); err == nil {
 		t.Fatal("nil constraint accepted")
 	}
-	out, err := LeafScan(nil, anonmodel.KAnonymity{K: 2})
+	out, err := LeafScanP(nil, anonmodel.KAnonymity{K: 2}, 1)
 	if err != nil || out != nil {
 		t.Fatalf("empty base: %v %v", out, err)
 	}
@@ -70,48 +70,8 @@ func TestLeafScanErrors(t *testing.T) {
 		Box:     attr.PointBox([]float64{1}),
 		Records: []attr.Record{{ID: 1, QI: []float64{1}}},
 	}}
-	if _, err := LeafScan(tiny, anonmodel.KAnonymity{K: 5}); err == nil {
+	if _, err := LeafScanP(tiny, anonmodel.KAnonymity{K: 5}, 1); err == nil {
 		t.Fatal("infeasible base accepted")
-	}
-}
-
-func TestVerifyCollusionSafety(t *testing.T) {
-	mk := func(groups ...[]int64) []anonmodel.Partition {
-		var ps []anonmodel.Partition
-		for _, g := range groups {
-			var recs []attr.Record
-			for _, id := range g {
-				recs = append(recs, attr.Record{ID: id, QI: []float64{float64(id)}})
-			}
-			ps = append(ps, anonmodel.Partition{Box: attr.Box{{Lo: 0, Hi: 100}}, Records: recs})
-		}
-		return ps
-	}
-	// Safe: coarse release groups whole fine partitions.
-	fine := mk([]int64{1, 2}, []int64{3, 4}, []int64{5, 6}, []int64{7, 8})
-	coarse := mk([]int64{1, 2, 3, 4}, []int64{5, 6, 7, 8})
-	if err := VerifyCollusionSafety([][]anonmodel.Partition{fine, coarse}, 2); err != nil {
-		t.Fatalf("safe releases rejected: %v", err)
-	}
-	// Unsafe: the second release cuts across the first's groups, so the
-	// intersection isolates single records.
-	crossed := mk([]int64{2, 3}, []int64{4, 5}, []int64{6, 7}, []int64{8, 1})
-	if err := VerifyCollusionSafety([][]anonmodel.Partition{fine, crossed}, 2); err == nil {
-		t.Fatal("crossing releases accepted")
-	}
-	// Degenerate inputs.
-	if err := VerifyCollusionSafety(nil, 5); err != nil {
-		t.Fatal("no releases must be trivially safe")
-	}
-	// A record missing from one release is an inconsistency.
-	short := mk([]int64{1, 2, 3, 4}, []int64{5, 6, 7})
-	if err := VerifyCollusionSafety([][]anonmodel.Partition{fine, short}, 2); err == nil {
-		t.Fatal("release missing a record accepted")
-	}
-	// A record duplicated within one release is an inconsistency.
-	dup := mk([]int64{1, 2, 3, 4}, []int64{4, 5, 6, 7, 8})
-	if err := VerifyCollusionSafety([][]anonmodel.Partition{dup}, 2); err == nil {
-		t.Fatal("duplicated record accepted")
 	}
 }
 
@@ -282,7 +242,7 @@ func TestQuickLeafScanProperties(t *testing.T) {
 			}
 			base = append(base, anonmodel.Partition{Box: box, Records: recs})
 		}
-		out, err := LeafScan(base, anonmodel.KAnonymity{K: k1})
+		out, err := LeafScanP(base, anonmodel.KAnonymity{K: k1}, 1)
 		if total < k1 {
 			// Infeasible input must error (or be empty input).
 			return err != nil || (total == 0 && out == nil)

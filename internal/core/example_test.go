@@ -8,6 +8,7 @@ import (
 	"spatialanon/internal/attr"
 	"spatialanon/internal/core"
 	"spatialanon/internal/dataset"
+	"spatialanon/internal/verify"
 )
 
 // The paper's Figure 1(a) patient table.
@@ -48,13 +49,13 @@ func ExampleRTreeAnonymizer() {
 
 // The leaf-scan algorithm (Figure 5) groups whole base partitions until
 // each group satisfies the requested granularity.
-func ExampleLeafScan() {
+func ExampleLeafScanP() {
 	base := []anonmodel.Partition{
 		{Box: attr.Box{{Lo: 20, Hi: 26}}, Records: make([]attr.Record, 2)},
 		{Box: attr.Box{{Lo: 32, Hi: 36}}, Records: make([]attr.Record, 2)},
 		{Box: attr.Box{{Lo: 48, Hi: 56}}, Records: make([]attr.Record, 2)},
 	}
-	groups, err := core.LeafScan(base, anonmodel.KAnonymity{K: 4})
+	groups, err := core.LeafScanP(base, anonmodel.KAnonymity{K: 4}, 1)
 	if err != nil {
 		panic(err)
 	}
@@ -66,9 +67,9 @@ func ExampleLeafScan() {
 }
 
 // Releases derived from one index are jointly collusion-safe: the
-// verifier checks that correlating them never isolates fewer than k
+// auditor checks that correlating them never isolates fewer than k
 // records.
-func ExampleVerifyCollusionSafety() {
+func ExampleRTreeAnonymizer_MultiGranular() {
 	rt, _ := core.NewRTreeAnonymizer(core.RTreeConfig{
 		Schema: dataset.PatientsSchema(),
 		BaseK:  5,
@@ -80,7 +81,7 @@ func ExampleVerifyCollusionSafety() {
 	if err != nil {
 		panic(err)
 	}
-	err = core.VerifyCollusionSafety(
+	err = verify.Releases(
 		[][]anonmodel.Partition{releases[0].Partitions, releases[1].Partitions}, 5)
 	fmt.Println("safe:", err == nil)
 	// Output:

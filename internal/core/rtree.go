@@ -238,7 +238,7 @@ func (a *RTreeAnonymizer) Partitions(k1 int) ([]anonmodel.Partition, error) {
 // array of its own, so nothing published aliases the live tree and a
 // later Insert or Delete cannot change it.
 func (a *RTreeAnonymizer) baseRelease() (Tiling, error) {
-	return Tiling{Partitions: partitionsFromLeaves(a.tree.Leaves())}.Scan(a.constraint, a.cfg.Parallelism)
+	return Tiling{Partitions: LeafPartitions(a.tree.Leaves())}.Scan(a.constraint, a.cfg.Parallelism)
 }
 
 // derive returns the release at granularity k1 as windows over base's
@@ -280,7 +280,7 @@ func (a *RTreeAnonymizer) HierarchicalRelease(level int) ([]anonmodel.Partition,
 // leaf scan: the base release is materialized once and every
 // granularity is a set of windows over its records. The releases are
 // jointly collusion-safe (Lemma 1) because every partition of every
-// release is a union of whole base partitions; VerifyCollusionSafety
+// release is a union of whole base partitions; verify.Releases
 // confirms it.
 func (a *RTreeAnonymizer) MultiGranular(ks []int) ([]Release, error) {
 	out := make([]Release, 0, len(ks))

@@ -4,7 +4,6 @@ import (
 	"io"
 	"os"
 
-	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
 	"spatialanon/internal/dataset"
 	"spatialanon/internal/rplustree"
@@ -129,9 +128,6 @@ func ExtChurnDurable(cfg Config, rounds, batch, checkpointEvery int) (*ExtChurnD
 
 		view, err := st.Release(k)
 		if err != nil {
-			return nil, err
-		}
-		if err := anonmodel.CheckAnonymity(view, anonmodel.KAnonymity{K: k}); err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, ExtChurnDurableRow{

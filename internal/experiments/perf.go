@@ -367,7 +367,7 @@ func Fig9(cfg Config, sizes []int) (*Fig9Result, error) {
 			return nil, err
 		}
 		comp, err := timeIt(func() error {
-			compact.PartitionsP(ps, cfg.Workers)
+			compact.Partitions(ps, cfg.Workers)
 			return nil
 		})
 		if err != nil {

@@ -63,7 +63,7 @@ func Fig10(cfg Config) (*Fig10Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		mdC := compact.PartitionsP(mdPs, cfg.Workers)
+		mdC := compact.Partitions(mdPs, cfg.Workers)
 		for _, sys := range []struct {
 			name string
 			ps   []anonmodel.Partition
@@ -75,7 +75,7 @@ func Fig10(cfg Config) (*Fig10Result, error) {
 			res.Rows = append(res.Rows, Fig10Row{
 				K:      k,
 				System: sys.name,
-				Report: quality.MeasureP(schema, sys.ps, domain, cfg.Workers),
+				Report: quality.Measure(schema, sys.ps, domain, cfg.Workers),
 			})
 		}
 	}
@@ -150,8 +150,8 @@ func Fig11(cfg Config) (*Fig11Result, error) {
 		res.Rows = append(res.Rows, Fig11Row{
 			Batch:        b + 1,
 			TotalRecords: n,
-			Incremental:  quality.MeasureP(schema, rtPs, domain, cfg.Workers),
-			Reanonymized: quality.MeasureP(schema, mdPs, domain, cfg.Workers),
+			Incremental:  quality.Measure(schema, rtPs, domain, cfg.Workers),
+			Reanonymized: quality.Measure(schema, mdPs, domain, cfg.Workers),
 		})
 	}
 	return res, nil

@@ -60,7 +60,7 @@ func Fig12a(cfg Config) (*Fig12aResult, error) {
 			return nil, err
 		}
 		for _, sys := range systems {
-			results, err := query.EvaluateP(sys.ps, recs, queries, cfg.Workers)
+			results, err := query.Evaluate(sys.ps, recs, queries, cfg.Workers)
 			if err != nil {
 				return nil, err
 			}
@@ -85,7 +85,7 @@ func (c Config) threeSystems(rt *core.RTreeAnonymizer, recs []attr.Record, k int
 	return []namedPartitions{
 		{"rtree", rtPs},
 		{"mondrian", mdPs},
-		{"mondrian+compact", compact.PartitionsP(mdPs, c.Workers)},
+		{"mondrian+compact", compact.Partitions(mdPs, c.Workers)},
 	}, nil
 }
 
@@ -144,7 +144,7 @@ func Fig12b(cfg Config) (*Fig12bResult, error) {
 	}
 	res := &Fig12bResult{K: k}
 	for _, sys := range systems {
-		results, err := query.EvaluateP(sys.ps, recs, queries, cfg.Workers)
+		results, err := query.Evaluate(sys.ps, recs, queries, cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -228,11 +228,11 @@ func Fig12c(cfg Config) (*Fig12cResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		bRes, err := query.EvaluateP(bPs, recs, queries, cfg.Workers)
+		bRes, err := query.Evaluate(bPs, recs, queries, cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
-		uRes, err := query.EvaluateP(uPs, recs, queries, cfg.Workers)
+		uRes, err := query.Evaluate(uPs, recs, queries, cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -304,11 +304,11 @@ func Fig12d(cfg Config) (*Fig12dResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	bRes, err := query.EvaluateP(bPs, recs, queries, cfg.Workers)
+	bRes, err := query.Evaluate(bPs, recs, queries, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	uRes, err := query.EvaluateP(uPs, recs, queries, cfg.Workers)
+	uRes, err := query.Evaluate(uPs, recs, queries, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

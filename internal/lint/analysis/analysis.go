@@ -194,12 +194,13 @@ func (p *Pass) CommentLines(marker string) map[*ast.File]map[int]bool {
 	return out
 }
 
-// EnclosingFile returns the file containing pos.
-func (p *Pass) EnclosingFile(pos token.Pos) *ast.File {
+// Suppressed reports whether pos sits on one of lines, a CommentLines
+// result: a line-directive comment covers the statement there.
+func (p *Pass) Suppressed(lines map[*ast.File]map[int]bool, pos token.Pos) bool {
 	for _, f := range p.Files {
 		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f
+			return lines[f][p.Fset.Position(pos).Line]
 		}
 	}
-	return nil
+	return false
 }

@@ -79,7 +79,7 @@ func (c *checker) checkComparison(be *ast.BinaryExpr) {
 		return
 	}
 	for _, operand := range []ast.Expr{be.X, be.Y} {
-		if v := c.sentinel(operand); v != nil && !c.suppressed(be.Pos()) {
+		if v := c.sentinel(operand); v != nil && !c.pass.Suppressed(c.suppress, be.Pos()) {
 			c.pass.Reportf(be.Pos(),
 				"errwrap: %s compared with %s; wrapped errors never match identity — use errors.Is(err, %s)",
 				v.Name(), be.Op, v.Name())
@@ -113,7 +113,7 @@ func (c *checker) checkErrorf(call *ast.CallExpr) {
 			continue
 		}
 		arg := args[v.arg]
-		if !c.isError(arg) || c.suppressed(arg.Pos()) {
+		if !c.isError(arg) || c.pass.Suppressed(c.suppress, arg.Pos()) {
 			continue
 		}
 		c.pass.Reportf(arg.Pos(),
@@ -131,7 +131,7 @@ func (c *checker) checkReturn(ret *ast.ReturnStmt) {
 			continue
 		}
 		v := c.sentinel(res)
-		if v == nil || c.suppressed(res.Pos()) {
+		if v == nil || c.pass.Suppressed(c.suppress, res.Pos()) {
 			continue
 		}
 		c.pass.Reportf(res.Pos(),
@@ -186,14 +186,6 @@ var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Inte
 
 func implementsError(t types.Type) bool {
 	return types.Implements(t, errorIface)
-}
-
-func (c *checker) suppressed(pos token.Pos) bool {
-	f := c.pass.EnclosingFile(pos)
-	if f == nil {
-		return false
-	}
-	return c.suppress[f][c.pass.Fset.Position(pos).Line]
 }
 
 // verb is one conversion in a format string: its verb character and

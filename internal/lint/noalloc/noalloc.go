@@ -81,9 +81,13 @@ func run(pass *analysis.Pass) error {
 	c := &checker{
 		pass:     pass,
 		decls:    pass.FuncDecls(),
-		chains:   make(map[*types.Func][]string),
 		suppress: pass.CommentLines(AllocOK),
 	}
+	// A helper's first unsuppressed allocation-inducing operation ends
+	// the chain; line suppressions inside the helper apply.
+	c.chaser = &analysis.Chaser{Pass: pass, Decls: c.decls, Scan: func(body *ast.BlockStmt, found func(token.Pos, string) bool) {
+		c.walkBody(body, func(pos token.Pos, desc string) { found(pos, desc) })
+	}}
 	for fn, decl := range c.decls {
 		if !analysis.DeclDirective(decl.Doc, Directive) || decl.Body == nil {
 			continue
@@ -100,12 +104,10 @@ func run(pass *analysis.Pass) error {
 type checker struct {
 	pass  *analysis.Pass
 	decls map[*types.Func]*ast.FuncDecl
-	// chains memoizes, per same-package helper, the call chain to its
-	// first allocation-inducing operation ([] = proven clean,
-	// nil+absent = not yet computed).
-	chains     map[*types.Func][]string
-	inProgress map[*types.Func]bool
-	suppress   map[*ast.File]map[int]bool
+	// chaser traces same-package helpers to their first
+	// allocation-inducing operation.
+	chaser   *analysis.Chaser
+	suppress map[*ast.File]map[int]bool
 }
 
 // walkBody scans one body that must not allocate, invoking report for
@@ -113,7 +115,7 @@ type checker struct {
 func (c *checker) walkBody(body *ast.BlockStmt, report func(pos token.Pos, desc string)) {
 	selfAppends := c.collectSelfAppends(body)
 	emit := func(pos token.Pos, desc string) {
-		if !c.suppressed(pos) {
+		if !c.pass.Suppressed(c.suppress, pos) {
 			report(pos, desc)
 		}
 	}
@@ -213,8 +215,8 @@ func (c *checker) checkCall(call *ast.CallExpr, selfAppends map[*ast.CallExpr]bo
 		return // error.Error and friends have no package; dynamic cases handled above
 	}
 	if pkg == c.pass.Pkg {
-		if chain := c.chainOf(callee); chain != nil {
-			emit(call.Pos(), strings.Join(chain, " → "))
+		if chain := c.chaser.Chain(callee); chain != "" {
+			emit(call.Pos(), chain)
 		}
 		return
 	}
@@ -223,37 +225,6 @@ func (c *checker) checkCall(call *ast.CallExpr, selfAppends map[*ast.CallExpr]bo
 	}
 	// Standard-library calls other than fmt are trusted; the dynamic
 	// make zeroalloc gate is the backstop.
-}
-
-// chainOf returns the call chain from a same-package helper to its
-// first allocation-inducing operation, or nil when the helper is
-// proven clean. Line suppressions inside the helper apply during the
-// chase.
-func (c *checker) chainOf(fn *types.Func) []string {
-	if chain, ok := c.chains[fn]; ok {
-		return chain
-	}
-	if c.inProgress == nil {
-		c.inProgress = make(map[*types.Func]bool)
-	}
-	if c.inProgress[fn] {
-		return nil // cycle: resolved by the outer visit
-	}
-	decl, ok := c.decls[fn]
-	if !ok || decl.Body == nil {
-		c.chains[fn] = nil
-		return nil
-	}
-	c.inProgress[fn] = true
-	defer delete(c.inProgress, fn)
-	var result []string
-	c.walkBody(decl.Body, func(pos token.Pos, desc string) {
-		if result == nil {
-			result = []string{fn.Name(), desc}
-		}
-	})
-	c.chains[fn] = result
-	return result
 }
 
 // collectSelfAppends returns the append calls in the sanctioned
@@ -297,7 +268,8 @@ func (c *checker) sameStorage(dst, src ast.Expr) bool {
 	switch d := dst.(type) {
 	case *ast.Ident:
 		s, ok := src.(*ast.Ident)
-		return ok && c.objectOf(d) != nil && c.objectOf(d) == c.objectOf(s)
+		obj := c.pass.TypesInfo.ObjectOf(d)
+		return ok && obj != nil && obj == c.pass.TypesInfo.ObjectOf(s)
 	case *ast.SelectorExpr:
 		s, ok := src.(*ast.SelectorExpr)
 		return ok &&
@@ -306,13 +278,6 @@ func (c *checker) sameStorage(dst, src ast.Expr) bool {
 			c.sameStorage(d.X, s.X)
 	}
 	return false
-}
-
-func (c *checker) objectOf(id *ast.Ident) types.Object {
-	if obj := c.pass.TypesInfo.Uses[id]; obj != nil {
-		return obj
-	}
-	return c.pass.TypesInfo.Defs[id]
 }
 
 func (c *checker) typeOf(e ast.Expr) types.Type {
@@ -330,14 +295,6 @@ func (c *checker) isMapIndex(e ast.Expr) bool {
 	}
 	_, isMap := t.Underlying().(*types.Map)
 	return isMap
-}
-
-func (c *checker) suppressed(pos token.Pos) bool {
-	f := c.pass.EnclosingFile(pos)
-	if f == nil {
-		return false
-	}
-	return c.suppress[f][c.pass.Fset.Position(pos).Line]
 }
 
 // allocatingConversion reports whether converting from src to dst

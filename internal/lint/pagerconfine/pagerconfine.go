@@ -11,8 +11,8 @@ package pagerconfine
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
-	"strings"
 
 	"spatialanon/internal/lint/analysis"
 )
@@ -54,8 +54,8 @@ func run(pass *analysis.Pass) error {
 		pass:        pass,
 		decls:       pass.FuncDecls(),
 		coordinator: make(map[*types.Func]bool),
-		chains:      make(map[*types.Func][]string),
 	}
+	c.chaser = &analysis.Chaser{Pass: pass, Decls: c.decls, Sink: c.sink}
 	for fn, decl := range c.decls {
 		if analysis.DeclDirective(decl.Doc, Directive) {
 			c.coordinator[fn] = true
@@ -114,11 +114,8 @@ type checker struct {
 	pass        *analysis.Pass
 	decls       map[*types.Func]*ast.FuncDecl
 	coordinator map[*types.Func]bool
-	// chains memoizes, per function, the call chain to a sink ([] =
-	// proven clean, nil+absent = not yet computed). The in-progress
-	// marker breaks recursion cycles.
-	chains     map[*types.Func][]string
-	inProgress map[*types.Func]bool
+	// chaser traces static same-package calls to a sink.
+	chaser *analysis.Chaser
 }
 
 // checkWorker walks one worker root and reports every sink reachable
@@ -126,33 +123,20 @@ type checker struct {
 func (c *checker) checkWorker(root workerRoot, ctx string) {
 	switch {
 	case root.body != nil:
-		c.walkBody(root.body, ctx, nil)
+		c.walkBody(root.body, ctx, "")
 	case root.fn != nil:
 		if decl, ok := c.decls[root.fn]; ok && decl.Body != nil {
-			c.walkBody(decl.Body, ctx, []string{root.fn.Name()})
+			c.walkBody(decl.Body, ctx, root.fn.Name()+" → ")
 		}
 	}
 }
 
 // walkBody scans a body that executes in a worker context. prefix is
-// the call chain that led here (nil for the closure itself).
-func (c *checker) walkBody(body *ast.BlockStmt, ctx string, prefix []string) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if desc := c.sink(call); desc != "" {
-			c.report(call, ctx, prefix, desc)
-			return true
-		}
-		callee := c.pass.StaticCallee(call)
-		if callee == nil {
-			return true
-		}
-		if chain := c.chaseChain(callee); chain != nil {
-			c.report(call, ctx, prefix, strings.Join(chain, " → "))
-		}
+// the rendered call chain that led here ("" for the closure itself).
+func (c *checker) walkBody(body *ast.BlockStmt, ctx, prefix string) {
+	c.chaser.Calls(body, func(pos token.Pos, chain string) bool {
+		c.pass.Reportf(pos,
+			"pagerconfine: %s%s reachable from %s; pager mutations and tree wiring must stay on the coordinating goroutine (plan-then-wire)", prefix, chain, ctx)
 		return true
 	})
 }
@@ -167,57 +151,4 @@ func (c *checker) sink(call *ast.CallExpr) string {
 		return "coordinator-only " + callee.Name()
 	}
 	return ""
-}
-
-// chaseChain returns the call chain from fn to a sink, or nil when fn
-// is proven sink-free. Only same-package functions with known bodies
-// are traversed.
-func (c *checker) chaseChain(fn *types.Func) []string {
-	if chain, ok := c.chains[fn]; ok {
-		return chain
-	}
-	if c.inProgress == nil {
-		c.inProgress = make(map[*types.Func]bool)
-	}
-	if c.inProgress[fn] {
-		return nil // cycle: resolved by the outer visit
-	}
-	decl, ok := c.decls[fn]
-	if !ok || decl.Body == nil {
-		c.chains[fn] = nil
-		return nil
-	}
-	c.inProgress[fn] = true
-	defer delete(c.inProgress, fn)
-	var result []string
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		if result != nil {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if desc := c.sink(call); desc != "" {
-			result = []string{fn.Name(), desc}
-			return false
-		}
-		if callee := c.pass.StaticCallee(call); callee != nil && callee != fn {
-			if sub := c.chaseChain(callee); sub != nil {
-				result = append([]string{fn.Name()}, sub...)
-				return false
-			}
-		}
-		return true
-	})
-	c.chains[fn] = result
-	return result
-}
-
-func (c *checker) report(call *ast.CallExpr, ctx string, prefix []string, desc string) {
-	if len(prefix) > 0 {
-		desc = strings.Join(prefix, " → ") + " → " + desc
-	}
-	c.pass.Reportf(call.Pos(),
-		"pagerconfine: %s reachable from %s; pager mutations and tree wiring must stay on the coordinating goroutine (plan-then-wire)", desc, ctx)
 }

@@ -13,7 +13,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"spatialanon/internal/lint/analysis"
 )
@@ -39,9 +38,9 @@ const PrePublish = "anonylint:pre-publish"
 // cross-package writes honest.
 var SeedTypes = map[string]bool{
 	"spatialanon/internal/serve.View":         true,
-	"spatialanon/internal/serve.releaseEntry": true,
 	"spatialanon/internal/serve.accelEntry":   true,
 	"spatialanon/internal/serve.recordsEntry": true,
+	"spatialanon/internal/verify.Family":      true,
 	"spatialanon/internal/routing.Index":      true,
 }
 
@@ -86,9 +85,9 @@ func run(pass *analysis.Pass) error {
 		decls:     pass.FuncDecls(),
 		published: make(map[*types.TypeName]bool),
 		prePub:    make(map[*types.Func]bool),
-		chains:    make(map[*types.Func][]string),
 		suppress:  pass.CommentLines(PrePublish),
 	}
+	c.chaser = &analysis.Chaser{Pass: pass, Decls: c.decls, Sink: c.prePublishCall}
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			gd, ok := d.(*ast.GenDecl)
@@ -127,11 +126,9 @@ type checker struct {
 	decls     map[*types.Func]*ast.FuncDecl
 	published map[*types.TypeName]bool
 	prePub    map[*types.Func]bool
-	// chains memoizes, per function, the call chain to a pre-publish
-	// sink ([] = proven clean, nil+absent = not yet computed).
-	chains     map[*types.Func][]string
-	inProgress map[*types.Func]bool
-	suppress   map[*ast.File]map[int]bool
+	// chaser traces static same-package calls to pre-publish code.
+	chaser   *analysis.Chaser
+	suppress map[*ast.File]map[int]bool
 }
 
 // publishedNamed reports whether a named type is published, by seed
@@ -189,7 +186,7 @@ func (c *checker) checkWrites(decl *ast.FuncDecl) {
 				return // sanctioned once-guarded memoization
 			}
 		}
-		if c.suppressed(pos) {
+		if c.pass.Suppressed(c.suppress, pos) {
 			return
 		}
 		c.pass.Reportf(pos,
@@ -277,10 +274,7 @@ func (c *checker) rootObject(expr ast.Expr) types.Object {
 		case *ast.StarExpr:
 			expr = e.X
 		case *ast.Ident:
-			if obj := c.pass.TypesInfo.Uses[e]; obj != nil {
-				return obj
-			}
-			return c.pass.TypesInfo.Defs[e]
+			return c.pass.TypesInfo.ObjectOf(e)
 		default:
 			return nil
 		}
@@ -358,14 +352,6 @@ func onceClosureRanges(pass *analysis.Pass, body *ast.BlockStmt) [][2]token.Pos 
 	return out
 }
 
-func (c *checker) suppressed(pos token.Pos) bool {
-	f := c.pass.EnclosingFile(pos)
-	if f == nil {
-		return false
-	}
-	return c.suppress[f][c.pass.Fset.Position(pos).Line]
-}
-
 // checkReachesPrePublish chases static same-package calls from a
 // post-publish method of a published type and reports any chain that
 // reaches anonylint:pre-publish code: constructor-phase functions must
@@ -374,73 +360,21 @@ func (c *checker) checkReachesPrePublish(fn *types.Func, decl *ast.FuncDecl, rec
 	if decl.Body == nil {
 		return
 	}
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := c.pass.StaticCallee(call)
-		if callee == nil {
-			return true
-		}
-		var chain []string
-		if c.prePub[callee] {
-			chain = []string{"pre-publish " + callee.Name()}
-		} else {
-			chain = c.chaseChain(callee)
-		}
-		if chain != nil && !c.suppressed(call.Pos()) {
-			c.pass.Reportf(call.Pos(),
+	c.chaser.Calls(decl.Body, func(pos token.Pos, chain string) bool {
+		if !c.pass.Suppressed(c.suppress, pos) {
+			c.pass.Reportf(pos,
 				"pubfreeze: %s reachable from (%s).%s, which runs after publication; pre-publish code must stay on the constructor path",
-				strings.Join(chain, " → "), recv.Obj().Name(), fn.Name())
+				chain, recv.Obj().Name(), fn.Name())
 		}
 		return true
 	})
 }
 
-// chaseChain returns the call chain from fn to a pre-publish sink, or
-// nil when fn is proven clean. Only same-package functions with known
-// bodies are traversed.
-func (c *checker) chaseChain(fn *types.Func) []string {
-	if chain, ok := c.chains[fn]; ok {
-		return chain
+// prePublishCall is the chaser's sink: a static call of a function
+// marked anonylint:pre-publish.
+func (c *checker) prePublishCall(call *ast.CallExpr) string {
+	if callee := c.pass.StaticCallee(call); callee != nil && c.prePub[callee] {
+		return "pre-publish " + callee.Name()
 	}
-	if c.inProgress == nil {
-		c.inProgress = make(map[*types.Func]bool)
-	}
-	if c.inProgress[fn] {
-		return nil // cycle: resolved by the outer visit
-	}
-	decl, ok := c.decls[fn]
-	if !ok || decl.Body == nil {
-		c.chains[fn] = nil
-		return nil
-	}
-	c.inProgress[fn] = true
-	defer delete(c.inProgress, fn)
-	var result []string
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		if result != nil {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := c.pass.StaticCallee(call)
-		if callee == nil || callee == fn {
-			return true
-		}
-		if c.prePub[callee] {
-			result = []string{fn.Name(), "pre-publish " + callee.Name()}
-			return false
-		}
-		if sub := c.chaseChain(callee); sub != nil {
-			result = append([]string{fn.Name()}, sub...)
-			return false
-		}
-		return true
-	})
-	c.chains[fn] = result
-	return result
+	return ""
 }

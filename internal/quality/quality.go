@@ -182,30 +182,20 @@ type Report struct {
 	KLDivergence   float64
 }
 
-// Measure computes all three metrics.
-func Measure(s *attr.Schema, ps []anonmodel.Partition, domain attr.Box) Report {
-	return Report{
-		Partitions:     len(ps),
-		Discernibility: Discernibility(ps),
-		Certainty:      Certainty(s, ps, domain),
-		KLDivergence:   KLDivergence(ps),
-	}
-}
-
-// measureChunk is the fixed reduction granule of MeasureP. Partials
+// measureChunk is the fixed reduction granule of Measure. Partials
 // are computed per chunk and combined in chunk order, so the chunk
 // boundaries — not the worker schedule — define the floating-point
 // summation tree.
 const measureChunk = 64
 
-// MeasureP computes all three metrics with up to `workers` goroutines
+// Measure computes all three metrics with up to `workers` goroutines
 // (0 = all cores, 1 = serial). Per-partition terms are accumulated
 // into fixed 64-partition chunks and the chunk partials are summed in
 // chunk order, making the result independent of the worker count; for
-// tables of more than one chunk the summation tree differs from
-// Measure's flat left-to-right sum, so the two can disagree in the
-// last bits. Use one or the other consistently when comparing runs.
-func MeasureP(s *attr.Schema, ps []anonmodel.Partition, domain attr.Box, workers int) Report {
+// tables of more than one chunk the summation tree differs from the
+// flat left-to-right sum of Discernibility, Certainty and KLDivergence,
+// so the two can disagree in the last bits.
+func Measure(s *attr.Schema, ps []anonmodel.Partition, domain attr.Box, workers int) Report {
 	n := len(ps)
 	if n == 0 {
 		return Report{}

@@ -178,21 +178,16 @@ type Result struct {
 	Err float64
 }
 
-// Evaluate runs every query against both tables. Queries with zero
-// original count (impossible for the generators in this package, which
-// seed queries from real records) are rejected to keep the normalized
-// error well-defined.
-func Evaluate(ps []anonmodel.Partition, recs []attr.Record, queries []attr.Box) ([]Result, error) {
-	return EvaluateP(ps, recs, queries, 1)
-}
-
-// EvaluateP is Evaluate with a parallelism knob (0 = all cores, 1 =
-// serial). Queries evaluate independently — each writes only its own
-// result slot and the per-query arithmetic involves no cross-query
+// Evaluate runs every query against both tables with workers
+// goroutines (0 = all cores, 1 = serial). Queries with zero original
+// count (impossible for the generators in this package, which seed
+// queries from real records) are rejected to keep the normalized error
+// well-defined. Queries evaluate independently — each writes only its
+// own result slot and the per-query arithmetic involves no cross-query
 // accumulation — so results are identical for every worker count, and
 // on failure the reported error is the lowest-indexed failing query,
 // matching the serial scan.
-func EvaluateP(ps []anonmodel.Partition, recs []attr.Record, queries []attr.Box, workers int) ([]Result, error) {
+func Evaluate(ps []anonmodel.Partition, recs []attr.Record, queries []attr.Box, workers int) ([]Result, error) {
 	out := make([]Result, len(queries))
 	err := par.FirstErr(workers, len(queries), func(i int) error {
 		q := queries[i]

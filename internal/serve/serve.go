@@ -26,15 +26,15 @@
 //     no lock shared with the writer; a reader holding an old epoch
 //     keeps a consistent picture until it drops it.
 //
-//   - Release cache. The audited base release and every derived
-//     granularity k1 are computed lazily by the first reader that
-//     asks and memoized inside the View, so repeated releases at the
-//     same granularity are O(1) after the first. The cache key is
+//   - Release cache. Each View holds one verify.Family — the audited
+//     base release and every derived granularity k1 — built lazily by
+//     the first reader that asks, so repeated releases at the same
+//     granularity are O(1) after the first. The cache key is
 //     effectively (epoch, k1) and epoch advance is the invalidation:
 //     a new View starts cold, old epochs age out when their readers
-//     let go. Every release a reader can observe is audited (verify's
-//     k-anonymity and Lemma-1 k-boundness checks) once per epoch,
-//     before first use.
+//     let go. The family is the only source of releases, so every one
+//     a reader can observe is audited (verify's k-anonymity and
+//     Lemma-1 k-boundness checks) once per epoch, before first use.
 //
 //   - Graceful degradation and self-healing. Admission control bounds
 //     the submission queue (ErrOverloaded instead of unbounded
@@ -72,10 +72,6 @@ type Options struct {
 	// MaxBatch caps how many queued mutations one group commit
 	// coalesces into a single WAL frame. Default 64.
 	MaxBatch int
-	// PublishEvery publishes a new View every N applied batches
-	// (default 1: every batch). Raising it trades read freshness for
-	// write throughput when views are expensive (large trees).
-	PublishEvery int
 	// Parallelism is the worker count for view computations (base
 	// release scan, cached granularity scans, query evaluation);
 	// 0 = all cores, 1 = serial. Output is identical for every
@@ -101,9 +97,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 64
-	}
-	if o.PublishEvery <= 0 {
-		o.PublishEvery = 1
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 4 * o.MaxBatch
@@ -204,10 +197,9 @@ type Server struct {
 	tick atomic.Uint64
 
 	// Committer-owned state (no locks: single goroutine).
-	epoch        uint64
-	sincePublish int
-	sinceScrub   int
-	opsBuf       []wal.Op
+	epoch      uint64
+	sinceScrub int
+	opsBuf     []wal.Op
 	// prevSnap is the previous publish's leaf snapshot — the
 	// copy-on-write baseline the next SnapshotLeaves call diffs
 	// against.
@@ -371,16 +363,13 @@ func (s *Server) commitLoop() {
 		// time and batches collapse toward one op per fsync.
 		runtime.Gosched()
 	}
-	// Flush the last epoch so Close leaves the view current.
-	if s.sincePublish > 0 && s.failed.Load() == nil {
-		s.publish()
-	}
 }
 
 // commit applies one batch as a single durable frame, publishes the
-// next epoch if one is due, then wakes the submitters. Publishing
-// before acknowledging gives read-your-writes at PublishEvery=1: by
-// the time a caller unblocks, the current View reflects its write.
+// next epoch, then wakes the submitters. Publishing before
+// acknowledging gives read-your-writes: by the time a caller unblocks,
+// the current View reflects its write — which is also what lets the
+// shard coordinator call a view fresh iff view.Seq() >= acked.
 //
 // Failure handling, in order: a degraded server drains the batch with
 // the degraded error without touching the store; expired submissions
@@ -419,11 +408,7 @@ func (s *Server) commit(batch []*request) {
 		if n := int64(len(live)); n > s.maxBatch.Load() {
 			s.maxBatch.Store(n)
 		}
-		s.sincePublish++
-		if s.sincePublish >= s.opts.PublishEvery {
-			s.publish()
-			s.sincePublish = 0
-		}
+		s.publish()
 	} else if s.st.Err() != nil {
 		// The store is poisoned: trip the breaker. Readers keep the
 		// last audited epoch; writers get the typed degraded error
@@ -523,7 +508,6 @@ func (s *Server) doRecover(rr *recoverReq) {
 	// old copy-on-write baseline belongs to the pre-recovery tree, so
 	// the next publish must snapshot from scratch.
 	s.prevSnap = nil
-	s.sincePublish = 0
 	s.publish()
 	s.failed.Store(nil)
 	s.recoveries.Add(1)

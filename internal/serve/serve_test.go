@@ -240,8 +240,8 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestReadYourWrites: with PublishEvery=1, a view loaded after an
-// acknowledged insert reflects it.
+// TestReadYourWrites: every commit publishes before it acknowledges,
+// so a view loaded after an acknowledged insert reflects it.
 func TestReadYourWrites(t *testing.T) {
 	st := newStore(t, t.TempDir())
 	defer st.Close()

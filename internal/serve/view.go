@@ -43,12 +43,14 @@ type View struct {
 	// previous epoch's View (copy-on-write).
 	leaves []Partition
 
-	baseOnce sync.Once
-	base     core.Tiling
-	baseErr  error
+	// fam is the view's release family — the audited base release and
+	// every derived granularity — built lazily by the first reader that
+	// asks and kept for the view's lifetime.
+	famOnce sync.Once
+	fam     *verify.Family
+	famErr  error
 
 	mu    sync.Mutex
-	cache map[int]*releaseEntry
 	accel map[int]*accelEntry
 	recs  recordsEntry
 
@@ -66,20 +68,8 @@ type recordsEntry struct {
 	recs []attr.Record
 }
 
-// releaseEntry memoizes one granularity's release. The entry is
-// created under v.mu but computed under its own once, so two readers
-// asking for a cold k1 share one computation without serializing
-// against readers of other granularities.
-//
-//anonylint:published — reachable through a published View; writes only under once
-type releaseEntry struct {
-	once sync.Once
-	ps   []Partition
-	err  error
-}
-
 // accelEntry memoizes one granularity's routing accelerator, built
-// and audited once per (epoch, k1) alongside the release cache.
+// and audited once per (epoch, k1).
 //
 //anonylint:published — reachable through a published View; writes only under once
 type accelEntry struct {
@@ -99,51 +89,40 @@ func (s *Server) publish() {
 	t := s.st.Tree()
 	snap := t.SnapshotLeaves(s.prevSnap)
 	s.prevSnap = snap
-	parts := make([]Partition, len(snap))
-	for i, l := range snap {
-		parts[i] = Partition{Box: l.MBR, Records: l.Records}
-	}
 	v := &View{
 		epoch:   s.epoch + 1,
 		seq:     s.st.Seq(),
 		baseK:   s.baseK,
 		n:       t.Len(),
 		workers: s.opts.Parallelism,
-		leaves:  parts,
-		cache:   make(map[int]*releaseEntry),
+		leaves:  core.LeafPartitions(snap),
 		accel:   make(map[int]*accelEntry),
 	}
 	s.epoch = v.epoch
 	s.cur.Store(v)
 }
 
-// ensureBase materializes and audits the base release once per view.
-// Every release a reader can observe passes the independent auditor —
-// k-anonymity of the scan output plus the Lemma-1 k-boundness check —
-// before it is returned; the audit runs once per published epoch, on
-// first access, and its verdict is memoized with the release.
-func (v *View) ensureBase() (core.Tiling, error) {
-	v.baseOnce.Do(func() {
+// Family returns the view's release family, built on first use: every
+// release a reader can observe comes out of it, so it has passed the
+// independent auditor — k-anonymity of the scan output plus the
+// Lemma-1 k-boundness check — before it is returned. The proof runs
+// once per published epoch and its verdict is kept with the family.
+// It errors while the store holds fewer than k records — no release
+// exists below k.
+func (v *View) Family() (*verify.Family, error) {
+	v.famOnce.Do(func() {
 		if v.n < v.baseK {
-			v.baseErr = fmt.Errorf("serve: store holds %d records, below base k %d", v.n, v.baseK)
+			v.famErr = fmt.Errorf("serve: store holds %d records, below base k %d", v.n, v.baseK)
 			return
 		}
-		base, err := core.Tiling{Partitions: v.leaves}.Scan(anonmodel.KAnonymity{K: v.baseK}, v.workers)
+		fam, err := verify.NewFamily(core.Tiling{Partitions: v.leaves}, v.baseK, v.workers)
 		if err != nil {
-			v.baseErr = fmt.Errorf("serve: epoch %d base release: %w", v.epoch, err)
+			v.famErr = fmt.Errorf("serve: epoch %d: %w", v.epoch, err)
 			return
 		}
-		if err := verify.Release(base.Partitions, anonmodel.KAnonymity{K: v.baseK}); err != nil {
-			v.baseErr = fmt.Errorf("serve: epoch %d failed release audit: %w", v.epoch, err)
-			return
-		}
-		if err := verify.Releases([][]Partition{base.Partitions}, v.baseK); err != nil {
-			v.baseErr = fmt.Errorf("serve: epoch %d failed k-boundness audit: %w", v.epoch, err)
-			return
-		}
-		v.base = base
+		v.fam = fam
 	})
-	return v.base, v.baseErr
+	return v.fam, v.famErr
 }
 
 // Epoch is the view's publication stamp; it increases by one per
@@ -159,63 +138,31 @@ func (v *View) Len() int { return v.n }
 // BaseK is the base anonymity parameter of the underlying store.
 func (v *View) BaseK() int { return v.baseK }
 
-// Base returns the audited base release (granularity k). It errors
-// while the store holds fewer than k records — no release exists
-// below k.
+// Base returns the audited base release (granularity k).
 func (v *View) Base() ([]Partition, error) {
-	base, err := v.ensureBase()
-	return base.Partitions, err
+	return v.Release(0)
 }
 
-// BaseTiling is Base together with the record array its partitions
-// are windows of, for callers that scan it further (the shard
-// coordinator's joint release) and should not copy it to do so.
-func (v *View) BaseTiling() (core.Tiling, error) {
-	return v.ensureBase()
-}
-
-// Release returns the release at granularity k1 (0 = base k),
-// memoized for the view's lifetime: the first caller per granularity
-// runs the leaf scan, every later caller gets the cached partitions
-// in O(1). Each derived granularity is audited jointly with the base
-// release, so every (epoch, k1) pair a reader can observe has passed
-// the Lemma-1 k-boundness check. The k1 parameter is a granularity,
-// not a fresh anonymity parameter: values below the store's validated
-// base k are rejected here; anonylint:k-validated.
+// Release returns the release at granularity k1 (0 = base k) from the
+// view's release family, memoized for the view's lifetime: the first
+// caller per granularity runs the leaf scan and the joint k-boundness
+// audit, every later caller gets the same partitions in O(1). The k1
+// parameter is a granularity, not a fresh anonymity parameter: the
+// family rejects values below the store's validated base k;
+// anonylint:k-validated.
 func (v *View) Release(k1 int) ([]Partition, error) {
-	base, err := v.ensureBase()
+	fam, err := v.Family()
 	if err != nil {
 		return nil, err
 	}
-	if k1 == 0 || k1 == v.baseK {
-		return base.Partitions, nil
-	}
-	if k1 < v.baseK {
-		return nil, fmt.Errorf("serve: granularity %d below base k %d", k1, v.baseK)
-	}
-	v.mu.Lock()
-	e, ok := v.cache[k1]
-	if !ok {
-		e = &releaseEntry{}
-		v.cache[k1] = e // anonylint:pre-publish — v.mu-guarded install of a fresh entry; readers only ever see it through the same lock
-	}
-	v.mu.Unlock()
-	e.once.Do(func() {
-		coarse, err := base.Scan(anonmodel.KAnonymity{K: k1}, v.workers)
-		if err == nil {
-			err = verify.Releases([][]Partition{base.Partitions, coarse.Partitions}, v.baseK)
-		}
-		e.ps, e.err = coarse.Partitions, err
-	})
-	return e.ps, e.err
+	return fam.Release(k1)
 }
 
 // Accel returns the routing accelerator over the release at
-// granularity k1 (0 = base k), built lazily once per (epoch, k1)
-// alongside the release cache and audited by verify.Routing before
-// any reader can observe it. The returned Index is immutable and
-// shared; give each reader goroutine its own session (Counter /
-// Estimator) or routing.Scratch.
+// granularity k1 (0 = base k), built lazily once per (epoch, k1) and
+// audited by verify.Routing before any reader can observe it. The
+// returned Index is immutable and shared; give each reader goroutine
+// its own session (Counter / Estimator) or routing.Scratch.
 func (v *View) Accel(k1 int) (*routing.Index, error) {
 	ps, err := v.Release(k1)
 	if err != nil {
@@ -250,30 +197,22 @@ func (v *View) Accel(k1 int) (*routing.Index, error) {
 // the caller — one per goroutine — and its warm queries allocate
 // nothing.
 func (v *View) Counter(k1 int) (*query.Counter, error) {
-	ps, err := v.Release(k1)
-	if err != nil {
-		return nil, err
-	}
 	idx, err := v.Accel(k1)
 	if err != nil {
 		return nil, err
 	}
-	return query.NewCounter(ps, idx), nil
+	return query.NewCounter(idx.Partitions(), idx), nil
 }
 
 // Estimator returns a fresh uniform-assumption estimate session over
 // the accelerated release at granularity k1, with the same ownership
 // and zero-alloc contract as Counter.
 func (v *View) Estimator(k1 int) (*query.Estimator, error) {
-	ps, err := v.Release(k1)
-	if err != nil {
-		return nil, err
-	}
 	idx, err := v.Accel(k1)
 	if err != nil {
 		return nil, err
 	}
-	return query.NewEstimator(ps, idx), nil
+	return query.NewEstimator(idx.Partitions(), idx), nil
 }
 
 // Records returns the view's records in trie order (the order the
@@ -315,9 +254,9 @@ func (v *View) Count(q attr.Box) (float64, error) {
 // anonymized estimate. Output is identical for every Parallelism
 // setting.
 func (v *View) Evaluate(queries []attr.Box) ([]query.Result, error) {
-	base, err := v.ensureBase()
+	base, err := v.Release(0)
 	if err != nil {
 		return nil, err
 	}
-	return query.EvaluateP(base.Partitions, v.Records(), queries, v.workers)
+	return query.Evaluate(base, v.Records(), queries, v.workers)
 }

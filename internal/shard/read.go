@@ -110,24 +110,39 @@ func (c *Coordinator) Count(q attr.Box) (float64, error) {
 	return sum, nil
 }
 
-// relEntry memoizes one joint product against the epoch vector it was
-// cut from: any shard publishing a new epoch invalidates it.
-type relEntry struct {
-	epochs []uint64
-	ps     []Partition
+// epochMemo is everything the coordinator has computed from one epoch
+// vector: the joint release family and the Export cuts by granularity.
+// Any shard publishing a new epoch starts a fresh one.
+type epochMemo struct {
+	epochs  []uint64
+	family  *verify.Family
+	exports map[int][]Partition
+}
+
+// memoAt returns the memo of the views' epoch vector, dropping the
+// previous one when any shard has published since. Callers hold
+// c.memoMu.
+func (c *Coordinator) memoAt(views []shardView) *epochMemo {
+	epochs := make([]uint64, len(views))
+	for i, v := range views {
+		epochs[i] = v.view.Epoch()
+	}
+	if c.memo == nil || !slices.Equal(c.memo.epochs, epochs) {
+		c.memo = &epochMemo{epochs: epochs, exports: make(map[int][]Partition)}
+	}
+	return c.memo
 }
 
 // Release returns the audited joint release at granularity k1 (0 =
-// base k): the concatenation of every shard's base release, passed
-// through verify.CrossShard (range tiling, per-record key containment,
-// global uniqueness, per-view k-anonymity, freshness), then coarsened
-// to k1 by a leaf scan over the concatenation when k1 exceeds the base
-// — which merges seam-adjacent boundary groups exactly like any other
-// adjacent pair. A degraded or stale shard withholds the release with
-// a *PartialError cause: a joint release is total or it is not a
-// release. The k1 parameter is a granularity over the per-shard
-// validated base k, rejected below it like serve.View.Release;
-// anonylint:k-validated.
+// base k) from the fleet's release family: the shards' base releases
+// laid end to end, passed through verify.CrossShard (range tiling,
+// per-record key containment, global uniqueness, per-view k-anonymity,
+// freshness), then scanned and proven like a single store's leaves —
+// so a coarser granularity merges seam-adjacent boundary groups like
+// any other adjacent pair. A degraded or stale shard withholds the
+// release with a *PartialError cause: a joint release is total or it
+// is not a release. k1 is a granularity over the per-shard validated
+// base k, rejected below it; anonylint:k-validated.
 func (c *Coordinator) Release(k1 int) ([]Partition, error) {
 	if k1 != 0 && k1 < c.baseK {
 		return nil, fmt.Errorf("shard: granularity %d below base k %d", k1, c.baseK)
@@ -136,18 +151,22 @@ func (c *Coordinator) Release(k1 int) ([]Partition, error) {
 	if bad != nil {
 		return nil, fmt.Errorf("shard: joint release withheld: %w", bad)
 	}
-	epochs := make([]uint64, len(views))
-	for i, v := range views {
-		epochs[i] = v.view.Epoch()
+	fam, err := c.jointFamily(views)
+	if err != nil {
+		return nil, err
 	}
-	c.relMu.Lock()
-	if e, ok := c.relK1[k1]; ok && slices.Equal(e.epochs, epochs) {
-		ps := e.ps
-		c.relMu.Unlock()
-		return ps, nil
-	}
-	c.relMu.Unlock()
+	return fam.Release(k1)
+}
 
+// jointFamily returns the release family of the views' epoch vector,
+// auditing the seams and building it on first use.
+func (c *Coordinator) jointFamily(views []shardView) (*verify.Family, error) {
+	c.memoMu.Lock()
+	defer c.memoMu.Unlock()
+	m := c.memoAt(views)
+	if m.family != nil {
+		return m.family, nil
+	}
 	audit := make([]verify.ShardView, len(views))
 	bases := make([]core.Tiling, len(views))
 	for i, v := range views {
@@ -157,11 +176,11 @@ func (c *Coordinator) Release(k1 int) ([]Partition, error) {
 		// joint concatenation (its error names it); Export remains
 		// available there, because the global cut merges across seams.
 		if v.view.Len() > 0 {
-			var err error
-			bases[i], err = v.view.BaseTiling()
+			fam, err := v.view.Family()
 			if err != nil {
 				return nil, fmt.Errorf("shard: shard %d %v: %w", v.sh.id, v.sh.rng, err)
 			}
+			bases[i] = fam.Base()
 		}
 		audit[i] = verify.ShardView{
 			Range:    v.sh.rng,
@@ -171,37 +190,28 @@ func (c *Coordinator) Release(k1 int) ([]Partition, error) {
 			Degraded: v.degraded(),
 		}
 	}
-	if err := verify.CrossShard(audit, c.table, c.quant, c.opts.Curve, c.baseK); err != nil {
+	if err := verify.CrossShard(audit, c.table, c.quant, routeCurve, c.baseK); err != nil {
 		return nil, fmt.Errorf("shard: joint release withheld: %w", err)
 	}
-	joint := core.Concat(bases...)
-	if k1 != 0 && k1 != c.baseK {
-		coarse, err := joint.Scan(anonmodel.KAnonymity{K: k1}, c.opts.Serve.Parallelism)
-		if err != nil {
-			return nil, fmt.Errorf("shard: joint release at k1=%d: %w", k1, err)
-		}
-		if err := verify.Releases([][]Partition{joint.Partitions, coarse.Partitions}, c.baseK); err != nil {
-			return nil, fmt.Errorf("shard: joint release at k1=%d failed k-boundness audit: %w", k1, err)
-		}
-		joint = coarse
+	fam, err := verify.NewFamily(core.Concat(bases...), c.baseK, c.opts.Serve.Parallelism)
+	if err != nil {
+		return nil, fmt.Errorf("shard: joint release withheld: %w", err)
 	}
-	c.relMu.Lock()
-	c.relK1[k1] = &relEntry{epochs: epochs, ps: joint.Partitions}
-	c.relMu.Unlock()
-	return joint.Partitions, nil
+	m.family = fam
+	return fam, nil
 }
 
 // Export returns the canonical global cut at granularity k1 (0 = base
-// k): every shard's records merged, sorted by (curve key, ID), and cut
-// into consecutive runs of at least k1 records, last run merged back
-// if short — the same greedy discipline as sfc.Anonymize, but over the
-// coordinator's FIXED routing quantizer, so the output is a pure
-// function of the record multiset and (curve, bits, k1). That makes
-// it byte-identical across shard counts and worker counts: the
-// determinism anchor. Like Release it is withheld with a
-// *PartialError cause unless every range has a fresh, healthy view.
-// The k1 granularity is rejected below the validated base k;
-// anonylint:k-validated.
+// k): every shard's records merged, sorted by (curve key, ID), and
+// leaf-scanned one record per leaf — consecutive runs of at least k1
+// records, a short last run merged back — into a release family of its
+// own, proven like any other. The order comes from the coordinator's
+// FIXED routing quantizer, so the output is a pure function of the
+// record multiset and k1. That makes it byte-identical across shard
+// counts and worker counts: the determinism anchor. Like Release it is
+// withheld with a *PartialError cause unless every range has a fresh,
+// healthy view. The k1 granularity is rejected below the validated
+// base k; anonylint:k-validated.
 func (c *Coordinator) Export(k1 int) ([]Partition, error) {
 	if k1 == 0 {
 		k1 = c.baseK
@@ -213,21 +223,16 @@ func (c *Coordinator) Export(k1 int) ([]Partition, error) {
 	if bad != nil {
 		return nil, fmt.Errorf("shard: export withheld: %w", bad)
 	}
-	epochs := make([]uint64, len(views))
-	n := 0
-	for i, v := range views {
-		epochs[i] = v.view.Epoch()
-		n += v.view.Len()
-	}
-	c.expMu.Lock()
-	if e, ok := c.expK1[k1]; ok && slices.Equal(e.epochs, epochs) {
-		ps := e.ps
-		c.expMu.Unlock()
+	c.memoMu.Lock()
+	defer c.memoMu.Unlock()
+	m := c.memoAt(views)
+	if ps, ok := m.exports[k1]; ok {
 		return ps, nil
 	}
-	c.expMu.Unlock()
-
-	constraint := anonmodel.KAnonymity{K: k1}
+	n := 0
+	for _, v := range views {
+		n += v.view.Len()
+	}
 	if n < k1 {
 		return nil, fmt.Errorf("shard: fleet holds %d records, below granularity %d", n, k1)
 	}
@@ -239,7 +244,7 @@ func (c *Coordinator) Export(k1 int) ([]Partition, error) {
 	idx := make([]int, len(recs))
 	var cell []uint32
 	for i, r := range recs {
-		keys[i], cell = c.quant.KeyInto(c.opts.Curve, r.QI, cell)
+		keys[i], cell = c.quant.KeyInto(routeCurve, r.QI, cell)
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool {
@@ -249,37 +254,14 @@ func (c *Coordinator) Export(k1 int) ([]Partition, error) {
 		}
 		return recs[idx[a]].ID < recs[idx[b]].ID
 	})
-	var out []Partition
-	start := 0
-	for start < len(recs) {
-		end := start
-		var group []attr.Record
-		for end < len(recs) && !constraint.Satisfied(group) {
-			group = append(group, recs[idx[end]])
-			end++
-		}
-		out = append(out, Partition{Records: group})
-		start = end
+	leaves := make([]Partition, len(recs))
+	for i, j := range idx {
+		leaves[i] = Partition{Box: attr.PointBox(recs[j].QI), Records: recs[j : j+1]}
 	}
-	if m := len(out); m > 1 && !constraint.Satisfied(out[m-1].Records) {
-		out[m-2].Records = append(out[m-2].Records, out[m-1].Records...)
-		out = out[:m-1]
+	fam, err := verify.NewFamily(core.Tiling{Partitions: leaves}, k1, c.opts.Serve.Parallelism)
+	if err != nil {
+		return nil, fmt.Errorf("shard: export withheld: %w", err)
 	}
-	for i := range out {
-		box := attr.NewBox(c.dims)
-		for _, r := range out[i].Records {
-			box.Include(r.QI)
-		}
-		out[i].Box = box
-	}
-	if err := verify.Release(out, constraint); err != nil {
-		return nil, fmt.Errorf("shard: export failed release audit: %w", err)
-	}
-	if err := verify.Releases([][]Partition{out}, k1); err != nil {
-		return nil, fmt.Errorf("shard: export failed k-boundness audit: %w", err)
-	}
-	c.expMu.Lock()
-	c.expK1[k1] = &relEntry{epochs: epochs, ps: out}
-	c.expMu.Unlock()
-	return out, nil
+	m.exports[k1] = fam.Base().Partitions
+	return m.exports[k1], nil
 }

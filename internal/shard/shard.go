@@ -24,14 +24,14 @@
 // freshness — before any joint release leaves the coordinator. Two
 // read products exist on purpose:
 //
-//   - Release: the concatenation of the live per-shard releases,
-//     audited by CrossShard. Cheap (reuses each shard's epoch cache),
-//     deterministic for a fixed shard count, but shaped by the shard
-//     seams.
-//   - Export: the canonical global cut — merge every shard's records,
-//     sort by (curve key, ID), cut k-sized runs. Slower, but
-//     byte-identical across shard counts AND worker counts: the
-//     determinism anchor offline consumers diff against.
+//   - Release: the live per-shard base releases laid end to end,
+//     audited by CrossShard and proven as one verify.Family per epoch
+//     vector. Cheap (windows of each shard's record array),
+//     deterministic for a fixed shard count, but shaped by the seams.
+//   - Export: the canonical global cut — every shard's records in
+//     (curve key, ID) order, leaf-scanned into a family of its own.
+//     Slower, but byte-identical across shard counts AND worker
+//     counts: the determinism anchor offline consumers diff against.
 package shard
 
 import (
@@ -64,22 +64,15 @@ type Options struct {
 	// (the quantizer's contract), so routing still lands somewhere
 	// deterministic.
 	Domain attr.Box
-	// Curve selects the space-filling curve keys route by.
-	Curve sfc.Curve
-	// Bits is the per-dimension quantizer resolution; <= 0 picks the
-	// widest grid that fits 64-bit keys.
-	Bits int
 	// Tree configures each shard's index identically.
 	Tree rplustree.Config
 	// Serve configures each shard's serving layer. DeadlineTicks and
 	// QueueDepth apply per shard: a stalled fsync sheds and expires
 	// submissions for its own key range only.
 	Serve serve.Options
-	// CheckpointEvery, PageSize, PoolPages and NoSync tune each
-	// shard's store exactly as the corresponding wal.Options fields.
+	// CheckpointEvery and NoSync tune each shard's store exactly as the
+	// corresponding wal.Options fields.
 	CheckpointEvery int
-	PageSize        int
-	PoolPages       int
 	NoSync          bool
 	// StoreRetry bounds each store's log-writer retries (wal.Options
 	// .Retry), its jitter re-seeded per shard so writers never share a
@@ -105,6 +98,10 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// routeCurve is the space-filling curve keys route by. The routing
+// quantizer uses the widest per-dimension grid that fits 64-bit keys.
+const routeCurve = sfc.ZOrder
 
 // shardState is one key range's serving stack plus the coordinator's
 // bookkeeping about it.
@@ -134,10 +131,9 @@ type Coordinator struct {
 
 	partials atomic.Int64
 
-	relMu  sync.Mutex
-	relK1  map[int]*relEntry
-	expMu  sync.Mutex
-	expK1  map[int]*relEntry
+	// memo holds what the last read computed from one epoch vector.
+	memoMu sync.Mutex
+	memo   *epochMemo
 	closed atomic.Bool
 }
 
@@ -168,7 +164,7 @@ func build(opts Options, create bool) (*Coordinator, error) {
 	if !create && len(opts.Preload) > 0 {
 		return nil, fmt.Errorf("shard: preload is create-only; Open recovers from the logs")
 	}
-	quant, err := sfc.NewQuantizer(opts.Domain, opts.Bits)
+	quant, err := sfc.NewQuantizer(opts.Domain, 0)
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
@@ -182,8 +178,6 @@ func build(opts Options, create bool) (*Coordinator, error) {
 		table: table,
 		dims:  dims,
 		baseK: opts.Tree.BaseK,
-		relK1: make(map[int]*relEntry),
-		expK1: make(map[int]*relEntry),
 	}
 	preload, err := c.routePreload(opts.Preload)
 	if err != nil {
@@ -220,8 +214,6 @@ func (c *Coordinator) buildShard(id int, rng verify.KeyRange, preload []wal.Op, 
 		Dir:             filepath.Join(c.opts.Dir, fmt.Sprintf("shard-%04d", id)),
 		Tree:            c.opts.Tree,
 		CheckpointEvery: c.opts.CheckpointEvery,
-		PageSize:        c.opts.PageSize,
-		PoolPages:       c.opts.PoolPages,
 		NoSync:          c.opts.NoSync,
 		Retry:           c.opts.StoreRetry.Derive(id),
 	}
@@ -256,7 +248,7 @@ func (c *Coordinator) buildShard(id int, rng verify.KeyRange, preload []wal.Op, 
 
 // route returns the shard index owning the given QI point.
 func (c *Coordinator) route(qi []float64) int {
-	return lookup(c.table, c.quant.Key(c.opts.Curve, qi))
+	return lookup(c.table, c.quant.Key(routeCurve, qi))
 }
 
 // Route is the routing function for callers that account per shard:
@@ -415,7 +407,7 @@ func (c *Coordinator) Table() []verify.KeyRange {
 func (c *Coordinator) Quantizer() *sfc.Quantizer { return c.quant }
 
 // Curve returns the routing curve.
-func (c *Coordinator) Curve() sfc.Curve { return c.opts.Curve }
+func (c *Coordinator) Curve() sfc.Curve { return routeCurve }
 
 // ShardStats pairs one shard's serving counters with its identity.
 type ShardStats struct {

@@ -245,6 +245,78 @@ func TestRoutedMutationsAndJointRelease(t *testing.T) {
 	}
 }
 
+// TestJointFamilySharesArraysUntilAWrite: on a quiescent fleet every
+// granularity comes out of ONE release family per epoch vector — the
+// groups that do not straddle a shard seam are windows of the shards'
+// own record arrays, whatever the granularity — and any single
+// acknowledged write starts a fresh family for all of them.
+func TestJointFamilySharesArraysUntilAWrite(t *testing.T) {
+	const shards = 3
+	opts := testOptions(t, shards)
+	opts.Preload = makeRecords(t, 900, 23)
+	c := newCoordinator(t, opts)
+
+	ks := []int{0, 25, 50}
+	release := func() [][]Partition {
+		t.Helper()
+		out := make([][]Partition, len(ks))
+		for i, k1 := range ks {
+			ps, err := c.Release(k1)
+			if err != nil {
+				t.Fatalf("Release(%d): %v", k1, err)
+			}
+			out[i] = ps
+		}
+		return out
+	}
+	first := release()
+
+	// Where each shard's own base release starts a partition.
+	starts := make(map[*attr.Record]bool)
+	for _, sh := range c.fleet {
+		base, err := sh.srv.View().Base()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range base {
+			starts[&p.Records[0]] = true
+		}
+	}
+	for i, ps := range first {
+		copied := 0
+		for _, p := range ps {
+			if !starts[&p.Records[0]] {
+				copied++
+			}
+		}
+		if copied > shards-1 {
+			t.Fatalf("Release(%d): %d of %d groups are not windows of a shard's array; only the %d seam groups may be copied",
+				ks[i], copied, len(ps), shards-1)
+		}
+		if &ps[0].Records[0] != &first[0][0].Records[0] {
+			t.Fatalf("Release(%d) does not start in the array Release(0) starts in", ks[i])
+		}
+	}
+	for i, ps := range release() {
+		if &ps[0] != &first[i][0] {
+			t.Fatalf("Release(%d) recomputed at an unchanged epoch vector", ks[i])
+		}
+	}
+
+	extra := makeRecords(t, 901, 23)[900]
+	if err := c.Insert(extra); err != nil {
+		t.Fatal(err)
+	}
+	for i, ps := range release() {
+		if &ps[0] == &first[i][0] {
+			t.Fatalf("Release(%d) served from before an acknowledged write", ks[i])
+		}
+		if n := anonmodel.TotalRecords(ps); n != 901 {
+			t.Fatalf("Release(%d) after the write covers %d records, want 901", ks[i], n)
+		}
+	}
+}
+
 // TestShardFailureIsolation: poisoning one shard's device degrades
 // exactly that key range — typed errors with the full sentinel chain
 // for its writes, partial counts naming its range, withheld joint

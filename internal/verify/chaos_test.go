@@ -134,7 +134,7 @@ func runSchedule(t *testing.T, seed int64, incremental bool) int {
 	var sets [][]anonmodel.Partition
 	for _, k := range []int{chaosBaseK, 2 * chaosBaseK, 4 * chaosBaseK} {
 		cons := anonmodel.KAnonymity{K: k}
-		ps, err := core.LeafScan(base, cons)
+		ps, err := core.LeafScanP(base, cons, 1)
 		if err != nil {
 			t.Fatalf("seed %d: leaf scan k=%d: %v", seed, k, err)
 		}

@@ -9,7 +9,7 @@
 // "clean error or verified-consistent tree, never silent corruption"
 // after every fault schedule.
 //
-// Three entry points:
+// Four entry points:
 //
 //   - Tree audits an index: sibling routing regions pairwise disjoint,
 //     every MBR tight and inside its routing region, counts
@@ -21,6 +21,9 @@
 //   - Releases audits a multi-granular family for k-boundness
 //     (Lemma 1): the intersection cells an adversary can form by
 //     colluding across releases each hold zero or at least k records.
+//   - Family scans leaf partitions into a base release, proves it with
+//     Release and Releases and derives coarser granularities under the
+//     same proof: the one place a release handed to a reader is made.
 package verify
 
 import (

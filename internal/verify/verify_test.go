@@ -6,6 +6,7 @@ import (
 
 	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
+	"spatialanon/internal/core"
 	"spatialanon/internal/dataset"
 	"spatialanon/internal/routing"
 	"spatialanon/internal/rplustree"
@@ -94,29 +95,64 @@ func TestReleasesKBoundness(t *testing.T) {
 	rel := func(ps ...anonmodel.Partition) []anonmodel.Partition { return ps }
 	b := box(0, 10)
 	fine := rel(part(b, 1, 2, 3), part(b, 4, 5, 6))
-	coarse := rel(part(b, 1, 2, 3, 4, 5, 6))
-	if err := Releases([][]anonmodel.Partition{fine, coarse}, 3); err != nil {
-		t.Fatalf("nested releases rejected: %v", err)
+
+	// Real families: every granularity the index derives by leaf scan,
+	// every level of the hierarchical algorithm, and — the unsafe
+	// alternative — an independent re-anonymization of the same table.
+	recs := dataset.GeneratePatients(600, 34)
+	rt, err := core.NewRTreeAnonymizer(core.RTreeConfig{Schema: dataset.PatientsSchema(), BaseK: 5})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := Releases(nil, 3); err != nil {
-		t.Fatalf("empty family rejected: %v", err)
+	if err := rt.Load(recs); err != nil {
+		t.Fatal(err)
+	}
+	family := func(rels []core.Release, err error) [][]anonmodel.Partition {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets := make([][]anonmodel.Partition, len(rels))
+		for i, r := range rels {
+			sets[i] = r.Partitions
+		}
+		return sets
+	}
+	leafScan := family(rt.MultiGranular([]int{5, 10, 25}))
+	shuffled := append([]attr.Record(nil), recs...)
+	dataset.Shuffle(shuffled, 99)
+	independent, err := (&core.MondrianAnonymizer{Schema: dataset.PatientsSchema(), Constraint: anonmodel.KAnonymity{K: 20}}).Anonymize(shuffled)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// Misaligned boundaries isolate record 4 in the intersection of
-	// fine's second partition and skewed's first — a Lemma 1 violation.
-	skewed := rel(part(b, 1, 2, 3, 4), part(b, 5, 6))
-	if err := Releases([][]anonmodel.Partition{fine, skewed}, 3); err == nil {
-		t.Fatal("intersection cell of 1 record not flagged")
+	cases := []struct {
+		name string
+		sets [][]anonmodel.Partition
+		k    int
+		want string // substring of the violation; "" = the family is k-bound
+	}{
+		{"nested by hand", [][]anonmodel.Partition{fine, rel(part(b, 1, 2, 3, 4, 5, 6))}, 3, ""},
+		{"empty family", nil, 3, ""},
+		{"leaf-scan granularities", leafScan, 5, ""},
+		{"hierarchical levels", family(rt.HierarchicalReleases()), 5, ""},
+		{"independently re-anonymized", [][]anonmodel.Partition{leafScan[0], independent}, 5, "intersection cell"},
+		// Misaligned boundaries isolate record 4 in the intersection of
+		// fine's second partition and the skewed release's first.
+		{"crossing boundaries", [][]anonmodel.Partition{fine, rel(part(b, 1, 2, 3, 4), part(b, 5, 6))}, 3, "intersection cell [1 0] holds 1 records"},
+		{"record missing from a release", [][]anonmodel.Partition{fine, rel(part(b, 1, 2, 3, 4, 5))}, 3, "record 6 missing from release 1"},
+		{"record twice in a release", [][]anonmodel.Partition{fine, rel(part(b, 1, 2, 3), part(b, 1, 4, 5, 6))}, 3, "record 1 in two partitions of release 1"},
 	}
-	// Record 6 missing from the second release.
-	missing := rel(part(b, 1, 2, 3, 4, 5))
-	if err := Releases([][]anonmodel.Partition{fine, missing}, 3); err == nil {
-		t.Fatal("missing record not flagged")
-	}
-	// Record 1 twice within one release.
-	dup := rel(part(b, 1, 2, 3), part(b, 1, 4, 5, 6))
-	if err := Releases([][]anonmodel.Partition{fine, dup}, 3); err == nil {
-		t.Fatal("duplicate within release not flagged")
+	for _, tc := range cases {
+		err := Releases(tc.sets, tc.k)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: not flagged", tc.name)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: violation %q does not name %q", tc.name, err, tc.want)
+		}
 	}
 }
 

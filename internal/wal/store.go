@@ -119,7 +119,6 @@ type Store struct {
 	// checkpoint swaps the writer, Recover reopens it).
 	retired  int64
 	recovery RecoveryStats
-	audited  bool
 	dead     error
 	// divergent records that the live tree no longer matches the
 	// committed log (a committed op failed to apply). Recover must then
@@ -324,38 +323,26 @@ func (s *Store) applyOp(op Op) (bool, error) {
 // audit is the recovery gate: the independent auditor must re-prove
 // the tree's structural safety, and — once the store holds at least
 // BaseK records, the threshold below which no release exists — the
-// k-anonymity and Lemma-1 k-boundness of the base release. Only then
-// may the store publish.
+// release family (k-anonymity and Lemma-1 k-boundness of the base
+// release). Only then may the store publish.
 func (s *Store) audit() error {
 	if err := verify.Tree(s.tree, verify.TreeOptions{}); err != nil {
 		return fmt.Errorf("wal: recovered tree failed audit: %w", err)
 	}
-	k := s.tree.Config().BaseK
-	if s.tree.Len() >= k {
-		base, err := core.LeafScan(partitionsFromLeaves(s.tree.Leaves()), anonmodel.KAnonymity{K: k})
-		if err != nil {
-			return fmt.Errorf("wal: recovered tree failed audit: %w", err)
-		}
-		if err := verify.Release(base, anonmodel.KAnonymity{K: k}); err != nil {
+	if s.tree.Len() >= s.tree.Config().BaseK {
+		if _, err := s.family(); err != nil {
 			return fmt.Errorf("wal: recovered release failed audit: %w", err)
 		}
-		if err := verify.Releases([][]anonmodel.Partition{base}, k); err != nil {
-			return fmt.Errorf("wal: recovered release failed k-boundness audit: %w", err)
-		}
 	}
-	s.audited = true
 	return nil
 }
 
-// partitionsFromLeaves mirrors core's leaf-to-partition conversion:
-// one born-compacted partition per leaf MBR, aliasing the live leaves —
-// scan input only; the scan's output owns its boxes and records.
-func partitionsFromLeaves(leaves []rplustree.LeafView) []anonmodel.Partition {
-	out := make([]anonmodel.Partition, len(leaves))
-	for i, l := range leaves {
-		out[i] = anonmodel.Partition{Box: l.MBR, Records: l.Records}
-	}
-	return out
+// family scans and proves the release family of the CURRENT leaves.
+// Nothing is carried between calls: a mutation since the last proof
+// cannot be served on the strength of an older one.
+func (s *Store) family() (*verify.Family, error) {
+	leaves := core.Tiling{Partitions: core.LeafPartitions(s.tree.Leaves())}
+	return verify.NewFamily(leaves, s.tree.Config().BaseK, 1)
 }
 
 // die poisons the store after a crash or unrecoverable append error.
@@ -557,30 +544,20 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// Release materializes the anonymized view at granularity k1 (0 =
-// base k) via the leaf scan — but only from an audited state: a store
-// whose recovery audit did not pass never gets here, and a poisoned
-// (crashed) store refuses too.
+// Release returns the release at granularity k1 (0 = base k) from the
+// release family of the current leaves, scanned and proven on every
+// call — the store is single-goroutine and keeps no memo, so what it
+// hands out is always what the auditor just accepted. A poisoned
+// (crashed) store refuses.
 func (s *Store) Release(k1 int) ([]anonmodel.Partition, error) {
 	if s.dead != nil {
 		return nil, s.dead
 	}
-	if !s.audited {
-		return nil, fmt.Errorf("wal: release from unaudited store")
-	}
-	k := s.tree.Config().BaseK
-	base, err := core.Tiling{Partitions: partitionsFromLeaves(s.tree.Leaves())}.Scan(anonmodel.KAnonymity{K: k}, 1)
+	fam, err := s.family()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("wal: release withheld: %w", err)
 	}
-	if k1 == 0 || k1 == k {
-		return base.Partitions, nil
-	}
-	if k1 < k {
-		return nil, fmt.Errorf("wal: granularity %d below base k %d", k1, k)
-	}
-	coarse, err := base.Scan(anonmodel.KAnonymity{K: k1}, 1)
-	return coarse.Partitions, err
+	return fam.Release(k1)
 }
 
 // ScrubReport summarizes one scrub pass over the store's pages.
@@ -635,7 +612,7 @@ func (s *Store) Scrub() (ScrubReport, error) {
 	if !liveRot {
 		return rep, nil
 	}
-	if !s.audited || s.divergent {
+	if s.divergent {
 		// Backstop: with neither a clean durable image nor an
 		// authoritative tree there is nothing to rebuild from.
 		s.die(fmt.Errorf("wal: scrub found rot in the live checkpoint of an unauditable store"))
@@ -666,7 +643,7 @@ func (s *Store) Scrub() (ScrubReport, error) {
 // (internal/serve) must route this through the same goroutine that
 // owns all other store access.
 func (s *Store) Recover() error {
-	authoritative := s.audited && !s.divergent && s.tree != nil
+	authoritative := !s.divergent && s.tree != nil
 	s.closeHandles()
 	fresh, err := Open(s.opts)
 	if err != nil && authoritative {

@@ -3,6 +3,7 @@ package wal
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"spatialanon/internal/anonmodel"
@@ -254,6 +255,54 @@ func TestStoreReleaseGranularity(t *testing.T) {
 	if err := verify.Release(coarse, anonmodel.KAnonymity{K: 9}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestStoreReleaseWithheldOnDuplicateID: a release is proven from the
+// leaves it is cut from, on every call — not waved through on the
+// verdict of the audit that ran when the store was opened. Two live
+// records sharing an ID make every release unsafe (the auditor's
+// no-record-twice rule), so the store must withhold them all; after a
+// checkpoint the recovery gate proves the same family and refuses the
+// reopen outright, so nothing can be released from that state either.
+func TestStoreReleaseWithheldOnDuplicateID(t *testing.T) {
+	opts := testOpts(t, 2)
+	s, err := Create(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := makeRecords(opts.Tree.Schema, 8, 9)
+	recs[5].ID = recs[0].ID
+	for _, r := range recs {
+		if err := s.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := fmt.Sprintf("verify: record %d published in partitions", recs[0].ID)
+	withheld := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s served a store holding record %d twice", what, recs[0].ID)
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: %v, want the auditor's %q", what, err, want)
+		}
+	}
+	_, err = s.Release(0)
+	withheld("Release(0)", err)
+	_, err = s.Release(4)
+	withheld("Release(4)", err)
+
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(opts)
+	if err == nil {
+		s2.Close()
+	}
+	withheld("Open after checkpoint", err)
 }
 
 func TestStoreCreateRefusesExisting(t *testing.T) {
