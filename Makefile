@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build loc test vet lint lint-json chaos chaos-serve chaos-shard crash throughput zeroalloc fuzz bench cover experiments examples clean
+.PHONY: all build loc loc-check test vet lint lint-json chaos chaos-serve chaos-shard crash throughput zeroalloc fuzz bench cover experiments examples clean
 
 all: vet test
 
@@ -19,6 +19,18 @@ loc:
 		| awk '{ n = split($$2, d, "/"); pkg = n > 3 ? d[2] "/" d[3] : "(root)"; lines[pkg] += $$1; total += $$1 } \
 			END { for (p in lines) printf "%7d %s\n", lines[p], p; printf "%7d total\n", total }' \
 		| sort -k2
+
+# The size gate: `make loc`'s total may not exceed LOC_CEILING, which
+# is the total of the last PR that moved it. A PR that adds net
+# non-test lines must raise the number here, in its own diff, where a
+# reviewer sees it; a PR that removes lines lowers it to its new total.
+LOC_CEILING = 20095
+loc-check:
+	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
+	if [ "$$total" -gt $(LOC_CEILING) ]; then \
+		echo "loc-check: $$total non-test lines exceed the ceiling of $(LOC_CEILING) (Makefile LOC_CEILING)"; exit 1; \
+	fi; \
+	echo "loc-check: $$total non-test lines, ceiling $(LOC_CEILING)"
 
 # `make vet` is the whole static gate: the stock go vet suite plus
 # anonylint, the project's multichecker (internal/lint) — pager

@@ -1,8 +1,8 @@
-// Command loadgen is a closed-loop load driver for the concurrent
-// serving layer (internal/serve): a fixed number of writer and reader
-// goroutines issue operations back-to-back against one durable store
-// for a fixed operation budget, and the tool reports per-class
-// throughput (ops/sec) and latency quantiles (p50/p99).
+// Command loadgen is a closed-loop load driver for the serving stack:
+// a fixed number of writer and reader goroutines issue operations
+// back-to-back against a shard.Coordinator for a fixed operation
+// budget, and the tool reports per-shard throughput (ops/sec) and
+// latency quantiles (p50/p99).
 //
 // Closed-loop means each goroutine waits for its operation to finish
 // before issuing the next, so offered load adapts to service time —
@@ -12,31 +12,35 @@
 // Usage:
 //
 //	loadgen -n 20000 -ops 5000 -writers 8 -readers 4
+//	loadgen -shards 4 -writers 8 -readers 2
 //	loadgen -dir ./store -nosync=false -writers 16 -batch 64
 //	loadgen -dataset patients -readers 8 -k1 25
 //	loadgen -overload -writers 32 -queue 4 -batch 4 -deadline 2
-//	loadgen -shards 4 -writers 8 -readers 2
+//	loadgen -profile read -readers 4 -writers 2
 //
-// The store is created in -dir (a temporary directory by default),
-// preloaded with -n records in one bulk batch, then churned: writers
-// interleave inserts, relocations and deletes of their own key
-// stripes; readers loop snapshot releases at granularity -k1 and
-// range counts against the current view. Durability is real unless
-// -nosync is set: every group commit is an fsync.
+// A store is a fleet of one: every run creates a coordinator in -dir
+// (a temporary directory by default) over -shards contiguous SFC key
+// ranges (default 1), each with its own durable store and serving
+// stack, preloaded with -n records, then churned: writers interleave
+// inserts, relocations and deletes of their own key stripes, routed by
+// curve key; readers loop the audited joint release at granularity -k1
+// and a whole-domain count. -shards 1 takes the same path as 4 — it
+// pays the cross-shard audit and the joint family like any fleet — and
+// the report has the same shape: throughput, latency quantiles and
+// commit counters per shard, then the coordinator's line. Durability
+// is real unless -nosync is set: every group commit is an fsync.
 //
 // With -overload the tool measures admission control instead of
 // aborting on the first error: typed rejections (ErrOverloaded,
-// ErrDeadlineExceeded, …) are counted per class and the report adds
-// the shed rate alongside the server's own counters. Size the queue
-// below the writer count (-queue < -writers) to actually provoke
-// shedding. In every mode SIGINT drains gracefully: in-flight
+// ErrDeadlineExceeded, …) are counted per class and shard, and the
+// report adds the shed rate alongside the servers' own counters. Size
+// the queue below the writer count (-queue < -writers) to actually
+// provoke shedding. In every mode SIGINT drains gracefully: in-flight
 // operations finish, counters are reported for the partial run.
 //
-// With -shards N the store is split into N contiguous SFC key ranges,
-// each with its own serving stack (internal/shard); mutations route by
-// curve key, readers issue cross-shard counts and audited joint
-// releases, and the report breaks throughput, latency quantiles,
-// error-class counts and shed rate down per shard.
+// With -profile read the readers instead hold Counter sessions minted
+// from the one range's view (so it needs -shards 1) and drive point
+// and range COUNT queries; see read_profile.go.
 package main
 
 import (
@@ -56,6 +60,7 @@ import (
 	"spatialanon/internal/dataset"
 	"spatialanon/internal/retry"
 	"spatialanon/internal/serve"
+	"spatialanon/internal/shard"
 )
 
 func main() {
@@ -111,11 +116,11 @@ func parseFlags(args []string) (config, error) {
 	if c.shards < 1 {
 		return c, fmt.Errorf("need at least one shard")
 	}
-	if c.shards > 1 && c.profile != "churn" {
-		return c, fmt.Errorf("-shards applies to the churn profile only")
-	}
 	if c.profile != "churn" && c.profile != "read" {
 		return c, fmt.Errorf("unknown profile %q (want churn or read)", c.profile)
+	}
+	if c.profile == "read" && c.shards != 1 {
+		return c, fmt.Errorf("read profile needs -shards 1: its sessions are bound to one key range's release")
 	}
 	if c.profile == "read" && c.readers <= 0 {
 		return c, fmt.Errorf("read profile needs at least one reader")
@@ -144,30 +149,21 @@ func schemaFor(name string) (*attr.Schema, func(n int, seed int64) []attr.Record
 	return nil, nil, fmt.Errorf("unknown dataset %q", name)
 }
 
-// quantile returns the q-quantile of the sorted latency sample.
+// quantile returns the q-quantile of the sorted, non-empty sample.
 func quantile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
+	return sorted[int(q*float64(len(sorted)-1))]
+}
+
+// summarize renders one class of operations — count, rate, latency
+// quantiles — sorting the sample in place.
+func summarize(all []time.Duration, elapsed time.Duration) string {
+	if len(all) == 0 {
+		return "0 ops"
 	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
-}
-
-type classStats struct {
-	ops      int
-	elapsed  time.Duration
-	p50, p99 time.Duration
-}
-
-// summarize sorts the sample in place.
-func summarize(all []time.Duration, elapsed time.Duration) classStats {
 	slices.Sort(all)
-	return classStats{
-		ops:     len(all),
-		elapsed: elapsed,
-		p50:     quantile(all, 0.50),
-		p99:     quantile(all, 0.99),
-	}
+	return fmt.Sprintf("%d ops in %v — %.0f ops/sec, p50 %v, p99 %v",
+		len(all), elapsed.Round(time.Millisecond), float64(len(all))/elapsed.Seconds(),
+		quantile(all, 0.50).Round(time.Microsecond), quantile(all, 0.99).Round(time.Microsecond))
 }
 
 // errCounts buckets overload-mode outcomes by the serving layer's
@@ -206,12 +202,8 @@ func (ec *errCounts) add(o errCounts) {
 	ec.other += o.other
 }
 
-func (ec errCounts) issued() int {
-	return ec.acked + ec.shed + ec.expired + ec.degraded + ec.recovering + ec.transient + ec.other
-}
-
 func (ec errCounts) String() string {
-	issued := ec.issued()
+	issued := ec.acked + ec.shed + ec.expired + ec.degraded + ec.recovering + ec.transient + ec.other
 	shedPct := 0.0
 	if issued > 0 {
 		shedPct = 100 * float64(ec.shed) / float64(issued)
@@ -220,16 +212,7 @@ func (ec errCounts) String() string {
 		issued, ec.acked, ec.shed, shedPct, ec.expired, ec.degraded, ec.recovering, ec.transient, ec.other)
 }
 
-func (s classStats) String() string {
-	if s.ops == 0 {
-		return "0 ops"
-	}
-	rate := float64(s.ops) / s.elapsed.Seconds()
-	return fmt.Sprintf("%d ops in %v — %.0f ops/sec, p50 %v, p99 %v",
-		s.ops, s.elapsed.Round(time.Millisecond), rate, s.p50.Round(time.Microsecond), s.p99.Round(time.Microsecond))
-}
-
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	c, err := parseFlags(args)
 	if err != nil {
 		return err
@@ -259,20 +242,19 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	var tgt target
-	mode := fmt.Sprintf("profile=%s n=%d k=%d", c.profile, c.n, c.k)
-	if c.shards > 1 {
-		mode = fmt.Sprintf("sharded n=%d k=%d shards=%d", c.n, c.k, c.shards)
-		tgt, err = newFleetTarget(c, dir, schema, recs, churn)
-	} else {
-		tgt, err = newStoreTarget(c, dir, schema, recs)
-	}
+	co, domain, err := newFleet(c, dir, schema, recs, churn)
 	if err != nil {
 		return err
 	}
-	defer tgt.close()
-	fmt.Fprintf(out, "loadgen: %s %s writers=%d readers=%d batch=%d ops=%d fsync=%v\n",
-		c.dataset, mode, c.writers, c.readers, c.batch, c.ops, !c.nosync)
+	// The one place the fleet is closed. Both loops report after their
+	// goroutines have drained, when every counter is already final.
+	defer func() {
+		if cerr := co.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	fmt.Fprintf(out, "loadgen: %s profile=%s n=%d k=%d shards=%d writers=%d readers=%d batch=%d ops=%d fsync=%v\n",
+		c.dataset, c.profile, c.n, c.k, c.shards, c.writers, c.readers, c.batch, c.ops, !c.nosync)
 
 	// Graceful SIGINT drain: the first interrupt stops new operations,
 	// lets whatever is in flight commit and reports the partial run.
@@ -283,10 +265,9 @@ func run(args []string, out io.Writer) error {
 	context.AfterFunc(ctx, uninstall)
 
 	if c.profile == "read" {
-		// parseFlags admits the read profile on a single store only.
-		return readProfile(ctx, c, tgt.(*storeTarget).Server, generate, out)
+		return readProfile(ctx, c, co, generate, out)
 	}
-	return churnLoop(ctx, c, tgt, churn, out)
+	return churnLoop(ctx, c, co, domain, churn, out)
 }
 
 // noteInterrupt reports a drained interrupt. The driving goroutine
@@ -304,11 +285,10 @@ type bucketSamples struct {
 	ec   errCounts
 }
 
-// churnLoop is the closed-loop churn driver, written once against
-// target: striped writers cycling insert → relocate → delete, readers
-// looping the target's read step until the writers finish, error
-// classification, and the per-bucket report.
-func churnLoop(ctx context.Context, c config, tgt target, churn []attr.Record, out io.Writer) error {
+// churnLoop is the closed-loop churn driver: striped writers cycling
+// insert → relocate → delete, readers looping readStep until the
+// writers finish, error classification, and the per-shard report.
+func churnLoop(ctx context.Context, c config, co *shard.Coordinator, domain attr.Box, churn []attr.Record, out io.Writer) error {
 	var (
 		writers, readers sync.WaitGroup
 		samples          = make([][]bucketSamples, c.writers) // [writer][bucket]
@@ -321,7 +301,7 @@ func churnLoop(ctx context.Context, c config, tgt target, churn []attr.Record, o
 	start := time.Now() // anonylint:wall-clock — throughput measurement only
 
 	for w := range samples {
-		mine := make([]bucketSamples, tgt.buckets())
+		mine := make([]bucketSamples, co.NumShards())
 		samples[w] = mine
 		writers.Add(1)
 		go func() {
@@ -329,8 +309,8 @@ func churnLoop(ctx context.Context, c config, tgt target, churn []attr.Record, o
 			// Writer w owns churn indices w, w+writers, w+2*writers, …
 			// and cycles insert → relocate → delete over its own keys,
 			// so the store's size stays near the preload and every
-			// update and delete hits a live record. On a fleet the
-			// relocation may cross a shard seam — that path is part of
+			// update and delete hits a live record. With several shards
+			// the relocation may cross a seam — that path is part of
 			// what a sharded run measures.
 			var cur attr.Record
 			for i, j := w, 0; i < c.ops && ctx.Err() == nil; i, j = i+c.writers, j+1 {
@@ -340,17 +320,17 @@ func churnLoop(ctx context.Context, c config, tgt target, churn []attr.Record, o
 				switch j % 3 {
 				case 0:
 					cur = churn[i]
-					b = tgt.bucket(cur.QI)
-					err = tgt.Insert(cur)
+					b = co.Route(cur.QI)
+					err = co.Insert(cur)
 				case 1:
 					moved := attr.Record{ID: cur.ID, QI: append([]float64(nil), cur.QI...), Sensitive: cur.Sensitive}
 					moved.QI[0]++
-					b = tgt.bucket(moved.QI)
-					_, err = tgt.Update(cur.ID, cur.QI, moved)
+					b = co.Route(moved.QI)
+					_, err = co.Update(cur.ID, cur.QI, moved)
 					cur = moved
 				case 2:
-					b = tgt.bucket(cur.QI)
-					_, err = tgt.Delete(cur.ID, cur.QI)
+					b = co.Route(cur.QI)
+					_, err = co.Delete(cur.ID, cur.QI)
 				}
 				mine[b].lats = append(mine[b].lats, time.Since(t0)) // anonylint:wall-clock — latency sample
 				if c.overload {
@@ -377,7 +357,7 @@ func churnLoop(ctx context.Context, c config, tgt target, churn []attr.Record, o
 				default:
 				}
 				t0 := time.Now() // anonylint:wall-clock — latency sample
-				np, err := tgt.read()
+				np, err := readStep(co, domain, c.k1)
 				if err != nil {
 					fail(fmt.Errorf("reader %d: %w", r, err))
 					return
@@ -404,22 +384,19 @@ func churnLoop(ctx context.Context, c config, tgt target, churn []attr.Record, o
 	elapsed := time.Since(start) // anonylint:wall-clock — throughput measurement only
 
 	noteInterrupt(ctx, out)
-	if err := tgt.close(); err != nil {
-		return err
-	}
 	if p := firstErr.Load(); p != nil {
 		return *p
 	}
 
 	if c.writers > 0 {
-		per := make([]bucketSamples, tgt.buckets())
+		per := make([]bucketSamples, co.NumShards())
 		for _, mine := range samples {
 			for b := range mine {
 				per[b].lats = append(per[b].lats, mine[b].lats...)
 				per[b].ec.add(mine[b].ec)
 			}
 		}
-		tgt.report(out, per, writeElapsed, c.overload, partials.Load())
+		report(out, co, per, writeElapsed, c.overload, partials.Load())
 	}
 	if c.readers > 0 {
 		fmt.Fprintf(out, "reads:  %s\n", summarize(slices.Concat(readerLats...), elapsed))

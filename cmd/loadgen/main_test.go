@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -20,12 +21,13 @@ func runOK(t *testing.T, args ...string) string {
 	return out.String()
 }
 
-// shardCounts is the table every churn assertion runs over: the single
-// store is the one-bucket case of the same loop that drives a fleet.
+// shardCounts is the table every churn assertion runs over: a store is
+// the fleet of one, driven and reported by the same code as a fleet of
+// three.
 var shardCounts = []string{"1", "3"}
 
 // sumMatches adds up capture group `group` of re over every match in
-// out — one match on a single store, one per shard on a fleet.
+// out — one per shard for the per-shard lines.
 func sumMatches(t *testing.T, out string, re *regexp.Regexp, group int) int {
 	t.Helper()
 	ms := re.FindAllStringSubmatch(out, -1)
@@ -46,13 +48,37 @@ func sumMatches(t *testing.T, out string, re *regexp.Regexp, group int) int {
 var (
 	writesRE      = regexp.MustCompile(`writes: (\d+) ops`)
 	checkpointsRE = regexp.MustCompile(`checkpoints: (\d+) \(\d+ full\), \d+ leaves`)
-	overloadRE    = regexp.MustCompile(`(?:overload|shard \d+ errors): issued=(\d+) acked=(\d+) shed=(\d+)`)
+	overloadRE    = regexp.MustCompile(`shard \d+ errors: issued=(\d+) acked=(\d+) shed=(\d+)`)
+	digitsRE      = regexp.MustCompile(`\d+`)
+	// lineShapeRE strips a report line down to its kind: shard indices,
+	// counts and durations vary between runs and shard counts, the
+	// sequence of line kinds must not.
+	lineShapeRE = regexp.MustCompile(`^(loadgen|shard \d+ [a-z]+|shard|checkpoints|coordinator|reads)\b`)
 )
+
+// reportShape lists the kinds of report lines in order, collapsing the
+// per-shard block to one entry per kind.
+func reportShape(t *testing.T, out string) []string {
+	t.Helper()
+	var shape []string
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		kind := lineShapeRE.FindString(line)
+		if kind == "" {
+			t.Fatalf("unrecognized report line %q in:\n%s", line, out)
+		}
+		kind = digitsRE.ReplaceAllString(kind, "N")
+		if !slices.Contains(shape, kind) {
+			shape = append(shape, kind)
+		}
+	}
+	return shape
+}
 
 // TestMixedLoad drives the full closed loop — writers and readers —
 // on a small store with fsync disabled so the test is fast on any
 // filesystem, and checks the report lines appear with sane content.
 func TestMixedLoad(t *testing.T) {
+	shapes := map[string][]string{}
 	for _, shards := range shardCounts {
 		t.Run("shards="+shards, func(t *testing.T) {
 			out := runOK(t,
@@ -71,10 +97,19 @@ func TestMixedLoad(t *testing.T) {
 			if got := sumMatches(t, out, checkpointsRE, 1); got < 4 {
 				t.Fatalf("checkpoints line reports %d checkpoints, want at least 4:\n%s", got, out)
 			}
-			if sharded := strings.Contains(out, "coordinator: partial reads=0 "); sharded != (shards != "1") {
-				t.Fatalf("coordinator line present=%v with -shards %s:\n%s", sharded, shards, out)
+			if !strings.Contains(out, "coordinator: partial reads=0 ") {
+				t.Fatalf("coordinator line missing with -shards %s:\n%s", shards, out)
 			}
+			if got := len(writesRE.FindAllString(out, -1)); strconv.Itoa(got) != shards {
+				t.Fatalf("%d per-shard write lines with -shards %s:\n%s", got, shards, out)
+			}
+			shapes[shards] = reportShape(t, out)
 		})
+	}
+	// One front end: the fleet of one prints the report a fleet of three
+	// prints — per-shard lines, checkpoints, the coordinator's line.
+	if !slices.Equal(shapes["1"], shapes["3"]) {
+		t.Fatalf("report shape differs by shard count:\n-shards 1: %q\n-shards 3: %q", shapes["1"], shapes["3"])
 	}
 }
 
@@ -198,5 +233,8 @@ func TestReadProfileValidation(t *testing.T) {
 	}
 	if err := run([]string{"-profile", "read", "-readers", "0", "-writers", "2", "-nosync"}, &out); err == nil {
 		t.Fatal("read profile without readers accepted")
+	}
+	if err := run([]string{"-profile", "read", "-shards", "2", "-nosync"}, &out); err == nil {
+		t.Fatal("read profile over several key ranges accepted")
 	}
 }

@@ -10,12 +10,13 @@ import (
 
 	"spatialanon/internal/attr"
 	"spatialanon/internal/query"
-	"spatialanon/internal/serve"
+	"spatialanon/internal/shard"
 )
 
 // The read profile measures the zero-alloc serving read path: every
 // reader goroutine holds its own Counter/Estimator session against the
-// current view (re-minted whenever the epoch moves) and drives point
+// fleet-of-one's current view (re-minted whenever the epoch moves; a
+// session is bound to one range's release) and drives point
 // and range COUNT queries back-to-back. Reported per class: ops/sec,
 // p50/p99 latency, and allocs/op measured by mallocs-delta calibration
 // on a warm session — the number CI pins to zero.
@@ -38,8 +39,8 @@ func allocsPerOp(n int, f func()) float64 {
 // readProfile runs the read-only measurement loop. Writers (if
 // configured) churn the store in the background — unmeasured — so the
 // epoch moves and sessions exercise their refresh path.
-func readProfile(ctx context.Context, c config, s *serve.Server, generate func(n int, seed int64) []attr.Record, out io.Writer) error {
-	v := s.View()
+func readProfile(ctx context.Context, c config, co *shard.Coordinator, generate func(n int, seed int64) []attr.Record, out io.Writer) error {
+	v := co.View(0)
 	if _, err := v.Release(c.k1); err != nil {
 		return fmt.Errorf("read profile: %w", err)
 	}
@@ -80,7 +81,7 @@ func readProfile(ctx context.Context, c config, s *serve.Server, generate func(n
 					}
 					r := fresh[(w*64+j%64)%len(fresh)]
 					r.ID = int64(c.n + w*1_000_000 + j + 1)
-					if s.Insert(r) != nil {
+					if co.Insert(r) != nil {
 						return
 					}
 				}
@@ -103,14 +104,14 @@ func readProfile(ctx context.Context, c config, s *serve.Server, generate func(n
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rv := s.View()
+			rv := co.View(0)
 			rc, err := rv.Counter(c.k1)
 			if err != nil {
 				outs[r].err = err
 				return
 			}
 			for i := r; i < c.ops && ctx.Err() == nil; i += c.readers {
-				if cur := s.View(); cur.Epoch() != rv.Epoch() {
+				if cur := co.View(0); cur.Epoch() != rv.Epoch() {
 					rv = cur
 					if rc, err = rv.Counter(c.k1); err != nil {
 						outs[r].err = err
@@ -131,9 +132,6 @@ func readProfile(ctx context.Context, c config, s *serve.Server, generate func(n
 	close(churnStop)
 	churnWG.Wait()
 	noteInterrupt(ctx, out)
-	if err := s.Close(); err != nil {
-		return err
-	}
 
 	var pointLats, rangeLats []time.Duration
 	for r := range outs {
@@ -146,7 +144,6 @@ func readProfile(ctx context.Context, c config, s *serve.Server, generate func(n
 	fmt.Fprintf(out, "points: %s, allocs/op %.2f\n", summarize(pointLats, elapsed), pointAllocs)
 	fmt.Fprintf(out, "ranges: %s, allocs/op %.2f\n", summarize(rangeLats, elapsed), rangeAllocs)
 	fmt.Fprintf(out, "estimates (calibration only): allocs/op %.2f\n", estAllocs)
-	stats := s.Stats()
-	fmt.Fprintf(out, "epochs: %d published during the run\n", stats.Epoch)
+	fmt.Fprintf(out, "epochs: %d published during the run\n", co.View(0).Epoch())
 	return nil
 }

@@ -244,7 +244,7 @@ func TestServingLayerDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := v.Evaluate(queries)
+		res, err := query.Evaluate(base, v.Records(), queries, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +309,7 @@ func TestServerPathDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ps, err := s.Release(0)
+		ps, err := s.View().Release(0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"errors"
 	"fmt"
 
 	"spatialanon/internal/pager"
@@ -11,8 +10,8 @@ import (
 // It models process death at a precise point in the durable-operation
 // sequence: unlike the taxonomy in Error, a crash is neither retryable
 // nor page-scoped — every durable operation after the crash point fails
-// too, because the process is "dead". The WAL recovery path detects it
-// structurally via the Crashed() method so the two packages need not
+// too, because the process is "dead". The WAL detects it structurally
+// via the Crashed() method (wal.IsCrash) so the two packages need not
 // import each other.
 type CrashError struct {
 	// Op counts durable operations at the moment of death, so a failure
@@ -25,91 +24,84 @@ func (e *CrashError) Error() string {
 	return fmt.Sprintf("fault: simulated crash at durable op %d", e.Op)
 }
 
-// Transient implements the structural retry convention: a crash is
-// never retryable.
-func (e *CrashError) Transient() bool { return false }
-
 // Crashed marks the error as a process-death simulation; the WAL layer
 // matches on this method.
 func (e *CrashError) Crashed() bool { return true }
 
-// IsCrash reports whether err is (or wraps) a simulated crash.
-func IsCrash(err error) bool {
-	var c interface{ Crashed() bool }
-	return errors.As(err, &c) && c.Crashed()
-}
-
 // Crash is a deterministic crash-point injector. It counts durable
 // operations — WAL frame appends and pager page write-backs share one
-// counter — and kills the process simulation at the Nth one. Once
-// fired, it stays fired: every later durable operation fails with the
-// same CrashError, which is what distinguishes a crash from the
-// recoverable faults in Injector.
+// clock, the embedded schedule's — and kills the process simulation at
+// the Nth one. Once fired, it stays fired: every later durable
+// operation fails with the same CrashError, which is what distinguishes
+// a crash from the recoverable faults in Injector and Flaky.
 //
 // A crash can also be *torn*: the fatal WAL append persists only a
 // prefix of its frame, modelling a power cut mid-write. The chaos
 // harness uses this to assert that recovery treats a torn tail as
 // "not committed" rather than as corruption.
 //
-// Crash implements pager.FaultPolicy for the write-back side; the WAL
-// writer consumes it through the structural CrashPolicy interface
-// (BeforeAppend). It is not safe for concurrent use.
+// Crash implements pager.FaultPolicy for the write-back side and the
+// log writer's wal.AppendFault hook (structurally) for the append side:
+// to the writer a crash is one more attempt fault, told apart only by
+// wal.IsCrash. It is not safe for concurrent use.
 type Crash struct {
 	// At is the 1-based ordinal of the durable operation that dies.
 	// Zero disables the crash point entirely (useful for counting a
-	// workload's total durable operations).
+	// workload's total durable operations with Ops).
 	At int
 	// Torn, in [0,1], applies only when the fatal operation is a WAL
 	// append: the fraction of the final frame that still reaches disk.
 	// 0 means the frame vanishes entirely.
 	Torn float64
 
-	ops  int
-	dead *CrashError
+	schedule
+	dead error // the *CrashError, once fired
 }
 
-// BeforeAppend is consumed structurally by the WAL writer before each
-// frame append. It returns how many bytes of the frame may persist and
-// whether the process dies at this operation. A non-crashing append
-// persists the whole frame.
-func (c *Crash) BeforeAppend(frameLen int) (persist int, crashed bool) {
+// durableOp advances the crash clock by one durable operation and
+// reports whether this is the one that dies. A dead process performs
+// no further operations, so the clock stops at the fatal ordinal.
+func (c *Crash) durableOp() (fatal bool) {
 	if c.dead != nil {
-		return 0, true
+		return false
 	}
 	c.ops++
-	if c.At > 0 && c.ops >= c.At {
+	// The literal &Crash{At: n} has no constructor to arm it: the
+	// schedule's After threshold is At's 0-based twin.
+	c.after = c.At - 1
+	if c.At > 0 && c.armed() {
 		c.dead = &CrashError{Op: c.ops}
-		persist = int(c.Torn * float64(frameLen))
-		if persist > frameLen {
-			persist = frameLen
-		}
-		return persist, true
+		return true
 	}
-	return frameLen, false
+	return false
 }
+
+// WriteAttempt implements the log writer's append hook: each physical
+// frame write is one durable operation. The fatal one reports how many
+// bytes of the frame still land, ⌊Torn·frameLen⌋, with the crash
+// error; every later attempt fails the same way with nothing landing.
+func (c *Crash) WriteAttempt(frameLen int) (tear int, err error) {
+	if c.durableOp() {
+		return min(int(c.Torn*float64(frameLen)), frameLen), c.dead
+	}
+	return 0, c.dead
+}
+
+// SyncAttempt implements the log writer's fsync hook. An fsync is not
+// a durable operation of its own — the append it follows already
+// counted — but a dead process cannot sync either.
+func (c *Crash) SyncAttempt() error { return c.dead }
 
 // BeforeRead implements pager.FaultPolicy. Reads are not durable
 // operations — they do not advance the crash clock — but a dead
 // process cannot read either.
-func (c *Crash) BeforeRead(id pager.PageID) error {
-	if c.dead != nil {
-		return c.dead
-	}
-	return nil
-}
+func (c *Crash) BeforeRead(id pager.PageID) error { return c.dead }
 
 // BeforeWrite implements pager.FaultPolicy: each page write-back is one
 // durable operation on the shared crash clock.
 func (c *Crash) BeforeWrite(id pager.PageID) error {
-	if c.dead != nil {
-		return c.dead
-	}
-	c.ops++
-	if c.At > 0 && c.ops >= c.At {
-		c.dead = &CrashError{Op: c.ops}
-		return c.dead
-	}
-	return nil
+	c.durableOp()
+	return c.dead
 }
 
 // CorruptWrite implements pager.FaultPolicy; the crash injector never
@@ -117,14 +109,4 @@ func (c *Crash) BeforeWrite(id pager.PageID) error {
 func (c *Crash) CorruptWrite(id pager.PageID, data []byte) bool { return false }
 
 // Err returns the CrashError if the crash point has fired, else nil.
-func (c *Crash) Err() error {
-	if c.dead != nil {
-		return c.dead
-	}
-	return nil
-}
-
-// Ops returns the number of durable operations observed so far. Running
-// a workload with At == 0 and reading Ops afterwards yields the size of
-// the crash-point matrix for that workload.
-func (c *Crash) Ops() int { return c.ops }
+func (c *Crash) Err() error { return c.dead }

@@ -4,19 +4,28 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"spatialanon/internal/retry"
+	"spatialanon/internal/wal"
 )
+
+// Crash is consumed by the log writer through its one fault hook.
+var _ wal.AppendFault = (*Crash)(nil)
 
 func TestCrashFiresAtExactOp(t *testing.T) {
 	c := &Crash{At: 3}
 	// Ops 1 and 2 survive; op 3 dies.
-	if n, crashed := c.BeforeAppend(100); crashed || n != 100 {
-		t.Fatalf("op 1: persist=%d crashed=%v", n, crashed)
+	if n, err := c.WriteAttempt(100); err != nil || n != 0 {
+		t.Fatalf("op 1: tear=%d err=%v", n, err)
 	}
 	if err := c.BeforeWrite(7); err != nil {
 		t.Fatalf("op 2: %v", err)
 	}
-	if _, crashed := c.BeforeAppend(100); !crashed {
-		t.Fatal("op 3 did not crash")
+	if err := c.SyncAttempt(); err != nil {
+		t.Fatalf("sync while alive: %v", err)
+	}
+	if _, err := c.WriteAttempt(100); !wal.IsCrash(err) {
+		t.Fatalf("op 3 did not crash: %v", err)
 	}
 	if c.Err() == nil {
 		t.Fatal("Err() nil after crash")
@@ -28,8 +37,11 @@ func TestCrashFiresAtExactOp(t *testing.T) {
 	if err := c.BeforeRead(8); err == nil {
 		t.Fatal("read after death succeeded")
 	}
-	if _, crashed := c.BeforeAppend(10); !crashed {
-		t.Fatal("append after death succeeded")
+	if n, err := c.WriteAttempt(10); !wal.IsCrash(err) || n != 0 {
+		t.Fatalf("append after death: tear=%d err=%v", n, err)
+	}
+	if err := c.SyncAttempt(); !wal.IsCrash(err) {
+		t.Fatalf("sync after death: %v", err)
 	}
 	if c.Ops() != 3 {
 		t.Fatalf("ops = %d, want 3", c.Ops())
@@ -47,9 +59,9 @@ func TestCrashTornPersistsPrefix(t *testing.T) {
 	}
 	for _, tc := range cases {
 		c := &Crash{At: 1, Torn: tc.torn}
-		n, crashed := c.BeforeAppend(80)
-		if !crashed {
-			t.Fatalf("torn=%v: did not crash", tc.torn)
+		n, err := c.WriteAttempt(80)
+		if !wal.IsCrash(err) {
+			t.Fatalf("torn=%v: did not crash: %v", tc.torn, err)
 		}
 		if n != tc.want {
 			t.Errorf("torn=%v: persist=%d, want %d", tc.torn, n, tc.want)
@@ -60,7 +72,7 @@ func TestCrashTornPersistsPrefix(t *testing.T) {
 func TestCrashDisabledCountsOps(t *testing.T) {
 	c := &Crash{}
 	for i := 0; i < 5; i++ {
-		if _, crashed := c.BeforeAppend(10); crashed {
+		if _, err := c.WriteAttempt(10); err != nil {
 			t.Fatal("disabled crash point fired")
 		}
 		if err := c.BeforeWrite(1); err != nil {
@@ -77,16 +89,16 @@ func TestCrashDisabledCountsOps(t *testing.T) {
 
 func TestCrashErrorClassification(t *testing.T) {
 	err := fmt.Errorf("append: %w", &CrashError{Op: 4})
-	if !IsCrash(err) {
+	if !wal.IsCrash(err) {
 		t.Error("wrapped CrashError not detected by IsCrash")
 	}
-	if IsTransient(err) {
+	if retry.IsTransient(err) {
 		t.Error("crash must not be retryable")
 	}
-	if IsCrash(errors.New("plain")) {
+	if wal.IsCrash(errors.New("plain")) {
 		t.Error("plain error detected as crash")
 	}
-	if IsCrash(nil) {
+	if wal.IsCrash(nil) {
 		t.Error("nil detected as crash")
 	}
 }

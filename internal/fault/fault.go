@@ -29,7 +29,6 @@
 package fault
 
 import (
-	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -66,30 +65,28 @@ func (k Kind) String() string {
 	return fmt.Sprintf("fault.Kind(%d)", int(k))
 }
 
-// Error is a typed injected I/O error.
+// Error is a typed injected I/O error: of a page read or write-back,
+// or — Page zero, which is never a valid page ID — of a log append or
+// fsync.
 type Error struct {
-	Op   string // "read" or "write"
+	Op   string // "read" or "write" of a page; "append" or "sync" of the log
 	Page pager.PageID
 	Kind Kind
 }
 
 // Error implements error.
 func (e *Error) Error() string {
+	if e.Page == 0 {
+		return fmt.Sprintf("fault: %s log %s error", e.Kind, e.Op)
+	}
 	return fmt.Sprintf("fault: %s %s error on page %d", e.Kind, e.Op, e.Page)
 }
 
 // Transient reports whether retrying the failed operation can succeed.
+// It is the structural convention retry.IsTransient matches, so the
+// pager, the WAL writer and the retry helper classify injected faults
+// without importing this package.
 func (e *Error) Transient() bool { return e.Kind == Transient }
-
-// IsTransient reports whether err is a retryable storage fault. Any
-// error in the chain exposing `Transient() bool` participates, so other
-// packages can mark their own errors retryable without importing this
-// one; checksum mismatches (pager.CorruptError) and permanent faults
-// are not transient.
-func IsTransient(err error) bool {
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
-}
 
 // Config sets the per-operation fault probabilities of an Injector. A
 // zero Config injects nothing.
@@ -155,6 +152,27 @@ func (s *schedule) armed() bool {
 		return false
 	}
 	return s.maxFaults == 0 || s.Injected() < s.maxFaults
+}
+
+// draw decides one intercepted, already counted operation: unarmed it
+// passes without touching the PRNG; armed it makes exactly one draw —
+// which keeps a schedule stable even when rates change between runs of
+// the same seed — and reports the failure kind that draw selects, if
+// any, counting it.
+func (s *schedule) draw(permanentRate, transientRate float64) (Kind, bool) {
+	if !s.armed() {
+		return 0, false
+	}
+	r := s.rng.Float64()
+	switch {
+	case r < permanentRate:
+		s.counts[Permanent]++
+		return Permanent, true
+	case r < permanentRate+transientRate:
+		s.counts[Transient]++
+		return Transient, true
+	}
+	return 0, false
 }
 
 // Injected returns the number of faults injected so far (repeat
@@ -225,22 +243,14 @@ func (in *Injector) before(op string, id pager.PageID, transientRate, permanentR
 	if in.permanent[id] {
 		return &Error{Op: op, Page: id, Kind: Permanent}
 	}
-	if !in.armed() {
+	kind, failed := in.draw(permanentRate, transientRate)
+	if !failed {
 		return nil
 	}
-	// One draw per intercepted operation keeps the schedule stable even
-	// when rates change between runs of the same seed.
-	r := in.rng.Float64()
-	switch {
-	case r < permanentRate:
+	if kind == Permanent {
 		in.permanent[id] = true
-		in.counts[Permanent]++
-		return &Error{Op: op, Page: id, Kind: Permanent}
-	case r < permanentRate+transientRate:
-		in.counts[Transient]++
-		return &Error{Op: op, Page: id, Kind: Transient}
 	}
-	return nil
+	return &Error{Op: op, Page: id, Kind: kind}
 }
 
 // CorruptWrite implements pager.FaultPolicy: it may mutate the bytes

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spatialanon/internal/pager"
+	"spatialanon/internal/retry"
 )
 
 // replaySchedule replays n read/write interceptions against an injector and
@@ -67,17 +68,17 @@ func TestTransientClassification(t *testing.T) {
 	if err == nil {
 		t.Fatal("rate-1 transient did not fire")
 	}
-	if !IsTransient(err) {
+	if !retry.IsTransient(err) {
 		t.Fatalf("transient error not classified as transient: %v", err)
 	}
-	if IsTransient(errors.New("plain")) {
+	if retry.IsTransient(errors.New("plain")) {
 		t.Fatal("plain error classified transient")
 	}
-	if IsTransient(nil) {
+	if retry.IsTransient(nil) {
 		t.Fatal("nil classified transient")
 	}
 	// Wrapped transient errors still classify.
-	if !IsTransient(fmt.Errorf("flush: %w", err)) {
+	if !retry.IsTransient(fmt.Errorf("flush: %w", err)) {
 		t.Fatal("wrapped transient error not classified")
 	}
 }
@@ -88,7 +89,7 @@ func TestPermanentPageStaysFailed(t *testing.T) {
 	if err == nil {
 		t.Fatal("rate-1 permanent did not fire")
 	}
-	if IsTransient(err) {
+	if retry.IsTransient(err) {
 		t.Fatal("permanent error classified transient")
 	}
 	// Budget is exhausted, but the failed page keeps failing — on reads

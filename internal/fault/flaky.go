@@ -1,24 +1,5 @@
 package fault
 
-import "fmt"
-
-// LogError is a typed injected failure of a log append or fsync — the
-// frame-stream analogue of the page-scoped Error. The WAL writer and
-// the retry helper match it structurally through `Transient() bool`,
-// so the injector package stays import-free of both.
-type LogError struct {
-	Op   string // "append" or "sync"
-	Kind Kind
-}
-
-// Error implements error.
-func (e *LogError) Error() string {
-	return fmt.Sprintf("fault: %s log %s error", e.Kind, e.Op)
-}
-
-// Transient reports whether retrying the failed attempt can succeed.
-func (e *LogError) Transient() bool { return e.Kind == Transient }
-
 // FlakyConfig sets the per-attempt fault probabilities of a Flaky
 // injector. A zero config injects nothing.
 type FlakyConfig struct {
@@ -79,17 +60,9 @@ func (f *Flaky) Derive(shard int) *Flaky {
 // writer performs the full write itself.
 func (f *Flaky) WriteAttempt(frameLen int) (tear int, err error) {
 	f.ops++
-	if !f.armed() {
-		return 0, nil
-	}
-	r := f.rng.Float64()
-	switch {
-	case r < f.cfg.PermanentWriteRate:
-		f.counts[Permanent]++
-		return f.tearBytes(frameLen), &LogError{Op: "append", Kind: Permanent}
-	case r < f.cfg.PermanentWriteRate+f.cfg.TransientWriteRate:
-		f.counts[Transient]++
-		return f.tearBytes(frameLen), &LogError{Op: "append", Kind: Transient}
+	if kind, failed := f.draw(f.cfg.PermanentWriteRate, f.cfg.TransientWriteRate); failed {
+		// A failed write still lands a random prefix of the frame.
+		return f.rng.Intn(frameLen + 1), &Error{Op: "append", Kind: kind}
 	}
 	return 0, nil
 }
@@ -97,20 +70,8 @@ func (f *Flaky) WriteAttempt(frameLen int) (tear int, err error) {
 // SyncAttempt is consulted before one fsync of the log.
 func (f *Flaky) SyncAttempt() error {
 	f.ops++
-	if !f.armed() {
-		return nil
-	}
-	if f.rng.Float64() < f.cfg.TransientSyncRate {
-		f.counts[Transient]++
-		return &LogError{Op: "sync", Kind: Transient}
+	if kind, failed := f.draw(0, f.cfg.TransientSyncRate); failed {
+		return &Error{Op: "sync", Kind: kind}
 	}
 	return nil
-}
-
-// tearBytes draws how much of a failed frame write still lands.
-func (f *Flaky) tearBytes(frameLen int) int {
-	if frameLen <= 0 {
-		return 0
-	}
-	return f.rng.Intn(frameLen + 1)
 }

@@ -461,26 +461,22 @@ func (p *Pager) FlipBit(id PageID, bit int) error {
 // a whole-snapshot checksum after reassembly. The chaos harness calls
 // it to prove the system resumes cleanly after torn writes and bit rot.
 func (p *Pager) Scrub() ([]PageID, error) {
-	ids, err := p.disk.IDs()
+	_, corrupt, err := p.VerifyPages()
 	if err != nil {
 		return nil, err
 	}
-	var repaired []PageID
-	for _, id := range ids {
-		data, sum, err := p.disk.ReadPage(id)
+	for i, id := range corrupt {
+		data, _, err := p.disk.ReadPage(id)
 		if err != nil {
-			return repaired, err
+			return corrupt[:i], err
 		}
-		if got := crc32.Checksum(data, crcTable); got != sum {
-			buf := make([]byte, len(data))
-			copy(buf, data)
-			if err := p.disk.WritePage(id, buf, got); err != nil {
-				return repaired, err
-			}
-			repaired = append(repaired, id)
+		buf := make([]byte, len(data))
+		copy(buf, data)
+		if err := p.disk.WritePage(id, buf, crc32.Checksum(buf, crcTable)); err != nil {
+			return corrupt[:i], err
 		}
 	}
-	return repaired, nil
+	return corrupt, nil
 }
 
 // VerifyPages checks every at-rest page against its sealed checksum

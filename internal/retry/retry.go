@@ -107,8 +107,9 @@ func (p Policy) Derive(shard int) Policy {
 }
 
 // IsTransient reports whether err identifies itself as retryable: any
-// error in the chain exposing `Transient() bool` returning true. This
-// mirrors fault.IsTransient without importing the injector package.
+// error in the chain exposing `Transient() bool` returning true — the
+// one transient-class predicate; injected faults (fault.Error) opt in
+// through the method, so nothing here imports the injector package.
 func IsTransient(err error) bool {
 	var tr interface{ Transient() bool }
 	return errors.As(err, &tr) && tr.Transient()

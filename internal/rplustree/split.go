@@ -191,24 +191,18 @@ func quickselect(vals []float64, k int) float64 {
 // (Section 5.3). Margin (perimeter) rather than raw area is the
 // underlying quantity because point data routinely produces degenerate
 // zero-area boxes.
-//
-// TopAxes bounds how many axes get the exact median-and-gap scan per
+type MinMarginPolicy struct{}
+
+// topAxes bounds how many axes get the exact median-and-gap scan per
 // split: axes are pre-ranked by weighted normalized extent (read off
-// the MBR, no scan) and only the leading TopAxes are evaluated. 0
-// means 2, which profiles showed costs ~a quarter of exhaustive
-// evaluation at indistinguishable anonymization quality; set it to the
-// dimensionality to recover the exhaustive policy.
-type MinMarginPolicy struct {
-	TopAxes int
-}
+// the MBR, no scan) and only the leading topAxes are evaluated.
+// Profiles showed 2 costs ~a quarter of exhaustive evaluation at
+// indistinguishable anonymization quality.
+const topAxes = 2
 
 // ChooseSplit implements SplitPolicy.
 func (p MinMarginPolicy) ChooseSplit(recs []attr.Record, ctx *SplitContext) (int, float64, bool) {
-	top := p.TopAxes
-	if top == 0 {
-		top = 2
-	}
-	return chooseByScore(recs, ctx, rankedAxes(recs, ctx, top))
+	return chooseByScore(recs, ctx, rankedAxes(recs, ctx, topAxes))
 }
 
 // rankedAxes orders axes by descending weighted normalized extent and
@@ -404,5 +398,5 @@ func (p WeightedPolicy) ChooseSplit(recs []attr.Record, ctx *SplitContext) (int,
 	}
 	sub := *ctx
 	sub.Schema = &s
-	return chooseByScore(recs, &sub, rankedAxes(recs, &sub, 2))
+	return chooseByScore(recs, &sub, rankedAxes(recs, &sub, topAxes))
 }

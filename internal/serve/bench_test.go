@@ -117,13 +117,13 @@ func benchServer(b *testing.B, n int) (*Server, func()) {
 func BenchmarkServeReleaseCached(b *testing.B) {
 	s, cleanup := benchServer(b, 20000)
 	defer cleanup()
-	if _, err := s.Release(50); err != nil {
+	if _, err := s.View().Release(50); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := s.Release(50); err != nil {
+			if _, err := s.View().Release(50); err != nil {
 				b.Error(err)
 				return
 			}

@@ -169,7 +169,7 @@ type recoverReq struct {
 
 // Server is the concurrent front end. Create one with New, mutate
 // with Insert/Delete/Update from any number of goroutines, read with
-// View/Release from any number more, and Close it before closing the
+// View from any number more, and Close it before closing the
 // underlying store.
 type Server struct {
 	st   *wal.Store
@@ -586,12 +586,6 @@ func (s *Server) State() State { return State(s.state.Load()) }
 // snapshot isolation, or repeatedly to follow the epoch head.
 func (s *Server) View() *View {
 	return s.cur.Load()
-}
-
-// Release is shorthand for View().Release(k1): the current epoch's
-// release at granularity k1 (0 = base k), memoized per epoch.
-func (s *Server) Release(k1 int) ([]Partition, error) {
-	return s.cur.Load().Release(k1)
 }
 
 // sampleStore copies the store's own counters to where Stats can read

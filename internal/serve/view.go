@@ -248,15 +248,3 @@ func (v *View) Count(q attr.Box) (float64, error) {
 	v.estPool.Put(est)
 	return out, nil
 }
-
-// Evaluate runs the query-accuracy evaluator against this view's base
-// release: per query, the true count over the view's records and the
-// anonymized estimate. Output is identical for every Parallelism
-// setting.
-func (v *View) Evaluate(queries []attr.Box) ([]query.Result, error) {
-	base, err := v.Release(0)
-	if err != nil {
-		return nil, err
-	}
-	return query.Evaluate(base, v.Records(), queries, v.workers)
-}

@@ -420,7 +420,7 @@ func TestChaosShardCrashMatrix(t *testing.T) {
 						if id != victim {
 							return
 						}
-						o.Crash = crash
+						o.AppendFault = crash
 						o.PagerFault = crash
 					}
 				}
@@ -443,6 +443,7 @@ func TestChaosShardCrashMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			total := counter.Ops()
+			t.Logf("census %s: %d durable ops", t.Name(), total)
 			if total == 0 {
 				t.Fatal("victim performed no durable operations")
 			}
@@ -458,7 +459,7 @@ func TestChaosShardCrashMatrix(t *testing.T) {
 					// The victim died inside Create: nothing durable exists
 					// for that range, and a clean Open of the fleet must say
 					// so rather than fabricate a shard.
-					if !fault.IsCrash(err) {
+					if !wal.IsCrash(err) {
 						t.Fatalf("at=%d: create failure outside the crash taxonomy: %v", at, err)
 					}
 					if _, err := Open(clean); err == nil {
@@ -487,7 +488,7 @@ func TestChaosShardCrashMatrix(t *testing.T) {
 						// have become durable before a post-commit page write
 						// died, so its fate is ambiguous — a client whose ack
 						// was lost.
-						if !fault.IsCrash(err) {
+						if !wal.IsCrash(err) {
 							t.Fatalf("at=%d: first victim rejection lost the crash cause: %v", at, err)
 						}
 						ambiguous[r.ID] = true
@@ -495,7 +496,7 @@ func TestChaosShardCrashMatrix(t *testing.T) {
 					default:
 						// Dead shard: fail-fast typed rejection, nothing
 						// durable, siblings untouched.
-						if !errors.Is(err, serve.ErrDegraded) && !fault.IsCrash(err) {
+						if !errors.Is(err, serve.ErrDegraded) && !wal.IsCrash(err) {
 							t.Fatalf("at=%d: dead-shard rejection outside the taxonomy: %v", at, err)
 						}
 					}

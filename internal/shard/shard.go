@@ -84,7 +84,7 @@ type Options struct {
 	StoreRetry retry.Policy
 	// Faults, when non-nil, is invoked once per shard while its store
 	// options are assembled, letting the chaos harness install
-	// per-shard injectors (AppendFault, Crash, PagerFault) derived
+	// per-shard injectors (AppendFault, PagerFault) derived
 	// from one parent seed.
 	Faults func(shard int, o *wal.Options)
 	// Preload is applied to the freshly created stores — routed,
@@ -392,6 +392,12 @@ func (c *Coordinator) Recover(shard int) error {
 	}
 	return nil
 }
+
+// View returns shard's current published epoch (serve.Server.View).
+// It is what a single-range reader needs to mint Counter/Estimator
+// sessions, which are bound to one release; cross-range reads go
+// through Count, Release and Export. shard must be below NumShards.
+func (c *Coordinator) View(shard int) *serve.View { return c.fleet[shard].srv.View() }
 
 // NumShards reports the fleet size.
 func (c *Coordinator) NumShards() int { return len(c.fleet) }

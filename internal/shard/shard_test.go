@@ -639,3 +639,87 @@ func chaosIDs(st *wal.Store) map[int64]bool {
 	}
 	return out
 }
+
+// TestFleetOfOne: a Shards: 1 coordinator IS the single-store case —
+// one range covering every key — so its cross-shard products must be
+// its only shard's products: the joint release is the view's release,
+// group for group and as windows of the same record array (nothing is
+// copied when there is no seam), and the fleet count is the view's
+// count bit for bit. Both must survive churn.
+func TestFleetOfOne(t *testing.T) {
+	opts := testOptions(t, 1)
+	recs := makeRecords(t, 2200, 61)
+	opts.Preload = recs[:2000]
+	c := newCoordinator(t, opts)
+
+	table := c.Table()
+	if len(table) != 1 || table[0] != (verify.KeyRange{Lo: 0, Hi: c.Quantizer().MaxKey()}) {
+		t.Fatalf("table %v, want the single range [0, %#x]", table, c.Quantizer().MaxKey())
+	}
+
+	rng := detrng.New(61)
+	boxes := make([]attr.Box, 50)
+	for i := range boxes {
+		boxes[i] = attr.NewBox(len(recs[0].QI))
+		for d := range boxes[i] {
+			lo, hi := rng.Float64()*100, rng.Float64()*100
+			boxes[i][d] = attr.Interval{Lo: min(lo, hi), Hi: max(lo, hi)}
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		v := c.View(0)
+		for _, k1 := range []int{0, 25, 50} {
+			joint, err := c.Release(k1)
+			if err != nil {
+				t.Fatalf("%s: Release(%d): %v", when, k1, err)
+			}
+			own, err := v.Release(k1)
+			if err != nil {
+				t.Fatalf("%s: View(0).Release(%d): %v", when, k1, err)
+			}
+			if !partitionsEqual(joint, own) {
+				t.Fatalf("%s: Release(%d) differs from the only shard's release", when, k1)
+			}
+			for i := range joint {
+				if &joint[i].Records[0] != &own[i].Records[0] {
+					t.Fatalf("%s: Release(%d) group %d is a copy, not a window of the view's array", when, k1, i)
+				}
+			}
+		}
+		for i, q := range boxes {
+			got, err := c.Count(q)
+			if err != nil {
+				t.Fatalf("%s: Count(box %d): %v", when, i, err)
+			}
+			want, err := v.Count(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%s: Count(box %d) = %v, the view's is %v", when, i, got, want)
+			}
+		}
+	}
+	check("after preload")
+
+	// 200 mixed calls: inserts of fresh records, then relocations and
+	// deletes of preloaded ones.
+	for i := 0; i < 200; i++ {
+		found, err := true, error(nil)
+		switch r := recs[i]; i % 3 {
+		case 0:
+			err = c.Insert(recs[2000+i])
+		case 1:
+			moved := attr.Record{ID: r.ID, QI: append([]float64(nil), r.QI...), Sensitive: r.Sensitive}
+			moved.QI[0] = 100 - moved.QI[0]
+			found, err = c.Update(r.ID, r.QI, moved)
+		case 2:
+			found, err = c.Delete(r.ID, r.QI)
+		}
+		if err != nil || !found {
+			t.Fatalf("op %d: found=%v err=%v", i, found, err)
+		}
+	}
+	check("after churn")
+}

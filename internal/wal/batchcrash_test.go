@@ -95,7 +95,7 @@ func TestCrashMatrixGroupCommit(t *testing.T) {
 					NoSync:          true,
 				}
 				if crash != nil {
-					o.Crash = crash
+					o.AppendFault = crash
 					o.PagerFault = crash
 				}
 				return o
@@ -106,6 +106,7 @@ func TestCrashMatrixGroupCommit(t *testing.T) {
 				t.Fatalf("dry run died: acked=%d ok=%v", acked, ok)
 			}
 			total := counter.Ops()
+			t.Logf("census %s: %d durable ops", t.Name(), total)
 			// Group commit's whole point: far fewer durable ops than
 			// operations. The workload spends one frame per batch plus
 			// checkpoint traffic, so the ceiling is batches+checkpoints,

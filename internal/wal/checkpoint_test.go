@@ -181,7 +181,7 @@ func TestCrashMatrixIncremental(t *testing.T) {
 					NoSync:   true,
 				}
 				if crash != nil {
-					o.Crash, o.PagerFault = crash, crash
+					o.AppendFault, o.PagerFault = crash, crash
 				}
 				return o
 			}
@@ -227,6 +227,7 @@ func TestCrashMatrixIncremental(t *testing.T) {
 				t.Fatalf("workload does not chain incremental checkpoints: %+v", st)
 			}
 			total := counter.Ops()
+			t.Logf("census %s: %d durable ops", t.Name(), total)
 
 			// The set-up (Create's own checkpoint) is the older matrices'
 			// ground; start at the first durable operation after it.

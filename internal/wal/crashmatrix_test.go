@@ -163,7 +163,7 @@ func TestCrashMatrixRecoversEverywhere(t *testing.T) {
 					NoSync:          true,
 				}
 				if crash != nil {
-					o.Crash = crash
+					o.AppendFault = crash
 					o.PagerFault = crash
 				}
 				return o
@@ -176,6 +176,7 @@ func TestCrashMatrixRecoversEverywhere(t *testing.T) {
 				t.Fatalf("dry run died: acked=%d ok=%v", acked, ok)
 			}
 			total := counter.Ops()
+			t.Logf("census %s: %d durable ops", t.Name(), total)
 			if total < nOps {
 				t.Fatalf("workload performed %d durable ops, fewer than its %d operations", total, nOps)
 			}

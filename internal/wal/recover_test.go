@@ -116,7 +116,7 @@ func TestStorePoisonWrapsSentinel(t *testing.T) {
 	if retry.IsTransient(st.Err()) {
 		t.Fatalf("permanent poison reads as transient: %v", st.Err())
 	}
-	var le *fault.LogError
+	var le *fault.Error
 	if !errors.As(st.Err(), &le) || le.Kind != fault.Permanent {
 		t.Fatalf("underlying fault lost from the chain: %v", st.Err())
 	}
@@ -365,7 +365,7 @@ func TestOpenRefusesOldFormatStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := openWriter(filepath.Join(opts.Dir, logName), nil, true, opts.Retry, nil)
+	w, err := openWriter(filepath.Join(opts.Dir, logName), true, opts.Retry, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,12 +42,10 @@ type Options struct {
 	// matrix uses it: simulated crashes cut the byte stream exactly
 	// where the injector says, so real fsyncs only cost time there.
 	NoSync bool
-	// Crash, when non-nil, is the crash-point injector for WAL appends
-	// (*fault.Crash implements it).
-	Crash CrashPolicy
 	// PagerFault, when non-nil, is installed as the snapshot pager's
-	// fault policy; a *fault.Crash here shares its durable-operation
-	// clock between page write-backs and WAL appends.
+	// fault policy; a *fault.Crash installed here and as AppendFault
+	// shares its durable-operation clock between page write-backs and
+	// WAL appends.
 	PagerFault pager.FaultPolicy
 	// Retry bounds transient-fault retries of each physical log write
 	// and fsync (the Writer owns that fault class; nothing above the
@@ -55,7 +53,7 @@ type Options struct {
 	// recovery. Zero value means a single try.
 	Retry retry.Policy
 	// AppendFault, when non-nil, injects per-attempt write/fsync faults
-	// into the log appender (*fault.Flaky implements it).
+	// into the log appender (*fault.Flaky and *fault.Crash implement it).
 	AppendFault AppendFault
 }
 
@@ -217,7 +215,7 @@ func Open(opts Options) (*Store, error) {
 			return nil, err
 		}
 	}
-	w, err := openWriter(logPath, opts.Crash, opts.NoSync, opts.Retry, opts.AppendFault)
+	w, err := openWriter(logPath, opts.NoSync, opts.Retry, opts.AppendFault)
 	if err != nil {
 		pg.Close()
 		return nil, err

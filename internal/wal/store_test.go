@@ -352,7 +352,7 @@ func TestOpenRejectsDamagedSnapshot(t *testing.T) {
 func TestStoreDiesOnCrashAndRefusesService(t *testing.T) {
 	opts := testOpts(t, 3)
 	crash := &fault.Crash{At: 20}
-	opts.Crash = crash
+	opts.AppendFault = crash
 	opts.PagerFault = crash
 	s, err := Create(opts)
 	if err != nil {
@@ -385,7 +385,7 @@ func TestStoreDiesOnCrashAndRefusesService(t *testing.T) {
 	s.Close()
 
 	// Recovery without the crash policy converges to an audited state.
-	opts.Crash = nil
+	opts.AppendFault = nil
 	opts.PagerFault = nil
 	s2, err := Open(opts)
 	if err != nil {

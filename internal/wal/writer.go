@@ -18,64 +18,37 @@ const frameOverhead = 8
 // as a torn length prefix.
 const maxFrame = 64 << 20
 
-// CrashPolicy lets a fault injector kill the process simulation at a
-// WAL append. It is satisfied by *fault.Crash; the interface is
-// duplicated structurally so the injector package does not import
-// this one. BeforeAppend sees the full frame length and returns how
-// many bytes of it may still reach disk and whether the process dies
-// at this operation.
-type CrashPolicy interface {
-	BeforeAppend(frameLen int) (persist int, crashed bool)
-}
-
-// AppendFault injects typed failures into the log appender, attempt
-// by attempt. It is satisfied structurally by *fault.Flaky so the
-// injector package does not import this one. WriteAttempt is consulted
-// before each physical frame write: on a fault it reports how many
-// bytes of the frame land anyway (a torn prefix the writer persists
-// before returning the error, so the truncate-before-retry path is
-// exercised) and the error itself; errors exposing `Transient() bool`
-// are retried under the writer's retry policy, anything else
-// escalates. SyncAttempt is consulted before each fsync, including
-// when NoSync elides the real one, so fault schedules are identical
-// in synced and unsynced runs.
+// AppendFault is the one fault hook into the log appender: typed
+// failures, attempt by attempt. It is satisfied structurally by
+// *fault.Flaky and *fault.Crash, so the injector package does not
+// import this one. WriteAttempt is consulted before each physical
+// frame write: on a fault it reports how many bytes of the frame land
+// anyway (a torn prefix the writer persists before returning the
+// error) and the error itself. The error's class decides what happens
+// next: one exposing a true `Transient() bool` is retried under the
+// writer's retry policy, truncate first; one for which IsCrash holds
+// kills the writer where it stands, torn prefix and all; anything else
+// is rolled back and escalates. SyncAttempt is consulted before each
+// fsync, including when NoSync elides the real one, so fault schedules
+// are identical in synced and unsynced runs.
 type AppendFault interface {
 	WriteAttempt(frameLen int) (tear int, err error)
 	SyncAttempt() error
 }
 
-// crashedError mirrors fault.CrashError structurally: recovery-side
-// code matches any error exposing Crashed() bool.
-type crashedError struct{ op string }
-
-func (e *crashedError) Error() string {
-	return fmt.Sprintf("wal: simulated crash during %s", e.op)
-}
-func (e *crashedError) Crashed() bool { return true }
-
 // IsCrash reports whether err is (or wraps) a simulated process
-// death, from this package or from internal/fault: any error in the
-// chain exposing Crashed() bool participates.
+// death: any error in the chain exposing a true Crashed() bool, which
+// is how fault.CrashError identifies itself without being imported.
 func IsCrash(err error) bool {
 	var c interface{ Crashed() bool }
 	return errors.As(err, &c) && c.Crashed()
 }
 
-// logFile is the slice of *os.File the writer uses; tests substitute a
-// fault-injecting implementation to exercise the retry path.
-type logFile interface {
-	Write(p []byte) (int, error)
-	Truncate(size int64) error
-	Sync() error
-	Close() error
-}
-
 // Writer appends framed records to a log file. It is not safe for
 // concurrent use.
 type Writer struct {
-	f      logFile
+	f      *os.File
 	size   int64 // bytes of committed frames; a retry truncates back here
-	crash  CrashPolicy
 	afault AppendFault
 	noSync bool
 	retry  retry.Policy
@@ -93,7 +66,7 @@ type Writer struct {
 
 // openWriter opens path for appending. The file's existing contents
 // are assumed valid (callers scan before appending).
-func openWriter(path string, crash CrashPolicy, noSync bool, rp retry.Policy, af AppendFault) (*Writer, error) {
+func openWriter(path string, noSync bool, rp retry.Policy, af AppendFault) (*Writer, error) {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
@@ -103,22 +76,20 @@ func openWriter(path string, crash CrashPolicy, noSync bool, rp retry.Policy, af
 		f.Close()
 		return nil, err
 	}
-	return &Writer{f: f, size: st.Size(), crash: crash, noSync: noSync, retry: rp, afault: af}, nil
+	return &Writer{f: f, size: st.Size(), noSync: noSync, retry: rp, afault: af}, nil
 }
 
 // Append frames the payload and appends it durably: length prefix,
-// payload, CRC32-C trailer, then fsync (unless NoSync). Transient
-// faults surfaced by the crash policy do not exist — a crash is
-// permanent — but real-device deployments see transient write and
-// fsync errors, so both run under the package retry policy, with the
-// injectable AppendFault standing in for the device. A failed append
-// is CLEAN: the log is rolled back to its committed size, so the
-// frame the caller was told is not committed leaves no bytes behind
-// and the caller may simply try the append again later. Only when
-// that rollback itself fails — the log is in an unknown state that a
-// reopen's committed-prefix scan must repair — or after a simulated
-// crash is the writer dead: every later append fails with the same
-// error, exactly like a dead process.
+// payload, CRC32-C trailer, then fsync (unless NoSync). Real-device
+// deployments see transient write and fsync errors, so both run under
+// the package retry policy, with the injectable AppendFault standing in
+// for the device. A failed append is CLEAN: the log is rolled back to
+// its committed size, so the frame the caller was told is not committed
+// leaves no bytes behind and the caller may simply try the append again
+// later. Only when that rollback itself fails — the log is in an
+// unknown state that a reopen's committed-prefix scan must repair — or
+// after a simulated crash is the writer dead: every later append fails
+// with the same error, exactly like a dead process.
 func (w *Writer) Append(payload []byte) error {
 	if w.dead != nil {
 		return w.dead
@@ -132,53 +103,34 @@ func (w *Writer) Append(payload []byte) error {
 	frame = binary.LittleEndian.AppendUint32(frame, Checksum(payload))
 	w.buf = frame
 
-	persist := len(frame)
-	crashed := false
-	if w.crash != nil {
-		persist, crashed = w.crash.BeforeAppend(len(frame))
-		if persist > len(frame) {
-			persist = len(frame)
-		}
-	}
-	if persist > 0 {
-		err := w.attempts(func(retrying bool) error {
-			if retrying {
-				// A failed attempt may have torn bytes into the
-				// O_APPEND log; appending the retry after them would
-				// bury this frame — and every later one — behind
-				// garbage the scanner stops at, losing acknowledged
-				// writes on recovery. Rewind to the committed size so
-				// the retry overwrites the torn prefix instead.
-				if terr := w.f.Truncate(w.size); terr != nil {
-					return terr
-				}
+	err := w.attempts(func(retrying bool) error {
+		if retrying {
+			// A failed attempt may have torn bytes into the O_APPEND
+			// log; appending the retry after them would bury this frame
+			// — and every later one — behind garbage the scanner stops
+			// at, losing acknowledged writes on recovery. Rewind to the
+			// committed size so the retry overwrites the torn prefix
+			// instead.
+			if terr := w.f.Truncate(w.size); terr != nil {
+				return terr
 			}
-			if w.afault != nil {
-				if tear, ferr := w.afault.WriteAttempt(persist); ferr != nil {
-					if tear > persist {
-						tear = persist
-					}
-					if tear > 0 {
-						// Best effort: the injected failure tore a
-						// prefix into the log, like a real device error
-						// mid-write.
-						w.f.Write(frame[:tear])
-					}
-					return ferr
-				}
-			}
-			_, werr := w.f.Write(frame[:persist])
-			return werr
-		})
-		if err != nil {
-			return w.fail("append", err)
 		}
-	}
-	if crashed {
-		// The torn prefix (if any) is already in the file, exactly as a
-		// power cut would leave it.
-		w.dead = &crashedError{op: "append"}
-		return w.dead
+		if w.afault != nil {
+			if tear, ferr := w.afault.WriteAttempt(len(frame)); ferr != nil {
+				if tear = min(tear, len(frame)); tear > 0 {
+					// Best effort: the injected failure tore a prefix
+					// into the log, like a real device error (or a
+					// power cut) mid-write.
+					w.f.Write(frame[:tear])
+				}
+				return ferr
+			}
+		}
+		_, werr := w.f.Write(frame)
+		return werr
+	})
+	if err != nil {
+		return w.fail("append", err)
 	}
 	if err := w.sync(); err != nil {
 		// The frame's bytes are in the file but were never made
@@ -187,16 +139,24 @@ func (w *Writer) Append(payload []byte) error {
 		// failed.
 		return w.fail("sync", err)
 	}
-	w.size += int64(persist)
+	w.size += int64(len(frame))
 	return nil
 }
 
-// fail rolls the log back to its committed size after a failed append
-// or sync, then returns the failure with the original error (and its
-// Transient marker) intact. If the rollback itself fails the log's
-// tail is unknowable from inside this process and the writer is dead:
-// only a reopen — committed-prefix scan plus truncate — can repair it.
+// fail settles a failed append or sync. A simulated crash kills the
+// writer with NO rollback: whatever prefix the fatal attempt tore into
+// the file stays there, exactly as a power cut leaves it, for the
+// reopen's committed-prefix scan to discard. Every other failure rolls
+// the log back to its committed size and returns the original error
+// (and its Transient marker) intact. If the rollback itself fails the
+// log's tail is unknowable from inside this process and the writer is
+// dead too: only a reopen — committed-prefix scan plus truncate — can
+// repair it.
 func (w *Writer) fail(op string, err error) error {
+	if IsCrash(err) {
+		w.dead = fmt.Errorf("wal: %s: %w", op, err)
+		return w.dead
+	}
 	if terr := w.f.Truncate(w.size); terr != nil {
 		w.dead = fmt.Errorf("wal: %s failed (%w) and the rollback truncate failed too: %w", op, err, terr)
 		return w.dead

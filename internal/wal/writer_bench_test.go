@@ -16,7 +16,7 @@ func BenchmarkWriterAppend(b *testing.B) {
 	for _, size := range []int{64, 1024} {
 		b.Run(byteSize(size), func(b *testing.B) {
 			path := filepath.Join(b.TempDir(), "bench.log")
-			w, err := openWriter(path, nil, true, retry.Policy{}, nil)
+			w, err := openWriter(path, true, retry.Policy{}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

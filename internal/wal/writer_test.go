@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -21,7 +20,7 @@ func readLog(t *testing.T, path string) []byte {
 
 func TestWriterScannerRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := openWriter(path, nil, true, retry.Policy{}, nil)
+	w, err := openWriter(path, true, retry.Policy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +53,7 @@ func TestWriterScannerRoundTrip(t *testing.T) {
 // present with valid checksums, flag the tail as torn, and never panic.
 func TestScannerStopsAtTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := openWriter(path, nil, true, retry.Policy{}, nil)
+	w, err := openWriter(path, true, retry.Policy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +118,7 @@ func atFrameEnd(ends []int, n int) bool {
 // checksum must end the committed prefix there.
 func TestScannerRejectsBitFlip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := openWriter(path, nil, true, retry.Policy{}, nil)
+	w, err := openWriter(path, true, retry.Policy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +159,7 @@ func TestScannerRejectsBitFlip(t *testing.T) {
 func TestWriterCrashTearsFrame(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	crash := &fault.Crash{At: 3, Torn: 0.5}
-	w, err := openWriter(path, crash, true, retry.Policy{}, nil)
+	w, err := openWriter(path, true, retry.Policy{}, crash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,35 +197,67 @@ func TestWriterCrashTearsFrame(t *testing.T) {
 	}
 }
 
-// flakyLog is a logFile whose next failAttempts writes fail
-// transiently after persisting only half their bytes — the torn
-// partial write an O_APPEND retry must not land after.
-type flakyLog struct {
-	buf          []byte
-	failAttempts int
+// TestAppendFaultClassDecidesRollback puts a crash and a permanent
+// device fault through the writer's one hook on the same frame. Both
+// tear a prefix into the file and both fail the append for good; only
+// the class of the error differs, and it alone decides what the log
+// holds afterwards: the crash leaves its ⌊Torn·len(frame)⌋ bytes past
+// the committed size (no rollback — a dead process truncates nothing),
+// the permanent fault is rolled back to the committed size.
+func TestAppendFaultClassDecidesRollback(t *testing.T) {
+	payload := []byte("0123456789abcdef")
+	frame := len(payload) + frameOverhead
+	for _, tc := range []struct {
+		name      string
+		hook      AppendFault
+		wantCrash bool
+		wantTail  int
+	}{
+		{"crash", &fault.Crash{At: 2, Torn: 0.75}, true, frame * 3 / 4},
+		// After: 1 lets the first frame through; rate 1 fails the second.
+		{"permanent", fault.NewFlaky(5, fault.FlakyConfig{PermanentWriteRate: 1, After: 1}), false, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "wal.log")
+			w, err := openWriter(path, true, retry.Policy{Attempts: 3}, tc.hook)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			if err := w.Append(payload); err != nil {
+				t.Fatal(err)
+			}
+			err = w.Append(payload)
+			if err == nil || IsCrash(err) != tc.wantCrash || retry.IsTransient(err) {
+				t.Fatalf("faulted append: %v", err)
+			}
+			if dead := w.Err() != nil; dead != tc.wantCrash {
+				t.Fatalf("writer dead=%v, want %v (%v)", dead, tc.wantCrash, w.Err())
+			}
+			if w.retries != 0 {
+				t.Fatalf("non-transient fault was retried %d times", w.retries)
+			}
+			if got := len(readLog(t, path)) - frame; got != tc.wantTail {
+				t.Fatalf("%d bytes past the committed size, want %d", got, tc.wantTail)
+			}
+		})
+	}
 }
 
-func (f *flakyLog) Write(p []byte) (int, error) {
+// tornWrites is an AppendFault whose next failAttempts frame writes
+// fail transiently after persisting only half their bytes — the torn
+// partial write an O_APPEND retry must not land after.
+type tornWrites struct{ failAttempts int }
+
+func (f *tornWrites) WriteAttempt(frameLen int) (int, error) {
 	if f.failAttempts > 0 {
 		f.failAttempts--
-		n := len(p) / 2
-		f.buf = append(f.buf, p[:n]...)
-		return n, &fault.Error{Op: "write", Kind: fault.Transient}
+		return frameLen / 2, &fault.Error{Op: "append", Kind: fault.Transient}
 	}
-	f.buf = append(f.buf, p...)
-	return len(p), nil
+	return 0, nil
 }
 
-func (f *flakyLog) Truncate(size int64) error {
-	if size < 0 || size > int64(len(f.buf)) {
-		return fmt.Errorf("truncate to %d, have %d", size, len(f.buf))
-	}
-	f.buf = f.buf[:size]
-	return nil
-}
-
-func (f *flakyLog) Sync() error  { return nil }
-func (f *flakyLog) Close() error { return nil }
+func (f *tornWrites) SyncAttempt() error { return nil }
 
 // TestAppendRetryRewindsTornPartialWrite: a transient write failure
 // leaves half a frame in the log; the retry must truncate that garbage
@@ -234,16 +265,25 @@ func (f *flakyLog) Close() error { return nil }
 // after it) hides behind bytes the scanner refuses and recovery
 // silently drops acknowledged writes.
 func TestAppendRetryRewindsTornPartialWrite(t *testing.T) {
-	fl := &flakyLog{failAttempts: 1}
-	w := &Writer{f: fl, noSync: true, retry: retry.Policy{Attempts: 3}}
+	path := filepath.Join(t.TempDir(), "wal.log")
+	torn := &tornWrites{failAttempts: 1}
+	w, err := openWriter(path, true, retry.Policy{Attempts: 3}, torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
 	if err := w.Append([]byte("first")); err != nil {
 		t.Fatalf("append with retries: %v", err)
 	}
-	fl.failAttempts = 1
+	torn.failAttempts = 1
 	if err := w.Append([]byte("second-longer-payload")); err != nil {
 		t.Fatalf("second append with retries: %v", err)
 	}
-	sc := NewScanner(fl.buf)
+	if w.retries != 2 {
+		t.Fatalf("writer absorbed %d faults, want 2", w.retries)
+	}
+	img := readLog(t, path)
+	sc := NewScanner(img)
 	var got []string
 	for {
 		p, ok := sc.Next()
@@ -253,7 +293,7 @@ func TestAppendRetryRewindsTornPartialWrite(t *testing.T) {
 		got = append(got, string(p))
 	}
 	if sc.Torn() {
-		t.Fatalf("log torn after successful appends: % x", fl.buf)
+		t.Fatalf("log torn after successful appends: % x", img)
 	}
 	if len(got) != 2 || got[0] != "first" || got[1] != "second-longer-payload" {
 		t.Fatalf("scanned %q, want both committed frames", got)
@@ -276,7 +316,7 @@ func TestScannerHugeLengthPrefix(t *testing.T) {
 
 func TestAppendRejectsOversizedFrame(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := openWriter(path, nil, true, retry.Policy{}, nil)
+	w, err := openWriter(path, true, retry.Policy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
