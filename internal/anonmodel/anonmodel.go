@@ -69,6 +69,43 @@ func CheckAnonymity(ps []Partition, c Constraint) error {
 	return nil
 }
 
+// LeafScan is the reference leaf scan of Figure 5: walk base in index
+// order with one accumulator, closing a group as soon as the constraint
+// is satisfied and publishing it under the union of its members' boxes;
+// a final group that cannot satisfy the constraint is absorbed into its
+// predecessor (step LS4). Records and boxes are copied, never aliased.
+// It is the scan for constraints that inspect record contents and the
+// equality oracle for core.Tiling.Scan's planned path.
+func LeafScan(base []Partition, constraint Constraint) ([]Partition, error) {
+	if len(base) == 0 {
+		return nil, nil
+	}
+	dims := len(base[0].Box)
+	var out []Partition
+	cur := Partition{Box: attr.NewBox(dims)}
+	for _, p := range base {
+		cur.Records = append(cur.Records, p.Records...)
+		cur.Box.IncludeBox(p.Box)
+		if constraint.Satisfied(cur.Records) {
+			out = append(out, cur)
+			cur = Partition{Box: attr.NewBox(dims)}
+		}
+	}
+	if len(cur.Records) > 0 {
+		if len(out) == 0 {
+			if !constraint.Satisfied(cur.Records) {
+				return nil, fmt.Errorf("leaf scan: %d records cannot satisfy %v", len(cur.Records), constraint)
+			}
+			out = append(out, cur)
+		} else {
+			last := &out[len(out)-1]
+			last.Records = append(last.Records, cur.Records...)
+			last.Box.IncludeBox(cur.Box)
+		}
+	}
+	return out, nil
+}
+
 // Constraint decides whether a group of records may be published as one
 // partition. Implementations must be monotone in the sense the paper's
 // algorithms rely on: adding records to a satisfying group keeps

@@ -156,3 +156,74 @@ func recsAtX(xs ...float64) []attr.Record {
 	}
 	return out
 }
+
+// scanLeaves builds one leaf per entry of sensitive: leaf i holds one
+// record per value, all at x = i.
+func scanLeaves(sensitive ...[]string) []Partition {
+	base := make([]Partition, len(sensitive))
+	id := int64(0)
+	for i, vals := range sensitive {
+		base[i].Box = attr.PointBox([]float64{float64(i)})
+		for _, v := range vals {
+			base[i].Records = append(base[i].Records, attr.Record{ID: id, QI: []float64{float64(i)}, Sensitive: v})
+			id++
+		}
+	}
+	return base
+}
+
+// TestLeafScan: the reference scan closes a group as soon as the
+// constraint holds, publishes the union of the members' boxes, absorbs
+// an unsatisfiable tail (LS4), inspects record contents when the
+// constraint does, and copies rather than aliases its input.
+func TestLeafScan(t *testing.T) {
+	ab := []string{"a", "b", "c"}
+	cases := []struct {
+		name  string
+		base  []Partition
+		c     Constraint
+		sizes []int
+		boxes []attr.Interval
+	}{
+		{"whole leaves only", scanLeaves(ab, ab, ab, ab), KAnonymity{K: 5}, []int{6, 6}, []attr.Interval{{Lo: 0, Hi: 1}, {Lo: 2, Hi: 3}}},
+		{"tail absorbed", scanLeaves(ab, ab, ab), KAnonymity{K: 5}, []int{9}, []attr.Interval{{Lo: 0, Hi: 2}}},
+		{"empty leaves ride along", scanLeaves(ab, nil, ab, nil), KAnonymity{K: 3}, []int{3, 3}, []attr.Interval{{Lo: 0, Hi: 0}, {Lo: 1, Hi: 2}}},
+		{"contents decide", scanLeaves([]string{"a", "a"}, []string{"a", "a"}, []string{"b", "c"}, ab), LDiversity{K: 2, L: 3}, []int{6, 3}, []attr.Interval{{Lo: 0, Hi: 2}, {Lo: 3, Hi: 3}}},
+	}
+	for _, tc := range cases {
+		out, err := LeafScan(tc.base, tc.c)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := CheckAnonymity(out, tc.c); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(out) != len(tc.sizes) {
+			t.Fatalf("%s: %d groups, want %d", tc.name, len(out), len(tc.sizes))
+		}
+		next := int64(0)
+		for g, p := range out {
+			if p.Size() != tc.sizes[g] || p.Box[0] != tc.boxes[g] {
+				t.Fatalf("%s: group %d = %d records under %v, want %d under %v", tc.name, g, p.Size(), p.Box, tc.sizes[g], tc.boxes[g])
+			}
+			for _, r := range p.Records {
+				if r.ID != next {
+					t.Fatalf("%s: record %d out of scan order", tc.name, r.ID)
+				}
+				next++
+			}
+		}
+		// The output owns its boxes and records.
+		out[0].Box[0] = attr.Interval{Lo: -1, Hi: -1}
+		out[0].Records[0].ID = -1
+		if tc.base[0].Box[0].Lo == -1 || tc.base[0].Records[0].ID == -1 {
+			t.Fatalf("%s: scan output aliases its input", tc.name)
+		}
+	}
+	if out, err := LeafScan(nil, KAnonymity{K: 2}); out != nil || err != nil {
+		t.Fatalf("empty base: %v %v", out, err)
+	}
+	if _, err := LeafScan(scanLeaves(ab), KAnonymity{K: 5}); err == nil {
+		t.Fatal("a base too small for the constraint must be an error, not a release")
+	}
+}

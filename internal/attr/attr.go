@@ -95,9 +95,13 @@ func (s *Schema) Names() []string {
 	return names
 }
 
-// Validate reports an error if the schema is malformed: no attributes,
-// duplicate names, or a hierarchy attached to a numeric attribute.
+// Validate reports an error if the schema is missing or malformed: a
+// nil schema, no attributes, duplicate names, or a hierarchy attached to
+// a numeric attribute.
 func (s *Schema) Validate() error {
+	if s == nil {
+		return fmt.Errorf("attr: nil schema")
+	}
 	if len(s.Attrs) == 0 {
 		return fmt.Errorf("attr: schema has no quasi-identifier attributes")
 	}
@@ -163,15 +167,6 @@ func (iv Interval) Width() float64 {
 
 // Contains reports whether v lies in the closed interval.
 func (iv Interval) Contains(v float64) bool { return v >= iv.Lo && v <= iv.Hi }
-
-// ContainsInterval reports whether o is entirely inside iv. Every interval
-// contains the empty interval.
-func (iv Interval) ContainsInterval(o Interval) bool {
-	if o.IsEmpty() {
-		return true
-	}
-	return o.Lo >= iv.Lo && o.Hi <= iv.Hi
-}
 
 // Intersects reports whether the two closed intervals share a point.
 func (iv Interval) Intersects(o Interval) bool {
@@ -293,22 +288,6 @@ func (b Box) Contains(p []float64) bool {
 	return true
 }
 
-// ContainsBox reports whether o lies entirely inside b.
-func (b Box) ContainsBox(o Box) bool {
-	if o.IsEmpty() {
-		return true
-	}
-	if len(o) != len(b) {
-		return false
-	}
-	for i, iv := range b {
-		if !iv.ContainsInterval(o[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Intersects reports whether the two boxes share a point. A record's
 // generalized box "matches" a range query exactly when this is true
 // (Section 5.4).
@@ -379,75 +358,6 @@ func (b Box) IncludeBox(o Box) Box {
 	return b
 }
 
-// Area returns the d-dimensional volume of the box. Dimensions of width
-// zero (single points) contribute a factor of zero, so Area is often zero
-// for real data; split policies should prefer Margin when comparing
-// near-degenerate boxes.
-func (b Box) Area() float64 {
-	if b.IsEmpty() {
-		return 0
-	}
-	area := 1.0
-	for _, iv := range b {
-		area *= iv.Width()
-	}
-	return area
-}
-
-// Margin returns the sum of the side lengths of the box (proportional to
-// its perimeter). The certainty metric rewards partitions with small
-// perimeters (Section 4), making Margin the natural split objective.
-func (b Box) Margin() float64 {
-	if b.IsEmpty() {
-		return 0
-	}
-	m := 0.0
-	for _, iv := range b {
-		m += iv.Width()
-	}
-	return m
-}
-
-// WeightedMargin returns the sum of per-dimension widths normalized by the
-// domain widths and scaled by attribute weights — the NCP of a
-// hypothetical tuple generalized to this box (Definition 4). domain gives
-// the full table extent per attribute.
-func (b Box) WeightedMargin(s *Schema, domain Box) float64 {
-	if b.IsEmpty() {
-		return 0
-	}
-	m := 0.0
-	for i, iv := range b {
-		dw := domain[i].Width()
-		if dw <= 0 {
-			continue
-		}
-		m += s.Attrs[i].EffectiveWeight() * iv.Width() / dw
-	}
-	return m
-}
-
-// Enlargement returns how much the box's margin grows to include p.
-func (b Box) Enlargement(p []float64) float64 {
-	e := 0.0
-	for i, iv := range b {
-		if iv.IsEmpty() {
-			continue
-		}
-		if p[i] < iv.Lo {
-			e += iv.Lo - p[i]
-		} else if p[i] > iv.Hi {
-			e += p[i] - iv.Hi
-		}
-	}
-	return e
-}
-
-// Disjoint reports whether the two boxes share no point. R⁺-tree sibling
-// routing regions must be pairwise Disjoint (the paper only generates
-// non-overlapping partitions).
-func (b Box) Disjoint(o Box) bool { return !b.Intersects(o) }
-
 // Equal reports exact equality of the two boxes.
 func (b Box) Equal(o Box) bool {
 	if len(b) != len(o) {
@@ -459,15 +369,6 @@ func (b Box) Equal(o Box) bool {
 		}
 	}
 	return true
-}
-
-// Center returns the midpoint of the box in each dimension.
-func (b Box) Center() []float64 {
-	c := make([]float64, len(b))
-	for i, iv := range b {
-		c[i] = (iv.Lo + iv.Hi) / 2
-	}
-	return c
 }
 
 // String renders the box as a comma-separated list of intervals.
@@ -488,15 +389,4 @@ func DomainOf(dims int, records []Record) Box {
 		b.Include(r.QI)
 	}
 	return b
-}
-
-// SplitBox cuts the box at value v along dimension dim, returning the two
-// halves: points with coordinate < v route left, points with coordinate
-// >= v route right. Both halves are clipped to b.
-func (b Box) SplitBox(dim int, v float64) (left, right Box) {
-	left = b.Clone()
-	right = b.Clone()
-	left[dim] = Interval{Lo: b[dim].Lo, Hi: v}
-	right[dim] = Interval{Lo: v, Hi: b[dim].Hi}
-	return left, right
 }

@@ -9,10 +9,14 @@ import (
 // Generalization hierarchies turn coded categorical ranges into the
 // lowest common ancestor label, as the compaction procedure requires.
 func ExampleHierarchy_GeneralizeInterval() {
-	h := attr.MustBuildHierarchy(attr.Node("USA",
+	h, err := attr.BuildHierarchy(attr.Node("USA",
 		attr.Node("WI", attr.Leaf("53706"), attr.Leaf("53710"), attr.Leaf("53715")),
 		attr.Node("IA", attr.Leaf("52100"), attr.Leaf("52108")),
 	))
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	for _, iv := range []attr.Interval{
 		{Lo: 0, Hi: 0}, // one leaf
 		{Lo: 0, Hi: 2}, // all of WI

@@ -2,7 +2,6 @@ package attr
 
 import (
 	"fmt"
-	"sort"
 )
 
 // HNode is one node of a generalization hierarchy tree. Leaves are the
@@ -18,7 +17,6 @@ type HNode struct {
 	// during BuildHierarchy, which is the "intuitive ordering" the paper
 	// imposes on categorical values.
 	lo, hi int
-	depth  int
 }
 
 // Leaf constructs a leaf hierarchy node.
@@ -32,9 +30,6 @@ func Node(label string, children ...*HNode) *HNode {
 // IsLeaf reports whether the node has no children.
 func (n *HNode) IsLeaf() bool { return len(n.Children) == 0 }
 
-// LeafRange returns the inclusive range of leaf codes under this node.
-func (n *HNode) LeafRange() (lo, hi int) { return n.lo, n.hi }
-
 // LeafCount returns the number of leaves under this node — the quantity
 // |t.A_i| in the categorical case of the certainty penalty
 // (Definition 4).
@@ -43,71 +38,50 @@ func (n *HNode) LeafCount() int { return n.hi - n.lo + 1 }
 // Parent returns the node's parent, or nil at the root.
 func (n *HNode) Parent() *HNode { return n.parent }
 
-// Depth returns the node's distance from the root.
-func (n *HNode) Depth() int { return n.depth }
-
 // Hierarchy is a generalization hierarchy over a categorical attribute's
 // value domain. Leaves are coded 0..LeafCount()-1 in left-to-right order,
 // so a coded interval [lo,hi] corresponds to a contiguous run of leaves
 // and the compaction procedure's "lowest common ancestor" (Section 4) is
 // the lowest node whose leaf range covers [lo,hi].
 type Hierarchy struct {
-	root   *HNode
 	leaves []*HNode
-	byCode map[string]int
 }
 
 // BuildHierarchy finalizes a hierarchy from its root node: it assigns leaf
-// codes left-to-right, parent pointers and depths. It returns an error if
-// the tree is empty or a leaf label repeats.
+// codes left-to-right and parent pointers. It returns an error if the
+// tree is empty or a leaf label repeats.
 func BuildHierarchy(root *HNode) (*Hierarchy, error) {
 	if root == nil {
 		return nil, fmt.Errorf("attr: nil hierarchy root")
 	}
-	h := &Hierarchy{root: root, byCode: make(map[string]int)}
-	var walk func(n *HNode, parent *HNode, depth int) error
-	walk = func(n *HNode, parent *HNode, depth int) error {
+	h := &Hierarchy{}
+	seen := make(map[string]bool)
+	var walk func(n *HNode, parent *HNode) error
+	walk = func(n *HNode, parent *HNode) error {
 		n.parent = parent
-		n.depth = depth
 		if n.IsLeaf() {
-			if _, dup := h.byCode[n.Label]; dup {
+			if seen[n.Label] {
 				return fmt.Errorf("attr: duplicate hierarchy leaf %q", n.Label)
 			}
+			seen[n.Label] = true
 			code := len(h.leaves)
-			h.byCode[n.Label] = code
 			n.lo, n.hi = code, code
 			h.leaves = append(h.leaves, n)
 			return nil
 		}
 		n.lo = len(h.leaves)
 		for _, c := range n.Children {
-			if err := walk(c, n, depth+1); err != nil {
+			if err := walk(c, n); err != nil {
 				return err
 			}
 		}
 		n.hi = len(h.leaves) - 1
 		return nil
 	}
-	if err := walk(root, nil, 0); err != nil {
+	if err := walk(root, nil); err != nil {
 		return nil, err
 	}
 	return h, nil
-}
-
-// MustBuildHierarchy is BuildHierarchy, panicking on error. The panic is
-// kept deliberately (the Must* idiom): it is for statically-known
-// hierarchies in package variables, examples and tests, where a failure
-// is a programmer error, never a data-dependent condition. Anything
-// built from runtime input must call BuildHierarchy and handle the
-// error.
-func MustBuildHierarchy(root *HNode) *Hierarchy {
-	h, err := BuildHierarchy(root)
-	if err != nil {
-		// invariant: Must* is for statically-known hierarchies only; a
-		// failure here is a programmer error, never runtime input.
-		panic(err)
-	}
-	return h
 }
 
 // FlatHierarchy builds the trivial two-level hierarchy rootLabel -> values
@@ -122,8 +96,10 @@ func FlatHierarchy(rootLabel string, values ...string) (*Hierarchy, error) {
 	return BuildHierarchy(Node(rootLabel, children...))
 }
 
-// MustFlatHierarchy is FlatHierarchy, panicking on error — for
-// statically-known value lists only (see MustBuildHierarchy).
+// MustFlatHierarchy is FlatHierarchy, panicking on error. The panic is
+// kept deliberately (the Must* idiom): it is for statically-known value
+// lists in package variables, examples and tests; anything built from
+// runtime input must call FlatHierarchy and handle the error.
 func MustFlatHierarchy(rootLabel string, values ...string) *Hierarchy {
 	h, err := FlatHierarchy(rootLabel, values...)
 	if err != nil {
@@ -134,30 +110,9 @@ func MustFlatHierarchy(rootLabel string, values ...string) *Hierarchy {
 	return h
 }
 
-// Root returns the hierarchy's root node.
-func (h *Hierarchy) Root() *HNode { return h.root }
-
 // LeafCount returns the size of the base domain (|T.A_i| for categorical
 // attributes in the certainty penalty).
 func (h *Hierarchy) LeafCount() int { return len(h.leaves) }
-
-// Code returns the integer code for a base value, or an error if the
-// value is not a leaf of the hierarchy.
-func (h *Hierarchy) Code(label string) (int, error) {
-	c, ok := h.byCode[label]
-	if !ok {
-		return 0, fmt.Errorf("attr: value %q not in hierarchy", label)
-	}
-	return c, nil
-}
-
-// LabelOf returns the base value with the given code.
-func (h *Hierarchy) LabelOf(code int) (string, error) {
-	if code < 0 || code >= len(h.leaves) {
-		return "", fmt.Errorf("attr: leaf code %d out of range [0,%d)", code, len(h.leaves))
-	}
-	return h.leaves[code].Label, nil
-}
 
 // LCA returns the lowest node in the hierarchy whose leaf range covers
 // the inclusive code range [lo, hi]. This is the generalized value the
@@ -197,41 +152,4 @@ func (h *Hierarchy) GeneralizeInterval(iv Interval) (label string, span int, err
 		return h.leaves[lo].Label, 1, nil
 	}
 	return n.Label, n.LeafCount(), nil
-}
-
-// Levels returns, for each depth d, the nodes at depth d in left-to-right
-// order. Useful for rendering hierarchies and for hierarchy-aware recoding
-// schemes.
-func (h *Hierarchy) Levels() [][]*HNode {
-	var out [][]*HNode
-	var walk func(n *HNode)
-	walk = func(n *HNode) {
-		for len(out) <= n.depth {
-			out = append(out, nil)
-		}
-		out[n.depth] = append(out[n.depth], n)
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(h.root)
-	return out
-}
-
-// CodesOf maps a slice of base labels to their sorted, deduplicated codes.
-func (h *Hierarchy) CodesOf(labels []string) ([]int, error) {
-	set := make(map[int]bool, len(labels))
-	for _, l := range labels {
-		c, err := h.Code(l)
-		if err != nil {
-			return nil, err
-		}
-		set[c] = true
-	}
-	out := make([]int, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out, nil
 }

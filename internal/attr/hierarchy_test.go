@@ -37,23 +37,13 @@ func TestHierarchyCodes(t *testing.T) {
 		t.Fatalf("LeafCount = %d, want 6", h.LeafCount())
 	}
 	for i, want := range []string{"53706", "53710", "53715", "52100", "52108", "M5V"} {
-		c, err := h.Code(want)
-		if err != nil || c != i {
-			t.Fatalf("Code(%q) = %d,%v want %d", want, c, err, i)
-		}
-		l, err := h.LabelOf(i)
-		if err != nil || l != want {
-			t.Fatalf("LabelOf(%d) = %q,%v want %q", i, l, err, want)
+		got, span, err := h.GeneralizeInterval(Interval{Lo: float64(i), Hi: float64(i)})
+		if err != nil || got != want || span != 1 {
+			t.Fatalf("code %d = %q/%d,%v want %q", i, got, span, err, want)
 		}
 	}
-	if _, err := h.Code("99999"); err == nil {
-		t.Fatal("Code of unknown value should error")
-	}
-	if _, err := h.LabelOf(6); err == nil {
-		t.Fatal("LabelOf out of range should error")
-	}
-	if _, err := h.LabelOf(-1); err == nil {
-		t.Fatal("LabelOf negative should error")
+	if _, _, err := h.GeneralizeInterval(Interval{Lo: 6, Hi: 6}); err == nil {
+		t.Fatal("a code past the last leaf should error")
 	}
 }
 
@@ -109,26 +99,22 @@ func TestGeneralizeInterval(t *testing.T) {
 
 func TestHierarchyLevelsAndParents(t *testing.T) {
 	h := testHierarchy(t)
-	levels := h.Levels()
-	if len(levels) != 4 {
-		t.Fatalf("Levels depth = %d, want 4", len(levels))
+	// Walk the parent chain up from the first leaf: four levels, the
+	// root last and parentless.
+	n, err := h.LCA(0, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(levels[0]) != 1 || levels[0][0].Label != "World" {
-		t.Fatalf("root level wrong: %v", levels[0])
+	var chain []string
+	for ; n != nil; n = n.Parent() {
+		chain = append(chain, n.Label)
 	}
-	if len(levels[1]) != 2 || len(levels[2]) != 3 || len(levels[3]) != 6 {
-		t.Fatalf("level sizes: %d %d %d", len(levels[1]), len(levels[2]), len(levels[3]))
+	if got := strings.Join(chain, "/"); got != "53706/WI/USA/World" {
+		t.Fatalf("parent chain = %s", got)
 	}
-	if h.Root().Parent() != nil || h.Root().Depth() != 0 {
-		t.Fatal("root parent/depth wrong")
-	}
-	wi := levels[2][0]
-	if wi.Parent().Label != "USA" || wi.Depth() != 2 || wi.IsLeaf() {
-		t.Fatalf("WI node wrong: %+v", wi)
-	}
-	lo, hi := wi.LeafRange()
-	if lo != 0 || hi != 2 {
-		t.Fatalf("WI leaf range = [%d,%d]", lo, hi)
+	wi, err := h.LCA(0, 2)
+	if err != nil || wi.Label != "WI" || wi.IsLeaf() || wi.LeafCount() != 3 {
+		t.Fatalf("WI node wrong: %+v (%v)", wi, err)
 	}
 }
 
@@ -139,12 +125,6 @@ func TestBuildHierarchyErrors(t *testing.T) {
 	if _, err := BuildHierarchy(Node("r", Leaf("a"), Leaf("a"))); err == nil {
 		t.Fatal("duplicate leaf accepted")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustBuildHierarchy did not panic on bad input")
-		}
-	}()
-	MustBuildHierarchy(nil)
 }
 
 func TestFlatHierarchy(t *testing.T) {
@@ -164,25 +144,11 @@ func TestFlatHierarchy(t *testing.T) {
 	}
 }
 
-func TestCodesOf(t *testing.T) {
-	h := testHierarchy(t)
-	codes, err := h.CodesOf([]string{"52108", "53706", "52108"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(codes) != 2 || codes[0] != 0 || codes[1] != 4 {
-		t.Fatalf("CodesOf = %v", codes)
-	}
-	if _, err := h.CodesOf([]string{"bogus"}); err == nil {
-		t.Fatal("CodesOf unknown label should error")
-	}
-}
-
 func TestHierarchyLeafOrderingIsDocumentOrder(t *testing.T) {
 	h := testHierarchy(t)
 	var labels []string
 	for i := 0; i < h.LeafCount(); i++ {
-		l, _ := h.LabelOf(i)
+		l, _, _ := h.GeneralizeInterval(Interval{Lo: float64(i), Hi: float64(i)})
 		labels = append(labels, l)
 	}
 	got := strings.Join(labels, ",")

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"sort"
 
+	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
 )
 
@@ -67,9 +68,6 @@ type Tree struct {
 
 // New creates an empty tree.
 func New(cfg Config) (*Tree, error) {
-	if cfg.Schema == nil {
-		return nil, fmt.Errorf("bptree: nil schema")
-	}
 	if err := cfg.Schema.Validate(); err != nil {
 		return nil, err
 	}
@@ -211,12 +209,15 @@ func (t *Tree) splitInternal(n *node) {
 	t.insertIntoParent(n, sep, right)
 }
 
-// Leaves returns every non-empty leaf's records in key order.
-func (t *Tree) Leaves() [][]attr.Record {
-	var out [][]attr.Record
+// Leaves returns every non-empty leaf in key order: its records
+// (aliasing tree storage) under the MBR of the group over all
+// attributes — the implicit compaction of Section 4.
+func (t *Tree) Leaves() []anonmodel.Partition {
+	var out []anonmodel.Partition
 	for leaf := t.first; leaf != nil; leaf = leaf.next {
 		if len(leaf.recs) > 0 {
-			out = append(out, leaf.recs)
+			box := attr.DomainOf(t.cfg.Schema.Dims(), leaf.recs)
+			out = append(out, anonmodel.Partition{Box: box, Records: leaf.recs})
 		}
 	}
 	return out

@@ -66,7 +66,11 @@ func TestInsertOrderAndInvariants(t *testing.T) {
 	leaves := tr.Leaves()
 	total := 0
 	prev := -1.0
-	for _, leaf := range leaves {
+	for _, p := range leaves {
+		leaf := p.Records
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
 		if len(leaf) > tr.leafCap() {
 			// Only legal for a run of identical keys, which no B+-tree
 			// can separate.
@@ -91,7 +95,7 @@ func TestInsertOrderAndInvariants(t *testing.T) {
 	// groups are (nearly) a k-anonymization of the key column already.
 	under := 0
 	for _, leaf := range leaves {
-		if len(leaf) < 3 {
+		if leaf.Size() < 3 {
 			under++
 		}
 	}
@@ -147,7 +151,7 @@ func TestDuplicateKeysGrowLeaf(t *testing.T) {
 		t.Fatal(err)
 	}
 	leaves := tr.Leaves()
-	if len(leaves) != 1 || len(leaves[0]) != 40 {
+	if len(leaves) != 1 || leaves[0].Size() != 40 {
 		t.Fatalf("duplicate keys should stay in one oversized leaf, got %d leaves", len(leaves))
 	}
 	// Diversity resumes splitting.

@@ -65,7 +65,7 @@ func TestCompactionProperties(t *testing.T) {
 		t.Fatal("partition count changed")
 	}
 	for i := range ps {
-		if !ps[i].Box.ContainsBox(cs[i].Box) {
+		if !ps[i].Box.Union(cs[i].Box).Equal(ps[i].Box) {
 			t.Fatalf("partition %d: compacted box %v escapes original %v", i, cs[i].Box, ps[i].Box)
 		}
 		for d := range cs[i].Box {

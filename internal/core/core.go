@@ -30,7 +30,6 @@ import (
 	"spatialanon/internal/mondrian"
 	"spatialanon/internal/par"
 	"spatialanon/internal/quadtree"
-	"spatialanon/internal/rplustree"
 	"spatialanon/internal/sfc"
 )
 
@@ -108,9 +107,9 @@ type window struct{ arr, off int }
 // and their records are windows: of t's arrays where t is already
 // tiled, else of one fresh array the records are copied into once, in
 // scan order.
-// Output is identical to leafScanSerial for every worker count (0 =
-// all cores, 1 = serial); constraints that inspect record contents
-// (l-diversity, (α,k)) run that serial scan itself.
+// Output is identical to anonmodel.LeafScan for every worker count (0
+// = all cores, 1 = serial); constraints that inspect record contents
+// (l-diversity, (α,k)) run that reference scan itself.
 func (t Tiling) Scan(constraint anonmodel.Constraint, workers int) (Tiling, error) {
 	base := t.Partitions
 	if constraint == nil {
@@ -121,7 +120,7 @@ func (t Tiling) Scan(constraint anonmodel.Constraint, workers int) (Tiling, erro
 	}
 	min, sizeOnly := sizeOnlyMin(constraint)
 	if !sizeOnly {
-		ps, err := leafScanSerial(base, constraint)
+		ps, err := anonmodel.LeafScan(base, constraint)
 		return Tiling{Partitions: ps}, err
 	}
 	// Plan the group boundaries from sizes alone: group g is
@@ -138,7 +137,7 @@ func (t Tiling) Scan(constraint anonmodel.Constraint, workers int) (Tiling, erro
 	}
 	if run > 0 {
 		if len(bounds) == 1 {
-			return Tiling{}, fmt.Errorf("core: %d records cannot satisfy %v", run, constraint)
+			return Tiling{}, fmt.Errorf("leaf scan: %d records cannot satisfy %v", run, constraint)
 		}
 		// Step LS4: absorb the unsatisfiable tail into the last group.
 		bounds[len(bounds)-1] = len(base)
@@ -255,36 +254,6 @@ func sizeOnlyMin(c anonmodel.Constraint) (min int, ok bool) {
 	return 0, false
 }
 
-// leafScanSerial is the reference Figure 5 scan: one pass, one
-// accumulator. It serves the content-inspecting constraints and is the
-// equality oracle for Tiling.Scan's planned path.
-func leafScanSerial(base []anonmodel.Partition, constraint anonmodel.Constraint) ([]anonmodel.Partition, error) {
-	dims := len(base[0].Box)
-	var out []anonmodel.Partition
-	cur := anonmodel.Partition{Box: attr.NewBox(dims)}
-	for _, p := range base {
-		cur.Records = append(cur.Records, p.Records...)
-		cur.Box.IncludeBox(p.Box)
-		if constraint.Satisfied(cur.Records) {
-			out = append(out, cur)
-			cur = anonmodel.Partition{Box: attr.NewBox(dims)}
-		}
-	}
-	if len(cur.Records) > 0 {
-		if len(out) == 0 {
-			if !constraint.Satisfied(cur.Records) {
-				return nil, fmt.Errorf("core: %d records cannot satisfy %v", len(cur.Records), constraint)
-			}
-			out = append(out, cur)
-		} else {
-			last := &out[len(out)-1]
-			last.Records = append(last.Records, cur.Records...)
-			last.Box.IncludeBox(cur.Box)
-		}
-	}
-	return out, nil
-}
-
 // Release is one anonymized table of a multi-granular set.
 type Release struct {
 	// Granularity is the anonymity parameter this release was derived
@@ -398,8 +367,6 @@ type BPTreeAnonymizer struct {
 	Constraint anonmodel.Constraint
 	// Key is the attribute to index on.
 	Key int
-
-	tree *bptree.Tree
 }
 
 // Anonymize implements Anonymizer.
@@ -423,25 +390,11 @@ func (b *BPTreeAnonymizer) Anonymize(recs []attr.Record) ([]anonmodel.Partition,
 			return nil, err
 		}
 	}
-	b.tree = tr
-	dims := b.Schema.Dims()
-	leaves := tr.Leaves()
-	base := make([]anonmodel.Partition, len(leaves))
-	for i, group := range leaves {
-		box := attr.NewBox(dims)
-		for _, r := range group {
-			box.Include(r.QI)
-		}
-		base[i] = anonmodel.Partition{Box: box, Records: group}
-	}
-	return LeafScanP(base, b.Constraint, 1)
+	return LeafScanP(tr.Leaves(), b.Constraint, 1)
 }
 
 // Name implements Anonymizer.
 func (b *BPTreeAnonymizer) Name() string { return fmt.Sprintf("bptree[%d]", b.Key) }
-
-// Tree exposes the index built by the last Anonymize call.
-func (b *BPTreeAnonymizer) Tree() *bptree.Tree { return b.tree }
 
 // QuadAnonymizer anonymizes with a PR-quadtree index (Section 6's
 // alternative index family, after [16]): the tree subdivides at cell
@@ -453,8 +406,6 @@ type QuadAnonymizer struct {
 	// SplitAxes optionally pins the subdividing attributes (max 4);
 	// empty picks the widest domain axes.
 	SplitAxes []int
-
-	tree *quadtree.Tree
 }
 
 // Anonymize implements Anonymizer.
@@ -473,32 +424,8 @@ func (q *QuadAnonymizer) Anonymize(recs []attr.Record) ([]anonmodel.Partition, e
 	if err != nil {
 		return nil, err
 	}
-	q.tree = qt
-	leaves := qt.Leaves()
-	base := make([]anonmodel.Partition, len(leaves))
-	for i, l := range leaves {
-		base[i] = anonmodel.Partition{Box: l.MBR.Clone(), Records: l.Records}
-	}
-	return LeafScanP(base, q.Constraint, 1)
+	return LeafScanP(qt.Leaves(), q.Constraint, 1)
 }
 
 // Name implements Anonymizer.
 func (q *QuadAnonymizer) Name() string { return "quadtree" }
-
-// Tree exposes the underlying index from the last Anonymize call (nil
-// before the first).
-func (q *QuadAnonymizer) Tree() *quadtree.Tree { return q.tree }
-
-// LeafPartitions views index leaves as base partitions for a scan.
-// Leaf MBRs are tight, so these partitions are born compacted — the
-// index "maintains MBRs" (Section 2.3) and never needs the explicit
-// compaction pass. Boxes and records alias the live leaves: this is
-// scan input, never a release (the scan builds its own boxes and
-// copies the records).
-func LeafPartitions(leaves []rplustree.LeafView) []anonmodel.Partition {
-	out := make([]anonmodel.Partition, len(leaves))
-	for i, l := range leaves {
-		out[i] = anonmodel.Partition{Box: l.MBR, Records: l.Records}
-	}
-	return out
-}

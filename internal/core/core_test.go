@@ -2,12 +2,14 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
 	"spatialanon/internal/dataset"
+	"spatialanon/internal/sfc"
 )
 
 func TestLeafScanBasics(t *testing.T) {
@@ -134,12 +136,6 @@ func TestQuadAnonymizer(t *testing.T) {
 	if anonmodel.TotalRecords(ps) != 1200 {
 		t.Fatal("lost records")
 	}
-	if q.Tree() == nil || q.Tree().Len() != 1200 {
-		t.Fatal("tree not exposed")
-	}
-	if err := q.Tree().CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
 	// Degenerate inputs.
 	if _, err := (&QuadAnonymizer{Schema: s}).Anonymize(recs); err == nil {
 		t.Fatal("nil constraint accepted")
@@ -178,9 +174,6 @@ func TestBPTreeAnonymizerFigure1(t *testing.T) {
 	}
 	if bp.Name() != "bptree[0]" {
 		t.Fatalf("Name = %q", bp.Name())
-	}
-	if bp.Tree() == nil || bp.Tree().Len() != 6 {
-		t.Fatal("tree not exposed")
 	}
 	// Age groups must be contiguous runs of the sorted ages — the
 	// defining property of the B+-tree grouping in Figure 1(c).
@@ -268,5 +261,33 @@ func TestQuickLeafScanProperties(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(404))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSFCRaggedRecord: a record with fewer attributes than the first is
+// an input error, as it is for every index-based algorithm, not an
+// index-out-of-range panic.
+func TestSFCRaggedRecord(t *testing.T) {
+	for _, curve := range []sfc.Curve{sfc.ZOrder, sfc.Hilbert} {
+		recs := dataset.GeneratePatients(50, 3)
+		recs[7].QI = recs[7].QI[:1]
+		a := &SFCAnonymizer{Curve: curve, Constraint: anonmodel.KAnonymity{K: 5}}
+		if _, err := a.Anonymize(recs); err == nil || !strings.Contains(err.Error(), "record 7 has 1 attributes") {
+			t.Fatalf("%s: ragged record: %v", a.Name(), err)
+		}
+	}
+}
+
+// TestNilSchemaIsAnError: the baselines that take a schema reject a
+// missing one the way the index packages do.
+func TestNilSchemaIsAnError(t *testing.T) {
+	cons := anonmodel.KAnonymity{K: 5}
+	for _, a := range []Anonymizer{
+		&GridAnonymizer{Constraint: cons},
+		&MondrianAnonymizer{Constraint: cons},
+	} {
+		if _, err := a.Anonymize(dataset.GeneratePatients(50, 3)); err == nil || !strings.Contains(err.Error(), "nil schema") {
+			t.Fatalf("%s: nil schema: %v", a.Name(), err)
+		}
 	}
 }

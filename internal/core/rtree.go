@@ -238,7 +238,7 @@ func (a *RTreeAnonymizer) Partitions(k1 int) ([]anonmodel.Partition, error) {
 // array of its own, so nothing published aliases the live tree and a
 // later Insert or Delete cannot change it.
 func (a *RTreeAnonymizer) baseRelease() (Tiling, error) {
-	return Tiling{Partitions: LeafPartitions(a.tree.Leaves())}.Scan(a.constraint, a.cfg.Parallelism)
+	return Tiling{Partitions: a.tree.Leaves()}.Scan(a.constraint, a.cfg.Parallelism)
 }
 
 // derive returns the release at granularity k1 as windows over base's
@@ -261,19 +261,7 @@ func (a *RTreeAnonymizer) derive(base Tiling, k1 int) ([]anonmodel.Partition, er
 // `level` (0 = leaves) per the Section 3.1 hierarchical algorithm: each
 // level-i node becomes one partition holding all records beneath it.
 func (a *RTreeAnonymizer) HierarchicalRelease(level int) ([]anonmodel.Partition, error) {
-	views, err := a.tree.Level(level)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]anonmodel.Partition, 0, len(views))
-	for _, v := range views {
-		p := anonmodel.Partition{Box: v.MBR.Clone()}
-		for _, l := range v.Leaves {
-			p.Records = append(p.Records, l.Records...)
-		}
-		out = append(out, p)
-	}
-	return out, nil
+	return a.tree.Level(level)
 }
 
 // MultiGranular derives one release per requested granularity from one

@@ -33,7 +33,7 @@ func scanBase(sizes []int) []anonmodel.Partition {
 }
 
 // TestScanMatchesSerialReference: the planned, windowed scan equals
-// leafScanSerial partition for partition, box for box, record for
+// anonmodel.LeafScan partition for partition, box for box, record for
 // record — for every worker count, on a fresh base, on an already
 // tiled one, and on a concatenation of tilings — including empty base
 // partitions in the middle and at the tail and the LS4 absorbed tail.
@@ -64,7 +64,7 @@ func TestScanMatchesSerialReference(t *testing.T) {
 		}
 		for _, k := range []int{2, 3, 5, 11} {
 			c := anonmodel.KAnonymity{K: k}
-			want, wantErr := leafScanSerial(scanBase(shape), c)
+			want, wantErr := anonmodel.LeafScan(scanBase(shape), c)
 			for _, workers := range []int{1, 2, 8} {
 				name := fmt.Sprintf("shape %v k=%d workers=%d", shape, k, workers)
 				fine, err := Tiling{Partitions: scanBase(shape)}.Scan(c, workers)
@@ -83,7 +83,7 @@ func TestScanMatchesSerialReference(t *testing.T) {
 				// A second granularity over the first: windows of the same
 				// array, equal to the reference run over the reference.
 				c2 := anonmodel.All{c, anonmodel.KAnonymity{K: 2*k + 1}}
-				want2, wantErr2 := leafScanSerial(want, c2)
+				want2, wantErr2 := anonmodel.LeafScan(want, c2)
 				coarse, err := fine.Scan(c2, workers)
 				if (err != nil) != (wantErr2 != nil) {
 					t.Fatalf("%s, second scan: error %v, reference %v", name, err, wantErr2)
@@ -137,7 +137,7 @@ func TestConcatScanCopiesOnlySeamGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := leafScanSerial(joint.Partitions, k4)
+	want, err := anonmodel.LeafScan(joint.Partitions, k4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -230,25 +230,6 @@ func TestShuffleDeterministic(t *testing.T) {
 	}
 }
 
-func TestSample(t *testing.T) {
-	got := Sample(AgrawalStream(1000, 2), 50, 7)
-	if len(got) != 50 {
-		t.Fatalf("sample size = %d", len(got))
-	}
-	ids := map[int64]bool{}
-	for _, r := range got {
-		if ids[r.ID] {
-			t.Fatalf("duplicate id %d in sample", r.ID)
-		}
-		ids[r.ID] = true
-	}
-	// Sampling more than available returns everything.
-	all := Sample(AgrawalStream(10, 2), 50, 7)
-	if len(all) != 10 {
-		t.Fatalf("over-sample size = %d", len(all))
-	}
-}
-
 func TestBinaryCodecRoundTrip(t *testing.T) {
 	c := NewBinaryCodec(8)
 	if c.RecordSize() != 32 {

@@ -240,26 +240,3 @@ func Shuffle(recs []attr.Record, seed int64) {
 	rng := detrng.New(seed)
 	rng.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
 }
-
-// Sample reservoir-samples m records from a stream, deterministically
-// under seed. Used to pick query endpoints from data sets too large to
-// materialize.
-func Sample(s *Stream, m int, seed int64) []attr.Record {
-	rng := detrng.New(seed)
-	out := make([]attr.Record, 0, m)
-	seen := 0
-	for {
-		r, ok := s.Next()
-		if !ok {
-			return out
-		}
-		seen++
-		if len(out) < m {
-			out = append(out, r)
-			continue
-		}
-		if j := rng.Intn(seen); j < m {
-			out[j] = r
-		}
-	}
-}

@@ -73,47 +73,8 @@ func Anonymize(schema *attr.Schema, recs []attr.Record, opt Options) ([]anonmode
 
 	domain := attr.DomainOf(dims, recs)
 
-	// Bucket records by cell index vector.
-	type bucket struct {
-		key   uint64
-		cell  []int
-		group []attr.Record
-	}
-	byKey := make(map[uint64]*bucket)
-	cellOf := func(r attr.Record) ([]int, uint64) {
-		cell := make([]int, dims)
-		u32 := make([]uint32, dims)
-		for d := 0; d < dims; d++ {
-			w := domain[d].Width()
-			c := 0
-			if w > 0 {
-				c = int(float64(g) * (r.QI[d] - domain[d].Lo) / w)
-				if c >= g {
-					c = g - 1
-				}
-			}
-			cell[d] = c
-			u32[d] = uint32(c)
-		}
-		return cell, sfc.ZOrderKey(u32, bits)
-	}
-	for _, r := range recs {
-		cell, key := cellOf(r)
-		b, ok := byKey[key]
-		if !ok {
-			b = &bucket{key: key, cell: cell}
-			byKey[key] = b
-		}
-		b.group = append(b.group, r)
-	}
-	buckets := make([]*bucket, 0, len(byKey))
-	for _, b := range byKey {
-		buckets = append(buckets, b)
-	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i].key < buckets[j].key })
-
 	// cellBox returns the domain slab a cell covers.
-	cellBox := func(cell []int) attr.Box {
+	cellBox := func(cell []uint32) attr.Box {
 		box := make(attr.Box, dims)
 		for d := 0; d < dims; d++ {
 			w := domain[d].Width()
@@ -124,27 +85,39 @@ func Anonymize(schema *attr.Schema, recs []attr.Record, opt Options) ([]anonmode
 		return box
 	}
 
-	// Coalesce whole cells greedily along the Z-order walk.
-	var out []anonmodel.Partition
-	var cur anonmodel.Partition
-	cur.Box = attr.NewBox(dims)
-	for _, b := range buckets {
-		cur.Records = append(cur.Records, b.group...)
-		cur.Box.IncludeBox(cellBox(b.cell))
-		if opt.Constraint.Satisfied(cur.Records) {
-			out = append(out, cur)
-			cur = anonmodel.Partition{Box: attr.NewBox(dims)}
+	// Bucket records by cell: one partition per occupied cell, under
+	// the cell's slab, not the records' MBR.
+	byKey := make(map[uint64]*anonmodel.Partition)
+	var keys []uint64
+	cell := make([]uint32, dims)
+	for _, r := range recs {
+		for d := 0; d < dims; d++ {
+			w := domain[d].Width()
+			c := 0
+			if w > 0 {
+				c = int(float64(g) * (r.QI[d] - domain[d].Lo) / w)
+				if c >= g {
+					c = g - 1
+				}
+			}
+			cell[d] = uint32(c)
 		}
-	}
-	if len(cur.Records) > 0 {
-		// Unsatisfying tail: merge into the previous partition.
-		if len(out) == 0 {
-			out = append(out, cur)
-		} else {
-			last := &out[len(out)-1]
-			last.Records = append(last.Records, cur.Records...)
-			last.Box.IncludeBox(cur.Box)
+		key := sfc.ZOrderKey(cell, bits)
+		p, ok := byKey[key]
+		if !ok {
+			p = &anonmodel.Partition{Box: cellBox(cell)}
+			byKey[key] = p
+			keys = append(keys, key)
 		}
+		p.Records = append(p.Records, r)
 	}
-	return out, nil
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	cells := make([]anonmodel.Partition, len(keys))
+	for i, key := range keys {
+		cells[i] = *byKey[key]
+	}
+
+	// Coalesce whole cells along the Z-order walk: the cells are the
+	// leaves of this index and the walk is the leaf scan.
+	return anonmodel.LeafScan(cells, opt.Constraint)
 }

@@ -37,11 +37,10 @@ const PrePublish = "anonylint:pre-publish"
 // from their anonylint:published directives; the seed list keeps
 // cross-package writes honest.
 var SeedTypes = map[string]bool{
-	"spatialanon/internal/serve.View":         true,
-	"spatialanon/internal/serve.accelEntry":   true,
-	"spatialanon/internal/serve.recordsEntry": true,
-	"spatialanon/internal/verify.Family":      true,
-	"spatialanon/internal/routing.Index":      true,
+	"spatialanon/internal/serve.View":       true,
+	"spatialanon/internal/serve.accelEntry": true,
+	"spatialanon/internal/verify.Family":    true,
+	"spatialanon/internal/routing.Index":    true,
 }
 
 // Analyzer flags writes that reach a published type after

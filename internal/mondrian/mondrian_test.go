@@ -157,7 +157,7 @@ func TestPartitionRegionsTileDomain(t *testing.T) {
 	}
 	domain := attr.DomainOf(3, recs)
 	for _, p := range ps {
-		if !domain.ContainsBox(p.Box) {
+		if !domain.Union(p.Box).Equal(domain) {
 			t.Fatalf("partition region %v escapes domain %v", p.Box, domain)
 		}
 	}

@@ -56,10 +56,6 @@ type Stats struct {
 	Hits   int64
 }
 
-// IO returns total page transfers (reads + writes) — the y-axis of
-// Figure 8(b).
-func (s Stats) IO() int64 { return s.Reads + s.Writes }
-
 // FaultPolicy lets a fault injector intercept the pager's disk-facing
 // operations. All methods are called on the single goroutine driving
 // the pager.
@@ -422,12 +418,6 @@ func (p *Pager) Close() error {
 // pages — the "process died" close used after a simulated crash:
 // whatever reached disk before the crash stays exactly as it is.
 func (p *Pager) CloseNoFlush() error { return p.disk.Close() }
-
-// Resident reports whether the page is currently in the buffer pool.
-func (p *Pager) Resident(id PageID) bool {
-	_, ok := p.frames[id]
-	return ok
-}
 
 // DiskPages returns every page currently stored by the backend, in
 // ascending order. Recovery uses it to find (and free) checkpoint pages

@@ -95,14 +95,25 @@ func TestPinPreventsEviction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("alloc after unpin: %v", err)
 	}
-	if !p.Resident(id1) {
+	p.Unpin(id3)
+	// The pinned page is still in the pool (reading it is a hit); the
+	// unpinned one was the eviction victim (reading it goes to disk).
+	before := p.Stats()
+	if _, err := p.Read(id1); err != nil {
+		t.Fatal(err)
+	}
+	if s := p.Stats(); s.Hits != before.Hits+1 || s.Reads != before.Reads {
 		t.Fatal("pinned page was evicted")
 	}
-	if p.Resident(id2) {
+	if _, err := p.Read(id2); err != nil {
+		t.Fatal(err)
+	}
+	if s := p.Stats(); s.Reads != before.Reads+1 {
 		t.Fatal("unpinned page survived eviction pressure")
 	}
 	p.Unpin(id1)
-	p.Unpin(id3)
+	p.Unpin(id1)
+	p.Unpin(id2)
 }
 
 func TestUnpinErrors(t *testing.T) {
@@ -179,13 +190,6 @@ func TestResetStats(t *testing.T) {
 	p.Unpin(id)
 }
 
-func TestStatsIO(t *testing.T) {
-	s := Stats{Reads: 3, Writes: 4}
-	if s.IO() != 7 {
-		t.Fatalf("IO = %d", s.IO())
-	}
-}
-
 func TestBadConfigErrors(t *testing.T) {
 	if _, err := New(0, 1); err == nil {
 		t.Fatal("zero page size accepted")
@@ -245,8 +249,8 @@ func TestRandomizedWorkload(t *testing.T) {
 			accesses++
 		}
 	}
-	if got := p.Stats().IO(); got > 2*accesses {
-		t.Fatalf("I/O %d exceeds 2 per access (%d accesses)", got, accesses)
+	if st := p.Stats(); st.Reads+st.Writes > 2*accesses {
+		t.Fatalf("I/O %d exceeds 2 per access (%d accesses)", st.Reads+st.Writes, accesses)
 	}
 }
 
@@ -279,7 +283,8 @@ func TestPoolSizeMonotonicity(t *testing.T) {
 			p.Unpin(ids[idx])
 		}
 		p.Flush()
-		return p.Stats().IO()
+		st := p.Stats()
+		return st.Reads + st.Writes
 	}
 	prev := trace(2)
 	for _, pool := range []int{4, 8, 16, 32, 64} {

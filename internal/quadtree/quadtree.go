@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"sort"
 
+	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
 )
 
@@ -46,12 +47,6 @@ type Config struct {
 	// children). Empty selects the widest axes of the bootstrap
 	// sample's domain, up to 3.
 	SplitAxes []int
-}
-
-// Leaf is one non-empty quadtree leaf: tight MBR plus records.
-type Leaf struct {
-	MBR     attr.Box
-	Records []attr.Record
 }
 
 type node struct {
@@ -83,9 +78,6 @@ type Tree struct {
 // inserted. More records can be added incrementally afterwards; points
 // outside the root cell grow it by doubling.
 func New(cfg Config, bootstrap []attr.Record) (*Tree, error) {
-	if cfg.Schema == nil {
-		return nil, fmt.Errorf("quadtree: nil schema")
-	}
 	if err := cfg.Schema.Validate(); err != nil {
 		return nil, err
 	}
@@ -325,15 +317,16 @@ func (t *Tree) maybeSplit(leaf *node) {
 	}
 }
 
-// Leaves returns every non-empty leaf in quadrant (Z-curve) order,
-// which gives the leaf scan its spatial locality.
-func (t *Tree) Leaves() []Leaf {
-	var out []Leaf
+// Leaves returns every non-empty leaf — its tight MBR and its records,
+// both aliasing tree storage — in quadrant (Z-curve) order, which gives
+// the leaf scan its spatial locality.
+func (t *Tree) Leaves() []anonmodel.Partition {
+	var out []anonmodel.Partition
 	var walk func(n *node)
 	walk = func(n *node) {
 		if n.isLeaf() {
 			if len(n.recs) > 0 {
-				out = append(out, Leaf{MBR: n.mbr, Records: n.recs})
+				out = append(out, anonmodel.Partition{Box: n.mbr, Records: n.recs})
 			}
 			return
 		}

@@ -1,6 +1,7 @@
 package quadtree
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -62,7 +63,7 @@ func TestBuildAndInvariants(t *testing.T) {
 				t.Fatalf("record %d in two leaves", r.ID)
 			}
 			seen[r.ID] = true
-			if !l.MBR.Contains(r.QI) {
+			if !l.Box.Contains(r.QI) {
 				t.Fatalf("record %d outside its leaf MBR", r.ID)
 			}
 		}
@@ -199,14 +200,9 @@ func TestLeavesAreZOrdered(t *testing.T) {
 	dist := func(order []int) float64 {
 		sum := 0.0
 		for i := 1; i < len(order); i++ {
-			a := leaves[order[i-1]].MBR.Center()
-			b := leaves[order[i]].MBR.Center()
+			a, b := leaves[order[i-1]].Box, leaves[order[i]].Box
 			for d := range a {
-				if a[d] > b[d] {
-					sum += a[d] - b[d]
-				} else {
-					sum += b[d] - a[d]
-				}
+				sum += math.Abs((a[d].Lo+a[d].Hi)/2 - (b[d].Lo+b[d].Hi)/2)
 			}
 		}
 		return sum

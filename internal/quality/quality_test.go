@@ -67,10 +67,13 @@ func TestCertaintyHandComputed(t *testing.T) {
 }
 
 func TestCertaintyWithHierarchy(t *testing.T) {
-	h := attr.MustBuildHierarchy(attr.Node("*",
+	h, err := attr.BuildHierarchy(attr.Node("*",
 		attr.Node("WI", attr.Leaf("53706"), attr.Leaf("53710")),
 		attr.Node("IA", attr.Leaf("52100"), attr.Leaf("52108")),
 	))
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := &attr.Schema{Attrs: []attr.Attribute{
 		{Name: "zip", Kind: attr.Categorical, Hierarchy: h},
 	}}

@@ -42,7 +42,7 @@ func TestSingleAttrWorkload(t *testing.T) {
 		if q[0] != domain[0] || q[1] != domain[1] {
 			t.Fatal("unbounded attributes must span the domain")
 		}
-		if !domain[2].ContainsInterval(q[2]) {
+		if q[2].Lo < domain[2].Lo || q[2].Hi > domain[2].Hi {
 			t.Fatal("bounded attribute escapes domain")
 		}
 		if CountOriginal(recs, q) < 1 {

@@ -131,7 +131,8 @@ func TestBulkLoadChargesIO(t *testing.T) {
 		if err := bl.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		return bl.Stats().IO()
+		st := bl.Stats()
+		return st.Reads + st.Writes
 	}
 	tight := run(16 * 256)   // 16 pages
 	roomy := run(4096 * 256) // 4096 pages
@@ -244,7 +245,7 @@ func TestLoaderStatsReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	bl.ResetStats()
-	if bl.Stats().IO() != 0 {
+	if st := bl.Stats(); st.Reads+st.Writes != 0 {
 		t.Fatal("stats not reset")
 	}
 }

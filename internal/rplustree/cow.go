@@ -1,6 +1,7 @@
 package rplustree
 
 import (
+	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
 )
 
@@ -29,19 +30,19 @@ import (
 // always copy.
 
 // SnapshotLeaves returns every non-empty leaf in trie order, like
-// Leaves, but with MBRs and record slices OWNED by the caller: they
+// Leaves, but with boxes and record slices OWNED by the caller: they
 // never alias tree storage, so the returned slice remains a
 // consistent snapshot under any further mutation. prev must be the
 // slice returned by this tree's previous SnapshotLeaves call (or nil
 // for a full copy); entries for leaves unchanged since then are
-// reused from it, so the caller must treat every returned LeafView as
+// reused from it, so the caller must treat every returned partition as
 // immutable and shared.
 //
 // Like all tree reads, SnapshotLeaves is not safe for concurrent use
 // with mutation: it is meant to be called from the one goroutine that
 // owns the tree (the serving layer's committer), which then hands the
 // immutable result to any number of readers.
-func (t *Tree) SnapshotLeaves(prev []LeafView) []LeafView {
+func (t *Tree) SnapshotLeaves(prev []anonmodel.Partition) []anonmodel.Partition {
 	// Generation 0 is the zero value of every freshly minted node, so
 	// reuse is only trusted from generation 1 on; the first snapshot of
 	// a tree (or of a recovered tree, whose nodes are all fresh) copies
@@ -58,7 +59,7 @@ func (t *Tree) SnapshotLeaves(prev []LeafView) []LeafView {
 	// slices are published with full three-index expressions and the
 	// arenas are sized exactly, so no append below can ever reallocate
 	// or let one leaf's slice reach into the next; shared backing is
-	// safe because every LeafView is immutable once returned (the same
+	// safe because every partition is immutable once returned (the same
 	// contract prev reuse already relies on).
 	leaves, changedLeaves, changedRecs := 0, 0, 0
 	t.walkLeaves(t.root, func(n *node) {
@@ -74,7 +75,7 @@ func (t *Tree) SnapshotLeaves(prev []LeafView) []LeafView {
 	dims := t.cfg.Schema.Dims()
 	recArena := make([]attr.Record, 0, changedRecs)
 	boxArena := make([]attr.Interval, 0, changedLeaves*dims)
-	out := make([]LeafView, 0, leaves)
+	out := make([]anonmodel.Partition, 0, leaves)
 	t.walkLeaves(t.root, func(n *node) {
 		if len(n.recs) == 0 {
 			return
@@ -88,8 +89,8 @@ func (t *Tree) SnapshotLeaves(prev []LeafView) []LeafView {
 			bs := len(boxArena)
 			boxArena = append(boxArena, n.mbr...)
 			be := len(boxArena)
-			out = append(out, LeafView{
-				MBR:     attr.Box(boxArena[bs:be:be]),
+			out = append(out, anonmodel.Partition{
+				Box:     attr.Box(boxArena[bs:be:be]),
 				Records: recArena[rs:re:re],
 			})
 		}

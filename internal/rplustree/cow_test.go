@@ -5,29 +5,30 @@ import (
 	"math/rand"
 	"testing"
 
+	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
 )
 
 // fullLeafCopy is the reference SnapshotLeaves must match: Leaves()
 // with every box and record slice deep-copied.
-func fullLeafCopy(tr *Tree) []LeafView {
+func fullLeafCopy(tr *Tree) []anonmodel.Partition {
 	ls := tr.Leaves()
-	out := make([]LeafView, len(ls))
+	out := make([]anonmodel.Partition, len(ls))
 	for i, l := range ls {
 		recs := make([]attr.Record, len(l.Records))
 		copy(recs, l.Records)
-		out[i] = LeafView{MBR: l.MBR.Clone(), Records: recs}
+		out[i] = anonmodel.Partition{Box: l.Box.Clone(), Records: recs}
 	}
 	return out
 }
 
-func sameLeafViews(a, b []LeafView) error {
+func samePartitions(a, b []anonmodel.Partition) error {
 	if len(a) != len(b) {
 		return fmt.Errorf("%d leaves != %d leaves", len(a), len(b))
 	}
 	for i := range a {
-		if !a[i].MBR.Equal(b[i].MBR) {
-			return fmt.Errorf("leaf %d: MBR %v != %v", i, a[i].MBR, b[i].MBR)
+		if !a[i].Box.Equal(b[i].Box) {
+			return fmt.Errorf("leaf %d: MBR %v != %v", i, a[i].Box, b[i].Box)
 		}
 		if len(a[i].Records) != len(b[i].Records) {
 			return fmt.Errorf("leaf %d: %d records != %d", i, len(a[i].Records), len(b[i].Records))
@@ -63,10 +64,10 @@ func TestSnapshotLeavesCOW(t *testing.T) {
 	live := map[int64]attr.Record{}
 	nextID := int64(0)
 
-	var prev []LeafView
+	var prev []anonmodel.Partition
 	var frozen []struct {
-		snap []LeafView
-		ref  []LeafView
+		snap []anonmodel.Partition
+		ref  []anonmodel.Partition
 	}
 	reused := 0
 
@@ -96,7 +97,7 @@ func TestSnapshotLeavesCOW(t *testing.T) {
 		}
 		snap := tr.SnapshotLeaves(prev)
 		ref := fullLeafCopy(tr)
-		if err := sameLeafViews(snap, ref); err != nil {
+		if err := samePartitions(snap, ref); err != nil {
 			t.Fatalf("batch %d: incremental snapshot diverges from full copy: %v", batch, err)
 		}
 		// Count reuse by backing-array identity with the previous
@@ -112,15 +113,15 @@ func TestSnapshotLeavesCOW(t *testing.T) {
 		// Keep a few snapshots (with a reference copy taken at the same
 		// moment) to check immutability under later churn.
 		if batch%17 == 0 {
-			refNow := make([]LeafView, len(snap))
+			refNow := make([]anonmodel.Partition, len(snap))
 			for i, l := range snap {
 				recs := make([]attr.Record, len(l.Records))
 				copy(recs, l.Records)
-				refNow[i] = LeafView{MBR: l.MBR.Clone(), Records: recs}
+				refNow[i] = anonmodel.Partition{Box: l.Box.Clone(), Records: recs}
 			}
 			frozen = append(frozen, struct {
-				snap []LeafView
-				ref  []LeafView
+				snap []anonmodel.Partition
+				ref  []anonmodel.Partition
 			}{snap, refNow})
 		}
 		prev = snap
@@ -130,7 +131,7 @@ func TestSnapshotLeavesCOW(t *testing.T) {
 		t.Fatal("no leaf was ever reused across 60 snapshots of 25-op batches — copy-on-write is not engaging")
 	}
 	for i, f := range frozen {
-		if err := sameLeafViews(f.snap, f.ref); err != nil {
+		if err := samePartitions(f.snap, f.ref); err != nil {
 			t.Fatalf("frozen snapshot %d changed under later mutation: %v", i, err)
 		}
 	}
@@ -153,9 +154,9 @@ func TestSnapshotLeavesFirstCallCopies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bogus := []LeafView{{MBR: attr.NewBox(3), Records: []attr.Record{{ID: 999}}}}
+	bogus := []anonmodel.Partition{{Box: attr.NewBox(3), Records: []attr.Record{{ID: 999}}}}
 	snap := tr.SnapshotLeaves(bogus)
-	if err := sameLeafViews(snap, fullLeafCopy(tr)); err != nil {
+	if err := samePartitions(snap, fullLeafCopy(tr)); err != nil {
 		t.Fatalf("first snapshot trusted a foreign prev: %v", err)
 	}
 }

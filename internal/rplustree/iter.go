@@ -4,37 +4,24 @@ import (
 	"fmt"
 	"math"
 
+	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
 )
 
-// LeafView is a read-only view of one leaf: its tight MBR (the
-// generalized value its records publish under) and the records
-// themselves. The Records slice aliases tree storage; callers must not
-// mutate it.
-type LeafView struct {
-	MBR     attr.Box
-	Records []attr.Record
-}
-
-// NodeView summarizes one node at some level: its MBR, its record count,
-// and the leaves beneath it in order. It backs the hierarchical
-// multi-granular algorithm of Section 3.1, where a level-i node becomes
-// one partition of a coarser release.
-type NodeView struct {
-	MBR    attr.Box
-	Count  int
-	Leaves []LeafView
-}
-
-// Leaves returns every non-empty leaf in trie order. Trie order is the
-// "sequential ordering of nodes on the same tree level" the leaf-scan
-// algorithm of Section 3.2 relies on: adjacent leaves are spatially
-// adjacent, so groups of consecutive leaves form compact partitions.
-func (t *Tree) Leaves() []LeafView {
-	var out []LeafView
+// Leaves returns every non-empty leaf in trie order as a partition:
+// its tight MBR (the generalized value its records publish under) and
+// the records themselves. Box and Records alias tree storage; callers
+// must not mutate them. Trie order is the "sequential ordering of nodes
+// on the same tree level" the leaf-scan algorithm of Section 3.2 relies
+// on: adjacent leaves are spatially adjacent, so groups of consecutive
+// leaves form compact partitions. Leaf MBRs are tight, so these
+// partitions are born compacted — the index "maintains MBRs" (Section
+// 2.3) and never needs the explicit compaction pass.
+func (t *Tree) Leaves() []anonmodel.Partition {
+	var out []anonmodel.Partition
 	t.walkLeaves(t.root, func(n *node) {
 		if len(n.recs) > 0 {
-			out = append(out, LeafView{MBR: n.mbr, Records: n.recs})
+			out = append(out, anonmodel.Partition{Box: n.mbr, Records: n.recs})
 		}
 	})
 	return out
@@ -59,26 +46,27 @@ func (t *Tree) walkLeaves(n *node, visit func(*node)) {
 }
 
 // Level returns the nodes at the given level in trie order, level 0
-// being the leaves and Height()-1 the root. Each view aggregates the
-// node's subtree. Views with zero records are omitted.
-func (t *Tree) Level(level int) ([]NodeView, error) {
+// being the leaves and Height()-1 the root, each as one partition of
+// the Section 3.1 hierarchical release: the node's MBR plus the records
+// beneath it, in leaf order. Boxes and records are copies. Nodes with
+// zero records are omitted.
+func (t *Tree) Level(level int) ([]anonmodel.Partition, error) {
 	if level < 0 || level >= t.height {
 		return nil, fmt.Errorf("rplustree: level %d outside [0,%d)", level, t.height)
 	}
 	depth := t.height - 1 - level // root depth 0
-	var out []NodeView
+	var out []anonmodel.Partition
 	var walk func(n *node, d int)
 	walk = func(n *node, d int) {
 		if d == depth {
-			v := NodeView{MBR: n.mbr, Count: n.count}
-			t.walkLeaves(n, func(l *node) {
-				if len(l.recs) > 0 {
-					v.Leaves = append(v.Leaves, LeafView{MBR: l.mbr, Records: l.recs})
-				}
-			})
-			if v.Count > 0 {
-				out = append(out, v)
+			if n.count == 0 {
+				return
 			}
+			p := anonmodel.Partition{Box: n.mbr.Clone(), Records: make([]attr.Record, 0, n.count)}
+			t.walkLeaves(n, func(l *node) {
+				p.Records = append(p.Records, l.recs...)
+			})
+			out = append(out, p)
 			return
 		}
 		var walkTrie func(st *splitTrie)
@@ -112,30 +100,6 @@ func (t *Tree) Search(q attr.Box) []attr.Record {
 				if q.Contains(r.QI) {
 					out = append(out, r)
 				}
-			}
-			return
-		}
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(t.root)
-	return out
-}
-
-// SearchLeaves returns the leaves whose MBR intersects the query box —
-// the candidate set W of Section 2.3. A COUNT query on the anonymized
-// data returns the total occupancy of W.
-func (t *Tree) SearchLeaves(q attr.Box) []LeafView {
-	var out []LeafView
-	var walk func(n *node)
-	walk = func(n *node) {
-		if !n.mbr.Intersects(q) {
-			return
-		}
-		if n.isLeaf() {
-			if len(n.recs) > 0 {
-				out = append(out, LeafView{MBR: n.mbr, Records: n.recs})
 			}
 			return
 		}

@@ -173,7 +173,7 @@ func TestTreeWithBiasedPolicySplitsOnlyPreferredAxis(t *testing.T) {
 	leaves := tr.Leaves()
 	narrow := 0
 	for _, l := range leaves {
-		if l.MBR[zip].Width() < domW/8 {
+		if l.Box[zip].Width() < domW/8 {
 			narrow++
 		}
 	}

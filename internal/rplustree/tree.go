@@ -100,9 +100,6 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) validate() error {
-	if c.Schema == nil {
-		return fmt.Errorf("rplustree: nil schema")
-	}
 	if err := c.Schema.Validate(); err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
 	"spatialanon/internal/dataset"
 )
@@ -96,7 +97,7 @@ func TestLeavesPartitionRecords(t *testing.T) {
 				t.Fatalf("record %d in two leaves", r.ID)
 			}
 			seen[r.ID] = true
-			if !l.MBR.Contains(r.QI) {
+			if !l.Box.Contains(r.QI) {
 				t.Fatalf("record %d outside its leaf MBR", r.ID)
 			}
 		}
@@ -110,8 +111,8 @@ func TestLeavesPartitionRecords(t *testing.T) {
 	// holds because MBR subset of region and regions are disjoint.
 	for i := range leaves {
 		for j := i + 1; j < len(leaves); j++ {
-			if leaves[i].MBR.Intersects(leaves[j].MBR) {
-				t.Fatalf("leaf MBRs %d and %d overlap: %v %v", i, j, leaves[i].MBR, leaves[j].MBR)
+			if leaves[i].Box.Intersects(leaves[j].Box) {
+				t.Fatalf("leaf MBRs %d and %d overlap: %v %v", i, j, leaves[i].Box, leaves[j].Box)
 			}
 		}
 	}
@@ -176,33 +177,6 @@ func randQuery(rng *rand.Rand, recs []attr.Record) attr.Box {
 	q := attr.PointBox(a.QI)
 	q.Include(b.QI)
 	return q
-}
-
-func TestSearchLeavesCandidates(t *testing.T) {
-	tr, _ := New(testConfig(3))
-	recs := dataset.GeneratePatients(300, 5)
-	insertAll(t, tr, recs)
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 20; i++ {
-		q := randQuery(rng, recs)
-		w := tr.SearchLeaves(q)
-		// Every leaf in W intersects the query; every matching record is
-		// in some leaf of W.
-		inW := map[int64]bool{}
-		for _, l := range w {
-			if !l.MBR.Intersects(q) {
-				t.Fatal("candidate leaf does not intersect query")
-			}
-			for _, r := range l.Records {
-				inW[r.ID] = true
-			}
-		}
-		for _, r := range recs {
-			if q.Contains(r.QI) && !inW[r.ID] {
-				t.Fatalf("matching record %d missing from candidate set", r.ID)
-			}
-		}
-	}
 }
 
 func TestDelete(t *testing.T) {
@@ -290,26 +264,33 @@ func TestLevelViews(t *testing.T) {
 		t.Fatal("level past root accepted")
 	}
 	for lvl := 0; lvl < tr.Height(); lvl++ {
+		var leaves [][]attr.Record
+		for _, l := range tr.Leaves() {
+			leaves = append(leaves, l.Records)
+		}
 		views, err := tr.Level(lvl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		total := 0
+		// The records beneath each node, in leaf order: concatenated
+		// over the level they are exactly the leaves' records.
+		next := 0
 		for _, v := range views {
-			total += v.Count
-			sum := 0
-			for _, l := range v.Leaves {
-				sum += len(l.Records)
-				if !v.MBR.ContainsBox(l.MBR) {
-					t.Fatalf("level %d: leaf MBR escapes node MBR", lvl)
-				}
+			if err := v.Validate(); err != nil {
+				t.Fatalf("level %d: %v", lvl, err)
 			}
-			if sum != v.Count {
-				t.Fatalf("level %d: view count %d != leaf sum %d", lvl, v.Count, sum)
+			for _, r := range v.Records {
+				for next < len(leaves) && len(leaves[next]) == 0 {
+					next++
+				}
+				if next == len(leaves) || leaves[next][0].ID != r.ID {
+					t.Fatalf("level %d: record %d out of leaf order", lvl, r.ID)
+				}
+				leaves[next] = leaves[next][1:]
 			}
 		}
-		if total != 600 {
-			t.Fatalf("level %d holds %d records", lvl, total)
+		if n := anonmodel.TotalRecords(views); n != 600 {
+			t.Fatalf("level %d holds %d records", lvl, n)
 		}
 	}
 	rootViews, _ := tr.Level(tr.Height() - 1)

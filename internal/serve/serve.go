@@ -62,8 +62,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
-	"spatialanon/internal/rplustree"
 	"spatialanon/internal/wal"
 )
 
@@ -203,7 +203,7 @@ type Server struct {
 	// prevSnap is the previous publish's leaf snapshot — the
 	// copy-on-write baseline the next SnapshotLeaves call diffs
 	// against.
-	prevSnap []rplustree.LeafView
+	prevSnap []anonmodel.Partition
 
 	ops        atomic.Int64
 	batches    atomic.Int64

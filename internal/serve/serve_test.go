@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -240,6 +241,71 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// TestViewIsTheSnapshot: a view's leaves are the tree's copy-on-write
+// snapshot itself, not a conversion of it — one entry per tree leaf,
+// and every leaf a batch did not touch is the previous epoch's element,
+// box and records sharing storage. An incremental publish can tell
+// which leaves changed only because of this.
+func TestViewIsTheSnapshot(t *testing.T) {
+	st := newStore(t, t.TempDir())
+	defer st.Close()
+	s, err := New(st, Options{MaxBatch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := makeRecords(t, 401, 11)
+	for _, r := range recs[:400] {
+		if err := s.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := s.View()
+	if err := s.Insert(recs[400]); err != nil {
+		t.Fatal(err)
+	}
+	b := s.View()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if b.Epoch() != a.Epoch()+1 {
+		t.Fatalf("one insert moved the epoch from %d to %d", a.Epoch(), b.Epoch())
+	}
+	if got, want := len(b.leaves), len(st.Tree().Leaves()); got != want {
+		t.Fatalf("view holds %d leaves, tree has %d", got, want)
+	}
+	if &b.leaves[0] != &s.prevSnap[0] || len(b.leaves) != len(s.prevSnap) {
+		t.Fatal("the view's leaves are a copy of the committer's snapshot, not the snapshot")
+	}
+	// A leaf is untouched when epoch e held a leaf with the same IDs in
+	// the same order.
+	ids := func(p anonmodel.Partition) string {
+		var sb strings.Builder
+		for _, r := range p.Records {
+			fmt.Fprintf(&sb, "%d,", r.ID)
+		}
+		return sb.String()
+	}
+	before := make(map[string]int, len(a.leaves))
+	for i, p := range a.leaves {
+		before[ids(p)] = i
+	}
+	shared := 0
+	for j, p := range b.leaves {
+		i, untouched := before[ids(p)]
+		if !untouched {
+			continue
+		}
+		shared++
+		if &a.leaves[i].Records[0] != &p.Records[0] || &a.leaves[i].Box[0] != &p.Box[0] {
+			t.Fatalf("leaf %d of epoch %d is unchanged since leaf %d of epoch %d but was copied", j, b.Epoch(), i, a.Epoch())
+		}
+	}
+	// One insert rewrites one leaf, or splits it in two.
+	if touched := len(b.leaves) - shared; touched < 1 || touched > 2 {
+		t.Fatalf("one insert touched %d of %d leaves", touched, len(b.leaves))
+	}
+}
+
 // TestReadYourWrites: every commit publishes before it acknowledges,
 // so a view loaded after an acknowledged insert reflects it.
 func TestReadYourWrites(t *testing.T) {
@@ -299,7 +365,7 @@ func TestReleaseCache(t *testing.T) {
 	if &a[0].Records[0] != &base[0].Records[0] {
 		t.Fatal("derived granularity copied the base release's records")
 	}
-	for _, p := range append(append([]Partition(nil), base...), a...) {
+	for _, p := range append(append([]anonmodel.Partition(nil), base...), a...) {
 		if cap(p.Records) != len(p.Records) {
 			t.Fatalf("released partition has cap %d > len %d: an append would write into its neighbour", cap(p.Records), len(p.Records))
 		}

@@ -12,22 +12,19 @@ import (
 	"spatialanon/internal/verify"
 )
 
-// Partition aliases anonmodel.Partition: views speak the same release
-// vocabulary as the rest of the repository.
-type Partition = anonmodel.Partition
-
 // View is one published epoch: an immutable, consistent snapshot of
-// the store's state. The committer builds it by copying the leaf
-// summary — leaf boxes and record headers, NOT the tree — so the
-// publish cost on the write path is one sequential memcpy; the
-// audited base release and every derived granularity are computed
-// lazily by the first reader that asks and memoized for the view's
-// lifetime. Everything a View returns is owned by the View, so any
-// number of readers may use it concurrently with ongoing mutation.
-// Returned partition slices are shared between callers and MUST be
-// treated as read-only (same contract as rplustree.LeafView). Derived
-// granularities share the base release's record array: a coarser
-// release is a set of wider windows over it, not a copy.
+// the store's state. The committer builds it around the tree's
+// copy-on-write leaf snapshot — the snapshot slice itself, not a
+// conversion of it — so the publish cost on the write path is the
+// copy of the leaves the batch touched; the audited base release and
+// every derived granularity are computed lazily by the first reader
+// that asks and memoized for the view's lifetime. Everything a View
+// returns is owned by the View, so any number of readers may use it
+// concurrently with ongoing mutation. Returned partition slices are
+// shared between callers and MUST be treated as read-only (same
+// contract as Tree.SnapshotLeaves). Derived granularities share the
+// base release's record array: a coarser release is a set of wider
+// windows over it, not a copy.
 //
 //anonylint:published — stored to Server.cur (atomic.Pointer); immutable after Store
 type View struct {
@@ -37,11 +34,11 @@ type View struct {
 	n       int
 	workers int
 
-	// leaves is the snapshotted leaf summary: one born-compacted
-	// partition per leaf, in trie order — the input of every
-	// derivation below. Unchanged leaves share storage with the
-	// previous epoch's View (copy-on-write).
-	leaves []Partition
+	// leaves is the tree's copy-on-write snapshot (SnapshotLeaves), as
+	// returned: one born-compacted partition per leaf, in trie order —
+	// the input of every derivation below. Unchanged leaves are the
+	// previous epoch's elements, storage included.
+	leaves []anonmodel.Partition
 
 	// fam is the view's release family — the audited base release and
 	// every derived granularity — built lazily by the first reader that
@@ -52,20 +49,11 @@ type View struct {
 
 	mu    sync.Mutex
 	accel map[int]*accelEntry
-	recs  recordsEntry
 
 	// estPool recycles Count's estimator sessions so the one-shot
 	// convenience path stays allocation-light; long-lived readers
 	// should hold their own session from Estimator instead.
 	estPool sync.Pool
-}
-
-// recordsEntry memoizes the view's flattened record list.
-//
-//anonylint:published — reachable through a published View; writes only under once
-type recordsEntry struct {
-	once sync.Once
-	recs []attr.Record
 }
 
 // accelEntry memoizes one granularity's routing accelerator, built
@@ -87,15 +75,14 @@ type accelEntry struct {
 // O(leaves + batch), not O(n), per publish.
 func (s *Server) publish() {
 	t := s.st.Tree()
-	snap := t.SnapshotLeaves(s.prevSnap)
-	s.prevSnap = snap
+	s.prevSnap = t.SnapshotLeaves(s.prevSnap)
 	v := &View{
 		epoch:   s.epoch + 1,
 		seq:     s.st.Seq(),
 		baseK:   s.baseK,
 		n:       t.Len(),
 		workers: s.opts.Parallelism,
-		leaves:  core.LeafPartitions(snap),
+		leaves:  s.prevSnap,
 		accel:   make(map[int]*accelEntry),
 	}
 	s.epoch = v.epoch
@@ -139,7 +126,7 @@ func (v *View) Len() int { return v.n }
 func (v *View) BaseK() int { return v.baseK }
 
 // Base returns the audited base release (granularity k).
-func (v *View) Base() ([]Partition, error) {
+func (v *View) Base() ([]anonmodel.Partition, error) {
 	return v.Release(0)
 }
 
@@ -150,7 +137,7 @@ func (v *View) Base() ([]Partition, error) {
 // parameter is a granularity, not a fresh anonymity parameter: the
 // family rejects values below the store's validated base k;
 // anonylint:k-validated.
-func (v *View) Release(k1 int) ([]Partition, error) {
+func (v *View) Release(k1 int) ([]anonmodel.Partition, error) {
 	fam, err := v.Family()
 	if err != nil {
 		return nil, err
@@ -215,18 +202,16 @@ func (v *View) Estimator(k1 int) (*query.Estimator, error) {
 	return query.NewEstimator(idx.Partitions(), idx), nil
 }
 
-// Records returns the view's records in trie order (the order the
-// leaf summary concatenates them), memoized. Read-only, like every
-// View product.
+// Records returns a fresh copy of the view's records in trie order
+// (the order the leaf summary concatenates them). It does not go
+// through the release family: a store below base k has none, and its
+// records must still be exportable.
 func (v *View) Records() []attr.Record {
-	v.recs.once.Do(func() {
-		recs := make([]attr.Record, 0, v.n)
-		for _, p := range v.leaves {
-			recs = append(recs, p.Records...)
-		}
-		v.recs.recs = recs
-	})
-	return v.recs.recs
+	recs := make([]attr.Record, 0, v.n)
+	for _, p := range v.leaves {
+		recs = append(recs, p.Records...)
+	}
+	return recs
 }
 
 // Count estimates the number of records in the query box from the

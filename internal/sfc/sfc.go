@@ -73,9 +73,6 @@ func NewQuantizer(domain attr.Box, bits int) (*Quantizer, error) {
 	return &Quantizer{domain: domain.Clone(), bits: bits}, nil
 }
 
-// Bits returns the per-dimension grid resolution.
-func (q *Quantizer) Bits() int { return q.bits }
-
 // Dims returns the dimensionality of the quantizer's domain.
 func (q *Quantizer) Dims() int { return len(q.domain) }
 
@@ -94,15 +91,9 @@ func (q *Quantizer) MaxKey() uint64 {
 	return (uint64(1) << kb) - 1
 }
 
-// Cell maps a point to grid coordinates, clamping to the domain.
-func (q *Quantizer) Cell(p []float64) []uint32 {
-	return q.AppendCell(make([]uint32, 0, len(q.domain)), p)
-}
-
 // AppendCell maps a point to grid coordinates, clamping to the domain,
-// and appends them to dst — the no-alloc variant of Cell for hot read
-// paths: with a reused dst of sufficient capacity it allocates
-// nothing.
+// and appends them to dst: with a reused dst of sufficient capacity it
+// allocates nothing, which the hot read paths rely on.
 //
 //anonylint:zero-alloc
 func (q *Quantizer) AppendCell(dst []uint32, p []float64) []uint32 {
@@ -278,6 +269,11 @@ func Anonymize(recs []attr.Record, c Curve, constraint anonmodel.Constraint) ([]
 		return nil, fmt.Errorf("sfc: input of %d records cannot satisfy %v", len(recs), constraint)
 	}
 	dims := len(recs[0].QI)
+	for i, r := range recs {
+		if len(r.QI) != dims {
+			return nil, fmt.Errorf("sfc: record %d has %d attributes, record 0 has %d", i, len(r.QI), dims)
+		}
+	}
 	domain := attr.DomainOf(dims, recs)
 	q, err := NewQuantizer(domain, 0)
 	if err != nil {

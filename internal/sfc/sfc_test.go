@@ -124,23 +124,23 @@ func TestQuantizer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Bits() != 8 {
-		t.Fatalf("Bits = %d", q.Bits())
+	if q.KeyBits() != 16 {
+		t.Fatalf("KeyBits = %d", q.KeyBits())
 	}
-	c := q.Cell([]float64{0, 50})
+	c := q.AppendCell(nil, []float64{0, 50})
 	if c[0] != 0 || c[1] != 0 {
 		t.Fatalf("cell at origin = %v", c)
 	}
-	c = q.Cell([]float64{100, 50})
+	c = q.AppendCell(c[:0], []float64{100, 50})
 	if c[0] != 255 {
 		t.Fatalf("cell at max = %v", c)
 	}
 	// Out-of-domain points clamp.
-	c = q.Cell([]float64{-10, 50})
+	c = q.AppendCell(c[:0], []float64{-10, 50})
 	if c[0] != 0 {
 		t.Fatalf("clamped cell = %v", c)
 	}
-	c = q.Cell([]float64{1e9, 50})
+	c = q.AppendCell(c[:0], []float64{1e9, 50})
 	if c[0] != 255 {
 		t.Fatalf("clamped cell = %v", c)
 	}
@@ -158,8 +158,8 @@ func TestQuantizerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Bits()*9 > 64 {
-		t.Fatalf("auto bits %d too wide", q.Bits())
+	if q.KeyBits() > 64 || q.KeyBits()%9 != 0 {
+		t.Fatalf("auto key width %d does not fit", q.KeyBits())
 	}
 }
 
@@ -240,7 +240,9 @@ func TestHilbertBeatsZOrderLocality(t *testing.T) {
 		}
 		total := 0.0
 		for _, p := range ps {
-			total += p.Box.Margin()
+			for _, iv := range p.Box {
+				total += iv.Width()
+			}
 		}
 		return total
 	}
@@ -269,11 +271,11 @@ func TestAppendCellMatchesCell(t *testing.T) {
 	buf := make([]uint32, 0, 3)
 	for i := 0; i < 200; i++ {
 		p := []float64{rng.Float64()*20 - 10, rng.Float64() * 2, rng.Float64() * 300}
-		want := q.Cell(p)
+		want := q.AppendCell(nil, p)
 		buf = q.AppendCell(buf[:0], p)
 		for d := range want {
 			if buf[d] != want[d] {
-				t.Fatalf("AppendCell(%v) = %v, Cell = %v", p, buf, want)
+				t.Fatalf("AppendCell(%v) into a reused buffer = %v, fresh = %v", p, buf, want)
 			}
 		}
 	}

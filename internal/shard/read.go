@@ -13,9 +13,6 @@ import (
 	"spatialanon/internal/verify"
 )
 
-// Partition aliases the repository's release vocabulary, like serve.
-type Partition = anonmodel.Partition
-
 // ErrPartial marks a cross-shard read that could not cover every key
 // range with a fresh, healthy view. Every *PartialError wraps it, so
 // callers branch with errors.Is(err, ErrPartial).
@@ -116,7 +113,7 @@ func (c *Coordinator) Count(q attr.Box) (float64, error) {
 type epochMemo struct {
 	epochs  []uint64
 	family  *verify.Family
-	exports map[int][]Partition
+	exports map[int][]anonmodel.Partition
 }
 
 // memoAt returns the memo of the views' epoch vector, dropping the
@@ -128,7 +125,7 @@ func (c *Coordinator) memoAt(views []shardView) *epochMemo {
 		epochs[i] = v.view.Epoch()
 	}
 	if c.memo == nil || !slices.Equal(c.memo.epochs, epochs) {
-		c.memo = &epochMemo{epochs: epochs, exports: make(map[int][]Partition)}
+		c.memo = &epochMemo{epochs: epochs, exports: make(map[int][]anonmodel.Partition)}
 	}
 	return c.memo
 }
@@ -143,7 +140,7 @@ func (c *Coordinator) memoAt(views []shardView) *epochMemo {
 // release with a *PartialError cause: a joint release is total or it
 // is not a release. k1 is a granularity over the per-shard validated
 // base k, rejected below it; anonylint:k-validated.
-func (c *Coordinator) Release(k1 int) ([]Partition, error) {
+func (c *Coordinator) Release(k1 int) ([]anonmodel.Partition, error) {
 	if k1 != 0 && k1 < c.baseK {
 		return nil, fmt.Errorf("shard: granularity %d below base k %d", k1, c.baseK)
 	}
@@ -212,7 +209,7 @@ func (c *Coordinator) jointFamily(views []shardView) (*verify.Family, error) {
 // withheld with a *PartialError cause unless every range has a fresh,
 // healthy view. The k1 granularity is rejected below the validated
 // base k; anonylint:k-validated.
-func (c *Coordinator) Export(k1 int) ([]Partition, error) {
+func (c *Coordinator) Export(k1 int) ([]anonmodel.Partition, error) {
 	if k1 == 0 {
 		k1 = c.baseK
 	}
@@ -254,9 +251,9 @@ func (c *Coordinator) Export(k1 int) ([]Partition, error) {
 		}
 		return recs[idx[a]].ID < recs[idx[b]].ID
 	})
-	leaves := make([]Partition, len(recs))
+	leaves := make([]anonmodel.Partition, len(recs))
 	for i, j := range idx {
-		leaves[i] = Partition{Box: attr.PointBox(recs[j].QI), Records: recs[j : j+1]}
+		leaves[i] = anonmodel.Partition{Box: attr.PointBox(recs[j].QI), Records: recs[j : j+1]}
 	}
 	fam, err := verify.NewFamily(core.Tiling{Partitions: leaves}, k1, c.opts.Serve.Parallelism)
 	if err != nil {

@@ -257,9 +257,9 @@ func TestJointFamilySharesArraysUntilAWrite(t *testing.T) {
 	c := newCoordinator(t, opts)
 
 	ks := []int{0, 25, 50}
-	release := func() [][]Partition {
+	release := func() [][]anonmodel.Partition {
 		t.Helper()
-		out := make([][]Partition, len(ks))
+		out := make([][]anonmodel.Partition, len(ks))
 		for i, k1 := range ks {
 			ps, err := c.Release(k1)
 			if err != nil {
@@ -518,9 +518,9 @@ func TestJointReleaseDeterminism(t *testing.T) {
 	recs := makeRecords(t, 240, 29)
 	type run struct {
 		shards, workers int
-		export          []Partition
-		exportCoarse    []Partition
-		release         []Partition
+		export          []anonmodel.Partition
+		exportCoarse    []anonmodel.Partition
+		release         []anonmodel.Partition
 	}
 	var runs []run
 	for _, shards := range []int{1, 2, 4} {
@@ -568,7 +568,7 @@ func TestJointReleaseDeterminism(t *testing.T) {
 
 // partitionsEqual compares two releases structurally: same partitions
 // in the same order, same boxes, same records in the same order.
-func partitionsEqual(a, b []Partition) bool {
+func partitionsEqual(a, b []anonmodel.Partition) bool {
 	if len(a) != len(b) {
 		return false
 	}

@@ -103,10 +103,9 @@ func runSchedule(t *testing.T, seed int64, incremental bool) int {
 		t.Fatalf("seed %d (%d faults, %d errors): %v", seed, inj.Injected(), len(faultedErrs), err)
 	}
 	var got []int64
-	base := make([]anonmodel.Partition, 0, 64)
+	base := tr.Leaves()
 	minLeaf := len(recs)
-	for _, l := range tr.Leaves() {
-		base = append(base, anonmodel.Partition{Box: l.MBR, Records: l.Records})
+	for _, l := range base {
 		if len(l.Records) < minLeaf {
 			minLeaf = len(l.Records)
 		}

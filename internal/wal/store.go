@@ -339,7 +339,7 @@ func (s *Store) audit() error {
 // Nothing is carried between calls: a mutation since the last proof
 // cannot be served on the strength of an older one.
 func (s *Store) family() (*verify.Family, error) {
-	leaves := core.Tiling{Partitions: core.LeafPartitions(s.tree.Leaves())}
+	leaves := core.Tiling{Partitions: s.tree.Leaves()}
 	return verify.NewFamily(leaves, s.tree.Config().BaseK, 1)
 }
 
