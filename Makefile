@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build loc loc-check test vet lint lint-json chaos chaos-serve chaos-shard crash throughput zeroalloc fuzz bench cover experiments examples clean
+.PHONY: all build loc loc-check ckpt-volume test vet lint lint-json chaos chaos-serve chaos-shard crash throughput zeroalloc fuzz bench cover experiments examples clean
 
 all: vet test
 
@@ -24,13 +24,20 @@ loc:
 # is the total of the last PR that moved it. A PR that adds net
 # non-test lines must raise the number here, in its own diff, where a
 # reviewer sees it; a PR that removes lines lowers it to its new total.
-LOC_CEILING = 19728
+LOC_CEILING = 19894
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \
 		echo "loc-check: $$total non-test lines exceed the ceiling of $(LOC_CEILING) (Makefile LOC_CEILING)"; exit 1; \
 	fi; \
 	echo "loc-check: $$total non-test lines, ceiling $(LOC_CEILING)"
+
+# What a checkpoint writes, as page counts: the incremental checkpoint
+# after 100 updates and after one against a full one on 20 000 records,
+# and pages.db against the live image over 200 checkpoints of churn. The
+# tests gate the counts; this target puts them in the log.
+ckpt-volume:
+	$(GO) test ./internal/wal -run 'TestIncrementalCheckpointWriteVolume|TestPageFileStaysBounded' -v
 
 # `make vet` is the whole static gate: the stock go vet suite plus
 # anonylint, the project's multichecker (internal/lint) — pager

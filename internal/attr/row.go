@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the repository's one durable record encoding: log frames
-// (internal/wal), leaf pages and the checkpoint directory
+// (internal/wal), leaf pages and the checkpoint's node objects
 // (internal/rplustree) and the fixed-width data files (internal/dataset)
 // all write quasi-identifier values through it.
 //
@@ -109,6 +109,16 @@ func AppendRecord(b []byte, r Record, base int64) []byte {
 	b = AppendRow(b, r.QI)
 	b = binary.AppendUvarint(b, uint64(len(r.Sensitive)))
 	return append(b, r.Sensitive...)
+}
+
+// RecordSize is len(AppendRecord(nil, r, base)) without building it.
+func RecordSize(r Record, base int64) int {
+	var v [binary.MaxVarintLen64]byte
+	row := 8 * len(r.QI)
+	if fitsFixed(r.QI) {
+		row = FixedRowSize(len(r.QI))
+	}
+	return binary.PutVarint(v[:], r.ID-base) + 1 + row + binary.PutUvarint(v[:], uint64(len(r.Sensitive))) + len(r.Sensitive)
 }
 
 // Reader decodes what the Append functions wrote, with bounds checks: a

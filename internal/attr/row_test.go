@@ -83,6 +83,9 @@ func TestRecordRoundTrip(t *testing.T) {
 	} {
 		for _, base := range []int64{0, rec.ID, 77, math.MinInt64} {
 			enc := AppendRecord(nil, rec, base)
+			if size := RecordSize(rec, base); size != len(enc) {
+				t.Fatalf("record %d base %d: RecordSize %d, encoding %d bytes", rec.ID, base, size, len(enc))
+			}
 			r := NewReader(enc)
 			got, err := r.Record(make([]float64, len(rec.QI)), base)
 			if err != nil || r.Remaining() != 0 {

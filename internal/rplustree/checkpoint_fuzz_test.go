@@ -23,11 +23,11 @@ var fuzzConfig = rplustree.Config{Schema: dataset.LandsEndSchema(), BaseK: 3}
 
 // blobGet resolves references against one byte string by offset and
 // length — the fuzz input's stand-in for the pager.
-func blobGet(blob []byte) func(rplustree.LeafRef) ([]byte, error) {
-	return func(ref rplustree.LeafRef) ([]byte, error) {
+func blobGet(blob []byte) func(rplustree.Ref) ([]byte, error) {
+	return func(ref rplustree.Ref) ([]byte, error) {
 		end := uint64(ref.Off) + uint64(ref.Len)
 		if end > uint64(len(blob)) {
-			return nil, fmt.Errorf("reference [%d,%d) outside %d leaf bytes", ref.Off, end, len(blob))
+			return nil, fmt.Errorf("reference [%d,%d) outside %d object bytes", ref.Off, end, len(blob))
 		}
 		return blob[ref.Off:end], nil
 	}
@@ -35,8 +35,8 @@ func blobGet(blob []byte) func(rplustree.LeafRef) ([]byte, error) {
 
 // realImages are checkpoints of real trees — an empty one, a single
 // leaf, a few levels after inserts, and the same after deletions with
-// underflow repairs and a second, incremental checkpoint — as
-// (directory, leaf bytes) pairs.
+// underflow repairs and a second, incremental checkpoint — as (root
+// object, object bytes) pairs.
 func realImages(t testing.TB) [][2][]byte {
 	t.Helper()
 	var out [][2][]byte
@@ -59,16 +59,16 @@ func realImages(t testing.TB) [][2][]byte {
 		}
 		var blob []byte
 		checkpoint := func() {
-			ck, err := tr.EncodeCheckpoint(false, func(leaf []byte) (rplustree.LeafRef, error) {
-				ref := rplustree.LeafRef{Pages: []pager.PageID{1}, Off: uint32(len(blob)), Len: uint32(len(leaf))}
-				blob = append(blob, leaf...)
+			ck, err := tr.EncodeCheckpoint(false, func(enc []byte, leaf bool) (rplustree.Ref, error) {
+				ref := rplustree.Ref{Pages: []pager.PageID{1}, Off: uint32(len(blob)), Len: uint32(len(enc))}
+				blob = append(blob, enc...)
 				return ref, nil
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			ck.Commit()
-			out = append(out, [2][]byte{ck.Dir, bytes.Clone(blob)})
+			out = append(out, [2][]byte{ck.Root, bytes.Clone(blob)})
 		}
 		checkpoint()
 		if n >= 25 {
@@ -84,15 +84,17 @@ func realImages(t testing.TB) [][2][]byte {
 }
 
 // FuzzDecodeCheckpoint holds the checkpoint decoder to its contract:
-// for an arbitrary directory over arbitrary leaf bytes it returns an
-// error or a tree that passes the independent structural audit and
-// re-encodes — never a panic, never a malformed tree.
+// for an arbitrary root object over arbitrary object bytes — references
+// leading anywhere in them, to a sibling's object, an ancestor's, the
+// wrong kind's — it returns an error or a tree that passes the
+// independent structural audit and re-encodes — never a panic, never a
+// malformed tree.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	// The real-image seeds are the committed corpus under testdata/fuzz
 	// (TestFuzzCorpusIsCurrent keeps it current).
 	f.Add([]byte{}, []byte{})
-	f.Fuzz(func(t *testing.T, dir, leaves []byte) {
-		tr, err := rplustree.DecodeCheckpoint(fuzzConfig, dir, blobGet(leaves))
+	f.Fuzz(func(t *testing.T, root, objects []byte) {
+		tr, err := rplustree.DecodeCheckpoint(fuzzConfig, root, blobGet(objects))
 		if err != nil {
 			return
 		}

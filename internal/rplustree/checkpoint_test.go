@@ -3,6 +3,7 @@ package rplustree
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -11,18 +12,18 @@ import (
 	"spatialanon/internal/pager"
 )
 
-// blobStore is the simplest possible home for leaf encodings: one
-// growing byte string, references addressing it by offset. It stands in
-// for internal/wal's page stream.
+// blobStore is the simplest possible home for node objects: one growing
+// byte string, references addressing it by offset. It stands in for
+// internal/wal's page streams.
 type blobStore struct{ blob []byte }
 
-func (b *blobStore) put(leaf []byte) (LeafRef, error) {
-	ref := LeafRef{Pages: []pager.PageID{1}, Off: uint32(len(b.blob)), Len: uint32(len(leaf))}
-	b.blob = append(b.blob, leaf...)
+func (b *blobStore) put(enc []byte, leaf bool) (Ref, error) {
+	ref := Ref{Pages: []pager.PageID{1}, Off: uint32(len(b.blob)), Len: uint32(len(enc))}
+	b.blob = append(b.blob, enc...)
 	return ref, nil
 }
 
-func (b *blobStore) get(ref LeafRef) ([]byte, error) {
+func (b *blobStore) get(ref Ref) ([]byte, error) {
 	end := uint64(ref.Off) + uint64(ref.Len)
 	if end > uint64(len(b.blob)) {
 		return nil, fmt.Errorf("reference [%d,%d) outside a blob of %d bytes", ref.Off, end, len(b.blob))
@@ -30,7 +31,7 @@ func (b *blobStore) get(ref LeafRef) ([]byte, error) {
 	return b.blob[ref.Off:end], nil
 }
 
-func mustSnapshot(t *testing.T, tr *Tree) []byte {
+func mustSnapshot(t testing.TB, tr *Tree) []byte {
 	t.Helper()
 	snap, err := tr.EncodeSnapshot()
 	if err != nil {
@@ -39,7 +40,7 @@ func mustSnapshot(t *testing.T, tr *Tree) []byte {
 	return snap
 }
 
-func mustCheckpoint(t *testing.T, tr *Tree, full bool, b *blobStore) *Checkpoint {
+func mustCheckpoint(t testing.TB, tr *Tree, full bool, b *blobStore) *Checkpoint {
 	t.Helper()
 	ck, err := tr.EncodeCheckpoint(full, b.put)
 	if err != nil {
@@ -48,7 +49,24 @@ func mustCheckpoint(t *testing.T, tr *Tree, full bool, b *blobStore) *Checkpoint
 	return ck
 }
 
-// TestCheckpointRoundTrip: the directory form decodes to a tree whose
+// countNodes returns the tree's leaves and internal nodes.
+func countNodes(tr *Tree) (leaves, nodes int) {
+	var walk func(n *node)
+	walk = func(n *node) {
+		if n.isLeaf() {
+			leaves++
+			return
+		}
+		nodes++
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(tr.root)
+	return leaves, nodes
+}
+
+// TestCheckpointRoundTrip: the checkpoint form decodes to a tree whose
 // inline snapshot is byte-identical to the source tree's — same trie,
 // same leaf order, same record order within a leaf.
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -64,10 +82,14 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	insertAll(t, tr, recs)
 	var store blobStore
 	ck := mustCheckpoint(t, tr, false, &store)
-	if ck.Written != len(ck.Refs) || ck.Written != len(tr.Leaves()) {
-		t.Fatalf("first checkpoint wrote %d of %d leaves (tree has %d)", ck.Written, len(ck.Refs), len(tr.Leaves()))
+	leaves, nodes := countNodes(tr)
+	if ck.Written != ck.Image || ck.Written.Leaves != leaves || ck.Written.Nodes != nodes {
+		t.Fatalf("first checkpoint wrote %+v of %+v (tree has %d leaves, %d nodes)", ck.Written, ck.Image, leaves, nodes)
 	}
-	got, err := DecodeCheckpoint(cfg, ck.Dir, store.get)
+	if ck.Image.Bytes() != int64(len(store.blob)) || len(ck.Pages) != leaves+nodes {
+		t.Fatalf("image of %d bytes on %d pages, stored %d bytes in %d objects", ck.Image.Bytes(), len(ck.Pages), len(store.blob), leaves+nodes)
+	}
+	got, err := DecodeCheckpoint(cfg, ck.Root, store.get)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,24 +99,24 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := got.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// The decoded tree is stamped from the directory: with nothing
+	// The decoded tree is stamped from its references: with nothing
 	// changed, its next checkpoint writes nothing.
-	if ck2 := mustCheckpoint(t, got, false, &store); ck2.Written != 0 || got.DirtyBytes(1<<40) != 0 {
-		t.Fatalf("checkpoint of an untouched recovered tree wrote %d leaves (%d dirty bytes)", ck2.Written, got.DirtyBytes(1<<40))
+	if ck2 := mustCheckpoint(t, got, false, &store); ck2.Written != (Footprint{}) || got.Pending() != (Footprint{}) || ck2.Image != ck.Image {
+		t.Fatalf("checkpoint of an untouched recovered tree wrote %+v (%+v pending)", ck2.Written, got.Pending())
 	}
 	// The two forms are told apart by their version word.
-	if _, err := DecodeSnapshot(cfg, ck.Dir); err == nil {
-		t.Fatal("a directory decoded as an inline snapshot")
+	if _, err := DecodeSnapshot(cfg, ck.Root); err == nil {
+		t.Fatal("a root object decoded as an inline snapshot")
 	}
 	if _, err := DecodeCheckpoint(cfg, mustSnapshot(t, tr), store.get); err == nil {
-		t.Fatal("an inline snapshot decoded as a directory")
+		t.Fatal("an inline snapshot decoded as a checkpoint")
 	}
 }
 
-// TestCheckpointWritesOnlyChangedLeaves pins the stamp rules: nothing
-// is stamped before Commit, a committed checkpoint makes the next one
-// empty, one insert dirties one leaf (two when it splits), full rewrites
-// everything.
+// TestCheckpointWritesOnlyChangedLeaves pins the stamp rules: nothing is
+// stamped before Commit, a committed checkpoint makes the next one
+// empty, one insert dirties one leaf (two when it splits) and the nodes
+// above it, full rewrites everything.
 func TestCheckpointWritesOnlyChangedLeaves(t *testing.T) {
 	cfg := Config{Schema: dataset.LandsEndSchema(), BaseK: 4}
 	tr, err := New(cfg)
@@ -102,36 +124,43 @@ func TestCheckpointWritesOnlyChangedLeaves(t *testing.T) {
 		t.Fatal(err)
 	}
 	insertAll(t, tr, continuousRecords(cfg.Schema, 300, 5))
-	leaves := len(tr.Leaves())
+	leaves, nodes := countNodes(tr)
 	var store blobStore
 
 	// An attempt that is never committed stamps nothing: the retry
-	// writes every leaf again.
-	if ck := mustCheckpoint(t, tr, false, &store); ck.Written != leaves {
-		t.Fatalf("first attempt wrote %d leaves, want %d", ck.Written, leaves)
+	// writes every node again.
+	if ck := mustCheckpoint(t, tr, false, &store); ck.Written.Leaves != leaves || ck.Written.Nodes != nodes {
+		t.Fatalf("first attempt wrote %+v, want %d leaves and %d nodes", ck.Written, leaves, nodes)
 	}
 	ck := mustCheckpoint(t, tr, false, &store)
-	if ck.Written != leaves {
-		t.Fatalf("retry after an uncommitted attempt wrote %d leaves, want %d", ck.Written, leaves)
+	if ck.Written.Leaves != leaves || ck.Written.Nodes != nodes {
+		t.Fatalf("retry after an uncommitted attempt wrote %+v, want %d leaves and %d nodes", ck.Written, leaves, nodes)
 	}
 	ck.Commit()
-	if ck := mustCheckpoint(t, tr, false, &store); ck.Written != 0 || len(ck.Refs) != leaves {
-		t.Fatalf("checkpoint with nothing changed wrote %d leaves, lists %d of %d", ck.Written, len(ck.Refs), leaves)
+	if ck := mustCheckpoint(t, tr, false, &store); ck.Written != (Footprint{}) || ck.Image.Leaves != leaves || ck.Image.Nodes != nodes {
+		t.Fatalf("checkpoint with nothing changed wrote %+v, lists %+v of %d leaves and %d nodes", ck.Written, ck.Image, leaves, nodes)
 	}
 
-	// One more record in a leaf with room dirties exactly that leaf.
+	// One more record in a leaf with room dirties exactly that leaf and
+	// the one node per level above it.
 	extra := attr.Record{ID: 9001, QI: append([]float64(nil), tr.Leaves()[0].Records[0].QI...)}
 	if err := tr.Insert(extra); err != nil {
 		t.Fatal(err)
 	}
-	wantDirty := 1 + len(tr.Leaves()) - leaves // a split replaces one leaf by two fresh ones
+	nowLeaves, nowNodes := countNodes(tr)
+	wantLeaves := 1 + nowLeaves - leaves // a split replaces one leaf by two fresh ones
+	wantNodes := tr.Height() - 1 + nowNodes - nodes
+	pending := tr.Pending()
 	ck = mustCheckpoint(t, tr, false, &store)
-	if ck.Written != wantDirty || ck.WrittenBytes != tr.DirtyBytes(1<<40) {
-		t.Fatalf("after one insert: wrote %d leaves / %d bytes, want %d leaves / %d bytes", ck.Written, ck.WrittenBytes, wantDirty, tr.DirtyBytes(1<<40))
+	if ck.Written.Leaves != wantLeaves || ck.Written.Nodes != wantNodes {
+		t.Fatalf("after one insert: wrote %+v, want %d leaves and %d nodes", ck.Written, wantLeaves, wantNodes)
+	}
+	if pending.Leaves != wantLeaves || pending.Nodes != wantNodes || pending.LeafBytes != ck.Written.LeafBytes {
+		t.Fatalf("after one insert: %+v pending, %+v written", pending, ck.Written)
 	}
 	ck.Commit()
-	if n := tr.DirtyBytes(1 << 40); n != 0 {
-		t.Fatalf("%d dirty bytes right after a commit", n)
+	if p := tr.Pending(); p != (Footprint{}) {
+		t.Fatalf("%+v pending right after a commit", p)
 	}
 
 	// Deleting down to an underflow removes a leaf and reinserts its
@@ -144,11 +173,11 @@ func TestCheckpointWritesOnlyChangedLeaves(t *testing.T) {
 		}
 	}
 	ck = mustCheckpoint(t, tr, false, &store)
-	if ck.Written == 0 || ck.Written >= len(ck.Refs) {
-		t.Fatalf("after an underflow repair: wrote %d of %d leaves", ck.Written, len(ck.Refs))
+	if ck.Written.Leaves == 0 || ck.Written.Leaves >= ck.Image.Leaves || ck.Written.Nodes == 0 || ck.Written.Nodes >= ck.Image.Nodes {
+		t.Fatalf("after an underflow repair: wrote %+v of %+v", ck.Written, ck.Image)
 	}
 	ck.Commit()
-	got, err := DecodeCheckpoint(cfg, ck.Dir, store.get)
+	got, err := DecodeCheckpoint(cfg, ck.Root, store.get)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,62 +185,251 @@ func TestCheckpointWritesOnlyChangedLeaves(t *testing.T) {
 		t.Fatal("incremental checkpoint chain decodes to a different tree")
 	}
 
-	if ck := mustCheckpoint(t, tr, true, &store); ck.Written != len(ck.Refs) {
-		t.Fatalf("full checkpoint wrote %d of %d leaves", ck.Written, len(ck.Refs))
+	if ck := mustCheckpoint(t, tr, true, &store); ck.Written != ck.Image {
+		t.Fatalf("full checkpoint wrote %+v of %+v", ck.Written, ck.Image)
 	}
 }
 
-// TestDecodeCheckpointRejectsDamage: a leaf that comes back short, long
-// or unreadable, a truncated directory and a reference with no pages
-// are errors, never panics or quietly wrong trees.
+// TestStructuralEditsInvalidateStamps pins the rule itself, not only its
+// outcome: a node whose child list and trie are edited — a child split
+// in two, a child spliced out by an underflow repair — stops being
+// durable there and then, whatever the next checkpoint walk would have
+// found beneath it.
+func TestStructuralEditsInvalidateStamps(t *testing.T) {
+	cfg := Config{Schema: dataset.LandsEndSchema(), BaseK: 4}
+	tr, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertAll(t, tr, continuousRecords(cfg.Schema, 300, 5))
+	var store blobStore
+	mustCheckpoint(t, tr, false, &store).Commit()
+
+	leaf := tr.routeToLeaf(tr.root, tr.Leaves()[0].Records[0].QI)
+	parent, fanout := leaf.parent, len(leaf.parent.children)
+	for id := int64(9000); len(parent.children) == fanout; id++ {
+		if !parent.durable() {
+			t.Fatal("an insert into a leaf with room invalidated its parent's stamp")
+		}
+		qi := append([]float64(nil), leaf.recs[0].QI...)
+		qi[0] += float64(id-9000) / 16
+		if err := tr.Insert(attr.Record{ID: id, QI: qi}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if parent.durable() {
+		t.Fatal("a leaf split left its parent's stamp standing")
+	}
+	mustCheckpoint(t, tr, false, &store).Commit()
+
+	leaf = tr.routeToLeaf(tr.root, tr.Leaves()[len(tr.Leaves())/2].Records[0].QI)
+	parent, fanout = leaf.parent, len(leaf.parent.children)
+	if fanout < 2 || !parent.durable() {
+		t.Fatalf("want a durable parent of several leaves, got %d children, durable=%v", fanout, parent.durable())
+	}
+	for _, r := range append([]attr.Record(nil), leaf.recs...)[:len(leaf.recs)-cfg.BaseK+1] {
+		if found, err := tr.Delete(r.ID, r.QI); err != nil || !found {
+			t.Fatalf("delete %d: found=%v err=%v", r.ID, found, err)
+		}
+	}
+	if len(parent.children) >= fanout && parent.parent != nil {
+		t.Fatalf("the underflow repair did not remove a child: %d of %d left", len(parent.children), fanout)
+	}
+	if parent.durable() {
+		t.Fatal("an underflow repair left the spliced node's stamp standing")
+	}
+}
+
+// checkpointMatches takes an incremental checkpoint of tr through store
+// and asserts that decoding it yields tr byte for byte — a stale stamp
+// anywhere (a node whose trie or child list changed without its stamp
+// noticing) would resurrect the old subtree here. Most checkpoints are
+// committed; one in four is abandoned, as a failed publish would.
+func checkpointMatches(t testing.TB, tr *Tree, store *blobStore, n int) *Checkpoint {
+	t.Helper()
+	ck := mustCheckpoint(t, tr, false, store)
+	got, err := DecodeCheckpoint(tr.cfg, ck.Root, store.get)
+	if err != nil {
+		t.Fatalf("checkpoint %d does not decode: %v", n, err)
+	}
+	if !bytes.Equal(mustSnapshot(t, tr), mustSnapshot(t, got)) {
+		t.Fatalf("checkpoint %d decodes to a different tree", n)
+	}
+	if n%4 != 3 {
+		ck.Commit()
+	}
+	return ck
+}
+
+// TestCheckpointFollowsRestructuring is the stale-stamp property: seeded
+// runs interleave inserts, deletes that force underflow repairs, and —
+// with three children per node — internal splits and collapsing
+// single-child chains, with a checkpoint every few operations; each must
+// decode to the live tree.
+func TestCheckpointFollowsRestructuring(t *testing.T) {
+	var sawLeafSplit, sawNodeSplit, sawRepair, sawChain, sawPartial, sawShrink bool
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := Config{Schema: dataset.PatientsSchema(), BaseK: 2, NodeCapacity: 2 + int(seed%3)}
+		tr, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var store blobStore
+		var live []attr.Record
+		leaves, nodes, height, ckpts := 1, 0, 1, 0
+		for step := 0; step < 600; step++ {
+			// Growth, then a purge down to the empty tree, then both again.
+			purge := step%300 >= 150
+			if len(live) > 0 && rng.Float64() < map[bool]float64{false: 0.2, true: 0.9}[purge] {
+				// The lowest ages first: neighbouring leaves drain together.
+				j := 0
+				for i, r := range live {
+					if r.QI[0] < live[j].QI[0] {
+						j = i
+					}
+				}
+				victim := live[j]
+				live = append(live[:j], live[j+1:]...)
+				if found, err := tr.Delete(victim.ID, victim.QI); err != nil || !found {
+					t.Fatalf("seed %d step %d: delete %d: found=%v err=%v", seed, step, victim.ID, found, err)
+				}
+			} else {
+				r := attr.Record{ID: int64(step), QI: []float64{float64(rng.Intn(90)), float64(rng.Intn(2)), float64(52000 + rng.Intn(900))}}
+				live = append(live, r)
+				if err := tr.Insert(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if rng.Intn(5) != 0 {
+				continue
+			}
+			ck := checkpointMatches(t, tr, &store, ckpts)
+			ckpts++
+			l, n := countNodes(tr)
+			sawLeafSplit = sawLeafSplit || l > leaves
+			sawNodeSplit = sawNodeSplit || (n > nodes+1 && tr.height == height)
+			sawRepair = sawRepair || l < leaves
+			sawChain = sawChain || (n < nodes && tr.height == height)
+			sawShrink = sawShrink || tr.height < height
+			sawPartial = sawPartial || (ck.Written.Nodes > 0 && ck.Written.Nodes < ck.Image.Nodes)
+			leaves, nodes, height = l, n, tr.height
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+	for name, saw := range map[string]bool{
+		"a leaf split": sawLeafSplit, "an internal split": sawNodeSplit, "an underflow repair": sawRepair,
+		"a removed internal node": sawChain, "a tree collapsing to a lower height": sawShrink, "a checkpoint writing some nodes and keeping others": sawPartial,
+	} {
+		if !saw {
+			t.Errorf("the seed matrix never put %s between two checkpoints", name)
+		}
+	}
+}
+
+// TestDecodeCheckpointRejectsDamage: an object that comes back short,
+// long or unreadable, a truncated root object, a reference with no
+// pages, and a node object whose child reference leads to a sibling's
+// object, to an ancestor's or to an object of the wrong kind are errors,
+// never panics or quietly wrong trees.
 func TestDecodeCheckpointRejectsDamage(t *testing.T) {
 	cfg := Config{Schema: dataset.LandsEndSchema(), BaseK: 4}
 	tr, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	insertAll(t, tr, continuousRecords(cfg.Schema, 120, 7))
+	insertAll(t, tr, continuousRecords(cfg.Schema, 400, 7))
+	if tr.Height() < 3 {
+		t.Fatalf("want internal nodes under the root, got height %d", tr.Height())
+	}
 	var store blobStore
 	ck := mustCheckpoint(t, tr, false, &store)
+	ck.Commit()
 
-	for cut := 0; cut < len(ck.Dir); cut += 1 + len(ck.Dir)/97 {
-		if _, err := DecodeCheckpoint(cfg, ck.Dir[:cut], store.get); err == nil {
-			t.Fatalf("directory truncated to %d bytes accepted", cut)
+	for cut := 0; cut < len(ck.Root); cut++ {
+		if _, err := DecodeCheckpoint(cfg, ck.Root[:cut], store.get); err == nil {
+			t.Fatalf("root object truncated to %d bytes accepted", cut)
 		}
 	}
-	if _, err := DecodeCheckpoint(cfg, append(append([]byte(nil), ck.Dir...), 0xEE), store.get); err == nil {
-		t.Fatal("trailing directory byte accepted")
+	if _, err := DecodeCheckpoint(cfg, append(bytes.Clone(ck.Root), 0xEE), store.get); err == nil {
+		t.Fatal("trailing root object byte accepted")
 	}
-	damaged := map[string]func(LeafRef) ([]byte, error){
-		"short leaf": func(r LeafRef) ([]byte, error) {
-			b, err := store.get(r)
-			return b[:len(b)-1], err
-		},
-		"long leaf": func(r LeafRef) ([]byte, error) {
-			b, err := store.get(r)
-			return append(append([]byte(nil), b...), 0), err
-		},
-		"unreadable leaf": func(LeafRef) ([]byte, error) { return nil, fmt.Errorf("device gone") },
-		"another leaf's bytes": func(r LeafRef) ([]byte, error) {
-			return store.get(ck.Refs[0])
-		},
-	}
-	for name, get := range damaged {
-		if _, err := DecodeCheckpoint(cfg, ck.Dir, get); err == nil {
-			t.Errorf("%s accepted", name)
+	// Damage to the n-th object fetched: 0 is the root node, the last one
+	// a leaf.
+	someLeaf := tr.routeToLeaf(tr.root, make([]float64, cfg.Schema.Dims())).dur.ref
+	objects := ck.Image.Leaves + ck.Image.Nodes
+	for _, nth := range []int{0, 1, objects / 2, objects - 1} {
+		for name, damage := range map[string]func([]byte) ([]byte, error){
+			"short":                  func(b []byte) ([]byte, error) { return b[:len(b)-1], nil },
+			"long":                   func(b []byte) ([]byte, error) { return append(bytes.Clone(b), 0), nil },
+			"unreadable":             func([]byte) ([]byte, error) { return nil, fmt.Errorf("device gone") },
+			"replaced by a leaf":     func([]byte) ([]byte, error) { return store.get(someLeaf) },
+			"replaced by a sibling":  func([]byte) ([]byte, error) { return store.get(tr.root.children[1].dur.ref) },
+			"replaced by its parent": func([]byte) ([]byte, error) { return store.get(tr.root.dur.ref) },
+		} {
+			fetched, damaged := 0, false
+			_, err := DecodeCheckpoint(cfg, ck.Root, func(r Ref) ([]byte, error) {
+				b, err := store.get(r)
+				if fetched++; fetched-1 != nth || err != nil {
+					return b, err
+				}
+				d, err := damage(b)
+				damaged = !bytes.Equal(d, b)
+				return d, err
+			})
+			if err == nil && damaged {
+				t.Errorf("object %d %s accepted", nth, name)
+			}
 		}
 	}
-	// A reference must name at least one page.
-	noPages, err := tr.EncodeCheckpoint(true, func(leaf []byte) (LeafRef, error) {
-		ref, err := store.put(leaf)
-		ref.Pages = nil
-		return ref, err
-	})
+
+	// The same tree with the first of the root's child references
+	// redirected, the object it led to now unreachable.
+	redirected := func(tr *Tree, to Ref) []byte {
+		var prev pager.PageID
+		enc, _ := appendTrie(nil, tr.root.trie, func(e []byte, c *node) ([]byte, error) {
+			ref := c.dur.ref
+			if c == tr.root.children[0] {
+				ref = to
+			}
+			e, prev = appendRef(e, ref, prev)
+			return e, nil
+		})
+		ref, _ := store.put(enc, false)
+		root, _ := tr.appendHeader(directoryVersion)
+		root, _ = appendRef(root, ref, 0)
+		return root
+	}
+	a, b := tr.root.children[0], tr.root.children[1]
+	if _, err := DecodeCheckpoint(cfg, redirected(tr, a.dur.ref), store.get); err != nil {
+		t.Fatalf("a root node rebuilt with its own references: %v", err)
+	}
+	for name, to := range map[string]Ref{
+		"at a sibling's object":          b.dur.ref,
+		"at an ancestor's object":        tr.root.dur.ref,
+		"at a leaf where a node is due":  tr.routeToLeaf(a, make([]float64, cfg.Schema.Dims())).dur.ref,
+		"at a reference without pages":   {Len: a.dur.ref.Len},
+		"past the end of what is stored": {Pages: []pager.PageID{1}, Off: uint32(len(store.blob)), Len: 8},
+	} {
+		if _, err := DecodeCheckpoint(cfg, redirected(tr, to), store.get); err == nil {
+			t.Errorf("a child reference pointing %s accepted", name)
+		}
+	}
+	// A node where a leaf is due: a root over leaves, one reference led
+	// to a node object of the tree above.
+	low, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeCheckpoint(cfg, noPages.Dir, store.get); err == nil {
-		t.Fatal("reference without pages accepted")
+	insertAll(t, low, continuousRecords(cfg.Schema, 30, 7))
+	if low.Height() != 2 {
+		t.Fatalf("want a root over leaves, got height %d", low.Height())
+	}
+	mustCheckpoint(t, low, false, &store).Commit()
+	if _, err := DecodeCheckpoint(cfg, redirected(low, b.dur.ref), store.get); err == nil {
+		t.Error("a child reference pointing at a node where a leaf is due accepted")
 	}
 }
 
@@ -226,10 +444,11 @@ func paperRecords(n int) []attr.Record {
 	return recs
 }
 
-// TestImageSizes pins what a record costs in a leaf page and a leaf in
-// the directory, so a format regression fails here and not in a
-// benchmark. The float64 format spent 76 bytes per record and 39 per
-// leaf of a one-level directory.
+// TestImageSizes pins what a record costs in a leaf page, a child in a
+// node object and the root object, so a format regression fails here and
+// not in a benchmark. The float64 format spent 76 bytes per record and
+// 39 per leaf of a one-level directory; the one-buffer directory 18 per
+// leaf.
 func TestImageSizes(t *testing.T) {
 	cfg := Config{Schema: dataset.LandsEndSchema(), BaseK: 4}
 	tr, err := New(cfg)
@@ -239,18 +458,20 @@ func TestImageSizes(t *testing.T) {
 	recs := paperRecords(28)
 	insertAll(t, tr, recs)
 	leaves := len(tr.Leaves())
-	if tr.Height() != 2 || leaves < 3 {
+	if tr.Height() != 2 || leaves < 3 || leaves > 7 {
 		t.Fatalf("want a root over a few leaves, got height %d with %d leaves", tr.Height(), leaves)
 	}
-	// One leaf per page, so every reference is: offset 0 (1 byte), a
-	// length of 128..16383 (2), the CRC (4), one page (1) one further on
-	// than the last (1).
+	// One object per page, so every reference is: offset 0 (1 byte), a
+	// length (1 below 128, else 2), the CRC (4), one page (1) one further
+	// on than the last (1).
 	page := pager.PageID(0)
-	var leafBytes int
-	ck, err := tr.EncodeCheckpoint(true, func(leaf []byte) (LeafRef, error) {
+	var node []byte
+	ck, err := tr.EncodeCheckpoint(true, func(enc []byte, leaf bool) (Ref, error) {
 		page++
-		leafBytes += len(leaf)
-		return LeafRef{Pages: []pager.PageID{page}, Len: uint32(len(leaf))}, nil
+		if !leaf {
+			node = bytes.Clone(enc)
+		}
+		return Ref{Pages: []pager.PageID{page}, Len: uint32(len(enc))}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -258,15 +479,24 @@ func TestImageSizes(t *testing.T) {
 	// A leaf is its record count (1 byte here) and, per record, the ID
 	// (2), the layout byte, eight 4-byte columns and an empty sensitive
 	// value's length: 36 bytes.
-	if want := leaves + 36*len(recs); leafBytes != want {
-		t.Errorf("%d records in %d leaves encode to %d bytes, want %d (36 per record)", len(recs), leaves, leafBytes, want)
+	if want := int64(leaves + 36*len(recs)); ck.Written.LeafBytes != want {
+		t.Errorf("%d records in %d leaves encode to %d bytes, want %d (36 per record)", len(recs), leaves, ck.Written.LeafBytes, want)
 	}
-	// The directory is a 12-byte header, the root's tag, and per leaf a
-	// trie-leaf tag, a node tag and its 9-byte reference; each of the
-	// leaves−1 hyperplanes between them costs a tag, an axis and a
-	// one-column row (1 + 1 + 5): 18 bytes per further leaf.
-	if want := 12 + 1 + 11*leaves + 7*(leaves-1); len(ck.Dir) != want {
-		t.Errorf("directory of %d leaves is %d bytes, want %d (18 per leaf)", leaves, len(ck.Dir), want)
+	// The root node's object is, per leaf, a trie-leaf tag and a 9-byte
+	// reference (its length takes two bytes); each of the leaves−1
+	// hyperplanes between them costs a tag, an axis and a one-column row
+	// (1 + 1 + 5): 17 bytes per further child.
+	if want := 10*leaves + 7*(leaves-1); len(node) != want || ck.Written.NodeBytes != int64(want) || ck.Written.Nodes != 1 {
+		t.Errorf("root node over %d leaves is %d bytes (%+v), want %d (17 per child)", leaves, len(node), ck.Written, want)
+	}
+	// The root object is the 12-byte header and one 8-byte reference.
+	if len(ck.Root) != 12+8 {
+		t.Errorf("root object is %d bytes, want 20", len(ck.Root))
+	}
+	// What Pending assumes of a reference in a real page file — two-byte
+	// offsets, a page distance now and then — stays close to that.
+	if est := nodeSizeEstimate(leaves); est < int64(len(node)) || est > int64(len(node))*5/4 {
+		t.Errorf("a node of %d children estimated at %d bytes, is %d", leaves, est, len(node))
 	}
 	// A fractional coordinate moves its own row to the raw layout (+32
 	// bytes) and nobody else's.
@@ -282,8 +512,9 @@ func TestImageSizes(t *testing.T) {
 }
 
 // TestDecodeRefusesRetiredVersions: images in the fixed-width float64
-// format (snapshot version 1, directory version 2) are refused by their
-// version word.
+// format (snapshot version 1, directory version 2) and checkpoints whose
+// directory was one buffer (version 4) are refused by their version
+// word.
 func TestDecodeRefusesRetiredVersions(t *testing.T) {
 	cfg := Config{Schema: dataset.LandsEndSchema(), BaseK: 4}
 	tr, _ := New(cfg)
@@ -297,13 +528,13 @@ func TestDecodeRefusesRetiredVersions(t *testing.T) {
 			return err
 		},
 		"directory": func(v byte) error {
-			img := mustCheckpoint(t, tr, true, &store).Dir
+			img := mustCheckpoint(t, tr, true, &store).Root
 			img[0] = v
 			_, err := DecodeCheckpoint(cfg, img, store.get)
 			return err
 		},
 	} {
-		for _, v := range []byte{1, 2} {
+		for _, v := range []byte{1, 2, 4} {
 			if err := decode(v); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("format version %d", v)) {
 				t.Errorf("%s with version word %d: %v, want a version error", name, v, err)
 			}

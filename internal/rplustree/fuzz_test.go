@@ -9,14 +9,17 @@ import (
 
 // FuzzInsertDeleteInvariants feeds arbitrary byte strings as operation
 // tapes (2 bytes per op: coordinates for an insert, or a delete of the
-// oldest live record) and checks the full structural invariant set
-// afterwards. Runs over the seed corpus as a normal test;
+// oldest live record; a second byte ending in four one bits takes a
+// checkpoint after the op, which must decode to the live tree) and
+// checks the full structural invariant set afterwards. Runs over the
+// seed corpus as a normal test;
 // `go test -fuzz FuzzInsertDeleteInvariants ./internal/rplustree`
 // explores further.
 func FuzzInsertDeleteInvariants(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0, 0, 0, 0, 0, 0})
 	f.Add([]byte{255, 254, 253, 252, 1, 2, 3, 4, 200, 200, 200, 200})
+	f.Add([]byte{1, 15, 2, 31, 3, 47, 4, 15, 9, 15, 9, 31, 4, 15, 14, 15, 19, 15, 5, 79, 6, 95, 24, 15, 29, 15})
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		if len(tape) > 4096 {
 			tape = tape[:4096]
@@ -26,6 +29,7 @@ func FuzzInsertDeleteInvariants(f *testing.F) {
 			t.Fatal(err)
 		}
 		var live []attr.Record
+		var store blobStore
 		nextID := int64(0)
 		for i := 0; i+1 < len(tape); i += 2 {
 			a, b := tape[i], tape[i+1]
@@ -35,16 +39,19 @@ func FuzzInsertDeleteInvariants(f *testing.F) {
 				if found, err := tr.Delete(victim.ID, victim.QI); err != nil || !found {
 					t.Fatalf("delete of live record %d failed", victim.ID)
 				}
-				continue
+			} else {
+				r := attr.Record{
+					ID: nextID,
+					QI: []float64{float64(a), float64(b % 2), float64(52000 + int(b)*8)},
+				}
+				nextID++
+				live = append(live, r)
+				if err := tr.Insert(r); err != nil {
+					t.Fatal(err)
+				}
 			}
-			r := attr.Record{
-				ID: nextID,
-				QI: []float64{float64(a), float64(b % 2), float64(52000 + int(b)*8)},
-			}
-			nextID++
-			live = append(live, r)
-			if err := tr.Insert(r); err != nil {
-				t.Fatal(err)
+			if b&15 == 15 {
+				checkpointMatches(t, tr, &store, i/2)
 			}
 		}
 		if tr.Len() != len(live) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"spatialanon/internal/attr"
 	"spatialanon/internal/pager"
@@ -14,17 +15,21 @@ import (
 // hyperplane values go through the repository's one row codec
 // (internal/attr, row.go), counts and references are varints.
 //
-// One encoder and one decoder serve two forms that differ only in what
-// stands for a leaf:
+// The same trie, leaf and header encoders serve two forms that differ
+// in where a node's children are:
 //
-//   - the snapshot (EncodeSnapshot/DecodeSnapshot) carries every leaf's
-//     records inline — the whole tree in one byte string, the in-memory
-//     form tests and probes compare trees with;
-//   - the checkpoint directory (EncodeCheckpoint/DecodeCheckpoint)
-//     carries a LeafRef per leaf — where the caller stored that leaf's
-//     encoding — so a checkpoint rewrites only the leaves that changed
-//     since their last durable copy and recovery reads leaves one at a
-//     time instead of materialising the image.
+//   - the snapshot (EncodeSnapshot/DecodeSnapshot) carries every node
+//     inline — the whole tree in one byte string, the in-memory form
+//     tests and probes compare trees with;
+//   - the checkpoint (EncodeCheckpoint/DecodeCheckpoint) makes every
+//     tree node a durable OBJECT of its own, stored wherever the caller
+//     puts it: a leaf object is the leaf's records, an internal node's
+//     object is its split trie with a Ref — where the caller stored that
+//     child's object — per trie leaf, and the root object is the header
+//     and the root node's Ref. A checkpoint therefore rewrites the leaves
+//     that changed since their last durable copy and the nodes on the
+//     paths above them — O(changed leaves × height), not the tree — and
+//     recovery fetches one object at a time.
 //
 // Either form stores only what cannot be re-derived: the recursive
 // trie structure and the leaf payloads. Routing regions are NOT
@@ -32,18 +37,19 @@ import (
 // exactly as splits created them (bit-identical floats), MBRs and
 // counts are recomputed bottom-up, and the decoder validates what it
 // builds (dimensions, axis bounds, region membership of every record,
-// uniform leaf depth) so a damaged image yields an error, never a
-// quietly wrong tree. Defense in depth: internal/wal checksums the
-// directory and every leaf encoding, and recovery runs the full
+// leaves exactly at the header's depth, no object referenced twice) so a
+// damaged image yields an error, never a quietly wrong tree. Defense in
+// depth: internal/wal checksums every object — root, node, leaf, each
+// CRC held by the object above — and recovery runs the full
 // internal/verify audit on the decoded tree.
 
 // The two encoding forms, told apart by the leading version word so one
 // can never be decoded as the other. Bumped on any incompatible layout
-// change: 1 and 2 were the fixed-width float64 forms, refused with a
-// version error.
+// change: 1 and 2 were the fixed-width float64 forms, 4 the checkpoint
+// whose directory was one buffer — all refused with a version error.
 const (
-	snapshotVersion  = 3 // leaves inline
-	directoryVersion = 4 // leaves by reference
+	snapshotVersion  = 3 // children inline
+	directoryVersion = 5 // children by reference
 )
 
 // snapMaxDepth bounds the recursion while decoding: deeper nesting
@@ -52,50 +58,71 @@ const (
 // the decoder's stack from adversarial input).
 const snapMaxDepth = 4096
 
-// LeafRef says where the durable encoding of one leaf lives: Len bytes
+// Ref says where the durable encoding of one tree node lives: Len bytes
 // starting Off bytes into the first of Pages and running on through the
 // rest, sealed by CRC. The tree only carries it — the checkpoint's
 // caller assigns and interprets every field.
-type LeafRef struct {
+type Ref struct {
 	Pages []pager.PageID
 	Off   uint32
 	Len   uint32
 	CRC   uint32
 }
 
-// Checkpoint is one EncodeCheckpoint pass: the directory to publish and
-// the stamps to apply once it is durable.
-type Checkpoint struct {
-	// Dir is the directory encoding: the trie with a LeafRef per leaf.
-	Dir []byte
-	// Refs holds every leaf's reference in trie order — the freshly
-	// written ones and the ones carried over — so the caller can
-	// recompute which pages are live from this walk alone.
-	Refs []LeafRef
-	// Written and WrittenBytes count the leaves handed to put.
-	Written      int
-	WrittenBytes int64
-
-	pending []leafStamp
+// Footprint counts node objects and their encoded bytes, leaves and
+// internal nodes apart.
+type Footprint struct {
+	Leaves, Nodes        int
+	LeafBytes, NodeBytes int64
 }
 
-// durableCopy is a leaf's stamp: where its durable encoding lives and
+// Bytes is the footprint's total size.
+func (f Footprint) Bytes() int64 { return f.LeafBytes + f.NodeBytes }
+
+func (f *Footprint) add(leaf bool, size int64) {
+	if leaf {
+		f.Leaves++
+		f.LeafBytes += size
+	} else {
+		f.Nodes++
+		f.NodeBytes += size
+	}
+}
+
+// Checkpoint is one EncodeCheckpoint pass: the root object to publish
+// and the stamps to apply once it is durable.
+type Checkpoint struct {
+	// Root is the root object: the header and the root node's Ref.
+	Root []byte
+	// Image sizes every object Root reaches — the freshly written ones
+	// and the ones carried over — and Pages lists the pages their
+	// references name (a page once per object on it), so the caller can
+	// recompute which pages are live from this walk alone.
+	Image Footprint
+	Pages []pager.PageID
+	// Written sizes the objects handed to put.
+	Written Footprint
+
+	pending []stamp
+}
+
+// durableCopy is a node's stamp: where its durable encoding lives and
 // the node.ver that encoding captured.
 type durableCopy struct {
-	ref LeafRef
+	ref Ref
 	ver uint64
 }
 
-// leafStamp is a stamp waiting for its checkpoint to be published.
-type leafStamp struct {
+// stamp is a durableCopy waiting for its checkpoint to be published.
+type stamp struct {
 	n   *node
 	dur *durableCopy
 }
 
-// Commit records, on every leaf this checkpoint wrote, where its
-// durable copy now lives. Call it only after the directory has been
+// Commit records, on every node this checkpoint wrote, where its
+// durable copy now lives. Call it only after the root object has been
 // published durably: a checkpoint that aborts before that must leave
-// every stamp as it was, so the retry rewrites those leaves instead of
+// every stamp as it was, so the retry rewrites those nodes instead of
 // trusting pages nothing durable refers to.
 func (c *Checkpoint) Commit() {
 	for _, s := range c.pending {
@@ -104,8 +131,10 @@ func (c *Checkpoint) Commit() {
 	c.pending = nil
 }
 
-// durable reports whether the leaf's last durable copy still matches
-// its content. A freshly minted node has no copy at all.
+// durable reports whether the node's last durable copy still matches
+// it: a leaf's records, an internal node's trie and child list. (Whether
+// an internal node's children still sit where that copy says is the
+// checkpoint walk's to find out.) A freshly minted node has no copy.
 func (n *node) durable() bool { return n.dur != nil && n.dur.ver == n.ver }
 
 // EncodeSnapshot serializes the tree structure and payloads into one
@@ -113,98 +142,158 @@ func (n *node) durable() bool { return n.dur != nil && n.dur.ver == n.ver }
 // cannot be snapshotted — those records are not yet placed — so callers
 // flush first.
 func (t *Tree) EncodeSnapshot() ([]byte, error) {
-	return t.encodeTree(snapshotVersion, func(e []byte, n *node) ([]byte, error) {
-		return appendLeaf(e, n.recs), nil
-	})
-}
-
-// EncodeCheckpoint walks the tree in trie order and hands put the
-// encoding of every leaf whose content changed since its last durable
-// copy — every leaf when full is set — collecting the references put
-// returns, and the unchanged leaves' existing ones, into the directory.
-// The byte slice put receives is reused between calls. Nothing in the
-// tree changes until the returned Checkpoint is committed.
-func (t *Tree) EncodeCheckpoint(full bool, put func(leaf []byte) (LeafRef, error)) (*Checkpoint, error) {
-	ck := &Checkpoint{}
-	var scratch []byte
-	var prev pager.PageID // the page the previous reference ended on
-	dir, err := t.encodeTree(directoryVersion, func(e []byte, n *node) ([]byte, error) {
-		dur := n.dur
-		if full || !n.durable() {
-			scratch = appendLeaf(scratch[:0], n.recs)
-			ref, err := put(scratch)
-			if err != nil {
-				return nil, err
-			}
-			dur = &durableCopy{ref: ref, ver: n.ver}
-			ck.pending = append(ck.pending, leafStamp{n: n, dur: dur})
-			ck.Written++
-			ck.WrittenBytes += int64(len(scratch))
-		}
-		ck.Refs = append(ck.Refs, dur.ref)
-		e, prev = appendRef(e, dur.ref, prev)
-		return e, nil
-	})
+	e, err := t.appendHeader(snapshotVersion)
 	if err != nil {
 		return nil, err
 	}
-	ck.Dir = dir
-	return ck, nil
+	return appendNode(e, t.root), nil
 }
 
-// DirtyBytes sizes what an incremental EncodeCheckpoint would hand to
-// put right now: the encoded length of every leaf without a current
-// durable copy. It stops counting once the total passes limit — the
-// caller only wants to know whether it does.
-func (t *Tree) DirtyBytes(limit int64) int64 {
-	var total int64
-	var scratch []byte
-	t.walkLeaves(t.root, func(n *node) {
-		if total <= limit && !n.durable() {
-			scratch = appendLeaf(scratch[:0], n.recs)
-			total += int64(len(scratch))
-		}
+// appendNode is the inline form of a node: a tag, then the leaf payload
+// or the trie with every child inline in turn.
+func appendNode(e []byte, n *node) []byte {
+	if n.isLeaf() {
+		return appendLeaf(append(e, 0), n.recs)
+	}
+	e, _ = appendTrie(append(e, 1), n.trie, func(e []byte, c *node) ([]byte, error) {
+		return appendNode(e, c), nil
 	})
-	return total
+	return e
 }
 
-// encodeTree writes the header and the trie; leaf appends what stands
-// for one leaf in this form.
-func (t *Tree) encodeTree(version uint32, leaf func(e []byte, n *node) ([]byte, error)) ([]byte, error) {
+// EncodeCheckpoint walks the tree children first and hands put the
+// object of every node that has to be written again: a leaf whose
+// records changed since its last durable copy, an internal node whose
+// trie was edited or one of whose children was just written (its object
+// holds that child's Ref) — every node when full is set. Unchanged
+// subtrees keep their references. The byte slice put receives is reused
+// between calls. Nothing in the tree changes until the returned
+// Checkpoint is committed.
+func (t *Tree) EncodeCheckpoint(full bool, put func(enc []byte, leaf bool) (Ref, error)) (*Checkpoint, error) {
+	root, err := t.appendHeader(directoryVersion)
+	if err != nil {
+		return nil, err
+	}
+	c := &checkpointWalk{Checkpoint: &Checkpoint{}, full: full, put: put}
+	ref, _, err := c.object(t.root, 0)
+	if err != nil {
+		return nil, err
+	}
+	c.Root, _ = appendRef(root, ref, 0)
+	return c.Checkpoint, nil
+}
+
+type checkpointWalk struct {
+	*Checkpoint
+	full bool
+	put  func(enc []byte, leaf bool) (Ref, error)
+	bufs [][]byte // one scratch encoding per tree depth
+}
+
+// object makes n's subtree durable, children first, and returns n's
+// reference and whether n itself was handed to put.
+func (c *checkpointWalk) object(n *node, depth int) (Ref, bool, error) {
+	if depth == len(c.bufs) {
+		c.bufs = append(c.bufs, nil)
+	}
+	leaf := n.isLeaf()
+	dirty := c.full || !n.durable()
+	enc := c.bufs[depth][:0]
+	if !leaf {
+		// An internal node is encoded whether or not it turns out dirty:
+		// only its children's walk can say, and the trie is small.
+		var prev pager.PageID
+		var err error
+		enc, err = appendTrie(enc, n.trie, func(e []byte, child *node) ([]byte, error) {
+			ref, written, err := c.object(child, depth+1)
+			dirty = dirty || written
+			e, prev = appendRef(e, ref, prev)
+			return e, err
+		})
+		if err != nil {
+			return Ref{}, false, err
+		}
+	} else if dirty {
+		enc = appendLeaf(enc, n.recs)
+	}
+	c.bufs[depth] = enc
+	dur := n.dur
+	if dirty {
+		ref, err := c.put(enc, leaf)
+		if err != nil {
+			return Ref{}, false, err
+		}
+		dur = &durableCopy{ref: ref, ver: n.ver}
+		c.pending = append(c.pending, stamp{n: n, dur: dur})
+		c.Written.add(leaf, int64(len(enc)))
+	}
+	c.Image.add(leaf, int64(dur.ref.Len))
+	c.Pages = append(c.Pages, dur.ref.Pages...)
+	return dur.ref, dirty, nil
+}
+
+// Pending sizes what an incremental EncodeCheckpoint would hand to put
+// right now, without encoding anything: leaves to the byte, internal
+// nodes by nodeSizeEstimate (a reference's varints are only known once
+// the child is stored).
+func (t *Tree) Pending() Footprint {
+	var f Footprint
+	var walk func(n *node) bool
+	walk = func(n *node) bool {
+		dirty := !n.durable()
+		for _, c := range n.children {
+			if walk(c) {
+				dirty = true
+			}
+		}
+		if dirty && n.isLeaf() {
+			f.add(true, leafSize(n.recs))
+		} else if dirty {
+			f.add(false, nodeSizeEstimate(len(n.children)))
+		}
+		return dirty
+	}
+	walk(t.root)
+	return f
+}
+
+// nodeSizeEstimate guesses an internal node's object before its
+// children's references exist: per child a trie tag and a reference of
+// about 11 bytes (offset, length, CRC, page count, page distance), per
+// hyperplane between two children a tag, an axis and a one-column row.
+func nodeSizeEstimate(children int) int64 { return int64(12*children + 7*(children-1)) }
+
+// appendHeader starts an encoding of either form: version, dimensions
+// and height.
+func (t *Tree) appendHeader(version uint32) ([]byte, error) {
 	if t.root.pending > 0 {
 		return nil, fmt.Errorf("rplustree: snapshot with %d records still buffered; flush the loader first", t.root.pending)
 	}
 	e := make([]byte, 0, 1024)
 	e = appendU32(e, version)
 	e = appendU32(e, uint32(t.cfg.Schema.Dims()))
-	e = appendU32(e, uint32(t.height))
-	return encodeNode(e, t.root, leaf)
+	return appendU32(e, uint32(t.height)), nil
 }
 
-func encodeNode(e []byte, n *node, leaf func([]byte, *node) ([]byte, error)) ([]byte, error) {
-	if n.isLeaf() {
-		return leaf(append(e, 0), n)
-	}
-	return encodeTrie(append(e, 1), n.trie, leaf)
-}
-
-func encodeTrie(e []byte, st *splitTrie, leaf func([]byte, *node) ([]byte, error)) ([]byte, error) {
+// appendTrie writes a split trie; child appends what stands for one
+// child node in this form.
+func appendTrie(e []byte, st *splitTrie, child func(e []byte, n *node) ([]byte, error)) ([]byte, error) {
 	if st.isLeaf() {
-		return encodeNode(append(e, 0), st.child, leaf)
+		return child(append(e, 0), st.child)
 	}
 	e = append(e, 1)
 	e = binary.AppendUvarint(e, uint64(st.axis))
 	e = attr.AppendRow(e, []float64{st.value}) // a hyperplane value is a row of one
-	e, err := encodeTrie(e, st.left, leaf)
+	e, err := appendTrie(e, st.left, child)
 	if err != nil {
 		return nil, err
 	}
-	return encodeTrie(e, st.right, leaf)
+	return appendTrie(e, st.right, child)
 }
 
 // appendLeaf is the leaf payload encoding both forms share: inline in a
-// snapshot, stored wherever a LeafRef points in a checkpoint. A record
-// of eight integral attributes costs its ID varint + 34 bytes.
+// snapshot, an object of its own in a checkpoint. A record of eight
+// integral attributes costs its ID varint + 34 bytes.
 func appendLeaf(e []byte, recs []attr.Record) []byte {
 	e = binary.AppendUvarint(e, uint64(len(recs)))
 	for _, r := range recs {
@@ -213,11 +302,22 @@ func appendLeaf(e []byte, recs []attr.Record) []byte {
 	return e
 }
 
-// appendRef writes one leaf reference. Page IDs are written as signed
-// distances from prev, the page the reference before it ended on:
-// leaves packed back to back share or continue a page, so a distance is
-// usually 0 or 1 — one byte where an ID took eight.
-func appendRef(e []byte, r LeafRef, prev pager.PageID) ([]byte, pager.PageID) {
+// leafSize is len(appendLeaf(nil, recs)).
+func leafSize(recs []attr.Record) int64 {
+	var count [binary.MaxVarintLen64]byte
+	size := binary.PutUvarint(count[:], uint64(len(recs)))
+	for _, r := range recs {
+		size += attr.RecordSize(r, 0)
+	}
+	return int64(size)
+}
+
+// appendRef writes one reference. Page IDs are written as signed
+// distances from prev, the page the reference before it in the same
+// object ended on (0 for the first): children stored back to back share
+// or continue a page, so a distance is usually 0 or 1 — one byte where
+// an ID took eight.
+func appendRef(e []byte, r Ref, prev pager.PageID) ([]byte, pager.PageID) {
 	e = binary.AppendUvarint(e, uint64(r.Off))
 	e = binary.AppendUvarint(e, uint64(r.Len))
 	e = appendU32(e, r.CRC)
@@ -241,132 +341,155 @@ func DecodeSnapshot(cfg Config, data []byte) (*Tree, error) {
 	return decodeTree(cfg, data, snapshotVersion, nil)
 }
 
-// DecodeCheckpoint rebuilds a tree from a checkpoint directory, asking
-// get for the stored encoding of each leaf in trie order (the slice get
-// returns is consumed before the next call, so get may reuse it). It
-// validates exactly what DecodeSnapshot validates, and stamps every
-// leaf with its reference so the next checkpoint of the recovered tree
-// rewrites only what changes from here on.
-func DecodeCheckpoint(cfg Config, dir []byte, get func(LeafRef) ([]byte, error)) (*Tree, error) {
-	return decodeTree(cfg, dir, directoryVersion, get)
+// DecodeCheckpoint rebuilds a tree from a checkpoint's root object,
+// asking get for the stored object behind each reference, parents before
+// children (the slice get returns is consumed or copied before the next
+// call, so get may reuse it). It validates exactly what DecodeSnapshot
+// validates, refuses a reference it has already followed, and stamps
+// every node with its reference so the next checkpoint of the recovered
+// tree rewrites only what changes from here on.
+func DecodeCheckpoint(cfg Config, root []byte, get func(Ref) ([]byte, error)) (*Tree, error) {
+	return decodeTree(cfg, root, directoryVersion, get)
 }
 
-func decodeTree(cfg Config, data []byte, wantVersion uint32, get func(LeafRef) ([]byte, error)) (*Tree, error) {
+func decodeTree(cfg Config, data []byte, wantVersion uint32, get func(Ref) ([]byte, error)) (*Tree, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	d := &snapDecoder{Reader: attr.NewReader(data), leafDepth: -1, get: get}
-	version, err := d.U32()
+	src := &source{Reader: attr.NewReader(data)}
+	version, err := src.U32()
 	if err != nil {
 		return nil, err
 	}
 	if version != wantVersion {
 		return nil, fmt.Errorf("rplustree: snapshot in format version %d, this build reads version %d", version, wantVersion)
 	}
-	dims, err := d.U32()
+	dims, err := src.U32()
 	if err != nil {
 		return nil, err
 	}
 	if int(dims) != cfg.Schema.Dims() {
 		return nil, fmt.Errorf("rplustree: snapshot has %d dimensions, schema has %d", dims, cfg.Schema.Dims())
 	}
-	height, err := d.U32()
+	height, err := src.U32()
 	if err != nil {
 		return nil, err
 	}
 	if height < 1 || height > snapMaxDepth {
 		return nil, fmt.Errorf("rplustree: snapshot height %d out of range", height)
 	}
-	t := &Tree{cfg: cfg, height: int(height)}
-	root, err := d.node(cfg, infiniteRegion(int(dims)), 0)
+	d := &snapDecoder{height: int(height), get: get}
+	if get != nil {
+		d.seen = map[objectKey]struct{}{}
+	}
+	root, err := d.child(src, infiniteRegion(int(dims)), 0)
 	if err != nil {
 		return nil, err
 	}
-	t.root = root
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("rplustree: snapshot has %d trailing bytes", d.Remaining())
+	if src.Remaining() != 0 {
+		return nil, fmt.Errorf("rplustree: snapshot has %d trailing bytes", src.Remaining())
 	}
-	if d.leafDepth != int(height)-1 {
-		return nil, fmt.Errorf("rplustree: snapshot leaves at depth %d, header says height %d", d.leafDepth, height)
-	}
-	return t, nil
+	return &Tree{cfg: cfg, root: root, height: int(height)}, nil
 }
 
-// snapDecoder reads the encoded byte stream through the row codec's
-// bounds-checked reader. With get set, leaves are references resolved
-// through it; otherwise they are inline.
+// snapDecoder rebuilds nodes of a tree whose height the header gave:
+// the node at depth height-1 is a leaf, every node above it internal —
+// so the recursion is bounded and the leaves sit at one depth by
+// construction. With get set, children are references resolved through
+// it; otherwise they are inline.
 type snapDecoder struct {
-	*attr.Reader
-	leafDepth int
-	get       func(LeafRef) ([]byte, error)
-	prevPage  pager.PageID // appendRef's prev, replayed
+	height int
+	get    func(Ref) ([]byte, error)
+	seen   map[objectKey]struct{} // where the objects followed so far start
 }
 
-// node decodes one node owning the given routing region at the given
-// depth, rebuilding MBRs and counts as it goes.
-func (d *snapDecoder) node(cfg Config, region attr.Box, depth int) (*node, error) {
-	if depth > snapMaxDepth {
-		return nil, fmt.Errorf("rplustree: snapshot nests deeper than %d", snapMaxDepth)
+// source is one encoded byte string — a snapshot, or one object of a
+// checkpoint — read through the row codec's bounds-checked reader, with
+// appendRef's prev replayed.
+type source struct {
+	*attr.Reader
+	prevPage pager.PageID
+}
+
+// objectKey is where an object starts. Objects are not empty, so two of
+// them never start at the same byte.
+type objectKey struct {
+	page pager.PageID
+	off  uint32
+}
+
+// child decodes what stands for one node at the given depth: a
+// reference to its object, or a tag and the node inline.
+func (d *snapDecoder) child(src *source, region attr.Box, depth int) (*node, error) {
+	if d.get != nil {
+		ref, err := src.ref()
+		if err != nil {
+			return nil, err
+		}
+		return d.object(ref, region, depth)
 	}
-	tag, err := d.Byte()
+	tag, err := src.Byte()
 	if err != nil {
 		return nil, err
 	}
-	dims := cfg.Schema.Dims()
-	switch tag {
-	case 0: // leaf
-		if d.leafDepth == -1 {
-			d.leafDepth = depth
-		} else if d.leafDepth != depth {
-			return nil, fmt.Errorf("rplustree: snapshot leaf at depth %d, expected %d", depth, d.leafDepth)
-		}
-		if d.get == nil {
-			return d.leaf(cfg, region)
-		}
-		ref, err := d.ref()
-		if err != nil {
-			return nil, err
-		}
-		enc, err := d.get(ref)
-		if err != nil {
-			return nil, err
-		}
-		sub := &snapDecoder{Reader: attr.NewReader(enc)}
-		n, err := sub.leaf(cfg, region)
-		if err != nil {
-			return nil, err
-		}
-		if sub.Remaining() != 0 {
-			return nil, fmt.Errorf("rplustree: stored leaf has %d trailing bytes", sub.Remaining())
-		}
-		n.dur = &durableCopy{ref: ref} // a decoded node starts at ver 0
-		return n, nil
-	case 1: // internal: the trie follows
-		n := &node{region: region, mbr: attr.NewBox(dims)}
-		trie, err := d.trie(cfg, n, region, depth, 0)
-		if err != nil {
-			return nil, err
-		}
-		n.trie = trie
-		if len(n.children) == 0 {
-			return nil, fmt.Errorf("rplustree: snapshot internal node with no children")
-		}
-		return n, nil
-	default:
-		return nil, fmt.Errorf("rplustree: snapshot node tag %d", tag)
+	if leaf := depth == d.height-1; tag > 1 || (tag == 0) != leaf {
+		return nil, fmt.Errorf("rplustree: snapshot node tag %d at depth %d of a tree of height %d", tag, depth, d.height)
 	}
+	return d.node(src, region, depth)
+}
+
+// object fetches and decodes the node object behind ref.
+func (d *snapDecoder) object(ref Ref, region attr.Box, depth int) (*node, error) {
+	key := objectKey{page: ref.Pages[0], off: ref.Off}
+	if _, dup := d.seen[key]; dup {
+		return nil, fmt.Errorf("rplustree: checkpoint object at page %d offset %d is referenced twice", key.page, key.off)
+	}
+	d.seen[key] = struct{}{}
+	enc, err := d.get(ref)
+	if err != nil {
+		return nil, err
+	}
+	if depth < d.height-1 {
+		enc = slices.Clone(enc) // the children are fetched while this object is being read
+	}
+	src := &source{Reader: attr.NewReader(enc)}
+	n, err := d.node(src, region, depth)
+	if err != nil {
+		return nil, err
+	}
+	if src.Remaining() != 0 {
+		return nil, fmt.Errorf("rplustree: checkpoint object at depth %d has %d trailing bytes", depth, src.Remaining())
+	}
+	n.dur = &durableCopy{ref: ref} // a decoded node starts at ver 0
+	return n, nil
+}
+
+// node decodes the body of the node owning region at depth — a leaf
+// payload at the last level, a trie above it — rebuilding MBRs and
+// counts as it goes.
+func (d *snapDecoder) node(src *source, region attr.Box, depth int) (*node, error) {
+	if depth == d.height-1 {
+		return src.leaf(region)
+	}
+	n := &node{region: region, mbr: attr.NewBox(len(region))}
+	trie, err := d.trie(src, n, region, depth, 0)
+	if err != nil {
+		return nil, err
+	}
+	n.trie = trie
+	return n, nil
 }
 
 // leaf decodes one leaf payload (appendLeaf's output) owning region. The
 // records' QI vectors are cap-clipped windows of ONE array per leaf, so
 // a recovered tree holds one QI allocation per leaf, not per record.
-func (d *snapDecoder) leaf(cfg Config, region attr.Box) (*node, error) {
-	dims := cfg.Schema.Dims()
+func (src *source) leaf(region attr.Box) (*node, error) {
+	dims := len(region)
 	// A record occupies at least an ID byte, a layout byte, 4 bytes per
 	// attribute and a sensitive-length byte; Count rejects a claim the
 	// remaining bytes cannot hold before anything is allocated.
-	nrecs, err := d.Count(3 + attr.FixedRowSize(dims))
+	nrecs, err := src.Count(3 + attr.FixedRowSize(dims))
 	if err != nil {
 		return nil, err
 	}
@@ -374,7 +497,7 @@ func (d *snapDecoder) leaf(cfg Config, region attr.Box) (*node, error) {
 	n.recs = make([]attr.Record, 0, nrecs)
 	qis := make([]float64, nrecs*dims)
 	for i := 0; i < nrecs; i++ {
-		rec, err := d.Record(qis[i*dims:(i+1)*dims:(i+1)*dims], 0)
+		rec, err := src.Record(qis[i*dims:(i+1)*dims:(i+1)*dims], 0)
 		if err != nil {
 			return nil, err
 		}
@@ -393,39 +516,39 @@ func (d *snapDecoder) leaf(cfg Config, region attr.Box) (*node, error) {
 	return n, nil
 }
 
-// ref decodes one leaf reference (appendRef's output).
-func (d *snapDecoder) ref() (LeafRef, error) {
-	var r LeafRef
-	off, err := d.Uvarint()
+// ref decodes one reference (appendRef's output).
+func (src *source) ref() (Ref, error) {
+	var r Ref
+	off, err := src.Uvarint()
 	if err != nil {
 		return r, err
 	}
-	length, err := d.Uvarint()
+	length, err := src.Uvarint()
 	if err != nil {
 		return r, err
 	}
 	if off > math.MaxUint32 || length > math.MaxUint32 {
-		return r, fmt.Errorf("rplustree: leaf reference to %d bytes at offset %d exceeds 32 bits", length, off)
+		return r, fmt.Errorf("rplustree: reference to %d bytes at offset %d exceeds 32 bits", length, off)
 	}
 	r.Off, r.Len = uint32(off), uint32(length)
-	if r.CRC, err = d.U32(); err != nil {
+	if r.CRC, err = src.U32(); err != nil {
 		return r, err
 	}
-	npages, err := d.Count(1)
+	npages, err := src.Count(1)
 	if err != nil {
 		return r, err
 	}
 	if npages == 0 {
-		return r, fmt.Errorf("rplustree: leaf reference names no page")
+		return r, fmt.Errorf("rplustree: reference names no page")
 	}
 	r.Pages = make([]pager.PageID, npages)
 	for i := range r.Pages {
-		delta, err := d.Varint()
+		delta, err := src.Varint()
 		if err != nil {
 			return r, err
 		}
-		d.prevPage += pager.PageID(delta)
-		r.Pages[i] = d.prevPage
+		src.prevPage += pager.PageID(delta)
+		r.Pages[i] = src.prevPage
 	}
 	return r, nil
 }
@@ -435,17 +558,17 @@ func (d *snapDecoder) ref() (LeafRef, error) {
 // parent's tree depth (child nodes sit at depth+1 regardless of how
 // deep in the trie their leaf is); guard counts trie nesting only, as
 // a corruption backstop.
-func (d *snapDecoder) trie(cfg Config, parent *node, region attr.Box, depth, guard int) (*splitTrie, error) {
+func (d *snapDecoder) trie(src *source, parent *node, region attr.Box, depth, guard int) (*splitTrie, error) {
 	if guard > snapMaxDepth {
 		return nil, fmt.Errorf("rplustree: snapshot nests deeper than %d", snapMaxDepth)
 	}
-	tag, err := d.Byte()
+	tag, err := src.Byte()
 	if err != nil {
 		return nil, err
 	}
 	switch tag {
 	case 0: // trie leaf: a child node
-		child, err := d.node(cfg, region, depth+1)
+		child, err := d.child(src, region, depth+1)
 		if err != nil {
 			return nil, err
 		}
@@ -455,15 +578,15 @@ func (d *snapDecoder) trie(cfg Config, parent *node, region attr.Box, depth, gua
 		parent.mbr.IncludeBox(child.mbr)
 		return &splitTrie{child: child}, nil
 	case 1: // trie split
-		axis, err := d.Uvarint()
+		axis, err := src.Uvarint()
 		if err != nil {
 			return nil, err
 		}
-		if axis >= uint64(cfg.Schema.Dims()) {
-			return nil, fmt.Errorf("rplustree: snapshot split axis %d, schema has %d dimensions", axis, cfg.Schema.Dims())
+		if axis >= uint64(len(region)) {
+			return nil, fmt.Errorf("rplustree: snapshot split axis %d, schema has %d dimensions", axis, len(region))
 		}
 		var plane [1]float64
-		if err := d.Row(plane[:]); err != nil {
+		if err := src.Row(plane[:]); err != nil {
 			return nil, err
 		}
 		value := plane[0]
@@ -472,11 +595,11 @@ func (d *snapDecoder) trie(cfg Config, parent *node, region attr.Box, depth, gua
 			return nil, fmt.Errorf("rplustree: snapshot split at %v outside region axis %d %v", value, axis, iv)
 		}
 		leftRegion, rightRegion := splitRegion(region, int(axis), value)
-		left, err := d.trie(cfg, parent, leftRegion, depth, guard+1)
+		left, err := d.trie(src, parent, leftRegion, depth, guard+1)
 		if err != nil {
 			return nil, err
 		}
-		right, err := d.trie(cfg, parent, rightRegion, depth, guard+1)
+		right, err := d.trie(src, parent, rightRegion, depth, guard+1)
 		if err != nil {
 			return nil, err
 		}

@@ -143,8 +143,10 @@ type node struct {
 
 	recs []attr.Record // leaf payload
 
-	// ver counts content mutations of this leaf (appends, deletes) —
-	// the copy-on-write snapshot machinery of cow.go uses it to detect
+	// ver counts the mutations of what this node's durable encoding
+	// holds: a leaf's records (appends, deletes), an internal node's
+	// child list and trie (replaceWithPair, the underflow-repair splice).
+	// The copy-on-write snapshot machinery of cow.go uses it to detect
 	// leaves unchanged since the last snapshot. Nodes minted by splits
 	// start at zero: a fresh node is never mistaken for a previously
 	// snapshotted one because its snapGen cannot match the live
@@ -155,8 +157,8 @@ type node struct {
 	snapIdx int    // this leaf's index in that snapshot's output
 
 	// dur is the same pattern for durable checkpoints (snapshot.go):
-	// where this leaf's last published encoding lives and the ver it
-	// captured; nil until a checkpoint holding the leaf is published.
+	// where this node's last published encoding lives and the ver it
+	// captured; nil until a checkpoint holding the node is published.
 	// Behind a pointer so that the stamp costs the tree's hot paths —
 	// every split allocates two nodes — eight bytes per node, not
 	// forty-eight.
@@ -364,6 +366,7 @@ func (t *Tree) replaceWithPair(old, left, right *node, axis int, value float64) 
 		return &CorruptionError{Detail: "split of node not present in parent trie"}
 	}
 	// Replace old in parent's child list and trie.
+	parent.ver++
 	parent.children[idx] = left
 	parent.children = append(parent.children, right)
 	left.parent = parent

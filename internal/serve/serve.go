@@ -140,8 +140,8 @@ type Stats struct {
 	ScrubCorrupt  int64
 	ScrubRepaired int64
 	// Checkpoint is what the store's checkpoints have cost so far —
-	// how many, how many rewrote every leaf, leaves and bytes written,
-	// pages freed (wal.Store.CheckpointStats, sampled at each commit
+	// how many, how many rewrote every leaf, leaf and node objects and
+	// bytes written, pages freed (wal.Store.CheckpointStats, sampled at each commit
 	// like Retries).
 	Checkpoint wal.CheckpointStats
 }

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -11,34 +10,44 @@ import (
 	"spatialanon/internal/rplustree"
 )
 
-// This file is the checkpoint: one leaf-addressed, shadow-paged routine
+// This file is the checkpoint: one node-addressed, shadow-paged routine
 // for writing the tree to pages.db, and its mirror for reading it back.
 //
-// On disk a checkpoint is three things. LEAF PAGES hold leaf encodings
-// packed back to back, each checkpoint's batch in its own run of pages
-// (a leaf may straddle pages, or span many). The DIRECTORY — the split
-// trie with, per leaf, a reference (pages, offset, length, CRC32-C)
-// instead of inline records — sits in pages of its own. The MANIFEST,
-// the first frame of wal.log, names the directory's pages, length and
-// CRC. Nothing is decoded that a checksum chained from the CRC-framed
-// manifest does not cover: manifest → directory → leaf, on top of the
-// pager's per-page seals.
+// On disk a checkpoint is one OBJECT per tree node, each named by a
+// reference (pages, offset, length, CRC32-C) held in the object above
+// it. A LEAF object is the leaf's records; leaf objects are packed back
+// to back, each checkpoint's batch in its own run of pages (an object
+// may straddle pages, or span many). A NODE object is an internal node's
+// split trie with a reference per child; node objects are packed the
+// same way into a run of their own, so a leaf page is replaced only when
+// its leaves are. The ROOT object — the format header and the root
+// node's reference — starts a page of its own, and the MANIFEST, the
+// first frame of wal.log, names it by pages, length and CRC. Nothing is
+// decoded that a checksum chained from the CRC-framed manifest does not
+// cover: manifest → root → node → … → leaf, on top of the pager's
+// per-page seals.
 //
-// A checkpoint writes, into pages no published directory refers to,
-// only the leaves that changed since their last durable copy, then a
-// whole new directory, and publishes both with the manifest rename.
-// Unchanged leaves keep their references, so old and new directory
-// share most leaf pages; pages the new directory no longer refers to
-// are freed after the rename. A full checkpoint — Create, the preload,
-// reseed, scrub repair, compaction — is the same routine with every
-// leaf treated as changed.
+// A checkpoint writes, into pages nothing published refers to, only the
+// leaves that changed since their last durable copy and the nodes on the
+// paths from them to the root — a node's object changes when a child's
+// reference does — and publishes them with the manifest rename.
+// Unchanged subtrees keep their references, so old and new image share
+// most pages; pages the new image no longer refers to are freed after
+// the rename. A full checkpoint — Create, the preload, reseed, scrub
+// repair, compaction — is the same routine with every node treated as
+// changed.
 
 // spaceFactor bounds the page file: a checkpoint that would leave more
-// than spaceFactor × the live leaf bytes allocated rewrites every leaf
-// instead, which packs the image into one run and frees every older
-// page. With the copy a rewrite needs while the old image is still
+// than spaceFactor × the live image's bytes allocated rewrites every
+// node instead, which packs the image into two runs and frees every
+// older page. With the copy a rewrite needs while the old image is still
 // published, pages.db stays within spaceFactor+1 times the live image.
 const spaceFactor = 2
+
+// slackPages is what page granularity may cost a checkpoint beyond the
+// bytes it writes: the last page of the leaf run, the last of the node
+// run and the root object's are partly air.
+const slackPages = 3
 
 // CheckpointStats are cumulative counts of what checkpointing has cost
 // since the store was created or opened.
@@ -47,13 +56,15 @@ type CheckpointStats struct {
 	// every leaf (the first one, reseeds, scrub repairs, compactions).
 	Checkpoints int64
 	Full        int64
-	// LeavesWritten and LeafBytes size the leaf encodings written.
+	// LeavesWritten and LeafBytes size the leaf objects written.
 	LeavesWritten int64
 	LeafBytes     int64
-	// DirBytes sizes the directories written (one per checkpoint).
-	DirBytes int64
-	// PagesFreed counts pages released because no leaf of the newly
-	// published directory referred to them any more.
+	// NodesWritten and NodeBytes size the internal-node objects written,
+	// each checkpoint's root object among them.
+	NodesWritten int64
+	NodeBytes    int64
+	// PagesFreed counts pages released because no object of the newly
+	// published image was stored in them any more.
 	PagesFreed int64
 }
 
@@ -64,47 +75,60 @@ func (a CheckpointStats) Add(b CheckpointStats) CheckpointStats {
 		Full:          a.Full + b.Full,
 		LeavesWritten: a.LeavesWritten + b.LeavesWritten,
 		LeafBytes:     a.LeafBytes + b.LeafBytes,
-		DirBytes:      a.DirBytes + b.DirBytes,
+		NodesWritten:  a.NodesWritten + b.NodesWritten,
+		NodeBytes:     a.NodeBytes + b.NodeBytes,
 		PagesFreed:    a.PagesFreed + b.PagesFreed,
 	}
 }
 
 // String renders the counters as one report line.
 func (c CheckpointStats) String() string {
-	return fmt.Sprintf("%d (%d full), %d leaves / %d leaf bytes + %d directory bytes written, %d pages freed",
-		c.Checkpoints, c.Full, c.LeavesWritten, c.LeafBytes, c.DirBytes, c.PagesFreed)
+	return fmt.Sprintf("%d (%d full), %d leaves / %d leaf bytes + %d nodes / %d node bytes written, %d pages freed",
+		c.Checkpoints, c.Full, c.LeavesWritten, c.LeafBytes, c.NodesWritten, c.NodeBytes, c.PagesFreed)
 }
 
-// pageStream packs byte strings back to back into freshly allocated
-// pager pages, keeping at most one page pinned.
+// pageRun is a run of pages being filled one after the other: at most its
+// last page is pinned.
+type pageRun struct {
+	id  pager.PageID // the page being filled
+	cur []byte       // its pinned bytes; nil when none
+	off int          // fill offset in cur
+}
+
+// pageStream packs one checkpoint attempt's objects into freshly
+// allocated pager pages, leaves and nodes each in a run of their own.
 type pageStream struct {
 	pg *pager.Pager
 	// pages lists every page allocated, in order, until the checkpoint
 	// they belong to is published.
-	pages []pager.PageID
-	cur   []byte // the pinned page being filled; nil when none
-	off   int    // fill offset in cur
+	pages         []pager.PageID
+	leaves, nodes pageRun
 }
 
-// put stores b and returns where it went.
-func (w *pageStream) put(b []byte) (rplustree.LeafRef, error) {
-	ref := rplustree.LeafRef{Len: uint32(len(b)), CRC: Checksum(b)}
+// put stores b at the end of its run and returns where it went.
+func (w *pageStream) put(b []byte, leaf bool) (rplustree.Ref, error) {
+	r := &w.nodes
+	if leaf {
+		r = &w.leaves
+	}
+	ref := rplustree.Ref{Len: uint32(len(b)), CRC: Checksum(b)}
 	for first := true; len(b) > 0; first = false {
-		if w.cur == nil {
+		if r.cur == nil {
 			id, data, err := w.pg.Alloc()
 			if err != nil {
 				return ref, err
 			}
-			w.pages, w.cur, w.off = append(w.pages, id), data, 0
+			w.pages = append(w.pages, id)
+			r.id, r.cur, r.off = id, data, 0
 		}
 		if first {
-			ref.Off = uint32(w.off)
+			ref.Off = uint32(r.off)
 		}
-		ref.Pages = append(ref.Pages, w.pages[len(w.pages)-1])
-		n := copy(w.cur[w.off:], b)
-		b, w.off = b[n:], w.off+n
-		if w.off == len(w.cur) {
-			if err := w.seal(); err != nil {
+		ref.Pages = append(ref.Pages, r.id)
+		n := copy(r.cur[r.off:], b)
+		b, r.off = b[n:], r.off+n
+		if r.off == len(r.cur) {
+			if err := w.seal(r); err != nil {
 				return ref, err
 			}
 		}
@@ -112,20 +136,21 @@ func (w *pageStream) put(b []byte) (rplustree.LeafRef, error) {
 	return ref, nil
 }
 
-// seal unpins the page being filled; the next put starts a fresh one.
-func (w *pageStream) seal() error {
-	if w.cur == nil {
+// seal unpins the page r is filling; its next put starts a fresh one.
+func (w *pageStream) seal(r *pageRun) error {
+	if r.cur == nil {
 		return nil
 	}
-	w.cur = nil
-	return w.pg.Unpin(w.pages[len(w.pages)-1])
+	r.cur = nil
+	return w.pg.Unpin(r.id)
 }
 
 // discard gives back every page of an attempt that will not be
 // published. Best effort: a page that cannot be freed now is
 // unreferenced residue, which the next Open sweeps.
 func (w *pageStream) discard() {
-	_ = w.seal()
+	_ = w.seal(&w.leaves)
+	_ = w.seal(&w.nodes)
 	for _, id := range w.pages {
 		_ = w.pg.Free(id)
 	}
@@ -137,17 +162,18 @@ func (w *pageStream) discard() {
 // log are skipped.
 //
 //  1. Announce intent in the old log (replay ignores the marker).
-//  2. Stream every changed leaf into fresh pages, then the directory
-//     into fresh pages of its own; flush and sync them.
+//  2. Stream every changed leaf and every node above one into fresh
+//     pages, children before parents, then the root object into a fresh
+//     page of its own; flush and sync them.
 //  3. Publish: the manifest goes into wal.tmp, which is renamed over
 //     wal.log and the directory synced.
-//  4. Only now stamp the written leaves with their new locations. An
+//  4. Only now stamp the written nodes with their new locations. An
 //     attempt that aborts earlier leaves every stamp as it was, so the
-//     retry writes those leaves again and trusts no page of the aborted
+//     retry writes those nodes again and trusts no page of the aborted
 //     attempt.
-//  5. Free, in ascending order, the pages the old directory referred to
-//     and the new one does not. A crash here leaks them at worst — the
-//     next Open sweeps unreferenced pages.
+//  5. Free, in ascending order, the pages the old image referred to and
+//     the new one does not. A crash here leaks them at worst — the next
+//     Open sweeps unreferenced pages.
 func (s *Store) writeCheckpoint(out *pageStream, full bool) error {
 	if s.w != nil {
 		if err := s.log(Record{Type: TypeCheckpointBegin, Seq: s.seq}); err != nil {
@@ -155,28 +181,34 @@ func (s *Store) writeCheckpoint(out *pageStream, full bool) error {
 		}
 	}
 	if !full {
-		// The space rule, decided before anything is written: room is what
-		// this checkpoint may add to the allocated pages.
-		room := spaceFactor*s.leafBytes - int64(len(s.live))*int64(s.opts.PageSize)
-		full = room < 0 || s.tree.DirtyBytes(room) > room
+		// The space rule, decided before anything is written: room is the
+		// pages this checkpoint may allocate, the slack of the rewrite to
+		// come held back, and what it needs is its leaf run, its node run
+		// and the root object's page.
+		ps := int64(s.opts.PageSize)
+		room := spaceFactor*s.imageBytes/ps - int64(len(s.live)) - slackPages
+		if full = room < 1; !full {
+			pending := s.tree.Pending()
+			full = (pending.LeafBytes+ps-1)/ps+(pending.NodeBytes+ps-1)/ps+1 > room
+		}
 	}
 	ck, err := s.tree.EncodeCheckpoint(full, out.put)
 	if err != nil {
 		return err
 	}
-	if len(ck.Dir) > math.MaxUint32 {
-		return fmt.Errorf("wal: checkpoint directory of %d bytes exceeds the manifest's 32-bit length", len(ck.Dir))
-	}
-	// The directory starts on a page of its own: its pages are replaced
-	// at every checkpoint, a leaf page only when its leaves are.
-	if err := out.seal(); err != nil {
+	// The root object starts a page: the manifest names it without an
+	// offset.
+	if err := out.seal(&out.nodes); err != nil {
 		return err
 	}
-	dir, err := out.put(ck.Dir)
+	root, err := out.put(ck.Root, false)
 	if err != nil {
 		return err
 	}
-	if err := out.seal(); err != nil {
+	if err := out.seal(&out.nodes); err != nil {
+		return err
+	}
+	if err := out.seal(&out.leaves); err != nil {
 		return err
 	}
 	if err := s.pg.Flush(); err != nil {
@@ -188,7 +220,7 @@ func (s *Store) writeCheckpoint(out *pageStream, full bool) error {
 		}
 	}
 
-	m := &Manifest{Seq: s.seq, DirLen: dir.Len, DirCRC: dir.CRC, DirPages: dir.Pages}
+	m := &Manifest{Seq: s.seq, DirLen: root.Len, DirCRC: root.CRC, DirPages: root.Pages}
 	payload, err := Encode(Record{Type: TypeCheckpointEnd, Seq: s.seq, Manifest: m})
 	if err != nil {
 		return err
@@ -221,20 +253,15 @@ func (s *Store) writeCheckpoint(out *pageStream, full bool) error {
 	ck.Commit()
 
 	old := s.live
-	var leafBytes int64
-	live := slices.Clone(dir.Pages)
-	for _, ref := range ck.Refs {
-		live = append(live, ref.Pages...)
-		leafBytes += int64(ref.Len)
-	}
-	s.setImage(live, leafBytes, len(ck.Dir))
+	s.setImage(append(ck.Pages, root.Pages...), ck.Image.Bytes()+int64(root.Len))
 	s.ckpt.Checkpoints++
-	if ck.Written == len(ck.Refs) {
+	if ck.Written.Leaves == ck.Image.Leaves {
 		s.ckpt.Full++
 	}
-	s.ckpt.LeavesWritten += int64(ck.Written)
-	s.ckpt.LeafBytes += ck.WrittenBytes
-	s.ckpt.DirBytes += int64(len(ck.Dir))
+	s.ckpt.LeavesWritten += int64(ck.Written.Leaves)
+	s.ckpt.LeafBytes += ck.Written.LeafBytes
+	s.ckpt.NodesWritten += int64(ck.Written.Nodes) + 1
+	s.ckpt.NodeBytes += ck.Written.NodeBytes + int64(root.Len)
 	for _, id := range old {
 		if s.isLive(id) {
 			continue
@@ -248,13 +275,12 @@ func (s *Store) writeCheckpoint(out *pageStream, full bool) error {
 }
 
 // setImage records the published checkpoint's footprint. The live-page
-// set is recomputed from the references of one directory walk each
-// time — there is no running refcount to drift.
-func (s *Store) setImage(pages []pager.PageID, leafBytes int64, dirBytes int) {
+// set is recomputed from the references of one tree walk each time —
+// there is no running refcount to drift.
+func (s *Store) setImage(pages []pager.PageID, bytes int64) {
 	slices.Sort(pages)
 	s.live = slices.Compact(pages)
-	s.leafBytes = leafBytes
-	s.dirBytes = dirBytes
+	s.imageBytes = bytes
 }
 
 // isLive reports whether the published checkpoint refers to the page.
@@ -264,32 +290,33 @@ func (s *Store) isLive(id pager.PageID) bool {
 }
 
 // loadCheckpoint rebuilds the tree from the checkpoint the manifest
-// names: the directory first, then each leaf through the pager, every
-// byte checked against the checksum chain before the decoder sees it.
-// The decoded tree carries the directory's references as its stamps, so
-// the first checkpoint after a reopen is incremental too.
+// names: the root object first, then each node and leaf object through
+// the pager as the decoder follows its reference, every byte checked
+// against the checksum chain before the decoder sees it. The decoded
+// tree carries the references as its stamps, so the first checkpoint
+// after a reopen is incremental too.
 func (s *Store) loadCheckpoint(m *Manifest) error {
-	dir, err := s.readRef(rplustree.LeafRef{Pages: m.DirPages, Len: m.DirLen, CRC: m.DirCRC}, nil)
+	root, err := s.readRef(rplustree.Ref{Pages: m.DirPages, Len: m.DirLen, CRC: m.DirCRC}, nil)
 	if err != nil {
-		return fmt.Errorf("wal: checkpoint directory: %w", err)
+		return fmt.Errorf("wal: checkpoint root: %w", err)
 	}
-	var leaf []byte
-	var leafBytes int64
+	var object []byte
+	bytes := int64(m.DirLen)
 	live := slices.Clone(m.DirPages)
-	tree, err := rplustree.DecodeCheckpoint(s.opts.Tree, dir, func(ref rplustree.LeafRef) ([]byte, error) {
+	tree, err := rplustree.DecodeCheckpoint(s.opts.Tree, root, func(ref rplustree.Ref) ([]byte, error) {
 		var err error
-		if leaf, err = s.readRef(ref, leaf[:0]); err != nil {
-			return nil, fmt.Errorf("wal: checkpoint leaf: %w", err)
+		if object, err = s.readRef(ref, object[:0]); err != nil {
+			return nil, fmt.Errorf("wal: checkpoint object: %w", err)
 		}
 		live = append(live, ref.Pages...)
-		leafBytes += int64(ref.Len)
-		return leaf, nil
+		bytes += int64(ref.Len)
+		return object, nil
 	})
 	if err != nil {
 		return err
 	}
 	s.tree = tree
-	s.setImage(live, leafBytes, len(dir))
+	s.setImage(live, bytes)
 	return nil
 }
 
@@ -299,7 +326,7 @@ func (s *Store) loadCheckpoint(m *Manifest) error {
 // page, or a page run that does not match the length, is an error. Each
 // page read runs under the store's retry policy: a transient device
 // fault during resurrection must not condemn an otherwise intact image.
-func (s *Store) readRef(ref rplustree.LeafRef, dst []byte) ([]byte, error) {
+func (s *Store) readRef(ref rplustree.Ref, dst []byte) ([]byte, error) {
 	ps := uint64(s.opts.PageSize)
 	span := uint64(ref.Off) + uint64(ref.Len)
 	if uint64(ref.Off) >= ps || uint64(len(ref.Pages)) != (span+ps-1)/ps {

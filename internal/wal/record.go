@@ -26,9 +26,9 @@
 //
 // Every log file begins with a CheckpointEnd record: the manifest of
 // the checkpoint it extends — which pager pages hold the checkpoint's
-// directory (the trie with a checksummed reference per leaf, see
-// checkpoint.go), the directory's length and checksum, and the
-// operation count folded into it. Checkpointing writes the new
+// root object (the entry to a tree of node objects, each holding a
+// checksummed reference per child, see checkpoint.go), its length and
+// checksum, and the operation count folded into it. Checkpointing writes the new
 // manifest to a temporary file and atomically renames it over the log,
 // so the log is truncated and the checkpoint published in one
 // indivisible step.
@@ -95,19 +95,21 @@ func (t Type) String() string {
 }
 
 // Manifest is the body of a CheckpointEnd record: where the
-// checkpoint's directory lives and how much history it folds in. It is
-// the root of the checksum chain: the frame CRC covers the manifest,
-// DirCRC covers the directory, and the directory carries a CRC per
-// leaf — on top of the pager's per-page seals.
+// checkpoint's root object — the entry to its directory of node objects
+// — lives and how much history it folds in. It is the root of the
+// checksum chain: the frame CRC covers the manifest, DirCRC covers the
+// root object, and every object carries a CRC per child — on top of the
+// pager's per-page seals.
 type Manifest struct {
 	// Seq is the sequence number of the last operation folded into the
 	// checkpoint; replayed tail records continue from Seq+1.
 	Seq uint64
-	// DirLen is the byte length of the encoded directory.
+	// DirLen is the byte length of the root object.
 	DirLen uint32
-	// DirCRC is the CRC32-C of the encoded directory.
+	// DirCRC is the CRC32-C of the root object.
 	DirCRC uint32
-	// DirPages are the pager pages holding the directory, in order.
+	// DirPages are the pager pages holding the root object, in order; it
+	// starts at the first one's first byte.
 	DirPages []pager.PageID
 }
 
@@ -142,7 +144,7 @@ type Record struct {
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Checksum is the CRC32-C over payload bytes used in frame trailers
-// and in the checkpoint's directory and leaf seals.
+// and in the references between a checkpoint's objects.
 func Checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // maxVec bounds decoded counts (operations, dimensions, manifest pages)

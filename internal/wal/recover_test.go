@@ -3,6 +3,7 @@ package wal
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -324,59 +325,57 @@ func TestStoreScrubQuarantinesGarbage(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesOldFormatStore: a store whose checkpoint is in the
-// retired fixed-width float64 format (directory version 2) has a
-// manifest this build still reads — so Open gets as far as the
-// directory's version word and fails there, by version, instead of
-// mis-decoding eight-byte columns as rows.
+// TestOpenRefusesOldFormatStore: a store whose checkpoint is in a
+// retired format — the fixed-width float64 one (directory version 2) or
+// the one whose directory was a single buffer (version 4) — has a
+// manifest this build still reads, so Open gets as far as the version
+// word of what the manifest names and fails there, by version, instead
+// of mis-decoding a directory as a root object.
 func TestOpenRefusesOldFormatStore(t *testing.T) {
-	opts := testOpts(t, 3).withDefaults()
-	pg, err := openPager(opts, pager.CreateDiskFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := &pageStream{pg: pg}
-	u32 := binary.LittleEndian.AppendUint32
-	u64 := binary.LittleEndian.AppendUint64
-	// The version-2 image of an empty tree: a leaf holding a zero record
-	// count, and a directory of header, leaf tag and fixed-width reference.
-	leaf, err := out.put(u32(nil, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := out.seal(); err != nil {
-		t.Fatal(err)
-	}
-	dirBytes := u32(u32(u32(nil, 2), uint32(opts.Tree.Schema.Dims())), 1)
-	dirBytes = append(dirBytes, 0)
-	dirBytes = u32(u32(u32(u32(dirBytes, leaf.Off), leaf.Len), leaf.CRC), 1)
-	dirBytes = u64(dirBytes, uint64(leaf.Pages[0]))
-	dir, err := out.put(dirBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := out.seal(); err != nil {
-		t.Fatal(err)
-	}
-	if err := pg.Close(); err != nil {
-		t.Fatal(err)
-	}
-	payload, err := Encode(Record{Type: TypeCheckpointEnd, Manifest: &Manifest{DirLen: dir.Len, DirCRC: dir.CRC, DirPages: dir.Pages}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := openWriter(filepath.Join(opts.Dir, logName), true, opts.Retry, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, err = Open(opts)
-	if err == nil || !strings.Contains(err.Error(), "format version 2") {
-		t.Fatalf("Open of a version-2 store: %v, want a version error", err)
+	for _, version := range []uint32{2, 4} {
+		opts := testOpts(t, 3).withDefaults()
+		pg, err := openPager(opts, pager.CreateDiskFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := &pageStream{pg: pg}
+		u32 := binary.LittleEndian.AppendUint32
+		u64 := binary.LittleEndian.AppendUint64
+		// The image of an empty tree: a leaf holding a zero record count,
+		// and a directory of header, leaf tag and (version 2's
+		// fixed-width) reference.
+		leaf, err := out.put(u32(nil, 0), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirBytes := u32(u32(u32(nil, version), uint32(opts.Tree.Schema.Dims())), 1)
+		dirBytes = append(dirBytes, 0)
+		dirBytes = u32(u32(u32(u32(dirBytes, leaf.Off), leaf.Len), leaf.CRC), 1)
+		dirBytes = u64(dirBytes, uint64(leaf.Pages[0]))
+		dir, err := out.put(dirBytes, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := errors.Join(out.seal(&out.leaves), out.seal(&out.nodes), pg.Close()); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := Encode(Record{Type: TypeCheckpointEnd, Manifest: &Manifest{DirLen: dir.Len, DirCRC: dir.CRC, DirPages: dir.Pages}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := openWriter(filepath.Join(opts.Dir, logName), true, opts.Retry, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Open(opts)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("format version %d", version)) {
+			t.Fatalf("Open of a version-%d store: %v, want a version error", version, err)
+		}
 	}
 }

@@ -78,8 +78,9 @@ type RecoveryStats struct {
 	// TornBytes is the length of the discarded uncommitted tail.
 	TornBytes int
 	// SnapshotPages and SnapshotBytes size the checkpoint image read:
-	// the live pages (leaf pages and directory) and the bytes in them
-	// that the directory refers to, directory included.
+	// the live pages (leaf pages, node pages and the root object's) and
+	// the bytes in them that a reference names — leaf and node objects,
+	// the root object included.
 	SnapshotPages int
 	SnapshotBytes int
 	// LogBytes is the size of the log image scanned.
@@ -107,12 +108,11 @@ type Store struct {
 	seq       uint64
 	sinceCkpt int
 	// live is the ascending set of pages the published checkpoint refers
-	// to — leaf pages and directory — and leafBytes/dirBytes the bytes
-	// of it that are in use (checkpoint.go).
-	live      []pager.PageID
-	leafBytes int64
-	dirBytes  int
-	ckpt      CheckpointStats
+	// to — leaf pages, node pages and the root object's — and imageBytes
+	// the bytes of them that its objects occupy (checkpoint.go).
+	live       []pager.PageID
+	imageBytes int64
+	ckpt       CheckpointStats
 	// retired holds the retry counts of log writers already closed (a
 	// checkpoint swaps the writer, Recover reopens it).
 	retired  int64
@@ -253,7 +253,7 @@ func (s *Store) recover(img []byte) error {
 	s.seq = m.Seq
 	s.recovery.CheckpointSeq = m.Seq
 	s.recovery.SnapshotPages = len(s.live)
-	s.recovery.SnapshotBytes = int(s.leafBytes) + s.dirBytes
+	s.recovery.SnapshotBytes = int(s.imageBytes)
 
 	// Replay the committed tail.
 	for {
@@ -617,7 +617,7 @@ func (s *Store) Scrub() (ScrubReport, error) {
 		return rep, s.dead
 	}
 	// The live tree is authoritative. A full checkpoint rewrites every
-	// leaf and the directory into fresh pages, so nothing published
+	// leaf and node into fresh pages, so nothing published
 	// refers to the rotted pages afterwards and they are freed with the
 	// rest of the old image.
 	if err := s.checkpoint(true); err != nil {
@@ -693,8 +693,8 @@ func (s *Store) reseed() error {
 		return err
 	}
 	s.pg = pg
-	// The old page IDs, and every leaf's durable-copy stamp, belong to
-	// the discarded image: nothing is live and every leaf is rewritten.
+	// The old page IDs, and every node's durable-copy stamp, belong to
+	// the discarded image: nothing is live and every node is rewritten.
 	s.live = nil
 	if err := s.writeCheckpoint(&pageStream{pg: pg}, true); err != nil {
 		s.closeHandles()
@@ -715,8 +715,8 @@ func (s *Store) adopt(f *Store) {
 }
 
 // SnapshotPages returns the page IDs of the live checkpoint — leaf
-// pages and directory, ascending — for fault drills that need to aim at
-// (or away from) live state.
+// pages, node pages and the root object's, ascending — for fault drills
+// that need to aim at (or away from) live state.
 func (s *Store) SnapshotPages() []pager.PageID { return slices.Clone(s.live) }
 
 // CheckpointStats returns the cumulative checkpoint counters.
