@@ -35,7 +35,8 @@ func blobGet(blob []byte) func(rplustree.Ref) ([]byte, error) {
 
 // realImages are checkpoints of real trees — an empty one, a single
 // leaf, a few levels after inserts, and the same after deletions with
-// underflow repairs and a second, incremental checkpoint — as (root
+// underflow repairs, a few more inserts and a second, incremental
+// checkpoint, which stores the touched leaves as deltas — as (root
 // object, object bytes) pairs.
 func realImages(t testing.TB) [][2][]byte {
 	t.Helper()
@@ -58,7 +59,7 @@ func realImages(t testing.TB) [][2][]byte {
 			}
 		}
 		var blob []byte
-		checkpoint := func() {
+		checkpoint := func() rplustree.Footprint {
 			ck, err := tr.EncodeCheckpoint(false, func(enc []byte, leaf bool) (rplustree.Ref, error) {
 				ref := rplustree.Ref{Pages: []pager.PageID{1}, Off: uint32(len(blob)), Len: uint32(len(enc))}
 				blob = append(blob, enc...)
@@ -69,6 +70,7 @@ func realImages(t testing.TB) [][2][]byte {
 			}
 			ck.Commit()
 			out = append(out, [2][]byte{ck.Root, bytes.Clone(blob)})
+			return ck.Written
 		}
 		checkpoint()
 		if n >= 25 {
@@ -76,8 +78,16 @@ func realImages(t testing.TB) [][2][]byte {
 				if _, err := tr.Delete(r.ID, r.QI); err != nil {
 					t.Fatal(err)
 				}
+				if r.ID%4 == 0 {
+					r.ID += int64(n)
+					if err := tr.Insert(r); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-			checkpoint()
+			if wrote := checkpoint(); wrote.Deltas < 2 || wrote.DeltaBytes < 100 {
+				t.Fatalf("the second image of %d records holds %+v: want deltas with rows in them", n, wrote)
+			}
 		}
 	}
 	return out

@@ -101,8 +101,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	// The decoded tree is stamped from its references: with nothing
 	// changed, its next checkpoint writes nothing.
-	if ck2 := mustCheckpoint(t, got, false, &store); ck2.Written != (Footprint{}) || got.Pending() != (Footprint{}) || ck2.Image != ck.Image {
-		t.Fatalf("checkpoint of an untouched recovered tree wrote %+v (%+v pending)", ck2.Written, got.Pending())
+	pending, whole := got.Pending()
+	if ck2 := mustCheckpoint(t, got, false, &store); ck2.Written != (Footprint{}) || pending != (Footprint{}) || ck2.Image != ck.Image || whole != ck.Image.Bytes() {
+		t.Fatalf("checkpoint of an untouched recovered tree wrote %+v (%+v pending, %d bytes whole)", ck2.Written, pending, whole)
 	}
 	// The two forms are told apart by their version word.
 	if _, err := DecodeSnapshot(cfg, ck.Root); err == nil {
@@ -116,7 +117,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // TestCheckpointWritesOnlyChangedLeaves pins the stamp rules: nothing is
 // stamped before Commit, a committed checkpoint makes the next one
 // empty, one insert dirties one leaf (two when it splits) and the nodes
-// above it, full rewrites everything.
+// above it — the leaf going out as a delta, fresh halves whole — and full
+// rewrites everything whole.
 func TestCheckpointWritesOnlyChangedLeaves(t *testing.T) {
 	cfg := Config{Schema: dataset.LandsEndSchema(), BaseK: 4}
 	tr, err := New(cfg)
@@ -150,16 +152,17 @@ func TestCheckpointWritesOnlyChangedLeaves(t *testing.T) {
 	nowLeaves, nowNodes := countNodes(tr)
 	wantLeaves := 1 + nowLeaves - leaves // a split replaces one leaf by two fresh ones
 	wantNodes := tr.Height() - 1 + nowNodes - nodes
-	pending := tr.Pending()
+	pending, _ := tr.Pending()
 	ck = mustCheckpoint(t, tr, false, &store)
-	if ck.Written.Leaves != wantLeaves || ck.Written.Nodes != wantNodes {
+	if ck.Written.Leaves+ck.Written.Deltas != wantLeaves || (wantLeaves == 1) != (ck.Written.Deltas == 1) || ck.Written.Nodes != wantNodes {
 		t.Fatalf("after one insert: wrote %+v, want %d leaves and %d nodes", ck.Written, wantLeaves, wantNodes)
 	}
-	if pending.Leaves != wantLeaves || pending.Nodes != wantNodes || pending.LeafBytes != ck.Written.LeafBytes {
+	pending.NodeBytes = ck.Written.NodeBytes // an estimate (TestImageSizes)
+	if pending != ck.Written {
 		t.Fatalf("after one insert: %+v pending, %+v written", pending, ck.Written)
 	}
 	ck.Commit()
-	if p := tr.Pending(); p != (Footprint{}) {
+	if p, _ := tr.Pending(); p != (Footprint{}) {
 		t.Fatalf("%+v pending right after a commit", p)
 	}
 
@@ -173,7 +176,7 @@ func TestCheckpointWritesOnlyChangedLeaves(t *testing.T) {
 		}
 	}
 	ck = mustCheckpoint(t, tr, false, &store)
-	if ck.Written.Leaves == 0 || ck.Written.Leaves >= ck.Image.Leaves || ck.Written.Nodes == 0 || ck.Written.Nodes >= ck.Image.Nodes {
+	if wrote := ck.Written.Leaves + ck.Written.Deltas; wrote == 0 || wrote >= ck.Image.Leaves || ck.Written.Nodes == 0 || ck.Written.Nodes >= ck.Image.Nodes {
 		t.Fatalf("after an underflow repair: wrote %+v of %+v", ck.Written, ck.Image)
 	}
 	ck.Commit()
@@ -185,7 +188,7 @@ func TestCheckpointWritesOnlyChangedLeaves(t *testing.T) {
 		t.Fatal("incremental checkpoint chain decodes to a different tree")
 	}
 
-	if ck := mustCheckpoint(t, tr, true, &store); ck.Written != ck.Image {
+	if ck := mustCheckpoint(t, tr, true, &store); ck.Written != ck.Image || ck.Written.Deltas != 0 {
 		t.Fatalf("full checkpoint wrote %+v of %+v", ck.Written, ck.Image)
 	}
 }
@@ -243,9 +246,10 @@ func TestStructuralEditsInvalidateStamps(t *testing.T) {
 // checkpointMatches takes an incremental checkpoint of tr through store
 // and asserts that decoding it yields tr byte for byte — a stale stamp
 // anywhere (a node whose trie or child list changed without its stamp
-// noticing) would resurrect the old subtree here. Most checkpoints are
-// committed; one in four is abandoned, as a failed publish would.
-func checkpointMatches(t testing.TB, tr *Tree, store *blobStore, n int) *Checkpoint {
+// noticing, a leaf whose delta misses a change) would resurrect the old
+// state here. Most checkpoints are committed; one in four is abandoned, as
+// a failed publish would. It returns the checkpoint and the decoded tree.
+func checkpointMatches(t testing.TB, tr *Tree, store *blobStore, n int) (*Checkpoint, *Tree) {
 	t.Helper()
 	ck := mustCheckpoint(t, tr, false, store)
 	got, err := DecodeCheckpoint(tr.cfg, ck.Root, store.get)
@@ -258,16 +262,17 @@ func checkpointMatches(t testing.TB, tr *Tree, store *blobStore, n int) *Checkpo
 	if n%4 != 3 {
 		ck.Commit()
 	}
-	return ck
+	return ck, got
 }
 
 // TestCheckpointFollowsRestructuring is the stale-stamp property: seeded
 // runs interleave inserts, deletes that force underflow repairs, and —
 // with three children per node — internal splits and collapsing
 // single-child chains, with a checkpoint every few operations; each must
-// decode to the live tree.
+// decode to the live tree, and now and then the run goes on against the
+// decoded tree, as after a reopen.
 func TestCheckpointFollowsRestructuring(t *testing.T) {
-	var sawLeafSplit, sawNodeSplit, sawRepair, sawChain, sawPartial, sawShrink bool
+	var sawLeafSplit, sawNodeSplit, sawRepair, sawChain, sawPartial, sawShrink, sawDelta bool
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := Config{Schema: dataset.PatientsSchema(), BaseK: 2, NodeCapacity: 2 + int(seed%3)}
@@ -304,7 +309,10 @@ func TestCheckpointFollowsRestructuring(t *testing.T) {
 			if rng.Intn(5) != 0 {
 				continue
 			}
-			ck := checkpointMatches(t, tr, &store, ckpts)
+			ck, got := checkpointMatches(t, tr, &store, ckpts)
+			if sawDelta = sawDelta || ck.Written.Deltas > 0; ckpts%4 == 1 {
+				tr = got // a committed one: go on as if reopened
+			}
 			ckpts++
 			l, n := countNodes(tr)
 			sawLeafSplit = sawLeafSplit || l > leaves
@@ -322,6 +330,7 @@ func TestCheckpointFollowsRestructuring(t *testing.T) {
 	for name, saw := range map[string]bool{
 		"a leaf split": sawLeafSplit, "an internal split": sawNodeSplit, "an underflow repair": sawRepair,
 		"a removed internal node": sawChain, "a tree collapsing to a lower height": sawShrink, "a checkpoint writing some nodes and keeping others": sawPartial,
+		"a leaf delta": sawDelta,
 	} {
 		if !saw {
 			t.Errorf("the seed matrix never put %s between two checkpoints", name)
@@ -388,19 +397,7 @@ func TestDecodeCheckpointRejectsDamage(t *testing.T) {
 	// The same tree with the first of the root's child references
 	// redirected, the object it led to now unreachable.
 	redirected := func(tr *Tree, to Ref) []byte {
-		var prev pager.PageID
-		enc, _ := appendTrie(nil, tr.root.trie, func(e []byte, c *node) ([]byte, error) {
-			ref := c.dur.ref
-			if c == tr.root.children[0] {
-				ref = to
-			}
-			e, prev = appendRef(e, ref, prev)
-			return e, nil
-		})
-		ref, _ := store.put(enc, false)
-		root, _ := tr.appendHeader(directoryVersion)
-		root, _ = appendRef(root, ref, 0)
-		return root
+		return redirectedRoot(tr, &store, map[*node]Ref{tr.root.children[0]: to})
 	}
 	a, b := tr.root.children[0], tr.root.children[1]
 	if _, err := DecodeCheckpoint(cfg, redirected(tr, a.dur.ref), store.get); err != nil {
@@ -476,17 +473,17 @@ func TestImageSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A leaf is its record count (1 byte here) and, per record, the ID
-	// (2), the layout byte, eight 4-byte columns and an empty sensitive
-	// value's length: 36 bytes.
-	if want := int64(leaves + 36*len(recs)); ck.Written.LeafBytes != want {
+	// A leaf is its kind byte, its record count (1 byte here) and, per
+	// record, the ID (2), the layout byte, eight 4-byte columns and an
+	// empty sensitive value's length: 36 bytes.
+	if want := int64(2*leaves + 36*len(recs)); ck.Written.LeafBytes != want {
 		t.Errorf("%d records in %d leaves encode to %d bytes, want %d (36 per record)", len(recs), leaves, ck.Written.LeafBytes, want)
 	}
-	// The root node's object is, per leaf, a trie-leaf tag and a 9-byte
-	// reference (its length takes two bytes); each of the leaves−1
-	// hyperplanes between them costs a tag, an axis and a one-column row
-	// (1 + 1 + 5): 17 bytes per further child.
-	if want := 10*leaves + 7*(leaves-1); len(node) != want || ck.Written.NodeBytes != int64(want) || ck.Written.Nodes != 1 {
+	// The root node's object is its kind byte and, per leaf, a trie-leaf
+	// tag and a 9-byte reference (its length takes two bytes); each of the
+	// leaves−1 hyperplanes between them costs a tag, an axis and a
+	// one-column row (1 + 1 + 5): 17 bytes per further child.
+	if want := 1 + 10*leaves + 7*(leaves-1); len(node) != want || ck.Written.NodeBytes != int64(want) || ck.Written.Nodes != 1 {
 		t.Errorf("root node over %d leaves is %d bytes (%+v), want %d (17 per child)", leaves, len(node), ck.Written, want)
 	}
 	// The root object is the 12-byte header and one 8-byte reference.
@@ -511,10 +508,50 @@ func TestImageSizes(t *testing.T) {
 	}
 }
 
+// TestDeltaSize pins what a change costs in a delta object: the kind
+// byte, the base's 9-byte reference, a count and a byte per deleted
+// record, a count and the row (36 bytes, TestImageSizes) per inserted one.
+func TestDeltaSize(t *testing.T) {
+	cfg := Config{Schema: dataset.LandsEndSchema(), BaseK: 4}
+	tr, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertAll(t, tr, paperRecords(28))
+	page := pager.PageID(0)
+	put := func(enc []byte, leaf bool) (Ref, error) {
+		page++
+		return Ref{Pages: []pager.PageID{page}, Len: uint32(len(enc))}, nil
+	}
+	ck, err := tr.EncodeCheckpoint(false, put)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Commit()
+	leaf := roomyLeaf(t, tr)
+	extra := leaf.recs[0]
+	extra.ID = 999
+	if err := tr.Insert(extra); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int64{1 + 9 + 1 + 1 + 36, 1 + 9 + 2 + 1 + 36} {
+		if ck, err = tr.EncodeCheckpoint(false, put); err != nil {
+			t.Fatal(err)
+		}
+		ck.Commit()
+		if ck.Written.Deltas != 1 || ck.Written.DeltaBytes != want {
+			t.Errorf("delta %d: wrote %+v, want one delta of %d bytes", i, ck.Written, want)
+		}
+		if _, err := tr.Delete(leaf.recs[0].ID, leaf.recs[0].QI); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestDecodeRefusesRetiredVersions: images in the fixed-width float64
 // format (snapshot version 1, directory version 2) and checkpoints whose
-// directory was one buffer (version 4) are refused by their version
-// word.
+// directory was one buffer (version 4) or whose leaves had no deltas
+// (version 5) are refused by their version word.
 func TestDecodeRefusesRetiredVersions(t *testing.T) {
 	cfg := Config{Schema: dataset.LandsEndSchema(), BaseK: 4}
 	tr, _ := New(cfg)

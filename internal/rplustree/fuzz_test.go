@@ -10,8 +10,10 @@ import (
 // FuzzInsertDeleteInvariants feeds arbitrary byte strings as operation
 // tapes (2 bytes per op: coordinates for an insert, or a delete of the
 // oldest live record; a second byte ending in four one bits takes a
-// checkpoint after the op, which must decode to the live tree) and
-// checks the full structural invariant set afterwards. Runs over the
+// checkpoint after the op, which must decode to the live tree's inline
+// snapshot, and ending in five the tape goes on against the decoded
+// tree, as after a reopen) and checks the full structural invariant set
+// afterwards. Runs over the
 // seed corpus as a normal test;
 // `go test -fuzz FuzzInsertDeleteInvariants ./internal/rplustree`
 // explores further.
@@ -20,6 +22,7 @@ func FuzzInsertDeleteInvariants(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0})
 	f.Add([]byte{255, 254, 253, 252, 1, 2, 3, 4, 200, 200, 200, 200})
 	f.Add([]byte{1, 15, 2, 31, 3, 47, 4, 15, 9, 15, 9, 31, 4, 15, 14, 15, 19, 15, 5, 79, 6, 95, 24, 15, 29, 15})
+	f.Add([]byte{1, 0, 2, 0, 3, 0, 4, 0, 6, 15, 7, 31, 9, 31, 8, 15, 14, 31, 11, 31, 12, 15, 19, 31, 13, 31})
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		if len(tape) > 4096 {
 			tape = tape[:4096]
@@ -51,7 +54,9 @@ func FuzzInsertDeleteInvariants(f *testing.F) {
 				}
 			}
 			if b&15 == 15 {
-				checkpointMatches(t, tr, &store, i/2)
+				if _, got := checkpointMatches(t, tr, &store, i/2); b&16 != 0 && (i/2)%4 != 3 {
+					tr = got // the checkpoint was committed: reopen from it
+				}
 			}
 		}
 		if tr.Len() != len(live) {

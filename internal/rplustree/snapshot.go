@@ -23,34 +23,47 @@ import (
 //     tests and probes compare trees with;
 //   - the checkpoint (EncodeCheckpoint/DecodeCheckpoint) makes every
 //     tree node a durable OBJECT of its own, stored wherever the caller
-//     puts it: a leaf object is the leaf's records, an internal node's
-//     object is its split trie with a Ref — where the caller stored that
-//     child's object — per trie leaf, and the root object is the header
-//     and the root node's Ref. A checkpoint therefore rewrites the leaves
-//     that changed since their last durable copy and the nodes on the
-//     paths above them — O(changed leaves × height), not the tree — and
-//     recovery fetches one object at a time.
+//     puts it and opened by a kind byte: a LEAF object is the leaf's
+//     records; a DELTA object is a leaf changed since its leaf object
+//     (its BASE) — the base's Ref, the base positions deleted and the
+//     rows appended since; cumulative, never over another delta, so a
+//     leaf is at most two objects; a NODE object is an internal node's
+//     split trie with a Ref per child; the root object is the header and
+//     the root node's Ref. A checkpoint therefore writes what changed in
+//     the changed leaves and the nodes above them — O(changed records +
+//     changed leaves × height) — and recovery fetches object by object.
 //
-// Either form stores only what cannot be re-derived: the recursive
-// trie structure and the leaf payloads. Routing regions are NOT
-// stored — they are reconstructed from the split-trie hyperplanes
-// exactly as splits created them (bit-identical floats), MBRs and
-// counts are recomputed bottom-up, and the decoder validates what it
-// builds (dimensions, axis bounds, region membership of every record,
-// leaves exactly at the header's depth, no object referenced twice) so a
-// damaged image yields an error, never a quietly wrong tree. Defense in
-// depth: internal/wal checksums every object — root, node, leaf, each
-// CRC held by the object above — and recovery runs the full
-// internal/verify audit on the decoded tree.
+// Either form stores only what cannot be re-derived: the trie structure
+// and the leaf payloads. Routing regions are reconstructed from the
+// split-trie hyperplanes exactly as splits created them (bit-identical
+// floats), MBRs and counts are recomputed bottom-up, and the decoder
+// validates what it builds (dimensions, axis bounds, region membership
+// of every record, leaves exactly at the header's depth, every object of
+// the kind its depth calls for, none referenced twice) so a damaged image
+// yields an error, never a quietly wrong tree. Defense in depth:
+// internal/wal checksums every object, each CRC held by the object above,
+// and recovery runs the full internal/verify audit on the decoded tree.
 
 // The two encoding forms, told apart by the leading version word so one
 // can never be decoded as the other. Bumped on any incompatible layout
 // change: 1 and 2 were the fixed-width float64 forms, 4 the checkpoint
-// whose directory was one buffer — all refused with a version error.
+// whose directory was one buffer, 5 the one without leaf deltas or kind
+// bytes — all refused with a version error.
 const (
 	snapshotVersion  = 3 // children inline
-	directoryVersion = 5 // children by reference
+	directoryVersion = 6 // children by reference
 )
+
+// The kinds of checkpoint object, each object's first byte.
+const (
+	kindLeaf  byte = iota // a whole leaf: its records
+	kindDelta             // a leaf as changes to a whole leaf stored earlier
+	kindNode              // an internal node: its trie, a Ref per child
+)
+
+// deltaShare: a delta is written while its encoding times deltaShare does
+// not exceed the whole leaf's; else the leaf is, and becomes its own base.
+const deltaShare = 2
 
 // snapMaxDepth bounds the recursion while decoding: deeper nesting
 // than this in a well-formed snapshot would need more nodes than the
@@ -69,21 +82,25 @@ type Ref struct {
 	CRC   uint32
 }
 
-// Footprint counts node objects and their encoded bytes, leaves and
-// internal nodes apart.
+// Footprint counts objects and their encoded bytes by kind: whole
+// leaves, leaf deltas and internal nodes.
 type Footprint struct {
-	Leaves, Nodes        int
-	LeafBytes, NodeBytes int64
+	Leaves, Deltas, Nodes            int
+	LeafBytes, DeltaBytes, NodeBytes int64
 }
 
 // Bytes is the footprint's total size.
-func (f Footprint) Bytes() int64 { return f.LeafBytes + f.NodeBytes }
+func (f Footprint) Bytes() int64 { return f.LeafBytes + f.DeltaBytes + f.NodeBytes }
 
-func (f *Footprint) add(leaf bool, size int64) {
-	if leaf {
+func (f *Footprint) add(kind byte, size int64) {
+	switch kind {
+	case kindLeaf:
 		f.Leaves++
 		f.LeafBytes += size
-	} else {
+	case kindDelta:
+		f.Deltas++
+		f.DeltaBytes += size
+	default:
 		f.Nodes++
 		f.NodeBytes += size
 	}
@@ -94,10 +111,10 @@ func (f *Footprint) add(leaf bool, size int64) {
 type Checkpoint struct {
 	// Root is the root object: the header and the root node's Ref.
 	Root []byte
-	// Image sizes every object Root reaches — the freshly written ones
-	// and the ones carried over — and Pages lists the pages their
-	// references name (a page once per object on it), so the caller can
-	// recompute which pages are live from this walk alone.
+	// Image sizes every object Root reaches — freshly written or carried
+	// over, the base behind every delta among them — and Pages lists the
+	// pages their references name (a page once per object on it), so the
+	// caller can recompute which pages are live from this walk alone.
 	Image Footprint
 	Pages []pager.PageID
 	// Written sizes the objects handed to put.
@@ -106,11 +123,43 @@ type Checkpoint struct {
 	pending []stamp
 }
 
-// durableCopy is a node's stamp: where its durable encoding lives and
-// the node.ver that encoding captured.
+// durableCopy is a node's stamp: where its durable encoding lives, its kind,
+// the node.ver it captured and the node's whole size then. A leaf's also has
+// its base: the object at ref itself, or the one the delta was cut against.
 type durableCopy struct {
-	ref Ref
-	ver uint64
+	ref   Ref
+	ver   uint64
+	kind  byte
+	whole int64
+	base  *leafBase
+}
+
+// leafBase is what a leaf remembers of its last whole durable copy, so
+// that a checkpoint can write what changed in it instead. Inserts append
+// to node.recs and Delete removes in place, so recs is always the base's
+// survivors in base order, then the surviving appended rows in append
+// order: the difference is a count and a list of positions, kept up by
+// Delete alone. Writing a (cumulative) delta changes nothing here — the
+// next stamp shares the pointer — and an aborted one has nothing to undo.
+type leafBase struct {
+	ref     Ref
+	kept    int      // recs[:kept] are the base's survivors
+	removed []uint32 // base positions deleted since, ascending
+}
+
+// remove notes that recs[idx] is about to be deleted.
+func (b *leafBase) remove(idx int) {
+	if idx >= b.kept {
+		return // appended after the base: the delta never mentions it
+	}
+	// The idx-th survivor's base position: idx, plus one for every removed
+	// position at or before where that puts it.
+	pos, at := uint32(idx), 0
+	for ; at < len(b.removed) && b.removed[at] <= pos; at++ {
+		pos++
+	}
+	b.removed = slices.Insert(b.removed, at, pos)
+	b.kept--
 }
 
 // stamp is a durableCopy waiting for its checkpoint to be published.
@@ -163,12 +212,12 @@ func appendNode(e []byte, n *node) []byte {
 
 // EncodeCheckpoint walks the tree children first and hands put the
 // object of every node that has to be written again: a leaf whose
-// records changed since its last durable copy, an internal node whose
-// trie was edited or one of whose children was just written (its object
-// holds that child's Ref) — every node when full is set. Unchanged
-// subtrees keep their references. The byte slice put receives is reused
-// between calls. Nothing in the tree changes until the returned
-// Checkpoint is committed.
+// records changed since its last durable copy (as a delta when it has a
+// base and deltaShare allows), an internal node whose trie was edited or
+// one of whose children was just written (its object holds that child's
+// Ref) — every node, leaves whole, when full is set. Unchanged subtrees
+// keep their references. The byte slice put receives is reused between
+// calls. Nothing in the tree changes until the Checkpoint is committed.
 func (t *Tree) EncodeCheckpoint(full bool, put func(enc []byte, leaf bool) (Ref, error)) (*Checkpoint, error) {
 	root, err := t.appendHeader(directoryVersion)
 	if err != nil {
@@ -198,13 +247,14 @@ func (c *checkpointWalk) object(n *node, depth int) (Ref, bool, error) {
 	}
 	leaf := n.isLeaf()
 	dirty := c.full || !n.durable()
+	kind, whole := kindNode, int64(0)
 	enc := c.bufs[depth][:0]
 	if !leaf {
 		// An internal node is encoded whether or not it turns out dirty:
 		// only its children's walk can say, and the trie is small.
 		var prev pager.PageID
 		var err error
-		enc, err = appendTrie(enc, n.trie, func(e []byte, child *node) ([]byte, error) {
+		enc, err = appendTrie(append(enc, kindNode), n.trie, func(e []byte, child *node) ([]byte, error) {
 			ref, written, err := c.object(child, depth+1)
 			dirty = dirty || written
 			e, prev = appendRef(e, ref, prev)
@@ -214,7 +264,11 @@ func (c *checkpointWalk) object(n *node, depth int) (Ref, bool, error) {
 			return Ref{}, false, err
 		}
 	} else if dirty {
-		enc = appendLeaf(enc, n.recs)
+		if kind, _, whole = n.leafObject(c.full); kind == kindDelta {
+			enc = appendLeaf(appendDeltaHead(enc, n.dur.base), n.recs[n.dur.base.kept:])
+		} else {
+			enc = appendLeaf(append(enc, kindLeaf), n.recs)
+		}
 	}
 	c.bufs[depth] = enc
 	dur := n.dur
@@ -223,21 +277,47 @@ func (c *checkpointWalk) object(n *node, depth int) (Ref, bool, error) {
 		if err != nil {
 			return Ref{}, false, err
 		}
-		dur = &durableCopy{ref: ref, ver: n.ver}
+		dur = &durableCopy{ref: ref, ver: n.ver, kind: kind, whole: int64(len(enc))}
+		switch kind {
+		case kindLeaf:
+			dur.base = &leafBase{ref: ref, kept: len(n.recs)}
+		case kindDelta:
+			dur.base, dur.whole = n.dur.base, whole
+		}
 		c.pending = append(c.pending, stamp{n: n, dur: dur})
-		c.Written.add(leaf, int64(len(enc)))
+		c.Written.add(kind, int64(len(enc)))
 	}
-	c.Image.add(leaf, int64(dur.ref.Len))
-	c.Pages = append(c.Pages, dur.ref.Pages...)
+	// The image holds what the parent refers to and, behind a delta, its base.
+	if c.image(dur.kind, dur.ref); dur.kind == kindDelta {
+		c.image(kindLeaf, dur.base.ref)
+	}
 	return dur.ref, dirty, nil
 }
 
+func (c *Checkpoint) image(kind byte, ref Ref) {
+	c.Image.add(kind, int64(ref.Len))
+	c.Pages = append(c.Pages, ref.Pages...)
+}
+
+// leafObject says what EncodeCheckpoint writes a dirty leaf as (a delta when it
+// has a base, full is not set and deltaShare allows), its size and the leaf's.
+func (n *node) leafObject(full bool) (kind byte, size, whole int64) {
+	whole = 1 + leafSize(n.recs)
+	if !full && n.dur != nil {
+		var scratch [64]byte
+		base := n.dur.base
+		if delta := int64(len(appendDeltaHead(scratch[:0], base))) + leafSize(n.recs[base.kept:]); delta*deltaShare <= whole {
+			return kindDelta, delta, whole
+		}
+	}
+	return kindLeaf, whole, whole
+}
+
 // Pending sizes what an incremental EncodeCheckpoint would hand to put
-// right now, without encoding anything: leaves to the byte, internal
-// nodes by nodeSizeEstimate (a reference's varints are only known once
-// the child is stored).
-func (t *Tree) Pending() Footprint {
-	var f Footprint
+// right now, without encoding a record — leaves and deltas to the byte,
+// internal nodes by nodeSizeEstimate (a reference's varints are only
+// known once the child is stored) — and what a full one would.
+func (t *Tree) Pending() (write Footprint, whole int64) {
 	var walk func(n *node) bool
 	walk = func(n *node) bool {
 		dirty := !n.durable()
@@ -246,22 +326,29 @@ func (t *Tree) Pending() Footprint {
 				dirty = true
 			}
 		}
-		if dirty && n.isLeaf() {
-			f.add(true, leafSize(n.recs))
-		} else if dirty {
-			f.add(false, nodeSizeEstimate(len(n.children)))
+		switch {
+		case dirty && n.isLeaf():
+			kind, size, all := n.leafObject(false)
+			write.add(kind, size)
+			whole += all
+		case dirty:
+			size := nodeSizeEstimate(len(n.children))
+			write.add(kindNode, size)
+			whole += size
+		default:
+			whole += n.dur.whole
 		}
 		return dirty
 	}
 	walk(t.root)
-	return f
+	return write, whole
 }
 
 // nodeSizeEstimate guesses an internal node's object before its
-// children's references exist: per child a trie tag and a reference of
+// children's references exist: a kind byte, per child a trie tag and a reference of
 // about 11 bytes (offset, length, CRC, page count, page distance), per
 // hyperplane between two children a tag, an axis and a one-column row.
-func nodeSizeEstimate(children int) int64 { return int64(12*children + 7*(children-1)) }
+func nodeSizeEstimate(children int) int64 { return int64(1 + 12*children + 7*(children-1)) }
 
 // appendHeader starts an encoding of either form: version, dimensions
 // and height.
@@ -292,8 +379,8 @@ func appendTrie(e []byte, st *splitTrie, child func(e []byte, n *node) ([]byte, 
 }
 
 // appendLeaf is the leaf payload encoding both forms share: inline in a
-// snapshot, an object of its own in a checkpoint. A record of eight
-// integral attributes costs its ID varint + 34 bytes.
+// snapshot, a leaf object or a delta's appended rows in a checkpoint. A
+// record of eight integral attributes costs its ID varint + 34 bytes.
 func appendLeaf(e []byte, recs []attr.Record) []byte {
 	e = binary.AppendUvarint(e, uint64(len(recs)))
 	for _, r := range recs {
@@ -310,6 +397,17 @@ func leafSize(recs []attr.Record) int64 {
 		size += attr.RecordSize(r, 0)
 	}
 	return int64(size)
+}
+
+// appendDeltaHead starts a delta object: its kind, the base's reference and
+// the base positions removed. The appended rows follow as a leaf payload.
+func appendDeltaHead(e []byte, base *leafBase) []byte {
+	e, _ = appendRef(append(e, kindDelta), base.ref, 0)
+	e = binary.AppendUvarint(e, uint64(len(base.removed)))
+	for _, pos := range base.removed {
+		e = binary.AppendUvarint(e, uint64(pos))
+	}
+	return e
 }
 
 // appendRef writes one reference. Page IDs are written as signed
@@ -439,29 +537,117 @@ func (d *snapDecoder) child(src *source, region attr.Box, depth int) (*node, err
 	return d.node(src, region, depth)
 }
 
-// object fetches and decodes the node object behind ref.
-func (d *snapDecoder) object(ref Ref, region attr.Box, depth int) (*node, error) {
-	key := objectKey{page: ref.Pages[0], off: ref.Off}
+// key is where the object behind the reference starts.
+func (r Ref) key() objectKey { return objectKey{page: r.Pages[0], off: r.Off} }
+
+// fetch opens the object behind ref — each object once — and consumes its
+// kind byte; keep copies it, for a caller that fetches others meanwhile.
+func (d *snapDecoder) fetch(ref Ref, keep bool) (*source, byte, error) {
+	key := ref.key()
 	if _, dup := d.seen[key]; dup {
-		return nil, fmt.Errorf("rplustree: checkpoint object at page %d offset %d is referenced twice", key.page, key.off)
+		return nil, 0, fmt.Errorf("rplustree: checkpoint object at page %d offset %d is referenced twice", key.page, key.off)
 	}
 	d.seen[key] = struct{}{}
 	enc, err := d.get(ref)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if depth < d.height-1 {
-		enc = slices.Clone(enc) // the children are fetched while this object is being read
+	if keep {
+		enc = slices.Clone(enc)
 	}
 	src := &source{Reader: attr.NewReader(enc)}
-	n, err := d.node(src, region, depth)
+	kind, err := src.Byte()
+	return src, kind, err
+}
+
+// end passes err on, or refuses bytes left over in the object.
+func (src *source) end(err error) error {
+	if err == nil && src.Remaining() != 0 {
+		err = fmt.Errorf("rplustree: checkpoint object has %d trailing bytes", src.Remaining())
+	}
+	return err
+}
+
+// object fetches and decodes the object behind ref: a node object above
+// the leaf depth, a leaf or a delta object at it, and — one level further
+// down, where a delta's base is — a leaf object only.
+func (d *snapDecoder) object(ref Ref, region attr.Box, depth int) (*node, error) {
+	leafDepth := d.height - 1
+	src, kind, err := d.fetch(ref, depth < leafDepth)
 	if err != nil {
 		return nil, err
 	}
-	if src.Remaining() != 0 {
-		return nil, fmt.Errorf("rplustree: checkpoint object at depth %d has %d trailing bytes", depth, src.Remaining())
+	var n *node
+	switch {
+	case kind == kindNode && depth < leafDepth:
+		n, err = d.node(src, region, depth)
+	case kind == kindLeaf && depth >= leafDepth:
+		n, err = src.leaf(region)
+	case kind == kindDelta && depth == leafDepth:
+		return d.delta(src, ref, region)
+	default:
+		err = fmt.Errorf("rplustree: checkpoint object of kind %d at depth %d of a tree of height %d", kind, depth, d.height)
 	}
-	n.dur = &durableCopy{ref: ref} // a decoded node starts at ver 0
+	if err = src.end(err); err != nil {
+		return nil, err
+	}
+	// A decoded node starts at ver 0; a leaf object is its own base.
+	n.dur = &durableCopy{ref: ref, kind: kind, whole: int64(ref.Len)}
+	if kind == kindLeaf {
+		n.dur.base = &leafBase{ref: ref, kept: len(n.recs)}
+	}
+	return n, nil
+}
+
+// delta decodes the rest of the delta object at ref and replays it: the
+// base's records minus the removed positions, then the appended rows —
+// the live leaf's record order exactly.
+func (d *snapDecoder) delta(src *source, ref Ref, region attr.Box) (*node, error) {
+	baseRef, err := src.ref()
+	if err != nil {
+		return nil, err
+	}
+	nremoved, err := src.Count(1)
+	if err != nil {
+		return nil, err
+	}
+	base := &leafBase{ref: baseRef, removed: make([]uint32, nremoved)}
+	for i := range base.removed {
+		pos, err := src.Uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if pos > math.MaxUint32 || (i > 0 && uint32(pos) <= base.removed[i-1]) {
+			return nil, fmt.Errorf("rplustree: delta removes base position %d out of ascending order", pos)
+		}
+		base.removed[i] = uint32(pos)
+	}
+	appended, err := src.leaf(region)
+	if err = src.end(err); err != nil {
+		return nil, err
+	}
+	// The delta is consumed: fetching the base may overwrite its bytes.
+	n, err := d.object(base.ref, region, d.height)
+	if err != nil {
+		return nil, err
+	}
+	survivors, removed := n.recs[:0], base.removed
+	n.mbr = appended.mbr
+	for pos, rec := range n.recs {
+		if len(removed) > 0 && int(removed[0]) == pos {
+			removed = removed[1:]
+			continue
+		}
+		survivors = append(survivors, rec)
+		n.mbr.Include(rec.QI)
+	}
+	if len(removed) > 0 {
+		return nil, fmt.Errorf("rplustree: delta removes position %d of a base of %d records", removed[0], len(n.recs))
+	}
+	base.kept = len(survivors)
+	n.recs = append(survivors, appended.recs...)
+	n.count = len(n.recs)
+	n.dur = &durableCopy{ref: ref, kind: kindDelta, whole: 1 + leafSize(n.recs), base: base}
 	return n, nil
 }
 

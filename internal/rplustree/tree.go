@@ -158,7 +158,8 @@ type node struct {
 
 	// dur is the same pattern for durable checkpoints (snapshot.go):
 	// where this node's last published encoding lives and the ver it
-	// captured; nil until a checkpoint holding the node is published.
+	// captured (a leaf's: and what Delete removed from its last whole copy
+	// since); nil until a checkpoint holding the node is published.
 	// Behind a pointer so that the stamp costs the tree's hot paths —
 	// every split allocates two nodes — eight bytes per node, not
 	// forty-eight.
@@ -465,6 +466,9 @@ func (t *Tree) Delete(id int64, qi []float64) (bool, error) {
 	}
 	if idx < 0 {
 		return false, nil
+	}
+	if leaf.dur != nil {
+		leaf.dur.base.remove(idx)
 	}
 	leaf.recs = append(leaf.recs[:idx], leaf.recs[idx+1:]...)
 	leaf.ver++

@@ -13,32 +13,31 @@ import (
 // This file is the checkpoint: one node-addressed, shadow-paged routine
 // for writing the tree to pages.db, and its mirror for reading it back.
 //
-// On disk a checkpoint is one OBJECT per tree node, each named by a
-// reference (pages, offset, length, CRC32-C) held in the object above
-// it. A LEAF object is the leaf's records; leaf objects are packed back
-// to back, each checkpoint's batch in its own run of pages (an object
-// may straddle pages, or span many). A NODE object is an internal node's
-// split trie with a reference per child; node objects are packed the
-// same way into a run of their own, so a leaf page is replaced only when
-// its leaves are. The ROOT object — the format header and the root
-// node's reference — starts a page of its own, and the MANIFEST, the
-// first frame of wal.log, names it by pages, length and CRC. Nothing is
-// decoded that a checksum chained from the CRC-framed manifest does not
-// cover: manifest → root → node → … → leaf, on top of the pager's
-// per-page seals.
+// On disk a checkpoint is rplustree's checkpoint form (snapshot.go there):
+// one OBJECT per tree node — a leaf object, or a delta object over an
+// earlier leaf object (its base), or a node object — each named by a
+// reference (pages, offset, length, CRC32-C) held in the object above it.
+// Leaf and delta objects are packed back to back, each checkpoint's batch
+// in its own run of pages (an object may straddle pages, or span many);
+// node objects the same way into a run of their own, so a leaf page is
+// replaced only when its leaves are. The ROOT object starts a page of its
+// own, and the MANIFEST, the first frame of wal.log, names it by pages,
+// length and CRC. Nothing is decoded that a checksum chained from the
+// CRC-framed manifest does not cover: manifest → root → node → … → delta →
+// leaf, on top of the pager's per-page seals.
 //
-// A checkpoint writes, into pages nothing published refers to, only the
-// leaves that changed since their last durable copy and the nodes on the
-// paths from them to the root — a node's object changes when a child's
-// reference does — and publishes them with the manifest rename.
+// A checkpoint writes, into pages nothing published refers to, only what
+// changed — a delta or the whole leaf per changed leaf, and the nodes on
+// the paths from those to the root — and the manifest rename publishes it.
 // Unchanged subtrees keep their references, so old and new image share
-// most pages; pages the new image no longer refers to are freed after
-// the rename. A full checkpoint — Create, the preload, reseed, scrub
-// repair, compaction — is the same routine with every node treated as
-// changed.
+// most pages; pages the new image no longer refers to (a base is referred
+// to while a delta names it) are freed after the rename. A full
+// checkpoint — Create, the preload, reseed, scrub repair, compaction — is
+// the same routine with every node changed and every leaf written whole.
 
 // spaceFactor bounds the page file: a checkpoint that would leave more
-// than spaceFactor × the live image's bytes allocated rewrites every
+// allocated than spaceFactor × the image with every leaf whole (what a
+// rewrite comes to; a base and its delta are never less) rewrites every
 // node instead, which packs the image into two runs and frees every
 // older page. With the copy a rewrite needs while the old image is still
 // published, pages.db stays within spaceFactor+1 times the live image.
@@ -52,13 +51,16 @@ const slackPages = 3
 // CheckpointStats are cumulative counts of what checkpointing has cost
 // since the store was created or opened.
 type CheckpointStats struct {
-	// Checkpoints counts published checkpoints; Full those that wrote
-	// every leaf (the first one, reseeds, scrub repairs, compactions).
+	// Checkpoints counts published checkpoints; Full those that set out to
+	// write every node (the first one, reseeds, scrub repairs, compactions).
 	Checkpoints int64
 	Full        int64
-	// LeavesWritten and LeafBytes size the leaf objects written.
+	// LeavesWritten and LeafBytes size the leaf objects written,
+	// DeltasWritten and DeltaBytes the delta objects.
 	LeavesWritten int64
 	LeafBytes     int64
+	DeltasWritten int64
+	DeltaBytes    int64
 	// NodesWritten and NodeBytes size the internal-node objects written,
 	// each checkpoint's root object among them.
 	NodesWritten int64
@@ -75,6 +77,8 @@ func (a CheckpointStats) Add(b CheckpointStats) CheckpointStats {
 		Full:          a.Full + b.Full,
 		LeavesWritten: a.LeavesWritten + b.LeavesWritten,
 		LeafBytes:     a.LeafBytes + b.LeafBytes,
+		DeltasWritten: a.DeltasWritten + b.DeltasWritten,
+		DeltaBytes:    a.DeltaBytes + b.DeltaBytes,
 		NodesWritten:  a.NodesWritten + b.NodesWritten,
 		NodeBytes:     a.NodeBytes + b.NodeBytes,
 		PagesFreed:    a.PagesFreed + b.PagesFreed,
@@ -83,8 +87,8 @@ func (a CheckpointStats) Add(b CheckpointStats) CheckpointStats {
 
 // String renders the counters as one report line.
 func (c CheckpointStats) String() string {
-	return fmt.Sprintf("%d (%d full), %d leaves / %d leaf bytes + %d nodes / %d node bytes written, %d pages freed",
-		c.Checkpoints, c.Full, c.LeavesWritten, c.LeafBytes, c.NodesWritten, c.NodeBytes, c.PagesFreed)
+	return fmt.Sprintf("%d (%d full), %d leaves / %d leaf bytes + %d deltas / %d delta bytes + %d nodes / %d node bytes written, %d pages freed",
+		c.Checkpoints, c.Full, c.LeavesWritten, c.LeafBytes, c.DeltasWritten, c.DeltaBytes, c.NodesWritten, c.NodeBytes, c.PagesFreed)
 }
 
 // pageRun is a run of pages being filled one after the other: at most its
@@ -96,7 +100,7 @@ type pageRun struct {
 }
 
 // pageStream packs one checkpoint attempt's objects into freshly
-// allocated pager pages, leaves and nodes each in a run of their own.
+// allocated pager pages, leaves with deltas and nodes in a run each.
 type pageStream struct {
 	pg *pager.Pager
 	// pages lists every page allocated, in order, until the checkpoint
@@ -162,9 +166,9 @@ func (w *pageStream) discard() {
 // log are skipped.
 //
 //  1. Announce intent in the old log (replay ignores the marker).
-//  2. Stream every changed leaf and every node above one into fresh
-//     pages, children before parents, then the root object into a fresh
-//     page of its own; flush and sync them.
+//  2. Stream every changed leaf, whole or as a delta, and every node
+//     above one into fresh pages, children before parents, then the root
+//     object into a fresh page of its own; flush and sync them.
 //  3. Publish: the manifest goes into wal.tmp, which is renamed over
 //     wal.log and the directory synced.
 //  4. Only now stamp the written nodes with their new locations. An
@@ -184,12 +188,12 @@ func (s *Store) writeCheckpoint(out *pageStream, full bool) error {
 		// The space rule, decided before anything is written: room is the
 		// pages this checkpoint may allocate, the slack of the rewrite to
 		// come held back, and what it needs is its leaf run, its node run
-		// and the root object's page.
+		// and the root object's page (no walk when the published image has none).
 		ps := int64(s.opts.PageSize)
-		room := spaceFactor*s.imageBytes/ps - int64(len(s.live)) - slackPages
-		if full = room < 1; !full {
-			pending := s.tree.Pending()
-			full = (pending.LeafBytes+ps-1)/ps+(pending.NodeBytes+ps-1)/ps+1 > room
+		room := func(image int64) int64 { return spaceFactor*image/ps - int64(len(s.live)) - slackPages }
+		if full = room(s.imageBytes) < 1; !full {
+			pending, whole := s.tree.Pending()
+			full = (pending.LeafBytes+pending.DeltaBytes+ps-1)/ps+(pending.NodeBytes+ps-1)/ps+1 > room(whole)
 		}
 	}
 	ck, err := s.tree.EncodeCheckpoint(full, out.put)
@@ -255,11 +259,13 @@ func (s *Store) writeCheckpoint(out *pageStream, full bool) error {
 	old := s.live
 	s.setImage(append(ck.Pages, root.Pages...), ck.Image.Bytes()+int64(root.Len))
 	s.ckpt.Checkpoints++
-	if ck.Written.Leaves == ck.Image.Leaves {
+	if full {
 		s.ckpt.Full++
 	}
 	s.ckpt.LeavesWritten += int64(ck.Written.Leaves)
 	s.ckpt.LeafBytes += ck.Written.LeafBytes
+	s.ckpt.DeltasWritten += int64(ck.Written.Deltas)
+	s.ckpt.DeltaBytes += ck.Written.DeltaBytes
 	s.ckpt.NodesWritten += int64(ck.Written.Nodes) + 1
 	s.ckpt.NodeBytes += ck.Written.NodeBytes + int64(root.Len)
 	for _, id := range old {
@@ -290,7 +296,7 @@ func (s *Store) isLive(id pager.PageID) bool {
 }
 
 // loadCheckpoint rebuilds the tree from the checkpoint the manifest
-// names: the root object first, then each node and leaf object through
+// names: the root object first, then each node, delta and leaf object through
 // the pager as the decoder follows its reference, every byte checked
 // against the checksum chain before the decoder sees it. The decoded
 // tree carries the references as its stamps, so the first checkpoint

@@ -42,6 +42,21 @@ func checkOnlyLivePages(t *testing.T, s *Store) {
 	}
 }
 
+// since is what the counters gained after an earlier reading of them.
+func (c CheckpointStats) since(b CheckpointStats) CheckpointStats {
+	return CheckpointStats{
+		Checkpoints:   c.Checkpoints - b.Checkpoints,
+		Full:          c.Full - b.Full,
+		LeavesWritten: c.LeavesWritten - b.LeavesWritten,
+		LeafBytes:     c.LeafBytes - b.LeafBytes,
+		DeltasWritten: c.DeltasWritten - b.DeltasWritten,
+		DeltaBytes:    c.DeltaBytes - b.DeltaBytes,
+		NodesWritten:  c.NodesWritten - b.NodesWritten,
+		NodeBytes:     c.NodeBytes - b.NodeBytes,
+		PagesFreed:    c.PagesFreed - b.PagesFreed,
+	}
+}
+
 // reopenEqual closes s, reopens the store and asserts the recovered
 // tree is byte-identical to the live one and no page is leaked.
 func reopenEqual(t *testing.T, s *Store, opts Options) *Store {
@@ -69,14 +84,18 @@ func reopenEqual(t *testing.T, s *Store, opts Options) *Store {
 // forced full rewrites, leaves far larger than a page — Close/Open
 // yields a tree whose inline snapshot is byte-identical to the live
 // tree's, with pages.db holding exactly the live pages; and the reopened
-// store's next checkpoint is incremental and round-trips again.
+// store's next checkpoint is incremental and round-trips again. Then the
+// scripted chain (deltaChainOps) takes single leaves through every form a
+// leaf has on disk, each checkpoint writing what the script's model says,
+// with a reopen where the script asks for one and with one after every
+// checkpoint.
 func TestCheckpointRecoveredEqualsLive(t *testing.T) {
 	seeds := 200
 	if testing.Short() {
 		seeds = 30
 	}
 	schema := dataset.LandsEndSchema()
-	var sawNoop, sawSplit, sawRepair, sawPartial, sawCompaction bool
+	var sawNoop, sawSplit, sawRepair, sawPartial, sawCompaction, sawDelta bool
 	for seed := 0; seed < seeds; seed++ {
 		rng := detrng.New(int64(seed) + 1000)
 		opts := testOpts(t, 3)
@@ -107,6 +126,7 @@ func TestCheckpointRecoveredEqualsLive(t *testing.T) {
 			sawSplit = sawSplit || (leavesAtCkpt > 0 && leaves > leavesAtCkpt)
 			sawRepair = sawRepair || leaves < leavesAtCkpt
 			sawPartial = sawPartial || (wrote > 0 && after.Full == before.Full)
+			sawDelta = sawDelta || after.DeltasWritten > before.DeltasWritten
 			sawCompaction = sawCompaction || (!full && after.Full > before.Full && before.Checkpoints > 1)
 			leavesAtCkpt = leaves
 			if rng.Intn(3) == 0 {
@@ -123,16 +143,22 @@ func TestCheckpointRecoveredEqualsLive(t *testing.T) {
 			}
 		}
 		s = reopenEqual(t, s, opts)
-		// The recovered tree carries its references as stamps: one more
-		// operation dirties a leaf or two, not the tree.
+		// The recovered tree carries its references as stamps: once what
+		// the log replay dirtied is checkpointed, one more operation dirties
+		// a leaf or two, not the tree.
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		replayed := s.CheckpointStats()
 		if err := s.Insert(attr.Record{ID: 1 << 40, QI: ops[0].rec.QI, Sensitive: "post"}); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		if st, leaves := s.CheckpointStats(), len(s.Tree().Leaves()); leaves > 8 && st.Full == 0 && st.LeavesWritten >= int64(leaves) {
-			t.Fatalf("seed %d: first checkpoint after reopen wrote %d of %d leaves", seed, st.LeavesWritten, leaves)
+		st, leaves := s.CheckpointStats(), len(s.Tree().Leaves())
+		if wrote := st.LeavesWritten + st.DeltasWritten - replayed.LeavesWritten - replayed.DeltasWritten; leaves > 8 && st.Full == replayed.Full && wrote > 3 {
+			t.Fatalf("seed %d: one insert into a reopened store wrote %d of %d leaves", seed, wrote, leaves)
 		}
 		s = reopenEqual(t, s, opts)
 		if err := s.Close(); err != nil {
@@ -142,11 +168,86 @@ func TestCheckpointRecoveredEqualsLive(t *testing.T) {
 	for name, saw := range map[string]bool{
 		"a checkpoint with nothing dirty": sawNoop, "a leaf split between checkpoints": sawSplit,
 		"an underflow repair between checkpoints": sawRepair, "a partial checkpoint": sawPartial,
-		"a compaction forced by the space rule": sawCompaction,
+		"a compaction forced by the space rule": sawCompaction, "a leaf delta": sawDelta,
 	} {
 		if !saw {
 			t.Errorf("the seed matrix never exercised %s", name)
 		}
+	}
+
+	prefix := churnWorkload(schema, 7, 3000)
+	chain, wrote := deltaChainOps(t, rplustree.Config{Schema: schema, BaseK: 3}, prefix)
+	for i, pageSize := range []int{128, 512, 4096, 128, 512, 4096} {
+		reopenAlways := i >= 3
+		opts := testOpts(t, 3)
+		opts.PageSize = pageSize
+		s, err := Create(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.ApplyBatch(opsFromChurn(prefix)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		checkpoints := 0
+		for j, o := range chain {
+			if err := applyOp(s, o); err != nil {
+				t.Fatalf("chain op %d: %v", j, err)
+			}
+			if o.then == goOn {
+				continue
+			}
+			before := s.CheckpointStats()
+			if err := s.checkpoint(o.then == thenFullCheckpoint); err != nil {
+				t.Fatalf("chain op %d: checkpoint: %v", j, err)
+			}
+			checkOnlyLivePages(t, s)
+			got, want := s.CheckpointStats().since(before), wrote[checkpoints]
+			checkpoints++
+			if (got.Full > 0) != (o.then == thenFullCheckpoint) {
+				t.Fatalf("page size %d, chain op %d: %d full checkpoints", pageSize, j, got.Full)
+			}
+			if got.LeavesWritten != int64(want.Leaves) || got.DeltasWritten != int64(want.Deltas) || got.LeafBytes != want.LeafBytes {
+				t.Fatalf("page size %d, chain op %d: wrote %+v, the model %+v", pageSize, j, got, want)
+			}
+			if reopenAlways || o.then == thenReopen {
+				s = reopenEqual(t, s, opts)
+			}
+		}
+		reopenEqual(t, s, opts).Close()
+	}
+}
+
+// modelTree is the tree the scripted operations build, outside any store:
+// the scripts below aim their operations at its leaves.
+func modelTree(t *testing.T, cfg rplustree.Config, prefix []churnOp) *rplustree.Tree {
+	t.Helper()
+	tr, err := rplustree.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range prefix {
+		applyToTree(t, tr, o)
+	}
+	return tr
+}
+
+func applyToTree(t *testing.T, tr *rplustree.Tree, o churnOp) {
+	t.Helper()
+	var err error
+	found := true
+	switch o.kind {
+	case TypeInsert:
+		err = tr.Insert(o.rec)
+	case TypeDelete:
+		found, err = tr.Delete(o.rec.ID, o.oldQI)
+	case TypeUpdate:
+		found, err = tr.Update(o.rec.ID, o.oldQI, o.rec)
+	}
+	if err != nil || !found {
+		t.Fatalf("scripted %v of record %d: found=%v err=%v", o.kind, o.rec.ID, found, err)
 	}
 }
 
@@ -156,31 +257,13 @@ func TestCheckpointRecoveredEqualsLive(t *testing.T) {
 // of another leaf, so it splits again and again until its parent does.
 func restructuringOps(t *testing.T, cfg rplustree.Config, prefix []churnOp, n int) []churnOp {
 	t.Helper()
-	tr, err := rplustree.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range opsFromChurn(prefix) {
-		switch o.Type {
-		case TypeInsert:
-			err = tr.Insert(o.Rec)
-		case TypeDelete:
-			_, err = tr.Delete(o.ID, o.OldQI)
-		case TypeUpdate:
-			_, err = tr.Update(o.ID, o.OldQI, o.Rec)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	tr := modelTree(t, cfg, prefix)
 	leaves := tr.Leaves()
 	var ops []churnOp
 	drained := slices.Clone(leaves[len(leaves)/3].Records)
 	for _, r := range drained[:len(drained)-cfg.BaseK+1] {
 		ops = append(ops, churnOp{kind: TypeDelete, rec: attr.Record{ID: r.ID}, oldQI: r.QI})
-		if found, err := tr.Delete(r.ID, r.QI); err != nil || !found {
-			t.Fatalf("delete %d: found=%v err=%v", r.ID, found, err)
-		}
+		applyToTree(t, tr, ops[len(ops)-1])
 	}
 	// The survivors were reinserted: they share a leaf with strangers now.
 	survivor := drained[len(drained)-1]
@@ -204,6 +287,122 @@ func restructuringOps(t *testing.T, cfg rplustree.Config, prefix []churnOp, n in
 	return ops
 }
 
+// deltaChainOps scripts operations, and the checkpoints between them,
+// aimed at single leaves of the tree the prefix builds (checkpointed once
+// the prefix is in), so that a leaf's durable form takes every turn it can:
+// a delta, the delta that supersedes it (then a reopen), another on the
+// same base, the rewrite the size rule forces when the delta has grown
+// past half the leaf, the split of a delta'd leaf, the underflow repair
+// that dissolves one, a full checkpoint. It runs the script on a model tree
+// to steer it, and returns with the script what each of its checkpoints
+// writes there — which is what a store's must, unless the space rule made
+// it a full one.
+func deltaChainOps(t *testing.T, cfg rplustree.Config, prefix []churnOp) ([]churnOp, []rplustree.Footprint) {
+	t.Helper()
+	tr := modelTree(t, cfg, prefix)
+	page := pager.PageID(0)
+	var ops []churnOp
+	var wrote []rplustree.Footprint
+	checkpoint := func(then afterOp) rplustree.Footprint {
+		t.Helper()
+		ck, err := tr.EncodeCheckpoint(then == thenFullCheckpoint, func(enc []byte, leaf bool) (rplustree.Ref, error) {
+			page++
+			return rplustree.Ref{Pages: []pager.PageID{page}, Len: uint32(len(enc))}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck.Commit()
+		if len(ops) > 0 {
+			ops[len(ops)-1].then = then
+			wrote = append(wrote, ck.Written)
+		}
+		return ck.Written
+	}
+	do := func(o churnOp) {
+		t.Helper()
+		ops = append(ops, o)
+		applyToTree(t, tr, o)
+	}
+	leafOf := func(id int64) []attr.Record {
+		for _, leaf := range tr.Leaves() {
+			if slices.ContainsFunc(leaf.Records, func(r attr.Record) bool { return r.ID == id }) {
+				return leaf.Records
+			}
+		}
+		t.Fatalf("record %d is in no leaf", id)
+		return nil
+	}
+	// touch rewrites, where it is, the first record of anchor's leaf.
+	touch := func(anchor int64, note string) {
+		t.Helper()
+		r := leafOf(anchor)[0]
+		moved := r
+		moved.Sensitive = note
+		do(churnOp{kind: TypeUpdate, rec: moved, oldQI: r.QI})
+	}
+	want := func(step string, got rplustree.Footprint, leaves, deltas int) {
+		t.Helper()
+		if got.Leaves != leaves || got.Deltas != deltas {
+			t.Fatalf("script: %s wrote %+v, want %d leaves and %d deltas", step, got, leaves, deltas)
+		}
+	}
+	biggest := func(not int64) []attr.Record {
+		var best []attr.Record
+		for _, leaf := range tr.Leaves() {
+			if len(leaf.Records) > len(best) && !slices.ContainsFunc(leaf.Records, func(r attr.Record) bool { return r.ID == not }) {
+				best = leaf.Records
+			}
+		}
+		return best
+	}
+	checkpoint(goOn) // the caller's, after the prefix
+
+	home := biggest(-1)
+	anchor := home[len(home)-1].ID // never touched: it names the leaf
+	touch(anchor, "delta")
+	want("a first change", checkpoint(thenCheckpoint), 0, 1)
+	touch(anchor, "superseding delta")
+	want("a second change", checkpoint(thenReopen), 0, 1)
+	touch(anchor, "delta after the reopen")
+	last := checkpoint(thenCheckpoint)
+	for rounds := 0; last.Leaves == 0; rounds++ {
+		if want("a further change", last, 0, 1); rounds > len(home) {
+			t.Fatalf("script: %d changes to a leaf of %d records and the size rule has not rewritten it", rounds, len(home))
+		}
+		touch(anchor, "growing delta")
+		last = checkpoint(thenCheckpoint)
+	}
+	want("the change past half the leaf", last, 1, 0)
+
+	touch(anchor, "delta before the split")
+	want("a change to the rebased leaf", checkpoint(thenCheckpoint), 0, 1)
+	for i, leaves := 0, len(tr.Leaves()); len(tr.Leaves()) == leaves; i++ {
+		qi := slices.Clone(leafOf(anchor)[0].QI)
+		qi[i%len(qi)] += float64(i+1) / 64
+		do(churnOp{kind: TypeInsert, rec: attr.Record{ID: 1<<31 + int64(i), QI: qi, Sensitive: "crowd"}})
+	}
+	if last = checkpoint(thenCheckpoint); last.Leaves < 2 {
+		t.Fatalf("script: the split of a delta'd leaf wrote %+v", last)
+	}
+
+	doomed := biggest(anchor)
+	victim := doomed[len(doomed)-1].ID
+	touch(victim, "delta before the repair")
+	want("a change to the doomed leaf", checkpoint(thenCheckpoint), 0, 1)
+	for leaves := len(tr.Leaves()); len(tr.Leaves()) == leaves; {
+		r := leafOf(victim)[0]
+		do(churnOp{kind: TypeDelete, rec: attr.Record{ID: r.ID}, oldQI: r.QI})
+	}
+	if last = checkpoint(thenCheckpoint); last.Leaves+last.Deltas == 0 {
+		t.Fatalf("script: the repair of a delta'd leaf wrote %+v, want its records in its neighbours", last)
+	}
+
+	touch(anchor, "before the full checkpoint")
+	want("a full checkpoint", checkpoint(thenFullCheckpoint), len(tr.Leaves()), 0)
+	return ops, wrote
+}
+
 // TestCrashMatrixIncremental crashes a store at every durable operation
 // of a run of incremental checkpoints — a preloaded tree, then
 // operations with a checkpoint every few of them, so old and new image
@@ -211,7 +410,10 @@ func restructuringOps(t *testing.T, cfg rplustree.Config, prefix []churnOp, n in
 // fatal append torn by 0, 50 or 100 %. One chain per seed is random
 // churn; a second is aimed (restructuringOps), so that its checkpoints
 // straddle an underflow repair, leaf splits and an internal split and
-// every page write of the rewritten node objects is a crash point.
+// every page write of the rewritten node objects is a crash point; a
+// third is the leaf-delta chain (deltaChainOps), with its own checkpoints:
+// a crash at every page write of a delta, of the delta superseding it, of
+// the rebase, of the halves of a delta'd leaf and of a full rewrite.
 // Recovery must land on the audited committed prefix, sweep every page
 // the dying checkpoint leaked, and leave a store whose next
 // (incremental) checkpoint survives a reopen.
@@ -226,22 +428,31 @@ func TestCrashMatrixIncremental(t *testing.T) {
 		baseK   = 3
 	)
 	schema := dataset.LandsEndSchema()
-	for i := 0; i < 2*seeds; i++ {
-		seed, aimed := i/2, i%2 == 1
-		name := fmt.Sprintf("seed=%d", seed)
-		if aimed {
-			name = "restructuring/" + name
-		}
+	for i := 0; i < 3*seeds; i++ {
+		seed, aimed, deltas := i/3, i%3 == 1, i%3 == 2
+		name := []string{"", "restructuring/", "deltas/"}[i%3] + fmt.Sprintf("seed=%d", seed)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
+			cfg := rplustree.Config{Schema: schema, BaseK: baseK}
 			all := churnWorkload(schema, int64(seed)+101, preload+nOps)
-			if aimed {
-				all = append(all[:preload], restructuringOps(t, rplustree.Config{Schema: schema, BaseK: baseK}, all[:preload], nOps)...)
+			var model []rplustree.Footprint // what the delta chain's checkpoints write
+			switch {
+			case aimed:
+				all = append(all[:preload], restructuringOps(t, cfg, all[:preload], nOps)...)
+			case deltas:
+				var chain []churnOp
+				chain, model = deltaChainOps(t, cfg, all[:preload])
+				all = append(all[:preload], chain...)
+			}
+			if !deltas {
+				for i := preload + 5; i < len(all); i += 6 {
+					all[i].then = thenCheckpoint
+				}
 			}
 			mkOpts := func(dir string, crash *fault.Crash) Options {
 				o := Options{
 					Dir:      dir,
-					Tree:     rplustree.Config{Schema: schema, BaseK: baseK},
+					Tree:     cfg,
 					PageSize: 512,
 					NoSync:   true,
 				}
@@ -251,11 +462,13 @@ func TestCrashMatrixIncremental(t *testing.T) {
 				return o
 			}
 			// run drives the workload — one preload batch, a checkpoint,
-			// then single operations with a checkpoint after every sixth —
-			// and reports how many operations were acknowledged. The dry
-			// run watches the tree's shape from checkpoint to checkpoint.
+			// then single operations with a checkpoint where the script has
+			// one: after every sixth, or where the delta chain says — and
+			// reports how many operations were acknowledged. The dry run
+			// watches the tree's shape from checkpoint to checkpoint, and
+			// what the checkpoints of the delta chain write.
 			var watching, leafSplit, nodeSplit bool
-			leaves, nodes := 0, 0
+			leaves, nodes, asModel := 0, 0, 0
 			watch := func(s *Store) {
 				l, n := 0, 0
 				var count func(a *rplustree.AuditNode)
@@ -298,8 +511,21 @@ func TestCrashMatrixIncremental(t *testing.T) {
 					if watching {
 						watch(s)
 					}
-					if (i-preload)%6 == 5 && died(s.Checkpoint()) {
+					if all[i].then == goOn {
+						continue
+					}
+					before := s.CheckpointStats()
+					if died(s.checkpoint(all[i].then == thenFullCheckpoint)) {
 						return i + 1, s
+					}
+					if watching && deltas {
+						got, want := s.CheckpointStats().since(before), model[0]
+						if got.LeavesWritten == int64(want.Leaves) && got.DeltasWritten == int64(want.Deltas) {
+							asModel++
+						} else if got.Full == 0 {
+							t.Fatalf("checkpoint after op %d wrote %+v, the model %+v", i, got, want)
+						}
+						model = model[1:]
 					}
 				}
 				return len(all), s
@@ -319,6 +545,9 @@ func TestCrashMatrixIncremental(t *testing.T) {
 			}
 			if aimed && !(leafSplit && nodeSplit) {
 				t.Fatalf("aimed chain straddles no restructuring: leaf split=%v internal split=%v, %+v", leafSplit, nodeSplit, st)
+			}
+			if deltas && (len(model) != 0 || asModel < 6 || st.DeltasWritten < 3) {
+				t.Fatalf("delta chain: %d checkpoints wrote what the model does, %d never came: %+v", asModel, len(model), st)
 			}
 			total := counter.Ops()
 			t.Logf("census %s: %d durable ops", t.Name(), total)
@@ -393,9 +622,10 @@ func (f *failNthWrite) CorruptWrite(pager.PageID, []byte) bool { return false }
 // TestCheckpointAbortLeavesStampsAlone: a transient pager fault at any
 // page write of an incremental checkpoint aborts it and leaves the
 // store serviceable; the attempt's pages are given back, no leaf is
-// stamped with a location nothing durable refers to, the next clean
-// checkpoint writes the same leaves again, and the result reopens
-// byte-identically.
+// stamped with a location nothing durable refers to or forgets what was
+// removed from its base — what is pending after the abort is what was
+// pending before it, to the byte — the next clean checkpoint writes
+// exactly that, and the result reopens byte-identically.
 func TestCheckpointAbortLeavesStampsAlone(t *testing.T) {
 	schema := dataset.LandsEndSchema()
 	recs := makeRecords(schema, 400, 77)
@@ -423,6 +653,10 @@ func TestCheckpointAbortLeavesStampsAlone(t *testing.T) {
 			}
 		}
 		before := s.CheckpointStats()
+		pending, _ := s.tree.Pending()
+		if pending.Deltas < 10 {
+			t.Fatalf("40 updates in place left %+v pending: want deltas", pending)
+		}
 		policy.n = n
 		err = s.Checkpoint()
 		if err == nil {
@@ -441,11 +675,16 @@ func TestCheckpointAbortLeavesStampsAlone(t *testing.T) {
 			t.Fatalf("write %d: an aborted checkpoint was counted: %+v -> %+v", n, before, got)
 		}
 		checkOnlyLivePages(t, s)
+		if again, _ := s.tree.Pending(); again != pending {
+			t.Fatalf("write %d: %+v pending before the aborted checkpoint, %+v after", n, pending, again)
+		}
 		if err := s.Checkpoint(); err != nil {
 			t.Fatalf("write %d: clean checkpoint after the abort: %v", n, err)
 		}
-		if wrote := s.CheckpointStats().LeavesWritten - before.LeavesWritten; wrote == 0 || wrote >= int64(len(s.Tree().Leaves())) {
-			t.Fatalf("write %d: retry wrote %d of %d leaves", n, wrote, len(s.Tree().Leaves()))
+		wrote := s.CheckpointStats().since(before)
+		if wrote.LeavesWritten != int64(pending.Leaves) || wrote.LeafBytes != pending.LeafBytes ||
+			wrote.DeltasWritten != int64(pending.Deltas) || wrote.DeltaBytes != pending.DeltaBytes {
+			t.Fatalf("write %d: retry wrote %+v, pending was %+v", n, wrote, pending)
 		}
 		checkOnlyLivePages(t, s)
 		reopenEqual(t, s, opts).Close()
@@ -463,13 +702,14 @@ func insertBatch(recs []attr.Record) []Op {
 // TestIncrementalCheckpointWriteVolume is the deterministic guard on
 // the point of the format — counts, not timings. On a 20 000-record
 // store the checkpoint after 100 single-record updates performs under
-// 11 % of the page writes of a full one (19 of 188; 21 while the
-// directory was rewritten whole, and 14 of them are the leaf run, which
-// this format leaves as it was), and what it writes is what Pending said
-// it would;
+// 8 % of the page writes of a full one (8 of 189; 19 while a changed leaf
+// was rewritten whole, 14 of them the leaf run — now 3, deltas but for
+// the leaves the updates split or more than half rewrote — and 21 while
+// the directory was rewritten whole), and what it writes is what Pending
+// said it would;
 // the checkpoint after ONE update that stays in its leaf writes that
-// leaf, the node above it on each level and the root object, in three
-// pages: one of the leaf run, one of the node run, the root's.
+// leaf's delta, the node above it on each level and the root object, in
+// three pages: one of the leaf run, one of the node run, the root's.
 func TestIncrementalCheckpointWriteVolume(t *testing.T) {
 	opts := testOpts(t, 10)
 	s, err := Create(opts)
@@ -487,15 +727,11 @@ func TestIncrementalCheckpointWriteVolume(t *testing.T) {
 		if err := s.checkpoint(full); err != nil {
 			t.Fatal(err)
 		}
-		after := s.CheckpointStats()
-		if !full && after.Full != before.Full {
-			t.Fatalf("an incremental checkpoint rewrote everything: %+v", after)
+		wrote := s.CheckpointStats().since(before)
+		if !full && wrote.Full != 0 {
+			t.Fatalf("an incremental checkpoint rewrote everything: %+v", wrote)
 		}
-		after.LeavesWritten -= before.LeavesWritten
-		after.LeafBytes -= before.LeafBytes
-		after.NodesWritten -= before.NodesWritten
-		after.NodeBytes -= before.NodeBytes
-		return s.pg.Stats().Writes - writes, after
+		return s.pg.Stats().Writes - writes, wrote
 	}
 	fullWrites, _ := checkpoint(true)
 	for _, j := range detrng.New(9).Perm(len(recs))[:100] {
@@ -506,14 +742,15 @@ func TestIncrementalCheckpointWriteVolume(t *testing.T) {
 			t.Fatalf("update %d: found=%v err=%v", moved.ID, found, err)
 		}
 	}
-	pending := s.tree.Pending()
+	pending, _ := s.tree.Pending()
 	incremental, wrote := checkpoint(false)
-	t.Logf("page writes: full %d, after 100 updates %d (%.1f %%): %d leaves / %d bytes, %d nodes / %d bytes (estimated %d)",
-		fullWrites, incremental, 100*float64(incremental)/float64(fullWrites), wrote.LeavesWritten, wrote.LeafBytes, wrote.NodesWritten, wrote.NodeBytes, pending.NodeBytes)
-	if incremental*100 >= fullWrites*11 {
-		t.Fatalf("checkpoint after 100 updates wrote %d pages, a full one %d: not under 11 %%", incremental, fullWrites)
+	t.Logf("page writes: full %d, after 100 updates %d (%.1f %%): %d leaves / %d bytes, %d deltas / %d bytes, %d nodes / %d bytes (estimated %d)",
+		fullWrites, incremental, 100*float64(incremental)/float64(fullWrites), wrote.LeavesWritten, wrote.LeafBytes, wrote.DeltasWritten, wrote.DeltaBytes, wrote.NodesWritten, wrote.NodeBytes, pending.NodeBytes)
+	if incremental*100 >= fullWrites*8 {
+		t.Fatalf("checkpoint after 100 updates wrote %d pages, a full one %d: not under 8 %%", incremental, fullWrites)
 	}
-	if wrote.LeavesWritten != int64(pending.Leaves) || wrote.LeafBytes != pending.LeafBytes || wrote.NodesWritten != int64(pending.Nodes)+1 {
+	if wrote.LeavesWritten != int64(pending.Leaves) || wrote.LeafBytes != pending.LeafBytes || wrote.DeltasWritten != int64(pending.Deltas) ||
+		wrote.DeltaBytes != pending.DeltaBytes || wrote.NodesWritten != int64(pending.Nodes)+1 {
 		t.Fatalf("wrote %+v, pending was %+v (and the root object)", wrote, pending)
 	}
 	if est := pending.NodeBytes; est < wrote.NodeBytes*9/10 || est > wrote.NodeBytes*11/10 {
@@ -534,9 +771,9 @@ func TestIncrementalCheckpointWriteVolume(t *testing.T) {
 		t.Fatalf("update %d: found=%v err=%v", target.ID, found, err)
 	}
 	single, wrote := checkpoint(false)
-	t.Logf("page writes after one update: %d (%d leaves, %d nodes, height %d)", single, wrote.LeavesWritten, wrote.NodesWritten, s.Tree().Height())
-	if wrote.LeavesWritten > 2 || wrote.NodesWritten > int64(s.Tree().Height()) || single > 3 {
-		t.Fatalf("one update cost %d page writes for %d leaves and %d nodes of a tree of height %d", single, wrote.LeavesWritten, wrote.NodesWritten, s.Tree().Height())
+	t.Logf("page writes after one update: %d (%d leaves, %d deltas, %d nodes, height %d)", single, wrote.LeavesWritten, wrote.DeltasWritten, wrote.NodesWritten, s.Tree().Height())
+	if wrote.LeavesWritten != 0 || wrote.DeltasWritten != 1 || wrote.NodesWritten > int64(s.Tree().Height()) || single > 3 {
+		t.Fatalf("one update cost %d page writes for %d leaves, %d deltas and %d nodes of a tree of height %d", single, wrote.LeavesWritten, wrote.DeltasWritten, wrote.NodesWritten, s.Tree().Height())
 	}
 }
 

@@ -21,12 +21,23 @@ import (
 // state whose record multiset equals a shadow replay of the committed
 // log prefix.
 
-// churnOp is one scripted maintenance operation.
+// churnOp is one scripted maintenance operation, and what the script
+// wants done once it is applied.
 type churnOp struct {
 	kind  Type
 	rec   attr.Record
 	oldQI []float64
+	then  afterOp
 }
+
+type afterOp int
+
+const (
+	goOn               afterOp = iota
+	thenCheckpoint             // an incremental checkpoint
+	thenFullCheckpoint         // one that rewrites everything
+	thenReopen                 // an incremental one, then close and reopen — where the test can
+)
 
 // churnWorkload scripts a deterministic insert/delete/update mix. The
 // generator tracks its own live set so deletes and updates target

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"spatialanon/internal/attr"
 	"spatialanon/internal/fault"
 	"spatialanon/internal/pager"
 	"spatialanon/internal/retry"
@@ -184,50 +186,76 @@ func TestStoreRecoverFromPoison(t *testing.T) {
 // TestStoreRecoverSalvagesRottenCheckpoint: when bit rot lands in a
 // live checkpoint page, the durable image alone is unrecoverable —
 // but the live audited tree equals checkpoint+log by construction, so
-// Recover reseeds the image from it and comes back clean.
+// Recover reseeds the image from it and comes back clean. That holds for
+// every live page of an image whose leaves are deltas: a base that only a
+// delta refers to is salvaged like any leaf.
 func TestStoreRecoverSalvagesRottenCheckpoint(t *testing.T) {
-	opts := testOpts(t, 3)
-	st, err := Create(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	recs := makeRecords(opts.Tree.Schema, 30, 19)
-	for _, r := range recs {
-		if err := st.Insert(r); err != nil {
+	for nth := 0; ; nth++ {
+		opts := testOpts(t, 3)
+		opts.PageSize = 128 // every leaf object on pages of its own
+		st, err := Create(opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := st.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	before := storeRecords(st)
-	pages := st.SnapshotPages()
-	if len(pages) == 0 {
-		t.Fatal("no live checkpoint pages")
-	}
-	if err := st.FlipBit(pages[0], 12); err != nil {
-		t.Fatal(err)
-	}
-	// A plain reopen of this image would fail on the rotted page; the
-	// in-place Recover must fall back to reseeding from the live tree.
-	if err := st.Recover(); err != nil {
-		t.Fatalf("salvage resurrection: %v", err)
-	}
-	if err := sameRecords(before, storeRecords(st)); err != nil {
-		t.Fatal(err)
-	}
-	// The reseeded image must now survive a real process restart.
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := Open(opts)
-	if err != nil {
-		t.Fatalf("reopen of reseeded image: %v", err)
-	}
-	defer st2.Close()
-	if err := sameRecords(before, storeRecords(st2)); err != nil {
-		t.Fatal(err)
+		recs := makeRecords(opts.Tree.Schema, 30, 19)
+		for _, r := range recs {
+			if err := st.Insert(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		// One record rewritten where it is in every leaf that can spare it
+		// for a moment: those leaves are now a delta over their base.
+		bases, first := st.SnapshotPages(), st.CheckpointStats()
+		for _, leaf := range st.Tree().Leaves() {
+			if r := leaf.Records[0]; len(leaf.Records) > opts.Tree.BaseK {
+				if _, err := st.Update(r.ID, r.QI, attr.Record{ID: r.ID, QI: r.QI, Sensitive: "again"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := st.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if ck := st.CheckpointStats(); ck.DeltasWritten < 3 || ck.LeavesWritten != first.LeavesWritten {
+			t.Fatalf("want deltas over the first checkpoint's leaves and no leaf rewritten, got %+v after %+v", ck, first)
+		}
+		before := storeRecords(st)
+		pages := st.SnapshotPages()
+		if nth == len(pages) {
+			if st.Close(); nth < 20 {
+				t.Fatalf("only %d live checkpoint pages", nth)
+			}
+			return
+		}
+		if nth == 0 && !slices.ContainsFunc(pages, func(id pager.PageID) bool { return slices.Contains(bases, id) }) {
+			t.Fatal("no page of the first checkpoint is live after the second")
+		}
+		if err := st.FlipBit(pages[nth], 12); err != nil {
+			t.Fatal(err)
+		}
+		// A plain reopen of this image would fail on the rotted page; the
+		// in-place Recover must fall back to reseeding from the live tree.
+		if err := st.Recover(); err != nil {
+			t.Fatalf("page %d: salvage resurrection: %v", pages[nth], err)
+		}
+		if err := sameRecords(before, storeRecords(st)); err != nil {
+			t.Fatal(err)
+		}
+		// The reseeded image must now survive a real process restart.
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st2, err := Open(opts)
+		if err != nil {
+			t.Fatalf("page %d: reopen of reseeded image: %v", pages[nth], err)
+		}
+		if err := sameRecords(before, storeRecords(st2)); err != nil {
+			t.Fatal(err)
+		}
+		st2.Close()
 	}
 }
 
@@ -332,7 +360,7 @@ func TestStoreScrubQuarantinesGarbage(t *testing.T) {
 // word of what the manifest names and fails there, by version, instead
 // of mis-decoding a directory as a root object.
 func TestOpenRefusesOldFormatStore(t *testing.T) {
-	for _, version := range []uint32{2, 4} {
+	for _, version := range []uint32{2, 4, 5} {
 		opts := testOpts(t, 3).withDefaults()
 		pg, err := openPager(opts, pager.CreateDiskFile)
 		if err != nil {

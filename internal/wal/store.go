@@ -36,7 +36,8 @@ type Options struct {
 	// PageSize is the pager page size for checkpoint pages.
 	// Default 4096.
 	PageSize int
-	// PoolPages is the pager pool capacity. Default 64.
+	// PoolPages is the pager pool capacity. Default 256: recovery merges the
+	// live checkpoints' page runs and rereads pages unless one per run stays.
 	PoolPages int
 	// NoSync skips fsync on log appends and checkpoints. The crash
 	// matrix uses it: simulated crashes cut the byte stream exactly
@@ -62,7 +63,7 @@ func (o Options) withDefaults() Options {
 		o.PageSize = 4096
 	}
 	if o.PoolPages == 0 {
-		o.PoolPages = 64
+		o.PoolPages = 256
 	}
 	return o
 }

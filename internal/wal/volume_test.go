@@ -1,0 +1,149 @@
+package wal
+
+import (
+	"testing"
+
+	"spatialanon/internal/attr"
+	"spatialanon/internal/dataset"
+	"spatialanon/internal/detrng"
+	"spatialanon/internal/rplustree"
+)
+
+// benchMix is the benchmark of record's churn (bench/gen.go, opStream)
+// as batch operations: arrival i is an insert, an update or a delete by
+// i mod 3, so the store's size is stationary; the m-th of each touches a
+// key 2·lag, lag and 0 places along one sequence of keys, so no two
+// operations in flight share one; updates alternate between a full QI
+// re-draw and QI[0]+1.
+type benchMix struct {
+	lag   int
+	pool  []attr.Record
+	fresh int64
+	live  []attr.Record
+	n     int
+}
+
+// newBenchMix is the churn over n LandsEnd records under the harness's
+// seed derivation, and the records to preload.
+func newBenchMix(n int, seed int64) (*benchMix, []attr.Record) {
+	preload := dataset.GenerateLandsEnd(n, detrng.Derive(seed, 0))
+	m := &benchMix{lag: min(2048, n/4), pool: dataset.GenerateLandsEnd(1<<16, detrng.Derive(seed, 1)), fresh: int64(n) + 1}
+	for _, r := range preload {
+		m.fresh = max(m.fresh, r.ID+1)
+	}
+	m.live = make([]attr.Record, 2*m.lag+1)
+	copy(m.live, preload[:2*m.lag])
+	return m, preload
+}
+
+func (m *benchMix) next() Op {
+	i, k, ring := m.n, m.n/3, len(m.live)
+	m.n++
+	switch i % 3 {
+	case 0:
+		src := m.pool[k%len(m.pool)]
+		rec := attr.Record{ID: m.fresh + int64(k), QI: src.QI, Sensitive: src.Sensitive}
+		m.live[(2*m.lag+k)%ring] = rec
+		return Op{Type: TypeInsert, Rec: rec}
+	case 1:
+		slot := (m.lag + k) % ring
+		old := m.live[slot]
+		rec := attr.Record{ID: old.ID, Sensitive: old.Sensitive}
+		if k%2 == 0 {
+			rec.QI = m.pool[(k*7+3)%len(m.pool)].QI
+		} else {
+			rec.QI = append([]float64(nil), old.QI...)
+			rec.QI[0]++
+		}
+		m.live[slot] = rec
+		return Op{Type: TypeUpdate, ID: old.ID, OldQI: old.QI, Rec: rec}
+	default:
+		old := m.live[k%ring]
+		return Op{Type: TypeDelete, ID: old.ID, OldQI: old.QI}
+	}
+}
+
+// churnRounds preloads a store of n records (k = 10, the benchmark's) and
+// runs rounds of perRound bench-mix operations, a checkpoint after each;
+// it returns the counters and page writes of the rounds alone.
+func churnRounds(t *testing.T, n, rounds, perRound int) (CheckpointStats, int64) {
+	t.Helper()
+	opts := testOpts(t, 10)
+	opts.Tree = rplustree.Config{Schema: dataset.LandsEndSchema(), BaseK: 10}
+	s, err := Create(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	mix, preload := newBenchMix(n, 42)
+	if _, err := s.ApplyBatch(insertBatch(preload)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	before, writes := s.CheckpointStats(), s.pg.Stats().Writes
+	batch := make([]Op, perRound)
+	for round := 0; round < rounds; round++ {
+		for i := range batch {
+			batch[i] = mix.next()
+		}
+		found, err := s.ApplyBatch(batch)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		for i, ok := range found {
+			if !ok {
+				t.Fatalf("round %d: operation %d found no record", round, i)
+			}
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if round%10 == 9 {
+			checkOnlyLivePages(t, s)
+		}
+	}
+	return s.CheckpointStats().since(before), s.pg.Stats().Writes - writes
+}
+
+// TestLeafDeltaWriteVolume pins what leaf deltas are for, in bytes: on the
+// benchmark's large store — 200 000 records, a checkpoint every 500
+// operations of its churn — an incremental checkpoint writes on average
+// under 70 000 bytes of leaf and delta objects (319 375 while a changed
+// leaf was rewritten whole; the sizing model said 54 471).
+func TestLeafDeltaWriteVolume(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 200 000-record store")
+	}
+	const rounds = 30
+	st, writes := churnRounds(t, 200_000, rounds, 500)
+	incremental := st.Checkpoints - st.Full
+	t.Logf("%d rounds of 500 operations on 200 000 records: %v; %d page writes", rounds, st, writes)
+	if st.Full != 0 {
+		t.Fatalf("%d of %d checkpoints rewrote everything: the pin is on incremental ones", st.Full, rounds)
+	}
+	if mean := (st.LeafBytes + st.DeltaBytes) / incremental; mean > 70_000 {
+		t.Fatalf("an incremental checkpoint writes %d bytes of leaves and deltas on average, want at most 70 000", mean)
+	}
+	if st.DeltasWritten < 4*st.LeavesWritten {
+		t.Fatalf("%d deltas to %d whole leaves: most changed leaves should go out as deltas", st.DeltasWritten, st.LeavesWritten)
+	}
+}
+
+// TestCheckpointVolumeLongRun is the same measure on a shard-sized store
+// over a run long enough for the space rule to fire: 25 000 records, 60
+// rounds of 2 000 operations, compactions included — at most 115 page
+// writes per round (191 while changed leaves were rewritten whole).
+func TestCheckpointVolumeLongRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("120 000 operations")
+	}
+	const rounds = 60
+	st, writes := churnRounds(t, 25_000, rounds, 2000)
+	t.Logf("%d rounds of 2 000 operations on 25 000 records: %v; %d page writes, %.1f per round, %d full rewrites",
+		rounds, st, writes, float64(writes)/rounds, st.Full)
+	if writes > 115*rounds {
+		t.Fatalf("%d page writes in %d rounds, want at most 115 per round", writes, rounds)
+	}
+}
