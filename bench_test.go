@@ -169,11 +169,11 @@ func BenchmarkFig8aScaling(b *testing.B) {
 	for _, n := range []int{10000, 30000, 100000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.Fig8a(experiments.Config{Seed: benchSeed}, []int{n}, 4<<20)
+				res, err := experiments.Run("fig8a", experiments.Config{Seed: benchSeed}, experiments.Args{Sizes: []int{n}, Memory: 4 << 20})
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(float64(res.Rows[0].IOs), "IOs")
+				b.ReportMetric(res.Col("I/Os")[0], "IOs")
 			}
 			b.SetBytes(int64(n) * 36)
 		})
@@ -181,22 +181,21 @@ func BenchmarkFig8aScaling(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Figure 8(b): explicit I/O count vs memory budget. The measured
-// quantity is deterministic; it is surfaced as the "IOs" metric.
+// Figure 8(b): explicit I/O count vs memory budget — one sweep, 8 MB
+// halved down to 1 MB. The measured quantity is deterministic; it is
+// surfaced as one "IOs" metric per budget.
 
 func BenchmarkFig8bIOVsMemory(b *testing.B) {
-	for _, memMB := range []int{8, 4, 2, 1} {
-		b.Run(fmt.Sprintf("mem=%dMB", memMB), func(b *testing.B) {
-			var ios int64
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.Fig8b(experiments.Config{Seed: benchSeed}, 30000, []int{memMB << 20})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ios = res.Rows[0].IOs
-			}
-			b.ReportMetric(float64(ios), "IOs")
-		})
+	var res *experiments.Table
+	for i := 0; i < b.N; i++ {
+		var err error
+		res, err = experiments.Run("fig8b", experiments.Config{Records: 30000, Seed: benchSeed}, experiments.Args{Memory: 8 << 20})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i, ios := range res.Col("I/Os") {
+		b.ReportMetric(ios, fmt.Sprintf("IOs@%.0fKB", res.Col("memory")[i]))
 	}
 }
 
@@ -287,15 +286,15 @@ func BenchmarkFig10Quality(b *testing.B) {
 
 func BenchmarkFig11IncrementalQuality(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig11(experiments.Config{
+		res, err := experiments.Run("fig11", experiments.Config{
 			Records: 8000, BatchSize: 2000, Batches: 4, Seed: benchSeed,
-		})
+		}, experiments.Args{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		last := res.Rows[len(res.Rows)-1]
-		b.ReportMetric(last.Incremental.Certainty, "incCM")
-		b.ReportMetric(last.Reanonymized.Certainty, "reCM")
+		last := len(res.Rows) - 1
+		b.ReportMetric(res.Col("inc CM")[last], "incCM")
+		b.ReportMetric(res.Col("re CM")[last], "reCM")
 	}
 }
 
@@ -328,7 +327,7 @@ func BenchmarkFig12aQueryError(b *testing.B) {
 
 func BenchmarkFig12bSelectivity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig12b(experiments.Config{Records: 6000, Queries: 200, Seed: benchSeed})
+		res, err := experiments.Run("fig12b", experiments.Config{Records: 6000, Queries: 200, Seed: benchSeed}, experiments.Args{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -479,38 +478,26 @@ func BenchmarkAblationLeafFactor(b *testing.B) {
 	}
 }
 
-// Index-choice ablation (Section 6 after [16]): R⁺-tree vs PR-quadtree
-// vs grid file as the anonymizing index — build+publish time and the
-// certainty of the result.
+// Index-choice ablation (Sections 1, 4 and 6): every registered
+// algorithm as the anonymizer — the R⁺-tree, the top-down baseline, the
+// curves, the grid file, the PR-quadtree, a B⁺-tree on Zipcode — with
+// build+publish time and the certainty of the (compacted) result.
 func BenchmarkAblationIndexChoice(b *testing.B) {
 	recs := landsEnd(benchRecords)
 	schema := dataset.LandsEndSchema()
 	domain := attr.DomainOf(schema.Dims(), recs)
-	cons := anonmodel.KAnonymity{K: 10}
-	systems := []core.Anonymizer{
-		&core.QuadAnonymizer{Schema: schema, Constraint: cons},
-		&core.GridAnonymizer{Schema: schema, Constraint: cons, Compact: true},
-		&core.BPTreeAnonymizer{Schema: schema, Constraint: cons, Key: schema.AttrIndex("zipcode")},
+	params := core.Params{
+		Schema: schema, Constraint: anonmodel.KAnonymity{K: 10},
+		Compact: true, Key: schema.AttrIndex("zipcode"),
 	}
-	b.Run("rtree", func(b *testing.B) {
-		var cm float64
-		for i := 0; i < b.N; i++ {
-			rt := newRT(b, nil, false, 0)
-			if err := rt.Load(recs); err != nil {
-				b.Fatal(err)
-			}
-			ps, err := rt.Partitions(10)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cm = quality.Certainty(schema, ps, domain)
-		}
-		b.ReportMetric(cm, "CM")
-	})
-	for _, sys := range systems {
-		b.Run(sys.Name(), func(b *testing.B) {
+	for _, alg := range core.Algorithms {
+		b.Run(alg.Name, func(b *testing.B) {
 			var cm float64
 			for i := 0; i < b.N; i++ {
+				sys, err := alg.New(params) // the index is stateful: a fresh one per run
+				if err != nil {
+					b.Fatal(err)
+				}
 				cp := make([]attr.Record, len(recs))
 				copy(cp, recs)
 				ps, err := sys.Anonymize(cp)

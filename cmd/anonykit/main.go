@@ -30,7 +30,6 @@ import (
 	"spatialanon/internal/dataset"
 	"spatialanon/internal/quality"
 	"spatialanon/internal/rplustree"
-	"spatialanon/internal/sfc"
 	"spatialanon/internal/verify"
 )
 
@@ -53,15 +52,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed    = fs.Int64("seed", 1, "generator seed")
 		inPath  = fs.String("in", "", "input CSV (columns must match the -dataset schema)")
 		outPath = fs.String("out", "", "output CSV path (default stdout)")
-		algo    = fs.String("algo", "rtree", "algorithm: rtree, mondrian, mondrian-relaxed, hilbert, zorder, grid, quad or bptree (1-D; see -key)")
+		algo    = fs.String("algo", core.RTree, "algorithm: "+strings.Join(core.AlgorithmNames(), ", "))
 		k       = fs.Int("k", 10, "anonymity parameter k")
 		l       = fs.Int("l", 0, "require distinct l-diversity on the sensitive attribute")
 		alpha   = fs.Float64("alpha", 0, "require (alpha,k)-anonymity on the sensitive attribute")
-		doComp  = fs.Bool("compact", false, "compact the output partitions (Section 4); the rtree output is always compact")
-		bias    = fs.String("bias", "", "comma-separated attributes the rtree split policy should favor")
-		keyAttr = fs.String("key", "", "bptree only: the attribute to index on (default: first attribute)")
-		persist = fs.String("persist", "", "rtree only: build inside a durable store at this directory (WAL + checkpoint; recover with `anonykit reopen`)")
-		grans   = fs.String("granularities", "", "rtree only: comma-separated k values; emits one table per granularity (out.k<N>.csv) from a single index, verified collusion-safe")
+		doComp  = fs.Bool("compact", false, "compact the output partitions (Section 4); the index algorithms publish bounding boxes already and ignore it")
+		bias    = fs.String("bias", "", core.RTree+" only: comma-separated attributes the split policy should favor")
+		keyAttr = fs.String("key", "", core.BPTree+" only: the attribute to index on (default: first attribute)")
+		persist = fs.String("persist", "", core.RTree+" only: build inside a durable store at this directory (WAL + checkpoint; recover with `anonykit reopen`)")
+		grans   = fs.String("granularities", "", core.RTree+" only: comma-separated k values; emits one table per granularity (out.k<N>.csv) from a single index, verified collusion-safe")
 		workers = fs.Int("workers", 0, "worker goroutines for anonymization (0 = all cores, 1 = serial; output is identical for every setting)")
 		quiet   = fs.Bool("quiet", false, "suppress the quality report")
 	)
@@ -161,22 +160,14 @@ func writeCSV(path string, stdout io.Writer, schema *attr.Schema, ps []anonmodel
 	return f.Close()
 }
 
-// algoNames are the accepted -algo values, checked before any data is
-// touched.
-var algoNames = []string{"rtree", "mondrian", "mondrian-relaxed", "hilbert", "zorder", "grid", "quad", "bptree"}
-
 // validateFlags cross-checks the flag set before any records are
 // generated or loaded, so a bad invocation fails in microseconds with
 // one clear message instead of after an expensive load (or, worse,
 // partway through writing multi-granular output files). It returns the
 // parsed -granularities list (nil when the flag is absent).
 func validateFlags(schema *attr.Schema, algo string, n int, haveIn bool, k, l int, alpha float64, bias, keyAttr, grans, outPath, persist string) ([]int, error) {
-	known := false
-	for _, a := range algoNames {
-		known = known || a == algo
-	}
-	if !known {
-		return nil, fmt.Errorf("unknown algorithm %q (want one of %s)", algo, strings.Join(algoNames, ", "))
+	if _, err := core.Lookup(algo); err != nil {
+		return nil, err
 	}
 	if k < 2 {
 		return nil, fmt.Errorf("-k must be >= 2 (k=1 is no anonymity), got %d", k)
@@ -196,12 +187,12 @@ func validateFlags(schema *attr.Schema, algo string, n int, haveIn bool, k, l in
 	if (l > 0 || alpha > 0) && schema.Sensitive == "" {
 		return nil, fmt.Errorf("-l/-alpha need a sensitive attribute, and the chosen dataset declares none")
 	}
-	if bias != "" && algo != "rtree" {
-		return nil, fmt.Errorf("-bias only applies to -algo rtree")
+	if bias != "" && algo != core.RTree {
+		return nil, fmt.Errorf("-bias only applies to -algo %s", core.RTree)
 	}
 	if persist != "" {
-		if algo != "rtree" {
-			return nil, fmt.Errorf("-persist only applies to -algo rtree (the durable store wraps the index)")
+		if algo != core.RTree {
+			return nil, fmt.Errorf("-persist only applies to -algo %s (the durable store wraps the index)", core.RTree)
 		}
 		if l > 0 || alpha > 0 {
 			return nil, fmt.Errorf("-persist supports plain k-anonymity only")
@@ -210,14 +201,14 @@ func validateFlags(schema *attr.Schema, algo string, n int, haveIn bool, k, l in
 			return nil, fmt.Errorf("-persist and -granularities are mutually exclusive")
 		}
 	}
-	if keyAttr != "" && algo != "bptree" {
-		return nil, fmt.Errorf("-key only applies to -algo bptree")
+	if keyAttr != "" && algo != core.BPTree {
+		return nil, fmt.Errorf("-key only applies to -algo %s", core.BPTree)
 	}
 	if grans == "" {
 		return nil, nil
 	}
-	if algo != "rtree" {
-		return nil, fmt.Errorf("-granularities requires -algo rtree (multi-granular release exploits the index)")
+	if algo != core.RTree {
+		return nil, fmt.Errorf("-granularities requires -algo %s (multi-granular release exploits the index)", core.RTree)
 	}
 	if outPath == "" {
 		return nil, fmt.Errorf("-granularities needs -out (one file per granularity)")
@@ -297,47 +288,32 @@ func buildConstraint(k, l int, alpha float64) (anonmodel.Constraint, error) {
 	return cons, nil
 }
 
+// buildAnonymizer builds algo from the registry. A -bias (validated to
+// come with the R⁺-tree only) is a split policy, which the registry's
+// parameters do not carry: the index is configured directly.
 func buildAnonymizer(algo string, schema *attr.Schema, cons anonmodel.Constraint, doCompact bool, bias, keyAttr string, workers int) (core.Anonymizer, error) {
-	switch algo {
-	case "rtree":
-		cfg := core.RTreeConfig{Schema: schema, Constraint: cons, Parallelism: workers}
-		if bias != "" {
-			var axes []int
-			for _, name := range strings.Split(bias, ",") {
-				idx := schema.AttrIndex(strings.TrimSpace(name))
-				if idx < 0 {
-					return nil, fmt.Errorf("unknown bias attribute %q", name)
-				}
-				axes = append(axes, idx)
+	if bias != "" {
+		var axes []int
+		for _, name := range strings.Split(bias, ",") {
+			idx := schema.AttrIndex(strings.TrimSpace(name))
+			if idx < 0 {
+				return nil, fmt.Errorf("unknown bias attribute %q", name)
 			}
-			cfg.Split = rplustree.BiasedPolicy{Axes: axes}
+			axes = append(axes, idx)
 		}
-		return core.NewRTreeAnonymizer(cfg)
-	case "mondrian", "mondrian-relaxed":
-		return &core.MondrianAnonymizer{
-			Schema:      schema,
-			Constraint:  cons,
-			Relaxed:     algo == "mondrian-relaxed",
-			Compact:     doCompact,
-			Parallelism: workers,
-		}, nil
-	case "hilbert":
-		return &core.SFCAnonymizer{Curve: sfc.Hilbert, Constraint: cons}, nil
-	case "zorder":
-		return &core.SFCAnonymizer{Curve: sfc.ZOrder, Constraint: cons}, nil
-	case "grid":
-		return &core.GridAnonymizer{Schema: schema, Constraint: cons, Compact: doCompact, Parallelism: workers}, nil
-	case "quad":
-		return &core.QuadAnonymizer{Schema: schema, Constraint: cons}, nil
-	case "bptree":
-		key := 0
-		if keyAttr != "" {
-			if key = schema.AttrIndex(keyAttr); key < 0 {
-				return nil, fmt.Errorf("unknown key attribute %q", keyAttr)
-			}
+		rt, err := core.NewRTreeAnonymizer(core.RTreeConfig{
+			Schema: schema, Constraint: cons, Parallelism: workers, Split: rplustree.BiasedPolicy{Axes: axes},
+		})
+		if err != nil {
+			return nil, err
 		}
-		return &core.BPTreeAnonymizer{Schema: schema, Constraint: cons, Key: key}, nil
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q", algo)
+		return rt, nil
 	}
+	key := 0
+	if keyAttr != "" {
+		if key = schema.AttrIndex(keyAttr); key < 0 {
+			return nil, fmt.Errorf("unknown key attribute %q", keyAttr)
+		}
+	}
+	return core.New(algo, core.Params{Schema: schema, Constraint: cons, Compact: doCompact, Key: key, Workers: workers})
 }

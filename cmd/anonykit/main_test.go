@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -9,6 +11,7 @@ import (
 	"testing"
 
 	"spatialanon/internal/anonmodel"
+	"spatialanon/internal/core"
 	"spatialanon/internal/dataset"
 )
 
@@ -38,11 +41,39 @@ func TestRTreeOnPatients(t *testing.T) {
 	}
 }
 
+// TestEveryAlgorithmRuns: every registry name passes validateFlags, and
+// the CSV it writes for 600 Lands End-like records (seed 11, k=6,
+// compacted, the B⁺-tree on Zipcode) is byte for byte what the last
+// commit with one adapter type per algorithm (PR 21) wrote — SHA-256
+// captured from that commit's binary.
 func TestEveryAlgorithmRuns(t *testing.T) {
-	for _, algo := range []string{"rtree", "mondrian", "mondrian-relaxed", "hilbert", "zorder", "grid", "quad", "bptree"} {
-		out, _ := runOK(t, "-dataset", "landsend", "-n", "300", "-algo", algo, "-k", "5", "-quiet")
-		if len(strings.Split(strings.TrimSpace(out), "\n")) != 301 {
+	golden := map[string]string{
+		"rtree":            "1606e2527e04e08e42aef4b35806b121701f57a627f2053678c457569faebf62",
+		"mondrian":         "c20ed9ee099d88d0d530632ae2b4426291ff1cbdf0fb0f32e390ec97575a6f1c",
+		"mondrian-relaxed": "bcc98d392edc2244690f5255c8384bf39dbaa6f352f29c3a777e8f2c9d69b930",
+		"hilbert":          "66a8e2e6b43d83d4a8c58034fead28052411d604d63d3ccd98b43a3b7ef06802",
+		"zorder":           "d3fec9f52767ba7893939d45fc0ce831d50e98b8e87f598895d6541497a3f255",
+		"grid":             "480e1011636c2b5438cbe2900a7c6ad41af7e597d1a3915f56f043c8bf300b17",
+		"quad":             "eeb16f41ce5d449be223baaabdfa556075c7fd406a4d332f26237eeb01aaf807",
+		"bptree":           "818b26f0d1766eed4ac4b5c0d914ceda95a341193c44f2f8bd2f8642c751c0ae",
+	}
+	if len(golden) != len(core.Algorithms) {
+		t.Fatalf("%d golden digests for %d registered algorithms", len(golden), len(core.Algorithms))
+	}
+	for _, algo := range core.AlgorithmNames() {
+		if _, err := validateFlags(dataset.LandsEndSchema(), algo, 600, false, 6, 0, 0, "", "", "", "", ""); err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		args := []string{"-dataset", "landsend", "-n", "600", "-seed", "11", "-k", "6", "-algo", algo, "-compact", "-quiet"}
+		if algo == core.BPTree {
+			args = append(args, "-key", "zipcode")
+		}
+		out, _ := runOK(t, args...)
+		if strings.Count(out, "\n") != 601 {
 			t.Fatalf("%s: wrong row count", algo)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != golden[algo] {
+			t.Errorf("%s: CSV digest %s, pinned %s", algo, got, golden[algo])
 		}
 	}
 }

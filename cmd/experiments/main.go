@@ -22,8 +22,10 @@ import (
 	"spatialanon/internal/experiments"
 )
 
-// printer is what every figure result knows how to do.
-type printer interface{ Print(io.Writer) }
+// readers names the registered experiments pick selects (nil: all).
+func readers(pick func(experiments.Figure) bool) string {
+	return strings.Join(experiments.FigureIDs(pick), " ")
+}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
@@ -36,15 +38,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		fig     = fs.String("fig", "all", "experiment id: fig7a fig7b fig8a fig8b fig9 fig10 fig11 fig12a fig12b fig12c fig12d churn churn-durable, comma-separated, or all")
+		fig     = fs.String("fig", "all", "experiment id: "+readers(nil)+", comma-separated, or all")
 		records = fs.Int("records", 0, "Lands End-like data set size (0 = suite default; paper: 4591581)")
 		queries = fs.Int("queries", 0, "query workload size (0 = default; paper: 1000)")
 		ksFlag  = fs.String("ks", "", "comma-separated anonymity levels (default 5,10,25,50,100,250,500,1000)")
 		batch   = fs.Int("batch", 0, "incremental batch size (0 = default; paper: 500000)")
 		batches = fs.Int("batches", 0, "number of incremental batches")
 		seed    = fs.Int64("seed", 0, "workload seed")
-		sizes   = fs.String("sizes", "", "fig8a: comma-separated record counts (default 6 steps from records/8)")
-		memMB   = fs.Int("mem", 0, "fig8a/fig8b: memory budget in MB (fig8b sweeps down from it)")
+		sizes   = fs.String("sizes", "", readers(func(f experiments.Figure) bool { return f.Sizes })+": comma-separated record counts (default: each figure's own steps around -records)")
+		memMB   = fs.Int("mem", 0, readers(func(f experiments.Figure) bool { return f.Memory })+": memory budget in MB (fig8b sweeps down from it)")
 		workers = fs.Int("workers", 0, "worker goroutines per experiment (0 = all cores, 1 = serial; results are identical, only wall-clock changes)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -70,83 +72,29 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cfg.Ks = ks
 	}
 
+	sweep := experiments.Args{Memory: *memMB << 20}
+	if *sizes != "" {
+		var err error
+		if sweep.Sizes, err = parseInts(*sizes); err != nil {
+			return fmt.Errorf("-sizes: %w", err)
+		}
+	}
+
 	ids := strings.Split(*fig, ",")
 	if *fig == "all" {
-		ids = []string{"fig7a", "fig7b", "fig8a", "fig8b", "fig9", "fig10", "fig11", "fig12a", "fig12b", "fig12c", "fig12d", "churn", "churn-durable"}
+		ids = experiments.FigureIDs(nil)
 	}
 	for i, id := range ids {
 		if i > 0 {
 			fmt.Fprintln(stdout)
 		}
-		res, err := dispatch(strings.TrimSpace(id), cfg, *sizes, *memMB)
+		res, err := experiments.Run(strings.TrimSpace(id), cfg, sweep)
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}
 		res.Print(stdout)
 	}
 	return nil
-}
-
-func dispatch(id string, cfg experiments.Config, sizesFlag string, memMB int) (printer, error) {
-	defRecords := experiments.Defaults().Records
-	if cfg.Records > 0 {
-		defRecords = cfg.Records
-	}
-	switch id {
-	case "fig7a":
-		return experiments.Fig7a(cfg)
-	case "fig7b":
-		return experiments.Fig7b(cfg)
-	case "fig8a":
-		sizes := []int{defRecords / 8, defRecords / 4, defRecords / 2, defRecords, defRecords * 2, defRecords * 4}
-		if sizesFlag != "" {
-			var err error
-			sizes, err = parseInts(sizesFlag)
-			if err != nil {
-				return nil, fmt.Errorf("-sizes: %w", err)
-			}
-		}
-		return experiments.Fig8a(cfg, sizes, memMB<<20)
-	case "fig8b":
-		top := memMB << 20
-		if top == 0 {
-			top = 8 << 20
-		}
-		memories := []int{top, top / 2, top / 4, top / 8}
-		return experiments.Fig8b(cfg, defRecords, memories)
-	case "fig9":
-		sizes := []int{defRecords / 4, defRecords / 2, defRecords, defRecords * 2}
-		if sizesFlag != "" {
-			var err error
-			sizes, err = parseInts(sizesFlag)
-			if err != nil {
-				return nil, fmt.Errorf("-sizes: %w", err)
-			}
-		}
-		return experiments.Fig9(cfg, sizes)
-	case "fig10":
-		return experiments.Fig10(cfg)
-	case "fig11":
-		return experiments.Fig11(cfg)
-	case "fig12a":
-		return experiments.Fig12a(cfg)
-	case "fig12b":
-		return experiments.Fig12b(cfg)
-	case "fig12c":
-		return experiments.Fig12c(cfg)
-	case "fig12d":
-		return experiments.Fig12d(cfg)
-	case "churn":
-		// Extension beyond the paper: quality under delete+insert churn.
-		return experiments.ExtChurn(cfg, 8, defRecords/10)
-	case "churn-durable":
-		// Durable variant: the same churn through the write-ahead-logged
-		// store, recovering from disk after every round and reporting
-		// the recovery I/O a crash at that point would have cost.
-		return experiments.ExtChurnDurable(cfg, 6, defRecords/10, defRecords/3)
-	default:
-		return nil, fmt.Errorf("unknown experiment id (want fig7a..fig12d or all)")
-	}
 }
 
 func parseInts(s string) ([]int, error) {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"spatialanon/internal/experiments"
 )
 
 // tinyArgs keeps the suite fast in unit tests.
@@ -11,14 +13,46 @@ func tinyArgs(extra ...string) []string {
 	return append([]string{"-records", "2000", "-queries", "60", "-ks", "5,10", "-batch", "500", "-batches", "2"}, extra...)
 }
 
+// TestSingleFigures: every registered id runs alone and prints one
+// table — a title, a header and rows, no blank line.
 func TestSingleFigures(t *testing.T) {
-	for _, fig := range []string{"fig7a", "fig7b", "fig9", "fig10", "fig11", "fig12a", "fig12b", "fig12c", "fig12d"} {
+	for _, f := range experiments.Figures {
 		var out, errBuf bytes.Buffer
-		if err := run(tinyArgs("-fig", fig), &out, &errBuf); err != nil {
-			t.Fatalf("%s: %v", fig, err)
+		if err := run(tinyArgs("-fig", f.ID), &out, &errBuf); err != nil {
+			t.Fatalf("%s: %v", f.ID, err)
 		}
-		if !strings.Contains(out.String(), "Figure") {
-			t.Fatalf("%s output: %q", fig, out.String())
+		if s := out.String(); strings.Count(s, "\n") < 3 || strings.Contains(s, "\n\n") {
+			t.Fatalf("%s output: %q", f.ID, s)
+		}
+	}
+}
+
+// TestAllIsTheRegistry: -fig all prints one table per registered id,
+// and an unknown id's error names every one of them.
+func TestAllIsTheRegistry(t *testing.T) {
+	var out, errBuf bytes.Buffer
+	if err := run(tinyArgs("-fig", "all"), &out, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	tables := strings.Split(out.String(), "\n\n")
+	if len(tables) != len(experiments.Figures) {
+		t.Fatalf("%d tables for %d registered figures", len(tables), len(experiments.Figures))
+	}
+	titles := map[string]bool{}
+	for _, table := range tables {
+		title, _, _ := strings.Cut(table, "\n")
+		titles[title] = true
+	}
+	if len(titles) != len(tables) {
+		t.Fatalf("%d distinct titles over %d tables", len(titles), len(tables))
+	}
+	err := run([]string{"-fig", "fig13"}, &out, &errBuf)
+	if err == nil {
+		t.Fatal("unknown id accepted")
+	}
+	for _, f := range experiments.Figures {
+		if !strings.Contains(err.Error(), f.ID) {
+			t.Errorf("unknown-id error %q does not list %s", err, f.ID)
 		}
 	}
 }

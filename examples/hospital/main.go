@@ -19,6 +19,7 @@ import (
 	"spatialanon/internal/attr"
 	"spatialanon/internal/core"
 	"spatialanon/internal/dataset"
+	"spatialanon/internal/mondrian"
 	"spatialanon/internal/verify"
 )
 
@@ -80,8 +81,7 @@ func main() {
 	shuffled := make([]attr.Record, len(records))
 	copy(shuffled, records)
 	dataset.Shuffle(shuffled, 99)
-	md := &core.MondrianAnonymizer{Schema: schema, Constraint: anonmodel.KAnonymity{K: 20}}
-	independent, err := md.Anonymize(shuffled)
+	independent, err := mondrian.Anonymize(schema, shuffled, mondrian.Options{Constraint: anonmodel.KAnonymity{K: 20}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -65,10 +65,11 @@ func main() {
 	//    same records, with and without the Section 4 compaction.
 	domain := attr.DomainOf(schema.Dims(), records)
 	fmt.Printf("\n%-22s %14s %10s %8s\n", "system", "discernibility", "certainty", "KL")
-	for _, a := range []core.Anonymizer{
-		&core.MondrianAnonymizer{Schema: schema, Constraint: anonmodel.KAnonymity{K: k}},
-		&core.MondrianAnonymizer{Schema: schema, Constraint: anonmodel.KAnonymity{K: k}, Compact: true},
-	} {
+	for _, compacted := range []bool{false, true} {
+		a, err := core.New(core.Mondrian, core.Params{Schema: schema, Constraint: anonmodel.KAnonymity{K: k}, Compact: compacted})
+		if err != nil {
+			log.Fatal(err)
+		}
 		cp := make([]attr.Record, len(records))
 		copy(cp, records)
 		ps, err := a.Anonymize(cp)

@@ -18,6 +18,7 @@ import (
 	"spatialanon/internal/attr"
 	"spatialanon/internal/core"
 	"spatialanon/internal/dataset"
+	"spatialanon/internal/mondrian"
 	"spatialanon/internal/quality"
 	"spatialanon/internal/rplustree"
 )
@@ -64,8 +65,7 @@ func main() {
 		cp := make([]attr.Record, len(all))
 		copy(cp, all)
 		start = time.Now()
-		md := &core.MondrianAnonymizer{Schema: schema, Constraint: anonmodel.KAnonymity{K: k}}
-		reanon, err := md.Anonymize(cp)
+		reanon, err := mondrian.Anonymize(schema, cp, mondrian.Options{Constraint: anonmodel.KAnonymity{K: k}})
 		if err != nil {
 			log.Fatal(err)
 		}

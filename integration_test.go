@@ -13,7 +13,6 @@ import (
 	"spatialanon/internal/quality"
 	"spatialanon/internal/query"
 	"spatialanon/internal/rplustree"
-	"spatialanon/internal/sfc"
 	"spatialanon/internal/verify"
 )
 
@@ -110,7 +109,10 @@ func TestEndToEndLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	md := &core.MondrianAnonymizer{Schema: schema, Constraint: anonmodel.KAnonymity{K: k}}
+	md, err := core.New(core.Mondrian, core.Params{Schema: schema, Constraint: anonmodel.KAnonymity{K: k}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cp := make([]attr.Record, len(live))
 	copy(cp, live)
 	mdPs, err := md.Anonymize(cp)
@@ -146,19 +148,7 @@ func TestAlgorithmsAgreeOnFundamentals(t *testing.T) {
 	domain := attr.DomainOf(schema.Dims(), recs)
 	cons := anonmodel.KAnonymity{K: 12}
 
-	rt, err := core.NewRTreeAnonymizer(core.RTreeConfig{Schema: schema, Constraint: cons})
-	if err != nil {
-		t.Fatal(err)
-	}
-	algos := []core.Anonymizer{
-		rt,
-		&core.MondrianAnonymizer{Schema: schema, Constraint: cons},
-		&core.MondrianAnonymizer{Schema: schema, Constraint: cons, Relaxed: true},
-		&core.SFCAnonymizer{Curve: sfc.Hilbert, Constraint: cons},
-		&core.SFCAnonymizer{Curve: sfc.ZOrder, Constraint: cons},
-		&core.GridAnonymizer{Schema: schema, Constraint: cons},
-		&core.QuadAnonymizer{Schema: schema, Constraint: cons},
-	}
+	algos := everyAlgorithm(t, schema, cons)
 	wantIDs := map[int64]bool{}
 	for _, r := range recs {
 		wantIDs[r.ID] = true
@@ -259,17 +249,7 @@ func TestInfeasibleConstraintSurfacesEverywhere(t *testing.T) {
 		{ID: 3, QI: []float64{50, 0, 53715}, Sensitive: "flu"},
 	}
 	cons := anonmodel.LDiversity{K: 2, L: 2}
-	rt, err := core.NewRTreeAnonymizer(core.RTreeConfig{Schema: schema, Constraint: cons})
-	if err != nil {
-		t.Fatal(err)
-	}
-	algos := []core.Anonymizer{
-		rt,
-		&core.MondrianAnonymizer{Schema: schema, Constraint: cons},
-		&core.SFCAnonymizer{Constraint: cons},
-		&core.GridAnonymizer{Schema: schema, Constraint: cons},
-		&core.QuadAnonymizer{Schema: schema, Constraint: cons},
-	}
+	algos := everyAlgorithm(t, schema, cons)
 	for _, a := range algos {
 		cp := make([]attr.Record, len(recs))
 		copy(cp, recs)
@@ -284,7 +264,22 @@ func TestInfeasibleConstraintSurfacesEverywhere(t *testing.T) {
 	// A refused publication must not leave the index corrupt: the tree
 	// keeps serving (and future feasible releases keep working) after
 	// the error.
-	if err := verify.Tree(rt.Tree(), verify.TreeOptions{}); err != nil {
+	if err := verify.Tree(algos[0].(*core.RTreeAnonymizer).Tree(), verify.TreeOptions{}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// everyAlgorithm builds each registry entry — the R⁺-tree's first —
+// under cons.
+func everyAlgorithm(t *testing.T, schema *attr.Schema, cons anonmodel.Constraint) []core.Anonymizer {
+	t.Helper()
+	var algos []core.Anonymizer
+	for _, alg := range core.Algorithms {
+		a, err := alg.New(core.Params{Schema: schema, Constraint: cons})
+		if err != nil {
+			t.Fatalf("%s: %v", alg.Name, err)
+		}
+		algos = append(algos, a)
+	}
+	return algos
 }

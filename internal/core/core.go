@@ -9,9 +9,11 @@
 //     straight from leaf MBRs, and derives any granularity k₁ ≥ k via
 //     the leaf-scan algorithm (Section 3.2) or tree levels via the
 //     hierarchical algorithm (Section 3.1).
-//   - MondrianAnonymizer, SFCAnonymizer, GridAnonymizer — the baselines,
-//     behind the same Anonymizer interface, so the experiment harness
-//     and the CLI treat every algorithm uniformly.
+//   - Algorithms — the registry: the index and every baseline (top-down
+//     Mondrian, space-filling curves, grid file, quadtree, B⁺-tree), an
+//     entry each, built from one Params behind the same Anonymizer
+//     interface, so the CLI, the experiment harness and the tests range
+//     over one table.
 //   - Tiling.Scan — the Figure 5 leaf-scan algorithm over a release
 //     laid out as windows of shared record arrays (LeafScanP is the
 //     plain-partitions form).
@@ -24,13 +26,7 @@ import (
 
 	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
-	"spatialanon/internal/bptree"
-	"spatialanon/internal/compact"
-	"spatialanon/internal/gridfile"
-	"spatialanon/internal/mondrian"
 	"spatialanon/internal/par"
-	"spatialanon/internal/quadtree"
-	"spatialanon/internal/sfc"
 )
 
 // Anonymizer is the uniform face of every algorithm in the repository:
@@ -262,170 +258,3 @@ type Release struct {
 	Granularity int
 	Partitions  []anonmodel.Partition
 }
-
-// MondrianAnonymizer adapts the top-down baseline to the Anonymizer
-// interface, optionally compacting its output (Section 4 retrofit).
-type MondrianAnonymizer struct {
-	Schema     *attr.Schema
-	Constraint anonmodel.Constraint
-	Relaxed    bool
-	Compact    bool
-	// Parallelism bounds worker goroutines for the recursion and the
-	// compaction pass (0 = all cores, 1 = serial; output identical
-	// either way).
-	Parallelism int
-}
-
-// Anonymize implements Anonymizer.
-func (m *MondrianAnonymizer) Anonymize(recs []attr.Record) ([]anonmodel.Partition, error) {
-	ps, err := mondrian.Anonymize(m.Schema, recs, mondrian.Options{
-		Constraint:  m.Constraint,
-		Relaxed:     m.Relaxed,
-		Parallelism: m.Parallelism,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if m.Compact {
-		ps = compact.Partitions(ps, m.Parallelism)
-	}
-	return ps, nil
-}
-
-// Name implements Anonymizer.
-func (m *MondrianAnonymizer) Name() string {
-	name := "mondrian"
-	if m.Relaxed {
-		name += "-relaxed"
-	}
-	if m.Compact {
-		name += "+compact"
-	}
-	return name
-}
-
-// SFCAnonymizer adapts sort-based space-filling-curve anonymization to
-// the Anonymizer interface.
-type SFCAnonymizer struct {
-	Curve      sfc.Curve
-	Constraint anonmodel.Constraint
-}
-
-// Anonymize implements Anonymizer.
-func (a *SFCAnonymizer) Anonymize(recs []attr.Record) ([]anonmodel.Partition, error) {
-	return sfc.Anonymize(recs, a.Curve, a.Constraint)
-}
-
-// Name implements Anonymizer.
-func (a *SFCAnonymizer) Name() string { return "sfc-" + a.Curve.String() }
-
-// GridAnonymizer adapts the grid-file baseline to the Anonymizer
-// interface, optionally compacting (the Section 4 retrofit that package
-// gridfile exists to demonstrate).
-type GridAnonymizer struct {
-	Schema      *attr.Schema
-	Constraint  anonmodel.Constraint
-	CellsPerDim int
-	Compact     bool
-	// Parallelism bounds worker goroutines for the compaction pass.
-	Parallelism int
-}
-
-// Anonymize implements Anonymizer.
-func (g *GridAnonymizer) Anonymize(recs []attr.Record) ([]anonmodel.Partition, error) {
-	ps, err := gridfile.Anonymize(g.Schema, recs, gridfile.Options{
-		Constraint:  g.Constraint,
-		CellsPerDim: g.CellsPerDim,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if g.Compact {
-		ps = compact.Partitions(ps, g.Parallelism)
-	}
-	return ps, nil
-}
-
-// Name implements Anonymizer.
-func (g *GridAnonymizer) Name() string {
-	if g.Compact {
-		return "gridfile+compact"
-	}
-	return "gridfile"
-}
-
-// BPTreeAnonymizer anonymizes with a one-dimensional B⁺-tree — the
-// paper's introductory observation (Section 1, Figure 1(c)) made
-// executable. The index clusters records on a single key attribute;
-// leaves become groups; each group publishes its MBR over all
-// attributes (the implicit compaction of Section 4). It is the extreme
-// point of the workload-bias spectrum: ideal when every query ranges
-// over the key, poor for everything else, and the ablation benchmarks
-// quantify both sides.
-type BPTreeAnonymizer struct {
-	Schema     *attr.Schema
-	Constraint anonmodel.Constraint
-	// Key is the attribute to index on.
-	Key int
-}
-
-// Anonymize implements Anonymizer.
-func (b *BPTreeAnonymizer) Anonymize(recs []attr.Record) ([]anonmodel.Partition, error) {
-	if b.Constraint == nil {
-		return nil, fmt.Errorf("core: nil constraint")
-	}
-	if len(recs) == 0 {
-		return nil, nil
-	}
-	tr, err := bptree.New(bptree.Config{
-		Schema: b.Schema,
-		Key:    b.Key,
-		BaseK:  b.Constraint.MinSize(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range recs {
-		if err := tr.Insert(r); err != nil {
-			return nil, err
-		}
-	}
-	return LeafScanP(tr.Leaves(), b.Constraint, 1)
-}
-
-// Name implements Anonymizer.
-func (b *BPTreeAnonymizer) Name() string { return fmt.Sprintf("bptree[%d]", b.Key) }
-
-// QuadAnonymizer anonymizes with a PR-quadtree index (Section 6's
-// alternative index family, after [16]): the tree subdivides at cell
-// midpoints, leaves publish tight MBRs, and constraint satisfaction
-// comes from leaf-scanning the quadrant-ordered leaves.
-type QuadAnonymizer struct {
-	Schema     *attr.Schema
-	Constraint anonmodel.Constraint
-	// SplitAxes optionally pins the subdividing attributes (max 4);
-	// empty picks the widest domain axes.
-	SplitAxes []int
-}
-
-// Anonymize implements Anonymizer.
-func (q *QuadAnonymizer) Anonymize(recs []attr.Record) ([]anonmodel.Partition, error) {
-	if q.Constraint == nil {
-		return nil, fmt.Errorf("core: nil constraint")
-	}
-	if len(recs) == 0 {
-		return nil, nil
-	}
-	qt, err := quadtree.New(quadtree.Config{
-		Schema:    q.Schema,
-		BaseK:     q.Constraint.MinSize(),
-		SplitAxes: q.SplitAxes,
-	}, recs)
-	if err != nil {
-		return nil, err
-	}
-	return LeafScanP(qt.Leaves(), q.Constraint, 1)
-}
-
-// Name implements Anonymizer.
-func (q *QuadAnonymizer) Name() string { return "quadtree" }

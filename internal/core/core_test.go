@@ -9,7 +9,6 @@ import (
 	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
 	"spatialanon/internal/dataset"
-	"spatialanon/internal/sfc"
 )
 
 func TestLeafScanBasics(t *testing.T) {
@@ -77,56 +76,71 @@ func TestLeafScanErrors(t *testing.T) {
 	}
 }
 
+// TestAnonymizerInterfaces: every registry entry, plain and compacted,
+// builds an Anonymizer that keeps every record, satisfies the
+// constraint and reports under its own name.
 func TestAnonymizerInterfaces(t *testing.T) {
 	recs := dataset.GeneratePatients(400, 90)
 	s := dataset.PatientsSchema()
 	cons := anonmodel.KAnonymity{K: 8}
 
-	rt, err := NewRTreeAnonymizer(RTreeConfig{Schema: s, Constraint: cons})
-	if err != nil {
-		t.Fatal(err)
-	}
-	anonymizers := []Anonymizer{
-		rt,
-		&MondrianAnonymizer{Schema: s, Constraint: cons},
-		&MondrianAnonymizer{Schema: s, Constraint: cons, Relaxed: true, Compact: true},
-		&SFCAnonymizer{Constraint: cons},
-		&GridAnonymizer{Schema: s, Constraint: cons},
-		&GridAnonymizer{Schema: s, Constraint: cons, Compact: true},
-		&QuadAnonymizer{Schema: s, Constraint: cons},
-	}
 	names := map[string]bool{}
-	for _, a := range anonymizers {
-		cp := make([]attr.Record, len(recs))
-		copy(cp, recs)
-		ps, err := a.Anonymize(cp)
-		if err != nil {
-			t.Fatalf("%s: %v", a.Name(), err)
+	for _, alg := range Algorithms {
+		for _, doCompact := range []bool{false, true} {
+			a, err := alg.New(Params{Schema: s, Constraint: cons, Compact: doCompact})
+			if err != nil {
+				t.Fatalf("%s: %v", alg.Name, err)
+			}
+			if _, isIndex := a.(*RTreeAnonymizer); isIndex != (alg.Name == RTree) {
+				t.Fatalf("%s builds a %T", alg.Name, a)
+			}
+			cp := make([]attr.Record, len(recs))
+			copy(cp, recs)
+			ps, err := a.Anonymize(cp)
+			if err != nil {
+				t.Fatalf("%s: %v", a.Name(), err)
+			}
+			if err := anonmodel.CheckAnonymity(ps, cons); err != nil {
+				t.Fatalf("%s: %v", a.Name(), err)
+			}
+			if anonmodel.TotalRecords(ps) != 400 {
+				t.Fatalf("%s: lost records", a.Name())
+			}
+			if doCompact && strings.HasSuffix(a.Name(), "+compact") != alg.Compacts {
+				t.Fatalf("%s: Compacts %v, yet the compacted run reports as %q", alg.Name, alg.Compacts, a.Name())
+			}
+			names[a.Name()] = true
 		}
-		if err := anonmodel.CheckAnonymity(ps, cons); err != nil {
-			t.Fatalf("%s: %v", a.Name(), err)
-		}
-		if anonmodel.TotalRecords(ps) != 400 {
-			t.Fatalf("%s: lost records", a.Name())
-		}
-		if names[a.Name()] {
-			t.Fatalf("duplicate anonymizer name %q", a.Name())
-		}
-		names[a.Name()] = true
 	}
-	if !names["rtree"] || !names["mondrian"] || !names["mondrian-relaxed+compact"] ||
-		!names["sfc-z-order"] || !names["gridfile"] || !names["gridfile+compact"] ||
-		!names["quadtree"] {
-		t.Fatalf("unexpected names: %v", names)
+	for _, want := range []string{
+		"rtree", "mondrian", "mondrian+compact", "mondrian-relaxed", "mondrian-relaxed+compact",
+		"sfc-hilbert", "sfc-z-order", "gridfile", "gridfile+compact", "quadtree", "bptree[0]",
+	} {
+		if !names[want] {
+			t.Errorf("no anonymizer reports as %q: %v", want, names)
+		}
+		delete(names, want)
+	}
+	if len(names) != 0 {
+		t.Errorf("unexpected names: %v", names)
+	}
+	if _, err := New("kd-tree", Params{Schema: s, Constraint: cons}); err == nil || !strings.Contains(err.Error(), strings.Join(AlgorithmNames(), ", ")) {
+		t.Fatalf("unknown name: %v", err)
 	}
 }
 
 func TestQuadAnonymizer(t *testing.T) {
 	s := dataset.PatientsSchema()
 	cons := anonmodel.LDiversity{K: 6, L: 3}
-	q := &QuadAnonymizer{Schema: s, Constraint: cons, SplitAxes: []int{0, 2}}
+	quad := func(c anonmodel.Constraint, recs []attr.Record) ([]anonmodel.Partition, error) {
+		q, err := New("quad", Params{Schema: s, Constraint: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q.Anonymize(recs)
+	}
 	recs := dataset.GeneratePatients(1200, 77)
-	ps, err := q.Anonymize(recs)
+	ps, err := quad(cons, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +151,10 @@ func TestQuadAnonymizer(t *testing.T) {
 		t.Fatal("lost records")
 	}
 	// Degenerate inputs.
-	if _, err := (&QuadAnonymizer{Schema: s}).Anonymize(recs); err == nil {
+	if _, err := quad(nil, recs); err == nil {
 		t.Fatal("nil constraint accepted")
 	}
-	ps, err = (&QuadAnonymizer{Schema: s, Constraint: cons}).Anonymize(nil)
+	ps, err = quad(cons, nil)
 	if err != nil || ps != nil {
 		t.Fatalf("empty input: %v %v", ps, err)
 	}
@@ -161,7 +175,14 @@ func TestBPTreeAnonymizerFigure1(t *testing.T) {
 		{ID: 6, QI: []float64{56, 1, 52100}, Sensitive: "whiplash"},
 	}
 	cons := anonmodel.KAnonymity{K: 2}
-	bp := &BPTreeAnonymizer{Schema: s, Constraint: cons, Key: 0}
+	bptree := func(c anonmodel.Constraint, key int) Anonymizer {
+		bp, err := New(BPTree, Params{Schema: s, Constraint: c, Key: key})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bp
+	}
+	bp := bptree(cons, 0)
 	ps, err := bp.Anonymize(recs)
 	if err != nil {
 		t.Fatal(err)
@@ -199,14 +220,14 @@ func TestBPTreeAnonymizerFigure1(t *testing.T) {
 		}
 	}
 	// Degenerate inputs.
-	if _, err := (&BPTreeAnonymizer{Schema: s}).Anonymize(recs); err == nil {
+	if _, err := bptree(nil, 0).Anonymize(recs); err == nil {
 		t.Fatal("nil constraint accepted")
 	}
-	out, err := (&BPTreeAnonymizer{Schema: s, Constraint: cons}).Anonymize(nil)
+	out, err := bptree(cons, 0).Anonymize(nil)
 	if err != nil || out != nil {
 		t.Fatalf("empty input: %v %v", out, err)
 	}
-	if _, err := (&BPTreeAnonymizer{Schema: s, Constraint: cons, Key: 9}).Anonymize(recs); err == nil {
+	if _, err := bptree(cons, 9).Anonymize(recs); err == nil {
 		t.Fatal("bad key accepted")
 	}
 }
@@ -268,10 +289,13 @@ func TestQuickLeafScanProperties(t *testing.T) {
 // an input error, as it is for every index-based algorithm, not an
 // index-out-of-range panic.
 func TestSFCRaggedRecord(t *testing.T) {
-	for _, curve := range []sfc.Curve{sfc.ZOrder, sfc.Hilbert} {
+	for _, curve := range []string{"zorder", "hilbert"} {
 		recs := dataset.GeneratePatients(50, 3)
 		recs[7].QI = recs[7].QI[:1]
-		a := &SFCAnonymizer{Curve: curve, Constraint: anonmodel.KAnonymity{K: 5}}
+		a, err := New(curve, Params{Constraint: anonmodel.KAnonymity{K: 5}})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := a.Anonymize(recs); err == nil || !strings.Contains(err.Error(), "record 7 has 1 attributes") {
 			t.Fatalf("%s: ragged record: %v", a.Name(), err)
 		}
@@ -282,10 +306,11 @@ func TestSFCRaggedRecord(t *testing.T) {
 // missing one the way the index packages do.
 func TestNilSchemaIsAnError(t *testing.T) {
 	cons := anonmodel.KAnonymity{K: 5}
-	for _, a := range []Anonymizer{
-		&GridAnonymizer{Constraint: cons},
-		&MondrianAnonymizer{Constraint: cons},
-	} {
+	for _, name := range []string{"grid", Mondrian} {
+		a, err := New(name, Params{Constraint: cons})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := a.Anonymize(dataset.GeneratePatients(50, 3)); err == nil || !strings.Contains(err.Error(), "nil schema") {
 			t.Fatalf("%s: nil schema: %v", a.Name(), err)
 		}

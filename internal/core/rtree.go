@@ -123,7 +123,7 @@ func (a *RTreeAnonymizer) Name() string {
 	if a.cfg.BulkLoad != nil {
 		return "rtree-buffer"
 	}
-	return "rtree"
+	return RTree
 }
 
 // Tree exposes the underlying index (read-mostly: for queries, level

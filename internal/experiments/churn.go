@@ -1,7 +1,8 @@
 package experiments
 
 import (
-	"io"
+	"errors"
+	"fmt"
 
 	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
@@ -9,84 +10,91 @@ import (
 	"spatialanon/internal/quality"
 )
 
-// ExtChurn is an extension experiment beyond the paper's evaluation:
+// churnTarget is what a churn round mutates: the bare index (extChurn)
+// or the durable store around it (extChurnDurable).
+type churnTarget interface {
+	Insert(rec attr.Record) error
+	Delete(id int64, qi []float64) (bool, error)
+}
+
+// churn is the turnover both churn experiments apply: an initial
+// population, and rounds that each delete the oldest batch of live
+// records and insert a batch of fresh ones.
+type churn struct {
+	live   []attr.Record
+	fresh  *dataset.Stream
+	nextID int64
+}
+
+func (c Config) newChurn(rounds, batch int) *churn {
+	return &churn{
+		live:   dataset.GenerateLandsEnd(c.Records, c.Seed),
+		fresh:  dataset.LandsEndStream(rounds*batch, c.Seed+1),
+		nextID: 10_000_000,
+	}
+}
+
+// round applies one round to t and to the live set.
+func (c *churn) round(t churnTarget, batch int) error {
+	batch = min(batch, len(c.live))
+	for _, r := range c.live[:batch] {
+		found, err := t.Delete(r.ID, r.QI)
+		if err != nil {
+			return err
+		}
+		if !found {
+			return errors.New("experiments: delete of live record failed")
+		}
+	}
+	c.live = c.live[batch:]
+	incoming := c.fresh.NextBatch(batch)
+	for i := range incoming {
+		incoming[i].ID = c.nextID
+		c.nextID++
+		if err := t.Insert(incoming[i]); err != nil {
+			return err
+		}
+	}
+	c.live = append(c.live, incoming...)
+	return nil
+}
+
+// extChurn is an extension experiment beyond the paper's evaluation:
 // Section 2.2 argues the index supports "insertions, deletions and
 // updates", but Figures 7(b)/11 only exercise insert-only growth. This
-// experiment subjects the live index to sustained churn — every round
-// deletes a batch of old records and inserts a batch of new ones — and
-// tracks the published view's quality and validity. The question it
-// answers: does the anonymization *degrade* under turnover (MBRs only
-// ever grew under inserts; deletions must tighten them), or does
-// quality stay at bulk-build levels?
-
-// ExtChurnRow is one churn round's measurement.
-type ExtChurnRow struct {
-	Round      int
-	Live       int
-	Partitions int
-	Certainty  float64
-	// RebuildCertainty is the certainty of a fresh bulk build over the
-	// same live set — the "no-churn" reference.
-	RebuildCertainty float64
-}
-
-// ExtChurnResult is the whole experiment. Its K echoes the already
-// validated Config parameter for rendering; anonylint:k-validated
-// (Config.Validate rejects k < 2).
-type ExtChurnResult struct {
-	K    int
-	Rows []ExtChurnRow
-}
-
-// ExtChurn runs `rounds` churn rounds of `batch` deletes + `batch`
-// inserts over an initial population of cfg.Records.
-func ExtChurn(cfg Config, rounds, batch int) (*ExtChurnResult, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	const k = 10
+// experiment subjects the live index to sustained churn — eight rounds
+// that each delete Records/10 old records and insert as many new ones —
+// and tracks the published view's quality and validity against a fresh
+// bulk build over the same live set, the "no-churn" reference. The
+// question it answers: does the anonymization *degrade* under turnover
+// (MBRs only ever grew under inserts; deletions must tighten them), or
+// does quality stay at bulk-build levels?
+func extChurn(cfg Config, _ Args) (*Table, error) {
+	const k, rounds = 10, 8
+	batch := cfg.Records / 10
 	schema := dataset.LandsEndSchema()
 
 	rt, err := cfg.newRTree(false)
 	if err != nil {
 		return nil, err
 	}
-	initial := dataset.GenerateLandsEnd(cfg.Records, cfg.Seed)
-	if err := rt.Load(initial); err != nil {
+	ch := cfg.newChurn(rounds, batch)
+	if err := rt.Load(ch.live); err != nil {
 		return nil, err
 	}
-	live := append([]attr.Record(nil), initial...)
-	fresh := dataset.LandsEndStream(rounds*batch, cfg.Seed+1)
-	nextID := int64(10_000_000)
+	ch.live = append([]attr.Record(nil), ch.live...)
 
-	res := &ExtChurnResult{K: k}
+	res := &Table{
+		Title: fmt.Sprintf("Extension: quality under churn (delete+insert rounds, k=%d)", k),
+		Columns: []Column{
+			{"round", "%7d"}, {"live", "%8d"}, {"parts", "%10d"},
+			{"churned CM", "%12.1f"}, {"rebuilt CM", "%14.1f"}, {"ratio", "%7.2fx"},
+		},
+	}
 	for round := 1; round <= rounds; round++ {
-		// Delete the oldest batch...
-		if batch > len(live) {
-			batch = len(live)
+		if err := ch.round(rt, batch); err != nil {
+			return nil, err
 		}
-		for _, r := range live[:batch] {
-			found, err := rt.Delete(r.ID, r.QI)
-			if err != nil {
-				return nil, err
-			}
-			if !found {
-				return nil, errDeleteFailed(r.ID)
-			}
-		}
-		live = live[batch:]
-		// ...and insert a fresh one.
-		incoming := fresh.NextBatch(batch)
-		for i := range incoming {
-			incoming[i].ID = nextID
-			nextID++
-			if err := rt.Insert(incoming[i]); err != nil {
-				return nil, err
-			}
-		}
-		live = append(live, incoming...)
-
 		view, err := rt.Partitions(k)
 		if err != nil {
 			return nil, err
@@ -94,15 +102,14 @@ func ExtChurn(cfg Config, rounds, batch int) (*ExtChurnResult, error) {
 		if err := anonmodel.CheckAnonymity(view, anonmodel.KAnonymity{K: k}); err != nil {
 			return nil, err
 		}
-		domain := attr.DomainOf(schema.Dims(), live)
+		domain := attr.DomainOf(schema.Dims(), ch.live)
 
-		// No-churn reference: bulk-build the same live set.
 		ref, err := cfg.newRTree(false)
 		if err != nil {
 			return nil, err
 		}
-		cp := make([]attr.Record, len(live))
-		copy(cp, live)
+		cp := make([]attr.Record, len(ch.live))
+		copy(cp, ch.live)
 		if err := ref.Load(cp); err != nil {
 			return nil, err
 		}
@@ -110,31 +117,12 @@ func ExtChurn(cfg Config, rounds, batch int) (*ExtChurnResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, ExtChurnRow{
-			Round:            round,
-			Live:             len(live),
-			Partitions:       len(view),
-			Certainty:        quality.Certainty(schema, view, domain),
-			RebuildCertainty: quality.Certainty(schema, refView, domain),
-		})
+		churned, rebuilt := quality.Certainty(schema, view, domain), quality.Certainty(schema, refView, domain)
+		ratio := 0.0
+		if rebuilt > 0 {
+			ratio = churned / rebuilt
+		}
+		res.Rows = append(res.Rows, []any{round, len(ch.live), len(view), churned, rebuilt, ratio})
 	}
 	return res, nil
-}
-
-type errDeleteFailed int64
-
-func (e errDeleteFailed) Error() string { return "experiments: delete of live record failed" }
-
-// Print renders the experiment as a table.
-func (r *ExtChurnResult) Print(w io.Writer) {
-	fprintf(w, "Extension: quality under churn (delete+insert rounds, k=%d)\n", r.K)
-	fprintf(w, "%7s %8s %10s %12s %14s %8s\n", "round", "live", "parts", "churned CM", "rebuilt CM", "ratio")
-	for _, row := range r.Rows {
-		ratio := 0.0
-		if row.RebuildCertainty > 0 {
-			ratio = row.Certainty / row.RebuildCertainty
-		}
-		fprintf(w, "%7d %8d %10d %12.1f %14.1f %7.2fx\n",
-			row.Round, row.Live, row.Partitions, row.Certainty, row.RebuildCertainty, ratio)
-	}
 }

@@ -1,44 +1,52 @@
 package experiments
 
 import (
-	"io"
+	"fmt"
 
 	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
 	"spatialanon/internal/compact"
+	"spatialanon/internal/core"
 	"spatialanon/internal/dataset"
 	"spatialanon/internal/quality"
 )
 
+// threeSystems materializes the three systems Figures 10 and 12(a)/(b)
+// compare at k — the R⁺-tree's leaf scan, the top-down baseline, and
+// that baseline compacted — labelled as the registry reports them.
+func (c Config) threeSystems(rt *core.RTreeAnonymizer, recs []attr.Record, k int) ([]namedPartitions, error) {
+	rtPs, err := rt.Partitions(k)
+	if err != nil {
+		return nil, err
+	}
+	cp := make([]attr.Record, len(recs))
+	copy(cp, recs)
+	mdPs, err := c.mondrian(cp, k)
+	if err != nil {
+		return nil, err
+	}
+	return []namedPartitions{
+		{core.RTree, rtPs},
+		{core.Mondrian, mdPs},
+		{core.Mondrian + "+compact", compact.Partitions(mdPs, c.Workers)},
+	}, nil
+}
+
+type namedPartitions struct {
+	name string
+	ps   []anonmodel.Partition
+}
+
 // ---------------------------------------------------------------------------
-// Figure 10: anonymization quality across k for four systems.
+// Figure 10: anonymization quality across k for three systems.
 
-// Fig10Row is one (k, system) quality measurement. Its K echoes the
-// already validated Config parameter for rendering;
-// anonylint:k-validated (Config.Validate rejects k < 2).
-type Fig10Row struct {
-	K      int
-	System string
-	quality.Report
-}
-
-// Fig10Result is the whole figure — (a) discernibility, (b) certainty,
-// (c) KL divergence are columns of the same rows.
-type Fig10Result struct {
-	Records int
-	Rows    []Fig10Row
-}
-
-// Fig10 reproduces Figures 10(a)-(c): quality of the R⁺-tree
+// fig10 reproduces Figures 10(a)-(c) — discernibility, certainty and KL
+// divergence are columns of the same rows: quality of the R⁺-tree
 // anonymization vs the top-down approach, uncompacted and compacted, at
 // every k. The paper's headline shapes: the R⁺-tree wins on all three
 // metrics; compaction leaves the top-down DM exactly unchanged while
 // closing most of the CM/KL gap.
-func Fig10(cfg Config) (*Fig10Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func fig10(cfg Config, _ Args) (*Table, error) {
 	recs := cfg.landsEnd()
 	schema := dataset.LandsEndSchema()
 	domain := attr.DomainOf(schema.Dims(), recs)
@@ -51,75 +59,34 @@ func Fig10(cfg Config) (*Fig10Result, error) {
 		return nil, err
 	}
 
-	res := &Fig10Result{Records: len(recs)}
+	res := &Table{
+		Title: fmt.Sprintf("Figure 10: anonymization quality, %d Lands End-like records", len(recs)),
+		Columns: []Column{
+			{"k", "%6d"}, {"system", "%-18s"}, {"DM", "%16.0f"}, {"CM", "%12.1f"}, {"KL", "%10.4f"}, {"parts", "%8d"},
+		},
+	}
 	for _, k := range cfg.Ks {
-		rtPs, err := rt.Partitions(k)
+		systems, err := cfg.threeSystems(rt, recs, k)
 		if err != nil {
 			return nil, err
 		}
-		cp := make([]attr.Record, len(recs))
-		copy(cp, recs)
-		mdPs, err := cfg.mondrian(k).Anonymize(cp)
-		if err != nil {
-			return nil, err
-		}
-		mdC := compact.Partitions(mdPs, cfg.Workers)
-		for _, sys := range []struct {
-			name string
-			ps   []anonmodel.Partition
-		}{
-			{"rtree", rtPs},
-			{"mondrian", mdPs},
-			{"mondrian+compact", mdC},
-		} {
-			res.Rows = append(res.Rows, Fig10Row{
-				K:      k,
-				System: sys.name,
-				Report: quality.Measure(schema, sys.ps, domain, cfg.Workers),
-			})
+		for _, sys := range systems {
+			rep := quality.Measure(schema, sys.ps, domain, cfg.Workers)
+			res.Rows = append(res.Rows, []any{k, sys.name, rep.Discernibility, rep.Certainty, rep.KLDivergence, rep.Partitions})
 		}
 	}
 	return res, nil
 }
 
-// Print renders the figure as a table.
-func (r *Fig10Result) Print(w io.Writer) {
-	fprintf(w, "Figure 10: anonymization quality, %d Lands End-like records\n", r.Records)
-	fprintf(w, "%6s %-18s %16s %12s %10s %8s\n", "k", "system", "DM", "CM", "KL", "parts")
-	for _, row := range r.Rows {
-		fprintf(w, "%6d %-18s %16.0f %12.1f %10.4f %8d\n",
-			row.K, row.System, row.Discernibility, row.Certainty, row.KLDivergence, row.Partitions)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Figure 11: incremental vs re-anonymized quality across batches (k=10).
 
-// Fig11Row is one batch's quality comparison.
-type Fig11Row struct {
-	Batch        int
-	TotalRecords int
-	Incremental  quality.Report // R⁺-tree maintained incrementally
-	Reanonymized quality.Report // Mondrian re-run on the whole prefix
-}
-
-// Fig11Result is the whole figure. Its K echoes the already validated
-// Config parameter for rendering; anonylint:k-validated
-// (Config.Validate rejects k < 2).
-type Fig11Result struct {
-	K    int
-	Rows []Fig11Row
-}
-
-// Fig11 reproduces Figure 11: after each incremental batch insert the
-// R⁺-tree's published quality is compared to re-anonymizing the prefix
-// with the top-down algorithm. The paper's claim: "anonymized data
-// quality does not suffer from incremental anonymization".
-func Fig11(cfg Config) (*Fig11Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// fig11 reproduces Figure 11: after each incremental batch insert the
+// R⁺-tree's published quality ("inc") is compared to re-anonymizing the
+// prefix with the top-down algorithm ("re"). The paper's claim:
+// "anonymized data quality does not suffer from incremental
+// anonymization".
+func fig11(cfg Config, _ Args) (*Table, error) {
 	const k = 10
 	schema := dataset.LandsEndSchema()
 	recs := dataset.GenerateLandsEnd(cfg.BatchSize*cfg.Batches, cfg.Seed)
@@ -128,7 +95,14 @@ func Fig11(cfg Config) (*Fig11Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig11Result{K: k}
+	res := &Table{
+		Title: fmt.Sprintf("Figure 11: incremental (R+-tree) vs re-anonymized (top-down) quality, k=%d", k),
+		Columns: []Column{
+			{"batch", "%6d"}, {"records", "%9d"},
+			{"inc DM", "| %14.0f"}, {"inc CM", "%10.1f"}, {"inc KL", "%8.4f"},
+			{"re DM", "| %14.0f"}, {"re CM", "%10.1f"}, {"re KL", "%8.4f"},
+		},
+	}
 	for b := 0; b < cfg.Batches; b++ {
 		if err := rt.Load(recs[b*cfg.BatchSize : (b+1)*cfg.BatchSize]); err != nil {
 			return nil, err
@@ -143,29 +117,17 @@ func Fig11(cfg Config) (*Fig11Result, error) {
 		}
 		cp := make([]attr.Record, n)
 		copy(cp, prefix)
-		mdPs, err := cfg.mondrian(k).Anonymize(cp)
+		mdPs, err := cfg.mondrian(cp, k)
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, Fig11Row{
-			Batch:        b + 1,
-			TotalRecords: n,
-			Incremental:  quality.Measure(schema, rtPs, domain, cfg.Workers),
-			Reanonymized: quality.Measure(schema, mdPs, domain, cfg.Workers),
+		inc := quality.Measure(schema, rtPs, domain, cfg.Workers)
+		re := quality.Measure(schema, mdPs, domain, cfg.Workers)
+		res.Rows = append(res.Rows, []any{
+			b + 1, n,
+			inc.Discernibility, inc.Certainty, inc.KLDivergence,
+			re.Discernibility, re.Certainty, re.KLDivergence,
 		})
 	}
 	return res, nil
-}
-
-// Print renders the figure as a table.
-func (r *Fig11Result) Print(w io.Writer) {
-	fprintf(w, "Figure 11: incremental (R+-tree) vs re-anonymized (top-down) quality, k=%d\n", r.K)
-	fprintf(w, "%6s %9s | %14s %10s %8s | %14s %10s %8s\n",
-		"batch", "records", "inc DM", "inc CM", "inc KL", "re DM", "re CM", "re KL")
-	for _, row := range r.Rows {
-		fprintf(w, "%6d %9d | %14.0f %10.1f %8.4f | %14.0f %10.1f %8.4f\n",
-			row.Batch, row.TotalRecords,
-			row.Incremental.Discernibility, row.Incremental.Certainty, row.Incremental.KLDivergence,
-			row.Reanonymized.Discernibility, row.Reanonymized.Certainty, row.Reanonymized.KLDivergence)
-	}
 }

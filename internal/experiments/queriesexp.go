@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"io"
+	"fmt"
 
-	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
-	"spatialanon/internal/compact"
 	"spatialanon/internal/core"
 	"spatialanon/internal/dataset"
 	"spatialanon/internal/query"
@@ -15,33 +13,19 @@ import (
 // selectivityBounds are the bucket edges shared by Figures 12(b)/(d).
 var selectivityBounds = []float64{0.001, 0.01, 0.05, 0.25}
 
+// bucketLabel renders a selectivity bucket as the half-open range the
+// Figure 12(b)/(d) x-axis shows.
+func bucketLabel(b query.SelectivityBucket) string {
+	return fmt.Sprintf("[%4.3f,%4.3f)", b.Lo, b.Hi)
+}
+
 // ---------------------------------------------------------------------------
 // Figure 12(a): mean query error vs k; 12(b): vs selectivity.
 
-// Fig12aRow is one (k, system) error measurement. Its K echoes the
-// already validated Config parameter for rendering;
-// anonylint:k-validated (Config.Validate rejects k < 2).
-type Fig12aRow struct {
-	K      int
-	System string
-	Mean   float64
-}
-
-// Fig12aResult is the whole figure.
-type Fig12aResult struct {
-	Records int
-	Queries int
-	Rows    []Fig12aRow
-}
-
-// Fig12a reproduces Figure 12(a): 1000 random 8-dimensional COUNT range
+// fig12a reproduces Figure 12(a): 1000 random 8-dimensional COUNT range
 // queries (bounds drawn from two random records each) evaluated on
 // R⁺-tree-anonymized, Mondrian-uncompacted and Mondrian-compacted data.
-func Fig12a(cfg Config) (*Fig12aResult, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func fig12a(cfg Config, _ Args) (*Table, error) {
 	recs := cfg.landsEnd()
 	queries := query.FullRangeWorkload(recs, cfg.Queries, cfg.Seed+100)
 
@@ -53,7 +37,10 @@ func Fig12a(cfg Config) (*Fig12aResult, error) {
 		return nil, err
 	}
 
-	res := &Fig12aResult{Records: len(recs), Queries: len(queries)}
+	res := &Table{
+		Title:   fmt.Sprintf("Figure 12(a): mean normalized COUNT error, %d queries on %d records", len(queries), len(recs)),
+		Columns: []Column{{"k", "%6d"}, {"system", "%-18s"}, {"mean error", "%12.4f"}},
+	}
 	for _, k := range cfg.Ks {
 		systems, err := cfg.threeSystems(rt, recs, k)
 		if err != nil {
@@ -64,69 +51,17 @@ func Fig12a(cfg Config) (*Fig12aResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			res.Rows = append(res.Rows, Fig12aRow{K: k, System: sys.name, Mean: query.MeanError(results)})
+			res.Rows = append(res.Rows, []any{k, sys.name, query.MeanError(results)})
 		}
 	}
 	return res, nil
 }
 
-// threeSystems materializes the three Figure 12(a) systems at k.
-func (c Config) threeSystems(rt *core.RTreeAnonymizer, recs []attr.Record, k int) ([]namedPartitions, error) {
-	rtPs, err := rt.Partitions(k)
-	if err != nil {
-		return nil, err
-	}
-	cp := make([]attr.Record, len(recs))
-	copy(cp, recs)
-	mdPs, err := c.mondrian(k).Anonymize(cp)
-	if err != nil {
-		return nil, err
-	}
-	return []namedPartitions{
-		{"rtree", rtPs},
-		{"mondrian", mdPs},
-		{"mondrian+compact", compact.Partitions(mdPs, c.Workers)},
-	}, nil
-}
-
-type namedPartitions struct {
-	name string
-	ps   []anonmodel.Partition
-}
-
-// Print renders the figure as a table.
-func (r *Fig12aResult) Print(w io.Writer) {
-	fprintf(w, "Figure 12(a): mean normalized COUNT error, %d queries on %d records\n", r.Queries, r.Records)
-	fprintf(w, "%6s %-18s %12s\n", "k", "system", "mean error")
-	for _, row := range r.Rows {
-		fprintf(w, "%6d %-18s %12.4f\n", row.K, row.System, row.Mean)
-	}
-}
-
-// Fig12bRow is one (system, selectivity bucket) error measurement.
-type Fig12bRow struct {
-	System  string
-	Bucket  query.SelectivityBucket
-	Queries int
-}
-
-// Fig12bResult is the whole figure. Its K echoes the already validated
-// Config parameter for rendering; anonylint:k-validated
-// (Config.Validate rejects k < 2).
-type Fig12bResult struct {
-	K    int
-	Rows []Fig12bRow
-}
-
-// Fig12b reproduces Figure 12(b): the same workload bucketed by query
+// fig12b reproduces Figure 12(b): the same workload bucketed by query
 // selectivity (original result cardinality / table size) at a fixed k.
 // The paper's shape: errors — and the benefit of compaction — shrink as
 // selectivity grows.
-func Fig12b(cfg Config) (*Fig12bResult, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func fig12b(cfg Config, _ Args) (*Table, error) {
 	const k = 10
 	recs := cfg.landsEnd()
 	queries := query.FullRangeWorkload(recs, cfg.Queries, cfg.Seed+200)
@@ -142,194 +77,118 @@ func Fig12b(cfg Config) (*Fig12bResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig12bResult{K: k}
+	res := &Table{
+		Title:   fmt.Sprintf("Figure 12(b): mean error vs query selectivity (k=%d)", k),
+		Columns: []Column{{"system", "%-18s"}, {"selectivity", "%12s"}, {"queries", "%8d"}, {"mean error", "%12.4f"}},
+	}
 	for _, sys := range systems {
 		results, err := query.Evaluate(sys.ps, recs, queries, cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
 		for _, b := range query.BySelectivity(results, len(recs), selectivityBounds) {
-			res.Rows = append(res.Rows, Fig12bRow{System: sys.name, Bucket: b, Queries: b.Queries})
+			res.Rows = append(res.Rows, []any{sys.name, bucketLabel(b), b.Queries, b.Mean})
 		}
 	}
 	return res, nil
-}
-
-// Print renders the figure as a table.
-func (r *Fig12bResult) Print(w io.Writer) {
-	fprintf(w, "Figure 12(b): mean error vs query selectivity (k=%d)\n", r.K)
-	fprintf(w, "%-18s %12s %8s %12s\n", "system", "selectivity", "queries", "mean error")
-	for _, row := range r.Rows {
-		fprintf(w, "%-18s [%4.3f,%4.3f) %8d %12.4f\n",
-			row.System, row.Bucket.Lo, row.Bucket.Hi, row.Queries, row.Bucket.Mean)
-	}
 }
 
 // ---------------------------------------------------------------------------
 // Figure 12(c)/(d): workload-biased splitting on the Zipcode attribute.
 
-// Fig12cRow is one (k, system) error measurement under the Zipcode
-// workload. Its K echoes the already validated Config parameter for
-// rendering; anonylint:k-validated (Config.Validate rejects k < 2).
-type Fig12cRow struct {
-	K        int
-	Biased   float64
-	Unbiased float64
-	Gain     float64 // unbiased/biased
-}
-
-// Fig12cResult is the whole figure.
-type Fig12cResult struct {
-	Queries int
-	Rows    []Fig12cRow
-}
-
-// Fig12c reproduces Figure 12(c): a workload of single-attribute range
-// queries on Zipcode evaluated against an R⁺-tree whose splitting is
-// biased to Zipcode ("selects the Zipcode attribute as the splitting
-// attribute for every split") vs the unbiased R⁺-tree.
-func Fig12c(cfg Config) (*Fig12cResult, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	recs := cfg.landsEnd()
+// zipcodeTrees sets up Figures 12(c)/(d): the Lands End-like table, a
+// workload of single-attribute range queries on Zipcode, and two
+// R⁺-trees over the table — the first with its splitting biased to
+// Zipcode ("selects the Zipcode attribute as the splitting attribute
+// for every split"), the second unbiased, which 12(c) bulk-loads and
+// 12(d) loads tuple by tuple like the biased one.
+func (c Config) zipcodeTrees(workloadSeed int64, bulk bool) ([]attr.Record, []attr.Box, [2]*core.RTreeAnonymizer, error) {
+	recs := c.landsEnd()
 	schema := dataset.LandsEndSchema()
 	zip := schema.AttrIndex("zipcode")
-	domain := attr.DomainOf(schema.Dims(), recs)
-	queries := query.SingleAttrWorkload(recs, zip, cfg.Queries, cfg.Seed+300, domain)
+	queries := query.SingleAttrWorkload(recs, zip, c.Queries, workloadSeed, attr.DomainOf(schema.Dims(), recs))
 
-	unbiased, err := cfg.newRTree(true)
-	if err != nil {
-		return nil, err
-	}
-	if err := unbiased.Load(recs); err != nil {
-		return nil, err
-	}
-	biased, err := core.NewRTreeAnonymizer(core.RTreeConfig{
+	var trees [2]*core.RTreeAnonymizer
+	var err error
+	trees[0], err = core.NewRTreeAnonymizer(core.RTreeConfig{
 		Schema: schema,
-		BaseK:  cfg.BaseK,
+		BaseK:  c.BaseK,
 		Split:  rplustree.BiasedPolicy{Axes: []int{zip}},
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, trees, err
 	}
-	if err := biased.Load(recs); err != nil {
-		return nil, err
+	if trees[1], err = c.newRTree(bulk); err != nil {
+		return nil, nil, trees, err
 	}
+	for _, rt := range trees {
+		if err := rt.Load(recs); err != nil {
+			return nil, nil, trees, err
+		}
+	}
+	return recs, queries, trees, nil
+}
 
-	res := &Fig12cResult{Queries: len(queries)}
+// fig12c reproduces Figure 12(c): the Zipcode workload's error against
+// the biased and the unbiased R⁺-tree at every k.
+func fig12c(cfg Config, _ Args) (*Table, error) {
+	recs, queries, trees, err := cfg.zipcodeTrees(cfg.Seed+300, true)
+	if err != nil {
+		return nil, err
+	}
+	res := &Table{
+		Title:   fmt.Sprintf("Figure 12(c): Zipcode workload error, biased vs unbiased R+-tree (%d queries)", len(queries)),
+		Columns: []Column{{"k", "%6d"}, {"biased", "%12.4f"}, {"unbiased", "%12.4f"}, {"gain", "%7.1fx"}},
+	}
 	for _, k := range cfg.Ks {
-		bPs, err := biased.Partitions(k)
-		if err != nil {
-			return nil, err
+		var means [2]float64 // biased, unbiased
+		for i, rt := range trees {
+			ps, err := rt.Partitions(k)
+			if err != nil {
+				return nil, err
+			}
+			results, err := query.Evaluate(ps, recs, queries, cfg.Workers)
+			if err != nil {
+				return nil, err
+			}
+			means[i] = query.MeanError(results)
 		}
-		uPs, err := unbiased.Partitions(k)
-		if err != nil {
-			return nil, err
+		gain := 0.0
+		if means[0] > 0 {
+			gain = means[1] / means[0]
 		}
-		bRes, err := query.Evaluate(bPs, recs, queries, cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
-		uRes, err := query.Evaluate(uPs, recs, queries, cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
-		row := Fig12cRow{K: k, Biased: query.MeanError(bRes), Unbiased: query.MeanError(uRes)}
-		if row.Biased > 0 {
-			row.Gain = row.Unbiased / row.Biased
-		}
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, []any{k, means[0], means[1], gain})
 	}
 	return res, nil
 }
 
-// Print renders the figure as a table.
-func (r *Fig12cResult) Print(w io.Writer) {
-	fprintf(w, "Figure 12(c): Zipcode workload error, biased vs unbiased R+-tree (%d queries)\n", r.Queries)
-	fprintf(w, "%6s %12s %12s %8s\n", "k", "biased", "unbiased", "gain")
-	for _, row := range r.Rows {
-		fprintf(w, "%6d %12.4f %12.4f %7.1fx\n", row.K, row.Biased, row.Unbiased, row.Gain)
-	}
-}
-
-// Fig12dRow is one selectivity bucket's biased/unbiased comparison.
-type Fig12dRow struct {
-	Bucket   query.SelectivityBucket
-	Biased   float64
-	Unbiased float64
-}
-
-// Fig12dResult is the whole figure. Its K echoes the already validated
-// Config parameter for rendering; anonylint:k-validated
-// (Config.Validate rejects k < 2).
-type Fig12dResult struct {
-	K    int
-	Rows []Fig12dRow
-}
-
-// Fig12d reproduces Figure 12(d): the Zipcode workload bucketed by
+// fig12d reproduces Figure 12(d): the Zipcode workload bucketed by
 // selectivity at fixed k; the biased tree's advantage diminishes as
 // selectivity grows.
-func Fig12d(cfg Config) (*Fig12dResult, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+func fig12d(cfg Config, _ Args) (*Table, error) {
+	const k = 10
+	recs, queries, trees, err := cfg.zipcodeTrees(cfg.Seed+400, false)
+	if err != nil {
 		return nil, err
 	}
-	const k = 10
-	recs := cfg.landsEnd()
-	schema := dataset.LandsEndSchema()
-	zip := schema.AttrIndex("zipcode")
-	domain := attr.DomainOf(schema.Dims(), recs)
-	queries := query.SingleAttrWorkload(recs, zip, cfg.Queries, cfg.Seed+400, domain)
-
-	mk := func(split rplustree.SplitPolicy) ([]anonmodel.Partition, error) {
-		rt, err := core.NewRTreeAnonymizer(core.RTreeConfig{
-			Schema: schema, BaseK: cfg.BaseK, Split: split,
-		})
+	var buckets [2][]query.SelectivityBucket // biased, unbiased
+	for i, rt := range trees {
+		ps, err := rt.Partitions(k)
 		if err != nil {
 			return nil, err
 		}
-		if err := rt.Load(recs); err != nil {
+		results, err := query.Evaluate(ps, recs, queries, cfg.Workers)
+		if err != nil {
 			return nil, err
 		}
-		return rt.Partitions(k)
+		buckets[i] = query.BySelectivity(results, len(recs), selectivityBounds)
 	}
-	bPs, err := mk(rplustree.BiasedPolicy{Axes: []int{zip}})
-	if err != nil {
-		return nil, err
+	res := &Table{
+		Title:   fmt.Sprintf("Figure 12(d): Zipcode workload error vs selectivity (k=%d)", k),
+		Columns: []Column{{"selectivity", "%12s"}, {"biased", "%12.4f"}, {"unbiased", "%12.4f"}},
 	}
-	uPs, err := mk(nil)
-	if err != nil {
-		return nil, err
-	}
-	bRes, err := query.Evaluate(bPs, recs, queries, cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	uRes, err := query.Evaluate(uPs, recs, queries, cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	bBuckets := query.BySelectivity(bRes, len(recs), selectivityBounds)
-	uBuckets := query.BySelectivity(uRes, len(recs), selectivityBounds)
-	res := &Fig12dResult{K: k}
-	for i := range bBuckets {
-		res.Rows = append(res.Rows, Fig12dRow{
-			Bucket:   bBuckets[i],
-			Biased:   bBuckets[i].Mean,
-			Unbiased: uBuckets[i].Mean,
-		})
+	for i, b := range buckets[0] {
+		res.Rows = append(res.Rows, []any{bucketLabel(b), b.Mean, buckets[1][i].Mean})
 	}
 	return res, nil
-}
-
-// Print renders the figure as a table.
-func (r *Fig12dResult) Print(w io.Writer) {
-	fprintf(w, "Figure 12(d): Zipcode workload error vs selectivity (k=%d)\n", r.K)
-	fprintf(w, "%12s %12s %12s\n", "selectivity", "biased", "unbiased")
-	for _, row := range r.Rows {
-		fprintf(w, "[%4.3f,%4.3f) %12.4f %12.4f\n", row.Bucket.Lo, row.Bucket.Hi, row.Biased, row.Unbiased)
-	}
 }

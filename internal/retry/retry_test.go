@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 )
 
 // transientErr and permanentErr exercise the structural Transient()
@@ -54,68 +53,6 @@ func TestDo(t *testing.T) {
 				t.Errorf("err = %v, wantErr %v", err, tc.wantErr)
 			}
 		})
-	}
-}
-
-func TestBackoffDeterministic(t *testing.T) {
-	run := func() []time.Duration {
-		var delays []time.Duration
-		p := Policy{
-			Attempts:  5,
-			BaseDelay: 10 * time.Millisecond,
-			MaxDelay:  40 * time.Millisecond,
-			Seed:      42,
-			Sleep:     func(d time.Duration) { delays = append(delays, d) },
-		}
-		p.Do(func() error { return transientErr{} })
-		return delays
-	}
-	a, b := run(), run()
-	if len(a) != 4 {
-		t.Fatalf("expected 4 backoffs for 5 attempts, got %d", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("backoff %d differs across identical runs: %v vs %v", i, a[i], b[i])
-		}
-	}
-	// Exponential-with-cap shape: each delay in [half, full] of the
-	// doubling schedule 10ms, 20ms, 40ms, 40ms (capped).
-	sched := []time.Duration{10, 20, 40, 40}
-	for i, d := range a {
-		base := sched[i] * time.Millisecond
-		if d < base/2 || d > base {
-			t.Errorf("backoff %d = %v outside [%v, %v]", i, d, base/2, base)
-		}
-	}
-}
-
-func TestBackoffSeedsDiverge(t *testing.T) {
-	delays := func(seed int64) []time.Duration {
-		var out []time.Duration
-		p := Policy{Attempts: 6, BaseDelay: time.Second, Seed: seed,
-			Sleep: func(d time.Duration) { out = append(out, d) }}
-		p.Do(func() error { return transientErr{} })
-		return out
-	}
-	a, b := delays(1), delays(2)
-	same := true
-	for i := range a {
-		same = same && a[i] == b[i]
-	}
-	if same {
-		t.Fatal("distinct seeds produced identical jitter streams")
-	}
-}
-
-func TestNilSleepComputesNoDelay(t *testing.T) {
-	// With no Sleep hook the policy must not stall; just assert it
-	// terminates and retries the full budget.
-	calls := 0
-	p := Policy{Attempts: 3, BaseDelay: time.Hour}
-	err := p.Do(func() error { calls++; return transientErr{} })
-	if calls != 3 || err == nil {
-		t.Fatalf("calls=%d err=%v", calls, err)
 	}
 }
 

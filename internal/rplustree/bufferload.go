@@ -55,6 +55,11 @@ import (
 // and propagating the error.
 const transientRetries = 4
 
+// bufferPages is the per-node buffer threshold in pages: a node's
+// buffer is emptied once it exceeds this many pages of records. The
+// paper's running example uses two pages.
+const bufferPages = 2
+
 // BulkLoadConfig parameterizes a BulkLoader.
 type BulkLoadConfig struct {
 	// PageSize in bytes. Default 4096.
@@ -62,10 +67,6 @@ type BulkLoadConfig struct {
 	// MemoryBytes is the memory allotted to the load — the paper's
 	// 256 MB budget in Section 5.1/5.2. Default 256 MiB.
 	MemoryBytes int
-	// BufferPages is the per-node buffer threshold in pages; a node's
-	// buffer is emptied once it exceeds this many pages of records. The
-	// paper's running example uses two pages. Default 2.
-	BufferPages int
 	// RecordBytes is the on-disk record size (32 for the Lands End
 	// layout, 36 for the synthetic one). Default 4 x dims.
 	RecordBytes int
@@ -81,9 +82,6 @@ func (c BulkLoadConfig) withDefaults(dims int) BulkLoadConfig {
 	}
 	if c.MemoryBytes == 0 {
 		c.MemoryBytes = 256 << 20
-	}
-	if c.BufferPages == 0 {
-		c.BufferPages = 2
 	}
 	if c.RecordBytes == 0 {
 		c.RecordBytes = 4 * dims
@@ -152,7 +150,7 @@ func NewBulkLoader(t *Tree, cfg BulkLoadConfig) (*BulkLoader, error) {
 		recsPerPage: cfg.PageSize / cfg.RecordBytes,
 		nodePages:   make(map[*node]pager.PageID),
 	}
-	bl.bufferCap = cfg.BufferPages * bl.recsPerPage
+	bl.bufferCap = bufferPages * bl.recsPerPage
 	t.loader = bl
 	return bl, nil
 }
@@ -183,9 +181,6 @@ func (bl *BulkLoader) Close() error {
 // retry runs op under the repository-wide bounded-retry policy
 // (internal/retry): transient storage faults are retried up to
 // transientRetries total tries, anything else returns immediately.
-// The loader works against simulated storage, so no backoff delay is
-// configured — a transient fault clears on the next call by
-// construction.
 func (bl *BulkLoader) retry(op func() error) error {
 	return retry.Policy{Attempts: transientRetries}.Do(op)
 }

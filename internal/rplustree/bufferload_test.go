@@ -24,7 +24,7 @@ func newLoader(t *testing.T, k int, cfg BulkLoadConfig) (*Tree, *BulkLoader) {
 
 // smallMem is a tight but workable memory budget for tests: 64 pages of
 // 256 bytes.
-var smallMem = BulkLoadConfig{PageSize: 256, MemoryBytes: 64 * 256, BufferPages: 2, RecordBytes: 16}
+var smallMem = BulkLoadConfig{PageSize: 256, MemoryBytes: 64 * 256, RecordBytes: 16}
 
 func TestBulkLoadMatchesTupleLoad(t *testing.T) {
 	recs := dataset.GeneratePatients(2000, 20)
@@ -120,7 +120,7 @@ func TestBulkLoadChargesIO(t *testing.T) {
 			t.Fatal(err)
 		}
 		bl, err := NewBulkLoader(tr, BulkLoadConfig{
-			PageSize: 256, MemoryBytes: memBytes, BufferPages: 2, RecordBytes: 16,
+			PageSize: 256, MemoryBytes: memBytes, RecordBytes: 16,
 		})
 		if err != nil {
 			t.Fatal(err)

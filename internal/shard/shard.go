@@ -75,8 +75,7 @@ type Options struct {
 	CheckpointEvery int
 	NoSync          bool
 	// StoreRetry bounds each store's log-writer retries (wal.Options
-	// .Retry), its jitter re-seeded per shard so writers never share a
-	// backoff stream. The writer is the only layer that retries: a
+	// .Retry). The writer is the only layer that retries: a
 	// transient fault it cannot absorb, like every overload and
 	// deadline rejection, surfaces to the caller — shedding is
 	// backpressure, and hiding it inside the coordinator would un-bound
@@ -215,7 +214,7 @@ func (c *Coordinator) buildShard(id int, rng verify.KeyRange, preload []wal.Op, 
 		Tree:            c.opts.Tree,
 		CheckpointEvery: c.opts.CheckpointEvery,
 		NoSync:          c.opts.NoSync,
-		Retry:           c.opts.StoreRetry.Derive(id),
+		Retry:           c.opts.StoreRetry,
 	}
 	if c.opts.Faults != nil {
 		c.opts.Faults(id, &wopts)

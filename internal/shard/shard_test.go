@@ -493,7 +493,7 @@ func TestTransientFaultChainSurvivesBoundary(t *testing.T) {
 // the writers did the work.
 func TestCoordinatorRetryAbsorbsTransients(t *testing.T) {
 	opts := testOptions(t, 2)
-	opts.StoreRetry = retry.Policy{Attempts: 6, Seed: 9}
+	opts.StoreRetry = retry.Policy{Attempts: 6}
 	opts.Faults = func(shard int, o *wal.Options) {
 		o.AppendFault = fault.NewFlaky(int64(13+shard), fault.FlakyConfig{TransientSyncRate: 1, After: 2, MaxFaults: 2})
 	}

@@ -126,7 +126,7 @@ func TestChaosShardedLoadersReplay(t *testing.T) {
 			return shardOutcome{}
 		}
 		bl, err := rplustree.NewBulkLoader(tr, rplustree.BulkLoadConfig{
-			PageSize: 128, MemoryBytes: 128 * 16, BufferPages: 2, RecordBytes: 16,
+			PageSize: 128, MemoryBytes: 128 * 16, RecordBytes: 16,
 			Fault: inj,
 		})
 		if err != nil {

@@ -59,7 +59,7 @@ func runSchedule(t *testing.T, seed int64, incremental bool) int {
 	}
 	inj := fault.NewInjector(seed, chaosProfile(seed))
 	bl, err := rplustree.NewBulkLoader(tr, rplustree.BulkLoadConfig{
-		PageSize: 128, MemoryBytes: 128 * 16, BufferPages: 2, RecordBytes: 16,
+		PageSize: 128, MemoryBytes: 128 * 16, RecordBytes: 16,
 		Fault: inj,
 	})
 	if err != nil {
@@ -191,7 +191,7 @@ func TestChaosScrubRecoversBitRot(t *testing.T) {
 		t.Fatal(err)
 	}
 	bl, err := rplustree.NewBulkLoader(tr, rplustree.BulkLoadConfig{
-		PageSize: 128, MemoryBytes: 128 * 16, BufferPages: 2, RecordBytes: 16,
+		PageSize: 128, MemoryBytes: 128 * 16, RecordBytes: 16,
 	})
 	if err != nil {
 		t.Fatal(err)

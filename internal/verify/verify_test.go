@@ -8,6 +8,7 @@ import (
 	"spatialanon/internal/attr"
 	"spatialanon/internal/core"
 	"spatialanon/internal/dataset"
+	"spatialanon/internal/mondrian"
 	"spatialanon/internal/routing"
 	"spatialanon/internal/rplustree"
 	"spatialanon/internal/sfc"
@@ -121,7 +122,7 @@ func TestReleasesKBoundness(t *testing.T) {
 	leafScan := family(rt.MultiGranular([]int{5, 10, 25}))
 	shuffled := append([]attr.Record(nil), recs...)
 	dataset.Shuffle(shuffled, 99)
-	independent, err := (&core.MondrianAnonymizer{Schema: dataset.PatientsSchema(), Constraint: anonmodel.KAnonymity{K: 20}}).Anonymize(shuffled)
+	independent, err := mondrian.Anonymize(dataset.PatientsSchema(), shuffled, mondrian.Options{Constraint: anonmodel.KAnonymity{K: 20}})
 	if err != nil {
 		t.Fatal(err)
 	}
