@@ -24,7 +24,7 @@ loc:
 # is the total of the last PR that moved it. A PR that adds net
 # non-test lines must raise the number here, in its own diff, where a
 # reviewer sees it; a PR that removes lines lowers it to its new total.
-LOC_CEILING = 19739
+LOC_CEILING = 19285
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \
@@ -43,10 +43,9 @@ ckpt-volume:
 	$(GO) test ./internal/wal -run 'TestIncrementalCheckpointWriteVolume|TestPageFileStaysBounded|TestLeafDeltaWriteVolume|TestCheckpointVolumeLongRun' -v
 
 # `make vet` is the whole static gate: the stock go vet suite plus
-# anonylint, the project's multichecker (internal/lint) — pager
-# confinement, determinism, panic policy, k-parameter validation,
-# publish-freeze immutability, zero-alloc enforcement and error
-# taxonomy (wrapping) hygiene.
+# anonylint, the project's multichecker — the rule table of
+# internal/lint over the module loaded as one program
+# (`go run ./cmd/anonylint -list` prints the rules and their scopes).
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/anonylint ./...

@@ -47,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("anonykit", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		dsName  = fs.String("dataset", "patients", "schema/generator: patients, landsend or agrawal")
+		dsName  = fs.String("dataset", "patients", "schema/generator: "+dataset.Names())
 		n       = fs.Int("n", 1000, "records to generate when -in is not given")
 		seed    = fs.Int64("seed", 1, "generator seed")
 		inPath  = fs.String("in", "", "input CSV (columns must match the -dataset schema)")
@@ -68,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	schema, gen, err := schemaFor(*dsName)
+	schema, stream, err := dataset.Lookup(*dsName)
 	if err != nil {
 		return err
 	}
@@ -91,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	} else {
-		recs = gen(*n, *seed)
+		recs = dataset.Collect(stream(*n, *seed))
 	}
 	if len(recs) == 0 {
 		return fmt.Errorf("no input records")
@@ -257,19 +257,6 @@ func multiGranular(rt *core.RTreeAnonymizer, schema *attr.Schema, recs []attr.Re
 		fmt.Fprintf(stderr, "collusion check over %d releases: safe at k=%d\n", len(releases), base)
 	}
 	return nil
-}
-
-func schemaFor(name string) (*attr.Schema, func(int, int64) []attr.Record, error) {
-	switch name {
-	case "patients":
-		return dataset.PatientsSchema(), dataset.GeneratePatients, nil
-	case "landsend":
-		return dataset.LandsEndSchema(), dataset.GenerateLandsEnd, nil
-	case "agrawal":
-		return dataset.AgrawalSchema(), dataset.GenerateAgrawal, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown dataset %q (want patients, landsend or agrawal)", name)
-	}
 }
 
 func buildConstraint(k, l int, alpha float64) (anonmodel.Constraint, error) {

@@ -7,6 +7,7 @@ import (
 
 	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
+	"spatialanon/internal/dataset"
 	"spatialanon/internal/rplustree"
 	"spatialanon/internal/wal"
 )
@@ -71,7 +72,7 @@ func runReopen(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		dir     = fs.String("persist", "", "store directory written by anonykit -persist (required)")
-		dsName  = fs.String("dataset", "patients", "schema the store was created with: patients, landsend or agrawal")
+		dsName  = fs.String("dataset", "patients", "schema the store was created with: "+dataset.Names())
 		k       = fs.Int("k", 10, "base anonymity parameter the store was created with")
 		outPath = fs.String("out", "", "output CSV path (default stdout)")
 		quiet   = fs.Bool("quiet", false, "suppress the recovery and quality reports")
@@ -85,7 +86,7 @@ func runReopen(args []string, stdout, stderr io.Writer) error {
 	if *k < 2 {
 		return fmt.Errorf("-k must be >= 2 (k=1 is no anonymity), got %d", *k)
 	}
-	schema, _, err := schemaFor(*dsName)
+	schema, _, err := dataset.Lookup(*dsName)
 	if err != nil {
 		return err
 	}

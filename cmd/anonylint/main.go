@@ -1,8 +1,7 @@
-// Command anonylint is the project's multichecker: it runs the seven
-// project-specific analyzers (pagerconfine, kparam, pubfreeze,
-// noalloc, errwrap, detrand, panicpolicy — see internal/lint) over
-// the given package patterns and exits nonzero when any finding is
-// reported.
+// Command anonylint is the project's multichecker: it runs the rule
+// table of internal/lint over the given package patterns and exits 1
+// when any finding is reported, 2 when the packages cannot be loaded.
+// -list prints each rule's name, scope and summary instead.
 //
 // Usage:
 //
@@ -24,6 +23,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -33,36 +33,51 @@ import (
 
 	"spatialanon/internal/lint"
 	"spatialanon/internal/lint/analysis"
-	"spatialanon/internal/lint/load"
 )
 
 func main() {
-	list := flag.Bool("list", false, "list the analyzers and their scopes, then exit")
-	asJSON := flag.Bool("json", false, "emit findings as JSON Lines instead of file:line:col text")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: anonylint [-list] [-json] [packages]\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	if *list {
-		for _, a := range lint.Suite() {
-			doc, _, _ := strings.Cut(a.Doc, "\n")
-			fmt.Printf("%-14s %s\n", a.Name, doc)
-		}
-		return
-	}
-	findings, err := run(flag.Args())
+	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "anonylint: %v\n", err)
 		os.Exit(2)
 	}
-	if err := print(os.Stdout, findings, *asJSON); err != nil {
-		fmt.Fprintf(os.Stderr, "anonylint: %v\n", err)
-		os.Exit(2)
+	os.Exit(cli(cwd, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// cli is the command run in directory dir; it returns the exit status.
+func cli(dir string, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("anonylint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list the analyzers and their scopes, then exit")
+	asJSON := fs.Bool("json", false, "emit findings as JSON Lines instead of file:line:col text")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: anonylint [-list] [-json] [packages]\n")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *list {
+		for _, r := range lint.Rules {
+			fmt.Fprintf(stdout, "%-14s %-66s %s\n", r.Name, r.Scope, r.Doc)
+		}
+		return 0
+	}
+	findings, err := run(dir, fs.Args())
+	if err == nil {
+		err = print(stdout, findings, *asJSON)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "anonylint: %v\n", err)
+		return 2
 	}
 	if len(findings) > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // finding is one diagnostic in resolved file:line form — the unit both
@@ -75,42 +90,21 @@ type finding struct {
 	Message  string `json:"message"`
 }
 
-// run loads the patterns and applies the suite, collecting findings in
-// package order (positions are sorted within each analyzer's output).
-func run(patterns []string) ([]finding, error) {
+// run loads the patterns relative to dir as one program and applies
+// the rule table, collecting findings in package order (positions are
+// sorted within each rule's output).
+func run(dir string, patterns []string) ([]finding, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	cwd, err := os.Getwd()
+	prog, err := analysis.Load(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	pkgs, err := load.NewLoader().Patterns(cwd, patterns)
-	if err != nil {
-		return nil, err
-	}
-	suite := lint.Suite()
 	var findings []finding
-	for _, pkg := range pkgs {
-		for _, a := range suite {
-			if !a.Applies(pkg.Path) {
-				continue
-			}
-			diags, err := analysis.Run(a.Analyzer, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
-			if err != nil {
-				return findings, fmt.Errorf("%s on %s: %w", a.Name, pkg.Path, err)
-			}
-			for _, d := range diags {
-				pos := pkg.Fset.Position(d.Pos)
-				findings = append(findings, finding{
-					File:     relTo(cwd, pos.Filename),
-					Line:     pos.Line,
-					Col:      pos.Column,
-					Analyzer: d.Analyzer,
-					Message:  d.Message,
-				})
-			}
-		}
+	for _, f := range prog.Run(lint.Rules) {
+		pos := prog.Fset.Position(f.Pos)
+		findings = append(findings, finding{relTo(dir, pos.Filename), pos.Line, pos.Column, f.Rule, f.Message})
 	}
 	return findings, nil
 }

@@ -17,7 +17,6 @@ import (
 	"io"
 	"os"
 
-	"spatialanon/internal/attr"
 	"spatialanon/internal/dataset"
 )
 
@@ -32,7 +31,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("datagen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		dsName = fs.String("dataset", "landsend", "generator: patients, landsend or agrawal")
+		dsName = fs.String("dataset", "landsend", "generator: "+dataset.Names())
 		n      = fs.Int("n", 10000, "number of records")
 		seed   = fs.Int64("seed", 1, "generator seed")
 		format = fs.String("format", "csv", "output format: csv or bin (bin is the paper's fixed-width 32/36-byte layout)")
@@ -45,19 +44,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-n must be non-negative")
 	}
 
-	var (
-		schema *attr.Schema
-		stream func(int, int64) *dataset.Stream
-	)
-	switch *dsName {
-	case "patients":
-		schema, stream = dataset.PatientsSchema(), dataset.PatientsStream
-	case "landsend":
-		schema, stream = dataset.LandsEndSchema(), dataset.LandsEndStream
-	case "agrawal":
-		schema, stream = dataset.AgrawalSchema(), dataset.AgrawalStream
-	default:
-		return fmt.Errorf("unknown dataset %q (want patients, landsend or agrawal)", *dsName)
+	schema, stream, err := dataset.Lookup(*dsName)
+	if err != nil {
+		return err
 	}
 
 	w := stdout

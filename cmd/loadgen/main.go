@@ -94,7 +94,7 @@ func parseFlags(args []string) (config, error) {
 	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	var c config
 	fs.StringVar(&c.dir, "dir", "", "store directory (default: a fresh temp dir, removed on exit)")
-	fs.StringVar(&c.dataset, "dataset", "landsend", "dataset schema: landsend or patients")
+	fs.StringVar(&c.dataset, "dataset", "landsend", "dataset schema: "+dataset.Names())
 	fs.StringVar(&c.profile, "profile", "churn", "workload profile: churn (mixed write/read) or read (accelerated point/range sessions)")
 	fs.IntVar(&c.n, "n", 20000, "records preloaded before the measured run")
 	fs.IntVar(&c.ops, "ops", 4000, "total mutations the writers share")
@@ -137,16 +137,6 @@ func parseFlags(args []string) (config, error) {
 		c.ops = 0
 	}
 	return c, nil
-}
-
-func schemaFor(name string) (*attr.Schema, func(n int, seed int64) []attr.Record, error) {
-	switch name {
-	case "landsend":
-		return dataset.LandsEndSchema(), dataset.GenerateLandsEnd, nil
-	case "patients":
-		return dataset.PatientsSchema(), dataset.GeneratePatients, nil
-	}
-	return nil, nil, fmt.Errorf("unknown dataset %q", name)
 }
 
 // quantile returns the q-quantile of the sorted, non-empty sample.
@@ -217,10 +207,11 @@ func run(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	schema, generate, err := schemaFor(c.dataset)
+	schema, stream, err := dataset.Lookup(c.dataset)
 	if err != nil {
 		return err
 	}
+	generate := func(n int, seed int64) []attr.Record { return dataset.Collect(stream(n, seed)) }
 	dir := c.dir
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "loadgen")

@@ -10,6 +10,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"spatialanon/internal/dataset"
 )
 
 func runOK(t *testing.T, args ...string) string {
@@ -127,6 +129,21 @@ func TestWriteOnly(t *testing.T) {
 				t.Fatalf("write-only run reported reads:\n%s", out)
 			}
 		})
+	}
+}
+
+// TestEveryDataset runs a small write-only load on each data set the
+// registry names: the flag accepts what dataset.Lookup does.
+func TestEveryDataset(t *testing.T) {
+	for _, name := range []string{"patients", "landsend", "agrawal"} {
+		if !strings.Contains(dataset.Names(), name) {
+			t.Fatalf("dataset.Names() = %q lacks %s", dataset.Names(), name)
+		}
+		out := runOK(t, "-dir", t.TempDir(), "-n", "200", "-ops", "40",
+			"-writers", "2", "-readers", "0", "-k", "4", "-nosync", "-dataset", name)
+		if got := sumMatches(t, out, writesRE, 1); got != 40 {
+			t.Fatalf("-dataset %s: %d of 40 writes reported:\n%s", name, got, out)
+		}
 	}
 }
 

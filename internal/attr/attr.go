@@ -273,6 +273,24 @@ func (b Box) IsEmpty() bool {
 	return false
 }
 
+// Cells counts the box's cells on the integer lattice: per axis,
+// round(width)+1. It is the volume the uniform estimator
+// (query.EstimateUniform, routing.Index.Estimate) divides by and the
+// KL-divergence metric spreads a partition over.
+//
+//anonylint:zero-alloc
+func (b Box) Cells() float64 {
+	c := 1.0
+	for _, iv := range b {
+		w := math.Round(iv.Hi - iv.Lo)
+		if w < 0 {
+			w = 0
+		}
+		c *= w + 1
+	}
+	return c
+}
+
 // Contains reports whether the point p lies inside the box.
 //
 //anonylint:zero-alloc

@@ -21,8 +21,10 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"spatialanon/internal/attr"
 	"spatialanon/internal/detrng"
@@ -128,4 +130,37 @@ func zipfIndex(rng *rand.Rand, n int, s float64) int {
 		r = n - 1
 	}
 	return r
+}
+
+// sets is the one registry of named data sets: what a command's
+// -dataset flag accepts, in the order help strings list them.
+var sets = []struct {
+	name   string
+	schema func() *attr.Schema
+	stream func(n int, seed int64) *Stream
+}{
+	{"patients", PatientsSchema, PatientsStream},
+	{"landsend", LandsEndSchema, LandsEndStream},
+	{"agrawal", AgrawalSchema, AgrawalStream},
+}
+
+// Lookup returns the schema of the named data set and the generator
+// streaming n of its records under a seed.
+func Lookup(name string) (*attr.Schema, func(n int, seed int64) *Stream, error) {
+	for _, s := range sets {
+		if s.name == name {
+			return s.schema(), s.stream, nil
+		}
+	}
+	return nil, nil, fmt.Errorf("unknown dataset %q (want %s)", name, Names())
+}
+
+// Names renders the names Lookup accepts for a help string:
+// "patients, landsend or agrawal".
+func Names() string {
+	names := make([]string, len(sets))
+	for i, s := range sets {
+		names[i] = s.name
+	}
+	return strings.Join(names[:len(names)-1], ", ") + " or " + names[len(names)-1]
 }

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"spatialanon/internal/attr"
@@ -373,5 +374,27 @@ func TestZipfIndexBounds(t *testing.T) {
 	}
 	if zipfIndex(rng, 1, 0.7) != 0 || zipfIndex(rng, 0, 0.7) != 0 {
 		t.Fatal("degenerate n must return 0")
+	}
+}
+
+// TestLookup pins the registry the commands' -dataset flags share:
+// every listed name resolves to a schema whose width its stream's
+// records have, and an unknown name is refused with the list.
+func TestLookup(t *testing.T) {
+	for _, name := range []string{"patients", "landsend", "agrawal"} {
+		schema, stream, err := Lookup(name)
+		if err != nil {
+			t.Fatalf("Lookup(%s): %v", name, err)
+		}
+		recs := Collect(stream(10, 1))
+		if len(recs) != 10 || len(recs[0].QI) != schema.Dims() {
+			t.Errorf("%s: %d records of width %d under a %d-attribute schema", name, len(recs), len(recs[0].QI), schema.Dims())
+		}
+	}
+	if got, want := Names(), "patients, landsend or agrawal"; got != want {
+		t.Errorf("Names() = %q, want %q", got, want)
+	}
+	if _, _, err := Lookup("nope"); err == nil || !strings.Contains(err.Error(), Names()) {
+		t.Errorf("Lookup(nope) = %v, want an error listing %s", err, Names())
 	}
 }

@@ -6,18 +6,18 @@ import (
 	"go/types"
 )
 
-// Chaser finds how a function reaches something an analyzer calls a
-// sink, through static same-package calls: the chain is rendered
-// "f → g → <sink description>" and memoized per function. Only
-// functions with a body in Decls are traversed; calls through
-// interfaces and function values are outside the analysis.
+// Chaser finds how a function reaches something a rule calls a sink,
+// through static calls into whichever loaded package declares the
+// callee: the chain is rendered "f → g → <sink description>" (a
+// function outside the package being checked as pkg.f) and memoized
+// per function. Calls through interfaces and function values, and
+// into the standard library, are outside the analysis.
 type Chaser struct {
-	Pass  *Pass
-	Decls map[*types.Func]*ast.FuncDecl
+	Pass *Pass
 	// Sink describes why a call ends a chain, or returns ""; Calls needs it.
 	Sink func(*ast.CallExpr) string
 	// Scan, when set, replaces Calls as the walk of a callee's body,
-	// for an analyzer whose findings are not all calls. It reports the
+	// for a rule whose findings are not all calls. It reports the
 	// body's findings in source order and may stop once found returns
 	// false; the first one ends the chain.
 	Scan func(body *ast.BlockStmt, found func(pos token.Pos, desc string) bool)
@@ -35,7 +35,7 @@ func (c *Chaser) Calls(body *ast.BlockStmt, found func(pos token.Pos, chain stri
 	ast.Inspect(body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok && more {
 			chain := c.Sink(call)
-			if callee := c.Pass.StaticCallee(call); chain == "" && callee != nil {
+			if callee := c.Pass.StaticFunc(call.Fun); chain == "" && callee != nil {
 				chain = c.Chain(callee)
 			}
 			if chain != "" {
@@ -56,7 +56,7 @@ func (c *Chaser) Chain(fn *types.Func) string {
 		c.chains = make(map[*types.Func]string)
 	}
 	c.chains[fn] = ""
-	if decl, ok := c.Decls[fn]; ok && decl.Body != nil {
+	if decl := c.Pass.Decl(fn); decl != nil && decl.Body != nil {
 		scan, first := c.Scan, ""
 		if scan == nil {
 			scan = c.Calls
@@ -68,7 +68,7 @@ func (c *Chaser) Chain(fn *types.Func) string {
 			return false
 		})
 		if first != "" {
-			c.chains[fn] = fn.Name() + " → " + first
+			c.chains[fn] = c.Pass.FuncName(fn) + " → " + first
 		}
 	}
 	return c.chains[fn]

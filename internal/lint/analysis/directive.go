@@ -1,6 +1,6 @@
-// Directive scanning shared by every anonylint analyzer.
+// Directive scanning shared by every rule.
 //
-// Analyzers take reviewable claims from source comments in two shapes:
+// Rules take reviewable claims from source comments in two shapes:
 //
 //   - line directives, which suppress or qualify the statement on the
 //     lines a comment group spans ("anonylint:map-ordered",
@@ -11,11 +11,9 @@
 //
 // Both must be matched against the RAW comment text: Go's
 // ast.CommentGroup.Text helpfully strips "//word:rest" directive-style
-// lines, which is exactly the form every anonylint marker takes. Each
-// analyzer used to carry its own copy of this subtlety; it now lives
-// here once, with its edge cases (wrong line, trailing justification
-// text, duplicate markers, markers inside fixture sources) pinned by
-// table tests.
+// lines, which is exactly the form every anonylint marker takes. The
+// edge cases (wrong line, trailing justification text, duplicate
+// markers, markers inside fixture sources) are pinned by table tests.
 package analysis
 
 import (

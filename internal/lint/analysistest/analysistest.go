@@ -1,8 +1,7 @@
-// Package analysistest runs an analyzer over fixture packages and
-// checks its findings against expectations written in the fixture
-// source — the same golden-comment convention as
-// golang.org/x/tools/go/analysis/analysistest, reimplemented on the
-// project's self-contained analysis framework.
+// Package analysistest runs one rule of lint.Rules over a fixture
+// package and checks its findings against expectations written in the
+// fixture source — the golden-comment convention of
+// golang.org/x/tools/go/analysis/analysistest.
 //
 // A fixture line states its expected findings with a trailing comment:
 //
@@ -11,10 +10,11 @@
 // Each back-quoted or double-quoted string after "want" is a regular
 // expression that must match the message of exactly one finding
 // reported on that line. Lines without a want comment must produce no
-// findings. Fixtures live in testdata/src/<name> under the analyzer's
-// package directory, are full compilable packages, and may import real
-// project packages — the loader resolves module-local imports as long
-// as the test runs inside the module, which `go test` guarantees.
+// findings. Fixtures live in testdata/src/<name> beside the rule's
+// test, are full compilable packages loaded under the import path
+// their directory has in the module, and may import real project
+// packages or a sibling fixture package below their own directory:
+// the engine loads whatever they import, with its directives.
 package analysistest
 
 import (
@@ -27,26 +27,32 @@ import (
 	"strings"
 	"testing"
 
+	"spatialanon/internal/lint"
 	"spatialanon/internal/lint/analysis"
-	"spatialanon/internal/lint/load"
 )
 
-// Run applies a to the fixture package testdata/src/<fixture> and
-// reports mismatches between expected and actual findings through t.
-func Run(t *testing.T, a *analysis.Analyzer, fixture string) {
+// Run applies the named rule, whatever its scope, to the fixture
+// package testdata/src/<fixture> and reports mismatches between
+// expected and actual findings through t.
+func Run(t *testing.T, rule, fixture string) {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", fixture)
-	pkg, err := load.NewLoader().Dir(dir, "spatialanon/lintfixture/"+fixture)
+	var r analysis.Rule
+	for _, candidate := range lint.Rules {
+		if candidate.Name == rule {
+			r = candidate
+		}
+	}
+	if r.Run == nil {
+		t.Fatalf("no rule named %s in lint.Rules", rule)
+	}
+	prog, err := analysis.Load(".", []string{filepath.Join("testdata", "src", fixture)})
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", fixture, err)
 	}
-	if pkg == nil {
+	if len(prog.Roots) == 0 {
 		t.Fatalf("fixture %s has no Go files", fixture)
 	}
-	diags, err := analysis.Run(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
-	if err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, fixture, err)
-	}
+	pkg := prog.Roots[0]
 
 	type key struct {
 		file string
@@ -58,20 +64,20 @@ func Run(t *testing.T, a *analysis.Analyzer, fixture string) {
 			for _, c := range cg.List {
 				pats, err := parseWant(c.Text)
 				if err != nil {
-					t.Fatalf("%s: %v", pkg.Fset.Position(c.Pos()), err)
+					t.Fatalf("%s: %v", prog.Fset.Position(c.Pos()), err)
 				}
 				if len(pats) == 0 {
 					continue
 				}
-				pos := pkg.Fset.Position(c.Pos())
+				pos := prog.Fset.Position(c.Pos())
 				k := key{filepath.Base(pos.Filename), pos.Line}
 				wants[k] = append(wants[k], pats...)
 			}
 		}
 	}
 
-	for _, d := range diags {
-		pos := pkg.Fset.Position(d.Pos)
+	for _, d := range prog.Check(pkg, r) {
+		pos := prog.Fset.Position(d.Pos)
 		k := key{filepath.Base(pos.Filename), pos.Line}
 		matched := false
 		for i, re := range wants[k] {
@@ -82,7 +88,7 @@ func Run(t *testing.T, a *analysis.Analyzer, fixture string) {
 			}
 		}
 		if !matched {
-			t.Errorf("%s: unexpected finding: %s: %s", pos, d.Analyzer, d.Message)
+			t.Errorf("%s: unexpected finding: %s", pos, d.Message)
 		}
 	}
 	for k, res := range wants {

@@ -4,9 +4,6 @@ import (
 	"testing"
 
 	"spatialanon/internal/lint/analysistest"
-	"spatialanon/internal/lint/detrand"
 )
 
-func TestDetrand(t *testing.T) {
-	analysistest.Run(t, detrand.Analyzer, "detrand")
-}
+func TestDetrand(t *testing.T) { analysistest.Run(t, "detrand", "detrand") }

@@ -1,11 +1,4 @@
-// Package errwrap machine-checks the error-taxonomy discipline of the
-// wal/serve/pager stack: graceful degradation branches on wrapped
-// sentinels (wal.ErrPoisoned, serve.ErrDegraded, …) and on error
-// kinds recovered through the %w chain (IsCrash, retry.IsTransient),
-// so one ==-comparison or one %v that flattens a chain silently turns
-// a typed rejection into an unmatchable string. The compiler cannot
-// see the difference between %v and %w; this analyzer can.
-package errwrap
+package lint
 
 import (
 	"go/ast"
@@ -17,13 +10,19 @@ import (
 	"spatialanon/internal/lint/analysis"
 )
 
-// Exempt marks a line whose sentinel handling is deliberately outside
+// errExempt marks a line whose sentinel handling is deliberately outside
 // the taxonomy rules — for example an identity check against a
 // sentinel that is never wrapped by construction. Follow the marker
 // with the justification.
-const Exempt = "anonylint:err-exempt"
+const errExempt = "anonylint:err-exempt"
 
-// Analyzer enforces the three wrapping rules the taxonomy rests on:
+// errwrap machine-checks the error-taxonomy discipline of the
+// wal/serve/pager stack: graceful degradation branches on wrapped
+// sentinels (wal.ErrPoisoned, serve.ErrDegraded, …) and on error
+// kinds recovered through the %w chain (IsCrash, retry.IsTransient),
+// so one ==-comparison or one %v that flattens a chain silently turns
+// a typed rejection into an unmatchable string. It enforces the three
+// wrapping rules the taxonomy rests on:
 //
 //  1. sentinel comparisons use errors.Is — an ==/!= against a
 //     package-level `Err*` error variable misses every wrapped layer;
@@ -38,50 +37,32 @@ const Exempt = "anonylint:err-exempt"
 // (package-level error variables named Err…); io.EOF is outside it by
 // name, preserving the io.Reader contract of returning EOF untouched.
 // Deliberate exceptions carry anonylint:err-exempt.
-var Analyzer = &analysis.Analyzer{
-	Name: "errwrap",
-	Doc: "enforce errors.Is / %w discipline around taxonomy sentinels\n\n" +
-		"The serving layer's degradation logic (DESIGN.md) branches on\n" +
-		"sentinels recovered through wrapped chains. This analyzer flags\n" +
-		"==/!= comparisons against Err* sentinels, fmt.Errorf verbs that\n" +
-		"flatten an error argument (%v, %s, %q instead of %w), and bare\n" +
-		"returns of another package's sentinel.",
-	Run: run,
-}
-
-func run(pass *analysis.Pass) error {
-	c := &checker{pass: pass, suppress: pass.CommentLines(Exempt)}
-	for _, f := range pass.Files {
+func errwrap(pass *analysis.Pass) {
+	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch s := n.(type) {
 			case *ast.BinaryExpr:
-				c.checkComparison(s)
+				checkComparison(pass, s)
 			case *ast.CallExpr:
-				c.checkErrorf(s)
+				checkErrorf(pass, s)
 			case *ast.ReturnStmt:
-				c.checkReturn(s)
+				checkReturn(pass, s)
 			}
 			return true
 		})
 	}
-	return nil
-}
-
-type checker struct {
-	pass     *analysis.Pass
-	suppress map[*ast.File]map[int]bool
 }
 
 // checkComparison flags ==/!= against a sentinel: wrapped layers make
 // identity comparison silently false.
-func (c *checker) checkComparison(be *ast.BinaryExpr) {
+func checkComparison(pass *analysis.Pass, be *ast.BinaryExpr) {
 	if be.Op != token.EQL && be.Op != token.NEQ {
 		return
 	}
 	for _, operand := range []ast.Expr{be.X, be.Y} {
-		if v := c.sentinel(operand); v != nil && !c.pass.Suppressed(c.suppress, be.Pos()) {
-			c.pass.Reportf(be.Pos(),
-				"errwrap: %s compared with %s; wrapped errors never match identity — use errors.Is(err, %s)",
+		if v := sentinel(pass, operand); v != nil && !pass.Suppressed(errExempt, be.Pos()) {
+			pass.Reportf(be.Pos(),
+				"%s compared with %s; wrapped errors never match identity — use errors.Is(err, %s)",
 				v.Name(), be.Op, v.Name())
 			return
 		}
@@ -91,11 +72,11 @@ func (c *checker) checkComparison(be *ast.BinaryExpr) {
 // checkErrorf flags fmt.Errorf verbs that format an error argument
 // with %v, %s or %q: the chain flattens to a string and errors.Is
 // stops matching.
-func (c *checker) checkErrorf(call *ast.CallExpr) {
-	if !c.pass.PkgFunc(call, "fmt", "Errorf") || len(call.Args) < 2 {
+func checkErrorf(pass *analysis.Pass, call *ast.CallExpr) {
+	if !pass.PkgFunc(call, "fmt", "Errorf") || len(call.Args) < 2 {
 		return
 	}
-	tv, ok := c.pass.TypesInfo.Types[call.Args[0]]
+	tv, ok := pass.Info.Types[call.Args[0]]
 	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
 		return
 	}
@@ -113,29 +94,29 @@ func (c *checker) checkErrorf(call *ast.CallExpr) {
 			continue
 		}
 		arg := args[v.arg]
-		if !c.isError(arg) || c.pass.Suppressed(c.suppress, arg.Pos()) {
+		if !isError(pass, arg) || pass.Suppressed(errExempt, arg.Pos()) {
 			continue
 		}
-		c.pass.Reportf(arg.Pos(),
-			"errwrap: %%%c flattens this error to a string; use %%w so errors.Is and the wal/serve kind checks still see the chain",
+		pass.Reportf(arg.Pos(),
+			"%%%c flattens this error to a string; use %%w so errors.Is and the wal/serve kind checks still see the chain",
 			v.verb)
 	}
 }
 
 // checkReturn flags a foreign package's sentinel returned bare: the
 // boundary crossing is where local context must be added with %w.
-func (c *checker) checkReturn(ret *ast.ReturnStmt) {
+func checkReturn(pass *analysis.Pass, ret *ast.ReturnStmt) {
 	for _, res := range ret.Results {
 		sel, ok := ast.Unparen(res).(*ast.SelectorExpr)
-		if !ok || !c.isForeignPkgSelector(sel) {
+		if !ok || !isForeignPkgSelector(pass, sel) {
 			continue
 		}
-		v := c.sentinel(res)
-		if v == nil || c.pass.Suppressed(c.suppress, res.Pos()) {
+		v := sentinel(pass, res)
+		if v == nil || pass.Suppressed(errExempt, res.Pos()) {
 			continue
 		}
-		c.pass.Reportf(res.Pos(),
-			"errwrap: %s.%s returned bare across the package boundary; wrap it with local context: fmt.Errorf(\"…: %%w\", %s.%s)",
+		pass.Reportf(res.Pos(),
+			"%s.%s returned bare across the package boundary; wrap it with local context: fmt.Errorf(\"…: %%w\", %s.%s)",
 			v.Pkg().Name(), v.Name(), v.Pkg().Name(), v.Name())
 	}
 }
@@ -143,13 +124,13 @@ func (c *checker) checkReturn(ret *ast.ReturnStmt) {
 // sentinel resolves expr to a package-level error variable following
 // the Err* naming convention, or nil. io.EOF and other legacy names
 // fall outside the convention and are never matched.
-func (c *checker) sentinel(expr ast.Expr) *types.Var {
+func sentinel(pass *analysis.Pass, expr ast.Expr) *types.Var {
 	var obj types.Object
 	switch e := ast.Unparen(expr).(type) {
 	case *ast.Ident:
-		obj = c.pass.TypesInfo.Uses[e]
+		obj = pass.Info.Uses[e]
 	case *ast.SelectorExpr:
-		obj = c.pass.TypesInfo.Uses[e.Sel]
+		obj = pass.Info.Uses[e.Sel]
 	default:
 		return nil
 	}
@@ -168,17 +149,17 @@ func (c *checker) sentinel(expr ast.Expr) *types.Var {
 
 // isForeignPkgSelector reports whether sel is pkg.Name for an
 // imported package (not a field or method selection).
-func (c *checker) isForeignPkgSelector(sel *ast.SelectorExpr) bool {
+func isForeignPkgSelector(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
 	id, ok := ast.Unparen(sel.X).(*ast.Ident)
 	if !ok {
 		return false
 	}
-	_, isPkg := c.pass.TypesInfo.Uses[id].(*types.PkgName)
+	_, isPkg := pass.Info.Uses[id].(*types.PkgName)
 	return isPkg
 }
 
-func (c *checker) isError(expr ast.Expr) bool {
-	t := c.pass.TypesInfo.TypeOf(expr)
+func isError(pass *analysis.Pass, expr ast.Expr) bool {
+	t := pass.Info.TypeOf(expr)
 	return t != nil && implementsError(t)
 }
 

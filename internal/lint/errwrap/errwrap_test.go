@@ -4,9 +4,6 @@ import (
 	"testing"
 
 	"spatialanon/internal/lint/analysistest"
-	"spatialanon/internal/lint/errwrap"
 )
 
-func TestErrwrap(t *testing.T) {
-	analysistest.Run(t, errwrap.Analyzer, "errwrap")
-}
+func TestErrwrap(t *testing.T) { analysistest.Run(t, "errwrap", "errwrap") }

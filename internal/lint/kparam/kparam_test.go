@@ -4,9 +4,6 @@ import (
 	"testing"
 
 	"spatialanon/internal/lint/analysistest"
-	"spatialanon/internal/lint/kparam"
 )
 
-func TestKParam(t *testing.T) {
-	analysistest.Run(t, kparam.Analyzer, "kparam")
-}
+func TestKParam(t *testing.T) { analysistest.Run(t, "kparam", "kparam") }

@@ -1,65 +1,39 @@
-// Package lint assembles the anonylint suite: the project's seven
-// static analyzers plus the package-scoping rules that decide where
-// each one applies. cmd/anonylint and the lint tests both consume this
-// registry, so the CLI and the test suite can never disagree about
-// what is checked where.
+// Package lint is anonylint's rule table: the conventions of this
+// repository that the compiler cannot see, each declared once — a
+// name, a one-line summary, the packages it covers, and the function
+// that checks one package (whose comment is the rule's full
+// statement). cmd/anonylint and the fixture tests both run this table
+// through the engine in internal/lint/analysis, so the command and the
+// tests cannot disagree about what is checked where.
 package lint
 
-import (
-	"strings"
+import "spatialanon/internal/lint/analysis"
 
-	"spatialanon/internal/lint/analysis"
-	"spatialanon/internal/lint/detrand"
-	"spatialanon/internal/lint/errwrap"
-	"spatialanon/internal/lint/kparam"
-	"spatialanon/internal/lint/noalloc"
-	"spatialanon/internal/lint/pagerconfine"
-	"spatialanon/internal/lint/panicpolicy"
-	"spatialanon/internal/lint/pubfreeze"
-)
-
-// ScopedAnalyzer pairs an analyzer with the predicate selecting the
-// packages it runs on.
-type ScopedAnalyzer struct {
-	*analysis.Analyzer
-	// Applies reports whether the analyzer runs on the package with
-	// the given import path.
-	Applies func(pkgPath string) bool
-}
-
-// Suite returns the anonylint analyzers with their package scopes:
+// Rules is the suite, in the order findings are printed within a
+// package. Five rules are whole-repository invariants (three of them
+// bite only where their directives appear). The two scoped ones cover
+// every internal/ package and every command by default, so a new
+// package is checked without anyone remembering to list it; the
+// exemptions are:
 //
-//   - pagerconfine, kparam, pubfreeze, noalloc and errwrap run
-//     everywhere: worker confinement, k validation, post-publish
-//     immutability, the zero-alloc contract and the error taxonomy
-//     are whole-repository invariants (the latter three only bite
-//     where their directives or seed types appear);
-//   - detrand runs on the deterministic packages plus the commands —
-//     commands drive the deterministic harnesses, so their
-//     randomness must be seeded too; their latency measurements
-//     carry anonylint:wall-clock justifications;
-//   - panicpolicy runs on internal/ library packages and the
-//     commands, excluding the lint tooling itself (an analyzer
-//     crashing on a malformed AST is a programmer error by
-//     construction). Commands exit through run() + os.Exit, which
-//     panicpolicy permits — log.Fatal and bare panics are banned
-//     there like everywhere else.
-func Suite() []ScopedAnalyzer {
-	everywhere := func(string) bool { return true }
-	isCmd := func(path string) bool { return strings.HasPrefix(path, "spatialanon/cmd/") }
-	return []ScopedAnalyzer{
-		{pagerconfine.Analyzer, everywhere},
-		{kparam.Analyzer, everywhere},
-		{pubfreeze.Analyzer, everywhere},
-		{noalloc.Analyzer, everywhere},
-		{errwrap.Analyzer, everywhere},
-		{detrand.Analyzer, func(path string) bool {
-			return detrand.Deterministic[path] || isCmd(path)
-		}},
-		{panicpolicy.Analyzer, func(path string) bool {
-			return isCmd(path) ||
-				(strings.Contains(path, "/internal/") &&
-					!strings.Contains(path, "/internal/lint"))
-		}},
-	}
+//   - internal/lint, from both: the tooling is not under the
+//     determinism contract, and an analyzer crashing on a malformed
+//     AST is a programmer error by construction;
+//   - internal/experiments, from detrand: it is a timing harness whose
+//     every figure reads the wall clock around the run it measures.
+//
+// Commands drive the deterministic harnesses, so their randomness
+// must be seeded too (their latency measurements carry
+// anonylint:wall-clock), and they exit through run() + os.Exit, which
+// panicpolicy permits.
+var Rules = []analysis.Rule{
+	{Name: "pagerconfine", Doc: "flag pager use reachable from worker goroutines", Run: pagerconfine},
+	{Name: "kparam", Doc: "flag anonymity parameters accepted without a k < 2 rejection path", Run: kparam},
+	{Name: "pubfreeze", Doc: "flag writes to published view types after construction", Run: pubfreeze},
+	{Name: "noalloc", Doc: "flag allocation-inducing ops in anonylint:zero-alloc functions", Run: noalloc},
+	{Name: "errwrap", Doc: "enforce errors.Is / %w discipline around taxonomy sentinels", Run: errwrap},
+	{Name: "detrand", Doc: "flag wall-clock reads, global math/rand use and order-leaking map iteration", Run: detrand,
+		Scope: analysis.Scope{In: []string{"internal", "cmd"}, Except: []string{"internal/experiments", "internal/lint"}}},
+	{Name: "panicpolicy", Doc: "flag unjustified panics in library packages", Run: panicpolicy,
+		Scope: analysis.Scope{In: []string{"internal", "cmd"}, Except: []string{"internal/lint"}}},
 }

@@ -4,9 +4,8 @@ import (
 	"testing"
 
 	"spatialanon/internal/lint/analysistest"
-	"spatialanon/internal/lint/noalloc"
 )
 
-func TestNoalloc(t *testing.T) {
-	analysistest.Run(t, noalloc.Analyzer, "noalloc")
-}
+func TestNoalloc(t *testing.T) { analysistest.Run(t, "noalloc", "noalloc") }
+
+func TestNoallocCrossPackage(t *testing.T) { analysistest.Run(t, "noalloc", "crosspkg") }

@@ -4,9 +4,8 @@ import (
 	"testing"
 
 	"spatialanon/internal/lint/analysistest"
-	"spatialanon/internal/lint/pagerconfine"
 )
 
-func TestPagerConfine(t *testing.T) {
-	analysistest.Run(t, pagerconfine.Analyzer, "pagerconfine")
-}
+func TestPagerConfine(t *testing.T) { analysistest.Run(t, "pagerconfine", "pagerconfine") }
+
+func TestPagerConfineCrossPackage(t *testing.T) { analysistest.Run(t, "pagerconfine", "crosspkg") }

@@ -4,9 +4,6 @@ import (
 	"testing"
 
 	"spatialanon/internal/lint/analysistest"
-	"spatialanon/internal/lint/panicpolicy"
 )
 
-func TestPanicPolicy(t *testing.T) {
-	analysistest.Run(t, panicpolicy.Analyzer, "panicpolicy")
-}
+func TestPanicPolicy(t *testing.T) { analysistest.Run(t, "panicpolicy", "panicpolicy") }

@@ -4,9 +4,8 @@ import (
 	"testing"
 
 	"spatialanon/internal/lint/analysistest"
-	"spatialanon/internal/lint/pubfreeze"
 )
 
-func TestPubfreeze(t *testing.T) {
-	analysistest.Run(t, pubfreeze.Analyzer, "pubfreeze")
-}
+func TestPubfreeze(t *testing.T) { analysistest.Run(t, "pubfreeze", "pubfreeze") }
+
+func TestPubfreezeCrossPackage(t *testing.T) { analysistest.Run(t, "pubfreeze", "crosspkg") }

@@ -127,7 +127,7 @@ func klPartition(p anonmodel.Partition, n float64) float64 {
 	if p.Size() == 0 {
 		return 0
 	}
-	cells := boxCells(p.Box)
+	cells := p.Box.Cells()
 	mass := float64(p.Size()) / n // partition's share of p2
 	// Group identical tuples within the partition: p1(t) = c_t/n.
 	counts := make(map[string]int, p.Size())
@@ -146,19 +146,6 @@ func klPartition(p anonmodel.Partition, n float64) float64 {
 		kl += p1 * math.Log(p1/p2)
 	}
 	return kl
-}
-
-// boxCells counts the integer lattice cells in a box.
-func boxCells(b attr.Box) float64 {
-	cells := 1.0
-	for _, iv := range b {
-		w := math.Round(iv.Hi - iv.Lo)
-		if w < 0 {
-			w = 0
-		}
-		cells *= w + 1
-	}
-	return cells
 }
 
 // pointKey canonicalizes a QI vector for exact grouping.

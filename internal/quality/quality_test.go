@@ -221,10 +221,10 @@ func TestMeasure(t *testing.T) {
 }
 
 func TestBoxCells(t *testing.T) {
-	if c := boxCells(attr.Box{{Lo: 0, Hi: 0}}); c != 1 {
+	if c := (attr.Box{{Lo: 0, Hi: 0}}).Cells(); c != 1 {
 		t.Fatalf("point cells = %v", c)
 	}
-	if c := boxCells(attr.Box{{Lo: 0, Hi: 2}, {Lo: 5, Hi: 6}}); c != 6 {
+	if c := (attr.Box{{Lo: 0, Hi: 2}, {Lo: 5, Hi: 6}}).Cells(); c != 6 {
 		t.Fatalf("cells = %v, want 6", c)
 	}
 }

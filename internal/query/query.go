@@ -151,21 +151,9 @@ func EstimateUniform(ps []anonmodel.Partition, q attr.Box) float64 {
 		if empty {
 			continue
 		}
-		est += float64(p.Size()) * interCells / cells(p.Box)
+		est += float64(p.Size()) * interCells / p.Box.Cells()
 	}
 	return est
-}
-
-func cells(b attr.Box) float64 {
-	c := 1.0
-	for _, iv := range b {
-		w := math.Round(iv.Hi - iv.Lo)
-		if w < 0 {
-			w = 0
-		}
-		c *= w + 1
-	}
-	return c
 }
 
 // Result is one query's evaluation.

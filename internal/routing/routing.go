@@ -176,7 +176,7 @@ func Build(ps []anonmodel.Partition, opt Options) (*Index, error) {
 		p := ps[oi]
 		ix.keys[pos] = rawKeys[oi]
 		ix.sizes[pos] = int32(len(p.Records))
-		ix.vols[pos] = cellsOf(p.Box)
+		ix.vols[pos] = p.Box.Cells()
 		for a := 0; a < dims; a++ {
 			ix.lo[a*n+pos] = p.Box[a].Lo
 			ix.hi[a*n+pos] = p.Box[a].Hi
@@ -223,20 +223,6 @@ func Build(ps []anonmodel.Partition, opt Options) (*Index, error) {
 		}
 	}
 	return ix, nil
-}
-
-// cellsOf mirrors the integer-lattice cell count of the uniform
-// estimator (query.EstimateUniform): per axis, round(width)+1 cells.
-func cellsOf(b attr.Box) float64 {
-	c := 1.0
-	for _, iv := range b {
-		w := math.Round(iv.Hi - iv.Lo)
-		if w < 0 {
-			w = 0
-		}
-		c *= w + 1
-	}
-	return c
 }
 
 // searchBlocks returns the number of leading blocks whose key range

@@ -321,6 +321,9 @@ func (s *Server) admit() error {
 // has queued up to MaxBatch without waiting (group commit needs no
 // timer — the batch is "everyone who arrived while the last fsync
 // ran"), commits the batch as one frame, publishes, and acknowledges.
+//
+// anonylint:coordinator-only — New hands the store to this goroutine
+// and nothing else reaches its pager while the server is live.
 func (s *Server) commitLoop() {
 	defer close(s.done)
 	batch := make([]*request, 0, s.opts.MaxBatch)

@@ -420,7 +420,8 @@ func Routing(ix *routing.Index, ps []anonmodel.Partition) error {
 }
 
 // lattice independently recomputes the integer-lattice cell count the
-// uniform estimator divides by (query's cells function).
+// uniform estimator divides by (attr.Box.Cells): the auditor's own
+// copy is the reference Routing checks an index's volumes against.
 func lattice(b attr.Box) float64 {
 	c := 1.0
 	for _, iv := range b {
