@@ -24,7 +24,7 @@ loc:
 # is the total of the last PR that moved it. A PR that adds net
 # non-test lines must raise the number here, in its own diff, where a
 # reviewer sees it; a PR that removes lines lowers it to its new total.
-LOC_CEILING = 19285
+LOC_CEILING = 19357
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \
@@ -35,12 +35,14 @@ loc-check:
 # What a checkpoint writes, as page counts and bytes: the incremental
 # checkpoint after 100 updates and after one against a full one on 20 000
 # records, pages.db against the live image over 200 checkpoints of churn,
-# leaf and delta bytes per checkpoint of the benchmark's churn on its
-# 200 000-record store, and page writes per round, compactions included,
-# on a shard-sized one. The tests gate the counts; this target puts them
-# in the log.
+# leaf, node and delta bytes per checkpoint of the benchmark's churn on its
+# 200 000-record store, page writes per round, compactions included, on a
+# shard-sized one, and the byte table of serve_large's nominal window
+# (page slots + log frames per acknowledged byte: the gated write_amp,
+# exact per seed). The tests gate the counts; this target puts them in
+# the log.
 ckpt-volume:
-	$(GO) test ./internal/wal -run 'TestIncrementalCheckpointWriteVolume|TestPageFileStaysBounded|TestLeafDeltaWriteVolume|TestCheckpointVolumeLongRun' -v
+	$(GO) test ./internal/wal -run 'TestIncrementalCheckpointWriteVolume|TestPageFileStaysBounded|TestLeafDeltaWriteVolume|TestCheckpointVolumeLongRun|TestServeLargeWindowBytes' -v
 
 # `make vet` is the whole static gate: the stock go vet suite plus
 # anonylint, the project's multichecker — the rule table of

@@ -34,9 +34,10 @@ func blobGet(blob []byte) func(rplustree.Ref) ([]byte, error) {
 }
 
 // realImages are checkpoints of real trees — an empty one, a single
-// leaf, a few levels after inserts, and the same after deletions with
+// leaf, a few levels after inserts, the same after deletions with
 // underflow repairs, a few more inserts and a second, incremental
-// checkpoint, which stores the touched leaves as deltas — as (root
+// checkpoint, which stores the touched leaves as deltas, and after three
+// more inserts and a third, which stores nodes as deltas too — as (root
 // object, object bytes) pairs.
 func realImages(t testing.TB) [][2][]byte {
 	t.Helper()
@@ -87,6 +88,15 @@ func realImages(t testing.TB) [][2][]byte {
 			}
 			if wrote := checkpoint(); wrote.Deltas < 2 || wrote.DeltaBytes < 100 {
 				t.Fatalf("the second image of %d records holds %+v: want deltas with rows in them", n, wrote)
+			}
+			for i, r := range recs[n-3:] {
+				r.ID = int64(3*n + i)
+				if err := tr.Insert(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if wrote := checkpoint(); n == 60 && wrote.NodeDeltas < 2 {
+				t.Fatalf("the third image of %d records holds %+v: want node deltas", n, wrote)
 			}
 		}
 	}

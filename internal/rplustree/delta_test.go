@@ -52,7 +52,7 @@ func roomyLeaf(t *testing.T, tr *Tree, not ...*node) *node {
 // deleting appended records leaves both alone.
 func TestLeafBaseRemove(t *testing.T) {
 	for _, order := range [][]int{{0, 0, 0}, {4, 3, 2, 1, 0}, {2, 0, 2, 0, 0}, {1, 3, 1}, {5, 5, 4}} {
-		base := &leafBase{kept: 5}
+		base := &baseCopy{kept: 5}
 		live := []int{0, 1, 2, 3, 4, 100, 101} // base positions, then two appended records
 		var want []uint32
 		for _, idx := range order {
@@ -92,7 +92,7 @@ func TestLeafDeltaChain(t *testing.T) {
 		t.Helper()
 		pending, _ := tree.Pending()
 		ck := mustCheckpoint(t, tree, full, &store)
-		if pending.NodeBytes = ck.Written.NodeBytes; !full && pending != ck.Written {
+		if !full && leafPart(pending) != leafPart(ck.Written) {
 			t.Fatalf("%s: %+v pending, %+v written", step, pending, ck.Written)
 		}
 		got, err := DecodeCheckpoint(cfg, ck.Root, store.get)
@@ -131,7 +131,7 @@ func TestLeafDeltaChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck, _ := checkpoint("delta", tr, false)
-	if ck.Written.Leaves != 0 || ck.Written.Deltas != 1 || ck.Image.Deltas != 1 || len(ck.Pages) != ck.Image.Leaves+ck.Image.Deltas+ck.Image.Nodes {
+	if ck.Written.Leaves != 0 || ck.Written.Deltas != 1 || ck.Image.Deltas != 1 || len(ck.Pages) != ck.Image.Leaves+ck.Image.Deltas+ck.Image.Nodes+ck.Image.NodeDeltas {
 		t.Fatalf("one insert: wrote %+v of %+v on %d page references", ck.Written, ck.Image, len(ck.Pages))
 	}
 	ck.Commit()
@@ -286,7 +286,7 @@ func TestDecodeCheckpointRejectsDeltaDamage(t *testing.T) {
 
 	// deltaOf stores a hand-made delta object for leaf a.
 	deltaOf := func(base Ref, removed []uint32, rows []attr.Record, tail ...byte) Ref {
-		enc := appendLeaf(appendDeltaHead(nil, &leafBase{ref: base, removed: removed}), rows)
+		enc := appendLeaf(appendDeltaHead(nil, &baseCopy{ref: base, removed: removed}), rows)
 		ref, _ := store.put(append(enc, tail...), true)
 		return ref
 	}
@@ -308,7 +308,7 @@ func TestDecodeCheckpointRejectsDeltaDamage(t *testing.T) {
 		to   map[*node]Ref
 		want string
 	}{
-		"a delta over a delta":           {map[*node]Ref{a: deltaOf(b.dur.ref, nil, rows)}, "of kind 1 at depth 2"},
+		"a delta over a delta":           {map[*node]Ref{a: deltaOf(b.dur.ref, nil, rows)}, "names an object of kind 1 as its base"},
 		"two deltas over one base":       {map[*node]Ref{a: deltaOf(empty, nil, a.recs), b: deltaOf(empty, nil, b.recs)}, "referenced twice"},
 		"positions descending":           {map[*node]Ref{a: deltaOf(good.ref, []uint32{2, 1}, rows)}, "out of ascending order"},
 		"a position twice":               {map[*node]Ref{a: deltaOf(good.ref, []uint32{1, 1}, rows)}, "out of ascending order"},
@@ -329,8 +329,8 @@ func TestDecodeCheckpointRejectsDeltaDamage(t *testing.T) {
 			t.Fatalf("delta object cut to %d of %d bytes accepted", cut, len(whole))
 		}
 	}
-	unknown, _ := store.put([]byte{kindNode + 1}, true)
-	if err := decode(map[*node]Ref{a: unknown}); err == nil || !strings.Contains(err.Error(), "of kind 3 at depth 1") {
+	unknown, _ := store.put([]byte{kindNodeDelta + 1}, true)
+	if err := decode(map[*node]Ref{a: unknown}); err == nil || !strings.Contains(err.Error(), "of kind 4 at depth 1") {
 		t.Errorf("an object of no known kind: %v", err)
 	}
 

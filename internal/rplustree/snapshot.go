@@ -22,15 +22,17 @@ import (
 //     inline — the whole tree in one byte string, the in-memory form
 //     tests and probes compare trees with;
 //   - the checkpoint (EncodeCheckpoint/DecodeCheckpoint) makes every
-//     tree node a durable OBJECT of its own, stored wherever the caller
-//     puts it and opened by a kind byte: a LEAF object is the leaf's
-//     records; a DELTA object is a leaf changed since its leaf object
-//     (its BASE) — the base's Ref, the base positions deleted and the
-//     rows appended since; cumulative, never over another delta, so a
-//     leaf is at most two objects; a NODE object is an internal node's
-//     split trie with a Ref per child; the root object is the header and
+//     tree node durable OBJECTS of its own, stored wherever the caller
+//     puts them and opened by a kind byte. Every node is one WHOLE object
+//     — a leaf's records, an internal node's split trie with a Ref per
+//     child — or one cumulative DELTA over one whole object stored
+//     earlier, its BASE: a leaf's names the base's Ref, the base positions
+//     deleted and the rows appended since; an internal node's, whose trie
+//     has not changed, the base's Ref and the Refs of the children that
+//     have moved, by position in trie order. Never a delta over a delta,
+//     so a node is at most two objects. The root object is the header and
 //     the root node's Ref. A checkpoint therefore writes what changed in
-//     the changed leaves and the nodes above them — O(changed records +
+//     the changed leaves and in the nodes above them — O(changed records +
 //     changed leaves × height) — and recovery fetches object by object.
 //
 // Either form stores only what cannot be re-derived: the trie structure
@@ -48,21 +50,23 @@ import (
 // can never be decoded as the other. Bumped on any incompatible layout
 // change: 1 and 2 were the fixed-width float64 forms, 4 the checkpoint
 // whose directory was one buffer, 5 the one without leaf deltas or kind
-// bytes — all refused with a version error.
+// bytes, 6 the one without node deltas — all refused with a version error.
 const (
 	snapshotVersion  = 3 // children inline
-	directoryVersion = 6 // children by reference
+	directoryVersion = 7 // children by reference
 )
 
-// The kinds of checkpoint object, each object's first byte.
+// The kinds of checkpoint object, each object's first byte: a delta's is
+// its base's with the low bit set.
 const (
-	kindLeaf  byte = iota // a whole leaf: its records
-	kindDelta             // a leaf as changes to a whole leaf stored earlier
-	kindNode              // an internal node: its trie, a Ref per child
+	kindLeaf      byte = iota // a whole leaf: its records
+	kindDelta                 // a leaf as changes to a whole leaf stored earlier
+	kindNode                  // a whole internal node: its trie, a Ref per child
+	kindNodeDelta             // a node as the child Refs changed since a whole node stored earlier
 )
 
 // deltaShare: a delta is written while its encoding times deltaShare does
-// not exceed the whole leaf's; else the leaf is, and becomes its own base.
+// not exceed the whole object's; else that is, and becomes its own base.
 const deltaShare = 2
 
 // snapMaxDepth bounds the recursion while decoding: deeper nesting
@@ -82,28 +86,49 @@ type Ref struct {
 	CRC   uint32
 }
 
+// equal reports whether the two references name the same stored bytes.
+func (r Ref) equal(o Ref) bool {
+	return r.Off == o.Off && r.Len == o.Len && r.CRC == o.CRC && slices.Equal(r.Pages, o.Pages)
+}
+
 // Footprint counts objects and their encoded bytes by kind: whole
-// leaves, leaf deltas and internal nodes.
+// leaves, leaf deltas, whole internal nodes and node deltas.
 type Footprint struct {
-	Leaves, Deltas, Nodes            int
-	LeafBytes, DeltaBytes, NodeBytes int64
+	Leaves, Deltas, Nodes, NodeDeltas                int
+	LeafBytes, DeltaBytes, NodeBytes, NodeDeltaBytes int64
 }
 
 // Bytes is the footprint's total size.
-func (f Footprint) Bytes() int64 { return f.LeafBytes + f.DeltaBytes + f.NodeBytes }
+func (f Footprint) Bytes() int64 {
+	return f.LeafBytes + f.DeltaBytes + f.NodeBytes + f.NodeDeltaBytes
+}
+
+// Add returns the field-wise sum.
+func (f Footprint) Add(g Footprint) Footprint {
+	return Footprint{
+		f.Leaves + g.Leaves, f.Deltas + g.Deltas, f.Nodes + g.Nodes, f.NodeDeltas + g.NodeDeltas,
+		f.LeafBytes + g.LeafBytes, f.DeltaBytes + g.DeltaBytes, f.NodeBytes + g.NodeBytes, f.NodeDeltaBytes + g.NodeDeltaBytes,
+	}
+}
+
+// String renders the footprint as a phrase of a report line.
+func (f Footprint) String() string {
+	return fmt.Sprintf("%d leaves / %d leaf bytes + %d deltas / %d delta bytes + %d nodes / %d node bytes + %d node deltas / %d node delta bytes",
+		f.Leaves, f.LeafBytes, f.Deltas, f.DeltaBytes, f.Nodes, f.NodeBytes, f.NodeDeltas, f.NodeDeltaBytes)
+}
 
 func (f *Footprint) add(kind byte, size int64) {
+	count, bytes := &f.Leaves, &f.LeafBytes
 	switch kind {
-	case kindLeaf:
-		f.Leaves++
-		f.LeafBytes += size
 	case kindDelta:
-		f.Deltas++
-		f.DeltaBytes += size
-	default:
-		f.Nodes++
-		f.NodeBytes += size
+		count, bytes = &f.Deltas, &f.DeltaBytes
+	case kindNode:
+		count, bytes = &f.Nodes, &f.NodeBytes
+	case kindNodeDelta:
+		count, bytes = &f.NodeDeltas, &f.NodeDeltaBytes
 	}
+	*count++
+	*bytes += size
 }
 
 // Checkpoint is one EncodeCheckpoint pass: the root object to publish
@@ -124,31 +149,39 @@ type Checkpoint struct {
 }
 
 // durableCopy is a node's stamp: where its durable encoding lives, its kind,
-// the node.ver it captured and the node's whole size then. A leaf's also has
-// its base: the object at ref itself, or the one the delta was cut against.
+// the node.ver it captured, what the node weighs as a whole object (a leaf
+// as it is now, behind a delta too; an internal node as its base was
+// written) and its base: the object at ref itself, or the one the delta was
+// cut against.
 type durableCopy struct {
 	ref   Ref
 	ver   uint64
 	kind  byte
 	whole int64
-	base  *leafBase
+	base  *baseCopy
 }
 
-// leafBase is what a leaf remembers of its last whole durable copy, so
-// that a checkpoint can write what changed in it instead. Inserts append
-// to node.recs and Delete removes in place, so recs is always the base's
-// survivors in base order, then the surviving appended rows in append
-// order: the difference is a count and a list of positions, kept up by
-// Delete alone. Writing a (cumulative) delta changes nothing here — the
-// next stamp shares the pointer — and an aborted one has nothing to undo.
-type leafBase struct {
-	ref     Ref
-	kept    int      // recs[:kept] are the base's survivors
-	removed []uint32 // base positions deleted since, ascending
+// baseCopy is what a node remembers of its last whole durable copy, so
+// that a checkpoint can write what changed in it instead. A delta shares
+// its predecessor's pointer and an aborted one has nothing to undo.
+//
+// A leaf's: inserts append to node.recs and Delete removes in place, so
+// recs is always the base's survivors in base order, then the surviving
+// appended rows in append order: the difference is a count and a list of
+// positions, kept up by Delete alone.
+//
+// An internal node's: the references the base holds, in trie order. It
+// stands while node.ver does — the trie and the children are the base's —
+// and a child whose reference differs now has moved since.
+type baseCopy struct {
+	ref      Ref
+	kept     int      // recs[:kept] are the base's survivors
+	removed  []uint32 // base positions deleted since, ascending
+	children []Ref
 }
 
 // remove notes that recs[idx] is about to be deleted.
-func (b *leafBase) remove(idx int) {
+func (b *baseCopy) remove(idx int) {
 	if idx >= b.kept {
 		return // appended after the base: the delta never mentions it
 	}
@@ -212,12 +245,13 @@ func appendNode(e []byte, n *node) []byte {
 
 // EncodeCheckpoint walks the tree children first and hands put the
 // object of every node that has to be written again: a leaf whose
-// records changed since its last durable copy (as a delta when it has a
-// base and deltaShare allows), an internal node whose trie was edited or
-// one of whose children was just written (its object holds that child's
-// Ref) — every node, leaves whole, when full is set. Unchanged subtrees
-// keep their references. The byte slice put receives is reused between
-// calls. Nothing in the tree changes until the Checkpoint is committed.
+// records changed since its last durable copy, an internal node whose
+// trie was edited or one of whose children was just written (its object
+// holds that child's Ref) — each as a delta when it has a base and
+// deltaShare allows — and every node whole when full is set. Unchanged
+// subtrees keep their references. The byte slice put receives is reused
+// between calls. Nothing in the tree changes until the Checkpoint is
+// committed.
 func (t *Tree) EncodeCheckpoint(full bool, put func(enc []byte, leaf bool) (Ref, error)) (*Checkpoint, error) {
 	root, err := t.appendHeader(directoryVersion)
 	if err != nil {
@@ -236,32 +270,64 @@ type checkpointWalk struct {
 	*Checkpoint
 	full bool
 	put  func(enc []byte, leaf bool) (Ref, error)
-	bufs [][]byte // one scratch encoding per tree depth
+	bufs []walkScratch // one per tree depth
+}
+
+// walkScratch is one depth's reusable buffers: the object of the node the
+// walk is at, and of an internal node its children's references in trie
+// order and the entries (position, Ref) a delta would list.
+type walkScratch struct {
+	enc, moved []byte
+	refs       []Ref
 }
 
 // object makes n's subtree durable, children first, and returns n's
 // reference and whether n itself was handed to put.
 func (c *checkpointWalk) object(n *node, depth int) (Ref, bool, error) {
 	if depth == len(c.bufs) {
-		c.bufs = append(c.bufs, nil)
+		c.bufs = append(c.bufs, walkScratch{})
 	}
 	leaf := n.isLeaf()
 	dirty := c.full || !n.durable()
 	kind, whole := kindNode, int64(0)
-	enc := c.bufs[depth][:0]
+	enc := c.bufs[depth].enc[:0]
+	var children []Ref
 	if !leaf {
 		// An internal node is encoded whether or not it turns out dirty:
-		// only its children's walk can say, and the trie is small.
-		var prev pager.PageID
+		// only its children's walk can say, and the trie is small. One
+		// whose stamp stands has its base's trie, and so a delta to it.
+		var base *baseCopy
+		var prev, movedPrev pager.PageID
+		if !dirty {
+			base = n.dur.base
+			movedPrev = base.ref.Pages[len(base.ref.Pages)-1]
+		}
+		moved, refs, nmoved := c.bufs[depth].moved[:0], c.bufs[depth].refs[:0], 0
 		var err error
 		enc, err = appendTrie(append(enc, kindNode), n.trie, func(e []byte, child *node) ([]byte, error) {
 			ref, written, err := c.object(child, depth+1)
 			dirty = dirty || written
+			if base != nil && !ref.equal(base.children[len(refs)]) {
+				moved = binary.AppendUvarint(moved, uint64(len(refs)))
+				moved, movedPrev = appendRef(moved, ref, movedPrev)
+				nmoved++
+			}
+			refs = append(refs, ref)
 			e, prev = appendRef(e, ref, prev)
 			return e, err
 		})
 		if err != nil {
 			return Ref{}, false, err
+		}
+		c.bufs[depth].moved, c.bufs[depth].refs, children = moved, refs, refs
+		if whole = int64(len(enc)); dirty && nmoved > 0 {
+			var scratch [64]byte
+			head, _ := appendRef(append(scratch[:0], kindNodeDelta), base.ref, 0)
+			head = binary.AppendUvarint(head, uint64(nmoved))
+			if int64(len(head)+len(moved))*deltaShare <= whole {
+				kind, whole = kindNodeDelta, n.dur.whole
+				enc = append(append(enc[:0], head...), moved...)
+			}
 		}
 	} else if dirty {
 		if kind, _, whole = n.leafObject(c.full); kind == kindDelta {
@@ -270,26 +336,28 @@ func (c *checkpointWalk) object(n *node, depth int) (Ref, bool, error) {
 			enc = appendLeaf(append(enc, kindLeaf), n.recs)
 		}
 	}
-	c.bufs[depth] = enc
+	c.bufs[depth].enc = enc
 	dur := n.dur
 	if dirty {
 		ref, err := c.put(enc, leaf)
 		if err != nil {
 			return Ref{}, false, err
 		}
-		dur = &durableCopy{ref: ref, ver: n.ver, kind: kind, whole: int64(len(enc))}
+		dur = &durableCopy{ref: ref, ver: n.ver, kind: kind, whole: whole}
 		switch kind {
 		case kindLeaf:
-			dur.base = &leafBase{ref: ref, kept: len(n.recs)}
-		case kindDelta:
-			dur.base, dur.whole = n.dur.base, whole
+			dur.base = &baseCopy{ref: ref, kept: len(n.recs)}
+		case kindNode:
+			dur.base = &baseCopy{ref: ref, children: slices.Clone(children)}
+		default:
+			dur.base = n.dur.base
 		}
 		c.pending = append(c.pending, stamp{n: n, dur: dur})
 		c.Written.add(kind, int64(len(enc)))
 	}
 	// The image holds what the parent refers to and, behind a delta, its base.
-	if c.image(dur.kind, dur.ref); dur.kind == kindDelta {
-		c.image(kindLeaf, dur.base.ref)
+	if c.image(dur.kind, dur.ref); dur.kind&1 != 0 {
+		c.image(dur.kind&^1, dur.base.ref)
 	}
 	return dur.ref, dirty, nil
 }
@@ -302,11 +370,16 @@ func (c *Checkpoint) image(kind byte, ref Ref) {
 // leafObject says what EncodeCheckpoint writes a dirty leaf as (a delta when it
 // has a base, full is not set and deltaShare allows), its size and the leaf's.
 func (n *node) leafObject(full bool) (kind byte, size, whole int64) {
-	whole = 1 + leafSize(n.recs)
+	var base *baseCopy
+	kept := 0
 	if !full && n.dur != nil {
+		base, kept = n.dur.base, n.dur.base.kept
+	}
+	appended := recordsSize(n.recs[kept:])
+	whole = 1 + uvarintLen(len(n.recs)) + recordsSize(n.recs[:kept]) + appended
+	if base != nil {
 		var scratch [64]byte
-		base := n.dur.base
-		if delta := int64(len(appendDeltaHead(scratch[:0], base))) + leafSize(n.recs[base.kept:]); delta*deltaShare <= whole {
+		if delta := int64(len(appendDeltaHead(scratch[:0], base))) + uvarintLen(len(n.recs)-kept) + appended; delta*deltaShare <= whole {
 			return kindDelta, delta, whole
 		}
 	}
@@ -315,8 +388,9 @@ func (n *node) leafObject(full bool) (kind byte, size, whole int64) {
 
 // Pending sizes what an incremental EncodeCheckpoint would hand to put
 // right now, without encoding a record — leaves and deltas to the byte,
-// internal nodes by nodeSizeEstimate (a reference's varints are only
-// known once the child is stored) — and what a full one would.
+// every internal node, whichever form it will take, as a whole one by
+// nodeSizeEstimate (a reference's varints are only known once the child
+// is stored) — and what a full one would.
 func (t *Tree) Pending() (write Footprint, whole int64) {
 	var walk func(n *node) bool
 	walk = func(n *node) bool {
@@ -344,10 +418,11 @@ func (t *Tree) Pending() (write Footprint, whole int64) {
 	return write, whole
 }
 
-// nodeSizeEstimate guesses an internal node's object before its
-// children's references exist: a kind byte, per child a trie tag and a reference of
-// about 11 bytes (offset, length, CRC, page count, page distance), per
-// hyperplane between two children a tag, an axis and a one-column row.
+// nodeSizeEstimate bounds an internal node's whole object — and so its
+// delta — before its children's references exist: a kind byte, per child
+// a trie tag and a reference of at most 11 bytes in a file of 4 KB pages
+// (offset, length, CRC, page count, page distance), per hyperplane
+// between two children a tag, an axis and a one-column row.
 func nodeSizeEstimate(children int) int64 { return int64(1 + 12*children + 7*(children-1)) }
 
 // appendHeader starts an encoding of either form: version, dimensions
@@ -390,18 +465,24 @@ func appendLeaf(e []byte, recs []attr.Record) []byte {
 }
 
 // leafSize is len(appendLeaf(nil, recs)).
-func leafSize(recs []attr.Record) int64 {
-	var count [binary.MaxVarintLen64]byte
-	size := binary.PutUvarint(count[:], uint64(len(recs)))
+func leafSize(recs []attr.Record) int64 { return uvarintLen(len(recs)) + recordsSize(recs) }
+
+// recordsSize is what recs take of a leaf payload, after their count.
+func recordsSize(recs []attr.Record) (size int64) {
 	for _, r := range recs {
-		size += attr.RecordSize(r, 0)
+		size += int64(attr.RecordSize(r, 0))
 	}
-	return int64(size)
+	return size
 }
 
-// appendDeltaHead starts a delta object: its kind, the base's reference and
-// the base positions removed. The appended rows follow as a leaf payload.
-func appendDeltaHead(e []byte, base *leafBase) []byte {
+func uvarintLen(v int) int64 {
+	var b [binary.MaxVarintLen64]byte
+	return int64(binary.PutUvarint(b[:], uint64(v)))
+}
+
+// appendDeltaHead starts a leaf's delta object: its kind, the base's reference
+// and the base positions removed. The appended rows follow as a leaf payload.
+func appendDeltaHead(e []byte, base *baseCopy) []byte {
 	e, _ = appendRef(append(e, kindDelta), base.ref, 0)
 	e = binary.AppendUvarint(e, uint64(len(base.removed)))
 	for _, pos := range base.removed {
@@ -504,10 +585,20 @@ type snapDecoder struct {
 
 // source is one encoded byte string — a snapshot, or one object of a
 // checkpoint — read through the row codec's bounds-checked reader, with
-// appendRef's prev replayed.
+// appendRef's prev replayed. Of a node object it keeps the child
+// references read so far, and takes those a node delta puts in their place.
 type source struct {
 	*attr.Reader
 	prevPage pager.PageID
+	refs     []Ref
+	moved    []movedChild // ascending by position, consumed as applied
+}
+
+// movedChild is one entry of a node delta: the child at pos, in trie
+// order, is at ref now.
+type movedChild struct {
+	pos uint64
+	ref Ref
 }
 
 // objectKey is where an object starts. Objects are not empty, so two of
@@ -525,6 +616,11 @@ func (d *snapDecoder) child(src *source, region attr.Box, depth int) (*node, err
 		if err != nil {
 			return nil, err
 		}
+		// A reference a delta supersedes is parsed and dropped, never followed.
+		pos := uint64(len(src.refs))
+		if src.refs = append(src.refs, ref); len(src.moved) > 0 && src.moved[0].pos == pos {
+			ref, src.moved = src.moved[0].ref, src.moved[1:]
+		}
 		return d.object(ref, region, depth)
 	}
 	tag, err := src.Byte()
@@ -541,8 +637,8 @@ func (d *snapDecoder) child(src *source, region attr.Box, depth int) (*node, err
 func (r Ref) key() objectKey { return objectKey{page: r.Pages[0], off: r.Off} }
 
 // fetch opens the object behind ref — each object once — and consumes its
-// kind byte; keep copies it, for a caller that fetches others meanwhile.
-func (d *snapDecoder) fetch(ref Ref, keep bool) (*source, byte, error) {
+// kind byte. The bytes are get's, good until the next fetch.
+func (d *snapDecoder) fetch(ref Ref) (*source, byte, error) {
 	key := ref.key()
 	if _, dup := d.seen[key]; dup {
 		return nil, 0, fmt.Errorf("rplustree: checkpoint object at page %d offset %d is referenced twice", key.page, key.off)
@@ -551,9 +647,6 @@ func (d *snapDecoder) fetch(ref Ref, keep bool) (*source, byte, error) {
 	enc, err := d.get(ref)
 	if err != nil {
 		return nil, 0, err
-	}
-	if keep {
-		enc = slices.Clone(enc)
 	}
 	src := &source{Reader: attr.NewReader(enc)}
 	kind, err := src.Byte()
@@ -568,50 +661,78 @@ func (src *source) end(err error) error {
 	return err
 }
 
-// object fetches and decodes the object behind ref: a node object above
-// the leaf depth, a leaf or a delta object at it, and — one level further
-// down, where a delta's base is — a leaf object only.
+// object fetches and decodes the node behind ref: above the leaf depth a
+// node object or a node delta, at it a leaf object or a leaf delta, and
+// behind a delta — read to its end first — the whole object of its depth only.
 func (d *snapDecoder) object(ref Ref, region attr.Box, depth int) (*node, error) {
-	leafDepth := d.height - 1
-	src, kind, err := d.fetch(ref, depth < leafDepth)
+	wholeKind := kindNode
+	if depth == d.height-1 {
+		wholeKind = kindLeaf
+	}
+	src, kind, err := d.fetch(ref)
+	if err == nil && kind&^1 != wholeKind {
+		err = fmt.Errorf("rplustree: checkpoint object of kind %d at depth %d of a tree of height %d", kind, depth, d.height)
+	}
 	if err != nil {
 		return nil, err
 	}
+	base := &baseCopy{ref: ref}
+	var appended *node
+	var moved []movedChild
+	if kind != wholeKind {
+		if base.ref, err = src.ref(); err != nil {
+			return nil, err
+		}
+		if wholeKind == kindLeaf {
+			appended, err = src.leafDelta(base, region)
+		} else {
+			moved, err = src.nodeDelta()
+		}
+		if err = src.end(err); err != nil {
+			return nil, err
+		}
+		var under byte
+		if src, under, err = d.fetch(base.ref); err == nil && under != wholeKind {
+			err = fmt.Errorf("rplustree: checkpoint delta of kind %d names an object of kind %d as its base", kind, under)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 	var n *node
-	switch {
-	case kind == kindNode && depth < leafDepth:
-		n, err = d.node(src, region, depth)
-	case kind == kindLeaf && depth >= leafDepth:
-		n, err = src.leaf(region)
-	case kind == kindDelta && depth == leafDepth:
-		return d.delta(src, ref, region)
-	default:
-		err = fmt.Errorf("rplustree: checkpoint object of kind %d at depth %d of a tree of height %d", kind, depth, d.height)
+	whole := int64(base.ref.Len)
+	if wholeKind == kindLeaf {
+		if n, err = src.leaf(region); err == nil && appended != nil {
+			err = n.replay(base, appended)
+			whole = 1 + leafSize(n.recs)
+		} else if err == nil {
+			base.kept = len(n.recs)
+		}
+	} else {
+		// Its children are fetched while it is read: the bytes must outlast that.
+		rest, _ := src.Bytes(src.Remaining())
+		src = &source{Reader: attr.NewReader(slices.Clone(rest)), moved: moved, refs: make([]Ref, 0, 8)}
+		if n, err = d.node(src, region, depth); err == nil && len(src.moved) > 0 {
+			err = fmt.Errorf("rplustree: node delta moves child %d of a base of %d children", src.moved[0].pos, len(src.refs))
+		}
+		base.children = src.refs
 	}
 	if err = src.end(err); err != nil {
 		return nil, err
 	}
-	// A decoded node starts at ver 0; a leaf object is its own base.
-	n.dur = &durableCopy{ref: ref, kind: kind, whole: int64(ref.Len)}
-	if kind == kindLeaf {
-		n.dur.base = &leafBase{ref: ref, kept: len(n.recs)}
-	}
+	// A decoded node starts at ver 0.
+	n.dur = &durableCopy{ref: ref, kind: kind, whole: whole, base: base}
 	return n, nil
 }
 
-// delta decodes the rest of the delta object at ref and replays it: the
-// base's records minus the removed positions, then the appended rows —
-// the live leaf's record order exactly.
-func (d *snapDecoder) delta(src *source, ref Ref, region attr.Box) (*node, error) {
-	baseRef, err := src.ref()
-	if err != nil {
-		return nil, err
-	}
+// leafDelta decodes the rest of a leaf delta after its base's reference:
+// the base positions removed, into base, and the appended rows.
+func (src *source) leafDelta(base *baseCopy, region attr.Box) (*node, error) {
 	nremoved, err := src.Count(1)
 	if err != nil {
 		return nil, err
 	}
-	base := &leafBase{ref: baseRef, removed: make([]uint32, nremoved)}
+	base.removed = make([]uint32, nremoved)
 	for i := range base.removed {
 		pos, err := src.Uvarint()
 		if err != nil {
@@ -622,33 +743,57 @@ func (d *snapDecoder) delta(src *source, ref Ref, region attr.Box) (*node, error
 		}
 		base.removed[i] = uint32(pos)
 	}
-	appended, err := src.leaf(region)
-	if err = src.end(err); err != nil {
-		return nil, err
-	}
-	// The delta is consumed: fetching the base may overwrite its bytes.
-	n, err := d.object(base.ref, region, d.height)
-	if err != nil {
-		return nil, err
-	}
+	return src.leaf(region)
+}
+
+// replay turns n, a delta's base as decoded, into the leaf the delta
+// stands for: the base's records minus the removed positions, then the
+// appended rows — the live leaf's record order exactly — and notes in base
+// how many of them survived.
+func (n *node) replay(base *baseCopy, appended *node) error {
 	survivors, removed := n.recs[:0], base.removed
-	n.mbr = appended.mbr
+	mbr := appended.mbr
 	for pos, rec := range n.recs {
 		if len(removed) > 0 && int(removed[0]) == pos {
 			removed = removed[1:]
 			continue
 		}
 		survivors = append(survivors, rec)
-		n.mbr.Include(rec.QI)
+		mbr.Include(rec.QI)
 	}
 	if len(removed) > 0 {
-		return nil, fmt.Errorf("rplustree: delta removes position %d of a base of %d records", removed[0], len(n.recs))
+		return fmt.Errorf("rplustree: delta removes position %d of a base of %d records", removed[0], len(n.recs))
 	}
 	base.kept = len(survivors)
-	n.recs = append(survivors, appended.recs...)
+	n.recs, n.mbr = append(survivors, appended.recs...), mbr
 	n.count = len(n.recs)
-	n.dur = &durableCopy{ref: ref, kind: kindDelta, whole: 1 + leafSize(n.recs), base: base}
-	return n, nil
+	return nil
+}
+
+// nodeDelta decodes the rest of a node delta after its base's reference:
+// at least one moved child, positions ascending.
+func (src *source) nodeDelta() ([]movedChild, error) {
+	// An entry is at least a position byte and an 8-byte reference.
+	n, err := src.Count(9)
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 {
+		return nil, fmt.Errorf("rplustree: node delta moves no child")
+	}
+	moved := make([]movedChild, n)
+	for i := range moved {
+		if moved[i].pos, err = src.Uvarint(); err != nil {
+			return nil, err
+		}
+		if i > 0 && moved[i].pos <= moved[i-1].pos {
+			return nil, fmt.Errorf("rplustree: node delta moves child %d out of ascending order", moved[i].pos)
+		}
+		if moved[i].ref, err = src.ref(); err != nil {
+			return nil, err
+		}
+	}
+	return moved, nil
 }
 
 // node decodes the body of the node owning region at depth — a leaf

@@ -420,7 +420,7 @@ func TestServerScrubRepairs(t *testing.T) {
 	// The store's checkpoint counters surface through Stats: 40 inserts
 	// at CheckpointEvery=8 are five checkpoints plus the repair, and the
 	// repair (like the store's first checkpoint) rewrote every leaf.
-	if ck := stats.Checkpoint; ck.Checkpoints < 6 || ck.Full < 2 || ck.LeavesWritten == 0 || ck.PagesFreed == 0 {
+	if ck := stats.Checkpoint; ck.Checkpoints < 6 || ck.Full < 2 || ck.Written.Leaves == 0 || ck.PagesFreed == 0 {
 		t.Fatalf("checkpoint counters %+v", ck)
 	}
 	if err := s.Close(); err != nil {

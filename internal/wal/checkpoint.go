@@ -14,29 +14,29 @@ import (
 // for writing the tree to pages.db, and its mirror for reading it back.
 //
 // On disk a checkpoint is rplustree's checkpoint form (snapshot.go there):
-// one OBJECT per tree node — a leaf object, or a delta object over an
-// earlier leaf object (its base), or a node object — each named by a
+// every tree node is one whole OBJECT — a leaf object, a node object — or
+// one delta object over an earlier whole one (its base), each named by a
 // reference (pages, offset, length, CRC32-C) held in the object above it.
-// Leaf and delta objects are packed back to back, each checkpoint's batch
-// in its own run of pages (an object may straddle pages, or span many);
-// node objects the same way into a run of their own, so a leaf page is
-// replaced only when its leaves are. The ROOT object starts a page of its
-// own, and the MANIFEST, the first frame of wal.log, names it by pages,
-// length and CRC. Nothing is decoded that a checksum chained from the
-// CRC-framed manifest does not cover: manifest → root → node → … → delta →
+// Leaf objects and their deltas are packed back to back, each checkpoint's
+// batch in its own run of pages (an object may straddle pages, or span
+// many); node objects and theirs the same way into a run of their own, so
+// a leaf page is replaced only when its leaves are. The ROOT object, a
+// header and one reference, rides in the MANIFEST, the first frame of
+// wal.log. Nothing is decoded that a checksum chained from the CRC-framed
+// manifest does not cover: manifest → root → node or delta → base → … →
 // leaf, on top of the pager's per-page seals.
 //
 // A checkpoint writes, into pages nothing published refers to, only what
-// changed — a delta or the whole leaf per changed leaf, and the nodes on
+// changed — a delta or the whole object per changed leaf and per node on
 // the paths from those to the root — and the manifest rename publishes it.
 // Unchanged subtrees keep their references, so old and new image share
 // most pages; pages the new image no longer refers to (a base is referred
 // to while a delta names it) are freed after the rename. A full
 // checkpoint — Create, the preload, reseed, scrub repair, compaction — is
-// the same routine with every node changed and every leaf written whole.
+// the same routine with every node changed and every object written whole.
 
 // spaceFactor bounds the page file: a checkpoint that would leave more
-// allocated than spaceFactor × the image with every leaf whole (what a
+// allocated than spaceFactor × the image with every object whole (what a
 // rewrite comes to; a base and its delta are never less) rewrites every
 // node instead, which packs the image into two runs and frees every
 // older page. With the copy a rewrite needs while the old image is still
@@ -44,9 +44,9 @@ import (
 const spaceFactor = 2
 
 // slackPages is what page granularity may cost a checkpoint beyond the
-// bytes it writes: the last page of the leaf run, the last of the node
-// run and the root object's are partly air.
-const slackPages = 3
+// bytes it writes: the last page of the leaf run and the last of the node
+// run are partly air.
+const slackPages = 2
 
 // CheckpointStats are cumulative counts of what checkpointing has cost
 // since the store was created or opened.
@@ -55,16 +55,8 @@ type CheckpointStats struct {
 	// write every node (the first one, reseeds, scrub repairs, compactions).
 	Checkpoints int64
 	Full        int64
-	// LeavesWritten and LeafBytes size the leaf objects written,
-	// DeltasWritten and DeltaBytes the delta objects.
-	LeavesWritten int64
-	LeafBytes     int64
-	DeltasWritten int64
-	DeltaBytes    int64
-	// NodesWritten and NodeBytes size the internal-node objects written,
-	// each checkpoint's root object among them.
-	NodesWritten int64
-	NodeBytes    int64
+	// Written sizes the objects written to pages, by kind.
+	Written rplustree.Footprint
 	// PagesFreed counts pages released because no object of the newly
 	// published image was stored in them any more.
 	PagesFreed int64
@@ -72,23 +64,12 @@ type CheckpointStats struct {
 
 // Add returns the field-wise sum, for callers totalling a fleet.
 func (a CheckpointStats) Add(b CheckpointStats) CheckpointStats {
-	return CheckpointStats{
-		Checkpoints:   a.Checkpoints + b.Checkpoints,
-		Full:          a.Full + b.Full,
-		LeavesWritten: a.LeavesWritten + b.LeavesWritten,
-		LeafBytes:     a.LeafBytes + b.LeafBytes,
-		DeltasWritten: a.DeltasWritten + b.DeltasWritten,
-		DeltaBytes:    a.DeltaBytes + b.DeltaBytes,
-		NodesWritten:  a.NodesWritten + b.NodesWritten,
-		NodeBytes:     a.NodeBytes + b.NodeBytes,
-		PagesFreed:    a.PagesFreed + b.PagesFreed,
-	}
+	return CheckpointStats{a.Checkpoints + b.Checkpoints, a.Full + b.Full, a.Written.Add(b.Written), a.PagesFreed + b.PagesFreed}
 }
 
 // String renders the counters as one report line.
 func (c CheckpointStats) String() string {
-	return fmt.Sprintf("%d (%d full), %d leaves / %d leaf bytes + %d deltas / %d delta bytes + %d nodes / %d node bytes written, %d pages freed",
-		c.Checkpoints, c.Full, c.LeavesWritten, c.LeafBytes, c.DeltasWritten, c.DeltaBytes, c.NodesWritten, c.NodeBytes, c.PagesFreed)
+	return fmt.Sprintf("%d (%d full), %v written, %d pages freed", c.Checkpoints, c.Full, c.Written, c.PagesFreed)
 }
 
 // pageRun is a run of pages being filled one after the other: at most its
@@ -166,11 +147,11 @@ func (w *pageStream) discard() {
 // log are skipped.
 //
 //  1. Announce intent in the old log (replay ignores the marker).
-//  2. Stream every changed leaf, whole or as a delta, and every node
-//     above one into fresh pages, children before parents, then the root
-//     object into a fresh page of its own; flush and sync them.
-//  3. Publish: the manifest goes into wal.tmp, which is renamed over
-//     wal.log and the directory synced.
+//  2. Stream every changed leaf and every node above one, whole or as a
+//     delta, into fresh pages, children before parents; flush and sync
+//     them.
+//  3. Publish: the manifest, the root object in it, goes into wal.tmp,
+//     which is renamed over wal.log and the directory synced.
 //  4. Only now stamp the written nodes with their new locations. An
 //     attempt that aborts earlier leaves every stamp as it was, so the
 //     retry writes those nodes again and trusts no page of the aborted
@@ -187,25 +168,16 @@ func (s *Store) writeCheckpoint(out *pageStream, full bool) error {
 	if !full {
 		// The space rule, decided before anything is written: room is the
 		// pages this checkpoint may allocate, the slack of the rewrite to
-		// come held back, and what it needs is its leaf run, its node run
-		// and the root object's page (no walk when the published image has none).
+		// come held back, and what it needs is its leaf run and its node
+		// run (no walk when the published image has none).
 		ps := int64(s.opts.PageSize)
 		room := func(image int64) int64 { return spaceFactor*image/ps - int64(len(s.live)) - slackPages }
 		if full = room(s.imageBytes) < 1; !full {
 			pending, whole := s.tree.Pending()
-			full = (pending.LeafBytes+pending.DeltaBytes+ps-1)/ps+(pending.NodeBytes+ps-1)/ps+1 > room(whole)
+			full = (pending.LeafBytes+pending.DeltaBytes+ps-1)/ps+(pending.NodeBytes+ps-1)/ps > room(whole)
 		}
 	}
 	ck, err := s.tree.EncodeCheckpoint(full, out.put)
-	if err != nil {
-		return err
-	}
-	// The root object starts a page: the manifest names it without an
-	// offset.
-	if err := out.seal(&out.nodes); err != nil {
-		return err
-	}
-	root, err := out.put(ck.Root, false)
 	if err != nil {
 		return err
 	}
@@ -224,8 +196,7 @@ func (s *Store) writeCheckpoint(out *pageStream, full bool) error {
 		}
 	}
 
-	m := &Manifest{Seq: s.seq, DirLen: root.Len, DirCRC: root.CRC, DirPages: root.Pages}
-	payload, err := Encode(Record{Type: TypeCheckpointEnd, Seq: s.seq, Manifest: m})
+	payload, err := Encode(Record{Type: TypeCheckpointEnd, Seq: s.seq, Manifest: &Manifest{Seq: s.seq, Root: ck.Root}})
 	if err != nil {
 		return err
 	}
@@ -257,17 +228,12 @@ func (s *Store) writeCheckpoint(out *pageStream, full bool) error {
 	ck.Commit()
 
 	old := s.live
-	s.setImage(append(ck.Pages, root.Pages...), ck.Image.Bytes()+int64(root.Len))
+	s.setImage(ck.Pages, ck.Image.Bytes())
 	s.ckpt.Checkpoints++
 	if full {
 		s.ckpt.Full++
 	}
-	s.ckpt.LeavesWritten += int64(ck.Written.Leaves)
-	s.ckpt.LeafBytes += ck.Written.LeafBytes
-	s.ckpt.DeltasWritten += int64(ck.Written.Deltas)
-	s.ckpt.DeltaBytes += ck.Written.DeltaBytes
-	s.ckpt.NodesWritten += int64(ck.Written.Nodes) + 1
-	s.ckpt.NodeBytes += ck.Written.NodeBytes + int64(root.Len)
+	s.ckpt.Written = s.ckpt.Written.Add(ck.Written)
 	for _, id := range old {
 		if s.isLive(id) {
 			continue
@@ -295,21 +261,17 @@ func (s *Store) isLive(id pager.PageID) bool {
 	return ok
 }
 
-// loadCheckpoint rebuilds the tree from the checkpoint the manifest
-// names: the root object first, then each node, delta and leaf object through
-// the pager as the decoder follows its reference, every byte checked
-// against the checksum chain before the decoder sees it. The decoded
-// tree carries the references as its stamps, so the first checkpoint
-// after a reopen is incremental too.
+// loadCheckpoint rebuilds the tree from the checkpoint whose root object
+// the manifest holds: each node, leaf and delta object through the pager
+// as the decoder follows its reference, every byte checked against the
+// checksum chain before the decoder sees it. The decoded tree carries the
+// references as its stamps, so the first checkpoint after a reopen is
+// incremental too.
 func (s *Store) loadCheckpoint(m *Manifest) error {
-	root, err := s.readRef(rplustree.Ref{Pages: m.DirPages, Len: m.DirLen, CRC: m.DirCRC}, nil)
-	if err != nil {
-		return fmt.Errorf("wal: checkpoint root: %w", err)
-	}
 	var object []byte
-	bytes := int64(m.DirLen)
-	live := slices.Clone(m.DirPages)
-	tree, err := rplustree.DecodeCheckpoint(s.opts.Tree, root, func(ref rplustree.Ref) ([]byte, error) {
+	var bytes int64
+	var live []pager.PageID
+	tree, err := rplustree.DecodeCheckpoint(s.opts.Tree, m.Root, func(ref rplustree.Ref) ([]byte, error) {
 		var err error
 		if object, err = s.readRef(ref, object[:0]); err != nil {
 			return nil, fmt.Errorf("wal: checkpoint object: %w", err)

@@ -44,24 +44,25 @@ func checkOnlyLivePages(t *testing.T, s *Store) {
 
 // since is what the counters gained after an earlier reading of them.
 func (c CheckpointStats) since(b CheckpointStats) CheckpointStats {
-	return CheckpointStats{
-		Checkpoints:   c.Checkpoints - b.Checkpoints,
-		Full:          c.Full - b.Full,
-		LeavesWritten: c.LeavesWritten - b.LeavesWritten,
-		LeafBytes:     c.LeafBytes - b.LeafBytes,
-		DeltasWritten: c.DeltasWritten - b.DeltasWritten,
-		DeltaBytes:    c.DeltaBytes - b.DeltaBytes,
-		NodesWritten:  c.NodesWritten - b.NodesWritten,
-		NodeBytes:     c.NodeBytes - b.NodeBytes,
-		PagesFreed:    c.PagesFreed - b.PagesFreed,
-	}
+	w, v := c.Written, b.Written
+	return CheckpointStats{c.Checkpoints - b.Checkpoints, c.Full - b.Full, rplustree.Footprint{
+		Leaves: w.Leaves - v.Leaves, Deltas: w.Deltas - v.Deltas, Nodes: w.Nodes - v.Nodes, NodeDeltas: w.NodeDeltas - v.NodeDeltas,
+		LeafBytes: w.LeafBytes - v.LeafBytes, DeltaBytes: w.DeltaBytes - v.DeltaBytes, NodeBytes: w.NodeBytes - v.NodeBytes, NodeDeltaBytes: w.NodeDeltaBytes - v.NodeDeltaBytes,
+	}, c.PagesFreed - b.PagesFreed}
+}
+
+// leafPart is the part of a footprint Tree.Pending knows to the byte.
+func leafPart(f rplustree.Footprint) rplustree.Footprint {
+	return rplustree.Footprint{Leaves: f.Leaves, LeafBytes: f.LeafBytes, Deltas: f.Deltas, DeltaBytes: f.DeltaBytes}
 }
 
 // reopenEqual closes s, reopens the store and asserts the recovered
-// tree is byte-identical to the live one and no page is leaked.
+// tree is byte-identical to the live one, and that the pages the writer
+// kept live are exactly the pages recovery reached: a base — a leaf's or a
+// node's — is kept while a delta names it and not a checkpoint longer.
 func reopenEqual(t *testing.T, s *Store, opts Options) *Store {
 	t.Helper()
-	want := mustImage(t, s)
+	want, live := mustImage(t, s), s.SnapshotPages()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -72,6 +73,10 @@ func reopenEqual(t *testing.T, s *Store, opts Options) *Store {
 	if !bytes.Equal(want, mustImage(t, s2)) {
 		s2.Close()
 		t.Fatal("recovered tree is not byte-identical to the live tree")
+	}
+	if freed := s2.RecoveryStats().PagesFreed; freed != 0 || !slices.Equal(live, s2.SnapshotPages()) {
+		s2.Close()
+		t.Fatalf("the writer kept pages %v live, recovery reached %v and freed %d", live, s2.SnapshotPages(), freed)
 	}
 	checkOnlyLivePages(t, s2)
 	return s2
@@ -122,11 +127,11 @@ func TestCheckpointRecoveredEqualsLive(t *testing.T) {
 			checkOnlyLivePages(t, s)
 			after := s.CheckpointStats()
 			leaves := len(s.Tree().Leaves())
-			wrote := after.LeavesWritten - before.LeavesWritten
+			wrote := after.Written.Leaves - before.Written.Leaves
 			sawSplit = sawSplit || (leavesAtCkpt > 0 && leaves > leavesAtCkpt)
 			sawRepair = sawRepair || leaves < leavesAtCkpt
 			sawPartial = sawPartial || (wrote > 0 && after.Full == before.Full)
-			sawDelta = sawDelta || after.DeltasWritten > before.DeltasWritten
+			sawDelta = sawDelta || after.Written.Deltas > before.Written.Deltas
 			sawCompaction = sawCompaction || (!full && after.Full > before.Full && before.Checkpoints > 1)
 			leavesAtCkpt = leaves
 			if rng.Intn(3) == 0 {
@@ -134,8 +139,8 @@ func TestCheckpointRecoveredEqualsLive(t *testing.T) {
 				if err := s.Checkpoint(); err != nil {
 					t.Fatal(err)
 				}
-				if again := s.CheckpointStats(); again.Full == after.Full && again.LeavesWritten != after.LeavesWritten {
-					t.Fatalf("seed %d: a checkpoint with nothing changed wrote %d leaves", seed, again.LeavesWritten-after.LeavesWritten)
+				if again := s.CheckpointStats(); again.Full == after.Full && again.Written.Leaves != after.Written.Leaves {
+					t.Fatalf("seed %d: a checkpoint with nothing changed wrote %d leaves", seed, again.Written.Leaves-after.Written.Leaves)
 				} else if again.Full == after.Full {
 					sawNoop = true
 				}
@@ -157,7 +162,7 @@ func TestCheckpointRecoveredEqualsLive(t *testing.T) {
 			t.Fatal(err)
 		}
 		st, leaves := s.CheckpointStats(), len(s.Tree().Leaves())
-		if wrote := st.LeavesWritten + st.DeltasWritten - replayed.LeavesWritten - replayed.DeltasWritten; leaves > 8 && st.Full == replayed.Full && wrote > 3 {
+		if wrote := st.Written.Leaves + st.Written.Deltas - replayed.Written.Leaves - replayed.Written.Deltas; leaves > 8 && st.Full == replayed.Full && wrote > 3 {
 			t.Fatalf("seed %d: one insert into a reopened store wrote %d of %d leaves", seed, wrote, leaves)
 		}
 		s = reopenEqual(t, s, opts)
@@ -209,7 +214,7 @@ func TestCheckpointRecoveredEqualsLive(t *testing.T) {
 			if (got.Full > 0) != (o.then == thenFullCheckpoint) {
 				t.Fatalf("page size %d, chain op %d: %d full checkpoints", pageSize, j, got.Full)
 			}
-			if got.LeavesWritten != int64(want.Leaves) || got.DeltasWritten != int64(want.Deltas) || got.LeafBytes != want.LeafBytes {
+			if got.Written.Leaves != want.Leaves || got.Written.Deltas != want.Deltas || got.Written.LeafBytes != want.LeafBytes {
 				t.Fatalf("page size %d, chain op %d: wrote %+v, the model %+v", pageSize, j, got, want)
 			}
 			if reopenAlways || o.then == thenReopen {
@@ -293,7 +298,8 @@ func restructuringOps(t *testing.T, cfg rplustree.Config, prefix []churnOp, n in
 // a delta, the delta that supersedes it (then a reopen), another on the
 // same base, the rewrite the size rule forces when the delta has grown
 // past half the leaf, the split of a delta'd leaf, the underflow repair
-// that dissolves one, a full checkpoint. It runs the script on a model tree
+// that dissolves one, a full checkpoint, a chain of node deltas up to the
+// rewrite that ends it. It runs the script on a model tree
 // to steer it, and returns with the script what each of its checkpoints
 // writes there — which is what a store's must, unless the space rule made
 // it a full one.
@@ -303,6 +309,7 @@ func deltaChainOps(t *testing.T, cfg rplustree.Config, prefix []churnOp) ([]chur
 	page := pager.PageID(0)
 	var ops []churnOp
 	var wrote []rplustree.Footprint
+	var image rplustree.Footprint // the last checkpoint's
 	checkpoint := func(then afterOp) rplustree.Footprint {
 		t.Helper()
 		ck, err := tr.EncodeCheckpoint(then == thenFullCheckpoint, func(enc []byte, leaf bool) (rplustree.Ref, error) {
@@ -313,6 +320,7 @@ func deltaChainOps(t *testing.T, cfg rplustree.Config, prefix []churnOp) ([]chur
 			t.Fatal(err)
 		}
 		ck.Commit()
+		image = ck.Image
 		if len(ops) > 0 {
 			ops[len(ops)-1].then = then
 			wrote = append(wrote, ck.Written)
@@ -400,6 +408,31 @@ func deltaChainOps(t *testing.T, cfg rplustree.Config, prefix []churnOp) ([]chur
 
 	touch(anchor, "before the full checkpoint")
 	want("a full checkpoint", checkpoint(thenFullCheckpoint), len(tr.Leaves()), 0)
+
+	// A node-delta chain, on the room the rewrite made: leaves that follow
+	// one another in tree order, changed one per checkpoint with a
+	// reopen after every other, so that the node over them goes out as a
+	// delta naming one child more each time, until that is past half of it
+	// and it goes out whole — one delta'd node fewer in the image.
+	chain, rebased := 0, false
+	for _, leaf := range tr.Leaves() {
+		if rebased || chain == 16 {
+			break
+		}
+		before := image.NodeDeltas
+		if r := leaf.Records[0]; len(leaf.Records) < 2*cfg.BaseK { // room for one more, or one to spare
+			do(churnOp{kind: TypeInsert, rec: attr.Record{ID: 1<<32 + int64(chain), QI: r.QI, Sensitive: "node-delta chain"}})
+		} else {
+			do(churnOp{kind: TypeDelete, rec: attr.Record{ID: r.ID}, oldQI: r.QI})
+		}
+		if last = checkpoint([]afterOp{thenCheckpoint, thenReopen}[chain%2]); last.NodeDeltas == 0 {
+			t.Fatalf("script: a change to one leaf wrote %+v", last)
+		}
+		chain, rebased = chain+1, image.NodeDeltas < before
+	}
+	if !rebased {
+		t.Fatalf("script: %d leaves touched in tree order and no node was written whole again", chain)
+	}
 	return ops, wrote
 }
 
@@ -411,9 +444,10 @@ func deltaChainOps(t *testing.T, cfg rplustree.Config, prefix []churnOp) ([]chur
 // churn; a second is aimed (restructuringOps), so that its checkpoints
 // straddle an underflow repair, leaf splits and an internal split and
 // every page write of the rewritten node objects is a crash point; a
-// third is the leaf-delta chain (deltaChainOps), with its own checkpoints:
-// a crash at every page write of a delta, of the delta superseding it, of
-// the rebase, of the halves of a delta'd leaf and of a full rewrite.
+// third is the delta chain (deltaChainOps), with its own checkpoints: a
+// crash at every page write of a delta, of the delta superseding it, of
+// the rebase, of the halves of a delta'd leaf, of a full rewrite and of a
+// node's ever longer delta up to the rewrite that ends it.
 // Recovery must land on the audited committed prefix, sweep every page
 // the dying checkpoint leaked, and leave a store whose next
 // (incremental) checkpoint survives a reopen.
@@ -520,7 +554,7 @@ func TestCrashMatrixIncremental(t *testing.T) {
 					}
 					if watching && deltas {
 						got, want := s.CheckpointStats().since(before), model[0]
-						if got.LeavesWritten == int64(want.Leaves) && got.DeltasWritten == int64(want.Deltas) {
+						if got.Written.Leaves == want.Leaves && got.Written.Deltas == want.Deltas {
 							asModel++
 						} else if got.Full == 0 {
 							t.Fatalf("checkpoint after op %d wrote %+v, the model %+v", i, got, want)
@@ -540,13 +574,13 @@ func TestCrashMatrixIncremental(t *testing.T) {
 			}
 			st := s.CheckpointStats()
 			s.Close()
-			if st.Checkpoints < 5 || st.Checkpoints-st.Full < 3 || st.PagesFreed == 0 {
+			if st.Checkpoints < 5 || st.Checkpoints-st.Full < 3 || st.PagesFreed == 0 || st.Written.NodeDeltas < 3 {
 				t.Fatalf("workload does not chain incremental checkpoints: %+v", st)
 			}
 			if aimed && !(leafSplit && nodeSplit) {
 				t.Fatalf("aimed chain straddles no restructuring: leaf split=%v internal split=%v, %+v", leafSplit, nodeSplit, st)
 			}
-			if deltas && (len(model) != 0 || asModel < 6 || st.DeltasWritten < 3) {
+			if deltas && (len(model) != 0 || asModel < 6 || st.Written.Deltas < 3) {
 				t.Fatalf("delta chain: %d checkpoints wrote what the model does, %d never came: %+v", asModel, len(model), st)
 			}
 			total := counter.Ops()
@@ -682,8 +716,7 @@ func TestCheckpointAbortLeavesStampsAlone(t *testing.T) {
 			t.Fatalf("write %d: clean checkpoint after the abort: %v", n, err)
 		}
 		wrote := s.CheckpointStats().since(before)
-		if wrote.LeavesWritten != int64(pending.Leaves) || wrote.LeafBytes != pending.LeafBytes ||
-			wrote.DeltasWritten != int64(pending.Deltas) || wrote.DeltaBytes != pending.DeltaBytes {
+		if leafPart(wrote.Written) != leafPart(pending) {
 			t.Fatalf("write %d: retry wrote %+v, pending was %+v", n, wrote, pending)
 		}
 		checkOnlyLivePages(t, s)
@@ -701,15 +734,14 @@ func insertBatch(recs []attr.Record) []Op {
 
 // TestIncrementalCheckpointWriteVolume is the deterministic guard on
 // the point of the format — counts, not timings. On a 20 000-record
-// store the checkpoint after 100 single-record updates performs under
-// 8 % of the page writes of a full one (8 of 189; 19 while a changed leaf
-// was rewritten whole, 14 of them the leaf run — now 3, deltas but for
-// the leaves the updates split or more than half rewrote — and 21 while
-// the directory was rewritten whole), and what it writes is what Pending
-// said it would;
+// store the checkpoint after 100 single-record updates performs at most
+// 6 of the ≈ 188 page writes of a full one (8 while a node above a changed
+// leaf was rewritten whole and the root object had a page, 19 while a
+// changed leaf was, 21 while the directory was), what it writes of leaves
+// is what Pending said it would, and of nodes no more;
 // the checkpoint after ONE update that stays in its leaf writes that
-// leaf's delta, the node above it on each level and the root object, in
-// three pages: one of the leaf run, one of the node run, the root's.
+// leaf's delta and a delta of the node above it on each level, in two
+// pages: one of the leaf run, one of the node run.
 func TestIncrementalCheckpointWriteVolume(t *testing.T) {
 	opts := testOpts(t, 10)
 	s, err := Create(opts)
@@ -744,17 +776,16 @@ func TestIncrementalCheckpointWriteVolume(t *testing.T) {
 	}
 	pending, _ := s.tree.Pending()
 	incremental, wrote := checkpoint(false)
-	t.Logf("page writes: full %d, after 100 updates %d (%.1f %%): %d leaves / %d bytes, %d deltas / %d bytes, %d nodes / %d bytes (estimated %d)",
-		fullWrites, incremental, 100*float64(incremental)/float64(fullWrites), wrote.LeavesWritten, wrote.LeafBytes, wrote.DeltasWritten, wrote.DeltaBytes, wrote.NodesWritten, wrote.NodeBytes, pending.NodeBytes)
-	if incremental*100 >= fullWrites*8 {
-		t.Fatalf("checkpoint after 100 updates wrote %d pages, a full one %d: not under 8 %%", incremental, fullWrites)
+	t.Logf("page writes: full %d, after 100 updates %d (%.1f %%): %v (nodes estimated at %d bytes)",
+		fullWrites, incremental, 100*float64(incremental)/float64(fullWrites), wrote.Written, pending.NodeBytes)
+	if incremental > 6 {
+		t.Fatalf("checkpoint after 100 updates wrote %d pages (a full one %d), want at most 6", incremental, fullWrites)
 	}
-	if wrote.LeavesWritten != int64(pending.Leaves) || wrote.LeafBytes != pending.LeafBytes || wrote.DeltasWritten != int64(pending.Deltas) ||
-		wrote.DeltaBytes != pending.DeltaBytes || wrote.NodesWritten != int64(pending.Nodes)+1 {
-		t.Fatalf("wrote %+v, pending was %+v (and the root object)", wrote, pending)
+	if w := wrote.Written; leafPart(w) != leafPart(pending) || w.Nodes+w.NodeDeltas != pending.Nodes || w.NodeDeltas < w.Nodes {
+		t.Fatalf("wrote %+v, pending was %+v", w, pending)
 	}
-	if est := pending.NodeBytes; est < wrote.NodeBytes*9/10 || est > wrote.NodeBytes*11/10 {
-		t.Fatalf("node objects estimated at %d bytes came to %d", est, wrote.NodeBytes)
+	if est, got := pending.NodeBytes, wrote.Written.NodeBytes+wrote.Written.NodeDeltaBytes; est < got || est > 4*got {
+		t.Fatalf("node objects bounded at %d bytes came to %d", est, got)
 	}
 
 	// One update that moves nothing, in a leaf the delete half of it does
@@ -771,9 +802,9 @@ func TestIncrementalCheckpointWriteVolume(t *testing.T) {
 		t.Fatalf("update %d: found=%v err=%v", target.ID, found, err)
 	}
 	single, wrote := checkpoint(false)
-	t.Logf("page writes after one update: %d (%d leaves, %d deltas, %d nodes, height %d)", single, wrote.LeavesWritten, wrote.DeltasWritten, wrote.NodesWritten, s.Tree().Height())
-	if wrote.LeavesWritten != 0 || wrote.DeltasWritten != 1 || wrote.NodesWritten > int64(s.Tree().Height()) || single > 3 {
-		t.Fatalf("one update cost %d page writes for %d leaves, %d deltas and %d nodes of a tree of height %d", single, wrote.LeavesWritten, wrote.DeltasWritten, wrote.NodesWritten, s.Tree().Height())
+	t.Logf("page writes after one update: %d (%v, height %d)", single, wrote.Written, s.Tree().Height())
+	if w := wrote.Written; w.Leaves != 0 || w.Deltas != 1 || w.Nodes != 0 || w.NodeDeltas != s.Tree().Height()-1 || single > 2 {
+		t.Fatalf("one update cost %d page writes for %+v of a tree of height %d", single, w, s.Tree().Height())
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"spatialanon/internal/attr"
-	"spatialanon/internal/pager"
 	"spatialanon/internal/rplustree"
 )
 
@@ -21,7 +20,7 @@ func FuzzDecode(f *testing.F) {
 			{Type: TypeUpdate, ID: 7, OldQI: []float64{1, 2}, Rec: attr.Record{ID: 7, QI: []float64{3, 4}}},
 		}},
 		{Type: TypeCheckpointBegin, Seq: 4},
-		{Type: TypeCheckpointEnd, Seq: 5, Manifest: &Manifest{Seq: 5, DirLen: 64, DirCRC: 1, DirPages: []pager.PageID{1, 2}}},
+		{Type: TypeCheckpointEnd, Seq: 5, Manifest: &Manifest{Seq: 5, Root: []byte{7, 0, 0, 0, 8, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1, 2}}},
 	}
 	for _, r := range seedRecords {
 		payload, err := Encode(r)
@@ -37,7 +36,7 @@ func FuzzDecode(f *testing.F) {
 		f.Add([]byte{tag})
 		f.Add([]byte{tag, 1, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	}
-	f.Add([]byte{5, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{8, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := Decode(data)

@@ -25,22 +25,22 @@
 // delete or update is logged as a batch of one.
 //
 // Every log file begins with a CheckpointEnd record: the manifest of
-// the checkpoint it extends — which pager pages hold the checkpoint's
-// root object (the entry to a tree of node objects, each holding a
-// checksummed reference per child, see checkpoint.go), its length and
-// checksum, and the operation count folded into it. Checkpointing writes the new
+// the checkpoint it extends — the checkpoint's root object itself (the
+// entry to a tree of node objects in pager pages, each holding a
+// checksummed reference per child, see checkpoint.go) and the operation
+// count folded into it. Checkpointing writes the new
 // manifest to a temporary file and atomically renames it over the log,
 // so the log is truncated and the checkpoint published in one
 // indivisible step.
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 
 	"spatialanon/internal/attr"
-	"spatialanon/internal/pager"
 )
 
 // Type identifies a log record.
@@ -60,8 +60,11 @@ const (
 	// can land mid-checkpoint.
 	TypeCheckpointBegin Type = 4
 	// TypeCheckpointEnd is a checkpoint manifest — always and only the
-	// first record of a log file.
-	TypeCheckpointEnd Type = 5
+	// first record of a log file. Its number is the manifest's version: 5
+	// named a root object in a page of its own (checkpoint format 6 and
+	// older), refused by Decode with a version error.
+	TypeCheckpointEnd   Type = 8
+	typeCheckpointEndV1 Type = 5
 	// TypeBatch is the mutation frame: one or more maintenance
 	// operations in ONE frame, so the frame checksum makes the whole
 	// batch all-or-nothing. The scanner drops a torn frame entirely,
@@ -94,23 +97,18 @@ func (t Type) String() string {
 	return fmt.Sprintf("wal.Type(%d)", byte(t))
 }
 
-// Manifest is the body of a CheckpointEnd record: where the
-// checkpoint's root object — the entry to its directory of node objects
-// — lives and how much history it folds in. It is the root of the
-// checksum chain: the frame CRC covers the manifest, DirCRC covers the
-// root object, and every object carries a CRC per child — on top of the
-// pager's per-page seals.
+// Manifest is the body of a CheckpointEnd record: the checkpoint's root
+// object and how much history it folds in. It is the root of the checksum
+// chain: the frame CRC covers the manifest and the root object in it, and
+// every object carries a CRC per child — on top of the pager's per-page
+// seals.
 type Manifest struct {
 	// Seq is the sequence number of the last operation folded into the
 	// checkpoint; replayed tail records continue from Seq+1.
 	Seq uint64
-	// DirLen is the byte length of the root object.
-	DirLen uint32
-	// DirCRC is the CRC32-C of the root object.
-	DirCRC uint32
-	// DirPages are the pager pages holding the root object, in order; it
-	// starts at the first one's first byte.
-	DirPages []pager.PageID
+	// Root is the root object (rplustree.Checkpoint.Root): the rest of
+	// the frame.
+	Root []byte
 }
 
 // Op is one maintenance operation inside a batch frame. Op.Type must
@@ -201,15 +199,8 @@ func Encode(r Record) ([]byte, error) {
 		if r.Manifest == nil {
 			return nil, fmt.Errorf("wal: checkpoint-end without manifest")
 		}
-		m := r.Manifest
-		b = binary.LittleEndian.AppendUint64(b, m.Seq)
-		b = binary.LittleEndian.AppendUint32(b, m.DirLen)
-		b = binary.LittleEndian.AppendUint32(b, m.DirCRC)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(m.DirPages)))
-		for _, id := range m.DirPages {
-			b = binary.LittleEndian.AppendUint64(b, uint64(id))
-		}
-		return b, nil
+		b = binary.LittleEndian.AppendUint64(b, r.Manifest.Seq)
+		return append(b, r.Manifest.Root...), nil
 	default:
 		return nil, fmt.Errorf("wal: encode of unknown record type %d", byte(r.Type))
 	}
@@ -237,11 +228,16 @@ func Decode(payload []byte) (Record, error) {
 			return Record{}, err
 		}
 	case TypeCheckpointEnd:
-		if r.Manifest, err = decodeManifest(d); err != nil {
+		r.Manifest = &Manifest{}
+		if r.Manifest.Seq, err = d.U64(); err != nil {
 			return Record{}, err
 		}
+		root, _ := d.Bytes(d.Remaining())
+		r.Manifest.Root = bytes.Clone(root)
 	case TypeInsert, TypeDelete, TypeUpdate:
 		return Record{}, fmt.Errorf("wal: %v is an op tag, not a frame type; mutations are logged as batch frames", r.Type)
+	case typeCheckpointEndV1:
+		return Record{}, fmt.Errorf("wal: store in checkpoint format 6 or older (manifest frame type %d); this build reads format 7 (frame type %d)", typeCheckpointEndV1, TypeCheckpointEnd)
 	case typeBatchV1:
 		return Record{}, fmt.Errorf("wal: batch frame in retired format version 1 (frame type %d); this build reads version 2 (frame type %d)", typeBatchV1, TypeBatch)
 	default:
@@ -302,34 +298,4 @@ func decodeOp(d *attr.Reader, dims int) (Op, error) {
 		}
 	}
 	return op, nil
-}
-
-func decodeManifest(d *attr.Reader) (*Manifest, error) {
-	m := &Manifest{}
-	var err error
-	if m.Seq, err = d.U64(); err != nil {
-		return nil, err
-	}
-	if m.DirLen, err = d.U32(); err != nil {
-		return nil, err
-	}
-	if m.DirCRC, err = d.U32(); err != nil {
-		return nil, err
-	}
-	n, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > maxVec || int(n)*8 > d.Remaining() {
-		return nil, fmt.Errorf("wal: manifest claims %d pages, %d bytes left", n, d.Remaining())
-	}
-	m.DirPages = make([]pager.PageID, n)
-	for i := range m.DirPages {
-		id, err := d.U64()
-		if err != nil {
-			return nil, err
-		}
-		m.DirPages[i] = pager.PageID(id)
-	}
-	return m, nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"spatialanon/internal/attr"
-	"spatialanon/internal/pager"
 )
 
 func roundTrip(t *testing.T, r Record) Record {
@@ -29,10 +28,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		{Type: TypeBatch, Seq: 8, Batch: []Op{{Type: TypeDelete, ID: 42, OldQI: []float64{1.5, -2.25, 0}}}},
 		{Type: TypeBatch, Seq: 9, Batch: []Op{{Type: TypeUpdate, ID: 42, OldQI: []float64{1, 2, 3}, Rec: rec}}},
 		{Type: TypeCheckpointBegin, Seq: 10},
-		{Type: TypeCheckpointEnd, Seq: 11, Manifest: &Manifest{
-			Seq: 11, DirLen: 4096, DirCRC: 0xDEADBEEF,
-			DirPages: []pager.PageID{3, 1, 9},
-		}},
+		{Type: TypeCheckpointEnd, Seq: 11, Manifest: &Manifest{Seq: 11, Root: []byte{7, 0, 0, 0, 0xDE, 0xAD}}},
 	}
 	for _, want := range cases {
 		got := roundTrip(t, want)
@@ -48,7 +44,7 @@ func TestRecordRoundTripEmptyFields(t *testing.T) {
 		t.Fatalf("empty-field record mangled: %+v", r)
 	}
 	got = roundTrip(t, Record{Type: TypeCheckpointEnd, Seq: 0, Manifest: &Manifest{}})
-	if got.Manifest == nil || len(got.Manifest.DirPages) != 0 {
+	if got.Manifest == nil || len(got.Manifest.Root) != 0 {
 		t.Fatalf("empty manifest mangled: %+v", got.Manifest)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
 	"spatialanon/internal/fault"
 	"spatialanon/internal/pager"
@@ -219,7 +220,7 @@ func TestStoreRecoverSalvagesRottenCheckpoint(t *testing.T) {
 		if err := st.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		if ck := st.CheckpointStats(); ck.DeltasWritten < 3 || ck.LeavesWritten != first.LeavesWritten {
+		if ck := st.CheckpointStats(); ck.Written.Deltas < 3 || ck.Written.Leaves != first.Written.Leaves {
 			t.Fatalf("want deltas over the first checkpoint's leaves and no leaf rewritten, got %+v after %+v", ck, first)
 		}
 		before := storeRecords(st)
@@ -353,42 +354,84 @@ func TestStoreScrubQuarantinesGarbage(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesOldFormatStore: a store whose checkpoint is in a
-// retired format — the fixed-width float64 one (directory version 2) or
-// the one whose directory was a single buffer (version 4) — has a
-// manifest this build still reads, so Open gets as far as the version
-// word of what the manifest names and fails there, by version, instead
-// of mis-decoding a directory as a root object.
+// TestRecoveryNeverFollowsSupersededReference: a leaf rewritten whole under
+// nodes that go out as deltas leaves a base still naming the leaf's old
+// object, whose pages the checkpoint gives back. Recovery reads through the
+// delta and never looks there — it would find no page — and refuses the image
+// when a page written in the old object's place has rotted.
+func TestRecoveryNeverFollowsSupersededReference(t *testing.T) {
+	opts := testOpts(t, 3)
+	opts.PageSize = 128 // a leaf spans pages of its own
+	s, err := Create(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ApplyBatch(insertBatch(makeRecords(opts.Tree.Schema, 300, 5))); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.checkpoint(true); err != nil {
+		t.Fatal(err)
+	}
+	leaves := s.Tree().Leaves()
+	big := slices.MaxFunc(leaves, func(a, b anonmodel.Partition) int { return len(a.Records) - len(b.Records) })
+	for _, r := range slices.Clone(big.Records) {
+		moved := r
+		moved.Sensitive = "rewritten where it is"
+		if found, err := s.Update(r.ID, r.QI, moved); err != nil || !found {
+			t.Fatalf("update %d: found=%v err=%v", r.ID, found, err)
+		}
+	}
+	before, old := s.CheckpointStats(), s.SnapshotPages()
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if w := s.CheckpointStats().since(before).Written; w.Leaves != 1 || w.Deltas != 0 || w.NodeDeltas == 0 || len(s.Tree().Leaves()) != len(leaves) {
+		t.Fatalf("every record of one leaf rewritten in place: wrote %+v", w)
+	}
+	live := s.SnapshotPages()
+	dead := slices.DeleteFunc(slices.Clone(old), func(id pager.PageID) bool { return slices.Contains(live, id) })
+	fresh := slices.DeleteFunc(slices.Clone(live), func(id pager.PageID) bool { return slices.Contains(old, id) })
+	if len(dead) == 0 || len(fresh) == 0 {
+		t.Fatalf("the checkpoint gave back pages %v and wrote pages %v", dead, fresh)
+	}
+	s = reopenEqual(t, s, opts)
+	if err := s.FlipBit(fresh[0], 9); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Open(opts); err == nil {
+		s.Close()
+		t.Fatalf("reopened with page %d, written by the last checkpoint, rotted", fresh[0])
+	}
+}
+
+// TestOpenRefusesOldFormatStore: a store written before the root object
+// moved into the manifest (checkpoint format 6 and older: manifest frame
+// type 5, naming the root object's pages) is refused at the manifest with
+// an error naming both formats, nothing of it decoded; and a manifest of
+// this build's type whose root object carries a retired version word is
+// refused there, by version.
 func TestOpenRefusesOldFormatStore(t *testing.T) {
-	for _, version := range []uint32{2, 4, 5} {
+	u32 := binary.LittleEndian.AppendUint32
+	u64 := binary.LittleEndian.AppendUint64
+	cases := map[string][]byte{"format 6 or older (manifest frame type 5); this build reads format 7": u32(u64(u32(u32(u64(u64([]byte{5}, 9), 9), 20), 0xC0FFEE), 1), 3)}
+	for _, version := range []uint32{2, 4, 5, 6} {
+		root := u32(u32(u32(nil, version), uint32(testOpts(t, 3).Tree.Schema.Dims())), 1)
+		payload, err := Encode(Record{Type: TypeCheckpointEnd, Manifest: &Manifest{Root: append(root, 0, 2, 0, 0, 0, 0, 1, 2)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases[fmt.Sprintf("format version %d, this build reads version 7", version)] = payload
+	}
+	for want, payload := range cases {
 		opts := testOpts(t, 3).withDefaults()
 		pg, err := openPager(opts, pager.CreateDiskFile)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := &pageStream{pg: pg}
-		u32 := binary.LittleEndian.AppendUint32
-		u64 := binary.LittleEndian.AppendUint64
-		// The image of an empty tree: a leaf holding a zero record count,
-		// and a directory of header, leaf tag and (version 2's
-		// fixed-width) reference.
-		leaf, err := out.put(u32(nil, 0), true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dirBytes := u32(u32(u32(nil, version), uint32(opts.Tree.Schema.Dims())), 1)
-		dirBytes = append(dirBytes, 0)
-		dirBytes = u32(u32(u32(u32(dirBytes, leaf.Off), leaf.Len), leaf.CRC), 1)
-		dirBytes = u64(dirBytes, uint64(leaf.Pages[0]))
-		dir, err := out.put(dirBytes, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := errors.Join(out.seal(&out.leaves), out.seal(&out.nodes), pg.Close()); err != nil {
-			t.Fatal(err)
-		}
-		payload, err := Encode(Record{Type: TypeCheckpointEnd, Manifest: &Manifest{DirLen: dir.Len, DirCRC: dir.CRC, DirPages: dir.Pages}})
-		if err != nil {
+		if err := pg.Close(); err != nil {
 			t.Fatal(err)
 		}
 		w, err := openWriter(filepath.Join(opts.Dir, logName), true, opts.Retry, nil)
@@ -401,9 +444,8 @@ func TestOpenRefusesOldFormatStore(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		_, err = Open(opts)
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("format version %d", version)) {
-			t.Fatalf("Open of a version-%d store: %v, want a version error", version, err)
+		if _, err = Open(opts); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Open: %v, want an error naming %q", err, want)
 		}
 	}
 }

@@ -79,9 +79,8 @@ type RecoveryStats struct {
 	// TornBytes is the length of the discarded uncommitted tail.
 	TornBytes int
 	// SnapshotPages and SnapshotBytes size the checkpoint image read:
-	// the live pages (leaf pages, node pages and the root object's) and
-	// the bytes in them that a reference names — leaf and node objects,
-	// the root object included.
+	// the live pages (leaf pages and node pages) and the bytes in them
+	// that a reference names — leaf and node objects, whole and deltas.
 	SnapshotPages int
 	SnapshotBytes int
 	// LogBytes is the size of the log image scanned.
@@ -109,8 +108,8 @@ type Store struct {
 	seq       uint64
 	sinceCkpt int
 	// live is the ascending set of pages the published checkpoint refers
-	// to — leaf pages, node pages and the root object's — and imageBytes
-	// the bytes of them that its objects occupy (checkpoint.go).
+	// to — leaf pages and node pages — and imageBytes the bytes of them
+	// that its objects occupy (checkpoint.go).
 	live       []pager.PageID
 	imageBytes int64
 	ckpt       CheckpointStats
@@ -503,8 +502,8 @@ func (s *Store) maybeCheckpoint() error {
 	return s.dead
 }
 
-// Checkpoint makes the tree durable in pager pages — writing only the
-// leaves that changed since the last checkpoint — and truncates the
+// Checkpoint makes the tree durable in pager pages — writing only what
+// changed since the last checkpoint — and truncates the
 // log: the new log file holds only the manifest, atomically renamed
 // into place (the protocol is writeCheckpoint, checkpoint.go). A
 // transient fault with a clean rollback aborts the checkpoint but
@@ -515,7 +514,7 @@ func (s *Store) maybeCheckpoint() error {
 // falls back to the previous checkpoint plus the old log.
 func (s *Store) Checkpoint() error { return s.checkpoint(false) }
 
-// checkpoint runs the protocol once; full rewrites every leaf.
+// checkpoint runs the protocol once; full writes every object whole.
 func (s *Store) checkpoint(full bool) error {
 	if s.dead != nil {
 		return s.dead
@@ -716,8 +715,8 @@ func (s *Store) adopt(f *Store) {
 }
 
 // SnapshotPages returns the page IDs of the live checkpoint — leaf
-// pages, node pages and the root object's, ascending — for fault drills
-// that need to aim at (or away from) live state.
+// pages and node pages, ascending — for fault drills that need to aim
+// at (or away from) live state.
 func (s *Store) SnapshotPages() []pager.PageID { return slices.Clone(s.live) }
 
 // CheckpointStats returns the cumulative checkpoint counters.

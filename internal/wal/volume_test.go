@@ -6,7 +6,6 @@ import (
 	"spatialanon/internal/attr"
 	"spatialanon/internal/dataset"
 	"spatialanon/internal/detrng"
-	"spatialanon/internal/rplustree"
 )
 
 // benchMix is the benchmark of record's churn (bench/gen.go, opStream)
@@ -65,16 +64,15 @@ func (m *benchMix) next() Op {
 
 // churnRounds preloads a store of n records (k = 10, the benchmark's) and
 // runs rounds of perRound bench-mix operations, a checkpoint after each;
-// it returns the counters and page writes of the rounds alone.
-func churnRounds(t *testing.T, n, rounds, perRound int) (CheckpointStats, int64) {
+// it returns the counters and page writes of the rounds alone, and what a
+// reopen after the last round cost.
+func churnRounds(t *testing.T, n, rounds, perRound int) (CheckpointStats, int64, RecoveryStats) {
 	t.Helper()
 	opts := testOpts(t, 10)
-	opts.Tree = rplustree.Config{Schema: dataset.LandsEndSchema(), BaseK: 10}
 	s, err := Create(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	mix, preload := newBenchMix(n, 42)
 	if _, err := s.ApplyBatch(insertBatch(preload)); err != nil {
 		t.Fatal(err)
@@ -104,30 +102,43 @@ func churnRounds(t *testing.T, n, rounds, perRound int) (CheckpointStats, int64)
 			checkOnlyLivePages(t, s)
 		}
 	}
-	return s.CheckpointStats().since(before), s.pg.Stats().Writes - writes
+	st, writes := s.CheckpointStats().since(before), s.pg.Stats().Writes-writes
+	s = reopenEqual(t, s, opts)
+	defer s.Close()
+	return st, writes, s.RecoveryStats()
 }
 
-// TestLeafDeltaWriteVolume pins what leaf deltas are for, in bytes: on the
+// TestLeafDeltaWriteVolume pins what deltas are for, in bytes: on the
 // benchmark's large store — 200 000 records, a checkpoint every 500
 // operations of its churn — an incremental checkpoint writes on average
 // under 70 000 bytes of leaf and delta objects (319 375 while a changed
-// leaf was rewritten whole; the sizing model said 54 471).
+// leaf was rewritten whole; the sizing model said 54 471) and under 55 000
+// of node objects and their deltas (93 679 while a node above a changed
+// leaf was rewritten whole; the model said 48 355), and the reopen after
+// the last one reads each live page once, give or take the few a merge of
+// 31 checkpoints' runs through a 256-page pool reads twice.
 func TestLeafDeltaWriteVolume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a 200 000-record store")
 	}
 	const rounds = 30
-	st, writes := churnRounds(t, 200_000, rounds, 500)
+	st, writes, rec := churnRounds(t, 200_000, rounds, 500)
 	incremental := st.Checkpoints - st.Full
-	t.Logf("%d rounds of 500 operations on 200 000 records: %v; %d page writes", rounds, st, writes)
+	t.Logf("%d rounds of 500 operations on 200 000 records: %v; %d page writes; reopen read %d pages for %d live", rounds, st, writes, rec.PagerReads, rec.SnapshotPages)
 	if st.Full != 0 {
 		t.Fatalf("%d of %d checkpoints rewrote everything: the pin is on incremental ones", st.Full, rounds)
 	}
-	if mean := (st.LeafBytes + st.DeltaBytes) / incremental; mean > 70_000 {
+	if mean := (st.Written.LeafBytes + st.Written.DeltaBytes) / incremental; mean > 70_000 {
 		t.Fatalf("an incremental checkpoint writes %d bytes of leaves and deltas on average, want at most 70 000", mean)
 	}
-	if st.DeltasWritten < 4*st.LeavesWritten {
-		t.Fatalf("%d deltas to %d whole leaves: most changed leaves should go out as deltas", st.DeltasWritten, st.LeavesWritten)
+	if mean := (st.Written.NodeBytes + st.Written.NodeDeltaBytes) / incremental; mean > 55_000 {
+		t.Fatalf("an incremental checkpoint writes %d bytes of nodes and node deltas on average, want at most 55 000", mean)
+	}
+	if st.Written.Deltas < 4*st.Written.Leaves {
+		t.Fatalf("%d deltas to %d whole leaves: most changed leaves should go out as deltas", st.Written.Deltas, st.Written.Leaves)
+	}
+	if rec.PagerReads > int64(rec.SnapshotPages)+8 {
+		t.Fatalf("the reopen read %d pages for %d live ones", rec.PagerReads, rec.SnapshotPages)
 	}
 }
 
@@ -140,10 +151,70 @@ func TestCheckpointVolumeLongRun(t *testing.T) {
 		t.Skip("120 000 operations")
 	}
 	const rounds = 60
-	st, writes := churnRounds(t, 25_000, rounds, 2000)
+	st, writes, _ := churnRounds(t, 25_000, rounds, 2000)
 	t.Logf("%d rounds of 2 000 operations on 25 000 records: %v; %d page writes, %.1f per round, %d full rewrites",
 		rounds, st, writes, float64(writes)/rounds, st.Full)
 	if writes > 115*rounds {
 		t.Fatalf("%d page writes in %d rounds, want at most 115 per round", writes, rounds)
+	}
+}
+
+// frameCounter is an AppendFault that injects nothing and adds up the
+// frames the log writer is handed.
+type frameCounter struct{ bytes int64 }
+
+func (c *frameCounter) WriteAttempt(frameLen int) (int, error) {
+	c.bytes += int64(frameLen)
+	return 0, nil
+}
+func (c *frameCounter) SyncAttempt() error { return nil }
+
+// TestServeLargeWindowBytes replays the nominal window of the benchmark's
+// serve_large workload — 200 000 records preloaded and checkpointed, then
+// 871 acknowledged operations of its churn, one frame each, a checkpoint
+// every 500 — and counts what the store hands to write: page slots (a
+// page and its 5-byte seal) and log frames. It is the exact-per-seed
+// stand-in for the gated write_amp, which also sees pager bookkeeping:
+// at most 25 page writes (36 while a node above a changed leaf was
+// rewritten whole and the root object had a page of its own), 5.8 bytes
+// written per byte of the 32-byte records acknowledged (7.401) and 40 000
+// bytes of node objects and node deltas (90 105).
+func TestServeLargeWindowBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 200 000-record store")
+	}
+	const ops, recordBytes = 871, 32
+	frames := &frameCounter{}
+	opts := testOpts(t, 10)
+	opts.CheckpointEvery, opts.AppendFault = 500, frames
+	s, err := Create(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	mix, preload := newBenchMix(200_000, 42)
+	if _, err := s.ApplyBatch(insertBatch(preload)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.checkpoint(true); err != nil {
+		t.Fatal(err)
+	}
+	before, writes, logged := s.CheckpointStats(), s.pg.Stats().Writes, frames.bytes
+	for i := 0; i < ops; i++ {
+		if found, err := s.ApplyBatch([]Op{mix.next()}); err != nil || !found[0] {
+			t.Fatalf("operation %d: found=%v err=%v", i, found, err)
+		}
+	}
+	st, writes, logged := s.CheckpointStats().since(before), s.pg.Stats().Writes-writes, frames.bytes-logged
+	slots := writes * int64(s.opts.PageSize+5)
+	amp := float64(slots+logged) / (recordBytes * ops)
+	w := st.Written
+	t.Logf("%d operations, %d checkpoint:\n  leaves      %5d / %6d B\n  leaf deltas %5d / %6d B\n  nodes       %5d / %6d B\n  node deltas %5d / %6d B\n  page slots  %5d / %6d B\n  log frames          %6d B\n  written per acknowledged byte: %.3f",
+		ops, st.Checkpoints, w.Leaves, w.LeafBytes, w.Deltas, w.DeltaBytes, w.Nodes, w.NodeBytes, w.NodeDeltas, w.NodeDeltaBytes, writes, slots, logged, amp)
+	if st.Checkpoints != 1 || st.Full != 0 {
+		t.Fatalf("want one incremental checkpoint in the window, got %+v", st)
+	}
+	if nodes := w.NodeBytes + w.NodeDeltaBytes; writes > 25 || amp > 5.8 || nodes > 40_000 {
+		t.Fatalf("%d page writes, %.3f bytes written per acknowledged byte and %d bytes of nodes and node deltas, want at most 25, 5.8 and 40 000", writes, amp, nodes)
 	}
 }
