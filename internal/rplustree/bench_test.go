@@ -11,7 +11,7 @@ import (
 // Micro-benchmarks for the index's core operations, complementing the
 // repository-root figure benchmarks.
 
-func benchTree(b *testing.B, n int) (*Tree, []attr.Record) {
+func benchTree(b testing.TB, n int) (*Tree, []attr.Record) {
 	b.Helper()
 	recs := dataset.GenerateLandsEnd(n, 7)
 	tr, err := New(Config{Schema: dataset.LandsEndSchema(), BaseK: 5})

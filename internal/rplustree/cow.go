@@ -1,102 +1,117 @@
 package rplustree
 
 import (
+	"sync"
+
 	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
 )
 
-// This file implements copy-on-write leaf snapshots: the mechanism the
-// serving layer (internal/serve) uses to publish an immutable view of
-// the leaf summary after every group commit without paying an O(n)
-// copy per batch.
+// This file implements the tree's persistent snapshot: what the serving
+// layer (internal/serve) publishes after every group commit, at a cost
+// proportional to the batch, not the tree.
 //
-// Leaves() aliases tree storage, so a caller that wants a snapshot
-// surviving further mutation must copy every leaf — O(n) per
-// snapshot, which dominates a write path that publishes after every
-// batch. SnapshotLeaves instead copies only the leaves whose content
-// changed since the caller's previous snapshot and reuses the earlier
-// copies for the rest, making each snapshot O(leaves + changed
-// records): the walk is unavoidable, the copying is proportional to
-// the batch, not the tree.
+// A Snapshot is a second, immutable tree shaped like the index. Every tree
+// node caches the snapshot node it produced last and every mutation stamps
+// its root path with the tree's change clock (node.stamp), so Snapshot
+// rebuilds exactly the nodes stamped since the previous call — the changed
+// leaves and the path above them — and shares every other subtree.
 //
-// Change detection is a per-leaf version counter (node.ver) bumped at
-// every site that mutates a leaf's payload — insertIntoLeaf,
-// bulkAppendLeaf and Delete; splits and underflow repair mint new
-// nodes or route through those sites, so no mutation escapes the
-// counter. Reuse additionally requires that the leaf was visited by
-// the immediately preceding snapshot (node.snapGen matches the tree's
-// generation counter), which makes a freshly minted node — whose
-// zero-valued stamps could otherwise masquerade as "unchanged" —
-// always copy.
+// No record is copied: a snapshot leaf's Records is the tree's own array,
+// cap-limited to the length it had, and the leaf is marked shared. The
+// invariant that makes this sound: NO ARRAY ELEMENT BELOW A PUBLISHED
+// LENGTH IS EVER WRITTEN. Appends write at or past every published length;
+// the two in-place writers — Delete's shift and planSplits' reorder — first
+// call own. A leaf's box is widened in place, so the snapshot clones it.
 
-// SnapshotLeaves returns every non-empty leaf in trie order, like
-// Leaves, but with boxes and record slices OWNED by the caller: they
-// never alias tree storage, so the returned slice remains a
-// consistent snapshot under any further mutation. prev must be the
-// slice returned by this tree's previous SnapshotLeaves call (or nil
-// for a full copy); entries for leaves unchanged since then are
-// reused from it, so the caller must treat every returned partition as
-// immutable and shared.
+// Snapshot is an immutable image of the tree's non-empty leaves, consistent
+// under any further mutation and readable from any number of goroutines.
 //
-// Like all tree reads, SnapshotLeaves is not safe for concurrent use
-// with mutation: it is meant to be called from the one goroutine that
-// owns the tree (the serving layer's committer), which then hands the
-// immutable result to any number of readers.
-func (t *Tree) SnapshotLeaves(prev []anonmodel.Partition) []anonmodel.Partition {
-	// Generation 0 is the zero value of every freshly minted node, so
-	// reuse is only trusted from generation 1 on; the first snapshot of
-	// a tree (or of a recovered tree, whose nodes are all fresh) copies
-	// everything.
-	gen := t.snapGen
-	t.snapGen++
-	cur := t.snapGen
-	reusable := func(n *node) bool {
-		return gen > 0 && n.snapGen == gen && n.snapVer == n.ver && n.snapIdx < len(prev)
+//anonylint:published — handed to concurrent readers by the serving layer; writes only under once
+type Snapshot struct {
+	root *snapNode
+	once sync.Once
+	flat []anonmodel.Partition
+}
+
+// snapNode is one snapshot node: kids in trie order, or a non-empty leaf's
+// partition; leaves counts the non-empty leaves beneath it.
+//
+//anonylint:published — reachable through a Snapshot and shared by later ones until its tree node changes
+type snapNode struct {
+	kids   []*snapNode
+	leaf   anonmodel.Partition
+	leaves int
+}
+
+// Snapshot returns the image of the tree as it stands: O(changed leaves ×
+// height) allocations, no record copies. Like all tree reads it belongs to
+// the goroutine that owns the tree, which hands the result to its readers.
+func (t *Tree) Snapshot() *Snapshot {
+	s := &Snapshot{root: t.snapshotNode(t.root)}
+	t.snapAt = t.clock
+	return s
+}
+
+// snapshotNode returns n's cached snapshot node while nothing beneath n was
+// stamped after the last Snapshot (a node minted since has none).
+func (t *Tree) snapshotNode(n *node) *snapNode {
+	if n.snap != nil && n.stamp <= t.snapAt {
+		return n.snap
 	}
-	// First pass: size the snapshot, so the copied leaves land in two
-	// flat arenas — one record array and one interval array per
-	// snapshot instead of two allocations per changed leaf. Arena
-	// slices are published with full three-index expressions and the
-	// arenas are sized exactly, so no append below can ever reallocate
-	// or let one leaf's slice reach into the next; shared backing is
-	// safe because every partition is immutable once returned (the same
-	// contract prev reuse already relies on).
-	leaves, changedLeaves, changedRecs := 0, 0, 0
-	t.walkLeaves(t.root, func(n *node) {
-		if len(n.recs) == 0 {
-			return
+	sn := &snapNode{}
+	switch {
+	case !n.isLeaf():
+		sn.kids = t.snapshotTrie(n.trie, make([]*snapNode, 0, len(n.children)))
+		for _, kid := range sn.kids {
+			sn.leaves += kid.leaves
 		}
-		leaves++
-		if !reusable(n) {
-			changedLeaves++
-			changedRecs += len(n.recs)
-		}
+	case len(n.recs) > 0:
+		sn.leaf = anonmodel.Partition{Box: n.mbr.Clone(), Records: n.recs[:len(n.recs):len(n.recs)]}
+		sn.leaves = 1
+		n.shared = true
+	}
+	n.snap = sn
+	return sn
+}
+
+// snapshotTrie appends the snapshot nodes of the children under st.
+func (t *Tree) snapshotTrie(st *splitTrie, kids []*snapNode) []*snapNode {
+	if st.isLeaf() {
+		return append(kids, t.snapshotNode(st.child))
+	}
+	return t.snapshotTrie(st.right, t.snapshotTrie(st.left, kids))
+}
+
+// own moves a leaf whose array a snapshot shares onto a private copy.
+func (n *node) own() {
+	if n.shared {
+		n.recs, n.shared = append([]attr.Record(nil), n.recs...), false
+	}
+}
+
+// Leaves returns the snapshot's leaves in trie order, like Tree.Leaves at
+// the moment it was taken. The slice is built by the first caller and
+// shared: it and every partition in it must be treated as immutable.
+func (s *Snapshot) Leaves() []anonmodel.Partition {
+	s.once.Do(func() {
+		s.flat = s.root.appendLeaves(make([]anonmodel.Partition, 0, s.root.leaves))
 	})
-	dims := t.cfg.Schema.Dims()
-	recArena := make([]attr.Record, 0, changedRecs)
-	boxArena := make([]attr.Interval, 0, changedLeaves*dims)
-	out := make([]anonmodel.Partition, 0, leaves)
-	t.walkLeaves(t.root, func(n *node) {
-		if len(n.recs) == 0 {
-			return
-		}
-		if reusable(n) {
-			out = append(out, prev[n.snapIdx])
-		} else {
-			rs := len(recArena)
-			recArena = append(recArena, n.recs...)
-			re := len(recArena)
-			bs := len(boxArena)
-			boxArena = append(boxArena, n.mbr...)
-			be := len(boxArena)
-			out = append(out, anonmodel.Partition{
-				Box:     attr.Box(boxArena[bs:be:be]),
-				Records: recArena[rs:re:re],
-			})
-		}
-		n.snapGen = cur
-		n.snapVer = n.ver
-		n.snapIdx = len(out) - 1
-	})
+	return s.flat
+}
+
+func (sn *snapNode) appendLeaves(out []anonmodel.Partition) []anonmodel.Partition {
+	if sn.leaf.Records != nil {
+		return append(out, sn.leaf)
+	}
+	for _, kid := range sn.kids {
+		out = kid.appendLeaves(out)
+	}
 	return out
+}
+
+// SnapshotLeaves is Snapshot().Leaves(); the previous result it takes is
+// ignored (snapshots share through the tree, not through the caller).
+func (t *Tree) SnapshotLeaves(_ []anonmodel.Partition) []anonmodel.Partition {
+	return t.Snapshot().Leaves()
 }

@@ -13,7 +13,9 @@ import (
 // checkpoint after the op, which must decode to the live tree's inline
 // snapshot, and ending in five the tape goes on against the decoded
 // tree, as after a reopen) and checks the full structural invariant set
-// afterwards. Runs over the
+// afterwards; after every operation the snapshot must equal the leaves
+// and every snapshot held from an earlier step must not have moved
+// (snapshotLedger). Runs over the
 // seed corpus as a normal test;
 // `go test -fuzz FuzzInsertDeleteInvariants ./internal/rplustree`
 // explores further.
@@ -33,6 +35,7 @@ func FuzzInsertDeleteInvariants(f *testing.F) {
 		}
 		var live []attr.Record
 		var store blobStore
+		var ledger snapshotLedger
 		nextID := int64(0)
 		for i := 0; i+1 < len(tape); i += 2 {
 			a, b := tape[i], tape[i+1]
@@ -58,6 +61,7 @@ func FuzzInsertDeleteInvariants(f *testing.F) {
 					tr = got // the checkpoint was committed: reopen from it
 				}
 			}
+			ledger.check(t, tr)
 		}
 		if tr.Len() != len(live) {
 			t.Fatalf("Len %d != live %d", tr.Len(), len(live))

@@ -33,16 +33,17 @@ func (t *Tree) walkLeaves(n *node, visit func(*node)) {
 		visit(n)
 		return
 	}
-	var walkTrie func(st *splitTrie)
-	walkTrie = func(st *splitTrie) {
-		if st.isLeaf() {
-			t.walkLeaves(st.child, visit)
-			return
-		}
-		walkTrie(st.left)
-		walkTrie(st.right)
+	n.trie.each(func(c *node) { t.walkLeaves(c, visit) })
+}
+
+// each visits the children under st in trie order.
+func (st *splitTrie) each(visit func(*node)) {
+	if st.isLeaf() {
+		visit(st.child)
+		return
 	}
-	walkTrie(n.trie)
+	st.left.each(visit)
+	st.right.each(visit)
 }
 
 // Level returns the nodes at the given level in trie order, level 0
@@ -69,16 +70,7 @@ func (t *Tree) Level(level int) ([]anonmodel.Partition, error) {
 			out = append(out, p)
 			return
 		}
-		var walkTrie func(st *splitTrie)
-		walkTrie = func(st *splitTrie) {
-			if st.isLeaf() {
-				walk(st.child, d+1)
-				return
-			}
-			walkTrie(st.left)
-			walkTrie(st.right)
-		}
-		walkTrie(n.trie)
+		n.trie.each(func(c *node) { walk(c, d+1) })
 	}
 	walk(t.root, 0)
 	return out, nil
@@ -212,23 +204,10 @@ func (t *Tree) CheckInvariants() error {
 			return fmt.Errorf("internal node with no children")
 		}
 		// Trie must enumerate exactly the children.
-		fromTrie := map[*node]bool{}
-		var collect func(st *splitTrie) error
-		collect = func(st *splitTrie) error {
-			if st.isLeaf() {
-				if fromTrie[st.child] {
-					return fmt.Errorf("trie references child twice")
-				}
-				fromTrie[st.child] = true
-				return nil
-			}
-			if err := collect(st.left); err != nil {
-				return err
-			}
-			return collect(st.right)
-		}
-		if err := collect(n.trie); err != nil {
-			return err
+		fromTrie, twice := map[*node]bool{}, false
+		n.trie.each(func(c *node) { twice, fromTrie[c] = twice || fromTrie[c], true })
+		if twice {
+			return fmt.Errorf("trie references child twice")
 		}
 		if len(fromTrie) != len(n.children) {
 			return fmt.Errorf("trie has %d leaves, node has %d children", len(fromTrie), len(n.children))

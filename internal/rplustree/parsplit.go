@@ -85,8 +85,9 @@ func (t *Tree) splitLeafRecursive(leaf *node) error {
 		return nil
 	}
 	// Planning reorders leaf.recs in place even when the leaf then stays (a
-	// Guard veto): no longer its durable base's order, so no base.
+	// Guard veto): no base keeps that order, and no snapshot may see it.
 	leaf.dur = nil
+	leaf.own()
 	// The split context's Domain is frozen for the cascade. An inline
 	// plan reads the root MBR in place (nothing mutates the tree until
 	// wiring starts); with workers it is cloned, which makes their reads

@@ -1,19 +1,16 @@
 package rplustree
 
 import (
+	"slices"
+
 	"spatialanon/internal/attr"
 )
 
 // This file implements underflow repair for incremental maintenance.
-// Deletions can drive a leaf below BaseK, and before this repair
-// existed the tree simply kept the underfull leaf. That was tolerable
-// for one-shot releases — the leaf-scan grouping coalesces small
-// leaves at materialization time — but it is wrong for a long-lived
-// incremental index: a churn workload deleting from one region
-// degrades that region to singleton leaves, every level view (the
-// Section 3.1 hierarchical releases publish raw leaves) exposes them,
-// and the structure drifts ever further from the k-bound shape that
-// Lemma 1's collusion argument assumes the index maintains.
+// Deletions can drive a leaf below BaseK, and a long-lived index cannot
+// keep it: every level view (the Section 3.1 hierarchical releases
+// publish raw leaves) would expose it, and Lemma 1's collusion argument
+// assumes the k-bound shape.
 //
 // Repair is remove-and-reinsert, the R-tree family's classic
 // underflow treatment adapted to this tree's two extra invariants:
@@ -95,13 +92,7 @@ func (t *Tree) repairUnderflow(leaf *node) error {
 		if sibling == nil {
 			return &CorruptionError{Detail: "underflow repair of node not present in parent trie"}
 		}
-		idx := -1
-		for i, c := range parent.children {
-			if c == victim {
-				idx = i
-				break
-			}
-		}
+		idx := slices.Index(parent.children, victim)
 		if idx < 0 {
 			// The trie splice already ran; restore is impossible without
 			// the removed hyperplane's subtree shape, but this state is
@@ -122,28 +113,9 @@ func (t *Tree) repairUnderflow(leaf *node) error {
 		} else {
 			newBound = oldRegion[axis].Hi
 		}
-		var extendTrie func(st *splitTrie)
-		extendTrie = func(st *splitTrie) {
-			if st.isLeaf() {
-				extendAcross(st.child, axis, value, victimLeft, newBound)
-				return
-			}
-			extendTrie(st.left)
-			extendTrie(st.right)
-		}
-		extendTrie(sibling)
-
-		// Subtract the removed subtree along the root path and retighten
-		// MBRs (the victim's records may have defined them).
-		for n := parent; n != nil; n = n.parent {
-			n.count -= victim.count
-			n.pending -= victim.pending
-			m := attr.NewBox(len(n.region))
-			for _, c := range n.children {
-				m.IncludeBox(c.mbr)
-			}
-			n.mbr = m
-		}
+		sibling.each(func(c *node) { extendAcross(c, axis, value, victimLeft, newBound) })
+		// The victim's records may have defined the MBRs above it.
+		t.shrinkPath(parent, victim.count, victim.pending)
 	}
 
 	var err error

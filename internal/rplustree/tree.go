@@ -27,6 +27,7 @@ package rplustree
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"spatialanon/internal/attr"
 )
@@ -146,17 +147,17 @@ type node struct {
 	// ver counts the mutations of what this node's durable encoding
 	// holds: a leaf's records (appends, deletes), an internal node's
 	// child list and trie (replaceWithPair, the underflow-repair splice).
-	// The copy-on-write snapshot machinery of cow.go uses it to detect
-	// leaves unchanged since the last snapshot. Nodes minted by splits
-	// start at zero: a fresh node is never mistaken for a previously
-	// snapshotted one because its snapGen cannot match the live
-	// generation (see SnapshotLeaves).
-	ver     uint64
-	snapGen uint64 // generation of the last snapshot that visited this leaf
-	snapVer uint64 // ver at that snapshot
-	snapIdx int    // this leaf's index in that snapshot's output
+	ver uint64
 
-	// dur is the same pattern for durable checkpoints (snapshot.go):
+	// stamp is the tree's change clock at the last mutation beneath this
+	// node (every mutation stamps its root path); snap is the snapshot
+	// node built from it last, reused while the stamp stands; shared says
+	// a snapshot holds recs' array (cow.go).
+	stamp  uint64
+	snap   *snapNode
+	shared bool
+
+	// dur is the stamp of durable checkpoints (snapshot.go):
 	// where this node's last published encoding lives and the ver it
 	// captured (a leaf's: and what Delete removed from its last whole copy
 	// since); nil until a checkpoint holding the node is published.
@@ -188,8 +189,8 @@ type Tree struct {
 	// tree, if any (see bufferload.go).
 	loader *BulkLoader
 
-	// snapGen numbers SnapshotLeaves calls (see cow.go).
-	snapGen uint64
+	// clock counts mutations; snapAt is its value at the last Snapshot.
+	clock, snapAt uint64
 }
 
 // New creates an empty tree.
@@ -283,9 +284,11 @@ func routeChild(n *node, p []float64) *node {
 func (t *Tree) insertIntoLeaf(leaf *node, rec attr.Record) error {
 	leaf.recs = append(leaf.recs, rec)
 	leaf.ver++
+	t.clock++
 	for n := leaf; n != nil; n = n.parent {
 		n.count++
 		n.mbr.Include(rec.QI)
+		n.stamp = t.clock
 	}
 	return t.splitLeafRecursive(leaf)
 }
@@ -302,6 +305,7 @@ func (t *Tree) bulkAppendLeaf(leaf *node, recs []attr.Record) error {
 	}
 	leaf.recs = append(leaf.recs, recs...)
 	leaf.ver++
+	t.clock++
 	box := attr.NewBox(t.cfg.Schema.Dims())
 	for _, r := range recs {
 		box.Include(r.QI)
@@ -309,6 +313,7 @@ func (t *Tree) bulkAppendLeaf(leaf *node, recs []attr.Record) error {
 	for n := leaf; n != nil; n = n.parent {
 		n.count += len(recs)
 		n.mbr.IncludeBox(box)
+		n.stamp = t.clock
 	}
 	return t.splitLeafRecursive(leaf)
 }
@@ -352,13 +357,7 @@ func (t *Tree) replaceWithPair(old, left, right *node, axis int, value float64) 
 	}
 	// Validate before mutating so a corruption failure leaves the tree
 	// exactly as it was (the old node keeps all its records).
-	idx := -1
-	for i, c := range parent.children {
-		if c == old {
-			idx = i
-			break
-		}
-	}
+	idx := slices.Index(parent.children, old)
 	st := findTrieLeaf(parent.trie, old)
 	if idx < 0 {
 		return &CorruptionError{Detail: "split of node not present in its parent"}
@@ -366,8 +365,10 @@ func (t *Tree) replaceWithPair(old, left, right *node, axis int, value float64) 
 	if st == nil {
 		return &CorruptionError{Detail: "split of node not present in parent trie"}
 	}
-	// Replace old in parent's child list and trie.
+	// Replace old in parent's child list and trie (the mutation that
+	// overflowed old has stamped the path above parent).
 	parent.ver++
+	parent.stamp = t.clock
 	parent.children[idx] = left
 	parent.children = append(parent.children, right)
 	left.parent = parent
@@ -470,27 +471,33 @@ func (t *Tree) Delete(id int64, qi []float64) (bool, error) {
 	if leaf.dur != nil {
 		leaf.dur.base.remove(idx)
 	}
+	leaf.own()
 	leaf.recs = append(leaf.recs[:idx], leaf.recs[idx+1:]...)
 	leaf.ver++
-	// Recompute the leaf MBR, then tighten ancestors from their
-	// children's MBRs.
-	leaf.mbr = attr.NewBox(len(leaf.region))
-	for _, r := range leaf.recs {
-		leaf.mbr.Include(r.QI)
-	}
-	leaf.count = len(leaf.recs)
-	for n := leaf.parent; n != nil; n = n.parent {
-		n.count--
-		m := attr.NewBox(len(n.region))
-		for _, c := range n.children {
-			m.IncludeBox(c.mbr)
-		}
-		n.mbr = m
-	}
+	t.clock++
+	t.shrinkPath(leaf, 1, 0)
 	if leaf.parent == nil || len(leaf.recs) >= t.cfg.BaseK {
 		return true, nil
 	}
 	return true, t.repairUnderflow(leaf)
+}
+
+// shrinkPath takes count records and pending buffered ones off n's root
+// path, stamps it and retightens its MBRs: a leaf's from its records, a
+// node's from its children's.
+func (t *Tree) shrinkPath(n *node, count, pending int) {
+	for ; n != nil; n = n.parent {
+		n.count -= count
+		n.pending -= pending
+		n.stamp = t.clock
+		n.mbr = attr.NewBox(len(n.region))
+		for _, r := range n.recs {
+			n.mbr.Include(r.QI)
+		}
+		for _, c := range n.children {
+			n.mbr.IncludeBox(c.mbr)
+		}
+	}
 }
 
 // Update relocates a record: it removes the record with the given ID at

@@ -15,12 +15,10 @@
 //     concurrent writers pay ~N/batch fsyncs instead of N.
 //
 //   - Snapshot-isolated reads. After each applied batch the committer
-//     publishes an immutable, epoch-stamped View built by
-//     copy-on-write of the LEAF SUMMARY — leaf boxes and record
-//     headers, not the tree, and only for the leaves the batch
-//     touched (rplustree.SnapshotLeaves); unchanged leaves are shared
-//     with the previous epoch, so the publish cost is proportional to
-//     the batch, not the store.
+//     publishes an immutable, epoch-stamped View around the tree's
+//     persistent snapshot (rplustree.Tree.Snapshot): every subtree the
+//     batch did not touch is shared with the previous epoch and no
+//     record is copied, so publishing costs the batch, not the store.
 //     Readers load the current View through one atomic pointer and
 //     run releases, range counts and query evaluation against it with
 //     no lock shared with the writer; a reader holding an old epoch
@@ -62,7 +60,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
 	"spatialanon/internal/wal"
 )
@@ -200,10 +197,6 @@ type Server struct {
 	epoch      uint64
 	sinceScrub int
 	opsBuf     []wal.Op
-	// prevSnap is the previous publish's leaf snapshot — the
-	// copy-on-write baseline the next SnapshotLeaves call diffs
-	// against.
-	prevSnap []anonmodel.Partition
 
 	ops        atomic.Int64
 	batches    atomic.Int64
@@ -507,10 +500,8 @@ func (s *Server) doRecover(rr *recoverReq) {
 		}
 		return
 	}
-	// The store recovered through the full audited reopen path. The
-	// old copy-on-write baseline belongs to the pre-recovery tree, so
-	// the next publish must snapshot from scratch.
-	s.prevSnap = nil
+	// The store recovered through the full audited reopen path; its
+	// tree is new, so this publish snapshots it from scratch.
 	s.publish()
 	s.failed.Store(nil)
 	s.recoveries.Add(1)

@@ -241,11 +241,11 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestViewIsTheSnapshot: a view's leaves are the tree's copy-on-write
+// TestViewIsTheSnapshot: a view's leaves are the tree's persistent
 // snapshot itself, not a conversion of it — one entry per tree leaf,
-// and every leaf a batch did not touch is the previous epoch's element,
-// box and records sharing storage. An incremental publish can tell
-// which leaves changed only because of this.
+// records in the tree's own arrays, and every leaf a batch did not touch
+// is the previous epoch's, box and records sharing storage. An
+// incremental publish can tell which leaves changed only because of this.
 func TestViewIsTheSnapshot(t *testing.T) {
 	st := newStore(t, t.TempDir())
 	defer st.Close()
@@ -270,11 +270,14 @@ func TestViewIsTheSnapshot(t *testing.T) {
 	if b.Epoch() != a.Epoch()+1 {
 		t.Fatalf("one insert moved the epoch from %d to %d", a.Epoch(), b.Epoch())
 	}
-	if got, want := len(b.leaves), len(st.Tree().Leaves()); got != want {
+	aLeaves, bLeaves, live := a.snap.Leaves(), b.snap.Leaves(), st.Tree().Leaves()
+	if got, want := len(bLeaves), len(live); got != want {
 		t.Fatalf("view holds %d leaves, tree has %d", got, want)
 	}
-	if &b.leaves[0] != &s.prevSnap[0] || len(b.leaves) != len(s.prevSnap) {
-		t.Fatal("the view's leaves are a copy of the committer's snapshot, not the snapshot")
+	for j, p := range bLeaves {
+		if &p.Records[0] != &live[j].Records[0] {
+			t.Fatalf("leaf %d of the view is a copy of the tree's records, not the tree's array", j)
+		}
 	}
 	// A leaf is untouched when epoch e held a leaf with the same IDs in
 	// the same order.
@@ -285,24 +288,24 @@ func TestViewIsTheSnapshot(t *testing.T) {
 		}
 		return sb.String()
 	}
-	before := make(map[string]int, len(a.leaves))
-	for i, p := range a.leaves {
+	before := make(map[string]int, len(aLeaves))
+	for i, p := range aLeaves {
 		before[ids(p)] = i
 	}
 	shared := 0
-	for j, p := range b.leaves {
+	for j, p := range bLeaves {
 		i, untouched := before[ids(p)]
 		if !untouched {
 			continue
 		}
 		shared++
-		if &a.leaves[i].Records[0] != &p.Records[0] || &a.leaves[i].Box[0] != &p.Box[0] {
+		if &aLeaves[i].Records[0] != &p.Records[0] || &aLeaves[i].Box[0] != &p.Box[0] {
 			t.Fatalf("leaf %d of epoch %d is unchanged since leaf %d of epoch %d but was copied", j, b.Epoch(), i, a.Epoch())
 		}
 	}
 	// One insert rewrites one leaf, or splits it in two.
-	if touched := len(b.leaves) - shared; touched < 1 || touched > 2 {
-		t.Fatalf("one insert touched %d of %d leaves", touched, len(b.leaves))
+	if touched := len(bLeaves) - shared; touched < 1 || touched > 2 {
+		t.Fatalf("one insert touched %d of %d leaves", touched, len(bLeaves))
 	}
 }
 

@@ -9,22 +9,21 @@ import (
 	"spatialanon/internal/core"
 	"spatialanon/internal/query"
 	"spatialanon/internal/routing"
+	"spatialanon/internal/rplustree"
 	"spatialanon/internal/verify"
 )
 
 // View is one published epoch: an immutable, consistent snapshot of
 // the store's state. The committer builds it around the tree's
-// copy-on-write leaf snapshot — the snapshot slice itself, not a
-// conversion of it — so the publish cost on the write path is the
-// copy of the leaves the batch touched; the audited base release and
-// every derived granularity are computed lazily by the first reader
-// that asks and memoized for the view's lifetime. Everything a View
-// returns is owned by the View, so any number of readers may use it
-// concurrently with ongoing mutation. Returned partition slices are
-// shared between callers and MUST be treated as read-only (same
-// contract as Tree.SnapshotLeaves). Derived granularities share the
-// base release's record array: a coarser release is a set of wider
-// windows over it, not a copy.
+// persistent snapshot — the snapshot itself, not a conversion of it —
+// so the write path pays only for the snapshot nodes above the leaves
+// the batch touched; the flat leaf list, the audited base release and
+// every derived granularity are computed by the first reader that asks
+// and kept for the view's lifetime. Nothing a View returns is written
+// again, so any number of readers may use it beside ongoing mutation;
+// returned partition slices are shared and MUST be treated as read-only
+// (rplustree.Snapshot.Leaves' contract). Derived granularities are
+// wider windows over the base release's record array, not copies.
 //
 //anonylint:published — stored to Server.cur (atomic.Pointer); immutable after Store
 type View struct {
@@ -34,11 +33,10 @@ type View struct {
 	n       int
 	workers int
 
-	// leaves is the tree's copy-on-write snapshot (SnapshotLeaves), as
-	// returned: one born-compacted partition per leaf, in trie order —
-	// the input of every derivation below. Unchanged leaves are the
-	// previous epoch's elements, storage included.
-	leaves []anonmodel.Partition
+	// snap is the tree's persistent snapshot: one born-compacted
+	// partition per leaf, in trie order — the input of every derivation
+	// below. An epoch nobody reads never flattens it.
+	snap *rplustree.Snapshot
 
 	// fam is the view's release family — the audited base release and
 	// every derived granularity — built lazily by the first reader that
@@ -68,21 +66,17 @@ type accelEntry struct {
 
 // publish builds and installs the next epoch's View from the current
 // tree state. Committer-only: it is the one place the live tree is
-// read, and it runs serially with mutation. The snapshot is
-// copy-on-write at leaf granularity (rplustree.SnapshotLeaves): only
-// leaves touched since the previous publish are copied, the rest are
-// shared with the previous epoch's View, so the write path pays
-// O(leaves + batch), not O(n), per publish.
+// read, and it runs serially with mutation. The write path pays
+// O(batch × height) per publish (rplustree.Tree.Snapshot), not O(leaves).
 func (s *Server) publish() {
 	t := s.st.Tree()
-	s.prevSnap = t.SnapshotLeaves(s.prevSnap)
 	v := &View{
 		epoch:   s.epoch + 1,
 		seq:     s.st.Seq(),
 		baseK:   s.baseK,
 		n:       t.Len(),
 		workers: s.opts.Parallelism,
-		leaves:  s.prevSnap,
+		snap:    t.Snapshot(),
 		accel:   make(map[int]*accelEntry),
 	}
 	s.epoch = v.epoch
@@ -102,7 +96,7 @@ func (v *View) Family() (*verify.Family, error) {
 			v.famErr = fmt.Errorf("serve: store holds %d records, below base k %d", v.n, v.baseK)
 			return
 		}
-		fam, err := verify.NewFamily(core.Tiling{Partitions: v.leaves}, v.baseK, v.workers)
+		fam, err := verify.NewFamily(core.Tiling{Partitions: v.snap.Leaves()}, v.baseK, v.workers)
 		if err != nil {
 			v.famErr = fmt.Errorf("serve: epoch %d: %w", v.epoch, err)
 			return
@@ -208,7 +202,7 @@ func (v *View) Estimator(k1 int) (*query.Estimator, error) {
 // records must still be exportable.
 func (v *View) Records() []attr.Record {
 	recs := make([]attr.Record, 0, v.n)
-	for _, p := range v.leaves {
+	for _, p := range v.snap.Leaves() {
 		recs = append(recs, p.Records...)
 	}
 	return recs

@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -182,15 +183,45 @@ func build(opts Options, create bool) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, rng := range table {
-		sh, err := c.buildShard(i, rng, preload[i], create)
-		if err != nil {
-			c.Close() // whatever was assembled before the failure
-			return nil, fmt.Errorf("shard: shard %d %v: %w", i, rng, err)
+	// The fault hook sees the shards one at a time, in order (a chaos
+	// harness derives its injectors from one seed); the stores are
+	// independent and are created or recovered side by side.
+	wopts := make([]wal.Options, len(table))
+	for i := range table {
+		wopts[i] = wal.Options{
+			Dir:             filepath.Join(opts.Dir, fmt.Sprintf("shard-%04d", i)),
+			Tree:            opts.Tree,
+			CheckpointEvery: opts.CheckpointEvery,
+			NoSync:          opts.NoSync,
+			Retry:           opts.StoreRetry,
 		}
-		c.fleet = append(c.fleet, sh)
+		if opts.Faults != nil {
+			opts.Faults(i, &wopts[i])
+		}
+	}
+	c.fleet = make([]*shardState, len(table))
+	errs := make([]error, len(table))
+	var wg sync.WaitGroup
+	for i := range table {
+		wg.Add(1)
+		go c.startShard(i, wopts[i], preload[i], create, errs, &wg)
+	}
+	wg.Wait()
+	if i := slices.IndexFunc(errs, func(err error) bool { return err != nil }); i >= 0 {
+		c.fleet = slices.DeleteFunc(c.fleet, func(sh *shardState) bool { return sh == nil })
+		c.Close() // whatever was assembled beside the failure
+		return nil, fmt.Errorf("shard: shard %d %v: %w", i, table[i], errs[i])
 	}
 	return c, nil
+}
+
+// startShard is buildShard as a goroutine of its own.
+//
+// anonylint:coordinator-only — it alone holds the new store and pager
+// until serve.New hands them to the shard's committer.
+func (c *Coordinator) startShard(id int, wopts wal.Options, preload []wal.Op, create bool, errs []error, wg *sync.WaitGroup) {
+	defer wg.Done()
+	c.fleet[id], errs[id] = c.buildShard(id, wopts, preload, create)
 }
 
 // routePreload splits the preload into per-shard op batches, keeping
@@ -208,17 +239,7 @@ func (c *Coordinator) routePreload(recs []attr.Record) ([][]wal.Op, error) {
 }
 
 // buildShard assembles one key range's store and serving stack.
-func (c *Coordinator) buildShard(id int, rng verify.KeyRange, preload []wal.Op, create bool) (*shardState, error) {
-	wopts := wal.Options{
-		Dir:             filepath.Join(c.opts.Dir, fmt.Sprintf("shard-%04d", id)),
-		Tree:            c.opts.Tree,
-		CheckpointEvery: c.opts.CheckpointEvery,
-		NoSync:          c.opts.NoSync,
-		Retry:           c.opts.StoreRetry,
-	}
-	if c.opts.Faults != nil {
-		c.opts.Faults(id, &wopts)
-	}
+func (c *Coordinator) buildShard(id int, wopts wal.Options, preload []wal.Op, create bool) (*shardState, error) {
 	var st *wal.Store
 	var err error
 	if create {
@@ -240,7 +261,7 @@ func (c *Coordinator) buildShard(id int, rng verify.KeyRange, preload []wal.Op, 
 		st.Close()
 		return nil, err
 	}
-	sh := &shardState{id: id, rng: rng, st: st, srv: srv}
+	sh := &shardState{id: id, rng: c.table[id], st: st, srv: srv}
 	sh.acked.Store(st.Seq())
 	return sh, nil
 }
