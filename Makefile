@@ -11,20 +11,22 @@ build:
 
 # Non-test Go lines per top-level package (cmd/x, examples/x,
 # internal/x) and the total outside bench/ and testdata/ — the number
-# the ROADMAP's size target is stated in. The total is exactly
+# the ROADMAP's size target is stated in — then the five largest files,
+# which is where the next deletion pass looks first. The total is exactly
 # `find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l`.
+LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs wc -l | grep -v ' total$$'
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' \
-		| xargs wc -l | grep -v ' total$$' \
+	@$(LOC_FILES) \
 		| awk '{ n = split($$2, d, "/"); pkg = n > 3 ? d[2] "/" d[3] : "(root)"; lines[pkg] += $$1; total += $$1 } \
 			END { for (p in lines) printf "%7d %s\n", lines[p], p; printf "%7d total\n", total }' \
 		| sort -k2
+	@echo "largest files:"; $(LOC_FILES) | sort -rn | head -5
 
 # The size gate: `make loc`'s total may not exceed LOC_CEILING, which
 # is the total of the last PR that moved it. A PR that adds net
 # non-test lines must raise the number here, in its own diff, where a
 # reviewer sees it; a PR that removes lines lowers it to its new total.
-LOC_CEILING = 19337
+LOC_CEILING = 19227
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \
@@ -37,12 +39,13 @@ loc-check:
 # records, pages.db against the live image over 200 checkpoints of churn,
 # leaf, node and delta bytes per checkpoint of the benchmark's churn on its
 # 200 000-record store, page writes per round, compactions included, on a
-# shard-sized one, and the byte table of serve_large's nominal window
+# shard-sized one, the byte table of serve_large's nominal window
 # (page slots + log frames per acknowledged byte: the gated write_amp,
-# exact per seed). The tests gate the counts; this target puts them in
-# the log.
+# exact per seed), and what an incremental attempt that overran the space
+# rule had taken when it was abandoned for a full one. The tests gate the
+# counts; this target puts them in the log.
 ckpt-volume:
-	$(GO) test ./internal/wal -run 'TestIncrementalCheckpointWriteVolume|TestPageFileStaysBounded|TestLeafDeltaWriteVolume|TestCheckpointVolumeLongRun|TestServeLargeWindowBytes' -v
+	$(GO) test ./internal/wal -run 'TestIncrementalCheckpointWriteVolume|TestPageFileStaysBounded|TestSpaceRuleRedo|TestLeafDeltaWriteVolume|TestCheckpointVolumeLongRun|TestServeLargeWindowBytes' -v
 
 # `make vet` is the whole static gate: the stock go vet suite plus
 # anonylint, the project's multichecker — the rule table of

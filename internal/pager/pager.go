@@ -447,8 +447,9 @@ func (p *Pager) FlipBit(id PageID, bit int) error {
 // once corruption is detected, fsck-style: the page's current bytes
 // are accepted as truth and re-sealed. No original bytes come back —
 // safe for the I/O-cost-proxy pages of the bulk loader, and surfaced
-// (never hidden) for checkpoint pages, whose recovery path re-verifies
-// a whole-snapshot checksum after reassembly. The chaos harness calls
+// (never hidden) for checkpoint pages, whose recovery path verifies
+// every object it reads there against the CRC the object above it holds
+// (a chain from the log's manifest frame). The chaos harness calls
 // it to prove the system resumes cleanly after torn writes and bit rot.
 func (p *Pager) Scrub() ([]PageID, error) {
 	_, corrupt, err := p.VerifyPages()

@@ -35,8 +35,10 @@
 package routing
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"spatialanon/internal/anonmodel"
@@ -98,15 +100,25 @@ type Index struct {
 
 // Scratch is the reusable per-session state of the lookup methods:
 // cell and corner buffers for quantizing query coordinates, and the
-// candidate/contribution accumulators of the estimator. The zero
-// value is ready to use; after the first lookup of each shape the
-// methods allocate nothing.
+// candidate accumulator of the estimator. The zero value is ready to
+// use; after the first lookup of each shape the methods allocate
+// nothing.
 type Scratch struct {
-	cell    []uint32
-	corner  []float64
-	cand    []int32
-	contrib []float64
+	cell   []uint32
+	corner []float64
+	cand   []candidate
 }
+
+// candidate is one partition a range query overlaps: its original index
+// and what it contributes to the estimate.
+type candidate struct {
+	orig    int32
+	contrib float64
+}
+
+// byOrig orders candidates by original partition index. The indices are
+// distinct, so the order is total and an unstable sort is deterministic.
+func byOrig(a, b candidate) int { return cmp.Compare(a.orig, b.orig) }
 
 // Build constructs the accelerator for one release. The partition
 // slice is retained (not copied) and must not be mutated afterwards —
@@ -323,7 +335,6 @@ func (ix *Index) Estimate(q attr.Box, s *Scratch) float64 {
 	nb := len(ix.bKeyLo)
 	limit := ix.rangeLimit(q, s)
 	s.cand = s.cand[:0]
-	s.contrib = s.contrib[:0]
 	for b := 0; b < limit; b++ {
 		if !ix.blockIntersects(b, nb, q) {
 			continue
@@ -352,14 +363,13 @@ func (ix *Index) Estimate(q attr.Box, s *Scratch) float64 {
 			if empty {
 				continue
 			}
-			s.cand = append(s.cand, ix.orig[pos])
-			s.contrib = append(s.contrib, float64(ix.sizes[pos])*cells/ix.vols[pos])
+			s.cand = append(s.cand, candidate{ix.orig[pos], float64(ix.sizes[pos]) * cells / ix.vols[pos]})
 		}
 	}
-	sortByCand(s.cand, s.contrib)
+	slices.SortFunc(s.cand, byOrig)
 	est := 0.0
-	for _, c := range s.contrib {
-		est += c
+	for _, c := range s.cand {
+		est += c.contrib
 	}
 	return est
 }
@@ -414,61 +424,6 @@ func (ix *Index) partIntersects(pos, n int, q attr.Box) bool {
 		}
 	}
 	return true
-}
-
-// sortByCand sorts the parallel (cand, contrib) pairs by ascending
-// cand in place, allocation-free: insertion sort for short runs,
-// median-of-three quicksort above that. cand holds distinct original
-// partition indices, so the order is total.
-func sortByCand(cand []int32, contrib []float64) {
-	for len(cand) > 12 {
-		// Median-of-three pivot to first position.
-		m := len(cand) / 2
-		l := len(cand) - 1
-		if cand[m] < cand[0] {
-			swapPair(cand, contrib, m, 0)
-		}
-		if cand[l] < cand[0] {
-			swapPair(cand, contrib, l, 0)
-		}
-		if cand[l] < cand[m] {
-			swapPair(cand, contrib, l, m)
-		}
-		pivot := cand[m]
-		i, j := 0, l
-		for i <= j {
-			for cand[i] < pivot {
-				i++
-			}
-			for cand[j] > pivot {
-				j--
-			}
-			if i <= j {
-				swapPair(cand, contrib, i, j)
-				i++
-				j--
-			}
-		}
-		// Recurse into the smaller side, loop on the larger, bounding
-		// stack depth at O(log n).
-		if j < len(cand)-i {
-			sortByCand(cand[:j+1], contrib[:j+1])
-			cand, contrib = cand[i:], contrib[i:]
-		} else {
-			sortByCand(cand[i:], contrib[i:])
-			cand, contrib = cand[:j+1], contrib[:j+1]
-		}
-	}
-	for i := 1; i < len(cand); i++ {
-		for j := i; j > 0 && cand[j] < cand[j-1]; j-- {
-			swapPair(cand, contrib, j, j-1)
-		}
-	}
-}
-
-func swapPair(cand []int32, contrib []float64, i, j int) {
-	cand[i], cand[j] = cand[j], cand[i]
-	contrib[i], contrib[j] = contrib[j], contrib[i]
 }
 
 // Partitions returns the indexed release (shared, read-only).

@@ -1,21 +1,25 @@
 package routing
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
-// TestSortByCand exercises the allocation-free pair sort directly.
+// TestSortByCand exercises the estimator's candidate order directly:
+// ascending by original partition index, each contribution travelling
+// with its index.
 func TestSortByCand(t *testing.T) {
-	cand := []int32{9, 3, 7, 1, 8, 2, 6, 0, 5, 4, 13, 11, 12, 10, 15, 14}
-	contrib := make([]float64, len(cand))
-	for i, c := range cand {
-		contrib[i] = float64(c) * 1.5
+	var cand []candidate
+	for _, c := range []int32{9, 3, 7, 1, 8, 2, 6, 0, 5, 4, 13, 11, 12, 10, 15, 14} {
+		cand = append(cand, candidate{orig: c, contrib: float64(c) * 1.5})
 	}
-	sortByCand(cand, contrib)
-	for i := range cand {
-		if int(cand[i]) != i {
-			t.Fatalf("cand[%d] = %d", i, cand[i])
+	slices.SortFunc(cand, byOrig)
+	for i, c := range cand {
+		if int(c.orig) != i {
+			t.Fatalf("cand[%d].orig = %d", i, c.orig)
 		}
-		if contrib[i] != float64(i)*1.5 {
-			t.Fatalf("contrib[%d] = %v, want %v (pairs must move together)", i, contrib[i], float64(i)*1.5)
+		if c.contrib != float64(i)*1.5 {
+			t.Fatalf("cand[%d].contrib = %v, want %v (pairs must move together)", i, c.contrib, float64(i)*1.5)
 		}
 	}
 }

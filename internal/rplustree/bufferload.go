@@ -662,5 +662,4 @@ func (t *Tree) splitBuffer(old, left, right *node, axis int, value float64) erro
 	return err
 }
 
-// loader field lives on Tree (declared here to keep tree.go free of
-// bulk-loading concerns).
+// The loader field itself is declared on Tree, in tree.go.

@@ -49,8 +49,16 @@ func mustCheckpoint(t testing.TB, tr *Tree, full bool, b *blobStore) *Checkpoint
 	return ck
 }
 
-// leafPart is the part of a footprint Pending knows to the byte; of the
-// internal nodes it knows how many will be written, not in which form.
+// dryRun is what an incremental checkpoint of tr would write right now,
+// found by encoding one into a store of its own and never committing it.
+func dryRun(t testing.TB, tr *Tree) Footprint {
+	t.Helper()
+	return mustCheckpoint(t, tr, false, &blobStore{}).Written
+}
+
+// leafPart is the part of a footprint that does not depend on where the
+// objects are stored: leaves and their deltas to the byte; of the internal
+// nodes how many are written, not how long the references in them are.
 func leafPart(f Footprint) Footprint {
 	return Footprint{Leaves: f.Leaves, LeafBytes: f.LeafBytes, Deltas: f.Deltas, DeltaBytes: f.DeltaBytes, Nodes: f.Nodes + f.NodeDeltas}
 }
@@ -107,9 +115,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	// The decoded tree is stamped from its references: with nothing
 	// changed, its next checkpoint writes nothing.
-	pending, whole := got.Pending()
-	if ck2 := mustCheckpoint(t, got, false, &store); ck2.Written != (Footprint{}) || pending != (Footprint{}) || ck2.Image != ck.Image || whole != ck.Image.Bytes() {
-		t.Fatalf("checkpoint of an untouched recovered tree wrote %+v (%+v pending, %d bytes whole)", ck2.Written, pending, whole)
+	if ck2 := mustCheckpoint(t, got, false, &store); ck2.Written != (Footprint{}) || ck2.Image != ck.Image || ck2.Whole != ck.Image.Bytes() {
+		t.Fatalf("checkpoint of an untouched recovered tree wrote %+v (image %+v, %d bytes whole)", ck2.Written, ck2.Image, ck2.Whole)
 	}
 	// The two forms are told apart by their version word.
 	if _, err := DecodeSnapshot(cfg, ck.Root); err == nil {
@@ -158,7 +165,7 @@ func TestCheckpointWritesOnlyChangedLeaves(t *testing.T) {
 	nowLeaves, nowNodes := countNodes(tr)
 	wantLeaves := 1 + nowLeaves - leaves // a split replaces one leaf by two fresh ones
 	wantNodes := tr.Height() - 1 + nowNodes - nodes
-	pending, _ := tr.Pending()
+	pending := dryRun(t, tr)
 	ck = mustCheckpoint(t, tr, false, &store)
 	if ck.Written.Leaves+ck.Written.Deltas != wantLeaves || (wantLeaves == 1) != (ck.Written.Deltas == 1) || ck.Written.Nodes+ck.Written.NodeDeltas != wantNodes {
 		t.Fatalf("after one insert: wrote %+v, want %d leaves and %d nodes", ck.Written, wantLeaves, wantNodes)
@@ -167,7 +174,7 @@ func TestCheckpointWritesOnlyChangedLeaves(t *testing.T) {
 		t.Fatalf("after one insert: %+v pending, %+v written", pending, ck.Written)
 	}
 	ck.Commit()
-	if p, _ := tr.Pending(); p != (Footprint{}) {
+	if p := dryRun(t, tr); p != (Footprint{}) {
 		t.Fatalf("%+v pending right after a commit", p)
 	}
 
@@ -199,10 +206,11 @@ func TestCheckpointWritesOnlyChangedLeaves(t *testing.T) {
 }
 
 // TestStructuralEditsInvalidateStamps pins the rule itself, not only its
-// outcome: a node whose child list and trie are edited — a child split
-// in two, a child spliced out by an underflow repair — stops being
-// durable there and then, whatever the next checkpoint walk would have
-// found beneath it.
+// outcome: an insert under a node stamps it — its durable copy no longer
+// stands for the subtree — but the copy stays, as the base of the node's
+// next delta; a node whose child list and trie are edited — a child split
+// in two, a child spliced out by an underflow repair — forgets its copy
+// there and then, whatever the next checkpoint walk would find beneath it.
 func TestStructuralEditsInvalidateStamps(t *testing.T) {
 	cfg := Config{Schema: dataset.LandsEndSchema(), BaseK: 4}
 	tr, err := New(cfg)
@@ -216,8 +224,8 @@ func TestStructuralEditsInvalidateStamps(t *testing.T) {
 	leaf := tr.routeToLeaf(tr.root, tr.Leaves()[0].Records[0].QI)
 	parent, fanout := leaf.parent, len(leaf.parent.children)
 	for id := int64(9000); len(parent.children) == fanout; id++ {
-		if !parent.durable() {
-			t.Fatal("an insert into a leaf with room invalidated its parent's stamp")
+		if parent.dur == nil || parent.durable() != (id == 9000) {
+			t.Fatalf("after %d inserts into a leaf with room its parent's base is %v, durable %v", id-9000, parent.dur, parent.durable())
 		}
 		qi := append([]float64(nil), leaf.recs[0].QI...)
 		qi[0] += float64(id-9000) / 16
@@ -225,8 +233,8 @@ func TestStructuralEditsInvalidateStamps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if parent.durable() {
-		t.Fatal("a leaf split left its parent's stamp standing")
+	if parent.dur != nil {
+		t.Fatal("a leaf split left its parent's base standing")
 	}
 	mustCheckpoint(t, tr, false, &store).Commit()
 
@@ -243,8 +251,8 @@ func TestStructuralEditsInvalidateStamps(t *testing.T) {
 	if len(parent.children) >= fanout && parent.parent != nil {
 		t.Fatalf("the underflow repair did not remove a child: %d of %d left", len(parent.children), fanout)
 	}
-	if parent.durable() {
-		t.Fatal("an underflow repair left the spliced node's stamp standing")
+	if parent.dur != nil {
+		t.Fatal("an underflow repair left the spliced node's base standing")
 	}
 }
 
@@ -495,11 +503,6 @@ func TestImageSizes(t *testing.T) {
 	// The root object is the 12-byte header and one 8-byte reference.
 	if len(ck.Root) != 12+8 {
 		t.Errorf("root object is %d bytes, want 20", len(ck.Root))
-	}
-	// What Pending assumes of a reference in a real page file — two-byte
-	// offsets, a page distance now and then — bounds that, closely.
-	if est := nodeSizeEstimate(leaves); est < int64(len(node)) || est > int64(len(node))*5/4 {
-		t.Errorf("a node of %d children estimated at %d bytes, is %d", leaves, est, len(node))
 	}
 	// A fractional coordinate moves its own row to the raw layout (+32
 	// bytes) and nobody else's.

@@ -9,23 +9,21 @@ import (
 
 	"spatialanon/internal/attr"
 	"spatialanon/internal/dataset"
-	"spatialanon/internal/pager"
 )
 
 // redirectedRoot is tr's root object over a fresh copy of its root node's
 // object in which the references of the children named in to lead
 // elsewhere.
 func redirectedRoot(tr *Tree, store *blobStore, to map[*node]Ref) []byte {
-	var prev pager.PageID
-	enc, _ := appendTrie([]byte{kindNode}, tr.root.trie, func(e []byte, c *node) ([]byte, error) {
+	var refs []Ref
+	tr.root.trie.each(func(c *node) {
 		ref, ok := to[c]
 		if !ok {
 			ref = c.dur.ref
 		}
-		e, prev = appendRef(e, ref, prev)
-		return e, nil
+		refs = append(refs, ref)
 	})
-	ref, _ := store.put(enc, false)
+	ref, _ := store.put(appendWhole(nil, tr.root, refs), false)
 	root, _ := tr.appendHeader(directoryVersion)
 	root, _ = appendRef(root, ref, 0)
 	return root
@@ -74,7 +72,8 @@ func TestLeafBaseRemove(t *testing.T) {
 // decoded tree cutting its next delta against the same base, a rebase
 // forced by the size rule, a split of a delta'd leaf, an underflow repair
 // dissolving one, a full rewrite — and after each the checkpoint decodes
-// to the live tree byte for byte and writes what Pending said.
+// to the live tree byte for byte and writes what a dry run before it did:
+// an EncodeCheckpoint that is never committed changes nothing.
 func TestLeafDeltaChain(t *testing.T) {
 	cfg := Config{Schema: dataset.LandsEndSchema(), BaseK: 8}
 	tr, err := New(cfg)
@@ -90,7 +89,10 @@ func TestLeafDeltaChain(t *testing.T) {
 	// uncommitted with what it decodes to.
 	checkpoint := func(step string, tree *Tree, full bool) (*Checkpoint, *Tree) {
 		t.Helper()
-		pending, _ := tree.Pending()
+		pending := dryRun(t, tree)
+		if again := dryRun(t, tree); again != pending {
+			t.Fatalf("%s: one dry run wrote %+v, the next %+v", step, pending, again)
+		}
 		ck := mustCheckpoint(t, tree, full, &store)
 		if !full && leafPart(pending) != leafPart(ck.Written) {
 			t.Fatalf("%s: %+v pending, %+v written", step, pending, ck.Written)
@@ -109,7 +111,7 @@ func TestLeafDeltaChain(t *testing.T) {
 		// behind a delta too.
 		want := ck.Image.NodeBytes
 		got.walkLeaves(got.root, func(n *node) { want += 1 + leafSize(n.recs) })
-		if _, whole := got.Pending(); whole != want {
+		if whole := mustCheckpoint(t, got, false, &blobStore{}).Whole; whole != want {
 			t.Fatalf("%s: the decoded tree weighs %d bytes whole, its leaves and nodes %d", step, whole, want)
 		}
 		return ck, got
@@ -245,11 +247,12 @@ func TestLeafDeltaChain(t *testing.T) {
 	}
 	ck.Commit()
 
-	// A full checkpoint writes every leaf whole, which is the size Pending
-	// gives the image to the byte — the nodes stand where they stood.
-	_, whole := tr.Pending()
-	if full, _ := checkpoint("full", tr, true); full.Written != full.Image || full.Image.Deltas != 0 || whole != full.Written.LeafBytes+ck.Image.NodeBytes {
-		t.Fatalf("full checkpoint wrote %+v of %+v; %d bytes whole with nodes of %d", full.Written, full.Image, whole, ck.Image.NodeBytes)
+	// A full checkpoint writes every node whole: what the incremental one
+	// before it weighed the image at — the leaves to the byte, the nodes as
+	// their references were then.
+	full, _ := checkpoint("full", tr, true)
+	if put := full.Written.Bytes(); full.Written != full.Image || full.Image.Deltas != 0 || full.Whole != put || ck.Whole < put*99/100 || ck.Whole > put*101/100 {
+		t.Fatalf("full checkpoint wrote %+v of %+v, %d bytes whole; the incremental one before it said %d", full.Written, full.Image, full.Whole, ck.Whole)
 	}
 }
 
@@ -286,7 +289,7 @@ func TestDecodeCheckpointRejectsDeltaDamage(t *testing.T) {
 
 	// deltaOf stores a hand-made delta object for leaf a.
 	deltaOf := func(base Ref, removed []uint32, rows []attr.Record, tail ...byte) Ref {
-		enc := appendLeaf(appendDeltaHead(nil, &baseCopy{ref: base, removed: removed}), rows)
+		enc, _ := appendPatch(nil, &node{recs: rows}, &baseCopy{ref: base, removed: removed}, nil)
 		ref, _ := store.put(append(enc, tail...), true)
 		return ref
 	}

@@ -15,7 +15,9 @@ import (
 // tree, as after a reopen) and checks the full structural invariant set
 // afterwards; after every operation the snapshot must equal the leaves
 // and every snapshot held from an earlier step must not have moved
-// (snapshotLedger). Runs over the
+// (snapshotLedger), and the nodes a checkpoint has to write must be the
+// ones a recount since the last committed one finds (clockLedger). Runs
+// over the
 // seed corpus as a normal test;
 // `go test -fuzz FuzzInsertDeleteInvariants ./internal/rplustree`
 // explores further.
@@ -36,12 +38,14 @@ func FuzzInsertDeleteInvariants(f *testing.F) {
 		var live []attr.Record
 		var store blobStore
 		var ledger snapshotLedger
+		clock := newClockLedger()
 		nextID := int64(0)
 		for i := 0; i+1 < len(tape); i += 2 {
 			a, b := tape[i], tape[i+1]
 			if a%5 == 4 && len(live) > 0 {
 				victim := live[0]
 				live = live[1:]
+				clock.touch(tr, victim.QI)
 				if found, err := tr.Delete(victim.ID, victim.QI); err != nil || !found {
 					t.Fatalf("delete of live record %d failed", victim.ID)
 				}
@@ -52,16 +56,22 @@ func FuzzInsertDeleteInvariants(f *testing.F) {
 				}
 				nextID++
 				live = append(live, r)
+				clock.touch(tr, r.QI)
 				if err := tr.Insert(r); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if b&15 == 15 {
-				if _, got := checkpointMatches(t, tr, &store, i/2); b&16 != 0 && (i/2)%4 != 3 {
-					tr = got // the checkpoint was committed: reopen from it
+				_, got := checkpointMatches(t, tr, &store, i/2)
+				if committed := (i/2)%4 != 3; committed {
+					if b&16 != 0 {
+						tr = got // reopen from it
+					}
+					clock.commit(tr)
 				}
 			}
 			ledger.check(t, tr)
+			clock.check(t, tr, i/2)
 		}
 		if tr.Len() != len(live) {
 			t.Fatalf("Len %d != live %d", tr.Len(), len(live))

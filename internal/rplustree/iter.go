@@ -158,7 +158,7 @@ func (t *Tree) Audit() *AuditNode {
 //  5. All leaves are at the same depth.
 //  6. Every record's point lies in its leaf's routing region.
 //  7. Internal node tries reference exactly the node's children.
-//  8. Pending counts aggregate the records blocked in bulk-load buffers.
+//  8. node.pending aggregates the records blocked in bulk-load buffers.
 func (t *Tree) CheckInvariants() error {
 	leafDepth := -1
 	var walk func(n *node, depth int, region attr.Box) error

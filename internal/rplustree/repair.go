@@ -101,7 +101,7 @@ func (t *Tree) repairUnderflow(leaf *node) error {
 			return &CorruptionError{Detail: "underflow repair of node not present in its parent"}
 		}
 		parent.children = append(parent.children[:idx], parent.children[idx+1:]...)
-		parent.ver++
+		parent.dur = nil // the spliced trie is not its durable copy's
 
 		// Widen the vacated hyperplane's sibling subtree — and only it:
 		// an unrelated child elsewhere in the trie can share the same

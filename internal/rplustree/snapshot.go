@@ -32,8 +32,10 @@ import (
 //     have moved, by position in trie order. Never a delta over a delta,
 //     so a node is at most two objects. The root object is the header and
 //     the root node's Ref. A checkpoint therefore writes what changed in
-//     the changed leaves and in the nodes above them — O(changed records +
-//     changed leaves × height) — and recovery fetches object by object.
+//     the changed leaves and in the nodes above them — the nodes stamped
+//     (node.stamp, the tree's one change clock) since their copy was made:
+//     O(changed records + changed leaves × height) — and recovery fetches
+//     object by object.
 //
 // Either form stores only what cannot be re-derived: the trie structure
 // and the leaf payloads. Routing regions are reconstructed from the
@@ -142,20 +144,23 @@ type Checkpoint struct {
 	// caller can recompute which pages are live from this walk alone.
 	Image Footprint
 	Pages []pager.PageID
+	// Whole is the image's size with every node one whole object: what a
+	// full checkpoint taken now would write.
+	Whole int64
 	// Written sizes the objects handed to put.
 	Written Footprint
 
 	pending []stamp
 }
 
-// durableCopy is a node's stamp: where its durable encoding lives, its kind,
-// the node.ver it captured, what the node weighs as a whole object (a leaf
-// as it is now, behind a delta too; an internal node as its base was
-// written) and its base: the object at ref itself, or the one the delta was
-// cut against.
+// durableCopy is what a node knows of its durable encoding: where it lives,
+// its kind, the Tree.clock it was encoded at, what the node weighs as a whole
+// object (a leaf as it is now, behind a delta too; an internal node as its
+// base was written) and its base: the object at ref itself, or the one the
+// delta was cut against.
 type durableCopy struct {
 	ref   Ref
-	ver   uint64
+	at    uint64
 	kind  byte
 	whole int64
 	base  *baseCopy
@@ -171,8 +176,9 @@ type durableCopy struct {
 // positions, kept up by Delete alone.
 //
 // An internal node's: the references the base holds, in trie order. It
-// stands while node.ver does — the trie and the children are the base's —
-// and a child whose reference differs now has moved since.
+// stands while node.dur does — an edit of the trie forgets it — so the trie
+// and the children are the base's, and a child whose reference differs now
+// has moved since.
 type baseCopy struct {
 	ref      Ref
 	kept     int      // recs[:kept] are the base's survivors
@@ -204,8 +210,8 @@ type stamp struct {
 // Commit records, on every node this checkpoint wrote, where its
 // durable copy now lives. Call it only after the root object has been
 // published durably: a checkpoint that aborts before that must leave
-// every stamp as it was, so the retry rewrites those nodes instead of
-// trusting pages nothing durable refers to.
+// every node's copy as it was, so the retry rewrites those nodes instead
+// of trusting pages nothing durable refers to.
 func (c *Checkpoint) Commit() {
 	for _, s := range c.pending {
 		s.n.dur = s.dur
@@ -213,11 +219,12 @@ func (c *Checkpoint) Commit() {
 	c.pending = nil
 }
 
-// durable reports whether the node's last durable copy still matches
-// it: a leaf's records, an internal node's trie and child list. (Whether
-// an internal node's children still sit where that copy says is the
-// checkpoint walk's to find out.) A freshly minted node has no copy.
-func (n *node) durable() bool { return n.dur != nil && n.dur.ver == n.ver }
+// durable reports whether the node's last durable copy still stands for
+// its whole subtree: every mutation stamps its root path with the tree's
+// clock (node.stamp), so nothing beneath n has changed since the copy was
+// encoded exactly when n has not been stamped since. A freshly minted node
+// has no copy, and neither has one whose trie was edited.
+func (n *node) durable() bool { return n.dur != nil && n.stamp <= n.dur.at }
 
 // EncodeSnapshot serializes the tree structure and payloads into one
 // byte string. A tree with records still blocked in bulk-load buffers
@@ -237,28 +244,23 @@ func appendNode(e []byte, n *node) []byte {
 	if n.isLeaf() {
 		return appendLeaf(append(e, 0), n.recs)
 	}
-	e, _ = appendTrie(append(e, 1), n.trie, func(e []byte, c *node) ([]byte, error) {
-		return appendNode(e, c), nil
-	})
-	return e
+	return appendTrie(append(e, 1), n.trie, appendNode)
 }
 
-// EncodeCheckpoint walks the tree children first and hands put the
-// object of every node that has to be written again: a leaf whose
-// records changed since its last durable copy, an internal node whose
-// trie was edited or one of whose children was just written (its object
-// holds that child's Ref) — each as a delta when it has a base and
-// deltaShare allows — and every node whole when full is set. Unchanged
-// subtrees keep their references. The byte slice put receives is reused
-// between calls. Nothing in the tree changes until the Checkpoint is
-// committed.
+// EncodeCheckpoint walks the tree children first and hands put the object
+// of every node something beneath which has changed since its last durable
+// copy — a changed leaf and each node on the path above it, whose object
+// holds the child's Ref — as a delta when it has a base and deltaShare
+// allows, and every node whole when full is set. Unchanged subtrees keep
+// their references. The byte slice put receives is reused between calls.
+// Nothing in the tree changes until the Checkpoint is committed.
 func (t *Tree) EncodeCheckpoint(full bool, put func(enc []byte, leaf bool) (Ref, error)) (*Checkpoint, error) {
 	root, err := t.appendHeader(directoryVersion)
 	if err != nil {
 		return nil, err
 	}
-	c := &checkpointWalk{Checkpoint: &Checkpoint{}, full: full, put: put}
-	ref, _, err := c.object(t.root, 0)
+	c := &checkpointWalk{Checkpoint: &Checkpoint{}, full: full, put: put, at: t.clock}
+	ref, err := c.object(t.root, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -270,96 +272,69 @@ type checkpointWalk struct {
 	*Checkpoint
 	full bool
 	put  func(enc []byte, leaf bool) (Ref, error)
+	at   uint64        // the tree's clock: what every copy made is stamped with
 	bufs []walkScratch // one per tree depth
 }
 
-// walkScratch is one depth's reusable buffers: the object of the node the
-// walk is at, and of an internal node its children's references in trie
-// order and the entries (position, Ref) a delta would list.
+// walkScratch is one depth's reusable buffers: the references of the
+// children of the node the walk is at, in trie order, and its two objects.
 type walkScratch struct {
-	enc, moved []byte
-	refs       []Ref
+	refs         []Ref
+	whole, patch []byte
 }
 
 // object makes n's subtree durable, children first, and returns n's
-// reference and whether n itself was handed to put.
-func (c *checkpointWalk) object(n *node, depth int) (Ref, bool, error) {
+// reference.
+func (c *checkpointWalk) object(n *node, depth int) (Ref, error) {
 	if depth == len(c.bufs) {
 		c.bufs = append(c.bufs, walkScratch{})
 	}
-	leaf := n.isLeaf()
-	dirty := c.full || !n.durable()
-	kind, whole := kindNode, int64(0)
-	enc := c.bufs[depth].enc[:0]
-	var children []Ref
-	if !leaf {
-		// An internal node is encoded whether or not it turns out dirty:
-		// only its children's walk can say, and the trie is small. One
-		// whose stamp stands has its base's trie, and so a delta to it.
-		var base *baseCopy
-		var prev, movedPrev pager.PageID
-		if !dirty {
-			base = n.dur.base
-			movedPrev = base.ref.Pages[len(base.ref.Pages)-1]
-		}
-		moved, refs, nmoved := c.bufs[depth].moved[:0], c.bufs[depth].refs[:0], 0
-		var err error
-		enc, err = appendTrie(append(enc, kindNode), n.trie, func(e []byte, child *node) ([]byte, error) {
-			ref, written, err := c.object(child, depth+1)
-			dirty = dirty || written
-			if base != nil && !ref.equal(base.children[len(refs)]) {
-				moved = binary.AppendUvarint(moved, uint64(len(refs)))
-				moved, movedPrev = appendRef(moved, ref, movedPrev)
-				nmoved++
+	refs := c.bufs[depth].refs[:0]
+	var err error
+	if !n.isLeaf() {
+		n.trie.each(func(child *node) {
+			if err == nil {
+				var ref Ref
+				ref, err = c.object(child, depth+1)
+				refs = append(refs, ref)
 			}
-			refs = append(refs, ref)
-			e, prev = appendRef(e, ref, prev)
-			return e, err
 		})
-		if err != nil {
-			return Ref{}, false, err
-		}
-		c.bufs[depth].moved, c.bufs[depth].refs, children = moved, refs, refs
-		if whole = int64(len(enc)); dirty && nmoved > 0 {
-			var scratch [64]byte
-			head, _ := appendRef(append(scratch[:0], kindNodeDelta), base.ref, 0)
-			head = binary.AppendUvarint(head, uint64(nmoved))
-			if int64(len(head)+len(moved))*deltaShare <= whole {
-				kind, whole = kindNodeDelta, n.dur.whole
-				enc = append(append(enc[:0], head...), moved...)
+	}
+	if c.bufs[depth].refs = refs; err != nil {
+		return Ref{}, err
+	}
+	dur := n.dur
+	if c.full || !n.durable() {
+		// One rule for leaves and nodes: the whole object, or while a base
+		// stands a delta against it no larger than the whole's 1/deltaShare.
+		enc := appendWhole(c.bufs[depth].whole[:0], n, refs)
+		c.bufs[depth].whole = enc
+		dur = &durableCopy{at: c.at, whole: int64(len(enc))}
+		if !c.full && n.dur != nil {
+			patch, ok := appendPatch(c.bufs[depth].patch[:0], n, n.dur.base, refs)
+			if c.bufs[depth].patch = patch; ok && len(patch)*deltaShare <= len(enc) {
+				enc, dur.base = patch, n.dur.base
+				if !n.isLeaf() {
+					dur.whole = n.dur.whole
+				}
 			}
 		}
-	} else if dirty {
-		if kind, _, whole = n.leafObject(c.full); kind == kindDelta {
-			enc = appendLeaf(appendDeltaHead(enc, n.dur.base), n.recs[n.dur.base.kept:])
-		} else {
-			enc = appendLeaf(append(enc, kindLeaf), n.recs)
+		if dur.ref, err = c.put(enc, n.isLeaf()); err != nil {
+			return Ref{}, err
 		}
-	}
-	c.bufs[depth].enc = enc
-	dur := n.dur
-	if dirty {
-		ref, err := c.put(enc, leaf)
-		if err != nil {
-			return Ref{}, false, err
-		}
-		dur = &durableCopy{ref: ref, ver: n.ver, kind: kind, whole: whole}
-		switch kind {
-		case kindLeaf:
-			dur.base = &baseCopy{ref: ref, kept: len(n.recs)}
-		case kindNode:
-			dur.base = &baseCopy{ref: ref, children: slices.Clone(children)}
-		default:
-			dur.base = n.dur.base
+		dur.kind = enc[0]
+		if dur.base == nil { // written whole: it is its own base
+			dur.base = &baseCopy{ref: dur.ref, kept: len(n.recs), children: slices.Clone(refs)}
 		}
 		c.pending = append(c.pending, stamp{n: n, dur: dur})
-		c.Written.add(kind, int64(len(enc)))
+		c.Written.add(dur.kind, int64(len(enc)))
 	}
 	// The image holds what the parent refers to and, behind a delta, its base.
+	c.Whole += dur.whole
 	if c.image(dur.kind, dur.ref); dur.kind&1 != 0 {
 		c.image(dur.kind&^1, dur.base.ref)
 	}
-	return dur.ref, dirty, nil
+	return dur.ref, nil
 }
 
 func (c *Checkpoint) image(kind byte, ref Ref) {
@@ -367,63 +342,50 @@ func (c *Checkpoint) image(kind byte, ref Ref) {
 	c.Pages = append(c.Pages, ref.Pages...)
 }
 
-// leafObject says what EncodeCheckpoint writes a dirty leaf as (a delta when it
-// has a base, full is not set and deltaShare allows), its size and the leaf's.
-func (n *node) leafObject(full bool) (kind byte, size, whole int64) {
-	var base *baseCopy
-	kept := 0
-	if !full && n.dur != nil {
-		base, kept = n.dur.base, n.dur.base.kept
+// appendWhole appends n's whole object: its kind, then a leaf's records or
+// a node's trie with refs, its children's references in trie order.
+func appendWhole(e []byte, n *node, refs []Ref) []byte {
+	if n.isLeaf() {
+		return appendLeaf(append(e, kindLeaf), n.recs)
 	}
-	appended := recordsSize(n.recs[kept:])
-	whole = 1 + uvarintLen(len(n.recs)) + recordsSize(n.recs[:kept]) + appended
-	if base != nil {
-		var scratch [64]byte
-		if delta := int64(len(appendDeltaHead(scratch[:0], base))) + uvarintLen(len(n.recs)-kept) + appended; delta*deltaShare <= whole {
-			return kindDelta, delta, whole
-		}
-	}
-	return kindLeaf, whole, whole
+	var prev pager.PageID
+	return appendTrie(append(e, kindNode), n.trie, func(e []byte, _ *node) []byte {
+		e, prev = appendRef(e, refs[0], prev)
+		refs = refs[1:]
+		return e
+	})
 }
 
-// Pending sizes what an incremental EncodeCheckpoint would hand to put
-// right now, without encoding a record — leaves and deltas to the byte,
-// every internal node, whichever form it will take, as a whole one by
-// nodeSizeEstimate (a reference's varints are only known once the child
-// is stored) — and what a full one would.
-func (t *Tree) Pending() (write Footprint, whole int64) {
-	var walk func(n *node) bool
-	walk = func(n *node) bool {
-		dirty := !n.durable()
-		for _, c := range n.children {
-			if walk(c) {
-				dirty = true
-			}
+// appendPatch appends n's delta object against base: its kind and the
+// base's reference, then a count and that many ascending base positions —
+// a leaf's of the records removed, the rows appended since following as a
+// leaf payload; a node's of the children whose reference in refs is not the
+// base's, each followed by that reference. A node delta that moves no child
+// is none: ok is false.
+func appendPatch(e []byte, n *node, base *baseCopy, refs []Ref) (enc []byte, ok bool) {
+	if n.isLeaf() {
+		e, _ = appendRef(append(e, kindDelta), base.ref, 0)
+		e = binary.AppendUvarint(e, uint64(len(base.removed)))
+		for _, pos := range base.removed {
+			e = binary.AppendUvarint(e, uint64(pos))
 		}
-		switch {
-		case dirty && n.isLeaf():
-			kind, size, all := n.leafObject(false)
-			write.add(kind, size)
-			whole += all
-		case dirty:
-			size := nodeSizeEstimate(len(n.children))
-			write.add(kindNode, size)
-			whole += size
-		default:
-			whole += n.dur.whole
-		}
-		return dirty
+		return appendLeaf(e, n.recs[base.kept:]), true
 	}
-	walk(t.root)
-	return write, whole
+	moved := 0
+	for i, ref := range refs {
+		if !ref.equal(base.children[i]) {
+			moved++
+		}
+	}
+	e, prev := appendRef(append(e, kindNodeDelta), base.ref, 0)
+	e = binary.AppendUvarint(e, uint64(moved))
+	for i, ref := range refs {
+		if !ref.equal(base.children[i]) {
+			e, prev = appendRef(binary.AppendUvarint(e, uint64(i)), ref, prev)
+		}
+	}
+	return e, moved > 0
 }
-
-// nodeSizeEstimate bounds an internal node's whole object — and so its
-// delta — before its children's references exist: a kind byte, per child
-// a trie tag and a reference of at most 11 bytes in a file of 4 KB pages
-// (offset, length, CRC, page count, page distance), per hyperplane
-// between two children a tag, an axis and a one-column row.
-func nodeSizeEstimate(children int) int64 { return int64(1 + 12*children + 7*(children-1)) }
 
 // appendHeader starts an encoding of either form: version, dimensions
 // and height.
@@ -439,18 +401,14 @@ func (t *Tree) appendHeader(version uint32) ([]byte, error) {
 
 // appendTrie writes a split trie; child appends what stands for one
 // child node in this form.
-func appendTrie(e []byte, st *splitTrie, child func(e []byte, n *node) ([]byte, error)) ([]byte, error) {
+func appendTrie(e []byte, st *splitTrie, child func(e []byte, n *node) []byte) []byte {
 	if st.isLeaf() {
 		return child(append(e, 0), st.child)
 	}
 	e = append(e, 1)
 	e = binary.AppendUvarint(e, uint64(st.axis))
 	e = attr.AppendRow(e, []float64{st.value}) // a hyperplane value is a row of one
-	e, err := appendTrie(e, st.left, child)
-	if err != nil {
-		return nil, err
-	}
-	return appendTrie(e, st.right, child)
+	return appendTrie(appendTrie(e, st.left, child), st.right, child)
 }
 
 // appendLeaf is the leaf payload encoding both forms share: inline in a
@@ -465,30 +423,13 @@ func appendLeaf(e []byte, recs []attr.Record) []byte {
 }
 
 // leafSize is len(appendLeaf(nil, recs)).
-func leafSize(recs []attr.Record) int64 { return uvarintLen(len(recs)) + recordsSize(recs) }
-
-// recordsSize is what recs take of a leaf payload, after their count.
-func recordsSize(recs []attr.Record) (size int64) {
+func leafSize(recs []attr.Record) int64 {
+	var count [binary.MaxVarintLen64]byte
+	size := int64(binary.PutUvarint(count[:], uint64(len(recs))))
 	for _, r := range recs {
 		size += int64(attr.RecordSize(r, 0))
 	}
 	return size
-}
-
-func uvarintLen(v int) int64 {
-	var b [binary.MaxVarintLen64]byte
-	return int64(binary.PutUvarint(b[:], uint64(v)))
-}
-
-// appendDeltaHead starts a leaf's delta object: its kind, the base's reference
-// and the base positions removed. The appended rows follow as a leaf payload.
-func appendDeltaHead(e []byte, base *baseCopy) []byte {
-	e, _ = appendRef(append(e, kindDelta), base.ref, 0)
-	e = binary.AppendUvarint(e, uint64(len(base.removed)))
-	for _, pos := range base.removed {
-		e = binary.AppendUvarint(e, uint64(pos))
-	}
-	return e
 }
 
 // appendRef writes one reference. Page IDs are written as signed
@@ -524,9 +465,9 @@ func DecodeSnapshot(cfg Config, data []byte) (*Tree, error) {
 // asking get for the stored object behind each reference, parents before
 // children (the slice get returns is consumed or copied before the next
 // call, so get may reuse it). It validates exactly what DecodeSnapshot
-// validates, refuses a reference it has already followed, and stamps
-// every node with its reference so the next checkpoint of the recovered
-// tree rewrites only what changes from here on.
+// validates, refuses a reference it has already followed, and gives every
+// node its reference as its durable copy so the next checkpoint of the
+// recovered tree rewrites only what changes from here on.
 func DecodeCheckpoint(cfg Config, root []byte, get func(Ref) ([]byte, error)) (*Tree, error) {
 	return decodeTree(cfg, root, directoryVersion, get)
 }
@@ -665,8 +606,8 @@ func (src *source) end(err error) error {
 // node object or a node delta, at it a leaf object or a leaf delta, and
 // behind a delta — read to its end first — the whole object of its depth only.
 func (d *snapDecoder) object(ref Ref, region attr.Box, depth int) (*node, error) {
-	wholeKind := kindNode
-	if depth == d.height-1 {
+	leaf, wholeKind := depth == d.height-1, kindNode
+	if leaf {
 		wholeKind = kindLeaf
 	}
 	src, kind, err := d.fetch(ref)
@@ -683,10 +624,25 @@ func (d *snapDecoder) object(ref Ref, region attr.Box, depth int) (*node, error)
 		if base.ref, err = src.ref(); err != nil {
 			return nil, err
 		}
-		if wholeKind == kindLeaf {
-			appended, err = src.leafDelta(base, region)
+		if leaf {
+			// A removed record's entry is its position alone.
+			err = src.positions(1, func(pos uint64) error {
+				base.removed = append(base.removed, uint32(pos))
+				return nil
+			})
+			if err == nil {
+				appended, err = src.leaf(region)
+			}
 		} else {
-			moved, err = src.nodeDelta()
+			// A moved child's is its position and a reference of at least 8 bytes.
+			err = src.positions(9, func(pos uint64) error {
+				ref, err := src.ref()
+				moved = append(moved, movedChild{pos: pos, ref: ref})
+				return err
+			})
+			if err == nil && len(moved) == 0 {
+				err = fmt.Errorf("rplustree: node delta moves no child")
+			}
 		}
 		if err = src.end(err); err != nil {
 			return nil, err
@@ -699,51 +655,54 @@ func (d *snapDecoder) object(ref Ref, region attr.Box, depth int) (*node, error)
 			return nil, err
 		}
 	}
-	var n *node
-	whole := int64(base.ref.Len)
-	if wholeKind == kindLeaf {
-		if n, err = src.leaf(region); err == nil && appended != nil {
-			err = n.replay(base, appended)
-			whole = 1 + leafSize(n.recs)
-		} else if err == nil {
-			base.kept = len(n.recs)
-		}
-	} else {
+	if !leaf {
 		// Its children are fetched while it is read: the bytes must outlast that.
 		rest, _ := src.Bytes(src.Remaining())
 		src = &source{Reader: attr.NewReader(slices.Clone(rest)), moved: moved, refs: make([]Ref, 0, 8)}
-		if n, err = d.node(src, region, depth); err == nil && len(src.moved) > 0 {
-			err = fmt.Errorf("rplustree: node delta moves child %d of a base of %d children", src.moved[0].pos, len(src.refs))
-		}
-		base.children = src.refs
+	}
+	whole := int64(base.ref.Len)
+	n, err := d.node(src, region, depth)
+	switch {
+	case err != nil:
+	case appended != nil:
+		err = n.replay(base, appended)
+		whole = 1 + leafSize(n.recs)
+	case len(src.moved) > 0:
+		err = fmt.Errorf("rplustree: node delta moves child %d of a base of %d children", src.moved[0].pos, len(src.refs))
+	default:
+		base.kept, base.children = len(n.recs), src.refs
 	}
 	if err = src.end(err); err != nil {
 		return nil, err
 	}
-	// A decoded node starts at ver 0.
+	// A decoded tree's clock, every node's stamp and every copy's at start at 0.
 	n.dur = &durableCopy{ref: ref, kind: kind, whole: whole, base: base}
 	return n, nil
 }
 
-// leafDelta decodes the rest of a leaf delta after its base's reference:
-// the base positions removed, into base, and the appended rows.
-func (src *source) leafDelta(base *baseCopy, region attr.Box) (*node, error) {
-	nremoved, err := src.Count(1)
+// positions reads what either delta lists after its base's reference: a
+// count (bounded by what entries of at least minEntry bytes the object can
+// still hold), then per entry a base position, strictly ascending, and
+// whatever entry reads after it.
+func (src *source) positions(minEntry int, entry func(pos uint64) error) error {
+	n, err := src.Count(minEntry)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	base.removed = make([]uint32, nremoved)
-	for i := range base.removed {
+	for i, last := 0, uint64(0); i < n; i++ {
 		pos, err := src.Uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if pos > math.MaxUint32 || (i > 0 && uint32(pos) <= base.removed[i-1]) {
-			return nil, fmt.Errorf("rplustree: delta removes base position %d out of ascending order", pos)
+		if pos > math.MaxUint32 || (i > 0 && pos <= last) {
+			return fmt.Errorf("rplustree: delta names base position %d out of ascending order", pos)
 		}
-		base.removed[i] = uint32(pos)
+		if err := entry(pos); err != nil {
+			return err
+		}
+		last = pos
 	}
-	return src.leaf(region)
+	return nil
 }
 
 // replay turns n, a delta's base as decoded, into the leaf the delta
@@ -768,32 +727,6 @@ func (n *node) replay(base *baseCopy, appended *node) error {
 	n.recs, n.mbr = append(survivors, appended.recs...), mbr
 	n.count = len(n.recs)
 	return nil
-}
-
-// nodeDelta decodes the rest of a node delta after its base's reference:
-// at least one moved child, positions ascending.
-func (src *source) nodeDelta() ([]movedChild, error) {
-	// An entry is at least a position byte and an 8-byte reference.
-	n, err := src.Count(9)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("rplustree: node delta moves no child")
-	}
-	moved := make([]movedChild, n)
-	for i := range moved {
-		if moved[i].pos, err = src.Uvarint(); err != nil {
-			return nil, err
-		}
-		if i > 0 && moved[i].pos <= moved[i-1].pos {
-			return nil, fmt.Errorf("rplustree: node delta moves child %d out of ascending order", moved[i].pos)
-		}
-		if moved[i].ref, err = src.ref(); err != nil {
-			return nil, err
-		}
-	}
-	return moved, nil
 }
 
 // node decodes the body of the node owning region at depth — a leaf

@@ -144,24 +144,23 @@ type node struct {
 
 	recs []attr.Record // leaf payload
 
-	// ver counts the mutations of what this node's durable encoding
-	// holds: a leaf's records (appends, deletes), an internal node's
-	// child list and trie (replaceWithPair, the underflow-repair splice).
-	ver uint64
-
 	// stamp is the tree's change clock at the last mutation beneath this
-	// node (every mutation stamps its root path); snap is the snapshot
-	// node built from it last, reused while the stamp stands; shared says
-	// a snapshot holds recs' array (cow.go).
+	// node (every mutation stamps its root path) — the one record of what
+	// changed, read by Snapshot (cow.go) and by checkpoints (snapshot.go);
+	// snap is the snapshot node built from it last, reused while the stamp
+	// stands; shared says a snapshot holds recs' array.
 	stamp  uint64
 	snap   *snapNode
 	shared bool
 
-	// dur is the stamp of durable checkpoints (snapshot.go):
-	// where this node's last published encoding lives and the ver it
-	// captured (a leaf's: and what Delete removed from its last whole copy
-	// since); nil until a checkpoint holding the node is published.
-	// Behind a pointer so that the stamp costs the tree's hot paths —
+	// dur is the node's last published durable copy (snapshot.go): where
+	// the encoding lives and the clock it was made at — it stands for the
+	// subtree while the stamp is no later — and, of its last whole copy,
+	// what a delta needs (a leaf's: what Delete removed since; an internal
+	// node's: the child references it holds). nil until a checkpoint holding
+	// the node is published, and again once a split plan reorders a leaf's
+	// records or an edit changes a node's trie: no delta can be cut against
+	// that copy. Behind a pointer so that it costs the tree's hot paths —
 	// every split allocates two nodes — eight bytes per node, not
 	// forty-eight.
 	dur *durableCopy
@@ -283,7 +282,6 @@ func routeChild(n *node, p []float64) *node {
 // runs, so a split error never loses it.
 func (t *Tree) insertIntoLeaf(leaf *node, rec attr.Record) error {
 	leaf.recs = append(leaf.recs, rec)
-	leaf.ver++
 	t.clock++
 	for n := leaf; n != nil; n = n.parent {
 		n.count++
@@ -304,7 +302,6 @@ func (t *Tree) bulkAppendLeaf(leaf *node, recs []attr.Record) error {
 		return nil
 	}
 	leaf.recs = append(leaf.recs, recs...)
-	leaf.ver++
 	t.clock++
 	box := attr.NewBox(t.cfg.Schema.Dims())
 	for _, r := range recs {
@@ -365,9 +362,10 @@ func (t *Tree) replaceWithPair(old, left, right *node, axis int, value float64) 
 	if st == nil {
 		return &CorruptionError{Detail: "split of node not present in parent trie"}
 	}
-	// Replace old in parent's child list and trie (the mutation that
-	// overflowed old has stamped the path above parent).
-	parent.ver++
+	// Replace old in parent's child list and trie: its durable copy's trie
+	// is no longer its own (the mutation that overflowed old has stamped
+	// the path above parent).
+	parent.dur = nil
 	parent.stamp = t.clock
 	parent.children[idx] = left
 	parent.children = append(parent.children, right)
@@ -473,7 +471,6 @@ func (t *Tree) Delete(id int64, qi []float64) (bool, error) {
 	}
 	leaf.own()
 	leaf.recs = append(leaf.recs[:idx], leaf.recs[idx+1:]...)
-	leaf.ver++
 	t.clock++
 	t.shrinkPath(leaf, 1, 0)
 	if leaf.parent == nil || len(leaf.recs) >= t.cfg.BaseK {

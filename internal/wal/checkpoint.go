@@ -35,12 +35,13 @@ import (
 // checkpoint — Create, the preload, reseed, scrub repair, compaction — is
 // the same routine with every node changed and every object written whole.
 
-// spaceFactor bounds the page file: a checkpoint that would leave more
-// allocated than spaceFactor × the image with every object whole (what a
-// rewrite comes to; a base and its delta are never less) rewrites every
-// node instead, which packs the image into two runs and frees every
-// older page. With the copy a rewrite needs while the old image is still
-// published, pages.db stays within spaceFactor+1 times the live image.
+// spaceFactor bounds the page file: an incremental checkpoint that has left
+// more allocated than spaceFactor × the image with every object whole (what
+// a rewrite comes to; a base and its delta are never less) is abandoned
+// before it is published and every node rewritten instead, which packs the
+// image into two runs and frees every older page. With the copy a rewrite
+// needs while the old image is still published, pages.db stays within
+// spaceFactor+1 times the live image.
 const spaceFactor = 2
 
 // slackPages is what page granularity may cost a checkpoint beyond the
@@ -148,14 +149,15 @@ func (w *pageStream) discard() {
 //
 //  1. Announce intent in the old log (replay ignores the marker).
 //  2. Stream every changed leaf and every node above one, whole or as a
-//     delta, into fresh pages, children before parents; flush and sync
-//     them.
+//     delta, into fresh pages, children before parents — and, should that
+//     overrun the space rule, give the pages back and stream every node
+//     whole instead; flush and sync them.
 //  3. Publish: the manifest, the root object in it, goes into wal.tmp,
 //     which is renamed over wal.log and the directory synced.
-//  4. Only now stamp the written nodes with their new locations. An
-//     attempt that aborts earlier leaves every stamp as it was, so the
-//     retry writes those nodes again and trusts no page of the aborted
-//     attempt.
+//  4. Only now tell the written nodes where their durable copies live
+//     (Commit). An attempt that aborts earlier leaves every node's copy
+//     as it was, so the retry writes those nodes again and trusts no page
+//     of the aborted attempt.
 //  5. Free, in ascending order, the pages the old image referred to and
 //     the new one does not. A crash here leaks them at worst — the next
 //     Open sweeps unreferenced pages.
@@ -165,19 +167,22 @@ func (s *Store) writeCheckpoint(out *pageStream, full bool) error {
 			return err
 		}
 	}
-	if !full {
-		// The space rule, decided before anything is written: room is the
-		// pages this checkpoint may allocate, the slack of the rewrite to
-		// come held back, and what it needs is its leaf run and its node
-		// run (no walk when the published image has none).
-		ps := int64(s.opts.PageSize)
-		room := func(image int64) int64 { return spaceFactor*image/ps - int64(len(s.live)) - slackPages }
-		if full = room(s.imageBytes) < 1; !full {
-			pending, whole := s.tree.Pending()
-			full = (pending.LeafBytes+pending.DeltaBytes+ps-1)/ps+(pending.NodeBytes+ps-1)/ps > room(whole)
-		}
+	// The space rule: room is the pages a checkpoint may allocate, the slack
+	// of the rewrite to come held back. With none to spare (nothing is
+	// published yet, or the file is already full) nothing incremental is
+	// tried; otherwise the attempt is measured by what it allocated.
+	room := func(image int64) int64 {
+		return spaceFactor*image/int64(s.opts.PageSize) - int64(len(s.live)) - slackPages
 	}
+	full = full || room(s.imageBytes) < 1
 	ck, err := s.tree.EncodeCheckpoint(full, out.put)
+	if err == nil && !full && int64(len(out.pages)) > room(ck.Whole) {
+		// Over budget: nothing published refers to the attempt's pages, so
+		// they go back and the same walk writes every node whole.
+		out.discard()
+		full = true
+		ck, err = s.tree.EncodeCheckpoint(full, out.put)
+	}
 	if err != nil {
 		return err
 	}
@@ -264,9 +269,9 @@ func (s *Store) isLive(id pager.PageID) bool {
 // loadCheckpoint rebuilds the tree from the checkpoint whose root object
 // the manifest holds: each node, leaf and delta object through the pager
 // as the decoder follows its reference, every byte checked against the
-// checksum chain before the decoder sees it. The decoded tree carries the
-// references as its stamps, so the first checkpoint after a reopen is
-// incremental too.
+// checksum chain before the decoder sees it. The decoded tree's nodes know
+// the references as their durable copies, so the first checkpoint after a
+// reopen is incremental too.
 func (s *Store) loadCheckpoint(m *Manifest) error {
 	var object []byte
 	var bytes int64

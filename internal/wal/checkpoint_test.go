@@ -51,9 +51,24 @@ func (c CheckpointStats) since(b CheckpointStats) CheckpointStats {
 	}, c.PagesFreed - b.PagesFreed}
 }
 
-// leafPart is the part of a footprint Tree.Pending knows to the byte.
+// dryRun is an incremental checkpoint of the store's tree as it is right
+// now, encoded into no page and never committed: it changes nothing.
+func dryRun(t *testing.T, s *Store) *rplustree.Checkpoint {
+	t.Helper()
+	ck, err := s.tree.EncodeCheckpoint(false, func(enc []byte, leaf bool) (rplustree.Ref, error) {
+		return rplustree.Ref{Pages: []pager.PageID{1}, Len: uint32(len(enc))}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ck
+}
+
+// leafPart is the part of a footprint that does not depend on where the
+// objects are stored: leaves and their deltas to the byte, and how many
+// node objects of either form.
 func leafPart(f rplustree.Footprint) rplustree.Footprint {
-	return rplustree.Footprint{Leaves: f.Leaves, LeafBytes: f.LeafBytes, Deltas: f.Deltas, DeltaBytes: f.DeltaBytes}
+	return rplustree.Footprint{Leaves: f.Leaves, LeafBytes: f.LeafBytes, Deltas: f.Deltas, DeltaBytes: f.DeltaBytes, Nodes: f.Nodes + f.NodeDeltas}
 }
 
 // reopenEqual closes s, reopens the store and asserts the recovered
@@ -447,7 +462,10 @@ func deltaChainOps(t *testing.T, cfg rplustree.Config, prefix []churnOp) ([]chur
 // third is the delta chain (deltaChainOps), with its own checkpoints: a
 // crash at every page write of a delta, of the delta superseding it, of
 // the rebase, of the halves of a delta'd leaf, of a full rewrite and of a
-// node's ever longer delta up to the rewrite that ends it.
+// node's ever longer delta up to the rewrite that ends it; and one chain
+// (redo) churns behind a four-page pool until an incremental attempt
+// overruns the space rule and is redone in full, so that every page write
+// of an attempt nothing will ever refer to is a crash point too.
 // Recovery must land on the audited committed prefix, sweep every page
 // the dying checkpoint leaked, and leave a store whose next
 // (incremental) checkpoint survives a reopen.
@@ -462,14 +480,18 @@ func TestCrashMatrixIncremental(t *testing.T) {
 		baseK   = 3
 	)
 	schema := dataset.LandsEndSchema()
-	for i := 0; i < 3*seeds; i++ {
-		seed, aimed, deltas := i/3, i%3 == 1, i%3 == 2
-		name := []string{"", "restructuring/", "deltas/"}[i%3] + fmt.Sprintf("seed=%d", seed)
+	for i := 0; i < 4*seeds; i++ {
+		seed, aimed, deltas, redo := i/4, i%4 == 1, i%4 == 2, i%4 == 3
+		if redo && seed > 0 {
+			continue // one redo chain: it is four times the length of the others
+		}
+		name := []string{"", "restructuring/", "deltas/", "redo/"}[i%4] + fmt.Sprintf("seed=%d", seed)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			cfg := rplustree.Config{Schema: schema, BaseK: baseK}
 			all := churnWorkload(schema, int64(seed)+101, preload+nOps)
 			var model []rplustree.Footprint // what the delta chain's checkpoints write
+			every, pool := 6, 0
 			switch {
 			case aimed:
 				all = append(all[:preload], restructuringOps(t, cfg, all[:preload], nOps)...)
@@ -477,18 +499,21 @@ func TestCrashMatrixIncremental(t *testing.T) {
 				var chain []churnOp
 				chain, model = deltaChainOps(t, cfg, all[:preload])
 				all = append(all[:preload], chain...)
+			case redo:
+				all, every, pool = churnWorkload(schema, int64(seed)+101, preload+4*nOps), 24, 4
 			}
 			if !deltas {
-				for i := preload + 5; i < len(all); i += 6 {
+				for i := preload + every - 1; i < len(all); i += every {
 					all[i].then = thenCheckpoint
 				}
 			}
 			mkOpts := func(dir string, crash *fault.Crash) Options {
 				o := Options{
-					Dir:      dir,
-					Tree:     cfg,
-					PageSize: 512,
-					NoSync:   true,
+					Dir:       dir,
+					Tree:      cfg,
+					PageSize:  512,
+					PoolPages: pool,
+					NoSync:    true,
 				}
 				if crash != nil {
 					o.AppendFault, o.PagerFault = crash, crash
@@ -501,7 +526,7 @@ func TestCrashMatrixIncremental(t *testing.T) {
 			// reports how many operations were acknowledged. The dry run
 			// watches the tree's shape from checkpoint to checkpoint, and
 			// what the checkpoints of the delta chain write.
-			var watching, leafSplit, nodeSplit bool
+			var watching, leafSplit, nodeSplit, redone bool
 			leaves, nodes, asModel := 0, 0, 0
 			watch := func(s *Store) {
 				l, n := 0, 0
@@ -548,9 +573,15 @@ func TestCrashMatrixIncremental(t *testing.T) {
 					if all[i].then == goOn {
 						continue
 					}
-					before := s.CheckpointStats()
+					before, io := s.CheckpointStats(), s.pg.Stats()
 					if died(s.checkpoint(all[i].then == thenFullCheckpoint)) {
 						return i + 1, s
+					}
+					// Pages freed that no published image held are an abandoned
+					// attempt's; page writes beyond the live pages of the full
+					// checkpoint that replaced it are too.
+					if got, now := s.CheckpointStats().since(before), s.pg.Stats(); watching && now.Frees-io.Frees > got.PagesFreed && now.Writes-io.Writes > int64(len(s.live)) {
+						redone = true
 					}
 					if watching && deltas {
 						got, want := s.CheckpointStats().since(before), model[0]
@@ -576,6 +607,9 @@ func TestCrashMatrixIncremental(t *testing.T) {
 			s.Close()
 			if st.Checkpoints < 5 || st.Checkpoints-st.Full < 3 || st.PagesFreed == 0 || st.Written.NodeDeltas < 3 {
 				t.Fatalf("workload does not chain incremental checkpoints: %+v", st)
+			}
+			if redo && !redone {
+				t.Fatalf("redo chain: no incremental attempt was abandoned with pages written: %+v", st)
 			}
 			if aimed && !(leafSplit && nodeSplit) {
 				t.Fatalf("aimed chain straddles no restructuring: leaf split=%v internal split=%v, %+v", leafSplit, nodeSplit, st)
@@ -687,7 +721,7 @@ func TestCheckpointAbortLeavesStampsAlone(t *testing.T) {
 			}
 		}
 		before := s.CheckpointStats()
-		pending, _ := s.tree.Pending()
+		pending := dryRun(t, s).Written
 		if pending.Deltas < 10 {
 			t.Fatalf("40 updates in place left %+v pending: want deltas", pending)
 		}
@@ -709,7 +743,7 @@ func TestCheckpointAbortLeavesStampsAlone(t *testing.T) {
 			t.Fatalf("write %d: an aborted checkpoint was counted: %+v -> %+v", n, before, got)
 		}
 		checkOnlyLivePages(t, s)
-		if again, _ := s.tree.Pending(); again != pending {
+		if again := dryRun(t, s).Written; again != pending {
 			t.Fatalf("write %d: %+v pending before the aborted checkpoint, %+v after", n, pending, again)
 		}
 		if err := s.Checkpoint(); err != nil {
@@ -737,8 +771,9 @@ func insertBatch(recs []attr.Record) []Op {
 // store the checkpoint after 100 single-record updates performs at most
 // 6 of the ≈ 188 page writes of a full one (8 while a node above a changed
 // leaf was rewritten whole and the root object had a page, 19 while a
-// changed leaf was, 21 while the directory was), what it writes of leaves
-// is what Pending said it would, and of nodes no more;
+// changed leaf was, 21 while the directory was), it writes what a dry run
+// before it did — an uncommitted EncodeCheckpoint changes nothing — and its
+// Whole is what a full one right after it puts, within 1 %;
 // the checkpoint after ONE update that stays in its leaf writes that
 // leaf's delta and a delta of the node above it on each level, in two
 // pages: one of the leaf run, one of the node run.
@@ -774,18 +809,18 @@ func TestIncrementalCheckpointWriteVolume(t *testing.T) {
 			t.Fatalf("update %d: found=%v err=%v", moved.ID, found, err)
 		}
 	}
-	pending, _ := s.tree.Pending()
+	pending := dryRun(t, s).Written
+	if again := dryRun(t, s).Written; again != pending {
+		t.Fatalf("one dry run wrote %+v, the next %+v", pending, again)
+	}
 	incremental, wrote := checkpoint(false)
-	t.Logf("page writes: full %d, after 100 updates %d (%.1f %%): %v (nodes estimated at %d bytes)",
-		fullWrites, incremental, 100*float64(incremental)/float64(fullWrites), wrote.Written, pending.NodeBytes)
+	t.Logf("page writes: full %d, after 100 updates %d (%.1f %%): %v",
+		fullWrites, incremental, 100*float64(incremental)/float64(fullWrites), wrote.Written)
 	if incremental > 6 {
 		t.Fatalf("checkpoint after 100 updates wrote %d pages (a full one %d), want at most 6", incremental, fullWrites)
 	}
-	if w := wrote.Written; leafPart(w) != leafPart(pending) || w.Nodes+w.NodeDeltas != pending.Nodes || w.NodeDeltas < w.Nodes {
-		t.Fatalf("wrote %+v, pending was %+v", w, pending)
-	}
-	if est, got := pending.NodeBytes, wrote.Written.NodeBytes+wrote.Written.NodeDeltaBytes; est < got || est > 4*got {
-		t.Fatalf("node objects bounded at %d bytes came to %d", est, got)
+	if w := wrote.Written; leafPart(w) != leafPart(pending) || w.NodeDeltas < w.Nodes {
+		t.Fatalf("wrote %+v, the dry run %+v", w, pending)
 	}
 
 	// One update that moves nothing, in a leaf the delete half of it does
@@ -805,6 +840,15 @@ func TestIncrementalCheckpointWriteVolume(t *testing.T) {
 	t.Logf("page writes after one update: %d (%v, height %d)", single, wrote.Written, s.Tree().Height())
 	if w := wrote.Written; w.Leaves != 0 || w.Deltas != 1 || w.Nodes != 0 || w.NodeDeltas != s.Tree().Height()-1 || single > 2 {
 		t.Fatalf("one update cost %d page writes for %+v of a tree of height %d", single, w, s.Tree().Height())
+	}
+
+	// What the space rule measures an incremental checkpoint against is what
+	// a rewrite would put: the leaves to the byte, the nodes as their
+	// references were when last written.
+	whole := dryRun(t, s).Whole
+	_, wrote = checkpoint(true)
+	if put := wrote.Written.Bytes(); whole < put*99/100 || whole > put*101/100 {
+		t.Fatalf("the image weighed %d bytes whole, a full checkpoint right after put %d", whole, put)
 	}
 }
 
@@ -856,5 +900,64 @@ func TestPageFileStaysBounded(t *testing.T) {
 	t.Logf("worst pages.db / live image: %.2f; %+v", worst, st)
 	if st.Full < 3 || st.Full > st.Checkpoints/4 {
 		t.Fatalf("space rule fired %d times in %d checkpoints", st.Full-1, st.Checkpoints)
+	}
+}
+
+// TestSpaceRuleRedo drives a small store until an incremental attempt
+// overruns the room the space rule leaves it — measured, after the fact, by
+// the pages it allocated. The attempt is given back whole — with a four-page
+// pool some of its pages had reached the file — and the checkpoint done
+// again as a full one: counted once, as full, with what it published alone;
+// pages.db holds the published image and nothing else; a reopen equals the
+// live tree.
+func TestSpaceRuleRedo(t *testing.T) {
+	opts := testOpts(t, 5)
+	opts.PageSize, opts.PoolPages = 512, 4
+	s, err := Create(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := makeRecords(opts.Tree.Schema, 600, 21)
+	if _, err := s.ApplyBatch(insertBatch(recs)); err != nil {
+		t.Fatal(err)
+	}
+	rng := detrng.New(23)
+	for round := 0; ; round++ {
+		if round == 100 {
+			t.Fatalf("no incremental attempt overran its room in %d checkpoints: %+v", round, s.CheckpointStats())
+		}
+		for i := 0; i < 30; i++ {
+			r := &recs[rng.Intn(len(recs))]
+			r.Sensitive = fmt.Sprintf("round %d", round)
+			if found, err := s.Update(r.ID, r.QI, *r); err != nil || !found {
+				t.Fatalf("round %d: update %d: found=%v err=%v", round, r.ID, found, err)
+			}
+		}
+		attempt := dryRun(t, s).Written
+		before, io := s.CheckpointStats(), s.pg.Stats()
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		checkOnlyLivePages(t, s)
+		got, now := s.CheckpointStats().since(before), s.pg.Stats()
+		// Pages freed that no published image held are an abandoned attempt's.
+		abandoned := now.Frees - io.Frees - got.PagesFreed
+		if abandoned == 0 {
+			continue
+		}
+		leaves := len(s.Tree().Leaves())
+		t.Logf("round %d: an attempt at %v took %d pages and was abandoned; published %v in %d pages with %d page writes",
+			round, attempt, abandoned, got.Written, len(s.live), now.Writes-io.Writes)
+		if got.Checkpoints != 1 || got.Full != 1 {
+			t.Fatalf("the redone checkpoint was counted as %+v", got)
+		}
+		if w := got.Written; w.Deltas+w.NodeDeltas != 0 || w.Leaves != leaves || w.Bytes() != s.imageBytes {
+			t.Fatalf("the redone checkpoint is said to have written %+v: the image has %d leaves in %d bytes", w, leaves, s.imageBytes)
+		}
+		if attempt.Deltas == 0 || now.Writes-io.Writes <= int64(len(s.live)) {
+			t.Fatalf("want an abandoned attempt with deltas some of whose pages were written: it held %+v, %d page writes for %d live pages", attempt, now.Writes-io.Writes, len(s.live))
+		}
+		reopenEqual(t, s, opts).Close()
+		return
 	}
 }

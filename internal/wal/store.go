@@ -355,7 +355,7 @@ func (s *Store) die(err error) {
 
 // ValidateQI rejects at ingress anything the recovery path would
 // refuse later: wrong dimensionality (tree ops error on it during
-// replay) and non-finite coordinates (DecodeSnapshot refuses NaN, so
+// replay) and non-finite coordinates (DecodeCheckpoint refuses NaN, so
 // one such record folded into a checkpoint would make every subsequent
 // Open fail with no self-healing). Write-ahead logging means a record
 // is durable before it is applied — so nothing may reach the WAL that
@@ -508,7 +508,7 @@ func (s *Store) maybeCheckpoint() error {
 // into place (the protocol is writeCheckpoint, checkpoint.go). A
 // transient fault with a clean rollback aborts the checkpoint but
 // leaves the store serviceable: the old log and writer are intact until
-// the final rename, the tree and its durable-copy stamps are untouched,
+// the final rename, the tree and its nodes' durable copies are untouched,
 // and the pages the aborted attempt allocated are given back. Any other
 // error — including an injected crash — poisons the store, and recovery
 // falls back to the previous checkpoint plus the old log.
@@ -693,7 +693,7 @@ func (s *Store) reseed() error {
 		return err
 	}
 	s.pg = pg
-	// The old page IDs, and every node's durable-copy stamp, belong to
+	// The old page IDs, and every node's durable copy, belong to
 	// the discarded image: nothing is live and every node is rewritten.
 	s.live = nil
 	if err := s.writeCheckpoint(&pageStream{pg: pg}, true); err != nil {
