@@ -26,7 +26,7 @@ loc:
 # is the total of the last PR that moved it. A PR that adds net
 # non-test lines must raise the number here, in its own diff, where a
 # reviewer sees it; a PR that removes lines lowers it to its new total.
-LOC_CEILING = 19227
+LOC_CEILING = 19242
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \
@@ -36,14 +36,17 @@ loc-check:
 
 # What a checkpoint writes, as page counts and bytes: the incremental
 # checkpoint after 100 updates and after one against a full one on 20 000
-# records, pages.db against the live image over 200 checkpoints of churn,
-# leaf, node and delta bytes per checkpoint of the benchmark's churn on its
-# 200 000-record store, page writes per round, compactions included, on a
-# shard-sized one, the byte table of serve_large's nominal window
-# (page slots + log frames per acknowledged byte: the gated write_amp,
-# exact per seed), and what an incremental attempt that overran the space
-# rule had taken when it was abandoned for a full one. The tests gate the
-# counts; this target puts them in the log.
+# records (4 and 89 page writes), pages.db against the live image over 200
+# checkpoints of churn (worst 2.93, 25 full), leaf, node and delta bytes
+# per checkpoint of the benchmark's churn on its 200 000-record store
+# (27 787 B of leaves and deltas; reopen reads 1 445 pages), page writes
+# per round, compactions included, on a shard-sized one (50.2), the byte
+# table of serve_large's nominal window (page slots + log frames per
+# acknowledged byte: the gated write_amp, exact per seed — 15 page writes,
+# 35.5 log bytes per operation, 3.316) and what reopening it read, and
+# what an incremental attempt that overran the space rule had taken when
+# it was abandoned for a full one. The tests gate the counts; this target
+# puts them in the log.
 ckpt-volume:
 	$(GO) test ./internal/wal -run 'TestIncrementalCheckpointWriteVolume|TestPageFileStaysBounded|TestSpaceRuleRedo|TestLeafDeltaWriteVolume|TestCheckpointVolumeLongRun|TestServeLargeWindowBytes' -v
 

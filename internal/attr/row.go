@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // This file is the repository's one durable record encoding: log frames
@@ -13,17 +14,18 @@ import (
 //
 // A ROW is a layout byte followed by one column per attribute:
 //
-//	rowFixed  one little-endian uint32 per attribute — the paper's record
-//	          (Section 5: eight 4-byte columns, 32 bytes). Taken when every
-//	          value is bit-exactly an integer in [0, 2³²).
+//	rowVarint one canonical uvarint per attribute. Taken when every value
+//	          is bit-exactly an integer in [0, 2³²): the paper's record
+//	          (Section 5, eight 4-byte columns) in 13 bytes.
 //	rowRaw    the float64 bits, little-endian, 8 bytes per attribute.
 //	          Everything else: fractions, negatives, −0.0, 2³² and above.
 //
 // The layout is a property of the data, never a setting, and it is
-// canonical: a raw row whose values the fixed layout could hold is
-// rejected on decode, so every vector has exactly one encoding and every
-// float64 bit pattern round-trips. A row does not carry its own length —
-// the reader knows the dimensionality from its schema or frame header.
+// canonical: a raw row the varint layout could hold and a varint column
+// of 2³² or more are rejected on decode, so every vector has exactly one
+// encoding and every float64 bit pattern round-trips. A row does not
+// carry its own length — the reader knows the dimensionality from its
+// schema or frame header.
 //
 // A RECORD is a zigzag-varint ID (relative to a base the caller chooses),
 // a row, and the sensitive value behind a varint length. Counts and
@@ -31,15 +33,20 @@ import (
 // small number is an error, not an alias.
 
 const (
-	rowFixed byte = 0
-	rowRaw   byte = 1
+	rowRaw    byte = 1
+	rowVarint byte = 2
 )
 
-// FixedRowSize is the size of dims columns in the fixed layout, without
-// the layout byte: the paper's record size (32 bytes for 8 attributes).
+// FixedRowSize is the size of dims bare fixed columns (PutFixedRow): the
+// paper's record size (32 bytes for 8 attributes).
 func FixedRowSize(dims int) int { return 4 * dims }
 
-// column returns v as a fixed-layout column if that holds it bit for bit.
+// MinRowSize is the fewest bytes a row of dims attributes encodes to, its
+// layout byte included — a one-byte varint per column: what decoders bound
+// the element counts they read with.
+func MinRowSize(dims int) int { return 1 + dims }
+
+// column returns v as an integer column if that holds it bit for bit.
 func column(v float64) (uint32, bool) {
 	if !(v >= 0 && v < 1<<32) { // also false for NaN
 		return 0, false
@@ -48,19 +55,23 @@ func column(v float64) (uint32, bool) {
 	return u, math.Float64bits(float64(u)) == math.Float64bits(v) // −0.0 and fractions differ
 }
 
-// fitsFixed reports whether the fixed layout holds every value of qi.
-func fitsFixed(qi []float64) bool {
+// layout returns the layout qi's values take and the size of its columns
+// in it.
+func layout(qi []float64) (byte, int) {
+	size := 0
 	for _, v := range qi {
-		if _, ok := column(v); !ok {
-			return false
+		u, ok := column(v)
+		if !ok {
+			return rowRaw, 8 * len(qi)
 		}
+		size += (bits.Len32(u|1) + 6) / 7 // the length of u's uvarint
 	}
-	return true
+	return rowVarint, size
 }
 
-// PutFixedRow writes qi into buf as bare fixed-layout columns — no layout
-// byte, FixedRowSize(len(qi)) bytes — and fails on a value that layout
-// cannot hold. It is the record format of the binary data files.
+// PutFixedRow writes qi into buf as bare fixed columns — one
+// little-endian uint32 per attribute, no layout byte — and fails on a
+// value they cannot hold. It is the record format of the binary data files.
 func PutFixedRow(buf []byte, qi []float64) error {
 	if len(buf) < FixedRowSize(len(qi)) {
 		return fmt.Errorf("attr: buffer of %d bytes, row needs %d", len(buf), FixedRowSize(len(qi)))
@@ -68,14 +79,14 @@ func PutFixedRow(buf []byte, qi []float64) error {
 	for i, v := range qi {
 		u, ok := column(v)
 		if !ok {
-			return fmt.Errorf("attr: attribute %d is %v, not an integer in [0, 2^32): the fixed 4-byte layout cannot hold it", i, v)
+			return fmt.Errorf("attr: attribute %d is %v, not an integer in [0, 2^32): a fixed 4-byte column cannot hold it", i, v)
 		}
 		binary.LittleEndian.PutUint32(buf[4*i:], u)
 	}
 	return nil
 }
 
-// FixedRow reads bare fixed-layout columns from buf into qi.
+// FixedRow reads bare fixed columns from buf into qi.
 func FixedRow(qi []float64, buf []byte) error {
 	if len(buf) < FixedRowSize(len(qi)) {
 		return fmt.Errorf("attr: buffer of %d bytes, row needs %d", len(buf), FixedRowSize(len(qi)))
@@ -88,10 +99,10 @@ func FixedRow(qi []float64, buf []byte) error {
 
 // AppendRow appends the row encoding of qi to b.
 func AppendRow(b []byte, qi []float64) []byte {
-	if fitsFixed(qi) {
-		b = append(b, rowFixed)
+	if lay, _ := layout(qi); lay == rowVarint {
+		b = append(b, rowVarint)
 		for _, v := range qi {
-			b = binary.LittleEndian.AppendUint32(b, uint32(v))
+			b = binary.AppendUvarint(b, uint64(v))
 		}
 		return b
 	}
@@ -114,10 +125,7 @@ func AppendRecord(b []byte, r Record, base int64) []byte {
 // RecordSize is len(AppendRecord(nil, r, base)) without building it.
 func RecordSize(r Record, base int64) int {
 	var v [binary.MaxVarintLen64]byte
-	row := 8 * len(r.QI)
-	if fitsFixed(r.QI) {
-		row = FixedRowSize(len(r.QI))
-	}
+	_, row := layout(r.QI)
 	return binary.PutVarint(v[:], r.ID-base) + 1 + row + binary.PutUvarint(v[:], uint64(len(r.Sensitive))) + len(r.Sensitive)
 }
 
@@ -163,15 +171,6 @@ func (r *Reader) U32() (uint32, error) {
 	return binary.LittleEndian.Uint32(b), nil
 }
 
-// U64 consumes a little-endian uint64.
-func (r *Reader) U64() (uint64, error) {
-	b, err := r.Bytes(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
 // Uvarint consumes a canonical unsigned varint.
 func (r *Reader) Uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.data[r.off:])
@@ -210,17 +209,22 @@ func (r *Reader) Count(each int) (int, error) {
 // Row consumes a row of len(qi) attributes into qi.
 func (r *Reader) Row(qi []float64) error {
 	at := r.off
-	layout, err := r.Byte()
+	lay, err := r.Byte()
 	if err != nil {
 		return err
 	}
-	switch layout {
-	case rowFixed:
-		b, err := r.Bytes(FixedRowSize(len(qi)))
-		if err != nil {
-			return err
+	switch lay {
+	case rowVarint:
+		for i := range qi {
+			u, err := r.Uvarint()
+			if err != nil {
+				return err
+			}
+			if u >= 1<<32 {
+				return fmt.Errorf("attr: row at byte %d holds %d in a varint column: values of 2^32 and above take the raw layout", at, u)
+			}
+			qi[i] = float64(u)
 		}
-		return FixedRow(qi, b)
 	case rowRaw:
 		b, err := r.Bytes(8 * len(qi))
 		if err != nil {
@@ -229,11 +233,11 @@ func (r *Reader) Row(qi []float64) error {
 		for i := range qi {
 			qi[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 		}
-		if fitsFixed(qi) {
-			return fmt.Errorf("attr: row at byte %d spends the raw layout on values the fixed layout holds", at)
+		if want, _ := layout(qi); want != rowRaw {
+			return fmt.Errorf("attr: row at byte %d spends the raw layout on values the varint layout holds", at)
 		}
 	default:
-		return fmt.Errorf("attr: row at byte %d has layout %d", at, layout)
+		return fmt.Errorf("attr: row at byte %d has layout %d", at, lay)
 	}
 	return nil
 }

@@ -445,8 +445,9 @@ func TestDecodeCheckpointRejectsDamage(t *testing.T) {
 }
 
 // paperRecords are n distinct records of the paper's shape: eight
-// integral attributes (32 bytes in the fixed layout), two-byte ID
-// varints, no sensitive value.
+// integral attributes (32 bytes in fixed columns, 10 as varints: a
+// zip-sized first column and seven small ones), two-byte ID varints, no
+// sensitive value.
 func paperRecords(n int) []attr.Record {
 	recs := make([]attr.Record, n)
 	for i := range recs {
@@ -458,8 +459,8 @@ func paperRecords(n int) []attr.Record {
 // TestImageSizes pins what a record costs in a leaf page, a child in a
 // node object and the root object, so a format regression fails here and
 // not in a benchmark. The float64 format spent 76 bytes per record and
-// 39 per leaf of a one-level directory; the one-buffer directory 18 per
-// leaf.
+// 39 per leaf of a one-level directory, the one-buffer directory 18 per
+// leaf, the fixed columns 36 per record (1 018 bytes for these 28).
 func TestImageSizes(t *testing.T) {
 	cfg := Config{Schema: dataset.LandsEndSchema(), BaseK: 4}
 	tr, err := New(cfg)
@@ -469,12 +470,12 @@ func TestImageSizes(t *testing.T) {
 	recs := paperRecords(28)
 	insertAll(t, tr, recs)
 	leaves := len(tr.Leaves())
-	if tr.Height() != 2 || leaves < 3 || leaves > 7 {
-		t.Fatalf("want a root over a few leaves, got height %d with %d leaves", tr.Height(), leaves)
+	if tr.Height() != 2 || leaves != 5 {
+		t.Fatalf("want a root over 5 leaves, got height %d with %d leaves", tr.Height(), leaves)
 	}
 	// One object per page, so every reference is: offset 0 (1 byte), a
-	// length (1 below 128, else 2), the CRC (4), one page (1) one further
-	// on than the last (1).
+	// length (1 below 128, as every object here is), the CRC (4), one page
+	// (1) one further on than the last (1).
 	page := pager.PageID(0)
 	var node []byte
 	ck, err := tr.EncodeCheckpoint(true, func(enc []byte, leaf bool) (Ref, error) {
@@ -488,38 +489,40 @@ func TestImageSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A leaf is its kind byte, its record count (1 byte here) and, per
-	// record, the ID (2), the layout byte, eight 4-byte columns and an
-	// empty sensitive value's length: 36 bytes.
-	if want := int64(2*leaves + 36*len(recs)); ck.Written.LeafBytes != want {
-		t.Errorf("%d records in %d leaves encode to %d bytes, want %d (36 per record)", len(recs), leaves, ck.Written.LeafBytes, want)
+	// record, the ID (2), the row (the layout byte, a 3-byte varint and
+	// seven 1-byte ones) and an empty sensitive value's length: 14 bytes.
+	if want := int64(2*leaves + 14*len(recs)); ck.Written.LeafBytes != want || want != 402 {
+		t.Errorf("%d records in %d leaves encode to %d bytes, want %d (14 per record)", len(recs), leaves, ck.Written.LeafBytes, want)
 	}
 	// The root node's object is its kind byte and, per leaf, a trie-leaf
-	// tag and a 9-byte reference (its length takes two bytes); each of the
-	// leaves−1 hyperplanes between them costs a tag, an axis and a
-	// one-column row (1 + 1 + 5): 17 bytes per further child.
-	if want := 1 + 10*leaves + 7*(leaves-1); len(node) != want || ck.Written.NodeBytes != int64(want) || ck.Written.Nodes != 1 {
-		t.Errorf("root node over %d leaves is %d bytes (%+v), want %d (17 per child)", leaves, len(node), ck.Written, want)
+	// tag and an 8-byte reference; each of the four hyperplanes between
+	// them costs a tag, an axis and a one-column row — 2 bytes for the two
+	// on the second axis (2 and 4), 4 for the two in the zip range.
+	if want := 1 + 9*leaves + 2*(2+2) + 2*(2+4); len(node) != want || ck.Written.NodeBytes != int64(want) || ck.Written.Nodes != 1 {
+		t.Errorf("root node over %d leaves is %d bytes (%+v), want %d", leaves, len(node), ck.Written, want)
 	}
 	// The root object is the 12-byte header and one 8-byte reference.
 	if len(ck.Root) != 12+8 {
 		t.Errorf("root object is %d bytes, want 20", len(ck.Root))
 	}
-	// A fractional coordinate moves its own row to the raw layout (+32
-	// bytes) and nobody else's.
+	// A fractional coordinate moves its own row to the raw layout and
+	// nobody else's: a leaf with room grows by the record alone — its ID
+	// (2), a 65-byte row and the sensitive length.
 	snap := mustSnapshot(t, tr)
-	odd := recs[0]
+	odd := roomyLeaf(t, tr).recs[0]
 	odd.ID, odd.QI = 99, append([]float64{odd.QI[0] + 0.5}, odd.QI[1:]...)
 	if err := tr.Insert(odd); err != nil {
 		t.Fatal(err)
 	}
-	if grown := len(mustSnapshot(t, tr)) - len(snap); len(tr.Leaves()) == leaves && grown != 1+1+64+1 {
-		t.Errorf("one fractional record grew the image by %d bytes, want 67", grown)
+	if grown := len(mustSnapshot(t, tr)) - len(snap); len(tr.Leaves()) != leaves || grown != 2+65+1 {
+		t.Errorf("one fractional record grew the image by %d bytes and %d leaves to %d, want 68 bytes", grown, leaves, len(tr.Leaves()))
 	}
 }
 
 // TestDeltaSize pins what a change costs in a delta object: the kind
-// byte, the base's 9-byte reference, a count and a byte per deleted
-// record, a count and the row (36 bytes, TestImageSizes) per inserted one.
+// byte, the base's 8-byte reference, a count and a byte per deleted
+// record, a count and the record (14 bytes, TestImageSizes) per inserted
+// one — 25 bytes for one insert, where fixed columns took 48.
 func TestDeltaSize(t *testing.T) {
 	cfg := Config{Schema: dataset.LandsEndSchema(), BaseK: 4}
 	tr, err := New(cfg)
@@ -543,7 +546,7 @@ func TestDeltaSize(t *testing.T) {
 	if err := tr.Insert(extra); err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range []int64{1 + 9 + 1 + 1 + 36, 1 + 9 + 2 + 1 + 36} {
+	for i, want := range []int64{1 + 8 + 1 + 1 + 14, 1 + 8 + 2 + 1 + 14} {
 		if ck, err = tr.EncodeCheckpoint(false, put); err != nil {
 			t.Fatal(err)
 		}
@@ -558,30 +561,41 @@ func TestDeltaSize(t *testing.T) {
 }
 
 // TestDecodeRefusesRetiredVersions: images in the fixed-width float64
-// format (snapshot version 1, directory version 2) and checkpoints whose
-// directory was one buffer (version 4) or whose leaves had no deltas
-// (version 5) are refused by their version word.
+// format (snapshot version 1, directory version 2), checkpoints whose
+// directory was one buffer (version 4), whose leaves had no deltas
+// (version 5) or whose nodes had none (version 6), and both forms before
+// rows took varints (snapshot version 3, directory version 7) are refused
+// by their version word — and neither form's word opens the other.
 func TestDecodeRefusesRetiredVersions(t *testing.T) {
 	cfg := Config{Schema: dataset.LandsEndSchema(), BaseK: 4}
 	tr, _ := New(cfg)
 	insertAll(t, tr, paperRecords(10))
 	var store blobStore
-	for name, decode := range map[string]func(version byte) error{
-		"snapshot": func(v byte) error {
+	for name, form := range map[string]struct {
+		own    byte
+		decode func(version byte) error
+	}{
+		"snapshot": {snapshotVersion, func(v byte) error {
 			img := mustSnapshot(t, tr)
 			img[0] = v
 			_, err := DecodeSnapshot(cfg, img)
 			return err
-		},
-		"directory": func(v byte) error {
+		}},
+		"directory": {directoryVersion, func(v byte) error {
 			img := mustCheckpoint(t, tr, true, &store).Root
 			img[0] = v
 			_, err := DecodeCheckpoint(cfg, img, store.get)
 			return err
-		},
+		}},
 	} {
-		for _, v := range []byte{1, 2, 4} {
-			if err := decode(v); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("format version %d", v)) {
+		if err := form.decode(form.own); err != nil {
+			t.Fatalf("%s in this build's version %d: %v", name, form.own, err)
+		}
+		for v := byte(1); v <= directoryVersion; v++ {
+			if v == form.own {
+				continue
+			}
+			if err := form.decode(v); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("format version %d", v)) {
 				t.Errorf("%s with version word %d: %v, want a version error", name, v, err)
 			}
 		}

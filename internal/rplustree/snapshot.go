@@ -52,10 +52,11 @@ import (
 // can never be decoded as the other. Bumped on any incompatible layout
 // change: 1 and 2 were the fixed-width float64 forms, 4 the checkpoint
 // whose directory was one buffer, 5 the one without leaf deltas or kind
-// bytes, 6 the one without node deltas — all refused with a version error.
+// bytes, 6 the one without node deltas, 3 and 7 the inline and referenced
+// forms without varint rows — all refused with a version error.
 const (
-	snapshotVersion  = 3 // children inline
-	directoryVersion = 7 // children by reference
+	snapshotVersion  = 4 // children inline
+	directoryVersion = 8 // children by reference
 )
 
 // The kinds of checkpoint object, each object's first byte: a delta's is
@@ -413,7 +414,9 @@ func appendTrie(e []byte, st *splitTrie, child func(e []byte, n *node) []byte) [
 
 // appendLeaf is the leaf payload encoding both forms share: inline in a
 // snapshot, a leaf object or a delta's appended rows in a checkpoint. A
-// record of eight integral attributes costs its ID varint + 34 bytes.
+// record costs its ID varint, its row (attr/row.go: 13 bytes for the
+// paper's record, 33 at most for eight integral attributes) and its
+// sensitive value behind a length byte.
 func appendLeaf(e []byte, recs []attr.Record) []byte {
 	e = binary.AppendUvarint(e, uint64(len(recs)))
 	for _, r := range recs {
@@ -750,10 +753,10 @@ func (d *snapDecoder) node(src *source, region attr.Box, depth int) (*node, erro
 // a recovered tree holds one QI allocation per leaf, not per record.
 func (src *source) leaf(region attr.Box) (*node, error) {
 	dims := len(region)
-	// A record occupies at least an ID byte, a layout byte, 4 bytes per
-	// attribute and a sensitive-length byte; Count rejects a claim the
-	// remaining bytes cannot hold before anything is allocated.
-	nrecs, err := src.Count(3 + attr.FixedRowSize(dims))
+	// A record occupies at least an ID byte, a row (attr.MinRowSize) and a
+	// sensitive-length byte; Count rejects a claim the remaining bytes
+	// cannot hold before anything is allocated.
+	nrecs, err := src.Count(2 + attr.MinRowSize(dims))
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,9 @@ import (
 
 // FuzzDecode holds the record decoder to its contract: arbitrary bytes
 // yield either an error or a record that re-encodes to the identical
-// payload — never a panic, never an unbounded allocation.
+// payload — never a panic, never an unbounded allocation. The committed
+// corpus (testdata/fuzz/FuzzDecode) holds a frame per row-layout boundary
+// and one per way a row can spell its values in a layout they do not take.
 func FuzzDecode(f *testing.F) {
 	seedRecords := []Record{
 		{Type: TypeBatch, Seq: 1, Batch: []Op{{Type: TypeInsert, Rec: attr.Record{ID: 7, QI: []float64{1, 2}, Sensitive: "s"}}}},
@@ -20,7 +22,7 @@ func FuzzDecode(f *testing.F) {
 			{Type: TypeUpdate, ID: 7, OldQI: []float64{1, 2}, Rec: attr.Record{ID: 7, QI: []float64{3, 4}}},
 		}},
 		{Type: TypeCheckpointBegin, Seq: 4},
-		{Type: TypeCheckpointEnd, Seq: 5, Manifest: &Manifest{Seq: 5, Root: []byte{7, 0, 0, 0, 8, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1, 2}}},
+		{Type: TypeCheckpointEnd, Seq: 5, Manifest: &Manifest{Seq: 5, Root: []byte{8, 0, 0, 0, 8, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1, 2}}},
 	}
 	for _, r := range seedRecords {
 		payload, err := Encode(r)
@@ -36,7 +38,7 @@ func FuzzDecode(f *testing.F) {
 		f.Add([]byte{tag})
 		f.Add([]byte{tag, 1, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	}
-	f.Add([]byte{8, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{byte(TypeCheckpointEnd), 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := Decode(data)
@@ -65,8 +67,8 @@ func FuzzDecode(f *testing.F) {
 // A non-finite vector stops where it did before this format: ValidateQI
 // refuses it at ingress, and a NaN that reached a leaf anyway makes the
 // image undecodable rather than quietly wrong. The committed corpus
-// (testdata/fuzz/FuzzRowRoundTrip) holds the rows on either side of the
-// fixed layout's limits.
+// (testdata/fuzz/FuzzRowRoundTrip) holds the rows on either side of each
+// layout's limits.
 func FuzzRowRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

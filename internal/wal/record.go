@@ -18,11 +18,12 @@
 // pager's page seals. A frame is committed iff it is entirely on disk
 // with a matching checksum; the first frame that fails either test
 // ends the committed prefix (a torn tail is "not yet committed",
-// never corruption). The payload is a type byte, a sequence number and
-// a body; record values go through the repository's one row codec
-// (internal/attr, row.go). Three frame types exist: the two checkpoint
-// records and TypeBatch, the one mutation frame — a single insert,
-// delete or update is logged as a batch of one.
+// never corruption). The payload is a type byte, a sequence number (a
+// uvarint) and a body; record values go through the repository's one row
+// codec (internal/attr, row.go), so a row costs what its values hold.
+// Three frame types exist: the two checkpoint records and TypeBatch, the
+// one mutation frame — a single insert, delete or update is logged as a
+// batch of one.
 //
 // Every log file begins with a CheckpointEnd record: the manifest of
 // the checkpoint it extends — the checkpoint's root object itself (the
@@ -60,20 +61,27 @@ const (
 	// can land mid-checkpoint.
 	TypeCheckpointBegin Type = 4
 	// TypeCheckpointEnd is a checkpoint manifest — always and only the
-	// first record of a log file. Its number is the manifest's version: 5
-	// named a root object in a page of its own (checkpoint format 6 and
-	// older), refused by Decode with a version error.
-	TypeCheckpointEnd   Type = 8
-	typeCheckpointEndV1 Type = 5
+	// first record of a log file. Its number is the manifest's version
+	// (retired ones: see retiredTypes).
+	TypeCheckpointEnd Type = 10
 	// TypeBatch is the mutation frame: one or more maintenance
 	// operations in ONE frame, so the frame checksum makes the whole
 	// batch all-or-nothing. The scanner drops a torn frame entirely,
 	// which is what guarantees recovery never applies a batch prefix.
-	// Its number is the batch format's version: 6 was the fixed-width
-	// float64 encoding, refused by Decode with a version error.
-	TypeBatch   Type = 7
-	typeBatchV1 Type = 6
+	// Its number is the batch format's version (retired ones: see
+	// retiredTypes).
+	TypeBatch Type = 9
 )
+
+// retiredTypes names the frame types of earlier formats. Decode refuses
+// each with an error naming its format: there is no compatibility reader,
+// because there is no deployed store.
+var retiredTypes = map[Type]string{
+	5: "a store in checkpoint format 6 or older (manifest frame type 5: the root object in a page of its own)",
+	8: "a store in checkpoint format 7 (manifest frame type 8: fixed-width rows, u64 sequence numbers)",
+	6: "a batch frame in format version 1 (frame type 6: float64 rows)",
+	7: "a batch frame in format version 2 (frame type 7: fixed-width rows, u64 sequence numbers)",
+}
 
 // isOp reports whether t tags an operation inside a batch frame.
 func (t Type) isOp() bool { return t == TypeInsert || t == TypeDelete || t == TypeUpdate }
@@ -152,16 +160,16 @@ func Checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 const maxVec = 1 << 20
 
 // Encode serializes the record to a frame payload: the type byte, the
-// sequence number, then the body. A batch body is the dimensionality
-// and the operation count (varints) and, per operation, its tag byte
-// and its rows in the shared row codec (attr/row.go): an insert is a
-// record; a delete an ID and the old row; an update an ID, the old row
-// and the new record with its ID written relative to the first — one
-// byte when they agree. Every row of a frame has the frame's
+// sequence number (a uvarint), then the body. A batch body is the
+// dimensionality and the operation count (varints) and, per operation,
+// its tag byte and its rows in the shared row codec (attr/row.go): an
+// insert is a record; a delete an ID and the old row; an update an ID,
+// the old row and the new record with its ID written relative to the
+// first — one byte when they agree. Every row of a frame has the frame's
 // dimensionality.
 func Encode(r Record) ([]byte, error) {
 	b := []byte{byte(r.Type)}
-	b = binary.LittleEndian.AppendUint64(b, r.Seq)
+	b = binary.AppendUvarint(b, r.Seq)
 	switch r.Type {
 	case TypeCheckpointBegin:
 		return b, nil
@@ -199,7 +207,7 @@ func Encode(r Record) ([]byte, error) {
 		if r.Manifest == nil {
 			return nil, fmt.Errorf("wal: checkpoint-end without manifest")
 		}
-		b = binary.LittleEndian.AppendUint64(b, r.Manifest.Seq)
+		b = binary.AppendUvarint(b, r.Manifest.Seq)
 		return append(b, r.Manifest.Root...), nil
 	default:
 		return nil, fmt.Errorf("wal: encode of unknown record type %d", byte(r.Type))
@@ -217,7 +225,10 @@ func Decode(payload []byte) (Record, error) {
 		return Record{}, err
 	}
 	r := Record{Type: Type(tag)}
-	if r.Seq, err = d.U64(); err != nil {
+	if name, ok := retiredTypes[r.Type]; ok {
+		return Record{}, fmt.Errorf("wal: %s; this build writes manifest frame type %d and batch frame type %d", name, TypeCheckpointEnd, TypeBatch)
+	}
+	if r.Seq, err = d.Uvarint(); err != nil {
 		return Record{}, err
 	}
 	switch r.Type {
@@ -229,17 +240,13 @@ func Decode(payload []byte) (Record, error) {
 		}
 	case TypeCheckpointEnd:
 		r.Manifest = &Manifest{}
-		if r.Manifest.Seq, err = d.U64(); err != nil {
+		if r.Manifest.Seq, err = d.Uvarint(); err != nil {
 			return Record{}, err
 		}
 		root, _ := d.Bytes(d.Remaining())
 		r.Manifest.Root = bytes.Clone(root)
 	case TypeInsert, TypeDelete, TypeUpdate:
 		return Record{}, fmt.Errorf("wal: %v is an op tag, not a frame type; mutations are logged as batch frames", r.Type)
-	case typeCheckpointEndV1:
-		return Record{}, fmt.Errorf("wal: store in checkpoint format 6 or older (manifest frame type %d); this build reads format 7 (frame type %d)", typeCheckpointEndV1, TypeCheckpointEnd)
-	case typeBatchV1:
-		return Record{}, fmt.Errorf("wal: batch frame in retired format version 1 (frame type %d); this build reads version 2 (frame type %d)", typeBatchV1, TypeBatch)
 	default:
 		return Record{}, fmt.Errorf("wal: unknown record type %d", tag)
 	}
@@ -250,13 +257,14 @@ func Decode(payload []byte) (Record, error) {
 }
 
 func decodeBatch(d *attr.Reader) ([]Op, error) {
-	// Every op holds at least one row of the frame's dimensionality, and
-	// costs at least its tag, an ID, that row's layout byte and columns.
-	dims, err := d.Count(4)
+	// Every op holds at least one row of the frame's dimensionality, a
+	// byte or more per column, and costs at least its tag, an ID and that
+	// row (attr.MinRowSize).
+	dims, err := d.Count(1)
 	if err != nil {
 		return nil, err
 	}
-	n, err := d.Count(3 + 4*dims)
+	n, err := d.Count(2 + attr.MinRowSize(dims))
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -65,15 +66,24 @@ func TestEncodeRejectsBadRecords(t *testing.T) {
 
 // singleOpFrame hand-assembles the retired frame-level encoding of one
 // op: [tag][seq][op body], i.e. a one-op batch minus dimensionality,
-// count (one varint byte each) and op tag.
+// count (one varint byte each) and op tag. Where the header ends is
+// Encode's to say: a checkpoint-begin frame is the header alone.
 func singleOpFrame(t *testing.T, op Op) []byte {
 	t.Helper()
+	head, err := Encode(Record{Type: TypeCheckpointBegin, Seq: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	batch, err := Encode(Record{Type: TypeBatch, Seq: 3, Batch: []Op{op}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := append([]byte{byte(op.Type)}, batch[1:9]...)
-	return append(frame, batch[9+1+1+1:]...)
+	at := len(head)
+	if len(batch) < at+3 || batch[at] >= 0x80 || batch[at+1] != 1 || Type(batch[at+2]) != op.Type {
+		t.Fatalf("one-op batch frame % x does not follow its %d-byte header with dimensionality, count 1 and the op tag", batch, at)
+	}
+	frame := append([]byte{byte(op.Type)}, batch[1:at]...)
+	return append(frame, batch[at+3:]...)
 }
 
 // TestDecodeRejectsFrameLevelOps: insert/delete/update are op tags
@@ -112,18 +122,18 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	if _, err := Decode([]byte{99, 0, 0, 0, 0, 0, 0, 0, 0}); err == nil {
 		t.Error("unknown type byte accepted")
 	}
-	// The frame is [type][seq ×8][dims][count][tag][id][old row: layout,
-	// 2×4][id delta][new row: layout, 2×8][sensitive length]["x"]: a
+	// The frame is [type][seq][dims][count][tag][id][old row: layout, 2
+	// varints][id delta][new row: layout, 2×8][sensitive length]["x"]: a
 	// dimensionality, an op count or a sensitive length no payload could
 	// hold is rejected before allocation, as is each non-canonical form.
-	const dimsAt, countAt, oldRowAt, newRowAt = 9, 10, 13, 23
+	const dimsAt, countAt, oldRowAt, newRowAt = 2, 3, 6, 10
 	slenAt := len(payload) - 2
 	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
 	splice := func(at int, with ...byte) []byte {
 		out := append([]byte(nil), payload[:at]...)
 		return append(append(out, with...), payload[at+1:]...)
 	}
-	if payload[dimsAt] != 2 || payload[countAt] != 1 || payload[oldRowAt] != 0 || payload[newRowAt] != 1 || payload[slenAt] != 1 {
+	if payload[1] != 3 || payload[dimsAt] != 2 || payload[countAt] != 1 || payload[oldRowAt] != 2 || payload[newRowAt] != 1 || payload[slenAt] != 1 {
 		t.Fatalf("frame layout moved: % x", payload)
 	}
 	for name, damaged := range map[string][]byte{
@@ -132,8 +142,11 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		"zero op count":              splice(countAt, 0),
 		"oversized sensitive length": splice(slenAt, huge...),
 		"over-long dimensionality":   splice(dimsAt, 0x82, 0x00),
-		"unknown row layout":         splice(oldRowAt, 2),
-		"fixed row read as raw":      splice(oldRowAt, 1),
+		"over-long sequence number":  splice(1, 0x83, 0x00),
+		"unknown row layout":         splice(oldRowAt, 3),
+		"varint row read as raw":     splice(oldRowAt, 1),
+		"varint row read as fixed":   splice(oldRowAt, 0),
+		"over-long varint column":    splice(oldRowAt+1, 0x81, 0x00),
 		"op tag that is not an op":   splice(countAt+1, byte(TypeBatch)),
 	} {
 		if _, err := Decode(damaged); err == nil {
@@ -172,10 +185,12 @@ func TestEncodeRejectsMixedDimensions(t *testing.T) {
 
 // TestFrameSizes pins the bytes an operation costs in the log, so a
 // format regression fails here and not in a benchmark: for the paper's
-// record — eight integral attributes, 32 bytes — a frame payload is 11
-// bytes of header (type, sequence number, dimensionality, op count) and
-// then tag + ID + 33 bytes per row (+ 1 for the sensitive length where
-// there is a record). The float64 format spent 94, 90 and 170 bytes.
+// record — eight integral attributes, 32 bytes in fixed columns — a frame
+// payload is 9 bytes of header (type, a sequence number of 2^40 as a
+// 6-byte varint, dimensionality, op count) and then tag + ID + 13 bytes
+// per row (+ 1 for the sensitive length where there is a record). The
+// fixed-column format with a u64 sequence number spent 48, 47, 82 and 80
+// bytes, the float64 format 94, 90 and 170.
 func TestFrameSizes(t *testing.T) {
 	qi := []float64{53706, 1999, 1, 217, 49, 2, 31, 0}
 	moved := []float64{53707, 1999, 1, 217, 49, 2, 31, 0}
@@ -185,10 +200,10 @@ func TestFrameSizes(t *testing.T) {
 		op   Op
 		want int
 	}{
-		{"insert", Op{Type: TypeInsert, Rec: attr.Record{ID: id, QI: qi}}, 11 + 1 + 2 + 33 + 1},
-		{"delete", Op{Type: TypeDelete, ID: id, OldQI: qi}, 11 + 1 + 2 + 33},
-		{"update", Op{Type: TypeUpdate, ID: id, OldQI: qi, Rec: attr.Record{ID: id, QI: moved}}, 11 + 1 + 2 + 33 + 1 + 33 + 1},
-		{"fractional insert", Op{Type: TypeInsert, Rec: attr.Record{ID: id, QI: append([]float64{0.5}, qi[1:]...)}}, 11 + 1 + 2 + 65 + 1},
+		{"insert", Op{Type: TypeInsert, Rec: attr.Record{ID: id, QI: qi}}, 9 + 1 + 2 + 13 + 1},
+		{"delete", Op{Type: TypeDelete, ID: id, OldQI: qi}, 9 + 1 + 2 + 13},
+		{"update", Op{Type: TypeUpdate, ID: id, OldQI: qi, Rec: attr.Record{ID: id, QI: moved}}, 9 + 1 + 2 + 13 + 1 + 13 + 1},
+		{"fractional insert", Op{Type: TypeInsert, Rec: attr.Record{ID: id, QI: append([]float64{0.5}, qi[1:]...)}}, 9 + 1 + 2 + 65 + 1},
 	} {
 		payload, err := Encode(Record{Type: TypeBatch, Seq: 1 << 40, Batch: []Op{c.op}})
 		if err != nil {
@@ -200,14 +215,20 @@ func TestFrameSizes(t *testing.T) {
 	}
 }
 
-// TestDecodeRefusesRetiredBatchFormat: the fixed-width float64 batch
-// frame (type 6) is refused by version, not mis-decoded.
+// TestDecodeRefusesRetiredBatchFormat: the float64 batch frame (type 6)
+// and the fixed-column one with a u64 sequence number (type 7) are refused
+// by version, not mis-decoded — the latter would otherwise read as a
+// frame of this build's shape with a different sequence number.
 func TestDecodeRefusesRetiredBatchFormat(t *testing.T) {
-	old := []byte{6, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0} // [type][seq][count u32] …
-	old = append(old, byte(TypeDelete), 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-	_, err := Decode(old)
-	if err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("retired batch frame: %v, want a version error", err)
+	v1 := []byte{6, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0} // [type][seq][count u32] …
+	v1 = append(v1, byte(TypeDelete), 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	v2 := []byte{7, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1} // [type][seq u64][dims][count] …
+	v2 = append(v2, byte(TypeDelete), 14, 0, 0, 0, 0, 0)
+	for version, old := range [][]byte{v1, v2} {
+		want := fmt.Sprintf("format version %d (frame type %d", version+1, old[0])
+		if _, err := Decode(old); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("retired batch frame: %v, want an error naming %q", err, want)
+		}
 	}
 }
 

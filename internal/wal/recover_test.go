@@ -409,21 +409,27 @@ func TestRecoveryNeverFollowsSupersededReference(t *testing.T) {
 
 // TestOpenRefusesOldFormatStore: a store written before the root object
 // moved into the manifest (checkpoint format 6 and older: manifest frame
-// type 5, naming the root object's pages) is refused at the manifest with
-// an error naming both formats, nothing of it decoded; and a manifest of
-// this build's type whose root object carries a retired version word is
-// refused there, by version.
+// type 5, naming the root object's pages) or before rows took varints
+// (format 7: manifest frame type 8, u64 sequence numbers) is refused at the
+// manifest with an error naming both formats, nothing of it decoded; and a
+// manifest of this build's type whose root object carries a retired
+// version word — snapshot version 3 and directory version 7 among them —
+// is refused there, by version.
 func TestOpenRefusesOldFormatStore(t *testing.T) {
 	u32 := binary.LittleEndian.AppendUint32
 	u64 := binary.LittleEndian.AppendUint64
-	cases := map[string][]byte{"format 6 or older (manifest frame type 5); this build reads format 7": u32(u64(u32(u32(u64(u64([]byte{5}, 9), 9), 20), 0xC0FFEE), 1), 3)}
-	for _, version := range []uint32{2, 4, 5, 6} {
-		root := u32(u32(u32(nil, version), uint32(testOpts(t, 3).Tree.Schema.Dims())), 1)
+	dims := uint32(testOpts(t, 3).Tree.Schema.Dims())
+	cases := map[string][]byte{
+		"checkpoint format 6 or older (manifest frame type 5": u32(u64(u32(u32(u64(u64([]byte{5}, 9), 9), 20), 0xC0FFEE), 1), 3),
+		"checkpoint format 7 (manifest frame type 8":          append(u32(u32(u32(u64(u64([]byte{8}, 9), 9), 7), dims), 1), 0, 2, 0, 0, 0, 0, 1, 2),
+	}
+	for _, version := range []uint32{2, 3, 4, 5, 6, 7} {
+		root := u32(u32(u32(nil, version), dims), 1)
 		payload, err := Encode(Record{Type: TypeCheckpointEnd, Manifest: &Manifest{Root: append(root, 0, 2, 0, 0, 0, 0, 1, 2)}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases[fmt.Sprintf("format version %d, this build reads version 7", version)] = payload
+		cases[fmt.Sprintf("format version %d, this build reads version 8", version)] = payload
 	}
 	for want, payload := range cases {
 		opts := testOpts(t, 3).withDefaults()

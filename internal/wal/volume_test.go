@@ -111,12 +111,13 @@ func churnRounds(t *testing.T, n, rounds, perRound int) (CheckpointStats, int64,
 // TestLeafDeltaWriteVolume pins what deltas are for, in bytes: on the
 // benchmark's large store — 200 000 records, a checkpoint every 500
 // operations of its churn — an incremental checkpoint writes on average
-// under 70 000 bytes of leaf and delta objects (319 375 while a changed
-// leaf was rewritten whole; the sizing model said 54 471) and under 55 000
-// of node objects and their deltas (93 679 while a node above a changed
-// leaf was rewritten whole; the model said 48 355), and the reopen after
-// the last one reads each live page once, give or take the few a merge of
-// 31 checkpoints' runs through a 256-page pool reads twice.
+// under 35 000 bytes of leaf and delta objects (27 787; 51 408 in fixed
+// columns, 319 375 while a changed leaf was rewritten whole) and under
+// 55 000 of node objects and their deltas (93 679 while a node above a
+// changed leaf was rewritten whole), and the reopen after the last one
+// reads at most 1 600 pages (1 445; 2 622 in fixed columns) — each live
+// page once, give or take the few a merge of 31 checkpoints' runs through
+// a 256-page pool reads twice.
 func TestLeafDeltaWriteVolume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a 200 000-record store")
@@ -128,8 +129,8 @@ func TestLeafDeltaWriteVolume(t *testing.T) {
 	if st.Full != 0 {
 		t.Fatalf("%d of %d checkpoints rewrote everything: the pin is on incremental ones", st.Full, rounds)
 	}
-	if mean := (st.Written.LeafBytes + st.Written.DeltaBytes) / incremental; mean > 70_000 {
-		t.Fatalf("an incremental checkpoint writes %d bytes of leaves and deltas on average, want at most 70 000", mean)
+	if mean := (st.Written.LeafBytes + st.Written.DeltaBytes) / incremental; mean > 35_000 {
+		t.Fatalf("an incremental checkpoint writes %d bytes of leaves and deltas on average, want at most 35 000", mean)
 	}
 	if mean := (st.Written.NodeBytes + st.Written.NodeDeltaBytes) / incremental; mean > 55_000 {
 		t.Fatalf("an incremental checkpoint writes %d bytes of nodes and node deltas on average, want at most 55 000", mean)
@@ -137,15 +138,16 @@ func TestLeafDeltaWriteVolume(t *testing.T) {
 	if st.Written.Deltas < 4*st.Written.Leaves {
 		t.Fatalf("%d deltas to %d whole leaves: most changed leaves should go out as deltas", st.Written.Deltas, st.Written.Leaves)
 	}
-	if rec.PagerReads > int64(rec.SnapshotPages)+8 {
-		t.Fatalf("the reopen read %d pages for %d live ones", rec.PagerReads, rec.SnapshotPages)
+	if rec.PagerReads > int64(rec.SnapshotPages)+8 || rec.PagerReads > 1600 {
+		t.Fatalf("the reopen read %d pages for %d live ones, want at most 1 600", rec.PagerReads, rec.SnapshotPages)
 	}
 }
 
 // TestCheckpointVolumeLongRun is the same measure on a shard-sized store
 // over a run long enough for the space rule to fire: 25 000 records, 60
-// rounds of 2 000 operations, compactions included — at most 115 page
-// writes per round (191 while changed leaves were rewritten whole).
+// rounds of 2 000 operations, compactions included — at most 60 page
+// writes per round (50.2; 91.8 in fixed columns, 191 while changed leaves
+// were rewritten whole).
 func TestCheckpointVolumeLongRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("120 000 operations")
@@ -154,8 +156,8 @@ func TestCheckpointVolumeLongRun(t *testing.T) {
 	st, writes, _ := churnRounds(t, 25_000, rounds, 2000)
 	t.Logf("%d rounds of 2 000 operations on 25 000 records: %v; %d page writes, %.1f per round, %d full rewrites",
 		rounds, st, writes, float64(writes)/rounds, st.Full)
-	if writes > 115*rounds {
-		t.Fatalf("%d page writes in %d rounds, want at most 115 per round", writes, rounds)
+	if writes > 60*rounds {
+		t.Fatalf("%d page writes in %d rounds, want at most 60 per round", writes, rounds)
 	}
 }
 
@@ -175,10 +177,12 @@ func (c *frameCounter) SyncAttempt() error { return nil }
 // every 500 — and counts what the store hands to write: page slots (a
 // page and its 5-byte seal) and log frames. It is the exact-per-seed
 // stand-in for the gated write_amp, which also sees pager bookkeeping:
-// at most 25 page writes (36 while a node above a changed leaf was
-// rewritten whole and the root object had a page of its own), 5.8 bytes
-// written per byte of the 32-byte records acknowledged (7.401) and 40 000
-// bytes of node objects and node deltas (90 105).
+// at most 16 page writes (15; 22 in fixed columns, 36 while a node above a
+// changed leaf was rewritten whole and the root object had a page of its
+// own), 3.5 bytes written per byte of the 32-byte records acknowledged
+// (3.316; 5.341, 7.401), 36 log bytes per operation (35.5; 67.3) and
+// 40 000 bytes of node objects and node deltas (90 105 before node
+// deltas). It ends by reopening the store and logging what recovery read.
 func TestServeLargeWindowBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a 200 000-record store")
@@ -191,7 +195,7 @@ func TestServeLargeWindowBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer func() { s.Close() }()
 	mix, preload := newBenchMix(200_000, 42)
 	if _, err := s.ApplyBatch(insertBatch(preload)); err != nil {
 		t.Fatal(err)
@@ -209,12 +213,15 @@ func TestServeLargeWindowBytes(t *testing.T) {
 	slots := writes * int64(s.opts.PageSize+5)
 	amp := float64(slots+logged) / (recordBytes * ops)
 	w := st.Written
-	t.Logf("%d operations, %d checkpoint:\n  leaves      %5d / %6d B\n  leaf deltas %5d / %6d B\n  nodes       %5d / %6d B\n  node deltas %5d / %6d B\n  page slots  %5d / %6d B\n  log frames          %6d B\n  written per acknowledged byte: %.3f",
-		ops, st.Checkpoints, w.Leaves, w.LeafBytes, w.Deltas, w.DeltaBytes, w.Nodes, w.NodeBytes, w.NodeDeltas, w.NodeDeltaBytes, writes, slots, logged, amp)
+	t.Logf("%d operations, %d checkpoint:\n  leaves      %5d / %6d B\n  leaf deltas %5d / %6d B\n  nodes       %5d / %6d B\n  node deltas %5d / %6d B\n  page slots  %5d / %6d B\n  log frames          %6d B (%.1f B/op)\n  written per acknowledged byte: %.3f",
+		ops, st.Checkpoints, w.Leaves, w.LeafBytes, w.Deltas, w.DeltaBytes, w.Nodes, w.NodeBytes, w.NodeDeltas, w.NodeDeltaBytes, writes, slots, logged, float64(logged)/ops, amp)
 	if st.Checkpoints != 1 || st.Full != 0 {
 		t.Fatalf("want one incremental checkpoint in the window, got %+v", st)
 	}
-	if nodes := w.NodeBytes + w.NodeDeltaBytes; writes > 25 || amp > 5.8 || nodes > 40_000 {
-		t.Fatalf("%d page writes, %.3f bytes written per acknowledged byte and %d bytes of nodes and node deltas, want at most 25, 5.8 and 40 000", writes, amp, nodes)
+	if nodes, perOp := w.NodeBytes+w.NodeDeltaBytes, float64(logged)/ops; writes > 16 || amp > 3.5 || perOp > 36 || nodes > 40_000 {
+		t.Fatalf("%d page writes, %.3f bytes written per acknowledged byte, %.1f log bytes per operation and %d bytes of nodes and node deltas, want at most 16, 3.5, 36 and 40 000", writes, amp, perOp, nodes)
 	}
+	s = reopenEqual(t, s, opts)
+	rec := s.RecoveryStats()
+	t.Logf("reopen: %d pager reads, %d live pages / %d B of objects, %d log bytes, %d operations replayed", rec.PagerReads, rec.SnapshotPages, rec.SnapshotBytes, rec.LogBytes, rec.Replayed)
 }
