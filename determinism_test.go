@@ -230,7 +230,7 @@ func TestServingLayerDeterministic(t *testing.T) {
 				t.Fatalf("chunk=%d off=%d: %v", chunk, off, err)
 			}
 		}
-		s, err := serve.New(st, serve.Options{Parallelism: workers})
+		s, err := serve.New(st, serve.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,7 +365,7 @@ func TestDegradedReadsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		s, err := serve.New(st, serve.Options{Parallelism: w})
+		s, err := serve.New(st, serve.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -481,7 +481,7 @@ func TestRoutingAcceleratorDeterministic(t *testing.T) {
 		if _, err := st.ApplyBatch(ops); err != nil {
 			t.Fatal(err)
 		}
-		s, err := serve.New(st, serve.Options{Parallelism: workers})
+		s, err := serve.New(st, serve.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

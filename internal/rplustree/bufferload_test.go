@@ -366,3 +366,32 @@ func TestLoaderReusesBufferArrays(t *testing.T) {
 		t.Fatalf("load allocated %d bytes per record, want <= 500", perRec)
 	}
 }
+
+// TestBulkLoadAllocsPerRecord pins the objects a buffer-tree load
+// allocates per record — what rplustree.bulk_allocs_per_record reports
+// at benchmark scale. A node holds no routing region of its own (regions
+// are derived from the tries), so a split allocates no box beyond the two
+// halves' MBRs.
+func TestBulkLoadAllocsPerRecord(t *testing.T) {
+	recs := dataset.GenerateLandsEnd(20000, 1)
+	perRec := testing.AllocsPerRun(1, func() {
+		tr, err := New(Config{Schema: dataset.LandsEndSchema(), BaseK: 10, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bl, err := NewBulkLoader(tr, BulkLoadConfig{MemoryBytes: 8 << 20, RecordBytes: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := bl.InsertBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+		if err := bl.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}) / float64(len(recs))
+	t.Logf("%.4f objects allocated per record", perRec)
+	if perRec > 1.51 {
+		t.Fatalf("bulk load allocates %.4f objects per record, want <= 1.51", perRec)
+	}
+}

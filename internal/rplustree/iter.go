@@ -46,6 +46,27 @@ func (st *splitTrie) each(visit func(*node)) {
 	st.right.each(visit)
 }
 
+// walkRegions visits st and every trie node beneath it in pre-order, each
+// with its region — the box a split divides, or a trie leaf's child owns:
+// region, cut by the hyperplanes above. The cuts are made in region itself
+// and undone on the way back up, so the box a visit sees is good only while
+// the visit runs; clone what must outlive it. visit's first error stops the
+// walk.
+func (st *splitTrie) walkRegions(region attr.Box, visit func(st *splitTrie, region attr.Box) error) error {
+	if err := visit(st, region); err != nil || st.isLeaf() {
+		return err
+	}
+	iv := region[st.axis]
+	region[st.axis].Hi = st.value
+	err := st.left.walkRegions(region, visit)
+	if err == nil {
+		region[st.axis] = attr.Interval{Lo: st.value, Hi: iv.Hi}
+		err = st.right.walkRegions(region, visit)
+	}
+	region[st.axis] = iv
+	return err
+}
+
 // Level returns the nodes at the given level in trie order, level 0
 // being the leaves and Height()-1 the root, each as one partition of
 // the Section 3.1 hierarchical release: the node's MBR plus the records
@@ -107,10 +128,12 @@ func (t *Tree) Search(q attr.Box) []attr.Record {
 // exists so an external auditor (internal/verify) can re-derive the
 // paper's safety properties — sibling disjointness, MBR containment,
 // occupancy — from the raw structure without trusting this package's
-// own CheckInvariants. Box and Record slices alias tree storage;
+// own CheckInvariants. Record slices and MBRs alias tree storage;
 // callers must not mutate them.
 type AuditNode struct {
-	// Region is the node's half-open routing region.
+	// Region is the node's half-open routing region, derived from the
+	// split tries that route to it — so an audit checks the geometry
+	// routing uses.
 	Region attr.Box
 	// MBR is the node's tight bounding box.
 	MBR attr.Box
@@ -118,7 +141,7 @@ type AuditNode struct {
 	Count int
 	// Records is the leaf payload; nil for internal nodes.
 	Records []attr.Record
-	// Children are the node's children; nil for leaves.
+	// Children are the node's children in trie order; nil for leaves.
 	Children []*AuditNode
 }
 
@@ -128,46 +151,48 @@ func (a *AuditNode) Leaf() bool { return a.Children == nil }
 // Audit returns a structural snapshot of the whole tree for external
 // invariant checking.
 func (t *Tree) Audit() *AuditNode {
-	var snap func(n *node) *AuditNode
-	snap = func(n *node) *AuditNode {
-		a := &AuditNode{Region: n.region, MBR: n.mbr, Count: n.count}
+	var snap func(n *node, region attr.Box) *AuditNode
+	snap = func(n *node, region attr.Box) *AuditNode {
+		a := &AuditNode{Region: region.Clone(), MBR: n.mbr, Count: n.count}
 		if n.isLeaf() {
 			a.Records = n.recs
 			return a
 		}
-		a.Children = make([]*AuditNode, len(n.children))
-		for i, c := range n.children {
-			a.Children[i] = snap(c)
-		}
+		a.Children = make([]*AuditNode, 0, len(n.children))
+		// The visit never fails, so neither does the walk.
+		_ = n.trie.walkRegions(region, func(st *splitTrie, r attr.Box) error {
+			if st.isLeaf() {
+				a.Children = append(a.Children, snap(st.child, r))
+			}
+			return nil
+		})
 		return a
 	}
-	return snap(t.root)
+	return snap(t.root, infiniteRegion(t.cfg.Schema.Dims()))
 }
 
 // CheckInvariants verifies the structural invariants of the index and
-// returns the first violation found. It is exported for tests and for
-// the experiment harness's self-checks; it is O(n log n) and not meant
-// for hot paths.
+// returns the first violation found. It is exported for the tests of
+// the packages built on the tree; it is O(n log n) and not meant for hot
+// paths.
 //
 // Invariants:
-//  1. Sibling routing regions are pairwise disjoint (half-open).
-//  2. A child's routing region lies inside its parent's.
-//  3. A node's MBR is tight: exactly the union of its descendants'
+//  1. Every split hyperplane lies strictly inside the region it cuts
+//     (the checkpoint decoder's rule), so the regions the tries derive
+//     are non-empty and siblings tile their parent's.
+//  2. A node's MBR is tight: exactly the union of its descendants'
 //     records, and contained in its routing region.
-//  4. Counts aggregate correctly.
-//  5. All leaves are at the same depth.
-//  6. Every record's point lies in its leaf's routing region.
-//  7. Internal node tries reference exactly the node's children.
-//  8. node.pending aggregates the records blocked in bulk-load buffers.
+//  3. Counts aggregate correctly.
+//  4. All leaves are at the same depth.
+//  5. Every record's point lies in its leaf's routing region.
+//  6. Internal node tries reference exactly the node's children.
+//  7. node.pending aggregates the records blocked in bulk-load buffers.
 func (t *Tree) CheckInvariants() error {
 	leafDepth := -1
 	var walk func(n *node, depth int, region attr.Box) error
 	walk = func(n *node, depth int, region attr.Box) error {
-		if !boxWithin(n.region, region) {
-			return fmt.Errorf("node region %v escapes parent region %v", n.region, region)
-		}
-		if !n.mbr.IsEmpty() && !regionContainsBox(n.region, n.mbr) {
-			return fmt.Errorf("node MBR %v escapes region %v", n.mbr, n.region)
+		if !n.mbr.IsEmpty() && !regionContainsBox(region, n.mbr) {
+			return fmt.Errorf("node MBR %v escapes region %v", n.mbr, region)
 		}
 		pending := 0
 		if n.buffer != nil {
@@ -188,10 +213,10 @@ func (t *Tree) CheckInvariants() error {
 			if n.count != len(n.recs) {
 				return fmt.Errorf("leaf count %d != %d records", n.count, len(n.recs))
 			}
-			want := attr.NewBox(len(n.region))
+			want := attr.NewBox(len(region))
 			for _, r := range n.recs {
-				if !regionContains(n.region, r.QI) {
-					return fmt.Errorf("record %d at %v outside leaf region %v", r.ID, r.QI, n.region)
+				if !regionContains(region, r.QI) {
+					return fmt.Errorf("record %d at %v outside leaf region %v", r.ID, r.QI, region)
 				}
 				want.Include(r.QI)
 			}
@@ -203,33 +228,38 @@ func (t *Tree) CheckInvariants() error {
 		if len(n.children) < 1 {
 			return fmt.Errorf("internal node with no children")
 		}
-		// Trie must enumerate exactly the children.
-		fromTrie, twice := map[*node]bool{}, false
-		n.trie.each(func(c *node) { twice, fromTrie[c] = twice || fromTrie[c], true })
-		if twice {
-			return fmt.Errorf("trie references child twice")
+		// The trie must enumerate exactly the children.
+		fromTrie := map[*node]bool{}
+		count := 0
+		mbr := attr.NewBox(len(region))
+		err := n.trie.walkRegions(region, func(st *splitTrie, r attr.Box) error {
+			if !st.isLeaf() {
+				if iv := r[st.axis]; !(st.value > iv.Lo && st.value < iv.Hi) {
+					return fmt.Errorf("split at %v outside region axis %d %v", st.value, st.axis, iv)
+				}
+				return nil
+			}
+			c := st.child
+			if fromTrie[c] {
+				return fmt.Errorf("trie references child twice")
+			}
+			fromTrie[c] = true
+			if c.parent != n {
+				return fmt.Errorf("child has wrong parent pointer")
+			}
+			count += c.count
+			mbr.IncludeBox(c.mbr)
+			return walk(c, depth+1, r)
+		})
+		if err != nil {
+			return err
 		}
 		if len(fromTrie) != len(n.children) {
 			return fmt.Errorf("trie has %d leaves, node has %d children", len(fromTrie), len(n.children))
 		}
-		count := 0
-		mbr := attr.NewBox(len(n.region))
 		for i, c := range n.children {
 			if !fromTrie[c] {
 				return fmt.Errorf("child %d missing from trie", i)
-			}
-			if c.parent != n {
-				return fmt.Errorf("child %d has wrong parent pointer", i)
-			}
-			for j := i + 1; j < len(n.children); j++ {
-				if regionsOverlap(c.region, n.children[j].region) {
-					return fmt.Errorf("sibling regions overlap: %v and %v", c.region, n.children[j].region)
-				}
-			}
-			count += c.count
-			mbr.IncludeBox(c.mbr)
-			if err := walk(c, depth+1, n.region); err != nil {
-				return err
 			}
 		}
 		if count != n.count {
@@ -241,16 +271,6 @@ func (t *Tree) CheckInvariants() error {
 		return nil
 	}
 	return walk(t.root, 0, infiniteRegion(t.cfg.Schema.Dims()))
-}
-
-// boxWithin reports half-open region containment: child within parent.
-func boxWithin(child, parent attr.Box) bool {
-	for i := range child {
-		if child[i].Lo < parent[i].Lo || child[i].Hi > parent[i].Hi {
-			return false
-		}
-	}
-	return true
 }
 
 // regionContainsBox reports whether a (closed) MBR fits in a half-open
@@ -265,16 +285,6 @@ func regionContainsBox(region, mbr attr.Box) bool {
 			return false
 		}
 		if mbr[i].Hi >= region[i].Hi && !math.IsInf(region[i].Hi, 1) {
-			return false
-		}
-	}
-	return true
-}
-
-// regionsOverlap reports whether two half-open regions share a point.
-func regionsOverlap(a, b attr.Box) bool {
-	for i := range a {
-		if a[i].Hi <= b[i].Lo || b[i].Hi <= a[i].Lo {
 			return false
 		}
 	}

@@ -61,16 +61,15 @@ const (
 )
 
 // splitPlan is one planned leaf split: the hyperplane, the two halves'
-// routing regions, tight MBRs and record ranges (aliasing the original
-// leaf's array, already partitioned in place), and the deeper splits of
-// each half (nil when the half fits leaf capacity or cannot split).
+// tight MBRs and record ranges (aliasing the original leaf's array,
+// already partitioned in place), and the deeper splits of each half (nil
+// when the half fits leaf capacity or cannot split).
 type splitPlan struct {
 	axis  int
 	value float64
 
-	lRegion, rRegion attr.Box
-	lMBR, rMBR       attr.Box
-	lRecs, rRecs     []attr.Record
+	lMBR, rMBR   attr.Box
+	lRecs, rRecs []attr.Record
 
 	lSub, rSub *splitPlan
 }
@@ -100,19 +99,18 @@ func (t *Tree) splitLeafRecursive(leaf *node) error {
 			domain = domain.Clone()
 		}
 	}
-	return t.applySplits(leaf, t.planSplits(leaf.recs, leaf.region, leaf.mbr, domain, pool))
+	return t.applySplits(leaf, t.planSplits(leaf.recs, leaf.mbr, domain, pool))
 }
 
-// planSplits recursively plans the splits of recs, which tile `region`
-// and have tight bound `mbr`. recs is partitioned in place (Hoare
-// sweep, left = strictly below the hyperplane) instead of copied into
-// fresh slices: bulk loads split leaves holding large fractions of the
-// data set at every level, and per-level copying dominated both
-// allocation and GC time. The halves alias the original backing array;
-// the left half is capacity-clipped so a later append to it cannot
-// stomp the right half. No tree state is read or written, so halves
-// fork freely.
-func (t *Tree) planSplits(recs []attr.Record, region, mbr, domain attr.Box, pool *par.Pool) *splitPlan {
+// planSplits recursively plans the splits of recs, which have tight bound
+// `mbr`. recs is partitioned in place (Hoare sweep, left = strictly below
+// the hyperplane) instead of copied into fresh slices: bulk loads split
+// leaves holding large fractions of the data set at every level, and
+// per-level copying dominated both allocation and GC time. The halves
+// alias the original backing array; the left half is capacity-clipped so
+// a later append to it cannot stomp the right half. No tree state is read
+// or written, so halves fork freely.
+func (t *Tree) planSplits(recs []attr.Record, mbr, domain attr.Box, pool *par.Pool) *splitPlan {
 	if len(recs) <= t.cfg.leafCapacity() {
 		return nil
 	}
@@ -121,9 +119,8 @@ func (t *Tree) planSplits(recs []attr.Record, region, mbr, domain attr.Box, pool
 	if !ok {
 		return nil // all points identical: the leaf stays oversized
 	}
-	lRegion, rRegion := splitRegion(region, axis, value)
-	lMBR := attr.NewBox(len(region))
-	rMBR := attr.NewBox(len(region))
+	lMBR := attr.NewBox(len(mbr))
+	rMBR := attr.NewBox(len(mbr))
 	lo, hi := 0, len(recs)
 	for lo < hi {
 		if recs[lo].QI[axis] < value {
@@ -142,17 +139,16 @@ func (t *Tree) planSplits(recs []attr.Record, region, mbr, domain attr.Box, pool
 	}
 	p := &splitPlan{
 		axis: axis, value: value,
-		lRegion: lRegion, rRegion: rRegion,
 		lMBR: lMBR, rMBR: rMBR,
 		lRecs: lRecs, rRecs: rRecs,
 	}
 	if pool != nil && len(rRecs) >= parSplitMin {
-		join := pool.Fork(func() { p.rSub = t.planSplits(rRecs, rRegion, rMBR, domain, pool) })
-		p.lSub = t.planSplits(lRecs, lRegion, lMBR, domain, pool)
+		join := pool.Fork(func() { p.rSub = t.planSplits(rRecs, rMBR, domain, pool) })
+		p.lSub = t.planSplits(lRecs, lMBR, domain, pool)
 		join()
 	} else {
-		p.lSub = t.planSplits(lRecs, lRegion, lMBR, domain, pool)
-		p.rSub = t.planSplits(rRecs, rRegion, rMBR, domain, pool)
+		p.lSub = t.planSplits(lRecs, lMBR, domain, pool)
+		p.rSub = t.planSplits(rRecs, rMBR, domain, pool)
 	}
 	return p
 }
@@ -172,8 +168,8 @@ func (t *Tree) applySplits(leaf *node, p *splitPlan) error {
 	if p == nil {
 		return nil
 	}
-	left := &node{region: p.lRegion, mbr: p.lMBR, recs: p.lRecs, count: len(p.lRecs)}
-	right := &node{region: p.rRegion, mbr: p.rMBR, recs: p.rRecs, count: len(p.rRecs)}
+	left := &node{mbr: p.lMBR, recs: p.lRecs, count: len(p.lRecs)}
+	right := &node{mbr: p.rMBR, recs: p.rRecs, count: len(p.rRecs)}
 	err := t.replaceWithPair(leaf, left, right, p.axis, p.value)
 	if err != nil {
 		var ce *CorruptionError

@@ -14,27 +14,22 @@ import (
 //
 // Repair is remove-and-reinsert, the R-tree family's classic
 // underflow treatment adapted to this tree's two extra invariants:
-// uniform leaf depth, and routing regions that must remain exactly
-// derivable from the split-trie hyperplanes (the durability layer's
-// snapshot codec rebuilds regions from the tries alone). Merging two
-// sibling leaves in place would need a region union that no single
-// trie hyperplane describes; removing the underfull leaf and routing
-// its records through the normal insertion path needs neither.
+// uniform leaf depth, and routing regions that exist only as what the
+// split-trie hyperplanes carve out. Merging two sibling leaves in place
+// would need a region union that no single trie hyperplane describes;
+// removing the underfull leaf and routing its records through the
+// normal insertion path needs neither.
 //
 // Removing leaf L under parent P:
 //
 //  1. Splice L's trie leaf out of P's trie: L's trie parent — the
-//     trie node carrying the hyperplane (axis, value) that once
-//     separated L from its sibling subtree S — is overwritten with S.
-//  2. Extend regions across the vacated hyperplane: every node in S
-//     whose region boundary on axis sits exactly at value (exact
-//     float equality — splitRegion copied these bounds bit-for-bit)
-//     is widened to L's outer bound, recursively down the tree, so
-//     the siblings again tile P's region and the trie again derives
-//     every region.
-//  3. Drop L from P's child list, subtract its count along the root
+//     trie node carrying the hyperplane that once separated L from its
+//     sibling subtree S — is overwritten with S. That alone widens
+//     every region in S that bordered L across the vacated hyperplane,
+//     so the siblings again tile P's region.
+//  2. Drop L from P's child list, subtract its count along the root
 //     path and retighten ancestor MBRs.
-//  4. Reinsert L's records through Insert: each routes to the leaf
+//  3. Reinsert L's records through Insert: each routes to the leaf
 //     now owning its point. Reinsertion only adds records to
 //     surviving leaves (splitting them if they overflow), so repair
 //     never creates a new underflow, and every leaf it touches stays
@@ -83,13 +78,10 @@ func (t *Tree) repairUnderflow(leaf *node) error {
 	if parent == nil {
 		// The whole tree was one single-child chain over this leaf:
 		// start over from an empty root.
-		dims := t.cfg.Schema.Dims()
-		t.root = &node{region: infiniteRegion(dims), mbr: attr.NewBox(dims)}
+		t.root = &node{mbr: attr.NewBox(t.cfg.Schema.Dims())}
 		t.height = 1
 	} else {
-		oldRegion := victim.region
-		axis, value, victimLeft, sibling := spliceTrieLeaf(parent.trie, victim)
-		if sibling == nil {
+		if !spliceTrieLeaf(parent.trie, victim) {
 			return &CorruptionError{Detail: "underflow repair of node not present in parent trie"}
 		}
 		idx := slices.Index(parent.children, victim)
@@ -102,18 +94,6 @@ func (t *Tree) repairUnderflow(leaf *node) error {
 		}
 		parent.children = append(parent.children[:idx], parent.children[idx+1:]...)
 		parent.dur = nil // the spliced trie is not its durable copy's
-
-		// Widen the vacated hyperplane's sibling subtree — and only it:
-		// an unrelated child elsewhere in the trie can share the same
-		// boundary value on this axis without bordering the victim, and
-		// widening it would overlap its own siblings.
-		var newBound float64
-		if victimLeft {
-			newBound = oldRegion[axis].Lo
-		} else {
-			newBound = oldRegion[axis].Hi
-		}
-		sibling.each(func(c *node) { extendAcross(c, axis, value, victimLeft, newBound) })
 		// The victim's records may have defined the MBRs above it.
 		t.shrinkPath(parent, victim.count, victim.pending)
 	}
@@ -129,52 +109,20 @@ func (t *Tree) repairUnderflow(leaf *node) error {
 
 // spliceTrieLeaf removes the trie leaf pointing at victim from the
 // trie rooted at st: the trie node whose hyperplane separated victim
-// from its sibling subtree is overwritten with that sibling. It
-// returns the vacated hyperplane, which side victim occupied, and the
-// sibling subtree that took the vacated position (nil when victim is
-// not in the trie — or when st itself is the leaf for victim, which
-// callers exclude: a parent whose whole trie is the victim has one
-// child, and the repair climbs past it).
-func spliceTrieLeaf(st *splitTrie, victim *node) (axis int, value float64, victimLeft bool, sibling *splitTrie) {
-	if st.isLeaf() {
-		return 0, 0, false, nil
-	}
-	if st.left.isLeaf() && st.left.child == victim {
-		axis, value = st.axis, st.value
+// from its sibling subtree is overwritten with that sibling. It reports
+// whether it found victim — never when st itself is the leaf for victim,
+// which callers exclude: a parent whose whole trie is the victim has one
+// child, and the repair climbs past it.
+func spliceTrieLeaf(st *splitTrie, victim *node) bool {
+	switch {
+	case st.isLeaf():
+		return false
+	case st.left.isLeaf() && st.left.child == victim:
 		*st = *st.right
-		return axis, value, true, st
-	}
-	if st.right.isLeaf() && st.right.child == victim {
-		axis, value = st.axis, st.value
+	case st.right.isLeaf() && st.right.child == victim:
 		*st = *st.left
-		return axis, value, false, st
+	default:
+		return spliceTrieLeaf(st.left, victim) || spliceTrieLeaf(st.right, victim)
 	}
-	if a, v, l, s := spliceTrieLeaf(st.left, victim); s != nil {
-		return a, v, l, s
-	}
-	return spliceTrieLeaf(st.right, victim)
-}
-
-// extendAcross widens n's routing region across a vacated hyperplane:
-// if n's region boundary on axis sits exactly at value on the vacated
-// side, it is moved to newBound, and the extension recurses into n's
-// children (their regions tile n's, so exactly those touching the old
-// boundary extend with it). Nodes not touching the hyperplane are
-// left alone — the exact float comparison is safe because splitRegion
-// propagates split values bit-for-bit into child bounds.
-func extendAcross(n *node, axis int, value float64, victimLeft bool, newBound float64) {
-	if victimLeft {
-		if n.region[axis].Lo != value {
-			return
-		}
-		n.region[axis].Lo = newBound
-	} else {
-		if n.region[axis].Hi != value {
-			return
-		}
-		n.region[axis].Hi = newBound
-	}
-	for _, c := range n.children {
-		extendAcross(c, axis, value, victimLeft, newBound)
-	}
+	return true
 }

@@ -38,9 +38,9 @@ import (
 //     object by object.
 //
 // Either form stores only what cannot be re-derived: the trie structure
-// and the leaf payloads. Routing regions are reconstructed from the
-// split-trie hyperplanes exactly as splits created them (bit-identical
-// floats), MBRs and counts are recomputed bottom-up, and the decoder
+// and the leaf payloads. Routing regions, which the tree does not store
+// either, are derived from the split-trie hyperplanes as the tries are
+// read, MBRs and counts are recomputed bottom-up, and the decoder
 // validates what it builds (dimensions, axis bounds, region membership
 // of every record, leaves exactly at the header's depth, every object of
 // the kind its depth calls for, none referenced twice) so a damaged image
@@ -739,7 +739,7 @@ func (d *snapDecoder) node(src *source, region attr.Box, depth int) (*node, erro
 	if depth == d.height-1 {
 		return src.leaf(region)
 	}
-	n := &node{region: region, mbr: attr.NewBox(len(region))}
+	n := &node{mbr: attr.NewBox(len(region))}
 	trie, err := d.trie(src, n, region, depth, 0)
 	if err != nil {
 		return nil, err
@@ -760,7 +760,7 @@ func (src *source) leaf(region attr.Box) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &node{region: region, mbr: attr.NewBox(dims)}
+	n := &node{mbr: attr.NewBox(dims)}
 	n.recs = make([]attr.Record, 0, nrecs)
 	qis := make([]float64, nrecs*dims)
 	for i := 0; i < nrecs; i++ {
@@ -820,11 +820,12 @@ func (src *source) ref() (Ref, error) {
 	return r, nil
 }
 
-// trie decodes the split trie of parent, deriving each child's region
-// from the hyperplanes and wiring children into parent. depth is the
-// parent's tree depth (child nodes sit at depth+1 regardless of how
-// deep in the trie their leaf is); guard counts trie nesting only, as
-// a corruption backstop.
+// trie decodes the split trie of parent owning region, wiring children
+// into parent. Each child is decoded with its region derived from the
+// hyperplanes, cut in region in place and restored on the way back up,
+// as walkRegions does. depth is the parent's tree depth (child nodes sit
+// at depth+1 regardless of how deep in the trie their leaf is); guard
+// counts trie nesting only, as a corruption backstop.
 func (d *snapDecoder) trie(src *source, parent *node, region attr.Box, depth, guard int) (*splitTrie, error) {
 	if guard > snapMaxDepth {
 		return nil, fmt.Errorf("rplustree: snapshot nests deeper than %d", snapMaxDepth)
@@ -861,12 +862,14 @@ func (d *snapDecoder) trie(src *source, parent *node, region attr.Box, depth, gu
 		if math.IsNaN(value) || value <= iv.Lo || value >= iv.Hi {
 			return nil, fmt.Errorf("rplustree: snapshot split at %v outside region axis %d %v", value, axis, iv)
 		}
-		leftRegion, rightRegion := splitRegion(region, int(axis), value)
-		left, err := d.trie(src, parent, leftRegion, depth, guard+1)
-		if err != nil {
-			return nil, err
+		region[axis].Hi = value
+		left, err := d.trie(src, parent, region, depth, guard+1)
+		var right *splitTrie
+		if err == nil {
+			region[axis] = attr.Interval{Lo: value, Hi: iv.Hi}
+			right, err = d.trie(src, parent, region, depth, guard+1)
 		}
-		right, err := d.trie(src, parent, rightRegion, depth, guard+1)
+		region[axis] = iv
 		if err != nil {
 			return nil, err
 		}

@@ -8,15 +8,12 @@ import (
 	"spatialanon/internal/dataset"
 )
 
-// treesEqual compares two trees structurally: same shape, regions,
-// MBRs, counts and records in trie order.
+// treesEqual compares two trees structurally: same shape, split tries
+// (and so regions), MBRs, counts and records in trie order.
 func treesEqual(a, b *Tree) bool {
 	var eq func(x, y *node) bool
 	eq = func(x, y *node) bool {
-		if x.isLeaf() != y.isLeaf() || x.count != y.count {
-			return false
-		}
-		if !x.region.Equal(y.region) || !x.mbr.Equal(y.mbr) {
+		if x.isLeaf() != y.isLeaf() || x.count != y.count || !x.mbr.Equal(y.mbr) {
 			return false
 		}
 		if x.isLeaf() {

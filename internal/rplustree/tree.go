@@ -6,7 +6,7 @@
 // Like the R⁺-tree the index never overlaps sibling partitions — the
 // paper restricts itself to R-tree variants with this property because
 // every k-anonymization algorithm in the literature produces
-// non-overlapping partitions. Each node carries two boxes:
+// non-overlapping partitions. Each node has two boxes:
 //
 //   - a routing region: the half-open box of space the node is
 //     responsible for. Sibling regions are pairwise disjoint and tile
@@ -21,7 +21,10 @@
 // a small trie. Splitting an overflowing internal node at its trie root
 // hyperplane therefore never straddles a child, which sidesteps the
 // k-d-B-tree's forced downward splits entirely while preserving the
-// disjointness invariant.
+// disjointness invariant. The tries are the geometry: a node stores its
+// MBR, but not its routing region, which is derived where it is read —
+// the whole space, cut by the hyperplanes on the way down to the node
+// (walkRegions; the checkpoint decoder cuts the same way as it reads).
 package rplustree
 
 import (
@@ -138,7 +141,6 @@ func (st *splitTrie) isLeaf() bool { return st.child != nil }
 // (internal) is used.
 type node struct {
 	parent *node
-	region attr.Box // half-open routing region (hi exclusive, see regionContains)
 	mbr    attr.Box // tight bound on the records beneath
 	count  int      // records beneath
 
@@ -198,11 +200,7 @@ func New(cfg Config) (*Tree, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	dims := cfg.Schema.Dims()
-	root := &node{
-		region: infiniteRegion(dims),
-		mbr:    attr.NewBox(dims),
-	}
+	root := &node{mbr: attr.NewBox(cfg.Schema.Dims())}
 	return &Tree{cfg: cfg, root: root, height: 1}, nil
 }
 
@@ -315,15 +313,6 @@ func (t *Tree) bulkAppendLeaf(leaf *node, recs []attr.Record) error {
 	return t.splitLeafRecursive(leaf)
 }
 
-// splitRegion cuts a half-open routing region at value along axis.
-func splitRegion(region attr.Box, axis int, value float64) (left, right attr.Box) {
-	left = region.Clone()
-	right = region.Clone()
-	left[axis] = attr.Interval{Lo: region[axis].Lo, Hi: value}
-	right[axis] = attr.Interval{Lo: value, Hi: region[axis].Hi}
-	return left, right
-}
-
 // replaceWithPair substitutes old (a child of its parent, or the root)
 // with the two halves produced by splitting it at (axis, value), then
 // handles parent overflow. A *CorruptionError is returned before any
@@ -335,7 +324,6 @@ func (t *Tree) replaceWithPair(old, left, right *node, axis int, value float64) 
 	if parent == nil {
 		// Root split: the tree grows a level.
 		newRoot := &node{
-			region:   old.region,
 			mbr:      old.mbr.Clone(),
 			count:    old.count,
 			pending:  old.pending,
@@ -406,7 +394,10 @@ func findTrieLeaf(st *splitTrie, target *node) *splitTrie {
 
 // splitInternal divides an overflowing internal node at its trie root
 // hyperplane. Because every child was created by recursively splitting
-// this node's region, the trie root hyperplane straddles no child.
+// this node's region, the trie root hyperplane straddles no child: each
+// half takes the trie half that holds it. The halves keep n.children' order,
+// not the trie's — it is the bulk loader's sibling visiting order, and the
+// tree it builds depends on it.
 func (t *Tree) splitInternal(n *node) error {
 	rootSplit := n.trie
 	if rootSplit.isLeaf() {
@@ -417,28 +408,22 @@ func (t *Tree) splitInternal(n *node) error {
 		// the panic is a provable programmer error, deliberately kept.
 		panic("rplustree: internal node with trivial trie cannot overflow")
 	}
-	axis, value := rootSplit.axis, rootSplit.value
-	leftRegion, rightRegion := splitRegion(n.region, axis, value)
-
-	left := &node{region: leftRegion, mbr: attr.NewBox(len(n.region)), trie: rootSplit.left}
-	right := &node{region: rightRegion, mbr: attr.NewBox(len(n.region)), trie: rootSplit.right}
+	dims := t.cfg.Schema.Dims()
+	left := &node{mbr: attr.NewBox(dims), trie: rootSplit.left}
+	right := &node{mbr: attr.NewBox(dims), trie: rootSplit.right}
+	left.trie.each(func(c *node) { c.parent = left })
+	right.trie.each(func(c *node) { c.parent = right })
 	for _, c := range n.children {
-		var side *node
-		if c.region[axis].Lo < value {
-			side = left
-		} else {
-			side = right
-		}
+		side := c.parent // the half whose trie holds c
 		side.children = append(side.children, c)
 		side.mbr.IncludeBox(c.mbr)
 		side.count += c.count
 		side.pending += c.pending
-		c.parent = side
 	}
 	// A trie subtree that is itself a leaf means that half has exactly
 	// one child; that is legal (NodeCapacity >= 2 guarantees both halves
 	// non-empty because the trie root has children on both sides).
-	return t.replaceWithPair(n, left, right, axis, value)
+	return t.replaceWithPair(n, left, right, rootSplit.axis, rootSplit.value)
 }
 
 // Delete removes the record with the given ID located at point qi.
@@ -487,7 +472,7 @@ func (t *Tree) shrinkPath(n *node, count, pending int) {
 		n.count -= count
 		n.pending -= pending
 		n.stamp = t.clock
-		n.mbr = attr.NewBox(len(n.region))
+		n.mbr = attr.NewBox(len(n.mbr))
 		for _, r := range n.recs {
 			n.mbr.Include(r.QI)
 		}

@@ -69,11 +69,6 @@ type Options struct {
 	// MaxBatch caps how many queued mutations one group commit
 	// coalesces into a single WAL frame. Default 64.
 	MaxBatch int
-	// Parallelism is the worker count for view computations (base
-	// release scan, cached granularity scans, query evaluation);
-	// 0 = all cores, 1 = serial. Output is identical for every
-	// setting (core.LeafScanP's contract).
-	Parallelism int
 	// QueueDepth bounds the submission queue. A full queue rejects with
 	// ErrOverloaded instead of blocking, so a slow fsync can never
 	// wedge every caller and queue memory is bounded by construction.

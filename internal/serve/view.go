@@ -75,7 +75,7 @@ func (s *Server) publish() {
 		seq:     s.st.Seq(),
 		baseK:   s.baseK,
 		n:       t.Len(),
-		workers: s.opts.Parallelism,
+		workers: t.Config().Parallelism,
 		snap:    t.Snapshot(),
 		accel:   make(map[int]*accelEntry),
 	}

@@ -526,7 +526,7 @@ func TestJointReleaseDeterminism(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		for _, workers := range []int{1, 2, 8} {
 			opts := testOptions(t, shards)
-			opts.Serve.Parallelism = workers
+			opts.Tree.Parallelism = workers
 			opts.Preload = recs
 			c := newCoordinator(t, opts)
 			exp, err := c.Export(0)
