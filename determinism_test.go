@@ -355,11 +355,11 @@ func TestDegradedReadsDeterministic(t *testing.T) {
 			// One permanent device fault at a fixed point of the schedule:
 			// sequential submits make the append sequence — and therefore
 			// the poisoning ack boundary — a pure function of the seed.
-			AppendFault: fault.NewFlaky(1, fault.FlakyConfig{
+			AppendFault: fault.NewInjector(1, fault.Config{
 				PermanentWriteRate: 1,
 				After:              2 + 2*120,
 				MaxFaults:          1,
-			}),
+			}).Log,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -29,34 +29,35 @@ func (e *CrashError) Error() string {
 func (e *CrashError) Crashed() bool { return true }
 
 // Crash is a deterministic crash-point injector. It counts durable
-// operations — WAL frame appends and pager page write-backs share one
-// clock, the embedded schedule's — and kills the process simulation at
-// the Nth one. Once fired, it stays fired: every later durable
-// operation fails with the same CrashError, which is what distinguishes
-// a crash from the recoverable faults in Injector and Flaky.
+// operations — log writes and page write-backs share one clock — and
+// kills the process simulation at the Nth one. Once fired, it stays
+// fired: every later operation through either wrapper fails with the
+// same CrashError, which is what distinguishes a crash from the
+// recoverable faults of an Injector. To share the clock, one Crash
+// wraps both the page disk (Disk) and the log (Log); to the log writer
+// a crash is one more failed write, told apart only by wal.IsCrash.
 //
-// A crash can also be *torn*: the fatal WAL append persists only a
+// A crash can also be *torn*: the fatal log write persists only a
 // prefix of its frame, modelling a power cut mid-write. The chaos
 // harness uses this to assert that recovery treats a torn tail as
-// "not committed" rather than as corruption.
-//
-// Crash implements pager.FaultPolicy for the write-back side and the
-// log writer's wal.AppendFault hook (structurally) for the append side:
-// to the writer a crash is one more attempt fault, told apart only by
-// wal.IsCrash. It is not safe for concurrent use.
+// "not committed" rather than as corruption. It is not safe for
+// concurrent use.
 type Crash struct {
 	// At is the 1-based ordinal of the durable operation that dies.
 	// Zero disables the crash point entirely (useful for counting a
 	// workload's total durable operations with Ops).
 	At int
-	// Torn, in [0,1], applies only when the fatal operation is a WAL
-	// append: the fraction of the final frame that still reaches disk.
+	// Torn, in [0,1], applies only when the fatal operation is a log
+	// write: the fraction of the final frame that still reaches disk.
 	// 0 means the frame vanishes entirely.
 	Torn float64
 
-	schedule
+	ops  int
 	dead error // the *CrashError, once fired
 }
+
+// Ops returns the number of durable operations so far.
+func (c *Crash) Ops() int { return c.ops }
 
 // durableOp advances the crash clock by one durable operation and
 // reports whether this is the one that dies. A dead process performs
@@ -66,47 +67,42 @@ func (c *Crash) durableOp() (fatal bool) {
 		return false
 	}
 	c.ops++
-	// The literal &Crash{At: n} has no constructor to arm it: the
-	// schedule's After threshold is At's 0-based twin.
-	c.after = c.At - 1
-	if c.At > 0 && c.armed() {
+	if c.ops == c.At {
 		c.dead = &CrashError{Op: c.ops}
 		return true
 	}
 	return false
 }
 
-// WriteAttempt implements the log writer's append hook: each physical
-// frame write is one durable operation. The fatal one reports how many
-// bytes of the frame still land, ⌊Torn·frameLen⌋, with the crash
-// error; every later attempt fails the same way with nothing landing.
-func (c *Crash) WriteAttempt(frameLen int) (tear int, err error) {
-	if c.durableOp() {
-		return min(int(c.Torn*float64(frameLen)), frameLen), c.dead
-	}
-	return 0, c.dead
+// Disk returns d behind the crash point. Each page write is one durable
+// operation on the shared clock. Reads are not durable operations — they
+// do not advance the clock — but a dead process cannot read either.
+func (c *Crash) Disk(d pager.Disk) pager.Disk {
+	return &disk{Disk: d, onRead: c.read, onWrite: c.write}
 }
 
-// SyncAttempt implements the log writer's fsync hook. An fsync is not
-// a durable operation of its own — the append it follows already
-// counted — but a dead process cannot sync either.
-func (c *Crash) SyncAttempt() error { return c.dead }
+// Log returns f behind the crash point. Each log write is one durable
+// operation; the fatal one lands ⌊Torn·len⌋ of its bytes, every later
+// one nothing. An fsync is not a durable operation of its own — the
+// write it follows already counted — but a dead process cannot sync
+// either.
+func (c *Crash) Log(f LogFile) LogFile {
+	return &logFile{LogFile: f, onWrite: c.logWrite, onSync: c.Err}
+}
 
-// BeforeRead implements pager.FaultPolicy. Reads are not durable
-// operations — they do not advance the crash clock — but a dead
-// process cannot read either.
-func (c *Crash) BeforeRead(id pager.PageID) error { return c.dead }
+func (c *Crash) read(pager.PageID) error { return c.dead }
 
-// BeforeWrite implements pager.FaultPolicy: each page write-back is one
-// durable operation on the shared crash clock.
-func (c *Crash) BeforeWrite(id pager.PageID) error {
+func (c *Crash) write(pager.PageID, []byte) error {
 	c.durableOp()
 	return c.dead
 }
 
-// CorruptWrite implements pager.FaultPolicy; the crash injector never
-// corrupts pages that do get written.
-func (c *Crash) CorruptWrite(id pager.PageID, data []byte) bool { return false }
+func (c *Crash) logWrite(n int) (tear int, err error) {
+	if c.durableOp() {
+		return min(int(c.Torn*float64(n)), n), c.dead
+	}
+	return 0, c.dead
+}
 
 // Err returns the CrashError if the crash point has fired, else nil.
 func (c *Crash) Err() error { return c.dead }

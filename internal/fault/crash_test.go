@@ -3,44 +3,62 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 
+	"spatialanon/internal/pager"
 	"spatialanon/internal/retry"
 	"spatialanon/internal/wal"
 )
 
-// Crash is consumed by the log writer through its one fault hook.
-var _ wal.AppendFault = (*Crash)(nil)
+// The log writer appends to an *os.File or a wrapper of one, and both
+// injectors wrap the page disk and the log file of a store.
+var (
+	_ wal.LogFile = (*os.File)(nil)
+	_ pager.Disk  = (*disk)(nil)
+	_ wal.LogFile = (*logFile)(nil)
+	_             = wal.Options{PagerFault: (*Crash)(nil).Disk, AppendFault: (*Crash)(nil).Log}
+	_             = wal.Options{PagerFault: (*Injector)(nil).Disk, AppendFault: (*Injector)(nil).Log}
+)
+
+// memLog is an in-memory log file.
+type memLog struct{ data []byte }
+
+func (m *memLog) Write(p []byte) (int, error) { m.data = append(m.data, p...); return len(p), nil }
+func (m *memLog) Truncate(n int64) error      { m.data = m.data[:n]; return nil }
+func (m *memLog) Sync() error                 { return nil }
+func (m *memLog) Close() error                { return nil }
 
 func TestCrashFiresAtExactOp(t *testing.T) {
 	c := &Crash{At: 3}
+	log, d := c.Log(&memLog{}), c.Disk(pager.NewMemDisk())
 	// Ops 1 and 2 survive; op 3 dies.
-	if n, err := c.WriteAttempt(100); err != nil || n != 0 {
-		t.Fatalf("op 1: tear=%d err=%v", n, err)
+	if n, err := log.Write(make([]byte, 100)); err != nil || n != 100 {
+		t.Fatalf("op 1: wrote %d, err=%v", n, err)
 	}
-	if err := c.BeforeWrite(7); err != nil {
+	if err := d.WritePage(7, []byte{1}, 0); err != nil {
 		t.Fatalf("op 2: %v", err)
 	}
-	if err := c.SyncAttempt(); err != nil {
+	if err := log.Sync(); err != nil {
 		t.Fatalf("sync while alive: %v", err)
 	}
-	if _, err := c.WriteAttempt(100); !wal.IsCrash(err) {
+	if _, err := log.Write(make([]byte, 100)); !wal.IsCrash(err) {
 		t.Fatalf("op 3 did not crash: %v", err)
 	}
 	if c.Err() == nil {
 		t.Fatal("Err() nil after crash")
 	}
 	// Everything after a crash fails, without advancing the clock.
-	if err := c.BeforeWrite(8); err == nil {
+	if err := d.WritePage(8, []byte{1}, 0); err == nil {
 		t.Fatal("write after death succeeded")
 	}
-	if err := c.BeforeRead(8); err == nil {
-		t.Fatal("read after death succeeded")
+	if _, _, err := d.ReadPage(7); !wal.IsCrash(err) {
+		t.Fatalf("read after death: %v", err)
 	}
-	if n, err := c.WriteAttempt(10); !wal.IsCrash(err) || n != 0 {
-		t.Fatalf("append after death: tear=%d err=%v", n, err)
+	if n, err := log.Write(make([]byte, 10)); !wal.IsCrash(err) || n != 0 {
+		t.Fatalf("append after death: wrote %d, err=%v", n, err)
 	}
-	if err := c.SyncAttempt(); !wal.IsCrash(err) {
+	if err := log.Sync(); !wal.IsCrash(err) {
 		t.Fatalf("sync after death: %v", err)
 	}
 	if c.Ops() != 3 {
@@ -59,23 +77,25 @@ func TestCrashTornPersistsPrefix(t *testing.T) {
 	}
 	for _, tc := range cases {
 		c := &Crash{At: 1, Torn: tc.torn}
-		n, err := c.WriteAttempt(80)
+		f := &memLog{}
+		n, err := c.Log(f).Write(make([]byte, 80))
 		if !wal.IsCrash(err) {
 			t.Fatalf("torn=%v: did not crash: %v", tc.torn, err)
 		}
-		if n != tc.want {
-			t.Errorf("torn=%v: persist=%d, want %d", tc.torn, n, tc.want)
+		if n != tc.want || len(f.data) != tc.want {
+			t.Errorf("torn=%v: wrote %d, persisted %d, want %d", tc.torn, n, len(f.data), tc.want)
 		}
 	}
 }
 
 func TestCrashDisabledCountsOps(t *testing.T) {
 	c := &Crash{}
+	log, d := c.Log(&memLog{}), c.Disk(pager.NewMemDisk())
 	for i := 0; i < 5; i++ {
-		if _, err := c.WriteAttempt(10); err != nil {
+		if _, err := log.Write(make([]byte, 10)); err != nil {
 			t.Fatal("disabled crash point fired")
 		}
-		if err := c.BeforeWrite(1); err != nil {
+		if err := d.WritePage(1, []byte{1}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -100,5 +120,93 @@ func TestCrashErrorClassification(t *testing.T) {
 	}
 	if wal.IsCrash(nil) {
 		t.Error("nil detected as crash")
+	}
+}
+
+// TestInjectedLogWrites: a failed log write lands a prefix of its bytes
+// and returns the typed error; a failed fsync returns its error. Every
+// write and every fsync is one operation of the schedule.
+func TestInjectedLogWrites(t *testing.T) {
+	in := NewInjector(9, Config{TransientWriteRate: 1, TransientSyncRate: 1, After: 2})
+	f := &memLog{}
+	log := in.Log(f)
+	if _, err := log.Write(make([]byte, 50)); err != nil {
+		t.Fatalf("write before After: %v", err)
+	}
+	if err := log.Sync(); err != nil {
+		t.Fatalf("sync before After: %v", err)
+	}
+	n, err := log.Write(make([]byte, 50))
+	var fe *Error
+	if !errors.As(err, &fe) || fe.Op != "append" || !retry.IsTransient(err) {
+		t.Fatalf("armed write returned %v", err)
+	}
+	if len(f.data) != 50+n || n > 50 {
+		t.Fatalf("failed write landed %d bytes, reported %d", len(f.data)-50, n)
+	}
+	if err := log.Sync(); !errors.As(err, &fe) || fe.Op != "sync" {
+		t.Fatalf("armed sync returned %v", err)
+	}
+	if in.Ops() != 4 || in.Injected() != 2 {
+		t.Fatalf("ops=%d injected=%d, want 4 and 2", in.Ops(), in.Injected())
+	}
+}
+
+// TestAtRestAndPassThroughDrawNothing: under a pager, FlipBit,
+// VerifyPages and Scrub read beneath an injector's disk, and FreePage,
+// IDs, MaxID, Sync and Close pass through it; none of them is an
+// operation of the schedule.
+func TestAtRestAndPassThroughDrawNothing(t *testing.T) {
+	in := NewInjector(1, Config{TransientReadRate: 1, BitRotRate: 1, After: 2})
+	c := &Crash{At: 2}
+	for _, tc := range []struct {
+		name string
+		wrap func(pager.Disk) pager.Disk
+		ops  func() int
+	}{
+		{"injector", in.Disk, in.Ops},
+		{"crash", c.Disk, c.Ops},
+	} {
+		d := tc.wrap(pager.NewMemDisk())
+		p, err := pager.NewWithDisk(16, 2, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, _, err := p.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Unpin(id)
+		if err := p.Flush(); err != nil {
+			t.Fatalf("%s: flush: %v", tc.name, err)
+		}
+		before := tc.ops()
+		if err := p.FlipBit(id, 3); err != nil {
+			t.Fatalf("%s: FlipBit: %v", tc.name, err)
+		}
+		if _, corrupt, err := p.VerifyPages(); err != nil || len(corrupt) != 1 {
+			t.Fatalf("%s: VerifyPages found %v (err %v), want the flipped page", tc.name, corrupt, err)
+		}
+		if repaired, err := p.Scrub(); err != nil || len(repaired) != 1 {
+			t.Fatalf("%s: Scrub repaired %v (err %v), want the flipped page", tc.name, repaired, err)
+		}
+		if _, err := d.IDs(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.MaxID(); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := d.FreePage(id); !ok || err != nil {
+			t.Fatalf("%s: FreePage = %v, %v", tc.name, ok, err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := tc.ops(); got != before {
+			t.Fatalf("%s: %d operations after the flush, want %d", tc.name, got, before)
+		}
 	}
 }

@@ -8,6 +8,11 @@
 // in a returned error or a verified-consistent tree, never silent
 // corruption.
 //
+// A fault is storage: both injectors, Injector and Crash, are failing
+// devices. Disk wraps a pager.Disk and Log wraps a write-ahead log file,
+// each deciding per operation whether it reaches the storage underneath;
+// what the wrapper does not intercept passes through and draws nothing.
+//
 // Taxonomy:
 //
 //   - Transient — the operation failed but a retry may succeed (a busy
@@ -66,7 +71,7 @@ func (k Kind) String() string {
 }
 
 // Error is a typed injected I/O error: of a page read or write-back,
-// or — Page zero, which is never a valid page ID — of a log append or
+// or — Page zero, which is never a valid page ID — of a log write or
 // fsync.
 type Error struct {
 	Op   string // "read" or "write" of a page; "append" or "sync" of the log
@@ -92,14 +97,20 @@ func (e *Error) Transient() bool { return e.Kind == Transient }
 // zero Config injects nothing.
 type Config struct {
 	// TransientReadRate / TransientWriteRate are the probabilities that
-	// one disk read / write-back fails with a retryable error.
+	// one page read / write — a page write-back or a log write — fails
+	// with a retryable error.
 	TransientReadRate  float64
 	TransientWriteRate float64
 	// PermanentReadRate / PermanentWriteRate are the probabilities that
-	// one disk read / write-back fails permanently. The faulted page is
-	// remembered: all its later accesses fail too.
+	// one page read / write fails permanently. A faulted page is
+	// remembered: all its later accesses fail too. A permanently failed
+	// log write means the device rejected the command for good, so the
+	// log's owner must escalate rather than retry.
 	PermanentReadRate  float64
 	PermanentWriteRate float64
+	// TransientSyncRate is the probability one log fsync fails
+	// retryably.
+	TransientSyncRate float64
 	// TornWriteRate is the probability a write-back persists only a
 	// prefix of the page (the tail keeps stale garbage).
 	TornWriteRate float64
@@ -111,89 +122,22 @@ type Config struct {
 	After int
 	// MaxFaults caps the number of injected faults; 0 means unlimited.
 	// Repeated failures of an already-permanently-failed page do not
-	// count against the cap.
+	// count against the cap. A bounded schedule models a device that
+	// glitched and came back.
 	MaxFaults int
 }
 
-// schedule is the seeded core under every injector: the private PRNG
-// that makes a fault schedule a pure function of (seed, sequence of
-// intercepted operations), After arming, the MaxFaults budget and the
-// per-kind injection counters. Injector and Flaky embed it and add only
-// their rates and their policy methods.
-type schedule struct {
+// Injector is a deterministic fault injector: its private PRNG makes a
+// fault schedule a pure function of (seed, sequence of intercepted
+// operations). It is not safe for concurrent use (neither is the pager
+// or the log writer), so a caller faulting both a page disk and a log
+// keeps one Injector for each.
+type Injector struct {
 	seed      int64
+	cfg       Config
 	rng       *rand.Rand
-	after     int
-	maxFaults int
 	ops       int
 	counts    map[Kind]int
-}
-
-func newSchedule(seed int64, after, maxFaults int) schedule {
-	return schedule{
-		seed:      seed,
-		rng:       rand.New(rand.NewSource(seed)),
-		after:     after,
-		maxFaults: maxFaults,
-		counts:    make(map[Kind]int),
-	}
-}
-
-// Seed returns the seed the injector was created with.
-func (s *schedule) Seed() int64 { return s.seed }
-
-// Ops returns the number of operations intercepted so far.
-func (s *schedule) Ops() int { return s.ops }
-
-// armed reports whether the injector is past its After threshold and
-// under its fault budget.
-func (s *schedule) armed() bool {
-	if s.ops <= s.after {
-		return false
-	}
-	return s.maxFaults == 0 || s.Injected() < s.maxFaults
-}
-
-// draw decides one intercepted, already counted operation: unarmed it
-// passes without touching the PRNG; armed it makes exactly one draw —
-// which keeps a schedule stable even when rates change between runs of
-// the same seed — and reports the failure kind that draw selects, if
-// any, counting it.
-func (s *schedule) draw(permanentRate, transientRate float64) (Kind, bool) {
-	if !s.armed() {
-		return 0, false
-	}
-	r := s.rng.Float64()
-	switch {
-	case r < permanentRate:
-		s.counts[Permanent]++
-		return Permanent, true
-	case r < permanentRate+transientRate:
-		s.counts[Transient]++
-		return Transient, true
-	}
-	return 0, false
-}
-
-// Injected returns the number of faults injected so far (repeat
-// failures of an already-permanent page are not counted again).
-func (s *schedule) Injected() int {
-	n := 0
-	for _, c := range s.counts {
-		n += c
-	}
-	return n
-}
-
-// Counts returns a copy of the per-kind injection counters.
-func (s *schedule) Counts() map[Kind]int { return maps.Clone(s.counts) }
-
-// Injector is a deterministic fault injector implementing
-// pager.FaultPolicy. It is not safe for concurrent use (neither is the
-// pager).
-type Injector struct {
-	schedule
-	cfg       Config
 	permanent map[pager.PageID]bool
 }
 
@@ -201,11 +145,59 @@ type Injector struct {
 // function of seed and the sequence of intercepted operations.
 func NewInjector(seed int64, cfg Config) *Injector {
 	return &Injector{
-		schedule:  newSchedule(seed, cfg.After, cfg.MaxFaults),
+		seed:      seed,
 		cfg:       cfg,
+		rng:       rand.New(rand.NewSource(seed)),
+		counts:    make(map[Kind]int),
 		permanent: make(map[pager.PageID]bool),
 	}
 }
+
+// Ops returns the number of operations intercepted so far.
+func (in *Injector) Ops() int { return in.ops }
+
+// armed reports whether the injector is past its After threshold and
+// under its fault budget.
+func (in *Injector) armed() bool {
+	if in.ops <= in.cfg.After {
+		return false
+	}
+	return in.cfg.MaxFaults == 0 || in.Injected() < in.cfg.MaxFaults
+}
+
+// draw decides one intercepted, already counted operation: unarmed it
+// passes without touching the PRNG; armed it makes exactly one draw —
+// which keeps a schedule stable even when rates change between runs of
+// the same seed — and reports the failure kind that draw selects, if
+// any, counting it.
+func (in *Injector) draw(permanentRate, transientRate float64) (Kind, bool) {
+	if !in.armed() {
+		return 0, false
+	}
+	r := in.rng.Float64()
+	switch {
+	case r < permanentRate:
+		in.counts[Permanent]++
+		return Permanent, true
+	case r < permanentRate+transientRate:
+		in.counts[Transient]++
+		return Transient, true
+	}
+	return 0, false
+}
+
+// Injected returns the number of faults injected so far (repeat
+// failures of an already-permanent page are not counted again).
+func (in *Injector) Injected() int {
+	n := 0
+	for _, c := range in.counts {
+		n += c
+	}
+	return n
+}
+
+// Counts returns a copy of the per-kind injection counters.
+func (in *Injector) Counts() map[Kind]int { return maps.Clone(in.counts) }
 
 // Derive returns a fresh injector with the same Config whose seed is a
 // deterministic function of this injector's seed and the shard index.
@@ -228,14 +220,32 @@ func DeriveSeed(parent int64, shard int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// BeforeRead implements pager.FaultPolicy.
-func (in *Injector) BeforeRead(id pager.PageID) error {
+// Disk returns d behind the injector. A page read first draws the read
+// decision; a page write draws the write decision and then the
+// corruption decision on the bytes about to land, which the pager has
+// already sealed, so the damage is detected on the next read.
+func (in *Injector) Disk(d pager.Disk) pager.Disk {
+	return &disk{Disk: d, onRead: in.read, onWrite: in.write}
+}
+
+// Log returns f behind the injector. A log write draws the write
+// decision; a failed one still lands a random prefix of its bytes — the
+// partial write a device error leaves behind — before returning the
+// error. A log fsync draws the sync decision.
+func (in *Injector) Log(f LogFile) LogFile {
+	return &logFile{LogFile: f, onWrite: in.logWrite, onSync: in.logSync}
+}
+
+func (in *Injector) read(id pager.PageID) error {
 	return in.before("read", id, in.cfg.TransientReadRate, in.cfg.PermanentReadRate)
 }
 
-// BeforeWrite implements pager.FaultPolicy.
-func (in *Injector) BeforeWrite(id pager.PageID) error {
-	return in.before("write", id, in.cfg.TransientWriteRate, in.cfg.PermanentWriteRate)
+func (in *Injector) write(id pager.PageID, data []byte) error {
+	if err := in.before("write", id, in.cfg.TransientWriteRate, in.cfg.PermanentWriteRate); err != nil {
+		return err
+	}
+	in.corrupt(data)
+	return nil
 }
 
 func (in *Injector) before(op string, id pager.PageID, transientRate, permanentRate float64) error {
@@ -253,14 +263,12 @@ func (in *Injector) before(op string, id pager.PageID, transientRate, permanentR
 	return &Error{Op: op, Page: id, Kind: kind}
 }
 
-// CorruptWrite implements pager.FaultPolicy: it may mutate the bytes
-// about to reach disk (after the pager sealed the page checksum, so the
-// damage is detectable on the next read). It reports whether the page
-// was corrupted.
-func (in *Injector) CorruptWrite(id pager.PageID, data []byte) bool {
+// corrupt is the corruption decision: it may tear or rot data, the bytes
+// of one page write about to reach the disk.
+func (in *Injector) corrupt(data []byte) {
 	in.ops++
 	if !in.armed() || len(data) == 0 {
-		return false
+		return
 	}
 	r := in.rng.Float64()
 	switch {
@@ -272,7 +280,6 @@ func (in *Injector) CorruptWrite(id pager.PageID, data []byte) bool {
 			data[i] = byte(in.rng.Intn(256))
 		}
 		in.counts[TornWrite]++
-		return true
 	case r < in.cfg.TornWriteRate+in.cfg.BitRotRate:
 		// Bit rot: flip 1-3 bits. XOR with a non-zero mask guarantees
 		// the byte actually changes.
@@ -281,7 +288,23 @@ func (in *Injector) CorruptWrite(id pager.PageID, data []byte) bool {
 			data[in.rng.Intn(len(data))] ^= byte(1 << in.rng.Intn(8))
 		}
 		in.counts[BitRot]++
-		return true
 	}
-	return false
+}
+
+// logWrite decides one log write of n bytes: on a fault, how many of
+// them land anyway and the error.
+func (in *Injector) logWrite(n int) (tear int, err error) {
+	in.ops++
+	if kind, failed := in.draw(in.cfg.PermanentWriteRate, in.cfg.TransientWriteRate); failed {
+		return in.rng.Intn(n + 1), &Error{Op: "append", Kind: kind}
+	}
+	return 0, nil
+}
+
+func (in *Injector) logSync() error {
+	in.ops++
+	if kind, failed := in.draw(0, in.cfg.TransientSyncRate); failed {
+		return &Error{Op: "sync", Kind: kind}
+	}
+	return nil
 }

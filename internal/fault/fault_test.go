@@ -9,17 +9,27 @@ import (
 	"spatialanon/internal/retry"
 )
 
-// replaySchedule replays n read/write interceptions against an injector and
+// faulted returns a memory disk holding pages 0..99, behind in.
+func faulted(in *Injector) pager.Disk {
+	d := pager.NewMemDisk()
+	for id := pager.PageID(0); id < 100; id++ {
+		d.WritePage(id, []byte{byte(id)}, 0)
+	}
+	return in.Disk(d)
+}
+
+// replaySchedule replays n page reads and writes through an injector and
 // records which ordinals faulted with what kind.
 func replaySchedule(in *Injector, n int) []string {
+	d := faulted(in)
 	var out []string
 	for i := 0; i < n; i++ {
 		id := pager.PageID(i % 7)
 		var err error
 		if i%2 == 0 {
-			err = in.BeforeRead(id)
+			_, _, err = d.ReadPage(id)
 		} else {
-			err = in.BeforeWrite(id)
+			err = d.WritePage(id, []byte{1, 2, 3}, 0)
 		}
 		if err != nil {
 			var fe *Error
@@ -57,14 +67,15 @@ func TestZeroConfigInjectsNothing(t *testing.T) {
 	if faults := replaySchedule(in, 1000); len(faults) != 0 {
 		t.Fatalf("zero config injected %v", faults)
 	}
-	if in.Injected() != 0 || in.Ops() != 1000 {
+	// A page write is two operations: the write decision, then the
+	// corruption decision.
+	if in.Injected() != 0 || in.Ops() != 1500 {
 		t.Fatalf("injected=%d ops=%d", in.Injected(), in.Ops())
 	}
 }
 
 func TestTransientClassification(t *testing.T) {
-	in := NewInjector(7, Config{TransientReadRate: 1})
-	err := in.BeforeRead(3)
+	_, _, err := faulted(NewInjector(7, Config{TransientReadRate: 1})).ReadPage(3)
 	if err == nil {
 		t.Fatal("rate-1 transient did not fire")
 	}
@@ -85,7 +96,9 @@ func TestTransientClassification(t *testing.T) {
 
 func TestPermanentPageStaysFailed(t *testing.T) {
 	in := NewInjector(7, Config{PermanentWriteRate: 1, MaxFaults: 1})
-	err := in.BeforeWrite(5)
+	d := faulted(in)
+	page := []byte{1}
+	err := d.WritePage(5, page, 0)
 	if err == nil {
 		t.Fatal("rate-1 permanent did not fire")
 	}
@@ -94,14 +107,14 @@ func TestPermanentPageStaysFailed(t *testing.T) {
 	}
 	// Budget is exhausted, but the failed page keeps failing — on reads
 	// too, not just writes.
-	if err := in.BeforeWrite(5); err == nil {
+	if err := d.WritePage(5, page, 0); err == nil {
 		t.Fatal("permanent page succeeded on retry")
 	}
-	if err := in.BeforeRead(5); err == nil {
+	if _, _, err := d.ReadPage(5); err == nil {
 		t.Fatal("permanent page succeeded on read")
 	}
 	// Other pages are unaffected (budget spent).
-	if err := in.BeforeWrite(6); err != nil {
+	if err := d.WritePage(6, page, 0); err != nil {
 		t.Fatalf("healthy page failed: %v", err)
 	}
 	if in.Injected() != 1 {
@@ -110,22 +123,22 @@ func TestPermanentPageStaysFailed(t *testing.T) {
 }
 
 func TestAfterDelaysArming(t *testing.T) {
-	in := NewInjector(3, Config{TransientReadRate: 1, After: 10})
+	d := faulted(NewInjector(3, Config{TransientReadRate: 1, After: 10}))
 	for i := 0; i < 10; i++ {
-		if err := in.BeforeRead(pager.PageID(i)); err != nil {
+		if _, _, err := d.ReadPage(pager.PageID(i)); err != nil {
 			t.Fatalf("op %d faulted before After threshold", i)
 		}
 	}
-	if err := in.BeforeRead(99); err == nil {
+	if _, _, err := d.ReadPage(99); err == nil {
 		t.Fatal("armed injector did not fault")
 	}
 }
 
 func TestMaxFaultsCapsInjection(t *testing.T) {
-	in := NewInjector(3, Config{TransientReadRate: 1, MaxFaults: 3})
+	d := faulted(NewInjector(3, Config{TransientReadRate: 1, MaxFaults: 3}))
 	faults := 0
 	for i := 0; i < 100; i++ {
-		if in.BeforeRead(pager.PageID(i)) != nil {
+		if _, _, err := d.ReadPage(pager.PageID(i)); err != nil {
 			faults++
 		}
 	}
@@ -141,6 +154,7 @@ func TestCorruptWriteKinds(t *testing.T) {
 		"bitrot": {BitRotRate: 1},
 	} {
 		in := NewInjector(11, cfg)
+		d := faulted(in)
 		clean := make([]byte, pageSize)
 		for i := range clean {
 			clean[i] = byte(i)
@@ -148,8 +162,8 @@ func TestCorruptWriteKinds(t *testing.T) {
 		changed := 0
 		for trial := 0; trial < 20; trial++ {
 			data := append([]byte(nil), clean...)
-			if !in.CorruptWrite(pager.PageID(trial), data) {
-				t.Fatalf("%s: rate-1 corruption did not fire", name)
+			if err := d.WritePage(pager.PageID(trial), data, 0); err != nil || in.Injected() != trial+1 {
+				t.Fatalf("%s: rate-1 corruption did not fire (%v)", name, err)
 			}
 			if fmt.Sprint(data) != fmt.Sprint(clean) {
 				changed++
@@ -169,7 +183,7 @@ func TestCorruptWriteKinds(t *testing.T) {
 
 func TestCountsAndString(t *testing.T) {
 	in := NewInjector(5, Config{TransientReadRate: 1})
-	in.BeforeRead(1)
+	faulted(in).ReadPage(1)
 	counts := in.Counts()
 	if counts[Transient] != 1 {
 		t.Fatalf("counts %v", counts)

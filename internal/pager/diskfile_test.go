@@ -197,7 +197,7 @@ func TestOpenDiskFileRejectsGarbage(t *testing.T) {
 // attempted, and the error names each failed page.
 func TestFlushAttemptsEveryPage(t *testing.T) {
 	errBoom := errors.New("boom")
-	p := mustNew(t, 16, 8)
+	p, sf := newScripted(t, 16, 8)
 	var ids []PageID
 	for i := 0; i < 4; i++ {
 		id, _, err := p.Alloc()
@@ -209,7 +209,7 @@ func TestFlushAttemptsEveryPage(t *testing.T) {
 	}
 	// Fail write-backs 1 and 3 (PageID order): pages 1 and 3 stay dirty,
 	// pages 2 and 4 reach disk.
-	p.SetFaultPolicy(&scriptedFaults{failWrites: map[int]error{1: errBoom, 3: errBoom}})
+	sf.script(scriptedFaults{failWrites: map[int]error{1: errBoom, 3: errBoom}})
 	err := p.Flush()
 	if err == nil {
 		t.Fatal("flush with two failing pages returned nil")
@@ -224,7 +224,7 @@ func TestFlushAttemptsEveryPage(t *testing.T) {
 	}
 	// The two pages that did write are clean: a retry flush (faults
 	// cleared) writes exactly the two that failed.
-	p.SetFaultPolicy(nil)
+	sf.script(scriptedFaults{})
 	before := p.Stats().Writes
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package pager is a paged storage manager: a byte-addressable "disk"
 // of fixed-size pages fronted by an LRU buffer pool with a hard memory
 // budget, pin/unpin semantics, dirty-page write-back, explicit I/O
-// statistics, per-page CRC32 checksums and an injectable fault policy.
+// statistics, per-page CRC32 checksums and pluggable disk backends.
 //
 // The paper's scalability experiments (Figure 8) report *counts of
 // explicit I/O system calls* while varying the memory allotted to the
@@ -16,20 +16,19 @@
 // *counting* experiments need, while NewWithDisk accepts any backend —
 // in particular DiskFile (diskfile.go), which persists sealed pages to
 // a real file so the durability subsystem (internal/wal) can survive
-// process death. Checksums, fault injection and the buffer pool behave
-// identically over either backend.
+// process death. A backend may wrap another: internal/fault models a
+// failing device as a Disk around the real one. Checksums and the
+// buffer pool behave identically over any backend.
 //
 // Failure semantics. Every page carries a CRC32-Castagnoli checksum,
 // sealed when the page is written back to the disk and verified when it
 // is next read from disk. A mismatch is reported as a typed
-// *CorruptError — the pager never silently returns rotted bytes. A
-// FaultPolicy installed with SetFaultPolicy can fail reads and
-// write-backs (internal/fault provides a deterministic, seed-driven
-// implementation) and corrupt outgoing pages after the checksum is
-// sealed, which is exactly how torn writes and bit rot escape a real
-// storage stack until the page is next read. Scrub is the recovery
-// hook: it re-seals the checksum of every corrupt page, modeling a
-// restore from replica once corruption has been detected.
+// *CorruptError — the pager never silently returns rotted bytes, even
+// when the disk damaged them after the seal, which is exactly how torn
+// writes and bit rot escape a real storage stack until the page is next
+// read. Scrub is the recovery hook: it re-seals the checksum of every
+// corrupt page, modeling a restore from replica once corruption has
+// been detected.
 package pager
 
 import (
@@ -54,21 +53,6 @@ type Stats struct {
 	Allocs int64
 	Frees  int64
 	Hits   int64
-}
-
-// FaultPolicy lets a fault injector intercept the pager's disk-facing
-// operations. All methods are called on the single goroutine driving
-// the pager.
-type FaultPolicy interface {
-	// BeforeRead may return an error to fail the disk read of page id.
-	BeforeRead(id PageID) error
-	// BeforeWrite may return an error to fail the write-back of page id.
-	BeforeWrite(id PageID) error
-	// CorruptWrite may mutate data — the bytes about to reach disk — to
-	// model torn writes and bit rot. It runs after the page checksum has
-	// been sealed, so any mutation is detected on the next disk read. It
-	// reports whether it corrupted the page.
-	CorruptWrite(id PageID, data []byte) bool
 }
 
 // CorruptError reports that a page read from disk failed its checksum:
@@ -101,7 +85,10 @@ func Checksum(data []byte) uint32 { return crc32.Checksum(data, crcTable) }
 // Implementations store the payload together with the checksum sealed
 // at write-back; the pager verifies the seal on read, so a backend
 // never needs to interpret page contents. Implementations are driven
-// from the pager's single goroutine.
+// from the pager's single goroutine. A Disk that wraps another — the
+// device path between pool and media, which may fail or damage what
+// passes — returns it from an Unwrap() Disk method; FlipBit, Scrub and
+// VerifyPages work on the innermost disk, the pages at rest.
 type Disk interface {
 	// ReadPage returns the stored payload and its sealed checksum.
 	// Unknown pages report an error wrapping ErrUnknownPage. The
@@ -194,11 +181,11 @@ type Pager struct {
 	poolPages int
 
 	disk   Disk
+	rest   Disk // disk with every wrapper unwrapped: the pages at rest
 	frames map[PageID]*frame
 	lru    *list.List // front = most recently used; holds *frame
 	nextID PageID
 	stats  Stats
-	fault  FaultPolicy
 
 	// reuse and free are the slot recycler ReuseFreed turns on: free is
 	// the ascending set of IDs at or below nextID that hold no page.
@@ -232,10 +219,15 @@ func NewWithDisk(pageSize, poolPages int, d Disk) (*Pager, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pager: scanning disk: %w", err)
 	}
+	rest := d
+	for u, ok := rest.(interface{ Unwrap() Disk }); ok; u, ok = rest.(interface{ Unwrap() Disk }) {
+		rest = u.Unwrap()
+	}
 	return &Pager{
 		pageSize:  pageSize,
 		poolPages: poolPages,
 		disk:      d,
+		rest:      rest,
 		frames:    make(map[PageID]*frame),
 		lru:       list.New(),
 		nextID:    max,
@@ -248,8 +240,8 @@ func NewWithDisk(pageSize, poolPages int, d Disk) (*Pager, error) {
 // ID up to the highest ever stored that the backend does not hold —
 // for a DiskFile, what its open-time slot scan found free — so call it
 // before the first Alloc. It is opt-in because an ID names a page to
-// fault policies too (a permanent fault sticks to its ID): the I/O
-// counting pagers of the bulk loader keep never-reused IDs and their
+// disk wrappers too (an injected permanent fault sticks to its ID): the
+// I/O counting pagers of the bulk loader keep never-reused IDs and their
 // pinned fault schedules.
 func (p *Pager) ReuseFreed() error {
 	ids, err := p.disk.IDs()
@@ -270,10 +262,6 @@ func (p *Pager) ReuseFreed() error {
 	}
 	return nil
 }
-
-// SetFaultPolicy installs (or, with nil, removes) the fault injection
-// hook. Pages already resident or on disk are unaffected.
-func (p *Pager) SetFaultPolicy(fp FaultPolicy) { p.fault = fp }
 
 // PageSize returns the page size in bytes.
 func (p *Pager) PageSize() int { return p.pageSize }
@@ -424,13 +412,13 @@ func (p *Pager) CloseNoFlush() error { return p.disk.Close() }
 // a crash left unreferenced.
 func (p *Pager) DiskPages() ([]PageID, error) { return p.disk.IDs() }
 
-// FlipBit flips one bit of the on-disk copy of a page without updating
+// FlipBit flips one bit of the at-rest copy of a page without updating
 // its checksum — the bit-rot hook for tests and fault drills. The next
 // disk read of the page fails with a *CorruptError.
 func (p *Pager) FlipBit(id PageID, bit int) error {
-	data, sum, err := p.disk.ReadPage(id)
+	data, sum, err := p.rest.ReadPage(id)
 	if err != nil {
-		return fmt.Errorf("pager: FlipBit of page %d not on disk", id)
+		return fmt.Errorf("pager: FlipBit of page %d: %w", id, err)
 	}
 	if bit < 0 || bit >= 8*len(data) {
 		return fmt.Errorf("pager: bit %d outside page of %d bytes", bit, len(data))
@@ -438,7 +426,7 @@ func (p *Pager) FlipBit(id PageID, bit int) error {
 	buf := make([]byte, len(data))
 	copy(buf, data)
 	buf[bit/8] ^= 1 << (bit % 8)
-	return p.disk.WritePage(id, buf, sum)
+	return p.rest.WritePage(id, buf, sum)
 }
 
 // Scrub re-seals the checksum of every on-disk page whose stored
@@ -457,13 +445,13 @@ func (p *Pager) Scrub() ([]PageID, error) {
 		return nil, err
 	}
 	for i, id := range corrupt {
-		data, _, err := p.disk.ReadPage(id)
+		data, _, err := p.rest.ReadPage(id)
 		if err != nil {
 			return corrupt[:i], err
 		}
 		buf := make([]byte, len(data))
 		copy(buf, data)
-		if err := p.disk.WritePage(id, buf, crc32.Checksum(buf, crcTable)); err != nil {
+		if err := p.rest.WritePage(id, buf, crc32.Checksum(buf, crcTable)); err != nil {
 			return corrupt[:i], err
 		}
 	}
@@ -476,16 +464,16 @@ func (p *Pager) Scrub() ([]PageID, error) {
 // rewrites bytes: a caller that owns redundancy for its pages (a
 // checkpoint manifest plus a WAL, a replica) detects rot here and
 // repairs from the authoritative copy instead of accepting the rotted
-// bytes as truth. The scan reads the disk directly — buffer-pool
-// residency and the fault policy are bypassed, like FlipBit and Scrub —
-// so it sees exactly what a reopening process would.
+// bytes as truth. The scan reads the pages at rest — buffer-pool
+// residency and disk wrappers are bypassed, like FlipBit and Scrub — so
+// it sees exactly what a reopening process would.
 func (p *Pager) VerifyPages() (scanned int, corrupt []PageID, err error) {
-	ids, err := p.disk.IDs()
+	ids, err := p.rest.IDs()
 	if err != nil {
 		return 0, nil, err
 	}
 	for _, id := range ids {
-		data, sum, err := p.disk.ReadPage(id)
+		data, sum, err := p.rest.ReadPage(id)
 		if err != nil {
 			return scanned, corrupt, err
 		}
@@ -504,11 +492,6 @@ func (p *Pager) fetch(id PageID) (*frame, error) {
 		p.stats.Hits++
 		p.lru.MoveToFront(f.elem)
 		return f, nil
-	}
-	if p.fault != nil {
-		if err := p.fault.BeforeRead(id); err != nil {
-			return nil, err
-		}
 	}
 	data, sum, err := p.disk.ReadPage(id)
 	if err != nil {
@@ -557,21 +540,13 @@ func (p *Pager) evictOne() error {
 }
 
 // writeBack persists a frame to the disk. The checksum is sealed over
-// the intended bytes before the fault policy gets a chance to corrupt
-// them — a torn or rotted write therefore lands under a stale checksum
-// and is detected on the next read, never silently returned.
+// the intended bytes before the disk sees them — a write the disk tears
+// or rots therefore lands under a stale checksum and is detected on the
+// next read, never silently returned.
 func (p *Pager) writeBack(f *frame) error {
-	if p.fault != nil {
-		if err := p.fault.BeforeWrite(f.id); err != nil {
-			return err
-		}
-	}
 	buf := make([]byte, p.pageSize)
 	copy(buf, f.data)
 	sum := crc32.Checksum(buf, crcTable)
-	if p.fault != nil {
-		p.fault.CorruptWrite(f.id, buf)
-	}
 	if err := p.disk.WritePage(f.id, buf, sum); err != nil {
 		return err
 	}

@@ -379,6 +379,25 @@ func TestFlipBitErrors(t *testing.T) {
 	}
 }
 
+// TestFlipBitKeepsCause: a page the disk never stored and a disk that
+// fails the read are different failures, and FlipBit says which.
+func TestFlipBitKeepsCause(t *testing.T) {
+	p, sf := newScripted(t, 16, 2)
+	if err := p.FlipBit(PageID(9), 0); !errors.Is(err, ErrUnknownPage) {
+		t.Fatalf("FlipBit of unknown page: %v, want ErrUnknownPage", err)
+	}
+	id, _, _ := p.Alloc()
+	p.Unpin(id)
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	errIO := errors.New("input/output error")
+	sf.script(scriptedFaults{failReads: map[int]error{1: errIO}})
+	if err := p.FlipBit(id, 0); !errors.Is(err, errIO) || errors.Is(err, ErrUnknownPage) {
+		t.Fatalf("FlipBit over a failing read: %v, want the I/O error", err)
+	}
+}
+
 func TestScrubRepairsCorruptPages(t *testing.T) {
 	p := mustNew(t, 16, 2)
 	var ids []PageID
@@ -413,56 +432,77 @@ func TestScrubRepairsCorruptPages(t *testing.T) {
 	}
 }
 
-// scriptedFaults is a hand-rolled FaultPolicy for unit tests: it fails
-// specific operation ordinals and can corrupt every write.
+// scriptedFaults is a hand-rolled failing device for unit tests: a Disk
+// wrapper that fails specific operation ordinals and can corrupt every
+// write. Its scripts are set and cleared between steps of a test.
 type scriptedFaults struct {
+	Disk
 	op         int
 	failReads  map[int]error
 	failWrites map[int]error
 	corrupt    bool
 }
 
-func (s *scriptedFaults) BeforeRead(id PageID) error {
+func (s *scriptedFaults) ReadPage(id PageID) ([]byte, uint32, error) {
 	s.op++
-	return s.failReads[s.op]
+	if err := s.failReads[s.op]; err != nil {
+		return nil, 0, err
+	}
+	return s.Disk.ReadPage(id)
 }
 
-func (s *scriptedFaults) BeforeWrite(id PageID) error {
+func (s *scriptedFaults) WritePage(id PageID, data []byte, sum uint32) error {
 	s.op++
-	return s.failWrites[s.op]
-}
-
-func (s *scriptedFaults) CorruptWrite(id PageID, data []byte) bool {
+	if err := s.failWrites[s.op]; err != nil {
+		return err
+	}
 	if s.corrupt && len(data) > 0 {
 		data[0] ^= 0xFF
-		return true
 	}
-	return false
+	return s.Disk.WritePage(id, data, sum)
+}
+
+// script replaces the device's script and restarts its operation count.
+func (s *scriptedFaults) script(next scriptedFaults) {
+	next.Disk = s.Disk
+	*s = next
+}
+
+// newScripted returns a pager over a memory disk behind an (empty)
+// scripted device.
+func newScripted(t *testing.T, pageSize, poolPages int) (*Pager, *scriptedFaults) {
+	t.Helper()
+	sf := &scriptedFaults{Disk: NewMemDisk()}
+	p, err := NewWithDisk(pageSize, poolPages, sf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, sf
 }
 
 func TestFaultPolicyFailsOperations(t *testing.T) {
 	errBoom := errors.New("boom")
-	p := mustNew(t, 16, 2)
+	p, sf := newScripted(t, 16, 2)
 	id, _, err := p.Alloc()
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Unpin(id)
-	p.SetFaultPolicy(&scriptedFaults{failWrites: map[int]error{1: errBoom}})
+	sf.script(scriptedFaults{failWrites: map[int]error{1: errBoom}})
 	if err := p.Flush(); !errors.Is(err, errBoom) {
 		t.Fatalf("flush error %v, want boom", err)
 	}
 	// Fault removed: the flush succeeds and the page is readable.
-	p.SetFaultPolicy(nil)
+	sf.script(scriptedFaults{})
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	evictAll(t, p)
-	p.SetFaultPolicy(&scriptedFaults{failReads: map[int]error{1: errBoom}})
+	sf.script(scriptedFaults{failReads: map[int]error{1: errBoom}})
 	if _, err := p.Read(id); !errors.Is(err, errBoom) {
 		t.Fatalf("read error %v, want boom", err)
 	}
-	p.SetFaultPolicy(nil)
+	sf.script(scriptedFaults{})
 	if _, err := p.Read(id); err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +510,7 @@ func TestFaultPolicyFailsOperations(t *testing.T) {
 }
 
 func TestCorruptWriteDetectedByChecksum(t *testing.T) {
-	p := mustNew(t, 16, 2)
+	p, sf := newScripted(t, 16, 2)
 	id, data, err := p.Alloc()
 	if err != nil {
 		t.Fatal(err)
@@ -478,11 +518,11 @@ func TestCorruptWriteDetectedByChecksum(t *testing.T) {
 	copy(data, []byte("abc"))
 	p.MarkDirty(id)
 	p.Unpin(id)
-	p.SetFaultPolicy(&scriptedFaults{corrupt: true})
+	sf.script(scriptedFaults{corrupt: true})
 	if err := p.Flush(); err != nil {
 		t.Fatal(err) // the torn write itself succeeds silently
 	}
-	p.SetFaultPolicy(nil)
+	sf.script(scriptedFaults{})
 	evictAll(t, p)
 	_, err = p.Read(id)
 	var ce *CorruptError

@@ -28,11 +28,11 @@ import (
 // truth — which keeps the simulation honest about I/O counts without
 // double-storing multi-gigabyte data sets.
 //
-// Failure semantics. Every pager access can fail (the pager carries an
-// injectable FaultPolicy; see internal/fault). The loader retries
-// transient faults a bounded number of times and then propagates the
-// error, under one consistent-state guarantee: no record is ever
-// silently dropped. Concretely:
+// Failure semantics. Every pager access can fail (BulkLoadConfig.Fault
+// puts the pager's disk behind a failing device; see internal/fault).
+// The loader retries transient faults a bounded number of times and
+// then propagates the error, under one consistent-state guarantee: no
+// record is ever silently dropped. Concretely:
 //
 //   - Buffer consumption charges its reads before the buffer is taken,
 //     so a failed emptying leaves the buffer intact and retryable.
@@ -70,10 +70,10 @@ type BulkLoadConfig struct {
 	// RecordBytes is the on-disk record size (32 for the Lands End
 	// layout, 36 for the synthetic one). Default 4 x dims.
 	RecordBytes int
-	// Fault, when non-nil, is installed as the pager's fault policy —
-	// the hook the chaos suite uses to inject storage failures into a
-	// load. Production loads leave it nil.
-	Fault pager.FaultPolicy
+	// Fault, when non-nil, wraps the pager's in-memory disk in a failing
+	// device (fault.Injector.Disk) — how the chaos suite injects storage
+	// failures into a load. Production loads leave it nil.
+	Fault func(pager.Disk) pager.Disk
 }
 
 func (c BulkLoadConfig) withDefaults(dims int) BulkLoadConfig {
@@ -138,11 +138,14 @@ func NewBulkLoader(t *Tree, cfg BulkLoadConfig) (*BulkLoader, error) {
 	// with a tiny internal size keeps the counting semantics (pool
 	// capacity = MemoryBytes/PageSize pages, one transfer per page
 	// moved) while avoiding zeroing megabytes of real 4 KiB buffers.
-	pg, err := pager.New(8, poolPages)
+	disk := pager.NewMemDisk()
+	if cfg.Fault != nil {
+		disk = cfg.Fault(disk)
+	}
+	pg, err := pager.NewWithDisk(8, poolPages, disk)
 	if err != nil {
 		return nil, err
 	}
-	pg.SetFaultPolicy(cfg.Fault)
 	bl := &BulkLoader{
 		tree:        t,
 		pg:          pg,
@@ -163,8 +166,7 @@ func (bl *BulkLoader) Stats() pager.Stats { return bl.pg.Stats() }
 func (bl *BulkLoader) ResetStats() { bl.pg.ResetStats() }
 
 // Pager exposes the loader's pager so tests and recovery tooling can
-// control fault schedules (SetFaultPolicy) and repair corruption
-// (Scrub); production loads should not need it.
+// repair corruption (Scrub); production loads should not need it.
 func (bl *BulkLoader) Pager() *pager.Pager { return bl.pg }
 
 // Close detaches the loader from the tree after flushing. On a flush

@@ -133,7 +133,7 @@ func TestChaosServeMatrix(t *testing.T) {
 			// guaranteed permanent fault mid-workload, so the
 			// degraded-readonly → resurrect path is exercised by
 			// construction, not by rate luck.
-			fcfg := fault.FlakyConfig{
+			fcfg := fault.Config{
 				TransientWriteRate: 0.10 * rng.Float64(),
 				TransientSyncRate:  0.06 * rng.Float64(),
 				PermanentWriteRate: 0.01 * rng.Float64(),
@@ -141,13 +141,13 @@ func TestChaosServeMatrix(t *testing.T) {
 				MaxFaults:          2 + rng.Intn(4),
 			}
 			if seed%3 == 0 {
-				fcfg = fault.FlakyConfig{
+				fcfg = fault.Config{
 					PermanentWriteRate: 1,
 					After:              2 + rng.Intn(2*nOps),
 					MaxFaults:          1 + rng.Intn(2),
 				}
 			}
-			flaky := fault.NewFlaky(fault.DeriveSeed(int64(seed), 1), fcfg)
+			flaky := fault.NewInjector(fault.DeriveSeed(int64(seed), 1), fcfg)
 
 			// Pager-side device under the checkpoints: transient reads and
 			// writes, torn page write-backs, bit rot. NO permanent rates:
@@ -171,8 +171,8 @@ func TestChaosServeMatrix(t *testing.T) {
 				CheckpointEvery: 7,
 				NoSync:          true,
 				Retry:           retry.Policy{Attempts: 3},
-				AppendFault:     flaky,
-				PagerFault:      inj,
+				AppendFault:     flaky.Log,
+				PagerFault:      inj.Disk,
 			})
 			if err != nil {
 				t.Fatal(err)

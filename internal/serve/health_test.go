@@ -15,9 +15,9 @@ import (
 	"spatialanon/internal/retry"
 )
 
-// gate is a test AppendFault that wedges the committer: every write
-// attempt after Create's own manifest append blocks until release.
-// It models the pathological fsync stall admission control exists for.
+// gate is a test log device that wedges the committer: every log write
+// after Create's own manifest append blocks until release. It models
+// the pathological fsync stall admission control exists for.
 type gate struct {
 	release chan struct{}
 	entered chan struct{}
@@ -29,25 +29,32 @@ func newGate() *gate {
 	return &gate{release: make(chan struct{}), entered: make(chan struct{})}
 }
 
-func (g *gate) WriteAttempt(int) (int, error) {
+// wrap puts the gate in front of a log file (wal.Options.AppendFault).
+func (g *gate) wrap(f wal.LogFile) wal.LogFile { return gatedLog{f, g} }
+
+type gatedLog struct {
+	wal.LogFile
+	g *gate
+}
+
+func (f gatedLog) Write(p []byte) (int, error) {
+	g := f.g
 	g.calls++
 	if g.calls > 1 { // Create's manifest append passes through
 		g.once.Do(func() { close(g.entered) })
 		<-g.release
 	}
-	return 0, nil
+	return f.LogFile.Write(p)
 }
 
-func (g *gate) SyncAttempt() error { return nil }
-
-// newFaultyStore builds a store whose WAL appends go through af, on a
+// newFaultyStore builds a store whose log files are wrapped by af, on a
 // single-try log writer.
-func newFaultyStore(t testing.TB, af wal.AppendFault, checkpointEvery int) *wal.Store {
+func newFaultyStore(t testing.TB, af func(wal.LogFile) wal.LogFile, checkpointEvery int) *wal.Store {
 	return newRetryingStore(t, af, checkpointEvery, retry.Policy{})
 }
 
 // newRetryingStore is newFaultyStore with a writer retry budget.
-func newRetryingStore(t testing.TB, af wal.AppendFault, checkpointEvery int, rp retry.Policy) *wal.Store {
+func newRetryingStore(t testing.TB, af func(wal.LogFile) wal.LogFile, checkpointEvery int, rp retry.Policy) *wal.Store {
 	t.Helper()
 	st, err := wal.Create(wal.Options{
 		Dir:             t.TempDir(),
@@ -70,7 +77,7 @@ func newRetryingStore(t testing.TB, af wal.AppendFault, checkpointEvery int, rp 
 // every accepted one commits once the stall clears.
 func TestOverloadShedsTyped(t *testing.T) {
 	g := newGate()
-	st := newFaultyStore(t, g, 0)
+	st := newFaultyStore(t, g.wrap, 0)
 	defer st.Close()
 	const depth = 4
 	s, err := New(st, Options{MaxBatch: 2, QueueDepth: depth})
@@ -132,7 +139,7 @@ func TestOverloadShedsTyped(t *testing.T) {
 // wall-clock one — and expired writes never reach the store.
 func TestDeadlineExpiresByTicks(t *testing.T) {
 	g := newGate()
-	st := newFaultyStore(t, g, 0)
+	st := newFaultyStore(t, g.wrap, 0)
 	defer st.Close()
 	const n = 6
 	s, err := New(st, Options{MaxBatch: 1, QueueDepth: n, DeadlineTicks: 1})
@@ -190,8 +197,8 @@ func TestDeadlineExpiresByTicks(t *testing.T) {
 // read-only serving the last audited epoch; Recover resurrects it in
 // place; writes work again and nothing acknowledged is lost.
 func TestDegradedReadonlyThenRecover(t *testing.T) {
-	fl := fault.NewFlaky(41, fault.FlakyConfig{PermanentWriteRate: 1, After: 40, MaxFaults: 1})
-	st := newFaultyStore(t, fl, 0)
+	fl := fault.NewInjector(41, fault.Config{PermanentWriteRate: 1, After: 40, MaxFaults: 1})
+	st := newFaultyStore(t, fl.Log, 0)
 	defer st.Close()
 	s, err := New(st, Options{MaxBatch: 1})
 	if err != nil {
@@ -273,8 +280,8 @@ func TestDegradedReadonlyThenRecover(t *testing.T) {
 func TestCloseReapsPoisonedCommitter(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for round := 0; round < 3; round++ {
-		fl := fault.NewFlaky(43, fault.FlakyConfig{PermanentWriteRate: 1, After: 6, MaxFaults: 1})
-		st := newFaultyStore(t, fl, 0)
+		fl := fault.NewInjector(43, fault.Config{PermanentWriteRate: 1, After: 6, MaxFaults: 1})
+		st := newFaultyStore(t, fl.Log, 0)
 		s, err := New(st, Options{MaxBatch: 2, QueueDepth: 4})
 		if err != nil {
 			t.Fatal(err)
@@ -314,8 +321,8 @@ func TestCloseReapsPoisonedCommitter(t *testing.T) {
 // the callers see the transient error, the server stays healthy, and
 // a resubmission lands.
 func TestTransientBatchFailureDoesNotDegrade(t *testing.T) {
-	fl := fault.NewFlaky(53, fault.FlakyConfig{TransientWriteRate: 1, After: 2, MaxFaults: 1})
-	st := newFaultyStore(t, fl, 0)
+	fl := fault.NewInjector(53, fault.Config{TransientWriteRate: 1, After: 2, MaxFaults: 1})
+	st := newFaultyStore(t, fl.Log, 0)
 	defer st.Close()
 	// No retry budget anywhere: the transient error surfaces.
 	s, err := New(st, Options{MaxBatch: 1})
@@ -347,8 +354,8 @@ func TestTransientBatchFailureDoesNotDegrade(t *testing.T) {
 // absorbed invisibly: the caller never sees the fault, and the
 // server's retry counter reports the writer's absorption.
 func TestCommitRetryAbsorbsTransient(t *testing.T) {
-	fl := fault.NewFlaky(53, fault.FlakyConfig{TransientWriteRate: 1, After: 2, MaxFaults: 1})
-	st := newRetryingStore(t, fl, 0, retry.Policy{Attempts: 3})
+	fl := fault.NewInjector(53, fault.Config{TransientWriteRate: 1, After: 2, MaxFaults: 1})
+	st := newRetryingStore(t, fl.Log, 0, retry.Policy{Attempts: 3})
 	defer st.Close()
 	s, err := New(st, Options{MaxBatch: 1})
 	if err != nil {

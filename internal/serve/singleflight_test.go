@@ -18,8 +18,8 @@ import (
 // caller in the storm must see it through the wrap chain.
 var errBrake = errors.New("recovery brake: device unreachable")
 
-// brake is a pager fault policy that, once armed, parks the first page
-// access of the recovery reopen until released and then fails it — a
+// brake is a page device that, once armed, parks the first page access
+// of the recovery reopen until released and then fails it — a
 // freeze-frame of a recovery attempt in flight, long enough to pile
 // concurrent Recover callers onto the committer.
 type brake struct {
@@ -42,9 +42,27 @@ func (b *brake) gate() error {
 	return errBrake
 }
 
-func (b *brake) BeforeRead(pager.PageID) error          { return b.gate() }
-func (b *brake) BeforeWrite(pager.PageID) error         { return b.gate() }
-func (b *brake) CorruptWrite(pager.PageID, []byte) bool { return false }
+// wrap puts the brake in front of a page disk (wal.Options.PagerFault).
+func (b *brake) wrap(d pager.Disk) pager.Disk { return brakedDisk{d, b} }
+
+type brakedDisk struct {
+	pager.Disk
+	b *brake
+}
+
+func (d brakedDisk) ReadPage(id pager.PageID) ([]byte, uint32, error) {
+	if err := d.b.gate(); err != nil {
+		return nil, 0, err
+	}
+	return d.Disk.ReadPage(id)
+}
+
+func (d brakedDisk) WritePage(id pager.PageID, data []byte, sum uint32) error {
+	if err := d.b.gate(); err != nil {
+		return err
+	}
+	return d.Disk.WritePage(id, data, sum)
+}
 
 // TestRecoverSingleFlight: N concurrent Recover callers against a
 // still-failing store must coalesce into ONE recovery attempt whose
@@ -56,15 +74,15 @@ func (b *brake) CorruptWrite(pager.PageID, []byte) bool { return false }
 // release of the brake must let a single follow-up Recover succeed
 // with nothing acknowledged lost.
 func TestRecoverSingleFlight(t *testing.T) {
-	fl := fault.NewFlaky(53, fault.FlakyConfig{PermanentWriteRate: 1, After: 40, MaxFaults: 1})
+	fl := fault.NewInjector(53, fault.Config{PermanentWriteRate: 1, After: 40, MaxFaults: 1})
 	b := newBrake()
 	st, err := wal.Create(wal.Options{
 		Dir:             t.TempDir(),
 		Tree:            rplustree.Config{Schema: dataset.LandsEndSchema(), BaseK: testK},
 		NoSync:          true,
 		CheckpointEvery: 4, // guarantee checkpoint pages for the reopen to read
-		AppendFault:     fl,
-		PagerFault:      b,
+		AppendFault:     fl.Log,
+		PagerFault:      b.wrap,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -155,7 +155,7 @@ func TestChaosShardMatrix(t *testing.T) {
 			// with torn frames; every third seed schedules one guaranteed
 			// permanent fault so the degrade→resurrect circuit is hit by
 			// construction, not rate luck. Seeds re-derive per shard.
-			fcfg := fault.FlakyConfig{
+			fcfg := fault.Config{
 				TransientWriteRate: 0.10 * rng.Float64(),
 				TransientSyncRate:  0.06 * rng.Float64(),
 				PermanentWriteRate: 0.01 * rng.Float64(),
@@ -163,13 +163,13 @@ func TestChaosShardMatrix(t *testing.T) {
 				MaxFaults:          2 + rng.Intn(4),
 			}
 			if seed%3 == 0 {
-				fcfg = fault.FlakyConfig{
+				fcfg = fault.Config{
 					PermanentWriteRate: 1,
 					After:              2 + rng.Intn(nOps),
 					MaxFaults:          1 + rng.Intn(2),
 				}
 			}
-			flaky := fault.NewFlaky(int64(seed)+307, fcfg).Derive(victim)
+			flaky := fault.NewInjector(int64(seed)+307, fcfg).Derive(victim)
 			// The victim's pager-side device under the checkpoints:
 			// transient reads/writes, torn write-backs, bit rot.
 			inj := fault.NewInjector(int64(seed)+311, fault.Config{
@@ -189,8 +189,7 @@ func TestChaosShardMatrix(t *testing.T) {
 				if id != victim {
 					return
 				}
-				o.AppendFault = flaky
-				o.PagerFault = inj
+				o.AppendFault, o.PagerFault = flaky.Log, inj.Disk
 			}
 
 			c, err := New(opts)
@@ -420,8 +419,7 @@ func TestChaosShardCrashMatrix(t *testing.T) {
 						if id != victim {
 							return
 						}
-						o.AppendFault = crash
-						o.PagerFault = crash
+						o.AppendFault, o.PagerFault = crash.Log, crash.Disk
 					}
 				}
 				return opts
@@ -442,10 +440,10 @@ func TestChaosShardCrashMatrix(t *testing.T) {
 			if err := cd.Close(); err != nil {
 				t.Fatal(err)
 			}
+			// The census pins the victim's crash clock, seed by seed.
 			total := counter.Ops()
-			t.Logf("census %s: %d durable ops", t.Name(), total)
-			if total == 0 {
-				t.Fatal("victim performed no durable operations")
+			if want := []int{15, 16, 18}[seed]; total != want {
+				t.Fatalf("census %s: %d durable ops, want %d", t.Name(), total, want)
 			}
 
 			for at := 1; at <= total; at++ {

@@ -83,9 +83,9 @@ type Options struct {
 	// the very queue the shard just bounded.
 	StoreRetry retry.Policy
 	// Faults, when non-nil, is invoked once per shard while its store
-	// options are assembled, letting the chaos harness install
-	// per-shard injectors (AppendFault, PagerFault) derived
-	// from one parent seed.
+	// options are assembled, letting the chaos harness put that shard's
+	// page disk and log behind injectors (PagerFault, AppendFault) of
+	// its own, derived from one parent seed.
 	Faults func(shard int, o *wal.Options)
 	// Preload is applied to the freshly created stores — routed,
 	// batched per shard — before serving starts. Create-only.

@@ -331,7 +331,7 @@ func TestShardFailureIsolation(t *testing.T) {
 	// the shard degrades deterministically and recovery then succeeds.
 	opts.Faults = func(shard int, o *wal.Options) {
 		if shard == victim {
-			o.AppendFault = fault.NewFlaky(7, fault.FlakyConfig{PermanentWriteRate: 1, After: 2, MaxFaults: 1})
+			o.AppendFault = fault.NewInjector(7, fault.Config{PermanentWriteRate: 1, After: 2, MaxFaults: 1}).Log
 		}
 	}
 	c := newCoordinator(t, opts)
@@ -470,7 +470,7 @@ func TestTransientFaultChainSurvivesBoundary(t *testing.T) {
 	// All transient sync faults, unlimited budget, no retry anywhere:
 	// the first insert must surface a transient error end to end.
 	opts.Faults = func(shard int, o *wal.Options) {
-		o.AppendFault = fault.NewFlaky(int64(3+shard), fault.FlakyConfig{TransientSyncRate: 1, After: 2})
+		o.AppendFault = fault.NewInjector(int64(3+shard), fault.Config{TransientSyncRate: 1, After: 2}).Log
 	}
 	c := newCoordinator(t, opts)
 	rec := makeRecords(t, 1, 5)[0]
@@ -495,7 +495,7 @@ func TestCoordinatorRetryAbsorbsTransients(t *testing.T) {
 	opts := testOptions(t, 2)
 	opts.StoreRetry = retry.Policy{Attempts: 6}
 	opts.Faults = func(shard int, o *wal.Options) {
-		o.AppendFault = fault.NewFlaky(int64(13+shard), fault.FlakyConfig{TransientSyncRate: 1, After: 2, MaxFaults: 2})
+		o.AppendFault = fault.NewInjector(int64(13+shard), fault.Config{TransientSyncRate: 1, After: 2, MaxFaults: 2}).Log
 	}
 	c := newCoordinator(t, opts)
 	for _, r := range makeRecords(t, 8, 17) {

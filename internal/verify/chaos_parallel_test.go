@@ -37,7 +37,8 @@ func chaosParallelRun(t *testing.T, seed int64, parallelism int) (*fault.Injecto
 		t.Fatal(err)
 	}
 	inj := fault.NewInjector(seed, chaosProfile(seed))
-	bl, err := rplustree.NewBulkLoader(tr, rplustree.BulkLoadConfig{RecordBytes: 32, Fault: inj})
+	dev := &repairable{inj: inj}
+	bl, err := rplustree.NewBulkLoader(tr, rplustree.BulkLoadConfig{RecordBytes: 32, Fault: dev.wrap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func chaosParallelRun(t *testing.T, seed int64, parallelism int) (*fault.Injecto
 	if err := bl.Flush(); err != nil {
 		errs++
 	}
-	bl.Pager().SetFaultPolicy(nil)
+	dev.repair()
 	bl.Pager().Scrub()
 	if err := bl.Flush(); err != nil {
 		t.Fatalf("seed %d workers %d: flush after recovery: %v", seed, parallelism, err)
@@ -66,6 +67,15 @@ func chaosParallelRun(t *testing.T, seed int64, parallelism int) (*fault.Injecto
 	return inj, ids
 }
 
+// parallelPins are the serial loads' schedules of the seeds below.
+var parallelPins = map[int64]string{
+	2:    "622 map[torn-write:18 bit-rot:24]",
+	3:    "613 map[transient:7 permanent:1 bit-rot:2]",
+	5:    "573 map[permanent:3]",
+	42:   "616 map[torn-write:12 bit-rot:15]",
+	1001: "594 map[permanent:2]",
+}
+
 // TestChaosParallelLoadMatchesSerial: for the same seed, the serial
 // and parallel loads must intercept the same operation sequence and
 // therefore fire the same faults and converge on the same tree. A
@@ -74,6 +84,7 @@ func TestChaosParallelLoadMatchesSerial(t *testing.T) {
 	injectedTotal := 0
 	for _, seed := range []int64{2, 3, 5, 42, 1001} {
 		refInj, refIDs := chaosParallelRun(t, seed, 1)
+		checkPin(t, parallelPins, seed, refInj)
 		injectedTotal += refInj.Injected()
 		for _, w := range []int{2, 4} {
 			inj, ids := chaosParallelRun(t, seed, w)
@@ -125,9 +136,10 @@ func TestChaosShardedLoadersReplay(t *testing.T) {
 			t.Error(err)
 			return shardOutcome{}
 		}
+		dev := &repairable{inj: inj}
 		bl, err := rplustree.NewBulkLoader(tr, rplustree.BulkLoadConfig{
 			PageSize: 128, MemoryBytes: 128 * 16, RecordBytes: 16,
-			Fault: inj,
+			Fault: dev.wrap,
 		})
 		if err != nil {
 			t.Error(err)
@@ -135,7 +147,7 @@ func TestChaosShardedLoadersReplay(t *testing.T) {
 		}
 		_ = bl.InsertBatch(recs)
 		_ = bl.Flush()
-		bl.Pager().SetFaultPolicy(nil)
+		dev.repair()
 		bl.Pager().Scrub()
 		if err := bl.Flush(); err != nil {
 			t.Errorf("shard %d: flush after recovery: %v", shard, err)

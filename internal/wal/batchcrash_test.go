@@ -95,8 +95,7 @@ func TestCrashMatrixGroupCommit(t *testing.T) {
 					NoSync:          true,
 				}
 				if crash != nil {
-					o.AppendFault = crash
-					o.PagerFault = crash
+					o.AppendFault, o.PagerFault = crash.Log, crash.Disk
 				}
 				return o
 			}
@@ -106,7 +105,7 @@ func TestCrashMatrixGroupCommit(t *testing.T) {
 				t.Fatalf("dry run died: acked=%d ok=%v", acked, ok)
 			}
 			total := counter.Ops()
-			t.Logf("census %s: %d durable ops", t.Name(), total)
+			checkCensus(t, total)
 			// Group commit's whole point: far fewer durable ops than
 			// operations. The workload spends one frame per batch plus
 			// checkpoint traffic, so the ceiling is batches+checkpoints,

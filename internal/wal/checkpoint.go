@@ -208,7 +208,7 @@ func (s *Store) writeCheckpoint(out *pageStream, full bool) error {
 	tmpPath := filepath.Join(s.opts.Dir, tmpName)
 	logPath := filepath.Join(s.opts.Dir, logName)
 	os.Remove(tmpPath)
-	w2, err := openWriter(tmpPath, s.opts.NoSync, s.opts.Retry, s.opts.AppendFault)
+	w2, err := openWriter(tmpPath, s.opts)
 	if err != nil {
 		return err
 	}

@@ -516,7 +516,7 @@ func TestCrashMatrixIncremental(t *testing.T) {
 					NoSync:    true,
 				}
 				if crash != nil {
-					o.AppendFault, o.PagerFault = crash, crash
+					o.AppendFault, o.PagerFault = crash.Log, crash.Disk
 				}
 				return o
 			}
@@ -618,7 +618,7 @@ func TestCrashMatrixIncremental(t *testing.T) {
 				t.Fatalf("delta chain: %d checkpoints wrote what the model does, %d never came: %+v", asModel, len(model), st)
 			}
 			total := counter.Ops()
-			t.Logf("census %s: %d durable ops", t.Name(), total)
+			checkCensus(t, total)
 
 			// The set-up (Create's own checkpoint) is the older matrices'
 			// ground; start at the first durable operation after it.
@@ -671,21 +671,27 @@ func TestCrashMatrixIncremental(t *testing.T) {
 	}
 }
 
-// failNthWrite is a pager fault policy failing exactly one page
-// write-back — the n-th it sees once armed — with a transient error.
-type failNthWrite struct{ n, seen int }
-
-func (f *failNthWrite) BeforeRead(pager.PageID) error { return nil }
-func (f *failNthWrite) BeforeWrite(id pager.PageID) error {
-	if f.n == 0 {
-		return nil
-	}
-	if f.seen++; f.seen == f.n {
-		return &fault.Error{Op: "write", Page: id, Kind: fault.Transient}
-	}
-	return nil
+// failNthWrite is a page disk failing exactly one page write-back — the
+// n-th it sees once armed — with a transient error.
+type failNthWrite struct {
+	pager.Disk
+	n, seen int
 }
-func (f *failNthWrite) CorruptWrite(pager.PageID, []byte) bool { return false }
+
+func (f *failNthWrite) WritePage(id pager.PageID, data []byte, sum uint32) error {
+	if f.n > 0 {
+		if f.seen++; f.seen == f.n {
+			return &fault.Error{Op: "write", Page: id, Kind: fault.Transient}
+		}
+	}
+	return f.Disk.WritePage(id, data, sum)
+}
+
+// wrap puts f in front of a store's page disk (Options.PagerFault).
+func (f *failNthWrite) wrap(d pager.Disk) pager.Disk {
+	f.Disk = d
+	return f
+}
 
 // TestCheckpointAbortLeavesStampsAlone: a transient pager fault at any
 // page write of an incremental checkpoint aborts it and leaves the
@@ -702,7 +708,7 @@ func TestCheckpointAbortLeavesStampsAlone(t *testing.T) {
 		opts.PageSize = 512
 		opts.PoolPages = 4 // most page writes are evictions mid-stream, the rest the final flush
 		policy := &failNthWrite{}
-		opts.PagerFault = policy
+		opts.PagerFault = policy.wrap
 		s, err := Create(opts)
 		if err != nil {
 			t.Fatal(err)

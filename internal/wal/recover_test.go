@@ -23,10 +23,10 @@ import (
 func TestWriterAbsorbsFlakyFaults(t *testing.T) {
 	opts := testOpts(t, 3)
 	opts.Retry = retry.Policy{Attempts: 8}
-	opts.AppendFault = fault.NewFlaky(7, fault.FlakyConfig{
+	opts.AppendFault = fault.NewInjector(7, fault.Config{
 		TransientWriteRate: 0.3,
 		TransientSyncRate:  0.2,
-	})
+	}).Log
 	st, err := Create(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -64,8 +64,8 @@ func TestStoreSurvivesTransientExhaustion(t *testing.T) {
 	// One attempt, and the first armed write attempt fails: the insert
 	// fails without any retry absorbing it. After skips Create's own
 	// manifest append (one write, one sync).
-	fl := fault.NewFlaky(11, fault.FlakyConfig{TransientWriteRate: 1, After: 2, MaxFaults: 1})
-	opts.AppendFault = fl
+	fl := fault.NewInjector(11, fault.Config{TransientWriteRate: 1, After: 2, MaxFaults: 1})
+	opts.AppendFault = fl.Log
 	st, err := Create(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestStoreSurvivesTransientExhaustion(t *testing.T) {
 // transient, and still names the underlying fault.
 func TestStorePoisonWrapsSentinel(t *testing.T) {
 	opts := testOpts(t, 3)
-	opts.AppendFault = fault.NewFlaky(13, fault.FlakyConfig{PermanentWriteRate: 1, After: 2, MaxFaults: 1})
+	opts.AppendFault = fault.NewInjector(13, fault.Config{PermanentWriteRate: 1, After: 2, MaxFaults: 1}).Log
 	st, err := Create(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestStoreRecoverFromPoison(t *testing.T) {
 	opts := testOpts(t, 3)
 	// The fault arms late enough that some inserts commit first, and
 	// its budget is one: after the poison, the device is healthy.
-	opts.AppendFault = fault.NewFlaky(17, fault.FlakyConfig{PermanentWriteRate: 1, After: 10, MaxFaults: 1})
+	opts.AppendFault = fault.NewInjector(17, fault.Config{PermanentWriteRate: 1, After: 10, MaxFaults: 1}).Log
 	st, err := Create(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -440,7 +440,7 @@ func TestOpenRefusesOldFormatStore(t *testing.T) {
 		if err := pg.Close(); err != nil {
 			t.Fatal(err)
 		}
-		w, err := openWriter(filepath.Join(opts.Dir, logName), true, opts.Retry, nil)
+		w, err := openWriter(filepath.Join(opts.Dir, logName), Options{NoSync: true, Retry: opts.Retry})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,19 +43,19 @@ type Options struct {
 	// matrix uses it: simulated crashes cut the byte stream exactly
 	// where the injector says, so real fsyncs only cost time there.
 	NoSync bool
-	// PagerFault, when non-nil, is installed as the snapshot pager's
-	// fault policy; a *fault.Crash installed here and as AppendFault
-	// shares its durable-operation clock between page write-backs and
-	// WAL appends.
-	PagerFault pager.FaultPolicy
+	// PagerFault, when non-nil, wraps the page file's disk in a failing
+	// device (fault.Injector.Disk, fault.Crash.Disk); one fault.Crash
+	// wrapping both this and AppendFault shares its durable-operation
+	// clock between page write-backs and log appends.
+	PagerFault func(pager.Disk) pager.Disk
 	// Retry bounds transient-fault retries of each physical log write
 	// and fsync (the Writer owns that fault class; nothing above the
 	// store retries it again) and of checkpoint-page reads during
 	// recovery. Zero value means a single try.
 	Retry retry.Policy
-	// AppendFault, when non-nil, injects per-attempt write/fsync faults
-	// into the log appender (*fault.Flaky and *fault.Crash implement it).
-	AppendFault AppendFault
+	// AppendFault, when non-nil, wraps every log file the store opens in
+	// a failing device (fault.Injector.Log, fault.Crash.Log).
+	AppendFault func(LogFile) LogFile
 }
 
 func (o Options) withDefaults() Options {
@@ -158,15 +158,19 @@ func Create(opts Options) (*Store, error) {
 }
 
 // openPager opens the store's page file — with pager.CreateDiskFile
-// (truncating) or pager.OpenDiskFile — behind a pool carrying the
-// store's fault policy. The pool reuses freed slots: checkpoints free
-// about as many pages as they allocate, forever.
+// (truncating) or pager.OpenDiskFile — behind opts.PagerFault and a
+// pool. The pool reuses freed slots: checkpoints free about as many
+// pages as they allocate, forever.
 func openPager(opts Options, open func(path string, pageSize int) (*pager.DiskFile, error)) (*pager.Pager, error) {
 	d, err := open(filepath.Join(opts.Dir, pagesName), opts.PageSize)
 	if err != nil {
 		return nil, err
 	}
-	pg, err := pager.NewWithDisk(opts.PageSize, opts.PoolPages, d)
+	var disk pager.Disk = d
+	if opts.PagerFault != nil {
+		disk = opts.PagerFault(d)
+	}
+	pg, err := pager.NewWithDisk(opts.PageSize, opts.PoolPages, disk)
 	if err != nil {
 		d.Close()
 		return nil, err
@@ -175,7 +179,6 @@ func openPager(opts Options, open func(path string, pageSize int) (*pager.DiskFi
 		d.Close()
 		return nil, err
 	}
-	pg.SetFaultPolicy(opts.PagerFault)
 	return pg, nil
 }
 
@@ -215,7 +218,7 @@ func Open(opts Options) (*Store, error) {
 			return nil, err
 		}
 	}
-	w, err := openWriter(logPath, opts.NoSync, opts.Retry, opts.AppendFault)
+	w, err := openWriter(logPath, opts)
 	if err != nil {
 		pg.Close()
 		return nil, err

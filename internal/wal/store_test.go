@@ -352,8 +352,7 @@ func TestOpenRejectsDamagedSnapshot(t *testing.T) {
 func TestStoreDiesOnCrashAndRefusesService(t *testing.T) {
 	opts := testOpts(t, 3)
 	crash := &fault.Crash{At: 20}
-	opts.AppendFault = crash
-	opts.PagerFault = crash
+	opts.AppendFault, opts.PagerFault = crash.Log, crash.Disk
 	s, err := Create(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -385,8 +384,7 @@ func TestStoreDiesOnCrashAndRefusesService(t *testing.T) {
 	s.Close()
 
 	// Recovery without the crash policy converges to an audited state.
-	opts.AppendFault = nil
-	opts.PagerFault = nil
+	opts.AppendFault, opts.PagerFault = nil, nil
 	s2, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)

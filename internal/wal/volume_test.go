@@ -161,15 +161,22 @@ func TestCheckpointVolumeLongRun(t *testing.T) {
 	}
 }
 
-// frameCounter is an AppendFault that injects nothing and adds up the
-// frames the log writer is handed.
+// frameCounter injects nothing and adds up the frames the log writer is
+// handed, over every log file the store opens.
 type frameCounter struct{ bytes int64 }
 
-func (c *frameCounter) WriteAttempt(frameLen int) (int, error) {
-	c.bytes += int64(frameLen)
-	return 0, nil
+// wrap puts the counter in front of a log file (Options.AppendFault).
+func (c *frameCounter) wrap(lf LogFile) LogFile { return countedLog{lf, c} }
+
+type countedLog struct {
+	LogFile
+	c *frameCounter
 }
-func (c *frameCounter) SyncAttempt() error { return nil }
+
+func (f countedLog) Write(p []byte) (int, error) {
+	f.c.bytes += int64(len(p))
+	return f.LogFile.Write(p)
+}
 
 // TestServeLargeWindowBytes replays the nominal window of the benchmark's
 // serve_large workload — 200 000 records preloaded and checkpointed, then
@@ -190,7 +197,7 @@ func TestServeLargeWindowBytes(t *testing.T) {
 	const ops, recordBytes = 871, 32
 	frames := &frameCounter{}
 	opts := testOpts(t, 10)
-	opts.CheckpointEvery, opts.AppendFault = 500, frames
+	opts.CheckpointEvery, opts.AppendFault = 500, frames.wrap
 	s, err := Create(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -18,22 +18,21 @@ const frameOverhead = 8
 // as a torn length prefix.
 const maxFrame = 64 << 20
 
-// AppendFault is the one fault hook into the log appender: typed
-// failures, attempt by attempt. It is satisfied structurally by
-// *fault.Flaky and *fault.Crash, so the injector package does not
-// import this one. WriteAttempt is consulted before each physical
-// frame write: on a fault it reports how many bytes of the frame land
-// anyway (a torn prefix the writer persists before returning the
-// error) and the error itself. The error's class decides what happens
-// next: one exposing a true `Transient() bool` is retried under the
-// writer's retry policy, truncate first; one for which IsCrash holds
-// kills the writer where it stands, torn prefix and all; anything else
-// is rolled back and escalates. SyncAttempt is consulted before each
-// fsync, including when NoSync elides the real one, so fault schedules
-// are identical in synced and unsynced runs.
-type AppendFault interface {
-	WriteAttempt(frameLen int) (tear int, err error)
-	SyncAttempt() error
+// LogFile is what a Writer appends to: the log's *os.File, or a wrapper
+// of it. NoSync is one whose Sync does nothing; a fault injector is one
+// that fails writes and fsyncs (fault.Injector.Log, fault.Crash.Log). A
+// failed Write may still have landed a torn prefix. The error's class
+// decides what happens next: one exposing a true `Transient() bool` is
+// retried under the writer's retry policy, truncate first; one for which
+// IsCrash holds kills the writer where it stands, torn prefix and all;
+// anything else is rolled back and escalates. The writer calls Sync
+// after every append, NoSync or not, so a fault schedule replays
+// identically in synced and unsynced runs.
+type LogFile = interface {
+	Write(p []byte) (int, error)
+	Truncate(size int64) error
+	Sync() error
+	Close() error
 }
 
 // IsCrash reports whether err is (or wraps) a simulated process
@@ -47,11 +46,9 @@ func IsCrash(err error) bool {
 // Writer appends framed records to a log file. It is not safe for
 // concurrent use.
 type Writer struct {
-	f      *os.File
-	size   int64 // bytes of committed frames; a retry truncates back here
-	afault AppendFault
-	noSync bool
-	retry  retry.Policy
+	f     LogFile
+	size  int64 // bytes of committed frames; a retry truncates back here
+	retry retry.Policy
 	// retries counts the physical write and fsync attempts past the
 	// first of each append — the transient faults this writer absorbed.
 	retries int64
@@ -64,9 +61,10 @@ type Writer struct {
 	buf []byte
 }
 
-// openWriter opens path for appending. The file's existing contents
-// are assumed valid (callers scan before appending).
-func openWriter(path string, noSync bool, rp retry.Policy, af AppendFault) (*Writer, error) {
+// openWriter opens path for appending, behind o's NoSync and
+// AppendFault. The file's existing contents are assumed valid (callers
+// scan before appending).
+func openWriter(path string, o Options) (*Writer, error) {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
@@ -76,20 +74,31 @@ func openWriter(path string, noSync bool, rp retry.Policy, af AppendFault) (*Wri
 		f.Close()
 		return nil, err
 	}
-	return &Writer{f: f, size: st.Size(), noSync: noSync, retry: rp, afault: af}, nil
+	var lf LogFile = f
+	if o.NoSync {
+		lf = noSync{f}
+	}
+	if o.AppendFault != nil {
+		lf = o.AppendFault(lf)
+	}
+	return &Writer{f: lf, size: st.Size(), retry: o.Retry}, nil
 }
+
+// noSync is the log file of Options.NoSync: its Sync does nothing.
+type noSync struct{ *os.File }
+
+func (noSync) Sync() error { return nil }
 
 // Append frames the payload and appends it durably: length prefix,
 // payload, CRC32-C trailer, then fsync (unless NoSync). Real-device
 // deployments see transient write and fsync errors, so both run under
-// the package retry policy, with the injectable AppendFault standing in
-// for the device. A failed append is CLEAN: the log is rolled back to
-// its committed size, so the frame the caller was told is not committed
-// leaves no bytes behind and the caller may simply try the append again
-// later. Only when that rollback itself fails — the log is in an
-// unknown state that a reopen's committed-prefix scan must repair — or
-// after a simulated crash is the writer dead: every later append fails
-// with the same error, exactly like a dead process.
+// the package retry policy. A failed append is CLEAN: the log is rolled
+// back to its committed size, so the frame the caller was told is not
+// committed leaves no bytes behind and the caller may simply try the
+// append again later. Only when that rollback itself fails — the log is
+// in an unknown state that a reopen's committed-prefix scan must repair
+// — or after a simulated crash is the writer dead: every later append
+// fails with the same error, exactly like a dead process.
 func (w *Writer) Append(payload []byte) error {
 	if w.dead != nil {
 		return w.dead
@@ -113,17 +122,6 @@ func (w *Writer) Append(payload []byte) error {
 			// instead.
 			if terr := w.f.Truncate(w.size); terr != nil {
 				return terr
-			}
-		}
-		if w.afault != nil {
-			if tear, ferr := w.afault.WriteAttempt(len(frame)); ferr != nil {
-				if tear = min(tear, len(frame)); tear > 0 {
-					// Best effort: the injected failure tore a prefix
-					// into the log, like a real device error (or a
-					// power cut) mid-write.
-					w.f.Write(frame[:tear])
-				}
-				return ferr
 			}
 		}
 		_, werr := w.f.Write(frame)
@@ -165,21 +163,9 @@ func (w *Writer) fail(op string, err error) error {
 }
 
 // sync flushes the file, retrying transient fsync faults under the
-// writer's retry policy. The AppendFault hook is consulted even when
-// NoSync elides the real fsync, so a fault schedule replays
-// identically in synced and unsynced runs.
+// writer's retry policy.
 func (w *Writer) sync() error {
-	return w.attempts(func(bool) error {
-		if w.afault != nil {
-			if err := w.afault.SyncAttempt(); err != nil {
-				return err
-			}
-		}
-		if w.noSync {
-			return nil
-		}
-		return w.f.Sync()
-	})
+	return w.attempts(func(bool) error { return w.f.Sync() })
 }
 
 // attempts runs one physical step under the writer's retry policy —

@@ -4,8 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"spatialanon/internal/retry"
 )
 
 // BenchmarkWriterAppend measures the framing cost of one append with
@@ -16,7 +14,7 @@ func BenchmarkWriterAppend(b *testing.B) {
 	for _, size := range []int{64, 1024} {
 		b.Run(byteSize(size), func(b *testing.B) {
 			path := filepath.Join(b.TempDir(), "bench.log")
-			w, err := openWriter(path, true, retry.Policy{}, nil)
+			w, err := openWriter(path, Options{NoSync: true})
 			if err != nil {
 				b.Fatal(err)
 			}

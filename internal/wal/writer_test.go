@@ -20,7 +20,7 @@ func readLog(t *testing.T, path string) []byte {
 
 func TestWriterScannerRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := openWriter(path, true, retry.Policy{}, nil)
+	w, err := openWriter(path, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestWriterScannerRoundTrip(t *testing.T) {
 // present with valid checksums, flag the tail as torn, and never panic.
 func TestScannerStopsAtTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := openWriter(path, true, retry.Policy{}, nil)
+	w, err := openWriter(path, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func atFrameEnd(ends []int, n int) bool {
 // checksum must end the committed prefix there.
 func TestScannerRejectsBitFlip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := openWriter(path, true, retry.Policy{}, nil)
+	w, err := openWriter(path, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestScannerRejectsBitFlip(t *testing.T) {
 func TestWriterCrashTearsFrame(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	crash := &fault.Crash{At: 3, Torn: 0.5}
-	w, err := openWriter(path, true, retry.Policy{}, crash)
+	w, err := openWriter(path, Options{NoSync: true, AppendFault: crash.Log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestWriterCrashTearsFrame(t *testing.T) {
 }
 
 // TestAppendFaultClassDecidesRollback puts a crash and a permanent
-// device fault through the writer's one hook on the same frame. Both
+// device fault under the writer's log file on the same frame. Both
 // tear a prefix into the file and both fail the append for good; only
 // the class of the error differs, and it alone decides what the log
 // holds afterwards: the crash leaves its ⌊Torn·len(frame)⌋ bytes past
@@ -209,17 +209,17 @@ func TestAppendFaultClassDecidesRollback(t *testing.T) {
 	frame := len(payload) + frameOverhead
 	for _, tc := range []struct {
 		name      string
-		hook      AppendFault
+		hook      func(LogFile) LogFile
 		wantCrash bool
 		wantTail  int
 	}{
-		{"crash", &fault.Crash{At: 2, Torn: 0.75}, true, frame * 3 / 4},
+		{"crash", (&fault.Crash{At: 2, Torn: 0.75}).Log, true, frame * 3 / 4},
 		// After: 1 lets the first frame through; rate 1 fails the second.
-		{"permanent", fault.NewFlaky(5, fault.FlakyConfig{PermanentWriteRate: 1, After: 1}), false, 0},
+		{"permanent", fault.NewInjector(5, fault.Config{PermanentWriteRate: 1, After: 1}).Log, false, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "wal.log")
-			w, err := openWriter(path, true, retry.Policy{Attempts: 3}, tc.hook)
+			w, err := openWriter(path, Options{NoSync: true, Retry: retry.Policy{Attempts: 3}, AppendFault: tc.hook})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -244,20 +244,28 @@ func TestAppendFaultClassDecidesRollback(t *testing.T) {
 	}
 }
 
-// tornWrites is an AppendFault whose next failAttempts frame writes
-// fail transiently after persisting only half their bytes — the torn
-// partial write an O_APPEND retry must not land after.
-type tornWrites struct{ failAttempts int }
-
-func (f *tornWrites) WriteAttempt(frameLen int) (int, error) {
-	if f.failAttempts > 0 {
-		f.failAttempts--
-		return frameLen / 2, &fault.Error{Op: "append", Kind: fault.Transient}
-	}
-	return 0, nil
+// tornWrites is a log file whose next failAttempts writes fail
+// transiently after persisting only half their bytes — the torn partial
+// write an O_APPEND retry must not land after.
+type tornWrites struct {
+	LogFile
+	failAttempts int
 }
 
-func (f *tornWrites) SyncAttempt() error { return nil }
+func (f *tornWrites) Write(p []byte) (int, error) {
+	if f.failAttempts > 0 {
+		f.failAttempts--
+		n, _ := f.LogFile.Write(p[:len(p)/2])
+		return n, &fault.Error{Op: "append", Kind: fault.Transient}
+	}
+	return f.LogFile.Write(p)
+}
+
+// wrap puts f in front of a writer's log file (Options.AppendFault).
+func (f *tornWrites) wrap(lf LogFile) LogFile {
+	f.LogFile = lf
+	return f
+}
 
 // TestAppendRetryRewindsTornPartialWrite: a transient write failure
 // leaves half a frame in the log; the retry must truncate that garbage
@@ -267,7 +275,7 @@ func (f *tornWrites) SyncAttempt() error { return nil }
 func TestAppendRetryRewindsTornPartialWrite(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	torn := &tornWrites{failAttempts: 1}
-	w, err := openWriter(path, true, retry.Policy{Attempts: 3}, torn)
+	w, err := openWriter(path, Options{NoSync: true, Retry: retry.Policy{Attempts: 3}, AppendFault: torn.wrap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +324,7 @@ func TestScannerHugeLengthPrefix(t *testing.T) {
 
 func TestAppendRejectsOversizedFrame(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := openWriter(path, true, retry.Policy{}, nil)
+	w, err := openWriter(path, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
