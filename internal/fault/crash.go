@@ -86,8 +86,8 @@ func (c *Crash) Disk(d pager.Disk) pager.Disk {
 // one nothing. An fsync is not a durable operation of its own — the
 // write it follows already counted — but a dead process cannot sync
 // either.
-func (c *Crash) Log(f LogFile) LogFile {
-	return &logFile{LogFile: f, onWrite: c.logWrite, onSync: c.Err}
+func (c *Crash) Log(f pager.File) pager.File {
+	return &logFile{File: f, onWrite: c.logWrite, onSync: c.Err}
 }
 
 func (c *Crash) read(pager.PageID) error { return c.dead }

@@ -3,7 +3,7 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"os"
+	"io"
 	"testing"
 
 	"spatialanon/internal/pager"
@@ -11,27 +11,38 @@ import (
 	"spatialanon/internal/wal"
 )
 
-// The log writer appends to an *os.File or a wrapper of one, and both
-// injectors wrap the page disk and the log file of a store.
+// Both injectors wrap the page disk and the log file of a store.
 var (
-	_ wal.LogFile = (*os.File)(nil)
-	_ pager.Disk  = (*disk)(nil)
-	_ wal.LogFile = (*logFile)(nil)
-	_             = wal.Options{PagerFault: (*Crash)(nil).Disk, AppendFault: (*Crash)(nil).Log}
-	_             = wal.Options{PagerFault: (*Injector)(nil).Disk, AppendFault: (*Injector)(nil).Log}
+	_ pager.Disk = (*disk)(nil)
+	_ pager.File = (*logFile)(nil)
+	_            = wal.Options{PagerFault: (*Crash)(nil).Disk, AppendFault: (*Crash)(nil).Log}
+	_            = wal.Options{PagerFault: (*Injector)(nil).Disk, AppendFault: (*Injector)(nil).Log}
 )
 
-// memLog is an in-memory log file.
-type memLog struct{ data []byte }
+// memDisk returns a page disk of the given page size on an in-memory
+// file.
+func memDisk(t *testing.T, pageSize int) pager.Disk {
+	t.Helper()
+	d, err := pager.CreateDiskFile(pager.NewMemFile(), pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
 
-func (m *memLog) Write(p []byte) (int, error) { m.data = append(m.data, p...); return len(p), nil }
-func (m *memLog) Truncate(n int64) error      { m.data = m.data[:n]; return nil }
-func (m *memLog) Sync() error                 { return nil }
-func (m *memLog) Close() error                { return nil }
+// size returns the length of f.
+func size(t *testing.T, f pager.File) int {
+	t.Helper()
+	n, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int(n)
+}
 
 func TestCrashFiresAtExactOp(t *testing.T) {
 	c := &Crash{At: 3}
-	log, d := c.Log(&memLog{}), c.Disk(pager.NewMemDisk())
+	log, d := c.Log(pager.NewMemFile()), c.Disk(memDisk(t, 1))
 	// Ops 1 and 2 survive; op 3 dies.
 	if n, err := log.Write(make([]byte, 100)); err != nil || n != 100 {
 		t.Fatalf("op 1: wrote %d, err=%v", n, err)
@@ -77,20 +88,20 @@ func TestCrashTornPersistsPrefix(t *testing.T) {
 	}
 	for _, tc := range cases {
 		c := &Crash{At: 1, Torn: tc.torn}
-		f := &memLog{}
+		f := pager.NewMemFile()
 		n, err := c.Log(f).Write(make([]byte, 80))
 		if !wal.IsCrash(err) {
 			t.Fatalf("torn=%v: did not crash: %v", tc.torn, err)
 		}
-		if n != tc.want || len(f.data) != tc.want {
-			t.Errorf("torn=%v: wrote %d, persisted %d, want %d", tc.torn, n, len(f.data), tc.want)
+		if n != tc.want || size(t, f) != tc.want {
+			t.Errorf("torn=%v: wrote %d, persisted %d, want %d", tc.torn, n, size(t, f), tc.want)
 		}
 	}
 }
 
 func TestCrashDisabledCountsOps(t *testing.T) {
 	c := &Crash{}
-	log, d := c.Log(&memLog{}), c.Disk(pager.NewMemDisk())
+	log, d := c.Log(pager.NewMemFile()), c.Disk(memDisk(t, 1))
 	for i := 0; i < 5; i++ {
 		if _, err := log.Write(make([]byte, 10)); err != nil {
 			t.Fatal("disabled crash point fired")
@@ -128,7 +139,7 @@ func TestCrashErrorClassification(t *testing.T) {
 // write and every fsync is one operation of the schedule.
 func TestInjectedLogWrites(t *testing.T) {
 	in := NewInjector(9, Config{TransientWriteRate: 1, TransientSyncRate: 1, After: 2})
-	f := &memLog{}
+	f := pager.NewMemFile()
 	log := in.Log(f)
 	if _, err := log.Write(make([]byte, 50)); err != nil {
 		t.Fatalf("write before After: %v", err)
@@ -141,8 +152,8 @@ func TestInjectedLogWrites(t *testing.T) {
 	if !errors.As(err, &fe) || fe.Op != "append" || !retry.IsTransient(err) {
 		t.Fatalf("armed write returned %v", err)
 	}
-	if len(f.data) != 50+n || n > 50 {
-		t.Fatalf("failed write landed %d bytes, reported %d", len(f.data)-50, n)
+	if size(t, f) != 50+n || n > 50 {
+		t.Fatalf("failed write landed %d bytes, reported %d", size(t, f)-50, n)
 	}
 	if err := log.Sync(); !errors.As(err, &fe) || fe.Op != "sync" {
 		t.Fatalf("armed sync returned %v", err)
@@ -167,7 +178,7 @@ func TestAtRestAndPassThroughDrawNothing(t *testing.T) {
 		{"injector", in.Disk, in.Ops},
 		{"crash", c.Disk, c.Ops},
 	} {
-		d := tc.wrap(pager.NewMemDisk())
+		d := tc.wrap(memDisk(t, 16))
 		p, err := pager.NewWithDisk(16, 2, d)
 		if err != nil {
 			t.Fatal(err)

@@ -2,16 +2,6 @@ package fault
 
 import "spatialanon/internal/pager"
 
-// LogFile is the write-ahead log's file: the interface wal.LogFile names,
-// spelled out again so that an injector's Log method fits
-// wal.Options.AppendFault without either package importing the other.
-type LogFile = interface {
-	Write(p []byte) (int, error)
-	Truncate(size int64) error
-	Sync() error
-	Close() error
-}
-
 // disk is a page disk behind an injector: onRead and onWrite decide
 // whether a page read or write reaches the disk underneath (onWrite may
 // also damage the bytes on their way). Everything else passes through.
@@ -39,11 +29,12 @@ func (d *disk) WritePage(id pager.PageID, data []byte, sum uint32) error {
 // VerifyPages read the pages at rest, not through the failing device.
 func (d *disk) Unwrap() pager.Disk { return d.Disk }
 
-// logFile is a log file behind an injector: onWrite decides whether a
-// write reaches the file and, when it does not, how many of its bytes
-// land anyway; onSync decides an fsync. Truncate and Close pass through.
+// logFile is a log file behind an injector: onWrite decides whether an
+// appending write reaches the file and, when it does not, how many of its
+// bytes land anyway; onSync decides an fsync. Everything else passes
+// through.
 type logFile struct {
-	LogFile
+	pager.File
 	onWrite func(n int) (tear int, err error)
 	onSync  func() error
 }
@@ -51,13 +42,13 @@ type logFile struct {
 func (f *logFile) Write(p []byte) (int, error) {
 	tear, err := f.onWrite(len(p))
 	if err == nil {
-		return f.LogFile.Write(p)
+		return f.File.Write(p)
 	}
 	n := 0
 	if tear > 0 {
 		// Best effort: the failed write tore a prefix into the log, like
 		// a real device error (or a power cut) mid-write.
-		n, _ = f.LogFile.Write(p[:tear])
+		n, _ = f.File.Write(p[:tear])
 	}
 	return n, err
 }
@@ -66,5 +57,5 @@ func (f *logFile) Sync() error {
 	if err := f.onSync(); err != nil {
 		return err
 	}
-	return f.LogFile.Sync()
+	return f.File.Sync()
 }

@@ -232,8 +232,8 @@ func (in *Injector) Disk(d pager.Disk) pager.Disk {
 // decision; a failed one still lands a random prefix of its bytes — the
 // partial write a device error leaves behind — before returning the
 // error. A log fsync draws the sync decision.
-func (in *Injector) Log(f LogFile) LogFile {
-	return &logFile{LogFile: f, onWrite: in.logWrite, onSync: in.logSync}
+func (in *Injector) Log(f pager.File) pager.File {
+	return &logFile{File: f, onWrite: in.logWrite, onSync: in.logSync}
 }
 
 func (in *Injector) read(id pager.PageID) error {

@@ -9,9 +9,30 @@ import (
 	"spatialanon/internal/retry"
 )
 
+// mapDisk is a page disk that stores any ID and any payload size: the
+// schedule tests write page 0 and pages of odd sizes, which a DiskFile
+// refuses. Only reads and writes are used.
+type mapDisk struct {
+	pager.Disk
+	pages map[pager.PageID][]byte
+}
+
+func (d mapDisk) ReadPage(id pager.PageID) ([]byte, uint32, error) {
+	p, ok := d.pages[id]
+	if !ok {
+		return nil, 0, pager.ErrUnknownPage
+	}
+	return p, 0, nil
+}
+
+func (d mapDisk) WritePage(id pager.PageID, data []byte, _ uint32) error {
+	d.pages[id] = data
+	return nil
+}
+
 // faulted returns a memory disk holding pages 0..99, behind in.
 func faulted(in *Injector) pager.Disk {
-	d := pager.NewMemDisk()
+	d := mapDisk{pages: make(map[pager.PageID][]byte)}
 	for id := pager.PageID(0); id < 100; id++ {
 		d.WritePage(id, []byte{byte(id)}, 0)
 	}

@@ -2,16 +2,16 @@ package pager
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 )
 
-// DiskFile is a file-backed Disk: sealed pages persisted to one flat
-// file so they survive process death. It is the backend under the
-// durability subsystem's checkpoints (internal/wal); the in-memory
-// simulation remains the default everywhere else.
+// DiskFile is the page Disk: sealed pages in one flat File. Over an
+// *os.File the pages survive process death — the store's checkpoint pages
+// (internal/wal); over NewMemFile it is the I/O-counting disk of New and
+// the bulk loader.
 //
 // Layout: a 16-byte header (magic, format version, page size), then
 // fixed-width slots, one per PageID starting at 1. Each slot is
@@ -21,12 +21,12 @@ import (
 // The checksum stored in the slot is the seal the pager computed at
 // write-back; DiskFile never re-checksums, so damage to the file —
 // torn slot writes, bit rot, truncation inside a payload — surfaces on
-// the next ReadPage exactly like the in-memory backend's injected
-// faults: as a *CorruptError from the pager. A slot whose state byte
-// never reached disk reads as free, i.e. an unknown page, which the
-// recovery path treats as an incomplete checkpoint.
+// the next ReadPage exactly like injected faults: as a *CorruptError
+// from the pager. A slot whose state byte never reached disk reads as
+// free, i.e. an unknown page, which the recovery path treats as an
+// incomplete checkpoint.
 type DiskFile struct {
-	f        *os.File
+	f        File
 	pageSize int
 	used     map[PageID]bool
 	maxID    PageID
@@ -43,15 +43,12 @@ const (
 	diskHeaderSize  = 16
 )
 
-// CreateDiskFile creates (truncating) a page file for the given page
-// size.
-func CreateDiskFile(path string, pageSize int) (*DiskFile, error) {
+// CreateDiskFile writes a page file for the given page size into f, which
+// must be empty. On error f is closed.
+func CreateDiskFile(f File, pageSize int) (*DiskFile, error) {
 	if pageSize <= 0 {
+		f.Close()
 		return nil, fmt.Errorf("pager: page size %d must be positive", pageSize)
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, err
 	}
 	var hdr [diskHeaderSize]byte
 	copy(hdr[:4], diskFileMagic)
@@ -64,51 +61,46 @@ func CreateDiskFile(path string, pageSize int) (*DiskFile, error) {
 	return newDiskFile(f, pageSize), nil
 }
 
-func newDiskFile(f *os.File, pageSize int) *DiskFile {
+func newDiskFile(f File, pageSize int) *DiskFile {
 	return &DiskFile{f: f, pageSize: pageSize, used: make(map[PageID]bool), slot: make([]byte, 1+4+pageSize)}
 }
 
-// OpenDiskFile opens an existing page file, validating its header and
+// OpenDiskFile opens the page file in f, validating its header and
 // scanning the slots to rebuild the set of stored pages. The page size
-// is read from the header; wantPageSize, when nonzero, must match it.
-func OpenDiskFile(path string, wantPageSize int) (*DiskFile, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
+// is read from the header; wantPageSize, when nonzero, must match it. On
+// error f is closed.
+func OpenDiskFile(f File, wantPageSize int) (_ *DiskFile, err error) {
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	var hdr [diskHeaderSize]byte
-	if _, err := io.ReadFull(io.NewSectionReader(f, 0, diskHeaderSize), hdr[:]); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("pager: %s: short header: %w", path, err)
+	if _, err := f.ReadAt(hdr[:], 0); err != nil {
+		return nil, fmt.Errorf("pager: short page file header: %w", err)
 	}
 	if string(hdr[:4]) != diskFileMagic {
-		f.Close()
-		return nil, fmt.Errorf("pager: %s is not a page file", path)
+		return nil, errors.New("pager: not a page file")
 	}
 	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != diskFileVersion {
-		f.Close()
-		return nil, fmt.Errorf("pager: %s: unsupported page file version %d", path, v)
+		return nil, fmt.Errorf("pager: unsupported page file version %d", v)
 	}
 	pageSize := int(binary.LittleEndian.Uint32(hdr[8:12]))
 	if pageSize <= 0 {
-		f.Close()
-		return nil, fmt.Errorf("pager: %s: invalid page size %d", path, pageSize)
+		return nil, fmt.Errorf("pager: page file of invalid page size %d", pageSize)
 	}
 	if wantPageSize != 0 && wantPageSize != pageSize {
-		f.Close()
-		return nil, fmt.Errorf("pager: %s: page size %d, want %d", path, pageSize, wantPageSize)
+		return nil, fmt.Errorf("pager: page file of page size %d, want %d", pageSize, wantPageSize)
 	}
 	d := newDiskFile(f, pageSize)
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	state := make([]byte, 1)
+	state := d.slot[:1]
 	for id := PageID(1); d.slotOffset(id) < size; id++ {
 		if _, err := f.ReadAt(state, d.slotOffset(id)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("pager: %s: scanning slot %d: %w", path, id, err)
+			return nil, fmt.Errorf("pager: scanning slot %d: %w", id, err)
 		}
 		// A slot that exists in the file but holds a truncated payload
 		// still scans as used; the truncated tail reads as zero bytes
@@ -184,7 +176,8 @@ func (d *DiskFile) FreePage(id PageID) (bool, error) {
 	if id < 1 || !d.used[id] {
 		return false, nil
 	}
-	if _, err := d.f.WriteAt([]byte{0}, d.slotOffset(id)); err != nil {
+	d.slot[0] = 0
+	if _, err := d.f.WriteAt(d.slot[:1], d.slotOffset(id)); err != nil {
 		return false, fmt.Errorf("pager: freeing page %d: %w", id, err)
 	}
 	delete(d.used, id)

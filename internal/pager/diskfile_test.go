@@ -2,15 +2,38 @@ package pager
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-func newFilePager(t *testing.T, pageSize, pool int) (*Pager, string) {
+var _ File = (*os.File)(nil)
+
+// onEachFile runs body once per medium a DiskFile runs on: a real file
+// and NewMemFile. open returns a handle on the test's one file — empty at
+// first, holding what earlier handles wrote once they are closed.
+func onEachFile(t *testing.T, body func(t *testing.T, open func() File)) {
+	t.Run("os", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "pages.db")
+		body(t, func() File {
+			f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { f.Close() })
+			return f
+		})
+	})
+	t.Run("mem", func(t *testing.T) {
+		f := NewMemFile()
+		body(t, func() File { return f })
+	})
+}
+
+func newFilePager(t *testing.T, f File, pageSize, pool int) *Pager {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "pages.db")
-	d, err := CreateDiskFile(path, pageSize)
+	d, err := CreateDiskFile(f, pageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,178 +41,187 @@ func newFilePager(t *testing.T, pageSize, pool int) (*Pager, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, path
+	return p
+}
+
+// reopenPager opens the page file in f behind a fresh pager.
+func reopenPager(t *testing.T, f File, wantPageSize, pool int) *Pager {
+	t.Helper()
+	d, err := OpenDiskFile(f, wantPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewWithDisk(d.PageSize(), pool, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// fileSize returns the length of f.
+func fileSize(t *testing.T, f File) int64 {
+	t.Helper()
+	n, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 func TestDiskFilePersistsAcrossReopen(t *testing.T) {
-	p, path := newFilePager(t, 32, 4)
-	var ids []PageID
-	for i := 0; i < 6; i++ {
+	onEachFile(t, func(t *testing.T, open func() File) {
+		p := newFilePager(t, open(), 32, 4)
+		var ids []PageID
+		for i := 0; i < 6; i++ {
+			id, data, err := p.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[0] = byte('A' + i)
+			p.Unpin(id)
+			ids = append(ids, id)
+		}
+		// Free one page so the reopen sees a hole.
+		if err := p.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Free(ids[2]); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		p2 := reopenPager(t, open(), 32, 4)
+		got, err := p2.DiskPages()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 5 {
+			t.Fatalf("reopened disk has %d pages, want 5: %v", len(got), got)
+		}
+		for i, id := range ids {
+			if i == 2 {
+				if _, err := p2.Read(id); !errors.Is(err, ErrUnknownPage) {
+					t.Fatalf("freed page %d: err = %v, want ErrUnknownPage", id, err)
+				}
+				continue
+			}
+			data, err := p2.Read(id)
+			if err != nil {
+				t.Fatalf("page %d: %v", id, err)
+			}
+			if data[0] != byte('A'+i) {
+				t.Fatalf("page %d payload = %q, want %q", id, data[0], byte('A'+i))
+			}
+			p2.Unpin(id)
+		}
+		// Allocation resumes past the persisted IDs.
+		id, _, err := p2.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id <= ids[len(ids)-1] {
+			t.Fatalf("new page %d not past persisted max %d", id, ids[len(ids)-1])
+		}
+		p2.Unpin(id)
+		if err := p2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+func TestDiskFileDetectsOnDiskDamage(t *testing.T) {
+	onEachFile(t, func(t *testing.T, open func() File) {
+		p := newFilePager(t, open(), 32, 2)
 		id, data, err := p.Alloc()
 		if err != nil {
 			t.Fatal(err)
 		}
-		data[0] = byte('A' + i)
+		copy(data, []byte("hello"))
 		p.Unpin(id)
-		ids = append(ids, id)
-	}
-	// Free one page so the reopen sees a hole.
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Free(ids[2]); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	d, err := OpenDiskFile(path, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := NewWithDisk(32, 4, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p2.DiskPages()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 5 {
-		t.Fatalf("reopened disk has %d pages, want 5: %v", len(got), got)
-	}
-	for i, id := range ids {
-		if i == 2 {
-			if _, err := p2.Read(id); !errors.Is(err, ErrUnknownPage) {
-				t.Fatalf("freed page %d: err = %v, want ErrUnknownPage", id, err)
-			}
-			continue
+		// Flip the last payload byte directly in the file, behind the
+		// pager's back.
+		f := open()
+		last := make([]byte, 1)
+		end := fileSize(t, f) - 1
+		if _, err := f.ReadAt(last, end); err != nil {
+			t.Fatal(err)
 		}
-		data, err := p2.Read(id)
+		last[0] ^= 0xff
+		if _, err := f.WriteAt(last, end); err != nil {
+			t.Fatal(err)
+		}
+
+		p2 := reopenPager(t, f, 0, 2) // page size from header
+		if p2.PageSize() != 32 {
+			t.Fatalf("header page size = %d", p2.PageSize())
+		}
+		var ce *CorruptError
+		if _, err := p2.Read(id); !errors.As(err, &ce) {
+			t.Fatalf("read of damaged page: %v, want CorruptError", err)
+		}
+		// Scrub accepts the bytes as truth; the page reads again.
+		repaired, err := p2.Scrub()
 		if err != nil {
-			t.Fatalf("page %d: %v", id, err)
+			t.Fatal(err)
 		}
-		if data[0] != byte('A'+i) {
-			t.Fatalf("page %d payload = %q, want %q", id, data[0], byte('A'+i))
+		if len(repaired) != 1 || repaired[0] != id {
+			t.Fatalf("scrub repaired %v", repaired)
+		}
+		if _, err := p2.Read(id); err != nil {
+			t.Fatal(err)
 		}
 		p2.Unpin(id)
-	}
-	// Allocation resumes past the persisted IDs.
-	id, _, err := p2.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id <= ids[len(ids)-1] {
-		t.Fatalf("new page %d not past persisted max %d", id, ids[len(ids)-1])
-	}
-	p2.Unpin(id)
-	if err := p2.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDiskFileDetectsOnDiskDamage(t *testing.T) {
-	p, path := newFilePager(t, 32, 2)
-	id, data, err := p.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(data, []byte("hello"))
-	p.Unpin(id)
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Flip a payload byte directly in the file, behind the pager's back.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)-1] ^= 0xff
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	d, err := OpenDiskFile(path, 0) // page size from header
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.PageSize() != 32 {
-		t.Fatalf("header page size = %d", d.PageSize())
-	}
-	p2, err := NewWithDisk(32, 2, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ce *CorruptError
-	if _, err := p2.Read(id); !errors.As(err, &ce) {
-		t.Fatalf("read of damaged page: %v, want CorruptError", err)
-	}
-	// Scrub accepts the bytes as truth; the page reads again.
-	repaired, err := p2.Scrub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(repaired) != 1 || repaired[0] != id {
-		t.Fatalf("scrub repaired %v", repaired)
-	}
-	if _, err := p2.Read(id); err != nil {
-		t.Fatal(err)
-	}
-	p2.Unpin(id)
-	p2.Close()
+		p2.Close()
+	})
 }
 
 func TestDiskFileTruncatedSlotSurfacesAsCorrupt(t *testing.T) {
-	p, path := newFilePager(t, 64, 2)
-	id, data, err := p.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range data {
-		data[i] = 0xAB
-	}
-	p.Unpin(id)
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Tear the slot: keep the state byte and checksum but cut the
-	// payload tail, as a crash mid-write would.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw[:len(raw)-20], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d, err := OpenDiskFile(path, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := NewWithDisk(64, 2, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ce *CorruptError
-	if _, err := p2.Read(id); !errors.As(err, &ce) {
-		t.Fatalf("read of torn page: %v, want CorruptError", err)
-	}
-	p2.Close()
+	onEachFile(t, func(t *testing.T, open func() File) {
+		p := newFilePager(t, open(), 64, 2)
+		id, data, err := p.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range data {
+			data[i] = 0xAB
+		}
+		p.Unpin(id)
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Tear the slot: keep the state byte and checksum but cut the
+		// payload tail, as a crash mid-write would.
+		f := open()
+		if err := f.Truncate(fileSize(t, f) - 20); err != nil {
+			t.Fatal(err)
+		}
+		p2 := reopenPager(t, f, 64, 2)
+		var ce *CorruptError
+		if _, err := p2.Read(id); !errors.As(err, &ce) {
+			t.Fatalf("read of torn page: %v, want CorruptError", err)
+		}
+		p2.Close()
+	})
 }
 
 func TestOpenDiskFileRejectsGarbage(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "not-a-pagefile")
-	if err := os.WriteFile(path, []byte("hello world, definitely not pages"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenDiskFile(path, 0); err == nil {
-		t.Fatal("garbage file accepted as page file")
-	}
-	if _, err := OpenDiskFile(filepath.Join(dir, "missing"), 0); err == nil {
-		t.Fatal("missing file accepted")
-	}
+	onEachFile(t, func(t *testing.T, open func() File) {
+		if _, err := OpenDiskFile(open(), 0); err == nil {
+			t.Fatal("empty file accepted as page file")
+		}
+		if _, err := open().WriteAt([]byte("hello world, definitely not pages"), 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenDiskFile(open(), 0); err == nil {
+			t.Fatal("garbage file accepted as page file")
+		}
+	})
 }
 
 // TestFlushAttemptsEveryPage asserts the joined-error contract: a
@@ -260,78 +292,69 @@ func TestReuseFreedHandsOutLowestFirst(t *testing.T) {
 		}
 		return id
 	}
-	p, path := newFilePager(t, 32, 4)
-	if err := p.ReuseFreed(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 8; i++ {
-		if id := alloc(p); id != PageID(i) {
-			t.Fatalf("fresh alloc %d returned page %d", i, id)
-		}
-	}
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []PageID{6, 2, 4, 2} { // 2 twice: a double free
-		if err := p.Free(id); err != nil {
+	onEachFile(t, func(t *testing.T, open func() File) {
+		p := newFilePager(t, open(), 32, 4)
+		if err := p.ReuseFreed(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if id := alloc(p); id != 2 {
-		t.Fatalf("first reuse returned page %d, want 2", id)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen: pages 4 and 6 are free slots below the highest stored ID.
-	d, err := OpenDiskFile(path, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := NewWithDisk(32, 4, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p2.ReuseFreed(); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []PageID{4, 6, 9} {
-		if id := alloc(p2); id != want {
-			t.Fatalf("after reopen alloc returned page %d, want %d", id, want)
+		for i := 1; i <= 8; i++ {
+			if id := alloc(p); id != PageID(i) {
+				t.Fatalf("fresh alloc %d returned page %d", i, id)
+			}
 		}
-	}
-	// Stationary churn: free three, allocate three, many times over.
-	if err := p2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 50; round++ {
-		for _, id := range []PageID{3, 5, 7} {
-			if err := p2.Free(id); err != nil {
+		if err := p.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []PageID{6, 2, 4, 2} { // 2 twice: a double free
+			if err := p.Free(id); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for i := 0; i < 3; i++ {
-			alloc(p2)
+		if id := alloc(p); id != 2 {
+			t.Fatalf("first reuse returned page %d, want 2", id)
 		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		// Reopen: pages 4 and 6 are free slots below the highest stored ID.
+		p2 := reopenPager(t, open(), 32, 4)
+		if err := p2.ReuseFreed(); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []PageID{4, 6, 9} {
+			if id := alloc(p2); id != want {
+				t.Fatalf("after reopen alloc returned page %d, want %d", id, want)
+			}
+		}
+		// Stationary churn: free three, allocate three, many times over.
 		if err := p2.Flush(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := p2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := int64(diskHeaderSize + 9*(1+4+32)); fi.Size() != want {
-		t.Fatalf("page file is %d bytes after stationary churn, want the 9 slots' %d", fi.Size(), want)
-	}
+		for round := 0; round < 50; round++ {
+			for _, id := range []PageID{3, 5, 7} {
+				if err := p2.Free(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				alloc(p2)
+			}
+			if err := p2.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fileSize(t, open()), int64(diskHeaderSize+9*(1+4+32)); got != want {
+			t.Fatalf("page file is %d bytes after stationary churn, want the 9 slots' %d", got, want)
+		}
+	})
 
 	// The default stays never-reuse: fault schedules and I/O counts of
 	// the bulk loader's pagers are pinned on it.
-	plain, _ := newFilePager(t, 32, 4)
+	plain := newFilePager(t, NewMemFile(), 32, 4)
 	first := alloc(plain)
 	if err := plain.Free(first); err != nil {
 		t.Fatal(err)
@@ -346,37 +369,39 @@ func TestReuseFreedHandsOutLowestFirst(t *testing.T) {
 // leans on: a ReadPage result is only valid until the next call, and
 // the pager's own reads are unaffected because it copies.
 func TestDiskFileReadAliasesSlotBuffer(t *testing.T) {
-	p, _ := newFilePager(t, 16, 1)
-	var ids []PageID
-	for i := 0; i < 3; i++ {
-		id, data, err := p.Alloc()
-		if err != nil {
-			t.Fatal(err)
+	onEachFile(t, func(t *testing.T, open func() File) {
+		p := newFilePager(t, open(), 16, 1)
+		var ids []PageID
+		for i := 0; i < 3; i++ {
+			id, data, err := p.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[0] = byte('a' + i)
+			p.Unpin(id)
+			ids = append(ids, id)
 		}
-		data[0] = byte('a' + i)
-		p.Unpin(id)
-		ids = append(ids, id)
-	}
-	// A one-page pool: every Read evicts (writes back) the previous page
-	// and reads the next through the same slot buffer.
-	var seen []byte
-	var held [][]byte
-	for _, id := range ids {
-		data, err := p.Read(id)
-		if err != nil {
-			t.Fatal(err)
+		// A one-page pool: every Read evicts (writes back) the previous
+		// page and reads the next through the same slot buffer.
+		var seen []byte
+		var held [][]byte
+		for _, id := range ids {
+			data, err := p.Read(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held = append(held, data)
+			seen = append(seen, data[0])
+			p.Unpin(id)
 		}
-		held = append(held, data)
-		seen = append(seen, data[0])
-		p.Unpin(id)
-	}
-	if string(seen) != "abc" {
-		t.Fatalf("read back %q, want abc", seen)
-	}
-	for i, data := range held {
-		if data[0] != byte('a'+i) {
-			t.Fatalf("pool frame %d was overwritten by a later disk read: %q", i, data[0])
+		if string(seen) != "abc" {
+			t.Fatalf("read back %q, want abc", seen)
 		}
-	}
-	p.Close()
+		for i, data := range held {
+			if data[0] != byte('a'+i) {
+				t.Fatalf("pool frame %d was overwritten by a later disk read: %q", i, data[0])
+			}
+		}
+		p.Close()
+	})
 }

@@ -11,14 +11,11 @@
 // node pages and buffer-spill pages here rather than in plain Go heap
 // memory.
 //
-// Backends. The pager's disk is pluggable (the Disk interface): New
-// installs the default in-memory simulation, which is all the I/O
-// *counting* experiments need, while NewWithDisk accepts any backend —
-// in particular DiskFile (diskfile.go), which persists sealed pages to
-// a real file so the durability subsystem (internal/wal) can survive
-// process death. A backend may wrap another: internal/fault models a
-// failing device as a Disk around the real one. Checksums and the
-// buffer pool behave identically over any backend.
+// Backends. The pager's disk is a Disk; the one implementation is
+// DiskFile, sealed pages in a File: New puts it on an in-memory File
+// (all the I/O *counting* experiments need), the durability subsystem
+// (internal/wal) on a real one. A Disk may wrap another: internal/fault
+// models a failing device as a Disk around the real one.
 //
 // Failure semantics. Every page carries a CRC32-Castagnoli checksum,
 // sealed when the page is written back to the disk and verified when it
@@ -73,12 +70,11 @@ func (e *CorruptError) Error() string {
 // ErrUnknownPage reports a read of a page the disk has never stored.
 var ErrUnknownPage = errors.New("pager: read of unknown page")
 
-// crcTable is the Castagnoli polynomial, the same choice as iSCSI and
-// ext4 metadata checksums (hardware-accelerated on amd64/arm64).
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Checksum seals a page payload with the pager's CRC32-C. Exported so
-// backends and recovery tooling agree on the polynomial.
+// Checksum is CRC32-C (Castagnoli, as iSCSI and ext4 metadata; hardware-
+// accelerated on amd64/arm64): the page seals, and the log's frame
+// trailers and checkpoint references (internal/wal).
 func Checksum(data []byte) uint32 { return crc32.Checksum(data, crcTable) }
 
 // Disk is the storage behind the buffer pool: sealed pages at rest.
@@ -110,62 +106,6 @@ type Disk interface {
 	Close() error
 }
 
-// memDisk is the default backend: the in-memory simulation used by the
-// I/O-counting experiments.
-type memDisk struct {
-	pages map[PageID]memPage
-}
-
-type memPage struct {
-	data []byte
-	sum  uint32
-}
-
-// NewMemDisk returns the in-memory Disk backend New installs by
-// default.
-func NewMemDisk() Disk { return &memDisk{pages: make(map[PageID]memPage)} }
-
-func (d *memDisk) ReadPage(id PageID) ([]byte, uint32, error) {
-	p, ok := d.pages[id]
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: page %d", ErrUnknownPage, id)
-	}
-	return p.data, p.sum, nil
-}
-
-func (d *memDisk) WritePage(id PageID, data []byte, sum uint32) error {
-	d.pages[id] = memPage{data: data, sum: sum}
-	return nil
-}
-
-func (d *memDisk) FreePage(id PageID) (bool, error) {
-	_, ok := d.pages[id]
-	delete(d.pages, id)
-	return ok, nil
-}
-
-func (d *memDisk) IDs() ([]PageID, error) {
-	ids := make([]PageID, 0, len(d.pages))
-	for id := range d.pages {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids, nil
-}
-
-func (d *memDisk) MaxID() (PageID, error) {
-	var max PageID
-	for id := range d.pages {
-		if id > max {
-			max = id
-		}
-	}
-	return max, nil
-}
-
-func (d *memDisk) Sync() error  { return nil }
-func (d *memDisk) Close() error { return nil }
-
 type frame struct {
 	id    PageID
 	data  []byte
@@ -193,13 +133,17 @@ type Pager struct {
 	free  []PageID
 }
 
-// New returns a pager over the in-memory disk with the given page size
-// in bytes and a buffer pool of poolPages pages. It returns an error
-// when pageSize is not positive or poolPages is below 1 — both
-// reachable from user-supplied memory budgets, so they are errors
-// rather than panics.
+// New returns a pager over a DiskFile on an in-memory File with the
+// given page size in bytes and a buffer pool of poolPages pages. It
+// returns an error when pageSize is not positive or poolPages is below
+// 1 — both reachable from user-supplied memory budgets, so they are
+// errors rather than panics.
 func New(pageSize, poolPages int) (*Pager, error) {
-	return NewWithDisk(pageSize, poolPages, NewMemDisk())
+	d, err := CreateDiskFile(NewMemFile(), pageSize)
+	if err != nil {
+		return nil, err
+	}
+	return NewWithDisk(pageSize, poolPages, d)
 }
 
 // NewWithDisk returns a pager over the given backend. Pages the backend
@@ -451,7 +395,7 @@ func (p *Pager) Scrub() ([]PageID, error) {
 		}
 		buf := make([]byte, len(data))
 		copy(buf, data)
-		if err := p.rest.WritePage(id, buf, crc32.Checksum(buf, crcTable)); err != nil {
+		if err := p.rest.WritePage(id, buf, Checksum(buf)); err != nil {
 			return corrupt[:i], err
 		}
 	}
@@ -478,7 +422,7 @@ func (p *Pager) VerifyPages() (scanned int, corrupt []PageID, err error) {
 			return scanned, corrupt, err
 		}
 		scanned++
-		if got := crc32.Checksum(data, crcTable); got != sum {
+		if got := Checksum(data); got != sum {
 			corrupt = append(corrupt, id)
 		}
 	}
@@ -498,7 +442,7 @@ func (p *Pager) fetch(id PageID) (*frame, error) {
 		return nil, err
 	}
 	p.stats.Reads++
-	if got := crc32.Checksum(data, crcTable); got != sum {
+	if got := Checksum(data); got != sum {
 		return nil, &CorruptError{Page: id, Want: sum, Got: got}
 	}
 	buf := make([]byte, p.pageSize)
@@ -546,7 +490,7 @@ func (p *Pager) evictOne() error {
 func (p *Pager) writeBack(f *frame) error {
 	buf := make([]byte, p.pageSize)
 	copy(buf, f.data)
-	sum := crc32.Checksum(buf, crcTable)
+	sum := Checksum(buf)
 	if err := p.disk.WritePage(f.id, buf, sum); err != nil {
 		return err
 	}

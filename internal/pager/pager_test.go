@@ -472,7 +472,11 @@ func (s *scriptedFaults) script(next scriptedFaults) {
 // scripted device.
 func newScripted(t *testing.T, pageSize, poolPages int) (*Pager, *scriptedFaults) {
 	t.Helper()
-	sf := &scriptedFaults{Disk: NewMemDisk()}
+	d, err := CreateDiskFile(NewMemFile(), pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf := &scriptedFaults{Disk: d}
 	p, err := NewWithDisk(pageSize, poolPages, sf)
 	if err != nil {
 		t.Fatal(err)

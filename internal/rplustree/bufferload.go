@@ -70,9 +70,9 @@ type BulkLoadConfig struct {
 	// RecordBytes is the on-disk record size (32 for the Lands End
 	// layout, 36 for the synthetic one). Default 4 x dims.
 	RecordBytes int
-	// Fault, when non-nil, wraps the pager's in-memory disk in a failing
-	// device (fault.Injector.Disk) — how the chaos suite injects storage
-	// failures into a load. Production loads leave it nil.
+	// Fault, when non-nil, wraps the pager's disk (a DiskFile on an
+	// in-memory File) in a failing device (fault.Injector.Disk): the chaos
+	// suite's storage failures. Production loads leave it nil.
 	Fault func(pager.Disk) pager.Disk
 }
 
@@ -138,7 +138,11 @@ func NewBulkLoader(t *Tree, cfg BulkLoadConfig) (*BulkLoader, error) {
 	// with a tiny internal size keeps the counting semantics (pool
 	// capacity = MemoryBytes/PageSize pages, one transfer per page
 	// moved) while avoiding zeroing megabytes of real 4 KiB buffers.
-	disk := pager.NewMemDisk()
+	mem, err := pager.CreateDiskFile(pager.NewMemFile(), 8)
+	if err != nil {
+		return nil, err
+	}
+	var disk pager.Disk = mem
 	if cfg.Fault != nil {
 		disk = cfg.Fault(disk)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"spatialanon/internal/fault"
+	"spatialanon/internal/pager"
 	"spatialanon/internal/rplustree"
 	"spatialanon/internal/wal"
 
@@ -30,10 +31,10 @@ func newGate() *gate {
 }
 
 // wrap puts the gate in front of a log file (wal.Options.AppendFault).
-func (g *gate) wrap(f wal.LogFile) wal.LogFile { return gatedLog{f, g} }
+func (g *gate) wrap(f pager.File) pager.File { return gatedLog{f, g} }
 
 type gatedLog struct {
-	wal.LogFile
+	pager.File
 	g *gate
 }
 
@@ -44,17 +45,17 @@ func (f gatedLog) Write(p []byte) (int, error) {
 		g.once.Do(func() { close(g.entered) })
 		<-g.release
 	}
-	return f.LogFile.Write(p)
+	return f.File.Write(p)
 }
 
 // newFaultyStore builds a store whose log files are wrapped by af, on a
 // single-try log writer.
-func newFaultyStore(t testing.TB, af func(wal.LogFile) wal.LogFile, checkpointEvery int) *wal.Store {
+func newFaultyStore(t testing.TB, af func(pager.File) pager.File, checkpointEvery int) *wal.Store {
 	return newRetryingStore(t, af, checkpointEvery, retry.Policy{})
 }
 
 // newRetryingStore is newFaultyStore with a writer retry budget.
-func newRetryingStore(t testing.TB, af func(wal.LogFile) wal.LogFile, checkpointEvery int, rp retry.Policy) *wal.Store {
+func newRetryingStore(t testing.TB, af func(pager.File) pager.File, checkpointEvery int, rp retry.Policy) *wal.Store {
 	t.Helper()
 	st, err := wal.Create(wal.Options{
 		Dir:             t.TempDir(),

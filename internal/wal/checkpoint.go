@@ -97,7 +97,7 @@ func (w *pageStream) put(b []byte, leaf bool) (rplustree.Ref, error) {
 	if leaf {
 		r = &w.leaves
 	}
-	ref := rplustree.Ref{Len: uint32(len(b)), CRC: Checksum(b)}
+	ref := rplustree.Ref{Len: uint32(len(b)), CRC: pager.Checksum(b)}
 	for first := true; len(b) > 0; first = false {
 		if r.cur == nil {
 			id, data, err := w.pg.Alloc()
@@ -195,37 +195,37 @@ func (s *Store) writeCheckpoint(out *pageStream, full bool) error {
 	if err := s.pg.Flush(); err != nil {
 		return err
 	}
-	if !s.opts.NoSync {
-		if err := s.pg.Sync(); err != nil {
-			return err
-		}
+	if err := s.pg.Sync(); err != nil {
+		return err
 	}
 
 	payload, err := Encode(Record{Type: TypeCheckpointEnd, Seq: s.seq, Manifest: &Manifest{Seq: s.seq, Root: ck.Root}})
 	if err != nil {
 		return err
 	}
-	tmpPath := filepath.Join(s.opts.Dir, tmpName)
-	logPath := filepath.Join(s.opts.Dir, logName)
-	os.Remove(tmpPath)
-	w2, err := openWriter(tmpPath, s.opts)
+	f, err := s.opts.open(tmpName, os.O_WRONLY|os.O_CREATE|os.O_TRUNC|os.O_APPEND)
 	if err != nil {
 		return err
 	}
+	w2 := newWriter(f, 0, s.opts)
 	if err := w2.Append(payload); err != nil {
 		w2.Close()
 		return err
 	}
-	if err := os.Rename(tmpPath, logPath); err != nil {
+	if err := os.Rename(filepath.Join(s.opts.Dir, tmpName), filepath.Join(s.opts.Dir, logName)); err != nil {
 		w2.Close()
 		return err
 	}
 	out.pages = nil // published: they are the checkpoint's now, not the attempt's
-	if !s.opts.NoSync {
-		if err := syncDir(s.opts.Dir); err != nil {
-			w2.Close()
-			return err
-		}
+	// Syncing the directory makes the rename durable.
+	dir, err := s.opts.open("", os.O_RDONLY)
+	if err == nil {
+		err = dir.Sync()
+		dir.Close()
+	}
+	if err != nil {
+		w2.Close()
+		return err
 	}
 	s.closeWriter()
 	s.w = w2
@@ -323,7 +323,7 @@ func (s *Store) readRef(ref rplustree.Ref, dst []byte) ([]byte, error) {
 			return dst, err
 		}
 	}
-	if got := Checksum(dst[start:]); got != ref.CRC {
+	if got := pager.Checksum(dst[start:]); got != ref.CRC {
 		return dst, fmt.Errorf("wal: checksum %08x over %d bytes in pages %v, reference says %08x", got, ref.Len, ref.Pages, ref.CRC)
 	}
 	return dst, nil

@@ -671,6 +671,64 @@ func TestCrashMatrixIncremental(t *testing.T) {
 	}
 }
 
+// syncTrace records in order the Syncs a store's page disk and log files
+// receive (Options.PagerFault, Options.AppendFault).
+type syncTrace []string
+
+func (tr *syncTrace) disk(d pager.Disk) pager.Disk { return syncedDisk{d, tr} }
+func (tr *syncTrace) log(f pager.File) pager.File  { return syncedLog{f, tr} }
+
+type syncedDisk struct {
+	pager.Disk
+	tr *syncTrace
+}
+
+func (d syncedDisk) Sync() error { *d.tr = append(*d.tr, "disk"); return d.Disk.Sync() }
+
+type syncedLog struct {
+	pager.File
+	tr *syncTrace
+}
+
+func (f syncedLog) Sync() error { *f.tr = append(*f.tr, "log"); return f.File.Sync() }
+
+// TestNoSyncKeepsSyncSequence: NoSync makes the Syncs of the store's files
+// do nothing but skips none, so the page disk and the log see the same
+// sequence of Sync calls — and a fault schedule drawn on them the same
+// draws — with NoSync on and off.
+func TestNoSyncKeepsSyncSequence(t *testing.T) {
+	recs := makeRecords(dataset.LandsEndSchema(), 200, 5)
+	trace := func(noSync bool) syncTrace {
+		var tr syncTrace
+		opts := testOpts(t, 3)
+		opts.NoSync, opts.CheckpointEvery = noSync, 50
+		opts.PagerFault, opts.AppendFault = tr.disk, tr.log
+		s, err := Create(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if _, err := s.ApplyBatch([]Op{{Type: TypeInsert, Rec: r}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	synced, unsynced := trace(false), trace(true)
+	if !slices.Contains(synced, "disk") {
+		t.Fatalf("no page disk Sync in %v", synced)
+	}
+	if !slices.Equal(synced, unsynced) {
+		t.Fatalf("Syncs with NoSync off %v\nand on %v", synced, unsynced)
+	}
+}
+
 // failNthWrite is a page disk failing exactly one page write-back — the
 // n-th it sees once armed — with a transient error.
 type failNthWrite struct {

@@ -39,7 +39,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"spatialanon/internal/attr"
 )
@@ -145,13 +144,6 @@ type Record struct {
 	// [Seq, Seq+len(Batch)).
 	Batch []Op
 }
-
-// castagnoli is the CRC32-C table, shared with the pager's page seals.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Checksum is the CRC32-C over payload bytes used in frame trailers
-// and in the references between a checkpoint's objects.
-func Checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // maxVec bounds decoded counts (operations, dimensions, manifest pages)
 // on top of the remaining-bytes check every count gets: a frame claiming

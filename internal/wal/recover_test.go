@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"path/filepath"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -433,17 +433,18 @@ func TestOpenRefusesOldFormatStore(t *testing.T) {
 	}
 	for want, payload := range cases {
 		opts := testOpts(t, 3).withDefaults()
-		pg, err := openPager(opts, pager.CreateDiskFile)
+		pg, err := openPager(opts, os.O_CREATE|os.O_TRUNC, pager.CreateDiskFile)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := pg.Close(); err != nil {
 			t.Fatal(err)
 		}
-		w, err := openWriter(filepath.Join(opts.Dir, logName), Options{NoSync: true, Retry: opts.Retry})
+		f, err := opts.open(logName, os.O_WRONLY|os.O_CREATE|os.O_APPEND)
 		if err != nil {
 			t.Fatal(err)
 		}
+		w := newWriter(f, 0, opts)
 		if err := w.Append(payload); err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -39,9 +40,10 @@ type Options struct {
 	// PoolPages is the pager pool capacity. Default 256: recovery merges the
 	// live checkpoints' page runs and rereads pages unless one per run stays.
 	PoolPages int
-	// NoSync skips fsync on log appends and checkpoints. The crash
-	// matrix uses it: simulated crashes cut the byte stream exactly
-	// where the injector says, so real fsyncs only cost time there.
+	// NoSync makes Sync of every file the store opens — log, page file,
+	// directory — do nothing (Options.open); every Sync is still called.
+	// The crash matrix uses it: simulated crashes cut the byte stream
+	// exactly where the injector says, so real fsyncs only cost time there.
 	NoSync bool
 	// PagerFault, when non-nil, wraps the page file's disk in a failing
 	// device (fault.Injector.Disk, fault.Crash.Disk); one fault.Crash
@@ -55,7 +57,7 @@ type Options struct {
 	Retry retry.Policy
 	// AppendFault, when non-nil, wraps every log file the store opens in
 	// a failing device (fault.Injector.Log, fault.Crash.Log).
-	AppendFault func(LogFile) LogFile
+	AppendFault func(pager.File) pager.File
 }
 
 func (o Options) withDefaults() Options {
@@ -67,6 +69,25 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// open opens name in the store directory — "" is the directory itself,
+// whose Sync makes a rename in it durable. Every file the store touches is
+// opened here; under NoSync its Sync does nothing.
+func (o Options) open(name string, flag int) (pager.File, error) {
+	f, err := os.OpenFile(filepath.Join(o.Dir, name), flag, 0o644)
+	switch {
+	case err != nil:
+		return nil, err
+	case o.NoSync:
+		return unsynced{f}, nil
+	}
+	return f, nil
+}
+
+// unsynced is a file of a NoSync store.
+type unsynced struct{ pager.File }
+
+func (unsynced) Sync() error { return nil }
 
 // RecoveryStats describes what it took to reopen a store.
 type RecoveryStats struct {
@@ -141,7 +162,7 @@ func Create(opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	pg, err := openPager(opts, pager.CreateDiskFile)
+	pg, err := openPager(opts, os.O_CREATE|os.O_TRUNC, pager.CreateDiskFile)
 	if err != nil {
 		return nil, err
 	}
@@ -157,12 +178,16 @@ func Create(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// openPager opens the store's page file — with pager.CreateDiskFile
-// (truncating) or pager.OpenDiskFile — behind opts.PagerFault and a
-// pool. The pool reuses freed slots: checkpoints free about as many
-// pages as they allocate, forever.
-func openPager(opts Options, open func(path string, pageSize int) (*pager.DiskFile, error)) (*pager.Pager, error) {
-	d, err := open(filepath.Join(opts.Dir, pagesName), opts.PageSize)
+// openPager opens the store's page file with flag added to O_RDWR — with
+// pager.CreateDiskFile (O_CREATE|O_TRUNC) or pager.OpenDiskFile — behind
+// opts.PagerFault and a pool. The pool reuses freed slots: checkpoints
+// free about as many pages as they allocate, forever.
+func openPager(opts Options, flag int, diskFile func(pager.File, int) (*pager.DiskFile, error)) (*pager.Pager, error) {
+	f, err := opts.open(pagesName, os.O_RDWR|flag)
+	if err != nil {
+		return nil, err
+	}
+	d, err := diskFile(f, opts.PageSize)
 	if err != nil {
 		return nil, err
 	}
@@ -171,11 +196,10 @@ func openPager(opts Options, open func(path string, pageSize int) (*pager.DiskFi
 		disk = opts.PagerFault(d)
 	}
 	pg, err := pager.NewWithDisk(opts.PageSize, opts.PoolPages, disk)
-	if err != nil {
-		d.Close()
-		return nil, err
+	if err == nil {
+		err = pg.ReuseFreed()
 	}
-	if err := pg.ReuseFreed(); err != nil {
+	if err != nil {
 		d.Close()
 		return nil, err
 	}
@@ -187,48 +211,45 @@ func openPager(opts Options, open func(path string, pageSize int) (*pager.DiskFi
 // reclaim pages leaked by an interrupted checkpoint — and then audit
 // the result with internal/verify before the store will publish
 // anything. RecoveryStats reports what the reopen cost.
-func Open(opts Options) (*Store, error) {
+func Open(opts Options) (_ *Store, err error) {
 	opts = opts.withDefaults()
-	logPath := filepath.Join(opts.Dir, logName)
-	img, err := os.ReadFile(logPath)
+	f, err := opts.open(logName, os.O_RDWR|os.O_APPEND)
 	if err != nil {
 		return nil, fmt.Errorf("wal: no store in %s: %w", opts.Dir, err)
+	}
+	// The one handle on the log: read here, truncated to its committed
+	// prefix below, appended to by the writer.
+	s := &Store{opts: opts, w: newWriter(f, 0, opts)}
+	defer func() {
+		if err != nil {
+			s.Close()
+		}
+	}()
+	img, err := io.ReadAll(io.NewSectionReader(f, 0, math.MaxInt64))
+	if err != nil {
+		return nil, err
 	}
 	// A wal.tmp is the residue of a checkpoint that died before its
 	// atomic rename; the checkpoint never happened.
 	os.Remove(filepath.Join(opts.Dir, tmpName))
 
-	pg, err := openPager(opts, pager.OpenDiskFile)
-	if err != nil {
+	if s.pg, err = openPager(opts, 0, pager.OpenDiskFile); err != nil {
 		return nil, err
 	}
-	s := &Store{opts: opts, pg: pg}
 	s.recovery.LogBytes = len(img)
-
 	if err := s.recover(img); err != nil {
-		pg.Close()
 		return nil, err
 	}
 	// Truncate the uncommitted tail so new appends extend the
 	// committed prefix instead of hiding behind a torn frame.
-	committed := len(img) - s.recovery.TornBytes
-	if s.recovery.TornBytes > 0 {
-		if err := os.Truncate(logPath, int64(committed)); err != nil {
-			pg.Close()
-			return nil, err
-		}
-	}
-	w, err := openWriter(logPath, opts)
-	if err != nil {
-		pg.Close()
+	s.w.size = int64(len(img) - s.recovery.TornBytes)
+	if err := f.Truncate(s.w.size); err != nil {
 		return nil, err
 	}
-	s.w = w
 	if err := s.audit(); err != nil {
-		s.Close()
 		return nil, err
 	}
-	st := pg.Stats()
+	st := s.pg.Stats()
 	s.recovery.PagerReads, s.recovery.PagerWrites = st.Reads, st.Writes
 	return s, nil
 }
@@ -535,16 +556,6 @@ func (s *Store) checkpoint(full bool) error {
 	return s.dead
 }
 
-// syncDir fsyncs a directory so a rename inside it is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
 // Release returns the release at granularity k1 (0 = base k) from the
 // release family of the current leaves, scanned and proven on every
 // call — the store is single-goroutine and keeps no memo, so what it
@@ -691,7 +702,7 @@ func (s *Store) closeWriter() error {
 // real audited recovery. CreateDiskFile truncates, so whatever rot
 // the old image held is gone.
 func (s *Store) reseed() error {
-	pg, err := openPager(s.opts, pager.CreateDiskFile)
+	pg, err := openPager(s.opts, os.O_CREATE|os.O_TRUNC, pager.CreateDiskFile)
 	if err != nil {
 		return err
 	}

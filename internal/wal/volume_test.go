@@ -6,6 +6,7 @@ import (
 	"spatialanon/internal/attr"
 	"spatialanon/internal/dataset"
 	"spatialanon/internal/detrng"
+	"spatialanon/internal/pager"
 )
 
 // benchMix is the benchmark of record's churn (bench/gen.go, opStream)
@@ -166,16 +167,16 @@ func TestCheckpointVolumeLongRun(t *testing.T) {
 type frameCounter struct{ bytes int64 }
 
 // wrap puts the counter in front of a log file (Options.AppendFault).
-func (c *frameCounter) wrap(lf LogFile) LogFile { return countedLog{lf, c} }
+func (c *frameCounter) wrap(lf pager.File) pager.File { return countedLog{lf, c} }
 
 type countedLog struct {
-	LogFile
+	pager.File
 	c *frameCounter
 }
 
 func (f countedLog) Write(p []byte) (int, error) {
 	f.c.bytes += int64(len(p))
-	return f.LogFile.Write(p)
+	return f.File.Write(p)
 }
 
 // TestServeLargeWindowBytes replays the nominal window of the benchmark's

@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
 
+	"spatialanon/internal/pager"
 	"spatialanon/internal/retry"
 )
 
@@ -18,23 +18,6 @@ const frameOverhead = 8
 // as a torn length prefix.
 const maxFrame = 64 << 20
 
-// LogFile is what a Writer appends to: the log's *os.File, or a wrapper
-// of it. NoSync is one whose Sync does nothing; a fault injector is one
-// that fails writes and fsyncs (fault.Injector.Log, fault.Crash.Log). A
-// failed Write may still have landed a torn prefix. The error's class
-// decides what happens next: one exposing a true `Transient() bool` is
-// retried under the writer's retry policy, truncate first; one for which
-// IsCrash holds kills the writer where it stands, torn prefix and all;
-// anything else is rolled back and escalates. The writer calls Sync
-// after every append, NoSync or not, so a fault schedule replays
-// identically in synced and unsynced runs.
-type LogFile = interface {
-	Write(p []byte) (int, error)
-	Truncate(size int64) error
-	Sync() error
-	Close() error
-}
-
 // IsCrash reports whether err is (or wraps) a simulated process
 // death: any error in the chain exposing a true Crashed() bool, which
 // is how fault.CrashError identifies itself without being imported.
@@ -46,7 +29,7 @@ func IsCrash(err error) bool {
 // Writer appends framed records to a log file. It is not safe for
 // concurrent use.
 type Writer struct {
-	f     LogFile
+	f     pager.File
 	size  int64 // bytes of committed frames; a retry truncates back here
 	retry retry.Policy
 	// retries counts the physical write and fsync attempts past the
@@ -61,36 +44,22 @@ type Writer struct {
 	buf []byte
 }
 
-// openWriter opens path for appending, behind o's NoSync and
-// AppendFault. The file's existing contents are assumed valid (callers
-// scan before appending).
-func openWriter(path string, o Options) (*Writer, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	var lf LogFile = f
-	if o.NoSync {
-		lf = noSync{f}
-	}
+// newWriter appends to the log file f, opened O_APPEND, whose first size
+// bytes are committed frames, behind o's AppendFault. A failed Write may
+// still have landed a torn prefix. The error's class decides what happens
+// next: one exposing a true `Transient() bool` is retried under the
+// writer's retry policy, truncate first; one for which IsCrash holds kills
+// the writer where it stands, torn prefix and all; anything else is rolled
+// back and escalates.
+func newWriter(f pager.File, size int64, o Options) *Writer {
 	if o.AppendFault != nil {
-		lf = o.AppendFault(lf)
+		f = o.AppendFault(f)
 	}
-	return &Writer{f: lf, size: st.Size(), retry: o.Retry}, nil
+	return &Writer{f: f, size: size, retry: o.Retry}
 }
 
-// noSync is the log file of Options.NoSync: its Sync does nothing.
-type noSync struct{ *os.File }
-
-func (noSync) Sync() error { return nil }
-
 // Append frames the payload and appends it durably: length prefix,
-// payload, CRC32-C trailer, then fsync (unless NoSync). Real-device
+// payload, CRC32-C trailer, then fsync. Real-device
 // deployments see transient write and fsync errors, so both run under
 // the package retry policy. A failed append is CLEAN: the log is rolled
 // back to its committed size, so the frame the caller was told is not
@@ -109,7 +78,7 @@ func (w *Writer) Append(payload []byte) error {
 	frame := w.buf[:0]
 	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
 	frame = append(frame, payload...)
-	frame = binary.LittleEndian.AppendUint32(frame, Checksum(payload))
+	frame = binary.LittleEndian.AppendUint32(frame, pager.Checksum(payload))
 	w.buf = frame
 
 	err := w.attempts(func(retrying bool) error {
@@ -226,7 +195,7 @@ func (s *Scanner) Next() ([]byte, bool) {
 	}
 	payload := s.data[s.off+4 : s.off+4+n]
 	sum := binary.LittleEndian.Uint32(s.data[s.off+4+n:])
-	if Checksum(payload) != sum {
+	if pager.Checksum(payload) != sum {
 		s.torn = true
 		return nil, false
 	}

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -13,11 +12,7 @@ import (
 func BenchmarkWriterAppend(b *testing.B) {
 	for _, size := range []int{64, 1024} {
 		b.Run(byteSize(size), func(b *testing.B) {
-			path := filepath.Join(b.TempDir(), "bench.log")
-			w, err := openWriter(path, Options{NoSync: true})
-			if err != nil {
-				b.Fatal(err)
-			}
+			w, path := openLog(b, Options{NoSync: true})
 			defer w.Close()
 			payload := make([]byte, size)
 			for i := range payload {

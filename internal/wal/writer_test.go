@@ -6,8 +6,21 @@ import (
 	"testing"
 
 	"spatialanon/internal/fault"
+	"spatialanon/internal/pager"
 	"spatialanon/internal/retry"
 )
+
+// openLog returns a writer appending to a fresh wal.log in a temporary
+// store directory, opened as Open opens it, and the file's path.
+func openLog(tb testing.TB, o Options) (*Writer, string) {
+	tb.Helper()
+	o.Dir = tb.TempDir()
+	f, err := o.open(logName, os.O_RDWR|os.O_CREATE|os.O_APPEND)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return newWriter(f, 0, o), filepath.Join(o.Dir, logName)
+}
 
 func readLog(t *testing.T, path string) []byte {
 	t.Helper()
@@ -19,11 +32,7 @@ func readLog(t *testing.T, path string) []byte {
 }
 
 func TestWriterScannerRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := openWriter(path, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, path := openLog(t, Options{NoSync: true})
 	payloads := [][]byte{{1}, {2, 3}, {}, {4, 5, 6, 7}}
 	for _, p := range payloads {
 		if err := w.Append(p); err != nil {
@@ -52,11 +61,7 @@ func TestWriterScannerRoundTrip(t *testing.T) {
 // the scanner must always return exactly the frames that are entirely
 // present with valid checksums, flag the tail as torn, and never panic.
 func TestScannerStopsAtTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := openWriter(path, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, path := openLog(t, Options{NoSync: true})
 	var frameEnds []int
 	off := 0
 	for i := 0; i < 5; i++ {
@@ -117,11 +122,7 @@ func atFrameEnd(ends []int, n int) bool {
 // TestScannerRejectsBitFlip flips each byte of a committed frame: the
 // checksum must end the committed prefix there.
 func TestScannerRejectsBitFlip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := openWriter(path, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, path := openLog(t, Options{NoSync: true})
 	if err := w.Append([]byte("abcdef")); err != nil {
 		t.Fatal(err)
 	}
@@ -157,20 +158,15 @@ func TestScannerRejectsBitFlip(t *testing.T) {
 // the fatal append persists only the torn prefix, and the writer is
 // dead afterwards, like the process it models.
 func TestWriterCrashTearsFrame(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
 	crash := &fault.Crash{At: 3, Torn: 0.5}
-	w, err := openWriter(path, Options{NoSync: true, AppendFault: crash.Log})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, path := openLog(t, Options{NoSync: true, AppendFault: crash.Log})
 	payload := []byte("0123456789")
 	for i := 0; i < 2; i++ {
 		if err := w.Append(payload); err != nil {
 			t.Fatal(err)
 		}
 	}
-	err = w.Append(payload)
-	if !IsCrash(err) {
+	if err := w.Append(payload); !IsCrash(err) {
 		t.Fatalf("fatal append: %v", err)
 	}
 	if err := w.Append(payload); !IsCrash(err) {
@@ -209,7 +205,7 @@ func TestAppendFaultClassDecidesRollback(t *testing.T) {
 	frame := len(payload) + frameOverhead
 	for _, tc := range []struct {
 		name      string
-		hook      func(LogFile) LogFile
+		hook      func(pager.File) pager.File
 		wantCrash bool
 		wantTail  int
 	}{
@@ -218,16 +214,12 @@ func TestAppendFaultClassDecidesRollback(t *testing.T) {
 		{"permanent", fault.NewInjector(5, fault.Config{PermanentWriteRate: 1, After: 1}).Log, false, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "wal.log")
-			w, err := openWriter(path, Options{NoSync: true, Retry: retry.Policy{Attempts: 3}, AppendFault: tc.hook})
-			if err != nil {
-				t.Fatal(err)
-			}
+			w, path := openLog(t, Options{NoSync: true, Retry: retry.Policy{Attempts: 3}, AppendFault: tc.hook})
 			defer w.Close()
 			if err := w.Append(payload); err != nil {
 				t.Fatal(err)
 			}
-			err = w.Append(payload)
+			err := w.Append(payload)
 			if err == nil || IsCrash(err) != tc.wantCrash || retry.IsTransient(err) {
 				t.Fatalf("faulted append: %v", err)
 			}
@@ -248,22 +240,22 @@ func TestAppendFaultClassDecidesRollback(t *testing.T) {
 // transiently after persisting only half their bytes — the torn partial
 // write an O_APPEND retry must not land after.
 type tornWrites struct {
-	LogFile
+	pager.File
 	failAttempts int
 }
 
 func (f *tornWrites) Write(p []byte) (int, error) {
 	if f.failAttempts > 0 {
 		f.failAttempts--
-		n, _ := f.LogFile.Write(p[:len(p)/2])
+		n, _ := f.File.Write(p[:len(p)/2])
 		return n, &fault.Error{Op: "append", Kind: fault.Transient}
 	}
-	return f.LogFile.Write(p)
+	return f.File.Write(p)
 }
 
 // wrap puts f in front of a writer's log file (Options.AppendFault).
-func (f *tornWrites) wrap(lf LogFile) LogFile {
-	f.LogFile = lf
+func (f *tornWrites) wrap(lf pager.File) pager.File {
+	f.File = lf
 	return f
 }
 
@@ -273,12 +265,8 @@ func (f *tornWrites) wrap(lf LogFile) LogFile {
 // after it) hides behind bytes the scanner refuses and recovery
 // silently drops acknowledged writes.
 func TestAppendRetryRewindsTornPartialWrite(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
 	torn := &tornWrites{failAttempts: 1}
-	w, err := openWriter(path, Options{NoSync: true, Retry: retry.Policy{Attempts: 3}, AppendFault: torn.wrap})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, path := openLog(t, Options{NoSync: true, Retry: retry.Policy{Attempts: 3}, AppendFault: torn.wrap})
 	defer w.Close()
 	if err := w.Append([]byte("first")); err != nil {
 		t.Fatalf("append with retries: %v", err)
@@ -323,11 +311,7 @@ func TestScannerHugeLengthPrefix(t *testing.T) {
 }
 
 func TestAppendRejectsOversizedFrame(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := openWriter(path, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, _ := openLog(t, Options{NoSync: true})
 	defer w.Close()
 	if err := w.Append(make([]byte, maxFrame+1)); err == nil {
 		t.Fatal("oversized frame accepted")
