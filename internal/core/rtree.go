@@ -43,7 +43,10 @@ type RTreeAnonymizer struct {
 	cfg        RTreeConfig
 	constraint anonmodel.Constraint
 	tree       *rplustree.Tree
-	loader     *rplustree.BulkLoader
+	// loader is the open load's bulk loader, nil between loads; reads
+	// and writes sum the I/O of the loads that have closed.
+	loader        *rplustree.BulkLoader
+	reads, writes int64
 }
 
 // Validate checks the configuration without building anything: the
@@ -107,15 +110,18 @@ func NewRTreeAnonymizer(cfg RTreeConfig) (*RTreeAnonymizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &RTreeAnonymizer{cfg: cfg, constraint: constraint, tree: tree}
 	if cfg.BulkLoad != nil {
-		loader, err := rplustree.NewBulkLoader(tree, *cfg.BulkLoad)
+		// A loader opened and closed here reports a bad BulkLoadConfig now
+		// rather than at the first Load.
+		bl, err := rplustree.NewBulkLoader(tree, *cfg.BulkLoad)
 		if err != nil {
 			return nil, err
 		}
-		a.loader = loader
+		if err := bl.Close(); err != nil {
+			return nil, err
+		}
 	}
-	return a, nil
+	return &RTreeAnonymizer{cfg: cfg, constraint: constraint, tree: tree}, nil
 }
 
 // Name implements Anonymizer.
@@ -139,13 +145,14 @@ func (a *RTreeAnonymizer) Len() int { return a.tree.Len() }
 // Load inserts a batch of records through the configured load path
 // (buffer tree or tuple-at-a-time) and leaves the index query-ready.
 // It may be called repeatedly — each call is one incremental batch of
-// the Section 2.2 / Figure 7(b) regime.
+// the Section 2.2 / Figure 7(b) regime, and with a bulk loader one load:
+// a loader is opened for it and closed when it ends.
 func (a *RTreeAnonymizer) Load(recs []attr.Record) error {
-	if a.loader != nil {
-		if err := a.loader.InsertBatch(recs); err != nil {
+	if a.cfg.BulkLoad != nil {
+		if err := a.LoadBuffered(recs); err != nil {
 			return err
 		}
-		return a.loader.Flush()
+		return a.Sync()
 	}
 	for _, r := range recs {
 		if err := a.tree.Insert(r); err != nil {
@@ -159,46 +166,64 @@ func (a *RTreeAnonymizer) Load(recs []attr.Record) error {
 // the buffers down to the leaves. Use it to stream a large data set in
 // pieces — the whole point of buffer-tree loading is that records
 // descend lazily, a level at a time, as buffers fill — then call Sync
-// once before publishing. Without a bulk loader it behaves like Load.
+// once before publishing. It opens a loader if none is open. Without a
+// bulk loader it behaves like Load.
 func (a *RTreeAnonymizer) LoadBuffered(recs []attr.Record) error {
-	if a.loader == nil {
+	if a.cfg.BulkLoad == nil {
 		return a.Load(recs)
+	}
+	if a.loader == nil {
+		bl, err := rplustree.NewBulkLoader(a.tree, *a.cfg.BulkLoad)
+		if err != nil {
+			return err
+		}
+		a.loader = bl
 	}
 	return a.loader.InsertBatch(recs)
 }
 
-// Sync forces every buffered record into the leaves, making the index
-// consistent for Partitions, queries and level views.
+// Sync ends the open load, if any: every buffered record is forced into
+// the leaves, making the index consistent for Partitions, queries and
+// level views, and the loader is closed. On error the loader stays open
+// and Sync can be retried.
 func (a *RTreeAnonymizer) Sync() error {
 	if a.loader == nil {
 		return nil
 	}
-	return a.loader.Flush()
+	if err := a.loader.Close(); err != nil {
+		return err
+	}
+	s := a.loader.Stats()
+	a.reads += s.Reads
+	a.writes += s.Writes
+	a.loader = nil
+	return nil
 }
 
-// Insert adds one record (tuple-at-a-time maintenance).
+// Insert adds one record (tuple-at-a-time maintenance), after ending any
+// open load.
 func (a *RTreeAnonymizer) Insert(rec attr.Record) error {
-	if a.loader != nil {
-		if err := a.loader.Insert(rec); err != nil {
-			return err
-		}
-		return a.loader.Flush()
+	if err := a.Sync(); err != nil {
+		return err
 	}
 	return a.tree.Insert(rec)
 }
 
-// Delete removes the record with the given ID at qi. The bool reports
-// whether the record was found; the error surfaces storage-charge
-// failures from an attached loader during underflow repair (the
-// removal itself has still happened).
+// Delete removes the record with the given ID at qi, after ending any
+// open load. The bool reports whether the record was found.
 func (a *RTreeAnonymizer) Delete(id int64, qi []float64) (bool, error) {
+	if err := a.Sync(); err != nil {
+		return false, err
+	}
 	return a.tree.Delete(id, qi)
 }
 
-// Update relocates a record. The bool reports whether the record was
-// found; the error surfaces storage-charge failures from an attached
-// loader (the record is reinserted either way).
+// Update relocates a record, after ending any open load. The bool reports
+// whether the record was found.
 func (a *RTreeAnonymizer) Update(id int64, oldQI []float64, rec attr.Record) (bool, error) {
+	if err := a.Sync(); err != nil {
+		return false, err
+	}
 	return a.tree.Update(id, oldQI, rec)
 }
 
@@ -311,12 +336,9 @@ func (a *RTreeAnonymizer) HierarchicalReleases() ([]Release, error) {
 	return out, nil
 }
 
-// IOStats returns the bulk loader's I/O counters, or zeros when loading
-// tuple-at-a-time.
+// IOStats returns the I/O counters summed over the bulk loads that have
+// closed (a LoadBuffered span counts once Sync ends it), or zeros when
+// loading tuple-at-a-time. Maintenance charges none.
 func (a *RTreeAnonymizer) IOStats() (reads, writes int64) {
-	if a.loader == nil {
-		return 0, 0
-	}
-	s := a.loader.Stats()
-	return s.Reads, s.Writes
+	return a.reads, a.writes
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"spatialanon/internal/anonmodel"
@@ -176,8 +177,19 @@ func TestRTreeBufferedLoadAndSync(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The open load is the tree's only writer until Sync ends it.
+	extra := attr.Record{ID: 9999, QI: recs[0].QI}
+	if err := a.Tree().Insert(extra); !errors.Is(err, rplustree.ErrLoading) {
+		t.Fatalf("tree Insert inside a LoadBuffered span: %v", err)
+	}
+	if r, w := a.IOStats(); r+w != 0 {
+		t.Fatalf("an open load reported %d I/Os", r+w)
+	}
 	if err := a.Sync(); err != nil {
 		t.Fatal(err)
+	}
+	if r, w := a.IOStats(); r+w == 0 {
+		t.Fatal("the closed load reported no I/O")
 	}
 	if a.Len() != 1200 {
 		t.Fatalf("Len = %d", a.Len())
@@ -191,6 +203,9 @@ func TestRTreeBufferedLoadAndSync(t *testing.T) {
 	}
 	if err := a.Tree().CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	if err := a.Tree().Insert(extra); err != nil {
+		t.Fatalf("tree Insert after Sync: %v", err)
 	}
 	// Without a loader, LoadBuffered degrades to Load and Sync is a
 	// no-op.
@@ -262,5 +277,50 @@ func TestRTreeIOStats(t *testing.T) {
 	}
 	if r, w := b.IOStats(); r != 0 || w != 0 {
 		t.Fatal("tuple load reported I/O")
+	}
+}
+
+// TestMaintenanceAfterLoadChargesNoIO: the bulk loader is closed when its
+// load ends, so tuple-at-a-time maintenance afterwards — 2 000 inserts and
+// 1 500 deletes with their underflow repairs — charges no I/O. The leaf
+// digest is pinned: maintenance builds the same leaves it built when the
+// loader stayed attached and charged for it.
+func TestMaintenanceAfterLoadChargesNoIO(t *testing.T) {
+	recs := dataset.GenerateLandsEnd(22000, 43)
+	a, err := NewRTreeAnonymizer(RTreeConfig{
+		Schema: dataset.LandsEndSchema(), BaseK: 10, Parallelism: 1,
+		BulkLoad: &rplustree.BulkLoadConfig{MemoryBytes: 1 << 20, RecordBytes: 32},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Load(recs[:20000]); err != nil {
+		t.Fatal(err)
+	}
+	reads, writes := a.IOStats()
+	if reads+writes == 0 {
+		t.Fatal("the load charged no I/O; the test exercises nothing")
+	}
+	for _, r := range recs[20000:] {
+		if err := a.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range recs[:1500] {
+		if found, err := a.Delete(r.ID, r.QI); err != nil || !found {
+			t.Fatalf("delete %d: found=%v err=%v", r.ID, found, err)
+		}
+	}
+	r, w := a.IOStats()
+	t.Logf("load %d+%d I/Os, after maintenance %d+%d", reads, writes, r, w)
+	if r != reads || w != writes {
+		t.Errorf("maintenance charged %d reads and %d writes after the load", r-reads, w-writes)
+	}
+	if err := a.Tree().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	const pinned uint64 = 0x8bf98405b6e54104
+	if got := releaseDigest(a.Tree().Leaves()); got != pinned {
+		t.Errorf("leaf digest %#x, pinned %#x", got, pinned)
 	}
 }

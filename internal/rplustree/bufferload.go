@@ -105,6 +105,7 @@ type BulkLoader struct {
 	bufferCap   int // records per buffer before it empties
 
 	nodePages map[*node]pager.PageID // structural + leaf proxy pages
+	buffered  int                    // records blocked in node buffers
 
 	// free holds emptied buffer arrays for the next buffer that needs
 	// one: every record passes through a buffer per level, and arrays
@@ -120,7 +121,8 @@ type BulkLoader struct {
 const maxFreeArrays = 64
 
 // NewBulkLoader attaches a buffer-tree loader to an (typically empty)
-// tree. Only one loader may drive a tree at a time.
+// tree. Loading is a phase: until Close the loader is the tree's only
+// writer, and the tree's own Insert, Delete and Update return ErrLoading.
 func NewBulkLoader(t *Tree, cfg BulkLoadConfig) (*BulkLoader, error) {
 	if t.loader != nil {
 		return nil, fmt.Errorf("rplustree: tree already has a bulk loader")
@@ -227,38 +229,28 @@ func (bl *BulkLoader) InsertBatch(recs []attr.Record) error {
 // not-yet-drained buffers keep their records; Flush can be called again
 // once the storage recovers.
 func (bl *BulkLoader) Flush() error {
-	// Empty top-down: a node's buffer is emptied before its children's,
-	// so one pass drains every record to the leaf frontier. The walk
-	// descends only into subtrees that hold blocked records (node.pending)
-	// — a single Insert drains one root-to-leaf path, not the tree. Child
-	// lists are snapshotted because restructuring replaces nodes mid-walk;
-	// walking on through a replaced node's list is harmless (its buffer is
-	// empty, its children carry their own counts).
-	var drain func(n *node) error
-	drain = func(n *node) error {
-		if n.pending == 0 {
-			return nil
-		}
-		if n.buffer != nil && len(n.buffer.recs) > 0 {
-			if err := bl.emptyBuffer(n); err != nil {
-				return err
+	// Empty top-down: the walk is pre-order, children in child-list order,
+	// so a node's buffer is emptied before its children's and one pass
+	// drains every record to the leaf frontier. A node's children are
+	// pushed after its emptying, which may have replaced it; walking on
+	// through a replaced node's list is harmless (its buffer is empty).
+	// Restructuring can, in rare shapes, move a still-buffered node above
+	// an already-visited position; loop until nothing is buffered (the
+	// second pass almost never happens).
+	var stack []*node
+	for bl.buffered > 0 {
+		stack = append(stack, bl.tree.root)
+		for len(stack) > 0 {
+			n := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if n.buffer != nil && len(n.buffer.recs) > 0 {
+				if err := bl.emptyBuffer(n); err != nil {
+					return err
+				}
 			}
-		}
-		children := make([]*node, len(n.children))
-		copy(children, n.children)
-		for _, c := range children {
-			if err := drain(c); err != nil {
-				return err
+			for i := len(n.children) - 1; i >= 0; i-- {
+				stack = append(stack, n.children[i])
 			}
-		}
-		return nil
-	}
-	// Restructuring during a drain can, in rare shapes, move a
-	// still-buffered node above an already-visited position; loop until
-	// nothing is pending (the second pass almost never happens).
-	for bl.tree.root.pending > 0 {
-		if err := drain(bl.tree.root); err != nil {
-			return err
 		}
 	}
 	bl.free = nil
@@ -300,16 +292,14 @@ func (bl *BulkLoader) appendBufferBatch(n *node, recs []attr.Record) error {
 }
 
 // reserve returns n's buffer with room for extra more records, counted
-// as pending along n's root path. Arrays hold whole pages of records and
-// come from the free list when one there is big enough (the smallest
-// such); growth at least doubles.
+// as buffered. Arrays hold whole pages of records and come from the free
+// list when one there is big enough (the smallest such); growth at least
+// doubles.
 func (bl *BulkLoader) reserve(n *node, extra int) *nodeBuffer {
 	if n.buffer == nil {
 		n.buffer = &nodeBuffer{}
 	}
-	for m := n; m != nil; m = m.parent {
-		m.pending += extra
-	}
+	bl.buffered += extra
 	buf := n.buffer
 	need := len(buf.recs) + extra
 	if need <= cap(buf.recs) {
@@ -396,9 +386,7 @@ func (bl *BulkLoader) takeBuffer(n *node) ([]attr.Record, error) {
 		bl.pg.Free(id)
 	}
 	n.buffer = nil
-	for m := n; m != nil; m = m.parent {
-		m.pending -= len(recs)
-	}
+	bl.buffered -= len(recs)
 	return recs, nil
 }
 
@@ -493,12 +481,10 @@ func (bl *BulkLoader) emptyBuffer(n *node) error {
 		err = e
 	}
 	bl.recycle(recs)
-	// Empty any child buffer that overflowed. No structural changes can
-	// have occurred above, so the child list is stable here; the
-	// recursion itself may restructure lower levels.
-	children := make([]*node, len(n.children))
-	copy(children, n.children)
-	for _, c := range children {
+	// Empty any child buffer that overflowed, over the child list as it
+	// stands now: a split the recursion causes replaces only the child
+	// being emptied and appends its other half past the range's end.
+	for _, c := range n.children {
 		if c.buffer != nil && len(c.buffer.recs) > bl.bufferCap {
 			if e := bl.emptyBuffer(c); e != nil && err == nil {
 				err = e
@@ -616,56 +602,26 @@ func (bl *BulkLoader) childrenAreLeaves(n *node) bool {
 	return len(n.children) > 0 && n.children[0].isLeaf()
 }
 
-// splitBuffer is the Tree's hook into the loader when a node splits: the
-// blocked records must follow their halves, and proxy pages move with
-// the structure. Without a loader it is a no-op. A node being split
-// during buffer emptying always has an empty buffer (buffers empty
-// top-down before restructuring runs bottom-up), so the redistribution
-// loop below is a safety net for direct splits between flushes. Every
-// blocked record is redistributed even when a spill charge fails
-// mid-loop; the first error is returned.
-func (t *Tree) splitBuffer(old, left, right *node, axis int, value float64) error {
+// splitBuffer is the Tree's hook into the loader when a node splits:
+// proxy pages move with the structure. Without a loader it is a no-op. A
+// node being split always has an empty buffer — the loader is the tree's
+// only writer, and it empties buffers top-down before restructuring runs
+// bottom-up — so no blocked record needs to follow the halves.
+func (t *Tree) splitBuffer(old, left, right *node) error {
 	bl := t.loader
 	if bl == nil {
 		return nil
-	}
-	var err error
-	if old.buffer != nil {
-		// The halves' ancestors counted these records under old; the
-		// appends below count them again under the half each lands in.
-		for m := left.parent; m != nil; m = m.parent {
-			m.pending -= len(old.buffer.recs)
-		}
-		for _, r := range old.buffer.recs {
-			var e error
-			if r.QI[axis] < value {
-				e = bl.appendBuffer(left, r)
-			} else {
-				e = bl.appendBuffer(right, r)
-			}
-			if e != nil && err == nil {
-				err = e
-			}
-		}
-		for _, id := range old.buffer.pages {
-			bl.pg.Free(id)
-		}
-		old.buffer = nil
 	}
 	bl.dropNode(old)
 	// New structure: charge the write of the page unit(s) the fresh
 	// halves live in (for leaf splits both halves share their parent's
 	// unit, so this is typically one page).
 	lu, ru := unitOf(left), unitOf(right)
-	if e := bl.touchNode(lu, true); e != nil && err == nil {
-		err = e
-	}
+	err := bl.touchNode(lu, true)
 	if ru != lu {
-		if e := bl.touchNode(ru, true); e != nil && err == nil {
+		if e := bl.touchNode(ru, true); err == nil {
 			err = e
 		}
 	}
 	return err
 }
-
-// The loader field itself is declared on Tree, in tree.go.

@@ -186,23 +186,12 @@ func (t *Tree) Audit() *AuditNode {
 //  4. All leaves are at the same depth.
 //  5. Every record's point lies in its leaf's routing region.
 //  6. Internal node tries reference exactly the node's children.
-//  7. node.pending aggregates the records blocked in bulk-load buffers.
 func (t *Tree) CheckInvariants() error {
 	leafDepth := -1
 	var walk func(n *node, depth int, region attr.Box) error
 	walk = func(n *node, depth int, region attr.Box) error {
 		if !n.mbr.IsEmpty() && !regionContainsBox(region, n.mbr) {
 			return fmt.Errorf("node MBR %v escapes region %v", n.mbr, region)
-		}
-		pending := 0
-		if n.buffer != nil {
-			pending = len(n.buffer.recs)
-		}
-		for _, c := range n.children {
-			pending += c.pending
-		}
-		if pending != n.pending {
-			return fmt.Errorf("node pending count %d != %d records buffered beneath it", n.pending, pending)
 		}
 		if n.isLeaf() {
 			if leafDepth == -1 {

@@ -7,8 +7,7 @@ package rplustree
 // Splitting a leaf is two very different kinds of work: pure
 // computation (choosing hyperplanes, Hoare-partitioning record ranges,
 // accumulating MBRs) and shared-state mutation (wiring nodes into the
-// tree, redistributing buffers, charging the attached loader's pager).
-// The computation dominates — a bulk load splits leaves holding large
+// tree, charging a loader's proxy pages). The computation dominates — a bulk load splits leaves holding large
 // fractions of the data set at every level — and it decomposes
 // perfectly: once a leaf's records are partitioned at a hyperplane, the
 // two halves never interact again.
@@ -26,10 +25,10 @@ package rplustree
 //     restructuring never changes them.
 //  2. applySplits wires the planned nodes into the tree on the calling
 //     goroutine, always in the same order (pre-order, left half
-//     first). Structural restructuring, buffer redistribution and
-//     pager charges therefore happen in the identical sequence, which
-//     keeps not only the tree but also the I/O counters of Figure 8
-//     bit-identical for every worker count.
+//     first). Structural restructuring and pager charges therefore
+//     happen in the identical sequence, which keeps not only the tree
+//     but also the I/O counters of Figure 8 bit-identical for every
+//     worker count.
 //
 // Why not one pager per subtree worker instead? Sharding the pager
 // would hand each worker MemoryBytes/W of pool, making the measured
@@ -155,9 +154,8 @@ func (t *Tree) planSplits(recs []attr.Record, mbr, domain attr.Box, pool *par.Po
 
 // applySplits wires a planned cascade into the tree. It runs on the
 // goroutine driving the load and performs replaceWithPair calls in
-// pre-order, left first, so parent overflow splits, buffer
-// redistribution and loader I/O charges fire in the identical sequence
-// for every worker count. A *CorruptionError aborts the subtree
+// pre-order, left first, so parent overflow splits and loader I/O
+// charges fire in the identical sequence for every worker count. A *CorruptionError aborts the subtree
 // untouched (the structural substitution was refused before any
 // mutation: the leaf keeps every record — planning only reordered them
 // — and the halves were never wired in); any other error is an I/O

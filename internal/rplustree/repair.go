@@ -46,33 +46,15 @@ import (
 // repairUnderflow removes the underfull leaf from the tree and
 // reinserts its records through normal routing. The caller has already
 // removed the deleted record and fixed counts and MBRs along the root
-// path. Errors come from an attached loader's I/O charges during
-// reinsertion; the records are placed regardless.
+// path. Errors are *CorruptionErrors; the records are placed regardless.
 func (t *Tree) repairUnderflow(leaf *node) error {
 	// Climb single-child chains: victim is the topmost node that can be
 	// spliced out leaving its parent with at least one child.
 	victim := leaf
-	removed := []*node{leaf}
 	for victim.parent != nil && len(victim.parent.children) == 1 {
 		victim = victim.parent
-		removed = append(removed, victim)
 	}
-
-	// Orphans: the leaf's remaining records, plus anything a bulk
-	// loader had blocked in buffers on the removed chain.
 	orphans := append([]attr.Record(nil), leaf.recs...)
-	if t.loader != nil {
-		for _, n := range removed {
-			if n.buffer != nil {
-				orphans = append(orphans, n.buffer.recs...)
-				for _, id := range n.buffer.pages {
-					t.loader.pg.Free(id)
-				}
-				n.buffer = nil
-			}
-			t.loader.dropNode(n)
-		}
-	}
 
 	parent := victim.parent
 	if parent == nil {
@@ -95,7 +77,7 @@ func (t *Tree) repairUnderflow(leaf *node) error {
 		parent.children = append(parent.children[:idx], parent.children[idx+1:]...)
 		parent.dur = nil // the spliced trie is not its durable copy's
 		// The victim's records may have defined the MBRs above it.
-		t.shrinkPath(parent, victim.count, victim.pending)
+		t.shrinkPath(parent, victim.count)
 	}
 
 	var err error

@@ -391,8 +391,8 @@ func appendPatch(e []byte, n *node, base *baseCopy, refs []Ref) (enc []byte, ok 
 // appendHeader starts an encoding of either form: version, dimensions
 // and height.
 func (t *Tree) appendHeader(version uint32) ([]byte, error) {
-	if t.root.pending > 0 {
-		return nil, fmt.Errorf("rplustree: snapshot with %d records still buffered; flush the loader first", t.root.pending)
+	if bl := t.loader; bl != nil && bl.buffered > 0 {
+		return nil, fmt.Errorf("rplustree: snapshot with %d records still buffered; flush the loader first", bl.buffered)
 	}
 	e := make([]byte, 0, 1024)
 	e = appendU32(e, version)

@@ -1,7 +1,7 @@
 // Package rplustree implements the paper's anonymizing spatial index: a
 // dynamic, non-overlapping multidimensional index over point data in the
 // style of the R⁺-tree [27] / k-d-B-tree, plus the buffer-tree bulk
-// loading algorithm of Section 2.1 and sort-based packing loaders.
+// loading algorithm of Section 2.1.
 //
 // Like the R⁺-tree the index never overlaps sibling partitions — the
 // paper restricts itself to R-tree variants with this property because
@@ -28,6 +28,7 @@
 package rplustree
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -46,6 +47,11 @@ type CorruptionError struct {
 }
 
 func (e *CorruptionError) Error() string { return "rplustree: corrupt structure: " + e.Detail }
+
+// ErrLoading is returned by Insert, Delete and Update while a BulkLoader
+// is attached: loading is a phase, and the loader is the tree's only
+// writer until its Close.
+var ErrLoading = errors.New("rplustree: a bulk loader is attached; close it first")
 
 // Config parameterizes a Tree.
 type Config struct {
@@ -171,11 +177,8 @@ type node struct {
 	trie     *splitTrie
 
 	// buffer is the buffer-tree record buffer (Section 2.1); nil unless
-	// a BulkLoader is driving this tree. pending counts the records
-	// blocked in the buffers of this node's whole subtree, so a flush
-	// descends only where there is something to push down.
-	buffer  *nodeBuffer
-	pending int
+	// a BulkLoader is driving this tree.
+	buffer *nodeBuffer
 }
 
 func (n *node) isLeaf() bool { return n.children == nil && n.trie == nil }
@@ -187,7 +190,8 @@ type Tree struct {
 	height int // number of levels; 1 = root is a leaf
 
 	// loader is the buffer-tree bulk loader currently driving this
-	// tree, if any (see bufferload.go).
+	// tree, if any (see bufferload.go): while it is set it is the only
+	// writer.
 	loader *BulkLoader
 
 	// clock counts mutations; snapAt is its value at the last Snapshot.
@@ -240,17 +244,27 @@ func (t *Tree) Height() int { return t.height }
 func (t *Tree) MBR() attr.Box { return t.root.mbr.Clone() }
 
 // Insert adds one record, splitting nodes as needed (the tuple-loading
-// path; bulk loads should go through a BulkLoader or a packing loader).
-// On error the record has still been placed in the tree — errors come
-// from the storage cost model of an attached BulkLoader (see
-// bufferload.go), which charges I/O after records move — so a fault
-// never silently drops data.
+// path; bulk loads go through a BulkLoader). It returns ErrLoading while
+// a loader is attached, and a *CorruptionError if a split finds the
+// structure broken — the record has then still been placed.
 func (t *Tree) Insert(rec attr.Record) error {
-	if len(rec.QI) != t.cfg.Schema.Dims() {
-		return fmt.Errorf("rplustree: record has %d attributes, tree has %d", len(rec.QI), t.cfg.Schema.Dims())
+	if err := t.checkWrite(rec.QI); err != nil {
+		return err
 	}
 	leaf := t.routeToLeaf(t.root, rec.QI)
 	return t.insertIntoLeaf(leaf, rec)
+}
+
+// checkWrite refuses a maintenance write while a loader is attached or
+// when qi has the wrong dimensionality.
+func (t *Tree) checkWrite(qi []float64) error {
+	if t.loader != nil {
+		return ErrLoading
+	}
+	if len(qi) != t.cfg.Schema.Dims() {
+		return fmt.Errorf("rplustree: record has %d attributes, tree has %d", len(qi), t.cfg.Schema.Dims())
+	}
+	return nil
 }
 
 // routeToLeaf descends from n to the unique leaf whose region contains p.
@@ -316,9 +330,8 @@ func (t *Tree) bulkAppendLeaf(leaf *node, recs []attr.Record) error {
 // replaceWithPair substitutes old (a child of its parent, or the root)
 // with the two halves produced by splitting it at (axis, value), then
 // handles parent overflow. A *CorruptionError is returned before any
-// mutation when old is not wired into its parent; any other error
-// comes from an attached loader's I/O charges, after the structural
-// change is already complete.
+// mutation when old is not wired into its parent; any other error is a
+// loader's I/O charge, after the structural change is already complete.
 func (t *Tree) replaceWithPair(old, left, right *node, axis int, value float64) error {
 	parent := old.parent
 	if parent == nil {
@@ -326,7 +339,6 @@ func (t *Tree) replaceWithPair(old, left, right *node, axis int, value float64) 
 		newRoot := &node{
 			mbr:      old.mbr.Clone(),
 			count:    old.count,
-			pending:  old.pending,
 			children: []*node{left, right},
 			trie: &splitTrie{
 				axis: axis, value: value,
@@ -338,7 +350,7 @@ func (t *Tree) replaceWithPair(old, left, right *node, axis int, value float64) 
 		right.parent = newRoot
 		t.root = newRoot
 		t.height++
-		return t.splitBuffer(old, left, right, axis, value)
+		return t.splitBuffer(old, left, right)
 	}
 	// Validate before mutating so a corruption failure leaves the tree
 	// exactly as it was (the old node keeps all its records).
@@ -366,7 +378,7 @@ func (t *Tree) replaceWithPair(old, left, right *node, axis int, value float64) 
 	st.left = &splitTrie{child: left}
 	st.right = &splitTrie{child: right}
 
-	err := t.splitBuffer(old, left, right, axis, value)
+	err := t.splitBuffer(old, left, right)
 
 	if len(parent.children) > t.cfg.NodeCapacity {
 		// Restructuring runs to completion even after an I/O error so
@@ -418,7 +430,6 @@ func (t *Tree) splitInternal(n *node) error {
 		side.children = append(side.children, c)
 		side.mbr.IncludeBox(c.mbr)
 		side.count += c.count
-		side.pending += c.pending
 	}
 	// A trie subtree that is itself a leaf means that half has exactly
 	// one child; that is legal (NodeCapacity >= 2 guarantees both halves
@@ -432,11 +443,12 @@ func (t *Tree) splitInternal(n *node) error {
 // its survivors reinserted through normal routing (see repair.go) —
 // so incremental maintenance never accumulates underfull leaves; only
 // a root-leaf tree with fewer than BaseK records total may sit below
-// k, and publication gates on total size anyway. A non-nil error
-// means an attached loader's I/O charge failed during repair
-// reinsertion; the records are placed regardless, exactly as for
-// Insert.
+// k, and publication gates on total size anyway. It returns ErrLoading
+// while a loader is attached.
 func (t *Tree) Delete(id int64, qi []float64) (bool, error) {
+	if t.loader != nil {
+		return false, ErrLoading
+	}
 	if len(qi) != t.cfg.Schema.Dims() {
 		return false, nil
 	}
@@ -457,20 +469,19 @@ func (t *Tree) Delete(id int64, qi []float64) (bool, error) {
 	leaf.own()
 	leaf.recs = append(leaf.recs[:idx], leaf.recs[idx+1:]...)
 	t.clock++
-	t.shrinkPath(leaf, 1, 0)
+	t.shrinkPath(leaf, 1)
 	if leaf.parent == nil || len(leaf.recs) >= t.cfg.BaseK {
 		return true, nil
 	}
 	return true, t.repairUnderflow(leaf)
 }
 
-// shrinkPath takes count records and pending buffered ones off n's root
-// path, stamps it and retightens its MBRs: a leaf's from its records, a
-// node's from its children's.
-func (t *Tree) shrinkPath(n *node, count, pending int) {
+// shrinkPath takes count records off n's root path, stamps it and
+// retightens its MBRs: a leaf's from its records, a node's from its
+// children's.
+func (t *Tree) shrinkPath(n *node, count int) {
 	for ; n != nil; n = n.parent {
 		n.count -= count
-		n.pending -= pending
 		n.stamp = t.clock
 		n.mbr = attr.NewBox(len(n.mbr))
 		for _, r := range n.recs {
@@ -484,11 +495,12 @@ func (t *Tree) shrinkPath(n *node, count, pending int) {
 
 // Update relocates a record: it removes the record with the given ID at
 // its old coordinates and reinserts it with new ones. The bool reports
-// whether the record was found. A non-nil error means an attached
-// loader's I/O charge failed during reinsertion or underflow repair;
-// the record has still been reinserted (Insert places it before any
-// fallible work).
+// whether the record was found. A new record of the wrong dimensionality,
+// or an attached loader (ErrLoading), is refused before anything moves.
 func (t *Tree) Update(id int64, oldQI []float64, rec attr.Record) (bool, error) {
+	if err := t.checkWrite(rec.QI); err != nil {
+		return false, err
+	}
 	found, err := t.Delete(id, oldQI)
 	if !found {
 		return false, err

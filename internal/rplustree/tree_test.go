@@ -254,6 +254,30 @@ func TestUpdate(t *testing.T) {
 	}
 }
 
+// TestUpdateRejectsBadRecordFirst: a new record of the wrong
+// dimensionality is refused before the old one is deleted, so a failed
+// Update loses nothing.
+func TestUpdateRejectsBadRecordFirst(t *testing.T) {
+	tr, _ := New(testConfig(3))
+	recs := dataset.GeneratePatients(50, 8)
+	insertAll(t, tr, recs)
+	old := recs[17]
+	found, err := tr.Update(old.ID, old.QI, attr.Record{ID: old.ID, QI: []float64{1}})
+	if err == nil || found {
+		t.Fatalf("Update to a one-attribute record: found=%v err=%v", found, err)
+	}
+	if tr.Len() != 50 {
+		t.Fatalf("Len after a refused Update = %d, want 50", tr.Len())
+	}
+	hit := false
+	for _, h := range tr.Search(attr.PointBox(old.QI)) {
+		hit = hit || h.ID == old.ID
+	}
+	if !hit {
+		t.Fatal("a refused Update deleted the old record")
+	}
+}
+
 func TestLevelViews(t *testing.T) {
 	tr, _ := New(testConfig(3))
 	insertAll(t, tr, dataset.GeneratePatients(600, 8))
