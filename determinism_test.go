@@ -32,7 +32,7 @@ import (
 	"spatialanon/internal/wal"
 )
 
-const detRecords = 20000 // above the parallel-path thresholds (parSplitMin, parRouteMin)
+const detRecords = 20000 // above the split cascade's fork threshold (parSplitMin)
 
 var detWorkerCounts = []int{1, 2, 8}
 

@@ -132,6 +132,22 @@ type Record struct {
 	Sensitive string
 }
 
+// ValidateQI is the rule for a point entering an index: it has dims
+// coordinates and every one is finite. NaN fails every comparison a
+// split or a route makes, and an infinity lies outside every region a
+// split can cut, so neither has a place in a tree, a log or a checkpoint.
+func ValidateQI(dims int, qi []float64) error {
+	if len(qi) != dims {
+		return fmt.Errorf("record has %d attributes, schema has %d", len(qi), dims)
+	}
+	for i, v := range qi {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("record coordinate %d is not finite (%v)", i, v)
+		}
+	}
+	return nil
+}
+
 // Clone returns a deep copy of the record.
 func (r Record) Clone() Record {
 	qi := make([]float64, len(r.QI))

@@ -111,3 +111,56 @@ func TestBaselineDigests(t *testing.T) {
 		}
 	}
 }
+
+// TestRoutedLoadDigests pins the absolute output of loads that empty the
+// root buffer many times over — Figure 8(b)'s: 40 000 Agrawal records
+// (seed 1, base k 5, 36-byte records) streamed in 10 000-record batches
+// under 8, 4, 2 and 1 MB, serially and with every core. A routed batch
+// reaches interior buffers and the leaf frontier on every emptying, which
+// the 3 000-record digests above never do. The leaf digest and the
+// loader's reads and writes were recorded while routing still partitioned
+// a whole batch before delivering it; a loader rewrite must reproduce
+// them or say why not.
+func TestRoutedLoadDigests(t *testing.T) {
+	// The budget changes what the loader charges, never the tree it
+	// builds, so one digest covers every row.
+	const digest uint64 = 0x4816edbca5c32d73
+	want := map[int][2]int64{ // reads, writes
+		8 << 20: {0, 1193},
+		4 << 20: {81, 1277},
+		2 << 20: {275, 1490},
+		1 << 20: {410, 1605},
+	}
+	for _, workers := range []int{1, 0} {
+		for _, mem := range []int{8 << 20, 4 << 20, 2 << 20, 1 << 20} {
+			t.Run(fmt.Sprintf("workers=%d/%dMB", workers, mem>>20), func(t *testing.T) {
+				a, err := NewRTreeAnonymizer(RTreeConfig{
+					Schema: dataset.AgrawalSchema(), BaseK: 5, Parallelism: workers,
+					BulkLoad: &rplustree.BulkLoadConfig{RecordBytes: 36, MemoryBytes: mem},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := dataset.AgrawalStream(40000, 1)
+				for batch := s.NextBatch(10000); len(batch) > 0; batch = s.NextBatch(10000) {
+					if err := a.LoadBuffered(batch); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := a.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				if err := a.Tree().CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				if got := releaseDigest(a.Tree().Leaves()); got != digest {
+					t.Errorf("leaf digest %#x, pinned %#x", got, digest)
+				}
+				reads, writes := a.IOStats()
+				if got := [2]int64{reads, writes}; got != want[mem] {
+					t.Errorf("%d reads and %d writes, pinned %v", reads, writes, want[mem])
+				}
+			})
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 
 	"spatialanon/internal/attr"
 	"spatialanon/internal/pager"
-	"spatialanon/internal/par"
 	"spatialanon/internal/retry"
 )
 
@@ -194,15 +193,15 @@ func (bl *BulkLoader) retry(op func() error) error {
 }
 
 // Insert blocks one record in the root buffer, emptying it downward when
-// it exceeds the threshold. On error the record is still blocked in the
-// tree's buffers (or already in a leaf) — only I/O charges failed — so
-// no record is ever silently dropped.
+// it exceeds the threshold. A record attr.ValidateQI refuses is not
+// blocked; on any other error it is (or is already in a leaf) — only I/O
+// charges failed, so no record is ever silently dropped.
 func (bl *BulkLoader) Insert(rec attr.Record) error {
-	if len(rec.QI) != bl.tree.cfg.Schema.Dims() {
-		return fmt.Errorf("rplustree: record has %d attributes, tree has %d", len(rec.QI), bl.tree.cfg.Schema.Dims())
+	if err := attr.ValidateQI(bl.tree.cfg.Schema.Dims(), rec.QI); err != nil {
+		return fmt.Errorf("rplustree: %w", err)
 	}
 	root := bl.tree.root
-	err := bl.appendBuffer(root, rec)
+	err := bl.appendBufferBatch(root, []attr.Record{rec})
 	if root.buffer != nil && len(root.buffer.recs) > bl.rootBufferCap() {
 		if e := bl.emptyBuffer(root); err == nil {
 			err = e
@@ -270,22 +269,11 @@ func (bl *BulkLoader) rootBufferCap() int {
 	return 64 * bl.bufferCap
 }
 
-// appendBuffer blocks a record in n's buffer, spilling a cost page per
-// recsPerPage records. The record is appended before any fallible
-// spill, so an error never loses it.
-func (bl *BulkLoader) appendBuffer(n *node, rec attr.Record) error {
-	buf := bl.reserve(n, 1)
-	buf.recs = append(buf.recs, rec)
-	return bl.spillPages(buf)
-}
-
-// appendBufferBatch blocks a batch in n's buffer in one append (the
-// batch lands before the fallible spill). The batch is copied: the
-// caller keeps its array.
+// appendBufferBatch blocks a non-empty batch in n's buffer in one
+// append, spilling a cost page per recsPerPage records. The batch lands
+// before the fallible spill, so an error never loses it, and it is
+// copied: the caller keeps its array.
 func (bl *BulkLoader) appendBufferBatch(n *node, recs []attr.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
 	buf := bl.reserve(n, len(recs))
 	buf.recs = append(buf.recs, recs...)
 	return bl.spillPages(buf)
@@ -344,21 +332,42 @@ func (bl *BulkLoader) recycle(recs []attr.Record) {
 // where this one stopped.
 func (bl *BulkLoader) spillPages(buf *nodeBuffer) error {
 	for len(buf.pages) < len(buf.recs)/bl.recsPerPage {
-		var id pager.PageID
-		err := bl.retry(func() error {
-			nid, _, err := bl.pg.Alloc()
-			if err == nil {
-				id = nid
-			}
-			return err
-		})
+		id, err := bl.allocPage()
 		if err != nil {
 			return err
 		}
-		bl.pg.Unpin(id)
 		buf.pages = append(buf.pages, id)
 	}
 	return nil
+}
+
+// allocPage allocates a cost page and unpins it, under retry. A fresh
+// page is dirty: its write is charged when the LRU evicts it (or at
+// Flush).
+func (bl *BulkLoader) allocPage() (pager.PageID, error) {
+	var id pager.PageID
+	err := bl.retry(func() error {
+		var err error
+		if id, _, err = bl.pg.Alloc(); err != nil {
+			return err
+		}
+		return bl.pg.Unpin(id)
+	})
+	return id, err
+}
+
+// readPage charges a read of page id (and, when dirty, its later write)
+// and unpins it, under retry.
+func (bl *BulkLoader) readPage(id pager.PageID, dirty bool) error {
+	return bl.retry(func() error {
+		if _, err := bl.pg.Read(id); err != nil {
+			return err
+		}
+		if dirty {
+			bl.pg.MarkDirty(id)
+		}
+		return bl.pg.Unpin(id)
+	})
 }
 
 // takeBuffer drains n's buffer, charging reads for its spilled pages.
@@ -371,13 +380,7 @@ func (bl *BulkLoader) takeBuffer(n *node) ([]attr.Record, error) {
 		return nil, nil
 	}
 	for _, id := range n.buffer.pages {
-		err := bl.retry(func() error {
-			if _, err := bl.pg.Read(id); err != nil {
-				return err
-			}
-			return bl.pg.Unpin(id)
-		})
-		if err != nil {
+		if err := bl.readPage(id, false); err != nil {
 			return nil, err
 		}
 	}
@@ -393,32 +396,14 @@ func (bl *BulkLoader) takeBuffer(n *node) ([]attr.Record, error) {
 // touchNode charges a read (and optional write) of the node's proxy
 // page, allocating it on first touch.
 func (bl *BulkLoader) touchNode(n *node, dirty bool) error {
-	id, ok := bl.nodePages[n]
-	if !ok {
-		var nid pager.PageID
-		err := bl.retry(func() error {
-			i, _, err := bl.pg.Alloc()
-			if err == nil {
-				nid = i
-			}
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		bl.pg.Unpin(nid)
-		bl.nodePages[n] = nid
-		return nil // freshly allocated page is already dirty
+	if id, ok := bl.nodePages[n]; ok {
+		return bl.readPage(id, dirty)
 	}
-	return bl.retry(func() error {
-		if _, err := bl.pg.Read(id); err != nil {
-			return err
-		}
-		if dirty {
-			bl.pg.MarkDirty(id)
-		}
-		return bl.pg.Unpin(id)
-	})
+	id, err := bl.allocPage()
+	if err == nil {
+		bl.nodePages[n] = id // a fresh page is already dirty
+	}
+	return err
 }
 
 // dropNode releases a discarded node's proxy page.
@@ -452,38 +437,23 @@ func (bl *BulkLoader) emptyBuffer(n *node) error {
 		return nil
 	}
 	err = bl.touchNode(n, false)
-
-	// Every delivery below copies its share, so once the batch is routed
-	// its array is free for the next buffer — the children's, if they
-	// empty in turn.
+	var e error
 	if n.isLeaf() {
-		if e := bl.terminate(n, recs); err == nil {
-			err = e
-		}
-		bl.recycle(recs)
-		return err
+		e = bl.terminate(n, recs)
+	} else {
+		e = bl.routeTrie(n.trie, recs)
 	}
-	if bl.childrenAreLeaves(n) {
-		// Leaf frontier: partition the batch down the trie; each leaf's
-		// share lands in one bulk append (one path update, one
-		// read+write charge, O(log) splits). Restructuring triggered by
-		// an earlier share never disturbs trie subtrees not yet
-		// visited, so the walk stays valid.
-		if e := bl.routeTrie(n.trie, recs, bl.terminate); err == nil {
-			err = e
-		}
-		bl.recycle(recs)
-		return err
-	}
-
-	// Interior: re-activate records into child buffers.
-	if e := bl.routeTrie(n.trie, recs, bl.appendBufferBatch); err == nil {
+	if err == nil {
 		err = e
 	}
+	// Every delivery copies its share, so once the batch is routed its
+	// array is free for the next buffer — the children's, if they empty
+	// in turn.
 	bl.recycle(recs)
 	// Empty any child buffer that overflowed, over the child list as it
 	// stands now: a split the recursion causes replaces only the child
-	// being emptied and appends its other half past the range's end.
+	// being emptied and appends its other half past the range's end. Leaf
+	// children have no buffers.
 	for _, c := range n.children {
 		if c.buffer != nil && len(c.buffer.recs) > bl.bufferCap {
 			if e := bl.emptyBuffer(c); e != nil && err == nil {
@@ -494,19 +464,16 @@ func (bl *BulkLoader) emptyBuffer(n *node) error {
 	return err
 }
 
-// terminate lands a batch in a leaf and lets splits restructure upward.
-// The I/O charge goes to the leaf's parent: with the default geometry a
-// last-level internal node's ~NodeCapacity leaves of c·k records fit
-// one physical page, so the parent is the page-granular unit a real
-// layout would read and write (charging per tiny leaf would bill one
-// 4 KiB transfer per ~10 records, which no packed leaf file pays).
-// The charge is computed and attempted before the append (the append
-// re-parents the leaf), but its failure does not stop the records from
-// landing.
+// terminate lands a non-empty batch in a leaf and lets splits
+// restructure upward. The I/O charge goes to the leaf's parent: with the
+// default geometry a last-level internal node's ~NodeCapacity leaves of
+// c·k records fit one physical page, so the parent is the page-granular
+// unit a real layout would read and write (charging per tiny leaf would
+// bill one 4 KiB transfer per ~10 records, which no packed leaf file
+// pays). The charge is computed and attempted before the append (the
+// append re-parents the leaf), but its failure does not stop the records
+// from landing.
 func (bl *BulkLoader) terminate(leaf *node, recs []attr.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
 	err := bl.touchNode(unitOf(leaf), true)
 	if e := bl.tree.bulkAppendLeaf(leaf, recs); err == nil {
 		err = e
@@ -524,82 +491,34 @@ func unitOf(n *node) *node {
 	return n
 }
 
-// routeTrie partitions recs in place along the trie's hyperplanes and
-// hands each trie leaf's share to deliver, in trie order. Every share
-// is delivered even after an earlier share's delivery errors — an
-// undelivered share would be silent record loss — and the first error
-// is returned.
+// routeTrie is one walk down the trie: it partitions recs in place at
+// each hyperplane, recurses left then right, and delivers each trie
+// leaf's share as soon as it is cut off — into the child itself when
+// the child is a leaf, into its buffer otherwise. Every share is
+// delivered even after an earlier delivery errors (an undelivered share
+// would be silent record loss), and the first error is returned.
 //
-// Routing is two-phase: partitionTrie does the pure in-place
-// partitioning first (forking disjoint halves to worker goroutines for
-// large batches), then the shares are delivered serially on this
-// goroutine. Deliveries mutate child buffers, the pager and — at the
-// leaf frontier — the tree itself, so they stay on the loading
-// goroutine in trie order, exactly the serial sequence. Restructuring
-// triggered by an earlier share's delivery never disturbs the node
-// pointers of later shares (splits re-parent nodes, never destroy
-// them), so capturing the shares up front is safe.
-func (bl *BulkLoader) routeTrie(st *splitTrie, recs []attr.Record, deliver func(*node, []attr.Record) error) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	var pool *par.Pool
-	if par.Workers(bl.tree.cfg.Parallelism) > 1 && len(recs) >= parRouteMin {
-		pool = par.NewPool(bl.tree.cfg.Parallelism)
-	}
-	shares := partitionTrie(st, recs, pool)
-	var err error
-	for _, s := range shares {
-		if e := deliver(s.child, s.recs); e != nil && err == nil {
-			err = e
-		}
-	}
-	return err
-}
-
-// trieShare is one trie leaf's share of a routed batch.
-type trieShare struct {
-	child *node
-	recs  []attr.Record
-}
-
-// partitionTrie splits recs in place along the trie's hyperplanes
-// without delivering anything, returning the non-empty shares in trie
-// order. It touches only the batch slice — never the tree, buffers or
-// pager — so the two sides of a hyperplane, which own disjoint
-// subslices after the Hoare sweep, can be partitioned concurrently.
-func partitionTrie(st *splitTrie, recs []attr.Record, pool *par.Pool) []trieShare {
+// Deliveries restructure the tree while the walk still reads the trie,
+// and leave every trie node it has yet to read untouched: a delivery
+// splits only the leaf it went to, rewriting that leaf's own trie leaf,
+// and the nodes above it, and splitInternal reuses its trie's subtrees
+// without writing a trie node.
+func (bl *BulkLoader) routeTrie(st *splitTrie, recs []attr.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
 	if st.isLeaf() {
-		return []trieShare{{child: st.child, recs: recs}}
-	}
-	lo, hi := 0, len(recs)
-	for lo < hi {
-		if recs[lo].QI[st.axis] < st.value {
-			lo++
-		} else {
-			hi--
-			recs[lo], recs[hi] = recs[hi], recs[lo]
+		if st.child.isLeaf() {
+			return bl.terminate(st.child, recs)
 		}
+		return bl.appendBufferBatch(st.child, recs)
 	}
-	lRecs, rRecs := recs[:lo:lo], recs[lo:]
-	if len(rRecs) >= parRouteMin {
-		var rShares []trieShare
-		join := pool.Fork(func() { rShares = partitionTrie(st.right, rRecs, pool) })
-		lShares := partitionTrie(st.left, lRecs, pool)
-		join()
-		return append(lShares, rShares...)
+	mid := partition(recs, st.axis, st.value, nil, nil)
+	err := bl.routeTrie(st.left, recs[:mid])
+	if e := bl.routeTrie(st.right, recs[mid:]); err == nil {
+		err = e
 	}
-	lShares := partitionTrie(st.left, lRecs, pool)
-	return append(lShares, partitionTrie(st.right, rRecs, pool)...)
-}
-
-// childrenAreLeaves reports whether n's children are leaves (n is at the
-// last internal level).
-func (bl *BulkLoader) childrenAreLeaves(n *node) bool {
-	return len(n.children) > 0 && n.children[0].isLeaf()
+	return err
 }
 
 // splitBuffer is the Tree's hook into the loader when a node splits:

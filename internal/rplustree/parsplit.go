@@ -47,17 +47,11 @@ import (
 	"spatialanon/internal/par"
 )
 
-const (
-	// parSplitMin is the smallest oversized leaf whose plan gets a
-	// worker pool, and within a plan the smallest half worth forking to
-	// another worker. Below it the fork overhead (one goroutine + one
-	// channel) outweighs the partition scan.
-	parSplitMin = 2048
-	// parRouteMin is the smallest batch worth forking during trie
-	// routing (bufferload.go): routing is one compare-and-swap sweep
-	// per level, much cheaper per record than split planning.
-	parRouteMin = 4096
-)
+// parSplitMin is the smallest oversized leaf whose plan gets a worker
+// pool, and within a plan the smallest half worth forking to another
+// worker. Below it the fork overhead (one goroutine + one channel)
+// outweighs the partition scan.
+const parSplitMin = 2048
 
 // splitPlan is one planned leaf split: the hyperplane, the two halves'
 // tight MBRs and record ranges (aliasing the original leaf's array,
@@ -118,21 +112,9 @@ func (t *Tree) planSplits(recs []attr.Record, mbr, domain attr.Box, pool *par.Po
 	if !ok {
 		return nil // all points identical: the leaf stays oversized
 	}
-	lMBR := attr.NewBox(len(mbr))
-	rMBR := attr.NewBox(len(mbr))
-	lo, hi := 0, len(recs)
-	for lo < hi {
-		if recs[lo].QI[axis] < value {
-			lMBR.Include(recs[lo].QI)
-			lo++
-		} else {
-			hi--
-			recs[lo], recs[hi] = recs[hi], recs[lo]
-			rMBR.Include(recs[hi].QI)
-		}
-	}
-	lRecs := recs[:lo:lo]
-	rRecs := recs[lo:]
+	lMBR, rMBR := attr.NewBox(len(mbr)), attr.NewBox(len(mbr))
+	mid := partition(recs, axis, value, lMBR, rMBR)
+	lRecs, rRecs := recs[:mid:mid], recs[mid:]
 	if t.cfg.Guard != nil && !t.cfg.Guard(lRecs, rRecs) {
 		return nil // constraint-violating split: the leaf grows instead
 	}
@@ -150,6 +132,27 @@ func (t *Tree) planSplits(recs []attr.Record, mbr, domain attr.Box, pool *par.Po
 		p.rSub = t.planSplits(rRecs, rMBR, domain, pool)
 	}
 	return p
+}
+
+// partition reorders recs in place, one Hoare sweep, so that the records
+// strictly below value on axis come first, and returns how many there
+// are. The sweep grows lMBR and rMBR over the two sides as it goes:
+// split planning's tight boxes, which a second pass over the halves
+// measured slower to build. Trie routing passes nil boxes, which grow
+// nothing.
+func partition(recs []attr.Record, axis int, value float64, lMBR, rMBR attr.Box) int {
+	lo, hi := 0, len(recs)
+	for lo < hi {
+		if recs[lo].QI[axis] < value {
+			lMBR.Include(recs[lo].QI)
+			lo++
+		} else {
+			hi--
+			recs[lo], recs[hi] = recs[hi], recs[lo]
+			rMBR.Include(recs[hi].QI)
+		}
+	}
+	return lo
 }
 
 // applySplits wires a planned cascade into the tree. It runs on the

@@ -83,16 +83,15 @@ type Config struct {
 	// guard requiring both halves to satisfy the constraint, and leaves
 	// grow instead of splitting whenever a split would violate it.
 	Guard func(left, right []attr.Record) bool
-	// Parallelism caps the worker goroutines used for bulk-load split
-	// cascades and batch routing (see parsplit.go). 0 uses every
-	// available core, 1 (or negative) runs serially. The tree built is
-	// identical — structure, leaf order, even the attached loader's
-	// I/O counters — for every setting: workers execute only pure
-	// computations over disjoint record ranges while all tree wiring
-	// and pager traffic stays on the calling goroutine in serial
-	// order. Split and Guard must be safe for concurrent calls when
-	// Parallelism != 1 (every policy in this package is: they are
-	// stateless).
+	// Parallelism caps the worker goroutines used for split cascades
+	// (see parsplit.go). 0 uses every available core, 1 (or negative)
+	// runs serially. The tree built is identical — structure, leaf
+	// order, even the attached loader's I/O counters — for every
+	// setting: workers execute only pure computations over disjoint
+	// record ranges while all tree wiring and pager traffic stays on
+	// the calling goroutine in serial order. Split and Guard must be
+	// safe for concurrent calls when Parallelism != 1 (every policy in
+	// this package is: they are stateless).
 	Parallelism int
 }
 
@@ -256,13 +255,13 @@ func (t *Tree) Insert(rec attr.Record) error {
 }
 
 // checkWrite refuses a maintenance write while a loader is attached or
-// when qi has the wrong dimensionality.
+// when qi breaks attr.ValidateQI.
 func (t *Tree) checkWrite(qi []float64) error {
 	if t.loader != nil {
 		return ErrLoading
 	}
-	if len(qi) != t.cfg.Schema.Dims() {
-		return fmt.Errorf("rplustree: record has %d attributes, tree has %d", len(qi), t.cfg.Schema.Dims())
+	if err := attr.ValidateQI(t.cfg.Schema.Dims(), qi); err != nil {
+		return fmt.Errorf("rplustree: %w", err)
 	}
 	return nil
 }

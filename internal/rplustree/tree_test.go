@@ -1,6 +1,7 @@
 package rplustree
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -275,6 +276,51 @@ func TestUpdateRejectsBadRecordFirst(t *testing.T) {
 	}
 	if !hit {
 		t.Fatal("a refused Update deleted the old record")
+	}
+}
+
+// TestNonFinitePointsRefused: a point with an infinite or NaN coordinate
+// is refused by Insert, by Update and by the bulk loader's Insert, and
+// the tree is left as it was. An infinite point lies outside every leaf
+// region a split cuts; a NaN one makes the tree's own snapshot one that
+// DecodeSnapshot refuses.
+func TestNonFinitePointsRefused(t *testing.T) {
+	cfg := Config{Schema: dataset.LandsEndSchema(), BaseK: 5}
+	recs := dataset.GenerateLandsEnd(200, 7)
+	tuple, _ := New(cfg)
+	insertAll(t, tuple, recs)
+	bulk, _ := New(cfg)
+	bl, err := NewBulkLoader(bulk, BulkLoadConfig{RecordBytes: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bl.InsertBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	old := recs[7]
+	for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		bad := old.Clone()
+		bad.QI[0] = v
+		if err := tuple.Insert(bad); err == nil {
+			t.Errorf("Insert of a point at %v accepted", v)
+		}
+		if found, err := tuple.Update(old.ID, old.QI, bad); err == nil || found {
+			t.Errorf("Update to a point at %v: found=%v err=%v", v, found, err)
+		}
+		if err := bl.Insert(bad); err == nil {
+			t.Errorf("BulkLoader.Insert of a point at %v accepted", v)
+		}
+	}
+	if err := bl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, tr := range map[string]*Tree{"tuple": tuple, "bulk": bulk} {
+		if tr.Len() != len(recs) {
+			t.Errorf("%s: Len %d after refused writes, want %d", name, tr.Len(), len(recs))
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 

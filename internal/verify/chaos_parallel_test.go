@@ -19,9 +19,10 @@ import (
 // loaders with per-shard injectors derived from one parent seed, each
 // shard replayable in isolation.
 
-// chaosParallelRecords is large enough that the trie-routing and
-// split-cascade fork thresholds are crossed, so the schedule equality
-// below is exercised with worker goroutines genuinely in play.
+// chaosParallelRecords is large enough that the split-cascade fork
+// threshold is crossed, so the schedule equality below is exercised with
+// worker goroutines genuinely in play. It stays below the root buffer's
+// capacity: these loads route no batch before Flush.
 const chaosParallelRecords = 12000
 
 // chaosParallelRun bulk loads with faults at the given parallelism,

@@ -378,23 +378,19 @@ func (s *Store) die(err error) {
 }
 
 // ValidateQI rejects at ingress anything the recovery path would
-// refuse later: wrong dimensionality (tree ops error on it during
-// replay) and non-finite coordinates (DecodeCheckpoint refuses NaN, so
-// one such record folded into a checkpoint would make every subsequent
-// Open fail with no self-healing). Write-ahead logging means a record
-// is durable before it is applied — so nothing may reach the WAL that
-// apply, checkpoint, or recovery could reject. It is a stateless
-// function so concurrent front ends can validate on the submitting
-// goroutine before an operation is enqueued into a shared batch (a bad
-// op must fail its own caller, not everyone sharing its commit frame).
+// refuse later — the tree's own rule, attr.ValidateQI: wrong
+// dimensionality and non-finite coordinates (DecodeCheckpoint refuses
+// NaN, so one such record folded into a checkpoint would make every
+// subsequent Open fail with no self-healing). Write-ahead logging means
+// a record is durable before it is applied — so nothing may reach the
+// WAL that apply, checkpoint, or recovery could reject. It is a
+// stateless function so concurrent front ends can validate on the
+// submitting goroutine before an operation is enqueued into a shared
+// batch (a bad op must fail its own caller, not everyone sharing its
+// commit frame).
 func ValidateQI(dims int, qi []float64) error {
-	if len(qi) != dims {
-		return fmt.Errorf("wal: record has %d attributes, store schema has %d", len(qi), dims)
-	}
-	for i, v := range qi {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("wal: record coordinate %d is not finite (%v)", i, v)
-		}
+	if err := attr.ValidateQI(dims, qi); err != nil {
+		return fmt.Errorf("wal: %w", err)
 	}
 	return nil
 }
