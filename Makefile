@@ -26,7 +26,7 @@ loc:
 # is the total of the last PR that moved it. A PR that adds net
 # non-test lines must raise the number here, in its own diff, where a
 # reviewer sees it; a PR that removes lines lowers it to its new total.
-LOC_CEILING = 19046
+LOC_CEILING = 19062
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \
@@ -128,12 +128,13 @@ throughput:
 # (encode into spare capacity, decode into the caller's vector); a leaf
 # decodes with a fixed number of allocations however many records it
 # holds, a publish allocates a few objects per tree level however
-# many leaves there are, and a buffer-tree load at most 1.51 objects per
-# record. These are regular tests built on
+# many leaves there are, a buffer-tree load at most 1.40 objects per
+# record, and draining a generator a few objects per 4 096-record chunk
+# and none per record. These are regular tests built on
 # testing.AllocsPerRun, so CI enforces the budget on every run; this
 # target names them for quick local iteration.
 zeroalloc:
-	$(GO) test -run 'ZeroAlloc|TestDecodeLeafAllocations|TestPublishCostIsOChanged|TestBulkLoadAllocsPerRecord' -v ./internal/routing/ ./internal/query/ ./internal/serve/ ./internal/sfc/ ./internal/attr/ ./internal/rplustree/
+	$(GO) test -run 'ZeroAlloc|TestDecodeLeafAllocations|TestPublishCostIsOChanged|TestBulkLoadAllocsPerRecord|TestCollectAllocsPerChunk' -v ./internal/routing/ ./internal/query/ ./internal/serve/ ./internal/sfc/ ./internal/attr/ ./internal/rplustree/ ./internal/dataset/
 
 # Every fuzz target in the repository, FUZZTIME each (`go test -fuzz`
 # takes one target and one package per run). CI runs this with

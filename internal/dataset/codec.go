@@ -53,27 +53,31 @@ func (c *BinaryCodec) Decode(buf []byte) (attr.Record, error) {
 	return attr.Record{QI: qi}, nil
 }
 
-// WriteBinary streams all records from s to w in the fixed-width layout.
-// It returns the number of records written.
+// WriteBinary streams all records from s to w in the fixed-width layout,
+// drawing them writeBatch at a time through NextBatch, so generation
+// runs on all cores and holds at most one batch in memory. It returns
+// the number of records written.
 func (c *BinaryCodec) WriteBinary(w io.Writer, s *Stream) (int, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	buf := make([]byte, c.RecordSize())
 	n := 0
-	for {
-		r, ok := s.Next()
-		if !ok {
-			break
+	for batch := s.NextBatch(writeBatch); len(batch) > 0; batch = s.NextBatch(writeBatch) {
+		for _, r := range batch {
+			if err := c.Encode(r, buf); err != nil {
+				return n, err
+			}
+			if _, err := bw.Write(buf); err != nil {
+				return n, err
+			}
+			n++
 		}
-		if err := c.Encode(r, buf); err != nil {
-			return n, err
-		}
-		if _, err := bw.Write(buf); err != nil {
-			return n, err
-		}
-		n++
 	}
 	return n, bw.Flush()
 }
+
+// writeBatch is how many records WriteBinary generates at a time: eight
+// chunks, a few megabytes of records.
+const writeBatch = 8 * rowBlock
 
 // ReadBinary reads every record from r, assigning sequential IDs from 0.
 func (c *BinaryCodec) ReadBinary(r io.Reader) ([]attr.Record, error) {

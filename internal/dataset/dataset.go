@@ -28,18 +28,21 @@ import (
 
 	"spatialanon/internal/attr"
 	"spatialanon/internal/detrng"
+	"spatialanon/internal/par"
 )
 
 // Stream produces records one at a time so that larger-than-memory data
 // sets never need to be materialized. Generators return Streams whose
 // output matches their materializing counterparts record for record.
 //
-// Each record's randomness is derived from (seed, id) — the stream
-// reseeds its one generator per record instead of sharing a sequential
-// one — so streaming order, batching and materialization all agree, and
-// the incremental experiments can re-generate a prefix of a data set.
-// detrng's SplitMix64 seeds in O(1), unlike math/rand's default source,
-// which is what makes that cheap.
+// Each record's randomness is derived from (seed, id) alone, so which
+// generator draws it, and in what order, cannot change it: Next reseeds
+// the stream's one generator per record, and NextBatch cuts a batch into
+// chunks of rowBlock records that it fills on all cores, each chunk with
+// a generator of its own. Streaming, batching, materialization and the
+// core count all agree, and the incremental experiments can re-generate
+// a prefix of a data set. detrng's SplitMix64 seeds in O(1), unlike
+// math/rand's default source, which is what makes the reseeding cheap.
 type Stream struct {
 	remaining int
 	next      int64
@@ -49,10 +52,11 @@ type Stream struct {
 	// fill draws one record's QI values into qi and returns its
 	// sensitive value.
 	fill func(rng *rand.Rand, qi []float64) string
-	// block is the unused rest of the current QI array: vectors are
-	// cap-clipped windows of arrays of up to rowBlock rows, so a record
-	// costs no allocation of its own and a retained prefix of a data set
-	// pins the blocks it lies in, not the table.
+	// block is the unused rest of Next's current QI array. Vectors are
+	// cap-clipped windows of arrays of up to rowBlock rows — one per
+	// chunk in NextBatch — so a record costs no allocation of its own and
+	// a retained prefix of a data set pins the blocks it lies in, not the
+	// table.
 	block []float64
 }
 
@@ -78,46 +82,50 @@ func (s *Stream) Next() (attr.Record, bool) {
 	id := s.next
 	s.remaining--
 	s.next++
-	s.rng.Seed(detrng.Derive(s.seed, id))
-	return attr.Record{ID: id, QI: qi, Sensitive: s.fill(s.rng, qi)}, true
+	return s.record(s.rng, id, qi), true
+}
+
+// record draws record id's values into qi with rng.
+func (s *Stream) record(rng *rand.Rand, id int64, qi []float64) attr.Record {
+	rng.Seed(detrng.Derive(s.seed, id))
+	return attr.Record{ID: id, QI: qi, Sensitive: s.fill(rng, qi)}
 }
 
 // Remaining returns how many records the stream will still produce.
 func (s *Stream) Remaining() int { return s.remaining }
 
-// NextBatch returns up to max records, reusing none of its internal
-// state; it returns a short (possibly empty) batch at end of stream.
-func (s *Stream) NextBatch(max int) []attr.Record {
-	if max > s.remaining {
-		max = s.remaining
-	}
-	out := make([]attr.Record, 0, max)
-	for i := 0; i < max; i++ {
-		r, ok := s.Next()
-		if !ok {
-			break
+// NextBatch returns the next min(size, Remaining()) records — the ones
+// Next would return, in order — and an empty batch at end of stream or
+// for size <= 0. It is the one bulk drain of every generator: the batch
+// is cut into chunks of rowBlock records, and par.Do fills the chunks on
+// all cores, each with its own generator and one QI array.
+func (s *Stream) NextBatch(size int) []attr.Record {
+	n := max(min(size, s.remaining), 0)
+	out := make([]attr.Record, n)
+	first := s.next
+	par.Do(0, (n+rowBlock-1)/rowBlock, func(c int) {
+		lo, hi := c*rowBlock, min((c+1)*rowBlock, n)
+		block := make([]float64, (hi-lo)*s.dims)
+		rng := detrng.New(0)
+		for i := lo; i < hi; i++ {
+			qi := block[:s.dims:s.dims]
+			block = block[s.dims:]
+			out[i] = s.record(rng, first+int64(i), qi)
 		}
-		out = append(out, r)
-	}
+	})
+	s.remaining -= n
+	s.next += int64(n)
 	return out
 }
 
 // Collect drains a stream into a slice.
-func Collect(s *Stream) []attr.Record {
-	out := make([]attr.Record, 0, s.Remaining())
-	for {
-		r, ok := s.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, r)
-	}
-}
+func Collect(s *Stream) []attr.Record { return s.NextBatch(s.Remaining()) }
 
 // zipfIndex draws an index in [0,n) with a Zipf-like skew: rank r has
-// probability proportional to 1/(r+1)^s. Implemented by inverse-CDF on a
-// precomputed table would be faster, but generators are not on the
-// measured path of any experiment, so clarity wins.
+// probability proportional to 1/(r+1)^s. An inverse CDF over a
+// precomputed table would be faster, and generation is measured — it is
+// most of the benchmark's set-up — but the draw sequence is what every
+// digest and pinned figure rests on, so it stays as it is.
 func zipfIndex(rng *rand.Rand, n int, s float64) int {
 	// Rejection-free approximate inverse transform: u^(1/(1-s)) maps a
 	// uniform variate to a power-law rank for s<1; clamp for safety.

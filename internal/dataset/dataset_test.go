@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -84,6 +85,13 @@ func TestPrefixStability(t *testing.T) {
 
 func TestNextBatch(t *testing.T) {
 	s := AgrawalStream(25, 1)
+	// A size below one is an empty batch that consumes nothing; a
+	// negative one used to panic in make.
+	for _, size := range []int{-1, 0, math.MinInt} {
+		if b := s.NextBatch(size); len(b) != 0 || s.Remaining() != 25 {
+			t.Fatalf("NextBatch(%d) returned %d records, left %d", size, len(b), s.Remaining())
+		}
+	}
 	b1 := s.NextBatch(10)
 	b2 := s.NextBatch(10)
 	b3 := s.NextBatch(10)
@@ -98,6 +106,138 @@ func TestNextBatch(t *testing.T) {
 		t.Fatalf("Remaining = %d", s.Remaining())
 	}
 }
+
+// TestNextBatchEqualsNext: the chunked, parallel drain returns what the
+// serial Next returns — the same IDs, QI bits and sensitive values —
+// for every generator, stream length, batch size and starting point,
+// in cap-clipped vectors no two of which share an element.
+func TestNextBatchEqualsNext(t *testing.T) {
+	for _, set := range sets {
+		for _, n := range []int{0, 1, rowBlock - 1, rowBlock, rowBlock + 1, 3*rowBlock + 17} {
+			var want []attr.Record
+			for s := set.stream(n, 42); ; {
+				r, ok := s.Next()
+				if !ok {
+					break
+				}
+				want = append(want, r)
+			}
+			for _, size := range []int{1, 7, rowBlock, 10000, max(n, 1)} {
+				for _, pre := range []int{0, min(5, n)} {
+					s := set.stream(n, 42)
+					got := make([]attr.Record, 0, n)
+					for range pre {
+						r, _ := s.Next()
+						got = append(got, r)
+					}
+					for b := s.NextBatch(size); len(b) > 0; b = s.NextBatch(size) {
+						if len(b) > size {
+							t.Fatalf("%s n=%d: NextBatch(%d) returned %d records", set.name, n, size, len(b))
+						}
+						got = append(got, b...)
+					}
+					checkSameRecords(t, fmt.Sprintf("%s n=%d size=%d after %d", set.name, n, size, pre), got, want)
+				}
+			}
+		}
+	}
+}
+
+// checkSameRecords fails unless got and want hold the same records bit
+// for bit, and got's vectors are cap-clipped and disjoint. It writes
+// into got's vectors.
+func checkSameRecords(t *testing.T, name string, got, want []attr.Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d records, want %d", name, len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.ID != w.ID || g.Sensitive != w.Sensitive || len(g.QI) != len(w.QI) || cap(g.QI) != len(g.QI) {
+			t.Fatalf("%s: record %d is %d %q with %d/%d values, want %d %q with %d", name, i, g.ID, g.Sensitive, len(g.QI), cap(g.QI), w.ID, w.Sensitive, len(w.QI))
+		}
+		for d := range w.QI {
+			if math.Float64bits(g.QI[d]) != math.Float64bits(w.QI[d]) {
+				t.Fatalf("%s: record %d attribute %d is %v, want %v", name, i, d, g.QI[d], w.QI[d])
+			}
+		}
+	}
+	// Two vectors that share an element would see each other's writes.
+	for i, g := range got {
+		for d := range g.QI {
+			g.QI[d] = float64(i)
+		}
+	}
+	for i, g := range got {
+		for _, v := range g.QI {
+			if v != float64(i) {
+				t.Fatalf("%s: record %d's vector overlaps record %v's", name, i, v)
+			}
+		}
+	}
+}
+
+// TestWriteBinaryMatchesNext: WriteBinary, which drains in batches,
+// writes the bytes of encoding Next's records one by one.
+func TestWriteBinaryMatchesNext(t *testing.T) {
+	for _, set := range sets {
+		for _, n := range []int{3*rowBlock + 17, writeBatch + 17} {
+			c := NewBinaryCodec(set.schema().Dims())
+			var got bytes.Buffer
+			if written, err := c.WriteBinary(&got, set.stream(n, 42)); err != nil || written != n {
+				t.Fatalf("%s n=%d: WriteBinary = %d, %v", set.name, n, written, err)
+			}
+			want := make([]byte, 0, n*c.RecordSize())
+			buf := make([]byte, c.RecordSize())
+			for s := set.stream(n, 42); ; {
+				r, ok := s.Next()
+				if !ok {
+					break
+				}
+				if err := c.Encode(r, buf); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, buf...)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("%s n=%d: WriteBinary's %d bytes differ from Next's %d", set.name, n, got.Len(), len(want))
+			}
+		}
+	}
+}
+
+// TestCollectAllocsPerChunk: draining a stream allocates per chunk —
+// its QI array, its generator and that generator's source — plus the
+// batch and par.Do's workers, never per record.
+func TestCollectAllocsPerChunk(t *testing.T) {
+	const chunks, runs = 4, 10
+	streams := make([]*Stream, runs+1)
+	for i := range streams {
+		streams[i] = LandsEndStream(chunks*rowBlock, 8)
+	}
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		Collect(streams[next])
+		next++
+	})
+	if limit := float64(3*chunks + 8); got > limit {
+		t.Fatalf("Collect of %d records allocates %v objects, want at most %v", chunks*rowBlock, got, limit)
+	}
+}
+
+// BenchmarkGenerate drains 500 000 records of each data set, as the
+// benchmark's set-up does.
+func BenchmarkGenerate(b *testing.B) {
+	for _, set := range sets {
+		b.Run(set.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				generated = Collect(set.stream(500_000, 42))
+			}
+		})
+	}
+}
+
+var generated []attr.Record
 
 func TestLandsEndShape(t *testing.T) {
 	schema := LandsEndSchema()

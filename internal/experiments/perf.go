@@ -113,25 +113,31 @@ func fig7b(cfg Config, _ Args) (*Table, error) {
 
 // loadAgrawal streams n synthetic (Agrawal) records through a
 // buffer-tree loader allotted memoryBytes and leaves the index synced.
-func (c Config) loadAgrawal(n, memoryBytes int) (*core.RTreeAnonymizer, error) {
+// It returns the time spent loading and syncing, which leaves out the
+// time spent generating the records.
+func (c Config) loadAgrawal(n, memoryBytes int) (*core.RTreeAnonymizer, time.Duration, error) {
 	rt, err := core.NewRTreeAnonymizer(core.RTreeConfig{
 		Schema:   dataset.AgrawalSchema(),
 		BaseK:    c.BaseK,
 		BulkLoad: &rplustree.BulkLoadConfig{RecordBytes: 36, MemoryBytes: memoryBytes},
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
+	var elapsed time.Duration
 	s := dataset.AgrawalStream(n, c.Seed)
-	for {
-		batch := s.NextBatch(10000)
-		if len(batch) == 0 {
-			return rt, rt.Sync()
-		}
+	for batch := s.NextBatch(10000); len(batch) > 0; batch = s.NextBatch(10000) {
+		start := time.Now()
 		if err := rt.LoadBuffered(batch); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
+		elapsed += time.Since(start)
 	}
+	start := time.Now()
+	if err := rt.Sync(); err != nil {
+		return nil, 0, err
+	}
+	return rt, elapsed + time.Since(start), nil
 }
 
 // fig8a reproduces Figure 8(a): buffer-tree bulk anonymization of the
@@ -152,12 +158,10 @@ func fig8a(cfg Config, args Args) (*Table, error) {
 		Columns: []Column{{"records", "%12d"}, {"elapsed", "%14v"}, {"I/Os", "%12d"}},
 	}
 	for _, n := range sizes {
-		start := time.Now()
-		rt, err := cfg.loadAgrawal(n, memory)
+		rt, elapsed, err := cfg.loadAgrawal(n, memory)
 		if err != nil {
 			return nil, err
 		}
-		elapsed := time.Since(start)
 		if _, err := rt.Partitions(0); err != nil {
 			return nil, err
 		}
@@ -183,7 +187,7 @@ func fig8b(cfg Config, args Args) (*Table, error) {
 	}
 	var prev int64
 	for _, mem := range []int{top, top / 2, top / 4, top / 8} {
-		rt, err := cfg.loadAgrawal(cfg.Records, mem)
+		rt, _, err := cfg.loadAgrawal(cfg.Records, mem)
 		if err != nil {
 			return nil, err
 		}
