@@ -1,9 +1,11 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	"spatialanon/internal/anonmodel"
+	"spatialanon/internal/attr"
 	"spatialanon/internal/core"
 	"spatialanon/internal/dataset"
 	"spatialanon/internal/verify"
@@ -76,5 +78,45 @@ func TestRTreeHierarchicalReleases(t *testing.T) {
 	}
 	if _, err := a.HierarchicalRelease(99); err == nil {
 		t.Fatal("bad level accepted")
+	}
+}
+
+// TestHierarchicalReleaseWithholdsUnderfullLevels: ten copies of one
+// point and one neighbour leave a split no balanced candidate, so the
+// leaf level holds the neighbour alone. The leaf scan merges it
+// (Partitions(0) is one partition of 11); the hierarchical release must
+// withhold that level instead of publishing record 99 by itself.
+func TestHierarchicalReleaseWithholdsUnderfullLevels(t *testing.T) {
+	a, err := core.NewRTreeAnonymizer(core.RTreeConfig{Schema: dataset.LandsEndSchema(), BaseK: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := dataset.GenerateLandsEnd(1, 3)[0]
+	recs := make([]attr.Record, 0, 11)
+	for id := int64(0); id < 10; id++ {
+		recs = append(recs, attr.Record{ID: id, QI: base.QI})
+	}
+	odd := append([]float64(nil), base.QI...)
+	odd[0]++
+	recs = append(recs, attr.Record{ID: 99, QI: odd})
+	if err := a.Load(recs); err != nil {
+		t.Fatal(err)
+	}
+	if ps, err := a.Partitions(0); err != nil || len(ps) != 1 || ps[0].Size() != 11 {
+		t.Fatalf("leaf scan: %v partitions, err %v; want one of 11", len(ps), err)
+	}
+	leaves, err := a.Tree().Level(0)
+	if err != nil || len(leaves) != 2 {
+		t.Fatalf("want the leaf level split in two, got %d partitions (%v)", len(leaves), err)
+	}
+	ps, err := a.HierarchicalRelease(0)
+	if err == nil || !strings.Contains(err.Error(), "level 0") || !strings.Contains(err.Error(), "smallest partition 1 records") {
+		t.Fatalf("level 0 released as %d partitions, err %v; want it withheld naming its partition of 1", len(ps), err)
+	}
+	if rels, err := a.HierarchicalReleases(); err == nil {
+		t.Fatalf("HierarchicalReleases published %d levels with an underfull one", len(rels))
+	}
+	if ps, err := a.HierarchicalRelease(1); err != nil || len(ps) != 1 || ps[0].Size() != 11 {
+		t.Fatalf("level 1: %d partitions, err %v; want one of 11", len(ps), err)
 	}
 }

@@ -284,9 +284,30 @@ func (a *RTreeAnonymizer) derive(base Tiling, k1 int) ([]anonmodel.Partition, er
 
 // HierarchicalRelease materializes the anonymized table from tree level
 // `level` (0 = leaves) per the Section 3.1 hierarchical algorithm: each
-// level-i node becomes one partition holding all records beneath it.
+// level-i node becomes one partition holding all records beneath it. A
+// level with a partition that fails the installed constraint — a leaf an
+// unbalanced, duplicate-forced split left underfull — is withheld with an
+// error naming its smallest partition: withheld beats wrong.
 func (a *RTreeAnonymizer) HierarchicalRelease(level int) ([]anonmodel.Partition, error) {
-	return a.tree.Level(level)
+	ps, err := a.tree.Level(level)
+	if err != nil {
+		return nil, err
+	}
+	if err := anonmodel.CheckAnonymity(ps, a.constraint); err != nil {
+		return nil, fmt.Errorf("core: level %d withheld, smallest partition %d records: %w", level, smallest(ps), err)
+	}
+	return ps, nil
+}
+
+// smallest is the size of the smallest of ps, 0 for none.
+func smallest(ps []anonmodel.Partition) int {
+	min := 0
+	for i, p := range ps {
+		if i == 0 || p.Size() < min {
+			min = p.Size()
+		}
+	}
+	return min
 }
 
 // MultiGranular derives one release per requested granularity from one
@@ -317,7 +338,8 @@ func (a *RTreeAnonymizer) MultiGranular(ks []int) ([]Release, error) {
 // HierarchicalReleases derives one release per tree level — the
 // automatic k, lk, l²k, ... sequence of Section 3.1. Level 0 (leaves)
 // comes first. The root level (a single all-records partition) is
-// included last; callers wanting non-trivial releases can drop it.
+// included last; callers wanting non-trivial releases can drop it. One
+// withheld level withholds the set, with HierarchicalRelease's error.
 func (a *RTreeAnonymizer) HierarchicalReleases() ([]Release, error) {
 	out := make([]Release, 0, a.tree.Height())
 	for lvl := 0; lvl < a.tree.Height(); lvl++ {
@@ -325,13 +347,7 @@ func (a *RTreeAnonymizer) HierarchicalReleases() ([]Release, error) {
 		if err != nil {
 			return nil, err
 		}
-		min := 0
-		for i, p := range ps {
-			if i == 0 || p.Size() < min {
-				min = p.Size()
-			}
-		}
-		out = append(out, Release{Granularity: min, Partitions: ps})
+		out = append(out, Release{Granularity: smallest(ps), Partitions: ps})
 	}
 	return out, nil
 }

@@ -71,11 +71,10 @@ type Options struct {
 //
 //anonylint:published — handed to concurrent readers via the view's accel cache; immutable after Build returns
 type Index struct {
-	parts     []anonmodel.Partition
-	curve     sfc.Curve
-	quant     *sfc.Quantizer
-	dims      int
-	blockSize int
+	parts []anonmodel.Partition
+	curve sfc.Curve
+	quant *sfc.Quantizer
+	dims  int
 
 	// Partition summary, indexed by curve position (rank along the
 	// curve): original partition index, min-corner curve key
@@ -130,7 +129,7 @@ func Build(ps []anonmodel.Partition, opt Options) (*Index, error) {
 	if bs <= 0 {
 		bs = DefaultBlockSize
 	}
-	ix := &Index{parts: ps, curve: opt.Curve, blockSize: bs}
+	ix := &Index{parts: ps, curve: opt.Curve}
 	if len(ps) == 0 {
 		return ix, nil
 	}
@@ -434,9 +433,6 @@ func (ix *Index) Len() int { return len(ix.keys) }
 
 // Curve returns the ordering curve.
 func (ix *Index) Curve() sfc.Curve { return ix.curve }
-
-// BlockSize returns the configured target block width.
-func (ix *Index) BlockSize() int { return ix.blockSize }
 
 // NumBlocks returns the number of blocks.
 func (ix *Index) NumBlocks() int { return len(ix.bKeyLo) }

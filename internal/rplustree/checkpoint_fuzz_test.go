@@ -12,7 +12,6 @@ import (
 
 	"spatialanon/internal/attr"
 	"spatialanon/internal/dataset"
-	"spatialanon/internal/pager"
 	"spatialanon/internal/rplustree"
 	"spatialanon/internal/verify"
 )
@@ -20,18 +19,6 @@ import (
 var updateCorpus = flag.Bool("update", false, "rewrite the committed FuzzDecodeCheckpoint seed corpus from real images")
 
 var fuzzConfig = rplustree.Config{Schema: dataset.LandsEndSchema(), BaseK: 3}
-
-// blobGet resolves references against one byte string by offset and
-// length — the fuzz input's stand-in for the pager.
-func blobGet(blob []byte) func(rplustree.Ref) ([]byte, error) {
-	return func(ref rplustree.Ref) ([]byte, error) {
-		end := uint64(ref.Off) + uint64(ref.Len)
-		if end > uint64(len(blob)) {
-			return nil, fmt.Errorf("reference [%d,%d) outside %d object bytes", ref.Off, end, len(blob))
-		}
-		return blob[ref.Off:end], nil
-	}
-}
 
 // realImages are checkpoints of real trees — an empty one, a single
 // leaf, a few levels after inserts, the same after deletions with
@@ -59,18 +46,14 @@ func realImages(t testing.TB) [][2][]byte {
 				t.Fatal(err)
 			}
 		}
-		var blob []byte
+		var store rplustree.BlobStore
 		checkpoint := func() rplustree.Footprint {
-			ck, err := tr.EncodeCheckpoint(false, func(enc []byte, leaf bool) (rplustree.Ref, error) {
-				ref := rplustree.Ref{Pages: []pager.PageID{1}, Off: uint32(len(blob)), Len: uint32(len(enc))}
-				blob = append(blob, enc...)
-				return ref, nil
-			})
+			ck, err := tr.EncodeCheckpoint(false, store.Put)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ck.Commit()
-			out = append(out, [2][]byte{ck.Root, bytes.Clone(blob)})
+			out = append(out, [2][]byte{ck.Root, bytes.Clone(store.Bytes())})
 			return ck.Written
 		}
 		checkpoint()
@@ -107,14 +90,14 @@ func realImages(t testing.TB) [][2][]byte {
 // for an arbitrary root object over arbitrary object bytes — references
 // leading anywhere in them, to a sibling's object, an ancestor's, the
 // wrong kind's — it returns an error or a tree that passes the
-// independent structural audit and re-encodes — never a panic, never a
-// malformed tree.
+// independent structural audit and survives a round trip through a full
+// checkpoint unchanged — never a panic, never a malformed tree.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	// The real-image seeds are the committed corpus under testdata/fuzz
 	// (TestFuzzCorpusIsCurrent keeps it current).
 	f.Add([]byte{}, []byte{})
 	f.Fuzz(func(t *testing.T, root, objects []byte) {
-		tr, err := rplustree.DecodeCheckpoint(fuzzConfig, root, blobGet(objects))
+		tr, err := rplustree.DecodeCheckpoint(fuzzConfig, root, rplustree.Blob(objects).Get)
 		if err != nil {
 			return
 		}
@@ -124,14 +107,28 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("decoder accepted a tree that breaks its own invariants: %v", err)
 		}
-		snap, err := tr.EncodeSnapshot()
+		var store rplustree.BlobStore
+		ck, err := tr.EncodeCheckpoint(true, store.Put)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rplustree.DecodeSnapshot(fuzzConfig, snap); err != nil {
-			t.Fatalf("decoded tree does not survive a snapshot round trip: %v", err)
+		back, err := rplustree.DecodeCheckpoint(fuzzConfig, ck.Root, store.Get)
+		if err != nil {
+			t.Fatalf("decoded tree does not survive a full checkpoint: %v", err)
+		}
+		if !bytes.Equal(snapshot(t, tr), snapshot(t, back)) {
+			t.Fatal("decoded tree changes in a full checkpoint round trip")
 		}
 	})
+}
+
+func snapshot(t *testing.T, tr *rplustree.Tree) []byte {
+	t.Helper()
+	snap, err := tr.EncodeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }
 
 // TestFuzzCorpusIsCurrent keeps the committed seed corpus

@@ -31,6 +31,9 @@ func (b *blobStore) get(ref Ref) ([]byte, error) {
 	return b.blob[ref.Off:end], nil
 }
 
+// mustSnapshot is the tree's canonical image: a full checkpoint in one
+// byte string. Equal images mean the same trie, the same leaf order and
+// the same record order within every leaf.
 func mustSnapshot(t testing.TB, tr *Tree) []byte {
 	t.Helper()
 	snap, err := tr.EncodeSnapshot()
@@ -80,8 +83,8 @@ func countNodes(tr *Tree) (leaves, nodes int) {
 	return leaves, nodes
 }
 
-// TestCheckpointRoundTrip: the checkpoint form decodes to a tree whose
-// inline snapshot is byte-identical to the source tree's — same trie,
+// TestCheckpointRoundTrip: an incremental checkpoint decodes to a tree
+// whose snapshot is byte-identical to the source tree's — same trie,
 // same leaf order, same record order within a leaf.
 func TestCheckpointRoundTrip(t *testing.T) {
 	cfg := Config{Schema: dataset.LandsEndSchema(), BaseK: 4}
@@ -117,13 +120,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	// changed, its next checkpoint writes nothing.
 	if ck2 := mustCheckpoint(t, got, false, &store); ck2.Written != (Footprint{}) || ck2.Image != ck.Image || ck2.Whole != ck.Image.Bytes() {
 		t.Fatalf("checkpoint of an untouched recovered tree wrote %+v (image %+v, %d bytes whole)", ck2.Written, ck2.Image, ck2.Whole)
-	}
-	// The two forms are told apart by their version word.
-	if _, err := DecodeSnapshot(cfg, ck.Root); err == nil {
-		t.Fatal("a root object decoded as an inline snapshot")
-	}
-	if _, err := DecodeCheckpoint(cfg, mustSnapshot(t, tr), store.get); err == nil {
-		t.Fatal("an inline snapshot decoded as a checkpoint")
 	}
 }
 
@@ -508,14 +504,15 @@ func TestImageSizes(t *testing.T) {
 	// A fractional coordinate moves its own row to the raw layout and
 	// nobody else's: a leaf with room grows by the record alone — its ID
 	// (2), a 65-byte row and the sensitive length.
-	snap := mustSnapshot(t, tr)
+	leafBytes := func() int64 { return mustCheckpoint(t, tr, true, &blobStore{}).Written.LeafBytes }
+	before := leafBytes()
 	odd := roomyLeaf(t, tr).recs[0]
 	odd.ID, odd.QI = 99, append([]float64{odd.QI[0] + 0.5}, odd.QI[1:]...)
 	if err := tr.Insert(odd); err != nil {
 		t.Fatal(err)
 	}
-	if grown := len(mustSnapshot(t, tr)) - len(snap); len(tr.Leaves()) != leaves || grown != 2+65+1 {
-		t.Errorf("one fractional record grew the image by %d bytes and %d leaves to %d, want 68 bytes", grown, leaves, len(tr.Leaves()))
+	if grown := leafBytes() - before; len(tr.Leaves()) != leaves || grown != 2+65+1 {
+		t.Errorf("one fractional record grew the leaves by %d bytes and %d leaves to %d, want 68 bytes", grown, leaves, len(tr.Leaves()))
 	}
 }
 
@@ -560,44 +557,30 @@ func TestDeltaSize(t *testing.T) {
 	}
 }
 
-// TestDecodeRefusesRetiredVersions: images in the fixed-width float64
-// format (snapshot version 1, directory version 2), checkpoints whose
-// directory was one buffer (version 4), whose leaves had no deltas
-// (version 5) or whose nodes had none (version 6), and both forms before
-// rows took varints (snapshot version 3, directory version 7) are refused
-// by their version word — and neither form's word opens the other.
+// TestDecodeRefusesRetiredVersions: root objects in the fixed-width
+// float64 format (versions 1 and 2), trees with every child inline
+// (versions 3 and 4), checkpoints whose directory was one buffer (version
+// 4), whose leaves had no deltas (version 5), whose nodes had none
+// (version 6) or whose rows took no varints (version 7) are refused by
+// their version word.
 func TestDecodeRefusesRetiredVersions(t *testing.T) {
 	cfg := Config{Schema: dataset.LandsEndSchema(), BaseK: 4}
 	tr, _ := New(cfg)
 	insertAll(t, tr, paperRecords(10))
 	var store blobStore
-	for name, form := range map[string]struct {
-		own    byte
-		decode func(version byte) error
-	}{
-		"snapshot": {snapshotVersion, func(v byte) error {
-			img := mustSnapshot(t, tr)
-			img[0] = v
-			_, err := DecodeSnapshot(cfg, img)
-			return err
-		}},
-		"directory": {directoryVersion, func(v byte) error {
-			img := mustCheckpoint(t, tr, true, &store).Root
-			img[0] = v
-			_, err := DecodeCheckpoint(cfg, img, store.get)
-			return err
-		}},
-	} {
-		if err := form.decode(form.own); err != nil {
-			t.Fatalf("%s in this build's version %d: %v", name, form.own, err)
-		}
-		for v := byte(1); v <= directoryVersion; v++ {
-			if v == form.own {
-				continue
-			}
-			if err := form.decode(v); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("format version %d", v)) {
-				t.Errorf("%s with version word %d: %v, want a version error", name, v, err)
-			}
+	root := mustCheckpoint(t, tr, true, &store).Root
+	decode := func(v byte) error {
+		img := bytes.Clone(root)
+		img[0] = v
+		_, err := DecodeCheckpoint(cfg, img, store.get)
+		return err
+	}
+	if err := decode(directoryVersion); err != nil {
+		t.Fatalf("root object in this build's version %d: %v", directoryVersion, err)
+	}
+	for v := byte(1); v < directoryVersion; v++ {
+		if err := decode(v); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("format version %d", v)) {
+			t.Errorf("version word %d: %v, want a version error", v, err)
 		}
 	}
 }
@@ -607,32 +590,30 @@ func TestDecodeRefusesRetiredVersions(t *testing.T) {
 // record's coordinates — however many records it holds.
 func TestDecodeLeafAllocations(t *testing.T) {
 	cfg := Config{Schema: dataset.LandsEndSchema(), BaseK: 10}
-	allocs := func(n int) float64 {
+	decoded := func(n int) (*Tree, float64) {
 		tr, _ := New(cfg)
 		insertAll(t, tr, paperRecords(n))
 		if tr.Height() != 1 {
 			t.Fatalf("%d records split the root leaf", n)
 		}
-		snap := mustSnapshot(t, tr)
-		return testing.AllocsPerRun(50, func() {
-			got, err := DecodeSnapshot(cfg, snap)
-			if err != nil || got.Len() != n {
+		var store blobStore
+		root, get := mustCheckpoint(t, tr, true, &store).Root, store.get
+		var got *Tree
+		allocs := testing.AllocsPerRun(50, func() {
+			var err error
+			if got, err = DecodeCheckpoint(cfg, root, get); err != nil || got.Len() != n {
 				t.Fatal(err)
 			}
 		})
+		return got, allocs
 	}
-	few, many := allocs(2), allocs(20)
+	_, few := decoded(2)
+	got, many := decoded(20)
 	if few != many || many > 12 {
 		t.Errorf("decoding a leaf of 2 records allocates %v times, of 20 records %v times; want the same small number", few, many)
 	}
 	// The vectors are windows of one array, clipped so that growing one
 	// cannot reach into its neighbour.
-	tr, _ := New(cfg)
-	insertAll(t, tr, paperRecords(3))
-	got, err := DecodeSnapshot(cfg, mustSnapshot(t, tr))
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, r := range got.Leaves()[0].Records {
 		if cap(r.QI) != len(r.QI) {
 			t.Errorf("decoded vector of record %d has capacity %d beyond its %d values", r.ID, cap(r.QI), len(r.QI))

@@ -24,7 +24,7 @@ func redirectedRoot(tr *Tree, store *blobStore, to map[*node]Ref) []byte {
 		refs = append(refs, ref)
 	})
 	ref, _ := store.put(appendWhole(nil, tr.root, refs), false)
-	root, _ := tr.appendHeader(directoryVersion)
+	root, _ := tr.appendHeader()
 	root, _ = appendRef(root, ref, 0)
 	return root
 }

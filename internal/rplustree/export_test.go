@@ -29,3 +29,12 @@ func (t *Tree) MoveBottomPlane() (misrouted, of int) {
 	}
 	return misrouted, len(right.recs)
 }
+
+// BlobStore is the package tests' one-byte-string object store, for the
+// external tests: Blob wraps given object bytes, a zero one starts empty.
+type BlobStore = blobStore
+
+func Blob(objects []byte) *BlobStore                        { return &blobStore{blob: objects} }
+func (b *blobStore) Put(enc []byte, leaf bool) (Ref, error) { return b.put(enc, leaf) }
+func (b *blobStore) Get(ref Ref) ([]byte, error)            { return b.get(ref) }
+func (b *blobStore) Bytes() []byte                          { return b.blob }

@@ -15,29 +15,24 @@ import (
 // hyperplane values go through the repository's one row codec
 // (internal/attr, row.go), counts and references are varints.
 //
-// The same trie, leaf and header encoders serve two forms that differ
-// in where a node's children are:
+// The checkpoint (EncodeCheckpoint/DecodeCheckpoint) is the tree's one
+// serialization. It makes every tree node a durable OBJECT of its own,
+// stored wherever the caller puts it and opened by a kind byte. Every
+// node is one WHOLE object — a leaf's records, an internal node's split
+// trie with a Ref per child — or one cumulative DELTA over one whole
+// object stored earlier, its BASE: a leaf's names the base's Ref, the
+// base positions deleted and the rows appended since; an internal
+// node's, whose trie has not changed, the base's Ref and the Refs of the
+// children that have moved, by position in trie order. Never a delta over
+// a delta, so a node is at most two objects. The root object is the
+// header and the root node's Ref. A checkpoint therefore writes what
+// changed in the changed leaves and in the nodes above them — the nodes
+// stamped (node.stamp, the tree's one change clock) since their copy was
+// made: O(changed records + changed leaves × height) — and recovery
+// fetches object by object. EncodeSnapshot is a full checkpoint laid out
+// in one byte string, the image tests and probes compare trees with.
 //
-//   - the snapshot (EncodeSnapshot/DecodeSnapshot) carries every node
-//     inline — the whole tree in one byte string, the in-memory form
-//     tests and probes compare trees with;
-//   - the checkpoint (EncodeCheckpoint/DecodeCheckpoint) makes every
-//     tree node durable OBJECTS of its own, stored wherever the caller
-//     puts them and opened by a kind byte. Every node is one WHOLE object
-//     — a leaf's records, an internal node's split trie with a Ref per
-//     child — or one cumulative DELTA over one whole object stored
-//     earlier, its BASE: a leaf's names the base's Ref, the base positions
-//     deleted and the rows appended since; an internal node's, whose trie
-//     has not changed, the base's Ref and the Refs of the children that
-//     have moved, by position in trie order. Never a delta over a delta,
-//     so a node is at most two objects. The root object is the header and
-//     the root node's Ref. A checkpoint therefore writes what changed in
-//     the changed leaves and in the nodes above them — the nodes stamped
-//     (node.stamp, the tree's one change clock) since their copy was made:
-//     O(changed records + changed leaves × height) — and recovery fetches
-//     object by object.
-//
-// Either form stores only what cannot be re-derived: the trie structure
+// A checkpoint stores only what cannot be re-derived: the trie structure
 // and the leaf payloads. Routing regions, which the tree does not store
 // either, are derived from the split-trie hyperplanes as the tries are
 // read, MBRs and counts are recomputed bottom-up, and the decoder
@@ -48,16 +43,13 @@ import (
 // internal/wal checksums every object, each CRC held by the object above,
 // and recovery runs the full internal/verify audit on the decoded tree.
 
-// The two encoding forms, told apart by the leading version word so one
-// can never be decoded as the other. Bumped on any incompatible layout
-// change: 1 and 2 were the fixed-width float64 forms, 4 the checkpoint
-// whose directory was one buffer, 5 the one without leaf deltas or kind
-// bytes, 6 the one without node deltas, 3 and 7 the inline and referenced
-// forms without varint rows — all refused with a version error.
-const (
-	snapshotVersion  = 4 // children inline
-	directoryVersion = 8 // children by reference
-)
+// directoryVersion is the root object's leading word, bumped on any
+// incompatible layout change. Every earlier word is refused with a
+// version error: 1 and 2 were the fixed-width float64 forms, 3 and 4
+// trees with every child inline, 4 also the checkpoint whose directory
+// was one buffer, 5 the one without leaf deltas or kind bytes, 6 the one
+// without node deltas and 7 the one without varint rows.
+const directoryVersion = 8
 
 // The kinds of checkpoint object, each object's first byte: a delta's is
 // its base's with the low bit set.
@@ -73,7 +65,7 @@ const (
 const deltaShare = 2
 
 // snapMaxDepth bounds the recursion while decoding: deeper nesting
-// than this in a well-formed snapshot would need more nodes than the
+// than this in a well-formed checkpoint would need more nodes than the
 // encoding could hold, so it can only mean corruption (and protects
 // the decoder's stack from adversarial input).
 const snapMaxDepth = 4096
@@ -227,25 +219,24 @@ func (c *Checkpoint) Commit() {
 // has no copy, and neither has one whose trie was edited.
 func (n *node) durable() bool { return n.dur != nil && n.stamp <= n.dur.at }
 
-// EncodeSnapshot serializes the tree structure and payloads into one
-// byte string. A tree with records still blocked in bulk-load buffers
-// cannot be snapshotted — those records are not yet placed — so callers
-// flush first.
+// EncodeSnapshot is what a full checkpoint writes, in one byte string:
+// every object whole, children first, each referenced by its offset into
+// the string on page 1 with no CRC, then the root object. Two trees with
+// the same tries, leaf order and record order have the same snapshot. It
+// commits nothing, so the tree is left as it was. A tree with records
+// still blocked in bulk-load buffers cannot be snapshotted — those records
+// are not yet placed — so callers flush first.
 func (t *Tree) EncodeSnapshot() ([]byte, error) {
-	e, err := t.appendHeader(snapshotVersion)
+	var img []byte
+	ck, err := t.EncodeCheckpoint(true, func(enc []byte, _ bool) (Ref, error) {
+		ref := Ref{Pages: []pager.PageID{1}, Off: uint32(len(img)), Len: uint32(len(enc))}
+		img = append(img, enc...)
+		return ref, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return appendNode(e, t.root), nil
-}
-
-// appendNode is the inline form of a node: a tag, then the leaf payload
-// or the trie with every child inline in turn.
-func appendNode(e []byte, n *node) []byte {
-	if n.isLeaf() {
-		return appendLeaf(append(e, 0), n.recs)
-	}
-	return appendTrie(append(e, 1), n.trie, appendNode)
+	return append(img, ck.Root...), nil
 }
 
 // EncodeCheckpoint walks the tree children first and hands put the object
@@ -256,7 +247,7 @@ func appendNode(e []byte, n *node) []byte {
 // their references. The byte slice put receives is reused between calls.
 // Nothing in the tree changes until the Checkpoint is committed.
 func (t *Tree) EncodeCheckpoint(full bool, put func(enc []byte, leaf bool) (Ref, error)) (*Checkpoint, error) {
-	root, err := t.appendHeader(directoryVersion)
+	root, err := t.appendHeader()
 	if err != nil {
 		return nil, err
 	}
@@ -350,7 +341,7 @@ func appendWhole(e []byte, n *node, refs []Ref) []byte {
 		return appendLeaf(append(e, kindLeaf), n.recs)
 	}
 	var prev pager.PageID
-	return appendTrie(append(e, kindNode), n.trie, func(e []byte, _ *node) []byte {
+	return appendTrie(append(e, kindNode), n.trie, func(e []byte) []byte {
 		e, prev = appendRef(e, refs[0], prev)
 		refs = refs[1:]
 		return e
@@ -388,23 +379,22 @@ func appendPatch(e []byte, n *node, base *baseCopy, refs []Ref) (enc []byte, ok 
 	return e, moved > 0
 }
 
-// appendHeader starts an encoding of either form: version, dimensions
-// and height.
-func (t *Tree) appendHeader(version uint32) ([]byte, error) {
+// appendHeader starts the root object: version, dimensions and height.
+func (t *Tree) appendHeader() ([]byte, error) {
 	if bl := t.loader; bl != nil && bl.buffered > 0 {
-		return nil, fmt.Errorf("rplustree: snapshot with %d records still buffered; flush the loader first", bl.buffered)
+		return nil, fmt.Errorf("rplustree: checkpoint with %d records still buffered; flush the loader first", bl.buffered)
 	}
 	e := make([]byte, 0, 1024)
-	e = appendU32(e, version)
+	e = appendU32(e, directoryVersion)
 	e = appendU32(e, uint32(t.cfg.Schema.Dims()))
 	return appendU32(e, uint32(t.height)), nil
 }
 
-// appendTrie writes a split trie; child appends what stands for one
-// child node in this form.
-func appendTrie(e []byte, st *splitTrie, child func(e []byte, n *node) []byte) []byte {
+// appendTrie writes a split trie; child appends the next child's
+// reference at each trie leaf.
+func appendTrie(e []byte, st *splitTrie, child func(e []byte) []byte) []byte {
 	if st.isLeaf() {
-		return child(append(e, 0), st.child)
+		return child(append(e, 0))
 	}
 	e = append(e, 1)
 	e = binary.AppendUvarint(e, uint64(st.axis))
@@ -412,9 +402,8 @@ func appendTrie(e []byte, st *splitTrie, child func(e []byte, n *node) []byte) [
 	return appendTrie(appendTrie(e, st.left, child), st.right, child)
 }
 
-// appendLeaf is the leaf payload encoding both forms share: inline in a
-// snapshot, a leaf object or a delta's appended rows in a checkpoint. A
-// record costs its ID varint, its row (attr/row.go: 13 bytes for the
+// appendLeaf is the leaf payload of a leaf object or a delta's appended
+// rows. A record costs its ID varint, its row (attr/row.go: 13 bytes for the
 // paper's record, 33 at most for eight integral attributes) and its
 // sensitive value behind a length byte.
 func appendLeaf(e []byte, recs []attr.Record) []byte {
@@ -456,83 +445,69 @@ func appendU32(b []byte, v uint32) []byte {
 	return binary.LittleEndian.AppendUint32(b, v)
 }
 
-// DecodeSnapshot rebuilds a tree from EncodeSnapshot output under the
-// given configuration. Every structural property the rest of the
-// package relies on is re-validated during the decode; arbitrary
-// input yields an error, never a panic or a malformed tree.
-func DecodeSnapshot(cfg Config, data []byte) (*Tree, error) {
-	return decodeTree(cfg, data, snapshotVersion, nil)
-}
-
 // DecodeCheckpoint rebuilds a tree from a checkpoint's root object,
 // asking get for the stored object behind each reference, parents before
 // children (the slice get returns is consumed or copied before the next
-// call, so get may reuse it). It validates exactly what DecodeSnapshot
-// validates, refuses a reference it has already followed, and gives every
-// node its reference as its durable copy so the next checkpoint of the
-// recovered tree rewrites only what changes from here on.
+// call, so get may reuse it). Every structural property the rest of the
+// package relies on is re-validated during the decode, and a reference
+// already followed is refused: arbitrary input yields an error, never a
+// panic or a malformed tree. Every node gets its reference as its durable
+// copy, so the next checkpoint of the recovered tree rewrites only what
+// changes from here on.
 func DecodeCheckpoint(cfg Config, root []byte, get func(Ref) ([]byte, error)) (*Tree, error) {
-	return decodeTree(cfg, root, directoryVersion, get)
-}
-
-func decodeTree(cfg Config, data []byte, wantVersion uint32, get func(Ref) ([]byte, error)) (*Tree, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	src := &source{Reader: attr.NewReader(data)}
+	src := &source{Reader: *attr.NewReader(root)}
 	version, err := src.U32()
 	if err != nil {
 		return nil, err
 	}
-	if version != wantVersion {
-		return nil, fmt.Errorf("rplustree: snapshot in format version %d, this build reads version %d", version, wantVersion)
+	if version != directoryVersion {
+		return nil, fmt.Errorf("rplustree: checkpoint in format version %d, this build reads version %d", version, directoryVersion)
 	}
 	dims, err := src.U32()
 	if err != nil {
 		return nil, err
 	}
 	if int(dims) != cfg.Schema.Dims() {
-		return nil, fmt.Errorf("rplustree: snapshot has %d dimensions, schema has %d", dims, cfg.Schema.Dims())
+		return nil, fmt.Errorf("rplustree: checkpoint has %d dimensions, schema has %d", dims, cfg.Schema.Dims())
 	}
 	height, err := src.U32()
 	if err != nil {
 		return nil, err
 	}
 	if height < 1 || height > snapMaxDepth {
-		return nil, fmt.Errorf("rplustree: snapshot height %d out of range", height)
+		return nil, fmt.Errorf("rplustree: checkpoint height %d out of range", height)
 	}
-	d := &snapDecoder{height: int(height), get: get}
-	if get != nil {
-		d.seen = map[objectKey]struct{}{}
-	}
-	root, err := d.child(src, infiniteRegion(int(dims)), 0)
+	d := &snapDecoder{height: int(height), get: get, seen: map[objectKey]struct{}{}}
+	n, err := d.child(src, infiniteRegion(int(dims)), 0)
 	if err != nil {
 		return nil, err
 	}
 	if src.Remaining() != 0 {
-		return nil, fmt.Errorf("rplustree: snapshot has %d trailing bytes", src.Remaining())
+		return nil, fmt.Errorf("rplustree: root object has %d trailing bytes", src.Remaining())
 	}
-	return &Tree{cfg: cfg, root: root, height: int(height)}, nil
+	return &Tree{cfg: cfg, root: n, height: int(height)}, nil
 }
 
 // snapDecoder rebuilds nodes of a tree whose height the header gave:
 // the node at depth height-1 is a leaf, every node above it internal —
 // so the recursion is bounded and the leaves sit at one depth by
-// construction. With get set, children are references resolved through
-// it; otherwise they are inline.
+// construction. Children are references resolved through get.
 type snapDecoder struct {
 	height int
 	get    func(Ref) ([]byte, error)
 	seen   map[objectKey]struct{} // where the objects followed so far start
 }
 
-// source is one encoded byte string — a snapshot, or one object of a
-// checkpoint — read through the row codec's bounds-checked reader, with
+// source is one encoded byte string — the root object or one object of
+// the tree — read through the row codec's bounds-checked reader, with
 // appendRef's prev replayed. Of a node object it keeps the child
 // references read so far, and takes those a node delta puts in their place.
 type source struct {
-	*attr.Reader
+	attr.Reader
 	prevPage pager.PageID
 	refs     []Ref
 	moved    []movedChild // ascending by position, consumed as applied
@@ -552,29 +527,19 @@ type objectKey struct {
 	off  uint32
 }
 
-// child decodes what stands for one node at the given depth: a
-// reference to its object, or a tag and the node inline.
+// child reads the reference standing for one node at the given depth and
+// decodes the object behind it.
 func (d *snapDecoder) child(src *source, region attr.Box, depth int) (*node, error) {
-	if d.get != nil {
-		ref, err := src.ref()
-		if err != nil {
-			return nil, err
-		}
-		// A reference a delta supersedes is parsed and dropped, never followed.
-		pos := uint64(len(src.refs))
-		if src.refs = append(src.refs, ref); len(src.moved) > 0 && src.moved[0].pos == pos {
-			ref, src.moved = src.moved[0].ref, src.moved[1:]
-		}
-		return d.object(ref, region, depth)
-	}
-	tag, err := src.Byte()
+	ref, err := src.ref()
 	if err != nil {
 		return nil, err
 	}
-	if leaf := depth == d.height-1; tag > 1 || (tag == 0) != leaf {
-		return nil, fmt.Errorf("rplustree: snapshot node tag %d at depth %d of a tree of height %d", tag, depth, d.height)
+	// A reference a delta supersedes is parsed and dropped, never followed.
+	pos := uint64(len(src.refs))
+	if src.refs = append(src.refs, ref); len(src.moved) > 0 && src.moved[0].pos == pos {
+		ref, src.moved = src.moved[0].ref, src.moved[1:]
 	}
-	return d.node(src, region, depth)
+	return d.object(ref, region, depth)
 }
 
 // key is where the object behind the reference starts.
@@ -582,17 +547,17 @@ func (r Ref) key() objectKey { return objectKey{page: r.Pages[0], off: r.Off} }
 
 // fetch opens the object behind ref — each object once — and consumes its
 // kind byte. The bytes are get's, good until the next fetch.
-func (d *snapDecoder) fetch(ref Ref) (*source, byte, error) {
+func (d *snapDecoder) fetch(ref Ref) (source, byte, error) {
 	key := ref.key()
 	if _, dup := d.seen[key]; dup {
-		return nil, 0, fmt.Errorf("rplustree: checkpoint object at page %d offset %d is referenced twice", key.page, key.off)
+		return source{}, 0, fmt.Errorf("rplustree: checkpoint object at page %d offset %d is referenced twice", key.page, key.off)
 	}
 	d.seen[key] = struct{}{}
 	enc, err := d.get(ref)
 	if err != nil {
-		return nil, 0, err
+		return source{}, 0, err
 	}
-	src := &source{Reader: attr.NewReader(enc)}
+	src := source{Reader: *attr.NewReader(enc)}
 	kind, err := src.Byte()
 	return src, kind, err
 }
@@ -607,13 +572,15 @@ func (src *source) end(err error) error {
 
 // object fetches and decodes the node behind ref: above the leaf depth a
 // node object or a node delta, at it a leaf object or a leaf delta, and
-// behind a delta — read to its end first — the whole object of its depth only.
+// behind a delta — read to its end first — the whole object of its depth
+// only. MBRs and counts are rebuilt as it goes.
 func (d *snapDecoder) object(ref Ref, region attr.Box, depth int) (*node, error) {
 	leaf, wholeKind := depth == d.height-1, kindNode
 	if leaf {
 		wholeKind = kindLeaf
 	}
-	src, kind, err := d.fetch(ref)
+	obj, kind, err := d.fetch(ref)
+	src := &obj
 	if err == nil && kind&^1 != wholeKind {
 		err = fmt.Errorf("rplustree: checkpoint object of kind %d at depth %d of a tree of height %d", kind, depth, d.height)
 	}
@@ -651,20 +618,24 @@ func (d *snapDecoder) object(ref Ref, region attr.Box, depth int) (*node, error)
 			return nil, err
 		}
 		var under byte
-		if src, under, err = d.fetch(base.ref); err == nil && under != wholeKind {
+		if obj, under, err = d.fetch(base.ref); err == nil && under != wholeKind {
 			err = fmt.Errorf("rplustree: checkpoint delta of kind %d names an object of kind %d as its base", kind, under)
 		}
 		if err != nil {
 			return nil, err
 		}
 	}
-	if !leaf {
+	var n *node
+	if leaf {
+		n, err = src.leaf(region)
+	} else {
 		// Its children are fetched while it is read: the bytes must outlast that.
 		rest, _ := src.Bytes(src.Remaining())
-		src = &source{Reader: attr.NewReader(slices.Clone(rest)), moved: moved, refs: make([]Ref, 0, 8)}
+		obj = source{Reader: *attr.NewReader(slices.Clone(rest)), moved: moved, refs: make([]Ref, 0, 8)}
+		n = &node{mbr: attr.NewBox(len(region))}
+		n.trie, err = d.trie(src, n, region, depth, 0)
 	}
 	whole := int64(base.ref.Len)
-	n, err := d.node(src, region, depth)
 	switch {
 	case err != nil:
 	case appended != nil:
@@ -732,22 +703,6 @@ func (n *node) replay(base *baseCopy, appended *node) error {
 	return nil
 }
 
-// node decodes the body of the node owning region at depth — a leaf
-// payload at the last level, a trie above it — rebuilding MBRs and
-// counts as it goes.
-func (d *snapDecoder) node(src *source, region attr.Box, depth int) (*node, error) {
-	if depth == d.height-1 {
-		return src.leaf(region)
-	}
-	n := &node{mbr: attr.NewBox(len(region))}
-	trie, err := d.trie(src, n, region, depth, 0)
-	if err != nil {
-		return nil, err
-	}
-	n.trie = trie
-	return n, nil
-}
-
 // leaf decodes one leaf payload (appendLeaf's output) owning region. The
 // records' QI vectors are cap-clipped windows of ONE array per leaf, so
 // a recovered tree holds one QI allocation per leaf, not per record.
@@ -770,11 +725,11 @@ func (src *source) leaf(region attr.Box) (*node, error) {
 		}
 		for _, v := range rec.QI {
 			if math.IsNaN(v) {
-				return nil, fmt.Errorf("rplustree: snapshot record %d has NaN coordinate", rec.ID)
+				return nil, fmt.Errorf("rplustree: checkpoint record %d has NaN coordinate", rec.ID)
 			}
 		}
 		if !regionContains(region, rec.QI) {
-			return nil, fmt.Errorf("rplustree: snapshot record %d at %v outside its leaf region", rec.ID, rec.QI)
+			return nil, fmt.Errorf("rplustree: checkpoint record %d at %v outside its leaf region", rec.ID, rec.QI)
 		}
 		n.recs = append(n.recs, rec)
 		n.mbr.Include(rec.QI)
@@ -828,7 +783,7 @@ func (src *source) ref() (Ref, error) {
 // counts trie nesting only, as a corruption backstop.
 func (d *snapDecoder) trie(src *source, parent *node, region attr.Box, depth, guard int) (*splitTrie, error) {
 	if guard > snapMaxDepth {
-		return nil, fmt.Errorf("rplustree: snapshot nests deeper than %d", snapMaxDepth)
+		return nil, fmt.Errorf("rplustree: checkpoint nests deeper than %d", snapMaxDepth)
 	}
 	tag, err := src.Byte()
 	if err != nil {
@@ -851,7 +806,7 @@ func (d *snapDecoder) trie(src *source, parent *node, region attr.Box, depth, gu
 			return nil, err
 		}
 		if axis >= uint64(len(region)) {
-			return nil, fmt.Errorf("rplustree: snapshot split axis %d, schema has %d dimensions", axis, len(region))
+			return nil, fmt.Errorf("rplustree: checkpoint split axis %d, schema has %d dimensions", axis, len(region))
 		}
 		var plane [1]float64
 		if err := src.Row(plane[:]); err != nil {
@@ -860,7 +815,7 @@ func (d *snapDecoder) trie(src *source, parent *node, region attr.Box, depth, gu
 		value := plane[0]
 		iv := region[axis]
 		if math.IsNaN(value) || value <= iv.Lo || value >= iv.Hi {
-			return nil, fmt.Errorf("rplustree: snapshot split at %v outside region axis %d %v", value, axis, iv)
+			return nil, fmt.Errorf("rplustree: checkpoint split at %v outside region axis %d %v", value, axis, iv)
 		}
 		region[axis].Hi = value
 		left, err := d.trie(src, parent, region, depth, guard+1)
@@ -875,6 +830,6 @@ func (d *snapDecoder) trie(src *source, parent *node, region attr.Box, depth, gu
 		}
 		return &splitTrie{axis: int(axis), value: value, left: left, right: right}, nil
 	default:
-		return nil, fmt.Errorf("rplustree: snapshot trie tag %d", tag)
+		return nil, fmt.Errorf("rplustree: checkpoint trie tag %d", tag)
 	}
 }

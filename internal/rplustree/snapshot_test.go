@@ -1,6 +1,7 @@
 package rplustree
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -50,6 +51,10 @@ func treesEqual(a, b *Tree) bool {
 	return a.height == b.height && eq(a.root, b.root)
 }
 
+// TestSnapshotRoundTrip: a full checkpoint decodes to a tree equal to
+// the source, one that passes its invariants and accepts maintenance, and
+// the snapshot is that checkpoint laid out in one byte string — its
+// objects, then its root object — taken without committing anything.
 func TestSnapshotRoundTrip(t *testing.T) {
 	cfg := Config{Schema: dataset.LandsEndSchema(), BaseK: 4}
 	tr, err := New(cfg)
@@ -62,18 +67,20 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	insertAll(t, tr, recs)
 
-	snap, err := tr.EncodeSnapshot()
-	if err != nil {
-		t.Fatal(err)
+	var store blobStore
+	ck := mustCheckpoint(t, tr, true, &store)
+	snap := mustSnapshot(t, tr)
+	if !bytes.Equal(snap, append(bytes.Clone(store.blob), ck.Root...)) || int64(len(snap)) != ck.Whole+int64(len(ck.Root)) {
+		t.Fatalf("snapshot of %d bytes is not the full checkpoint's %d object bytes and %d-byte root", len(snap), ck.Whole, len(ck.Root))
 	}
-	got, err := DecodeSnapshot(cfg, snap)
+	got, err := DecodeCheckpoint(cfg, ck.Root, store.get)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := got.CheckInvariants(); err != nil {
 		t.Fatalf("decoded tree invalid: %v", err)
 	}
-	if !treesEqual(tr, got) {
+	if !treesEqual(tr, got) || !bytes.Equal(snap, mustSnapshot(t, got)) {
 		t.Fatal("decoded tree differs from original")
 	}
 	// The decoded tree is live: it accepts maintenance.
@@ -86,16 +93,25 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := got.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+
+	// Taking a snapshot stamps nothing: what an incremental checkpoint
+	// would write is the same before and after.
+	ck.Commit()
+	if err := tr.Insert(attr.Record{ID: 99999, QI: recs[1].QI}); err != nil {
+		t.Fatal(err)
+	}
+	pending := dryRun(t, tr)
+	mustSnapshot(t, tr)
+	if after := dryRun(t, tr); after != pending || pending.Deltas+pending.Leaves == 0 {
+		t.Fatalf("a checkpoint would write %+v before the snapshot, %+v after it", pending, after)
+	}
 }
 
 func TestSnapshotEmptyTree(t *testing.T) {
 	cfg := Config{Schema: dataset.LandsEndSchema(), BaseK: 3}
 	tr, _ := New(cfg)
-	snap, err := tr.EncodeSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeSnapshot(cfg, snap)
+	var store blobStore
+	got, err := DecodeCheckpoint(cfg, mustCheckpoint(t, tr, true, &store).Root, store.get)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,30 +120,64 @@ func TestSnapshotEmptyTree(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsDamage: the root object and every object truncated
+// at every byte, a trailing byte after either and a schema of other
+// dimensions are errors, never panics.
 func TestSnapshotRejectsDamage(t *testing.T) {
 	cfg := Config{Schema: dataset.LandsEndSchema(), BaseK: 3}
 	tr, _ := New(cfg)
 	insertAll(t, tr, continuousRecords(cfg.Schema, 100, 5))
-	snap, err := tr.EncodeSnapshot()
-	if err != nil {
-		t.Fatal(err)
+	var store blobStore
+	ck := mustCheckpoint(t, tr, true, &store)
+	if ck.Image.Nodes == 0 {
+		t.Fatal("want a tree with internal nodes")
 	}
-	// Truncations at every prefix length must error, never panic.
-	for cut := 0; cut < len(snap); cut += 7 {
-		if _, err := DecodeSnapshot(cfg, snap[:cut]); err == nil {
-			t.Fatalf("truncation to %d bytes accepted", cut)
+	for cut := 0; cut < len(ck.Root); cut++ {
+		if _, err := DecodeCheckpoint(cfg, ck.Root[:cut], store.get); err == nil {
+			t.Fatalf("root object truncated to %d bytes accepted", cut)
 		}
 	}
-	// Trailing garbage is rejected.
-	if _, err := DecodeSnapshot(cfg, append(append([]byte(nil), snap...), 0xEE)); err == nil {
-		t.Fatal("trailing bytes accepted")
+	if _, err := DecodeCheckpoint(cfg, append(bytes.Clone(ck.Root), 0xEE), store.get); err == nil {
+		t.Fatal("trailing root object byte accepted")
 	}
-	// A wrong-dimension schema is rejected.
-	if _, err := DecodeSnapshot(Config{Schema: dataset.PatientsSchema(), BaseK: 3}, snap); err == nil {
+	// Damage to the nth object fetched: cut at every byte, or one byte long.
+	damaged := func(nth int, damage func([]byte) []byte) error {
+		fetched := 0
+		_, err := DecodeCheckpoint(cfg, ck.Root, func(r Ref) ([]byte, error) {
+			b, err := store.get(r)
+			if fetched++; fetched-1 == nth && err == nil {
+				b = damage(b)
+			}
+			return b, err
+		})
+		return err
+	}
+	var sizes []int // of the objects, in the order they are fetched
+	if _, err := DecodeCheckpoint(cfg, ck.Root, func(r Ref) ([]byte, error) {
+		sizes = append(sizes, int(r.Len))
+		return store.get(r)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for nth, size := range sizes {
+		for cut := 0; cut < size; cut++ {
+			if damaged(nth, func(b []byte) []byte { return b[:cut] }) == nil {
+				t.Fatalf("object %d truncated to %d of %d bytes accepted", nth, cut, size)
+			}
+		}
+		if damaged(nth, func(b []byte) []byte { return append(bytes.Clone(b), 0xEE) }) == nil {
+			t.Fatalf("trailing byte after object %d accepted", nth)
+		}
+	}
+	// A schema of other dimensions is rejected.
+	if _, err := DecodeCheckpoint(Config{Schema: dataset.PatientsSchema(), BaseK: 3}, ck.Root, store.get); err == nil {
 		t.Fatal("wrong-dimension schema accepted")
 	}
 }
 
+// TestSnapshotRefusesBufferedRecords: records still in the loader's
+// buffers are not placed, so neither a checkpoint nor a snapshot can be
+// taken until a flush places them.
 func TestSnapshotRefusesBufferedRecords(t *testing.T) {
 	cfg := Config{Schema: dataset.LandsEndSchema(), BaseK: 3}
 	tr, _ := New(cfg)
@@ -139,13 +189,21 @@ func TestSnapshotRefusesBufferedRecords(t *testing.T) {
 	if err := bl.InsertBatch(recs); err != nil {
 		t.Fatal(err)
 	}
+	var store blobStore
+	if _, err := tr.EncodeCheckpoint(true, store.put); err == nil {
+		t.Fatal("checkpoint with buffered records accepted")
+	}
 	if _, err := tr.EncodeSnapshot(); err == nil {
 		t.Fatal("snapshot with buffered records accepted")
 	}
 	if err := bl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.EncodeSnapshot(); err != nil {
+	got, err := DecodeCheckpoint(cfg, mustCheckpoint(t, tr, true, &store).Root, store.get)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if got.Len() != len(recs) {
+		t.Fatalf("after the flush: decoded %d of %d records", got.Len(), len(recs))
 	}
 }

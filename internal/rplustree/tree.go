@@ -407,8 +407,10 @@ func findTrieLeaf(st *splitTrie, target *node) *splitTrie {
 // hyperplane. Because every child was created by recursively splitting
 // this node's region, the trie root hyperplane straddles no child: each
 // half takes the trie half that holds it. The halves keep n.children' order,
-// not the trie's — it is the bulk loader's sibling visiting order, and the
-// tree it builds depends on it.
+// not the trie's: it is the order in which the bulk loader visits siblings.
+// The tree a load builds does not depend on it (visiting in trie order
+// leaves TestRoutedLoadDigests' leaf digest as it is); Fig 8(b)'s I/O
+// counts do.
 func (t *Tree) splitInternal(n *node) error {
 	rootSplit := n.trie
 	if rootSplit.isLeaf() {

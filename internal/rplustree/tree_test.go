@@ -282,8 +282,8 @@ func TestUpdateRejectsBadRecordFirst(t *testing.T) {
 // TestNonFinitePointsRefused: a point with an infinite or NaN coordinate
 // is refused by Insert, by Update and by the bulk loader's Insert, and
 // the tree is left as it was. An infinite point lies outside every leaf
-// region a split cuts; a NaN one makes the tree's own snapshot one that
-// DecodeSnapshot refuses.
+// region a split cuts; a NaN one makes the tree's own checkpoint one
+// that DecodeCheckpoint refuses.
 func TestNonFinitePointsRefused(t *testing.T) {
 	cfg := Config{Schema: dataset.LandsEndSchema(), BaseK: 5}
 	recs := dataset.GenerateLandsEnd(200, 7)

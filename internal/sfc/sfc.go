@@ -73,9 +73,6 @@ func NewQuantizer(domain attr.Box, bits int) (*Quantizer, error) {
 	return &Quantizer{domain: domain.Clone(), bits: bits}, nil
 }
 
-// Dims returns the dimensionality of the quantizer's domain.
-func (q *Quantizer) Dims() int { return len(q.domain) }
-
 // KeyBits returns the total key width in bits (dims × bits), at most
 // 64 by construction.
 func (q *Quantizer) KeyBits() int { return q.bits * len(q.domain) }

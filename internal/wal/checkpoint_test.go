@@ -17,9 +17,10 @@ import (
 	"spatialanon/internal/rplustree"
 )
 
-// mustImage returns the tree's inline snapshot — the byte-equality
-// oracle for "the recovered tree is the live tree": same trie, same
-// leaf order, same record order within a leaf.
+// mustImage returns the tree's snapshot — a full checkpoint in one byte
+// string, committing nothing — the byte-equality oracle for "the
+// recovered tree is the live tree": same trie, same leaf order, same
+// record order within a leaf.
 func mustImage(t *testing.T, s *Store) []byte {
 	t.Helper()
 	img, err := s.Tree().EncodeSnapshot()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spatialanon/internal/attr"
+	"spatialanon/internal/pager"
 	"spatialanon/internal/rplustree"
 )
 
@@ -134,11 +135,19 @@ func FuzzRowRoundTrip(f *testing.F) {
 		if !finite {
 			return
 		}
-		snap, err := tr.EncodeSnapshot()
+		// A full checkpoint into one byte string, references by offset.
+		var objects []byte
+		ck, err := tr.EncodeCheckpoint(true, func(enc []byte, _ bool) (rplustree.Ref, error) {
+			ref := rplustree.Ref{Pages: []pager.PageID{1}, Off: uint32(len(objects)), Len: uint32(len(enc))}
+			objects = append(objects, enc...)
+			return ref, nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := rplustree.DecodeSnapshot(cfg, snap)
+		back, err := rplustree.DecodeCheckpoint(cfg, ck.Root, func(ref rplustree.Ref) ([]byte, error) {
+			return objects[ref.Off : ref.Off+ref.Len], nil
+		})
 		if err != nil {
 			t.Fatalf("image of a finite vector does not decode: %v", err)
 		}

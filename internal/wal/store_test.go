@@ -398,7 +398,7 @@ func TestStoreDiesOnCrashAndRefusesService(t *testing.T) {
 // TestStoreIngressValidation: nothing the recovery path refuses may
 // ever be committed to the WAL. A wrong-dimensionality record would
 // fail tree ops on replay; a NaN coordinate would be folded into the
-// next checkpoint, which DecodeSnapshot rejects — making every later
+// next checkpoint, which DecodeCheckpoint rejects — making every later
 // Open fail permanently. Both must be rejected before the log append,
 // leaving the store alive and the log replayable.
 func TestStoreIngressValidation(t *testing.T) {
