@@ -26,7 +26,7 @@ loc:
 # is the total of the last PR that moved it. A PR that adds net
 # non-test lines must raise the number here, in its own diff, where a
 # reviewer sees it; a PR that removes lines lowers it to its new total.
-LOC_CEILING = 19028
+LOC_CEILING = 19094
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \
@@ -117,24 +117,28 @@ crash:
 	$(GO) test ./internal/wal/ -run 'TestCrashMatrix' -v
 
 # Quick serving-layer throughput smoke: the group-commit benchmark
-# against the per-op baseline at a short benchtime, and the one-op
-# commit on a 200 000-record store (publish cost) — catches gross
-# throughput regressions without a full bench sweep.
+# against the per-op baseline at a short benchtime, the one-op commit on
+# a 200 000-record store (publish cost), and a store's preload (Create,
+# one batch of 50 000 inserts, Close: the store half of the benchmark's
+# set-up) — catches gross throughput regressions without a full bench
+# sweep.
 throughput:
 	$(GO) test -run NONE -bench 'StorePerOpInsert|ServeGroupCommit|PublishLargeStore|ServeReadsDuringWrites|ServePointQuery|ServeRangeQuery' -benchmem -benchtime 100ms ./internal/serve/
+	$(GO) test -run NONE -bench 'Preload' -benchmem -benchtime 5x ./internal/wal/
 
 # Zero-alloc smoke: the warm read path (sessions, sfc key path,
 # routing lookups) must report 0 allocs/op, and so must the row codec
 # (encode into spare capacity, decode into the caller's vector); a leaf
 # decodes with a fixed number of allocations however many records it
 # holds, a publish allocates a few objects per tree level however
-# many leaves there are, a buffer-tree load at most 1.40 objects per
-# record, and draining a generator a few objects per 4 096-record chunk
-# and none per record. These are regular tests built on
-# testing.AllocsPerRun, so CI enforces the budget on every run; this
-# target names them for quick local iteration.
+# many leaves there are, a buffer-tree load at most 1.00 objects per
+# record and a tuple load at most 0.85, a delete and re-insert that
+# leave their leaf at or above k none, and draining a generator a few
+# objects per 4 096-record chunk and none per record. These are regular
+# tests built on testing.AllocsPerRun, so CI enforces the budget on
+# every run; this target names them for quick local iteration.
 zeroalloc:
-	$(GO) test -run 'ZeroAlloc|TestDecodeLeafAllocations|TestPublishCostIsOChanged|TestBulkLoadAllocsPerRecord|TestCollectAllocsPerChunk' -v ./internal/routing/ ./internal/query/ ./internal/serve/ ./internal/sfc/ ./internal/attr/ ./internal/rplustree/ ./internal/dataset/
+	$(GO) test -run 'ZeroAlloc|TestDecodeLeafAllocations|TestPublishCostIsOChanged|TestBulkLoadAllocsPerRecord|TestInsertAllocsPerRecord|TestDeleteInsertAllocs|TestCollectAllocsPerChunk' -v ./internal/routing/ ./internal/query/ ./internal/serve/ ./internal/sfc/ ./internal/attr/ ./internal/rplustree/ ./internal/dataset/
 
 # Every fuzz target in the repository, FUZZTIME each (`go test -fuzz`
 # takes one target and one package per run). CI runs this with

@@ -121,23 +121,72 @@ func (s *Stream) NextBatch(size int) []attr.Record {
 // Collect drains a stream into a slice.
 func Collect(s *Stream) []attr.Record { return s.NextBatch(s.Remaining()) }
 
-// zipfIndex draws an index in [0,n) with a Zipf-like skew: rank r has
-// probability proportional to 1/(r+1)^s. An inverse CDF over a
-// precomputed table would be faster, and generation is measured — it is
-// most of the benchmark's set-up — but the draw sequence is what every
-// digest and pinned figure rests on, so it stays as it is.
-func zipfIndex(rng *rand.Rand, n int, s float64) int {
-	// Rejection-free approximate inverse transform: u^(1/(1-s)) maps a
-	// uniform variate to a power-law rank for s<1; clamp for safety.
+// zipf draws ranks in [0,n) with a Zipf-like skew, rank r with
+// probability proportional to 1/(r+1)^s. zipfRank is the draw's
+// definition; a zipf takes the same rank from a table — rank r for u in
+// [th[r], th[r+1]), found from u's bucket and a step or two — instead of
+// a math.Pow per draw, which dominated Lands End generation. A u within a
+// relative zipfGuard of either threshold goes to zipfRank itself: the
+// guard is about 10⁶ times the error of Pow and of th, so every draw, and
+// every digest and pinned figure resting on them, is the formula's.
+type zipf struct {
+	n      int
+	s      float64
+	th     []float64 // th[j] ≈ (j/n)^(1-s), th[n] = 1
+	bucket [zipfBuckets]int32
+}
+
+const (
+	zipfBuckets = 4096
+	zipfGuard   = 1e-9
+)
+
+// newZipf builds the table of n ranks under skew s < 1.
+func newZipf(n int, s float64) *zipf {
+	z := &zipf{n: n, s: s}
 	if n <= 1 {
+		return z
+	}
+	z.th = make([]float64, n+1)
+	for j := range z.th {
+		z.th[j] = math.Pow(float64(j)/float64(n), 1-s)
+	}
+	r := 0
+	for b := range z.bucket {
+		for z.th[r+1] <= float64(b)/zipfBuckets {
+			r++
+		}
+		z.bucket[b] = int32(r)
+	}
+	return z
+}
+
+// draw returns the rank of the next uniform variate of rng; it consumes
+// exactly one, none when n <= 1.
+func (z *zipf) draw(rng *rand.Rand) int {
+	if z.n <= 1 {
 		return 0
 	}
-	u := rng.Float64()
-	r := int(math.Pow(u, 1/(1-s)) * float64(n))
-	if r >= n {
-		r = n - 1
+	return z.rank(rng.Float64())
+}
+
+// rank returns zipfRank(u, z.n, z.s) for u in [0,1).
+func (z *zipf) rank(u float64) int {
+	r := int(z.bucket[int(u*zipfBuckets)])
+	for z.th[r+1] <= u {
+		r++
+	}
+	if u-z.th[r] <= zipfGuard*u || z.th[r+1]-u <= zipfGuard*u {
+		return zipfRank(u, z.n, z.s)
 	}
 	return r
+}
+
+// zipfRank maps a uniform variate u to a power-law rank in [0,n), n > 1:
+// the rejection-free approximate inverse transform u^(1/(1-s)) for s < 1,
+// clamped.
+func zipfRank(u float64, n int, s float64) int {
+	return min(int(math.Pow(u, 1/(1-s))*float64(n)), n-1)
 }
 
 // sets is the one registry of named data sets: what a command's

@@ -2,7 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
@@ -506,14 +508,66 @@ func TestCSVErrors(t *testing.T) {
 
 func TestZipfIndexBounds(t *testing.T) {
 	rng := detrng.New(detrng.Derive(1, 1))
+	z := newZipf(10, 0.7)
 	for i := 0; i < 10000; i++ {
-		v := zipfIndex(rng, 10, 0.7)
+		v := z.draw(rng)
 		if v < 0 || v >= 10 {
-			t.Fatalf("zipfIndex out of range: %d", v)
+			t.Fatalf("zipf draw out of range: %d", v)
 		}
 	}
-	if zipfIndex(rng, 1, 0.7) != 0 || zipfIndex(rng, 0, 0.7) != 0 {
+	if newZipf(1, 0.7).draw(rng) != 0 || newZipf(0, 0.7).draw(rng) != 0 {
 		t.Fatal("degenerate n must return 0")
+	}
+}
+
+// TestZipfTableMatchesFormula holds the table draw to zipfRank, the
+// formula it replaces, where they could part: at every threshold ± 2 000
+// ulps, and on 10⁶ seeded draws per table, which must also consume the
+// generator exactly as the formula does (nothing at all when n <= 1).
+func TestZipfTableMatchesFormula(t *testing.T) {
+	for _, z := range []*zipf{landsEndClusterZipf, landsEndStyleZipf, newZipf(10, 0.7), newZipf(1, 0.7), newZipf(0, 0.6)} {
+		for j, th := range z.th {
+			for dir, u := range []float64{th, th} {
+				for step := 0; step < 2000 && u >= 0 && u < 1; step++ {
+					if got, want := z.rank(u), zipfRank(u, z.n, z.s); got != want {
+						t.Fatalf("n=%d s=%v: threshold %d, u=%v: table %d, formula %d", z.n, z.s, j, u, got, want)
+					}
+					u = math.Nextafter(u, float64(dir*2-1)*math.Inf(1))
+				}
+			}
+		}
+		table, formula := detrng.New(3), detrng.New(3)
+		for i := 0; i < 1_000_000; i++ {
+			want := 0
+			if z.n > 1 {
+				want = zipfRank(formula.Float64(), z.n, z.s)
+			}
+			if got := z.draw(table); got != want {
+				t.Fatalf("n=%d s=%v: draw %d: table %d, formula %d", z.n, z.s, i, got, want)
+			}
+		}
+		if table.Int63() != formula.Int63() {
+			t.Fatalf("n=%d s=%v: the table consumed the generator differently", z.n, z.s)
+		}
+	}
+}
+
+// TestLandsEndDigest pins GenerateLandsEnd(100 000, 42) — IDs, QI bits and
+// sensitive values — to its digest before the Zipf draws were tabulated.
+func TestLandsEndDigest(t *testing.T) {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, r := range GenerateLandsEnd(100_000, 42) {
+		binary.LittleEndian.PutUint64(b[:], uint64(r.ID))
+		h.Write(b[:])
+		for _, v := range r.QI {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+		h.Write([]byte(r.Sensitive))
+	}
+	if got, want := h.Sum64(), uint64(0xcbfd69b0c5425a61); got != want {
+		t.Fatalf("digest %#x, want %#x", got, want)
 	}
 }
 

@@ -35,6 +35,12 @@ const (
 	landsEndShipModes   = 6
 )
 
+// The two Zipf draws of a Lands End record, built once.
+var (
+	landsEndClusterZipf = newZipf(landsEndZipClusters, 0.6)
+	landsEndStyleZipf   = newZipf(landsEndStyles, 0.7)
+)
+
 // LandsEndSchema returns the 8-attribute quasi-identifier schema of the
 // Lands End-like data set. As in the paper, every attribute is part of
 // the quasi-identifier and categorical attributes are integer-coded, so
@@ -56,7 +62,7 @@ func LandsEndSchema() *attr.Schema {
 
 // landsEndRow draws one record's values from its generator.
 func landsEndRow(rng *rand.Rand, qi []float64) string {
-	cluster := zipfIndex(rng, landsEndZipClusters, 0.6)
+	cluster := landsEndClusterZipf.draw(rng)
 	zipBase := 10000 + cluster*180 // spread clusters over [10000, 99999]
 	zip := zipBase + rng.Intn(120)
 
@@ -71,7 +77,7 @@ func landsEndRow(rng *rand.Rand, qi []float64) string {
 		gender = 1
 	}
 
-	style := zipfIndex(rng, landsEndStyles, 0.7)
+	style := landsEndStyleZipf.draw(rng)
 	basePrice := 5 + (style*37)%480 // style-determined base price
 	price := basePrice + rng.Intn(21) - 10
 	if price < 5 {
@@ -104,16 +110,8 @@ func landsEndRow(rng *rand.Rand, qi []float64) string {
 		ship = 5
 	}
 
-	copy(qi, []float64{
-		float64(zip),
-		float64(day),
-		float64(gender),
-		float64(style),
-		float64(price),
-		float64(quantity),
-		float64(cost),
-		float64(ship),
-	})
+	qi[0], qi[1], qi[2], qi[3] = float64(zip), float64(day), float64(gender), float64(style)
+	qi[4], qi[5], qi[6], qi[7] = float64(price), float64(quantity), float64(cost), float64(ship)
 	return ""
 }
 
@@ -168,17 +166,9 @@ func agrawalRow(rng *rand.Rand, qi []float64) string {
 	hyears := 1 + rng.Intn(30)
 	loan := rng.Intn(500001)
 
-	copy(qi, []float64{
-		float64(salary),
-		float64(commission),
-		float64(age),
-		float64(elevel),
-		float64(car),
-		float64(zipcode),
-		float64(hvalue),
-		float64(hyears),
-		float64(loan),
-	})
+	qi[0], qi[1], qi[2] = float64(salary), float64(commission), float64(age)
+	qi[3], qi[4], qi[5] = float64(elevel), float64(car), float64(zipcode)
+	qi[6], qi[7], qi[8] = float64(hvalue), float64(hyears), float64(loan)
 	return ""
 }
 

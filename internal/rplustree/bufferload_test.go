@@ -296,9 +296,9 @@ func TestLoaderReusesBufferArrays(t *testing.T) {
 // TestBulkLoadAllocsPerRecord pins the objects a buffer-tree load
 // allocates per record — what rplustree.bulk_allocs_per_record reports
 // at benchmark scale. A node holds no routing region of its own (regions
-// are derived from the tries), so a split allocates no box beyond the two
-// halves' MBRs; routing delivers each share as its walk cuts it, so a
-// routed batch allocates no list of shares.
+// are derived from the tries), so a split allocates one array for the two
+// halves' MBRs and one for their trie leaves; routing delivers each share
+// as its walk cuts it, so a routed batch allocates no list of shares.
 func TestBulkLoadAllocsPerRecord(t *testing.T) {
 	recs := dataset.GenerateLandsEnd(20000, 1)
 	perRec := testing.AllocsPerRun(1, func() {
@@ -318,7 +318,69 @@ func TestBulkLoadAllocsPerRecord(t *testing.T) {
 		}
 	}) / float64(len(recs))
 	t.Logf("%.4f objects allocated per record", perRec)
-	if perRec > 1.40 {
-		t.Fatalf("bulk load allocates %.4f objects per record, want <= 1.40", perRec)
+	if perRec > 1.00 {
+		t.Fatalf("bulk load allocates %.4f objects per record, want <= 1.00", perRec)
+	}
+}
+
+// TestInsertAllocsPerRecord pins the objects a tuple load allocates per
+// record, what every durable store's preload pays: a leaf split ranks its
+// axes and samples their values on the stack.
+func TestInsertAllocsPerRecord(t *testing.T) {
+	recs := dataset.GenerateLandsEnd(20000, 1)
+	perRec := testing.AllocsPerRun(1, func() {
+		tr, err := New(Config{Schema: dataset.LandsEndSchema(), BaseK: 10, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if err := tr.Insert(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}) / float64(len(recs))
+	t.Logf("%.4f objects allocated per record", perRec)
+	if perRec > 0.85 {
+		t.Fatalf("tuple insert allocates %.4f objects per record, want <= 0.85", perRec)
+	}
+}
+
+// TestDeleteInsertAllocs pins a delete and re-insert of one record that
+// leaves its leaf at or above BaseK at zero allocations: Delete retightens
+// the boxes on its path in place, and the leaf's array has room again.
+func TestDeleteInsertAllocs(t *testing.T) {
+	recs := dataset.GenerateLandsEnd(20000, 1)
+	tr, err := New(Config{Schema: dataset.LandsEndSchema(), BaseK: 10, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := tr.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var rec attr.Record
+	for _, l := range tr.Leaves() {
+		if len(l.Records) > 10 {
+			rec = l.Records[0]
+			break
+		}
+	}
+	if rec.QI == nil || tr.Height() < 3 {
+		t.Fatalf("no leaf above BaseK on a path of 3 levels (height %d)", tr.Height())
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if found, err := tr.Delete(rec.ID, rec.QI); !found || err != nil {
+			t.Fatalf("delete: found %v, %v", found, err)
+		}
+		if err := tr.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("delete+insert allocates %v objects, want 0", allocs)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -22,7 +22,8 @@ import (
 // invariant that makes this sound: NO ARRAY ELEMENT BELOW A PUBLISHED
 // LENGTH IS EVER WRITTEN. Appends write at or past every published length;
 // the two in-place writers — Delete's shift and planSplits' reorder — first
-// call own. A leaf's box is widened in place, so the snapshot clones it.
+// call own. A leaf's box is widened and retightened in place, so the
+// snapshot clones it.
 
 // Snapshot is an immutable image of the tree's non-empty leaves, consistent
 // under any further mutation and readable from any number of goroutines.

@@ -11,7 +11,7 @@ import (
 // Leaves returns every non-empty leaf in trie order as a partition:
 // its tight MBR (the generalized value its records publish under) and
 // the records themselves. Box and Records alias tree storage; callers
-// must not mutate them. Trie order is the "sequential ordering of nodes
+// must not mutate them, nor hold them across a mutation of the tree. Trie order is the "sequential ordering of nodes
 // on the same tree level" the leaf-scan algorithm of Section 3.2 relies
 // on: adjacent leaves are spatially adjacent, so groups of consecutive
 // leaves form compact partitions. Leaf MBRs are tight, so these

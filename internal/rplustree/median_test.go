@@ -152,7 +152,7 @@ func TestRankedAxes(t *testing.T) {
 	ctx := splitCtx()
 	// Without an MBR hint the function scans: age spans its whole
 	// domain (100/100), sex whole (1/1), zipcode a sliver (100/2000).
-	axes := rankedAxes(recs, ctx, 2)
+	axes := rankedAxes(recs, ctx, make([]int, 2))
 	if len(axes) != 2 {
 		t.Fatalf("axes = %v", axes)
 	}
@@ -165,7 +165,7 @@ func TestRankedAxes(t *testing.T) {
 		}
 	}
 	// Requesting >= dims returns all axes in order.
-	all := rankedAxes(recs, ctx, 8)
+	all := rankedAxes(recs, ctx, make([]int, 8))
 	if len(all) != 3 || all[0] != 0 || all[2] != 2 {
 		t.Fatalf("all axes = %v", all)
 	}
@@ -184,7 +184,7 @@ func TestRankedAxesWeighted(t *testing.T) {
 	cp.Attrs[2].Weight = 1000
 	ctx2 := *ctx
 	ctx2.Schema = &cp
-	axes := rankedAxes(recs, &ctx2, 1)
+	axes := rankedAxes(recs, &ctx2, make([]int, 1))
 	if axes[0] != 2 {
 		t.Fatalf("weighted ranking = %v, want zipcode first", axes)
 	}

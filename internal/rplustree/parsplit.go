@@ -112,7 +112,9 @@ func (t *Tree) planSplits(recs []attr.Record, mbr, domain attr.Box, pool *par.Po
 	if !ok {
 		return nil // all points identical: the leaf stays oversized
 	}
-	lMBR, rMBR := attr.NewBox(len(mbr)), attr.NewBox(len(mbr))
+	dims := len(mbr)
+	halves := attr.NewBox(2 * dims)
+	lMBR, rMBR := halves[:dims:dims], halves[dims:]
 	mid := partition(recs, axis, value, lMBR, rMBR)
 	lRecs, rRecs := recs[:mid:mid], recs[mid:]
 	if t.cfg.Guard != nil && !t.cfg.Guard(lRecs, rRecs) {

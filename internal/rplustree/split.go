@@ -202,16 +202,23 @@ const topAxes = 2
 
 // ChooseSplit implements SplitPolicy.
 func (p MinMarginPolicy) ChooseSplit(recs []attr.Record, ctx *SplitContext) (int, float64, bool) {
-	return chooseByScore(recs, ctx, rankedAxes(recs, ctx, topAxes))
+	return chooseByScore(recs, ctx)
 }
 
-// rankedAxes orders axes by descending weighted normalized extent and
-// returns the first max of them (all axes when max exceeds the
-// dimensionality). The extent comes from ctx.MBR when available.
-func rankedAxes(recs []attr.Record, ctx *SplitContext, max int) []int {
+// rankedAxes fills top with the len(top) axes of widest weighted
+// normalized extent, widest first and ties in axis order — the prefix a
+// stable sort of all axes would give, selected in one pass of insertion
+// into top with no allocation — and returns it (all axes in order when
+// top is at least the dimensionality). The extent comes from ctx.MBR
+// when available.
+func rankedAxes(recs []attr.Record, ctx *SplitContext, top []int) []int {
 	dims := len(recs[0].QI)
-	if max >= dims {
-		return allAxes(dims)
+	if len(top) >= dims {
+		top = top[:dims]
+		for a := range top {
+			top[a] = a
+		}
+		return top
 	}
 	mbr := ctx.MBR
 	if mbr == nil {
@@ -221,40 +228,44 @@ func rankedAxes(recs []attr.Record, ctx *SplitContext, max int) []int {
 		}
 		mbr = box
 	}
-	axes := allAxes(dims)
-	widths := make([]float64, dims)
-	for a := 0; a < dims; a++ {
+	width := func(a int) float64 {
 		w := mbr[a].Width() * ctx.Schema.Attrs[a].EffectiveWeight()
 		if dw := ctx.Domain[a].Width(); dw > 0 {
 			w /= dw
 		}
-		widths[a] = w
+		return w
 	}
-	sort.SliceStable(axes, func(i, j int) bool { return widths[axes[i]] > widths[axes[j]] })
-	return axes[:max]
+	n := 0
+	for a := 0; a < dims; a++ {
+		w := width(a)
+		i := n
+		for i > 0 && width(top[i-1]) < w {
+			i--
+		}
+		if i == len(top) {
+			continue
+		}
+		n = min(n+1, len(top))
+		copy(top[i+1:n], top[i:n-1])
+		top[i] = a
+	}
+	return top
 }
 
-// allAxes returns 0..dims-1.
-func allAxes(dims int) []int {
-	out := make([]int, dims)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// chooseByScore evaluates the median-split candidate of each axis and
-// returns the best by (balanced, score). The score is the first-order
-// equivalent of comparing the summed weighted normalized margins of the
-// two resulting MBRs: splitting axis a at value v leaves every other
-// axis's extent unchanged in both halves, so candidate rankings differ
-// only in -w_a·(width_a + gap_a)/|domain_a|, where gap is the dead
-// space the split exposes at the cut. Minimizing that (the score)
+// chooseByScore evaluates the median-split candidate of each of the
+// topAxes ranked axes and returns the best by (balanced, score). The
+// score is the first-order equivalent of comparing the summed weighted
+// normalized margins of the two resulting MBRs: splitting axis a at
+// value v leaves every other axis's extent unchanged in both halves, so
+// candidate rankings differ only in -w_a·(width_a + gap_a)/|domain_a|,
+// where gap is the dead space the split exposes at the cut. Minimizing that (the score)
 // prefers wide, heavily weighted axes with big gaps — the R-tree
 // "minimize the resulting partitions" objective — while touching each
 // axis's values exactly once. (The exact version that built both side
 // MBRs per axis dominated load-time profiles.)
-func chooseByScore(recs []attr.Record, ctx *SplitContext, axes []int) (int, float64, bool) {
+func chooseByScore(recs []attr.Record, ctx *SplitContext) (int, float64, bool) {
+	var top [topAxes]int
+	axes := rankedAxes(recs, ctx, top[:])
 	// For very large leaves (bulk loading splits leaves holding big
 	// fractions of the data set), axes are scored on a strided sample
 	// and only the winning axis gets an exact median pass. The sample
@@ -269,7 +280,12 @@ func chooseByScore(recs []attr.Record, ctx *SplitContext, axes []int) (int, floa
 
 	var best candidate
 	found := false
-	vals := make([]float64, sampleLen)
+	// A tuple insert's split samples c·k + 1 records: on the stack.
+	var stack [64]float64
+	vals := stack[:0]
+	if sampleLen > len(stack) {
+		vals = make([]float64, 0, sampleLen)
+	}
 	for _, axis := range axes {
 		vals = vals[:0]
 		for i := 0; i < len(recs); i += stride {
@@ -398,5 +414,5 @@ func (p WeightedPolicy) ChooseSplit(recs []attr.Record, ctx *SplitContext) (int,
 	}
 	sub := *ctx
 	sub.Schema = &s
-	return chooseByScore(recs, &sub, rankedAxes(recs, &sub, topAxes))
+	return chooseByScore(recs, &sub)
 }

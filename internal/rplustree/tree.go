@@ -290,13 +290,18 @@ func routeChild(n *node, p []float64) *node {
 
 // insertIntoLeaf places rec in leaf, updates MBRs and counts along the
 // root path, and splits on overflow. The record lands before any split
-// runs, so a split error never loses it.
+// runs, so a split error never loses it. MBRs grow up to the first one
+// that already holds the point: every box above holds it too.
 func (t *Tree) insertIntoLeaf(leaf *node, rec attr.Record) error {
 	leaf.recs = append(leaf.recs, rec)
 	t.clock++
+	grow := true
 	for n := leaf; n != nil; n = n.parent {
 		n.count++
-		n.mbr.Include(rec.QI)
+		grow = grow && !n.mbr.Contains(rec.QI)
+		if grow {
+			n.mbr.Include(rec.QI)
+		}
 		n.stamp = t.clock
 	}
 	return t.splitLeafRecursive(leaf)
@@ -339,12 +344,9 @@ func (t *Tree) replaceWithPair(old, left, right *node, axis int, value float64) 
 			mbr:      old.mbr.Clone(),
 			count:    old.count,
 			children: []*node{left, right},
-			trie: &splitTrie{
-				axis: axis, value: value,
-				left:  &splitTrie{child: left},
-				right: &splitTrie{child: right},
-			},
+			trie:     &splitTrie{},
 		}
+		newRoot.trie.cut(axis, value, left, right)
 		left.parent = newRoot
 		right.parent = newRoot
 		t.root = newRoot
@@ -371,11 +373,7 @@ func (t *Tree) replaceWithPair(old, left, right *node, axis int, value float64) 
 	left.parent = parent
 	right.parent = parent
 
-	st.child = nil
-	st.axis = axis
-	st.value = value
-	st.left = &splitTrie{child: left}
-	st.right = &splitTrie{child: right}
+	st.cut(axis, value, left, right)
 
 	err := t.splitBuffer(old, left, right)
 
@@ -387,6 +385,13 @@ func (t *Tree) replaceWithPair(old, left, right *node, axis int, value float64) 
 		}
 	}
 	return err
+}
+
+// cut turns st into the split at (axis, value) between trie leaves for
+// left and right, both allocated at once.
+func (st *splitTrie) cut(axis int, value float64, left, right *node) {
+	pair := &[2]splitTrie{{child: left}, {child: right}}
+	*st = splitTrie{axis: axis, value: value, left: &pair[0], right: &pair[1]}
 }
 
 // findTrieLeaf locates the trie leaf pointing at target.
@@ -478,13 +483,16 @@ func (t *Tree) Delete(id int64, qi []float64) (bool, error) {
 }
 
 // shrinkPath takes count records off n's root path, stamps it and
-// retightens its MBRs: a leaf's from its records, a node's from its
-// children's.
+// retightens its MBRs in place: a leaf's from its records, a node's from
+// its children's. No box is held across a mutation (a snapshot clones its
+// leaves' boxes; Leaves and Audit alias them for the length of a read).
 func (t *Tree) shrinkPath(n *node, count int) {
 	for ; n != nil; n = n.parent {
 		n.count -= count
 		n.stamp = t.clock
-		n.mbr = attr.NewBox(len(n.mbr))
+		for i := range n.mbr {
+			n.mbr[i] = attr.EmptyInterval()
+		}
 		for _, r := range n.recs {
 			n.mbr.Include(r.QI)
 		}
