@@ -26,7 +26,7 @@ loc:
 # is the total of the last PR that moved it. A PR that adds net
 # non-test lines must raise the number here, in its own diff, where a
 # reviewer sees it; a PR that removes lines lowers it to its new total.
-LOC_CEILING = 19094
+LOC_CEILING = 18959
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \
@@ -133,12 +133,13 @@ throughput:
 # holds, a publish allocates a few objects per tree level however
 # many leaves there are, a buffer-tree load at most 1.00 objects per
 # record and a tuple load at most 0.85, a delete and re-insert that
-# leave their leaf at or above k none, and draining a generator a few
-# objects per 4 096-record chunk and none per record. These are regular
+# leave their leaf at or above k none, draining a generator a few
+# objects per 4 096-record chunk and none per record, and a tree audit a
+# few objects per tree level however many nodes. These are regular
 # tests built on testing.AllocsPerRun, so CI enforces the budget on
 # every run; this target names them for quick local iteration.
 zeroalloc:
-	$(GO) test -run 'ZeroAlloc|TestDecodeLeafAllocations|TestPublishCostIsOChanged|TestBulkLoadAllocsPerRecord|TestInsertAllocsPerRecord|TestDeleteInsertAllocs|TestCollectAllocsPerChunk' -v ./internal/routing/ ./internal/query/ ./internal/serve/ ./internal/sfc/ ./internal/attr/ ./internal/rplustree/ ./internal/dataset/
+	$(GO) test -run 'ZeroAlloc|TestDecodeLeafAllocations|TestPublishCostIsOChanged|TestBulkLoadAllocsPerRecord|TestInsertAllocsPerRecord|TestDeleteInsertAllocs|TestCollectAllocsPerChunk|TestAuditAllocations' -v ./internal/routing/ ./internal/query/ ./internal/serve/ ./internal/sfc/ ./internal/attr/ ./internal/rplustree/ ./internal/dataset/
 
 # Every fuzz target in the repository, FUZZTIME each (`go test -fuzz`
 # takes one target and one package per run). CI runs this with

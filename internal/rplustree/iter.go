@@ -3,6 +3,7 @@ package rplustree
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
@@ -124,57 +125,11 @@ func (t *Tree) Search(q attr.Box) []attr.Record {
 	return out
 }
 
-// AuditNode is a read-only structural snapshot of one tree node. It
-// exists so an external auditor (internal/verify) can re-derive the
-// paper's safety properties — sibling disjointness, MBR containment,
-// occupancy — from the raw structure without trusting this package's
-// own CheckInvariants. Record slices and MBRs alias tree storage;
-// callers must not mutate them.
-type AuditNode struct {
-	// Region is the node's half-open routing region, derived from the
-	// split tries that route to it — so an audit checks the geometry
-	// routing uses.
-	Region attr.Box
-	// MBR is the node's tight bounding box.
-	MBR attr.Box
-	// Count is the number of records beneath the node.
-	Count int
-	// Records is the leaf payload; nil for internal nodes.
-	Records []attr.Record
-	// Children are the node's children in trie order; nil for leaves.
-	Children []*AuditNode
-}
-
-// Leaf reports whether the snapshot node is a leaf.
-func (a *AuditNode) Leaf() bool { return a.Children == nil }
-
-// Audit returns a structural snapshot of the whole tree for external
-// invariant checking.
-func (t *Tree) Audit() *AuditNode {
-	var snap func(n *node, region attr.Box) *AuditNode
-	snap = func(n *node, region attr.Box) *AuditNode {
-		a := &AuditNode{Region: region.Clone(), MBR: n.mbr, Count: n.count}
-		if n.isLeaf() {
-			a.Records = n.recs
-			return a
-		}
-		a.Children = make([]*AuditNode, 0, len(n.children))
-		// The visit never fails, so neither does the walk.
-		_ = n.trie.walkRegions(region, func(st *splitTrie, r attr.Box) error {
-			if st.isLeaf() {
-				a.Children = append(a.Children, snap(st.child, r))
-			}
-			return nil
-		})
-		return a
-	}
-	return snap(t.root, infiniteRegion(t.cfg.Schema.Dims()))
-}
-
 // CheckInvariants verifies the structural invariants of the index and
-// returns the first violation found. It is exported for the tests of
-// the packages built on the tree; it is O(n log n) and not meant for hot
-// paths.
+// returns the first violation found. It is the one structural audit:
+// verify.Tree, the chaos harness and the store's recovery gate run it. It
+// is O(n log n) and not meant for hot paths, and it allocates per tree
+// level, not per node.
 //
 // Invariants:
 //  1. Every split hyperplane lies strictly inside the region it cuts
@@ -187,87 +142,98 @@ func (t *Tree) Audit() *AuditNode {
 //  5. Every record's point lies in its leaf's routing region.
 //  6. Internal node tries reference exactly the node's children.
 func (t *Tree) CheckInvariants() error {
-	leafDepth := -1
-	var walk func(n *node, depth int, region attr.Box) error
-	walk = func(n *node, depth int, region attr.Box) error {
-		if !n.mbr.IsEmpty() && !regionContainsBox(region, n.mbr) {
-			return fmt.Errorf("node MBR %v escapes region %v", n.mbr, region)
+	a := auditWalk{leafDepth: -1, boxes: make([]attr.Box, 0, t.height)}
+	return a.node(t.root, 0, infiniteRegion(t.cfg.Schema.Dims()))
+}
+
+// auditWalk is one CheckInvariants pass and its scratch.
+type auditWalk struct {
+	leafDepth int
+	boxes     []attr.Box // one per depth: the MBR the node there should have
+	met       []*node    // per node on the path, the children its trie has reached so far
+}
+
+func (a *auditWalk) node(n *node, depth int, region attr.Box) error {
+	if !n.mbr.IsEmpty() && !regionContainsBox(region, n.mbr) {
+		return fmt.Errorf("node MBR %v escapes region %v", n.mbr, region)
+	}
+	if depth == len(a.boxes) {
+		a.boxes = append(a.boxes, make(attr.Box, len(region)))
+	}
+	want := a.boxes[depth]
+	for i := range want {
+		want[i] = attr.EmptyInterval()
+	}
+	if n.isLeaf() {
+		if a.leafDepth == -1 {
+			a.leafDepth = depth
+		} else if depth != a.leafDepth {
+			return fmt.Errorf("leaf at depth %d, expected %d", depth, a.leafDepth)
 		}
-		if n.isLeaf() {
-			if leafDepth == -1 {
-				leafDepth = depth
-			} else if depth != leafDepth {
-				return fmt.Errorf("leaf at depth %d, expected %d", depth, leafDepth)
-			}
-			if n.count != len(n.recs) {
-				return fmt.Errorf("leaf count %d != %d records", n.count, len(n.recs))
-			}
-			want := attr.NewBox(len(region))
-			for _, r := range n.recs {
-				if !regionContains(region, r.QI) {
-					return fmt.Errorf("record %d at %v outside leaf region %v", r.ID, r.QI, region)
-				}
-				want.Include(r.QI)
-			}
-			if !want.Equal(n.mbr) && !(want.IsEmpty() && n.mbr.IsEmpty()) {
-				return fmt.Errorf("leaf MBR %v not tight (want %v)", n.mbr, want)
-			}
-			return nil
+		if n.count != len(n.recs) {
+			return fmt.Errorf("leaf count %d != %d records", n.count, len(n.recs))
 		}
-		if len(n.children) < 1 {
-			return fmt.Errorf("internal node with no children")
-		}
-		// The trie must enumerate exactly the children.
-		fromTrie := map[*node]bool{}
-		count := 0
-		mbr := attr.NewBox(len(region))
-		err := n.trie.walkRegions(region, func(st *splitTrie, r attr.Box) error {
-			if !st.isLeaf() {
-				if iv := r[st.axis]; !(st.value > iv.Lo && st.value < iv.Hi) {
-					return fmt.Errorf("split at %v outside region axis %d %v", st.value, st.axis, iv)
-				}
-				return nil
+		for _, r := range n.recs {
+			if !regionContains(region, r.QI) {
+				return fmt.Errorf("record %d at %v outside leaf region %v", r.ID, r.QI, region)
 			}
-			c := st.child
-			if fromTrie[c] {
-				return fmt.Errorf("trie references child twice")
-			}
-			fromTrie[c] = true
-			if c.parent != n {
-				return fmt.Errorf("child has wrong parent pointer")
-			}
-			count += c.count
-			mbr.IncludeBox(c.mbr)
-			return walk(c, depth+1, r)
-		})
-		if err != nil {
-			return err
+			want.Include(r.QI)
 		}
-		if len(fromTrie) != len(n.children) {
-			return fmt.Errorf("trie has %d leaves, node has %d children", len(fromTrie), len(n.children))
-		}
-		for i, c := range n.children {
-			if !fromTrie[c] {
-				return fmt.Errorf("child %d missing from trie", i)
-			}
-		}
-		if count != n.count {
-			return fmt.Errorf("node count %d != children sum %d", n.count, count)
-		}
-		if !mbr.Equal(n.mbr) && !(mbr.IsEmpty() && n.mbr.IsEmpty()) {
-			return fmt.Errorf("node MBR %v not union of children (want %v)", n.mbr, mbr)
+		if !want.Equal(n.mbr) && !(want.IsEmpty() && n.mbr.IsEmpty()) {
+			return fmt.Errorf("leaf MBR %v not tight (want %v)", n.mbr, want)
 		}
 		return nil
 	}
-	return walk(t.root, 0, infiniteRegion(t.cfg.Schema.Dims()))
+	if len(n.children) < 1 {
+		return fmt.Errorf("internal node with no children")
+	}
+	// The trie must enumerate exactly the children.
+	base, count := len(a.met), 0
+	err := n.trie.walkRegions(region, func(st *splitTrie, r attr.Box) error {
+		if !st.isLeaf() {
+			if iv := r[st.axis]; !(st.value > iv.Lo && st.value < iv.Hi) {
+				return fmt.Errorf("split at %v outside region axis %d %v", st.value, st.axis, iv)
+			}
+			return nil
+		}
+		c := st.child
+		if slices.Contains(a.met[base:], c) {
+			return fmt.Errorf("trie references child twice")
+		}
+		a.met = append(a.met, c)
+		if c.parent != n {
+			return fmt.Errorf("child has wrong parent pointer")
+		}
+		count += c.count
+		want.IncludeBox(c.mbr)
+		return a.node(c, depth+1, r)
+	})
+	met := a.met[base:]
+	a.met = a.met[:base]
+	if err != nil {
+		return err
+	}
+	if len(met) != len(n.children) {
+		return fmt.Errorf("trie has %d leaves, node has %d children", len(met), len(n.children))
+	}
+	for i, c := range n.children {
+		if !slices.Contains(met, c) {
+			return fmt.Errorf("child %d missing from trie", i)
+		}
+	}
+	if count != n.count {
+		return fmt.Errorf("node count %d != children sum %d", n.count, count)
+	}
+	if !want.Equal(n.mbr) && !(want.IsEmpty() && n.mbr.IsEmpty()) {
+		return fmt.Errorf("node MBR %v not union of children (want %v)", n.mbr, want)
+	}
+	return nil
 }
 
-// regionContainsBox reports whether a (closed) MBR fits in a half-open
-// region. The MBR's Hi may equal the region's Hi only when the region
-// extends to +inf... not so: a record with coordinate v sits in a region
-// with Hi > v, so a tight MBR always has Hi strictly below the region Hi
-// unless records touch the boundary from inside, which half-open routing
-// forbids. Hence: mbr.Hi < region.Hi, or region.Hi = +inf.
+// regionContainsBox reports whether a closed MBR fits in a half-open
+// routing region: records route by lo <= p < hi, so a tight MBR's Hi
+// stays strictly below the region's Hi unless the region extends to
+// +inf.
 func regionContainsBox(region, mbr attr.Box) bool {
 	for i := range region {
 		if mbr[i].Lo < region[i].Lo {

@@ -35,18 +35,12 @@ func pointBox(qi []float64) attr.Box {
 	return b
 }
 
-// minLeafCount returns the smallest leaf record count in the snapshot.
-func minLeafCount(a *AuditNode) int {
-	if a.Leaf() {
-		return a.Count
-	}
-	min := math.MaxInt
-	for _, c := range a.Children {
-		if m := minLeafCount(c); m < min {
-			min = m
-		}
-	}
-	return min
+// minLeafCount returns the smallest leaf record count in the tree, empty
+// leaves included.
+func minLeafCount(tr *Tree) int {
+	m := math.MaxInt
+	tr.walkLeaves(tr.root, func(l *node) { m = min(m, l.count) })
+	return m
 }
 
 // assertKBound fails if any leaf of a multi-level tree holds fewer
@@ -57,7 +51,7 @@ func assertKBound(t *testing.T, tr *Tree, k int, when string) {
 	if tr.Height() == 1 {
 		return
 	}
-	if m := minLeafCount(tr.Audit()); m < k {
+	if m := minLeafCount(tr); m < k {
 		t.Fatalf("%s: leaf with %d < %d records", when, m, k)
 	}
 }

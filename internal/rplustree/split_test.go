@@ -168,7 +168,7 @@ func TestTreeWithBiasedPolicySplitsOnlyPreferredAxis(t *testing.T) {
 	}
 	// Every leaf should be narrow on zipcode relative to the domain —
 	// the signature of zipcode-biased splitting (Figure 4(b)).
-	dom := tr.MBR()
+	dom := tr.root.mbr
 	domW := dom[zip].Width()
 	leaves := tr.Leaves()
 	narrow := 0

@@ -238,10 +238,6 @@ func (t *Tree) Len() int { return t.root.count }
 // leaf).
 func (t *Tree) Height() int { return t.height }
 
-// MBR returns the tight bounding box of all records (empty box when the
-// tree is empty).
-func (t *Tree) MBR() attr.Box { return t.root.mbr.Clone() }
-
 // Insert adds one record, splitting nodes as needed (the tuple-loading
 // path; bulk loads go through a BulkLoader). It returns ErrLoading while
 // a loader is attached, and a *CorruptionError if a split finds the

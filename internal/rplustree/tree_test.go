@@ -48,7 +48,7 @@ func TestNewValidation(t *testing.T) {
 	if tr.Len() != 0 || tr.Height() != 1 {
 		t.Fatal("fresh tree not empty")
 	}
-	if !tr.MBR().IsEmpty() {
+	if !tr.root.mbr.IsEmpty() {
 		t.Fatal("fresh tree MBR not empty")
 	}
 }
@@ -455,7 +455,7 @@ func TestMBRTightAfterDeletes(t *testing.T) {
 	if _, err := tr.Delete(2, recs[1].QI); err != nil { // remove the extreme corner
 		t.Fatal(err)
 	}
-	mbr := tr.MBR()
+	mbr := tr.root.mbr
 	if mbr[0].Hi == 100 || mbr[2].Hi == 100 {
 		t.Fatalf("MBR not tightened after delete: %v", mbr)
 	}

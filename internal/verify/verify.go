@@ -1,26 +1,26 @@
-// Package verify is an independent auditor for the paper's safety
-// properties. The central claim — an anonymization *is* a spatial
-// index — means an index-corruption bug is silently also a privacy
-// bug: a leaf below k occupancy or two overlapping sibling regions
-// leak more than the published guarantee. This package re-derives the
-// guarantees from raw structure (rplustree.AuditNode snapshots and
-// published partition sets) without trusting the index's own
-// bookkeeping or CheckInvariants, so the chaos harness can assert
-// "clean error or verified-consistent tree, never silent corruption"
-// after every fault schedule.
+// Package verify audits the paper's safety properties. The central
+// claim — an anonymization *is* a spatial index — means an
+// index-corruption bug is silently also a privacy bug: a leaf below k
+// occupancy or two overlapping sibling regions leak more than the
+// published guarantee, so the chaos harness asserts "clean error or
+// verified-consistent tree, never silent corruption" after every fault
+// schedule.
 //
-// Four entry points:
+// Tree is the index's own structural audit, rplustree.Tree.CheckInvariants
+// (every hyperplane strictly inside the region it cuts, so sibling regions
+// are disjoint; MBRs tight and inside their regions; counts, leaf depth,
+// parent pointers, tries naming exactly their node's children), plus the
+// opt-in occupancy floor: those invariants live in the tree's private
+// state, so the tree checks them. The release auditors are the
+// independent proofs, re-derived from published partition sets alone:
 //
-//   - Tree audits an index: sibling routing regions pairwise disjoint,
-//     every MBR tight and inside its routing region, counts
-//     consistent, every record inside its leaf's region, and
-//     (opt-in) minimum leaf occupancy.
 //   - Release audits one published partition set against its
 //     constraint: records inside their boxes, the constraint satisfied
 //     by every partition, and no record published twice.
 //   - Releases audits a multi-granular family for k-boundness
 //     (Lemma 1): the intersection cells an adversary can form by
 //     colluding across releases each hold zero or at least k records.
+//   - CrossShard audits a joint release across the shards' seams.
 //   - Family scans leaf partitions into a base release, proves it with
 //     Release and Releases and derives coarser granularities under the
 //     same proof: the one place a release handed to a reader is made.
@@ -49,69 +49,18 @@ type TreeOptions struct {
 	MinLeafOccupancy int
 }
 
-// Tree audits the structural safety invariants of an index and returns
-// the first violation found.
+// Tree is the tree's own structural audit, rplustree.Tree.CheckInvariants,
+// plus the opt-in occupancy floor, and returns the first violation found.
 func Tree(t *rplustree.Tree, opt TreeOptions) error {
-	root := t.Audit()
-	return auditNode(root, nil, opt)
-}
-
-// auditNode recursively audits n, whose routing region must lie inside
-// parentRegion (nil for the root).
-func auditNode(n *rplustree.AuditNode, parentRegion attr.Box, opt TreeOptions) error {
-	if parentRegion != nil && !regionWithin(n.Region, parentRegion) {
-		return fmt.Errorf("verify: node region %v escapes parent region %v", n.Region, parentRegion)
+	if err := t.CheckInvariants(); err != nil {
+		return fmt.Errorf("verify: %w", err)
 	}
-	if !n.MBR.IsEmpty() && !regionContainsBox(n.Region, n.MBR) {
-		return fmt.Errorf("verify: node MBR %v escapes routing region %v", n.MBR, n.Region)
-	}
-	if n.Leaf() {
-		return auditLeaf(n, opt)
-	}
-	if len(n.Children) == 0 {
-		return fmt.Errorf("verify: internal node with no children")
-	}
-	count := 0
-	union := attr.NewBox(len(n.Region))
-	for i, c := range n.Children {
-		for j := i + 1; j < len(n.Children); j++ {
-			if regionsOverlap(c.Region, n.Children[j].Region) {
-				return fmt.Errorf("verify: sibling regions overlap: %v and %v", c.Region, n.Children[j].Region)
+	if opt.MinLeafOccupancy > 0 {
+		for _, l := range t.Leaves() {
+			if len(l.Records) < opt.MinLeafOccupancy {
+				return fmt.Errorf("verify: leaf holds %d records, below occupancy floor %d", len(l.Records), opt.MinLeafOccupancy)
 			}
 		}
-		count += c.Count
-		union.IncludeBox(c.MBR)
-		if err := auditNode(c, n.Region, opt); err != nil {
-			return err
-		}
-	}
-	if count != n.Count {
-		return fmt.Errorf("verify: node count %d != children sum %d", n.Count, count)
-	}
-	if !union.Equal(n.MBR) && !(union.IsEmpty() && n.MBR.IsEmpty()) {
-		return fmt.Errorf("verify: node MBR %v not the union of its children's (want %v)", n.MBR, union)
-	}
-	return nil
-}
-
-// auditLeaf checks one leaf's records against its region, MBR, count,
-// and optional occupancy floor.
-func auditLeaf(n *rplustree.AuditNode, opt TreeOptions) error {
-	if n.Count != len(n.Records) {
-		return fmt.Errorf("verify: leaf count %d != %d records", n.Count, len(n.Records))
-	}
-	if opt.MinLeafOccupancy > 0 && len(n.Records) > 0 && len(n.Records) < opt.MinLeafOccupancy {
-		return fmt.Errorf("verify: leaf holds %d records, below occupancy floor %d", len(n.Records), opt.MinLeafOccupancy)
-	}
-	tight := attr.NewBox(len(n.Region))
-	for _, r := range n.Records {
-		if !pointInRegion(n.Region, r.QI) {
-			return fmt.Errorf("verify: record %d at %v outside leaf region %v", r.ID, r.QI, n.Region)
-		}
-		tight.Include(r.QI)
-	}
-	if !tight.Equal(n.MBR) && !(tight.IsEmpty() && n.MBR.IsEmpty()) {
-		return fmt.Errorf("verify: leaf MBR %v not tight (want %v)", n.MBR, tight)
 	}
 	return nil
 }
@@ -321,7 +270,7 @@ func cellError(cell []int32, size, k int) error {
 
 // Routing audits a block-range accelerator against the release it
 // claims to cover. A wrong accelerator is a silently wrong COUNT on
-// the hottest path, so — like Tree and Release — the audit re-derives
+// the hottest path, so — like Release — the audit re-derives
 // everything from the release itself instead of trusting the index's
 // bookkeeping: every partition covered by exactly one block position,
 // stored bounds/sizes/volumes bit-identical to the release, curve
@@ -432,52 +381,4 @@ func lattice(b attr.Box) float64 {
 		c *= w + 1
 	}
 	return c
-}
-
-// regionWithin reports half-open region containment: child inside
-// parent on every axis.
-func regionWithin(child, parent attr.Box) bool {
-	for i := range child {
-		if child[i].Lo < parent[i].Lo || child[i].Hi > parent[i].Hi {
-			return false
-		}
-	}
-	return true
-}
-
-// regionContainsBox reports whether a closed MBR fits in a half-open
-// routing region: records route by lo <= p < hi, so a tight MBR's Hi
-// stays strictly below the region's Hi unless the region extends to
-// +inf.
-func regionContainsBox(region, mbr attr.Box) bool {
-	for i := range region {
-		if mbr[i].Lo < region[i].Lo {
-			return false
-		}
-		if mbr[i].Hi >= region[i].Hi && !math.IsInf(region[i].Hi, 1) {
-			return false
-		}
-	}
-	return true
-}
-
-// regionsOverlap reports whether two half-open regions share a point.
-func regionsOverlap(a, b attr.Box) bool {
-	for i := range a {
-		if a[i].Hi <= b[i].Lo || b[i].Hi <= a[i].Lo {
-			return false
-		}
-	}
-	return true
-}
-
-// pointInRegion reports half-open membership: lo <= p < hi per axis
-// (an infinite hi admits everything).
-func pointInRegion(region attr.Box, p []float64) bool {
-	for i, iv := range region {
-		if p[i] < iv.Lo || p[i] >= iv.Hi {
-			return false
-		}
-	}
-	return true
 }

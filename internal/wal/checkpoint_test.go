@@ -530,19 +530,15 @@ func TestCrashMatrixIncremental(t *testing.T) {
 			var watching, leafSplit, nodeSplit, redone bool
 			leaves, nodes, asModel := 0, 0, 0
 			watch := func(s *Store) {
-				l, n := 0, 0
-				var count func(a *rplustree.AuditNode)
-				count = func(a *rplustree.AuditNode) {
-					if a.Leaf() {
-						l++
-						return
-					}
-					n++
-					for _, c := range a.Children {
-						count(c)
-					}
+				// A full checkpoint writes every node once, and nothing
+				// changes until it is committed.
+				ck, err := s.Tree().EncodeCheckpoint(true, func([]byte, bool) (rplustree.Ref, error) {
+					return rplustree.Ref{}, nil
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-				count(s.Tree().Audit())
+				l, n := ck.Written.Leaves, ck.Written.Nodes
 				leafSplit = leafSplit || (leaves > 0 && l > leaves)
 				nodeSplit = nodeSplit || (nodes > 0 && n > nodes)
 				leaves, nodes = l, n

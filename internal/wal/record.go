@@ -3,8 +3,8 @@
 // checkpoints that serialize the R⁺-tree into checksummed pager
 // pages, and recovery that replays the committed log tail onto the
 // last complete checkpoint — then refuses to publish anything until
-// the independent auditor (internal/verify) has re-proved the
-// recovered tree's safety invariants. The paper's central identity —
+// internal/verify has re-proved the recovered tree's structure and its
+// release's safety invariants. The paper's central identity —
 // the anonymization *is* the index — makes that gate the whole point:
 // a torn page or half-applied operation is not just an availability
 // bug, it is silently a privacy bug, so no release is ever emitted

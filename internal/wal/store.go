@@ -342,11 +342,13 @@ func (s *Store) applyOp(op Op) (bool, error) {
 	return false, fmt.Errorf("wal: apply of %v batch op", op.Type)
 }
 
-// audit is the recovery gate: the independent auditor must re-prove
-// the tree's structural safety, and — once the store holds at least
-// BaseK records, the threshold below which no release exists — the
-// release family (k-anonymity and Lemma-1 k-boundness of the base
-// release). Only then may the store publish.
+// audit is the recovery gate: the tree's structural audit must pass
+// (verify.Tree: regions, MBRs, counts, leaf depth, parent pointers,
+// tries against child lists), and — once the store holds at least BaseK
+// records, the threshold below which no release exists — the independent
+// release auditor must re-prove the release family (k-anonymity and
+// Lemma-1 k-boundness of the base release). Only then may the store
+// publish.
 func (s *Store) audit() error {
 	if err := verify.Tree(s.tree, verify.TreeOptions{}); err != nil {
 		return fmt.Errorf("wal: recovered tree failed audit: %w", err)
