@@ -26,7 +26,7 @@ loc:
 # is the total of the last PR that moved it. A PR that adds net
 # non-test lines must raise the number here, in its own diff, where a
 # reviewer sees it; a PR that removes lines lowers it to its new total.
-LOC_CEILING = 18959
+LOC_CEILING = 18938
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \
@@ -131,8 +131,8 @@ throughput:
 # (encode into spare capacity, decode into the caller's vector); a leaf
 # decodes with a fixed number of allocations however many records it
 # holds, a publish allocates a few objects per tree level however
-# many leaves there are, a buffer-tree load at most 1.00 objects per
-# record and a tuple load at most 0.85, a delete and re-insert that
+# many leaves there are, a buffer-tree load at most 0.70 objects per
+# record and a tuple load at most 0.50, a delete and re-insert that
 # leave their leaf at or above k none, draining a generator a few
 # objects per 4 096-record chunk and none per record, and a tree audit a
 # few objects per tree level however many nodes. These are regular

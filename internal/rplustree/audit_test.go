@@ -87,7 +87,6 @@ func TestAuditRefusesEachBreak(t *testing.T) {
 			}
 		}, false, "outside region"},
 		{"trie references a child twice", (*rplustree.Tree).BreakTrieTwice, false, "twice"},
-		{"child missing from the trie", (*rplustree.Tree).BreakChildren, false, "missing from trie"},
 		{"wrong parent pointer", (*rplustree.Tree).BreakParent, false, "parent pointer"},
 		{"unequal leaf depth", (*rplustree.Tree).BreakDepth, false, "leaf at depth"},
 		{"leaf under the occupancy floor", func(*rplustree.Tree) {}, true, "occupancy floor"},

@@ -228,28 +228,12 @@ func (bl *BulkLoader) InsertBatch(recs []attr.Record) error {
 // not-yet-drained buffers keep their records; Flush can be called again
 // once the storage recovers.
 func (bl *BulkLoader) Flush() error {
-	// Empty top-down: the walk is pre-order, children in child-list order,
-	// so a node's buffer is emptied before its children's and one pass
-	// drains every record to the leaf frontier. A node's children are
-	// pushed after its emptying, which may have replaced it; walking on
-	// through a replaced node's list is harmless (its buffer is empty).
 	// Restructuring can, in rare shapes, move a still-buffered node above
 	// an already-visited position; loop until nothing is buffered (the
 	// second pass almost never happens).
-	var stack []*node
 	for bl.buffered > 0 {
-		stack = append(stack, bl.tree.root)
-		for len(stack) > 0 {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if n.buffer != nil && len(n.buffer.recs) > 0 {
-				if err := bl.emptyBuffer(n); err != nil {
-					return err
-				}
-			}
-			for i := len(n.children) - 1; i >= 0; i-- {
-				stack = append(stack, n.children[i])
-			}
+		if err := bl.flush(bl.tree.root); err != nil {
+			return err
 		}
 	}
 	bl.free = nil
@@ -257,6 +241,25 @@ func (bl *BulkLoader) Flush() error {
 	// written back (and charged) now, so the I/O counters reflect a
 	// complete, persistent load.
 	return bl.retry(bl.pg.Flush)
+}
+
+// flush empties the buffers under n top-down: pre-order, children in trie
+// order, so a node's buffer is emptied before its children's and one pass
+// drains every record to the leaf frontier. The emptying may replace n;
+// walking on through a replaced node's trie is harmless (its buffer is
+// empty). The first error stops the walk.
+func (bl *BulkLoader) flush(n *node) (err error) {
+	if n.buffer != nil && len(n.buffer.recs) > 0 {
+		err = bl.emptyBuffer(n)
+	}
+	if err == nil && !n.isLeaf() {
+		n.trie.each(func(c *node) {
+			if err == nil {
+				err = bl.flush(c)
+			}
+		})
+	}
+	return err
 }
 
 // rootBufferCap lets the root block more records than interior nodes
@@ -450,16 +453,18 @@ func (bl *BulkLoader) emptyBuffer(n *node) error {
 	// array is free for the next buffer — the children's, if they empty
 	// in turn.
 	bl.recycle(recs)
-	// Empty any child buffer that overflowed, over the child list as it
-	// stands now: a split the recursion causes replaces only the child
-	// being emptied and appends its other half past the range's end. Leaf
-	// children have no buffers.
-	for _, c := range n.children {
-		if c.buffer != nil && len(c.buffer.recs) > bl.bufferCap {
-			if e := bl.emptyBuffer(c); e != nil && err == nil {
-				err = e
+	// Empty any child buffer that overflowed, in trie order: a split the
+	// recursion causes cuts only the trie leaf of the child being emptied,
+	// which the walk has passed, so neither half is visited. Leaf children
+	// have no buffers.
+	if !n.isLeaf() {
+		n.trie.each(func(c *node) {
+			if c.buffer != nil && len(c.buffer.recs) > bl.bufferCap {
+				if e := bl.emptyBuffer(c); e != nil && err == nil {
+					err = e
+				}
 			}
-		}
+		})
 	}
 	return err
 }

@@ -75,7 +75,7 @@ func countNodes(tr *Tree) (leaves, nodes int) {
 			return
 		}
 		nodes++
-		for _, c := range n.children {
+		for _, c := range n.childNodes() {
 			walk(c)
 		}
 	}
@@ -204,7 +204,7 @@ func TestCheckpointWritesOnlyChangedLeaves(t *testing.T) {
 // TestStructuralEditsInvalidateStamps pins the rule itself, not only its
 // outcome: an insert under a node stamps it — its durable copy no longer
 // stands for the subtree — but the copy stays, as the base of the node's
-// next delta; a node whose child list and trie are edited — a child split
+// next delta; a node whose trie is edited — a child split
 // in two, a child spliced out by an underflow repair — forgets its copy
 // there and then, whatever the next checkpoint walk would find beneath it.
 func TestStructuralEditsInvalidateStamps(t *testing.T) {
@@ -218,8 +218,8 @@ func TestStructuralEditsInvalidateStamps(t *testing.T) {
 	mustCheckpoint(t, tr, false, &store).Commit()
 
 	leaf := tr.routeToLeaf(tr.root, tr.Leaves()[0].Records[0].QI)
-	parent, fanout := leaf.parent, len(leaf.parent.children)
-	for id := int64(9000); len(parent.children) == fanout; id++ {
+	parent, fanout := leaf.parent, leaf.parent.trie.fanout()
+	for id := int64(9000); parent.trie.fanout() == fanout; id++ {
 		if parent.dur == nil || parent.durable() != (id == 9000) {
 			t.Fatalf("after %d inserts into a leaf with room its parent's base is %v, durable %v", id-9000, parent.dur, parent.durable())
 		}
@@ -235,7 +235,7 @@ func TestStructuralEditsInvalidateStamps(t *testing.T) {
 	mustCheckpoint(t, tr, false, &store).Commit()
 
 	leaf = tr.routeToLeaf(tr.root, tr.Leaves()[len(tr.Leaves())/2].Records[0].QI)
-	parent, fanout = leaf.parent, len(leaf.parent.children)
+	parent, fanout = leaf.parent, leaf.parent.trie.fanout()
 	if fanout < 2 || !parent.durable() {
 		t.Fatalf("want a durable parent of several leaves, got %d children, durable=%v", fanout, parent.durable())
 	}
@@ -244,8 +244,8 @@ func TestStructuralEditsInvalidateStamps(t *testing.T) {
 			t.Fatalf("delete %d: found=%v err=%v", r.ID, found, err)
 		}
 	}
-	if len(parent.children) >= fanout && parent.parent != nil {
-		t.Fatalf("the underflow repair did not remove a child: %d of %d left", len(parent.children), fanout)
+	if parent.trie.fanout() >= fanout && parent.parent != nil {
+		t.Fatalf("the underflow repair did not remove a child: %d of %d left", parent.trie.fanout(), fanout)
 	}
 	if parent.dur != nil {
 		t.Fatal("an underflow repair left the spliced node's base standing")
@@ -254,7 +254,7 @@ func TestStructuralEditsInvalidateStamps(t *testing.T) {
 
 // checkpointMatches takes an incremental checkpoint of tr through store
 // and asserts that decoding it yields tr byte for byte — a stale stamp
-// anywhere (a node whose trie or child list changed without its stamp
+// anywhere (a node whose trie changed without its stamp
 // noticing, a leaf whose delta misses a change) would resurrect the old
 // state here. Most checkpoints are committed; one in four is abandoned, as
 // a failed publish would. It returns the checkpoint and the decoded tree.
@@ -385,7 +385,7 @@ func TestDecodeCheckpointRejectsDamage(t *testing.T) {
 			"long":                   func(b []byte) ([]byte, error) { return append(bytes.Clone(b), 0), nil },
 			"unreadable":             func([]byte) ([]byte, error) { return nil, fmt.Errorf("device gone") },
 			"replaced by a leaf":     func([]byte) ([]byte, error) { return store.get(someLeaf) },
-			"replaced by a sibling":  func([]byte) ([]byte, error) { return store.get(tr.root.children[1].dur.ref) },
+			"replaced by a sibling":  func([]byte) ([]byte, error) { return store.get(tr.root.childNodes()[1].dur.ref) },
 			"replaced by its parent": func([]byte) ([]byte, error) { return store.get(tr.root.dur.ref) },
 		} {
 			fetched, damaged := 0, false
@@ -407,9 +407,9 @@ func TestDecodeCheckpointRejectsDamage(t *testing.T) {
 	// The same tree with the first of the root's child references
 	// redirected, the object it led to now unreachable.
 	redirected := func(tr *Tree, to Ref) []byte {
-		return redirectedRoot(tr, &store, map[*node]Ref{tr.root.children[0]: to})
+		return redirectedRoot(tr, &store, map[*node]Ref{tr.root.childNodes()[0]: to})
 	}
-	a, b := tr.root.children[0], tr.root.children[1]
+	a, b := tr.root.childNodes()[0], tr.root.childNodes()[1]
 	if _, err := DecodeCheckpoint(cfg, redirected(tr, a.dur.ref), store.get); err != nil {
 		t.Fatalf("a root node rebuilt with its own references: %v", err)
 	}

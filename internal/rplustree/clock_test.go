@@ -14,7 +14,7 @@ import (
 // COMMITTED and which leaves an operation has been routed to since. A leaf
 // is dirty when it was minted since, routed to since, or holds other
 // records than it did (an underflow repair's orphans land anywhere); an
-// internal node when it was minted since, its child list differs, or a child
+// internal node when it was minted since, its children differ, or a child
 // is dirty. The one-clock invariant is that this is exactly !durable().
 type clockLedger struct {
 	committed map[*node]nodeCopy
@@ -44,8 +44,8 @@ func (l *clockLedger) commit(tr *Tree) {
 	l.committed, l.touched = map[*node]nodeCopy{}, map[*node]bool{}
 	var walk func(n *node)
 	walk = func(n *node) {
-		l.committed[n] = nodeCopy{recordIDs(n.recs), slices.Clone(n.children)}
-		for _, c := range n.children {
+		l.committed[n] = nodeCopy{recordIDs(n.recs), slices.Clone(n.childNodes())}
+		for _, c := range n.childNodes() {
 			walk(c)
 		}
 	}
@@ -65,8 +65,8 @@ func (l *clockLedger) check(t *testing.T, tr *Tree, step int) (dirtyNodes int) {
 	var walk func(n *node) bool
 	walk = func(n *node) bool {
 		was, known := l.committed[n]
-		dirty := !known || l.touched[n] || !slices.Equal(n.children, was.children) || !slices.Equal(recordIDs(n.recs), was.ids)
-		for _, c := range n.children {
+		dirty := !known || l.touched[n] || !slices.Equal(n.childNodes(), was.children) || !slices.Equal(recordIDs(n.recs), was.ids)
+		for _, c := range n.childNodes() {
 			if walk(c) {
 				dirty = true
 			}

@@ -63,7 +63,7 @@ func (t *Tree) snapshotNode(n *node) *snapNode {
 	sn := &snapNode{}
 	switch {
 	case !n.isLeaf():
-		sn.kids = t.snapshotTrie(n.trie, make([]*snapNode, 0, len(n.children)))
+		sn.kids = t.snapshotTrie(n.trie, make([]*snapNode, 0, n.trie.fanout()))
 		for _, kid := range sn.kids {
 			sn.leaves += kid.leaves
 		}

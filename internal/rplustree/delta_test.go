@@ -347,7 +347,7 @@ func TestDecodeCheckpointRejectsDeltaDamage(t *testing.T) {
 		t.Fatalf("want internal nodes under the root, got height %d", tall.Height())
 	}
 	mustCheckpoint(t, tall, false, &store).Commit()
-	_, err = DecodeCheckpoint(cfg, redirectedRoot(tall, &store, map[*node]Ref{tall.root.children[0]: a.dur.ref}), store.get)
+	_, err = DecodeCheckpoint(cfg, redirectedRoot(tall, &store, map[*node]Ref{tall.root.childNodes()[0]: a.dur.ref}), store.get)
 	if err == nil || !strings.Contains(err.Error(), "of kind 1 at depth 1") {
 		t.Errorf("a delta above the leaves: %v, want an error naming its kind and depth", err)
 	}

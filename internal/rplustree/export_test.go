@@ -16,8 +16,8 @@ import (
 // The tree must have at least two levels.
 func (t *Tree) MoveBottomPlane() (misrouted, of int) {
 	n := t.root
-	for !n.children[0].isLeaf() {
-		n = n.children[0]
+	for !n.childNodes()[0].isLeaf() {
+		n = n.childNodes()[0]
 	}
 	st := n.trie
 	for !st.left.isLeaf() || !st.right.isLeaf() {
@@ -40,11 +40,20 @@ func (t *Tree) MoveBottomPlane() (misrouted, of int) {
 // The Break hooks below each break one thing in a tree of at least two
 // levels and touch nothing else, for the audit's break table.
 
-// firstLeaf is the leftmost leaf by children order.
+// childNodes returns n's children in trie order (none for a leaf).
+func (n *node) childNodes() []*node {
+	var out []*node
+	if !n.isLeaf() {
+		n.trie.each(func(c *node) { out = append(out, c) })
+	}
+	return out
+}
+
+// firstLeaf is the first leaf in trie order.
 func (t *Tree) firstLeaf() *node {
 	n := t.root
 	for !n.isLeaf() {
-		n = n.children[0]
+		n = n.childNodes()[0]
 	}
 	return n
 }
@@ -112,12 +121,6 @@ func (t *Tree) BreakTrieTwice() {
 	leaves[1].child = leaves[0].child
 }
 
-// BreakChildren swaps the root's last child, in its children list only,
-// for an empty leaf the trie does not reference.
-func (t *Tree) BreakChildren() {
-	t.root.children[len(t.root.children)-1] = &node{parent: t.root, mbr: attr.NewBox(t.cfg.Schema.Dims())}
-}
-
 // BreakParent points the first leaf's parent pointer at the leaf itself.
 func (t *Tree) BreakParent() {
 	l := t.firstLeaf()
@@ -129,13 +132,8 @@ func (t *Tree) BreakParent() {
 func (t *Tree) BreakDepth() {
 	l := t.firstLeaf()
 	p := l.parent
-	n := &node{parent: p, mbr: l.mbr.Clone(), count: l.count, children: []*node{l}, trie: &splitTrie{child: l}}
-	p.children[0], l.parent = n, n
-	for _, st := range trieLeaves(p.trie) {
-		if st.child == l {
-			st.child = n
-		}
-	}
+	n := &node{parent: p, mbr: l.mbr.Clone(), count: l.count, trie: &splitTrie{child: l}}
+	findTrieLeaf(p.trie, l).child, l.parent = n, n
 }
 
 // BlobStore is the package tests' one-byte-string object store, for the

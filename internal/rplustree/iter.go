@@ -99,9 +99,10 @@ func (t *Tree) Level(level int) ([]anonmodel.Partition, error) {
 }
 
 // Search returns the records whose exact coordinates fall inside the
-// query box, pruning by MBR — so the gaps between MBRs and routing
-// regions (Section 2.3) let whole subtrees be skipped even when the
-// query intersects their routing regions.
+// query box, in trie order — the order of Leaves, and of each leaf's
+// records — pruning by MBR, so the gaps between MBRs and routing regions
+// (Section 2.3) let whole subtrees be skipped even when the query
+// intersects their routing regions.
 func (t *Tree) Search(q attr.Box) []attr.Record {
 	var out []attr.Record
 	var walk func(n *node)
@@ -117,9 +118,7 @@ func (t *Tree) Search(q attr.Box) []attr.Record {
 			}
 			return
 		}
-		for _, c := range n.children {
-			walk(c)
-		}
+		n.trie.each(walk)
 	}
 	walk(t.root)
 	return out
@@ -140,7 +139,7 @@ func (t *Tree) Search(q attr.Box) []attr.Record {
 //  3. Counts aggregate correctly.
 //  4. All leaves are at the same depth.
 //  5. Every record's point lies in its leaf's routing region.
-//  6. Internal node tries reference exactly the node's children.
+//  6. Each trie leaf is a distinct child, whose parent is the node.
 func (t *Tree) CheckInvariants() error {
 	a := auditWalk{leafDepth: -1, boxes: make([]attr.Box, 0, t.height)}
 	return a.node(t.root, 0, infiniteRegion(t.cfg.Schema.Dims()))
@@ -184,10 +183,6 @@ func (a *auditWalk) node(n *node, depth int, region attr.Box) error {
 		}
 		return nil
 	}
-	if len(n.children) < 1 {
-		return fmt.Errorf("internal node with no children")
-	}
-	// The trie must enumerate exactly the children.
 	base, count := len(a.met), 0
 	err := n.trie.walkRegions(region, func(st *splitTrie, r attr.Box) error {
 		if !st.isLeaf() {
@@ -208,18 +203,9 @@ func (a *auditWalk) node(n *node, depth int, region attr.Box) error {
 		want.IncludeBox(c.mbr)
 		return a.node(c, depth+1, r)
 	})
-	met := a.met[base:]
 	a.met = a.met[:base]
 	if err != nil {
 		return err
-	}
-	if len(met) != len(n.children) {
-		return fmt.Errorf("trie has %d leaves, node has %d children", len(met), len(n.children))
-	}
-	for i, c := range n.children {
-		if !slices.Contains(met, c) {
-			return fmt.Errorf("child %d missing from trie", i)
-		}
 	}
 	if count != n.count {
 		return fmt.Errorf("node count %d != children sum %d", n.count, count)

@@ -182,9 +182,8 @@ func TestRankedAxesWeighted(t *testing.T) {
 	cp := *ctx.Schema
 	cp.Attrs = append(cp.Attrs[:0:0], ctx.Schema.Attrs...)
 	cp.Attrs[2].Weight = 1000
-	ctx2 := *ctx
-	ctx2.Schema = &cp
-	axes := rankedAxes(recs, &ctx2, make([]int, 1))
+	ctx.Schema = &cp
+	axes := rankedAxes(recs, ctx, make([]int, 1))
 	if axes[0] != 2 {
 		t.Fatalf("weighted ranking = %v, want zipcode first", axes)
 	}

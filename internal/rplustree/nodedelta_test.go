@@ -18,11 +18,11 @@ func widestParent(t *testing.T, tr *Tree, max int) *node {
 	t.Helper()
 	var parent *node
 	tr.walkLeaves(tr.root, func(l *node) {
-		if p := l.parent; len(p.children) <= max && (parent == nil || len(p.children) > len(parent.children)) {
+		if p := l.parent; p.trie.fanout() <= max && (parent == nil || p.trie.fanout() > parent.trie.fanout()) {
 			parent = p
 		}
 	})
-	if parent == nil || len(parent.children) < 5 {
+	if parent == nil || parent.trie.fanout() < 5 {
 		t.Fatal("no node over at least five leaves")
 	}
 	return parent
@@ -58,7 +58,7 @@ func TestNodeDeltaChain(t *testing.T) {
 	var store blobStore
 	mustCheckpoint(t, tr, false, &store).Commit()
 	var anchors [][]float64 // a point in each leaf under the node
-	for _, c := range widestParent(t, tr, tr.cfg.NodeCapacity).children {
+	for _, c := range widestParent(t, tr, tr.cfg.NodeCapacity).childNodes() {
 		anchors = append(anchors, slices.Clone(c.recs[0].QI))
 	}
 	parentOf := func(tr *Tree) *node { return tr.routeToLeaf(tr.root, anchors[0]).parent }
@@ -154,7 +154,7 @@ func TestTrieEditForgetsNodeBase(t *testing.T) {
 	delta := func(step string) {
 		t.Helper()
 		next++
-		nudge(t, tr, parent.children[0], next)
+		nudge(t, tr, parent.childNodes()[0], next)
 		if checkpointMatches(t, tr, &store, 0); parent.dur.kind != kindNodeDelta {
 			t.Fatalf("%s: a change under the node wrote it as kind %d", step, parent.dur.kind)
 		}
@@ -170,7 +170,7 @@ func TestTrieEditForgetsNodeBase(t *testing.T) {
 	}
 
 	delta("at first")
-	base, leaf := parent.dur.base.ref, parent.children[1]
+	base, leaf := parent.dur.base.ref, parent.childNodes()[1]
 	veto = true
 	crowd(leaf, func() bool { return len(leaf.recs) > tr.cfg.leafCapacity()+1 })
 	if leaf.dur != nil || parent.dur == nil || parent.durable() {
@@ -181,18 +181,18 @@ func TestTrieEditForgetsNodeBase(t *testing.T) {
 	}
 
 	veto = false
-	fanout := len(parent.children)
-	crowd(leaf, func() bool { return len(parent.children) > fanout })
+	fanout := parent.trie.fanout()
+	crowd(leaf, func() bool { return parent.trie.fanout() > fanout })
 	whole("a leaf split")
 
 	delta("after the split")
-	victim := parent.children[len(parent.children)-1]
+	victim := parent.childNodes()[parent.trie.fanout()-1]
 	for _, r := range slices.Clone(victim.recs)[:len(victim.recs)-cfg.BaseK+1] {
 		if found, err := tr.Delete(r.ID, r.QI); err != nil || !found {
 			t.Fatalf("delete %d: found=%v err=%v", r.ID, found, err)
 		}
 	}
-	if slices.Contains(parent.children, victim) {
+	if slices.Contains(parent.childNodes(), victim) {
 		t.Fatal("draining a leaf did not dissolve it")
 	}
 	whole("an underflow repair")
@@ -215,7 +215,7 @@ func TestDecodeCheckpointRejectsNodeDeltaDamage(t *testing.T) {
 	}
 	var store blobStore
 	mustCheckpoint(t, tr, false, &store).Commit()
-	a, b := tr.root.children[0], tr.root.children[1]
+	a, b := tr.root.childNodes()[0], tr.root.childNodes()[1]
 	leaf := tr.routeToLeaf(a, make([]float64, cfg.Schema.Dims()))
 	// deltaOf stores a hand-made node delta claiming count moved children.
 	deltaOf := func(base Ref, count int, moved []movedChild, tail ...byte) Ref {
@@ -248,7 +248,7 @@ func TestDecodeCheckpointRejectsNodeDeltaDamage(t *testing.T) {
 	}
 	insertAll(t, low, continuousRecords(cfg.Schema, 30, 7))
 	mustCheckpoint(t, low, false, &store).Commit()
-	if err := decode(low, low.root.children[0], good); err == nil || !strings.Contains(err.Error(), "of kind 3 at depth 1") {
+	if err := decode(low, low.root.childNodes()[0], good); err == nil || !strings.Contains(err.Error(), "of kind 3 at depth 1") {
 		t.Errorf("a node delta where a leaf is due: %v", err)
 	}
 	for name, c := range map[string]struct {

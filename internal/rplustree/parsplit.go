@@ -92,25 +92,27 @@ func (t *Tree) splitLeafRecursive(leaf *node) error {
 			domain = domain.Clone()
 		}
 	}
-	return t.applySplits(leaf, t.planSplits(leaf.recs, leaf.mbr, domain, pool))
+	if p, ok := t.planSplits(leaf.recs, leaf.mbr, domain, pool); ok {
+		return t.applySplits(leaf, &p)
+	}
+	return nil
 }
 
 // planSplits recursively plans the splits of recs, which have tight bound
-// `mbr`. recs is partitioned in place (Hoare sweep, left = strictly below
-// the hyperplane) instead of copied into fresh slices: bulk loads split
-// leaves holding large fractions of the data set at every level, and
-// per-level copying dominated both allocation and GC time. The halves
-// alias the original backing array; the left half is capacity-clipped so
-// a later append to it cannot stomp the right half. No tree state is read
-// or written, so halves fork freely.
-func (t *Tree) planSplits(recs []attr.Record, mbr, domain attr.Box, pool *par.Pool) *splitPlan {
-	if len(recs) <= t.cfg.leafCapacity() {
-		return nil
-	}
-	ctx := &SplitContext{Schema: t.cfg.Schema, Domain: domain, MBR: mbr, MinSide: t.cfg.BaseK}
+// `mbr` and more records than a leaf holds; ok is false when they stay one
+// leaf. The plan is a value: a split whose halves both fit a leaf
+// allocates none. recs is partitioned in place (Hoare sweep, left =
+// strictly below the hyperplane) instead of copied into fresh slices: bulk
+// loads split leaves holding large fractions of the data set at every
+// level, and per-level copying dominated both allocation and GC time. The
+// halves alias the original backing array; the left half is
+// capacity-clipped so a later append to it cannot stomp the right half. No
+// tree state is read or written, so halves fork freely.
+func (t *Tree) planSplits(recs []attr.Record, mbr, domain attr.Box, pool *par.Pool) (splitPlan, bool) {
+	ctx := SplitContext{Schema: t.cfg.Schema, Domain: domain, MBR: mbr, MinSide: t.cfg.BaseK}
 	axis, value, ok := t.cfg.Split.ChooseSplit(recs, ctx)
 	if !ok {
-		return nil // all points identical: the leaf stays oversized
+		return splitPlan{}, false // all points identical: the leaf stays oversized
 	}
 	dims := len(mbr)
 	halves := attr.NewBox(2 * dims)
@@ -118,22 +120,32 @@ func (t *Tree) planSplits(recs []attr.Record, mbr, domain attr.Box, pool *par.Po
 	mid := partition(recs, axis, value, lMBR, rMBR)
 	lRecs, rRecs := recs[:mid:mid], recs[mid:]
 	if t.cfg.Guard != nil && !t.cfg.Guard(lRecs, rRecs) {
-		return nil // constraint-violating split: the leaf grows instead
+		return splitPlan{}, false // constraint-violating split: the leaf grows instead
 	}
-	p := &splitPlan{
-		axis: axis, value: value,
-		lMBR: lMBR, rMBR: rMBR,
-		lRecs: lRecs, rRecs: rRecs,
-	}
+	p := splitPlan{axis: axis, value: value, lMBR: lMBR, rMBR: rMBR, lRecs: lRecs, rRecs: rRecs}
 	if pool != nil && len(rRecs) >= parSplitMin {
-		join := pool.Fork(func() { p.rSub = t.planSplits(rRecs, rMBR, domain, pool) })
-		p.lSub = t.planSplits(lRecs, lMBR, domain, pool)
+		var rSub *splitPlan
+		join := pool.Fork(func() { rSub = t.subPlan(rRecs, rMBR, domain, pool) })
+		p.lSub = t.subPlan(lRecs, lMBR, domain, pool)
 		join()
+		p.rSub = rSub
 	} else {
-		p.lSub = t.planSplits(lRecs, lMBR, domain, pool)
-		p.rSub = t.planSplits(rRecs, rMBR, domain, pool)
+		p.lSub = t.subPlan(lRecs, lMBR, domain, pool)
+		p.rSub = t.subPlan(rRecs, rMBR, domain, pool)
 	}
-	return p
+	return p, true
+}
+
+// subPlan is the plan of a split's half, on the heap, or nil when the
+// half fits a leaf or stays one.
+func (t *Tree) subPlan(recs []attr.Record, mbr, domain attr.Box, pool *par.Pool) *splitPlan {
+	if len(recs) <= t.cfg.leafCapacity() {
+		return nil
+	}
+	if p, ok := t.planSplits(recs, mbr, domain, pool); ok {
+		return &p
+	}
+	return nil
 }
 
 // partition reorders recs in place, one Hoare sweep, so that the records

@@ -1,10 +1,6 @@
 package rplustree
 
-import (
-	"slices"
-
-	"spatialanon/internal/attr"
-)
+import "spatialanon/internal/attr"
 
 // This file implements underflow repair for incremental maintenance.
 // Deletions can drive a leaf below BaseK, and a long-lived index cannot
@@ -26,10 +22,10 @@ import (
 //     trie node carrying the hyperplane that once separated L from its
 //     sibling subtree S — is overwritten with S. That alone widens
 //     every region in S that bordered L across the vacated hyperplane,
-//     so the siblings again tile P's region.
-//  2. Drop L from P's child list, subtract its count along the root
-//     path and retighten ancestor MBRs.
-//  3. Reinsert L's records through Insert: each routes to the leaf
+//     so the siblings again tile P's region, and L is no longer P's
+//     child. Subtract its count along the root path and retighten
+//     ancestor MBRs.
+//  2. Reinsert L's records through Insert: each routes to the leaf
 //     now owning its point. Reinsertion only adds records to
 //     surviving leaves (splitting them if they overflow), so repair
 //     never creates a new underflow, and every leaf it touches stays
@@ -51,7 +47,7 @@ func (t *Tree) repairUnderflow(leaf *node) error {
 	// Climb single-child chains: victim is the topmost node that can be
 	// spliced out leaving its parent with at least one child.
 	victim := leaf
-	for victim.parent != nil && len(victim.parent.children) == 1 {
+	for victim.parent != nil && victim.parent.trie.isLeaf() {
 		victim = victim.parent
 	}
 	orphans := append([]attr.Record(nil), leaf.recs...)
@@ -66,15 +62,6 @@ func (t *Tree) repairUnderflow(leaf *node) error {
 		if !spliceTrieLeaf(parent.trie, victim) {
 			return &CorruptionError{Detail: "underflow repair of node not present in parent trie"}
 		}
-		idx := slices.Index(parent.children, victim)
-		if idx < 0 {
-			// The trie splice already ran; restore is impossible without
-			// the removed hyperplane's subtree shape, but this state is
-			// unreachable unless the structure was already corrupt
-			// (CheckInvariants ties tries to child lists).
-			return &CorruptionError{Detail: "underflow repair of node not present in its parent"}
-		}
-		parent.children = append(parent.children[:idx], parent.children[idx+1:]...)
 		parent.dur = nil // the spliced trie is not its durable copy's
 		// The victim's records may have defined the MBRs above it.
 		t.shrinkPath(parent, victim.count)

@@ -776,7 +776,7 @@ func (src *source) ref() (Ref, error) {
 }
 
 // trie decodes the split trie of parent owning region, wiring children
-// into parent. Each child is decoded with its region derived from the
+// to parent. Each child is decoded with its region derived from the
 // hyperplanes, cut in region in place and restored on the way back up,
 // as walkRegions does. depth is the parent's tree depth (child nodes sit
 // at depth+1 regardless of how deep in the trie their leaf is); guard
@@ -796,7 +796,6 @@ func (d *snapDecoder) trie(src *source, parent *node, region attr.Box, depth, gu
 			return nil, err
 		}
 		child.parent = parent
-		parent.children = append(parent.children, child)
 		parent.count += child.count
 		parent.mbr.IncludeBox(child.mbr)
 		return &splitTrie{child: child}, nil

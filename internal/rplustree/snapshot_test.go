@@ -33,9 +33,6 @@ func treesEqual(a, b *Tree) bool {
 			}
 			return true
 		}
-		if len(x.children) != len(y.children) {
-			return false
-		}
 		var eqTrie func(s, u *splitTrie) bool
 		eqTrie = func(s, u *splitTrie) bool {
 			if s.isLeaf() != u.isLeaf() {

@@ -30,7 +30,7 @@ type SplitContext struct {
 // biased splitting pinned to a subset of attributes, and weighted
 // splitting following the weighted certainty penalty of [33].
 type SplitPolicy interface {
-	ChooseSplit(recs []attr.Record, ctx *SplitContext) (axis int, value float64, ok bool)
+	ChooseSplit(recs []attr.Record, ctx SplitContext) (axis int, value float64, ok bool)
 }
 
 // candidate is one feasible (axis, value) with its evaluation.
@@ -201,7 +201,7 @@ type MinMarginPolicy struct{}
 const topAxes = 2
 
 // ChooseSplit implements SplitPolicy.
-func (p MinMarginPolicy) ChooseSplit(recs []attr.Record, ctx *SplitContext) (int, float64, bool) {
+func (p MinMarginPolicy) ChooseSplit(recs []attr.Record, ctx SplitContext) (int, float64, bool) {
 	return chooseByScore(recs, ctx)
 }
 
@@ -211,7 +211,7 @@ func (p MinMarginPolicy) ChooseSplit(recs []attr.Record, ctx *SplitContext) (int
 // into top with no allocation — and returns it (all axes in order when
 // top is at least the dimensionality). The extent comes from ctx.MBR
 // when available.
-func rankedAxes(recs []attr.Record, ctx *SplitContext, top []int) []int {
+func rankedAxes(recs []attr.Record, ctx SplitContext, top []int) []int {
 	dims := len(recs[0].QI)
 	if len(top) >= dims {
 		top = top[:dims]
@@ -263,7 +263,7 @@ func rankedAxes(recs []attr.Record, ctx *SplitContext, top []int) []int {
 // "minimize the resulting partitions" objective — while touching each
 // axis's values exactly once. (The exact version that built both side
 // MBRs per axis dominated load-time profiles.)
-func chooseByScore(recs []attr.Record, ctx *SplitContext) (int, float64, bool) {
+func chooseByScore(recs []attr.Record, ctx SplitContext) (int, float64, bool) {
 	var top [topAxes]int
 	axes := rankedAxes(recs, ctx, top[:])
 	// For very large leaves (bulk loading splits leaves holding big
@@ -334,7 +334,7 @@ func chooseByScore(recs []attr.Record, ctx *SplitContext) (int, float64, bool) {
 type WidestAxisPolicy struct{}
 
 // ChooseSplit implements SplitPolicy.
-func (WidestAxisPolicy) ChooseSplit(recs []attr.Record, ctx *SplitContext) (int, float64, bool) {
+func (WidestAxisPolicy) ChooseSplit(recs []attr.Record, ctx SplitContext) (int, float64, bool) {
 	dims := len(recs[0].QI)
 	spread := attr.NewBox(dims)
 	for _, r := range recs {
@@ -377,7 +377,7 @@ type BiasedPolicy struct {
 }
 
 // ChooseSplit implements SplitPolicy.
-func (p BiasedPolicy) ChooseSplit(recs []attr.Record, ctx *SplitContext) (int, float64, bool) {
+func (p BiasedPolicy) ChooseSplit(recs []attr.Record, ctx SplitContext) (int, float64, bool) {
 	for _, axis := range p.Axes {
 		if v, _, ok := axisCandidate(recs, axis); ok {
 			return axis, v, true
@@ -401,7 +401,7 @@ type WeightedPolicy struct {
 }
 
 // ChooseSplit implements SplitPolicy.
-func (p WeightedPolicy) ChooseSplit(recs []attr.Record, ctx *SplitContext) (int, float64, bool) {
+func (p WeightedPolicy) ChooseSplit(recs []attr.Record, ctx SplitContext) (int, float64, bool) {
 	// Delegate to chooseByScore under a schema whose weights are
 	// replaced by p.Weights.
 	s := *ctx.Schema
@@ -412,7 +412,6 @@ func (p WeightedPolicy) ChooseSplit(recs []attr.Record, ctx *SplitContext) (int,
 			s.Attrs[i].Weight = p.Weights[i]
 		}
 	}
-	sub := *ctx
-	sub.Schema = &s
-	return chooseByScore(recs, &sub)
+	ctx.Schema = &s
+	return chooseByScore(recs, ctx)
 }

@@ -7,8 +7,8 @@ import (
 	"spatialanon/internal/dataset"
 )
 
-func splitCtx() *SplitContext {
-	return &SplitContext{
+func splitCtx() SplitContext {
+	return SplitContext{
 		Schema: dataset.PatientsSchema(),
 		Domain: attr.Box{
 			{Lo: 0, Hi: 100},

@@ -17,21 +17,20 @@
 //     Sections 2.3 and 4 — they are what make index-based
 //     anonymizations more precise and queries on them more accurate.
 //
-// Internal nodes remember the binary split history of their children as
-// a small trie. Splitting an overflowing internal node at its trie root
-// hyperplane therefore never straddles a child, which sidesteps the
-// k-d-B-tree's forced downward splits entirely while preserving the
-// disjointness invariant. The tries are the geometry: a node stores its
-// MBR, but not its routing region, which is derived where it is read —
-// the whole space, cut by the hyperplanes on the way down to the node
-// (walkRegions; the checkpoint decoder cuts the same way as it reads).
+// An internal node's children are the leaves of a small trie, the binary
+// split history of its region. Splitting an overflowing internal node at
+// its trie root hyperplane therefore never straddles a child, which
+// sidesteps the k-d-B-tree's forced downward splits entirely while
+// preserving the disjointness invariant. The tries are the geometry: a
+// node stores its MBR, but not its routing region, which is derived where
+// it is read — the whole space, cut by the hyperplanes on the way down to
+// the node (walkRegions; the checkpoint decoder cuts the same as it reads).
 package rplustree
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"spatialanon/internal/attr"
 )
@@ -127,9 +126,9 @@ func (c Config) validate() error {
 // leafCapacity is c*k, the paper's maximum leaf occupancy.
 func (c Config) leafCapacity() int { return c.LeafFactor * c.BaseK }
 
-// splitTrie records the binary split history of an internal node's
-// children. Trie leaves point at children; trie internal nodes carry the
-// hyperplane that divided the corresponding region.
+// splitTrie is an internal node's child structure, the binary split
+// history of its region: trie leaves point at the children, in trie order;
+// trie internal nodes carry the hyperplane that divided their region.
 type splitTrie struct {
 	// Leaf case: child is non-nil.
 	child *node
@@ -142,8 +141,7 @@ type splitTrie struct {
 
 func (st *splitTrie) isLeaf() bool { return st.child != nil }
 
-// node is one tree node. Exactly one of recs (leaf) or children
-// (internal) is used.
+// node is one tree node: a leaf holds recs, an internal node a trie.
 type node struct {
 	parent *node
 	mbr    attr.Box // tight bound on the records beneath
@@ -172,15 +170,14 @@ type node struct {
 	// forty-eight.
 	dur *durableCopy
 
-	children []*node
-	trie     *splitTrie
+	trie *splitTrie // nil in a leaf
 
 	// buffer is the buffer-tree record buffer (Section 2.1); nil unless
 	// a BulkLoader is driving this tree.
 	buffer *nodeBuffer
 }
 
-func (n *node) isLeaf() bool { return n.children == nil && n.trie == nil }
+func (n *node) isLeaf() bool { return n.trie == nil }
 
 // Tree is the anonymizing spatial index.
 type Tree struct {
@@ -336,12 +333,7 @@ func (t *Tree) replaceWithPair(old, left, right *node, axis int, value float64) 
 	parent := old.parent
 	if parent == nil {
 		// Root split: the tree grows a level.
-		newRoot := &node{
-			mbr:      old.mbr.Clone(),
-			count:    old.count,
-			children: []*node{left, right},
-			trie:     &splitTrie{},
-		}
+		newRoot := &node{mbr: old.mbr.Clone(), count: old.count, trie: &splitTrie{}}
 		newRoot.trie.cut(axis, value, left, right)
 		left.parent = newRoot
 		right.parent = newRoot
@@ -351,21 +343,15 @@ func (t *Tree) replaceWithPair(old, left, right *node, axis int, value float64) 
 	}
 	// Validate before mutating so a corruption failure leaves the tree
 	// exactly as it was (the old node keeps all its records).
-	idx := slices.Index(parent.children, old)
 	st := findTrieLeaf(parent.trie, old)
-	if idx < 0 {
-		return &CorruptionError{Detail: "split of node not present in its parent"}
-	}
 	if st == nil {
 		return &CorruptionError{Detail: "split of node not present in parent trie"}
 	}
-	// Replace old in parent's child list and trie: its durable copy's trie
-	// is no longer its own (the mutation that overflowed old has stamped
-	// the path above parent).
+	// Replace old in parent's trie: its durable copy's trie is no longer
+	// its own (the mutation that overflowed old has stamped the path above
+	// parent).
 	parent.dur = nil
 	parent.stamp = t.clock
-	parent.children[idx] = left
-	parent.children = append(parent.children, right)
 	left.parent = parent
 	right.parent = parent
 
@@ -373,7 +359,7 @@ func (t *Tree) replaceWithPair(old, left, right *node, axis int, value float64) 
 
 	err := t.splitBuffer(old, left, right)
 
-	if len(parent.children) > t.cfg.NodeCapacity {
+	if parent.trie.fanout() > t.cfg.NodeCapacity {
 		// Restructuring runs to completion even after an I/O error so
 		// the tree's shape never depends on fault timing.
 		if e := t.splitInternal(parent); err == nil {
@@ -388,6 +374,14 @@ func (t *Tree) replaceWithPair(old, left, right *node, axis int, value float64) 
 func (st *splitTrie) cut(axis int, value float64, left, right *node) {
 	pair := &[2]splitTrie{{child: left}, {child: right}}
 	*st = splitTrie{axis: axis, value: value, left: &pair[0], right: &pair[1]}
+}
+
+// fanout counts the children under st.
+func (st *splitTrie) fanout() int {
+	if st.isLeaf() {
+		return 1
+	}
+	return st.left.fanout() + st.right.fanout()
 }
 
 // findTrieLeaf locates the trie leaf pointing at target.
@@ -407,11 +401,8 @@ func findTrieLeaf(st *splitTrie, target *node) *splitTrie {
 // splitInternal divides an overflowing internal node at its trie root
 // hyperplane. Because every child was created by recursively splitting
 // this node's region, the trie root hyperplane straddles no child: each
-// half takes the trie half that holds it. The halves keep n.children' order,
-// not the trie's: it is the order in which the bulk loader visits siblings.
-// The tree a load builds does not depend on it (visiting in trie order
-// leaves TestRoutedLoadDigests' leaf digest as it is); Fig 8(b)'s I/O
-// counts do.
+// half takes the trie half that holds it, and sums its children's counts
+// and MBRs from that half.
 func (t *Tree) splitInternal(n *node) error {
 	rootSplit := n.trie
 	if rootSplit.isLeaf() {
@@ -425,13 +416,12 @@ func (t *Tree) splitInternal(n *node) error {
 	dims := t.cfg.Schema.Dims()
 	left := &node{mbr: attr.NewBox(dims), trie: rootSplit.left}
 	right := &node{mbr: attr.NewBox(dims), trie: rootSplit.right}
-	left.trie.each(func(c *node) { c.parent = left })
-	right.trie.each(func(c *node) { c.parent = right })
-	for _, c := range n.children {
-		side := c.parent // the half whose trie holds c
-		side.children = append(side.children, c)
-		side.mbr.IncludeBox(c.mbr)
-		side.count += c.count
+	for _, side := range [2]*node{left, right} {
+		side.trie.each(func(c *node) {
+			c.parent = side
+			side.mbr.IncludeBox(c.mbr)
+			side.count += c.count
+		})
 	}
 	// A trie subtree that is itself a leaf means that half has exactly
 	// one child; that is legal (NodeCapacity >= 2 guarantees both halves
@@ -489,11 +479,12 @@ func (t *Tree) shrinkPath(n *node, count int) {
 		for i := range n.mbr {
 			n.mbr[i] = attr.EmptyInterval()
 		}
-		for _, r := range n.recs {
-			n.mbr.Include(r.QI)
-		}
-		for _, c := range n.children {
-			n.mbr.IncludeBox(c.mbr)
+		if n.isLeaf() {
+			for _, r := range n.recs {
+				n.mbr.Include(r.QI)
+			}
+		} else {
+			n.trie.each(func(c *node) { n.mbr.IncludeBox(c.mbr) })
 		}
 	}
 }

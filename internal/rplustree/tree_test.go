@@ -172,6 +172,43 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestSearchInTrieOrder: Search returns the records of Leaves that fall
+// in the query, in the same order — trie order, which a node's children
+// follow once internal splits have reordered them against their creation.
+func TestSearchInTrieOrder(t *testing.T) {
+	tr, _ := New(Config{Schema: dataset.LandsEndSchema(), BaseK: 5})
+	recs := dataset.GenerateLandsEnd(5000, 3)
+	insertAll(t, tr, recs)
+	if tr.Height() < 3 {
+		t.Fatalf("height %d: no internal split below the root", tr.Height())
+	}
+	rng := rand.New(rand.NewSource(9))
+	queries := []attr.Box{tr.root.mbr.Clone()}
+	for i := 0; i < 50; i++ {
+		queries = append(queries, randQuery(rng, recs))
+	}
+	leaves := tr.Leaves()
+	for _, q := range queries {
+		var want []int64
+		for _, l := range leaves {
+			for _, r := range l.Records {
+				if q.Contains(r.QI) {
+					want = append(want, r.ID)
+				}
+			}
+		}
+		got := tr.Search(q)
+		if len(got) != len(want) {
+			t.Fatalf("query %v: %d records, want %d", q, len(got), len(want))
+		}
+		for i, r := range got {
+			if r.ID != want[i] {
+				t.Fatalf("query %v: record %d is %d, Leaves order has %d", q, i, r.ID, want[i])
+			}
+		}
+	}
+}
+
 func randQuery(rng *rand.Rand, recs []attr.Record) attr.Box {
 	a := recs[rng.Intn(len(recs))]
 	b := recs[rng.Intn(len(recs))]

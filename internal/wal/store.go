@@ -344,7 +344,7 @@ func (s *Store) applyOp(op Op) (bool, error) {
 
 // audit is the recovery gate: the tree's structural audit must pass
 // (verify.Tree: regions, MBRs, counts, leaf depth, parent pointers,
-// tries against child lists), and — once the store holds at least BaseK
+// each trie leaf a distinct child), and — once the store holds at least BaseK
 // records, the threshold below which no release exists — the independent
 // release auditor must re-prove the release family (k-anonymity and
 // Lemma-1 k-boundness of the base release). Only then may the store
