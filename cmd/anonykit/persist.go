@@ -119,7 +119,9 @@ func emitRelease(st *wal.Store, schema *attr.Schema, outPath string, quiet bool,
 	var recs []attr.Record // the quality report's domain; not needed when quiet
 	if !quiet {
 		for _, l := range st.Tree().Leaves() {
-			recs = append(recs, l.Records...)
+			for i := range l.Size() {
+				recs = append(recs, l.Record(i))
+			}
 		}
 	}
 	constraint := anonmodel.KAnonymity{K: st.Tree().Config().BaseK}

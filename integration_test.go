@@ -102,7 +102,9 @@ func TestEndToEndLifecycle(t *testing.T) {
 	// ordering vs uncompacted Mondrian.
 	live := make([]attr.Record, 0, rt.Len())
 	for _, p := range sets[0] {
-		live = append(live, p.Records...)
+		for i := range p.Size() {
+			live = append(live, p.Record(i))
+		}
 	}
 	queries := query.FullRangeWorkload(live, 150, 303)
 	rtRes, err := query.Evaluate(sets[0], live, queries, 1)
@@ -168,7 +170,8 @@ func TestAlgorithmsAgreeOnFundamentals(t *testing.T) {
 		}
 		got := map[int64]bool{}
 		for _, p := range ps {
-			for _, r := range p.Records {
+			for i := range p.Size() {
+				r := p.Record(i)
 				if got[r.ID] {
 					t.Fatalf("%s: record %d duplicated", a.Name(), r.ID)
 				}
@@ -228,8 +231,8 @@ func TestDeterministicRebuild(t *testing.T) {
 		if !a[i].Box.Equal(b[i].Box) || a[i].Size() != b[i].Size() {
 			t.Fatalf("partition %d differs between rebuilds", i)
 		}
-		for j := range a[i].Records {
-			if a[i].Records[j].ID != b[i].Records[j].ID {
+		for j := range a[i].Size() {
+			if a[i].Record(j).ID != b[i].Record(j).ID {
 				t.Fatalf("partition %d membership differs", i)
 			}
 		}

@@ -23,7 +23,8 @@ import (
 // generalized Box every member publishes as its quasi-identifier value,
 // plus the member records. For uncompacted anonymizations the Box is
 // the partitioning region; after compaction (or for index MBRs) it is
-// the tight minimum bounding box.
+// the tight minimum bounding box. Outside this package and core.Tiling a
+// partition is read through Size, Record and Satisfies (rule rowconfine).
 type Partition struct {
 	Box     attr.Box
 	Records []attr.Record
@@ -33,6 +34,14 @@ type Partition struct {
 //
 //anonylint:zero-alloc
 func (p Partition) Size() int { return len(p.Records) }
+
+// Record returns the partition's i-th record, 0 <= i < Size().
+//
+//anonylint:zero-alloc
+func (p Partition) Record(i int) attr.Record { return p.Records[i] }
+
+// Satisfies reports whether the partition's records satisfy c.
+func (p Partition) Satisfies(c Constraint) bool { return c.Satisfied(p.Records) }
 
 // Validate checks the partition's internal consistency: every record's
 // point must lie inside the published box.
@@ -62,7 +71,7 @@ func CheckAnonymity(ps []Partition, c Constraint) error {
 		if err := p.Validate(); err != nil {
 			return fmt.Errorf("partition %d: %w", i, err)
 		}
-		if !c.Satisfied(p.Records) {
+		if !p.Satisfies(c) {
 			return fmt.Errorf("anonmodel: partition %d (%d records) violates %v", i, p.Size(), c)
 		}
 	}

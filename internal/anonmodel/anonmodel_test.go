@@ -158,7 +158,8 @@ func recsAtX(xs ...float64) []attr.Record {
 }
 
 // scanLeaves builds one leaf per entry of sensitive: leaf i holds one
-// record per value, all at x = i.
+// record per value, all at x = i. (This package's tests use the Records
+// field itself: they test the layout.)
 func scanLeaves(sensitive ...[]string) []Partition {
 	base := make([]Partition, len(sensitive))
 	id := int64(0)

@@ -67,20 +67,20 @@ func TestInsertOrderAndInvariants(t *testing.T) {
 	total := 0
 	prev := -1.0
 	for _, p := range leaves {
-		leaf := p.Records
 		if err := p.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if len(leaf) > tr.leafCap() {
+		if p.Size() > tr.leafCap() {
 			// Only legal for a run of identical keys, which no B+-tree
 			// can separate.
-			for _, r := range leaf {
-				if r.QI[0] != leaf[0].QI[0] {
-					t.Fatalf("splittable leaf of %d records, cap %d", len(leaf), tr.leafCap())
+			for i := range p.Size() {
+				if p.Record(i).QI[0] != p.Record(0).QI[0] {
+					t.Fatalf("splittable leaf of %d records, cap %d", p.Size(), tr.leafCap())
 				}
 			}
 		}
-		for _, r := range leaf {
+		for i := range p.Size() {
+			r := p.Record(i)
 			if r.QI[0] < prev {
 				t.Fatal("leaves out of key order")
 			}

@@ -25,14 +25,14 @@ import (
 // keeps an empty box.
 func Partition(p anonmodel.Partition) anonmodel.Partition {
 	dims := len(p.Box)
-	if dims == 0 && len(p.Records) > 0 {
-		dims = len(p.Records[0].QI)
+	if dims == 0 && p.Size() > 0 {
+		dims = len(p.Record(0).QI)
 	}
-	box := attr.NewBox(dims)
-	for _, r := range p.Records {
-		box.Include(r.QI)
+	p.Box = attr.NewBox(dims)
+	for i := range p.Size() {
+		p.Box.Include(p.Record(i).QI)
 	}
-	return anonmodel.Partition{Box: box, Records: p.Records}
+	return p
 }
 
 // Partitions compacts every partition, returning a new slice. The

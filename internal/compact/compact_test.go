@@ -28,7 +28,7 @@ func TestPartitionShrinksToMBR(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Records) != 2 {
+	if c.Size() != 2 {
 		t.Fatal("records lost")
 	}
 	// Original untouched.
@@ -76,7 +76,7 @@ func TestCompactionProperties(t *testing.T) {
 		if err := cs[i].Validate(); err != nil {
 			t.Fatalf("partition %d: %v", i, err)
 		}
-		if len(cs[i].Records) != len(ps[i].Records) {
+		if cs[i].Size() != ps[i].Size() {
 			t.Fatalf("partition %d record count changed", i)
 		}
 	}

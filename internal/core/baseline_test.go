@@ -29,9 +29,9 @@ func releaseDigest(ps []anonmodel.Partition) uint64 {
 			put(math.Float64bits(iv.Lo))
 			put(math.Float64bits(iv.Hi))
 		}
-		put(uint64(len(p.Records)))
-		for _, r := range p.Records {
-			put(uint64(r.ID))
+		put(uint64(p.Size()))
+		for i := range p.Size() {
+			put(uint64(p.Record(i).ID))
 		}
 	}
 	return h.Sum64()

@@ -125,7 +125,7 @@ func (t Tiling) Scan(constraint anonmodel.Constraint, workers int) (Tiling, erro
 	bounds := []int{0}
 	run := 0
 	for i, p := range base {
-		run += len(p.Records)
+		run += p.Size()
 		if run >= min {
 			bounds = append(bounds, i+1)
 			run = 0
@@ -153,7 +153,7 @@ func (t Tiling) Scan(constraint anonmodel.Constraint, workers int) (Tiling, erro
 		total := 0
 		for i, p := range base {
 			at[i] = window{0, total}
-			total += len(p.Records)
+			total += p.Size()
 		}
 		arr := make([]attr.Record, total)
 		par.Do(w, len(bounds)-1, func(g int) {
@@ -179,7 +179,7 @@ func (t Tiling) Scan(constraint anonmodel.Constraint, workers int) (Tiling, erro
 		first, n, tiled := window{arr: -1}, 0, true
 		for i, p := range group {
 			box.IncludeBox(p.Box)
-			if len(p.Records) == 0 {
+			if p.Size() == 0 {
 				continue
 			}
 			here := at[bounds[g]+i]
@@ -187,7 +187,7 @@ func (t Tiling) Scan(constraint anonmodel.Constraint, workers int) (Tiling, erro
 				first = here
 			}
 			tiled = tiled && here.arr >= 0 && here == window{first.arr, first.off + n}
-			n += len(p.Records)
+			n += p.Size()
 		}
 		var recs []attr.Record
 		switch {

@@ -207,7 +207,8 @@ func TestBPTreeAnonymizerFigure1(t *testing.T) {
 	// contiguous grouping separates them without isolating one.
 	for _, p := range ps {
 		has1, has2 := false, false
-		for _, r := range p.Records {
+		for i := range p.Size() {
+			r := p.Record(i)
 			if r.ID == 1 {
 				has1 = true
 			}
@@ -270,8 +271,8 @@ func TestQuickLeafScanProperties(t *testing.T) {
 			if p.Size() < k1 {
 				return false
 			}
-			for _, r := range p.Records {
-				if r.ID != seen { // whole partitions, in order
+			for i := range p.Size() {
+				if p.Record(i).ID != seen { // whole partitions, in order
 					return false
 				}
 				seen++

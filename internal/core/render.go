@@ -42,13 +42,13 @@ func Render(s *attr.Schema, ps []anonmodel.Partition) (header []string, rows [][
 			}
 			cells[i] = p.Box[i].String()
 		}
-		for _, r := range p.Records {
+		for i := range p.Size() {
 			row := make([]string, 0, len(header))
 			row = append(row, cells...)
 			if s.Sensitive != "" {
-				row = append(row, r.Sensitive)
+				row = append(row, p.Record(i).Sensitive)
 			}
-			all = append(all, keyed{id: r.ID, row: row})
+			all = append(all, keyed{id: p.Record(i).ID, row: row})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })

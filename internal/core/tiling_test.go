@@ -15,19 +15,18 @@ import (
 )
 
 // scanBase builds base partitions of the given sizes (0 = an empty
-// partition), each owning its Records, record i at QI {i, -i}.
-func scanBase(sizes []int) []anonmodel.Partition {
+// partition), each owning its records, record i at QI {i, -i}, its ID
+// i plus first.
+func scanBase(sizes []int, first int64) []anonmodel.Partition {
 	base := make([]anonmodel.Partition, len(sizes))
 	id := 0
 	for i, n := range sizes {
-		p := anonmodel.Partition{Box: attr.NewBox(2)}
+		var recs []attr.Record
 		for j := 0; j < n; j++ {
-			r := attr.Record{ID: int64(id), QI: []float64{float64(id), -float64(id)}}
-			p.Records = append(p.Records, r)
-			p.Box.Include(r.QI)
+			recs = append(recs, attr.Record{ID: first + int64(id), QI: []float64{float64(id), -float64(id)}})
 			id++
 		}
-		base[i] = p
+		base[i] = anonmodel.Partition{Box: attr.DomainOf(2, recs), Records: recs}
 	}
 	return base
 }
@@ -64,10 +63,10 @@ func TestScanMatchesSerialReference(t *testing.T) {
 		}
 		for _, k := range []int{2, 3, 5, 11} {
 			c := anonmodel.KAnonymity{K: k}
-			want, wantErr := anonmodel.LeafScan(scanBase(shape), c)
+			want, wantErr := anonmodel.LeafScan(scanBase(shape, 0), c)
 			for _, workers := range []int{1, 2, 8} {
 				name := fmt.Sprintf("shape %v k=%d workers=%d", shape, k, workers)
-				fine, err := Tiling{Partitions: scanBase(shape)}.Scan(c, workers)
+				fine, err := Tiling{Partitions: scanBase(shape, 0)}.Scan(c, workers)
 				if (err != nil) != (wantErr != nil) || (err != nil && err.Error() != wantErr.Error()) {
 					t.Fatalf("%s: error %v, reference %v", name, err, wantErr)
 				}
@@ -94,6 +93,7 @@ func TestScanMatchesSerialReference(t *testing.T) {
 				if !reflect.DeepEqual(coarse.Partitions, want2) {
 					t.Fatalf("%s, second scan:\n got %v\nwant %v", name, coarse.Partitions, want2)
 				}
+				// Reads the Records field: zero-copy sharing is pinned by slice identity.
 				if total > 0 && &coarse.Partitions[0].Records[0] != &fine.Partitions[0].Records[0] {
 					t.Fatalf("%s: second scan copied the records", name)
 				}
@@ -117,17 +117,11 @@ func TestScanMatchesSerialReference(t *testing.T) {
 // copy — and the output still equals the reference scan.
 func TestConcatScanCopiesOnlySeamGroups(t *testing.T) {
 	k2 := anonmodel.KAnonymity{K: 2}
-	left, err := Tiling{Partitions: scanBase([]int{2, 2, 2, 2, 2})}.Scan(k2, 1)
+	left, err := Tiling{Partitions: scanBase([]int{2, 2, 2, 2, 2}, 0)}.Scan(k2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rightBase := scanBase([]int{2, 2, 2, 2})
-	for i := range rightBase {
-		for j := range rightBase[i].Records {
-			rightBase[i].Records[j].ID += 100
-		}
-	}
-	right, err := Tiling{Partitions: rightBase}.Scan(k2, 1)
+	right, err := Tiling{Partitions: scanBase([]int{2, 2, 2, 2}, 100)}.Scan(k2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +144,7 @@ func TestConcatScanCopiesOnlySeamGroups(t *testing.T) {
 		t.Fatalf("%d groups, want 4", len(got.Partitions))
 	}
 	ps := got.Partitions
+	// Reads the Records field: zero-copy sharing is pinned by slice identity.
 	if &ps[0].Records[0] != &left.Partitions[0].Records[0] || &ps[1].Records[0] != &left.Partitions[2].Records[0] {
 		t.Fatal("groups inside the left shard were copied")
 	}
@@ -185,6 +180,7 @@ func TestReleasesAreReadOnlyWindows(t *testing.T) {
 	}
 	base := rels[0].Partitions
 	for _, r := range rels[1:] {
+		// Reads the Records field: zero-copy sharing is pinned by slice identity.
 		if &r.Partitions[0].Records[0] != &base[0].Records[0] {
 			t.Fatalf("granularity %d is a copy, not a window of the base release's array", r.Granularity)
 		}
@@ -237,6 +233,7 @@ func TestPartitionsAtBaseK(t *testing.T) {
 		if tc.sameAsBase && &rels[i].Partitions[0] != &rels[0].Partitions[0] {
 			t.Fatalf("k1=%d: a second partition set, want the base release itself", tc.k1)
 		}
+		// Reads the Records field: zero-copy sharing is pinned by slice identity.
 		if &rels[i].Partitions[0].Records[0] != &rels[0].Partitions[0].Records[0] {
 			t.Fatalf("k1=%d: a second record array", tc.k1)
 		}
@@ -259,11 +256,11 @@ func cloneReleases(rels []Release) []Release {
 	for i, r := range rels {
 		out[i].Granularity = r.Granularity
 		for _, p := range r.Partitions {
-			q := anonmodel.Partition{Box: p.Box.Clone()}
-			for _, rec := range p.Records {
-				q.Records = append(q.Records, rec.Clone())
+			var recs []attr.Record
+			for j := range p.Size() {
+				recs = append(recs, p.Record(j).Clone())
 			}
-			out[i].Partitions = append(out[i].Partitions, q)
+			out[i].Partitions = append(out[i].Partitions, anonmodel.Partition{Box: p.Box.Clone(), Records: recs})
 		}
 	}
 	return out

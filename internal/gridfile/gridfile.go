@@ -87,7 +87,7 @@ func Anonymize(schema *attr.Schema, recs []attr.Record, opt Options) ([]anonmode
 
 	// Bucket records by cell: one partition per occupied cell, under
 	// the cell's slab, not the records' MBR.
-	byKey := make(map[uint64]*anonmodel.Partition)
+	rows, boxes := make(map[uint64][]attr.Record), make(map[uint64]attr.Box)
 	var keys []uint64
 	cell := make([]uint32, dims)
 	for _, r := range recs {
@@ -103,18 +103,16 @@ func Anonymize(schema *attr.Schema, recs []attr.Record, opt Options) ([]anonmode
 			cell[d] = uint32(c)
 		}
 		key := sfc.ZOrderKey(cell, bits)
-		p, ok := byKey[key]
-		if !ok {
-			p = &anonmodel.Partition{Box: cellBox(cell)}
-			byKey[key] = p
+		if _, ok := boxes[key]; !ok {
+			boxes[key] = cellBox(cell)
 			keys = append(keys, key)
 		}
-		p.Records = append(p.Records, r)
+		rows[key] = append(rows[key], r)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	cells := make([]anonmodel.Partition, len(keys))
 	for i, key := range keys {
-		cells[i] = *byKey[key]
+		cells[i] = anonmodel.Partition{Box: boxes[key], Records: rows[key]}
 	}
 
 	// Coalesce whole cells along the Z-order walk: the cells are the

@@ -25,7 +25,8 @@ func TestAnonymizeBasics(t *testing.T) {
 	}
 	seen := map[int64]bool{}
 	for _, p := range ps {
-		for _, r := range p.Records {
+		for i := range p.Size() {
+			r := p.Record(i)
 			if seen[r.ID] {
 				t.Fatalf("record %d duplicated", r.ID)
 			}

@@ -11,16 +11,17 @@ import "spatialanon/internal/lint/analysis"
 
 // Rules is the suite, in the order findings are printed within a
 // package. Five rules are whole-repository invariants (three of them
-// bite only where their directives appear). The two scoped ones cover
-// every internal/ package and every command by default, so a new
-// package is checked without anyone remembering to list it; the
+// bite only where their directives appear). The scoped ones cover every
+// internal/ package and every command (rowconfine the examples too), so
+// a new package is checked without anyone remembering to list it; the
 // exemptions are:
 //
-//   - internal/lint, from both: the tooling is not under the
+//   - internal/lint, from all of them: the tooling is not under the
 //     determinism contract, and an analyzer crashing on a malformed
 //     AST is a programmer error by construction;
 //   - internal/experiments, from detrand: it is a timing harness whose
-//     every figure reads the wall clock around the run it measures.
+//     every figure reads the wall clock around the run it measures;
+//   - internal/anonmodel and internal/core, from rowconfine: they lay rows out.
 //
 // Commands drive the deterministic harnesses, so their randomness
 // must be seeded too (their latency measurements carry
@@ -36,4 +37,6 @@ var Rules = []analysis.Rule{
 		Scope: analysis.Scope{In: []string{"internal", "cmd"}, Except: []string{"internal/experiments", "internal/lint"}}},
 	{Name: "panicpolicy", Doc: "flag unjustified panics in library packages", Run: panicpolicy,
 		Scope: analysis.Scope{In: []string{"internal", "cmd"}, Except: []string{"internal/lint"}}},
+	{Name: "rowconfine", Doc: "flag reads and writes of anonmodel.Partition.Records outside the packages that lay rows out", Run: rowconfine,
+		Scope: analysis.Scope{In: []string{"internal", "cmd", "examples"}, Except: []string{"internal/anonmodel", "internal/core", "internal/lint"}}},
 }

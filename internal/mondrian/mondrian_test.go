@@ -36,7 +36,8 @@ func TestAnonymizeBasics(t *testing.T) {
 		// No record appears twice.
 		seen := map[int64]bool{}
 		for _, p := range ps {
-			for _, r := range p.Records {
+			for i := range p.Size() {
+				r := p.Record(i)
 				if seen[r.ID] {
 					t.Fatalf("record %d in two partitions", r.ID)
 				}
@@ -140,8 +141,9 @@ func TestStrictKeepsValueClassesTogether(t *testing.T) {
 		t.Fatalf("got %d partitions, want 2", len(ps))
 	}
 	for _, p := range ps {
-		first := p.Records[0].QI[0]
-		for _, r := range p.Records {
+		first := p.Record(0).QI[0]
+		for i := range p.Size() {
+			r := p.Record(i)
 			if r.QI[0] != first {
 				t.Fatal("strict cut divided a value class")
 			}
@@ -166,7 +168,8 @@ func TestPartitionRegionsTileDomain(t *testing.T) {
 	// ambiguous, but record assignment must not be).
 	counts := map[int64]int{}
 	for _, p := range ps {
-		for _, r := range p.Records {
+		for i := range p.Size() {
+			r := p.Record(i)
 			counts[r.ID]++
 		}
 	}

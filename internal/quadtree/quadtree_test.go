@@ -57,8 +57,9 @@ func TestBuildAndInvariants(t *testing.T) {
 	total := 0
 	seen := map[int64]bool{}
 	for _, l := range leaves {
-		total += len(l.Records)
-		for _, r := range l.Records {
+		total += l.Size()
+		for i := range l.Size() {
+			r := l.Record(i)
 			if seen[r.ID] {
 				t.Fatalf("record %d in two leaves", r.ID)
 			}
@@ -80,9 +81,9 @@ func TestLeafCapacity(t *testing.T) {
 	qt := newPatientQT(t, 2000, 3)
 	cap := qt.cfg.LeafFactor * qt.cfg.BaseK
 	for _, l := range qt.Leaves() {
-		if len(l.Records) > cap {
+		if l.Size() > cap {
 			// Only legal at the depth cap (duplicate pile-ups).
-			t.Fatalf("leaf holds %d records, cap %d", len(l.Records), cap)
+			t.Fatalf("leaf holds %d records, cap %d", l.Size(), cap)
 		}
 	}
 }
@@ -109,7 +110,8 @@ func TestIncrementalInsertAndGrowth(t *testing.T) {
 	}
 	found := 0
 	for _, l := range qt.Leaves() {
-		for _, r := range l.Records {
+		for i := range l.Size() {
+			r := l.Record(i)
 			if r.ID >= 9001 {
 				found++
 			}

@@ -131,8 +131,8 @@ func klPartition(p anonmodel.Partition, n float64) float64 {
 	mass := float64(p.Size()) / n // partition's share of p2
 	// Group identical tuples within the partition: p1(t) = c_t/n.
 	counts := make(map[string]int, p.Size())
-	for _, r := range p.Records {
-		counts[pointKey(r.QI)]++
+	for i := range p.Size() {
+		counts[pointKey(p.Record(i).QI)]++
 	}
 	keys := make([]string, 0, len(counts))
 	for key := range counts {

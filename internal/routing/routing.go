@@ -186,7 +186,7 @@ func Build(ps []anonmodel.Partition, opt Options) (*Index, error) {
 	for pos, oi := range order {
 		p := ps[oi]
 		ix.keys[pos] = rawKeys[oi]
-		ix.sizes[pos] = int32(len(p.Records))
+		ix.sizes[pos] = int32(p.Size())
 		ix.vols[pos] = p.Box.Cells()
 		for a := 0; a < dims; a++ {
 			ix.lo[a*n+pos] = p.Box[a].Lo

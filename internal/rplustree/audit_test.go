@@ -97,7 +97,7 @@ func TestAuditRefusesEachBreak(t *testing.T) {
 			if row.floor {
 				opt.MinLeafOccupancy = tr.Len()
 				for _, l := range tr.Leaves() {
-					opt.MinLeafOccupancy = min(opt.MinLeafOccupancy, len(l.Records)+1)
+					opt.MinLeafOccupancy = min(opt.MinLeafOccupancy, l.Size()+1)
 				}
 			}
 			row.brk(tr)

@@ -55,8 +55,8 @@ func TestBulkLoadMatchesTupleLoad(t *testing.T) {
 	collect := func(tr *Tree) []int64 {
 		var ids []int64
 		for _, l := range tr.Leaves() {
-			for _, r := range l.Records {
-				ids = append(ids, r.ID)
+			for i := range l.Size() {
+				ids = append(ids, l.Record(i).ID)
 			}
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -227,7 +227,7 @@ func TestMaintenanceRefusedWhileLoading(t *testing.T) {
 		t.Fatalf("refused writes changed the tree: Len %d, %d leaves (was %d)", tr.Len(), len(after), len(before))
 	}
 	for i := range before {
-		if !before[i].Box.Equal(after[i].Box) || len(before[i].Records) != len(after[i].Records) {
+		if !before[i].Box.Equal(after[i].Box) || before[i].Size() != after[i].Size() {
 			t.Fatalf("refused writes changed leaf %d", i)
 		}
 	}
@@ -362,8 +362,8 @@ func TestDeleteInsertAllocs(t *testing.T) {
 	}
 	var rec attr.Record
 	for _, l := range tr.Leaves() {
-		if len(l.Records) > 10 {
-			rec = l.Records[0]
+		if l.Size() > 10 {
+			rec = l.Record(0)
 			break
 		}
 	}

@@ -154,7 +154,7 @@ func TestCheckpointWritesOnlyChangedLeaves(t *testing.T) {
 
 	// One more record in a leaf with room dirties exactly that leaf and
 	// the one node per level above it.
-	extra := attr.Record{ID: 9001, QI: append([]float64(nil), tr.Leaves()[0].Records[0].QI...)}
+	extra := attr.Record{ID: 9001, QI: append([]float64(nil), tr.Leaves()[0].Record(0).QI...)}
 	if err := tr.Insert(extra); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestCheckpointWritesOnlyChangedLeaves(t *testing.T) {
 	// records elsewhere; every leaf touched is rewritten, the rest keep
 	// their references, and the result still round-trips.
 	victim := tr.Leaves()[len(tr.Leaves())/2]
-	for _, r := range append([]attr.Record(nil), victim.Records...)[:len(victim.Records)-cfg.BaseK+1] {
+	for _, r := range rows(victim)[:victim.Size()-cfg.BaseK+1] {
 		if found, err := tr.Delete(r.ID, r.QI); err != nil || !found {
 			t.Fatalf("delete %d: found=%v err=%v", r.ID, found, err)
 		}
@@ -217,7 +217,7 @@ func TestStructuralEditsInvalidateStamps(t *testing.T) {
 	var store blobStore
 	mustCheckpoint(t, tr, false, &store).Commit()
 
-	leaf := tr.routeToLeaf(tr.root, tr.Leaves()[0].Records[0].QI)
+	leaf := tr.routeToLeaf(tr.root, tr.Leaves()[0].Record(0).QI)
 	parent, fanout := leaf.parent, leaf.parent.trie.fanout()
 	for id := int64(9000); parent.trie.fanout() == fanout; id++ {
 		if parent.dur == nil || parent.durable() != (id == 9000) {
@@ -234,7 +234,7 @@ func TestStructuralEditsInvalidateStamps(t *testing.T) {
 	}
 	mustCheckpoint(t, tr, false, &store).Commit()
 
-	leaf = tr.routeToLeaf(tr.root, tr.Leaves()[len(tr.Leaves())/2].Records[0].QI)
+	leaf = tr.routeToLeaf(tr.root, tr.Leaves()[len(tr.Leaves())/2].Record(0).QI)
 	parent, fanout = leaf.parent, leaf.parent.trie.fanout()
 	if fanout < 2 || !parent.durable() {
 		t.Fatalf("want a durable parent of several leaves, got %d children, durable=%v", fanout, parent.durable())
@@ -614,7 +614,7 @@ func TestDecodeLeafAllocations(t *testing.T) {
 	}
 	// The vectors are windows of one array, clipped so that growing one
 	// cannot reach into its neighbour.
-	for _, r := range got.Leaves()[0].Records {
+	for _, r := range rows(got.Leaves()[0]) {
 		if cap(r.QI) != len(r.QI) {
 			t.Errorf("decoded vector of record %d has capacity %d beyond its %d values", r.ID, cap(r.QI), len(r.QI))
 		}

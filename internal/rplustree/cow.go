@@ -102,7 +102,7 @@ func (s *Snapshot) Leaves() []anonmodel.Partition {
 }
 
 func (sn *snapNode) appendLeaves(out []anonmodel.Partition) []anonmodel.Partition {
-	if sn.leaf.Records != nil {
+	if sn.leaf.Size() > 0 {
 		return append(out, sn.leaf)
 	}
 	for _, kid := range sn.kids {

@@ -19,9 +19,16 @@ func fullLeafCopy(tr *Tree) []anonmodel.Partition {
 	ls := tr.Leaves()
 	out := make([]anonmodel.Partition, len(ls))
 	for i, l := range ls {
-		recs := make([]attr.Record, len(l.Records))
-		copy(recs, l.Records)
-		out[i] = anonmodel.Partition{Box: l.Box.Clone(), Records: recs}
+		out[i] = anonmodel.Partition{Box: l.Box.Clone(), Records: rows(l)}
+	}
+	return out
+}
+
+// rows copies p's records out.
+func rows(p anonmodel.Partition) []attr.Record {
+	out := make([]attr.Record, p.Size())
+	for i := range out {
+		out[i] = p.Record(i)
 	}
 	return out
 }
@@ -39,11 +46,11 @@ func samePartitions(a, b []anonmodel.Partition) error {
 				return fmt.Errorf("leaf %d: MBR %v != %v", i, a[i].Box, b[i].Box)
 			}
 		}
-		if len(a[i].Records) != len(b[i].Records) {
-			return fmt.Errorf("leaf %d: %d records != %d", i, len(a[i].Records), len(b[i].Records))
+		if a[i].Size() != b[i].Size() {
+			return fmt.Errorf("leaf %d: %d records != %d", i, a[i].Size(), b[i].Size())
 		}
-		for j := range a[i].Records {
-			ra, rb := a[i].Records[j], b[i].Records[j]
+		for j := range a[i].Size() {
+			ra, rb := a[i].Record(j), b[i].Record(j)
 			if ra.ID != rb.ID || ra.Sensitive != rb.Sensitive {
 				return fmt.Errorf("leaf %d record %d: %+v != %+v", i, j, ra, rb)
 			}
@@ -145,7 +152,8 @@ func TestSnapshotReadersRace(t *testing.T) {
 			for _, iv := range p.Box {
 				sum += iv.Lo + iv.Hi
 			}
-			for _, r := range p.Records {
+			for i := range p.Size() {
+				r := p.Record(i)
 				sum += float64(r.ID) + r.QI[0] + r.QI[2]
 			}
 		}
@@ -251,6 +259,7 @@ func TestPublishCostIsOChanged(t *testing.T) {
 		t.Fatalf("snapshot has %d leaves, tree has %d", len(snap), len(live))
 	}
 	for j := range snap {
+		// Reads the Records field: zero-copy sharing is pinned by slice identity.
 		if &snap[j].Records[0] != &live[j].Records[0] {
 			t.Fatalf("leaf %d: the snapshot copied the record array", j)
 		}
@@ -313,6 +322,7 @@ func TestSnapshotLeavesCOW(t *testing.T) {
 		// snapshot: a reused leaf shares its records array.
 		for _, l := range snap {
 			for _, p := range prev {
+				// Reads the Records field: zero-copy sharing is pinned by slice identity.
 				if len(l.Records) > 0 && len(p.Records) > 0 && &l.Records[0] == &p.Records[0] {
 					reused++
 					break
@@ -324,9 +334,7 @@ func TestSnapshotLeavesCOW(t *testing.T) {
 		if batch%17 == 0 {
 			refNow := make([]anonmodel.Partition, len(snap))
 			for i, l := range snap {
-				recs := make([]attr.Record, len(l.Records))
-				copy(recs, l.Records)
-				refNow[i] = anonmodel.Partition{Box: l.Box.Clone(), Records: recs}
+				refNow[i] = anonmodel.Partition{Box: l.Box.Clone(), Records: rows(l)}
 			}
 			frozen = append(frozen, struct {
 				snap []anonmodel.Partition

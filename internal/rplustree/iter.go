@@ -85,11 +85,11 @@ func (t *Tree) Level(level int) ([]anonmodel.Partition, error) {
 			if n.count == 0 {
 				return
 			}
-			p := anonmodel.Partition{Box: n.mbr.Clone(), Records: make([]attr.Record, 0, n.count)}
+			recs := make([]attr.Record, 0, n.count)
 			t.walkLeaves(n, func(l *node) {
-				p.Records = append(p.Records, l.recs...)
+				recs = append(recs, l.recs...)
 			})
-			out = append(out, p)
+			out = append(out, anonmodel.Partition{Box: n.mbr.Clone(), Records: recs})
 			return
 		}
 		n.trie.each(func(c *node) { walk(c, d+1) })

@@ -78,7 +78,7 @@ func TestDeleteRepairsUnderflow(t *testing.T) {
 	// it (or any other leaf) below k — the moment it would dip, it must
 	// be dissolved and its survivors rehomed.
 	victimLeaf := tr.Leaves()[0]
-	victims := append([]attr.Record(nil), victimLeaf.Records...)
+	victims := rows(victimLeaf)
 	for i, r := range victims {
 		found, err := tr.Delete(r.ID, r.QI)
 		if err != nil {
@@ -182,7 +182,8 @@ func TestDeleteToEmptyResetsTree(t *testing.T) {
 	for tr.Len() > 0 {
 		deleted := false
 		for _, l := range tr.Leaves() {
-			for _, r := range l.Records {
+			for i := range l.Size() {
+				r := l.Record(i)
 				found, err := tr.Delete(r.ID, r.QI)
 				if err != nil {
 					t.Fatal(err)

@@ -92,8 +92,9 @@ func TestLeavesPartitionRecords(t *testing.T) {
 	seen := map[int64]bool{}
 	total := 0
 	for _, l := range leaves {
-		total += len(l.Records)
-		for _, r := range l.Records {
+		total += l.Size()
+		for i := range l.Size() {
+			r := l.Record(i)
 			if seen[r.ID] {
 				t.Fatalf("record %d in two leaves", r.ID)
 			}
@@ -126,10 +127,10 @@ func TestLeafOccupancyBounds(t *testing.T) {
 	cap := tr.Config().leafCapacity()
 	under := 0
 	for _, l := range tr.Leaves() {
-		if len(l.Records) > cap {
-			t.Fatalf("leaf holds %d records, cap %d", len(l.Records), cap)
+		if l.Size() > cap {
+			t.Fatalf("leaf holds %d records, cap %d", l.Size(), cap)
 		}
-		if len(l.Records) < k {
+		if l.Size() < k {
 			under++
 		}
 	}
@@ -191,8 +192,8 @@ func TestSearchInTrieOrder(t *testing.T) {
 	for _, q := range queries {
 		var want []int64
 		for _, l := range leaves {
-			for _, r := range l.Records {
-				if q.Contains(r.QI) {
+			for i := range l.Size() {
+				if r := l.Record(i); q.Contains(r.QI) {
 					want = append(want, r.ID)
 				}
 			}
@@ -373,7 +374,7 @@ func TestLevelViews(t *testing.T) {
 	for lvl := 0; lvl < tr.Height(); lvl++ {
 		var leaves [][]attr.Record
 		for _, l := range tr.Leaves() {
-			leaves = append(leaves, l.Records)
+			leaves = append(leaves, rows(l))
 		}
 		views, err := tr.Level(lvl)
 		if err != nil {
@@ -386,7 +387,7 @@ func TestLevelViews(t *testing.T) {
 			if err := v.Validate(); err != nil {
 				t.Fatalf("level %d: %v", lvl, err)
 			}
-			for _, r := range v.Records {
+			for _, r := range rows(v) {
 				for next < len(leaves) && len(leaves[next]) == 0 {
 					next++
 				}
@@ -422,7 +423,7 @@ func TestDuplicatePointsDoNotLoop(t *testing.T) {
 		t.Fatalf("Len = %d", tr.Len())
 	}
 	leaves := tr.Leaves()
-	if len(leaves) != 1 || len(leaves[0].Records) != 50 {
+	if len(leaves) != 1 || leaves[0].Size() != 50 {
 		t.Fatalf("duplicates should stay in one oversized leaf, got %d leaves", len(leaves))
 	}
 	if err := tr.CheckInvariants(); err != nil {

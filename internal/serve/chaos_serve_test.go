@@ -32,8 +32,8 @@ import (
 func chaosIDs(st *wal.Store) map[int64]bool {
 	out := make(map[int64]bool)
 	for _, l := range st.Tree().Leaves() {
-		for _, r := range l.Records {
-			out[r.ID] = true
+		for i := range l.Size() {
+			out[l.Record(i).ID] = true
 		}
 	}
 	return out

@@ -148,8 +148,8 @@ func TestConcurrentReadersDuringMutation(t *testing.T) {
 				}
 				n := 0
 				for _, p := range base {
-					n += len(p.Records)
-					if len(p.Records) < testK {
+					n += p.Size()
+					if p.Size() < testK {
 						t.Errorf("epoch %d: partition below k", v.Epoch())
 						return
 					}
@@ -209,7 +209,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	oldLen, oldEpoch := old.Len(), old.Epoch()
 	oldCount := 0
 	for _, p := range oldBase {
-		oldCount += len(p.Records)
+		oldCount += p.Size()
 	}
 	for _, r := range recs[40:] {
 		if err := s.Insert(r); err != nil {
@@ -226,7 +226,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	n := 0
 	for _, p := range again {
-		n += len(p.Records)
+		n += p.Size()
 	}
 	if n != oldCount {
 		t.Fatalf("held view's release changed: %d records, was %d", n, oldCount)
@@ -275,6 +275,7 @@ func TestViewIsTheSnapshot(t *testing.T) {
 		t.Fatalf("view holds %d leaves, tree has %d", got, want)
 	}
 	for j, p := range bLeaves {
+		// Reads the Records field: zero-copy sharing is pinned by slice identity.
 		if &p.Records[0] != &live[j].Records[0] {
 			t.Fatalf("leaf %d of the view is a copy of the tree's records, not the tree's array", j)
 		}
@@ -283,8 +284,8 @@ func TestViewIsTheSnapshot(t *testing.T) {
 	// the same order.
 	ids := func(p anonmodel.Partition) string {
 		var sb strings.Builder
-		for _, r := range p.Records {
-			fmt.Fprintf(&sb, "%d,", r.ID)
+		for i := range p.Size() {
+			fmt.Fprintf(&sb, "%d,", p.Record(i).ID)
 		}
 		return sb.String()
 	}
@@ -299,6 +300,7 @@ func TestViewIsTheSnapshot(t *testing.T) {
 			continue
 		}
 		shared++
+		// Reads the Records field: zero-copy sharing is pinned by slice identity.
 		if &aLeaves[i].Records[0] != &p.Records[0] || &aLeaves[i].Box[0] != &p.Box[0] {
 			t.Fatalf("leaf %d of epoch %d is unchanged since leaf %d of epoch %d but was copied", j, b.Epoch(), i, a.Epoch())
 		}
@@ -365,6 +367,7 @@ func TestReleaseCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Reads the Records field: zero-copy sharing is pinned by slice identity.
 	if &a[0].Records[0] != &base[0].Records[0] {
 		t.Fatal("derived granularity copied the base release's records")
 	}
@@ -394,7 +397,7 @@ func TestReleaseCache(t *testing.T) {
 	}
 	nc := 0
 	for _, p := range c {
-		nc += len(p.Records)
+		nc += p.Size()
 	}
 	if nc != 60 {
 		t.Fatalf("fresh epoch's release covers %d records, want 60", nc)

@@ -203,7 +203,9 @@ func (v *View) Estimator(k1 int) (*query.Estimator, error) {
 func (v *View) Records() []attr.Record {
 	recs := make([]attr.Record, 0, v.n)
 	for _, p := range v.snap.Leaves() {
-		recs = append(recs, p.Records...)
+		for i := range p.Size() {
+			recs = append(recs, p.Record(i))
+		}
 	}
 	return recs
 }

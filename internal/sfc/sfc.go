@@ -285,7 +285,7 @@ func Anonymize(recs []attr.Record, c Curve, constraint anonmodel.Constraint) ([]
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
 
-	var out []anonmodel.Partition
+	var groups [][]attr.Record
 	start := 0
 	for start < len(recs) {
 		end := start
@@ -294,22 +294,19 @@ func Anonymize(recs []attr.Record, c Curve, constraint anonmodel.Constraint) ([]
 			group = append(group, recs[idx[end]])
 			end++
 		}
-		out = append(out, anonmodel.Partition{Records: group})
+		groups = append(groups, group)
 		start = end
 	}
 	// Only the last group can be unsatisfying (it ran out of records);
 	// merge it into its predecessor, mirroring step LS4 of the paper's
 	// leaf-scan algorithm.
-	if n := len(out); n > 1 && !constraint.Satisfied(out[n-1].Records) {
-		out[n-2].Records = append(out[n-2].Records, out[n-1].Records...)
-		out = out[:n-1]
+	if n := len(groups); n > 1 && !constraint.Satisfied(groups[n-1]) {
+		groups[n-2] = append(groups[n-2], groups[n-1]...)
+		groups = groups[:n-1]
 	}
-	for i := range out {
-		box := attr.NewBox(dims)
-		for _, r := range out[i].Records {
-			box.Include(r.QI)
-		}
-		out[i].Box = box
+	out := make([]anonmodel.Partition, len(groups))
+	for i, group := range groups {
+		out[i] = anonmodel.Partition{Box: attr.DomainOf(dims, group), Records: group}
 	}
 	return out, nil
 }

@@ -318,8 +318,8 @@ func TestChaosShardMatrix(t *testing.T) {
 			}
 			relIDs := make(map[int64]bool)
 			for _, p := range rel {
-				for _, r := range p.Records {
-					relIDs[r.ID] = true
+				for i := range p.Size() {
+					relIDs[p.Record(i).ID] = true
 				}
 			}
 			if len(relIDs) != total {
@@ -558,8 +558,8 @@ func TestChaosShardCrashMatrix(t *testing.T) {
 				} else {
 					relIDs := make(map[int64]bool)
 					for _, p := range rel {
-						for _, r := range p.Records {
-							relIDs[r.ID] = true
+						for i := range p.Size() {
+							relIDs[p.Record(i).ID] = true
 						}
 					}
 					if len(relIDs) != fleetSize {

@@ -162,7 +162,8 @@ func TestRoutedMutationsAndJointRelease(t *testing.T) {
 	total := 0
 	for _, sh := range c.fleet {
 		for _, l := range sh.st.Tree().Leaves() {
-			for _, r := range l.Records {
+			for i := range l.Size() {
+				r := l.Record(i)
 				if got := c.route(r.QI); got != sh.id {
 					t.Fatalf("record %d on shard %d, routes to %d", r.ID, sh.id, got)
 				}
@@ -180,8 +181,8 @@ func TestRoutedMutationsAndJointRelease(t *testing.T) {
 	}
 	ids := make(map[int64]bool)
 	for _, p := range joint {
-		for _, r := range p.Records {
-			ids[r.ID] = true
+		for i := range p.Size() {
+			ids[p.Record(i).ID] = true
 		}
 	}
 	if len(ids) != len(recs) {
@@ -194,6 +195,7 @@ func TestRoutedMutationsAndJointRelease(t *testing.T) {
 	if err != nil {
 		t.Fatalf("joint release at 3k: %v", err)
 	}
+	// Reads the Records field: zero-copy sharing is pinned by slice identity.
 	if &coarse[0].Records[0] != &joint[0].Records[0] {
 		t.Fatal("coarser joint release copied the shards' records")
 	}
@@ -279,6 +281,7 @@ func TestJointFamilySharesArraysUntilAWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range base {
+			// Reads the Records field: zero-copy sharing is pinned by slice identity.
 			starts[&p.Records[0]] = true
 		}
 	}
@@ -445,8 +448,8 @@ func TestShardFailureIsolation(t *testing.T) {
 	}
 	got := make(map[int64]bool)
 	for _, p := range joint {
-		for _, r := range p.Records {
-			got[r.ID] = true
+		for i := range p.Size() {
+			got[p.Record(i).ID] = true
 		}
 	}
 	for _, r := range acked {
@@ -573,11 +576,11 @@ func partitionsEqual(a, b []anonmodel.Partition) bool {
 		return false
 	}
 	for i := range a {
-		if !a[i].Box.Equal(b[i].Box) || len(a[i].Records) != len(b[i].Records) {
+		if !a[i].Box.Equal(b[i].Box) || a[i].Size() != b[i].Size() {
 			return false
 		}
-		for j := range a[i].Records {
-			ra, rb := a[i].Records[j], b[i].Records[j]
+		for j := range a[i].Size() {
+			ra, rb := a[i].Record(j), b[i].Record(j)
 			if ra.ID != rb.ID {
 				return false
 			}
@@ -622,7 +625,7 @@ func TestOpenRecoversFleet(t *testing.T) {
 	}
 	n := 0
 	for _, p := range joint {
-		n += len(p.Records)
+		n += p.Size()
 	}
 	if n != len(recs) {
 		t.Fatalf("reopened fleet serves %d records, acked %d", n, len(recs))
@@ -633,8 +636,8 @@ func TestOpenRecoversFleet(t *testing.T) {
 func chaosIDs(st *wal.Store) map[int64]bool {
 	out := make(map[int64]bool)
 	for _, l := range st.Tree().Leaves() {
-		for _, r := range l.Records {
-			out[r.ID] = true
+		for i := range l.Size() {
+			out[l.Record(i).ID] = true
 		}
 	}
 	return out
@@ -682,6 +685,7 @@ func TestFleetOfOne(t *testing.T) {
 				t.Fatalf("%s: Release(%d) differs from the only shard's release", when, k1)
 			}
 			for i := range joint {
+				// Reads the Records field: zero-copy sharing is pinned by slice identity.
 				if &joint[i].Records[0] != &own[i].Records[0] {
 					t.Fatalf("%s: Release(%d) group %d is a copy, not a window of the view's array", when, k1, i)
 				}

@@ -61,8 +61,8 @@ func chaosParallelRun(t *testing.T, seed int64, parallelism int) (*fault.Injecto
 	}
 	var ids []int64
 	for _, l := range tr.Leaves() {
-		for _, r := range l.Records {
-			ids = append(ids, r.ID)
+		for i := range l.Size() {
+			ids = append(ids, l.Record(i).ID)
 		}
 	}
 	return inj, ids

@@ -150,11 +150,9 @@ func runSchedule(t *testing.T, seed int64, incremental bool) int {
 	base := tr.Leaves()
 	minLeaf := len(recs)
 	for _, l := range base {
-		if len(l.Records) < minLeaf {
-			minLeaf = len(l.Records)
-		}
-		for _, r := range l.Records {
-			got = append(got, r.ID)
+		minLeaf = min(minLeaf, l.Size())
+		for i := range l.Size() {
+			got = append(got, l.Record(i).ID)
 		}
 	}
 	want := make([]int64, 0, len(recs))

@@ -155,7 +155,8 @@ func CrossShard(views []ShardView, table []KeyRange, quant *sfc.Quantizer, curve
 				}
 				return fmt.Errorf("verify: shard view %d (range %v): %w", vi, v.Range, err)
 			}
-			for _, r := range p.Records {
+			for i := range p.Size() {
+				r := p.Record(i)
 				var key uint64
 				key, cell = quant.KeyInto(curve, r.QI, cell)
 				if !v.Range.Contains(key) {

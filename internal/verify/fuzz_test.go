@@ -24,21 +24,25 @@ func familyFromBytes(data []byte) (sets [][]anonmodel.Partition, k int) {
 	data = data[2:]
 	chunk := len(data) / releases &^ 1
 	for ri := 0; ri < releases; ri++ {
-		var rel []anonmodel.Partition
+		var groups [][]attr.Record // one per partition
 		for b := data[ri*chunk : (ri+1)*chunk]; len(b) > 0; b = b[2:] {
 			ctl, x := b[0], b[1]
 			if ctl&0x10 != 0 {
-				rel = append(rel, anonmodel.Partition{Box: attr.Box{{Lo: 0, Hi: 255}}})
+				groups = append(groups, nil)
 			}
-			if len(rel) == 0 || ctl&0x18 != 0 {
-				rel = append(rel, anonmodel.Partition{Box: attr.Box{{Lo: 0, Hi: 255}}})
+			if len(groups) == 0 || ctl&0x18 != 0 {
+				groups = append(groups, nil)
 			}
 			qi := float64(x)
 			if ctl&0x20 != 0 {
 				qi = 1000
 			}
-			p := &rel[len(rel)-1]
-			p.Records = append(p.Records, attr.Record{ID: adversarialID(ctl&7, x), QI: []float64{qi}})
+			last := len(groups) - 1
+			groups[last] = append(groups[last], attr.Record{ID: adversarialID(ctl&7, x), QI: []float64{qi}})
+		}
+		rel := make([]anonmodel.Partition, len(groups))
+		for i, recs := range groups {
+			rel[i] = anonmodel.Partition{Box: attr.Box{{Lo: 0, Hi: 255}}, Records: recs}
 		}
 		sets = append(sets, rel)
 	}

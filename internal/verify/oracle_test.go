@@ -13,9 +13,9 @@ import (
 )
 
 // The map-based auditors this package shipped before the flat ID table,
-// kept verbatim as the differential oracle: whatever family of releases
-// the table-based auditors accept or reject, these must too, for the
-// same class of violation.
+// kept as the differential oracle (reading partitions through their
+// methods): whatever family of releases the table-based auditors accept
+// or reject, these must too, for the same class of violation.
 
 func oracleRelease(ps []anonmodel.Partition, c anonmodel.Constraint) error {
 	if c == nil {
@@ -23,13 +23,14 @@ func oracleRelease(ps []anonmodel.Partition, c anonmodel.Constraint) error {
 	}
 	seen := make(map[int64]int)
 	for i, p := range ps {
-		if len(p.Records) == 0 {
+		if p.Size() == 0 {
 			return fmt.Errorf("verify: partition %d is empty", i)
 		}
-		if !c.Satisfied(p.Records) {
-			return fmt.Errorf("verify: partition %d (%d records) violates %v", i, len(p.Records), c)
+		if !p.Satisfies(c) {
+			return fmt.Errorf("verify: partition %d (%d records) violates %v", i, p.Size(), c)
 		}
-		for _, r := range p.Records {
+		for j := range p.Size() {
+			r := p.Record(j)
 			if !p.Box.Contains(r.QI) {
 				return fmt.Errorf("verify: record %d at %v outside partition %d box %v", r.ID, r.QI, i, p.Box)
 			}
@@ -50,7 +51,8 @@ func oracleReleases(sets [][]anonmodel.Partition, k int) error {
 	assign := make(map[int64][]int)
 	for ri, rel := range sets {
 		for pi, p := range rel {
-			for _, r := range p.Records {
+			for i := range p.Size() {
+				r := p.Record(i)
 				cell, ok := assign[r.ID]
 				if !ok {
 					cell = make([]int, len(sets))
@@ -95,7 +97,8 @@ func oracleCrossShardRecords(views []ShardView, quant *sfc.Quantizer, curve sfc.
 			return fmt.Errorf("verify: shard view %d (range %v): %w", vi, v.Range, err)
 		}
 		for pi, p := range v.Parts {
-			for _, r := range p.Records {
+			for i := range p.Size() {
+				r := p.Record(i)
 				if prev, dup := seen[r.ID]; dup {
 					return fmt.Errorf("verify: record %d published by shard views %d and %d", r.ID, prev, vi)
 				}
@@ -175,32 +178,31 @@ func adversarialID(mode, x uint8) int64 {
 // 0 cuts them into consecutive groups of the given sizes, and each
 // later release merges runs of the previous one's partitions (merge[r]
 // lists release r+1's run lengths). Record i sits at QI {i}; boxes are
-// tight. Every partition owns its Records slice.
+// tight. Every partition owns its records.
 func nestedFamily(ids []int64, sizes []int, merges [][]int) [][]anonmodel.Partition {
 	var rel []anonmodel.Partition
 	next := 0
 	for _, n := range sizes {
-		p := anonmodel.Partition{Box: attr.NewBox(1)}
+		var recs []attr.Record
 		for i := next; i < next+n; i++ {
-			r := attr.Record{ID: ids[i], QI: []float64{float64(i)}}
-			p.Records = append(p.Records, r)
-			p.Box.Include(r.QI)
+			recs = append(recs, attr.Record{ID: ids[i], QI: []float64{float64(i)}})
 		}
 		next += n
-		rel = append(rel, p)
+		rel = append(rel, anonmodel.Partition{Box: attr.DomainOf(1, recs), Records: recs})
 	}
 	sets := [][]anonmodel.Partition{rel}
 	for _, runs := range merges {
 		var coarse []anonmodel.Partition
 		at := 0
 		for _, run := range runs {
-			p := anonmodel.Partition{Box: attr.NewBox(1)}
+			var recs []attr.Record
+			box := attr.NewBox(1)
 			for _, q := range rel[at : at+run] {
-				p.Records = append(p.Records, q.Records...)
-				p.Box.IncludeBox(q.Box)
+				recs = append(recs, rows(q)...)
+				box.IncludeBox(q.Box)
 			}
 			at += run
-			coarse = append(coarse, p)
+			coarse = append(coarse, anonmodel.Partition{Box: box, Records: recs})
 		}
 		sets = append(sets, coarse)
 		rel = coarse
@@ -263,33 +265,50 @@ func inject(rng *rand.Rand, sets [][]anonmodel.Partition, k, ri, what int) {
 	rel := sets[ri]
 	pi := rng.Intn(len(rel))
 	p := &rel[pi]
+	recs := rows(*p)
 	switch what {
 	case injectOutsideBox:
-		i := rng.Intn(len(p.Records))
-		p.Records[i].QI = []float64{p.Box[0].Hi + 1}
+		recs[rng.Intn(len(recs))].QI = []float64{p.Box[0].Hi + 1}
 	case injectUnderK:
-		p.Records = p.Records[:k-1]
+		recs = recs[:k-1]
 	case injectEmpty:
-		p.Records = nil
+		recs = nil
 	case injectTwiceInPartition:
-		p.Records = append(p.Records, p.Records[rng.Intn(len(p.Records))])
+		recs = append(recs, recs[rng.Intn(len(recs))])
 	case injectTwiceAcrossPartitions:
 		q := &rel[(pi+1)%len(rel)]
-		q.Records = append(q.Records, p.Records[rng.Intn(len(p.Records))])
+		*q = anonmodel.Partition{Box: q.Box, Records: append(rows(*q), recs[rng.Intn(len(recs))])}
 		q.Box.IncludeBox(p.Box)
 	case injectMissing:
-		i := rng.Intn(len(p.Records))
-		p.Records = append(p.Records[:i:i], p.Records[i+1:]...)
+		i := rng.Intn(len(recs))
+		recs = append(recs[:i:i], recs[i+1:]...)
 	case injectCrossedCells:
 		// Move one boundary by one record: the moved record is alone in
 		// the cell (its old base partition, its new coarse partition).
 		pi = rng.Intn(len(rel) - 1)
-		p, q := &rel[pi], &rel[pi+1]
-		last := p.Records[len(p.Records)-1]
-		p.Records = p.Records[:len(p.Records)-1]
-		q.Records = append([]attr.Record{last}, q.Records...)
-		q.Box.Include(last.QI)
+		p = &rel[pi]
+		recs = moveLast(p, &rel[pi+1])
 	}
+	*p = anonmodel.Partition{Box: p.Box, Records: recs}
+}
+
+// rows copies p's records out, for a test that rebuilds the partition.
+func rows(p anonmodel.Partition) []attr.Record {
+	out := make([]attr.Record, p.Size())
+	for i := range out {
+		out[i] = p.Record(i)
+	}
+	return out
+}
+
+// moveLast moves p's last record to the front of q, widening q's box,
+// and returns p's remaining records.
+func moveLast(p, q *anonmodel.Partition) []attr.Record {
+	recs := rows(*p)
+	last := recs[len(recs)-1]
+	*q = anonmodel.Partition{Box: q.Box, Records: append([]attr.Record{last}, rows(*q)...)}
+	q.Box.Include(last.QI)
+	return recs[:len(recs)-1]
 }
 
 // TestAuditorsAgreeWithOracle is the differential test: seeded
@@ -378,8 +397,12 @@ func TestAuditWitnessIsDeterministic(t *testing.T) {
 		// partition.
 		return nestedFamily(ids, []int{5, 5, 5, 5, 5, 5, 5, 5}, [][]int{{2, 2, 2, 2}, {4}})
 	}
+	publish := func(p *anonmodel.Partition, r attr.Record) {
+		*p = anonmodel.Partition{Box: p.Box, Records: append(rows(*p), r)}
+	}
 	drop := func(p *anonmodel.Partition, i int) {
-		p.Records = append(p.Records[:i:i], p.Records[i+1:]...)
+		recs := rows(*p)
+		*p = anonmodel.Partition{Box: p.Box, Records: append(recs[:i:i], recs[i+1:]...)}
 	}
 	cases := []struct {
 		name   string
@@ -402,10 +425,8 @@ func TestAuditWitnessIsDeterministic(t *testing.T) {
 			break_: func(sets [][]anonmodel.Partition) {
 				// Shift two boundaries of release 1 by one record each.
 				for _, pi := range []int{2, 0} {
-					p, q := &sets[1][pi], &sets[1][pi+1]
-					last := p.Records[len(p.Records)-1]
-					p.Records = p.Records[:len(p.Records)-1]
-					q.Records = append([]attr.Record{last}, q.Records...)
+					p := &sets[1][pi]
+					*p = anonmodel.Partition{Box: p.Box, Records: moveLast(p, &sets[1][pi+1])}
 				}
 			},
 			audit: func(sets [][]anonmodel.Partition) error { return Releases(sets, 5) },
@@ -417,8 +438,8 @@ func TestAuditWitnessIsDeterministic(t *testing.T) {
 		{
 			name: "twice in a family",
 			break_: func(sets [][]anonmodel.Partition) {
-				sets[1][2].Records = append(sets[1][2].Records, sets[1][0].Records[3])
-				sets[1][1].Records = append(sets[1][1].Records, sets[1][0].Records[1])
+				publish(&sets[1][2], sets[1][0].Record(3))
+				publish(&sets[1][1], sets[1][0].Record(1))
 			},
 			audit: func(sets [][]anonmodel.Partition) error { return Releases(sets, 5) },
 			want:  "verify: record 993 in two partitions of release 1",
@@ -426,8 +447,8 @@ func TestAuditWitnessIsDeterministic(t *testing.T) {
 		{
 			name: "twice in a release",
 			break_: func(sets [][]anonmodel.Partition) {
-				sets[0][6].Records = append(sets[0][6].Records, sets[0][2].Records[0])
-				sets[0][4].Records = append(sets[0][4].Records, sets[0][3].Records[1])
+				publish(&sets[0][6], sets[0][2].Record(0))
+				publish(&sets[0][4], sets[0][3].Record(1))
 			},
 			audit: func(sets [][]anonmodel.Partition) error {
 				for i := range sets[0] {
@@ -463,13 +484,11 @@ func crossShardFixture(t testing.TB) (table []KeyRange, quant *sfc.Quantizer) {
 
 // shardPart is a partition of records (ID, coordinate) pairs.
 func shardPart(pairs ...int) anonmodel.Partition {
-	p := anonmodel.Partition{Box: attr.NewBox(1)}
+	var recs []attr.Record
 	for i := 0; i < len(pairs); i += 2 {
-		r := attr.Record{ID: int64(pairs[i]), QI: []float64{float64(pairs[i+1])}}
-		p.Records = append(p.Records, r)
-		p.Box.Include(r.QI)
+		recs = append(recs, attr.Record{ID: int64(pairs[i]), QI: []float64{float64(pairs[i+1])}})
 	}
-	return p
+	return anonmodel.Partition{Box: attr.DomainOf(1, recs), Records: recs}
 }
 
 // TestCrossShardRecordAudit drives the one-table record pass of

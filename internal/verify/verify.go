@@ -57,8 +57,8 @@ func Tree(t *rplustree.Tree, opt TreeOptions) error {
 	}
 	if opt.MinLeafOccupancy > 0 {
 		for _, l := range t.Leaves() {
-			if len(l.Records) < opt.MinLeafOccupancy {
-				return fmt.Errorf("verify: leaf holds %d records, below occupancy floor %d", len(l.Records), opt.MinLeafOccupancy)
+			if l.Size() < opt.MinLeafOccupancy {
+				return fmt.Errorf("verify: leaf holds %d records, below occupancy floor %d", l.Size(), opt.MinLeafOccupancy)
 			}
 		}
 	}
@@ -104,13 +104,14 @@ func newPublished(n int) published {
 // record published by a partition numbered below first — another set
 // of the same pass — is a *twiceError, for the caller to name the sets.
 func (s *published) partition(first int32, pi int, p anonmodel.Partition, c anonmodel.Constraint) error {
-	if len(p.Records) == 0 {
+	if p.Size() == 0 {
 		return fmt.Errorf("verify: partition %d is empty", pi)
 	}
-	if !c.Satisfied(p.Records) {
-		return fmt.Errorf("verify: partition %d (%d records) violates %v", pi, len(p.Records), c)
+	if !p.Satisfies(c) {
+		return fmt.Errorf("verify: partition %d (%d records) violates %v", pi, p.Size(), c)
 	}
-	for _, r := range p.Records {
+	for i := range p.Size() {
+		r := p.Record(i)
 		if !p.Box.Contains(r.QI) {
 			return fmt.Errorf("verify: record %d at %v outside partition %d box %v", r.ID, r.QI, pi, p.Box)
 		}
@@ -178,8 +179,8 @@ func Releases(sets [][]anonmodel.Partition, k int) error {
 	cells := make([]int32, n*width)
 	for ri, rel := range sets {
 		for pi, p := range rel {
-			for _, r := range p.Records {
-				rank, fresh := ids.rank(r.ID)
+			for i := range p.Size() {
+				rank, fresh := ids.rank(p.Record(i).ID)
 				if rank < 0 {
 					return errTooManyRecords
 				}
@@ -190,7 +191,7 @@ func Releases(sets [][]anonmodel.Partition, k int) error {
 				}
 				cell := &cells[int(rank)*width+ri]
 				if *cell != 0 {
-					return fmt.Errorf("verify: record %d in two partitions of release %d", r.ID, ri)
+					return fmt.Errorf("verify: record %d in two partitions of release %d", p.Record(i).ID, ri)
 				}
 				*cell = int32(pi) + 1
 			}
@@ -211,7 +212,7 @@ func Releases(sets [][]anonmodel.Partition, k int) error {
 	var group []int32
 	lo, hi := int32(0), int32(0)
 	for _, p := range sets[0] {
-		lo, hi = hi, hi+int32(len(p.Records))
+		lo, hi = hi, hi+int32(p.Size())
 		if lo == hi {
 			continue // no records, no cell
 		}
@@ -222,8 +223,8 @@ func Releases(sets [][]anonmodel.Partition, k int) error {
 			oneCell = slices.Equal(row(rank), row(lo))
 		}
 		if oneCell {
-			if len(p.Records) < k {
-				return cellError(row(lo), len(p.Records), k)
+			if p.Size() < k {
+				return cellError(row(lo), p.Size(), k)
 			}
 			continue
 		}
@@ -313,8 +314,8 @@ func Routing(ix *routing.Index, ps []anonmodel.Partition) error {
 		if !ix.PosBox(pos).Equal(p.Box) {
 			return fmt.Errorf("verify: routing position %d stores box %v, partition %d has %v", pos, ix.PosBox(pos), oi, p.Box)
 		}
-		if ix.PosSize(pos) != len(p.Records) {
-			return fmt.Errorf("verify: routing position %d stores size %d, partition %d holds %d records", pos, ix.PosSize(pos), oi, len(p.Records))
+		if ix.PosSize(pos) != p.Size() {
+			return fmt.Errorf("verify: routing position %d stores size %d, partition %d holds %d records", pos, ix.PosSize(pos), oi, p.Size())
 		}
 		if got, want := ix.PosVol(pos), lattice(p.Box); got != want {
 			return fmt.Errorf("verify: routing position %d stores cell volume %v, want %v", pos, got, want)

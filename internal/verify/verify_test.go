@@ -61,11 +61,11 @@ func TestTreeOccupancyFloorCatchesUnderfullLeaf(t *testing.T) {
 }
 
 func part(box attr.Box, ids ...int64) anonmodel.Partition {
-	p := anonmodel.Partition{Box: box}
+	var recs []attr.Record
 	for _, id := range ids {
-		p.Records = append(p.Records, attr.Record{ID: id, QI: []float64{float64(id)}})
+		recs = append(recs, attr.Record{ID: id, QI: []float64{float64(id)}})
 	}
-	return p
+	return anonmodel.Partition{Box: box, Records: recs}
 }
 
 func box(lo, hi float64) attr.Box { return attr.Box{{Lo: lo, Hi: hi}} }
@@ -191,7 +191,7 @@ func TestRoutingAudit(t *testing.T) {
 		t.Error("partition count mismatch accepted")
 	}
 	grown := append([]anonmodel.Partition(nil), ps...)
-	grown[3].Records = append(append([]attr.Record(nil), grown[3].Records...), attr.Record{ID: -1, QI: grown[3].Records[0].QI})
+	grown[3] = anonmodel.Partition{Box: grown[3].Box, Records: append(rows(grown[3]), attr.Record{ID: -1, QI: grown[3].Record(0).QI})}
 	if err := Routing(ix, grown); err == nil {
 		t.Error("stale partition size accepted")
 	}

@@ -281,7 +281,7 @@ func restructuringOps(t *testing.T, cfg rplustree.Config, prefix []churnOp, n in
 	tr := modelTree(t, cfg, prefix)
 	leaves := tr.Leaves()
 	var ops []churnOp
-	drained := slices.Clone(leaves[len(leaves)/3].Records)
+	drained := rows(leaves[len(leaves)/3])
 	for _, r := range drained[:len(drained)-cfg.BaseK+1] {
 		ops = append(ops, churnOp{kind: TypeDelete, rec: attr.Record{ID: r.ID}, oldQI: r.QI})
 		applyToTree(t, tr, ops[len(ops)-1])
@@ -290,8 +290,8 @@ func restructuringOps(t *testing.T, cfg rplustree.Config, prefix []churnOp, n in
 	survivor := drained[len(drained)-1]
 	var home []attr.Record
 	for _, leaf := range tr.Leaves() {
-		if slices.ContainsFunc(leaf.Records, func(r attr.Record) bool { return r.ID == survivor.ID }) {
-			home = leaf.Records
+		if recs := rows(leaf); slices.ContainsFunc(recs, func(r attr.Record) bool { return r.ID == survivor.ID }) {
+			home = recs
 		}
 	}
 	if !slices.ContainsFunc(home, func(r attr.Record) bool {
@@ -299,7 +299,7 @@ func restructuringOps(t *testing.T, cfg rplustree.Config, prefix []churnOp, n in
 	}) {
 		t.Fatalf("draining a leaf to %d records did not dissolve it", cfg.BaseK-1)
 	}
-	crowded := leaves[2*len(leaves)/3].Records[0].QI
+	crowded := leaves[2*len(leaves)/3].Record(0).QI
 	for i := 0; len(ops) < n; i++ {
 		qi := slices.Clone(crowded)
 		qi[i%len(qi)] += float64(i+1) / 64
@@ -350,8 +350,8 @@ func deltaChainOps(t *testing.T, cfg rplustree.Config, prefix []churnOp) ([]chur
 	}
 	leafOf := func(id int64) []attr.Record {
 		for _, leaf := range tr.Leaves() {
-			if slices.ContainsFunc(leaf.Records, func(r attr.Record) bool { return r.ID == id }) {
-				return leaf.Records
+			if recs := rows(leaf); slices.ContainsFunc(recs, func(r attr.Record) bool { return r.ID == id }) {
+				return recs
 			}
 		}
 		t.Fatalf("record %d is in no leaf", id)
@@ -374,8 +374,8 @@ func deltaChainOps(t *testing.T, cfg rplustree.Config, prefix []churnOp) ([]chur
 	biggest := func(not int64) []attr.Record {
 		var best []attr.Record
 		for _, leaf := range tr.Leaves() {
-			if len(leaf.Records) > len(best) && !slices.ContainsFunc(leaf.Records, func(r attr.Record) bool { return r.ID == not }) {
-				best = leaf.Records
+			if recs := rows(leaf); len(recs) > len(best) && !slices.ContainsFunc(recs, func(r attr.Record) bool { return r.ID == not }) {
+				best = recs
 			}
 		}
 		return best
@@ -436,7 +436,7 @@ func deltaChainOps(t *testing.T, cfg rplustree.Config, prefix []churnOp) ([]chur
 			break
 		}
 		before := image.NodeDeltas
-		if r := leaf.Records[0]; len(leaf.Records) < 2*cfg.BaseK { // room for one more, or one to spare
+		if r := leaf.Record(0); leaf.Size() < 2*cfg.BaseK { // room for one more, or one to spare
 			do(churnOp{kind: TypeInsert, rec: attr.Record{ID: 1<<32 + int64(chain), QI: r.QI, Sensitive: "node-delta chain"}})
 		} else {
 			do(churnOp{kind: TypeDelete, rec: attr.Record{ID: r.ID}, oldQI: r.QI})
@@ -888,8 +888,8 @@ func TestIncrementalCheckpointWriteVolume(t *testing.T) {
 	// not underflow.
 	var target attr.Record
 	for _, leaf := range s.Tree().Leaves() {
-		if len(leaf.Records) > opts.Tree.BaseK {
-			target = leaf.Records[0]
+		if leaf.Size() > opts.Tree.BaseK {
+			target = leaf.Record(0)
 			break
 		}
 	}

@@ -151,6 +151,6 @@ func FuzzRowRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("image of a finite vector does not decode: %v", err)
 		}
-		same("checkpoint", back.Leaves()[0].Records[0].QI)
+		same("checkpoint", back.Leaves()[0].Record(0).QI)
 	})
 }

@@ -211,7 +211,7 @@ func TestStoreRecoverSalvagesRottenCheckpoint(t *testing.T) {
 		// for a moment: those leaves are now a delta over their base.
 		bases, first := st.SnapshotPages(), st.CheckpointStats()
 		for _, leaf := range st.Tree().Leaves() {
-			if r := leaf.Records[0]; len(leaf.Records) > opts.Tree.BaseK {
+			if r := leaf.Record(0); leaf.Size() > opts.Tree.BaseK {
 				if _, err := st.Update(r.ID, r.QI, attr.Record{ID: r.ID, QI: r.QI, Sensitive: "again"}); err != nil {
 					t.Fatal(err)
 				}
@@ -373,8 +373,8 @@ func TestRecoveryNeverFollowsSupersededReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	leaves := s.Tree().Leaves()
-	big := slices.MaxFunc(leaves, func(a, b anonmodel.Partition) int { return len(a.Records) - len(b.Records) })
-	for _, r := range slices.Clone(big.Records) {
+	big := slices.MaxFunc(leaves, func(a, b anonmodel.Partition) int { return a.Size() - b.Size() })
+	for _, r := range rows(big) {
 		moved := r
 		moved.Sensitive = "rewritten where it is"
 		if found, err := s.Update(r.ID, r.QI, moved); err != nil || !found {

@@ -41,9 +41,18 @@ func makeRecords(schema *attr.Schema, n int, seed int64) []attr.Record {
 func storeRecords(s *Store) map[int64]attr.Record {
 	out := make(map[int64]attr.Record)
 	for _, l := range s.Tree().Leaves() {
-		for _, r := range l.Records {
+		for _, r := range rows(l) {
 			out[r.ID] = r
 		}
+	}
+	return out
+}
+
+// rows copies p's records out.
+func rows(p anonmodel.Partition) []attr.Record {
+	out := make([]attr.Record, p.Size())
+	for i := range out {
+		out[i] = p.Record(i)
 	}
 	return out
 }
