@@ -9,10 +9,8 @@ import (
 // CrashError is the typed error a Crash point returns once it fires.
 // It models process death at a precise point in the durable-operation
 // sequence: unlike the taxonomy in Error, a crash is neither retryable
-// nor page-scoped — every durable operation after the crash point fails
-// too, because the process is "dead". The WAL detects it structurally
-// via the Crashed() method (wal.IsCrash) so the two packages need not
-// import each other.
+// nor page-scoped — every operation on the crashed files after the crash
+// point fails too, because the process is "dead".
 type CrashError struct {
 	// Op counts durable operations at the moment of death, so a failure
 	// report can name the exact crash point that produced it.
@@ -24,10 +22,6 @@ func (e *CrashError) Error() string {
 	return fmt.Sprintf("fault: simulated crash at durable op %d", e.Op)
 }
 
-// Crashed marks the error as a process-death simulation; the WAL layer
-// matches on this method.
-func (e *CrashError) Crashed() bool { return true }
-
 // Crash is a deterministic crash-point injector. It counts durable
 // operations — log writes and page write-backs share one clock — and
 // kills the process simulation at the Nth one. Once fired, it stays
@@ -35,7 +29,7 @@ func (e *CrashError) Crashed() bool { return true }
 // same CrashError, which is what distinguishes a crash from the
 // recoverable faults of an Injector. To share the clock, one Crash
 // wraps both the page disk (Disk) and the log (Log); to the log writer
-// a crash is one more failed write, told apart only by wal.IsCrash.
+// a crash is one more failed write, and its rollback fails too.
 //
 // A crash can also be *torn*: the fatal log write persists only a
 // prefix of its frame, modelling a power cut mid-write. The chaos
@@ -83,11 +77,10 @@ func (c *Crash) Disk(d pager.Disk) pager.Disk {
 
 // Log returns f behind the crash point. Each log write is one durable
 // operation; the fatal one lands ⌊Torn·len⌋ of its bytes, every later
-// one nothing. An fsync is not a durable operation of its own — the
-// write it follows already counted — but a dead process cannot sync
-// either.
+// one nothing. An fsync or a truncate is not a durable operation of its
+// own, but a dead process can do neither.
 func (c *Crash) Log(f pager.File) pager.File {
-	return &logFile{File: f, onWrite: c.logWrite, onSync: c.Err}
+	return &logFile{File: f, onWrite: c.logWrite, onSync: c.Err, onTruncate: c.Err}
 }
 
 func (c *Crash) read(pager.PageID) error { return c.dead }

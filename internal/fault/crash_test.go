@@ -53,7 +53,7 @@ func TestCrashFiresAtExactOp(t *testing.T) {
 	if err := log.Sync(); err != nil {
 		t.Fatalf("sync while alive: %v", err)
 	}
-	if _, err := log.Write(make([]byte, 100)); !wal.IsCrash(err) {
+	if _, err := log.Write(make([]byte, 100)); !crashed(err) {
 		t.Fatalf("op 3 did not crash: %v", err)
 	}
 	if c.Err() == nil {
@@ -63,14 +63,17 @@ func TestCrashFiresAtExactOp(t *testing.T) {
 	if err := d.WritePage(8, []byte{1}, 0); err == nil {
 		t.Fatal("write after death succeeded")
 	}
-	if _, _, err := d.ReadPage(7); !wal.IsCrash(err) {
+	if _, _, err := d.ReadPage(7); !crashed(err) {
 		t.Fatalf("read after death: %v", err)
 	}
-	if n, err := log.Write(make([]byte, 10)); !wal.IsCrash(err) || n != 0 {
+	if n, err := log.Write(make([]byte, 10)); !crashed(err) || n != 0 {
 		t.Fatalf("append after death: wrote %d, err=%v", n, err)
 	}
-	if err := log.Sync(); !wal.IsCrash(err) {
+	if err := log.Sync(); !crashed(err) {
 		t.Fatalf("sync after death: %v", err)
+	}
+	if err := log.Truncate(0); !crashed(err) || size(t, log) != 100 {
+		t.Fatalf("truncate after death: %v, %d bytes left", err, size(t, log))
 	}
 	if c.Ops() != 3 {
 		t.Fatalf("ops = %d, want 3", c.Ops())
@@ -90,7 +93,7 @@ func TestCrashTornPersistsPrefix(t *testing.T) {
 		c := &Crash{At: 1, Torn: tc.torn}
 		f := pager.NewMemFile()
 		n, err := c.Log(f).Write(make([]byte, 80))
-		if !wal.IsCrash(err) {
+		if !crashed(err) {
 			t.Fatalf("torn=%v: did not crash: %v", tc.torn, err)
 		}
 		if n != tc.want || size(t, f) != tc.want {
@@ -118,18 +121,21 @@ func TestCrashDisabledCountsOps(t *testing.T) {
 	}
 }
 
+// crashed reports whether err is, or wraps, a fired crash point.
+func crashed(err error) bool { return errors.As(err, new(*CrashError)) }
+
 func TestCrashErrorClassification(t *testing.T) {
 	err := fmt.Errorf("append: %w", &CrashError{Op: 4})
-	if !wal.IsCrash(err) {
-		t.Error("wrapped CrashError not detected by IsCrash")
+	if !crashed(err) {
+		t.Error("wrapped CrashError not detected by errors.As")
 	}
 	if retry.IsTransient(err) {
 		t.Error("crash must not be retryable")
 	}
-	if wal.IsCrash(errors.New("plain")) {
+	if crashed(errors.New("plain")) {
 		t.Error("plain error detected as crash")
 	}
-	if wal.IsCrash(nil) {
+	if crashed(nil) {
 		t.Error("nil detected as crash")
 	}
 }

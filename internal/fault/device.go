@@ -31,12 +31,13 @@ func (d *disk) Unwrap() pager.Disk { return d.Disk }
 
 // logFile is a log file behind an injector: onWrite decides whether an
 // appending write reaches the file and, when it does not, how many of its
-// bytes land anyway; onSync decides an fsync. Everything else passes
-// through.
+// bytes land anyway; onSync decides an fsync, and onTruncate, if set, a
+// truncate. Everything else passes through.
 type logFile struct {
 	pager.File
-	onWrite func(n int) (tear int, err error)
-	onSync  func() error
+	onWrite    func(n int) (tear int, err error)
+	onSync     func() error
+	onTruncate func() error
 }
 
 func (f *logFile) Write(p []byte) (int, error) {
@@ -51,6 +52,15 @@ func (f *logFile) Write(p []byte) (int, error) {
 		n, _ = f.File.Write(p[:tear])
 	}
 	return n, err
+}
+
+func (f *logFile) Truncate(size int64) error {
+	if f.onTruncate != nil {
+		if err := f.onTruncate(); err != nil {
+			return err
+		}
+	}
+	return f.File.Truncate(size)
 }
 
 func (f *logFile) Sync() error {

@@ -19,7 +19,7 @@ const errExempt = "anonylint:err-exempt"
 // errwrap machine-checks the error-taxonomy discipline of the
 // wal/serve/pager stack: graceful degradation branches on wrapped
 // sentinels (wal.ErrPoisoned, serve.ErrDegraded, …) and on error
-// kinds recovered through the %w chain (IsCrash, retry.IsTransient),
+// kinds recovered through the %w chain (errors.As, retry.IsTransient),
 // so one ==-comparison or one %v that flattens a chain silently turns
 // a typed rejection into an unmatchable string. It enforces the three
 // wrapping rules the taxonomy rests on:
@@ -27,7 +27,7 @@ const errExempt = "anonylint:err-exempt"
 //  1. sentinel comparisons use errors.Is — an ==/!= against a
 //     package-level `Err*` error variable misses every wrapped layer;
 //  2. fmt.Errorf formats chained errors with %w — %v/%s/%q flatten
-//     the chain, so errors.Is, IsCrash and IsTransient stop matching;
+//     the chain, so errors.Is, errors.As and IsTransient stop matching;
 //  3. a foreign package's sentinel is not returned bare — returning
 //     wal.ErrPoisoned (or os.ErrNotExist) unwrapped across the
 //     package boundary discards the local context the caller needs,

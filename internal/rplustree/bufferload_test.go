@@ -326,7 +326,8 @@ func TestBulkLoadAllocsPerRecord(t *testing.T) {
 // TestInsertAllocsPerRecord pins the objects a tuple load allocates per
 // record, what every durable store's preload pays: a leaf split ranks its
 // axes and samples their values on the stack, and its context and a plan
-// whose halves both fit a leaf stay there too.
+// whose halves both fit a leaf stay there too; of those halves only the
+// right is copied, and neither regrows before it splits.
 func TestInsertAllocsPerRecord(t *testing.T) {
 	recs := dataset.GenerateLandsEnd(20000, 1)
 	perRec := testing.AllocsPerRun(1, func() {
@@ -341,8 +342,8 @@ func TestInsertAllocsPerRecord(t *testing.T) {
 		}
 	}) / float64(len(recs))
 	t.Logf("%.4f objects allocated per record", perRec)
-	if perRec > 0.50 {
-		t.Fatalf("tuple insert allocates %.4f objects per record, want <= 0.50", perRec)
+	if perRec > 0.43 {
+		t.Fatalf("tuple insert allocates %.4f objects per record, want <= 0.43", perRec)
 	}
 }
 

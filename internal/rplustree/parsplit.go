@@ -93,6 +93,13 @@ func (t *Tree) splitLeafRecursive(leaf *node) error {
 		}
 	}
 	if p, ok := t.planSplits(leaf.recs, leaf.mbr, domain, pool); ok {
+		if p.lSub == nil && p.rSub == nil && len(leaf.recs) == t.cfg.leafCapacity()+1 {
+			// A leaf one record over (a tuple insert's) split in two: the right
+			// half moves to an array with room to overfill it again, and the
+			// left keeps the leaf's, so neither regrows before it splits.
+			p.lRecs = leaf.recs[:len(p.lRecs)]
+			p.rRecs = append(make([]attr.Record, 0, len(leaf.recs)), p.rRecs...)
+		}
 		return t.applySplits(leaf, &p)
 	}
 	return nil

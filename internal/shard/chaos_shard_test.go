@@ -457,7 +457,7 @@ func TestChaosShardCrashMatrix(t *testing.T) {
 					// The victim died inside Create: nothing durable exists
 					// for that range, and a clean Open of the fleet must say
 					// so rather than fabricate a shard.
-					if !wal.IsCrash(err) {
+					if !errors.As(err, new(*fault.CrashError)) {
 						t.Fatalf("at=%d: create failure outside the crash taxonomy: %v", at, err)
 					}
 					if _, err := Open(clean); err == nil {
@@ -486,7 +486,7 @@ func TestChaosShardCrashMatrix(t *testing.T) {
 						// have become durable before a post-commit page write
 						// died, so its fate is ambiguous — a client whose ack
 						// was lost.
-						if !wal.IsCrash(err) {
+						if !errors.As(err, new(*fault.CrashError)) {
 							t.Fatalf("at=%d: first victim rejection lost the crash cause: %v", at, err)
 						}
 						ambiguous[r.ID] = true
@@ -494,7 +494,7 @@ func TestChaosShardCrashMatrix(t *testing.T) {
 					default:
 						// Dead shard: fail-fast typed rejection, nothing
 						// durable, siblings untouched.
-						if !errors.Is(err, serve.ErrDegraded) && !wal.IsCrash(err) {
+						if !errors.Is(err, serve.ErrDegraded) && !errors.As(err, new(*fault.CrashError)) {
 							t.Fatalf("at=%d: dead-shard rejection outside the taxonomy: %v", at, err)
 						}
 					}

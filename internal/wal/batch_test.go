@@ -1,8 +1,6 @@
 package wal
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"spatialanon/internal/attr"
@@ -182,6 +180,8 @@ func TestApplyBatchValidation(t *testing.T) {
 // of the batch: the store either has all of the batch's ops or none.
 func TestTornBatchIsAllOrNothing(t *testing.T) {
 	opts := testOpts(t, 2)
+	fs := newMemFS()
+	opts.FS = fs
 	ops := churnWorkload(opts.Tree.Schema, 5, 24)
 	s, err := Create(opts)
 	if err != nil {
@@ -192,39 +192,19 @@ func TestTornBatchIsAllOrNothing(t *testing.T) {
 	if _, err := s.ApplyBatch(batchOps[:8]); err != nil {
 		t.Fatal(err)
 	}
-	logPath := filepath.Join(opts.Dir, logName)
-	st, err := os.Stat(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	committed := st.Size()
+	committed := len(fs.read(logName))
 	if _, err := s.ApplyBatch(batchOps[8:]); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	full, err := os.ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := committed; cut <= int64(len(full)); cut += 7 {
-		dir := t.TempDir()
+	files := fs.files(false)
+	full := files[logName]
+	for cut := committed; cut <= len(full); cut += 7 {
+		files[logName] = full[:cut]
 		o2 := opts
-		o2.Dir = dir
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, logName), full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		src, err := os.ReadFile(filepath.Join(opts.Dir, pagesName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, pagesName), src, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		o2.FS = memFSOf(files)
 		r, err := Open(o2)
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)

@@ -17,10 +17,10 @@ import (
 // commits: the same churn workload is chunked into group-commit
 // batches of varying size, the store is killed at EVERY durable
 // operation (batch frame appends, checkpoint appends and page
-// write-backs, with torn final frames), and recovery must equal the
-// committed BATCH prefix — a batch is all-or-nothing, so the
-// recovered operation count always lands exactly on a batch boundary,
-// never inside one.
+// write-backs, with torn final frames), and recovery from each image
+// (process death, power loss) must equal the committed BATCH prefix — a
+// batch is all-or-nothing, so the recovered operation count always lands
+// exactly on a batch boundary, never inside one.
 
 // chunkBatches splits ops into batch sizes drawn from rng in [1,max].
 func chunkBatches(n int, max int, rng *rand.Rand) [][2]int {
@@ -44,7 +44,7 @@ func runBatchesUntilCrash(t *testing.T, opts Options, ops []Op, bounds [][2]int)
 	t.Helper()
 	s, err := Create(opts)
 	if err != nil {
-		if !IsCrash(err) {
+		if !crashed(err) {
 			t.Fatalf("create failed without crash: %v", err)
 		}
 		return 0, false
@@ -52,7 +52,7 @@ func runBatchesUntilCrash(t *testing.T, opts Options, ops []Op, bounds [][2]int)
 	defer s.Close()
 	for _, b := range bounds {
 		if _, err := s.ApplyBatch(ops[b[0]:b[1]]); err != nil {
-			if !IsCrash(err) {
+			if !crashed(err) {
 				t.Fatalf("batch %v failed without crash: %v", b, err)
 			}
 			return b[0], true
@@ -87,12 +87,11 @@ func TestCrashMatrixGroupCommit(t *testing.T) {
 				boundary[b[1]] = true
 			}
 
-			mkOpts := func(dir string, crash *fault.Crash) Options {
+			mkOpts := func(fs *memFS, crash *fault.Crash) Options {
 				o := Options{
-					Dir:             dir,
+					FS:              fs,
 					Tree:            rplustree.Config{Schema: schema, BaseK: baseK},
 					CheckpointEvery: 11,
-					NoSync:          true,
 				}
 				if crash != nil {
 					o.AppendFault, o.PagerFault = crash.Log, crash.Disk
@@ -101,7 +100,7 @@ func TestCrashMatrixGroupCommit(t *testing.T) {
 			}
 
 			counter := &fault.Crash{}
-			if acked, ok := runBatchesUntilCrash(t, mkOpts(t.TempDir(), counter), ops, bounds); !ok || acked != nOps {
+			if acked, ok := runBatchesUntilCrash(t, mkOpts(newMemFS(), counter), ops, bounds); !ok || acked != nOps {
 				t.Fatalf("dry run died: acked=%d ok=%v", acked, ok)
 			}
 			total := counter.Ops()
@@ -114,70 +113,76 @@ func TestCrashMatrixGroupCommit(t *testing.T) {
 				t.Fatalf("batched workload performed %d durable ops for %d operations — batching is not amortizing", total, nOps)
 			}
 
+			powerLoss := 0 // power-loss images recovered: those unlike their process-death image
 			for at := 1; at <= total; at++ {
 				torn := []float64{0, 0.3, 0.7, 1}[at%4]
 				crash := &fault.Crash{At: at, Torn: torn}
-				dir := t.TempDir()
-				acked, createOK := runBatchesUntilCrash(t, mkOpts(dir, crash), ops, bounds)
+				fs := newMemFS()
+				acked, createOK := runBatchesUntilCrash(t, mkOpts(fs, crash), ops, bounds)
 				if crash.Err() == nil {
 					t.Fatalf("at=%d: crash point never fired", at)
 				}
-				if !createOK {
-					if _, err := Open(mkOpts(dir, nil)); err == nil {
-						t.Fatalf("at=%d: Open invented a store out of a dead Create", at)
+				imgs := fs.images()
+				powerLoss += len(imgs) - 1
+				for _, img := range imgs {
+					row := fmt.Sprintf("at=%d %s torn=%.1f acked=%d", at, img.name, torn, acked)
+					if !createOK {
+						if _, err := Open(mkOpts(img.fs, nil)); err == nil {
+							t.Fatalf("%s: Open invented a store out of a dead Create", row)
+						}
+						continue
 					}
-					continue
-				}
-
-				s, err := Open(mkOpts(dir, nil))
-				if err != nil {
-					t.Fatalf("at=%d torn=%.1f acked=%d: recovery failed: %v", at, torn, acked, err)
-				}
-
-				// All-or-nothing at the frame boundary: the recovered
-				// count is every acknowledged op plus either the whole
-				// in-flight batch (its frame became durable before the
-				// ack was lost) or none of it — and in every case a
-				// batch boundary. A partially-applied batch is the bug
-				// this matrix exists to catch.
-				seq := int(s.Seq())
-				if !boundary[seq] {
-					t.Fatalf("at=%d torn=%.1f: recovered %d ops — inside a batch (boundaries %v)", at, torn, seq, bounds)
-				}
-				if seq < acked {
-					t.Fatalf("at=%d: recovered %d ops, lost acknowledged writes (acked %d)", at, seq, acked)
-				}
-				var inflight int
-				for _, b := range bounds {
-					if b[0] == acked {
-						inflight = b[1] - b[0]
-					}
-				}
-				if seq != acked && seq != acked+inflight {
-					t.Fatalf("at=%d: recovered %d ops, want %d or %d", at, seq, acked, acked+inflight)
-				}
-				if err := sameRecords(shadowAfter(churn, seq), storeRecords(s)); err != nil {
-					t.Fatalf("at=%d: recovered state diverges from committed batch prefix: %v", at, err)
-				}
-
-				// The recovered state must still be k-safe and auditable.
-				if s.Len() >= baseK {
-					rel, err := s.Release(0)
+					s, err := Open(mkOpts(img.fs, nil))
 					if err != nil {
-						t.Fatalf("at=%d: release after recovery: %v", at, err)
+						t.Fatalf("%s: recovery failed: %v", row, err)
 					}
-					if err := verify.Release(rel, anonmodel.KAnonymity{K: baseK}); err != nil {
-						t.Fatalf("at=%d: recovered release unsafe: %v", at, err)
+
+					// All-or-nothing at the frame boundary: the recovered
+					// count is every acknowledged op plus either the whole
+					// in-flight batch (its frame became durable before the
+					// ack was lost) or none of it — and in every case a
+					// batch boundary. A partially-applied batch is the bug
+					// this matrix exists to catch.
+					seq := int(s.Seq())
+					if !boundary[seq] {
+						t.Fatalf("%s: recovered %d ops — inside a batch (boundaries %v)", row, seq, bounds)
 					}
-				}
-				// And it must keep serving batches.
-				if _, err := s.ApplyBatch(opsFromChurn(churnWorkload(schema, int64(seed)+999, 5))); err != nil {
-					t.Fatalf("at=%d: batch after recovery: %v", at, err)
-				}
-				if err := s.Close(); err != nil {
-					t.Fatalf("at=%d: close after recovery: %v", at, err)
+					if seq < acked {
+						t.Fatalf("%s: recovered %d ops, lost acknowledged writes", row, seq)
+					}
+					var inflight int
+					for _, b := range bounds {
+						if b[0] == acked {
+							inflight = b[1] - b[0]
+						}
+					}
+					if seq != acked && seq != acked+inflight {
+						t.Fatalf("%s: recovered %d ops, want %d or %d", row, seq, acked, acked+inflight)
+					}
+					if err := sameRecords(shadowAfter(churn, seq), storeRecords(s)); err != nil {
+						t.Fatalf("%s: recovered state diverges from committed batch prefix: %v", row, err)
+					}
+
+					// The recovered state must still be k-safe and auditable.
+					if s.Len() >= baseK {
+						rel, err := s.Release(0)
+						if err != nil {
+							t.Fatalf("%s: release after recovery: %v", row, err)
+						}
+						if err := verify.Release(rel, anonmodel.KAnonymity{K: baseK}); err != nil {
+							t.Fatalf("%s: recovered release unsafe: %v", row, err)
+						}
+					}
+					// And it must keep serving batches.
+					if _, err := s.ApplyBatch(opsFromChurn(churnWorkload(schema, int64(seed)+999, 5))); err != nil {
+						t.Fatalf("%s: batch after recovery: %v", row, err)
+					}
+					if err := s.Close(); err != nil {
+						t.Fatalf("%s: close after recovery: %v", row, err)
+					}
 				}
 			}
+			t.Logf("%d crash points, %d power-loss images", total, powerLoss)
 		})
 	}
 }

@@ -3,7 +3,6 @@ package wal
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"slices"
 
 	"spatialanon/internal/pager"
@@ -212,7 +211,7 @@ func (s *Store) writeCheckpoint(out *pageStream, full bool) error {
 		w2.Close()
 		return err
 	}
-	if err := os.Rename(filepath.Join(s.opts.Dir, tmpName), filepath.Join(s.opts.Dir, logName)); err != nil {
+	if err := s.opts.FS.Rename(tmpName, logName); err != nil {
 		w2.Close()
 		return err
 	}

@@ -3,8 +3,7 @@ package wal
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
+	"io"
 	"slices"
 	"testing"
 
@@ -467,9 +466,10 @@ func deltaChainOps(t *testing.T, cfg rplustree.Config, prefix []churnOp) ([]chur
 // (redo) churns behind a four-page pool until an incremental attempt
 // overruns the space rule and is redone in full, so that every page write
 // of an attempt nothing will ever refer to is a crash point too.
-// Recovery must land on the audited committed prefix, sweep every page
-// the dying checkpoint leaked, and leave a store whose next
-// (incremental) checkpoint survives a reopen.
+// Recovery from each image of the crash (process death, power loss) must
+// land on the audited committed prefix, sweep every page the dying
+// checkpoint leaked, and leave a store whose next (incremental)
+// checkpoint survives a reopen.
 func TestCrashMatrixIncremental(t *testing.T) {
 	seeds := 6
 	if testing.Short() {
@@ -508,13 +508,12 @@ func TestCrashMatrixIncremental(t *testing.T) {
 					all[i].then = thenCheckpoint
 				}
 			}
-			mkOpts := func(dir string, crash *fault.Crash) Options {
+			mkOpts := func(fs *memFS, crash *fault.Crash) Options {
 				o := Options{
-					Dir:       dir,
+					FS:        fs,
 					Tree:      cfg,
 					PageSize:  512,
 					PoolPages: pool,
-					NoSync:    true,
 				}
 				if crash != nil {
 					o.AppendFault, o.PagerFault = crash.Log, crash.Disk
@@ -549,7 +548,7 @@ func TestCrashMatrixIncremental(t *testing.T) {
 					t.Fatalf("create: %v", err)
 				}
 				died := func(err error) bool {
-					if err != nil && !IsCrash(err) {
+					if err != nil && !crashed(err) {
 						t.Fatalf("failed without crash: %v", err)
 					}
 					return err != nil
@@ -595,7 +594,7 @@ func TestCrashMatrixIncremental(t *testing.T) {
 
 			counter := &fault.Crash{}
 			watching = true
-			acked, s := run(mkOpts(t.TempDir(), counter))
+			acked, s := run(mkOpts(newMemFS(), counter))
 			watching = false
 			if acked != len(all) {
 				t.Fatalf("dry run acknowledged %d of %d", acked, len(all))
@@ -620,47 +619,54 @@ func TestCrashMatrixIncremental(t *testing.T) {
 			// The set-up (Create's own checkpoint) is the older matrices'
 			// ground; start at the first durable operation after it.
 			first := &fault.Crash{}
-			if s, err := Create(mkOpts(t.TempDir(), first)); err != nil {
+			if s, err := Create(mkOpts(newMemFS(), first)); err != nil {
 				t.Fatal(err)
 			} else {
 				s.Close()
 			}
 			sweptSeen := false
+			powerLoss := 0 // power-loss images recovered: those unlike their process-death image
 			for at := first.Ops() + 1; at <= total; at++ {
 				torn := []float64{0, 0.5, 1}[at%3]
 				crash := &fault.Crash{At: at, Torn: torn}
-				dir := t.TempDir()
-				acked, dead := run(mkOpts(dir, crash))
+				fs := newMemFS()
+				acked, dead := run(mkOpts(fs, crash))
 				dead.Close()
 				if crash.Err() == nil {
 					t.Fatalf("at=%d: crash point never fired", at)
 				}
-				s, err := Open(mkOpts(dir, nil))
-				if err != nil {
-					t.Fatalf("at=%d torn=%.1f acked=%d: recovery failed: %v", at, torn, acked, err)
+				imgs := fs.images()
+				powerLoss += len(imgs) - 1
+				for _, img := range imgs {
+					row := fmt.Sprintf("at=%d %s torn=%.1f acked=%d", at, img.name, torn, acked)
+					s, err := Open(mkOpts(img.fs, nil))
+					if err != nil {
+						t.Fatalf("%s: recovery failed: %v", row, err)
+					}
+					sweptSeen = sweptSeen || s.RecoveryStats().PagesFreed > 0
+					checkOnlyLivePages(t, s)
+					// Committed prefix: every acknowledged operation, plus at
+					// most the one in flight (the preload batch counts as one
+					// frame).
+					seq := int(s.Seq())
+					if seq != acked && seq != acked+1 && !(acked == 0 && seq == preload) {
+						t.Fatalf("%s: recovered %d ops", row, seq)
+					}
+					if err := sameRecords(shadowAfter(all, seq), storeRecords(s)); err != nil {
+						t.Fatalf("%s: recovered state diverges from committed prefix: %v", row, err)
+					}
+					// The recovered store checkpoints incrementally and the
+					// result reopens byte-identically.
+					if err := s.Insert(attr.Record{ID: 1 << 40, QI: all[0].rec.QI, Sensitive: "post"}); err != nil {
+						t.Fatalf("%s: insert after recovery: %v", row, err)
+					}
+					if err := s.Checkpoint(); err != nil {
+						t.Fatalf("%s: checkpoint after recovery: %v", row, err)
+					}
+					reopenEqual(t, s, mkOpts(img.fs, nil)).Close()
 				}
-				sweptSeen = sweptSeen || s.RecoveryStats().PagesFreed > 0
-				checkOnlyLivePages(t, s)
-				// Committed prefix: every acknowledged operation, plus at most
-				// the one in flight (the preload batch counts as one frame).
-				seq := int(s.Seq())
-				if seq != acked && seq != acked+1 && !(acked == 0 && seq == preload) {
-					t.Fatalf("at=%d: recovered %d ops, acknowledged %d", at, seq, acked)
-				}
-				if err := sameRecords(shadowAfter(all, seq), storeRecords(s)); err != nil {
-					t.Fatalf("at=%d: recovered state diverges from committed prefix: %v", at, err)
-				}
-				// The recovered store checkpoints incrementally and the
-				// result reopens byte-identically.
-				if err := s.Insert(attr.Record{ID: 1 << 40, QI: all[0].rec.QI, Sensitive: "post"}); err != nil {
-					t.Fatalf("at=%d: insert after recovery: %v", at, err)
-				}
-				if err := s.Checkpoint(); err != nil {
-					t.Fatalf("at=%d: checkpoint after recovery: %v", at, err)
-				}
-				reopenEqual(t, s, mkOpts(dir, nil)).Close()
 			}
-			t.Logf("%d crash points over %+v", total-first.Ops(), st)
+			t.Logf("%d crash points, %d power-loss images, over %+v", total-first.Ops(), powerLoss, st)
 			if !sweptSeen {
 				t.Error("matrix never swept pages leaked by an interrupted checkpoint")
 			}
@@ -921,6 +927,8 @@ func TestIncrementalCheckpointWriteVolume(t *testing.T) {
 // columns).
 func TestPageFileStaysBounded(t *testing.T) {
 	opts := testOpts(t, 5)
+	fs := newMemFS()
+	opts.FS = fs
 	s, err := Create(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -947,15 +955,15 @@ func TestPageFileStaysBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkOnlyLivePages(t, s)
-		fi, err := os.Stat(filepath.Join(opts.Dir, pagesName))
+		size, err := fs.names[pagesName].Seek(0, io.SeekEnd)
 		if err != nil {
 			t.Fatal(err)
 		}
 		image := s.imageBytes
-		ratio := float64(fi.Size()) / float64(image)
+		ratio := float64(size) / float64(image)
 		worst = max(worst, ratio)
 		if ratio > 3 {
-			t.Fatalf("round %d: pages.db is %d bytes, %.2f× the live image of %d", round, fi.Size(), ratio, image)
+			t.Fatalf("round %d: pages.db is %d bytes, %.2f× the live image of %d", round, size, ratio, image)
 		}
 	}
 	st := s.CheckpointStats()

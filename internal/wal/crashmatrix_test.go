@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -19,7 +20,10 @@ import (
 // page write-back, with the fatal append torn by a varying fraction —
 // and assert that recovery always converges to an audited, k-safe
 // state whose record multiset equals a shadow replay of the committed
-// log prefix.
+// log prefix. The store runs on a memFS, and every crash point is
+// recovered from two images of it: process death (the files as they
+// stand) and power loss (only what was synced), the second skipped where
+// it is byte-identical to the first.
 
 // churnOp is one scripted maintenance operation, and what the script
 // wants done once it is applied.
@@ -120,15 +124,17 @@ func applyOp(s *Store, o churnOp) error {
 	return fmt.Errorf("bad op")
 }
 
-// runUntilCrash creates a store in dir and runs the workload until the
-// injected crash fires (or the workload completes). It returns how
-// many operations were acknowledged and whether Create itself
-// survived.
+// crashed reports whether err is, or wraps, a fired crash point.
+func crashed(err error) bool { return errors.As(err, new(*fault.CrashError)) }
+
+// runUntilCrash creates a store and runs the workload until the injected
+// crash fires (or the workload completes). It returns how many
+// operations were acknowledged and whether Create itself survived.
 func runUntilCrash(t *testing.T, opts Options, ops []churnOp) (acked int, createOK bool) {
 	t.Helper()
 	s, err := Create(opts)
 	if err != nil {
-		if !IsCrash(err) {
+		if !crashed(err) {
 			t.Fatalf("create failed without crash: %v", err)
 		}
 		return 0, false
@@ -136,7 +142,7 @@ func runUntilCrash(t *testing.T, opts Options, ops []churnOp) (acked int, create
 	defer s.Close()
 	for i, o := range ops {
 		if err := applyOp(s, o); err != nil {
-			if !IsCrash(err) {
+			if !crashed(err) {
 				t.Fatalf("op %d failed without crash: %v", i, err)
 			}
 			return i, true
@@ -196,12 +202,11 @@ func TestCrashMatrixRecoversEverywhere(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			ops := churnWorkload(schema, int64(seed)+1, nOps)
-			mkOpts := func(dir string, crash *fault.Crash) Options {
+			mkOpts := func(fs *memFS, crash *fault.Crash) Options {
 				o := Options{
-					Dir:             dir,
+					FS:              fs,
 					Tree:            rplustree.Config{Schema: schema, BaseK: baseK},
 					CheckpointEvery: 9,
-					NoSync:          true,
 				}
 				if crash != nil {
 					o.AppendFault, o.PagerFault = crash.Log, crash.Disk
@@ -212,7 +217,7 @@ func TestCrashMatrixRecoversEverywhere(t *testing.T) {
 			// Dry run: count the workload's durable operations. That count
 			// is the size of this seed's crash-point matrix.
 			counter := &fault.Crash{}
-			if acked, ok := runUntilCrash(t, mkOpts(t.TempDir(), counter), ops); !ok || acked != nOps {
+			if acked, ok := runUntilCrash(t, mkOpts(newMemFS(), counter), ops); !ok || acked != nOps {
 				t.Fatalf("dry run died: acked=%d ok=%v", acked, ok)
 			}
 			total := counter.Ops()
@@ -221,78 +226,84 @@ func TestCrashMatrixRecoversEverywhere(t *testing.T) {
 				t.Fatalf("workload performed %d durable ops, fewer than its %d operations", total, nOps)
 			}
 
+			powerLoss := 0 // power-loss images recovered: those unlike their process-death image
 			for at := 1; at <= total; at++ {
 				torn := []float64{0, 0.5, 1}[at%3]
 				crash := &fault.Crash{At: at, Torn: torn}
-				dir := t.TempDir()
-				acked, createOK := runUntilCrash(t, mkOpts(dir, crash), ops)
+				fs := newMemFS()
+				acked, createOK := runUntilCrash(t, mkOpts(fs, crash), ops)
 				if crash.Err() == nil {
 					t.Fatalf("at=%d: crash point never fired", at)
 				}
-				if !createOK {
-					// The store died before its first checkpoint was
-					// published: there is nothing to recover, and Open must
-					// say so rather than fabricate a store.
-					if _, err := Open(mkOpts(dir, nil)); err == nil {
-						t.Fatalf("at=%d: Open invented a store out of a dead Create", at)
+				imgs := fs.images()
+				powerLoss += len(imgs) - 1
+				for _, img := range imgs {
+					row := fmt.Sprintf("at=%d %s torn=%.1f acked=%d", at, img.name, torn, acked)
+					if !createOK {
+						// The store died before its first checkpoint was
+						// published: there is nothing to recover, and Open must
+						// say so rather than fabricate a store.
+						if _, err := Open(mkOpts(img.fs, nil)); err == nil {
+							t.Fatalf("%s: Open invented a store out of a dead Create", row)
+						}
+						continue
 					}
-					continue
-				}
-
-				s, err := Open(mkOpts(dir, nil))
-				if err != nil {
-					t.Fatalf("at=%d torn=%.1f acked=%d: recovery failed: %v", at, torn, acked, err)
-				}
-				st := s.RecoveryStats()
-				if st.TornBytes > 0 {
-					tornSeen[seed] = true
-				}
-				if st.PagesFreed > 0 {
-					freedSeen[seed] = true
-				}
-
-				// Committed-prefix contract: the recovered operation count is
-				// every acknowledged op, plus at most the one in flight when
-				// the crash hit (its frame may have become durable before the
-				// ack was lost).
-				seq := int(s.Seq())
-				if seq != acked && seq != acked+1 {
-					t.Fatalf("at=%d: recovered %d ops, acknowledged %d", at, seq, acked)
-				}
-				if err := sameRecords(shadowAfter(ops, seq), storeRecords(s)); err != nil {
-					t.Fatalf("at=%d: recovered state diverges from committed prefix: %v", at, err)
-				}
-
-				// K-safety: no leaf below k once the tree has split, and the
-				// release (when one exists) passes the independent auditor.
-				if s.Tree().Height() > 1 {
-					if err := verify.Tree(s.Tree(), verify.TreeOptions{MinLeafOccupancy: baseK}); err != nil {
-						t.Fatalf("at=%d: recovered tree breaks k-bound: %v", at, err)
-					}
-				}
-				if s.Len() >= baseK {
-					rel, err := s.Release(0)
+					s, err := Open(mkOpts(img.fs, nil))
 					if err != nil {
-						t.Fatalf("at=%d: release after recovery: %v", at, err)
+						t.Fatalf("%s: recovery failed: %v", row, err)
 					}
-					if err := verify.Release(rel, anonmodel.KAnonymity{K: baseK}); err != nil {
-						t.Fatalf("at=%d: recovered release unsafe: %v", at, err)
+					st := s.RecoveryStats()
+					if st.TornBytes > 0 {
+						tornSeen[seed] = true
 					}
-				}
+					if st.PagesFreed > 0 {
+						freedSeen[seed] = true
+					}
 
-				// The recovered store must accept new writes and survive a
-				// checkpoint (the log it recovered from gets truncated).
-				if err := s.Insert(attr.Record{ID: 1 << 40, QI: ops[0].rec.QI, Sensitive: "post"}); err != nil {
-					t.Fatalf("at=%d: insert after recovery: %v", at, err)
-				}
-				if err := s.Checkpoint(); err != nil {
-					t.Fatalf("at=%d: checkpoint after recovery: %v", at, err)
-				}
-				if err := s.Close(); err != nil {
-					t.Fatalf("at=%d: close after recovery: %v", at, err)
+					// Committed-prefix contract: the recovered operation count
+					// is every acknowledged op, plus at most the one in flight
+					// when the crash hit (its frame may have become durable
+					// before the ack was lost).
+					seq := int(s.Seq())
+					if seq != acked && seq != acked+1 {
+						t.Fatalf("%s: recovered %d ops", row, seq)
+					}
+					if err := sameRecords(shadowAfter(ops, seq), storeRecords(s)); err != nil {
+						t.Fatalf("%s: recovered state diverges from committed prefix: %v", row, err)
+					}
+
+					// K-safety: no leaf below k once the tree has split, and the
+					// release (when one exists) passes the independent auditor.
+					if s.Tree().Height() > 1 {
+						if err := verify.Tree(s.Tree(), verify.TreeOptions{MinLeafOccupancy: baseK}); err != nil {
+							t.Fatalf("%s: recovered tree breaks k-bound: %v", row, err)
+						}
+					}
+					if s.Len() >= baseK {
+						rel, err := s.Release(0)
+						if err != nil {
+							t.Fatalf("%s: release after recovery: %v", row, err)
+						}
+						if err := verify.Release(rel, anonmodel.KAnonymity{K: baseK}); err != nil {
+							t.Fatalf("%s: recovered release unsafe: %v", row, err)
+						}
+					}
+
+					// The recovered store must accept new writes and survive a
+					// checkpoint (the log it recovered from gets truncated).
+					if err := s.Insert(attr.Record{ID: 1 << 40, QI: ops[0].rec.QI, Sensitive: "post"}); err != nil {
+						t.Fatalf("%s: insert after recovery: %v", row, err)
+					}
+					if err := s.Checkpoint(); err != nil {
+						t.Fatalf("%s: checkpoint after recovery: %v", row, err)
+					}
+					if err := s.Close(); err != nil {
+						t.Fatalf("%s: close after recovery: %v", row, err)
+					}
 				}
 			}
 
+			t.Logf("%d crash points, %d power-loss images", total, powerLoss)
 			if !tornSeen[seed] {
 				t.Error("matrix never produced a torn tail")
 			}

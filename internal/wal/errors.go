@@ -8,7 +8,7 @@ import "errors"
 // refuses all further service. Every poisoning error wraps this
 // sentinel (errors.Is matches) together with the original cause, so
 // callers can both branch on "the store is dead" and inspect why —
-// IsCrash still sees a wrapped simulated crash, retry.IsTransient
+// errors.As still finds a wrapped *fault.CrashError, retry.IsTransient
 // still sees a fault's kind. A poisoned store is not necessarily
 // lost: Store.Recover rebuilds one in place from its durable image.
 var ErrPoisoned = errors.New("wal: store poisoned")

@@ -28,6 +28,9 @@ const (
 type Options struct {
 	// Dir is the store directory; it holds wal.log and pages.db.
 	Dir string
+	// FS is the file system the store lives in; nil means the operating
+	// system's directory at Dir. Dir is unused when FS is set.
+	FS FS
 	// Tree configures the underlying index.
 	Tree rplustree.Config
 	// CheckpointEvery checkpoints automatically after this many logged
@@ -41,9 +44,8 @@ type Options struct {
 	// live checkpoints' page runs and rereads pages unless one per run stays.
 	PoolPages int
 	// NoSync makes Sync of every file the store opens — log, page file,
-	// directory — do nothing (Options.open); every Sync is still called.
-	// The crash matrix uses it: simulated crashes cut the byte stream
-	// exactly where the injector says, so real fsyncs only cost time there.
+	// directory — do nothing (Options.open), whichever FS holds them; every
+	// Sync is still called.
 	NoSync bool
 	// PagerFault, when non-nil, wraps the page file's disk in a failing
 	// device (fault.Injector.Disk, fault.Crash.Disk); one fault.Crash
@@ -67,14 +69,16 @@ func (o Options) withDefaults() Options {
 	if o.PoolPages == 0 {
 		o.PoolPages = 256
 	}
+	if o.FS == nil {
+		o.FS = osFS(o.Dir)
+	}
 	return o
 }
 
-// open opens name in the store directory — "" is the directory itself,
-// whose Sync makes a rename in it durable. Every file the store touches is
+// open opens name in the store's FS. Every file the store touches is
 // opened here; under NoSync its Sync does nothing.
 func (o Options) open(name string, flag int) (pager.File, error) {
-	f, err := os.OpenFile(filepath.Join(o.Dir, name), flag, 0o644)
+	f, err := o.FS.OpenFile(name, flag)
 	switch {
 	case err != nil:
 		return nil, err
@@ -88,6 +92,37 @@ func (o Options) open(name string, flag int) (pager.File, error) {
 type unsynced struct{ pager.File }
 
 func (unsynced) Sync() error { return nil }
+
+// FS is the file system a store lives in: every file it touches is opened,
+// renamed and removed through it, by name inside the store directory. ""
+// names the directory itself, whose Sync makes a rename in it durable.
+type FS interface {
+	OpenFile(name string, flag int) (pager.File, error)
+	Rename(oldname, newname string) error
+	Remove(name string) error
+}
+
+// osFS is the operating system's directory at a path, made by the first create.
+type osFS string
+
+func (d osFS) OpenFile(name string, flag int) (pager.File, error) {
+	if flag&os.O_CREATE != 0 {
+		if err := os.MkdirAll(string(d), 0o755); err != nil {
+			return nil, err
+		}
+	}
+	f, err := os.OpenFile(d.path(name), flag, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+func (d osFS) Rename(from, to string) error { return os.Rename(d.path(from), d.path(to)) }
+
+func (d osFS) Remove(name string) error { return os.Remove(d.path(name)) }
+
+func (d osFS) path(name string) string { return filepath.Join(string(d), name) }
 
 // RecoveryStats describes what it took to reopen a store.
 type RecoveryStats struct {
@@ -151,11 +186,8 @@ type Store struct {
 // before the first operation — recovers cleanly.
 func Create(opts Options) (*Store, error) {
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, err
-	}
-	logPath := filepath.Join(opts.Dir, logName)
-	if _, err := os.Stat(logPath); err == nil {
+	if f, err := opts.open(logName, os.O_RDONLY); err == nil {
+		f.Close()
 		return nil, fmt.Errorf("wal: %s already holds a store; use Open", opts.Dir)
 	}
 	tree, err := rplustree.New(opts.Tree)
@@ -231,7 +263,7 @@ func Open(opts Options) (_ *Store, err error) {
 	}
 	// A wal.tmp is the residue of a checkpoint that died before its
 	// atomic rename; the checkpoint never happened.
-	os.Remove(filepath.Join(opts.Dir, tmpName))
+	opts.FS.Remove(tmpName)
 
 	if s.pg, err = openPager(opts, 0, pager.OpenDiskFile); err != nil {
 		return nil, err
@@ -371,7 +403,7 @@ func (s *Store) family() (*verify.Family, error) {
 
 // die poisons the store after a crash or unrecoverable append error.
 // The poisoning error wraps ErrPoisoned and the cause, so errors.Is
-// matches the sentinel while IsCrash / retry.IsTransient still see
+// matches the sentinel while errors.As / retry.IsTransient still see
 // the original fault through the chain.
 func (s *Store) die(err error) {
 	if s.dead == nil {

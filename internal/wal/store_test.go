@@ -367,24 +367,24 @@ func TestStoreDiesOnCrashAndRefusesService(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := makeRecords(opts.Tree.Schema, 60, 7)
-	var crashed bool
+	died := false
 	for _, r := range recs {
 		if err := s.Insert(r); err != nil {
-			if !IsCrash(err) {
+			if !crashed(err) {
 				t.Fatalf("non-crash failure: %v", err)
 			}
-			crashed = true
+			died = true
 			break
 		}
 	}
-	if !crashed {
+	if !died {
 		t.Fatal("crash point never fired")
 	}
 	// The store is poisoned: no further operations, no releases.
-	if err := s.Insert(recs[0]); !IsCrash(err) {
+	if err := s.Insert(recs[0]); !crashed(err) {
 		t.Fatalf("insert after crash: %v", err)
 	}
-	if _, err := s.Release(0); !IsCrash(err) {
+	if _, err := s.Release(0); !crashed(err) {
 		t.Fatalf("release after crash: %v", err)
 	}
 	if s.Err() == nil {

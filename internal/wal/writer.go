@@ -2,7 +2,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"spatialanon/internal/pager"
@@ -17,14 +16,6 @@ const frameOverhead = 8
 // far below this; anything above it in a log being scanned is treated
 // as a torn length prefix.
 const maxFrame = 64 << 20
-
-// IsCrash reports whether err is (or wraps) a simulated process
-// death: any error in the chain exposing a true Crashed() bool, which
-// is how fault.CrashError identifies itself without being imported.
-func IsCrash(err error) bool {
-	var c interface{ Crashed() bool }
-	return errors.As(err, &c) && c.Crashed()
-}
 
 // Writer appends framed records to a log file. It is not safe for
 // concurrent use.
@@ -46,11 +37,9 @@ type Writer struct {
 
 // newWriter appends to the log file f, opened O_APPEND, whose first size
 // bytes are committed frames, behind o's AppendFault. A failed Write may
-// still have landed a torn prefix. The error's class decides what happens
-// next: one exposing a true `Transient() bool` is retried under the
-// writer's retry policy, truncate first; one for which IsCrash holds kills
-// the writer where it stands, torn prefix and all; anything else is rolled
-// back and escalates.
+// still have landed a torn prefix. One whose error exposes a true
+// `Transient() bool` is retried under the writer's retry policy, truncate
+// first; anything else is rolled back and escalates.
 func newWriter(f pager.File, size int64, o Options) *Writer {
 	if o.AppendFault != nil {
 		f = o.AppendFault(f)
@@ -64,10 +53,9 @@ func newWriter(f pager.File, size int64, o Options) *Writer {
 // the package retry policy. A failed append is CLEAN: the log is rolled
 // back to its committed size, so the frame the caller was told is not
 // committed leaves no bytes behind and the caller may simply try the
-// append again later. Only when that rollback itself fails — the log is
-// in an unknown state that a reopen's committed-prefix scan must repair
-// — or after a simulated crash is the writer dead: every later append
-// fails with the same error, exactly like a dead process.
+// append again later. Only when that rollback itself fails (as every
+// operation on a crashed process's files does) is the writer dead: every
+// later append fails with the same error, exactly like a dead process.
 func (w *Writer) Append(payload []byte) error {
 	if w.dead != nil {
 		return w.dead
@@ -110,20 +98,12 @@ func (w *Writer) Append(payload []byte) error {
 	return nil
 }
 
-// fail settles a failed append or sync. A simulated crash kills the
-// writer with NO rollback: whatever prefix the fatal attempt tore into
-// the file stays there, exactly as a power cut leaves it, for the
-// reopen's committed-prefix scan to discard. Every other failure rolls
-// the log back to its committed size and returns the original error
-// (and its Transient marker) intact. If the rollback itself fails the
-// log's tail is unknowable from inside this process and the writer is
-// dead too: only a reopen — committed-prefix scan plus truncate — can
-// repair it.
+// fail settles a failed append or sync: it rolls the log back to its
+// committed size and returns the original error (and its Transient
+// marker) intact. If the rollback fails too, the log's tail is unknowable
+// from inside this process and the writer is dead, torn prefix and all:
+// only a reopen's committed-prefix scan and truncate can repair it.
 func (w *Writer) fail(op string, err error) error {
-	if IsCrash(err) {
-		w.dead = fmt.Errorf("wal: %s: %w", op, err)
-		return w.dead
-	}
 	if terr := w.f.Truncate(w.size); terr != nil {
 		w.dead = fmt.Errorf("wal: %s failed (%w) and the rollback truncate failed too: %w", op, err, terr)
 		return w.dead
@@ -150,8 +130,8 @@ func (w *Writer) attempts(step func(retrying bool) error) error {
 	return err
 }
 
-// Err returns the error that killed the writer — a simulated crash or
-// a failed rollback — or nil while the writer can still append.
+// Err returns the error that killed the writer — a failed rollback — or
+// nil while the writer can still append.
 func (w *Writer) Err() error { return w.dead }
 
 // Close closes the log file.

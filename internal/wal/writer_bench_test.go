@@ -12,7 +12,12 @@ import (
 func BenchmarkWriterAppend(b *testing.B) {
 	for _, size := range []int{64, 1024} {
 		b.Run(byteSize(size), func(b *testing.B) {
-			w, path := openLog(b, Options{NoSync: true})
+			o := Options{Dir: b.TempDir(), NoSync: true}
+			f, err := o.open(logName, os.O_RDWR|os.O_CREATE|os.O_APPEND)
+			if err != nil {
+				b.Fatal(err)
+			}
+			w := newWriter(f, 0, o)
 			defer w.Close()
 			payload := make([]byte, size)
 			for i := range payload {
@@ -27,7 +32,6 @@ func BenchmarkWriterAppend(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			os.Remove(path)
 		})
 	}
 }

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"os"
-	"path/filepath"
 	"testing"
 
 	"spatialanon/internal/fault"
@@ -10,29 +9,20 @@ import (
 	"spatialanon/internal/retry"
 )
 
-// openLog returns a writer appending to a fresh wal.log in a temporary
-// store directory, opened as Open opens it, and the file's path.
-func openLog(tb testing.TB, o Options) (*Writer, string) {
-	tb.Helper()
-	o.Dir = tb.TempDir()
-	f, err := o.open(logName, os.O_RDWR|os.O_CREATE|os.O_APPEND)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return newWriter(f, 0, o), filepath.Join(o.Dir, logName)
-}
-
-func readLog(t *testing.T, path string) []byte {
+// openLog returns a writer appending to a fresh wal.log in a store
+// directory held in memory, opened as Open opens it, and the directory.
+func openLog(t *testing.T, o Options) (*Writer, *memFS) {
 	t.Helper()
-	img, err := os.ReadFile(path)
+	o.FS = newMemFS()
+	f, err := o.open(logName, os.O_RDWR|os.O_CREATE|os.O_APPEND)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return img
+	return newWriter(f, 0, o), o.FS.(*memFS)
 }
 
 func TestWriterScannerRoundTrip(t *testing.T) {
-	w, path := openLog(t, Options{NoSync: true})
+	w, fs := openLog(t, Options{NoSync: true})
 	payloads := [][]byte{{1}, {2, 3}, {}, {4, 5, 6, 7}}
 	for _, p := range payloads {
 		if err := w.Append(p); err != nil {
@@ -42,7 +32,7 @@ func TestWriterScannerRoundTrip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sc := NewScanner(readLog(t, path))
+	sc := NewScanner(fs.read(logName))
 	for i, want := range payloads {
 		got, ok := sc.Next()
 		if !ok {
@@ -61,7 +51,7 @@ func TestWriterScannerRoundTrip(t *testing.T) {
 // the scanner must always return exactly the frames that are entirely
 // present with valid checksums, flag the tail as torn, and never panic.
 func TestScannerStopsAtTornTail(t *testing.T) {
-	w, path := openLog(t, Options{NoSync: true})
+	w, fs := openLog(t, Options{NoSync: true})
 	var frameEnds []int
 	off := 0
 	for i := 0; i < 5; i++ {
@@ -76,7 +66,7 @@ func TestScannerStopsAtTornTail(t *testing.T) {
 		frameEnds = append(frameEnds, off)
 	}
 	w.Close()
-	img := readLog(t, path)
+	img := fs.read(logName)
 
 	completeUpTo := func(n int) int {
 		k := 0
@@ -122,7 +112,7 @@ func atFrameEnd(ends []int, n int) bool {
 // TestScannerRejectsBitFlip flips each byte of a committed frame: the
 // checksum must end the committed prefix there.
 func TestScannerRejectsBitFlip(t *testing.T) {
-	w, path := openLog(t, Options{NoSync: true})
+	w, fs := openLog(t, Options{NoSync: true})
 	if err := w.Append([]byte("abcdef")); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +120,7 @@ func TestScannerRejectsBitFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	img := readLog(t, path)
+	img := fs.read(logName)
 	firstEnd := 6 + frameOverhead
 	for i := 0; i < firstEnd; i++ {
 		dam := append([]byte(nil), img...)
@@ -159,22 +149,22 @@ func TestScannerRejectsBitFlip(t *testing.T) {
 // dead afterwards, like the process it models.
 func TestWriterCrashTearsFrame(t *testing.T) {
 	crash := &fault.Crash{At: 3, Torn: 0.5}
-	w, path := openLog(t, Options{NoSync: true, AppendFault: crash.Log})
+	w, fs := openLog(t, Options{NoSync: true, AppendFault: crash.Log})
 	payload := []byte("0123456789")
 	for i := 0; i < 2; i++ {
 		if err := w.Append(payload); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Append(payload); !IsCrash(err) {
+	if err := w.Append(payload); !crashed(err) {
 		t.Fatalf("fatal append: %v", err)
 	}
-	if err := w.Append(payload); !IsCrash(err) {
+	if err := w.Append(payload); !crashed(err) {
 		t.Fatalf("append after death: %v", err)
 	}
 	w.Close()
 
-	img := readLog(t, path)
+	img := fs.read(logName)
 	frame := len(payload) + frameOverhead
 	wantLen := 2*frame + frame/2
 	if len(img) != wantLen {
@@ -195,11 +185,12 @@ func TestWriterCrashTearsFrame(t *testing.T) {
 
 // TestAppendFaultClassDecidesRollback puts a crash and a permanent
 // device fault under the writer's log file on the same frame. Both
-// tear a prefix into the file and both fail the append for good; only
-// the class of the error differs, and it alone decides what the log
-// holds afterwards: the crash leaves its ⌊Torn·len(frame)⌋ bytes past
-// the committed size (no rollback — a dead process truncates nothing),
-// the permanent fault is rolled back to the committed size.
+// tear a prefix into the file and both fail the append for good, and
+// the writer rolls both back; the class of the fault decides what the
+// log holds afterwards: a crashed file refuses the rollback too, so the
+// crash leaves its ⌊Torn·len(frame)⌋ bytes past the committed size and
+// the writer dead, while the permanent fault is rolled back to the
+// committed size and the writer lives.
 func TestAppendFaultClassDecidesRollback(t *testing.T) {
 	payload := []byte("0123456789abcdef")
 	frame := len(payload) + frameOverhead
@@ -214,13 +205,13 @@ func TestAppendFaultClassDecidesRollback(t *testing.T) {
 		{"permanent", fault.NewInjector(5, fault.Config{PermanentWriteRate: 1, After: 1}).Log, false, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w, path := openLog(t, Options{NoSync: true, Retry: retry.Policy{Attempts: 3}, AppendFault: tc.hook})
+			w, fs := openLog(t, Options{NoSync: true, Retry: retry.Policy{Attempts: 3}, AppendFault: tc.hook})
 			defer w.Close()
 			if err := w.Append(payload); err != nil {
 				t.Fatal(err)
 			}
 			err := w.Append(payload)
-			if err == nil || IsCrash(err) != tc.wantCrash || retry.IsTransient(err) {
+			if err == nil || crashed(err) != tc.wantCrash || retry.IsTransient(err) {
 				t.Fatalf("faulted append: %v", err)
 			}
 			if dead := w.Err() != nil; dead != tc.wantCrash {
@@ -229,7 +220,7 @@ func TestAppendFaultClassDecidesRollback(t *testing.T) {
 			if w.retries != 0 {
 				t.Fatalf("non-transient fault was retried %d times", w.retries)
 			}
-			if got := len(readLog(t, path)) - frame; got != tc.wantTail {
+			if got := len(fs.read(logName)) - frame; got != tc.wantTail {
 				t.Fatalf("%d bytes past the committed size, want %d", got, tc.wantTail)
 			}
 		})
@@ -266,7 +257,7 @@ func (f *tornWrites) wrap(lf pager.File) pager.File {
 // silently drops acknowledged writes.
 func TestAppendRetryRewindsTornPartialWrite(t *testing.T) {
 	torn := &tornWrites{failAttempts: 1}
-	w, path := openLog(t, Options{NoSync: true, Retry: retry.Policy{Attempts: 3}, AppendFault: torn.wrap})
+	w, fs := openLog(t, Options{NoSync: true, Retry: retry.Policy{Attempts: 3}, AppendFault: torn.wrap})
 	defer w.Close()
 	if err := w.Append([]byte("first")); err != nil {
 		t.Fatalf("append with retries: %v", err)
@@ -278,7 +269,7 @@ func TestAppendRetryRewindsTornPartialWrite(t *testing.T) {
 	if w.retries != 2 {
 		t.Fatalf("writer absorbed %d faults, want 2", w.retries)
 	}
-	img := readLog(t, path)
+	img := fs.read(logName)
 	sc := NewScanner(img)
 	var got []string
 	for {
