@@ -22,15 +22,15 @@ loc:
 		| sort -k2
 	@echo "largest files:"; $(LOC_FILES) | sort -rn | head -5
 
-# The size gate: `make loc`'s total may not exceed LOC_CEILING, which
-# is the total of the last PR that moved it. A PR that adds net
-# non-test lines must raise the number here, in its own diff, where a
-# reviewer sees it; a PR that removes lines lowers it to its new total.
-LOC_CEILING = 19010
+# The size gate, a ratchet: `make loc`'s total must equal LOC_CEILING,
+# the total of the last change that moved it. A change that adds net
+# non-test lines raises the number here, in its own diff; one that
+# removes lines lowers it to its new total.
+LOC_CEILING = 18992
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
-	if [ "$$total" -gt $(LOC_CEILING) ]; then \
-		echo "loc-check: $$total non-test lines exceed the ceiling of $(LOC_CEILING) (Makefile LOC_CEILING)"; exit 1; \
+	if [ "$$total" -ne $(LOC_CEILING) ]; then \
+		echo "loc-check: $$total non-test lines, but LOC_CEILING in the Makefile says $(LOC_CEILING); set it to $$total"; exit 1; \
 	fi; \
 	echo "loc-check: $$total non-test lines, ceiling $(LOC_CEILING)"
 

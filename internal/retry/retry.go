@@ -1,44 +1,32 @@
-// Package retry is the repository's single bounded-retry helper for
-// transient storage faults. The loader in internal/rplustree, the WAL
-// appender and the checkpoint write-back path all face the same
-// question — "this operation failed; is trying again useful, and how
-// many times?" — and answering it three different ways would mean
-// three subtly different durability stories. One policy type answers
-// it once.
+// Package retry is the repository's one answer to "this storage
+// operation failed; is trying again useful, and how many times?". The
+// loader in internal/rplustree (page charges), the WAL writer (log
+// writes) and recovery (checkpoint page reads) all retry through Do,
+// under one budget. An fsync is never retried: a retried fsync can
+// report success after the kernel dropped the dirty pages the failed
+// one did not write, so its failure fails the operation instead.
 //
-// Retrying is only correct for faults that self-identify as transient:
-// any error in the chain exposing `Transient() bool` participates (the
-// convention established by internal/fault, duplicated structurally
-// here so this package stays dependency-free). Permanent faults,
-// checksum mismatches and crash errors are returned immediately.
-//
-// The policy never waits between tries: the transient faults this
-// repository injects clear on the next call by construction.
+// Only faults that self-identify as transient are retried: any error in
+// the chain exposing `Transient() bool` (internal/fault's convention,
+// matched structurally so this package stays dependency-free). Do never
+// waits between tries: the faults this repository injects clear on the
+// next call by construction.
 package retry
 
 import "errors"
 
-// Policy bounds retries of one fallible operation.
-type Policy struct {
-	// Attempts is the total number of tries, including the first.
-	// Values below 1 behave as 1 (a single try, no retry).
-	Attempts int
-}
+// Budget is the total number of tries, the first included, that Do gives
+// an operation failing with transient faults.
+const Budget = 4
 
-// Do runs op, retrying while it fails with a transient fault, up to
-// p.Attempts total tries. The last error is returned; nil on success.
-func (p Policy) Do(op func() error) error {
-	attempts := p.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	for attempt := 0; ; attempt++ {
-		err := op()
-		if err == nil {
-			return nil
-		}
-		if attempt+1 >= attempts || !IsTransient(err) {
-			return err
+// Do runs op, trying again while it fails with a transient fault, up to
+// Budget tries. It returns the number of tries made and the last error
+// (nil on success).
+func Do(op func() error) (tries int, err error) {
+	for tries = 1; ; tries++ {
+		err = op()
+		if err == nil || tries == Budget || !IsTransient(err) {
+			return tries, err
 		}
 	}
 }

@@ -21,33 +21,30 @@ func (permanentErr) Transient() bool { return false }
 func TestDo(t *testing.T) {
 	cases := []struct {
 		name      string
-		policy    Policy
 		failures  int   // leading failures before success
 		err       error // the error those failures return
 		wantCalls int
 		wantErr   bool
 	}{
-		{"first try succeeds", Policy{Attempts: 4}, 0, nil, 1, false},
-		{"transient absorbed", Policy{Attempts: 4}, 2, transientErr{}, 3, false},
-		{"transient exhausts budget", Policy{Attempts: 3}, 5, transientErr{}, 3, true},
-		{"permanent returns immediately", Policy{Attempts: 4}, 5, permanentErr{}, 1, true},
-		{"untyped error returns immediately", Policy{Attempts: 4}, 5, errors.New("boom"), 1, true},
-		{"zero attempts behaves as one", Policy{}, 1, transientErr{}, 1, true},
-		{"negative attempts behaves as one", Policy{Attempts: -3}, 1, transientErr{}, 1, true},
-		{"wrapped transient absorbed", Policy{Attempts: 2}, 1, fmt.Errorf("op: %w", transientErr{}), 2, false},
+		{"first try succeeds", 0, nil, 1, false},
+		{"transient absorbed", Budget - 1, transientErr{}, Budget, false},
+		{"transient exhausts budget", Budget + 2, transientErr{}, Budget, true},
+		{"permanent returns immediately", 5, permanentErr{}, 1, true},
+		{"untyped error returns immediately", 5, errors.New("boom"), 1, true},
+		{"wrapped transient absorbed", 1, fmt.Errorf("op: %w", transientErr{}), 2, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			calls := 0
-			err := tc.policy.Do(func() error {
+			tries, err := Do(func() error {
 				calls++
 				if calls <= tc.failures {
 					return tc.err
 				}
 				return nil
 			})
-			if calls != tc.wantCalls {
-				t.Errorf("calls = %d, want %d", calls, tc.wantCalls)
+			if calls != tc.wantCalls || tries != calls {
+				t.Errorf("calls = %d, tries = %d, want %d", calls, tries, tc.wantCalls)
 			}
 			if (err != nil) != tc.wantErr {
 				t.Errorf("err = %v, wantErr %v", err, tc.wantErr)

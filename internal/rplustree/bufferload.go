@@ -29,7 +29,7 @@ import (
 //
 // Failure semantics. Every pager access can fail (BulkLoadConfig.Fault
 // puts the pager's disk behind a failing device; see internal/fault).
-// The loader retries transient faults a bounded number of times and
+// The loader retries transient faults (retry.Do, retry.Budget tries) and
 // then propagates the error, under one consistent-state guarantee: no
 // record is ever silently dropped. Concretely:
 //
@@ -48,11 +48,6 @@ import (
 // the load can resume after the storage is repaired (see
 // pager.Scrub) — the property the chaos suite in internal/verify
 // asserts schedule by schedule.
-
-// transientRetries bounds how many total tries the loader gives a
-// pager operation that fails with transient faults before giving up
-// and propagating the error.
-const transientRetries = 4
 
 // bufferPages is the per-node buffer threshold in pages: a node's
 // buffer is emptied once it exceeds this many pages of records. The
@@ -185,13 +180,6 @@ func (bl *BulkLoader) Close() error {
 	return nil
 }
 
-// retry runs op under the repository-wide bounded-retry policy
-// (internal/retry): transient storage faults are retried up to
-// transientRetries total tries, anything else returns immediately.
-func (bl *BulkLoader) retry(op func() error) error {
-	return retry.Policy{Attempts: transientRetries}.Do(op)
-}
-
 // Insert blocks one record in the root buffer, emptying it downward when
 // it exceeds the threshold. A record attr.ValidateQI refuses is not
 // blocked; on any other error it is (or is already in a leaf) — only I/O
@@ -240,7 +228,8 @@ func (bl *BulkLoader) Flush() error {
 	// Make the flushed state durable: dirty pages still in the pool are
 	// written back (and charged) now, so the I/O counters reflect a
 	// complete, persistent load.
-	return bl.retry(bl.pg.Flush)
+	_, err := retry.Do(bl.pg.Flush)
+	return err
 }
 
 // flush empties the buffers under n top-down: pre-order, children in trie
@@ -349,7 +338,7 @@ func (bl *BulkLoader) spillPages(buf *nodeBuffer) error {
 // Flush).
 func (bl *BulkLoader) allocPage() (pager.PageID, error) {
 	var id pager.PageID
-	err := bl.retry(func() error {
+	_, err := retry.Do(func() error {
 		var err error
 		if id, _, err = bl.pg.Alloc(); err != nil {
 			return err
@@ -362,7 +351,7 @@ func (bl *BulkLoader) allocPage() (pager.PageID, error) {
 // readPage charges a read of page id (and, when dirty, its later write)
 // and unpins it, under retry.
 func (bl *BulkLoader) readPage(id pager.PageID, dirty bool) error {
-	return bl.retry(func() error {
+	_, err := retry.Do(func() error {
 		if _, err := bl.pg.Read(id); err != nil {
 			return err
 		}
@@ -371,6 +360,7 @@ func (bl *BulkLoader) readPage(id pager.PageID, dirty bool) error {
 		}
 		return bl.pg.Unpin(id)
 	})
+	return err
 }
 
 // takeBuffer drains n's buffer, charging reads for its spilled pages.

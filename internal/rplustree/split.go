@@ -370,10 +370,9 @@ func (WidestAxisPolicy) ChooseSplit(recs []attr.Record, ctx SplitContext) (int, 
 // "the biased splitting algorithm selects the Zipcode attribute as the
 // splitting attribute for every split". Preference is given to the
 // attributes in Axes (in the given priority order); when none of them
-// can separate the records, Fallback (default MinMarginPolicy) decides.
+// can separate the records, MinMarginPolicy decides.
 type BiasedPolicy struct {
-	Axes     []int
-	Fallback SplitPolicy
+	Axes []int
 }
 
 // ChooseSplit implements SplitPolicy.
@@ -383,11 +382,7 @@ func (p BiasedPolicy) ChooseSplit(recs []attr.Record, ctx SplitContext) (int, fl
 			return axis, v, true
 		}
 	}
-	fb := p.Fallback
-	if fb == nil {
-		fb = MinMarginPolicy{}
-	}
-	return fb.ChooseSplit(recs, ctx)
+	return MinMarginPolicy{}.ChooseSplit(recs, ctx)
 }
 
 // WeightedPolicy scores splits by the weighted certainty penalty with

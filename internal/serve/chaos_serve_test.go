@@ -170,7 +170,6 @@ func TestChaosServeMatrix(t *testing.T) {
 				Tree:            rplustree.Config{Schema: schema, BaseK: testK},
 				CheckpointEvery: 7,
 				NoSync:          true,
-				Retry:           retry.Policy{Attempts: 3},
 				AppendFault:     flaky.Log,
 				PagerFault:      inj.Disk,
 			})

@@ -48,14 +48,8 @@ func (f gatedLog) Write(p []byte) (int, error) {
 	return f.File.Write(p)
 }
 
-// newFaultyStore builds a store whose log files are wrapped by af, on a
-// single-try log writer.
+// newFaultyStore builds a store whose log files are wrapped by af.
 func newFaultyStore(t testing.TB, af func(pager.File) pager.File, checkpointEvery int) *wal.Store {
-	return newRetryingStore(t, af, checkpointEvery, retry.Policy{})
-}
-
-// newRetryingStore is newFaultyStore with a writer retry budget.
-func newRetryingStore(t testing.TB, af func(pager.File) pager.File, checkpointEvery int, rp retry.Policy) *wal.Store {
 	t.Helper()
 	st, err := wal.Create(wal.Options{
 		Dir:             t.TempDir(),
@@ -63,7 +57,6 @@ func newRetryingStore(t testing.TB, af func(pager.File) pager.File, checkpointEv
 		NoSync:          true,
 		CheckpointEvery: checkpointEvery,
 		AppendFault:     af,
-		Retry:           rp,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -322,10 +315,11 @@ func TestCloseReapsPoisonedCommitter(t *testing.T) {
 // the callers see the transient error, the server stays healthy, and
 // a resubmission lands.
 func TestTransientBatchFailureDoesNotDegrade(t *testing.T) {
-	fl := fault.NewInjector(53, fault.Config{TransientWriteRate: 1, After: 2, MaxFaults: 1})
+	// retry.Budget consecutive write faults outlast the writer's retries:
+	// the transient error surfaces.
+	fl := fault.NewInjector(53, fault.Config{TransientWriteRate: 1, After: 2, MaxFaults: retry.Budget})
 	st := newFaultyStore(t, fl.Log, 0)
 	defer st.Close()
-	// No retry budget anywhere: the transient error surfaces.
 	s, err := New(st, Options{MaxBatch: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -350,13 +344,13 @@ func TestTransientBatchFailureDoesNotDegrade(t *testing.T) {
 	}
 }
 
-// TestCommitRetryAbsorbsTransient: with a retry budget on the log
-// writer — the one owner of append faults — the same schedule is
-// absorbed invisibly: the caller never sees the fault, and the
-// server's retry counter reports the writer's absorption.
+// TestCommitRetryAbsorbsTransient: a fault the log writer's retries —
+// the one owner of append faults — can absorb is absorbed invisibly: the
+// caller never sees the fault, and the server's retry counter reports
+// the writer's absorption.
 func TestCommitRetryAbsorbsTransient(t *testing.T) {
 	fl := fault.NewInjector(53, fault.Config{TransientWriteRate: 1, After: 2, MaxFaults: 1})
-	st := newRetryingStore(t, fl.Log, 0, retry.Policy{Attempts: 3})
+	st := newFaultyStore(t, fl.Log, 0)
 	defer st.Close()
 	s, err := New(st, Options{MaxBatch: 1})
 	if err != nil {

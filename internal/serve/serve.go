@@ -113,7 +113,7 @@ type Stats struct {
 	Shed int64
 	// Expired counts submissions rejected with ErrDeadlineExceeded.
 	Expired int64
-	// Retries counts the extra physical write and fsync attempts the
+	// Retries counts the extra physical write attempts the
 	// store's log writer spent absorbing transient faults
 	// (wal.Store.Retries, sampled at each commit; 0 when every frame
 	// landed first try).
@@ -406,10 +406,10 @@ func (s *Server) commit(batch []*request) {
 		// until a Recover succeeds.
 		err = s.degrade(err)
 	}
-	// A transient error that outlasted the writer's retries while the
-	// store stayed healthy falls through here: this batch's callers fail
-	// with the transient error (their writes did NOT happen and may be
-	// resubmitted), and the server keeps serving.
+	// A transient error the writer did not absorb (a write past retry.Budget
+	// tries, or an fsync, never retried) with the store healthy falls through
+	// here: this batch's callers fail with it (their writes did NOT happen and
+	// may be resubmitted), and the server keeps serving.
 	for i, r := range live {
 		r.done <- result{found: err == nil && found[i], err: err}
 	}

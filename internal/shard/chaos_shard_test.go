@@ -183,7 +183,6 @@ func TestChaosShardMatrix(t *testing.T) {
 
 			opts := testOptions(t, nShards)
 			opts.CheckpointEvery = 7
-			opts.StoreRetry = retry.Policy{Attempts: 3}
 			opts.Serve = serve.Options{MaxBatch: 4, QueueDepth: 16, ScrubEvery: 3}
 			opts.Faults = func(id int, o *wal.Options) {
 				if id != victim {

@@ -43,7 +43,6 @@ import (
 	"sync/atomic"
 
 	"spatialanon/internal/attr"
-	"spatialanon/internal/retry"
 	"spatialanon/internal/rplustree"
 	"spatialanon/internal/serve"
 	"spatialanon/internal/sfc"
@@ -75,13 +74,6 @@ type Options struct {
 	// corresponding wal.Options fields.
 	CheckpointEvery int
 	NoSync          bool
-	// StoreRetry bounds each store's log-writer retries (wal.Options
-	// .Retry). The writer is the only layer that retries: a
-	// transient fault it cannot absorb, like every overload and
-	// deadline rejection, surfaces to the caller — shedding is
-	// backpressure, and hiding it inside the coordinator would un-bound
-	// the very queue the shard just bounded.
-	StoreRetry retry.Policy
 	// Faults, when non-nil, is invoked once per shard while its store
 	// options are assembled, letting the chaos harness put that shard's
 	// page disk and log behind injectors (PagerFault, AppendFault) of
@@ -193,7 +185,6 @@ func build(opts Options, create bool) (*Coordinator, error) {
 			Tree:            opts.Tree,
 			CheckpointEvery: opts.CheckpointEvery,
 			NoSync:          opts.NoSync,
-			Retry:           opts.StoreRetry,
 		}
 		if opts.Faults != nil {
 			opts.Faults(i, &wopts[i])
@@ -445,7 +436,8 @@ type ShardStats struct {
 // Stats reports per-shard serving counters plus two fleet-wide ones:
 // cross-shard reads that returned partial results, and the transient
 // faults absorbed by the shards' log writers (the sum of the per-shard
-// serve.Stats.Retries).
+// serve.Stats.Retries). The coordinator retries nothing itself: what a
+// writer cannot absorb surfaces to the caller, like every shed.
 func (c *Coordinator) Stats() (perShard []ShardStats, partials, retries int64) {
 	perShard = make([]ShardStats, len(c.fleet))
 	for i, sh := range c.fleet {

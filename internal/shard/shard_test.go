@@ -470,8 +470,8 @@ func TestShardFailureIsolation(t *testing.T) {
 // transient (retry.IsTransient) through the coordinator's wrapping.
 func TestTransientFaultChainSurvivesBoundary(t *testing.T) {
 	opts := testOptions(t, 2)
-	// All transient sync faults, unlimited budget, no retry anywhere:
-	// the first insert must surface a transient error end to end.
+	// All transient sync faults, unlimited budget, and an fsync is never
+	// retried: the first insert must surface a transient error end to end.
 	opts.Faults = func(shard int, o *wal.Options) {
 		o.AppendFault = fault.NewInjector(int64(3+shard), fault.Config{TransientSyncRate: 1, After: 2}).Log
 	}
@@ -489,16 +489,14 @@ func TestTransientFaultChainSurvivesBoundary(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRetryAbsorbsTransients: with a bounded transient
-// budget and a store retry policy (StoreRetry → each shard's log
-// writer, the one retry owner), every mutation is acknowledged without
-// the caller seeing a fault — and the fleet-wide retry counter shows
-// the writers did the work.
+// TestCoordinatorRetryAbsorbsTransients: with a bounded transient write
+// budget, each shard's log writer — the one retry owner — absorbs every
+// fault: every mutation is acknowledged without the caller seeing a
+// fault, and the fleet-wide retry counter shows the writers did the work.
 func TestCoordinatorRetryAbsorbsTransients(t *testing.T) {
 	opts := testOptions(t, 2)
-	opts.StoreRetry = retry.Policy{Attempts: 6}
 	opts.Faults = func(shard int, o *wal.Options) {
-		o.AppendFault = fault.NewInjector(int64(13+shard), fault.Config{TransientSyncRate: 1, After: 2, MaxFaults: 2}).Log
+		o.AppendFault = fault.NewInjector(int64(13+shard), fault.Config{TransientWriteRate: 1, After: 2, MaxFaults: 2}).Log
 	}
 	c := newCoordinator(t, opts)
 	for _, r := range makeRecords(t, 8, 17) {

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"spatialanon/internal/pager"
+	"spatialanon/internal/retry"
 	"spatialanon/internal/rplustree"
 )
 
@@ -296,8 +297,8 @@ func (s *Store) loadCheckpoint(m *Manifest) error {
 // checksum. The reference comes from checksummed storage but is still
 // validated against the page geometry: an offset outside its first
 // page, or a page run that does not match the length, is an error. Each
-// page read runs under the store's retry policy: a transient device
-// fault during resurrection must not condemn an otherwise intact image.
+// page read runs under retry.Do: a transient device fault during
+// resurrection must not condemn an otherwise intact image.
 func (s *Store) readRef(ref rplustree.Ref, dst []byte) ([]byte, error) {
 	ps := uint64(s.opts.PageSize)
 	span := uint64(ref.Off) + uint64(ref.Len)
@@ -307,7 +308,7 @@ func (s *Store) readRef(ref rplustree.Ref, dst []byte) ([]byte, error) {
 	start, lo, left := len(dst), int(ref.Off), int(ref.Len)
 	for _, id := range ref.Pages {
 		var data []byte
-		err := s.opts.Retry.Do(func() error {
+		_, err := retry.Do(func() error {
 			var rerr error
 			data, rerr = s.pg.Read(id)
 			return rerr

@@ -17,15 +17,13 @@ import (
 	"spatialanon/internal/verify"
 )
 
-// TestWriterAbsorbsFlakyFaults: injected transient write and fsync
-// faults — including torn partial writes — must be absorbed by the
-// writer's retry loop, leaving a clean, fully committed log.
+// TestWriterAbsorbsFlakyFaults: injected transient write faults —
+// including torn partial writes — must be absorbed by the writer's retry
+// loop, leaving a clean, fully committed log.
 func TestWriterAbsorbsFlakyFaults(t *testing.T) {
 	opts := testOpts(t, 3)
-	opts.Retry = retry.Policy{Attempts: 8}
 	opts.AppendFault = fault.NewInjector(7, fault.Config{
 		TransientWriteRate: 0.3,
-		TransientSyncRate:  0.2,
 	}).Log
 	st, err := Create(opts)
 	if err != nil {
@@ -58,40 +56,47 @@ func TestWriterAbsorbsFlakyFaults(t *testing.T) {
 // TestStoreSurvivesTransientExhaustion: when even the retry budget is
 // exhausted by transient faults, the failed operation must leave the
 // store serviceable — log rolled back, seq unadvanced — so the SAME
-// operation can simply be resubmitted once the device recovers.
+// operation can simply be resubmitted once the device recovers. A
+// transient fsync fault, which is never retried, must do the same.
 func TestStoreSurvivesTransientExhaustion(t *testing.T) {
-	opts := testOpts(t, 3)
-	// One attempt, and the first armed write attempt fails: the insert
-	// fails without any retry absorbing it. After skips Create's own
-	// manifest append (one write, one sync).
-	fl := fault.NewInjector(11, fault.Config{TransientWriteRate: 1, After: 2, MaxFaults: 1})
-	opts.AppendFault = fl.Log
-	st, err := Create(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	recs := makeRecords(opts.Tree.Schema, 2, 11)
-	seq := st.Seq()
-	err = st.Insert(recs[0])
-	if err == nil {
-		t.Fatal("insert succeeded through an unretried transient fault")
-	}
-	if !retry.IsTransient(err) {
-		t.Fatalf("error lost its transient marker: %v", err)
-	}
-	if st.Err() != nil {
-		t.Fatalf("transient fault poisoned the store: %v", st.Err())
-	}
-	if st.Seq() != seq {
-		t.Fatalf("failed insert advanced seq %d -> %d", seq, st.Seq())
-	}
-	// The fault budget is spent; the resubmission must land.
-	if err := st.Insert(recs[0]); err != nil {
-		t.Fatalf("resubmit after transient fault: %v", err)
-	}
-	if st.Seq() != seq+1 {
-		t.Fatalf("seq %d after one committed insert, want %d", st.Seq(), seq+1)
+	for name, cfg := range map[string]fault.Config{
+		// retry.Budget consecutive write faults outlast the writer's
+		// retries. After skips Create's own manifest append (one write,
+		// one sync).
+		"write": {TransientWriteRate: 1, After: 2, MaxFaults: retry.Budget},
+		"fsync": {TransientSyncRate: 1, After: 2, MaxFaults: 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			opts := testOpts(t, 3)
+			opts.AppendFault = fault.NewInjector(11, cfg).Log
+			st, err := Create(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			recs := makeRecords(opts.Tree.Schema, 2, 11)
+			seq := st.Seq()
+			err = st.Insert(recs[0])
+			if err == nil {
+				t.Fatal("insert succeeded through the injected transient faults")
+			}
+			if !retry.IsTransient(err) {
+				t.Fatalf("error lost its transient marker: %v", err)
+			}
+			if st.Err() != nil {
+				t.Fatalf("transient fault poisoned the store: %v", st.Err())
+			}
+			if st.Seq() != seq {
+				t.Fatalf("failed insert advanced seq %d -> %d", seq, st.Seq())
+			}
+			// The fault budget is spent; the resubmission must land, once.
+			if err := st.Insert(recs[0]); err != nil {
+				t.Fatalf("resubmit after transient fault: %v", err)
+			}
+			if st.Seq() != seq+1 || st.Len() != 1 {
+				t.Fatalf("seq %d and %d records after one committed insert, want %d and 1", st.Seq(), st.Len(), seq+1)
+			}
+		})
 	}
 }
 

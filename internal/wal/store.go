@@ -52,11 +52,6 @@ type Options struct {
 	// wrapping both this and AppendFault shares its durable-operation
 	// clock between page write-backs and log appends.
 	PagerFault func(pager.Disk) pager.Disk
-	// Retry bounds transient-fault retries of each physical log write
-	// and fsync (the Writer owns that fault class; nothing above the
-	// store retries it again) and of checkpoint-page reads during
-	// recovery. Zero value means a single try.
-	Retry retry.Policy
 	// AppendFault, when non-nil, wraps every log file the store opens in
 	// a failing device (fault.Injector.Log, fault.Crash.Log).
 	AppendFault func(pager.File) pager.File
@@ -107,7 +102,7 @@ type osFS string
 
 func (d osFS) OpenFile(name string, flag int) (pager.File, error) {
 	if flag&os.O_CREATE != 0 {
-		if err := os.MkdirAll(string(d), 0o755); err != nil {
+		if err := d.mkdir(); err != nil {
 			return nil, err
 		}
 	}
@@ -116,6 +111,31 @@ func (d osFS) OpenFile(name string, flag int) (pager.File, error) {
 		return nil, err
 	}
 	return f, nil
+}
+
+// mkdir makes d and its missing parents, syncing the parent of each
+// directory it makes, so a new store's directory survives a power loss
+// (under NoSync too: that governs a store's files). Like os.MkdirAll it
+// only stats a directory that exists: a checkpoint's wal.tmp syncs nothing.
+func (d osFS) mkdir() error {
+	if _, err := os.Stat(string(d)); err == nil {
+		return nil
+	}
+	parent := osFS(filepath.Dir(string(d)))
+	if parent != d {
+		if err := parent.mkdir(); err != nil {
+			return err
+		}
+	}
+	if err := os.Mkdir(string(d), 0o755); err != nil && !os.IsExist(err) {
+		return err
+	}
+	f, err := os.Open(string(parent))
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return f.Sync()
 }
 
 func (d osFS) Rename(from, to string) error { return os.Rename(d.path(from), d.path(to)) }
@@ -188,7 +208,7 @@ func Create(opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if f, err := opts.open(logName, os.O_RDONLY); err == nil {
 		f.Close()
-		return nil, fmt.Errorf("wal: %s already holds a store; use Open", opts.Dir)
+		return nil, fmt.Errorf("wal: %s exists; use Open", filepath.Join(opts.Dir, logName))
 	}
 	tree, err := rplustree.New(opts.Tree)
 	if err != nil {
@@ -247,7 +267,7 @@ func Open(opts Options) (_ *Store, err error) {
 	opts = opts.withDefaults()
 	f, err := opts.open(logName, os.O_RDWR|os.O_APPEND)
 	if err != nil {
-		return nil, fmt.Errorf("wal: no store in %s: %w", opts.Dir, err)
+		return nil, fmt.Errorf("wal: no store: %w", err)
 	}
 	// The one handle on the log: read here, truncated to its committed
 	// prefix below, appended to by the writer.
@@ -457,13 +477,21 @@ func (s *Store) log(r Record) error {
 		return err
 	}
 	if err := s.w.Append(payload); err != nil {
-		if s.w.Err() != nil || !retry.IsTransient(err) {
-			s.die(err)
-			return s.dead
-		}
-		return err
+		return s.settle(err)
 	}
 	return nil
+}
+
+// settle decides whether the store outlives a failed log append or
+// checkpoint: a transient fault whose rollback succeeded (the writer, if
+// any, still alive) is returned and the store stays serviceable; anything
+// else poisons it.
+func (s *Store) settle(err error) error {
+	if s.dead == nil && retry.IsTransient(err) && (s.w == nil || s.w.Err() == nil) {
+		return err
+	}
+	s.die(err)
+	return s.dead
 }
 
 // Insert, Delete and Update are ApplyBatch of ONE operation — the same
@@ -578,12 +606,10 @@ func (s *Store) checkpoint(full bool) error {
 	if err == nil {
 		return nil
 	}
-	if s.dead == nil && retry.IsTransient(err) && (s.w == nil || s.w.Err() == nil) {
+	if err = s.settle(err); s.dead == nil {
 		out.discard()
-		return err
 	}
-	s.die(err)
-	return s.dead
+	return err
 }
 
 // Release returns the release at granularity k1 (0 = base k) from the
@@ -789,9 +815,9 @@ func (s *Store) Seq() uint64 { return s.seq }
 // Create.
 func (s *Store) RecoveryStats() RecoveryStats { return s.recovery }
 
-// Retries returns how many extra physical write and fsync attempts
-// the store's log writers have spent absorbing transient faults (0
-// when every append landed first try). The writer is the single owner
+// Retries returns how many extra physical write attempts the store's log
+// writers have spent absorbing transient faults (0 when every append
+// landed first try). The writer is the single owner
 // of that fault class, so this is the whole absorption count.
 func (s *Store) Retries() int64 {
 	n := s.retired

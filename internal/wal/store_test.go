@@ -3,6 +3,7 @@ package wal
 import (
 	"fmt"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -326,11 +327,38 @@ func TestStoreCreateRefusesExisting(t *testing.T) {
 	}
 }
 
+// TestOpenMissingStore: Open of an empty directory, or of an empty FS,
+// fails, naming the log's path (with the directory when there is one).
 func TestOpenMissingStore(t *testing.T) {
 	opts := testOpts(t, 3)
-	if _, err := Open(opts); err == nil {
-		t.Fatal("Open of empty directory accepted")
+	mem := Options{FS: newMemFS(), Tree: opts.Tree, NoSync: true}
+	for _, tc := range []struct {
+		opts Options
+		want string
+	}{
+		{opts, "wal: no store: open " + filepath.Join(opts.Dir, logName) + ": "},
+		{mem, "wal: no store: open wal.log: "},
+	} {
+		if _, err := Open(tc.opts); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("Open of a missing store: %v, want %q…", err, tc.want)
+		}
 	}
+}
+
+// TestCreateMakesMissingDirectories: Create makes every missing directory
+// of its Dir (syncing each one's parent), and the store reopens there.
+func TestCreateMakesMissingDirectories(t *testing.T) {
+	opts := testOpts(t, 3)
+	opts.Dir = filepath.Join(opts.Dir, "a", "b")
+	s, err := Create(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if s, err = Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
 }
 
 func TestOpenRejectsDamagedSnapshot(t *testing.T) {

@@ -20,11 +20,10 @@ const maxFrame = 64 << 20
 // Writer appends framed records to a log file. It is not safe for
 // concurrent use.
 type Writer struct {
-	f     pager.File
-	size  int64 // bytes of committed frames; a retry truncates back here
-	retry retry.Policy
-	// retries counts the physical write and fsync attempts past the
-	// first of each append — the transient faults this writer absorbed.
+	f    pager.File
+	size int64 // bytes of committed frames; a retry truncates back here
+	// retries counts the physical write attempts past the first of each
+	// append — the transient faults this writer absorbed.
 	retries int64
 	dead    error
 	// buf is the frame scratch buffer, reused across appends so the
@@ -38,19 +37,18 @@ type Writer struct {
 // newWriter appends to the log file f, opened O_APPEND, whose first size
 // bytes are committed frames, behind o's AppendFault. A failed Write may
 // still have landed a torn prefix. One whose error exposes a true
-// `Transient() bool` is retried under the writer's retry policy, truncate
-// first; anything else is rolled back and escalates.
+// `Transient() bool` is retried under retry.Budget, truncate first;
+// anything else is rolled back and escalates.
 func newWriter(f pager.File, size int64, o Options) *Writer {
 	if o.AppendFault != nil {
 		f = o.AppendFault(f)
 	}
-	return &Writer{f: f, size: size, retry: o.Retry}
+	return &Writer{f: f, size: size}
 }
 
 // Append frames the payload and appends it durably: length prefix,
-// payload, CRC32-C trailer, then fsync. Real-device
-// deployments see transient write and fsync errors, so both run under
-// the package retry policy. A failed append is CLEAN: the log is rolled
+// payload, CRC32-C trailer, then fsync. The write runs under retry.Do;
+// the fsync runs once (sync). A failed append is CLEAN: the log is rolled
 // back to its committed size, so the frame the caller was told is not
 // committed leaves no bytes behind and the caller may simply try the
 // append again later. Only when that rollback itself fails (as every
@@ -69,8 +67,9 @@ func (w *Writer) Append(payload []byte) error {
 	frame = binary.LittleEndian.AppendUint32(frame, pager.Checksum(payload))
 	w.buf = frame
 
-	err := w.attempts(func(retrying bool) error {
-		if retrying {
+	again := false
+	tries, err := retry.Do(func() error {
+		if again {
 			// A failed attempt may have torn bytes into the O_APPEND
 			// log; appending the retry after them would bury this frame
 			// — and every later one — behind garbage the scanner stops
@@ -81,9 +80,11 @@ func (w *Writer) Append(payload []byte) error {
 				return terr
 			}
 		}
+		again = true
 		_, werr := w.f.Write(frame)
 		return werr
 	})
+	w.retries += int64(tries - 1)
 	if err != nil {
 		return w.fail("append", err)
 	}
@@ -111,23 +112,12 @@ func (w *Writer) fail(op string, err error) error {
 	return fmt.Errorf("wal: %s: %w", op, err)
 }
 
-// sync flushes the file, retrying transient fsync faults under the
-// writer's retry policy.
+// sync flushes the file once. A failed fsync is not retried: the retry
+// can report success after the kernel dropped the dirty pages the failed
+// one did not write, so the failure fails the append (which Append rolls
+// back) and the caller resubmits.
 func (w *Writer) sync() error {
-	return w.attempts(func(bool) error { return w.f.Sync() })
-}
-
-// attempts runs one physical step under the writer's retry policy —
-// the single owner of log append and fsync faults — telling the step
-// whether it is a retry and counting every retry in w.retries.
-func (w *Writer) attempts(step func(retrying bool) error) error {
-	n := 0
-	err := w.retry.Do(func() error {
-		n++
-		return step(n > 1)
-	})
-	w.retries += int64(n - 1)
-	return err
+	return w.f.Sync()
 }
 
 // Err returns the error that killed the writer — a failed rollback — or

@@ -205,7 +205,7 @@ func TestAppendFaultClassDecidesRollback(t *testing.T) {
 		{"permanent", fault.NewInjector(5, fault.Config{PermanentWriteRate: 1, After: 1}).Log, false, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w, fs := openLog(t, Options{NoSync: true, Retry: retry.Policy{Attempts: 3}, AppendFault: tc.hook})
+			w, fs := openLog(t, Options{NoSync: true, AppendFault: tc.hook})
 			defer w.Close()
 			if err := w.Append(payload); err != nil {
 				t.Fatal(err)
@@ -257,7 +257,7 @@ func (f *tornWrites) wrap(lf pager.File) pager.File {
 // silently drops acknowledged writes.
 func TestAppendRetryRewindsTornPartialWrite(t *testing.T) {
 	torn := &tornWrites{failAttempts: 1}
-	w, fs := openLog(t, Options{NoSync: true, Retry: retry.Policy{Attempts: 3}, AppendFault: torn.wrap})
+	w, fs := openLog(t, Options{NoSync: true, AppendFault: torn.wrap})
 	defer w.Close()
 	if err := w.Append([]byte("first")); err != nil {
 		t.Fatalf("append with retries: %v", err)
