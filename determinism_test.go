@@ -32,7 +32,7 @@ import (
 	"spatialanon/internal/wal"
 )
 
-const detRecords = 20000 // above the split cascade's fork threshold (parSplitMin)
+const detRecords = 20000 // bulk loads that route batches and split leaves many times over
 
 var detWorkerCounts = []int{1, 2, 8}
 
@@ -98,9 +98,8 @@ func buildBulk(t *testing.T, workers int) (*core.RTreeAnonymizer, []anonmodel.Pa
 // TestParallelBulkLoadDeterministic: the buffer-tree load, the split
 // cascades it triggers, and the leaf-scan publication must all be
 // invariant under the worker count — including the pager's I/O
-// counters, which only stay equal because structural mutation and
-// storage charging remain on the coordinating goroutine in serial
-// order.
+// counters, which stay equal because the load runs on the calling
+// goroutine and the worker count reaches only the leaf scan.
 func TestParallelBulkLoadDeterministic(t *testing.T) {
 	refRT, refBase, refCoarse := buildBulk(t, 1)
 	refReads, refWrites := refRT.IOStats()
@@ -120,8 +119,8 @@ func TestParallelBulkLoadDeterministic(t *testing.T) {
 }
 
 // TestParallelTupleLoadDeterministic covers the tuple-at-a-time path:
-// inserts are serial, but split cascades of oversized leaves and the
-// leaf-scan publication go through the parallel layer.
+// inserts and their split cascades are serial, and the leaf-scan
+// publication goes through the parallel layer.
 func TestParallelTupleLoadDeterministic(t *testing.T) {
 	build := func(w int) []anonmodel.Partition {
 		rt, err := core.NewRTreeAnonymizer(core.RTreeConfig{

@@ -28,10 +28,10 @@ type RTreeConfig struct {
 	// BulkLoad, when non-nil, makes Load use buffer-tree bulk loading
 	// with this configuration; nil loads tuple-at-a-time.
 	BulkLoad *rplustree.BulkLoadConfig
-	// Parallelism bounds the worker goroutines used by bulk loading,
-	// split cascades and leaf-scan materialization: 0 uses all
-	// available cores, 1 (or negative) runs serially. Every setting
-	// produces the identical index, partitions and I/O counters; 1 is
+	// Parallelism bounds the worker goroutines used by leaf-scan
+	// materialization: 0 uses all available cores, 1 (or negative)
+	// runs serially. Loading and splitting run on the calling
+	// goroutine. Every setting produces the identical partitions; 1 is
 	// the reference execution.
 	Parallelism int
 }

@@ -19,13 +19,13 @@ const pagerType = "spatialanon/internal/pager.Pager"
 // directly, and for the body of a goroutine that owns a pager.
 const coordinatorOnly = "anonylint:coordinator-only"
 
-// pagerconfine machine-checks the ownership rule of the
-// plan-then-wire concurrency model (DESIGN.md): the pager is confined
-// to the coordinating goroutine. Worker goroutines run pure
-// computations over disjoint data; every pager charge and every piece
-// of tree wiring happens on the goroutine driving the load, in serial
-// order — that is what makes the output AND the Figure 8 I/O counters
-// byte-identical for every worker count. A race detector only sees
+// pagerconfine machine-checks the coordinator ownership rule of the
+// concurrency model (DESIGN.md): the pager is confined to the
+// coordinating goroutine. Worker goroutines run pure computations over
+// disjoint data; every pager charge and every piece of tree wiring
+// happens on the goroutine driving the load, in serial order — that is
+// what makes the output AND the Figure 8 I/O counters byte-identical
+// for every worker count. A race detector only sees
 // the rule broken when a schedule happens to expose it; this rule sees
 // it statically.
 //
@@ -34,8 +34,7 @@ const coordinatorOnly = "anonylint:coordinator-only"
 // closure passed to (*par.Pool).Fork, par.Do or par.FirstErr, or the
 // function of a go statement. Reachability is traced through static
 // calls into any loaded package; calls through interfaces and function
-// values are outside the analysis and remain a code-review obligation
-// (split policies and guards are documented as pure).
+// values are outside the analysis and remain a code-review obligation.
 func pagerconfine(pass *analysis.Pass) {
 	// A chain ends at a call that must stay on the coordinator.
 	c := &analysis.Chaser{Pass: pass, Sink: func(call *ast.CallExpr) string {
@@ -89,7 +88,7 @@ func workerArg(pass *analysis.Pass, call *ast.CallExpr) (ast.Expr, string) {
 func checkWorker(c *analysis.Chaser, fun ast.Expr, ctx string) {
 	report := func(pos token.Pos, chain string) bool {
 		c.Pass.Reportf(pos,
-			"%s reachable from %s; pager mutations and tree wiring must stay on the coordinating goroutine (plan-then-wire)", chain, ctx)
+			"%s reachable from %s; pager mutations and tree wiring must stay on the coordinating goroutine (coordinator ownership)", chain, ctx)
 		return true
 	}
 	if lit, ok := ast.Unparen(fun).(*ast.FuncLit); ok {

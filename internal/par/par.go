@@ -93,10 +93,10 @@ func FirstErr(workers, n int, fn func(i int) error) error {
 }
 
 // Pool is a bounded fork-join pool for divide-and-conquer recursion
-// (parallel split cascades, Mondrian halves). It caps
-// in-flight forked tasks at workers-1: the calling goroutine is the
-// final worker, and when every slot is busy Fork degrades to an inline
-// call, so recursion depth never deadlocks on pool capacity.
+// (Mondrian halves). It caps in-flight forked tasks at workers-1: the
+// calling goroutine is the final worker, and when every slot is busy
+// Fork degrades to an inline call, so recursion depth never deadlocks
+// on pool capacity.
 //
 // A nil *Pool is valid and always runs inline — callers gate pool
 // construction on their parallelism knob and pass the nil through.

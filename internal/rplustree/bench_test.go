@@ -80,32 +80,29 @@ func BenchmarkLeaves(b *testing.B) {
 	}
 }
 
-// BenchmarkBulkLoad loads n records with every core (p=0) and serially
-// (p=1): the split cascade's workers are the only difference.
+// BenchmarkBulkLoad loads n records through the buffer-tree loader.
 func BenchmarkBulkLoad(b *testing.B) {
 	for _, n := range []int{10000, 50000} {
-		for _, p := range []int{0, 1} {
-			b.Run(fmt.Sprintf("n=%d/p=%d", n, p), func(b *testing.B) {
-				recs := dataset.GenerateLandsEnd(n, 7)
-				b.SetBytes(int64(n) * 32)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					tr, err := New(Config{Schema: dataset.LandsEndSchema(), BaseK: 5, Parallelism: p})
-					if err != nil {
-						b.Fatal(err)
-					}
-					bl, err := NewBulkLoader(tr, BulkLoadConfig{RecordBytes: 32})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := bl.InsertBatch(recs); err != nil {
-						b.Fatal(err)
-					}
-					if err := bl.Flush(); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			recs := dataset.GenerateLandsEnd(n, 7)
+			b.SetBytes(int64(n) * 32)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr, err := New(Config{Schema: dataset.LandsEndSchema(), BaseK: 5})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				bl, err := NewBulkLoader(tr, BulkLoadConfig{RecordBytes: 32})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := bl.InsertBatch(recs); err != nil {
+					b.Fatal(err)
+				}
+				if err := bl.Flush(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -21,7 +21,7 @@ import (
 // cap-limited to the length it had, and the leaf is marked shared. The
 // invariant that makes this sound: NO ARRAY ELEMENT BELOW A PUBLISHED
 // LENGTH IS EVER WRITTEN. Appends write at or past every published length;
-// the two in-place writers — Delete's shift and planSplits' reorder — first
+// the two in-place writers — Delete's shift and splitLeaf's reorder — first
 // call own. A leaf's box is widened and retightened in place, so the
 // snapshot clones it.
 

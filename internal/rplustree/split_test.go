@@ -1,6 +1,7 @@
 package rplustree
 
 import (
+	"slices"
 	"testing"
 
 	"spatialanon/internal/attr"
@@ -179,6 +180,43 @@ func TestTreeWithBiasedPolicySplitsOnlyPreferredAxis(t *testing.T) {
 	}
 	if narrow < len(leaves)*9/10 {
 		t.Fatalf("only %d of %d leaves narrow on zipcode", narrow, len(leaves))
+	}
+}
+
+// callLog is a SplitPolicy that records the size of every record set it
+// is asked to split, with no lock, and delegates to MinMarginPolicy.
+type callLog struct{ sizes []int }
+
+func (c *callLog) ChooseSplit(recs []attr.Record, ctx SplitContext) (int, float64, bool) {
+	c.sizes = append(c.sizes, len(recs))
+	return MinMarginPolicy{}.ChooseSplit(recs, ctx)
+}
+
+// TestSplitPolicyCallOrder pins that a bulk load calls its SplitPolicy
+// from the calling goroutine, in one order whatever the Parallelism, so a
+// policy need not be safe for concurrent calls. Run it under -race.
+func TestSplitPolicyCallOrder(t *testing.T) {
+	calls := func(parallelism int) []int {
+		log := &callLog{}
+		tr, err := New(Config{Schema: dataset.LandsEndSchema(), BaseK: 5, Split: log, Parallelism: parallelism})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bl, err := NewBulkLoader(tr, BulkLoadConfig{RecordBytes: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := bl.InsertBatch(dataset.GenerateLandsEnd(20000, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := bl.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return log.sizes
+	}
+	serial, all := calls(1), calls(0)
+	if !slices.Equal(serial, all) {
+		t.Fatalf("Parallelism 0 made %d split policy calls, Parallelism 1 %d, or in another order", len(all), len(serial))
 	}
 }
 

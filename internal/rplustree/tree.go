@@ -82,15 +82,12 @@ type Config struct {
 	// guard requiring both halves to satisfy the constraint, and leaves
 	// grow instead of splitting whenever a split would violate it.
 	Guard func(left, right []attr.Record) bool
-	// Parallelism caps the worker goroutines used for split cascades
-	// (see parsplit.go). 0 uses every available core, 1 (or negative)
-	// runs serially. The tree built is identical — structure, leaf
-	// order, even the attached loader's I/O counters — for every
-	// setting: workers execute only pure computations over disjoint
-	// record ranges while all tree wiring and pager traffic stays on
-	// the calling goroutine in serial order. Split and Guard must be
-	// safe for concurrent calls when Parallelism != 1 (every policy in
-	// this package is: they are stateless).
+	// Parallelism is the worker count of the scans that read the
+	// tree's leaves, which the serving layer (serve.View, shard) takes
+	// from here: 0 uses every available core, 1 (or negative) runs
+	// serially. The tree itself does not read it: it builds on the
+	// calling goroutine, so Split and Guard are never called
+	// concurrently.
 	Parallelism int
 }
 

@@ -10,18 +10,18 @@ import (
 	"spatialanon/internal/rplustree"
 )
 
-// Chaos under parallelism. The parallel execution layer keeps the
-// pager — and therefore the fault injector, which intercepts pager
-// operations — on the coordinating goroutine, so a faulted load must
-// hit the identical fault schedule at every worker count: same
-// operation count, same injected faults, same recovered tree. These
+// Chaos under parallelism. A load runs on the calling goroutine, and
+// with it the pager — and therefore the fault injector, which
+// intercepts pager operations — so a faulted load must hit the
+// identical fault schedule at every worker count: same operation
+// count, same injected faults, same recovered tree. These
 // tests pin that, plus the sharded regime: concurrent independent
 // loaders with per-shard injectors derived from one parent seed, each
 // shard replayable in isolation.
 
-// chaosParallelRecords is large enough that the split-cascade fork
-// threshold is crossed, so the schedule equality below is exercised with
-// worker goroutines genuinely in play. It stays below the root buffer's
+// chaosParallelRecords is large enough that Flush splits leaves many
+// times over, so the schedule equality below guards that no worker
+// count reaches the storage schedule. It stays below the root buffer's
 // capacity: these loads route no batch before Flush.
 const chaosParallelRecords = 12000
 
