@@ -19,7 +19,17 @@ import (
 // partitions are born compacted — the index "maintains MBRs" (Section
 // 2.3) and never needs the explicit compaction pass.
 func (t *Tree) Leaves() []anonmodel.Partition {
-	var out []anonmodel.Partition
+	// Count first, so the result is allocated once at its size.
+	nonEmpty := 0
+	t.walkLeaves(t.root, func(n *node) {
+		if len(n.recs) > 0 {
+			nonEmpty++
+		}
+	})
+	var out []anonmodel.Partition // nil for an empty tree
+	if nonEmpty > 0 {
+		out = make([]anonmodel.Partition, 0, nonEmpty)
+	}
 	t.walkLeaves(t.root, func(n *node) {
 		if len(n.recs) > 0 {
 			out = append(out, anonmodel.Partition{Box: n.mbr, Records: n.recs})

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
@@ -48,10 +49,15 @@ type View struct {
 	mu    sync.Mutex
 	accel map[int]*accelEntry
 
-	// estPool recycles Count's estimator sessions so the one-shot
-	// convenience path stays allocation-light; long-lived readers
-	// should hold their own session from Estimator instead.
-	estPool sync.Pool
+	// spare is the estimator session Count last finished with, so the
+	// one-shot convenience path stays allocation-light; long-lived
+	// readers should hold their own session from Estimator instead. One
+	// slot in the view, not a sync.Pool: a pool is registered globally
+	// until two collections pass, and it would keep every epoch that
+	// served a Count — snapshot, family and accelerators — alive that
+	// long, so the fewer collections the heap needs, the more dead
+	// epochs it holds.
+	spare atomic.Pointer[query.Estimator]
 }
 
 // accelEntry memoizes one granularity's routing accelerator, built
@@ -214,10 +220,10 @@ func (v *View) Records() []attr.Record {
 // anonymized base release under the uniformity assumption — the
 // serving-path answer to a range count, computed without touching the
 // live tree. It routes through the epoch's block-range accelerator
-// (bit-identical to the linear query.EstimateUniform), borrowing a
-// pooled session; hot readers should hold their own Estimator.
+// (bit-identical to the linear query.EstimateUniform), borrowing the
+// view's spare session; hot readers should hold their own Estimator.
 func (v *View) Count(q attr.Box) (float64, error) {
-	est, _ := v.estPool.Get().(*query.Estimator)
+	est := v.spare.Swap(nil)
 	if est == nil {
 		var err error
 		est, err = v.Estimator(0)
@@ -226,6 +232,6 @@ func (v *View) Count(q attr.Box) (float64, error) {
 		}
 	}
 	out := est.Estimate(q)
-	v.estPool.Put(est)
+	v.spare.Store(est)
 	return out, nil
 }

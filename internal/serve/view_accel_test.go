@@ -2,8 +2,11 @@ package serve
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
+	"spatialanon/internal/attr"
 	"spatialanon/internal/query"
 	"spatialanon/internal/wal"
 )
@@ -29,7 +32,7 @@ func accelServer(t *testing.T, n int) (*Server, *View) {
 }
 
 // TestViewAccelMatchesLinear: the view's accelerated sessions and the
-// pooled Count path answer exactly what the linear scans over the same
+// Count convenience path answer exactly what the linear scans over the same
 // release answer — estimates bit-for-bit.
 func TestViewAccelMatchesLinear(t *testing.T) {
 	_, v := accelServer(t, 3000)
@@ -133,16 +136,38 @@ func TestViewSessionZeroAlloc(t *testing.T) {
 	if a := testing.AllocsPerRun(200, func() { e.Estimate(queries[i%len(queries)]); i++ }); a != 0 {
 		t.Errorf("View Estimator.Estimate: %v allocs/op, want 0", a)
 	}
-	// The pooled convenience path should also settle to zero steady-state
-	// allocations once the pool is warm. Not assertable under -race:
-	// the race runtime drops pooled items at random, forcing re-creation.
-	if !raceEnabled {
-		q := queries[0]
-		if _, err := v.Count(q); err != nil {
-			t.Fatal(err)
-		}
-		if a := testing.AllocsPerRun(200, func() { v.Count(queries[i%len(queries)]); i++ }); a > 1 {
-			t.Errorf("View.Count: %v allocs/op, want <= 1 (pool bookkeeping)", a)
-		}
+	// The convenience path borrows the view's spare session, so it too
+	// allocates nothing once warm, under -race as well.
+	if _, err := v.Count(queries[0]); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(200, func() { v.Count(queries[i%len(queries)]); i++ }); a != 0 {
+		t.Errorf("View.Count: %v allocs/op, want 0", a)
+	}
+}
+
+// TestDeadViewIsCollected: once a newer epoch is published and no
+// reader holds the old view, one collection frees it, with all it
+// memoized, even after a Count. A sync.Pool in the view kept it for
+// two, so the fewer collections the heap needed, the more dead epochs
+// it held.
+func TestDeadViewIsCollected(t *testing.T) {
+	s, v := accelServer(t, 3000)
+	if _, err := v.Count(attr.PointBox(v.Records()[0].QI)); err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(v, func(*View) { close(freed) })
+	v = nil
+	rec := makeRecords(t, 1, 99)[0]
+	rec.ID = 1 << 40
+	if err := s.Insert(rec); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a dead view outlived a collection")
 	}
 }

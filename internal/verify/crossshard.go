@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/sfc"
@@ -76,7 +75,7 @@ type ShardView struct {
 //   - every view's partition set passes the Release audit under
 //     k-anonymity on its own, so each seam-adjacent boundary group
 //     holds at least k records;
-//   - no record ID appears in two shards' views (the same ID table
+//   - no record ID appears in two shards' views (the same ID index
 //     that finds a record twice inside one view finds it across two);
 //   - every record's curve key, recomputed through quant and curve,
 //     lands inside its publishing shard's range — the seam rule that
@@ -131,27 +130,26 @@ func CrossShard(views []ShardView, table []KeyRange, quant *sfc.Quantizer, curve
 	if err := anonmodel.Validate(constraint); err != nil {
 		return fmt.Errorf("verify: %w", err)
 	}
-	// One pass, one ID table for the whole joint release: each view's
+	// One pass, one ID index for the whole joint release: each view's
 	// Release audit, the cross-view uniqueness check and the seam rule
 	// meet every record once.
-	first := make([]int32, len(views)+1) // view vi's partitions are numbered from first[vi]
 	records := 0
-	for vi, v := range views {
-		if len(v.Parts) > math.MaxInt32-int(first[vi]) {
-			return errTooManyPartitions(int(first[vi]) + len(v.Parts))
-		}
-		first[vi+1] = first[vi] + int32(len(v.Parts))
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, v := range views {
 		records += anonmodel.TotalRecords(v.Parts)
+		lo, hi = idRange(v.Parts, lo, hi)
 	}
-	seen := newPublished(records)
+	seen := newIDIndex(lo, hi, records)
 	var cell []uint32
 	for vi, v := range views {
 		for pi, p := range v.Parts {
-			if err := seen.partition(first[vi], pi, p, constraint); err != nil {
-				var twice *twiceError
-				if errors.As(err, &twice) {
-					prev := sort.Search(len(views), func(i int) bool { return first[i+1] > twice.by })
-					return fmt.Errorf("verify: record %d published by shard views %d and %d", twice.id, prev, vi)
+			if err := publish(&seen, pi, p, constraint); err != nil {
+				if twice := (*twiceError)(nil); errors.As(err, &twice) {
+					prev, first := firstPublisher(views, twice.id)
+					if prev < vi {
+						return fmt.Errorf("verify: record %d published by shard views %d and %d", twice.id, prev, vi)
+					}
+					err = twiceInRelease(twice.id, first, pi)
 				}
 				return fmt.Errorf("verify: shard view %d (range %v): %w", vi, v.Range, err)
 			}
@@ -166,6 +164,17 @@ func CrossShard(views []ShardView, table []KeyRange, quant *sfc.Quantizer, curve
 		}
 	}
 	return nil
+}
+
+// firstPublisher returns the view and partition that hold the first
+// record with the given ID in (view, partition, record) order, or -1, -1.
+func firstPublisher(views []ShardView, id int64) (vi, pi int) {
+	for vi, v := range views {
+		if pi := firstHolder(v.Parts, id); pi >= 0 {
+			return vi, pi
+		}
+	}
+	return -1, -1
 }
 
 // auditRangeTable checks that table exactly tiles [0, maxKey]:

@@ -1,7 +1,6 @@
 package verify
 
 import (
-	"fmt"
 	"testing"
 
 	"spatialanon/internal/anonmodel"
@@ -49,22 +48,14 @@ func familyFromBytes(data []byte) (sets [][]anonmodel.Partition, k int) {
 	return sets, k
 }
 
-// FuzzReleaseAudits audits whatever family the bytes decode to with
-// the table-based auditors and with the map-based oracle: same verdict
-// and same class of violation, and never a panic.
+// FuzzReleaseAudits audits whatever family the bytes decode to, with
+// its own IDs and relabelled onto a dense run (the bitmap path), beside
+// the map-based oracle: same verdict and same class of violation,
+// identical witnesses on both paths, and never a panic.
 func FuzzReleaseAudits(f *testing.F) {
 	f.Add([]byte{1, 1, 0, 1, 0, 2, 8, 3, 0, 4, 0, 1, 0, 2, 0, 3, 0, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sets, k := familyFromBytes(data)
-		for i, rel := range sets {
-			got, want := Release(rel, anonmodel.KAnonymity{K: k}), oracleRelease(rel, anonmodel.KAnonymity{K: k})
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("release %d: Release says %v, oracle says %v", i, got, want)
-			}
-		}
-		got, want := Releases(sets, k), oracleReleases(sets, k)
-		if class(got) != class(want) {
-			t.Fatalf("Releases says %v, oracle says %v", got, want)
-		}
+		auditBothPaths(t, sets, k)
 	})
 }

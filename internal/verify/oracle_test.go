@@ -4,6 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"regexp"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -14,7 +18,7 @@ import (
 
 // The map-based auditors this package shipped before the flat ID table,
 // kept as the differential oracle (reading partitions through their
-// methods): whatever family of releases the table-based auditors accept
+// methods): whatever family of releases the index-based auditors accept
 // or reject, these must too, for the same class of violation.
 
 func oracleRelease(ps []anonmodel.Partition, c anonmodel.Constraint) error {
@@ -311,11 +315,107 @@ func moveLast(p, q *anonmodel.Partition) []attr.Record {
 	return recs[:len(recs)-1]
 }
 
+// auditBothPaths audits sets twice, as they are and relabelled onto a
+// dense run of IDs (the bitmap path), each time beside the map-based
+// oracle: Release to the very message, Releases to the class of
+// violation. Across the two runs every verdict and witness must match
+// once the IDs are mapped. It returns the first run's verdicts.
+func auditBothPaths(t testing.TB, sets [][]anonmodel.Partition, k int) (release []error, releases error) {
+	t.Helper()
+	c := anonmodel.KAnonymity{K: k}
+	ids := denseIDs(sets)
+	dense := relabel(sets, ids)
+	if len(ids) > 0 && !bitmapPath(dense...) {
+		t.Fatalf("a dense run of IDs takes the table path")
+	}
+	for i := range sets {
+		for _, rel := range [][]anonmodel.Partition{sets[i], dense[i]} {
+			if got, want := Release(rel, c), oracleRelease(rel, c); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("release %d: Release says %v, oracle says %v", i, got, want)
+			}
+		}
+		got := Release(sets[i], c)
+		if want, dgot := relabelErr(got, ids), fmt.Sprint(Release(dense[i], c)); dgot != want {
+			t.Fatalf("release %d: Release says %s on dense IDs, %s as relabelled", i, dgot, want)
+		}
+		release = append(release, got)
+	}
+	for _, fam := range [][][]anonmodel.Partition{sets, dense} {
+		if got, want := Releases(fam, k), oracleReleases(fam, k); class(got) != class(want) {
+			t.Fatalf("Releases says %v, oracle says %v", got, want)
+		}
+	}
+	releases = Releases(sets, k)
+	if want, dgot := relabelErr(releases, ids), fmt.Sprint(Releases(dense, k)); dgot != want {
+		t.Fatalf("Releases says %s on dense IDs, %s as relabelled", dgot, want)
+	}
+	return release, releases
+}
+
+// bitmapPath reports whether Releases' ID index over sets takes the
+// dense shape (for one release, Release's too).
+func bitmapPath(sets ...[]anonmodel.Partition) bool {
+	lo, hi, n := int64(math.MaxInt64), int64(math.MinInt64), 0
+	for _, rel := range sets {
+		lo, hi = idRange(rel, lo, hi)
+		n = max(n, anonmodel.TotalRecords(rel))
+	}
+	ix := newIDIndex(lo, hi, n)
+	return ix.words != nil
+}
+
+// denseIDs maps the family's distinct IDs, in ascending order, onto
+// the run -3, -2, -1, 0, …
+func denseIDs(sets [][]anonmodel.Partition) map[int64]int64 {
+	var ids []int64
+	for _, rel := range sets {
+		for _, p := range rel {
+			for i := range p.Size() {
+				ids = append(ids, p.Record(i).ID)
+			}
+		}
+	}
+	slices.Sort(ids)
+	m := make(map[int64]int64)
+	for _, id := range slices.Compact(ids) {
+		m[id] = int64(len(m)) - 3
+	}
+	return m
+}
+
+// relabel copies sets with every record ID mapped through ids.
+func relabel(sets [][]anonmodel.Partition, ids map[int64]int64) [][]anonmodel.Partition {
+	out := make([][]anonmodel.Partition, len(sets))
+	for ri, rel := range sets {
+		for _, p := range rel {
+			recs := rows(p)
+			for i := range recs {
+				recs[i].ID = ids[recs[i].ID]
+			}
+			out[ri] = append(out[ri], anonmodel.Partition{Box: p.Box, Records: recs})
+		}
+	}
+	return out
+}
+
+var recordID = regexp.MustCompile(`record (-?[0-9]+)`)
+
+// relabelErr renders err with the record ID it names mapped through ids.
+func relabelErr(err error, ids map[int64]int64) string {
+	if err == nil {
+		return fmt.Sprint(err)
+	}
+	return recordID.ReplaceAllStringFunc(err.Error(), func(m string) string {
+		id, _ := strconv.ParseInt(recordID.FindStringSubmatch(m)[1], 10, 64)
+		return fmt.Sprintf("record %d", ids[id])
+	})
+}
+
 // TestAuditorsAgreeWithOracle is the differential test: seeded
 // families, each valid or carrying one injected violation, audited by
-// the table-based auditors and by the map-based oracle. They must agree
-// on accept/reject and on the class of violation — for Release, whose
-// order of checks the oracle shares, on the very message.
+// the auditors on both ID paths and by the map-based oracle. They must
+// agree on accept/reject and on the class of violation — for Release,
+// whose order of checks the oracle shares, on the very message.
 func TestAuditorsAgreeWithOracle(t *testing.T) {
 	caught := map[int]int{}
 	for seed := int64(0); seed < 1600; seed++ {
@@ -332,20 +432,11 @@ func TestAuditorsAgreeWithOracle(t *testing.T) {
 		}
 		inject(rng, sets, k, ri, what)
 
-		var releaseClass string
-		for i, rel := range sets {
-			got, want := Release(rel, anonmodel.KAnonymity{K: k}), oracleRelease(rel, anonmodel.KAnonymity{K: k})
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("seed %d release %d: Release says %v, oracle says %v", seed, i, got, want)
-			}
-			if i == ri {
-				releaseClass = class(got)
-			}
+		if bitmapPath(sets...) {
+			t.Fatalf("seed %d: adversarial IDs take the bitmap path", seed)
 		}
-		got, want := Releases(sets, k), oracleReleases(sets, k)
-		if class(got) != class(want) {
-			t.Fatalf("seed %d: Releases says %v, oracle says %v", seed, got, want)
-		}
+		releaseErrs, got := auditBothPaths(t, sets, k)
+		releaseClass := class(releaseErrs[ri])
 
 		// The injection must have been noticed by the auditor whose job
 		// it is, or the agreement above proves nothing.
@@ -379,6 +470,54 @@ func TestAuditorsAgreeWithOracle(t *testing.T) {
 	for what := 0; what < injections; what++ {
 		if caught[what] < 100 {
 			t.Errorf("injection %d exercised only %d times", what, caught[what])
+		}
+	}
+}
+
+// TestIDIndexShapes audits families whose IDs sit on the edges of the
+// bitmap shape: a span of exactly 64 values per record (bitmap), one
+// more (table), both at either end of int64, and the whole int64 range,
+// whose width hi − lo + 1 wraps to 0. Each is audited valid and with
+// every injected violation, on its own IDs and relabelled dense.
+func TestIDIndexShapes(t *testing.T) {
+	const n = 40 // 8 base groups of 5, paired, then one partition
+	const span = 64 * n
+	cases := []struct {
+		name   string
+		lo, hi int64
+		bitmap bool
+	}{
+		{"64n", 0, span - 1, true},
+		{"64n+1", 0, span, false},
+		{"64n from MinInt64", math.MinInt64, math.MinInt64 + span - 1, true},
+		{"64n+1 from MinInt64", math.MinInt64, math.MinInt64 + span, false},
+		{"64n to MaxInt64", math.MaxInt64 - span + 1, math.MaxInt64, true},
+		{"64n+1 to MaxInt64", math.MaxInt64 - span, math.MaxInt64, false},
+		{"MinInt64 to MaxInt64", math.MinInt64, math.MaxInt64, false},
+	}
+	for _, tc := range cases {
+		// lo, lo+64, lo+128, … and hi, shuffled so that neither ID order
+		// nor first-seen order is walk order.
+		ids := make([]int64, n)
+		for i := range ids[:n-1] {
+			ids[i] = int64(uint64(tc.lo) + 64*uint64(i))
+		}
+		ids[n-1] = tc.hi
+		rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		for what := 0; what < injections; what++ {
+			sets := nestedFamily(ids, []int{5, 5, 5, 5, 5, 5, 5, 5}, [][]int{{2, 2, 2, 2}, {4}})
+			if got := bitmapPath(sets...); got != tc.bitmap {
+				t.Fatalf("%s: bitmap path %v, want %v", tc.name, got, tc.bitmap)
+			}
+			rng := rand.New(rand.NewSource(int64(what)))
+			inject(rng, sets, 5, 1, what)
+			release, releases := auditBothPaths(t, sets, 5)
+			if what == injectNothing && (releases != nil || slices.ContainsFunc(release, func(err error) bool { return err != nil })) {
+				t.Fatalf("%s: valid family rejected: %v, %v", tc.name, release, releases)
+			}
+			if what != injectNothing && releases == nil && release[1] == nil {
+				t.Fatalf("%s: injection %d not caught", tc.name, what)
+			}
 		}
 	}
 }
@@ -491,9 +630,10 @@ func shardPart(pairs ...int) anonmodel.Partition {
 	return anonmodel.Partition{Box: attr.DomainOf(1, recs), Records: recs}
 }
 
-// TestCrossShardRecordAudit drives the one-table record pass of
+// TestCrossShardRecordAudit drives the one-index record pass of
 // CrossShard through every violation it must catch, beside the old
-// per-view-maps implementation, and checks the witness is stable.
+// per-view-maps implementation, and checks the witness is stable and
+// the same on both ID paths.
 func TestCrossShardRecordAudit(t *testing.T) {
 	table, quant := crossShardFixture(t)
 	views := func(parts0, parts1 []anonmodel.Partition) []ShardView {
@@ -535,6 +675,23 @@ func TestCrossShardRecordAudit(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
+		// The same views with their IDs spread out take the table path
+		// and must name the same witness.
+		sets := make([][]anonmodel.Partition, len(tc.views))
+		for vi, v := range tc.views {
+			sets[vi] = v.Parts
+		}
+		spread, back := map[int64]int64{}, map[int64]int64{}
+		for id := range denseIDs(sets) {
+			spread[id], back[id*sparseStride] = id*sparseStride, id
+		}
+		sparse := slices.Clone(tc.views)
+		for vi, parts := range relabel(sets, spread) {
+			sparse[vi].Parts = parts
+		}
+		if got, want := relabelErr(CrossShard(sparse, table, quant, sfc.ZOrder, 2), back), fmt.Sprint(CrossShard(tc.views, table, quant, sfc.ZOrder, 2)); got != want {
+			t.Fatalf("%s: CrossShard says %s on spread IDs, %s on dense ones", tc.name, got, want)
+		}
 		oracle := oracleCrossShardRecords(tc.views, quant, sfc.ZOrder, 2)
 		for i := 0; i < 50; i++ {
 			err := CrossShard(tc.views, table, quant, sfc.ZOrder, 2)
@@ -549,11 +706,13 @@ func TestCrossShardRecordAudit(t *testing.T) {
 }
 
 // auditFamily is a valid three-release family of n records (groups of
-// 10, then 50, then 250) with spread-out IDs.
-func auditFamily(n int) [][]anonmodel.Partition {
+// 10, then 50, then 250). IDs are i·stride − n for record i:
+// sparseStride spreads them out (the table path), denseStride numbers
+// them like the benchmark's records (the bitmap path).
+func auditFamily(n int, stride int64) [][]anonmodel.Partition {
 	ids := make([]int64, n)
 	for i := range ids {
-		ids[i] = int64(i)*2654435761 - int64(n)
+		ids[i] = int64(i)*stride - int64(n)
 	}
 	sizes := make([]int, n/10)
 	for i := range sizes {
@@ -569,14 +728,19 @@ func auditFamily(n int) [][]anonmodel.Partition {
 	return nestedFamily(ids, sizes, [][]int{fives(n / 10), fives(n / 50)})
 }
 
-// TestAuditAllocationsAreFlat pins the auditors' allocation budget: a
-// fixed handful of arrays, the same count at 1 000 records as at
-// 50 000. A per-record or per-partition allocation (a map bucket, a
-// cell slice, a string key) would scale the count with n.
+const (
+	sparseStride = 2654435761
+	denseStride  = 1
+)
+
+// TestAuditAllocationsAreFlat pins the auditors' allocation budget on
+// both ID paths: a fixed handful of arrays, the same count at 1 000
+// records as at 50 000. A per-record or per-partition allocation (a
+// map bucket, a cell slice, a string key) would scale the count with n.
 func TestAuditAllocationsAreFlat(t *testing.T) {
 	var k10 anonmodel.Constraint = anonmodel.KAnonymity{K: 10}
-	count := func(n int) (release, releases float64) {
-		sets := auditFamily(n)
+	count := func(n int, stride int64) (release, releases float64) {
+		sets := auditFamily(n, stride)
 		release = testing.AllocsPerRun(3, func() {
 			if err := Release(sets[0], k10); err != nil {
 				t.Fatal(err)
@@ -589,13 +753,48 @@ func TestAuditAllocationsAreFlat(t *testing.T) {
 		})
 		return release, releases
 	}
-	smallRelease, smallReleases := count(1000)
-	largeRelease, largeReleases := count(50000)
-	if smallRelease != largeRelease || smallReleases != largeReleases {
-		t.Fatalf("allocations grow with n: Release %v -> %v, Releases %v -> %v", smallRelease, largeRelease, smallReleases, largeReleases)
+	for _, stride := range []int64{sparseStride, denseStride} {
+		smallRelease, smallReleases := count(1000, stride)
+		largeRelease, largeReleases := count(50000, stride)
+		if smallRelease != largeRelease || smallReleases != largeReleases {
+			t.Fatalf("stride %d: allocations grow with n: Release %v -> %v, Releases %v -> %v", stride, smallRelease, largeRelease, smallReleases, largeReleases)
+		}
+		if largeRelease > 4 || largeReleases > 4 {
+			t.Fatalf("stride %d: Release allocates %v times, Releases %v; want a handful of arrays", stride, largeRelease, largeReleases)
+		}
 	}
-	if largeRelease > 4 || largeReleases > 4 {
-		t.Fatalf("Release allocates %v times, Releases %v; want a handful of arrays", largeRelease, largeReleases)
+}
+
+// TestAuditBytesPerRecord pins the bytes the auditors allocate per
+// record on a dense 100 000-record family, the IDs every benchmark
+// workload publishes. Release allocates the bitmap: 1 563 words, 13 568
+// B in its size class. Releases allocates the bitmap, its per-word
+// ranks (6 528 B), one int32 per record for its row (401 408 B in whole
+// pages) and one per (record, later release) for its cell (802 816 B).
+// The counts are exact: a test that fails here names the new figure.
+func TestAuditBytesPerRecord(t *testing.T) {
+	const n = 100000
+	sets := auditFamily(n, denseStride)
+	perRecord := func(audit func() error) float64 {
+		var best uint64 = math.MaxUint64
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			err := audit()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return float64(best) / n
+	}
+	release := perRecord(func() error { return Release(sets[0], anonmodel.KAnonymity{K: 10}) })
+	releases := perRecord(func() error { return Releases(sets, 10) })
+	t.Logf("Release %.5f B/record, Releases %.5f B/record", release, releases)
+	if release != 0.13568 || releases != 12.24320 {
+		t.Fatalf("Release allocates %.5f B per record, Releases %.5f; pinned 0.13568 and 12.24320", release, releases)
 	}
 }
 
@@ -608,9 +807,10 @@ func TestIDTable(t *testing.T) {
 		for round := 0; round < 2; round++ {
 			for x := 0; x < 256; x++ {
 				id := adversarialID(mode, uint8(x))
-				rank, fresh := tab.rank(id)
-				if int(rank) != x || fresh != (round == 0) {
-					t.Fatalf("mode %d round %d: rank(%d) = %d, %v; want %d, %v", mode, round, id, rank, fresh, x, round == 0)
+				fresh, err := tab.add(id)
+				rank, ok := tab.lookup(id)
+				if err != nil || int(rank) != x || !ok || fresh != (round == 0) {
+					t.Fatalf("mode %d round %d: add(%d) = %v, %v, then rank %d, %v; want %d", mode, round, id, fresh, err, rank, ok, x)
 				}
 			}
 		}
@@ -619,7 +819,10 @@ func TestIDTable(t *testing.T) {
 		}
 	}
 	empty := newIDTable(0)
-	if r, fresh := empty.rank(math.MinInt64); r != 0 || !fresh {
-		t.Fatalf("first rank in an empty table: %d, %v", r, fresh)
+	if fresh, err := empty.add(math.MinInt64); !fresh || err != nil {
+		t.Fatalf("first add to an empty table: %v, %v", fresh, err)
+	}
+	if r, ok := empty.lookup(math.MinInt64); r != 0 || !ok {
+		t.Fatalf("first rank in an empty table: %d, %v", r, ok)
 	}
 }

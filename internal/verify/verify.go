@@ -27,6 +27,7 @@
 package verify
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -73,37 +74,24 @@ func Release(ps []anonmodel.Partition, c anonmodel.Constraint) error {
 	if c == nil {
 		return fmt.Errorf("verify: nil constraint")
 	}
-	if len(ps) > math.MaxInt32 {
-		return errTooManyPartitions(len(ps))
-	}
-	seen := newPublished(anonmodel.TotalRecords(ps))
+	lo, hi := idRange(ps, math.MaxInt64, math.MinInt64)
+	seen := newIDIndex(lo, hi, anonmodel.TotalRecords(ps))
 	for i, p := range ps {
-		if err := seen.partition(0, i, p, c); err != nil {
+		if err := publish(&seen, i, p, c); err != nil {
+			if twice := (*twiceError)(nil); errors.As(err, &twice) {
+				return twiceInRelease(twice.id, firstHolder(ps, twice.id), i)
+			}
 			return err
 		}
 	}
 	return nil
 }
 
-// published remembers which partition published each record ID seen so
-// far: the state of one no-record-twice pass, shared by Release (one
-// partition set) and CrossShard (every view's set, one table).
-// Partitions are numbered across the whole pass.
-type published struct {
-	ids idTable
-	by  []int32 // rank -> number of the publishing partition
-}
-
-func newPublished(n int) published {
-	return published{ids: newIDTable(n), by: make([]int32, 0, n)}
-}
-
-// partition audits p, partition pi of a set whose partitions are
-// numbered from first: non-empty, constraint satisfied, every record
-// inside the box and published by no earlier partition of the set. A
-// record published by a partition numbered below first — another set
-// of the same pass — is a *twiceError, for the caller to name the sets.
-func (s *published) partition(first int32, pi int, p anonmodel.Partition, c anonmodel.Constraint) error {
+// publish audits partition pi of a release: non-empty, constraint
+// satisfied, every record inside the box and its ID not yet in seen,
+// which the ID then joins. A record seen already is a *twiceError; the
+// caller names its first publisher.
+func publish(seen *idIndex, pi int, p anonmodel.Partition, c anonmodel.Constraint) error {
 	if p.Size() == 0 {
 		return fmt.Errorf("verify: partition %d is empty", pi)
 	}
@@ -115,30 +103,40 @@ func (s *published) partition(first int32, pi int, p anonmodel.Partition, c anon
 		if !p.Box.Contains(r.QI) {
 			return fmt.Errorf("verify: record %d at %v outside partition %d box %v", r.ID, r.QI, pi, p.Box)
 		}
-		rank, fresh := s.ids.rank(r.ID)
-		switch {
-		case rank < 0:
-			return errTooManyRecords
-		case fresh:
-			s.by = append(s.by, first+int32(pi))
-		case s.by[rank] < first:
-			return &twiceError{id: r.ID, by: s.by[rank]}
-		default:
-			return fmt.Errorf("verify: record %d published in partitions %d and %d", r.ID, s.by[rank]-first, pi)
+		fresh, err := seen.add(r.ID)
+		if err != nil {
+			return err
+		}
+		if !fresh {
+			return &twiceError{id: r.ID}
 		}
 	}
 	return nil
 }
 
-// twiceError reports a record one pass met in two partition sets; by
-// is the number of the partition that published it first.
-type twiceError struct {
-	id int64
-	by int32
+// twiceError reports a record publish met a second time.
+type twiceError struct{ id int64 }
+
+func (e *twiceError) Error() string { return fmt.Sprintf("verify: record %d published twice", e.id) }
+
+// twiceInRelease names a record published by partitions first and pi
+// of one release.
+func twiceInRelease(id int64, first, pi int) error {
+	return fmt.Errorf("verify: record %d published in partitions %d and %d", id, first, pi)
 }
 
-func (e *twiceError) Error() string {
-	return fmt.Sprintf("verify: record %d published by two partition sets (first as partition %d of the pass)", e.id, e.by)
+// firstHolder returns the index of the first partition of ps holding a
+// record with the given ID, or -1: the walk that finds a duplicate's
+// first publisher, run on the error path only.
+func firstHolder(ps []anonmodel.Partition, id int64) int {
+	for pi, p := range ps {
+		for i := range p.Size() {
+			if p.Record(i).ID == id {
+				return pi
+			}
+		}
+	}
+	return -1
 }
 
 // The auditors index partitions and records with int32; these are the
@@ -157,8 +155,9 @@ func errTooManyPartitions(n int) error {
 // one consumer and 5k to another safe: their combined view is still a
 // k-anonymization.
 //
-// Everything is re-derived from the partitions' records: a flat table
-// ranks the IDs in first-seen order and one int32 per (record,
+// Everything is re-derived from the partitions' records: an idIndex
+// ranks the family's IDs, each rank maps to a row in first-seen order
+// (whatever order the ranks follow), and one int32 per (row, later
 // release) holds the record's cell coordinates. Violations are
 // reported in (release, partition, record) order of their first
 // record, so the same family always names the same witness.
@@ -166,74 +165,132 @@ func Releases(sets [][]anonmodel.Partition, k int) error {
 	if len(sets) == 0 {
 		return nil
 	}
-	n, width := 0, len(sets)
 	for _, rel := range sets {
 		if len(rel) > math.MaxInt32-1 {
 			return errTooManyPartitions(len(rel))
 		}
-		n = max(n, anonmodel.TotalRecords(rel))
 	}
-	ids := newIDTable(n)
-	// cells[rank*width+ri] is 1 + the index of the partition holding
-	// the record in release ri; 0 = not seen there.
-	cells := make([]int32, n*width)
+	// Every release of a valid family holds the same IDs, so release 0's
+	// index them all. An ID that only a later release holds (a stray)
+	// makes the family invalid: the audit then runs again over every
+	// release's IDs, so the witness is the one the full walk names.
+	stray, err := releases(sets, 1, k)
+	if stray {
+		_, err = releases(sets, len(sets), k)
+	}
+	return err
+}
+
+// releases is Releases with the ID index built from the first indexed
+// releases; it gives up, reporting a stray, at a record whose ID the
+// index does not hold.
+func releases(sets [][]anonmodel.Partition, indexed, k int) (stray bool, err error) {
+	n, width := 0, len(sets)
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, rel := range sets[:indexed] {
+		n = max(n, anonmodel.TotalRecords(rel))
+		lo, hi = idRange(rel, lo, hi)
+	}
+	ids := newIDIndex(lo, hi, n)
+	for _, rel := range sets[:indexed] {
+		for _, p := range rel {
+			for i := range p.Size() {
+				if _, err := ids.add(p.Record(i).ID); err != nil {
+					return false, err
+				}
+			}
+		}
+	}
+	m, err := ids.freeze()
+	if err != nil {
+		return false, err
+	}
+	// Rows follow first-seen order, whatever order the ranks follow:
+	// pos[rank] is 1 + the row of the record with that rank, 0 = not
+	// seen yet. Release 0's records take rows 0, 1, 2, … in walk order,
+	// so partition pi's are one run of rows; a stray (an ID release 0
+	// lacks) takes the next free row when first met.
+	pos := make([]int32, m)
+	// cells[row*w+ri-1] is 1 + the index of the partition holding the
+	// record in release ri ≥ 1; 0 = not seen there. Release 0's is the
+	// run the row lies in.
+	w := width - 1
+	cells := make([]int32, m*w)
+	rows := int32(0)
 	for ri, rel := range sets {
 		for pi, p := range rel {
 			for i := range p.Size() {
-				rank, fresh := ids.rank(p.Record(i).ID)
-				if rank < 0 {
-					return errTooManyRecords
+				id := p.Record(i).ID
+				rank, ok := ids.rank(id)
+				if !ok {
+					return true, nil
 				}
-				if fresh && len(ids.ids)*width > len(cells) {
-					// An ID the largest release does not hold: some
-					// release is missing it, reported below.
-					cells = append(cells, make([]int32, width)...)
+				at := &pos[rank]
+				if ri == 0 || *at == 0 {
+					if *at != 0 {
+						return false, fmt.Errorf("verify: record %d in two partitions of release 0", id)
+					}
+					rows++
+					*at = rows
 				}
-				cell := &cells[int(rank)*width+ri]
+				if ri == 0 {
+					continue
+				}
+				cell := &cells[int(*at-1)*w+ri-1]
 				if *cell != 0 {
-					return fmt.Errorf("verify: record %d in two partitions of release %d", p.Record(i).ID, ri)
+					return false, fmt.Errorf("verify: record %d in two partitions of release %d", id, ri)
 				}
 				*cell = int32(pi) + 1
 			}
 		}
 	}
-	for rank, id := range ids.ids {
-		for ri, pi := range cells[rank*width : (rank+1)*width] {
-			if pi == 0 {
-				return fmt.Errorf("verify: record %d missing from release %d", id, ri)
+	row := func(r int32) []int32 { return cells[int(r)*w : (int(r)+1)*w] }
+	// Some ID is missing from some release when a stray has a row or a
+	// row has a hole. The witness is the first record in walk order
+	// whose ID misses a release: the missing ID met earliest.
+	n0 := int32(anonmodel.TotalRecords(sets[0]))
+	if rows > n0 || slices.Contains(cells, 0) {
+		for _, rel := range sets {
+			for _, p := range rel {
+				for i := range p.Size() {
+					id := p.Record(i).ID
+					rank, _ := ids.rank(id)
+					if r := pos[rank] - 1; r >= n0 {
+						return false, fmt.Errorf("verify: record %d missing from release 0", id)
+					} else if ri := slices.Index(row(r), 0); ri >= 0 {
+						return false, fmt.Errorf("verify: record %d missing from release %d", id, ri+1)
+					}
+				}
 			}
 		}
 	}
 	// Every cell lies inside one partition of release 0, so cells are
-	// counted partition by partition. Release 0 was walked first and
-	// holds every ID exactly once, so its records carry the ranks 0, 1,
-	// 2, … in walk order: partition pi's are [lo, lo+len).
-	row := func(rank int32) []int32 { return cells[int(rank)*width : (int(rank)+1)*width] }
+	// counted partition by partition over its run of rows.
 	var group []int32
-	lo, hi := int32(0), int32(0)
-	for _, p := range sets[0] {
-		lo, hi = hi, hi+int32(p.Size())
-		if lo == hi {
+	first, end := int32(0), int32(0)
+	for pi, p := range sets[0] {
+		first, end = end, end+int32(p.Size())
+		if first == end {
 			continue // no records, no cell
 		}
 		// The common family — coarser releases that are unions of whole
 		// release-0 partitions — puts the whole partition in one cell.
 		oneCell := true
-		for rank := lo + 1; rank < hi && oneCell; rank++ {
-			oneCell = slices.Equal(row(rank), row(lo))
+		for r := first + 1; r < end && oneCell; r++ {
+			oneCell = slices.Equal(row(r), row(first))
 		}
 		if oneCell {
 			if p.Size() < k {
-				return cellError(row(lo), p.Size(), k)
+				return false, cellError(pi, row(first), p.Size(), k)
 			}
 			continue
 		}
-		// Otherwise sort the partition's records by cell (ties by rank,
-		// so a cell's first element is its earliest record) and count
-		// the runs; of the cells below k, name the earliest.
+		// Otherwise sort the partition's rows by cell (ties by row, so a
+		// cell's first element is its earliest record) and count the
+		// runs; of the cells below k, name the earliest.
 		group = group[:0]
-		for rank := lo; rank < hi; rank++ {
-			group = append(group, rank)
+		for r := first; r < end; r++ {
+			group = append(group, r)
 		}
 		slices.SortFunc(group, func(a, b int32) int {
 			if c := slices.Compare(row(a), row(b)); c != 0 {
@@ -253,18 +310,19 @@ func Releases(sets [][]anonmodel.Partition, k int) error {
 			i = j
 		}
 		if worst >= 0 {
-			return cellError(row(worst), size, k)
+			return false, cellError(pi, row(worst), size, k)
 		}
 	}
-	return nil
+	return false, nil
 }
 
-// cellError names an intersection cell (stored as partition index + 1
-// per release) holding fewer than k records.
-func cellError(cell []int32, size, k int) error {
-	key := make([]int, len(cell))
-	for i, c := range cell {
-		key[i] = int(c) - 1
+// cellError names the intersection cell of release-0 partition pi and
+// the partitions of the later releases (stored as index + 1) holding
+// fewer than k records.
+func cellError(pi int, later []int32, size, k int) error {
+	key := []int{pi}
+	for _, c := range later {
+		key = append(key, int(c)-1)
 	}
 	return fmt.Errorf("verify: intersection cell %v holds %d records, below k=%d", key, size, k)
 }
