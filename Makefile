@@ -26,7 +26,7 @@ loc:
 # the total of the last change that moved it. A change that adds net
 # non-test lines raises the number here, in its own diff; one that
 # removes lines lowers it to its new total.
-LOC_CEILING = 19044
+LOC_CEILING = 19035
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -ne $(LOC_CEILING) ]; then \
@@ -164,11 +164,13 @@ throughput:
 # objects per 4 096-record chunk and none per record, a tree audit a
 # few objects per tree level however many nodes, and a release audit at
 # most four arrays at any n, on a dense 100 000-record family an exact
-# 0.14 B per record (Release) and 12.2 B (Releases). These are regular
+# 0.14 B per record (Release) and 12.2 B (Releases), and proving that
+# family's base from leaves (verify.NewFamily: scan copy plus Release)
+# an exact 59.8 B, so a second audit of the base shows. These are regular
 # tests built on testing.AllocsPerRun, so CI enforces the budget on
 # every run; this target names them for quick local iteration.
 zeroalloc:
-	$(GO) test -run 'ZeroAlloc|TestDecodeLeafAllocations|TestPublishCostIsOChanged|TestBulkLoadAllocsPerRecord|TestInsertAllocsPerRecord|TestDeleteInsertAllocs|TestCollectAllocsPerChunk|TestAuditAllocations|TestAuditBytesPerRecord' -v ./internal/routing/ ./internal/query/ ./internal/serve/ ./internal/sfc/ ./internal/attr/ ./internal/rplustree/ ./internal/dataset/ ./internal/verify/
+	$(GO) test -run 'ZeroAlloc|TestDecodeLeafAllocations|TestPublishCostIsOChanged|TestBulkLoadAllocsPerRecord|TestInsertAllocsPerRecord|TestDeleteInsertAllocs|TestCollectAllocsPerChunk|TestAuditAllocations|TestAuditBytesPerRecord|TestNewFamilyBytesPerRecord' -v ./internal/routing/ ./internal/query/ ./internal/serve/ ./internal/sfc/ ./internal/attr/ ./internal/rplustree/ ./internal/dataset/ ./internal/verify/
 
 # Every fuzz target in the repository, FUZZTIME each (`go test -fuzz`
 # takes one target and one package per run). CI runs this with

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"spatialanon/internal/anonmodel"
@@ -198,9 +199,10 @@ func servingOps(n int) []wal.Op {
 
 // TestServingLayerDeterministic pins the serving layer to the
 // byte-equality contract: the same operation stream, group-committed
-// in any batch chunking and served at any worker count, must publish
-// the identical releases and the identical query answers as the
-// chunk=1, workers=1 reference — and as the durable store's own scan.
+// in any batch chunking and served at any core count (GOMAXPROCS, the
+// worker count of the release scans), must publish the identical
+// releases and the identical query answers as the chunk=1, workers=1
+// reference — and as the durable store's own scan.
 func TestServingLayerDeterministic(t *testing.T) {
 	const nRecs = 4000
 	ops := servingOps(nRecs)
@@ -211,9 +213,10 @@ func TestServingLayerDeterministic(t *testing.T) {
 		res          []query.Result
 	}
 	build := func(chunk, workers int) outputs {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 		st, err := wal.Create(wal.Options{
 			Dir:    t.TempDir(),
-			Tree:   rplustree.Config{Schema: dataset.LandsEndSchema(), BaseK: 5, Parallelism: workers},
+			Tree:   rplustree.Config{Schema: dataset.LandsEndSchema(), BaseK: 5},
 			NoSync: true,
 		})
 		if err != nil {
@@ -339,17 +342,19 @@ func TestServerPathDeterministic(t *testing.T) {
 // TestDegradedReadsDeterministic extends the byte-equality contract
 // into the failure path: when a deterministic fault schedule poisons
 // the store mid-stream, the degraded-readonly server keeps serving its
-// last published epoch — and that epoch, read at any worker count,
-// must be identical to the workers=1 reference, down to record order.
+// last published epoch — and that epoch, read at any core count
+// (GOMAXPROCS), must be identical to the workers=1 reference, down to
+// record order.
 // Degradation must not cost determinism.
 func TestDegradedReadsDeterministic(t *testing.T) {
 	const nRecs = 300
 	recs := dataset.GenerateLandsEnd(nRecs, benchSeed)
 
 	build := func(w int) (int, []anonmodel.Partition) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
 		st, err := wal.Create(wal.Options{
 			Dir:    t.TempDir(),
-			Tree:   rplustree.Config{Schema: dataset.LandsEndSchema(), BaseK: 5, Parallelism: w},
+			Tree:   rplustree.Config{Schema: dataset.LandsEndSchema(), BaseK: 5},
 			NoSync: true,
 			// One permanent device fault at a fixed point of the schedule:
 			// sequential submits make the append sequence — and therefore
@@ -453,9 +458,9 @@ func TestParallelEvaluatorsDeterministic(t *testing.T) {
 
 // TestRoutingAcceleratorDeterministic pins the read accelerator to the
 // byte-equality contract: for every curve, block size and serving
-// worker count, the accelerated point, range and estimate answers must
-// be identical — counts exactly, estimates bit for bit — to the linear
-// reference scan over the same release. The accelerator may prune
+// core count (GOMAXPROCS), the accelerated point, range and estimate
+// answers must be identical — counts exactly, estimates bit for bit —
+// to the linear reference scan over the same release. The accelerator may prune
 // differently per configuration; it may never answer differently.
 func TestRoutingAcceleratorDeterministic(t *testing.T) {
 	const nRecs = 4000
@@ -464,9 +469,10 @@ func TestRoutingAcceleratorDeterministic(t *testing.T) {
 	ranges := query.FullRangeWorkload(recs, 100, benchSeed+2)
 
 	release := func(workers int) []anonmodel.Partition {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 		st, err := wal.Create(wal.Options{
 			Dir:    t.TempDir(),
-			Tree:   rplustree.Config{Schema: dataset.LandsEndSchema(), BaseK: 5, Parallelism: workers},
+			Tree:   rplustree.Config{Schema: dataset.LandsEndSchema(), BaseK: 5},
 			NoSync: true,
 		})
 		if err != nil {

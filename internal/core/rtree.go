@@ -28,11 +28,12 @@ type RTreeConfig struct {
 	// BulkLoad, when non-nil, makes Load use buffer-tree bulk loading
 	// with this configuration; nil loads tuple-at-a-time.
 	BulkLoad *rplustree.BulkLoadConfig
-	// Parallelism bounds the worker goroutines used by leaf-scan
-	// materialization: 0 uses all available cores, 1 (or negative)
-	// runs serially. Loading and splitting run on the calling
-	// goroutine. Every setting produces the identical partitions; 1 is
-	// the reference execution.
+	// Parallelism bounds the worker goroutines of this anonymizer's own
+	// leaf scans (Partitions, MultiGranular): 0 uses all available
+	// cores, 1 (or negative) runs serially. Loading and splitting run
+	// on the calling goroutine, and the tree takes no worker count.
+	// Every setting produces the identical partitions; 1 is the
+	// reference execution.
 	Parallelism int
 }
 
@@ -98,7 +99,6 @@ func NewRTreeAnonymizer(cfg RTreeConfig) (*RTreeAnonymizer, error) {
 		LeafFactor:   cfg.LeafFactor,
 		NodeCapacity: cfg.NodeCapacity,
 		Split:        cfg.Split,
-		Parallelism:  cfg.Parallelism,
 	}
 	if _, plainK := constraint.(anonmodel.KAnonymity); !plainK {
 		c := constraint

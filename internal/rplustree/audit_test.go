@@ -120,7 +120,7 @@ func TestAuditRefusesEachBreak(t *testing.T) {
 func TestAuditAllocations(t *testing.T) {
 	const bound = 24 // four objects per level of the larger tree
 	for _, n := range []int{20000, 100000} {
-		tr, err := rplustree.New(rplustree.Config{Schema: dataset.LandsEndSchema(), BaseK: 10, Parallelism: 1})
+		tr, err := rplustree.New(rplustree.Config{Schema: dataset.LandsEndSchema(), BaseK: 10})
 		if err != nil {
 			t.Fatal(err)
 		}

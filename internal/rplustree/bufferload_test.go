@@ -271,7 +271,7 @@ func TestLoaderStatsReset(t *testing.T) {
 // over 800 bytes per record on this load.
 func TestLoaderReusesBufferArrays(t *testing.T) {
 	recs := dataset.GenerateLandsEnd(60000, 34)
-	tr, err := New(Config{Schema: dataset.LandsEndSchema(), BaseK: 10, Parallelism: 1})
+	tr, err := New(Config{Schema: dataset.LandsEndSchema(), BaseK: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestLoaderReusesBufferArrays(t *testing.T) {
 func TestBulkLoadAllocsPerRecord(t *testing.T) {
 	recs := dataset.GenerateLandsEnd(20000, 1)
 	perRec := testing.AllocsPerRun(1, func() {
-		tr, err := New(Config{Schema: dataset.LandsEndSchema(), BaseK: 10, Parallelism: 1})
+		tr, err := New(Config{Schema: dataset.LandsEndSchema(), BaseK: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +331,7 @@ func TestBulkLoadAllocsPerRecord(t *testing.T) {
 func TestInsertAllocsPerRecord(t *testing.T) {
 	recs := dataset.GenerateLandsEnd(20000, 1)
 	perRec := testing.AllocsPerRun(1, func() {
-		tr, err := New(Config{Schema: dataset.LandsEndSchema(), BaseK: 10, Parallelism: 1})
+		tr, err := New(Config{Schema: dataset.LandsEndSchema(), BaseK: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +352,7 @@ func TestInsertAllocsPerRecord(t *testing.T) {
 // the boxes on its path in place, and the leaf's array has room again.
 func TestDeleteInsertAllocs(t *testing.T) {
 	recs := dataset.GenerateLandsEnd(20000, 1)
-	tr, err := New(Config{Schema: dataset.LandsEndSchema(), BaseK: 10, Parallelism: 1})
+	tr, err := New(Config{Schema: dataset.LandsEndSchema(), BaseK: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package rplustree
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -193,12 +194,13 @@ func (c *callLog) ChooseSplit(recs []attr.Record, ctx SplitContext) (int, float6
 }
 
 // TestSplitPolicyCallOrder pins that a bulk load calls its SplitPolicy
-// from the calling goroutine, in one order whatever the Parallelism, so a
-// policy need not be safe for concurrent calls. Run it under -race.
+// from the calling goroutine, in one order at any core count (GOMAXPROCS),
+// so a policy need not be safe for concurrent calls. Run it under -race.
 func TestSplitPolicyCallOrder(t *testing.T) {
-	calls := func(parallelism int) []int {
+	calls := func(procs int) []int {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		log := &callLog{}
-		tr, err := New(Config{Schema: dataset.LandsEndSchema(), BaseK: 5, Split: log, Parallelism: parallelism})
+		tr, err := New(Config{Schema: dataset.LandsEndSchema(), BaseK: 5, Split: log})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,9 +216,9 @@ func TestSplitPolicyCallOrder(t *testing.T) {
 		}
 		return log.sizes
 	}
-	serial, all := calls(1), calls(0)
-	if !slices.Equal(serial, all) {
-		t.Fatalf("Parallelism 0 made %d split policy calls, Parallelism 1 %d, or in another order", len(all), len(serial))
+	serial, wide := calls(1), calls(8)
+	if !slices.Equal(serial, wide) {
+		t.Fatalf("GOMAXPROCS 8 made %d split policy calls, GOMAXPROCS 1 %d, or in another order", len(wide), len(serial))
 	}
 }
 

@@ -82,13 +82,6 @@ type Config struct {
 	// guard requiring both halves to satisfy the constraint, and leaves
 	// grow instead of splitting whenever a split would violate it.
 	Guard func(left, right []attr.Record) bool
-	// Parallelism is the worker count of the scans that read the
-	// tree's leaves, which the serving layer (serve.View, shard) takes
-	// from here: 0 uses every available core, 1 (or negative) runs
-	// serially. The tree itself does not read it: it builds on the
-	// calling goroutine, so Split and Guard are never called
-	// concurrently.
-	Parallelism int
 }
 
 func (c Config) withDefaults() Config {

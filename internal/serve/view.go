@@ -28,11 +28,10 @@ import (
 //
 //anonylint:published — stored to Server.cur (atomic.Pointer); immutable after Store
 type View struct {
-	epoch   uint64
-	seq     uint64
-	baseK   int
-	n       int
-	workers int
+	epoch uint64
+	seq   uint64
+	baseK int
+	n     int
 
 	// snap is the tree's persistent snapshot: one born-compacted
 	// partition per leaf, in trie order — the input of every derivation
@@ -77,13 +76,12 @@ type accelEntry struct {
 func (s *Server) publish() {
 	t := s.st.Tree()
 	v := &View{
-		epoch:   s.epoch + 1,
-		seq:     s.st.Seq(),
-		baseK:   s.baseK,
-		n:       t.Len(),
-		workers: t.Config().Parallelism,
-		snap:    t.Snapshot(),
-		accel:   make(map[int]*accelEntry),
+		epoch: s.epoch + 1,
+		seq:   s.st.Seq(),
+		baseK: s.baseK,
+		n:     t.Len(),
+		snap:  t.Snapshot(),
+		accel: make(map[int]*accelEntry),
 	}
 	s.epoch = v.epoch
 	s.cur.Store(v)
@@ -91,9 +89,10 @@ func (s *Server) publish() {
 
 // Family returns the view's release family, built on first use: every
 // release a reader can observe comes out of it, so it has passed the
-// independent auditor — k-anonymity of the scan output plus the
-// Lemma-1 k-boundness check — before it is returned. The proof runs
-// once per published epoch and its verdict is kept with the family.
+// independent auditor — k-anonymity of the base scan, which for one
+// release is also Lemma-1 k-boundness — before it is returned. The
+// proof runs once per published epoch and its verdict is kept with
+// the family.
 // It errors while the store holds fewer than k records — no release
 // exists below k.
 func (v *View) Family() (*verify.Family, error) {
@@ -102,7 +101,7 @@ func (v *View) Family() (*verify.Family, error) {
 			v.famErr = fmt.Errorf("serve: store holds %d records, below base k %d", v.n, v.baseK)
 			return
 		}
-		fam, err := verify.NewFamily(core.Tiling{Partitions: v.snap.Leaves()}, v.baseK, v.workers)
+		fam, err := verify.NewFamily(core.Tiling{Partitions: v.snap.Leaves()}, v.baseK)
 		if err != nil {
 			v.famErr = fmt.Errorf("serve: epoch %d: %w", v.epoch, err)
 			return

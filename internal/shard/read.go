@@ -190,7 +190,7 @@ func (c *Coordinator) jointFamily(views []shardView) (*verify.Family, error) {
 	if err := verify.CrossShard(audit, c.table, c.quant, routeCurve, c.baseK); err != nil {
 		return nil, fmt.Errorf("shard: joint release withheld: %w", err)
 	}
-	fam, err := verify.NewFamily(core.Concat(bases...), c.baseK, c.opts.Tree.Parallelism)
+	fam, err := verify.NewFamily(core.Concat(bases...), c.baseK)
 	if err != nil {
 		return nil, fmt.Errorf("shard: joint release withheld: %w", err)
 	}
@@ -255,7 +255,7 @@ func (c *Coordinator) Export(k1 int) ([]anonmodel.Partition, error) {
 	for i, j := range idx {
 		leaves[i] = anonmodel.Partition{Box: attr.PointBox(recs[j].QI), Records: recs[j : j+1]}
 	}
-	fam, err := verify.NewFamily(core.Tiling{Partitions: leaves}, k1, c.opts.Tree.Parallelism)
+	fam, err := verify.NewFamily(core.Tiling{Partitions: leaves}, k1)
 	if err != nil {
 		return nil, fmt.Errorf("shard: export withheld: %w", err)
 	}

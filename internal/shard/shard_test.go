@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"spatialanon/internal/anonmodel"
@@ -510,11 +511,11 @@ func TestCoordinatorRetryAbsorbsTransients(t *testing.T) {
 }
 
 // TestJointReleaseDeterminism pins the canonical export byte-identical
-// across shard counts {1,2,4} × worker counts {1,2,8}, and the joint
-// concatenation release identical across worker counts at a fixed
-// shard count. The export is the shard-count-invariant product; the
-// concatenation is seam-shaped by design and only promises
-// worker-invariance.
+// across shard counts {1,2,4} × core counts {1,2,8} (GOMAXPROCS, the
+// worker count of the release scans), and the joint concatenation
+// release identical across core counts at a fixed shard count. The
+// export is the shard-count-invariant product; the concatenation is
+// seam-shaped by design and only promises worker-invariance.
 func TestJointReleaseDeterminism(t *testing.T) {
 	recs := makeRecords(t, 240, 29)
 	type run struct {
@@ -526,23 +527,25 @@ func TestJointReleaseDeterminism(t *testing.T) {
 	var runs []run
 	for _, shards := range []int{1, 2, 4} {
 		for _, workers := range []int{1, 2, 8} {
-			opts := testOptions(t, shards)
-			opts.Tree.Parallelism = workers
-			opts.Preload = recs
-			c := newCoordinator(t, opts)
-			exp, err := c.Export(0)
-			if err != nil {
-				t.Fatalf("shards=%d workers=%d export: %v", shards, workers, err)
-			}
-			expC, err := c.Export(3 * testK)
-			if err != nil {
-				t.Fatalf("shards=%d workers=%d export 3k: %v", shards, workers, err)
-			}
-			rel, err := c.Release(0)
-			if err != nil {
-				t.Fatalf("shards=%d workers=%d release: %v", shards, workers, err)
-			}
-			runs = append(runs, run{shards, workers, exp, expC, rel})
+			runs = append(runs, func() run {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+				opts := testOptions(t, shards)
+				opts.Preload = recs
+				c := newCoordinator(t, opts)
+				exp, err := c.Export(0)
+				if err != nil {
+					t.Fatalf("shards=%d workers=%d export: %v", shards, workers, err)
+				}
+				expC, err := c.Export(3 * testK)
+				if err != nil {
+					t.Fatalf("shards=%d workers=%d export 3k: %v", shards, workers, err)
+				}
+				rel, err := c.Release(0)
+				if err != nil {
+					t.Fatalf("shards=%d workers=%d release: %v", shards, workers, err)
+				}
+				return run{shards, workers, exp, expC, rel}
+			}())
 		}
 	}
 	ref := runs[0]

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -13,27 +14,26 @@ import (
 // Chaos under parallelism. A load runs on the calling goroutine, and
 // with it the pager — and therefore the fault injector, which
 // intercepts pager operations — so a faulted load must hit the
-// identical fault schedule at every worker count: same operation
+// identical fault schedule at every core count: same operation
 // count, same injected faults, same recovered tree. These
 // tests pin that, plus the sharded regime: concurrent independent
 // loaders with per-shard injectors derived from one parent seed, each
 // shard replayable in isolation.
 
 // chaosParallelRecords is large enough that Flush splits leaves many
-// times over, so the schedule equality below guards that no worker
-// count reaches the storage schedule. It stays below the root buffer's
+// times over, so the schedule equality below guards that no core count
+// reaches the storage schedule. It stays below the root buffer's
 // capacity: these loads route no batch before Flush.
 const chaosParallelRecords = 12000
 
-// chaosParallelRun bulk loads with faults at the given parallelism,
+// chaosParallelRun bulk loads with faults at GOMAXPROCS procs,
 // recovers, verifies, and returns the injector plus the recovered
 // record IDs in leaf order.
-func chaosParallelRun(t *testing.T, seed int64, parallelism int) (*fault.Injector, []int64) {
+func chaosParallelRun(t *testing.T, seed int64, procs int) (*fault.Injector, []int64) {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	recs := dataset.GenerateLandsEnd(chaosParallelRecords, seed)
-	tr, err := rplustree.New(rplustree.Config{
-		Schema: dataset.LandsEndSchema(), BaseK: chaosBaseK, Parallelism: parallelism,
-	})
+	tr, err := rplustree.New(rplustree.Config{Schema: dataset.LandsEndSchema(), BaseK: chaosBaseK})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +53,11 @@ func chaosParallelRun(t *testing.T, seed int64, parallelism int) (*fault.Injecto
 	dev.repair()
 	bl.Pager().Scrub()
 	if err := bl.Flush(); err != nil {
-		t.Fatalf("seed %d workers %d: flush after recovery: %v", seed, parallelism, err)
+		t.Fatalf("seed %d procs %d: flush after recovery: %v", seed, procs, err)
 	}
 	if err := Tree(tr, TreeOptions{}); err != nil {
-		t.Fatalf("seed %d workers %d (%d faults, %d load errors): %v",
-			seed, parallelism, inj.Injected(), errs, err)
+		t.Fatalf("seed %d procs %d (%d faults, %d load errors): %v",
+			seed, procs, inj.Injected(), errs, err)
 	}
 	var ids []int64
 	for _, l := range tr.Leaves() {
@@ -90,18 +90,18 @@ func TestChaosParallelLoadMatchesSerial(t *testing.T) {
 		for _, w := range []int{2, 4} {
 			inj, ids := chaosParallelRun(t, seed, w)
 			if inj.Ops() != refInj.Ops() {
-				t.Fatalf("seed %d workers %d: %d pager ops, want %d — parallelism changed the storage schedule",
+				t.Fatalf("seed %d procs %d: %d pager ops, want %d — parallelism changed the storage schedule",
 					seed, w, inj.Ops(), refInj.Ops())
 			}
 			if got, want := fmt.Sprint(inj.Counts()), fmt.Sprint(refInj.Counts()); got != want {
-				t.Fatalf("seed %d workers %d: fault counts %s, want %s", seed, w, got, want)
+				t.Fatalf("seed %d procs %d: fault counts %s, want %s", seed, w, got, want)
 			}
 			if len(ids) != len(refIDs) {
-				t.Fatalf("seed %d workers %d: %d records, want %d", seed, w, len(ids), len(refIDs))
+				t.Fatalf("seed %d procs %d: %d records, want %d", seed, w, len(ids), len(refIDs))
 			}
 			for i := range refIDs {
 				if ids[i] != refIDs[i] {
-					t.Fatalf("seed %d workers %d: leaf-order record %d is %d, want %d",
+					t.Fatalf("seed %d procs %d: leaf-order record %d is %d, want %d",
 						seed, w, i, ids[i], refIDs[i])
 				}
 			}

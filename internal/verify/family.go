@@ -13,13 +13,14 @@ import (
 // granularity derived from it. It is the one place a release is
 // proven — the store, the serving view and the shard coordinator hand
 // out only what a Family returns — so holding a *Family is holding the
-// proof. Safe for concurrent use; everything returned is shared and
-// read-only.
+// proof. Its scans use every core; their output is the same at any
+// core count. Safe for concurrent use; everything returned is shared
+// and read-only.
 //
 //anonylint:published — reachable through a published serve.View; writes only under mu or once
 type Family struct {
-	k, workers int
-	base       core.Tiling
+	k    int
+	base core.Tiling
 
 	mu      sync.Mutex
 	derived map[int]*derivation
@@ -38,23 +39,21 @@ type derivation struct {
 
 // NewFamily scans leaves — index leaves or, for a fleet, the shards'
 // base partitions laid end to end — into the base release at
-// granularity k with workers goroutines (0 = all cores; output is
-// identical for every value) and audits it: Release, then Releases
-// over the one-release family. k is the store's validated base k
-// (rplustree.Config rejects k < 2); anonylint:k-validated.
-func NewFamily(leaves core.Tiling, k, workers int) (*Family, error) {
+// granularity k and audits it with Release under k-anonymity: every
+// record inside its box, no partition below k, no ID twice. That is
+// also Lemma 1 for a one-release family, whose cells are its
+// partitions. k is the store's validated base k (rplustree.Config
+// rejects k < 2); anonylint:k-validated.
+func NewFamily(leaves core.Tiling, k int) (*Family, error) {
 	constraint := anonmodel.KAnonymity{K: k}
-	base, err := leaves.Scan(constraint, workers)
+	base, err := leaves.Scan(constraint, 0)
 	if err != nil {
 		return nil, fmt.Errorf("verify: base release: %w", err)
 	}
 	if err := Release(base.Partitions, constraint); err != nil {
 		return nil, fmt.Errorf("verify: base release failed audit: %w", err)
 	}
-	if err := Releases([][]anonmodel.Partition{base.Partitions}, k); err != nil {
-		return nil, fmt.Errorf("verify: base release failed k-boundness audit: %w", err)
-	}
-	return &Family{k: k, workers: workers, base: base, derived: make(map[int]*derivation)}, nil
+	return &Family{k: k, base: base, derived: make(map[int]*derivation)}, nil
 }
 
 // Base returns the audited base release with the record arrays its
@@ -81,7 +80,7 @@ func (f *Family) Release(k1 int) ([]anonmodel.Partition, error) {
 	}
 	f.mu.Unlock()
 	d.once.Do(func() {
-		coarse, err := f.base.Scan(anonmodel.KAnonymity{K: k1}, f.workers)
+		coarse, err := f.base.Scan(anonmodel.KAnonymity{K: k1}, 0)
 		if err == nil {
 			err = Releases([][]anonmodel.Partition{f.base.Partitions, coarse.Partitions}, f.k)
 		}

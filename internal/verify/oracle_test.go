@@ -13,6 +13,7 @@ import (
 
 	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
+	"spatialanon/internal/core"
 	"spatialanon/internal/sfc"
 )
 
@@ -775,27 +776,51 @@ func TestAuditAllocationsAreFlat(t *testing.T) {
 func TestAuditBytesPerRecord(t *testing.T) {
 	const n = 100000
 	sets := auditFamily(n, denseStride)
-	perRecord := func(audit func() error) float64 {
-		var best uint64 = math.MaxUint64
-		for range 3 {
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			err := audit()
-			runtime.ReadMemStats(&after)
-			if err != nil {
-				t.Fatal(err)
-			}
-			best = min(best, after.TotalAlloc-before.TotalAlloc)
-		}
-		return float64(best) / n
-	}
-	release := perRecord(func() error { return Release(sets[0], anonmodel.KAnonymity{K: 10}) })
-	releases := perRecord(func() error { return Releases(sets, 10) })
+	release := bytesPerRecord(t, n, func() error { return Release(sets[0], anonmodel.KAnonymity{K: 10}) })
+	releases := bytesPerRecord(t, n, func() error { return Releases(sets, 10) })
 	t.Logf("Release %.5f B/record, Releases %.5f B/record", release, releases)
 	if release != 0.13568 || releases != 12.24320 {
 		t.Fatalf("Release allocates %.5f B per record, Releases %.5f; pinned 0.13568 and 12.24320", release, releases)
 	}
+}
+
+// TestNewFamilyBytesPerRecord pins what proving a base costs per record
+// when the same family's first release is handed in as index leaves:
+// the scan's one copy of the records, its partitions and boxes, and
+// Release's bitmap. A second audit of the base, Releases over the
+// one-release family, would add its rows: 64.04640 B. The scan runs at
+// GOMAXPROCS 1, so the count is exact.
+func TestNewFamilyBytesPerRecord(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n = 100000
+	leaves := core.Tiling{Partitions: auditFamily(n, denseStride)[0]}
+	got := bytesPerRecord(t, n, func() error {
+		_, err := NewFamily(leaves, 10)
+		return err
+	})
+	t.Logf("NewFamily %.5f B/record", got)
+	if got != 59.83136 {
+		t.Fatalf("NewFamily allocates %.5f B per record; pinned 59.83136", got)
+	}
+}
+
+// bytesPerRecord is the least TotalAlloc delta of three runs of audit,
+// divided by the n records it proves.
+func bytesPerRecord(t *testing.T, n int, audit func() error) float64 {
+	t.Helper()
+	var best uint64 = math.MaxUint64
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		err := audit()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return float64(best) / float64(n)
 }
 
 // TestIDTable exercises the table directly on the shapes that stress

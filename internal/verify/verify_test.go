@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -89,6 +90,56 @@ func TestReleaseAudit(t *testing.T) {
 	}
 	if err := Release(good, nil); err == nil {
 		t.Error("nil constraint accepted")
+	}
+}
+
+// TestNewFamilyRejects calls the one prover directly: a base whose
+// leaves publish one record twice, or hold a record outside the leaf's
+// box, is refused with Release's witness, and a valid base proves to
+// the same partitions at one core as at every core.
+func TestNewFamilyRejects(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		leaves  []anonmodel.Partition
+		witness string
+	}{
+		{"duplicate ID across two leaves", []anonmodel.Partition{part(box(0, 3), 1, 2, 3), part(box(3, 5), 3, 4, 5)},
+			"verify: record 3 published in partitions 0 and 1"},
+		{"record outside its leaf's box", []anonmodel.Partition{part(box(0, 3), 1, 2, 3), part(box(4, 6), 4, 5, 7)},
+			"verify: record 7 at [7] outside partition 1 box ([4 - 6])"},
+	} {
+		if err := Release(tc.leaves, anonmodel.KAnonymity{K: 3}); err == nil || err.Error() != tc.witness {
+			t.Fatalf("%s: Release says %v, want %q", tc.name, err, tc.witness)
+		}
+		_, err := NewFamily(core.Tiling{Partitions: tc.leaves}, 3)
+		if want := "verify: base release failed audit: " + tc.witness; err == nil || err.Error() != want {
+			t.Fatalf("%s: NewFamily says %v, want %q", tc.name, err, want)
+		}
+	}
+
+	leaves := core.Tiling{Partitions: patientTree(t, 5, 800, 33).Leaves()}
+	prove := func(procs int) []anonmodel.Partition {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		fam, err := NewFamily(leaves, 5)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: valid base refused: %v", procs, err)
+		}
+		return fam.Base().Partitions
+	}
+	serial, wide := prove(1), prove(0)
+	if len(serial) != len(wide) {
+		t.Fatalf("%d partitions at GOMAXPROCS 1, %d at the default", len(serial), len(wide))
+	}
+	for i := range serial {
+		a, b := serial[i], wide[i]
+		if !a.Box.Equal(b.Box) || a.Size() != b.Size() {
+			t.Fatalf("partition %d differs: %v (%d) at GOMAXPROCS 1, %v (%d) at the default", i, a.Box, a.Size(), b.Box, b.Size())
+		}
+		for j := range a.Size() {
+			if a.Record(j).ID != b.Record(j).ID {
+				t.Fatalf("partition %d record %d: ID %d at GOMAXPROCS 1, %d at the default", i, j, a.Record(j).ID, b.Record(j).ID)
+			}
+		}
 	}
 }
 

@@ -398,9 +398,9 @@ func (s *Store) applyOp(op Op) (bool, error) {
 // (verify.Tree: regions, MBRs, counts, leaf depth, parent pointers,
 // each trie leaf a distinct child), and — once the store holds at least BaseK
 // records, the threshold below which no release exists — the independent
-// release auditor must re-prove the release family (k-anonymity and
-// Lemma-1 k-boundness of the base release). Only then may the store
-// publish.
+// release auditor must re-prove the base release (verify.NewFamily:
+// k-anonymity, no record twice, every record inside its box). Only then
+// may the store publish.
 func (s *Store) audit() error {
 	if err := verify.Tree(s.tree, verify.TreeOptions{}); err != nil {
 		return fmt.Errorf("wal: recovered tree failed audit: %w", err)
@@ -418,7 +418,7 @@ func (s *Store) audit() error {
 // cannot be served on the strength of an older one.
 func (s *Store) family() (*verify.Family, error) {
 	leaves := core.Tiling{Partitions: s.tree.Leaves()}
-	return verify.NewFamily(leaves, s.tree.Config().BaseK, 1)
+	return verify.NewFamily(leaves, s.tree.Config().BaseK)
 }
 
 // die poisons the store after a crash or unrecoverable append error.
