@@ -26,7 +26,7 @@ loc:
 # the total of the last change that moved it. A change that adds net
 # non-test lines raises the number here, in its own diff; one that
 # removes lines lowers it to its new total.
-LOC_CEILING = 19035
+LOC_CEILING = 19229
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -ne $(LOC_CEILING) ]; then \
@@ -72,9 +72,17 @@ lint-json:
 # insurance. The whole suite runs under the race detector (≈2 min on
 # two cores) — no hand-kept package list to fall out of date: races in
 # the parallel and serving layers are correctness bugs in the
-# determinism guarantee, not perf noise.
+# determinism guarantee, not perf noise. The whole output is kept in
+# test_output.txt and printed; on a failure every `--- FAIL`, `FAIL`
+# and `panic:` line follows it, so the failing test is named at the end
+# of the log however long the output above it.
+TEST_FAILURES = grep -e '--- FAIL' -e '^FAIL' -e 'panic:' test_output.txt
 test: vet
-	$(GO) test -race ./...
+	@status=0; $(GO) test -race ./... > test_output.txt 2>&1 || status=$$?; \
+	cat test_output.txt; \
+	if [ $$status -ne 0 ]; then \
+		echo "make test: go test exited $$status; failing lines:"; $(TEST_FAILURES); exit $$status; \
+	fi
 
 # The seeded fault-schedule harness (internal/verify), verbosely. This
 # target and the three matrices below are local, verbose forms: CI's
@@ -158,8 +166,10 @@ throughput:
 # (encode into spare capacity, decode into the caller's vector); a leaf
 # decodes with a fixed number of allocations however many records it
 # holds, a publish allocates a few objects per tree level however
-# many leaves there are, a buffer-tree load at most 0.63 objects per
-# record and a tuple load at most 0.43, a delete and re-insert that
+# many leaves there are, a buffer-tree load at most 0.578 objects per
+# record (and, one-shot on 50 000 records, 182.051 B per record, where
+# buffers that copied records at every level took 307.484) and a tuple
+# load at most 0.43 objects, a delete and re-insert that
 # leave their leaf at or above k none, draining a generator a few
 # objects per 4 096-record chunk and none per record, a tree audit a
 # few objects per tree level however many nodes, and a release audit at
@@ -170,7 +180,7 @@ throughput:
 # tests built on testing.AllocsPerRun, so CI enforces the budget on
 # every run; this target names them for quick local iteration.
 zeroalloc:
-	$(GO) test -run 'ZeroAlloc|TestDecodeLeafAllocations|TestPublishCostIsOChanged|TestBulkLoadAllocsPerRecord|TestInsertAllocsPerRecord|TestDeleteInsertAllocs|TestCollectAllocsPerChunk|TestAuditAllocations|TestAuditBytesPerRecord|TestNewFamilyBytesPerRecord' -v ./internal/routing/ ./internal/query/ ./internal/serve/ ./internal/sfc/ ./internal/attr/ ./internal/rplustree/ ./internal/dataset/ ./internal/verify/
+	$(GO) test -run 'ZeroAlloc|TestDecodeLeafAllocations|TestPublishCostIsOChanged|TestBulkLoadAllocsPerRecord|TestBulkLoadBytesPerRecord|TestInsertAllocsPerRecord|TestDeleteInsertAllocs|TestCollectAllocsPerChunk|TestAuditAllocations|TestAuditBytesPerRecord|TestNewFamilyBytesPerRecord' -v ./internal/routing/ ./internal/query/ ./internal/serve/ ./internal/sfc/ ./internal/attr/ ./internal/rplustree/ ./internal/dataset/ ./internal/verify/
 
 # Every fuzz target in the repository, FUZZTIME each (`go test -fuzz`
 # takes one target and one package per run). CI runs this with

@@ -146,19 +146,35 @@ func (a *RTreeAnonymizer) Len() int { return a.tree.Len() }
 // (buffer tree or tuple-at-a-time) and leaves the index query-ready.
 // It may be called repeatedly — each call is one incremental batch of
 // the Section 2.2 / Figure 7(b) regime, and with a bulk loader one load:
-// a loader is opened for it and closed when it ends.
+// a loader is opened for it and closed when it ends. That one-shot load
+// (rplustree.BulkLoader.Load) moves row numbers into recs, which it only
+// reads and does not keep; on error the loader stays open, holding its
+// own copies of what it still buffers, and Sync retries. With a load
+// already open (LoadBuffered), recs joins it and Sync ends it.
 func (a *RTreeAnonymizer) Load(recs []attr.Record) error {
-	if a.cfg.BulkLoad != nil {
-		if err := a.LoadBuffered(recs); err != nil {
+	if a.cfg.BulkLoad == nil {
+		for _, r := range recs {
+			if err := a.tree.Insert(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if a.loader != nil {
+		if err := a.loader.InsertBatch(recs); err != nil {
 			return err
 		}
 		return a.Sync()
 	}
-	for _, r := range recs {
-		if err := a.tree.Insert(r); err != nil {
-			return err
-		}
+	bl, err := rplustree.NewBulkLoader(a.tree, *a.cfg.BulkLoad)
+	if err != nil {
+		return err
 	}
+	if err := bl.Load(recs); err != nil {
+		a.loader = bl
+		return err
+	}
+	a.closed(bl)
 	return nil
 }
 
@@ -193,11 +209,16 @@ func (a *RTreeAnonymizer) Sync() error {
 	if err := a.loader.Close(); err != nil {
 		return err
 	}
-	s := a.loader.Stats()
-	a.reads += s.Reads
-	a.writes += s.Writes
+	a.closed(a.loader)
 	a.loader = nil
 	return nil
+}
+
+// closed adds a closed load's I/O to the totals IOStats reports.
+func (a *RTreeAnonymizer) closed(bl *rplustree.BulkLoader) {
+	s := bl.Stats()
+	a.reads += s.Reads
+	a.writes += s.Writes
 }
 
 // Insert adds one record (tuple-at-a-time maintenance), after ending any

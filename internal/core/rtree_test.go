@@ -7,6 +7,8 @@ import (
 	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
 	"spatialanon/internal/dataset"
+	"spatialanon/internal/fault"
+	"spatialanon/internal/pager"
 	"spatialanon/internal/quality"
 	"spatialanon/internal/rplustree"
 )
@@ -322,5 +324,61 @@ func TestMaintenanceAfterLoadChargesNoIO(t *testing.T) {
 	const pinned uint64 = 0x8bf98405b6e54104
 	if got := releaseDigest(a.Tree().Leaves()); got != pinned {
 		t.Errorf("leaf digest %#x, pinned %#x", got, pinned)
+	}
+}
+
+// readFault is a loader disk whose reads fail permanently once armed,
+// until repaired.
+type readFault struct {
+	pager.Disk
+	raw pager.Disk
+}
+
+func (d *readFault) wrap(disk pager.Disk) pager.Disk {
+	d.Disk, d.raw = fault.NewInjector(1, fault.Config{PermanentReadRate: 1, After: 60}).Disk(disk), disk
+	return d
+}
+
+// TestFailedLoadSyncsLater: a bulk Load that fails on its disk leaves
+// its load open without holding on to the caller's slice; once the
+// storage is repaired, Sync finishes the load with the records Load was
+// given.
+func TestFailedLoadSyncsLater(t *testing.T) {
+	dev := &readFault{}
+	a, err := NewRTreeAnonymizer(RTreeConfig{
+		Schema: dataset.PatientsSchema(), BaseK: 5,
+		BulkLoad: &rplustree.BulkLoadConfig{PageSize: 256, MemoryBytes: 16 * 256, RecordBytes: 16, Fault: dev.wrap},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := dataset.GeneratePatients(2000, 44)
+	ids := make(map[int64]bool, len(recs))
+	for _, r := range recs {
+		ids[r.ID] = true
+	}
+	if err := a.Load(recs); err == nil {
+		t.Fatal("Load on a failing disk succeeded")
+	}
+	for i := range recs {
+		recs[i] = attr.Record{ID: -1}
+	}
+	dev.Disk = dev.raw
+	if err := a.Sync(); err != nil {
+		t.Fatalf("Sync after repair: %v", err)
+	}
+	if err := a.Tree().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range a.Tree().Leaves() {
+		for i := range l.Size() {
+			if id := l.Record(i).ID; !ids[id] {
+				t.Fatalf("record %d in the tree was never loaded", id)
+			}
+			delete(ids, l.Record(i).ID)
+		}
+	}
+	if len(ids) > 0 {
+		t.Fatalf("%d loaded records missing from the tree", len(ids))
 	}
 }

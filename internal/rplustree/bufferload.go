@@ -2,6 +2,7 @@ package rplustree
 
 import (
 	"fmt"
+	"slices"
 
 	"spatialanon/internal/attr"
 	"spatialanon/internal/pager"
@@ -26,6 +27,13 @@ import (
 // payloads themselves stay in the Go heap — the pages carry cost, not
 // truth — which keeps the simulation honest about I/O counts without
 // double-storing multi-gigabyte data sets.
+//
+// Row numbers. In the heap a record descends as a uint32 row number into
+// the load's row table (rowTable), not as a copy of its attr.Record: a
+// node buffer is an array of row numbers, routing partitions row numbers,
+// and records are copied only when a delivery lands them in a leaf. A
+// one-shot Load numbers the rows of the caller's slice in place; Insert
+// and InsertBatch copy their records into rows the loader owns.
 //
 // Failure semantics. Every pager access can fail (BulkLoadConfig.Fault
 // puts the pager's disk behind a failing device; see internal/fault).
@@ -83,11 +91,66 @@ func (c BulkLoadConfig) withDefaults(dims int) BulkLoadConfig {
 	return c
 }
 
-// nodeBuffer holds a node's blocked records plus the pager pages that
-// carry their I/O cost.
+// nodeBuffer holds a node's blocked records, as row numbers, plus the
+// pager pages that carry their I/O cost.
 type nodeBuffer struct {
-	recs  []attr.Record
+	rows  []uint32
 	pages []pager.PageID
+}
+
+// rowShift sizes the row table's blocks: 1 024 rows, 48 KiB of records.
+const rowShift = 10
+
+// maxRows is the most rows a load can number: a row number is a uint32.
+const maxRows uint64 = 1 << 32
+
+// rowTable holds the records a load moves, numbered: row r is
+// blocks[r>>rowShift][r&(1<<rowShift-1)]. Blocks are fixed-size, so the
+// table never regrows and copies. Rows the loader owns (Insert's copies)
+// fill blocks it allocates; a one-shot Load appends blocks that window
+// the caller's slice, lent, and ends the loan when it returns. Once no
+// buffer names a row (the end of a Flush) the table starts afresh.
+type rowTable struct {
+	blocks [][]attr.Record
+	n      int    // rows numbered: the next owned row is n
+	lent   [2]int // the blocks [lent[0], lent[1]) window a Load's slice
+}
+
+// at returns row r.
+func (t *rowTable) at(r uint32) *attr.Record {
+	return &t.blocks[r>>rowShift][r&(1<<rowShift-1)]
+}
+
+// own copies rec into the next owned row.
+func (t *rowTable) own(rec attr.Record) (uint32, error) {
+	if uint64(t.n) >= maxRows {
+		return 0, fmt.Errorf("rplustree: a load numbers at most %d rows", maxRows)
+	}
+	b := t.n >> rowShift
+	if b == len(t.blocks) {
+		t.blocks = append(t.blocks, make([]attr.Record, 1<<rowShift))
+	}
+	r := uint32(t.n)
+	t.blocks[b][t.n&(1<<rowShift-1)] = rec
+	t.n++
+	return r, nil
+}
+
+// lend numbers recs in place, from the next whole block on, and returns
+// the row number of recs[0].
+func (t *rowTable) lend(recs []attr.Record) (uint32, error) {
+	first := (t.n + 1<<rowShift - 1) &^ (1<<rowShift - 1) // = len(t.blocks) << rowShift
+	if uint64(first)+uint64(len(recs)) > maxRows {
+		return 0, fmt.Errorf("rplustree: a load numbers at most %d rows; %d more do not fit", maxRows, len(recs))
+	}
+	t.lent[0] = len(t.blocks)
+	for i := 0; i < len(recs); i += 1 << rowShift {
+		end := min(i+1<<rowShift, len(recs))
+		t.blocks = append(t.blocks, recs[i:end:end])
+	}
+	t.lent[1] = len(t.blocks)
+	t.n = len(t.blocks) << rowShift
+	return uint32(first), nil
 }
 
 // BulkLoader drives buffer-tree insertion into a Tree.
@@ -101,12 +164,20 @@ type BulkLoader struct {
 	nodePages map[*node]pager.PageID // structural + leaf proxy pages
 	buffered  int                    // records blocked in node buffers
 
+	rows rowTable // the records the buffers' row numbers name
+
+	// scratch and box gather one delivery's records and their bounds for
+	// bulkAppendLeaf; scratch is sized by the largest delivery and
+	// dropped at the end of Flush.
+	scratch []attr.Record
+	box     attr.Box
+
 	// free holds emptied buffer arrays for the next buffer that needs
 	// one: every record passes through a buffer per level, and arrays
 	// grown by append and dropped at each emptying were four fifths of a
 	// load's allocation. At most maxFreeArrays are kept, and none past
 	// the end of Flush.
-	free [][]attr.Record
+	free [][]uint32
 }
 
 // maxFreeArrays bounds BulkLoader.free: an emptying frees one array
@@ -152,6 +223,7 @@ func NewBulkLoader(t *Tree, cfg BulkLoadConfig) (*BulkLoader, error) {
 		cfg:         cfg,
 		recsPerPage: cfg.PageSize / cfg.RecordBytes,
 		nodePages:   make(map[*node]pager.PageID),
+		box:         attr.NewBox(t.cfg.Schema.Dims()),
 	}
 	bl.bufferCap = bufferPages * bl.recsPerPage
 	t.loader = bl
@@ -180,31 +252,108 @@ func (bl *BulkLoader) Close() error {
 	return nil
 }
 
-// Insert blocks one record in the root buffer, emptying it downward when
-// it exceeds the threshold. A record attr.ValidateQI refuses is not
-// blocked; on any other error it is (or is already in a leaf) — only I/O
-// charges failed, so no record is ever silently dropped.
+// Insert copies one record into a row the loader owns and blocks it in
+// the root buffer, emptying it downward when it exceeds the threshold. A
+// record attr.ValidateQI refuses is not blocked, nor is one past the
+// rows a load can number; on any other error it is (or is already in a
+// leaf) — only I/O charges failed, so no record is ever silently dropped.
 func (bl *BulkLoader) Insert(rec attr.Record) error {
 	if err := attr.ValidateQI(bl.tree.cfg.Schema.Dims(), rec.QI); err != nil {
 		return fmt.Errorf("rplustree: %w", err)
 	}
-	root := bl.tree.root
-	err := bl.appendBufferBatch(root, []attr.Record{rec})
-	if root.buffer != nil && len(root.buffer.recs) > bl.rootBufferCap() {
-		if e := bl.emptyBuffer(root); err == nil {
+	r, err := bl.rows.own(rec)
+	if err != nil {
+		return err
+	}
+	return bl.block(r)
+}
+
+// InsertBatch copies a batch of records into rows the loader owns and
+// blocks them, so the caller may reuse recs once it returns. A failure
+// mid-batch does not silently drop the tail: every record is still
+// inserted and the first error is returned.
+func (bl *BulkLoader) InsertBatch(recs []attr.Record) error {
+	var err error
+	for _, r := range recs {
+		if e := bl.Insert(r); e != nil && err == nil {
 			err = e
 		}
 	}
 	return err
 }
 
-// InsertBatch blocks a batch of records. A failure mid-batch does not
-// silently drop the tail: every record is still inserted and the first
-// error is returned.
-func (bl *BulkLoader) InsertBatch(recs []attr.Record) error {
-	var err error
-	for _, r := range recs {
-		if e := bl.Insert(r); e != nil && err == nil {
+// Load is a one-shot load of recs: it blocks them as InsertBatch does —
+// a record attr.ValidateQI refuses is skipped and the first error is
+// returned — then flushes and closes the loader. The records descend as
+// row numbers into recs itself, which Load only reads: it never writes
+// or reorders recs, and holds no reference to it once it returns. Each
+// leaf receives copies, as from InsertBatch, and the tree, its record
+// order and the I/O charged are those of InsertBatch, Flush and Close on
+// the same records. On any error the loader stays attached with its own
+// copies of the records it still buffers, and Flush or Close finishes
+// the load once the storage recovers. A slice with more records than a
+// uint32 can number is refused whole.
+func (bl *BulkLoader) Load(recs []attr.Record) error {
+	first, err := bl.rows.lend(recs)
+	if err != nil {
+		return err
+	}
+	dims := bl.tree.cfg.Schema.Dims()
+	for i := range recs {
+		e := attr.ValidateQI(dims, recs[i].QI)
+		if e != nil {
+			e = fmt.Errorf("rplustree: %w", e)
+		} else {
+			e = bl.block(first + uint32(i))
+		}
+		if e != nil && err == nil {
+			err = e
+		}
+	}
+	if err == nil {
+		err = bl.Close()
+	}
+	if err != nil && bl.rows.lent != [2]int{} {
+		bl.endLoan()
+	}
+	return err
+}
+
+// endLoan ends a failed Load's loan of the caller's slice: a lent block
+// that a buffered row still names becomes an owned copy, the others are
+// dropped.
+func (bl *BulkLoader) endLoan() {
+	t := &bl.rows
+	live := make([]bool, len(t.blocks))
+	var mark func(n *node)
+	mark = func(n *node) {
+		if n.buffer != nil {
+			for _, r := range n.buffer.rows {
+				live[r>>rowShift] = true
+			}
+		}
+		if !n.isLeaf() {
+			n.trie.each(mark)
+		}
+	}
+	mark(bl.tree.root)
+	for b := t.lent[0]; b < t.lent[1]; b++ {
+		if live[b] {
+			t.blocks[b] = slices.Clone(t.blocks[b])
+		} else {
+			t.blocks[b] = nil
+		}
+	}
+	t.lent = [2]int{}
+}
+
+// block appends row r to the root buffer, emptying the buffer downward
+// when it exceeds its threshold.
+func (bl *BulkLoader) block(r uint32) error {
+	root := bl.tree.root
+	err := bl.appendBufferBatch(root, []uint32{r})
+	if len(root.buffer.rows) > bl.rootBufferCap() {
+		if e := bl.emptyBuffer(root); err == nil {
 			err = e
 		}
 	}
@@ -224,7 +373,7 @@ func (bl *BulkLoader) Flush() error {
 			return err
 		}
 	}
-	bl.free = nil
+	bl.free, bl.scratch, bl.rows = nil, nil, rowTable{}
 	// Make the flushed state durable: dirty pages still in the pool are
 	// written back (and charged) now, so the I/O counters reflect a
 	// complete, persistent load.
@@ -238,7 +387,7 @@ func (bl *BulkLoader) Flush() error {
 // walking on through a replaced node's trie is harmless (its buffer is
 // empty). The first error stops the walk.
 func (bl *BulkLoader) flush(n *node) (err error) {
-	if n.buffer != nil && len(n.buffer.recs) > 0 {
+	if n.buffer != nil && len(n.buffer.rows) > 0 {
 		err = bl.emptyBuffer(n)
 	}
 	if err == nil && !n.isLeaf() {
@@ -261,13 +410,13 @@ func (bl *BulkLoader) rootBufferCap() int {
 	return 64 * bl.bufferCap
 }
 
-// appendBufferBatch blocks a non-empty batch in n's buffer in one
-// append, spilling a cost page per recsPerPage records. The batch lands
-// before the fallible spill, so an error never loses it, and it is
+// appendBufferBatch blocks a non-empty batch of rows in n's buffer in
+// one append, spilling a cost page per recsPerPage records. The batch
+// lands before the fallible spill, so an error never loses it, and it is
 // copied: the caller keeps its array.
-func (bl *BulkLoader) appendBufferBatch(n *node, recs []attr.Record) error {
-	buf := bl.reserve(n, len(recs))
-	buf.recs = append(buf.recs, recs...)
+func (bl *BulkLoader) appendBufferBatch(n *node, rows []uint32) error {
+	buf := bl.reserve(n, len(rows))
+	buf.rows = append(buf.rows, rows...)
 	return bl.spillPages(buf)
 }
 
@@ -281,11 +430,11 @@ func (bl *BulkLoader) reserve(n *node, extra int) *nodeBuffer {
 	}
 	bl.buffered += extra
 	buf := n.buffer
-	need := len(buf.recs) + extra
-	if need <= cap(buf.recs) {
+	need := len(buf.rows) + extra
+	if need <= cap(buf.rows) {
 		return buf
 	}
-	pages := (max(need, 2*cap(buf.recs)) + bl.recsPerPage - 1) / bl.recsPerPage
+	pages := (max(need, 2*cap(buf.rows)) + bl.recsPerPage - 1) / bl.recsPerPage
 	want := pages * bl.recsPerPage
 	best := -1
 	for i, a := range bl.free {
@@ -295,25 +444,25 @@ func (bl *BulkLoader) reserve(n *node, extra int) *nodeBuffer {
 			best = i
 		}
 	}
-	var grown []attr.Record
+	var grown []uint32
 	if best >= 0 {
 		last := len(bl.free) - 1
 		grown = bl.free[best]
 		bl.free[best], bl.free[last] = bl.free[last], nil
 		bl.free = bl.free[:last]
 	} else {
-		grown = make([]attr.Record, 0, want)
+		grown = make([]uint32, 0, want)
 	}
-	old := buf.recs
-	buf.recs = append(grown, old...)
+	old := buf.rows
+	buf.rows = append(grown, old...)
 	bl.recycle(old)
 	return buf
 }
 
 // recycle offers an array nobody refers to any more to the free list.
-func (bl *BulkLoader) recycle(recs []attr.Record) {
-	if cap(recs) > 0 && len(bl.free) < maxFreeArrays {
-		bl.free = append(bl.free, recs[:0])
+func (bl *BulkLoader) recycle(rows []uint32) {
+	if cap(rows) > 0 && len(bl.free) < maxFreeArrays {
+		bl.free = append(bl.free, rows[:0])
 	}
 }
 
@@ -323,7 +472,7 @@ func (bl *BulkLoader) recycle(recs []attr.Record) {
 // buffered and unbacked; a later spill of the same buffer resumes
 // where this one stopped.
 func (bl *BulkLoader) spillPages(buf *nodeBuffer) error {
-	for len(buf.pages) < len(buf.recs)/bl.recsPerPage {
+	for len(buf.pages) < len(buf.rows)/bl.recsPerPage {
 		id, err := bl.allocPage()
 		if err != nil {
 			return err
@@ -368,7 +517,7 @@ func (bl *BulkLoader) readPage(id pager.PageID, dirty bool) error {
 // so on error the buffer is intact and the emptying can be retried
 // without record loss. The caller recycles the array once the batch is
 // delivered.
-func (bl *BulkLoader) takeBuffer(n *node) ([]attr.Record, error) {
+func (bl *BulkLoader) takeBuffer(n *node) ([]uint32, error) {
 	if n.buffer == nil {
 		return nil, nil
 	}
@@ -377,13 +526,13 @@ func (bl *BulkLoader) takeBuffer(n *node) ([]attr.Record, error) {
 			return nil, err
 		}
 	}
-	recs := n.buffer.recs
+	rows := n.buffer.rows
 	for _, id := range n.buffer.pages {
 		bl.pg.Free(id)
 	}
 	n.buffer = nil
-	bl.buffered -= len(recs)
-	return recs, nil
+	bl.buffered -= len(rows)
+	return rows, nil
 }
 
 // touchNode charges a read (and optional write) of the node's proxy
@@ -422,19 +571,19 @@ func (bl *BulkLoader) dropNode(n *node) {
 // batch is taken, it is pushed down in full and the first I/O-charge
 // error is collected and returned.
 func (bl *BulkLoader) emptyBuffer(n *node) error {
-	recs, err := bl.takeBuffer(n)
+	rows, err := bl.takeBuffer(n)
 	if err != nil {
 		return err
 	}
-	if len(recs) == 0 {
+	if len(rows) == 0 {
 		return nil
 	}
 	err = bl.touchNode(n, false)
 	var e error
 	if n.isLeaf() {
-		e = bl.terminate(n, recs)
+		e = bl.terminate(n, rows)
 	} else {
-		e = bl.routeTrie(n.trie, recs)
+		e = bl.routeTrie(n.trie, rows)
 	}
 	if err == nil {
 		err = e
@@ -442,14 +591,14 @@ func (bl *BulkLoader) emptyBuffer(n *node) error {
 	// Every delivery copies its share, so once the batch is routed its
 	// array is free for the next buffer — the children's, if they empty
 	// in turn.
-	bl.recycle(recs)
+	bl.recycle(rows)
 	// Empty any child buffer that overflowed, in trie order: a split the
 	// recursion causes cuts only the trie leaf of the child being emptied,
 	// which the walk has passed, so neither half is visited. Leaf children
 	// have no buffers.
 	if !n.isLeaf() {
 		n.trie.each(func(c *node) {
-			if c.buffer != nil && len(c.buffer.recs) > bl.bufferCap {
+			if c.buffer != nil && len(c.buffer.rows) > bl.bufferCap {
 				if e := bl.emptyBuffer(c); e != nil && err == nil {
 					err = e
 				}
@@ -468,9 +617,20 @@ func (bl *BulkLoader) emptyBuffer(n *node) error {
 // pays). The charge is computed and attempted before the append (the
 // append re-parents the leaf), but its failure does not stop the records
 // from landing.
-func (bl *BulkLoader) terminate(leaf *node, recs []attr.Record) error {
+func (bl *BulkLoader) terminate(leaf *node, rows []uint32) error {
 	err := bl.touchNode(unitOf(leaf), true)
-	if e := bl.tree.bulkAppendLeaf(leaf, recs); err == nil {
+	if cap(bl.scratch) < len(rows) {
+		bl.scratch = make([]attr.Record, len(rows))
+	}
+	recs := bl.scratch[:len(rows)]
+	for i := range bl.box {
+		bl.box[i] = attr.EmptyInterval()
+	}
+	for i, r := range rows {
+		recs[i] = *bl.rows.at(r)
+		bl.box.Include(recs[i].QI)
+	}
+	if e := bl.tree.bulkAppendLeaf(leaf, recs, bl.box); err == nil {
 		err = e
 	}
 	return err
@@ -486,7 +646,7 @@ func unitOf(n *node) *node {
 	return n
 }
 
-// routeTrie is one walk down the trie: it partitions recs in place at
+// routeTrie is one walk down the trie: it partitions rows in place at
 // each hyperplane, recurses left then right, and delivers each trie
 // leaf's share as soon as it is cut off — into the child itself when
 // the child is a leaf, into its buffer otherwise. Every share is
@@ -498,22 +658,39 @@ func unitOf(n *node) *node {
 // splits only the leaf it went to, rewriting that leaf's own trie leaf,
 // and the nodes above it, and splitInternal reuses its trie's subtrees
 // without writing a trie node.
-func (bl *BulkLoader) routeTrie(st *splitTrie, recs []attr.Record) error {
-	if len(recs) == 0 {
+func (bl *BulkLoader) routeTrie(st *splitTrie, rows []uint32) error {
+	if len(rows) == 0 {
 		return nil
 	}
 	if st.isLeaf() {
 		if st.child.isLeaf() {
-			return bl.terminate(st.child, recs)
+			return bl.terminate(st.child, rows)
 		}
-		return bl.appendBufferBatch(st.child, recs)
+		return bl.appendBufferBatch(st.child, rows)
 	}
-	mid := partition(recs, st.axis, st.value, nil, nil)
-	err := bl.routeTrie(st.left, recs[:mid])
-	if e := bl.routeTrie(st.right, recs[mid:]); err == nil {
+	mid := bl.partitionRows(rows, st.axis, st.value)
+	err := bl.routeTrie(st.left, rows[:mid])
+	if e := bl.routeTrie(st.right, rows[mid:]); err == nil {
 		err = e
 	}
 	return err
+}
+
+// partitionRows is partition's Hoare sweep over row numbers: the same
+// comparisons, hence the same permutation, as partition makes on the
+// records themselves.
+func (bl *BulkLoader) partitionRows(rows []uint32, axis int, value float64) int {
+	tab := bl.rows
+	lo, hi := 0, len(rows)
+	for lo < hi {
+		if tab.at(rows[lo]).QI[axis] < value {
+			lo++
+		} else {
+			hi--
+			rows[lo], rows[hi] = rows[hi], rows[lo]
+		}
+	}
+	return lo
 }
 
 // splitBuffer is the Tree's hook into the loader when a node splits:

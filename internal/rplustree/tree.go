@@ -295,17 +295,13 @@ func (t *Tree) insertIntoLeaf(leaf *node, rec attr.Record) error {
 // leaf is then split recursively down to capacity. Grouped appends are
 // what make buffer emptying cheaper than tuple-at-a-time insertion even
 // in memory — one path update and O(log) splits per group instead of
-// per record.
-func (t *Tree) bulkAppendLeaf(leaf *node, recs []attr.Record) error {
+// per record. box bounds recs.
+func (t *Tree) bulkAppendLeaf(leaf *node, recs []attr.Record, box attr.Box) error {
 	if len(recs) == 0 {
 		return nil
 	}
 	leaf.recs = append(leaf.recs, recs...)
 	t.clock++
-	box := attr.NewBox(t.cfg.Schema.Dims())
-	for _, r := range recs {
-		box.Include(r.QI)
-	}
 	for n := leaf; n != nil; n = n.parent {
 		n.count += len(recs)
 		n.mbr.IncludeBox(box)
