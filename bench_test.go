@@ -50,9 +50,9 @@ func landsEnd(n int) []attr.Record {
 	return out
 }
 
-func newRT(b *testing.B, split rplustree.SplitPolicy, bulk bool, workers int) *core.RTreeAnonymizer {
+func newRT(b *testing.B, split rplustree.SplitPolicy, bulk bool) *core.RTreeAnonymizer {
 	b.Helper()
-	cfg := core.RTreeConfig{Schema: dataset.LandsEndSchema(), BaseK: 5, Split: split, Parallelism: workers}
+	cfg := core.RTreeConfig{Schema: dataset.LandsEndSchema(), BaseK: 5, Split: split}
 	if bulk {
 		cfg.BulkLoad = &rplustree.BulkLoadConfig{RecordBytes: 32}
 	}
@@ -63,7 +63,7 @@ func newRT(b *testing.B, split rplustree.SplitPolicy, bulk bool, workers int) *c
 	return rt
 }
 
-// benchWorkers returns the worker counts the parallel-vs-serial
+// benchWorkers returns the GOMAXPROCS values the parallel-vs-serial
 // benchmarks sweep: serial always, plus all cores when that differs.
 // Output is identical across counts, so the delta is pure wall-clock.
 func benchWorkers() []int {
@@ -88,8 +88,9 @@ func BenchmarkFig7aRTreeBulk(b *testing.B) {
 	for _, k := range benchKs {
 		for _, w := range benchWorkers() {
 			b.Run(fmt.Sprintf("k=%d/workers=%d", k, w), func(b *testing.B) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
 				for i := 0; i < b.N; i++ {
-					rt := newRT(b, nil, true, w)
+					rt := newRT(b, nil, true)
 					if err := rt.Load(recs); err != nil {
 						b.Fatal(err)
 					}
@@ -111,14 +112,14 @@ func BenchmarkFig7aTopDown(b *testing.B) {
 	for _, k := range benchKs {
 		for _, w := range benchWorkers() {
 			b.Run(fmt.Sprintf("k=%d/workers=%d", k, w), func(b *testing.B) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					cp := make([]attr.Record, len(recs))
 					copy(cp, recs)
 					b.StartTimer()
 					ps, err := mondrian.Anonymize(dataset.LandsEndSchema(), cp, mondrian.Options{
-						Constraint:  anonmodel.KAnonymity{K: k},
-						Parallelism: w,
+						Constraint: anonmodel.KAnonymity{K: k},
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -140,7 +141,7 @@ func BenchmarkFig7bIncrementalBatch(b *testing.B) {
 	const batch = 2000
 	recs := landsEnd(benchRecords)
 	fresh := dataset.GenerateLandsEnd(2*batch, benchSeed+1)[batch:] // distinct tail batch
-	rt := newRT(b, nil, true, 0)
+	rt := newRT(b, nil, true)
 	if err := rt.Load(recs); err != nil {
 		b.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func BenchmarkFig9Compaction(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := compact.Partitions(ps, 1)
+		out := compact.Partitions(ps)
 		if len(out) != len(ps) {
 			b.Fatal("partition count changed")
 		}
@@ -238,7 +239,7 @@ func BenchmarkFig10Quality(b *testing.B) {
 		run  func() []anonmodel.Partition
 	}{
 		{"rtree", func() []anonmodel.Partition {
-			rt := newRT(b, nil, true, 0)
+			rt := newRT(b, nil, true)
 			if err := rt.Load(recs); err != nil {
 				b.Fatal(err)
 			}
@@ -264,14 +265,14 @@ func BenchmarkFig10Quality(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			return compact.Partitions(ps, 1)
+			return compact.Partitions(ps)
 		}},
 	}
 	for _, sys := range systems {
 		b.Run(sys.name, func(b *testing.B) {
 			var rep quality.Report
 			for i := 0; i < b.N; i++ {
-				rep = quality.Measure(schema, sys.run(), domain, 1)
+				rep = quality.Measure(schema, sys.run(), domain)
 			}
 			b.ReportMetric(rep.Discernibility, "DM")
 			b.ReportMetric(rep.Certainty, "CM")
@@ -305,7 +306,7 @@ func BenchmarkFig11IncrementalQuality(b *testing.B) {
 func BenchmarkFig12aQueryError(b *testing.B) {
 	recs := landsEnd(benchRecords)
 	queries := query.FullRangeWorkload(recs, 300, benchSeed)
-	rt := newRT(b, nil, true, 0)
+	rt := newRT(b, nil, true)
 	if err := rt.Load(recs); err != nil {
 		b.Fatal(err)
 	}
@@ -316,7 +317,7 @@ func BenchmarkFig12aQueryError(b *testing.B) {
 	b.ResetTimer()
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		results, err := query.Evaluate(ps, recs, queries, 1)
+		results, err := query.Evaluate(ps, recs, queries)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -349,7 +350,7 @@ func BenchmarkFig12cBiasedSplit(b *testing.B) {
 	queries := query.SingleAttrWorkload(recs, zip, 300, benchSeed, domain)
 
 	run := func(b *testing.B, split rplustree.SplitPolicy) float64 {
-		rt := newRT(b, split, false, 0)
+		rt := newRT(b, split, false)
 		if err := rt.Load(recs); err != nil {
 			b.Fatal(err)
 		}
@@ -357,7 +358,7 @@ func BenchmarkFig12cBiasedSplit(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		results, err := query.Evaluate(ps, recs, queries, 1)
+		results, err := query.Evaluate(ps, recs, queries)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -400,7 +401,7 @@ func BenchmarkAblationSplitPolicy(b *testing.B) {
 		b.Run(pol.name, func(b *testing.B) {
 			var cm float64
 			for i := 0; i < b.N; i++ {
-				rt := newRT(b, pol.split, false, 0)
+				rt := newRT(b, pol.split, false)
 				if err := rt.Load(recs); err != nil {
 					b.Fatal(err)
 				}
@@ -420,7 +421,7 @@ func BenchmarkAblationLoadPath(b *testing.B) {
 	recs := landsEnd(benchRecords)
 	b.Run("buffer-tree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rt := newRT(b, nil, true, 0)
+			rt := newRT(b, nil, true)
 			if err := rt.Load(recs); err != nil {
 				b.Fatal(err)
 			}
@@ -428,7 +429,7 @@ func BenchmarkAblationLoadPath(b *testing.B) {
 	})
 	b.Run("tuple", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rt := newRT(b, nil, false, 0)
+			rt := newRT(b, nil, false)
 			if err := rt.Load(recs); err != nil {
 				b.Fatal(err)
 			}
@@ -516,7 +517,7 @@ func BenchmarkAblationIndexChoice(b *testing.B) {
 func BenchmarkAblationQuerySemantics(b *testing.B) {
 	recs := landsEnd(benchRecords)
 	queries := query.FullRangeWorkload(recs, 200, benchSeed+5)
-	rt := newRT(b, nil, false, 0)
+	rt := newRT(b, nil, false)
 	if err := rt.Load(recs); err != nil {
 		b.Fatal(err)
 	}
@@ -527,7 +528,7 @@ func BenchmarkAblationQuerySemantics(b *testing.B) {
 	b.Run("intersection-count", func(b *testing.B) {
 		var mean float64
 		for i := 0; i < b.N; i++ {
-			results, err := query.Evaluate(ps, recs, queries, 1)
+			results, err := query.Evaluate(ps, recs, queries)
 			if err != nil {
 				b.Fatal(err)
 			}

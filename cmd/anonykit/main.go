@@ -61,7 +61,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		keyAttr = fs.String("key", "", core.BPTree+" only: the attribute to index on (default: first attribute)")
 		persist = fs.String("persist", "", core.RTree+" only: build inside a durable store at this directory (WAL + checkpoint; recover with `anonykit reopen`)")
 		grans   = fs.String("granularities", "", core.RTree+" only: comma-separated k values; emits one table per granularity (out.k<N>.csv) from a single index, verified collusion-safe")
-		workers = fs.Int("workers", 0, "worker goroutines for anonymization (0 = all cores, 1 = serial; output is identical for every setting)")
 		quiet   = fs.Bool("quiet", false, "suppress the quality report")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -71,9 +70,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	schema, stream, err := dataset.Lookup(*dsName)
 	if err != nil {
 		return err
-	}
-	if *workers < 0 {
-		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
 	}
 	ks, err := validateFlags(schema, *algo, *n, *inPath != "", *k, *l, *alpha, *bias, *keyAttr, *grans, *outPath, *persist)
 	if err != nil {
@@ -105,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	anonymizer, err := buildAnonymizer(*algo, schema, constraint, *doComp, *bias, *keyAttr, *workers)
+	anonymizer, err := buildAnonymizer(*algo, schema, constraint, *doComp, *bias, *keyAttr)
 	if err != nil {
 		return err
 	}
@@ -122,18 +118,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("internal error — output violates %v: %w", constraint, err)
 	}
 
-	return writeRelease(anonymizer.Name(), constraint, schema, ps, recs, *outPath, *quiet, *workers, stdout, stderr)
+	return writeRelease(anonymizer.Name(), constraint, schema, ps, recs, *outPath, *quiet, stdout, stderr)
 }
 
 // writeRelease writes one release as CSV — to outPath, or stdout when
 // it is empty — and, unless quiet, reports its quality over recs.
-func writeRelease(name string, constraint anonmodel.Constraint, schema *attr.Schema, ps []anonmodel.Partition, recs []attr.Record, outPath string, quiet bool, workers int, stdout, stderr io.Writer) error {
+func writeRelease(name string, constraint anonmodel.Constraint, schema *attr.Schema, ps []anonmodel.Partition, recs []attr.Record, outPath string, quiet bool, stdout, stderr io.Writer) error {
 	if err := writeCSV(outPath, stdout, schema, ps); err != nil {
 		return err
 	}
 	if !quiet {
 		domain := attr.DomainOf(schema.Dims(), recs)
-		rep := quality.Measure(schema, ps, domain, workers)
+		rep := quality.Measure(schema, ps, domain)
 		fmt.Fprintf(stderr, "%s: %d records -> %d partitions under %v\n",
 			name, len(recs), rep.Partitions, constraint)
 		fmt.Fprintf(stderr, "discernibility %.0f  certainty %.2f  KL %.4f  (GCP %.4f)\n",
@@ -278,7 +274,7 @@ func buildConstraint(k, l int, alpha float64) (anonmodel.Constraint, error) {
 // buildAnonymizer builds algo from the registry. A -bias (validated to
 // come with the R⁺-tree only) is a split policy, which the registry's
 // parameters do not carry: the index is configured directly.
-func buildAnonymizer(algo string, schema *attr.Schema, cons anonmodel.Constraint, doCompact bool, bias, keyAttr string, workers int) (core.Anonymizer, error) {
+func buildAnonymizer(algo string, schema *attr.Schema, cons anonmodel.Constraint, doCompact bool, bias, keyAttr string) (core.Anonymizer, error) {
 	if bias != "" {
 		var axes []int
 		for _, name := range strings.Split(bias, ",") {
@@ -289,7 +285,7 @@ func buildAnonymizer(algo string, schema *attr.Schema, cons anonmodel.Constraint
 			axes = append(axes, idx)
 		}
 		rt, err := core.NewRTreeAnonymizer(core.RTreeConfig{
-			Schema: schema, Constraint: cons, Parallelism: workers, Split: rplustree.BiasedPolicy{Axes: axes},
+			Schema: schema, Constraint: cons, Split: rplustree.BiasedPolicy{Axes: axes},
 		})
 		if err != nil {
 			return nil, err
@@ -302,5 +298,5 @@ func buildAnonymizer(algo string, schema *attr.Schema, cons anonmodel.Constraint
 			return nil, fmt.Errorf("unknown key attribute %q", keyAttr)
 		}
 	}
-	return core.New(algo, core.Params{Schema: schema, Constraint: cons, Compact: doCompact, Key: key, Workers: workers})
+	return core.New(algo, core.Params{Schema: schema, Constraint: cons, Compact: doCompact, Key: key})
 }

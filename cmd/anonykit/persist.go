@@ -125,5 +125,5 @@ func emitRelease(st *wal.Store, schema *attr.Schema, outPath string, quiet bool,
 		}
 	}
 	constraint := anonmodel.KAnonymity{K: st.Tree().Config().BaseK}
-	return writeRelease("durable rtree", constraint, schema, ps, recs, outPath, quiet, 1, stdout, stderr)
+	return writeRelease("durable rtree", constraint, schema, ps, recs, outPath, quiet, stdout, stderr)
 }

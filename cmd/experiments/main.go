@@ -47,14 +47,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed    = fs.Int64("seed", 0, "workload seed")
 		sizes   = fs.String("sizes", "", readers(func(f experiments.Figure) bool { return f.Sizes })+": comma-separated record counts (default: each figure's own steps around -records)")
 		memMB   = fs.Int("mem", 0, readers(func(f experiments.Figure) bool { return f.Memory })+": memory budget in MB (fig8b sweeps down from it)")
-		workers = fs.Int("workers", 0, "worker goroutines per experiment (0 = all cores, 1 = serial; results are identical, only wall-clock changes)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *workers < 0 {
-		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
 	}
 	cfg := experiments.Config{
 		Records:   *records,
@@ -62,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		BatchSize: *batch,
 		Batches:   *batches,
 		Seed:      *seed,
-		Workers:   *workers,
 	}
 	if *ksFlag != "" {
 		ks, err := parseInts(*ksFlag)

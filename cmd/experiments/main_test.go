@@ -91,6 +91,11 @@ func TestErrors(t *testing.T) {
 		{"-ks", "abc"},
 		{"-ks", "0"},
 		{"-fig", "fig8a", "-sizes", "x"},
+		// Negative sizes: rejected up front, not a panic or an empty table.
+		{"-fig", "fig12a", "-queries", "-3"},
+		{"-fig", "fig7b", "-batch", "-7"},
+		{"-fig", "fig7b", "-batches", "-2"},
+		{"-fig", "fig9", "-records", "-5"},
 	}
 	for _, args := range cases {
 		var out, errBuf bytes.Buffer

@@ -1,14 +1,15 @@
 package spatialanon
 
 // Parallel execution in this repository promises more than "same
-// records, some order": every worker count must produce the identical
+// records, some order": every core count must produce the identical
 // anonymization — the same partitions, in the same order, with the
 // same boxes, holding the same records in the same order — and, for
-// the buffer-tree loader, the same I/O counters. These tests pin that
-// promise for the three pipelines the `-workers` knob reaches: bulk
-// load, tuple-at-a-time load + leaf scan, and Mondrian. workers=1 is
-// the reference execution; 2 and 8 must match it exactly (8 on a
-// single-core runner still exercises the pool scheduling paths).
+// the buffer-tree loader, the same I/O counters. Every parallel stage
+// runs on GOMAXPROCS workers, so these tests set GOMAXPROCS per case:
+// 1 is the reference execution; 2 and 8 must match it exactly (8 on a
+// single-core runner still exercises the pool scheduling paths). They
+// cover bulk load, tuple-at-a-time load + leaf scan, Mondrian, the
+// evaluators and the serving stack.
 
 import (
 	"errors"
@@ -73,11 +74,11 @@ func mustEqualPartitions(t *testing.T, label string, ref, got []anonmodel.Partit
 
 func buildBulk(t *testing.T, workers int) (*core.RTreeAnonymizer, []anonmodel.Partition, []anonmodel.Partition) {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	rt, err := core.NewRTreeAnonymizer(core.RTreeConfig{
-		Schema:      dataset.LandsEndSchema(),
-		BaseK:       5,
-		Parallelism: workers,
-		BulkLoad:    &rplustree.BulkLoadConfig{RecordBytes: 32},
+		Schema:   dataset.LandsEndSchema(),
+		BaseK:    5,
+		BulkLoad: &rplustree.BulkLoadConfig{RecordBytes: 32},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,9 +99,9 @@ func buildBulk(t *testing.T, workers int) (*core.RTreeAnonymizer, []anonmodel.Pa
 
 // TestParallelBulkLoadDeterministic: the buffer-tree load, the split
 // cascades it triggers, and the leaf-scan publication must all be
-// invariant under the worker count — including the pager's I/O
-// counters, which stay equal because the load runs on the calling
-// goroutine and the worker count reaches only the leaf scan.
+// invariant under GOMAXPROCS — including the pager's I/O counters,
+// which stay equal because the load runs on the calling goroutine and
+// only the leaf scan fans out.
 func TestParallelBulkLoadDeterministic(t *testing.T) {
 	refRT, refBase, refCoarse := buildBulk(t, 1)
 	refReads, refWrites := refRT.IOStats()
@@ -124,10 +125,10 @@ func TestParallelBulkLoadDeterministic(t *testing.T) {
 // publication goes through the parallel layer.
 func TestParallelTupleLoadDeterministic(t *testing.T) {
 	build := func(w int) []anonmodel.Partition {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
 		rt, err := core.NewRTreeAnonymizer(core.RTreeConfig{
-			Schema:      dataset.LandsEndSchema(),
-			BaseK:       5,
-			Parallelism: w,
+			Schema: dataset.LandsEndSchema(),
+			BaseK:  5,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -149,27 +150,26 @@ func TestParallelTupleLoadDeterministic(t *testing.T) {
 
 // TestParallelMondrianDeterministic: the fork-join recursion assembles
 // its output left-half-first at every cut, so the partition list is
-// the serial one for every worker count, in both strict and relaxed
+// the serial one at every GOMAXPROCS, in both strict and relaxed
 // mode, with and without compaction.
 func TestParallelMondrianDeterministic(t *testing.T) {
 	for _, relaxed := range []bool{false, true} {
-		run := func(w int) []anonmodel.Partition {
+		run := func(w int) (ps, compacted []anonmodel.Partition) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
 			ps, err := mondrian.Anonymize(dataset.LandsEndSchema(), detRecsCopy(t), mondrian.Options{
-				Constraint:  anonmodel.KAnonymity{K: 10},
-				Relaxed:     relaxed,
-				Parallelism: w,
+				Constraint: anonmodel.KAnonymity{K: 10},
+				Relaxed:    relaxed,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return ps
+			return ps, compact.Partitions(ps)
 		}
-		ref := run(1)
-		refC := compact.Partitions(ref, 1)
+		ref, refC := run(1)
 		for _, w := range detWorkerCounts[1:] {
-			got := run(w)
+			got, gotC := run(w)
 			mustEqualPartitions(t, "mondrian", ref, got)
-			mustEqualPartitions(t, "mondrian+compact", refC, compact.Partitions(got, w))
+			mustEqualPartitions(t, "mondrian+compact", refC, gotC)
 		}
 	}
 }
@@ -246,7 +246,7 @@ func TestServingLayerDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := query.Evaluate(base, v.Records(), queries, workers)
+		res, err := query.Evaluate(base, v.Records(), queries)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -418,9 +418,9 @@ func TestDegradedReadsDeterministic(t *testing.T) {
 }
 
 // TestParallelEvaluatorsDeterministic: the metric and query evaluators
-// must return the identical values for every worker count — Measure
-// by its fixed chunked reduction, Evaluate because queries never
-// share accumulators.
+// must return the identical values at every GOMAXPROCS — Measure by
+// its fixed chunked reduction, Evaluate because queries never share
+// accumulators.
 func TestParallelEvaluatorsDeterministic(t *testing.T) {
 	recs := detRecsCopy(t)
 	schema := dataset.LandsEndSchema()
@@ -432,21 +432,21 @@ func TestParallelEvaluatorsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := query.FullRangeWorkload(recs, 100, benchSeed)
-	refRep := quality.Measure(schema, ps, domain, 1)
-	refRes, err := query.Evaluate(ps, recs, queries, 1)
-	if err != nil {
-		t.Fatal(err)
+	eval := func(w int) (quality.Report, []query.Result) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
+		res, err := query.Evaluate(ps, recs, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return quality.Measure(schema, ps, domain), res
 	}
+	refRep, refRes := eval(1)
 	for _, w := range detWorkerCounts[1:] {
-		rep := quality.Measure(schema, ps, domain, w)
+		rep, res := eval(w)
 		// KL is excluded: its map-ordered inner sum varies run to run
 		// even serially; DM and CM must match bit for bit.
 		if rep.Partitions != refRep.Partitions || rep.Discernibility != refRep.Discernibility || rep.Certainty != refRep.Certainty {
 			t.Fatalf("workers=%d: Measure %+v, want %+v", w, rep, refRep)
-		}
-		res, err := query.Evaluate(ps, recs, queries, w)
-		if err != nil {
-			t.Fatal(err)
 		}
 		for i := range refRes {
 			if res[i].Original != refRes[i].Original || res[i].Anonymized != refRes[i].Anonymized || res[i].Err != refRes[i].Err {

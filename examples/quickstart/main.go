@@ -76,10 +76,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep := quality.Measure(schema, ps, domain, 1)
+		rep := quality.Measure(schema, ps, domain)
 		fmt.Printf("%-22s %14.0f %10.2f %8.4f\n", a.Name(), rep.Discernibility, rep.Certainty, rep.KLDivergence)
 	}
-	rep := quality.Measure(schema, partitions, domain, 1)
+	rep := quality.Measure(schema, partitions, domain)
 	fmt.Printf("%-22s %14.0f %10.2f %8.4f\n", "rtree (this example)", rep.Discernibility, rep.Certainty, rep.KLDivergence)
 
 	// 5. The anonymized table is ordinary CSV.

@@ -68,7 +68,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		results, err := query.Evaluate(ps, records, workload, 1)
+		results, err := query.Evaluate(ps, records, workload)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func main() {
 			log.Fatal(err)
 		}
 		ps, _ := rt.Partitions(k)
-		results, err := query.Evaluate(ps, records, workload, 1)
+		results, err := query.Evaluate(ps, records, workload)
 		if err != nil {
 			log.Fatal(err)
 		}

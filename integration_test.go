@@ -107,7 +107,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 		}
 	}
 	queries := query.FullRangeWorkload(live, 150, 303)
-	rtRes, err := query.Evaluate(sets[0], live, queries, 1)
+	rtRes, err := query.Evaluate(sets[0], live, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mdRes, err := query.Evaluate(mdPs, live, queries, 1)
+	mdRes, err := query.Evaluate(mdPs, live, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestAlgorithmsAgreeOnFundamentals(t *testing.T) {
 		}
 		// Compaction is monotone for every algorithm's output.
 		cm := quality.Certainty(schema, ps, domain)
-		cmC := quality.Certainty(schema, compact.Partitions(ps, 1), domain)
+		cmC := quality.Certainty(schema, compact.Partitions(ps), domain)
 		if cmC > cm+1e-9 {
 			t.Fatalf("%s: compaction worsened CM %v -> %v", a.Name(), cm, cmC)
 		}

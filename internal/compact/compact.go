@@ -41,11 +41,10 @@ func Partition(p anonmodel.Partition) anonmodel.Partition {
 // boxes shrink (Section 5.3 observes exactly this on Figure 10(a)).
 // Each partition compacts independently — the pass reads records and
 // writes only its own output slot — so the work fans out by index over
-// workers goroutines (0 = all cores, 1 = serial); the result is
-// identical for every worker count.
-func Partitions(ps []anonmodel.Partition, workers int) []anonmodel.Partition {
+// GOMAXPROCS workers; the result is identical at every GOMAXPROCS.
+func Partitions(ps []anonmodel.Partition) []anonmodel.Partition {
 	out := make([]anonmodel.Partition, len(ps))
-	par.Do(workers, len(ps), func(i int) {
+	par.Do(len(ps), func(i int) {
 		out[i] = Partition(ps[i])
 	})
 	return out

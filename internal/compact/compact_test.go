@@ -60,7 +60,7 @@ func TestCompactionProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := Partitions(ps, 1)
+	cs := Partitions(ps)
 	if len(cs) != len(ps) {
 		t.Fatal("partition count changed")
 	}
@@ -81,7 +81,7 @@ func TestCompactionProperties(t *testing.T) {
 		}
 	}
 	// Idempotence.
-	twice := Partitions(cs, 1)
+	twice := Partitions(cs)
 	for i := range cs {
 		if !twice[i].Box.Equal(cs[i].Box) {
 			t.Fatalf("compaction not idempotent at %d", i)

@@ -37,9 +37,6 @@ type Params struct {
 	Compact bool
 	// Key is the attribute the B⁺-tree clusters on.
 	Key int
-	// Workers bounds worker goroutines (0 = all cores, 1 = serial;
-	// output is identical for every count).
-	Workers int
 }
 
 // Algorithm is one entry of the registry: a one-shot anonymization
@@ -102,7 +99,7 @@ var Algorithms = []Algorithm{
 
 func topDown(relaxed bool) PartitionFunc {
 	return func(p Params, recs []attr.Record) ([]anonmodel.Partition, error) {
-		return mondrian.Anonymize(p.Schema, recs, mondrian.Options{Constraint: p.Constraint, Relaxed: relaxed, Parallelism: p.Workers})
+		return mondrian.Anonymize(p.Schema, recs, mondrian.Options{Constraint: p.Constraint, Relaxed: relaxed})
 	}
 }
 
@@ -162,7 +159,7 @@ func New(name string, p Params) (Anonymizer, error) {
 // New builds the algorithm from p.
 func (a Algorithm) New(p Params) (Anonymizer, error) {
 	if a.Partition == nil {
-		rt, err := NewRTreeAnonymizer(RTreeConfig{Schema: p.Schema, Constraint: p.Constraint, Parallelism: p.Workers})
+		rt, err := NewRTreeAnonymizer(RTreeConfig{Schema: p.Schema, Constraint: p.Constraint})
 		if err != nil {
 			return nil, err
 		}
@@ -192,7 +189,7 @@ func (a partitioner) Anonymize(recs []attr.Record) ([]anonmodel.Partition, error
 	if err != nil || !a.p.Compact {
 		return ps, err
 	}
-	return compact.Partitions(ps, a.p.Workers), nil
+	return compact.Partitions(ps), nil
 }
 
 // Name implements Anonymizer.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"spatialanon/internal/anonmodel"
@@ -54,11 +55,11 @@ func TestBaselineDigests(t *testing.T) {
 	build := func(name string, c anonmodel.Constraint) (Anonymizer, error) {
 		if name == buffered {
 			return NewRTreeAnonymizer(RTreeConfig{
-				Schema: s, Constraint: c, Parallelism: 1,
+				Schema: s, Constraint: c,
 				BulkLoad: &rplustree.BulkLoadConfig{MemoryBytes: 1 << 20, RecordBytes: 32},
 			})
 		}
-		return New(name, Params{Schema: s, Constraint: c, Workers: 1})
+		return New(name, Params{Schema: s, Constraint: c})
 	}
 	want := map[string]uint64{
 		"rtree-buffer/10-anonymity":                      0x8445a4a0d4a41109,
@@ -134,11 +135,12 @@ func TestRoutedLoadDigests(t *testing.T) {
 		2 << 20: {339, 1553},
 		1 << 20: {415, 1609},
 	}
-	for _, workers := range []int{1, 0} {
+	for _, workers := range []int{1, 0} { // GOMAXPROCS; 0 keeps the default
 		for _, mem := range []int{8 << 20, 4 << 20, 2 << 20, 1 << 20} {
 			t.Run(fmt.Sprintf("workers=%d/%dMB", workers, mem>>20), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 				a, err := NewRTreeAnonymizer(RTreeConfig{
-					Schema: dataset.AgrawalSchema(), BaseK: 5, Parallelism: workers,
+					Schema: dataset.AgrawalSchema(), BaseK: 5,
 					BulkLoad: &rplustree.BulkLoadConfig{RecordBytes: 36, MemoryBytes: mem},
 				})
 				if err != nil {

@@ -42,10 +42,9 @@ type Anonymizer interface {
 
 // LeafScanP is the multi-granular leaf-scan algorithm of Figure 5 over
 // plain partitions — Tiling{Partitions: base}.Scan without the record
-// arrays — with workers goroutines (0 = all cores, 1 = serial; output
-// is identical for every count).
-func LeafScanP(base []anonmodel.Partition, constraint anonmodel.Constraint, workers int) ([]anonmodel.Partition, error) {
-	t, err := Tiling{Partitions: base}.Scan(constraint, workers)
+// arrays. Its third argument is ignored: the scan runs on GOMAXPROCS.
+func LeafScanP(base []anonmodel.Partition, constraint anonmodel.Constraint, _ int) ([]anonmodel.Partition, error) {
+	t, err := Tiling{Partitions: base}.Scan(constraint)
 	return t.Partitions, err
 }
 
@@ -103,10 +102,10 @@ type window struct{ arr, off int }
 // and their records are windows: of t's arrays where t is already
 // tiled, else of one fresh array the records are copied into once, in
 // scan order.
-// Output is identical to anonmodel.LeafScan for every worker count (0
-// = all cores, 1 = serial); constraints that inspect record contents
-// (l-diversity, (α,k)) run that reference scan itself.
-func (t Tiling) Scan(constraint anonmodel.Constraint, workers int) (Tiling, error) {
+// Output is identical to anonmodel.LeafScan at every GOMAXPROCS;
+// constraints that inspect record contents (l-diversity, (α,k)) run
+// that reference scan itself.
+func (t Tiling) Scan(constraint anonmodel.Constraint) (Tiling, error) {
 	base := t.Partitions
 	if constraint == nil {
 		return Tiling{}, fmt.Errorf("core: nil constraint")
@@ -143,7 +142,6 @@ func (t Tiling) Scan(constraint anonmodel.Constraint, workers int) (Tiling, erro
 	if len(bounds) == 1 {
 		return Tiling{}, nil
 	}
-	w := par.Workers(workers)
 	arrays, at := t.arrays, []window(nil)
 	if arrays == nil {
 		// Unknown layout: the one copy. Each partition's window of the
@@ -156,7 +154,7 @@ func (t Tiling) Scan(constraint anonmodel.Constraint, workers int) (Tiling, erro
 			total += p.Size()
 		}
 		arr := make([]attr.Record, total)
-		par.Do(w, len(bounds)-1, func(g int) {
+		par.Do(len(bounds)-1, func(g int) {
 			for i := bounds[g]; i < bounds[g+1]; i++ {
 				copy(arr[at[i].off:], base[i].Records)
 			}
@@ -168,7 +166,7 @@ func (t Tiling) Scan(constraint anonmodel.Constraint, workers int) (Tiling, erro
 	dims := len(base[0].Box)
 	out := make([]anonmodel.Partition, len(bounds)-1)
 	boxes := make([]attr.Interval, len(out)*dims)
-	par.Do(w, len(out), func(g int) {
+	par.Do(len(out), func(g int) {
 		box := attr.Box(boxes[g*dims : (g+1)*dims : (g+1)*dims])
 		for d := range box {
 			box[d] = attr.EmptyInterval()

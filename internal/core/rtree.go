@@ -28,12 +28,8 @@ type RTreeConfig struct {
 	// BulkLoad, when non-nil, makes Load use buffer-tree bulk loading
 	// with this configuration; nil loads tuple-at-a-time.
 	BulkLoad *rplustree.BulkLoadConfig
-	// Parallelism bounds the worker goroutines of this anonymizer's own
-	// leaf scans (Partitions, MultiGranular): 0 uses all available
-	// cores, 1 (or negative) runs serially. Loading and splitting run
-	// on the calling goroutine, and the tree takes no worker count.
-	// Every setting produces the identical partitions; 1 is the
-	// reference execution.
+	// Parallelism is unread: leaf scans run on GOMAXPROCS, and loading
+	// and splitting on the calling goroutine.
 	Parallelism int
 }
 
@@ -284,7 +280,7 @@ func (a *RTreeAnonymizer) Partitions(k1 int) ([]anonmodel.Partition, error) {
 // array of its own, so nothing published aliases the live tree and a
 // later Insert or Delete cannot change it.
 func (a *RTreeAnonymizer) baseRelease() (Tiling, error) {
-	return Tiling{Partitions: a.tree.Leaves()}.Scan(a.constraint, a.cfg.Parallelism)
+	return Tiling{Partitions: a.tree.Leaves()}.Scan(a.constraint)
 }
 
 // derive returns the release at granularity k1 as windows over base's
@@ -299,7 +295,7 @@ func (a *RTreeAnonymizer) derive(base Tiling, k1 int) ([]anonmodel.Partition, er
 	if k1 < baseK {
 		return nil, fmt.Errorf("core: granularity %d below base k %d", k1, baseK)
 	}
-	t, err := base.Scan(anonmodel.All{a.constraint, anonmodel.KAnonymity{K: k1}}, a.cfg.Parallelism)
+	t, err := base.Scan(anonmodel.All{a.constraint, anonmodel.KAnonymity{K: k1}})
 	return t.Partitions, err
 }
 

@@ -290,7 +290,7 @@ func TestRTreeIOStats(t *testing.T) {
 func TestMaintenanceAfterLoadChargesNoIO(t *testing.T) {
 	recs := dataset.GenerateLandsEnd(22000, 43)
 	a, err := NewRTreeAnonymizer(RTreeConfig{
-		Schema: dataset.LandsEndSchema(), BaseK: 10, Parallelism: 1,
+		Schema: dataset.LandsEndSchema(), BaseK: 10,
 		BulkLoad: &rplustree.BulkLoadConfig{MemoryBytes: 1 << 20, RecordBytes: 32},
 	})
 	if err != nil {

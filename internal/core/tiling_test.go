@@ -33,10 +33,11 @@ func scanBase(sizes []int, first int64) []anonmodel.Partition {
 
 // TestScanMatchesSerialReference: the planned, windowed scan equals
 // anonmodel.LeafScan partition for partition, box for box, record for
-// record — for every worker count, on a fresh base, on an already
+// record — at every GOMAXPROCS, on a fresh base, on an already
 // tiled one, and on a concatenation of tilings — including empty base
 // partitions in the middle and at the tail and the LS4 absorbed tail.
 func TestScanMatchesSerialReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0)) // each case sets its own
 	shapes := [][]int{
 		{3, 3, 3, 3},
 		{1, 2, 3, 4, 5, 6, 7, 1}, // tail of 1 is absorbed (LS4)
@@ -65,8 +66,9 @@ func TestScanMatchesSerialReference(t *testing.T) {
 			c := anonmodel.KAnonymity{K: k}
 			want, wantErr := anonmodel.LeafScan(scanBase(shape, 0), c)
 			for _, workers := range []int{1, 2, 8} {
+				runtime.GOMAXPROCS(workers)
 				name := fmt.Sprintf("shape %v k=%d workers=%d", shape, k, workers)
-				fine, err := Tiling{Partitions: scanBase(shape, 0)}.Scan(c, workers)
+				fine, err := Tiling{Partitions: scanBase(shape, 0)}.Scan(c)
 				if (err != nil) != (wantErr != nil) || (err != nil && err.Error() != wantErr.Error()) {
 					t.Fatalf("%s: error %v, reference %v", name, err, wantErr)
 				}
@@ -83,7 +85,7 @@ func TestScanMatchesSerialReference(t *testing.T) {
 				// array, equal to the reference run over the reference.
 				c2 := anonmodel.All{c, anonmodel.KAnonymity{K: 2*k + 1}}
 				want2, wantErr2 := anonmodel.LeafScan(want, c2)
-				coarse, err := fine.Scan(c2, workers)
+				coarse, err := fine.Scan(c2)
 				if (err != nil) != (wantErr2 != nil) {
 					t.Fatalf("%s, second scan: error %v, reference %v", name, err, wantErr2)
 				}
@@ -102,7 +104,7 @@ func TestScanMatchesSerialReference(t *testing.T) {
 				// the reference over the concatenation, seam group included.
 				cut := len(fine.Partitions) / 2
 				joint := Concat(Tiling{Partitions: fine.Partitions[:cut], arrays: fine.arrays}, Tiling{}, Tiling{Partitions: fine.Partitions[cut:], arrays: fine.arrays})
-				got, err := joint.Scan(c2, workers)
+				got, err := joint.Scan(c2)
 				if err != nil || !reflect.DeepEqual(got.Partitions, want2) {
 					t.Fatalf("%s, concatenated scan: %v\n got %v\nwant %v", name, err, got.Partitions, want2)
 				}
@@ -117,17 +119,17 @@ func TestScanMatchesSerialReference(t *testing.T) {
 // copy — and the output still equals the reference scan.
 func TestConcatScanCopiesOnlySeamGroups(t *testing.T) {
 	k2 := anonmodel.KAnonymity{K: 2}
-	left, err := Tiling{Partitions: scanBase([]int{2, 2, 2, 2, 2}, 0)}.Scan(k2, 1)
+	left, err := Tiling{Partitions: scanBase([]int{2, 2, 2, 2, 2}, 0)}.Scan(k2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	right, err := Tiling{Partitions: scanBase([]int{2, 2, 2, 2}, 100)}.Scan(k2, 1)
+	right, err := Tiling{Partitions: scanBase([]int{2, 2, 2, 2}, 100)}.Scan(k2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	joint := Concat(left, right)
 	k4 := anonmodel.KAnonymity{K: 4}
-	got, err := joint.Scan(k4, 2)
+	got, err := joint.Scan(k4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +309,7 @@ func TestReleaseDoesNotAliasLiveLeaves(t *testing.T) {
 // granularity (and a base re-scan per granularity) needed about five.
 func TestMultiGranularCopiesRecordsOnce(t *testing.T) {
 	const n, k = 50000, 10
-	a := loadedRT(t, RTreeConfig{Schema: dataset.LandsEndSchema(), BaseK: k, Parallelism: 1}, dataset.GenerateLandsEnd(n, 154))
+	a := loadedRT(t, RTreeConfig{Schema: dataset.LandsEndSchema(), BaseK: k}, dataset.GenerateLandsEnd(n, 154))
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

@@ -103,7 +103,7 @@ func (s *Stream) NextBatch(size int) []attr.Record {
 	n := max(min(size, s.remaining), 0)
 	out := make([]attr.Record, n)
 	first := s.next
-	par.Do(0, (n+rowBlock-1)/rowBlock, func(c int) {
+	par.Do((n+rowBlock-1)/rowBlock, func(c int) {
 		lo, hi := c*rowBlock, min((c+1)*rowBlock, n)
 		block := make([]float64, (hi-lo)*s.dims)
 		rng := detrng.New(0)

@@ -212,12 +212,6 @@ type Config struct {
 	Queries int
 	// Seed makes everything reproducible.
 	Seed int64
-	// Workers bounds the worker goroutines every anonymizer and
-	// evaluator in the suite may use: 0 uses all available cores, 1
-	// runs serially. Results are identical for every setting — only
-	// wall-clock time changes — so timing comparisons across Workers
-	// values measure the parallel execution layer itself.
-	Workers int
 }
 
 // Defaults returns a configuration that finishes the whole suite in CI
@@ -235,11 +229,19 @@ func Defaults() Config {
 	}
 }
 
-// Validate rejects anonymity parameters that provide no anonymity:
-// after defaulting, BaseK and every published granularity in Ks must
-// be >= 2, and derived granularities cannot fall below the build
-// granularity.
+// Validate rejects negative sizes (0 means the default) and anonymity
+// parameters that provide no anonymity: after defaulting, BaseK and
+// every published granularity in Ks must be >= 2, and derived
+// granularities cannot fall below the build granularity.
 func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Records", c.Records}, {"BatchSize", c.BatchSize}, {"Batches", c.Batches}, {"Queries", c.Queries}} {
+		if f.v < 0 {
+			return fmt.Errorf("experiments: %s %d is negative", f.name, f.v)
+		}
+	}
 	c = c.withDefaults()
 	if c.BaseK < 2 {
 		return fmt.Errorf("experiments: BaseK %d provides no anonymity; need >= 2", c.BaseK)
@@ -279,9 +281,8 @@ func (c Config) landsEnd() []attr.Record {
 // is requested.
 func (c Config) newRTree(bulk bool) (*core.RTreeAnonymizer, error) {
 	cfg := core.RTreeConfig{
-		Schema:      dataset.LandsEndSchema(),
-		BaseK:       c.BaseK,
-		Parallelism: c.Workers,
+		Schema: dataset.LandsEndSchema(),
+		BaseK:  c.BaseK,
 	}
 	if bulk {
 		cfg.BulkLoad = &rplustree.BulkLoadConfig{RecordBytes: 32}
@@ -297,7 +298,6 @@ func (c Config) mondrian(recs []attr.Record, k int) ([]anonmodel.Partition, erro
 	md, err := core.New(core.Mondrian, core.Params{
 		Schema:     dataset.LandsEndSchema(),
 		Constraint: anonmodel.KAnonymity{K: k},
-		Workers:    c.Workers,
 	})
 	if err != nil {
 		return nil, err

@@ -230,7 +230,7 @@ func fig9(cfg Config, args Args) (*Table, error) {
 		}
 		anon := time.Since(start)
 		start = time.Now()
-		compact.Partitions(ps, cfg.Workers)
+		compact.Partitions(ps)
 		comp := time.Since(start)
 		percent := 0.0
 		if total := anon + comp; total > 0 {

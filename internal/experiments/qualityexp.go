@@ -28,7 +28,7 @@ func (c Config) threeSystems(rt *core.RTreeAnonymizer, recs []attr.Record, k int
 	return []namedPartitions{
 		{core.RTree, rtPs},
 		{core.Mondrian, mdPs},
-		{core.Mondrian + "+compact", compact.Partitions(mdPs, c.Workers)},
+		{core.Mondrian + "+compact", compact.Partitions(mdPs)},
 	}, nil
 }
 
@@ -71,7 +71,7 @@ func fig10(cfg Config, _ Args) (*Table, error) {
 			return nil, err
 		}
 		for _, sys := range systems {
-			rep := quality.Measure(schema, sys.ps, domain, cfg.Workers)
+			rep := quality.Measure(schema, sys.ps, domain)
 			res.Rows = append(res.Rows, []any{k, sys.name, rep.Discernibility, rep.Certainty, rep.KLDivergence, rep.Partitions})
 		}
 	}
@@ -121,8 +121,8 @@ func fig11(cfg Config, _ Args) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		inc := quality.Measure(schema, rtPs, domain, cfg.Workers)
-		re := quality.Measure(schema, mdPs, domain, cfg.Workers)
+		inc := quality.Measure(schema, rtPs, domain)
+		re := quality.Measure(schema, mdPs, domain)
 		res.Rows = append(res.Rows, []any{
 			b + 1, n,
 			inc.Discernibility, inc.Certainty, inc.KLDivergence,

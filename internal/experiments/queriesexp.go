@@ -47,7 +47,7 @@ func fig12a(cfg Config, _ Args) (*Table, error) {
 			return nil, err
 		}
 		for _, sys := range systems {
-			results, err := query.Evaluate(sys.ps, recs, queries, cfg.Workers)
+			results, err := query.Evaluate(sys.ps, recs, queries)
 			if err != nil {
 				return nil, err
 			}
@@ -82,7 +82,7 @@ func fig12b(cfg Config, _ Args) (*Table, error) {
 		Columns: []Column{{"system", "%-18s"}, {"selectivity", "%12s"}, {"queries", "%8d"}, {"mean error", "%12.4f"}},
 	}
 	for _, sys := range systems {
-		results, err := query.Evaluate(sys.ps, recs, queries, cfg.Workers)
+		results, err := query.Evaluate(sys.ps, recs, queries)
 		if err != nil {
 			return nil, err
 		}
@@ -147,7 +147,7 @@ func fig12c(cfg Config, _ Args) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			results, err := query.Evaluate(ps, recs, queries, cfg.Workers)
+			results, err := query.Evaluate(ps, recs, queries)
 			if err != nil {
 				return nil, err
 			}
@@ -177,7 +177,7 @@ func fig12d(cfg Config, _ Args) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		results, err := query.Evaluate(ps, recs, queries, cfg.Workers)
+		results, err := query.Evaluate(ps, recs, queries)
 		if err != nil {
 			return nil, err
 		}

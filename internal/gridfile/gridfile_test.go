@@ -49,11 +49,11 @@ func TestCompactionHelpsGridFile(t *testing.T) {
 	}
 	domain := attr.DomainOf(s.Dims(), recs)
 	raw := quality.Certainty(s, ps, domain)
-	cmp := quality.Certainty(s, compact.Partitions(ps, 1), domain)
+	cmp := quality.Certainty(s, compact.Partitions(ps), domain)
 	if cmp >= raw {
 		t.Fatalf("compaction did not improve grid certainty: %v -> %v", raw, cmp)
 	}
-	if quality.Discernibility(ps) != quality.Discernibility(compact.Partitions(ps, 1)) {
+	if quality.Discernibility(ps) != quality.Discernibility(compact.Partitions(ps)) {
 		t.Fatal("compaction changed DM")
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 func badDo(pg *pager.Pager, n int) {
-	par.Do(2, n, func(i int) {
+	par.Do(n, func(i int) {
 		sib.Touch(pg, pager.PageID(i)) // want `pagerconfine: sib\.Touch → \(\*pager\.Pager\)\.Read reachable from par\.Do worker function`
 	})
 }
@@ -27,7 +27,7 @@ func badNamedGo(pg *pager.Pager) {
 }
 
 func goodDo(xs []int, n int) {
-	par.Do(2, n, func(int) { _ = sib.Sum(xs) })
+	par.Do(n, func(int) { _ = sib.Sum(xs) })
 }
 
 type owner struct{ pg *pager.Pager }
@@ -46,7 +46,7 @@ func (o *owner) start() {
 
 // misuse calls the coordinator's body from a worker.
 func (o *owner) misuse(n int) {
-	par.Do(2, n, func(int) {
+	par.Do(n, func(int) {
 		o.loop() // want `pagerconfine: coordinator-only loop reachable from par\.Do worker function`
 	})
 }

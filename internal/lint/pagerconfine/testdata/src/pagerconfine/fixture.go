@@ -38,7 +38,7 @@ func (l *loader) touch(id pager.PageID) {
 }
 
 func (l *loader) badDo(n int) {
-	par.Do(2, n, func(i int) {
+	par.Do(n, func(i int) {
 		l.touch(pager.PageID(i)) // want `pagerconfine: touch → \(\*pager\.Pager\)\.MarkDirty reachable from par\.Do worker function`
 	})
 }
@@ -80,5 +80,5 @@ func (l *loader) goodFork(xs []int) int {
 }
 
 func goodFirstErr(n int) error {
-	return par.FirstErr(2, n, func(int) error { return nil })
+	return par.FirstErr(n, func(int) error { return nil })
 }

@@ -31,12 +31,6 @@ type Options struct {
 	// The strict variant (default) keeps equal values together, as in
 	// the paper the authors of [19] provided to the authors.
 	Relaxed bool
-	// Parallelism bounds the worker goroutines used for the recursion:
-	// 0 uses all available cores, 1 (or negative) runs serially. The
-	// two halves of a cut own disjoint record subslices and the output
-	// is assembled left-half-first at every cut, so the partition list
-	// is identical for every setting.
-	Parallelism int
 }
 
 // parCutMin is the smallest half of a cut worth forking to another
@@ -48,6 +42,10 @@ const parCutMin = 1024
 // copy). Partition boxes are recursion regions clipped to the data
 // domain; adjacent partitions share cut boundaries, matching the
 // paper's rendering of ranges like [20-30][30-40].
+//
+// The recursion runs on GOMAXPROCS workers. The two halves of a cut own
+// disjoint record subslices and the output is assembled left-half-first
+// at every cut, so the partition list is identical at every GOMAXPROCS.
 func Anonymize(schema *attr.Schema, recs []attr.Record, opt Options) ([]anonmodel.Partition, error) {
 	if err := anonmodel.Validate(opt.Constraint); err != nil {
 		return nil, fmt.Errorf("mondrian: %w", err)
@@ -67,7 +65,7 @@ func Anonymize(schema *attr.Schema, recs []attr.Record, opt Options) ([]anonmode
 		return nil, fmt.Errorf("mondrian: input of %d records cannot satisfy %v", len(recs), opt.Constraint)
 	}
 	m := &state{schema: schema, opt: opt, domain: attr.DomainOf(schema.Dims(), recs)}
-	return m.recurse(recs, m.domain.Clone(), par.NewPool(opt.Parallelism)), nil
+	return m.recurse(recs, m.domain.Clone(), par.NewPool()), nil
 }
 
 type state struct {

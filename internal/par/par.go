@@ -1,6 +1,7 @@
-// Package par provides the repository's worker-pool primitives: a
-// normalized parallelism knob, bounded index fan-out, and a bounded
-// fork-join pool for divide-and-conquer recursion.
+// Package par provides the repository's worker-pool primitives:
+// bounded index fan-out and a bounded fork-join pool for
+// divide-and-conquer recursion. Each runs on runtime.GOMAXPROCS(0)
+// workers; there is no other worker count.
 //
 // Every parallel path in this repository is built on one rule, stated
 // here because the primitives enforce the cheap half of it and code
@@ -8,9 +9,8 @@
 // disjoint data, and all shared-state mutation (tree wiring, pager
 // charges, buffer moves) stays on the coordinating goroutine in the
 // same order the serial algorithm uses. Under that rule the output of
-// every pipeline stage is identical — bit for bit — for every worker
-// count, which is what lets the `-workers` knob default to all cores
-// while `-workers=1` remains the reference execution.
+// every pipeline stage is identical — bit for bit — at every
+// GOMAXPROCS, and GOMAXPROCS=1 is the reference execution.
 package par
 
 import (
@@ -19,31 +19,14 @@ import (
 	"sync/atomic"
 )
 
-// Workers normalizes a parallelism knob: n > 0 is used as given, 0
-// selects runtime.GOMAXPROCS(0) (all available cores), and negative
-// values clamp to 1 (serial).
-func Workers(n int) int {
-	switch {
-	case n > 0:
-		return n
-	case n == 0:
-		return runtime.GOMAXPROCS(0)
-	default:
-		return 1
-	}
-}
-
-// Do runs fn(i) for every i in [0, n) on up to `workers` goroutines
-// (normalized by Workers) and returns when all calls have completed.
-// Indices are claimed atomically, so fn must be safe to call
-// concurrently for distinct i; writes fn makes are visible to the
-// caller after Do returns. workers <= 1 (after normalization) runs
-// everything inline, in index order, with no goroutines.
-func Do(workers, n int, fn func(i int)) {
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
+// Do runs fn(i) for every i in [0, n) on up to GOMAXPROCS goroutines
+// and returns when all calls have completed. Indices are claimed
+// atomically, so fn must be safe to call concurrently for distinct i;
+// writes fn makes are visible to the caller after Do returns. At
+// GOMAXPROCS 1 (or n <= 1) everything runs inline, in index order,
+// with no goroutines.
+func Do(n int, fn func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
@@ -68,19 +51,19 @@ func Do(workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// FirstErr runs fn(i) for every i in [0, n) on up to `workers`
-// goroutines and returns the error of the lowest failing index — the
-// same error a serial loop that kept only its first error would
-// return, so error reporting stays deterministic under parallel
-// execution. Every index runs regardless of earlier failures (the
-// serial loops being replaced never short-circuit either).
-func FirstErr(workers, n int, fn func(i int) error) error {
+// FirstErr runs fn(i) for every i in [0, n) as Do does and returns the
+// error of the lowest failing index — the same error a serial loop
+// that kept only its first error would return, so error reporting
+// stays deterministic under parallel execution. Every index runs
+// regardless of earlier failures (the serial loops being replaced
+// never short-circuit either).
+func FirstErr(n int, fn func(i int) error) error {
 	var (
 		mu      sync.Mutex
 		bestIdx = n
 		bestErr error
 	)
-	Do(workers, n, func(i int) {
+	Do(n, func(i int) {
 		if err := fn(i); err != nil {
 			mu.Lock()
 			if i < bestIdx {
@@ -93,21 +76,20 @@ func FirstErr(workers, n int, fn func(i int) error) error {
 }
 
 // Pool is a bounded fork-join pool for divide-and-conquer recursion
-// (Mondrian halves). It caps in-flight forked tasks at workers-1: the
-// calling goroutine is the final worker, and when every slot is busy
-// Fork degrades to an inline call, so recursion depth never deadlocks
-// on pool capacity.
+// (Mondrian halves). It caps in-flight forked tasks at GOMAXPROCS-1:
+// the calling goroutine is the final worker, and when every slot is
+// busy Fork degrades to an inline call, so recursion depth never
+// deadlocks on pool capacity.
 //
-// A nil *Pool is valid and always runs inline — callers gate pool
-// construction on their parallelism knob and pass the nil through.
+// A nil *Pool is valid and always runs inline.
 type Pool struct {
 	slots chan struct{}
 }
 
-// NewPool returns a pool for the given worker count (normalized by
-// Workers). A count of 1 returns nil: the always-inline pool.
-func NewPool(workers int) *Pool {
-	workers = Workers(workers)
+// NewPool returns a pool sized to GOMAXPROCS. At GOMAXPROCS 1 it
+// returns nil: the always-inline pool.
+func NewPool() *Pool {
+	workers := runtime.GOMAXPROCS(0)
 	if workers <= 1 {
 		return nil
 	}

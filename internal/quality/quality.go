@@ -175,14 +175,14 @@ type Report struct {
 // summation tree.
 const measureChunk = 64
 
-// Measure computes all three metrics with up to `workers` goroutines
-// (0 = all cores, 1 = serial). Per-partition terms are accumulated
-// into fixed 64-partition chunks and the chunk partials are summed in
-// chunk order, making the result independent of the worker count; for
+// Measure computes all three metrics on GOMAXPROCS workers.
+// Per-partition terms are accumulated into fixed 64-partition chunks
+// and the chunk partials are summed in chunk order, making the result
+// independent of the worker schedule; for
 // tables of more than one chunk the summation tree differs from the
 // flat left-to-right sum of Discernibility, Certainty and KLDivergence,
 // so the two can disagree in the last bits.
-func Measure(s *attr.Schema, ps []anonmodel.Partition, domain attr.Box, workers int) Report {
+func Measure(s *attr.Schema, ps []anonmodel.Partition, domain attr.Box) Report {
 	n := len(ps)
 	if n == 0 {
 		return Report{}
@@ -191,7 +191,7 @@ func Measure(s *attr.Schema, ps []anonmodel.Partition, domain attr.Box, workers 
 	chunks := (n + measureChunk - 1) / measureChunk
 	type partial struct{ dm, cm, kl float64 }
 	parts := make([]partial, chunks)
-	par.Do(workers, chunks, func(c int) {
+	par.Do(chunks, func(c int) {
 		lo := c * measureChunk
 		hi := lo + measureChunk
 		if hi > n {

@@ -184,7 +184,7 @@ func TestKLNonNegativeAndCompactionHelps(t *testing.T) {
 	if klRaw < 0 {
 		t.Fatalf("KL negative: %v", klRaw)
 	}
-	cs := compact.Partitions(ps, 1)
+	cs := compact.Partitions(ps)
 	klCompact := KLDivergence(cs)
 	if klCompact < 0 {
 		t.Fatalf("compacted KL negative: %v", klCompact)
@@ -209,7 +209,7 @@ func TestMeasure(t *testing.T) {
 	s := twoAttrSchema()
 	ps := twoPartitions()
 	domain := attr.Box{{Lo: 20, Hi: 60}, {Lo: 0, Hi: 1}}
-	r := Measure(s, ps, domain, 1)
+	r := Measure(s, ps, domain)
 	if r.Partitions != 2 {
 		t.Fatalf("partitions = %d", r.Partitions)
 	}

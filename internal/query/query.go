@@ -166,18 +166,17 @@ type Result struct {
 	Err float64
 }
 
-// Evaluate runs every query against both tables with workers
-// goroutines (0 = all cores, 1 = serial). Queries with zero original
-// count (impossible for the generators in this package, which seed
-// queries from real records) are rejected to keep the normalized error
-// well-defined. Queries evaluate independently — each writes only its
+// Evaluate runs every query against both tables on GOMAXPROCS workers.
+// Queries with zero original count (impossible for the generators in
+// this package, which seed queries from real records) are rejected to
+// keep the normalized error well-defined. Queries evaluate independently — each writes only its
 // own result slot and the per-query arithmetic involves no cross-query
-// accumulation — so results are identical for every worker count, and
+// accumulation — so results are identical at every GOMAXPROCS, and
 // on failure the reported error is the lowest-indexed failing query,
 // matching the serial scan.
-func Evaluate(ps []anonmodel.Partition, recs []attr.Record, queries []attr.Box, workers int) ([]Result, error) {
+func Evaluate(ps []anonmodel.Partition, recs []attr.Record, queries []attr.Box) ([]Result, error) {
 	out := make([]Result, len(queries))
-	err := par.FirstErr(workers, len(queries), func(i int) error {
+	err := par.FirstErr(len(queries), func(i int) error {
 		q := queries[i]
 		orig := CountOriginal(recs, q)
 		if orig == 0 {

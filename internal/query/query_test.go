@@ -98,7 +98,7 @@ func TestEvaluateAndError(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := FullRangeWorkload(recs, 200, 3)
-	results, err := Evaluate(ps, recs, qs, 1)
+	results, err := Evaluate(ps, recs, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestEvaluateAndError(t *testing.T) {
 		t.Fatalf("mean error %v", mean)
 	}
 	// Compaction must not increase the mean error (Figure 12(a)).
-	cres, err := Evaluate(compact.Partitions(ps, 1), recs, qs, 1)
+	cres, err := Evaluate(compact.Partitions(ps), recs, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestEvaluateAndError(t *testing.T) {
 func TestEvaluateRejectsEmptyOriginal(t *testing.T) {
 	recs := dataset.GeneratePatients(50, 83)
 	q := attr.Box{{Lo: -10, Hi: -5}, {Lo: 0, Hi: 1}, {Lo: 0, Hi: 1}}
-	if _, err := Evaluate(nil, recs, []attr.Box{q}, 1); err == nil {
+	if _, err := Evaluate(nil, recs, []attr.Box{q}); err == nil {
 		t.Fatal("zero-count query accepted")
 	}
 }
@@ -178,7 +178,7 @@ func TestErrorShrinksWithSelectivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := FullRangeWorkload(recs, 400, 5)
-	results, err := Evaluate(compact.Partitions(ps, 1), recs, qs, 1)
+	results, err := Evaluate(compact.Partitions(ps), recs, qs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func sessionRelease(t testing.TB) ([]anonmodel.Partition, *routing.Index, []quer
 		t.Fatal(err)
 	}
 	queries := query.FullRangeWorkload(recs, 100, 22)
-	results, err := query.Evaluate(ps, recs, queries, 1)
+	results, err := query.Evaluate(ps, recs, queries)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func TestDerivedWeightsImproveWorkloadAccuracy(t *testing.T) {
 		if err := anonmodel.CheckAnonymity(ps, anonmodel.KAnonymity{K: 10}); err != nil {
 			t.Fatal(err)
 		}
-		results, err := Evaluate(ps, recs, workload, 1)
+		results, err := Evaluate(ps, recs, workload)
 		if err != nil {
 			t.Fatal(err)
 		}

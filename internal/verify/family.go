@@ -46,7 +46,7 @@ type derivation struct {
 // rejects k < 2); anonylint:k-validated.
 func NewFamily(leaves core.Tiling, k int) (*Family, error) {
 	constraint := anonmodel.KAnonymity{K: k}
-	base, err := leaves.Scan(constraint, 0)
+	base, err := leaves.Scan(constraint)
 	if err != nil {
 		return nil, fmt.Errorf("verify: base release: %w", err)
 	}
@@ -80,7 +80,7 @@ func (f *Family) Release(k1 int) ([]anonmodel.Partition, error) {
 	}
 	f.mu.Unlock()
 	d.once.Do(func() {
-		coarse, err := f.base.Scan(anonmodel.KAnonymity{K: k1}, 0)
+		coarse, err := f.base.Scan(anonmodel.KAnonymity{K: k1})
 		if err == nil {
 			err = Releases([][]anonmodel.Partition{f.base.Partitions, coarse.Partitions}, f.k)
 		}
